@@ -31,7 +31,12 @@ target/release/experiments validate "$SMOKE_DIR/BENCH_sched.json" \
   schema bench host_threads runs
 rm -rf "$SMOKE_DIR"
 
-echo "== engine differential: tree-walker vs bytecode VM on the examples"
+echo "== engine differential: tree ≡ fused VM ≡ unfused VM, as written and as restructured"
+# Each file runs as written and again through the restructurer (so the
+# emitted forms — cri-enqueue, cri-handoff for tail_heavy.lisp, lock
+# brackets, atomic-incf — go through all three engines), and the
+# restructured program must leave the same output and globals; the
+# local-accumulator fixture is the reorder defect the benchmark found.
 target/release/experiments differential examples/lisp/*.lisp examples/lisp/fixtures/*.lisp
 
 echo "== engine sweep: experiments interp writes a valid BENCH_interp.json"
@@ -144,5 +149,14 @@ STEAL_DIR="$(mktemp -d)"
 target/release/experiments validate "$STEAL_DIR/BENCH_steal.json" \
   schema bench host_threads servers runs
 rm -rf "$STEAL_DIR"
+
+echo "== benchmark: the stand-alone package still builds against the facade and passes"
+# benchmark/ is its own workspace, so nothing above compiles it: an API
+# change in the facade would break it silently. --quick runs every
+# workload for correctness (no timing claims), self-test checks the
+# checks (manifest drift, reference cases, a corrupted cell must fail).
+bash benchmark/run.sh --quick > /dev/null
+# (self-test prints the failed pass it provokes; show it only on failure)
+out="$(bash benchmark/run.sh self-test 2>&1)" || { echo "$out" >&2; exit 1; }
 
 echo "CI OK"

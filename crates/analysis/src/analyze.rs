@@ -12,7 +12,7 @@ use curare_lisp::ast::{Func, Program};
 use crate::access::{collect_accesses, AccessSummary};
 use crate::conflict::{conflicts_from_parts, ConflictReport};
 use crate::declare::DeclDb;
-use crate::headtail::{head_tail, HeadTail};
+use crate::headtail::{head_tail_in, CallCosts, HeadTail};
 use crate::transfer::{transfer_functions, TransferSummary};
 
 /// How a function can be executed concurrently.
@@ -137,13 +137,22 @@ pub fn analyze_function_with_canon(
     decls: &DeclDb,
     canon: Option<&crate::canon::Canonicalizer>,
 ) -> FunctionAnalysis {
+    analyze_in(func, decls, canon, &CallCosts::default())
+}
+
+fn analyze_in(
+    func: &Func,
+    decls: &DeclDb,
+    canon: Option<&crate::canon::Canonicalizer>,
+    calls: &CallCosts,
+) -> FunctionAnalysis {
     let accesses = collect_accesses(func);
     let transfers = transfer_functions(func);
     let conflicts = match canon {
         Some(c) => crate::canon_conflict::conflicts_with_canon(&accesses, &transfers, c),
         None => conflicts_from_parts(&accesses, &transfers),
     };
-    let ht = head_tail(func);
+    let ht = head_tail_in(func, calls);
 
     let mut reasons = Vec::new();
     if decls.transform_requested(&func.name) == Some(false) {
@@ -187,10 +196,13 @@ pub fn analyze_function_with_canon(
     }
 }
 
-/// Analyze every function of a lowered program.
+/// Analyze every function of a lowered program. Seeing the whole
+/// program, this is the entry point whose head/tail costs include
+/// callee bodies (the per-function ones count any call as unbounded).
 pub fn analyze_program(prog: &Program) -> Result<Vec<FunctionAnalysis>, crate::declare::DeclError> {
     let decls = DeclDb::from_program(prog)?;
-    Ok(prog.funcs.iter().map(|f| analyze_function(f, &decls)).collect())
+    let calls = CallCosts::of_program(prog);
+    Ok(prog.funcs.iter().map(|f| analyze_in(f, &decls, None, &calls)).collect())
 }
 
 #[cfg(test)]

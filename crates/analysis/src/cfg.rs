@@ -8,7 +8,37 @@
 //! `and`/`or`) and computes immediate dominators with the iterative
 //! Cooper–Harvey–Kennedy algorithm.
 
-use curare_lisp::ast::{Expr, Func};
+use curare_lisp::ast::{BuiltinOp, Expr, Func};
+use curare_lisp::SymId;
+
+/// What one evaluation step can cost beyond its own unit — the part
+/// of the §3.1 size measure that is not visible in the statement
+/// itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Extra {
+    /// Nothing: the step is its unit cost.
+    None,
+    /// A direct call: the named function's whole body runs here.
+    Call(SymId),
+    /// No static bound: a loop, or a callee only known at run time
+    /// (`funcall`, `apply`, `mapcar`).
+    Unbounded,
+}
+
+impl Extra {
+    /// Classify one step. `future` and `cri-enqueue` are spawns, not
+    /// work done here, whatever they name.
+    pub fn of(e: &Expr) -> Extra {
+        match e {
+            Expr::Call { name, .. } => Extra::Call(*name),
+            Expr::While(..)
+            | Expr::Builtin(BuiltinOp::Funcall | BuiltinOp::Apply | BuiltinOp::Mapcar, _) => {
+                Extra::Unbounded
+            }
+            _ => Extra::None,
+        }
+    }
+}
 
 /// What a CFG node represents.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,6 +56,8 @@ pub enum NodeKind {
         recursive_call: bool,
         /// Human-readable description.
         label: String,
+        /// Cost the step stands for beyond `size`.
+        extra: Extra,
     },
 }
 
@@ -86,7 +118,8 @@ impl Builder {
             Expr::LockOp { lock: false, .. } => "unlock".to_string(),
             other => shape_name(other).to_string(),
         };
-        let n = self.new_node(NodeKind::Op { size: 1, recursive_call, label });
+        let extra = Extra::of(e);
+        let n = self.new_node(NodeKind::Op { size: 1, recursive_call, label, extra });
         self.connect_all(preds, n);
         n
     }

@@ -70,7 +70,7 @@ pub use canon_conflict::conflicts_with_canon;
 pub use cfg::Cfg;
 pub use conflict::{analyze_conflicts, Conflict, ConflictReport, DependencyKind};
 pub use declare::{DeclDb, DeclError, DeclaredLock};
-pub use headtail::{head_tail, HeadTail};
+pub use headtail::{head_tail, head_tail_in, CallCosts, Cost, HeadTail};
 pub use locksynth::{
     certify, covering_pair, declared_placement, naive as naive_placement, synthesize, CertIssue,
     LockMode, OrderingContext, PairInfo, PairOrder, Placement, SynthLock,

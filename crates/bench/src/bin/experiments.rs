@@ -137,6 +137,9 @@ fn main() -> ExitCode {
     if want("e12") {
         e12_scheduler_ablation(&obs);
     }
+    if want("e13") {
+        e13_handoff_crossover();
+    }
     if want("sched") {
         sched_contention(&obs);
     }
@@ -472,8 +475,13 @@ fn hir_cmd(args: &[String]) -> ExitCode {
 /// error), same printed output, and the same global bindings
 /// (rendered through the heap, so any structure reachable from a
 /// global is compared too). The three-way comparison makes the fusion
-/// escape hatch a checked equivalence, not just an off switch. The CI
-/// gate runs this over `examples/lisp/*.lisp`.
+/// escape hatch a checked equivalence, not just an off switch. Each
+/// file then goes through the restructurer and its output through the
+/// same three engines (so every form the transformer can emit —
+/// `cri-enqueue`, `cri-handoff`, lock brackets, `atomic-incf` — is
+/// compiled, fused and tree-walked), and must leave the output and
+/// globals the file as written leaves. The CI gate runs this over
+/// `examples/lisp/*.lisp` and the fixtures.
 fn differential_cmd(args: &[String]) -> ExitCode {
     use curare::lisp::Engine;
 
@@ -506,6 +514,22 @@ fn differential_cmd(args: &[String]) -> ExitCode {
             format!("{outcome}\noutput: {output}\nglobals: {}", globals.join(" "))
         })
     };
+    // The three engines on one text: `Ok(outcome)` when they agree.
+    let three_way = |src: &str| -> Result<String, String> {
+        let tree = run_engine(src, Engine::Tree, true);
+        let vm = run_engine(src, Engine::Vm, true);
+        let vm_nofuse = run_engine(src, Engine::Vm, false);
+        if tree == vm && vm == vm_nofuse {
+            Ok(tree)
+        } else {
+            Err(format!(
+                "--- tree ---\n{tree}\n--- vm (fused) ---\n{vm}\n--- vm (--no-fuse) ---\n{vm_nofuse}"
+            ))
+        }
+    };
+    // Output and globals, without the first (value) line: a converted
+    // function's return value is not meaningful, its effects are.
+    let effects = |outcome: &str| outcome.split_once('\n').map(|(_, e)| e.to_string());
     let mut all_ok = true;
     for path in args {
         let src = match std::fs::read_to_string(path) {
@@ -515,17 +539,27 @@ fn differential_cmd(args: &[String]) -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let tree = run_engine(&src, Engine::Tree, true);
-        let vm = run_engine(&src, Engine::Vm, true);
-        let vm_nofuse = run_engine(&src, Engine::Vm, false);
-        if tree == vm && vm == vm_nofuse {
-            println!("{path}: engines agree ({})", tree.lines().next().unwrap_or(""));
-        } else {
-            all_ok = false;
-            eprintln!(
-                "{path}: ENGINE DIVERGENCE\n--- tree ---\n{tree}\n--- vm (fused) ---\n{vm}\n\
-                 --- vm (--no-fuse) ---\n{vm_nofuse}"
-            );
+        // The file as written, then as restructured (sequential hooks:
+        // every spawn form is a direct call), which must also leave
+        // the effects the original leaves.
+        let restructured = Curare::new().transform_source(&src).map(|out| out.source());
+        let verdict = three_way(&src).and_then(|plain| {
+            let Ok(text) = &restructured else { return Ok(plain) };
+            let after = three_way(text).map_err(|d| format!("(restructured)\n{d}"))?;
+            if effects(&after) == effects(&plain) {
+                Ok(plain)
+            } else {
+                Err(format!("--- as written ---\n{plain}\n--- restructured ---\n{after}"))
+            }
+        });
+        match verdict {
+            Ok(plain) => {
+                println!("{path}: engines agree ({})", plain.lines().next().unwrap_or(""));
+            }
+            Err(detail) => {
+                all_ok = false;
+                eprintln!("{path}: ENGINE DIVERGENCE\n{detail}");
+            }
         }
     }
     if all_ok {
@@ -585,11 +619,15 @@ fn sanitize_cmd(args: &[String]) -> ExitCode {
         vec![interp.heap().sym_value("a"), sym_list(interp, n as usize, &["a", "b", "c"])]
     }
     let fk = distance_k_writer(2);
-    let programs: [(&str, &str, &str, i64, ArgsFor); 4] = [
+    // The hand-off example: its successors overlap their producers'
+    // tails, which is only sound because the tails do not conflict.
+    let tail_heavy = include_str!("../../../../examples/lisp/tail_heavy.lisp");
+    let programs: [(&str, &str, &str, i64, ArgsFor); 5] = [
         ("figure-5", FIGURE_5, "f", 512, int_args),
         ("rotate", ROTATE, "rotate", 512, int_args),
         ("distance-2", &fk, "fk", 512, int_args),
         ("remq", FIGURE_12_REMQ, "remq", 256, remq_args),
+        ("tail-heavy", tail_heavy, "th", 512, int_args),
     ];
     let mut all_sound = true;
     // Per-cell precision rows for the machine-readable summary doc:
@@ -2396,6 +2434,71 @@ fn e12_scheduler_ablation(obs: &ObsSink) {
     println!(
         "expected shape: both exact; the ordered queue pays a small constant per task,\n\
          which §4.1 accepts while invocation grain dominates.\n"
+    );
+}
+
+/// E13 — where handing the successor off starts to pay (§3.1, §4.1).
+/// The same hand-written CRI walker with a tail of `pad` arithmetic
+/// steps, spawned with `cri-enqueue` (lazy: batch and chain) and with
+/// `cri-handoff` (published at the spawn), timed at S = 2. The
+/// crossover justifies `transform::HANDOFF_THRESHOLD`.
+fn e13_handoff_crossover() {
+    banner("E13", "lazy vs hand-off publication against tail cost", "§3.1, §4.1");
+    const CELLS: i64 = 1000;
+    const REPS: usize = 201;
+    println!("measured, S = 2, {CELLS} cells, p10 / median of {REPS} pool runs:");
+    println!(
+        "  {:>8} {:>10} {:>18} {:>18} {:>10}",
+        "tail pad", "tail cost", "lazy p10/p50 µs", "hand-off p10/p50 µs", "p10 ratio"
+    );
+    for pad in [0usize, 8, 64, 128, 192, 256, 512] {
+        let source = |spawn: &str| {
+            format!(
+                "(defun crunch (v) (let ((x v)) {} x))
+                 (defun th (l)
+                   (when l
+                     ({spawn} 0 th (cdr l))
+                     (setf (car l) (crunch (car l)))))",
+                "(setq x (+ x 1)) ".repeat(pad)
+            )
+        };
+        // The cost the transformer would see for this tail.
+        let heap = curare::lisp::Heap::new();
+        let forms = curare::sexpr::parse_all(&source("cri-enqueue")).expect("parses");
+        let prog = Lowerer::new(&heap).lower_program(&forms).expect("lowers");
+        let tail_cost =
+            curare::analysis::analyze_program(&prog).expect("analyses")[1].head_tail.tail_cost;
+        let mut cells = Vec::new();
+        for spawn in ["cri-enqueue", "cri-handoff"] {
+            let interp = Arc::new(Interp::new());
+            interp.load_str(&source(spawn)).expect("loads");
+            let rt = CriRuntime::new(Arc::clone(&interp), 2);
+            let mut samples: Vec<Duration> = (0..REPS)
+                .map(|_| {
+                    let l = int_list(&interp, CELLS);
+                    time_once(|| rt.run("th", &[l]).expect("run"))
+                })
+                .collect();
+            samples.sort();
+            assert_eq!(rt.stats().tasks, REPS as u64 * (CELLS as u64 + 1), "exactly-once");
+            cells.push((samples[REPS / 10], samples[REPS / 2]));
+        }
+        let us = |d: Duration| d.as_secs_f64() * 1e6;
+        println!(
+            "  {pad:>8} {:>10} {:>8.0} /{:>8.0} {:>8.0} /{:>8.0} {:>10.2}",
+            tail_cost.to_string(),
+            us(cells[0].0),
+            us(cells[0].1),
+            us(cells[1].0),
+            us(cells[1].1),
+            us(cells[1].0) / us(cells[0].0)
+        );
+    }
+    println!(
+        "host: {} hardware thread(s). Expected shape: hand-off loses where the tail is\n\
+         shorter than a queue round trip and wins where it is longer; the threshold sits\n\
+         at the crossover.\n",
+        hardware_threads()
     );
 }
 

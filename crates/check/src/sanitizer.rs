@@ -763,6 +763,21 @@ mod sanitized_tests {
     }
 
     #[test]
+    fn handed_off_tail_heavy_walker_observes_no_unpredicted_pair() {
+        // `cri-handoff` makes the successor runnable while its
+        // producer's tail still runs — the overlap the conflict
+        // analysis licensed. The tail writes only its own cell, so the
+        // run must show no conflicting pair the analysis did not
+        // predict, under either scheduler.
+        let src = include_str!("../../../examples/lisp/tail_heavy.lisp");
+        for mode in [SchedMode::Central, SchedMode::Sharded] {
+            let check = run(src, "th", 48, 2, mode);
+            assert!(check.sound(), "{mode:?} unpredicted: {:?}", check.unpredicted);
+            assert!(check.events > 0, "recording actually happened");
+        }
+    }
+
+    #[test]
     fn future_synced_tail_is_sound() {
         // The post-call write forces future synchronization; the touch
         // edges must order the unwind writes.

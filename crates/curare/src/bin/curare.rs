@@ -157,6 +157,15 @@ fn check(args: &[String]) -> ExitCode {
     ExitCode::from(worst)
 }
 
+/// The one-line per-function summary `transform` and `run` print.
+fn report_line(r: &curare::transform::FunctionReport) -> String {
+    let mut line = format!(";; {}: converted = {}, devices = {:?}", r.name, r.converted, r.devices);
+    if r.converted {
+        line.push_str(&format!(", publication = {}", r.publication));
+    }
+    line
+}
+
 fn transform(args: &[String]) -> Result<(), String> {
     let speculate = args.iter().any(|a| a == "--speculate");
     let files: Vec<String> = args.iter().filter(|a| *a != "--speculate").cloned().collect();
@@ -167,7 +176,7 @@ fn transform(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     print!("{}", out.source());
     for r in &out.reports {
-        eprintln!(";; {}: converted = {}, devices = {:?}", r.name, r.converted, r.devices);
+        eprintln!("{}", report_line(r));
         if !r.converted {
             for line in r.feedback.lines() {
                 eprintln!(";;   {line}");
@@ -301,7 +310,7 @@ fn run(args: &[String]) -> Result<(), String> {
             .transform_source(&src)
             .map_err(|e| e.to_string())?;
         for r in &out.reports {
-            eprintln!(";; {}: converted = {}, devices = {:?}", r.name, r.converted, r.devices);
+            eprintln!("{}", report_line(r));
         }
         out.source()
     };

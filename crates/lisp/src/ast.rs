@@ -253,7 +253,9 @@ pub enum Expr {
     },
     /// `(cri-enqueue site f args...)` — produced by the CRI transform;
     /// hands the next invocation's arguments to the scheduler instead
-    /// of calling directly. Evaluates to nil.
+    /// of calling directly. Evaluates to nil. `(cri-handoff site f
+    /// args...)` is the same spawn with `handoff` set: the successor
+    /// should become runnable now, not when this invocation ends.
     Enqueue {
         /// Which recursive call site this is (for per-site queues, §4.1).
         site: usize,
@@ -263,6 +265,8 @@ pub enum Expr {
         name_text: String,
         /// Argument expressions.
         args: Vec<Expr>,
+        /// Publish at once (`cri-handoff`) instead of at invocation end.
+        handoff: bool,
     },
     /// `(cri-lock base field)` / `(cri-unlock base field)` — produced
     /// by the locking transform (§3.2.1). `field` is a field code:
@@ -458,7 +462,8 @@ mod tests {
 
     #[test]
     fn calls_sees_enqueue_and_future() {
-        let e = Expr::Enqueue { site: 0, name: 3, name_text: "f".into(), args: vec![] };
+        let e =
+            Expr::Enqueue { site: 0, name: 3, name_text: "f".into(), args: vec![], handoff: false };
         assert!(e.calls(3));
         let e = Expr::Future { name: 4, name_text: "g".into(), args: vec![] };
         assert!(e.calls(4));

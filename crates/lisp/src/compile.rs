@@ -190,8 +190,9 @@ pub enum Op {
     FuncRef { dst: u16, site: u16 },
     /// `(future (f ...))` through the runtime hooks.
     Future { dst: u16, site: u16, base: u16, argc: u16 },
-    /// `(cri-enqueue site f ...)` through the runtime hooks.
-    Enqueue { site: u32, callee: u16, base: u16, argc: u16 },
+    /// `(cri-enqueue site f ...)` through the runtime hooks;
+    /// `handoff` for the `cri-handoff` spelling.
+    Enqueue { site: u32, callee: u16, base: u16, argc: u16, handoff: bool },
     /// `(cri-lock ...)` / `(cri-unlock ...)` on `regs[src]`.
     Lock { src: u16, l: u16 },
     /// `(atomic-incf global delta)` — CAS add on a global cell.
@@ -1241,10 +1242,11 @@ impl Compiler<'_> {
                 self.ops.push(Op::Future { dst, site, base: b, argc });
                 self.free_to(mark);
             }
-            HKind::Enqueue { site, name, name_text, args } => {
+            HKind::Enqueue { site, name, name_text, args, handoff } => {
                 let (b, argc) = self.emit_args(args);
                 let callee = self.k_site(*name, name_text);
-                self.ops.push(Op::Enqueue { site: *site as u32, callee, base: b, argc });
+                let handoff = *handoff;
+                self.ops.push(Op::Enqueue { site: *site as u32, callee, base: b, argc, handoff });
                 self.free_to(mark);
                 self.op_const(dst, Value::NIL);
             }

@@ -415,7 +415,7 @@ impl<'i> Evaluator<'i> {
                 };
                 interp.hooks().future(interp, fid, vals)?
             }
-            Expr::Enqueue { site, name, name_text, args } => {
+            Expr::Enqueue { site, name, name_text, args, handoff } => {
                 let mut vals = take_value_buf();
                 for a in args {
                     vals.push(self.eval(a, frame)?);
@@ -423,7 +423,11 @@ impl<'i> Evaluator<'i> {
                 let Some(fid) = interp.lookup_func(*name) else {
                     return Err(LispError::UndefinedFunction(name_text.clone()));
                 };
-                interp.hooks().enqueue(interp, *site, fid, vals)?;
+                if *handoff {
+                    interp.hooks().handoff(interp, *site, fid, vals)?;
+                } else {
+                    interp.hooks().enqueue(interp, *site, fid, vals)?;
+                }
                 Value::NIL
             }
             Expr::LockOp { lock, base, field, exclusive } => {

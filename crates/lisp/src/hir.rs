@@ -195,7 +195,7 @@ pub enum HKind {
         /// Arguments.
         args: Vec<HExpr>,
     },
-    /// `(cri-enqueue ...)`; evaluates to nil.
+    /// `(cri-enqueue ...)` / `(cri-handoff ...)`; evaluates to nil.
     Enqueue {
         /// Call-site index.
         site: usize,
@@ -205,6 +205,8 @@ pub enum HKind {
         name_text: String,
         /// Arguments.
         args: Vec<HExpr>,
+        /// `cri-handoff`: publish at once.
+        handoff: bool,
     },
     /// `(cri-lock ...)` / `(cri-unlock ...)`; evaluates to nil.
     LockOp {
@@ -353,11 +355,12 @@ pub fn desugar(e: &Expr) -> HExpr {
             name_text: name_text.clone(),
             args: args.iter().map(desugar).collect(),
         },
-        Expr::Enqueue { site, name, name_text, args } => HKind::Enqueue {
+        Expr::Enqueue { site, name, name_text, args, handoff } => HKind::Enqueue {
             site: *site,
             name: *name,
             name_text: name_text.clone(),
             args: args.iter().map(desugar).collect(),
+            handoff: *handoff,
         },
         Expr::LockOp { lock, base, field, exclusive } => HKind::LockOp {
             lock: *lock,
@@ -833,11 +836,12 @@ pub fn to_expr(h: &HExpr) -> Expr {
             name_text: name_text.clone(),
             args: args.iter().map(to_expr).collect(),
         },
-        HKind::Enqueue { site, name, name_text, args } => Expr::Enqueue {
+        HKind::Enqueue { site, name, name_text, args, handoff } => Expr::Enqueue {
             site: *site,
             name: *name,
             name_text: name_text.clone(),
             args: args.iter().map(to_expr).collect(),
+            handoff: *handoff,
         },
         HKind::LockOp { lock, base, field, exclusive } => Expr::LockOp {
             lock: *lock,

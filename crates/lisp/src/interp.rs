@@ -86,6 +86,14 @@ pub trait RuntimeHooks: Send + Sync {
     /// The evaluator resolves `f` to its [`FuncId`] before calling, so
     /// implementations pay no lookup on this hot path.
     fn enqueue(&self, interp: &Interp, site: usize, fid: FuncId, args: Vec<Value>) -> Result<()>;
+    /// `(cri-handoff site f args...)`: the same spawn, emitted where
+    /// the rest of the spawning invocation is long enough that the
+    /// successor should become runnable at once. A scheduling hint
+    /// with `cri-enqueue`'s semantics, so a runtime that does not
+    /// defer spawns has nothing to add.
+    fn handoff(&self, interp: &Interp, site: usize, fid: FuncId, args: Vec<Value>) -> Result<()> {
+        self.enqueue(interp, site, fid, args)
+    }
     /// `(future (f args...))`: start an asynchronous call, returning a
     /// value that [`RuntimeHooks::touch`] can resolve.
     fn future(&self, interp: &Interp, fid: FuncId, args: Vec<Value>) -> Result<Value>;

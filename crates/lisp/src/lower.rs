@@ -429,21 +429,22 @@ impl<'h> Lowerer<'h> {
                     args: self.lower_all(&call[1..])?,
                 })
             }
-            "cri-enqueue" => {
+            "cri-enqueue" | "cri-handoff" => {
                 let [site, fname, rest @ ..] = args else {
-                    return Err(syntax("cri-enqueue expects (cri-enqueue site fname args...)"));
+                    return Err(syntax(format!("{head} expects ({head} site fname args...)")));
                 };
                 let Some(site) = site.as_int() else {
-                    return Err(syntax("cri-enqueue site must be an integer"));
+                    return Err(syntax(format!("{head} site must be an integer")));
                 };
                 let Some(fname) = fname.as_symbol() else {
-                    return Err(syntax("cri-enqueue fname must be a symbol"));
+                    return Err(syntax(format!("{head} fname must be a symbol")));
                 };
                 Ok(Expr::Enqueue {
                     site: site as usize,
                     name: self.heap.intern(fname),
                     name_text: fname.to_string(),
                     args: self.lower_all(rest)?,
+                    handoff: head == "cri-handoff",
                 })
             }
             "atomic-incf-cell" => {
@@ -1256,7 +1257,9 @@ mod tests {
     #[test]
     fn cri_forms_lower() {
         let (_, e) = lower1("(cri-enqueue 0 f (cdr l))");
-        assert!(matches!(e, Expr::Enqueue { site: 0, .. }));
+        assert!(matches!(e, Expr::Enqueue { site: 0, handoff: false, .. }));
+        let (_, e) = lower1("(cri-handoff 1 f (cdr l))");
+        assert!(matches!(e, Expr::Enqueue { site: 1, handoff: true, .. }));
         let (_, e) = lower1("(cri-lock (cdr l) 'car)");
         assert!(matches!(e, Expr::LockOp { lock: true, field: 0, exclusive: true, .. }));
         let (_, e) = lower1("(cri-unlock l 'cdr)");

@@ -103,10 +103,10 @@ pub fn unparse_expr(heap: &Heap, e: &Expr) -> Sexpr {
         }
         Expr::FuncRef(_, name) => call("function", vec![sym(name)]),
         Expr::Future { name_text, args, .. } => call("future", vec![call(name_text, up_all(args))]),
-        Expr::Enqueue { site, name_text, args, .. } => {
+        Expr::Enqueue { site, name_text, args, handoff, .. } => {
             let mut items = vec![Sexpr::Int(*site as i64), sym(name_text)];
             items.extend(up_all(args));
-            call("cri-enqueue", items)
+            call(if *handoff { "cri-handoff" } else { "cri-enqueue" }, items)
         }
         Expr::LockOp { lock, base, field, exclusive } => {
             let head = match (lock, exclusive) {
@@ -274,6 +274,7 @@ mod tests {
             "(funcall (function f) 1)",
             "(future (work 1 2))",
             "(cri-enqueue 0 f (cdr l))",
+            "(cri-handoff 1 f (cdr l))",
             "(cri-lock (cdr l) 'car)",
             "(cri-unlock l 'cdr)",
             "(cri-lock-read l 'car)",

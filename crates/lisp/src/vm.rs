@@ -781,11 +781,16 @@ fn h_enqueue(
     op: Op,
     _pc: &mut usize,
 ) -> Result<Option<VmFlow>> {
-    let Op::Enqueue { site, callee, base, argc } = op else { unreachable!() };
+    let Op::Enqueue { site, callee, base, argc, handoff } = op else { unreachable!() };
     let mut a = eval::take_value_buf();
     a.extend_from_slice(&regs[base as usize..][..argc as usize]);
     let fid = code.sites[callee as usize].resolve(vm.interp)?;
-    vm.interp.hooks().enqueue(vm.interp, site as usize, fid, a)?;
+    let hooks = vm.interp.hooks();
+    if handoff {
+        hooks.handoff(vm.interp, site as usize, fid, a)?;
+    } else {
+        hooks.enqueue(vm.interp, site as usize, fid, a)?;
+    }
     Ok(None)
 }
 
@@ -1439,7 +1444,7 @@ mod tests {
             Op::MakeClosure { dst: 0, l: 0 },
             Op::FuncRef { dst: 0, site: 0 },
             Op::Future { dst: 0, site: 0, base: 0, argc: 0 },
-            Op::Enqueue { site: 0, callee: 0, base: 0, argc: 0 },
+            Op::Enqueue { site: 0, callee: 0, base: 0, argc: 0, handoff: false },
             Op::Lock { src: 0, l: 0 },
             Op::AtomicIncfG { dst: 0, g: 0, delta: 0 },
             Op::Raise { e: 0 },

@@ -239,6 +239,9 @@ fn concurrency_surface_forms() {
         "(defparameter *acc* 0)
          (defun bump (n) (atomic-incf *acc* n))
          (cri-enqueue 0 bump 5) (cri-enqueue 0 bump 7) *acc*",
+        "(defparameter *acc* 0)
+         (defun walk (l) (when l (cri-handoff 0 walk (cdr l)) (atomic-incf *acc* (car l))))
+         (walk (list 1 2 3)) (cri-handoff 1 walk (list 10)) *acc*",
         "(let ((c (cons 1 2))) (cri-lock c car) (rplaca c 9) (cri-unlock c car) c)",
         "(let ((c (cons 1 2))) (cri-lock-read c cdr) (cri-unlock-read c cdr) (cdr c))",
         "(defparameter *n* 10) (atomic-incf *n*) (atomic-incf *n* 5) *n*",

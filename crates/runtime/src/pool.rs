@@ -16,18 +16,29 @@
 //! §4.1 calls the central queue "a potential bottleneck", and the E8
 //! experiment confirms it: at tiny grain, every enqueue/dequeue is a
 //! lock round trip. The default [`SchedMode::Sharded`] scheduler
-//! removes that traffic three ways while keeping the per-call-site
-//! FIFO discipline observable behaviour:
+//! removes that traffic while keeping the per-call-site FIFO
+//! discipline observable behaviour:
 //!
-//! - **batched submit** — an executing invocation's enqueues collect
-//!   in a thread-local buffer and publish at invocation end under one
-//!   site-lock acquisition with one condvar notification (`touch` and
-//!   `cri-lock` publish early, so nothing waits on unpublished work);
-//! - **task chaining** — when the batch holds exactly one successor
+//! - **batched submit** — a `cri-enqueue` is *buffered*: the executing
+//!   invocation's enqueues collect in a thread-local batch that is
+//!   published when the invocation ends, under one site-lock
+//!   acquisition with one condvar notification;
+//! - **task chaining** — when that batch holds exactly one successor
 //!   and every site at or below its own is empty, the server runs it
 //!   directly: by the lowest-site-first rule a dequeue would have
 //!   picked that task anyway, so the queues and condvar are skipped
-//!   entirely;
+//!   entirely. This is what makes a tiny tail affordable, and why the
+//!   buffer stays the default;
+//! - **hand-off** — a `cri-handoff` is published at the spawn, behind
+//!   whatever the invocation still buffers. The restructurer writes it
+//!   where the function's tail costs more than a queue round trip
+//!   (`transform::pipeline`, from `analysis::headtail`'s cost): there a
+//!   buffered successor could not start before its producer's tail had
+//!   finished, which forfeits the one overlap §3.1 is about. There is
+//!   a single early-publication path (`CriHooks::spawn`): hand-off
+//!   and every speculative spawn take it, and `touch` / `cri-lock`
+//!   flush the batch before blocking, so nothing waits on unpublished
+//!   work;
 //! - **sharded site queues** — [`ShardedQueues`] gives each call site
 //!   its own lock plus a nonempty-site bitmask, so servers contend
 //!   only when touching the same site and idle `pop`s don't scan.
@@ -226,17 +237,18 @@ impl Scheduler {
         }
     }
 
-    /// Publish a batch. Returns the union of the per-task wake masks.
-    fn push_batch(&self, tasks: Vec<Task>) -> u64 {
+    /// Publish a batch, draining `tasks` (the buffer stays with the
+    /// caller). Returns the union of the per-task wake masks.
+    fn push_batch(&self, tasks: &mut Vec<Task>) -> u64 {
         match self {
             Scheduler::Central(m) => {
                 let mut q = m.lock();
-                for t in tasks {
+                for t in tasks.drain(..) {
                     q.push(t);
                 }
                 u64::MAX
             }
-            Scheduler::Sharded(s) => s.push_batch(tasks),
+            Scheduler::Sharded(s) => s.push_batch(tasks.drain(..)),
         }
     }
 
@@ -330,6 +342,8 @@ impl Scheduler {
 /// `touch` across runtimes) never mix buffers.
 struct BatchFrame {
     key: usize,
+    /// The function whose invocation is executing.
+    fid: FuncId,
     tasks: Vec<Task>,
 }
 
@@ -581,7 +595,7 @@ impl Shared {
         }
         let n = tasks.len();
         self.pending.fetch_add(n as u64, Ordering::AcqRel);
-        let wake = self.sched.push_batch(std::mem::take(tasks));
+        let wake = self.sched.push_batch(tasks);
         self.batched_submits.fetch_add(1, Ordering::Relaxed);
         curare_obs::record(EventKind::BatchFlush, n as u64);
         self.wake_servers(wake, n);
@@ -772,6 +786,22 @@ fn watchdog_loop(shared: &Arc<Shared>, budget: Duration) {
     }
 }
 
+/// Build the task for a spawn of `fid`, recording its causal events
+/// (the spawn edge, and the future it will resolve).
+#[inline]
+fn new_task(site: usize, fid: FuncId, args: Vec<Value>, future: Option<u64>) -> Task {
+    let parent = curare_obs::current_invocation();
+    let inv = curare_obs::new_invocation();
+    if inv != 0 {
+        curare_obs::record_spawn(inv, future);
+        curare_obs::record(EventKind::Spawn, curare_obs::pack_pair(parent, inv));
+        if let Some(id) = future {
+            curare_obs::record(EventKind::BindFuture, curare_obs::pack_pair(inv, id));
+        }
+    }
+    Task { fid, args, site, future, inv, parent, attempts: 0 }
+}
+
 /// The hooks a pooled interpreter runs under.
 pub struct CriHooks {
     shared: Arc<Shared>,
@@ -800,28 +830,62 @@ impl CriHooks {
 
     /// Publish the executing invocation's buffered successors now.
     /// Called before any potentially blocking wait so no other server
-    /// (or future toucher) can depend on unpublished work.
+    /// (or future toucher) can depend on unpublished work, and before
+    /// an early publication so that it lands behind them.
     fn flush_batch(&self) {
         let key = self.shared.key();
-        let mut tasks = BATCH.with(|b| {
-            let mut frames = b.borrow_mut();
-            match frames.last_mut() {
-                Some(f) if f.key == key => std::mem::take(&mut f.tasks),
-                _ => Vec::new(),
-            }
+        let mut tasks = BATCH.with(|b| match b.borrow_mut().last_mut() {
+            Some(f) if f.key == key && !f.tasks.is_empty() => std::mem::take(&mut f.tasks),
+            _ => Vec::new(),
         });
         self.shared.publish_batch(&mut tasks, false);
         put_spare(tasks);
     }
-}
 
-impl RuntimeHooks for CriHooks {
-    fn enqueue(
+    /// Every spawn leaves its producer here. `now` is the one early
+    /// publication: the task goes to the queues at once, behind
+    /// whatever the invocation still buffers (per-site FIFO), instead
+    /// of joining the batch that publishes — or chains — at invocation
+    /// end. Hand-off asks for it because its producer's tail is long;
+    /// speculation always does, for the same overlap, and registers
+    /// the child with the journal first so it can never run ahead of
+    /// its entry.
+    #[inline]
+    fn spawn(&self, task: Task, now: bool) {
+        if self.shared.speculate {
+            let Task { inv, parent, fid, args, future, .. } = &task;
+            speclog::register_invocation(*inv, *parent, *fid, args);
+            speclog::record_spawn(*parent, *inv, *fid, args, future.is_some());
+        }
+        if now || self.shared.speculate {
+            self.flush_batch();
+            self.shared.submit_now(task);
+        } else if let Some(task) = self.try_batch(task) {
+            self.shared.submit_now(task);
+        }
+    }
+
+    /// True when the executing invocation's body may be run again by
+    /// the panic policy (its function is declared idempotent). Such a
+    /// body must not publish before it ends: the retry would spawn the
+    /// successor a second time, whereas a buffered successor dies with
+    /// the failed attempt. Its hand-offs therefore stay lazy.
+    fn body_may_rerun(&self) -> bool {
+        if !cfg!(feature = "chaos") {
+            return false; // no catch, no retry
+        }
+        let key = self.shared.key();
+        let executing = BATCH.with(|b| b.borrow().last().filter(|f| f.key == key).map(|f| f.fid));
+        executing.is_some_and(|fid| self.shared.idempotent.lock().contains(&fid))
+    }
+
+    fn enqueue_at(
         &self,
         interp: &Interp,
         site: usize,
         fid: FuncId,
         args: Vec<Value>,
+        now: bool,
     ) -> Result<(), LispError> {
         if INLINE_SEQ.with(Cell::get) {
             return interp.call_fid_owned(fid, args).map(|_| ());
@@ -837,28 +901,30 @@ impl RuntimeHooks for CriHooks {
             return Ok(());
         }
         curare_obs::record(EventKind::Enqueue, site as u64);
-        let parent = curare_obs::current_invocation();
-        let inv = curare_obs::new_invocation();
-        if inv != 0 {
-            curare_obs::record_spawn(inv, None);
-            curare_obs::record(EventKind::Spawn, curare_obs::pack_pair(parent, inv));
-        }
-        let task = Task { fid, args, site, future: None, inv, parent, attempts: 0 };
-        if self.shared.speculate {
-            // Register before publishing so the child can never run
-            // ahead of its journal entry, and publish eagerly: the
-            // batch buffer would serialize the parent's tail against
-            // its successors, which is exactly the overlap
-            // speculation exists to win.
-            speclog::register_invocation(inv, parent, task.fid, &task.args);
-            speclog::record_spawn(parent, inv, task.fid, &task.args, false);
-            self.shared.submit_now(task);
-            return Ok(());
-        }
-        if let Some(task) = self.try_batch(task) {
-            self.shared.submit_now(task);
-        }
+        self.spawn(new_task(site, fid, args, None), now);
         Ok(())
+    }
+}
+
+impl RuntimeHooks for CriHooks {
+    fn enqueue(
+        &self,
+        interp: &Interp,
+        site: usize,
+        fid: FuncId,
+        args: Vec<Value>,
+    ) -> Result<(), LispError> {
+        self.enqueue_at(interp, site, fid, args, false)
+    }
+
+    fn handoff(
+        &self,
+        interp: &Interp,
+        site: usize,
+        fid: FuncId,
+        args: Vec<Value>,
+    ) -> Result<(), LispError> {
+        self.enqueue_at(interp, site, fid, args, !self.body_may_rerun())
     }
 
     fn future(&self, interp: &Interp, fid: FuncId, args: Vec<Value>) -> Result<Value, LispError> {
@@ -879,23 +945,7 @@ impl RuntimeHooks for CriHooks {
             return Ok(fut);
         }
         curare_obs::record(EventKind::Enqueue, 0);
-        let parent = curare_obs::current_invocation();
-        let inv = curare_obs::new_invocation();
-        if inv != 0 {
-            curare_obs::record_spawn(inv, Some(id));
-            curare_obs::record(EventKind::Spawn, curare_obs::pack_pair(parent, inv));
-            curare_obs::record(EventKind::BindFuture, curare_obs::pack_pair(inv, id));
-        }
-        let task = Task { fid, args, site: 0, future: Some(id), inv, parent, attempts: 0 };
-        if self.shared.speculate {
-            speclog::register_invocation(inv, parent, task.fid, &task.args);
-            speclog::record_spawn(parent, inv, task.fid, &task.args, true);
-            self.shared.submit_now(task);
-            return Ok(fut);
-        }
-        if let Some(task) = self.try_batch(task) {
-            self.shared.submit_now(task);
-        }
+        self.spawn(new_task(0, fid, args, Some(id)), false);
         Ok(fut)
     }
 
@@ -1128,21 +1178,7 @@ impl CriRuntime {
             return self.run_speculative(fid, args);
         }
 
-        let parent = curare_obs::current_invocation();
-        let inv = curare_obs::new_invocation();
-        if inv != 0 {
-            curare_obs::record_spawn(inv, None);
-            curare_obs::record(EventKind::Spawn, curare_obs::pack_pair(parent, inv));
-        }
-        self.shared.submit_now(Task {
-            fid,
-            args: args.to_vec(),
-            site: 0,
-            future: None,
-            inv,
-            parent,
-            attempts: 0,
-        });
+        self.shared.submit_now(new_task(0, fid, args.to_vec(), None));
         self.wait_idle();
         match self.shared.error.lock().take() {
             Some(e) => Err(e),
@@ -1159,20 +1195,9 @@ impl CriRuntime {
     fn run_speculative(&self, fid: FuncId, args: &[Value]) -> Result<(), LispError> {
         curare_obs::set_speculating(true);
         speclog::arm();
-        let parent = curare_obs::current_invocation();
-        let inv = curare_obs::new_invocation();
-        curare_obs::record_spawn(inv, None);
-        curare_obs::record(EventKind::Spawn, curare_obs::pack_pair(parent, inv));
-        speclog::register_invocation(inv, 0, fid, args);
-        self.shared.submit_now(Task {
-            fid,
-            args: args.to_vec(),
-            site: 0,
-            future: None,
-            inv,
-            parent,
-            attempts: 0,
-        });
+        let root = new_task(0, fid, args.to_vec(), None);
+        speclog::register_invocation(root.inv, 0, fid, args);
+        self.shared.submit_now(root);
         self.wait_idle();
         // Quiesced: every task has finished, so validation and any
         // replays run single-threaded on this thread (replayed bodies
@@ -1538,7 +1563,7 @@ fn execute_task(
     let sharded = shared.mode == SchedMode::Sharded;
     let key = shared.key();
     if sharded {
-        BATCH.with(|b| b.borrow_mut().push(BatchFrame { key, tasks: take_spare() }));
+        BATCH.with(|b| b.borrow_mut().push(BatchFrame { key, fid, tasks: take_spare() }));
     }
     let _beat = shared.watched.then(|| BeatGuard::enter(PHASE_EXECUTING, fid as u64));
     curare_obs::record(EventKind::TaskStart, fid as u64);

@@ -346,14 +346,19 @@ impl ShardedQueues {
     /// acquisition. Returns a wake mask: bit `min(owner, 63)` set for
     /// every owner group that received work (the pool unparks those
     /// servers).
-    pub fn push_batch(&self, tasks: Vec<Task>) -> u64 {
-        if tasks.is_empty() {
+    pub fn push_batch(
+        &self,
+        tasks: impl IntoIterator<Item = Task, IntoIter: ExactSizeIterator>,
+    ) -> u64 {
+        let tasks = tasks.into_iter();
+        let n = tasks.len() as u64;
+        if n == 0 {
             return 0;
         }
-        let new_len = self.len.fetch_add(tasks.len() as u64, Ordering::AcqRel) + tasks.len() as u64;
+        let new_len = self.len.fetch_add(n, Ordering::AcqRel) + n;
         self.peak.fetch_max(new_len, Ordering::Relaxed);
         let mut wake = 0u64;
-        let mut tasks = tasks.into_iter().peekable();
+        let mut tasks = tasks.peekable();
         while let Some(task) = tasks.next() {
             let site = task.site;
             let sq = self.site_queue(site);
@@ -378,7 +383,7 @@ impl ShardedQueues {
     /// Publish a single task. Returns the same wake mask as
     /// [`ShardedQueues::push_batch`].
     pub fn push(&self, task: Task) -> u64 {
-        self.push_batch(vec![task])
+        self.push_batch(std::iter::once(task))
     }
 
     /// Dequeue from the lowest-indexed non-empty site, ignoring

@@ -59,6 +59,9 @@ enum Prog {
     DistanceK(usize),
     /// Paper Figure 12 `remq` via the DPS transform.
     Remq,
+    /// `examples/lisp/tail_heavy.lisp`: a conflict-free 256-step tail
+    /// the pipeline spawns with `cri-handoff`.
+    TailHeavy,
 }
 
 impl Prog {
@@ -99,6 +102,7 @@ impl Prog {
                         ((eq obj (car lst)) (remq obj (cdr lst)))
                         (t (cons (car lst) (remq obj (cdr lst))))))"
                 .into(),
+            Prog::TailHeavy => include_str!("../../../examples/lisp/tail_heavy.lisp").into(),
         }
     }
 
@@ -124,8 +128,12 @@ impl Prog {
                 exec("f", &[data]);
                 heap.display(data)
             }
-            Prog::Rotate | Prog::DistanceK(_) => {
-                let entry = if matches!(self, Prog::Rotate) { "rotate" } else { "fk" };
+            Prog::Rotate | Prog::DistanceK(_) | Prog::TailHeavy => {
+                let entry = match self {
+                    Prog::Rotate => "rotate",
+                    Prog::TailHeavy => "th",
+                    _ => "fk",
+                };
                 let mut data = Value::NIL;
                 for i in 0..n {
                     data = heap.cons(Value::int(i + 1), data);
@@ -203,10 +211,10 @@ impl Prog {
 const PROGRAMS: [Prog; 5] =
     [Prog::Figure5, Prog::Rotate, Prog::SumWalk, Prog::DistanceK(2), Prog::Remq];
 
-fn sweep(mode: SchedMode) {
+fn sweep(mode: SchedMode, programs: &[Prog]) {
     let _g = guard();
     let mut injected_somewhere = 0u64;
-    for prog in PROGRAMS {
+    for &prog in programs {
         for seed in 0..32u64 {
             let n = 32 + (seed as i64 % 17);
             let expect = prog.oracle(n);
@@ -223,12 +231,23 @@ fn sweep(mode: SchedMode) {
 
 #[test]
 fn five_programs_match_oracle_across_32_seeds_central() {
-    sweep(SchedMode::Central);
+    sweep(SchedMode::Central, &PROGRAMS);
 }
 
 #[test]
 fn five_programs_match_oracle_across_32_seeds_sharded() {
-    sweep(SchedMode::Sharded);
+    sweep(SchedMode::Sharded, &PROGRAMS);
+}
+
+/// The hand-off path under the same adversary: successors published
+/// at the spawn, injected pre-body panics retried, dequeues shuffled.
+#[test]
+fn handed_off_tail_heavy_matches_oracle_across_32_seeds_both_schedulers() {
+    assert!(Prog::TailHeavy.interp().named_funcs().iter().any(|f| f.name == "th"));
+    let out = Curare::new().transform_source(&Prog::TailHeavy.source()).unwrap();
+    assert!(out.source().contains("(cri-handoff 0 th (cdr l))"), "{}", out.source());
+    sweep(SchedMode::Central, &[Prog::TailHeavy]);
+    sweep(SchedMode::Sharded, &[Prog::TailHeavy]);
 }
 
 /// Per-profile sanity on one representative program each: every named

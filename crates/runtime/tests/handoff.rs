@@ -1,0 +1,216 @@
+//! Hand-off publication (`cri-handoff`) through the pool: the
+//! successor leaves its producer at the spawn instead of at invocation
+//! end, so nothing chains; per-site FIFO still holds, including behind
+//! spawns the same invocation still buffers; and a body the panic
+//! policy may run twice never hands its successor off twice.
+
+use std::sync::Arc;
+
+use curare_lisp::{Interp, Value};
+use curare_runtime::{CriRuntime, SchedMode};
+use curare_transform::{Curare, Publication};
+
+fn int_list(interp: &Interp, n: i64) -> Value {
+    let mut l = Value::NIL;
+    for i in (0..n).rev() {
+        l = interp.heap().cons(Value::int(i), l);
+    }
+    l
+}
+
+fn ints(interp: &Interp, mut l: Value) -> Vec<i64> {
+    let mut out = Vec::new();
+    while !l.is_nil() {
+        out.push(interp.heap().car(l).unwrap().as_int().unwrap());
+        l = interp.heap().cdr(l).unwrap();
+    }
+    out
+}
+
+/// `examples/lisp/tail_heavy.lisp` restructured and loaded.
+fn tail_heavy() -> Arc<Interp> {
+    let out = Curare::new()
+        .transform_source(include_str!("../../../examples/lisp/tail_heavy.lisp"))
+        .expect("transforms");
+    assert!(matches!(out.report("th").unwrap().publication, Publication::Handoff { .. }));
+    let interp = Arc::new(Interp::new());
+    interp.load_str(&out.source()).expect("loads");
+    interp
+}
+
+#[test]
+fn hand_off_walker_publishes_every_successor_and_chains_none() {
+    let n = 400;
+    let interp = tail_heavy();
+    let rt = CriRuntime::new(Arc::clone(&interp), 2);
+    let l = int_list(&interp, n);
+    rt.run("th", &[l]).unwrap();
+    let stats = rt.stats();
+    assert_eq!(stats.tasks, n as u64 + 1, "one task per invocation: {stats:?}");
+    assert_eq!(stats.chained_tasks, 0, "a handed-off successor is never chained: {stats:?}");
+    assert_eq!(stats.batched_submits, 0, "nothing is left to publish at invocation end");
+    // Each cell went through the 256-step tail exactly once.
+    assert_eq!(ints(&interp, l), (0..n).map(|v| v + 256).collect::<Vec<_>>());
+}
+
+#[test]
+fn hand_off_is_a_plain_enqueue_to_runtimes_that_do_not_defer() {
+    // Sequential hooks (and any `RuntimeHooks` that keeps the default
+    // `handoff`) treat the form as `cri-enqueue`.
+    let interp = tail_heavy();
+    let l = int_list(&interp, 50);
+    interp.call("th", &[l]).unwrap();
+    assert_eq!(ints(&interp, l), (0..50).map(|v| v + 256).collect::<Vec<_>>());
+    // The central queue publishes per task anyway.
+    let rt = CriRuntime::with_mode(Arc::clone(&interp), 2, SchedMode::Central);
+    let l = int_list(&interp, 50);
+    rt.run("th", &[l]).unwrap();
+    assert_eq!(rt.stats().tasks, 51);
+    assert_eq!(ints(&interp, l), (0..50).map(|v| v + 256).collect::<Vec<_>>());
+}
+
+#[test]
+fn per_site_fifo_holds_for_a_two_site_hand_off_function() {
+    // One server makes dequeue order observable as execution order.
+    // `fan` buffers a leaf at site 0, hands a second one off at the
+    // same site — which must not overtake the buffered one — and then
+    // hands its own continuation off at site 1, which the
+    // lowest-site-first rule runs after both leaves.
+    let src = "(defun fan (n)
+                 (when (> n 0)
+                   (cri-enqueue 0 leaf (* 2 n))
+                   (cri-handoff 0 leaf (+ (* 2 n) 1))
+                   (cri-handoff 1 fan (- n 1))))
+               (defun leaf (v) (setq *ord* (cons v *ord*)))";
+    let rounds = 60;
+    let expected: Vec<i64> = (1..=rounds).rev().flat_map(|n| [2 * n, 2 * n + 1]).collect();
+    for mode in [SchedMode::Central, SchedMode::Sharded] {
+        let interp = Arc::new(Interp::new());
+        interp.load_str(src).unwrap();
+        interp.load_str("(defparameter *ord* nil)").unwrap();
+        let rt = CriRuntime::with_mode(Arc::clone(&interp), 1, mode);
+        rt.run("fan", &[Value::int(rounds)]).unwrap();
+        let mut got = ints(&interp, interp.load_str("*ord*").unwrap());
+        got.reverse();
+        assert_eq!(got, expected, "per-site FIFO order broken under {mode:?}");
+        assert_eq!(rt.stats().tasks, 3 * rounds as u64 + 1);
+    }
+}
+
+#[test]
+fn two_site_hand_off_runs_every_invocation_exactly_once_in_parallel() {
+    // The same shape at S = 4 with atomic leaves: order is no longer
+    // observable, exactly-once is.
+    let src = "(defun fan (n)
+                 (when (> n 0)
+                   (cri-handoff 0 leaf n)
+                   (cri-handoff 1 fan (- n 1))
+                   (atomic-incf *tails* 1)))
+               (defun leaf (v) (atomic-incf *sum* v))";
+    let interp = Arc::new(Interp::new());
+    interp.load_str(src).unwrap();
+    interp.load_str("(defparameter *sum* 0) (defparameter *tails* 0)").unwrap();
+    let rt = CriRuntime::new(Arc::clone(&interp), 4);
+    let n = 2000;
+    rt.run("fan", &[Value::int(n)]).unwrap();
+    assert_eq!(interp.load_str("*sum*").unwrap(), Value::int(n * (n + 1) / 2));
+    assert_eq!(interp.load_str("*tails*").unwrap(), Value::int(n));
+    let stats = rt.stats();
+    assert_eq!(stats.tasks, 2 * n as u64 + 1);
+    assert_eq!(stats.chained_tasks, 0, "{stats:?}");
+}
+
+/// The retry policy only exists under the `chaos` feature.
+#[cfg(feature = "chaos")]
+mod retried_bodies {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Mutex, PoisonError};
+
+    use curare_lisp::{FuncId, LispError, RuntimeHooks};
+    use curare_runtime::chaos::{self, ChaosProfile, FaultPlan};
+
+    use super::*;
+
+    /// Forwards to the pool's hooks, but the first `remaining` lock
+    /// acquisitions panic — a genuine (not injected) panic at a chosen
+    /// point of a body: after its `cri-handoff`, before its effect.
+    struct PanicOnLock {
+        inner: Arc<dyn RuntimeHooks>,
+        remaining: AtomicUsize,
+    }
+
+    impl RuntimeHooks for PanicOnLock {
+        fn enqueue(&self, i: &Interp, s: usize, f: FuncId, a: Vec<Value>) -> Result<(), LispError> {
+            self.inner.enqueue(i, s, f, a)
+        }
+        fn handoff(&self, i: &Interp, s: usize, f: FuncId, a: Vec<Value>) -> Result<(), LispError> {
+            self.inner.handoff(i, s, f, a)
+        }
+        fn future(&self, i: &Interp, f: FuncId, a: Vec<Value>) -> Result<Value, LispError> {
+            self.inner.future(i, f, a)
+        }
+        fn touch(&self, i: &Interp, v: Value) -> Result<Value, LispError> {
+            self.inner.touch(i, v)
+        }
+        fn lock(&self, i: &Interp, c: Value, f: u32, x: bool) -> Result<(), LispError> {
+            let take_one = |left: usize| left.checked_sub(1);
+            if self.remaining.fetch_update(Ordering::SeqCst, Ordering::SeqCst, take_one).is_ok() {
+                panic!("body failed after its hand-off");
+            }
+            self.inner.lock(i, c, f, x)
+        }
+        fn unlock(&self, i: &Interp, c: Value, f: u32, x: bool) -> Result<(), LispError> {
+            self.inner.unlock(i, c, f, x)
+        }
+    }
+
+    static TEST_GUARD: Mutex<()> = Mutex::new(());
+
+    #[test]
+    fn a_retried_idempotent_body_does_not_spawn_its_successor_twice() {
+        // The rule: a function declared idempotent keeps its hand-offs
+        // lazy. Its successor is then still in the invocation's batch
+        // when the body panics, dies with the failed attempt, and is
+        // spawned once — by the attempt that completes.
+        let _g = TEST_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
+        struct Uninstall;
+        impl Drop for Uninstall {
+            fn drop(&mut self) {
+                chaos::install(None);
+            }
+        }
+        // A quiet plan injects nothing; it arms the retry machinery.
+        chaos::install(Some(FaultPlan::new(1, ChaosProfile::quiet("quiet"))));
+        let _u = Uninstall;
+        // Keep the expected panics' backtraces out of the test log.
+        let prev_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+
+        let src = "(defun walk (l)
+                     (when l
+                       (cri-handoff 0 walk (cdr l))
+                       (cri-lock l 'car)
+                       (atomic-incf *visits* 1)
+                       (cri-unlock l 'car)))";
+        let n = 64;
+        let interp = Arc::new(Interp::new());
+        interp.load_str(src).unwrap();
+        interp.load_str("(defparameter *visits* 0)").unwrap();
+        let rt = CriRuntime::new(Arc::clone(&interp), 2);
+        rt.declare_idempotent("walk");
+        let panics = 2; // within the default retry budget even if one task takes both
+        let inner = interp.hooks();
+        interp.set_hooks(Arc::new(PanicOnLock { inner, remaining: AtomicUsize::new(panics) }));
+        let l = int_list(&interp, n);
+        let result = rt.run("walk", &[l]);
+        std::panic::set_hook(prev_hook);
+        result.expect("retries absorb the panics");
+
+        let stats = rt.stats();
+        assert_eq!(stats.task_retries, panics as u64, "{stats:?}");
+        // Every cell visited once: a doubled successor would visit its
+        // whole suffix again (and run n + 1 + suffix tasks).
+        assert_eq!(interp.load_str("*visits*").unwrap(), Value::int(n));
+        assert_eq!(stats.tasks, n as u64 + 1, "{stats:?}");
+    }
+}

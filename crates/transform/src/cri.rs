@@ -6,7 +6,11 @@
 //! *effect* or *tail* position is rewritten to
 //! `(cri-enqueue <site> f args...)`; the site index keys the ordered
 //! per-call-site queues that preserve invocation order for functions
-//! with multiple recursive calls (§4.1).
+//! with multiple recursive calls (§4.1). Where the pipeline found the
+//! function's tail long enough to be worth a queue round trip, the
+//! same sites are written `(cri-handoff <site> f args...)` instead:
+//! the identical spawn, published at once rather than when the
+//! spawning invocation ends ([`cri_convert_handoff`]).
 //!
 //! Calls whose value the function actually consumes cannot be
 //! converted — the §5 enabling transformations (recursion→iteration,
@@ -51,13 +55,24 @@ pub struct CriResult {
 
 struct Ctx<'a> {
     fname: &'a str,
+    /// The spawn form's head: `cri-enqueue` or `cri-handoff`.
+    spawn: &'static str,
     next_site: usize,
 }
 
 /// Convert a defun's self-recursive calls to enqueues.
 pub fn cri_convert(form: &Sexpr) -> Result<CriResult, CriError> {
+    convert_as(form, "cri-enqueue")
+}
+
+/// [`cri_convert`] with every site a `cri-handoff`.
+pub fn cri_convert_handoff(form: &Sexpr) -> Result<CriResult, CriError> {
+    convert_as(form, "cri-handoff")
+}
+
+fn convert_as(form: &Sexpr, spawn: &'static str) -> Result<CriResult, CriError> {
     let parts = sx::parse_defun(form).ok_or(CriError::NotADefun)?;
-    let mut ctx = Ctx { fname: parts.name, next_site: 0 };
+    let mut ctx = Ctx { fname: parts.name, spawn, next_site: 0 };
     let n = parts.body.len();
     let mut new_body = Vec::with_capacity(n);
     for (i, b) in parts.body.iter().enumerate() {
@@ -89,7 +104,7 @@ fn conv(form: &Sexpr, tail: bool, discarded: bool, ctx: &mut Ctx) -> Result<Sexp
         }
         let site = ctx.next_site;
         ctx.next_site += 1;
-        let mut out = vec![sx::sym("cri-enqueue"), Sexpr::Int(site as i64), sx::sym(ctx.fname)];
+        let mut out = vec![sx::sym(ctx.spawn), Sexpr::Int(site as i64), sx::sym(ctx.fname)];
         for a in args {
             out.push(conv(a, false, false, ctx)?);
         }
@@ -248,6 +263,18 @@ mod tests {
         assert!(text.contains("(cri-enqueue 0 f (cdr l))"), "{text}");
         assert!(text.contains("(cri-enqueue 1 f (cdr l))"), "{text}");
         assert!(!text.contains("(f (cdr l))"), "{text}");
+    }
+
+    #[test]
+    fn handoff_conversion_differs_only_in_the_spawn_form() {
+        let src = "(defun f (l) (when l (f (car l)) (f (cdr l)) (print l)))";
+        let lazy = convert(src);
+        let eager = cri_convert_handoff(&parse_one(src).unwrap()).unwrap();
+        assert_eq!(eager.sites, 2);
+        assert_eq!(
+            eager.form.to_string(),
+            lazy.form.to_string().replace("cri-enqueue", "cri-handoff")
+        );
     }
 
     #[test]

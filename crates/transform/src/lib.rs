@@ -42,7 +42,7 @@ pub mod rec2iter;
 pub mod reorder;
 pub mod sx;
 
-pub use cri::{cri_convert, CriError, CriResult};
+pub use cri::{cri_convert, cri_convert_handoff, CriError, CriResult};
 pub use delay::{delay_transform, has_tail_statements, DelayResult};
 pub use dps::{dps_transform, DpsError, DpsResult};
 pub use fold::{fold_to_walker, FoldError, FoldResult};
@@ -51,6 +51,8 @@ pub use locks::{
     insert_locks, insert_placement, lock_rescue, lock_set, placement_specs, LockResult, LockSpec,
     TransformError,
 };
-pub use pipeline::{Curare, CurareOutput, Device, FunctionReport, PipelineError};
+pub use pipeline::{
+    Curare, CurareOutput, Device, FunctionReport, PipelineError, Publication, HANDOFF_THRESHOLD,
+};
 pub use rec2iter::{recursion_to_iteration, Rec2IterError};
 pub use reorder::{reorder_transform, ReorderResult};

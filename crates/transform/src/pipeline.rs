@@ -24,11 +24,13 @@
 //! destination cells.
 
 use curare_analysis::analyze::analyze_function_with_canon;
-use curare_analysis::{BlockReason, Canonicalizer, DeclDb, Verdict};
+use curare_analysis::{
+    head_tail_in, BlockReason, CallCosts, Canonicalizer, Cost, DeclDb, HeadTail, Verdict,
+};
 use curare_lisp::Heap;
 use curare_sexpr::{parse_all, pretty, Sexpr};
 
-use crate::cri::cri_convert;
+use crate::cri::{cri_convert, cri_convert_handoff, CriResult};
 use crate::delay::{delay_transform, has_tail_statements};
 use crate::dps::dps_transform;
 use crate::fold::fold_to_walker;
@@ -83,6 +85,49 @@ pub struct FunctionReport {
     /// statements survived delay but future synchronization refused
     /// them, leaving the function unconverted (C005).
     pub unsynced_tail: bool,
+    /// Where a converted function's spawns publish, and the cost
+    /// estimate that decided it.
+    pub publication: Publication,
+}
+
+/// A tail must cost more than this many units (AST nodes, callee
+/// bodies included — [`curare_analysis::HeadTail::tail_cost`]) for its
+/// function's spawns to be handed off. The price being weighed is one
+/// queue round trip: a published task costs the pool ≈ 1.1–1.3 µs that
+/// a chained one does not (pending count, site lock, wake check, the
+/// idle server's pop or steal), the VM retires an op in ≈ 11 ns, so
+/// the break-even tail is ≈ 110 ops — and arithmetic, the densest code
+/// there is, compiles four units to one fused op. Sparser code reaches
+/// the threshold later in time, which errs towards the cheap path.
+/// EXPERIMENTS.md ("E13") has the measured crossover this rounds.
+pub const HANDOFF_THRESHOLD: usize = 500;
+
+/// When the successors a converted function spawns become runnable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Publication {
+    /// `cri-enqueue`: buffered until the spawning invocation ends,
+    /// then published as one batch — or, for a lone successor, run
+    /// next on the same server without touching a queue.
+    Lazy,
+    /// `cri-handoff`: published at the spawn, because the tail that
+    /// follows costs more than a queue round trip.
+    Handoff {
+        /// The tail's interprocedural cost.
+        tail_cost: Cost,
+        /// The [`HANDOFF_THRESHOLD`] it exceeded.
+        threshold: usize,
+    },
+}
+
+impl std::fmt::Display for Publication {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Publication::Lazy => write!(f, "lazy"),
+            Publication::Handoff { tail_cost, threshold } => {
+                write!(f, "hand-off (tail cost {tail_cost} > {threshold})")
+            }
+        }
+    }
 }
 
 /// The whole transformation's output.
@@ -140,6 +185,8 @@ pub struct Curare {
     decls: DeclDb,
     coalesce_locks: bool,
     speculate: bool,
+    /// Body cost of every defun of the program being transformed.
+    calls: CallCosts,
 }
 
 impl Default for Curare {
@@ -151,7 +198,13 @@ impl Default for Curare {
 impl Curare {
     /// A transformer with an empty declaration database.
     pub fn new() -> Self {
-        Curare { heap: Heap::new(), decls: DeclDb::new(), coalesce_locks: false, speculate: false }
+        Curare {
+            heap: Heap::new(),
+            decls: DeclDb::new(),
+            coalesce_locks: false,
+            speculate: false,
+            calls: CallCosts::default(),
+        }
     }
 
     /// Merge adjacent lock brackets with identical lock sets when the
@@ -188,14 +241,15 @@ impl Curare {
 
     /// Transform parsed top-level forms.
     pub fn transform_forms(&mut self, forms: &[Sexpr]) -> Result<CurareOutput, PipelineError> {
-        // Pass 1: register struct types and collect declarations, so
-        // later defuns see accessors and constraints regardless of
-        // order.
+        // Pass 1: register struct types, collect declarations and cost
+        // every body, so later defuns see accessors, constraints and
+        // callees regardless of order.
         {
             let mut lw = curare_lisp::Lowerer::new(&self.heap);
             let prog = lw.lower_program(forms).map_err(|e| PipelineError::Parse(e.to_string()))?;
             self.decls =
                 DeclDb::from_program(&prog).map_err(|e| PipelineError::Decl(e.to_string()))?;
+            self.calls = CallCosts::of_program(&prog);
         }
 
         let mut out_forms = Vec::new();
@@ -243,22 +297,21 @@ impl Curare {
                 prog.funcs.first().ok_or_else(|| PipelineError::Transform("not a defun".into()))?;
             analyze_function_with_canon(func, &self.decls, Some(&canon))
         };
-        let verdict = analysis.verdict.clone();
         let feedback = analysis.explain();
+        let report = |devices, converted, feedback, publication| FunctionReport {
+            name: name.clone(),
+            verdict: analysis.verdict.clone(),
+            devices,
+            converted,
+            feedback,
+            unsynced_tail: false,
+            publication,
+        };
+        let transform_err = |e: crate::cri::CriError| PipelineError::Transform(e.to_string());
 
-        match &verdict {
+        match &analysis.verdict {
             Verdict::NotRecursive => {
-                return Ok((
-                    vec![current],
-                    FunctionReport {
-                        name,
-                        verdict,
-                        devices,
-                        converted: false,
-                        feedback,
-                        unsynced_tail: false,
-                    },
-                ));
+                return Ok((vec![current], report(devices, false, feedback, Publication::Lazy)));
             }
             Verdict::Blocked => {
                 // §5 enabling transformation: DPS for cons-shaped
@@ -269,20 +322,16 @@ impl Curare {
                         // Provenance: the destination writes are
                         // per-invocation fresh cells — skip conflict
                         // synthesis and convert directly.
-                        let cri = cri_convert(&dps.dps_form)
-                            .map_err(|e| PipelineError::Transform(e.to_string()))?;
+                        let (cri, publication) =
+                            self.convert(&dps.dps_form, None).map_err(transform_err)?;
                         devices.push(Device::Cri(cri.sites));
-                        let report = FunctionReport {
-                            name,
-                            verdict,
-                            devices,
-                            converted: true,
-                            feedback: format!(
-                                "{feedback}  applied destination-passing style (provenance-safe)\n"
-                            ),
-                            unsynced_tail: false,
-                        };
-                        return Ok((vec![cri.form, dps.wrapper], report));
+                        let feedback = format!(
+                            "{feedback}  applied destination-passing style (provenance-safe)\n"
+                        );
+                        return Ok((
+                            vec![cri.form, dps.wrapper],
+                            report(devices, true, feedback, publication),
+                        ));
                     }
                     // §5 again: a declared-reorderable linear reduction
                     // becomes an accumulating walker, whose update the
@@ -293,21 +342,17 @@ impl Curare {
                         if walker.atomic_rewrites > 0 {
                             devices.push(Device::Reorder(walker.atomic_rewrites));
                         }
-                        let cri = cri_convert(&walker.form)
-                            .map_err(|e| PipelineError::Transform(e.to_string()))?;
+                        let (cri, publication) =
+                            self.convert(&walker.form, None).map_err(transform_err)?;
                         devices.push(Device::Cri(cri.sites));
-                        let report = FunctionReport {
-                            name,
-                            verdict,
-                            devices,
-                            converted: true,
-                            feedback: format!(
-                                "{feedback}  applied reduction restructuring (operator {})\n",
-                                fold.operator
-                            ),
-                            unsynced_tail: false,
-                        };
-                        return Ok((vec![cri.form, fold.wrapper], report));
+                        let feedback = format!(
+                            "{feedback}  applied reduction restructuring (operator {})\n",
+                            fold.operator
+                        );
+                        return Ok((
+                            vec![cri.form, fold.wrapper],
+                            report(devices, true, feedback, publication),
+                        ));
                     }
                 }
                 // SpecMode admission, case A: blocked *only* by writes
@@ -319,33 +364,18 @@ impl Curare {
                     && !analysis.reasons.is_empty()
                     && analysis.reasons.iter().all(|r| matches!(r, BlockReason::UnknownWrite))
                 {
-                    if let Ok(cri) = cri_convert(&current) {
+                    if let Ok((cri, publication)) =
+                        self.convert(&current, Some(&analysis.head_tail))
+                    {
                         devices.push(Device::Speculate);
                         devices.push(Device::Cri(cri.sites));
-                        let report = FunctionReport {
-                            name,
-                            verdict,
-                            devices,
-                            converted: true,
-                            feedback: format!(
-                                "{feedback}  admitted to speculative execution (unproven write roots)\n"
-                            ),
-                            unsynced_tail: false,
-                        };
-                        return Ok((vec![cri.form], report));
+                        let feedback = format!(
+                            "{feedback}  admitted to speculative execution (unproven write roots)\n"
+                        );
+                        return Ok((vec![cri.form], report(devices, true, feedback, publication)));
                     }
                 }
-                return Ok((
-                    vec![current],
-                    FunctionReport {
-                        name,
-                        verdict,
-                        devices,
-                        converted: false,
-                        feedback,
-                        unsynced_tail: false,
-                    },
-                ));
+                return Ok((vec![current], report(devices, false, feedback, Publication::Lazy)));
             }
             Verdict::ConflictFree | Verdict::NeedsSynchronization { .. } => {}
         }
@@ -356,7 +386,7 @@ impl Curare {
         // speculation mark such functions so the journaled run is
         // validated — under-declared aliasing then aborts and replays
         // instead of silently diverging from the sequential answer.
-        if self.speculate && matches!(verdict, Verdict::ConflictFree) {
+        if self.speculate && matches!(analysis.verdict, Verdict::ConflictFree) {
             let roots: std::collections::BTreeSet<usize> =
                 analysis.accesses.records.iter().map(|r| r.root).collect();
             if analysis.accesses.writes().next().is_some() && roots.len() >= 2 {
@@ -370,7 +400,8 @@ impl Curare {
         // order, while statements *after* it execute in reverse
         // (unwind) order. Head ordering and delay serve the first
         // class; future synchronization reproduces the second.
-        if matches!(verdict, Verdict::NeedsSynchronization { .. }) {
+        let mut rewritten = false;
+        if matches!(analysis.verdict, Verdict::NeedsSynchronization { .. }) {
             if !has_tail_statements(&current, &name) {
                 // All conflicting accesses precede the spawns: the
                 // sequential execution of heads orders them (§3.2.2's
@@ -381,6 +412,7 @@ impl Curare {
                 if let Some(delayed) = delay_transform(&self.heap, &current, &self.decls) {
                     devices.push(Device::Delay(delayed.moved));
                     current = delayed.form;
+                    rewritten = true;
                 }
                 if has_tail_statements(&current, &name) {
                     // Device: synthesized lock placement (§3.2.1).
@@ -395,6 +427,7 @@ impl Curare {
                     {
                         devices.push(Device::Locks(locked.locks.clone()));
                         current = locked.form;
+                        rewritten = true;
                     } else {
                         // Device: future synchronization (§3.1) — tails
                         // must run in unwind order.
@@ -402,6 +435,7 @@ impl Curare {
                             Some(synced) => {
                                 devices.push(Device::FutureSync(synced.wrapped));
                                 current = synced.form;
+                                rewritten = true;
                             }
                             None => {
                                 // SpecMode admission, case B: the tail
@@ -411,19 +445,14 @@ impl Curare {
                                 if self.speculate {
                                     devices.push(Device::Speculate);
                                 } else {
-                                    return Ok((
-                                        vec![current],
-                                        FunctionReport {
-                                            name,
-                                            verdict,
-                                            devices,
-                                            converted: false,
-                                            feedback: format!(
-                                                "{feedback}  post-call conflicting statements could not be synchronized\n"
-                                            ),
-                                            unsynced_tail: true,
-                                        },
-                                    ));
+                                    let feedback = format!(
+                                        "{feedback}  post-call conflicting statements could not be synchronized\n"
+                                    );
+                                    let unsynced = FunctionReport {
+                                        unsynced_tail: true,
+                                        ..report(devices, false, feedback, Publication::Lazy)
+                                    };
+                                    return Ok((vec![current], unsynced));
                                 }
                             }
                         }
@@ -432,33 +461,59 @@ impl Curare {
             }
         }
 
-        // CRI conversion.
-        match cri_convert(&current) {
-            Ok(cri) => {
+        // CRI conversion. Only delay, locks and future sync rewrite the
+        // form after the analysis, and only where it has a tail.
+        let analysed = (!rewritten).then_some(&analysis.head_tail);
+        match self.convert(&current, analysed) {
+            Ok((cri, publication)) => {
                 devices.push(Device::Cri(cri.sites));
-                Ok((
-                    vec![cri.form],
-                    FunctionReport {
-                        name,
-                        verdict,
-                        devices,
-                        converted: true,
-                        feedback,
-                        unsynced_tail: false,
-                    },
-                ))
+                Ok((vec![cri.form], report(devices, true, feedback, publication)))
             }
-            Err(e) => Ok((
-                vec![current],
-                FunctionReport {
-                    name,
-                    verdict,
-                    devices,
-                    converted: false,
-                    feedback: format!("{feedback}  CRI conversion failed: {e}\n"),
-                    unsynced_tail: false,
-                },
-            )),
+            Err(e) => {
+                let feedback = format!("{feedback}  CRI conversion failed: {e}\n");
+                Ok((vec![current], report(devices, false, feedback, Publication::Lazy)))
+            }
+        }
+    }
+
+    /// CRI-convert `form` (already through its synchronization
+    /// devices), deciding from the cost of its tail where its spawns
+    /// publish: a tail longer than a queue round trip gets
+    /// `cri-handoff` sites, so the successor's head overlaps it (the
+    /// §3.1 overlap); a shorter one keeps `cri-enqueue`, whose
+    /// successor is batched — and usually chained, queue-free — when
+    /// the invocation ends. `analysed` is the partition of `form`
+    /// itself where the analysis saw exactly this form.
+    fn convert(
+        &self,
+        form: &Sexpr,
+        analysed: Option<&HeadTail>,
+    ) -> Result<(CriResult, Publication), crate::cri::CriError> {
+        let lazy = cri_convert(form)?;
+        // No enqueue site to publish early (every call was
+        // future-synchronized, or the function is hand-written CRI),
+        // or no tail to overlap with: nothing to cost.
+        if lazy.sites == 0 || analysed.is_some_and(|h| h.tail_size == 0) {
+            return Ok((lazy, Publication::Lazy));
+        }
+        let tail_cost = self.tail_cost(form);
+        if tail_cost <= Cost::Bounded(HANDOFF_THRESHOLD) {
+            return Ok((lazy, Publication::Lazy));
+        }
+        let publication = Publication::Handoff { tail_cost, threshold: HANDOFF_THRESHOLD };
+        Ok((cri_convert_handoff(form)?, publication))
+    }
+
+    /// Interprocedural cost of `form`'s tail (§3.1 partition), callee
+    /// bodies taken from the input program's table.
+    fn tail_cost(&self, form: &Sexpr) -> Cost {
+        let mut lw = curare_lisp::Lowerer::new(&self.heap);
+        match lw.lower_program(std::slice::from_ref(form)) {
+            Ok(prog) => prog
+                .funcs
+                .first()
+                .map_or(Cost::Bounded(0), |func| head_tail_in(func, &self.calls).tail_cost),
+            Err(_) => Cost::Bounded(0),
         }
     }
 }
@@ -812,6 +867,143 @@ mod tests {
         let r = out.report("f").unwrap();
         assert!(r.converted, "{}", r.feedback);
         assert!(r.devices.iter().any(|d| matches!(d, Device::FutureSync(1))), "{:?}", r.devices);
+    }
+
+    /// The benchmark's `tail_heavy` program: `pad` fused steps in a
+    /// helper the tail calls.
+    fn th_source(pad: usize) -> String {
+        format!(
+            "(defun th-crunch (v) (let ((x v)) {} x))
+             (defun th (l)
+               (when l
+                 (th (cdr l))
+                 (setf (car l) (th-crunch (car l)))))",
+            "(setq x (+ x 1)) ".repeat(pad)
+        )
+    }
+
+    #[test]
+    fn tiny_tails_stay_lazy() {
+        // Figure 5 (no tail at all) and a padded head-heavy walker
+        // (all its work precedes the call): a successor published
+        // early would have nothing to overlap with, so both keep the
+        // batch-and-chain form.
+        let figure5 = run("(defun f (l)
+               (cond ((null l) nil)
+                     ((null (cdr l)) (f (cdr l)))
+                     (t (setf (cadr l) (+ (car l) (cadr l)))
+                        (f (cdr l)))))");
+        let padded = run(&format!(
+            "(defun padded (l)
+               (when l
+                 (let ((x 0)) {} x)
+                 (padded (cdr l))))",
+            "(setq x (1+ x)) ".repeat(64)
+        ));
+        // A short tail (one write) is below the price of a round trip.
+        let short = run("(defun f (l) (when l (f (cdr l)) (setf (car l) 0)))");
+        for (out, name) in [(&figure5, "f"), (&padded, "padded"), (&short, "f")] {
+            let r = out.report(name).unwrap();
+            assert!(r.converted, "{}", r.feedback);
+            assert_eq!(r.publication, Publication::Lazy, "{name}");
+            assert!(out.source().contains("(cri-enqueue "), "{}", out.source());
+            assert!(!out.source().contains("cri-handoff"), "{}", out.source());
+        }
+    }
+
+    #[test]
+    fn heavy_tails_are_handed_off() {
+        // 512 steps in a helper the tail calls: the interprocedural
+        // cost sees through the call.
+        let out = run(&th_source(512));
+        let r = out.report("th").unwrap();
+        assert_eq!(
+            r.publication,
+            Publication::Handoff { tail_cost: Cost::Bounded(2056), threshold: HANDOFF_THRESHOLD }
+        );
+        assert_eq!(r.devices, vec![Device::Cri(1)], "the choice is not a device");
+        assert!(out.source().contains("(cri-handoff 0 th (cdr l))"), "{}", out.source());
+        assert!(!out.source().contains("cri-enqueue"), "{}", out.source());
+        // The same helper with 64 steps (≈ 0.8 µs) is not worth a round trip.
+        assert_eq!(run(&th_source(64)).report("th").unwrap().publication, Publication::Lazy);
+
+        // A loop in the tail, and a tail calling a recursive helper,
+        // have no static bound: both count as long.
+        let looping = run("(defun f (l)
+               (when l
+                 (f (cdr l))
+                 (let ((n (car l))) (while (> n 0) (setq n (- n 1))))))");
+        let recursive = run("(defun len (l) (if (null l) 0 (+ 1 (len (cdr l)))))
+             (defun f (l)
+               (when l
+                 (f (cdr l))
+                 (setf (car l) (len (car l)))))");
+        for out in [&looping, &recursive] {
+            let r = out.report("f").unwrap();
+            assert!(r.converted, "{}", r.feedback);
+            assert_eq!(
+                r.publication,
+                Publication::Handoff { tail_cost: Cost::Unbounded, threshold: HANDOFF_THRESHOLD }
+            );
+            assert!(out.source().contains("(cri-handoff 0 f (cdr l))"), "{}", out.source());
+        }
+    }
+
+    #[test]
+    fn every_site_of_a_handed_off_function_is_a_handoff() {
+        let out = run(&format!(
+            "{}
+             (defun walk (tr)
+               (when tr
+                 (walk (car tr))
+                 (walk (cdr tr))
+                 (th-crunch 1)))",
+            th_source(512)
+        ));
+        let text = out.source();
+        assert!(text.contains("(cri-handoff 0 walk (car tr))"), "{text}");
+        assert!(text.contains("(cri-handoff 1 walk (cdr tr))"), "{text}");
+    }
+
+    #[test]
+    fn the_publication_verdict_is_a_function_of_the_text() {
+        // Two transformers, same source: same text, same reports (the
+        // benchmark's set-up refuses to measure otherwise).
+        let src =
+            format!("{}\n(defun g (l) (when l (g (cdr l)) (setf (car l) 0)))", th_source(512));
+        let (a, b) = (run(&src), run(&src));
+        assert_eq!(a.source(), b.source());
+        for (ra, rb) in a.reports.iter().zip(&b.reports) {
+            assert_eq!(ra.publication, rb.publication, "{}", ra.name);
+        }
+        assert_eq!(Publication::Lazy.to_string(), "lazy");
+        assert_eq!(
+            a.report("th").unwrap().publication.to_string(),
+            "hand-off (tail cost 2056 > 500)"
+        );
+    }
+
+    #[test]
+    fn reorder_leaves_local_accumulators_loadable() {
+        // The defect the benchmark found: with `+` declared
+        // reorderable, `(setq x (+ x 1))` on a *local* `x` became
+        // `(atomic-incf x 1)` and the output failed to load.
+        let src = "(curare-declare (reorderable +))
+             (defparameter *steps* 0)
+             (defun padded (l)
+               (when l
+                 (let ((x 0)) (setq x (+ x 1)) (setq x (+ x 1)) (setq *steps* (+ *steps* x)))
+                 (padded (cdr l))))";
+        let out = run(src);
+        let r = out.report("padded").unwrap();
+        assert!(r.converted, "{}", r.feedback);
+        assert!(r.devices.contains(&Device::Reorder(1)), "only the global: {:?}", r.devices);
+        let text = out.source();
+        assert!(text.contains("(setq x (+ x 1))") && text.contains("(atomic-incf *steps* x)"));
+        let it = curare_lisp::Interp::new();
+        it.load_str(&text).expect("the restructured program loads");
+        it.load_str("(padded '(1 2 3))").unwrap();
+        assert_eq!(it.heap().display(it.load_str("*steps*").unwrap()), "6");
     }
 
     #[test]

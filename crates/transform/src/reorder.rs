@@ -7,8 +7,11 @@
 //! "cannot be deduced from an analysis of the program"):
 //!
 //! 1. **atomic + commutative + associative operations** — an
-//!    accumulation `(setq g (+ g e))` under `(curare-declare
-//!    (reorderable +))` becomes the atomic `(atomic-incf g e)`;
+//!    accumulation `(setq g (+ g e))` into a *global* `g` under
+//!    `(curare-declare (reorderable +))` becomes the atomic
+//!    `(atomic-incf g e)` (a parameter or `let`-bound `g` is private
+//!    to its invocation: nothing to reorder, and `atomic-incf` takes
+//!    no local place);
 //! 2. **unordered-structure inserts** — `(puthash k v h)` under
 //!    `(unordered-insert puthash)` needs no ordering (the substrate's
 //!    hash table is internally synchronized), so its conflicts are
@@ -38,51 +41,85 @@ pub struct ReorderResult {
 /// Apply §3.2.3 reorderings to a defun under `decls`. The heap
 /// provides the struct registry for field-accessor places.
 pub fn reorder_transform(heap: &Heap, form: &Sexpr, decls: &DeclDb) -> ReorderResult {
-    let mut atomic_rewrites = 0usize;
-    let mut dismissed = Vec::new();
-    let new_form = rewrite(heap, form, decls, &mut atomic_rewrites, &mut dismissed);
-    ReorderResult { form: new_form, atomic_rewrites, dismissed }
+    let mut pass =
+        Pass { heap, decls, locals: Vec::new(), atomic_rewrites: 0, dismissed: Vec::new() };
+    let form = pass.rewrite(form);
+    ReorderResult { form, atomic_rewrites: pass.atomic_rewrites, dismissed: pass.dismissed }
 }
 
-fn rewrite(
-    heap: &Heap,
-    form: &Sexpr,
-    decls: &DeclDb,
-    rewrites: &mut usize,
-    dismissed: &mut Vec<String>,
-) -> Sexpr {
-    let Some(items) = form.as_list() else { return form.clone() };
-    let Some(head) = items.first().and_then(Sexpr::as_symbol) else {
-        return form.clone();
-    };
-    if head == "quote" {
-        return form.clone();
+struct Pass<'a> {
+    heap: &'a Heap,
+    decls: &'a DeclDb,
+    /// Names bound locally at the form being rewritten (parameters,
+    /// `let`/`dolist`/`dotimes` variables), innermost last — the
+    /// lowerer's resolution rule: any other symbol is a global.
+    locals: Vec<String>,
+    atomic_rewrites: usize,
+    dismissed: Vec<String>,
+}
+
+/// The symbols of a parameter or binding list (`x` and `(x init)`).
+fn bound_names(list: &Sexpr) -> impl Iterator<Item = String> + '_ {
+    list.as_list().into_iter().flatten().filter_map(|b| {
+        b.as_symbol().or_else(|| b.nth(0).and_then(Sexpr::as_symbol)).map(str::to_string)
+    })
+}
+
+impl Pass<'_> {
+    /// Rewrite `items[from..]` with `names` bound around them.
+    fn scoped(&mut self, items: &[Sexpr], from: usize, names: Vec<String>) -> Sexpr {
+        let outer = self.locals.len();
+        let mut out: Vec<Sexpr> = items[..from].to_vec();
+        self.locals.extend(names);
+        out.extend(items[from..].iter().map(|i| self.rewrite(i)));
+        self.locals.truncate(outer);
+        Sexpr::List(out)
     }
 
-    // (setq g (+ g e)) / (setq g (+ e g)) with reorderable + →
-    // (atomic-incf g e). Also the (incf g e) spelling.
-    if let Some(replacement) = match_accumulation(items, decls) {
-        *rewrites += 1;
-        return replacement;
-    }
-    // (setf (car x) (+ (car x) e)) and friends → atomic cell update.
-    if let Some(replacement) = match_cell_accumulation(heap, items, decls) {
-        *rewrites += 1;
-        return replacement;
-    }
-
-    // Unordered inserts: no rewrite needed (the substrate hash table
-    // is concurrent); record the dismissal for the pipeline.
-    if decls.is_unordered_insert(head) {
-        dismissed.push(format!("unordered insert: {form}"));
-    }
-    if let Some(fn_called) = items.first().and_then(Sexpr::as_symbol) {
-        if decls.is_any_result(fn_called) {
-            dismissed.push(format!("any-result search: {form}"));
+    fn rewrite(&mut self, form: &Sexpr) -> Sexpr {
+        let Some(items) = form.as_list() else { return form.clone() };
+        let Some(head) = items.first().and_then(Sexpr::as_symbol) else {
+            return form.clone();
+        };
+        let (heap, decls) = (self.heap, self.decls);
+        match head {
+            "quote" => return form.clone(),
+            // Binding forms: their variables shadow globals in the
+            // body (the binding list itself is left as it is).
+            _ if items.len() < 3 => {}
+            "defun" => return self.scoped(items, 3, bound_names(&items[2]).collect()),
+            "lambda" => return self.scoped(items, 2, bound_names(&items[1]).collect()),
+            "let" | "let*" => return self.scoped(items, 2, bound_names(&items[1]).collect()),
+            "dolist" | "dotimes" => {
+                let var = items[1].nth(0).and_then(Sexpr::as_symbol).map(str::to_string);
+                return self.scoped(items, 2, var.into_iter().collect());
+            }
+            _ => {}
         }
-    }
 
-    Sexpr::List(items.iter().map(|i| rewrite(heap, i, decls, rewrites, dismissed)).collect())
+        // (setq g (+ g e)) / (setq g (+ e g)) with reorderable + →
+        // (atomic-incf g e). Also the (incf g e) spelling.
+        if let Some(replacement) = match_accumulation(items, decls, &self.locals) {
+            self.atomic_rewrites += 1;
+            return replacement;
+        }
+        // (setf (car x) (+ (car x) e)) and friends → atomic cell update.
+        if let Some(replacement) = match_cell_accumulation(heap, items, decls) {
+            self.atomic_rewrites += 1;
+            return replacement;
+        }
+
+        // Unordered inserts: no rewrite needed (the substrate hash table
+        // is concurrent); record the dismissal for the pipeline.
+        if decls.is_unordered_insert(head) {
+            self.dismissed.push(format!("unordered insert: {form}"));
+        }
+        if decls.is_any_result(head) {
+            self.dismissed.push(format!("any-result search: {form}"));
+        }
+
+        Sexpr::List(items.iter().map(|i| self.rewrite(i)).collect())
+    }
 }
 
 /// If `name` is a single-letter place accessor, its `atomic-incf-cell`
@@ -147,20 +184,24 @@ fn match_cell_accumulation(heap: &Heap, items: &[Sexpr], decls: &DeclDb) -> Opti
     Some(sx::call("atomic-incf-cell", vec![base.clone(), field, delta]))
 }
 
-/// Recognize commutative accumulations into a variable.
-fn match_accumulation(items: &[Sexpr], decls: &DeclDb) -> Option<Sexpr> {
+/// Recognize commutative accumulations into a global variable
+/// (`locals`: the names bound around the form).
+fn match_accumulation(items: &[Sexpr], decls: &DeclDb, locals: &[String]) -> Option<Sexpr> {
     let head = items.first()?.as_symbol()?;
+    fn global<'a>(var: &'a Sexpr, locals: &[String]) -> Option<&'a str> {
+        var.as_symbol().filter(|v| !locals.iter().any(|l| l == v))
+    }
     let (var, update) = match head {
         "setq" | "setf" => {
             let [_, var, update] = items else { return None };
-            (var.as_symbol()?, update)
+            (global(var, locals)?, update)
         }
         "incf" => {
             // (incf g e) is already an addition; require + declared.
             if !decls.is_reorderable("+") {
                 return None;
             }
-            let var = items.get(1)?.as_symbol()?;
+            let var = global(items.get(1)?, locals)?;
             let delta = items.get(2).cloned().unwrap_or(Sexpr::Int(1));
             return Some(sx::call("atomic-incf", vec![sx::sym(var), delta]));
         }
@@ -292,6 +333,32 @@ mod tests {
         it.load_str(&r.form.to_string()).unwrap();
         it.load_str("(walk '(1 2 3 4 5))").unwrap();
         assert_eq!(it.heap().display(it.load_str("*sum*").unwrap()), "15");
+    }
+
+    #[test]
+    fn local_accumulators_are_not_places_for_atomic_incf() {
+        // `atomic-incf` takes a global place only; a parameter, a
+        // `let` variable and a loop variable are private to their
+        // invocation, so their updates stay as written — while the
+        // global next to them is still rewritten.
+        let db = decls("(curare-declare (reorderable +))");
+        let src = "(defun f (l n)
+                     (setq n (+ n 1))
+                     (let ((x 0)) (setq x (+ x 1)) (incf x 2))
+                     (dotimes (i 3) (setq i (+ i 1)))
+                     (setq *g* (+ *g* n))
+                     (f (cdr l) n))";
+        let r = reorder_transform(&Heap::new(), &parse_one(src).unwrap(), &db);
+        assert_eq!(r.atomic_rewrites, 1, "{}", r.form);
+        let text = r.form.to_string();
+        assert!(text.contains("(atomic-incf *g* n)"), "{text}");
+        assert!(text.contains("(setq x (+ x 1))") && text.contains("(incf x 2)"), "{text}");
+        assert!(text.contains("(setq n (+ n 1))") && text.contains("(setq i (+ i 1))"), "{text}");
+        // Outside the binding form the name is a global again.
+        let shadow =
+            "(defun g (l) (let ((*s* 0)) (setq *s* (+ *s* 1))) (setq *s* (+ *s* 1)) (g l))";
+        let r = reorder_transform(&Heap::new(), &parse_one(shadow).unwrap(), &db);
+        assert_eq!(r.atomic_rewrites, 1, "{}", r.form);
     }
 
     #[test]
