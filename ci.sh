@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Offline CI gate: everything here runs with zero external crates.
-# The Criterion suites are behind the off-by-default `bench-ext`
-# feature and are NOT part of this gate; the in-tree `heavy-tests`
-# property batteries run in the speculation section below.
+# Offline CI gate: everything here runs with zero external crates, from
+# one build — the workspace has no cargo features, and the fault
+# policy, chaos points, sanitizer and profilers are armed at run time.
 set -euo pipefail
 cd "$(dirname "$0")"
+REPO_DIR="$(pwd)"
 
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
@@ -18,18 +18,27 @@ cargo build --release
 echo "== cargo test -q"
 cargo test -q
 
+# check "ARGS [&& experiments ARGS]..." FILE:KEY,KEY... — run
+# `experiments ARGS` in a scratch directory (each subcommand gates
+# itself: a failed oracle, invariant or ratio is a nonzero exit), then
+# require each FILE left behind to be JSON with those top-level keys.
+experiments() { "$REPO_DIR/target/release/experiments" "$@"; }
+check() {
+  local dir spec cmd="$1"; shift
+  dir="$(mktemp -d)"
+  (cd "$dir" && eval "experiments $cmd" > /dev/null)
+  for spec in "$@"; do
+    # shellcheck disable=SC2046
+    experiments validate "$dir/${spec%%:*}" $(echo "${spec#*:}" | tr ',' ' ')
+  done
+  rm -rf "$dir"
+}
+
 echo "== observability smoke: experiments sched --trace/--metrics"
-SMOKE_DIR="$(mktemp -d)"
-REPO_DIR="$(pwd)"
-(cd "$SMOKE_DIR" && "$REPO_DIR/target/release/experiments" sched \
-  --trace smoke_trace.json --metrics smoke_metrics.json > /dev/null)
-target/release/experiments validate "$SMOKE_DIR/smoke_trace.json" \
-  traceEvents displayTimeUnit otherData
-target/release/experiments validate "$SMOKE_DIR/smoke_metrics.json" \
-  schema label pool heap locks vm wall timeline
-target/release/experiments validate "$SMOKE_DIR/BENCH_sched.json" \
-  schema bench host_threads runs
-rm -rf "$SMOKE_DIR"
+check "sched --trace smoke_trace.json --metrics smoke_metrics.json" \
+  smoke_trace.json:traceEvents,displayTimeUnit,otherData \
+  smoke_metrics.json:schema,label,pool,heap,locks,vm,wall,timeline \
+  BENCH_sched.json:schema,bench,host_threads,runs
 
 echo "== engine differential: tree ≡ fused VM ≡ unfused VM, as written and as restructured"
 # Each file runs as written and again through the restructurer (so the
@@ -41,12 +50,7 @@ target/release/experiments differential examples/lisp/*.lisp examples/lisp/fixtu
 
 echo "== engine sweep: experiments interp writes a valid BENCH_interp.json"
 # Regression gate: the VM must stay >= 2x the tree-walker (geomean).
-SWEEP_DIR="$(mktemp -d)"
-(cd "$SWEEP_DIR" && "$REPO_DIR/target/release/experiments" interp \
-  --min-speedup 2 > /dev/null)
-target/release/experiments validate "$SWEEP_DIR/BENCH_interp.json" \
-  schema bench host_threads runs
-rm -rf "$SWEEP_DIR"
+check "interp --min-speedup 2" BENCH_interp.json:schema,bench,host_threads,runs
 
 echo "== fusion ablation: experiments hir (fused vs --no-fuse op counts)"
 target/release/experiments hir > /dev/null
@@ -75,32 +79,17 @@ rc=0; target/release/curare check --locks \
 if [ "$rc" -ne 1 ]; then
   echo "expected exit 1 on the redundant-locks fixture, got $rc" >&2; exit 1
 fi
-LOCKS_DIR="$(mktemp -d)"
-(cd "$LOCKS_DIR" && "$REPO_DIR/target/release/experiments" locksynth --json > /dev/null)
-target/release/experiments validate "$LOCKS_DIR/BENCH_locks.json" \
-  schema bench host_threads servers runs
-rm -rf "$LOCKS_DIR"
+check "locksynth --json" BENCH_locks.json:schema,bench,host_threads,servers,runs
 
-echo "== sanitizer smoke: cross-check oracle over the experiment programs"
-cargo test -q -p curare-check --features sanitize
-cargo build --release -p curare-bench --features sanitize
-target/release/experiments sanitize > /dev/null
+echo "== sanitizer: cross-check oracle over the experiment programs, plain and under chaos"
+check "sanitize && experiments sanitize --chaos-seed 7" \
+  BENCH_sanitize.json:schema,file,diagnostics,precision
 
-echo "== chaos harness: lints, tests, differential smoke, sanitize cross-check"
-cargo clippy -p curare-runtime --features chaos --all-targets -- -D warnings
-cargo clippy -p curare-bench --features chaos --all-targets -- -D warnings
-cargo test -q -p curare-runtime --features chaos
-cargo build --release -p curare-bench --features "chaos sanitize"
-CHAOS_DIR="$(mktemp -d)"
-(cd "$CHAOS_DIR" && "$REPO_DIR/target/release/experiments" chaos --seeds 4 --json > /dev/null)
-target/release/experiments validate "$CHAOS_DIR/BENCH_chaos.json" \
-  schema bench host_threads seeds profile runs degrade_demo
-rm -rf "$CHAOS_DIR"
-target/release/experiments sanitize --chaos-seed 7 > /dev/null
+echo "== chaos harness: differential smoke"
+check "chaos --seeds 4 --json" \
+  BENCH_chaos.json:schema,bench,host_threads,seeds,profile,runs,degrade_demo
 
-echo "== speculation: property battery, example contract, sweep gate"
-cargo clippy -p curare-runtime --features heavy-tests --all-targets -- -D warnings
-cargo test -q -p curare-runtime --features heavy-tests --test speculation_properties
+echo "== speculation: example contract, sweep gate"
 # The ⊤-write fixture is refused by the static transformer…
 # (plain grep, not -q: early grep exit would SIGPIPE curare under pipefail)
 target/release/curare run examples/lisp/fixtures/scrub.lisp --servers 4 \
@@ -110,45 +99,19 @@ target/release/curare run examples/lisp/fixtures/scrub.lisp --servers 4 \
   --speculate --call "(scrub *data*)" 2>&1 | grep "escalated: false" > /dev/null
 # Sweep: sequential-oracle match under both schedulers, the ⊤-write
 # demo must commit clean in parallel, and the chaos shuffle+speculate
-# seeds must all match (the subcommand fails itself on any miss).
-# Running sanitize first exercises the BENCH_sanitize.json linkage.
-SPEC_DIR="$(mktemp -d)"
-(cd "$SPEC_DIR" \
-  && "$REPO_DIR/target/release/experiments" sanitize --json > /dev/null \
-  && CURARE_SPEC_SEEDS=4 "$REPO_DIR/target/release/experiments" speculate \
-    --json > /dev/null)
-target/release/experiments validate "$SPEC_DIR/BENCH_sanitize.json" \
-  schema file diagnostics precision
-target/release/experiments validate "$SPEC_DIR/BENCH_spec.json" \
-  schema bench host_threads programs timing chaos sanitizer
-rm -rf "$SPEC_DIR"
+# seeds must all match. Running sanitize first in the same directory
+# exercises the BENCH_sanitize.json linkage.
+check "sanitize --json && experiments speculate --seeds 4 --json" \
+  BENCH_sanitize.json:schema,file,diagnostics,precision \
+  BENCH_spec.json:schema,bench,host_threads,programs,timing,chaos,sanitizer
 
-echo "== causal profiler: lints, per-opcode tests, work/span smoke gate"
-cargo clippy -p curare-lisp --features profile-ops --all-targets -- -D warnings
-cargo clippy -p curare-bench --features profile-ops --all-targets -- -D warnings
-cargo test -q -p curare-lisp --features profile-ops
-cargo build --release -p curare-bench --features profile-ops
-PROFILE_DIR="$(mktemp -d)"
-# The subcommand itself fails the run if span > work or parallelism < 1
-# in any cell (the DAG-reconstruction invariants).
-(cd "$PROFILE_DIR" && "$REPO_DIR/target/release/experiments" profile --json > /dev/null)
-target/release/experiments validate "$PROFILE_DIR/BENCH_profile.json" \
-  schema bench host_threads servers runs
-rm -rf "$PROFILE_DIR"
-
-# Rebuild without the features so later steps use the plain binary.
-cargo build --release -p curare-bench
+echo "== causal profiler: work/span smoke gate (span <= work, parallelism >= 1)"
+check "profile --json" BENCH_profile.json:schema,bench,host_threads,servers,runs
 
 echo "== work stealing: skew-sweep smoke gate (model ratios + threaded oracles)"
-# The subcommand itself fails the run on any oracle mismatch, a
-# <1.5x model speedup on either skewed distribution, or a >5%
-# uniform-load regression.
-STEAL_DIR="$(mktemp -d)"
-(cd "$STEAL_DIR" && "$REPO_DIR/target/release/experiments" steal \
-  --n 800 --sites 8 --json > /dev/null)
-target/release/experiments validate "$STEAL_DIR/BENCH_steal.json" \
-  schema bench host_threads servers runs
-rm -rf "$STEAL_DIR"
+# Fails on any oracle mismatch, a <1.5x model speedup on either skewed
+# distribution, or a >5% uniform-load regression.
+check "steal --n 800 --sites 8 --json" BENCH_steal.json:schema,bench,host_threads,servers,runs
 
 echo "== benchmark: the stand-alone package still builds against the facade and passes"
 # benchmark/ is its own workspace, so nothing above compiles it: an API

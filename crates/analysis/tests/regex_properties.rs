@@ -1,14 +1,8 @@
-//! Property tests for the accessor-regex engine: the NFA-based
-//! matcher is cross-checked against an independent brute-force
-//! backtracking matcher on randomized regexes and paths.
-//!
-//! Requires the off-by-default `heavy-tests` feature (the external
-//! `proptest` crate is unavailable offline).
-
-#![cfg(feature = "heavy-tests")]
+//! Seeded property battery for the accessor-regex engine: the
+//! NFA-based matcher is cross-checked against an independent
+//! brute-force backtracking matcher on randomized regexes and paths.
 
 use curare_analysis::{Accessor, Path, PathRegex};
-use proptest::prelude::*;
 
 // ---------------------------------------------------------------
 // An independent reference implementation: backtracking match of a
@@ -95,11 +89,7 @@ fn brute_matches(re: &PathRegex, path: &Path) -> bool {
 fn brute_prefix(re: &PathRegex, path: &Path, extra: usize) -> bool {
     fn letters(re: &PathRegex, out: &mut Vec<Accessor>) {
         match re {
-            PathRegex::Atom(a) => {
-                if !out.contains(a) {
-                    out.push(*a);
-                }
-            }
+            PathRegex::Atom(a) if !out.contains(a) => out.push(*a),
             PathRegex::Concat(ps) | PathRegex::Alt(ps) => {
                 for p in ps {
                     letters(p, out);
@@ -139,113 +129,124 @@ fn brute_prefix(re: &PathRegex, path: &Path, extra: usize) -> bool {
 }
 
 // ---------------------------------------------------------------
-// Strategies
+// Generators (deterministic PRNG; reproducible by construction)
 // ---------------------------------------------------------------
 
-fn accessor_strategy() -> impl Strategy<Value = Accessor> {
-    prop_oneof![Just(Accessor::Car), Just(Accessor::Cdr), Just(Accessor::Field { ty: 0, field: 0 }),]
+struct XorShift(u64);
+
+impl XorShift {
+    fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x
+    }
+
+    /// Uniform-ish pick in `0..n`.
+    fn pick(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
 }
 
-fn regex_strategy() -> impl Strategy<Value = PathRegex> {
-    let leaf = prop_oneof![
-        Just(PathRegex::Empty),
-        accessor_strategy().prop_map(PathRegex::Atom),
-        Just(PathRegex::Any),
-    ];
-    leaf.prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 1..3).prop_map(PathRegex::Concat),
-            prop::collection::vec(inner.clone(), 1..3).prop_map(PathRegex::Alt),
-            inner.clone().prop_map(|r| PathRegex::Star(Box::new(r))),
-            inner.prop_map(|r| PathRegex::Plus(Box::new(r))),
-        ]
-    })
+fn gen_accessor(rng: &mut XorShift) -> Accessor {
+    [Accessor::Car, Accessor::Cdr, Accessor::Field { ty: 0, field: 0 }][rng.pick(3)]
 }
 
-fn path_strategy() -> impl Strategy<Value = Path> {
-    prop::collection::vec(accessor_strategy(), 0..6).prop_map(Path::from)
+fn gen_regex(rng: &mut XorShift, depth: usize) -> PathRegex {
+    if depth == 0 || rng.pick(3) == 0 {
+        return match rng.pick(3) {
+            0 => PathRegex::Empty,
+            1 => PathRegex::Atom(gen_accessor(rng)),
+            _ => PathRegex::Any,
+        };
+    }
+    let parts = |rng: &mut XorShift| -> Vec<PathRegex> {
+        (0..1 + rng.pick(2)).map(|_| gen_regex(rng, depth - 1)).collect()
+    };
+    match rng.pick(4) {
+        0 => PathRegex::Concat(parts(rng)),
+        1 => PathRegex::Alt(parts(rng)),
+        2 => PathRegex::Star(Box::new(gen_regex(rng, depth - 1))),
+        _ => PathRegex::Plus(Box::new(gen_regex(rng, depth - 1))),
+    }
+}
+
+fn gen_path(rng: &mut XorShift) -> Path {
+    Path::from((0..rng.pick(6)).map(|_| gen_accessor(rng)).collect::<Vec<_>>())
+}
+
+/// Run `check` on `cases` random (regex, regex, path, path) draws.
+fn for_cases(seed: u64, cases: usize, check: impl Fn(&PathRegex, &PathRegex, &Path, &Path)) {
+    let mut rng = XorShift(seed);
+    for _ in 0..cases {
+        let (a, b) = (gen_regex(&mut rng, 3), gen_regex(&mut rng, 3));
+        check(&a, &b, &gen_path(&mut rng), &gen_path(&mut rng));
+    }
 }
 
 // ---------------------------------------------------------------
 // Properties
 // ---------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// NFA matching agrees with the backtracking reference.
-    #[test]
-    fn nfa_agrees_with_brute_force(re in regex_strategy(), p in path_strategy()) {
-        prop_assert_eq!(re.matches(&p), brute_matches(&re, &p), "regex {} path {}", re, p);
-    }
-
-    /// Exact matches are always prefix matches.
-    #[test]
-    fn match_implies_prefix(re in regex_strategy(), p in path_strategy()) {
-        if re.matches(&p) {
-            prop_assert!(re.has_prefix(&p), "regex {} path {}", re, p);
+/// NFA matching agrees with the backtracking reference, and exact
+/// matches are always prefix matches.
+#[test]
+fn nfa_agrees_with_brute_force() {
+    for_cases(0x5EED_0001_ACCE_5505, 2000, |re, _, p, _| {
+        assert_eq!(re.matches(p), brute_matches(re, p), "regex {re} path {p}");
+        if re.matches(p) {
+            assert!(re.has_prefix(p), "regex {re} path {p}");
         }
-    }
+    });
+}
 
-    /// Prefix acceptance agrees with bounded brute-force extension
-    /// (sound in one direction: if the brute force finds an extension,
-    /// the NFA must accept the prefix; if the NFA rejects, no
-    /// extension exists at any length, so brute force must fail too).
-    #[test]
-    fn prefix_agrees_with_bounded_extension(re in regex_strategy(), p in path_strategy()) {
-        let nfa = re.has_prefix(&p);
-        let brute = brute_prefix(&re, &p, 3);
-        if brute {
-            prop_assert!(nfa, "brute found an extension the NFA missed: {} / {}", re, p);
+/// Prefix acceptance agrees with bounded brute-force extension, in the
+/// one direction a bounded search can show: if the brute force finds
+/// an extension, the NFA must accept the prefix.
+#[test]
+fn prefix_agrees_with_bounded_extension() {
+    for_cases(0x5EED_0002_ACCE_5505, 300, |re, _, p, _| {
+        if brute_prefix(re, p, 3) {
+            assert!(re.has_prefix(p), "brute found an extension the NFA missed: {re} / {p}");
         }
-        if !nfa {
-            prop_assert!(!brute, "NFA rejected a prefix with an extension: {} / {}", re, p);
-        }
-    }
+    });
+}
 
-    /// Language-level concatenation: matching `a` then `b` on a split
-    /// path equals matching `a.then(b)` on the whole.
-    #[test]
-    fn concat_is_language_concatenation(
-        a in regex_strategy(),
-        b in regex_strategy(),
-        p in path_strategy(),
-        q in path_strategy(),
-    ) {
-        if a.matches(&p) && b.matches(&q) {
+/// The combinators are the language operations: `then` concatenates,
+/// `or` unites, `power(n)` matches the n-fold repetition.
+#[test]
+fn combinators_are_language_operations() {
+    for_cases(0x5EED_0003_ACCE_5505, 1000, |a, b, p, q| {
+        if a.matches(p) && b.matches(q) {
             let combined = a.clone().then(b.clone());
-            prop_assert!(combined.matches(&p.concat(&q)), "({}).({}) on {}.{}", a, b, p, q);
+            assert!(combined.matches(&p.concat(q)), "({a}).({b}) on {p}.{q}");
         }
-    }
-
-    /// `or` accepts exactly the union.
-    #[test]
-    fn or_is_union(a in regex_strategy(), b in regex_strategy(), p in path_strategy()) {
         let union = a.clone().or(b.clone());
-        prop_assert_eq!(union.matches(&p), a.matches(&p) || b.matches(&p));
-    }
-
-    /// `power(n)` matches the n-fold repetition of any matched path.
-    #[test]
-    fn power_matches_repetition(re in regex_strategy(), p in path_strategy(), n in 0usize..4) {
-        if re.matches(&p) {
+        assert_eq!(union.matches(p), a.matches(p) || b.matches(p), "({a})|({b}) on {p}");
+        if a.matches(p) {
             let mut repeated = Path::empty();
-            for _ in 0..n {
-                repeated = repeated.concat(&p);
+            for n in 0..4 {
+                assert!(a.power(n).matches(&repeated), "{a}^{n} on {repeated}");
+                repeated = repeated.concat(p);
             }
-            prop_assert!(re.power(n).matches(&repeated), "{}^{} on {}", re, n, repeated);
         }
-    }
+    });
+}
 
-    /// The paper's τ-composition identity: prefix conflict at distance
-    /// d+1 through τ equals prefix conflict at distance d through
-    /// τ·(τ^d ∘ A) — i.e., power composes associatively.
-    #[test]
-    fn tau_powers_compose(p in path_strategy(), d in 0usize..4) {
-        let tau = PathRegex::Atom(Accessor::Cdr);
-        let left = tau.power(d + 1);
-        let right = tau.clone().then(tau.power(d));
-        prop_assert_eq!(left.matches(&p), right.matches(&p));
-        prop_assert_eq!(left.has_prefix(&p), right.has_prefix(&p));
-    }
+/// The paper's τ-composition identity: prefix conflict at distance
+/// d+1 through τ equals prefix conflict at distance d through
+/// τ·(τ^d ∘ A) — i.e., power composes associatively.
+#[test]
+fn tau_powers_compose() {
+    let tau = PathRegex::Atom(Accessor::Cdr);
+    for_cases(0x5EED_0004_ACCE_5505, 200, |_, _, p, _| {
+        for d in 0..4 {
+            let left = tau.power(d + 1);
+            let right = tau.clone().then(tau.power(d));
+            assert_eq!(left.matches(p), right.matches(p));
+            assert_eq!(left.has_prefix(p), right.has_prefix(p));
+        }
+    });
 }

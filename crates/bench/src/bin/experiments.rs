@@ -7,13 +7,13 @@
 //! cargo run --release -p curare-bench --bin experiments e4 e7    # some
 //! cargo run ... experiments e8 --trace t.json --metrics m.json   # traced
 //! cargo run ... experiments validate FILE KEY...                 # CI gate
-//! cargo run ... --features sanitize ... experiments sanitize     # oracle
+//! cargo run ... experiments sanitize [--json] [--chaos-seed N]   # oracle
 //! cargo run ... experiments interp [--json] [--min-speedup X]
 //!                                  # tree vs VM sweep (+ CI gate)
 //! cargo run ... experiments hir [--json]  # typed-HIR/fusion ablation
 //! cargo run ... experiments differential FILE...  # engine parity gate
 //!                                  # (tree vs fused VM vs --no-fuse VM)
-//! cargo run ... --features chaos ... experiments chaos [--json]
+//! cargo run ... experiments chaos [--json] [--seeds N]
 //!                                  # seeded fault-injection sweep
 //! cargo run ... experiments profile [--json]
 //!                                  # causal profiler: work/span vs the
@@ -32,7 +32,6 @@
 //!                                  # programs run optimistically,
 //!                                  # commit-clean % + abort/replay
 //!                                  # convergence + seq-vs-spec timing
-//!                                  # (seeds also via CURARE_SPEC_SEEDS)
 //! ```
 //!
 //! `--trace` writes a Chrome `trace_event` document of every threaded
@@ -573,7 +572,6 @@ fn differential_cmd(args: &[String]) -> ExitCode {
 /// over the experiment programs under both schedulers and cross-check
 /// every observed conflicting pair against the static prediction (the
 /// soundness oracle; see DESIGN.md). Exits 0 iff every run is sound.
-#[cfg(feature = "sanitize")]
 fn sanitize_cmd(args: &[String]) -> ExitCode {
     use curare::check::sanitized_run;
     use curare::runtime::SchedMode;
@@ -594,16 +592,6 @@ fn sanitize_cmd(args: &[String]) -> ExitCode {
             }
         },
     };
-    #[cfg(not(feature = "chaos"))]
-    if chaos_seed.is_some() {
-        eprintln!(
-            "experiments: --chaos-seed needs the chaos harness; rebuild with\n  \
-             cargo run --release -p curare-bench --features \"sanitize chaos\" \
-             --bin experiments -- sanitize --chaos-seed N"
-        );
-        return ExitCode::FAILURE;
-    }
-    #[cfg(feature = "chaos")]
     if let Some(seed) = chaos_seed {
         use curare::runtime::chaos::{self, ChaosProfile, FaultPlan};
         chaos::install(Some(FaultPlan::new(seed, ChaosProfile::named("reorder").unwrap())));
@@ -697,7 +685,6 @@ fn sanitize_cmd(args: &[String]) -> ExitCode {
             }
         }
     }
-    #[cfg(feature = "chaos")]
     if chaos_seed.is_some() {
         curare::runtime::chaos::install(None);
     }
@@ -730,18 +717,6 @@ fn sanitize_cmd(args: &[String]) -> ExitCode {
     }
 }
 
-/// Without the `sanitize` feature the interpreter records nothing, so
-/// the cross-check would be vacuously "sound"; refuse instead of
-/// pretending.
-#[cfg(not(feature = "sanitize"))]
-fn sanitize_cmd(_args: &[String]) -> ExitCode {
-    eprintln!(
-        "experiments: the heap-access sanitizer is compiled out; rebuild with\n  \
-         cargo run --release -p curare-bench --features sanitize --bin experiments -- sanitize"
-    );
-    ExitCode::FAILURE
-}
-
 /// `experiments speculate [--json] [--seeds N]` — the SpecMode
 /// experiment: programs the static pipeline refuses (a ⊤-write
 /// walker and an under-declared-aliasing walker) run optimistically
@@ -751,9 +726,8 @@ fn sanitize_cmd(_args: &[String]) -> ExitCode {
 /// `experiments sanitize` left `BENCH_sanitize.json` behind, its
 /// measured precision ratios) plus a forced-sequential vs
 /// speculative timing of the ⊤-write program, into
-/// `BENCH_spec.json`. With the `chaos` feature a seeded
-/// shuffle+speculate sweep rides along (`--seeds N`, or
-/// `CURARE_SPEC_SEEDS` for the CI smoke). Exits 0 iff every
+/// `BENCH_spec.json`. A seeded shuffle+speculate chaos sweep rides
+/// along (`--seeds N`, default 16). Exits 0 iff every
 /// speculative run converged to the oracle and the ⊤-write program
 /// committed 100% clean.
 fn speculate_cmd(args: &[String]) -> ExitCode {
@@ -762,14 +736,11 @@ fn speculate_cmd(args: &[String]) -> ExitCode {
     let json = args.iter().any(|a| a == "--json");
     let flag_val =
         |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned();
-    let seeds: u64 = match flag_val("--seeds")
-        .or_else(|| std::env::var("CURARE_SPEC_SEEDS").ok())
-        .map(|s| s.parse())
-    {
+    let seeds: u64 = match flag_val("--seeds").map(|s| s.parse()) {
         None => 16,
         Some(Ok(n)) => n,
         Some(Err(_)) => {
-            eprintln!("experiments: --seeds/CURARE_SPEC_SEEDS needs a number");
+            eprintln!("experiments: --seeds needs a number");
             return ExitCode::from(2);
         }
     };
@@ -959,9 +930,8 @@ fn speculate_cmd(args: &[String]) -> ExitCode {
             .set("host_threads", hardware_threads())
     };
 
-    // Chaos-gated shuffle+speculate sweep: perturbed interleavings
-    // must not change any observable result.
-    #[cfg(feature = "chaos")]
+    // Shuffle+speculate chaos sweep: perturbed interleavings must not
+    // change any observable result.
     let chaos_doc = {
         use curare::runtime::chaos::{self, ChaosProfile, FaultPlan};
         let mut sweep = Vec::new();
@@ -1012,12 +982,7 @@ fn speculate_cmd(args: &[String]) -> ExitCode {
                 if swept_ok { "all matched" } else { "MISMATCH" }
             );
         }
-        Json::obj().set("available", true).set("profile", "shuffle").set("runs", Json::Arr(sweep))
-    };
-    #[cfg(not(feature = "chaos"))]
-    let chaos_doc = {
-        let _ = seeds;
-        Json::obj().set("available", false).set("runs", Json::Arr(vec![]))
+        Json::obj().set("profile", "shuffle").set("runs", Json::Arr(sweep))
     };
 
     // The sanitizer's measured precision ratios, when a prior
@@ -1065,7 +1030,6 @@ fn speculate_cmd(args: &[String]) -> ExitCode {
 /// the sequential oracle's observation; plus one collapse run proving
 /// the poison → drain → degrade fallback still returns the right
 /// answer. Writes `BENCH_chaos.json`; exits 0 iff every cell matched.
-#[cfg(feature = "chaos")]
 fn chaos_cmd(args: &[String]) -> ExitCode {
     use curare::runtime::chaos::{self, ChaosProfile, FaultPlan};
     use curare::runtime::{RuntimeConfig, SchedMode};
@@ -1293,17 +1257,6 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
     }
 }
 
-/// Without the `chaos` feature no faults can be injected, so the sweep
-/// would be an expensive no-op; refuse instead of pretending.
-#[cfg(not(feature = "chaos"))]
-fn chaos_cmd(_args: &[String]) -> ExitCode {
-    eprintln!(
-        "experiments: the chaos harness is compiled out; rebuild with\n  \
-         cargo run --release -p curare-bench --features chaos --bin experiments -- chaos"
-    );
-    ExitCode::FAILURE
-}
-
 /// `experiments profile [--json]` — the bound experiment: run every
 /// experiment program under both schedulers with the causal profiler
 /// armed, reconstruct the spawn/touch DAG from the trace rings, and
@@ -1314,9 +1267,8 @@ fn chaos_cmd(_args: &[String]) -> ExitCode {
 /// if any cell violates span ≤ work or parallelism ≥ 1 (both hold by
 /// construction — a violation means the DAG reconstruction broke).
 ///
-/// With `--features profile-ops` each cell also reports its hottest
-/// VM opcodes by accumulated handler time; without it `hot_ops` rows
-/// are empty (the causal profile itself needs no feature).
+/// Each cell also reports its hottest VM opcodes by accumulated
+/// handler time (`hot_ops`).
 fn profile_cmd(args: &[String]) -> ExitCode {
     use curare::runtime::{RuntimeConfig, SchedMode};
 
@@ -1713,10 +1665,8 @@ fn locksynth_cmd(args: &[String]) -> ExitCode {
 /// The gate fails on any oracle mismatch, or if the model's
 /// steal/no-steal makespan ratio is < 1.5 on either skewed
 /// distribution, or if stealing costs more than 5% on uniform load.
-/// `CURARE_NO_STEAL` (the escape hatch) downgrades the "steal" cells
-/// to no-steal runs; the cells record the effective setting.
 fn steal_cmd(args: &[String]) -> ExitCode {
-    use curare::runtime::{steal_default, RuntimeConfig, SchedMode};
+    use curare::runtime::{RuntimeConfig, SchedMode};
     use curare::sim::{hot_split, simulate_steal, zipf_split, StealSimConfig};
 
     let mut json = false;
@@ -1825,7 +1775,7 @@ fn steal_cmd(args: &[String]) -> ExitCode {
             (
                 "sharded+steal",
                 SchedMode::Sharded,
-                steal_default(),
+                true,
                 steal.total_time,
                 steal.achieved_concurrency,
             ),
@@ -1922,7 +1872,6 @@ fn steal_cmd(args: &[String]) -> ExitCode {
         .set("servers", SERVERS as u64)
         .set("n", n as u64)
         .set("sites", k as u64)
-        .set("steal_default", steal_default())
         .set("hot90_model_speedup", hot_ratio)
         .set("zipf_model_speedup", zipf_ratio)
         .set("uniform_model_delta", uniform_delta)

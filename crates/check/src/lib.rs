@@ -15,8 +15,8 @@
 //!   machine-checkable `curare-locks/1` placement documents) — the
 //!   `curare check --locks` surface.
 //!
-//! - [`sanitizer`] validates the analysis itself: with the `sanitize`
-//!   feature, every heap-word access in a CRI run is recorded
+//! - [`sanitizer`] validates the analysis itself: under
+//!   [`sanitized_run`], every heap-word access in a CRI run is recorded
 //!   (per-invocation, per-server), the happens-before order is
 //!   reconstructed from spawn/touch events, and every cross-invocation
 //!   conflicting pair is diffed against the statically predicted
@@ -33,9 +33,6 @@ pub use collect::{check_source, CheckError};
 pub use diag::{Code, Diagnostic, DiagnosticSet, Severity};
 pub use lockcert::{check_locks_source, LockCertReport};
 pub use sanitizer::{
-    covered_keys, cross_check, lock_coverage, predicted_pairs, CrossCheck, LockCheck,
-    PredictedPairs, UnpredictedPair,
+    covered_keys, cross_check, lock_coverage, predicted_pairs, sanitized_lock_check, sanitized_run,
+    CrossCheck, LockCheck, PredictedPairs, UnpredictedPair,
 };
-
-#[cfg(feature = "sanitize")]
-pub use sanitizer::{sanitized_lock_check, sanitized_run};

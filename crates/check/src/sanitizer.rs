@@ -494,7 +494,6 @@ pub fn lock_coverage(src: &str, check: CrossCheck) -> Result<LockCheck, String> 
 /// the sanitizer installed, and fail the coverage check if any
 /// observed happens-before-unordered conflict escapes the synthesized
 /// or declared lock placement. Serialize calls like [`sanitized_run`].
-#[cfg(feature = "sanitize")]
 pub fn sanitized_lock_check(
     src: &str,
     entry: &str,
@@ -514,7 +513,6 @@ pub fn sanitized_lock_check(
 /// Installs the process-global sanitizer for the run's duration:
 /// callers (tests, the experiments driver) must serialize sanitized
 /// runs.
-#[cfg(feature = "sanitize")]
 pub fn sanitized_run(
     src: &str,
     entry: &str,
@@ -698,7 +696,7 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "sanitize"))]
+#[cfg(test)]
 mod sanitized_tests {
     use super::*;
     use curare_runtime::SchedMode;

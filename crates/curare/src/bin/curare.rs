@@ -30,23 +30,19 @@
 //!   --profile PATH   write a curare-profile/1 JSON of the pool run:
 //!                    the spawn/touch DAG's work, span (critical
 //!                    path), parallelism = work/span, and per-edge
-//!                    critical-path attribution; with a profile-ops
-//!                    build the hottest VM opcodes ride along
+//!                    critical-path attribution, plus the hottest
+//!                    VM opcodes
 //!   --engine E       invocation engine: 'vm' (default; register
 //!                    bytecode) or 'tree' (the tree-walking oracle)
 //!   --no-fuse        disable superinstruction fusion in the bytecode
-//!                    compiler (differential escape hatch; also
-//!                    available process-wide as CURARE_NO_FUSE=1)
+//!                    compiler (differential escape hatch)
 //!   --no-steal       disable work stealing between sharded pool
-//!                    servers (scheduler A/B escape hatch; also
-//!                    available process-wide as CURARE_NO_STEAL=1)
+//!                    servers (scheduler A/B escape hatch)
 //!   --speculate      admit statically unproven functions optimistically:
 //!                    the pool logs their heap accesses, validates them
 //!                    against the sequential order at quiescence, and
 //!                    aborts/replays (or reruns sequentially) on conflict
-//!                    (kill switch: CURARE_NO_SPEC=1)
 //!   --chaos-seed N   install a seeded fault plan for the pool run
-//!                    (needs a binary built with --features chaos)
 //!   --chaos-profile P  fault profile for --chaos-seed: delays,
 //!                    panics, stalls, shuffle, reorder, mixed
 //!                    (default), or collapse
@@ -283,12 +279,6 @@ fn run(args: &[String]) -> Result<(), String> {
     if speculate && (servers == 0 || sequential) {
         return Err("--speculate needs a transformed pool run (--servers N with --call)".into());
     }
-    #[cfg(not(feature = "chaos"))]
-    if chaos_seed.is_some() {
-        return Err("chaos support is compiled out; rebuild with --features chaos".into());
-    }
-    #[cfg(not(feature = "chaos"))]
-    let _ = &chaos_profile;
 
     curare::lisp::set_thread_stack_budget(6 << 20);
     if no_fuse {
@@ -340,15 +330,14 @@ fn run(args: &[String]) -> Result<(), String> {
                 t
             });
         // Arm the causal profiler (spawn/touch/future edge events +
-        // invocation ids) and, on a profile-ops build, per-opcode VM
-        // counters, before the pool spawns.
+        // invocation ids) and the per-opcode VM counters before the
+        // pool spawns.
         if profile_path.is_some() {
             curare::obs::set_profiling(true);
             curare::lisp::set_op_profiling(true);
         }
         // Install the fault plan before the pool spawns so server
         // threads see it from their first task.
-        #[cfg(feature = "chaos")]
         if let Some(seed) = chaos_seed {
             let profile = curare::runtime::chaos::ChaosProfile::named(&chaos_profile)
                 .ok_or_else(|| format!("unknown chaos profile '{chaos_profile}'"))?;
@@ -358,7 +347,7 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         let config = curare::runtime::RuntimeConfig {
             stall_budget: stall_budget_ms.map(std::time::Duration::from_millis),
-            steal: !no_steal && curare::runtime::steal_default(),
+            steal: !no_steal,
             speculate,
             ..curare::runtime::RuntimeConfig::default()
         };
@@ -379,7 +368,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 stats.spec_escalated
             );
         }
-        #[cfg(feature = "chaos")]
         if let Some(seed) = chaos_seed {
             eprintln!(
                 ";; chaos: seed {seed}, profile {chaos_profile}: {} faults injected, \
@@ -392,7 +380,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 eprintln!("{dump}");
             }
         }
-        #[cfg(feature = "chaos")]
         if chaos_seed.is_some() {
             curare::runtime::chaos::install(None);
         }

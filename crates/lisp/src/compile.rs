@@ -24,11 +24,11 @@
 //! target keeps its own dispatch slot). Every superinstruction still
 //! performs *both* constituent writes in original order, so no
 //! liveness analysis is needed — only dispatch is saved. Fusion can
-//! be disabled with `CURARE_NO_FUSE=1` (or [`set_fusion_enabled`]) as
-//! a differential escape hatch.
+//! be disabled with [`set_fusion_enabled`] as a differential escape
+//! hatch.
 //!
 //! Heap traffic (car/cdr/cons/setf/struct/vector ops) stays behind the
-//! same `heap.rs` accessors the tree-walker uses, so the `sanitize`
+//! same `heap.rs` accessors the tree-walker uses, so the sanitizer's
 //! conflict checker and the obs event hooks observe identical access
 //! streams from both engines.
 //!
@@ -37,7 +37,7 @@
 //! with the interpreter's function-table generation (redefinition
 //! bumps the generation, invalidating every cached resolution).
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use curare_sexpr::Sexpr;
@@ -52,35 +52,19 @@ use crate::value::{FuncId, SymId, Value};
 // Fusion escape hatch
 // ----------------------------------------------------------------
 
-/// 0 = off, 1 = on, 2 = not yet resolved from the environment.
-static FUSION: AtomicU8 = AtomicU8::new(2);
+static FUSION: AtomicBool = AtomicBool::new(true);
 
-/// Whether the superinstruction fusion pass runs at compile time.
-/// Resolved once from `CURARE_NO_FUSE` (any value other than empty or
-/// `0` disables fusion) unless overridden by [`set_fusion_enabled`].
+/// Whether the superinstruction fusion pass runs at compile time (on
+/// unless [`set_fusion_enabled`] turned it off).
 pub fn fusion_enabled() -> bool {
-    match FUSION.load(Ordering::Relaxed) {
-        0 => false,
-        1 => true,
-        _ => {
-            let on = match std::env::var("CURARE_NO_FUSE") {
-                Ok(v) => {
-                    let v = v.trim();
-                    v.is_empty() || v == "0"
-                }
-                Err(_) => true,
-            };
-            FUSION.store(u8::from(on), Ordering::Relaxed);
-            on
-        }
-    }
+    FUSION.load(Ordering::Relaxed)
 }
 
-/// Force fusion on or off (overrides `CURARE_NO_FUSE`). Affects
-/// functions compiled afterwards; already-compiled code is unchanged,
-/// so toggle before creating the interpreter that loads the program.
+/// Force fusion on or off. Affects functions compiled afterwards;
+/// already-compiled code is unchanged, so toggle before creating the
+/// interpreter that loads the program.
 pub fn set_fusion_enabled(on: bool) {
-    FUSION.store(u8::from(on), Ordering::Relaxed);
+    FUSION.store(on, Ordering::Relaxed);
 }
 
 // ----------------------------------------------------------------
@@ -301,7 +285,7 @@ pub enum Op {
 pub const OPCODE_COUNT: usize = 55;
 
 /// Stable display name per opcode, indexed by [`Op::opcode`] — the
-/// labels the `profile-ops` VM profiler reports hot opcodes under.
+/// labels the per-opcode VM profiler reports hot opcodes under.
 pub const OPCODE_NAMES: [&str; OPCODE_COUNT] = [
     "const",
     "float",

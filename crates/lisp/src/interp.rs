@@ -28,30 +28,21 @@ pub enum Engine {
     Tree,
 }
 
-/// Process-wide default engine: 0 = unresolved, 1 = VM, 2 = tree.
+/// Process-wide default engine: 0 = VM, 1 = tree.
 static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(0);
 
-/// The process-wide default engine. Resolved once from the
-/// `CURARE_ENGINE` environment variable (`tree` / `eval-tree` select
-/// the tree-walker); the VM otherwise.
+/// The process-wide default engine: the VM unless
+/// [`set_default_engine`] chose the tree-walker.
 pub fn default_engine() -> Engine {
     match DEFAULT_ENGINE.load(Ordering::Relaxed) {
-        1 => Engine::Vm,
-        2 => Engine::Tree,
-        _ => {
-            let e = match std::env::var("CURARE_ENGINE").ok().as_deref() {
-                Some("tree") | Some("eval-tree") => Engine::Tree,
-                _ => Engine::Vm,
-            };
-            set_default_engine(e);
-            e
-        }
+        0 => Engine::Vm,
+        _ => Engine::Tree,
     }
 }
 
 /// Override the process-wide default engine (the `--engine` flag).
 pub fn set_default_engine(e: Engine) {
-    DEFAULT_ENGINE.store(if e == Engine::Vm { 1 } else { 2 }, Ordering::Relaxed);
+    DEFAULT_ENGINE.store(u8::from(e == Engine::Tree), Ordering::Relaxed);
 }
 
 /// A function-table entry: the code plus any values captured when a

@@ -20,7 +20,7 @@
 //! - [`compile`] / [`vm`]: a register bytecode compiler and dispatch
 //!   loop — the default engine for function invocation, with the
 //!   tree-walker retained as a differential oracle (select with
-//!   [`interp::Engine`] or the `CURARE_ENGINE` environment variable).
+//!   [`interp::Engine`] / [`interp::set_default_engine`]).
 //!
 //! # Quick example
 //!

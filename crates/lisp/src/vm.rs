@@ -14,7 +14,8 @@
 //! redefined name binds a fresh function id.
 //!
 //! Dispatch is direct-threaded: every opcode indexes a function-
-//! pointer table ([`HANDLERS`]) instead of one giant `match`, keeping
+//! pointer table ([`HANDLERS`]; per-opcode profiling swaps in a table
+//! of timing wrappers) instead of one giant `match`, keeping
 //! each handler a small, tail-call-friendly unit the branch predictor
 //! can track per-opcode. Typed instructions (operands proven integer
 //! by the HIR pass) and fused superinstructions report through
@@ -34,9 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::builtins::{apply_builtin, compare_chain, fold_arith, BuiltinCx};
-#[cfg(feature = "profile-ops")]
-use crate::compile::OPCODE_NAMES;
-use crate::compile::{BinKind, CmpKind, Code, Op, TestKind, OPCODE_COUNT};
+use crate::compile::{BinKind, CmpKind, Code, Op, TestKind, OPCODE_COUNT, OPCODE_NAMES};
 use crate::error::{LispError, Result};
 use crate::eval::{self, apply_struct_op, Evaluator};
 use crate::interp::Interp;
@@ -98,7 +97,7 @@ pub fn vm_stats_reset() {
 }
 
 // ----------------------------------------------------------------
-// Per-opcode profiling (`profile-ops` feature)
+// Per-opcode profiling
 // ----------------------------------------------------------------
 
 /// One row of the per-opcode VM profile: how often an opcode
@@ -120,7 +119,6 @@ pub struct OpProfileEntry {
     pub ns: u64,
 }
 
-#[cfg(feature = "profile-ops")]
 mod op_profile {
     use super::*;
     use std::sync::atomic::AtomicBool;
@@ -132,66 +130,46 @@ mod op_profile {
     pub(super) static NS: [AtomicU64; OPCODE_COUNT] = [ZERO; OPCODE_COUNT];
 }
 
-/// Enable/disable per-opcode profiling. No-op unless the crate was
-/// built with the `profile-ops` feature; with it, each `exec` entry
-/// pays one relaxed load while disabled, and each dispatch pays two
-/// clock reads while enabled (counters batch per code block and flush
-/// to process-wide atomics on exit).
+/// Enable/disable per-opcode profiling for the [`Vm`] contexts created
+/// from now on (one per top-level call or pool task). A context pays
+/// one relaxed load when it is created; while enabled each dispatch
+/// goes through [`h_profiled`]: two clock reads and two relaxed adds.
 pub fn set_op_profiling(on: bool) {
-    #[cfg(feature = "profile-ops")]
     op_profile::ENABLED.store(on, Ordering::Release);
-    #[cfg(not(feature = "profile-ops"))]
-    let _ = on;
 }
 
-/// True while per-opcode profiling is compiled in and enabled.
+/// True while per-opcode profiling is enabled.
 #[inline]
 pub fn op_profiling_enabled() -> bool {
-    #[cfg(feature = "profile-ops")]
-    {
-        op_profile::ENABLED.load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "profile-ops"))]
-    {
-        false
-    }
+    op_profile::ENABLED.load(Ordering::Relaxed)
 }
 
 /// Zero the per-opcode counters (between benchmark iterations).
 pub fn op_profile_reset() {
-    #[cfg(feature = "profile-ops")]
     for i in 0..OPCODE_COUNT {
         op_profile::COUNTS[i].store(0, Ordering::Relaxed);
         op_profile::NS[i].store(0, Ordering::Relaxed);
     }
 }
 
-/// Snapshot every opcode with a nonzero dispatch count. Always empty
-/// without the `profile-ops` feature, so report plumbing needs no
-/// feature gates of its own.
+/// Snapshot every opcode with a nonzero dispatch count (empty unless
+/// profiling was on during a run).
 pub fn op_profile_snapshot() -> Vec<OpProfileEntry> {
-    #[cfg(feature = "profile-ops")]
-    {
-        (0..OPCODE_COUNT)
-            .filter_map(|i| {
-                let count = op_profile::COUNTS[i].load(Ordering::Relaxed);
-                (count != 0).then(|| OpProfileEntry {
-                    opcode: i,
-                    name: OPCODE_NAMES[i],
-                    count,
-                    ns: op_profile::NS[i].load(Ordering::Relaxed),
-                })
+    (0..OPCODE_COUNT)
+        .filter_map(|i| {
+            let count = op_profile::COUNTS[i].load(Ordering::Relaxed);
+            (count != 0).then(|| OpProfileEntry {
+                opcode: i,
+                name: OPCODE_NAMES[i],
+                count,
+                ns: op_profile::NS[i].load(Ordering::Relaxed),
             })
-            .collect()
-    }
-    #[cfg(not(feature = "profile-ops"))]
-    {
-        Vec::new()
-    }
+        })
+        .collect()
 }
 
 /// The `k` hottest opcodes by accumulated nanoseconds (dispatch count
-/// breaks ties). Empty without the `profile-ops` feature.
+/// breaks ties).
 pub fn op_profile_top(k: usize) -> Vec<OpProfileEntry> {
     let mut rows = op_profile_snapshot();
     rows.sort_by(|a, b| b.ns.cmp(&a.ns).then(b.count.cmp(&a.count)));
@@ -219,6 +197,9 @@ pub struct Vm<'i> {
     /// tail-call fast path compares resolved callees against this.
     /// Saved and restored around nested `apply`s.
     cur_fid: FuncId,
+    /// The dispatch table: [`HANDLERS`], or [`PROFILED_HANDLERS`] when
+    /// per-opcode profiling was on as this context was created.
+    handlers: &'static [Handler; OPCODE_COUNT],
     // Locally-batched counters, flushed to the globals on drop.
     ops: u64,
     typed: u64,
@@ -260,6 +241,7 @@ impl<'i> Vm<'i> {
             depth,
             stack_base: eval::resolve_stack_base(),
             cur_fid: FuncId::MAX,
+            handlers: if op_profiling_enabled() { &PROFILED_HANDLERS } else { &HANDLERS },
             ops: 0,
             typed: 0,
             fused: 0,
@@ -362,53 +344,15 @@ impl<'i> Vm<'i> {
     /// Execute one code block against `regs` through the handler
     /// table.
     fn exec(&mut self, code: &Code, regs: &mut [Value]) -> Result<VmFlow> {
-        #[cfg(feature = "profile-ops")]
-        if op_profiling_enabled() {
-            return self.exec_profiled(code, regs);
-        }
         let mut pc = 0usize;
         loop {
             let op = code.ops[pc];
             pc += 1;
             self.ops += 1;
-            if let Some(flow) = HANDLERS[op.opcode()](self, code, regs, op, &mut pc)? {
+            if let Some(flow) = self.handlers[op.opcode()](self, code, regs, op, &mut pc)? {
                 return Ok(flow);
             }
         }
-    }
-
-    /// The dispatch loop with per-opcode count/ns accounting wrapped
-    /// around each handler. A separate duplicate of `exec`'s loop so
-    /// the unprofiled path keeps its exact shape; counters batch in
-    /// stack-local arrays and flush once per code block.
-    #[cfg(feature = "profile-ops")]
-    #[cold]
-    fn exec_profiled(&mut self, code: &Code, regs: &mut [Value]) -> Result<VmFlow> {
-        let mut counts = [0u64; OPCODE_COUNT];
-        let mut ns = [0u64; OPCODE_COUNT];
-        let mut pc = 0usize;
-        let result = loop {
-            let op = code.ops[pc];
-            pc += 1;
-            self.ops += 1;
-            let idx = op.opcode();
-            counts[idx] += 1;
-            let t0 = curare_obs::now_ns();
-            let step = HANDLERS[idx](self, code, regs, op, &mut pc);
-            ns[idx] += curare_obs::now_ns().saturating_sub(t0);
-            match step {
-                Ok(None) => {}
-                Ok(Some(flow)) => break Ok(flow),
-                Err(e) => break Err(e),
-            }
-        };
-        for i in 0..OPCODE_COUNT {
-            if counts[i] != 0 {
-                op_profile::COUNTS[i].fetch_add(counts[i], Ordering::Relaxed);
-                op_profile::NS[i].fetch_add(ns[i], Ordering::Relaxed);
-            }
-        }
-        result
     }
 }
 
@@ -492,6 +436,26 @@ static HANDLERS: [Handler; OPCODE_COUNT] = [
     h_cxr_null,
     h_cons_link,
 ];
+
+/// Every slot of the profiling table: run the opcode's real handler
+/// with count/ns accounting around it.
+static PROFILED_HANDLERS: [Handler; OPCODE_COUNT] = [h_profiled; OPCODE_COUNT];
+
+fn h_profiled(
+    vm: &mut Vm,
+    code: &Code,
+    regs: &mut [Value],
+    op: Op,
+    pc: &mut usize,
+) -> Result<Option<VmFlow>> {
+    let idx = op.opcode();
+    let t0 = curare_obs::now_ns();
+    let step = HANDLERS[idx](vm, code, regs, op, pc);
+    let ns = curare_obs::now_ns().saturating_sub(t0);
+    op_profile::COUNTS[idx].fetch_add(1, Ordering::Relaxed);
+    op_profile::NS[idx].fetch_add(ns, Ordering::Relaxed);
+    step
+}
 
 fn h_const(
     _vm: &mut Vm,
@@ -1519,18 +1483,6 @@ mod tests {
         assert_eq!(set.len(), OPCODE_COUNT, "duplicate opcode name");
     }
 
-    // Only without the feature: the sibling profiled test mutates the
-    // global counters in parallel when it is compiled in.
-    #[cfg(not(feature = "profile-ops"))]
-    #[test]
-    fn op_profile_stubs_are_inert() {
-        set_op_profiling(true);
-        assert!(!op_profiling_enabled(), "flag is compiled out");
-        op_profile_reset();
-        assert!(op_profile_top(8).is_empty());
-    }
-
-    #[cfg(feature = "profile-ops")]
     #[test]
     fn op_profile_counts_dispatches() {
         use crate::interp::Interp;

@@ -408,8 +408,8 @@ fn random_programs_agree() {
 
 // ---------------------------------------------------------------------
 // Fusion differential: superinstruction fusion is a load-time
-// code-gen choice, so with it disabled (`--no-fuse` / CURARE_NO_FUSE)
-// the VM must produce byte-identical outcomes on the same battery.
+// code-gen choice, so with it disabled (`--no-fuse`) the VM must
+// produce byte-identical outcomes on the same battery.
 // The flag is process-global and read at compile time; tests that
 // toggle it serialize on a mutex and restore the previous value.
 // ---------------------------------------------------------------------

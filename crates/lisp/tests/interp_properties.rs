@@ -1,373 +1,254 @@
-//! Property tests for the mini-Lisp substrate: evaluation determinism,
-//! unparse/lower round trips, numeric-tower behaviour, and heap
-//! structural equality.
+//! Seeded property battery for the mini-Lisp substrate: evaluation
+//! determinism, unparse/lower and HIR-desugar round trips, numeric and
+//! list algebra, and a lowerer that is total on arbitrary input.
 //!
-//! Requires the off-by-default `heavy-tests` feature (the external
-//! `proptest` crate is unavailable offline).
-
-#![cfg(feature = "heavy-tests")]
+//! Engine agreement on random programs is `engine_differential.rs`'s
+//! `random_programs_agree`, over a richer grammar than this one.
 
 use curare_lisp::{Engine, Heap, Interp, Lowerer, Value};
 use curare_sexpr::{parse_all, parse_one};
-use proptest::prelude::*;
 
-// ----------------------------------------------------------------
-// Random expression generator: a small, always-well-formed arithmetic
-// and list language.
-// ----------------------------------------------------------------
+struct XorShift(u64);
 
-#[derive(Debug, Clone)]
-enum GenExpr {
-    Int(i32),
-    Add(Vec<GenExpr>),
-    Sub(Box<GenExpr>, Box<GenExpr>),
-    Mul(Vec<GenExpr>),
-    Min(Vec<GenExpr>),
-    Max(Vec<GenExpr>),
-    IfPos(Box<GenExpr>, Box<GenExpr>, Box<GenExpr>),
-    ListOf(Vec<GenExpr>),
-    CarCons(Box<GenExpr>, Box<GenExpr>),
-    LetX(Box<GenExpr>, Box<GenExpr>),
-    VarX,
-}
+impl XorShift {
+    fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x
+    }
 
-fn gen_expr() -> impl Strategy<Value = GenExpr> {
-    let leaf = prop_oneof![(-1000i32..1000).prop_map(GenExpr::Int), Just(GenExpr::VarX)];
-    leaf.prop_recursive(4, 48, 4, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 1..4).prop_map(GenExpr::Add),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| GenExpr::Sub(Box::new(a), Box::new(b))),
-            prop::collection::vec(inner.clone(), 1..3).prop_map(GenExpr::Mul),
-            prop::collection::vec(inner.clone(), 1..4).prop_map(GenExpr::Min),
-            prop::collection::vec(inner.clone(), 1..4).prop_map(GenExpr::Max),
-            (inner.clone(), inner.clone(), inner.clone()).prop_map(|(c, a, b)| GenExpr::IfPos(
-                Box::new(c),
-                Box::new(a),
-                Box::new(b)
-            )),
-            prop::collection::vec(inner.clone(), 0..3).prop_map(GenExpr::ListOf),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| GenExpr::CarCons(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(v, b)| GenExpr::LetX(Box::new(v), Box::new(b))),
-        ]
-    })
-}
+    /// Uniform-ish pick in `0..n`.
+    fn pick(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
 
-/// Render to source. `in_scope`: whether `x` is bound here.
-fn render(e: &GenExpr, in_scope: bool) -> String {
-    match e {
-        GenExpr::Int(i) => i.to_string(),
-        GenExpr::VarX => {
-            if in_scope {
-                "x".to_string()
-            } else {
-                "7".to_string()
-            }
-        }
-        GenExpr::Add(es) => {
-            format!("(+ {})", es.iter().map(|e| render(e, in_scope)).collect::<Vec<_>>().join(" "))
-        }
-        GenExpr::Sub(a, b) => format!("(- {} {})", render(a, in_scope), render(b, in_scope)),
-        GenExpr::Mul(es) => {
-            format!("(* {})", es.iter().map(|e| render(e, in_scope)).collect::<Vec<_>>().join(" "))
-        }
-        GenExpr::Min(es) => {
-            format!(
-                "(min {})",
-                es.iter().map(|e| render(e, in_scope)).collect::<Vec<_>>().join(" ")
-            )
-        }
-        GenExpr::Max(es) => {
-            format!(
-                "(max {})",
-                es.iter().map(|e| render(e, in_scope)).collect::<Vec<_>>().join(" ")
-            )
-        }
-        GenExpr::IfPos(c, a, b) => format!(
-            "(if (> {} 0) {} {})",
-            render(c, in_scope),
-            render(a, in_scope),
-            render(b, in_scope)
-        ),
-        GenExpr::ListOf(es) => {
-            if es.is_empty() {
-                "nil".to_string()
-            } else {
-                format!(
-                    "(length (list {}))",
-                    es.iter().map(|e| render(e, in_scope)).collect::<Vec<_>>().join(" ")
-                )
-            }
-        }
-        GenExpr::CarCons(a, b) => {
-            format!("(car (cons {} {}))", render(a, in_scope), render(b, in_scope))
-        }
-        GenExpr::LetX(v, b) => {
-            format!("(let ((x {})) {})", render(v, in_scope), render(b, true))
-        }
+    /// An integer in `-bound..bound`.
+    fn int(&mut self, bound: i64) -> i64 {
+        (self.next() % (2 * bound as u64)) as i64 - bound
+    }
+
+    fn ints(&mut self, bound: i64, min_len: usize, max_len: usize) -> Vec<i64> {
+        (0..min_len + self.pick(max_len - min_len)).map(|_| self.int(bound)).collect()
     }
 }
 
-/// Evaluate the same source to a display string; `None` on error
-/// (overflow is legitimately possible with `*` chains).
-fn eval_display(src: &str) -> Option<String> {
+/// `(op e e …)` over `n` generated operands.
+fn call(op: &str, n: usize, mut operand: impl FnMut() -> String) -> String {
+    let operands: Vec<String> = (0..n).map(|_| operand()).collect();
+    format!("({op} {})", operands.join(" "))
+}
+
+/// A small, always-well-formed arithmetic and list expression; `x` is
+/// used only where a `let` binds it. The only possible error is
+/// overflow in a `*` chain.
+fn gen_arith(rng: &mut XorShift, x_bound: bool, depth: usize) -> String {
+    if depth == 0 || rng.pick(4) == 0 {
+        return if x_bound && rng.pick(2) == 0 { "x".into() } else { rng.int(1000).to_string() };
+    }
+    let sub = |rng: &mut XorShift| gen_arith(rng, x_bound, depth - 1);
+    match rng.pick(9) {
+        0 => call("+", 1 + rng.pick(3), || sub(rng)),
+        1 => call("-", 2, || sub(rng)),
+        2 => call("*", 1 + rng.pick(2), || sub(rng)),
+        3 => call("min", 1 + rng.pick(3), || sub(rng)),
+        4 => call("max", 1 + rng.pick(3), || sub(rng)),
+        5 => format!("(if (> {} 0) {} {})", sub(rng), sub(rng), sub(rng)),
+        6 => format!("(length {})", call("list", rng.pick(3), || sub(rng))),
+        7 => format!("(car (cons {} {}))", sub(rng), sub(rng)),
+        _ => format!("(let ((x {})) {})", sub(rng), gen_arith(rng, true, depth - 1)),
+    }
+}
+
+/// Sugar-heavy expressions (`let*`/`cond`/`and`/`or`/`when`/`unless`)
+/// with `vars` sequentially bound variables x0..x(vars-1) in scope.
+fn gen_sugar(rng: &mut XorShift, vars: usize, depth: usize) -> String {
+    if depth == 0 || rng.pick(4) == 0 {
+        return if vars > 0 && rng.pick(2) == 0 {
+            format!("x{}", rng.pick(vars))
+        } else {
+            rng.int(1000).to_string()
+        };
+    }
+    let sub = |rng: &mut XorShift| gen_sugar(rng, vars, depth - 1);
+    match rng.pick(10) {
+        0 => call("+", 2, || sub(rng)),
+        1 => call("-", 2, || sub(rng)),
+        2 => call("<", 2, || sub(rng)),
+        3 => call("and", rng.pick(4), || sub(rng)),
+        4 => call("or", rng.pick(4), || sub(rng)),
+        5 => {
+            let mut clauses: Vec<String> =
+                (0..rng.pick(3)).map(|_| format!("({} {})", sub(rng), sub(rng))).collect();
+            clauses.push(format!("(t {})", sub(rng)));
+            format!("(cond {})", clauses.join(" "))
+        }
+        6 => {
+            let n = 1 + rng.pick(3);
+            let binds: Vec<String> = (0..n)
+                .map(|i| format!("(x{} {})", vars + i, gen_sugar(rng, vars + i, depth - 1)))
+                .collect();
+            format!("(let* ({}) {})", binds.join(" "), gen_sugar(rng, vars + n, depth - 1))
+        }
+        7 => call("when", 2, || sub(rng)),
+        8 => call("unless", 2, || sub(rng)),
+        _ => call("progn", 1 + rng.pick(3), || sub(rng)),
+    }
+}
+
+/// Evaluate in a fresh interpreter to a display string; `None` on
+/// error (errors compare as `None`: a rewritten program may raise the
+/// same overflow under a different operator's name).
+fn eval_display(src: &str, engine: Option<Engine>) -> Option<String> {
     let it = Interp::new();
+    it.set_engine(engine);
     it.load_str(src).ok().map(|v| it.heap().display(v))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+fn int_list(it: &Interp, xs: &[i64]) -> Value {
+    it.heap().list(&xs.iter().map(|&i| Value::int(i)).collect::<Vec<_>>())
+}
 
-    /// Two fresh interpreters always agree (evaluation is a function
-    /// of the program, not of interpreter state).
-    #[test]
-    fn evaluation_is_deterministic(e in gen_expr()) {
-        let src = render(&e, false);
-        prop_assert_eq!(eval_display(&src), eval_display(&src), "{}", src);
-    }
+/// Evaluation is a function of the program, not of interpreter state;
+/// lower → unparse → re-lower is the identity on the AST, and the
+/// unparsed form evaluates to the same value.
+#[test]
+fn evaluation_is_deterministic_and_unparse_round_trips() {
+    let mut rng = XorShift(0x5EED_0001_1157_C0DE);
+    for case in 0..200 {
+        let src = gen_arith(&mut rng, false, 4);
+        let value = eval_display(&src, None);
+        assert_eq!(value, eval_display(&src, None), "case {case}: {src}");
 
-    /// Lower → unparse → re-lower is the identity on the AST.
-    #[test]
-    fn unparse_lower_round_trip(e in gen_expr()) {
-        let src = render(&e, false);
         let heap = Heap::new();
-        let mut lw = Lowerer::new(&heap);
-        let ast1 = lw.lower_expr(&parse_one(&src).unwrap()).unwrap();
-        let printed = curare_lisp::unparse::unparse_expr(&heap, &ast1).to_string();
-        let mut lw2 = Lowerer::new(&heap);
-        let ast2 = lw2.lower_expr(&parse_one(&printed).unwrap()).unwrap();
-        prop_assert_eq!(ast1, ast2, "src {} printed {}", src, printed);
-    }
-
-    /// Evaluating the unparsed form gives the same value as the
-    /// original source.
-    #[test]
-    fn unparse_preserves_value(e in gen_expr()) {
-        let src = render(&e, false);
-        let heap = Heap::new();
-        let mut lw = Lowerer::new(&heap);
-        let ast = lw.lower_expr(&parse_one(&src).unwrap()).unwrap();
+        let ast = Lowerer::new(&heap).lower_expr(&parse_one(&src).unwrap()).unwrap();
         let printed = curare_lisp::unparse::unparse_expr(&heap, &ast).to_string();
-        prop_assert_eq!(eval_display(&src), eval_display(&printed), "{} vs {}", src, printed);
+        let again = Lowerer::new(&heap).lower_expr(&parse_one(&printed).unwrap()).unwrap();
+        assert_eq!(ast, again, "case {case}: src {src} printed {printed}");
+        assert_eq!(value, eval_display(&printed, None), "case {case}: {src} vs {printed}");
     }
+}
 
-    /// Integer arithmetic agrees with Rust's (checked) semantics on
-    /// flat sums and products.
-    #[test]
-    fn flat_arithmetic_matches_rust(xs in prop::collection::vec(-10_000i64..10_000, 1..8)) {
+/// Desugared HIR (sugar chains plus constant folding), converted back
+/// to an AST and reprinted, is observationally equal to the original
+/// under the tree-walker.
+#[test]
+fn desugar_preserves_tree_semantics() {
+    let mut rng = XorShift(0x5EED_0002_1157_C0DE);
+    for case in 0..300 {
+        let src = gen_sugar(&mut rng, 0, 4);
+        let heap = Heap::new();
+        let ast = Lowerer::new(&heap).lower_expr(&parse_one(&src).unwrap()).unwrap();
+        let back = curare_lisp::hir::to_expr(&curare_lisp::hir::desugar(&ast));
+        let printed = curare_lisp::unparse::unparse_expr(&heap, &back).to_string();
+        assert_eq!(
+            eval_display(&src, Some(Engine::Tree)),
+            eval_display(&printed, Some(Engine::Tree)),
+            "case {case}: desugar changed semantics:\n  original: {src}\n  desugared: {printed}"
+        );
+    }
+}
+
+/// Integer arithmetic agrees with Rust's on flat sums and minima.
+#[test]
+fn flat_arithmetic_matches_rust() {
+    let mut rng = XorShift(0x5EED_0003_1157_C0DE);
+    for _ in 0..100 {
+        let xs = rng.ints(10_000, 1, 8);
+        let operands = xs.iter().map(i64::to_string).collect::<Vec<_>>().join(" ");
         let sum: i64 = xs.iter().sum();
-        let src = format!("(+ {})", xs.iter().map(i64::to_string).collect::<Vec<_>>().join(" "));
-        prop_assert_eq!(eval_display(&src), Some(sum.to_string()));
-        let min = *xs.iter().min().expect("nonempty");
-        let src = format!("(min {})", xs.iter().map(i64::to_string).collect::<Vec<_>>().join(" "));
-        prop_assert_eq!(eval_display(&src), Some(min.to_string()));
+        assert_eq!(eval_display(&format!("(+ {operands})"), None), Some(sum.to_string()));
+        let min = xs.iter().min().expect("nonempty");
+        assert_eq!(eval_display(&format!("(min {operands})"), None), Some(min.to_string()));
     }
+}
 
-    /// `(reverse (reverse l))` is `equal` to `l`; `append` length adds.
-    #[test]
-    fn list_algebra(xs in prop::collection::vec(-100i64..100, 0..12), ys in prop::collection::vec(-100i64..100, 0..12)) {
+/// `(reverse (reverse l))` is `equal` to `l`; `append` adds lengths
+/// and shares its last argument; `equal` is reflexive and
+/// copy-invariant while `copy-list` is never `eq`; a quoted display
+/// reads back `equal`.
+#[test]
+fn list_algebra() {
+    let mut rng = XorShift(0x5EED_0004_1157_C0DE);
+    for _ in 0..100 {
+        let (xs, ys) = (rng.ints(100, 0, 12), rng.ints(100, 0, 12));
         let it = Interp::new();
-        let lx = it.heap().list(&xs.iter().map(|&i| Value::int(i)).collect::<Vec<_>>());
-        let ly = it.heap().list(&ys.iter().map(|&i| Value::int(i)).collect::<Vec<_>>());
+        let (lx, ly) = (int_list(&it, &xs), int_list(&it, &ys));
         it.set_global(it.heap().intern("*x*"), lx);
         it.set_global(it.heap().intern("*y*"), ly);
         let rr = it.load_str("(reverse (reverse *x*))").unwrap();
-        prop_assert!(it.heap().equal(rr, lx));
+        assert!(it.heap().equal(rr, lx));
         let appended = it.load_str("(length (append *x* *y*))").unwrap();
-        prop_assert_eq!(appended, Value::int((xs.len() + ys.len()) as i64));
+        assert_eq!(appended, Value::int((xs.len() + ys.len()) as i64));
         // append shares its last argument (CL semantics).
-        let shared = it.load_str("(append *x* *y*)").unwrap();
-        let mut tail = shared;
+        let mut tail = it.load_str("(append *x* *y*)").unwrap();
         for _ in 0..xs.len() {
             tail = it.heap().cdr(tail).unwrap();
         }
-        prop_assert_eq!(tail, ly);
-    }
+        assert_eq!(tail, ly);
 
-    /// Structural equality is reflexive and copy-invariant.
-    #[test]
-    fn equal_is_reflexive_and_copy_invariant(xs in prop::collection::vec(-100i64..100, 0..10)) {
-        let it = Interp::new();
-        let l = it.heap().list(&xs.iter().map(|&i| Value::int(i)).collect::<Vec<_>>());
-        it.set_global(it.heap().intern("*l*"), l);
-        prop_assert!(it.heap().equal(l, l));
-        let copy = it.load_str("(copy-list *l*)").unwrap();
-        prop_assert!(it.heap().equal(l, copy));
-        if !xs.is_empty() {
-            prop_assert_ne!(l, copy, "copy is not eq");
-        }
+        assert!(it.heap().equal(lx, lx));
+        let copy = it.load_str("(copy-list *x*)").unwrap();
+        assert!(it.heap().equal(lx, copy));
+        assert!(xs.is_empty() || lx != copy, "copy is not eq");
+        let back = it.load_str(&format!("'{}", it.heap().display(lx))).unwrap();
+        assert!(it.heap().equal(lx, back), "display is faithful");
     }
+}
 
-    /// Loading a program twice into one interpreter redefines
-    /// functions without corrupting earlier data.
-    #[test]
-    fn reloading_is_safe(n in 1i64..50) {
-        let it = Interp::new();
+/// Loading a program twice into one interpreter redefines functions
+/// without corrupting earlier results.
+#[test]
+fn reloading_is_safe() {
+    let it = Interp::new();
+    for n in 1..50 {
         it.load_str("(defun f (k) (* k 2))").unwrap();
-        let a = it.call("f", &[Value::int(n)]).unwrap();
+        assert_eq!(it.call("f", &[Value::int(n)]).unwrap(), Value::int(n * 2));
         it.load_str("(defun f (k) (* k 3))").unwrap();
-        let b = it.call("f", &[Value::int(n)]).unwrap();
-        prop_assert_eq!(a, Value::int(n * 2));
-        prop_assert_eq!(b, Value::int(n * 3));
+        assert_eq!(it.call("f", &[Value::int(n)]).unwrap(), Value::int(n * 3));
     }
+}
 
-    /// The bytecode VM and the tree-walker agree — value or error —
-    /// on every generated program, including its wrapped function-call
-    /// form (which exercises compiled invocation bodies rather than
-    /// the tree-walked toplevel).
-    #[test]
-    fn engines_agree(e in gen_expr()) {
-        let body = render(&e, false);
-        for src in [body.clone(), format!("(defun gen-f () {body}) (gen-f)")] {
-            let run = |engine: Engine| {
-                let it = Interp::new();
-                it.set_engine(Some(engine));
-                match it.load_str(&src) {
-                    Ok(v) => format!("ok: {}", it.heap().display(v)),
-                    Err(err) => format!("err: {err}"),
+/// Whatever the reader accepts, lowering accepts or rejects with an
+/// error — never a panic. Inputs are printable noise, program-shaped
+/// noise, and well-formed programs with one byte struck out or
+/// doubled (which keeps most of the structure a lowerer branches on).
+#[test]
+fn lowering_never_panics() {
+    let mut rng = XorShift(0x5EED_0005_1157_C0DE);
+    let printable: Vec<u8> = (b' '..=b'~').chain([b'\n']).collect();
+    let shaped = b" abcxyz0123456789()'+*-";
+    let heads = ["defun", "let", "let*", "cond", "setf", "setq", "lambda", "if", "defstruct"];
+    for case in 0..3000 {
+        let s: String = match case % 3 {
+            0 => (0..rng.pick(81)).map(|_| printable[rng.pick(printable.len())] as char).collect(),
+            1 => {
+                let noise: String =
+                    (0..rng.pick(81)).map(|_| shaped[rng.pick(shaped.len())] as char).collect();
+                format!("({} {noise}", heads[rng.pick(heads.len())])
+            }
+            _ => {
+                let mut bytes = format!(
+                    "(defun f (a b) {}) (f {} {})",
+                    gen_sugar(&mut rng, 0, 3),
+                    gen_arith(&mut rng, false, 2),
+                    gen_arith(&mut rng, false, 2)
+                )
+                .into_bytes();
+                let at = rng.pick(bytes.len());
+                if rng.pick(2) == 0 {
+                    bytes.remove(at);
+                } else {
+                    bytes.insert(at, bytes[at]);
                 }
-            };
-            prop_assert_eq!(run(Engine::Tree), run(Engine::Vm), "src {}", src);
-        }
-    }
-
-    /// parse_all on arbitrary program-shaped text never panics, and
-    /// lowering rejects garbage gracefully.
-    #[test]
-    fn lowering_never_panics(s in "[ a-z0-9()'+*-]{0,80}") {
+                String::from_utf8(bytes).expect("generated programs are ASCII")
+            }
+        };
         if let Ok(forms) = parse_all(&s) {
             let heap = Heap::new();
-            let mut lw = Lowerer::new(&heap);
-            let _ = lw.lower_program(&forms);
+            let _ = Lowerer::new(&heap).lower_program(&forms);
         }
-    }
-}
-
-// ----------------------------------------------------------------
-// HIR desugar round trip: desugaring (let*/cond/and/or/when/unless
-// chains plus constant folding) must preserve tree-walker semantics.
-// We lower the source, desugar to HIR, convert back to an AST,
-// unparse it, and require the printed program to evaluate to the
-// same value as the original.
-// ----------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-enum SugarExpr {
-    Int(i32),
-    Var(usize),
-    Add(Box<SugarExpr>, Box<SugarExpr>),
-    Sub(Box<SugarExpr>, Box<SugarExpr>),
-    Lt(Box<SugarExpr>, Box<SugarExpr>),
-    And(Vec<SugarExpr>),
-    Or(Vec<SugarExpr>),
-    Cond(Vec<(SugarExpr, SugarExpr)>, Box<SugarExpr>),
-    LetStar(Vec<SugarExpr>, Box<SugarExpr>),
-    When(Box<SugarExpr>, Box<SugarExpr>),
-    Unless(Box<SugarExpr>, Box<SugarExpr>),
-    Progn(Vec<SugarExpr>),
-}
-
-fn gen_sugar() -> impl Strategy<Value = SugarExpr> {
-    let leaf = prop_oneof![
-        (-1000i32..1000).prop_map(SugarExpr::Int),
-        (0usize..4).prop_map(SugarExpr::Var),
-    ];
-    leaf.prop_recursive(4, 40, 4, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| SugarExpr::Add(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| SugarExpr::Sub(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| SugarExpr::Lt(Box::new(a), Box::new(b))),
-            prop::collection::vec(inner.clone(), 0..4).prop_map(SugarExpr::And),
-            prop::collection::vec(inner.clone(), 0..4).prop_map(SugarExpr::Or),
-            (prop::collection::vec((inner.clone(), inner.clone()), 0..3), inner.clone())
-                .prop_map(|(cs, d)| SugarExpr::Cond(cs, Box::new(d))),
-            (prop::collection::vec(inner.clone(), 1..4), inner.clone())
-                .prop_map(|(inits, b)| SugarExpr::LetStar(inits, Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(c, b)| SugarExpr::When(Box::new(c), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(c, b)| SugarExpr::Unless(Box::new(c), Box::new(b))),
-            prop::collection::vec(inner.clone(), 1..4).prop_map(SugarExpr::Progn),
-        ]
-    })
-}
-
-/// Render with `depth` sequentially bound variables x0..x(depth-1) in
-/// scope; out-of-scope variable picks degrade to a literal.
-fn render_sugar(e: &SugarExpr, depth: usize) -> String {
-    let r = |e: &SugarExpr| render_sugar(e, depth);
-    match e {
-        SugarExpr::Int(i) => i.to_string(),
-        SugarExpr::Var(i) => {
-            if depth > 0 {
-                format!("x{}", i % depth)
-            } else {
-                "5".to_string()
-            }
-        }
-        SugarExpr::Add(a, b) => format!("(+ {} {})", r(a), r(b)),
-        SugarExpr::Sub(a, b) => format!("(- {} {})", r(a), r(b)),
-        SugarExpr::Lt(a, b) => format!("(< {} {})", r(a), r(b)),
-        SugarExpr::And(es) => {
-            format!("(and {})", es.iter().map(r).collect::<Vec<_>>().join(" "))
-        }
-        SugarExpr::Or(es) => format!("(or {})", es.iter().map(r).collect::<Vec<_>>().join(" ")),
-        SugarExpr::Cond(cs, d) => {
-            let mut clauses: Vec<String> =
-                cs.iter().map(|(c, v)| format!("({} {})", r(c), r(v))).collect();
-            clauses.push(format!("(t {})", r(d)));
-            format!("(cond {})", clauses.join(" "))
-        }
-        SugarExpr::LetStar(inits, b) => {
-            let binds: Vec<String> = inits
-                .iter()
-                .enumerate()
-                .map(|(i, init)| format!("(x{} {})", depth + i, render_sugar(init, depth + i)))
-                .collect();
-            format!("(let* ({}) {})", binds.join(" "), render_sugar(b, depth + inits.len()))
-        }
-        SugarExpr::When(c, b) => format!("(when {} {})", r(c), r(b)),
-        SugarExpr::Unless(c, b) => format!("(unless {} {})", r(c), r(b)),
-        SugarExpr::Progn(es) => {
-            format!("(progn {})", es.iter().map(r).collect::<Vec<_>>().join(" "))
-        }
-    }
-}
-
-/// Tree-walker evaluation to a display string; `None` on error (the
-/// desugared program may fold an overflow into an explicit raise whose
-/// message names a different operator, so errors compare as `None`).
-fn eval_tree(src: &str) -> Option<String> {
-    let it = Interp::new();
-    it.set_engine(Some(Engine::Tree));
-    it.load_str(src).ok().map(|v| it.heap().display(v))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Desugared HIR, converted back to an AST and reprinted, is
-    /// observationally equal to the original under the tree-walker.
-    #[test]
-    fn desugar_preserves_tree_semantics(e in gen_sugar()) {
-        let src = render_sugar(&e, 0);
-        let heap = Heap::new();
-        let mut lw = Lowerer::new(&heap);
-        let ast = lw.lower_expr(&parse_one(&src).unwrap()).unwrap();
-        let h = curare_lisp::hir::desugar(&ast);
-        let back = curare_lisp::hir::to_expr(&h);
-        let printed = curare_lisp::unparse::unparse_expr(&heap, &back).to_string();
-        prop_assert_eq!(
-            eval_tree(&src),
-            eval_tree(&printed),
-            "desugar changed semantics:\n  original: {}\n  desugared: {}",
-            src,
-            printed
-        );
     }
 }

@@ -26,12 +26,11 @@
 //!
 //! # Cost when disabled
 //!
-//! Recording is compiled in only under the default `trace` feature;
-//! without it [`record`] is an empty inline function. With the feature
-//! on but no tracer installed, [`record`] is a single relaxed atomic
-//! load and a branch — measured at well under a nanosecond per call
-//! (see `sched_benches::trace_overhead` and the
-//! `disabled_record_is_cheap` test).
+//! Recording is always compiled and armed at run time: with no tracer
+//! installed, [`record`] is a single relaxed atomic load and a branch
+//! (see the `disabled_record_is_cheap` test; the benchmark's
+//! `obs.trace_overhead_ratio` is the armed cost). The sanitizer's
+//! [`record_access`] has the same shape.
 
 pub mod chrome;
 pub mod clock;

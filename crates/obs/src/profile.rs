@@ -894,6 +894,7 @@ mod tests {
 
     #[test]
     fn profiling_flag_toggles() {
+        let _g = crate::sanitize::tests::TEST_GUARD.lock().unwrap_or_else(|e| e.into_inner());
         assert!(!profiling_enabled());
         set_profiling(true);
         assert!(profiling_enabled());

@@ -12,10 +12,8 @@
 //! Mirrors [`crate::tracer`]'s installation scheme exactly: a
 //! process-global install point, a per-thread generation-cached
 //! handle, and free recording functions instrumentation sites call
-//! unconditionally. Everything is compiled out without the `sanitize`
-//! feature, so the default build's heap accessors pay nothing; with
-//! the feature on but no log installed, each access pays one relaxed
-//! bool load.
+//! unconditionally. Recording is armed only by [`install_sanitizer`]:
+//! with no log installed each heap access pays one relaxed bool load.
 //!
 //! **Invocations.** The runtime assigns every CRI task a nonzero
 //! invocation id at spawn time and binds it to the executing thread
@@ -122,10 +120,9 @@ impl AccessLog {
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 /// True while the runtime's speculation mode wants nonzero invocation
-/// ids. Unlike the sanitizer this is a first-class runtime mode, not a
-/// feature chain: `SpecMode` needs every CRI task identified so the
+/// ids: `SpecMode` needs every CRI task identified so the
 /// `curare-lisp` write journal can attribute heap effects, whether or
-/// not the `sanitize` feature (the test-only oracle) is compiled in.
+/// not an access log is installed.
 static SPECULATING: AtomicBool = AtomicBool::new(false);
 static GENERATION: AtomicU64 = AtomicU64::new(0);
 static CURRENT: Mutex<Option<Arc<AccessLog>>> = Mutex::new(None);
@@ -159,8 +156,8 @@ pub fn sanitizing_enabled() -> bool {
 
 /// Arm (`true`) or disarm (`false`) speculation-mode invocation-id
 /// minting. The pool arms this for the duration of a `SpecMode` run so
-/// every CRI task gets a nonzero id even without the `sanitize`
-/// feature; ids come from the same [`NEXT_INV`] sequence the sanitizer
+/// every CRI task gets a nonzero id even with no access log
+/// installed; ids come from the same [`NEXT_INV`] sequence the sanitizer
 /// and profiler use.
 #[inline]
 pub fn set_speculating(on: bool) {
@@ -174,17 +171,13 @@ pub fn speculating_enabled() -> bool {
 }
 
 /// A fresh nonzero invocation id for a task being spawned. Returns 0
-/// unless the sanitizer (compiled in and installed), the speculation
+/// unless the sanitizer (an installed log), the speculation
 /// mode ([`set_speculating`]), or the causal profiler
 /// ([`crate::profile::set_profiling`]) wants ids, so the plain runtime
 /// never pays the atomic increment.
 #[inline]
 pub fn new_invocation() -> u64 {
-    #[cfg(feature = "sanitize")]
-    let sanitizing = ENABLED.load(Ordering::Relaxed);
-    #[cfg(not(feature = "sanitize"))]
-    let sanitizing = false;
-    if sanitizing || speculating_enabled() || crate::profile::profiling_enabled() {
+    if sanitizing_enabled() || speculating_enabled() || crate::profile::profiling_enabled() {
         NEXT_INV.fetch_add(1, Ordering::Relaxed)
     } else {
         0
@@ -206,37 +199,22 @@ pub fn current_invocation() -> u64 {
 }
 
 /// Record a heap-word access against the installed log, if any.
-/// Compiled to nothing without the `sanitize` feature.
 #[inline]
 pub fn record_access(loc: u64, write: bool, atomic: bool, tag: u64) {
-    #[cfg(feature = "sanitize")]
-    {
-        if !ENABLED.load(Ordering::Relaxed) {
-            return;
-        }
-        record_enabled(SanEvent::Access { loc, write, atomic, tag });
+    if !ENABLED.load(Ordering::Relaxed) {
+        return;
     }
-    #[cfg(not(feature = "sanitize"))]
-    {
-        let _ = (loc, write, atomic, tag);
-    }
+    record_enabled(SanEvent::Access { loc, write, atomic, tag });
 }
 
 /// Record that the current invocation spawned invocation `child`
 /// (with `future` set when the spawn created a future).
 #[inline]
 pub fn record_spawn(child: u64, future: Option<u64>) {
-    #[cfg(feature = "sanitize")]
-    {
-        if !ENABLED.load(Ordering::Relaxed) {
-            return;
-        }
-        record_enabled(SanEvent::Spawn { child, future });
+    if !ENABLED.load(Ordering::Relaxed) {
+        return;
     }
-    #[cfg(not(feature = "sanitize"))]
-    {
-        let _ = (child, future);
-    }
+    record_enabled(SanEvent::Spawn { child, future });
 }
 
 /// Record that the current invocation observed `future` resolved (the
@@ -244,20 +222,12 @@ pub fn record_spawn(child: u64, future: Option<u64>) {
 /// touch).
 #[inline]
 pub fn record_touch(future: u64) {
-    #[cfg(feature = "sanitize")]
-    {
-        if !ENABLED.load(Ordering::Relaxed) {
-            return;
-        }
-        record_enabled(SanEvent::Touch { future });
+    if !ENABLED.load(Ordering::Relaxed) {
+        return;
     }
-    #[cfg(not(feature = "sanitize"))]
-    {
-        let _ = future;
-    }
+    record_enabled(SanEvent::Touch { future });
 }
 
-#[cfg(feature = "sanitize")]
 #[cold]
 fn refresh_cache() -> Option<Arc<AccessLog>> {
     let generation = GENERATION.load(Ordering::Acquire);
@@ -266,7 +236,9 @@ fn refresh_cache() -> Option<Arc<AccessLog>> {
     log
 }
 
-#[cfg(feature = "sanitize")]
+// Out of line: the heap accessors inline `record_access`, and only the
+// flag test belongs in them.
+#[cold]
 fn record_enabled(ev: SanEvent) {
     let generation = GENERATION.load(Ordering::Acquire);
     let log = CACHE.with(|c| {
@@ -283,13 +255,14 @@ fn record_enabled(ev: SanEvent) {
     }
 }
 
-#[cfg(all(test, feature = "sanitize"))]
-mod tests {
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
 
     // Shared process-global install point: serialize tests that touch
-    // it, as tracer.rs does.
-    static TEST_GUARD: Mutex<()> = Mutex::new(());
+    // it, as tracer.rs does — and the profiler's flag test, because
+    // `new_invocation` reads that flag too.
+    pub(crate) static TEST_GUARD: Mutex<()> = Mutex::new(());
 
     #[test]
     fn install_record_snapshot() {

@@ -121,25 +121,16 @@ pub fn lane() -> usize {
 }
 
 /// Record one event against the installed tracer, if any. This is the
-/// only call instrumentation sites make. Compiled to nothing without
-/// the `trace` feature; with it, the disabled path is one relaxed
-/// load.
+/// only call instrumentation sites make. The disabled path is one
+/// relaxed load.
 #[inline]
 pub fn record(kind: EventKind, arg: u64) {
-    #[cfg(feature = "trace")]
-    {
-        if !ENABLED.load(Ordering::Relaxed) {
-            return;
-        }
-        record_enabled(kind, arg);
+    if !ENABLED.load(Ordering::Relaxed) {
+        return;
     }
-    #[cfg(not(feature = "trace"))]
-    {
-        let _ = (kind, arg);
-    }
+    record_enabled(kind, arg);
 }
 
-#[cfg(feature = "trace")]
 #[cold]
 fn refresh_cache() -> Option<Arc<Tracer>> {
     let generation = GENERATION.load(Ordering::Acquire);
@@ -148,7 +139,6 @@ fn refresh_cache() -> Option<Arc<Tracer>> {
     tracer
 }
 
-#[cfg(feature = "trace")]
 fn record_enabled(kind: EventKind, arg: u64) {
     let generation = GENERATION.load(Ordering::Acquire);
     let tracer = CACHE.with(|c| {

@@ -53,7 +53,6 @@ impl FutureTable {
     /// or failed, so a retried producer cannot overwrite the result a
     /// waiter may already have observed.
     pub fn resolve(&self, id: u64, v: Value) -> bool {
-        #[cfg(feature = "chaos")]
         crate::chaos::on_future_resolve();
         if let Some(slot) = self.slot(id) {
             let mut st = slot.state.lock();
@@ -72,7 +71,6 @@ impl FutureTable {
     /// Fail future `id` with an error. First write wins, as in
     /// [`FutureTable::resolve`].
     pub fn fail(&self, id: u64, e: LispError) -> bool {
-        #[cfg(feature = "chaos")]
         crate::chaos::on_future_resolve();
         if let Some(slot) = self.slot(id) {
             let mut st = slot.state.lock();

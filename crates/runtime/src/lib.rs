@@ -10,7 +10,9 @@
 //! - [`spawner`]: the thread-per-invocation baseline the paper argues
 //!   against (§1.2), kept for the cost-imbalance experiment;
 //! - [`unordered`]: an order-oblivious pool ablation of the §4
-//!   scheduler.
+//!   scheduler;
+//! - [`chaos`]: seeded fault injection at the pool's decision points
+//!   (armed at run time by `chaos::install`).
 //!
 //! # Example
 //!
@@ -40,7 +42,6 @@
 //! );
 //! ```
 
-#[cfg(feature = "chaos")]
 pub mod chaos;
 pub mod futures;
 pub mod locktable;
@@ -52,9 +53,7 @@ pub mod watchdog;
 
 pub use futures::FutureTable;
 pub use locktable::{Location, LockTable};
-pub use pool::{
-    spec_default, steal_default, CriHooks, CriRuntime, PoolStats, RuntimeConfig, SchedMode,
-};
+pub use pool::{CriHooks, CriRuntime, PoolStats, RuntimeConfig, SchedMode};
 pub use queue::{QueueSet, Task};
 pub use spawner::{SpawnHooks, SpawnRuntime};
 pub use unordered::{UnorderedHooks, UnorderedRuntime};

@@ -167,7 +167,6 @@ impl LockTable {
         if Value::from_bits(loc.cell).is_nil() {
             return;
         }
-        #[cfg(feature = "chaos")]
         crate::chaos::on_lock_acquire();
         self.acquisitions.fetch_add(1, Ordering::Relaxed);
         if !exclusive {

@@ -105,9 +105,9 @@ pub struct PoolStats {
     pub servers_poisoned: u64,
     /// `curare-stall/1` dumps emitted by the watchdog.
     pub stall_dumps: u64,
-    /// Faults injected by the installed chaos plan (0 without the
-    /// `chaos` feature or with no plan installed; process-global, so
-    /// concurrent pools under one plan share the count).
+    /// Faults injected by the installed chaos plan (0 with no plan
+    /// installed; process-global, so concurrent pools under one plan
+    /// share the count).
     pub faults_injected: u64,
     /// True once the pool collapsed below its floor and fell back to
     /// sequential draining on the waiting thread.
@@ -165,32 +165,17 @@ pub struct RuntimeConfig {
     pub degrade_floor: usize,
     /// Let idle sharded servers steal work from a victim's site group
     /// (whole-site migration / steal-pop; no effect in `Central`
-    /// mode). Defaults to true unless the `CURARE_NO_STEAL`
-    /// environment variable is set — the A/B escape hatch the skew
-    /// experiments use.
+    /// mode). On by default; the skew experiments turn it off for
+    /// their A/B cells.
     pub steal: bool,
     /// Run in `SpecMode`: invocations execute optimistically, heap
     /// effects are journaled, and a commit-time validator aborts and
     /// replays conflicting invocations (escalating to a sequential
-    /// rerun when speculation cannot converge). Off by default; the
-    /// `CURARE_NO_SPEC` environment variable force-disables it even
-    /// when requested.
+    /// rerun when speculation cannot converge). Off by default.
     pub speculate: bool,
     /// Abort/replay rounds before a speculative run gives up and
     /// falls to the sequential-degradation rerun.
     pub spec_retry_limit: u32,
-}
-
-/// The `steal` default: on, unless `CURARE_NO_STEAL` is set (to any
-/// value) in the environment.
-pub fn steal_default() -> bool {
-    std::env::var_os("CURARE_NO_STEAL").is_none()
-}
-
-/// The speculation kill switch: a requested `speculate` is honoured
-/// unless `CURARE_NO_SPEC` is set (to any value) in the environment.
-pub fn spec_default() -> bool {
-    std::env::var_os("CURARE_NO_SPEC").is_none()
 }
 
 impl Default for RuntimeConfig {
@@ -200,7 +185,7 @@ impl Default for RuntimeConfig {
             stall_budget: None,
             retry_limit: 2,
             degrade_floor: 1,
-            steal: steal_default(),
+            steal: true,
             speculate: false,
             spec_retry_limit: 8,
         }
@@ -291,7 +276,6 @@ impl Scheduler {
 
     /// Retire a poisoned server's group, rehoming its sites. Returns
     /// the wake mask of heir groups.
-    #[cfg(feature = "chaos")]
     fn retire(&self, index: usize) -> u64 {
         match self {
             Scheduler::Central(_) => 0,
@@ -354,17 +338,15 @@ thread_local! {
     static SPARE: RefCell<Vec<Vec<Task>>> = const { RefCell::new(Vec::new()) };
 }
 
-#[cfg(feature = "chaos")]
 thread_local! {
     /// (pool key, server index) when this thread is a pool's server —
     /// the poison policy applies only to servers of the panicking
     /// task's own pool, never to external helpers.
-    static SERVER_OF: std::cell::Cell<(usize, usize)> =
-        const { std::cell::Cell::new((0, usize::MAX)) };
+    static SERVER_OF: Cell<(usize, usize)> = const { Cell::new((0, usize::MAX)) };
     /// Latched once this server thread has been poisoned, so nested
     /// panics caught while it unwinds its helping stack cannot
     /// double-decrement the alive count.
-    static THREAD_POISONED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static THREAD_POISONED: Cell<bool> = const { Cell::new(false) };
 }
 
 fn take_spare() -> Vec<Task> {
@@ -430,14 +412,10 @@ struct Shared {
     aborting: AtomicBool,
     locks: LockTable,
     futures: FutureTable,
-    // ---- robustness layer (chaos / watchdog / degradation) ----
+    // ---- robustness layer (panic policy / watchdog / degradation) ----
     /// Times a retry-eligible panicked task is requeued before poison.
-    /// Consulted only by the chaos-gated panic policy.
-    #[cfg_attr(not(feature = "chaos"), allow(dead_code))]
     retry_limit: u8,
-    /// Degrade once `alive` drops below this. Consulted only by the
-    /// chaos-gated poison path.
-    #[cfg_attr(not(feature = "chaos"), allow(dead_code))]
+    /// Degrade once `alive` drops below this.
     degrade_floor: usize,
     /// True when a stall budget armed the watchdog; gates every beat
     /// write so the unwatched hot path pays one branch.
@@ -453,6 +431,12 @@ struct Shared {
     /// Functions declared idempotent: real (non-injected) panics in
     /// these are retry-eligible too.
     idempotent: Mutex<HashSet<FuncId>>,
+    /// True once `idempotent` is non-empty, so the per-task and
+    /// per-hand-off paths skip the mutex while nothing is declared.
+    /// Relaxed: it publishes no data of its own (readers that see it
+    /// set go on to take the mutex), and `declare_idempotent` is called
+    /// before the `run` it is meant to affect.
+    any_idempotent: AtomicBool,
     // ---- speculation layer (`SpecMode`) ----
     /// True when this pool runs speculatively: spawns register with
     /// the journal and publish eagerly, body errors park instead of
@@ -617,12 +601,34 @@ impl Shared {
         }
     }
 
-    /// Fail and drop tasks that never reached the pending counter.
+    /// Drop tasks that will never run, failing their futures so no
+    /// toucher waits on them. Tasks that reached the pending counter
+    /// are settled by the caller.
     fn drop_unpublished(&self, tasks: Vec<Task>) {
         for t in tasks {
             if let Some(id) = t.future {
                 self.futures.fail(id, LispError::User("aborted by earlier error".into()));
             }
+        }
+    }
+
+    /// End the run on `err`, raised by the executing task (whose
+    /// `future`, if any, fails with it): keep the first error, refuse
+    /// further spawns, and drain queued work so the run terminates
+    /// promptly. The executing task's own pending count (its caller's
+    /// `finish_one`) keeps the counter above zero here. Dropped tasks'
+    /// futures must fail, or helping touches would wait forever.
+    fn abort_run(&self, err: LispError, future: Option<u64>) {
+        if let Some(id) = future {
+            self.futures.fail(id, err.clone());
+        }
+        self.aborting.store(true, Ordering::Release);
+        self.error.lock().get_or_insert(err);
+        let dropped = self.sched.drain_all();
+        let n = dropped.len() as u64;
+        self.drop_unpublished(dropped);
+        if n > 0 {
+            self.pending.fetch_sub(n, Ordering::AcqRel);
         }
     }
 
@@ -652,10 +658,9 @@ impl Shared {
     /// degraded mode and wake the `wait_idle` thread to start the
     /// sequential drain. A no-op on threads that are not this pool's
     /// servers.
-    #[cfg(feature = "chaos")]
     fn poison_current_server(self: &Arc<Self>) {
-        let (pool, index) = SERVER_OF.with(std::cell::Cell::get);
-        if pool != self.key() || THREAD_POISONED.with(std::cell::Cell::get) {
+        let (pool, index) = SERVER_OF.with(Cell::get);
+        if pool != self.key() || THREAD_POISONED.with(Cell::get) {
             return;
         }
         THREAD_POISONED.with(|p| p.set(true));
@@ -871,8 +876,8 @@ impl CriHooks {
     /// successor a second time, whereas a buffered successor dies with
     /// the failed attempt. Its hand-offs therefore stay lazy.
     fn body_may_rerun(&self) -> bool {
-        if !cfg!(feature = "chaos") {
-            return false; // no catch, no retry
+        if !self.shared.any_idempotent.load(Ordering::Relaxed) {
+            return false;
         }
         let key = self.shared.key();
         let executing = BATCH.with(|b| b.borrow().last().filter(|f| f.key == key).map(|f| f.fid));
@@ -1116,7 +1121,8 @@ impl CriRuntime {
             degraded: AtomicBool::new(false),
             stall_dumps: Mutex::new(Vec::new()),
             idempotent: Mutex::new(HashSet::new()),
-            speculate: config.speculate && spec_default(),
+            any_idempotent: AtomicBool::new(false),
+            speculate: config.speculate,
             spec_retry_limit: config.spec_retry_limit,
             spec_commits: AtomicU64::new(0),
             spec_aborts: AtomicU64::new(0),
@@ -1235,11 +1241,8 @@ impl CriRuntime {
     /// fault injection is suppressed so the rerun always progresses.
     fn run_inline(&self, fid: FuncId, args: Vec<Value>) -> Result<(), LispError> {
         INLINE_SEQ.with(|f| f.set(true));
-        let body = || self.interp.call_fid_owned(fid, args).map(|_| ());
-        #[cfg(feature = "chaos")]
-        let res = crate::chaos::with_suppressed(body);
-        #[cfg(not(feature = "chaos"))]
-        let res = body();
+        let res =
+            crate::chaos::with_suppressed(|| self.interp.call_fid_owned(fid, args).map(|_| ()));
         INLINE_SEQ.with(|f| f.set(false));
         res
     }
@@ -1288,7 +1291,7 @@ impl CriRuntime {
     /// already on the queues (the retry policy requeues *before*
     /// flipping the degraded flag), so nothing is lost or duplicated.
     fn drain_degraded(&self) {
-        let drain = || {
+        crate::chaos::with_suppressed(|| {
             while let Some(t) = self.shared.sched.pop() {
                 let mut tally = Tally::default();
                 let mut next = Some(t);
@@ -1296,11 +1299,7 @@ impl CriRuntime {
                     next = execute_task(&self.interp, &self.shared, t, &mut tally);
                 }
             }
-        };
-        #[cfg(feature = "chaos")]
-        crate::chaos::with_suppressed(drain);
-        #[cfg(not(feature = "chaos"))]
-        drain();
+        });
     }
 
     /// Lifetime statistics.
@@ -1329,7 +1328,7 @@ impl CriRuntime {
             task_retries: self.shared.retries.load(Ordering::Relaxed),
             servers_poisoned: self.shared.poisoned.load(Ordering::Relaxed),
             stall_dumps: self.shared.stalls.load(Ordering::Relaxed),
-            faults_injected: installed_faults(),
+            faults_injected: crate::chaos::installed().map_or(0, |p| p.injected()),
             degraded: self.shared.degraded.load(Ordering::Acquire),
             spec_commits: self.shared.spec_commits.load(Ordering::Relaxed),
             spec_aborts: self.shared.spec_aborts.load(Ordering::Relaxed),
@@ -1352,6 +1351,7 @@ impl CriRuntime {
         let sym = self.interp.heap().intern(fname);
         if let Some(fid) = self.interp.lookup_func(sym) {
             self.shared.idempotent.lock().insert(fid);
+            self.shared.any_idempotent.store(true, Ordering::Relaxed);
         }
     }
 
@@ -1438,8 +1438,8 @@ impl CriRuntime {
             .set("frames_reused", vs.frames_reused)
             .set("frames_allocated", vs.frames_allocated)
             // Hottest opcodes by accumulated handler ns; always
-            // present, empty unless built with `profile-ops` and
-            // profiling was on during the run.
+            // present, empty unless per-opcode profiling was on
+            // during the run.
             .set(
                 "hot_ops",
                 Json::Arr(
@@ -1489,7 +1489,6 @@ fn server_loop(interp: &Interp, shared: &Arc<Shared>, index: usize) {
     curare_lisp::eval::set_thread_stack_budget(SERVER_STACK - (4 << 20));
     // Trace lane: server i records into ring i + 1 (0 is external).
     curare_obs::set_lane(index + 1);
-    #[cfg(feature = "chaos")]
     SERVER_OF.with(|s| s.set((shared.key(), index)));
     if shared.watched {
         watchdog::set_current_beat(shared.beats.get(index).cloned());
@@ -1519,8 +1518,7 @@ fn server_loop(interp: &Interp, shared: &Arc<Shared>, index: usize) {
             while let Some(t) = next.take() {
                 next = execute_task(interp, shared, t, &mut tally);
             }
-            #[cfg(feature = "chaos")]
-            if THREAD_POISONED.with(std::cell::Cell::get) {
+            if THREAD_POISONED.with(Cell::get) {
                 return;
             }
             continue;
@@ -1554,11 +1552,12 @@ fn execute_task(
     task: Task,
     tally: &mut Tally,
 ) -> Option<Task> {
-    // While a chaos plan is armed, keep a copy for the retry policy
-    // (a panicked retry-eligible task is requeued from the copy; the
-    // original's args are consumed by the call below).
-    #[cfg(feature = "chaos")]
-    let retry_copy = crate::chaos::armed().then(|| task.clone());
+    // Keep a copy for the retry policy (a panicked retry-eligible task
+    // is requeued from the copy; the original's args are consumed by
+    // the call below) — only where a retry can happen at all: a chaos
+    // plan is armed, or this pool has a declared-idempotent function.
+    let retry_copy = (crate::chaos::armed() || shared.any_idempotent.load(Ordering::Relaxed))
+        .then(|| task.clone());
     let Task { fid, args, future, inv, .. } = task;
     let sharded = shared.mode == SchedMode::Sharded;
     let key = shared.key();
@@ -1578,11 +1577,10 @@ fn execute_task(
     // saving the caller's binding: a helping touch executes tasks
     // nested inside another invocation's body.
     let prev_inv = curare_obs::set_invocation(inv);
-    // With the chaos feature, the body runs under `catch_unwind` and
-    // injected faults fire *inside* the catch, before the body — a
-    // retried task is therefore exactly-once with respect to user
-    // effects. Without the feature this is a plain call.
-    #[cfg(feature = "chaos")]
+    // The body runs under `catch_unwind`, so a panicking invocation
+    // still settles its pending count (`handle_panic`). Injected faults
+    // fire *inside* the catch, before the body — a retried task is
+    // therefore exactly-once with respect to user effects.
     let result = {
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             crate::chaos::on_task_start();
@@ -1629,8 +1627,6 @@ fn execute_task(
             }
         }
     };
-    #[cfg(not(feature = "chaos"))]
-    let result = interp.call_fid_owned(fid, args);
     if shared.speculate {
         // Buffered read brackets must reach the journal before this
         // task's completion can let the run quiesce.
@@ -1670,31 +1666,7 @@ fn execute_task(
             }
             speclog::record_error(inv);
         }
-        Err(e) => {
-            if let Some(id) = future {
-                shared.futures.fail(id, e.clone());
-            }
-            shared.aborting.store(true, Ordering::Release);
-            let mut err = shared.error.lock();
-            if err.is_none() {
-                *err = Some(e);
-            }
-            drop(err);
-            // Drain queued work so the run terminates promptly; the
-            // executing task's own pending count (handled by
-            // finish_one below) keeps the counter above zero here.
-            // Dropped tasks' futures must fail, or helping touches
-            // would wait forever.
-            let dropped = shared.sched.drain_all();
-            for t in &dropped {
-                if let Some(id) = t.future {
-                    shared.futures.fail(id, LispError::User("aborted by earlier error".into()));
-                }
-            }
-            if !dropped.is_empty() {
-                shared.pending.fetch_sub(dropped.len() as u64, Ordering::AcqRel);
-            }
-        }
+        Err(e) => shared.abort_run(e, future),
     }
     // A chained successor inherits this invocation's pending count;
     // only tasks with no chain release theirs (after publishing the
@@ -1726,7 +1698,6 @@ fn execute_task(
 ///   (the FutureTable orphan fix), surface the panic as the run error,
 ///   drain the queues, and poison the server — a genuine panic may
 ///   have corrupted its state.
-#[cfg(feature = "chaos")]
 fn handle_panic(
     interp: &Interp,
     shared: &Arc<Shared>,
@@ -1749,8 +1720,8 @@ fn handle_panic(
             shared.requeue_chained(copy);
             return None;
         }
-        let (pool, _) = SERVER_OF.with(std::cell::Cell::get);
-        if pool == shared.key() && !THREAD_POISONED.with(std::cell::Cell::get) {
+        let (pool, _) = SERVER_OF.with(Cell::get);
+        if pool == shared.key() && !THREAD_POISONED.with(Cell::get) {
             shared.requeue_chained(copy);
             shared.poison_current_server();
             return None;
@@ -1766,40 +1737,10 @@ fn handle_panic(
     } else {
         "non-string panic payload".to_string()
     };
-    let err = LispError::User(format!("task panicked: {msg}"));
-    if let Some(id) = future {
-        shared.futures.fail(id, err.clone());
-    }
-    shared.aborting.store(true, Ordering::Release);
-    {
-        let mut e = shared.error.lock();
-        if e.is_none() {
-            *e = Some(err);
-        }
-    }
-    let dropped = shared.sched.drain_all();
-    for t in &dropped {
-        if let Some(id) = t.future {
-            shared.futures.fail(id, LispError::User("aborted by earlier error".into()));
-        }
-    }
-    if !dropped.is_empty() {
-        shared.pending.fetch_sub(dropped.len() as u64, Ordering::AcqRel);
-    }
+    shared.abort_run(LispError::User(format!("task panicked: {msg}")), future);
     shared.poison_current_server();
     shared.finish_one();
     None
-}
-
-/// Faults injected by the process-global chaos plan (0 without the
-/// feature or a plan).
-fn installed_faults() -> u64 {
-    #[cfg(feature = "chaos")]
-    {
-        crate::chaos::installed().map(|p| p.injected()).unwrap_or(0)
-    }
-    #[cfg(not(feature = "chaos"))]
-    0
 }
 
 #[cfg(test)]

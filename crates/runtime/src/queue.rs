@@ -111,7 +111,6 @@ impl QueueSet {
 
     /// Dequeue from the lowest-indexed non-empty queue.
     pub fn pop(&mut self) -> Option<Task> {
-        #[cfg(feature = "chaos")]
         if let Some(r) = crate::chaos::pop_shuffle() {
             return self.pop_shuffled(r);
         }
@@ -144,7 +143,6 @@ impl QueueSet {
     /// preserved (always `pop_front`); only the cross-site preference
     /// is perturbed — the ordering the §4.1 discipline does *not*
     /// promise, which is exactly what makes this a legal adversary.
-    #[cfg(feature = "chaos")]
     fn pop_shuffled(&mut self, r: u64) -> Option<Task> {
         let nonempty: Vec<usize> =
             (0..self.queues.len()).filter(|&s| !self.queues[s].is_empty()).collect();
@@ -391,7 +389,6 @@ impl ShardedQueues {
     /// the degraded drain, and single-consumer tests; pool servers use
     /// [`ShardedQueues::pop_local`] + [`ShardedQueues::steal`].
     pub fn pop(&self) -> Option<Task> {
-        #[cfg(feature = "chaos")]
         if let Some(r) = crate::chaos::pop_shuffle() {
             return self.pop_shuffled(r);
         }
@@ -409,7 +406,6 @@ impl ShardedQueues {
     /// non-empty site it owns.
     pub fn pop_local(&self, server: usize) -> Option<Task> {
         let g = self.group_of(server);
-        #[cfg(feature = "chaos")]
         if let Some(r) = crate::chaos::pop_shuffle() {
             return self.pop_group_rotated(g, r).or_else(|| self.pop_group(g));
         }
@@ -463,7 +459,6 @@ impl ShardedQueues {
     /// non-empty site within the group instead of the lowest-indexed
     /// one. Within-site FIFO is preserved (always `pop_front`); only
     /// the cross-site preference is perturbed.
-    #[cfg(feature = "chaos")]
     fn pop_group_rotated(&self, g: usize, r: u64) -> Option<Task> {
         let sites: Vec<Arc<SiteQueue>> = {
             let sites = self.sites.read();
@@ -542,7 +537,6 @@ impl ShardedQueues {
     /// Falls back to the normal pop (without redrawing a shuffle
     /// decision, which could recurse unboundedly under an
     /// always-shuffle profile) when the rotated scan finds nothing.
-    #[cfg(feature = "chaos")]
     fn pop_shuffled(&self, r: u64) -> Option<Task> {
         let sites: Vec<Arc<SiteQueue>> = {
             let sites = self.sites.read();

@@ -11,8 +11,6 @@
 //! default `SequentialHooks` run `cri-enqueue`/`future` inline) on a
 //! big-stack thread, which uniformly handles the DPS entry points.
 
-#![cfg(feature = "chaos")]
-
 use std::sync::{Arc, Mutex, PoisonError};
 
 use curare_lisp::{Interp, Value};

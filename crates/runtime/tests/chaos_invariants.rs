@@ -4,8 +4,6 @@
 //! watchdog that fires on genuine stalls but never on a merely-slow
 //! healthy run.
 
-#![cfg(feature = "chaos")]
-
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 

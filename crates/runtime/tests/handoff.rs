@@ -4,6 +4,8 @@
 //! spawns the same invocation still buffers; and a body the panic
 //! policy may run twice never hands its successor off twice.
 
+mod common;
+
 use std::sync::Arc;
 
 use curare_lisp::{Interp, Value};
@@ -120,51 +122,9 @@ fn two_site_hand_off_runs_every_invocation_exactly_once_in_parallel() {
     assert_eq!(stats.chained_tasks, 0, "{stats:?}");
 }
 
-/// The retry policy only exists under the `chaos` feature.
-#[cfg(feature = "chaos")]
 mod retried_bodies {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Mutex, PoisonError};
-
-    use curare_lisp::{FuncId, LispError, RuntimeHooks};
-    use curare_runtime::chaos::{self, ChaosProfile, FaultPlan};
-
     use super::*;
-
-    /// Forwards to the pool's hooks, but the first `remaining` lock
-    /// acquisitions panic — a genuine (not injected) panic at a chosen
-    /// point of a body: after its `cri-handoff`, before its effect.
-    struct PanicOnLock {
-        inner: Arc<dyn RuntimeHooks>,
-        remaining: AtomicUsize,
-    }
-
-    impl RuntimeHooks for PanicOnLock {
-        fn enqueue(&self, i: &Interp, s: usize, f: FuncId, a: Vec<Value>) -> Result<(), LispError> {
-            self.inner.enqueue(i, s, f, a)
-        }
-        fn handoff(&self, i: &Interp, s: usize, f: FuncId, a: Vec<Value>) -> Result<(), LispError> {
-            self.inner.handoff(i, s, f, a)
-        }
-        fn future(&self, i: &Interp, f: FuncId, a: Vec<Value>) -> Result<Value, LispError> {
-            self.inner.future(i, f, a)
-        }
-        fn touch(&self, i: &Interp, v: Value) -> Result<Value, LispError> {
-            self.inner.touch(i, v)
-        }
-        fn lock(&self, i: &Interp, c: Value, f: u32, x: bool) -> Result<(), LispError> {
-            let take_one = |left: usize| left.checked_sub(1);
-            if self.remaining.fetch_update(Ordering::SeqCst, Ordering::SeqCst, take_one).is_ok() {
-                panic!("body failed after its hand-off");
-            }
-            self.inner.lock(i, c, f, x)
-        }
-        fn unlock(&self, i: &Interp, c: Value, f: u32, x: bool) -> Result<(), LispError> {
-            self.inner.unlock(i, c, f, x)
-        }
-    }
-
-    static TEST_GUARD: Mutex<()> = Mutex::new(());
+    use crate::common::{quietly, PanicOnLock};
 
     #[test]
     fn a_retried_idempotent_body_does_not_spawn_its_successor_twice() {
@@ -172,20 +132,6 @@ mod retried_bodies {
         // lazy. Its successor is then still in the invocation's batch
         // when the body panics, dies with the failed attempt, and is
         // spawned once — by the attempt that completes.
-        let _g = TEST_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
-        struct Uninstall;
-        impl Drop for Uninstall {
-            fn drop(&mut self) {
-                chaos::install(None);
-            }
-        }
-        // A quiet plan injects nothing; it arms the retry machinery.
-        chaos::install(Some(FaultPlan::new(1, ChaosProfile::quiet("quiet"))));
-        let _u = Uninstall;
-        // Keep the expected panics' backtraces out of the test log.
-        let prev_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-
         let src = "(defun walk (l)
                      (when l
                        (cri-handoff 0 walk (cdr l))
@@ -199,11 +145,9 @@ mod retried_bodies {
         let rt = CriRuntime::new(Arc::clone(&interp), 2);
         rt.declare_idempotent("walk");
         let panics = 2; // within the default retry budget even if one task takes both
-        let inner = interp.hooks();
-        interp.set_hooks(Arc::new(PanicOnLock { inner, remaining: AtomicUsize::new(panics) }));
+        PanicOnLock::install(&interp, panics);
         let l = int_list(&interp, n);
-        let result = rt.run("walk", &[l]);
-        std::panic::set_hook(prev_hook);
+        let result = quietly(|| rt.run("walk", &[l]));
         result.expect("retries absorb the panics");
 
         let stats = rt.stats();

@@ -235,7 +235,7 @@ impl Prog {
             servers,
             RuntimeConfig { mode, speculate: true, ..RuntimeConfig::default() },
         );
-        assert!(rt.speculating(), "speculation must be armed (is CURARE_NO_SPEC set?)");
+        assert!(rt.speculating(), "speculation must be armed");
         let observed = self.observe(&interp, n, &|entry, args| {
             rt.run(entry, args).expect("speculative run completes");
         });
@@ -371,8 +371,7 @@ fn printed_output_is_committed_in_sequential_order() {
     assert_eq!(interp.take_output(), oracle, "printed lines must commit in sequential order");
 }
 
-/// `CURARE_NO_SPEC`'s in-process equivalent: a pool configured without
-/// speculation reports `speculating() == false` and journals nothing.
+/// A pool configured without speculation reports `speculating() == false` and journals nothing.
 #[test]
 fn speculation_off_is_the_default() {
     let _g = guard();

@@ -11,10 +11,6 @@
 //! engine differential). Independent programs must additionally show a
 //! 100% commit-clean ratio: speculation may never abort an invocation
 //! the static analysis could have proven safe.
-//!
-//! Run with: `cargo test -p curare-runtime --features heavy-tests`
-
-#![cfg(feature = "heavy-tests")]
 
 use std::sync::{Arc, Mutex, PoisonError};
 

@@ -1,83 +1,111 @@
-//! Property tests: printing then re-reading any datum yields the same
-//! datum, for both the flat printer and the pretty printer.
-//!
-//! Requires the off-by-default `heavy-tests` feature (the external
-//! `proptest` crate is unavailable offline).
-
-#![cfg(feature = "heavy-tests")]
+//! Seeded property battery: printing then re-reading any datum yields
+//! the same datum, for both the flat printer and the pretty printer,
+//! and the reader is total on arbitrary printable input.
 
 use curare_sexpr::{parse_all, parse_one, pretty_width, Sexpr};
-use proptest::prelude::*;
 
-/// Strategy producing arbitrary symbols from a Lisp-ish alphabet.
-fn sym_strategy() -> impl Strategy<Value = String> {
-    proptest::string::string_regex("[a-z*+!?<>=-][a-z0-9*+!?<>=-]{0,8}")
-        .unwrap()
-        .prop_filter("symbols must not read as numbers or dot", |s| {
-            s != "." && s.parse::<f64>().is_err()
-        })
-}
+struct XorShift(u64);
 
-fn atom_strategy() -> impl Strategy<Value = Sexpr> {
-    prop_oneof![
-        sym_strategy().prop_map(Sexpr::Sym),
-        any::<i64>().prop_map(Sexpr::Int),
-        // Finite floats only: NaN breaks PartialEq-based comparison.
-        any::<i32>().prop_map(|i| Sexpr::Float(f64::from(i) / 8.0)),
-        "[ -~]{0,12}".prop_map(Sexpr::Str),
-    ]
-}
-
-fn sexpr_strategy() -> impl Strategy<Value = Sexpr> {
-    atom_strategy().prop_recursive(4, 64, 6, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 0..6).prop_map(Sexpr::List),
-            (prop::collection::vec(inner.clone(), 1..4), atom_strategy()).prop_map(
-                |(items, tail)| {
-                    match tail {
-                        // A dotted list with a list tail is not canonical;
-                        // fold it into a proper list like the reader does.
-                        Sexpr::List(rest) => {
-                            let mut v = items;
-                            v.extend(rest);
-                            Sexpr::List(v)
-                        }
-                        atom => Sexpr::Dotted(items, Box::new(atom)),
-                    }
-                }
-            ),
-        ]
-    })
-}
-
-proptest! {
-    #[test]
-    fn print_parse_round_trip(e in sexpr_strategy()) {
-        let text = e.to_string();
-        let back = parse_one(&text).unwrap();
-        prop_assert_eq!(back, e);
+impl XorShift {
+    fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x
     }
 
-    #[test]
-    fn pretty_parse_round_trip(e in sexpr_strategy(), width in 8usize..100) {
-        let text = pretty_width(&e, width);
-        let back = parse_one(&text).unwrap();
-        prop_assert_eq!(back, e);
+    /// Uniform-ish pick in `0..n`.
+    fn pick(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
     }
 
-    #[test]
-    fn toplevel_sequences_round_trip(v in prop::collection::vec(sexpr_strategy(), 0..5)) {
-        let mut text = String::new();
-        for e in &v {
-            text.push_str(&e.to_string());
-            text.push('\n');
+    /// `len` characters drawn from `alphabet`.
+    fn string(&mut self, alphabet: &[u8], len: usize) -> String {
+        (0..len).map(|_| alphabet[self.pick(alphabet.len())] as char).collect()
+    }
+}
+
+/// Printable ASCII plus newline: everything a source file holds.
+fn printable() -> Vec<u8> {
+    (b' '..=b'~').chain([b'\n']).collect()
+}
+
+/// A symbol from a Lisp-ish alphabet that reads as neither a number
+/// nor the dot.
+fn gen_symbol(rng: &mut XorShift) -> String {
+    const FIRST: &[u8] = b"abcdefghijklmnopqrstuvwxyz*+!?<>=-";
+    const REST: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789*+!?<>=-";
+    loop {
+        let len = rng.pick(9);
+        let s = rng.string(FIRST, 1) + &rng.string(REST, len);
+        if s != "." && s.parse::<f64>().is_err() {
+            return s;
         }
-        let back = parse_all(&text).unwrap();
-        prop_assert_eq!(back, v);
     }
+}
 
-    #[test]
-    fn parser_never_panics_on_arbitrary_input(s in "[ -~\\n]{0,64}") {
+fn gen_atom(rng: &mut XorShift) -> Sexpr {
+    match rng.pick(4) {
+        0 => Sexpr::Sym(gen_symbol(rng)),
+        1 => Sexpr::Int(rng.next() as i64),
+        // Finite floats only: NaN breaks PartialEq-based comparison.
+        2 => Sexpr::Float(f64::from(rng.next() as i32) / 8.0),
+        _ => {
+            let len = rng.pick(13);
+            Sexpr::Str(rng.string(&printable(), len))
+        }
+    }
+}
+
+fn gen_sexpr(rng: &mut XorShift, depth: usize) -> Sexpr {
+    if depth == 0 || rng.pick(3) == 0 {
+        return gen_atom(rng);
+    }
+    let n = rng.pick(6);
+    let mut items: Vec<Sexpr> = (0..n).map(|_| gen_sexpr(rng, depth - 1)).collect();
+    if items.is_empty() || rng.pick(4) != 0 {
+        return Sexpr::List(items);
+    }
+    items.truncate(3);
+    // A dotted list with a list tail is not canonical (the reader
+    // folds it into a proper list), so the tail is always an atom.
+    Sexpr::Dotted(items, Box::new(gen_atom(rng)))
+}
+
+#[test]
+fn print_and_pretty_print_round_trip() {
+    let mut rng = XorShift(0x5EED_0001_D1CE_F00D);
+    for case in 0..400 {
+        let e = gen_sexpr(&mut rng, 4);
+        let text = e.to_string();
+        assert_eq!(parse_one(&text).unwrap(), e, "case {case}: {text}");
+        let width = 8 + rng.pick(92);
+        let text = pretty_width(&e, width);
+        assert_eq!(parse_one(&text).unwrap(), e, "case {case} at width {width}:\n{text}");
+    }
+}
+
+#[test]
+fn toplevel_sequences_round_trip() {
+    let mut rng = XorShift(0x5EED_0002_D1CE_F00D);
+    for case in 0..200 {
+        let forms: Vec<Sexpr> = (0..rng.pick(5)).map(|_| gen_sexpr(&mut rng, 3)).collect();
+        let text: String = forms.iter().map(|e| format!("{e}\n")).collect();
+        assert_eq!(parse_all(&text).unwrap(), forms, "case {case}:\n{text}");
+    }
+}
+
+#[test]
+fn parser_never_panics_on_arbitrary_input() {
+    let mut rng = XorShift(0x5EED_0003_D1CE_F00D);
+    let alphabet = printable();
+    // Half the inputs lean on the characters the lexer branches on.
+    let syntax = b"()'\".;#|\\ \n-+0123456789e";
+    for _ in 0..4000 {
+        let len = rng.pick(65);
+        let s = if rng.pick(2) == 0 { rng.string(&alphabet, len) } else { rng.string(syntax, len) };
         let _ = parse_all(&s);
     }
 }

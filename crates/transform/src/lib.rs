@@ -9,8 +9,8 @@
 //! - [`reorder`]: §3.2.3 — declared-commutative updates become atomic;
 //!   unordered-insert / any-result constraints are dismissed;
 //! - [`delay`]: §3.2.2 — post-call statements move into the head;
-//! - [`locks`]: §3.2.1 — two-phase lock/unlock insertion with
-//!   coalescing and read–write locks;
+//! - [`locks`]: §3.2.1 — statement-scoped lock brackets from a
+//!   synthesized (coalesced, read–write) placement;
 //! - [`rec2iter`]: §5 — tail recursion becomes a loop;
 //! - [`dps`]: §5 — destination-passing style (Figures 12–13);
 //! - [`fold`]: §5 — linear reductions become accumulating walkers;
@@ -48,7 +48,7 @@ pub use dps::{dps_transform, DpsError, DpsResult};
 pub use fold::{fold_to_walker, FoldError, FoldResult};
 pub use futuresync::{future_sync, FutureSyncResult};
 pub use locks::{
-    insert_locks, insert_placement, lock_rescue, lock_set, placement_specs, LockResult, LockSpec,
+    analyze_defun, insert_placement, lock_rescue, placement_specs, LockResult, LockSpec,
     TransformError,
 };
 pub use pipeline::{

@@ -1,42 +1,32 @@
 //! Lock insertion (paper §3.2.1).
 //!
-//! For every conflict the analysis found, the invocation must hold a
-//! lock on the conflicting location before any later invocation can
-//! reach it. Because the head of invocation *i* executes before any
-//! part of invocation *i+1* (CRI spawns at the recursive call), taking
-//! all locks at the very top of the body and releasing them at the end
-//! implements the paper's scheme: `Lock(M)` in the head, `Unlock(M)`
-//! after all uses, two-phase by construction.
+//! For every conflict the analysis found that nothing else orders, the
+//! invocation must hold a lock on the conflicting location while it
+//! touches it. Locks enter a program one way: [`insert_placement`]
+//! (and [`lock_rescue`], the pipeline's gate in front of it) applies a
+//! [`Placement`] from `curare_analysis::locksynth` as statement-scoped
+//! brackets. Each statement that touches a location the placement
+//! covers is wrapped in its own acquire/statement/release bracket, so
+//! independent invocations only serialize for the duration of the
+//! conflicting access — this is what the pipeline uses to rescue
+//! order-insensitive tails that would otherwise fall back to full
+//! future synchronization. Brackets acquire in one global (root, path)
+//! order, so they cannot deadlock.
 //!
-//! Two devices live here:
-//!
-//! - [`insert_locks`]: the original whole-body bracket — every lock is
-//!   taken at the top of the body and released at the end. Simple and
-//!   maximally conservative; kept as the standalone §3.2.1 transform.
-//! - [`insert_placement`] / [`lock_rescue`]: statement-scoped brackets
-//!   driven by a certified [`Placement`] from
-//!   `curare_analysis::locksynth`. Each statement that touches a
-//!   location the placement covers is wrapped in its own
-//!   acquire/statement/release bracket, so independent invocations
-//!   only serialize for the duration of the conflicting access — this
-//!   is what the pipeline uses to rescue order-insensitive tails that
-//!   would otherwise fall back to full future synchronization.
-//!
-//! Refinements implemented from the paper:
-//! - *coalescing*: a lock path that is a prefix of another covers it;
-//! - *read–write locks*: locations only read by the conflicting side
-//!   take shared locks;
-//! - both sides of a conflict lock the *same physical cell*: the
-//!   writer locks its write destination, the accessor locks the prefix
-//!   `q` of its path with `A₁ = τ^d ∘ q`, which is the same location
-//!   seen d invocations later.
+//! The paper's refinements live in the synthesis, not here:
+//! *coalescing* (a lock that still covers every pair absorbs a finer
+//! one), *read–write locks* (locations only read by the conflicting
+//! side take shared locks), and both sides of a conflict locking the
+//! *same physical cell* (the writer its write destination, the
+//! accessor the prefix `q` of its path with `A₁ = τ^d ∘ q`, the same
+//! location seen d invocations later).
 
 use std::collections::BTreeSet;
 
 use curare_analysis::locksynth::{
     declared_placement, synthesize, LockMode, OrderingContext, PairOrder, Placement,
 };
-use curare_analysis::{analyze_function, DeclDb, FunctionAnalysis, Path, PathRegex, Transfer};
+use curare_analysis::{analyze_function, DeclDb, FunctionAnalysis, Path};
 use curare_lisp::{Heap, Lowerer};
 use curare_sexpr::Sexpr;
 
@@ -101,142 +91,6 @@ pub fn analyze_defun(
         .map_err(|e| TransformError::Analysis(e.to_string()))?;
     let func = prog.funcs.first().ok_or(TransformError::NotADefun)?;
     Ok(analyze_function(func, decls))
-}
-
-/// Compute the lock set of an analyzed function.
-pub fn lock_set(analysis: &FunctionAnalysis, params: &[&str]) -> Vec<LockSpec> {
-    let mut paths: BTreeSet<(usize, Path)> = BTreeSet::new();
-    for c in &analysis.conflicts.conflicts {
-        // The writer's own location.
-        paths.insert((c.root, c.write_path.clone()));
-        // The accessor-side location: prefixes q of other_path with
-        // A1 ∈ L(τ^d ∘ q) for some d.
-        if let Some(tau) = analysis.transfers.per_param.get(c.root) {
-            for plen in 0..=c.other_path.len() {
-                let q = Path::from(c.other_path.accessors()[..plen].to_vec());
-                if prefix_coincides(&c.write_path, tau, &q) {
-                    paths.insert((c.root, q));
-                }
-            }
-        }
-    }
-
-    // Coalesce: drop any path that has a strict prefix in the set for
-    // the same root (locking the prefix location covers it).
-    let minimal: Vec<(usize, Path)> = paths
-        .iter()
-        .filter(|(root, p)| {
-            !paths
-                .iter()
-                .any(|(r2, p2)| r2 == root && p2 != p && !p2.is_empty() && p2.is_prefix_of(p))
-        })
-        .filter(|(_, p)| !p.is_empty()) // ε names the root value, not a location
-        .cloned()
-        .collect();
-
-    // Exclusive iff this location can be a write destination: it
-    // coincides with some write path (possibly across invocations).
-    let mut out = Vec::new();
-    for (root, p) in minimal {
-        let exclusive = analysis.conflicts.conflicts.iter().any(|c| {
-            c.root == root && {
-                let tau = &analysis.transfers.per_param[root];
-                c.write_path == p
-                    || p.is_prefix_of(&c.write_path)
-                    || prefix_coincides(&c.write_path, tau, &p)
-            }
-        });
-        out.push(LockSpec {
-            root,
-            root_name: params.get(root).map(|s| s.to_string()).unwrap_or_default(),
-            path: p,
-            exclusive,
-        });
-    }
-    out.sort();
-    out
-}
-
-/// Is there a distance `d ≥ 1` with `write ∈ L(τ^d ∘ q)` — i.e. does
-/// the location `q` of a later invocation coincide with this
-/// invocation's write destination?
-fn prefix_coincides(write: &Path, tau: &Transfer, q: &Path) -> bool {
-    let bound = match tau.min_step_len() {
-        None => return true, // unknown τ: assume coincidence
-        Some(0) => write.len().max(q.len()) + 2,
-        Some(step) => (write.len() + q.len()) / step + 2,
-    };
-    for d in 1..=bound {
-        let lang = tau.regex_at_distance(d).then(PathRegex::literal(q));
-        if lang.matches(write) {
-            return true;
-        }
-    }
-    false
-}
-
-/// Insert locks into `form` (a defun) based on its conflict analysis.
-/// Conflict-free functions are returned unchanged with an empty lock
-/// list.
-pub fn insert_locks(
-    heap: &Heap,
-    form: &Sexpr,
-    decls: &DeclDb,
-) -> Result<LockResult, TransformError> {
-    let analysis = analyze_defun(heap, form, decls)?;
-    let parts = sx::parse_defun(form).ok_or(TransformError::NotADefun)?;
-    if analysis.conflicts.unknown_writes > 0 {
-        return Err(TransformError::CannotLock(format!(
-            "{} write(s) with unanalyzable roots",
-            analysis.conflicts.unknown_writes
-        )));
-    }
-    let locks = lock_set(&analysis, &parts.params);
-    if locks.is_empty() {
-        return Ok(LockResult { form: form.clone(), locks });
-    }
-
-    // Bind each lock base cell once, then lock/unlock around the body:
-    //
-    // (defun f (l)
-    //   (let* ((%curare-lock0 (cdr l)))
-    //     (cri-lock %curare-lock0 'car)
-    //     <body>
-    //     (cri-unlock %curare-lock0 'car)))
-    //
-    // The unlocks follow the body, so the locked function returns nil:
-    // like every CRI conversion, it executes for effect (§3.1 "changing
-    // the single return that produces a value into an assignment").
-    // Keeping the recursive calls out of binding initializers is what
-    // lets cri-convert accept the output.
-    let mut bindings = Vec::new();
-    let mut lock_forms = Vec::new();
-    let mut unlock_forms = Vec::new();
-    for (i, spec) in locks.iter().enumerate() {
-        let cell_path = spec.path.cell_prefix().expect("ε filtered out of lock set");
-        let field = spec.path.last().expect("nonempty");
-        let tmp = format!("%curare-lock{i}");
-        bindings.push(Sexpr::List(vec![
-            sx::sym(tmp.clone()),
-            sx::path_to_expr(&spec.root_name, &cell_path, heap),
-        ]));
-        let (lock_head, unlock_head) = if spec.exclusive {
-            ("cri-lock", "cri-unlock")
-        } else {
-            ("cri-lock-read", "cri-unlock-read")
-        };
-        lock_forms.push(sx::call(lock_head, vec![sx::sym(tmp.clone()), sx::field_operand(field)]));
-        unlock_forms.push(sx::call(unlock_head, vec![sx::sym(tmp), sx::field_operand(field)]));
-    }
-
-    let mut outer = vec![sx::sym("let*"), Sexpr::List(bindings)];
-    outer.extend(lock_forms);
-    outer.extend(parts.body.iter().map(|&b| b.clone()));
-    outer.extend(unlock_forms);
-
-    let new_form =
-        sx::make_defun(parts.name, &parts.params, &parts.declares, vec![Sexpr::List(outer)]);
-    Ok(LockResult { form: new_form, locks })
 }
 
 /// Convert a synthesized placement's locks to the transform's
@@ -837,9 +691,18 @@ mod tests {
     use super::*;
     use curare_sexpr::parse_one;
 
+    /// The standalone §3.2.1 device: the placement synthesized with
+    /// no ordering assumed (every conflicting pair needs a lock),
+    /// applied as statement brackets.
+    fn locks_on(heap: &Heap, form: &Sexpr) -> LockResult {
+        let parts = sx::parse_defun(form).unwrap();
+        let analysis = analyze_defun(heap, form, &DeclDb::new()).unwrap();
+        let placement = synthesize(&analysis, &parts.params, OrderingContext::none());
+        insert_placement(heap, form, &placement, false).unwrap()
+    }
+
     fn run_locks(src: &str) -> LockResult {
-        let heap = Heap::new();
-        insert_locks(&heap, &parse_one(src).unwrap(), &DeclDb::new()).unwrap()
+        locks_on(&Heap::new(), &parse_one(src).unwrap())
     }
 
     #[test]
@@ -862,12 +725,10 @@ mod tests {
         // Write destination cdr.car and the coinciding read location
         // car (this invocation's l.car is the previous one's l.cdr.car).
         let paths: Vec<String> = r.locks.iter().map(|l| l.path.to_string()).collect();
-        assert!(paths.contains(&"cdr.car".to_string()), "{paths:?}");
-        assert!(paths.contains(&"car".to_string()), "{paths:?}");
+        assert_eq!(paths, ["car", "cdr.car"]);
         let text = r.form.to_string();
-        assert!(text.contains("(cri-lock"), "{text}");
-        assert!(text.contains("(cri-unlock"), "{text}");
-        // Locks precede the original body; unlocks follow it.
+        // One bracket, around the one statement that touches them.
+        assert_eq!(text.matches("(cri-lock").count(), 2, "{text}");
         let lock_pos = text.find("cri-lock").expect("lock present");
         let body_pos = text.find("setf").expect("body present");
         let unlock_pos = text.find("cri-unlock").expect("unlock present");
@@ -884,6 +745,7 @@ mod tests {
                      (t (setf (cadr l) (+ (car l) (cadr l)))
                         (f (cdr l)))))";
         let locked = run_locks(heap_src).form.to_string();
+        assert!(locked.contains("(cri-lock "), "{locked}");
         let it = curare_lisp::Interp::new();
         it.load_str(&locked).unwrap();
         let v = it.load_str("(let ((d (list 1 1 1 1))) (f d) d)").unwrap();
@@ -891,47 +753,26 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_drops_covered_paths() {
-        // Writes to car and car.car with τ = car: both conflict across
-        // invocations, but locking l.car covers l.car.car (the paper's
-        // coalescing example collapses {l.car, l.car.cdr, l.car.cdr.car}
-        // to l.car the same way).
-        use curare_analysis::path::parse_list_path;
-        let heap = Heap::new();
-        let form = parse_one(
-            "(defun f (l)
-               (when l
-                 (setf (car l) (caar l))
-                 (setf (car (car l)) 2)
-                 (f (car l))))",
-        )
-        .unwrap();
-        let analysis = analyze_defun(&heap, &form, &DeclDb::new()).unwrap();
-        assert!(!analysis.conflicts.conflicts.is_empty(), "premise: conflicts exist");
-        let locks = lock_set(&analysis, &["l"]);
-        let paths: Vec<Path> = locks.iter().map(|l| l.path.clone()).collect();
-        assert!(paths.contains(&parse_list_path("car").unwrap()), "{paths:?}");
-        assert!(
-            !paths.contains(&parse_list_path("car.car").unwrap()),
-            "car covers car.car: {paths:?}"
-        );
-    }
-
-    #[test]
     fn read_side_gets_shared_lock_when_never_written() {
-        // Write to cdr.car conflicts with read of car: the read-side
-        // location IS the write destination one invocation later, so
-        // both must be exclusive here.
+        // Write to cdr.car conflicts with read of car, which is the
+        // write destination one invocation later. The location is
+        // locked by both sides, and the side that only reads it takes
+        // it shared: the lock table excludes a shared holder from an
+        // exclusive one on the same cell, which is all the pair needs.
         let r = run_locks("(defun f (l) (when l (setf (cadr l) (car l)) (f (cdr l))))");
-        assert!(r.locks.iter().all(|l| l.exclusive), "{:?}", r.locks);
+        let modes: Vec<(String, bool)> =
+            r.locks.iter().map(|l| (l.path.to_string(), l.exclusive)).collect();
+        assert_eq!(modes, [("car".to_string(), false), ("cdr.car".to_string(), true)]);
+        assert!(r.form.to_string().contains("(cri-lock-read "), "{}", r.form);
     }
 
     #[test]
     fn unanalyzable_write_is_an_error() {
+        // A write the analysis cannot root has no placement that
+        // covers it: locking is refused, not attempted.
         let heap = Heap::new();
         let form = parse_one("(defun f (l) (setf (car *g*) 1) (f (cdr l)))").unwrap();
-        let err = insert_locks(&heap, &form, &DeclDb::new()).unwrap_err();
-        assert!(matches!(err, TransformError::CannotLock(_)));
+        assert!(lock_rescue(&heap, &form, &DeclDb::new(), false).is_none());
     }
 
     #[test]
@@ -1129,7 +970,7 @@ mod tests {
                  (bump (node-next n))))",
         )
         .unwrap();
-        let r = insert_locks(&heap, &form, &DeclDb::new()).unwrap();
+        let r = locks_on(&heap, &form);
         assert!(!r.locks.is_empty());
         let text = r.form.to_string();
         assert!(text.contains("cri-lock"), "{text}");

@@ -6,8 +6,9 @@
 //! cargo run --release -p curare --example lock_pipeline
 //! ```
 
+use curare::analysis::locksynth::{synthesize, OrderingContext};
 use curare::prelude::*;
-use curare::transform::insert_locks;
+use curare::transform::{analyze_defun, insert_placement};
 use std::sync::Arc;
 
 /// A post-call write whose location overlaps the recursion argument:
@@ -77,11 +78,13 @@ fn main() {
     );
     assert_eq!(total, Value::int(n * (n - 1) / 2));
 
-    // ---------- variant 3: the standalone §3.2.1 lock transform ------
-    println!("=== insert-locks: the §3.2.1 machinery itself ===");
-    // A head-resident conflict (Figure 5): locks are inserted by the
-    // standalone transform, acquired through the runtime's striped
-    // location lock table, and the program still computes correctly.
+    // ---------- variant 3: the §3.2.1 lock device on its own ---------
+    println!("=== insert-placement: the §3.2.1 machinery itself ===");
+    // A head-resident conflict (Figure 5). Inside the pipeline CRI's
+    // head ordering already covers it; synthesized with no ordering
+    // assumed, the placement locks both sides, the brackets acquire
+    // through the runtime's striped location lock table, and the
+    // program still computes correctly.
     let fig5 = parse_one(
         "(defun f (l)
            (cond ((null l) nil)
@@ -91,7 +94,10 @@ fn main() {
     )
     .expect("parses");
     let heap = Heap::new();
-    let locked = insert_locks(&heap, &fig5, &DeclDb::new()).expect("locks insert");
+    let analysis = analyze_defun(&heap, &fig5, &DeclDb::new()).expect("analyzes");
+    let placement = synthesize(&analysis, &["l"], OrderingContext::none());
+    assert!(placement.is_certified_clean());
+    let locked = insert_placement(&heap, &fig5, &placement, false).expect("locks insert");
     println!("locks: {:?}", locked.locks);
     println!("{}", pretty(&locked.form));
 

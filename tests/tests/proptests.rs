@@ -1,179 +1,137 @@
-//! Property-based integration tests: sequentializability and analysis
-//! invariants over randomized programs and inputs.
+//! Property batteries across the whole pipeline: sequentializability
+//! of generated walkers, conflict distances against a closed form,
+//! transformed output that reparses, and simulator bounds. The input
+//! spaces of the first three are small enough to enumerate; the
+//! simulator's is sampled from a fixed seed.
 //!
-//! Requires the off-by-default `heavy-tests` feature (the external
-//! `proptest` crate is unavailable offline).
-
-#![cfg(feature = "heavy-tests")]
+//! (`display` reading back `equal` moved to the lisp crate's
+//! `interp_properties::list_algebra`, next to the other list laws.)
 
 use std::sync::Arc;
 
 use curare::prelude::*;
-use proptest::prelude::*;
 
-/// Strategy: a random but well-formed walker body made of optional
-/// head prints, an optional guarded in-head write at offset `w`, and
-/// recursion step `s` ∈ {1, 2}.
-#[derive(Debug, Clone)]
-struct WalkerSpec {
-    head_prints: usize,
-    write_offset: Option<usize>,
-    step: usize,
+/// `(cdr (cdr … l))`, `n` deep.
+fn nth_cdr(n: usize) -> String {
+    (0..n).fold("l".to_string(), |place, _| format!("(cdr {place})"))
 }
 
-fn walker_strategy() -> impl Strategy<Value = WalkerSpec> {
-    (0usize..3, prop::option::of(0usize..3), 1usize..3).prop_map(
-        |(head_prints, write_offset, step)| WalkerSpec { head_prints, write_offset, step },
-    )
-}
-
-fn walker_source(spec: &WalkerSpec) -> String {
-    let mut body = String::new();
-    for _ in 0..spec.head_prints {
-        body.push_str("(princ (car l)) ");
-    }
-    if let Some(w) = spec.write_offset {
-        let mut place = "l".to_string();
-        for _ in 0..w {
-            place = format!("(cdr {place})");
-        }
+/// A well-formed walker: `head_prints` head prints, an optional
+/// guarded in-head write `write_offset` cells ahead, recursion by
+/// `step` cells.
+fn walker_source(head_prints: usize, write_offset: Option<usize>, step: usize) -> String {
+    let mut body = "(princ (car l)) ".repeat(head_prints);
+    if let Some(w) = write_offset {
+        let place = nth_cdr(w);
         body.push_str(&format!("(when {place} (setf (car {place}) (+ 1 (car l)))) "));
     }
-    let mut arg = "l".to_string();
-    for _ in 0..spec.step {
-        arg = format!("(cdr {arg})");
-    }
-    format!("(defun w (l) (when l {body}(w {arg})))")
+    format!("(defun w (l) (when l {body}(w {})))", nth_cdr(step))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+fn descending(interp: &Interp, len: usize) -> Value {
+    (0..len).fold(Value::NIL, |l, i| interp.heap().cons(Value::int(i as i64), l))
+}
 
-    /// Any generated walker, once transformed, produces the same final
-    /// heap state concurrently as the original does sequentially.
-    #[test]
-    fn random_walkers_are_sequentializable(spec in walker_strategy(), len in 1usize..60) {
-        let src = walker_source(&spec);
+/// Every walker of the family, once transformed, leaves the same heap
+/// concurrently as the original does sequentially, and prints the same
+/// multiset of atoms (lines may interleave across servers).
+#[test]
+fn generated_walkers_are_sequentializable() {
+    for head_prints in 0..3 {
+        for write_offset in [None, Some(0), Some(1), Some(2)] {
+            for step in 1..3 {
+                let src = walker_source(head_prints, write_offset, step);
+                let out = Curare::new().transform_source(&src).unwrap();
+                let report = out.report("w").unwrap();
+                assert!(report.converted, "{src}: {}", report.feedback);
+                for len in [1, 2, 7, 59] {
+                    let seq = Interp::new();
+                    seq.load_str(&src).unwrap();
+                    let seq_l = descending(&seq, len);
+                    seq.call("w", &[seq_l]).unwrap();
+                    let mut expect_out = seq.take_output();
 
-        let seq = Interp::new();
-        seq.load_str(&src).unwrap();
-        let seq_l = {
-            let mut l = Value::NIL;
-            for i in 0..len {
-                l = seq.heap().cons(Value::int(i as i64), l);
+                    let interp = Arc::new(Interp::new());
+                    interp.load_str(&out.source()).unwrap();
+                    let rt = CriRuntime::new(Arc::clone(&interp), 3);
+                    let l = descending(&interp, len);
+                    rt.run("w", &[l]).unwrap();
+                    assert_eq!(
+                        interp.heap().display(l),
+                        seq.heap().display(seq_l),
+                        "len {len}: {src}"
+                    );
+                    let mut got_out = interp.take_output();
+                    got_out.sort();
+                    expect_out.sort();
+                    assert_eq!(got_out, expect_out, "len {len}: printed output diverged for {src}");
+                }
             }
-            l
-        };
-        seq.call("w", &[seq_l]).unwrap();
-        let expect = seq.heap().display(seq_l);
-        let expect_out = seq.take_output();
-
-        let out = Curare::new().transform_source(&src).unwrap();
-        prop_assert!(out.report("w").unwrap().converted, "{}", out.report("w").unwrap().feedback);
-        let interp = Arc::new(Interp::new());
-        interp.load_str(&out.source()).unwrap();
-        let rt = CriRuntime::new(Arc::clone(&interp), 3);
-        let l = {
-            let mut l = Value::NIL;
-            for i in 0..len {
-                l = interp.heap().cons(Value::int(i as i64), l);
-            }
-            l
-        };
-        rt.run("w", &[l]).unwrap();
-        prop_assert_eq!(interp.heap().display(l), expect, "src: {}", src);
-        // Output lines may interleave across servers but the multiset
-        // of printed atoms must match the sequential run's.
-        let mut a = interp.take_output();
-        let mut b = expect_out;
-        a.sort();
-        b.sort();
-        prop_assert_eq!(a, b, "printed output diverged for {}", src);
-    }
-
-    /// Conflict distances computed by the regex machinery agree with a
-    /// brute-force check on concrete lists.
-    #[test]
-    fn conflict_distance_matches_brute_force(k in 1usize..5, step in 1usize..3) {
-        // Writer k cells ahead recursing by `step`: analytic distance
-        // is k/step when step divides k, none otherwise.
-        let mut place = "l".to_string();
-        for _ in 0..k {
-            place = format!("(cdr {place})");
         }
-        let mut arg = "l".to_string();
-        for _ in 0..step {
-            arg = format!("(cdr {arg})");
-        }
-        let src = format!(
-            "(defun w (l) (when l (setf (car {place}) (car l)) (w {arg})))"
-        );
-        let heap = Heap::new();
-        let mut lw = curare::lisp::Lowerer::new(&heap);
-        let prog = lw.lower_program(&parse_all(&src).unwrap()).unwrap();
-        let a = analyze_function(&prog.funcs[0], &DeclDb::new());
-        let expected = if k % step == 0 { Some(k / step) } else { None };
-        prop_assert_eq!(a.conflicts.min_distance, expected, "k={} step={}", k, step);
     }
+}
 
-    /// The reader round-trips through the whole transformed pipeline:
-    /// transform(parse(x)) reparses.
-    #[test]
-    fn transformed_output_always_reparses(pad in 0usize..4, conflict in any::<bool>()) {
-        let body = if conflict {
-            "(setf (cadr l) (car l)) "
-        } else {
-            "(princ (car l)) "
-        };
-        let mut head = String::new();
-        for _ in 0..pad {
-            head.push_str("(princ 0) ");
+/// A writer `k` cells ahead recursing by `step`: the regex machinery's
+/// minimum conflict distance is `k/step` when `step` divides `k`, and
+/// there is no conflict otherwise.
+#[test]
+fn conflict_distance_matches_the_closed_form() {
+    for k in 1..5 {
+        for step in 1..3 {
+            let src = format!(
+                "(defun w (l) (when l (setf (car {}) (car l)) (w {})))",
+                nth_cdr(k),
+                nth_cdr(step)
+            );
+            let heap = Heap::new();
+            let mut lw = curare::lisp::Lowerer::new(&heap);
+            let prog = lw.lower_program(&parse_all(&src).unwrap()).unwrap();
+            let a = analyze_function(&prog.funcs[0], &DeclDb::new());
+            let expected = (k % step == 0).then_some(k / step);
+            assert_eq!(a.conflicts.min_distance, expected, "k={k} step={step}");
         }
-        let src = format!("(defun w (l) (when l {head}{body}(w (cdr l))))");
-        let out = Curare::new().transform_source(&src).unwrap();
-        let reparsed = parse_all(&out.source());
-        prop_assert!(reparsed.is_ok(), "output failed to reparse: {}", out.source());
-        // And re-transforming the output is stable (idempotent-ish: it
-        // must at least not fail).
-        let again = Curare::new().transform_source(&out.source());
-        prop_assert!(again.is_ok());
     }
+}
 
-    /// The simulator's achieved concurrency never exceeds the §3.1
-    /// bound nor the conflict-distance bound.
-    #[test]
-    fn simulator_respects_bounds(
-        h in 1u64..8,
-        t in 0u64..32,
-        servers in 1u64..32,
-        depth in 1u64..2000,
-        dc in prop::option::of(1u64..8),
-    ) {
+/// The transformer's output reparses, and transforming it again does
+/// not fail.
+#[test]
+fn transformed_output_always_reparses() {
+    for pad in 0..4 {
+        for body in ["(setf (cadr l) (car l)) ", "(princ (car l)) "] {
+            let head = "(princ 0) ".repeat(pad);
+            let src = format!("(defun w (l) (when l {head}{body}(w (cdr l))))");
+            let out = Curare::new().transform_source(&src).unwrap();
+            assert!(parse_all(&out.source()).is_ok(), "output failed to reparse: {}", out.source());
+            assert!(Curare::new().transform_source(&out.source()).is_ok(), "{}", out.source());
+        }
+    }
+}
+
+/// The simulator's achieved concurrency never exceeds the §3.1 bound,
+/// the conflict-distance bound, or the server count, and a run is
+/// never faster than its sequential work divided by its servers.
+#[test]
+fn simulator_respects_bounds() {
+    let mut state: u64 = 0x5EED_0001_51B0_0B5E;
+    let mut below = |n: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % n
+    };
+    for _ in 0..500 {
+        let (h, t, servers, depth) = (1 + below(7), below(32), 1 + below(31), 1 + below(1999));
+        let dc = (below(2) == 0).then(|| 1 + below(7));
         let mut cfg = SimConfig::new(depth, servers, h, t);
         if let Some(d) = dc {
             cfg = cfg.with_conflict_distance(d);
         }
         let r = simulate(&cfg);
-        let bound = (h + t) as f64 / h as f64;
-        prop_assert!(r.achieved_concurrency <= bound + 1e-9);
-        if let Some(d) = dc {
-            prop_assert!(r.achieved_concurrency <= d as f64 + 1e-9);
-        }
-        prop_assert!(r.achieved_concurrency <= servers as f64 + 1e-9);
-        // Parallel never slower than... the other way: never faster
-        // than sequential work divided by servers.
-        prop_assert!(r.total_time >= (depth * (h + t)).div_ceil(servers));
-    }
-
-    /// Printing any interpreter value and re-reading it yields an
-    /// `equal` structure (display is faithful).
-    #[test]
-    fn display_reparse_equal(values in prop::collection::vec(-100i64..100, 0..20)) {
-        let interp = Interp::new();
-        let vals: Vec<Value> = values.iter().map(|&i| Value::int(i)).collect();
-        let l = interp.heap().list(&vals);
-        let text = interp.heap().display(l);
-        let back = interp.load_str(&format!("'{text}")).unwrap();
-        prop_assert!(interp.heap().equal(l, back));
+        let case = format!("h={h} t={t} servers={servers} depth={depth} dc={dc:?}");
+        assert!(r.achieved_concurrency <= (h + t) as f64 / h as f64 + 1e-9, "{case}");
+        assert!(r.achieved_concurrency <= dc.unwrap_or(u64::MAX) as f64 + 1e-9, "{case}");
+        assert!(r.achieved_concurrency <= servers as f64 + 1e-9, "{case}");
+        assert!(r.total_time >= (depth * (h + t)).div_ceil(servers), "{case}");
     }
 }
