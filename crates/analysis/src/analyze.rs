@@ -10,7 +10,8 @@
 use curare_lisp::ast::{Func, Program};
 
 use crate::access::{collect_accesses, AccessSummary};
-use crate::conflict::{conflicts_from_parts, ConflictReport};
+use crate::canon::Canonicalizer;
+use crate::conflict::{conflict_report, ConflictReport};
 use crate::declare::DeclDb;
 use crate::headtail::{head_tail_in, CallCosts, HeadTail};
 use crate::transfer::{transfer_functions, TransferSummary};
@@ -124,6 +125,24 @@ impl FunctionAnalysis {
     }
 }
 
+/// How much work the analyses of one restructuring did: plain counters
+/// a caller passes down the call chain, so that re-analysing a form or
+/// re-testing a pair shows as a count rather than as a timing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AnalysisStats {
+    /// Full [`FunctionAnalysis`] runs.
+    pub functions_analysed: usize,
+    /// Distinct `(root, path, write)` classes the access records of
+    /// those functions collapsed into.
+    pub path_classes: usize,
+    /// `(write class, class)` pairs put to the conflict test.
+    pub pair_tests: usize,
+    /// Automata built: one per `(τ, d)`, each from `τᵈ⁻¹`.
+    pub automata_built: usize,
+    /// Statements lowered as `%curare-probe` functions by the devices.
+    pub probe_lowerings: usize,
+}
+
 /// Analyze one function under `decls`.
 pub fn analyze_function(func: &Func, decls: &DeclDb) -> FunctionAnalysis {
     analyze_function_with_canon(func, decls, None)
@@ -135,23 +154,25 @@ pub fn analyze_function(func: &Func, decls: &DeclDb) -> FunctionAnalysis {
 pub fn analyze_function_with_canon(
     func: &Func,
     decls: &DeclDb,
-    canon: Option<&crate::canon::Canonicalizer>,
+    canon: Option<&Canonicalizer>,
 ) -> FunctionAnalysis {
-    analyze_in(func, decls, canon, &CallCosts::default())
+    analyze_function_in(func, decls, canon, &CallCosts::default(), &mut AnalysisStats::default())
 }
 
-fn analyze_in(
+/// The analysis itself, for a caller that holds what a program's
+/// functions share: its declarations, the canonicalizer its inverse
+/// declarations resolve to, and the cost of every callee body.
+pub fn analyze_function_in(
     func: &Func,
     decls: &DeclDb,
-    canon: Option<&crate::canon::Canonicalizer>,
+    canon: Option<&Canonicalizer>,
     calls: &CallCosts,
+    stats: &mut AnalysisStats,
 ) -> FunctionAnalysis {
+    stats.functions_analysed += 1;
     let accesses = collect_accesses(func);
     let transfers = transfer_functions(func);
-    let conflicts = match canon {
-        Some(c) => crate::canon_conflict::conflicts_with_canon(&accesses, &transfers, c),
-        None => conflicts_from_parts(&accesses, &transfers),
-    };
+    let conflicts = conflict_report(&accesses, &transfers, canon, stats);
     let ht = head_tail_in(func, calls);
 
     let mut reasons = Vec::new();
@@ -202,7 +223,8 @@ fn analyze_in(
 pub fn analyze_program(prog: &Program) -> Result<Vec<FunctionAnalysis>, crate::declare::DeclError> {
     let decls = DeclDb::from_program(prog)?;
     let calls = CallCosts::of_program(prog);
-    Ok(prog.funcs.iter().map(|f| analyze_in(f, &decls, None, &calls)).collect())
+    let stats = &mut AnalysisStats::default();
+    Ok(prog.funcs.iter().map(|f| analyze_function_in(f, &decls, None, &calls, stats)).collect())
 }
 
 #[cfg(test)]

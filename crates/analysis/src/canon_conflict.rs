@@ -9,11 +9,12 @@
 //! transfer functions) strings of `τᵈ ∘ A`, canonicalizes each, and
 //! compares against the canonicalized other path.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use crate::access::AccessSummary;
+use crate::analyze::AnalysisStats;
 use crate::canon::Canonicalizer;
-use crate::conflict::{Conflict, ConflictReport, DependencyKind};
+use crate::conflict::{conflict_report, ConflictReport};
 use crate::path::Path;
 use crate::transfer::{Transfer, TransferSummary};
 
@@ -44,45 +45,69 @@ fn compose_strings(tau: &Transfer, d: usize, suffix: &Path) -> Option<BTreeSet<P
     Some(fronts.into_iter().map(|f| f.concat(suffix)).collect())
 }
 
-/// Direction 1 — the write happens in the *earlier* invocation: does
-/// its destination coincide (canonically) with any location the later
-/// invocation's traversal `τ^d ∘ later` reads? The traversal reads the
-/// location named by each nonempty prefix of its path.
-fn earlier_write_hits_later_access(
-    write: &Path,
-    tau: &Transfer,
-    later: &Path,
-    d: usize,
-    canon: &Canonicalizer,
-) -> Option<bool> {
-    let strings = compose_strings(tau, d, later)?;
-    let dest = canon.canonicalize(write);
-    Some(strings.iter().any(|w| {
-        (1..=w.len()).any(|k| {
-            let prefix = Path::from(w.accessors()[..k].to_vec());
-            canon.canonicalize(&prefix) == dest
-        })
-    }))
+/// The canonical reading of `τ^d ∘ path`: where its strings end, and
+/// every location a traversal along them reads.
+struct Shifted {
+    /// The canonical form of each string.
+    dests: BTreeSet<Path>,
+    /// The canonical form of each nonempty prefix of each string.
+    reads: BTreeSet<Path>,
 }
 
-/// Direction 2 — the write happens in the *later* invocation: its
-/// destination, re-expressed in the earlier invocation's coordinates,
-/// is the full string set `τ^d ∘ write`; conflict if any such string
-/// canonically equals a location the earlier access's own traversal
-/// reads (a nonempty prefix of `earlier`).
-fn later_write_hits_earlier_access(
-    write: &Path,
-    tau: &Transfer,
-    earlier: &Path,
-    d: usize,
-    canon: &Canonicalizer,
-) -> Option<bool> {
-    let strings = compose_strings(tau, d, write)?;
-    let dests: BTreeSet<Path> = strings.iter().map(|w| canon.canonicalize(w)).collect();
-    Some((1..=earlier.len()).any(|k| {
-        let prefix = Path::from(earlier.accessors()[..k].to_vec());
-        dests.contains(&canon.canonicalize(&prefix))
-    }))
+/// The canonical-alias test of one parameter, with `τ^d ∘ path`
+/// enumerated and canonicalized once per `(d, path)`.
+pub(crate) struct CanonShifts<'a> {
+    tau: &'a Transfer,
+    canon: &'a Canonicalizer,
+    shifted: HashMap<(usize, &'a Path), Option<Shifted>>,
+}
+
+impl<'a> CanonShifts<'a> {
+    pub(crate) fn new(tau: &'a Transfer, canon: &'a Canonicalizer) -> Self {
+        CanonShifts { tau, canon, shifted: HashMap::new() }
+    }
+
+    /// Enumerate and canonicalize `τ^d ∘ path`, unless already done.
+    fn fill(&mut self, d: usize, path: &'a Path) {
+        let (tau, canon) = (self.tau, self.canon);
+        self.shifted.entry((d, path)).or_insert_with(|| {
+            let mut shifted = Shifted { dests: BTreeSet::new(), reads: BTreeSet::new() };
+            for s in compose_strings(tau, d, path)? {
+                let prefix = |k: usize| Path::from(s.accessors()[..k].to_vec());
+                shifted.reads.extend((1..=s.len()).map(|k| canon.canonicalize(&prefix(k))));
+                shifted.dests.insert(canon.canonicalize(&s));
+            }
+            Some(shifted)
+        });
+    }
+
+    /// The smallest distance at which `write` and `other` name one
+    /// location canonically, in either temporal direction:
+    ///
+    /// 1. the write happens in the *earlier* invocation, and its
+    ///    destination coincides with a location the later invocation's
+    ///    traversal `τ^d ∘ other` reads (the location named by each
+    ///    nonempty prefix of its path);
+    /// 2. the write happens in the *later* invocation: its destination,
+    ///    re-expressed in the earlier invocation's coordinates, is the
+    ///    string set `τ^d ∘ write`, one of which coincides with a
+    ///    location the earlier access's own traversal reads.
+    ///
+    /// An unknown τ, or one whose strings exceed the cap, is left to
+    /// the plain analysis.
+    pub(crate) fn alias_distance(&mut self, write: &'a Path, other: &'a Path) -> Option<usize> {
+        let dest = self.canon.canonicalize(write);
+        self.fill(0, other);
+        (1..=bound(write, other, self.tau)).find(|&d| {
+            self.fill(d, other);
+            self.fill(d, write);
+            let at = |d: usize, path: &'a Path| self.shifted[&(d, path)].as_ref();
+            at(d, other).is_some_and(|later| later.reads.contains(&dest))
+                || at(d, write)
+                    .zip(at(0, other))
+                    .is_some_and(|(moved, own)| !moved.dests.is_disjoint(&own.reads))
+        })
+    }
 }
 
 /// Largest distance worth probing: once `d · min-step` exceeds the
@@ -106,55 +131,14 @@ pub fn conflicts_with_canon(
     transfers: &TransferSummary,
     canon: &Canonicalizer,
 ) -> ConflictReport {
-    // Start from the plain (string-prefix) analysis...
-    let mut report = crate::conflict::conflicts_from_parts(accesses, transfers);
-
-    // ...then add canonical-alias conflicts.
-    for w in accesses.writes() {
-        let Some(tau) = transfers.per_param.get(w.root) else { continue };
-        for o in &accesses.records {
-            if o.root != w.root {
-                continue;
-            }
-            let kind = if o.write { DependencyKind::WriteWrite } else { DependencyKind::WriteRead };
-            let b = bound(&w.path, &o.path, tau);
-            for d in 1..=b {
-                let hit1 = earlier_write_hits_later_access(&w.path, tau, &o.path, d, canon)
-                    .unwrap_or(false);
-                let hit2 = later_write_hits_earlier_access(&w.path, tau, &o.path, d, canon)
-                    .unwrap_or(false);
-                if hit1 || hit2 {
-                    let c = Conflict {
-                        root: w.root,
-                        write_path: w.path.clone(),
-                        other_path: o.path.clone(),
-                        kind,
-                        distance: d,
-                        persistent: false,
-                    };
-                    if !report.conflicts.iter().any(|e| {
-                        e.root == c.root
-                            && e.write_path == c.write_path
-                            && e.other_path == c.other_path
-                            && e.kind == c.kind
-                            && e.distance <= c.distance
-                    }) {
-                        report.conflicts.push(c);
-                    }
-                    break;
-                }
-            }
-        }
-    }
-    report.conflicts.sort_by_key(|c| (c.distance, c.root));
-    report.min_distance = report.conflicts.first().map(|c| c.distance);
-    report
+    conflict_report(accesses, transfers, Some(canon), &mut AnalysisStats::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::access::collect_accesses;
+    use crate::conflict::DependencyKind;
     use crate::declare::DeclDb;
     use crate::transfer::transfer_functions;
     use curare_lisp::{Heap, Lowerer};

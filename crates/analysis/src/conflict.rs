@@ -9,8 +9,14 @@
 //! locking can retain (§3.2.1: "the maximum concurrency of f is no
 //! more than min(d₁ … d_u)").
 
+use std::collections::{HashMap, HashSet};
+
 use crate::access::{collect_accesses, AccessRecord, AccessSummary};
+use crate::analyze::AnalysisStats;
+use crate::canon::Canonicalizer;
+use crate::canon_conflict::CanonShifts;
 use crate::path::Path;
+use crate::regex::{PowerChain, PowerTrace};
 use crate::transfer::{transfer_functions, Transfer, TransferSummary};
 use curare_lisp::ast::Func;
 
@@ -101,47 +107,80 @@ impl ConflictReport {
 }
 
 /// Largest distance probed when a conflict's persistence is checked.
-fn distance_bound(write: &Path, other: &Path, tau: &Transfer) -> usize {
+fn distance_bound(write: usize, other: usize, tau: &Transfer) -> usize {
     match tau.min_step_len() {
         // Unknown τ: distance 1 already conflicts; no need to search.
         None => 1,
-        Some(0) => write.len().max(other.len()) + 2,
-        Some(step) => (write.len() + other.len()) / step + 2,
+        Some(0) => write.max(other) + 2,
+        Some(step) => (write + other) / step + 2,
     }
 }
 
-/// Detect conflicts between `write` and `other` under `tau`, returning
-/// the minimal distance and persistence.
-///
-/// Two orientations, because the flow-insensitive analysis does not
-/// know which frame runs first:
-///
-/// - **write earlier** (`A₁ ≤ τ^d ∘ A₂`, `A₁` the modification): the
-///   write lands on — or strictly above, on the traversal of — the
-///   path the invocation `d` frames later accesses.
-/// - **write later**: the word the later invocation writes, seen from
-///   the earlier frame, is `τ^d ∘ write`; it conflicts when it IS the
-///   earlier access's word or a pointer word on its traversal — i.e.
-///   some word of `τ^d ∘ write` equals a (non-strict) prefix of
-///   `other`. A *strictly shorter* earlier read of a pointer whose
-///   subtree is later written names a different word and is no
-///   conflict (the deeper traversal-read case is the swapped pair's
-///   write-earlier orientation).
-fn pair_conflict(write: &Path, other: &Path, tau: &Transfer) -> Option<(usize, bool)> {
-    let bound = distance_bound(write, other, tau);
-    let hits = |d: usize| {
-        let step = tau.regex_at_distance(d);
-        if step.clone().then(crate::regex::PathRegex::literal(other)).has_prefix(write) {
-            return true;
-        }
-        let written = step.then(crate::regex::PathRegex::literal(write));
-        (1..=other.len()).any(|k| written.matches(&Path::from(other.accessors()[..k].to_vec())))
-    };
-    let d0 = (1..=bound).find(|&d| hits(d))?;
-    // Persistence: by the prefix-stability argument (once d·|τ|min
-    // exceeds |write|, the reachable prefixes stop changing), testing
-    // one distance past the bound decides all larger distances.
-    Some((d0, hits(bound + 1)))
+/// The distinct `(root, path, write)` classes of `records`, each by
+/// its first record, in first-occurrence order. The conflict test
+/// reads nothing else of a record, so a body that loads one word
+/// sixteen times asks its questions once.
+fn path_classes(records: &[AccessRecord]) -> Vec<&AccessRecord> {
+    let mut seen = HashSet::new();
+    records.iter().filter(|r| seen.insert((r.root, &r.path, r.write))).collect()
+}
+
+/// The pair tests of one parameter: τ's powers as one automaton, deep
+/// enough for the longest pair's bound, and one simulation per
+/// distinct path.
+struct PairEngine<'a> {
+    tau: &'a Transfer,
+    traces: HashMap<&'a Path, PowerTrace>,
+}
+
+impl<'a> PairEngine<'a> {
+    fn new(tau: &'a Transfer, classes: &[&'a AccessRecord], stats: &mut AnalysisStats) -> Self {
+        let longest = |writes_only: bool| {
+            let lens = classes.iter().filter(|c| c.write || !writes_only).map(|c| c.path.len());
+            lens.max().unwrap_or(0)
+        };
+        let deepest = distance_bound(longest(true), longest(false), tau) + 1;
+        let chain = PowerChain::new(&tau.regex(), deepest);
+        stats.automata_built += deepest;
+        let traces = classes.iter().map(|c| (&c.path, chain.trace(&c.path))).collect();
+        PairEngine { tau, traces }
+    }
+
+    /// Detect conflicts between `write` and `other` under τ, returning
+    /// the minimal distance and persistence.
+    ///
+    /// Two orientations, because the flow-insensitive analysis does not
+    /// know which frame runs first:
+    ///
+    /// - **write earlier** (`A₁ ≤ τ^d ∘ A₂`, `A₁` the modification): the
+    ///   write lands on — or strictly above, on the traversal of — the
+    ///   path the invocation `d` frames later accesses. Either the
+    ///   write is a prefix of a string of `τ^d` alone, or it splits
+    ///   into one and a prefix of `other`.
+    /// - **write later**: the word the later invocation writes, seen from
+    ///   the earlier frame, is `τ^d ∘ write`; it conflicts when it IS the
+    ///   earlier access's word or a pointer word on its traversal — i.e.
+    ///   `other` splits into a string of `τ^d`, then `write`, then any
+    ///   rest. A *strictly shorter* earlier read of a pointer whose
+    ///   subtree is later written names a different word and is no
+    ///   conflict (the deeper traversal-read case is the swapped pair's
+    ///   write-earlier orientation).
+    fn test(&self, write: &Path, other: &Path) -> Option<(usize, bool)> {
+        let bound = distance_bound(write.len(), other.len(), self.tau);
+        let (tw, to) = (&self.traces[write], &self.traces[other]);
+        let (w, o) = (write.accessors(), other.accessors());
+        let hits = |d: usize| {
+            tw.is_prefix_in(d)
+                || (0..=w.len()).any(|i| tw.splits_at(i, d) && o.starts_with(&w[i..]))
+                || (0..=o.len())
+                    .any(|i| i + w.len() >= 1 && to.splits_at(i, d) && o[i..].starts_with(w))
+        };
+        let d0 = (1..=bound).find(|&d| hits(d))?;
+        // Persistence: by the prefix-stability argument (once d·|τ|min
+        // exceeds |write|, the reachable prefixes stop changing), testing
+        // one distance past the bound decides all larger distances.
+        Some((d0, hits(bound + 1)))
+    }
 }
 
 /// Run the full conflict analysis for `func`.
@@ -156,37 +195,58 @@ pub fn conflicts_from_parts(
     accesses: &AccessSummary,
     transfers: &TransferSummary,
 ) -> ConflictReport {
-    let mut conflicts: Vec<Conflict> = Vec::new();
-    let mut consider = |w: &AccessRecord, o: &AccessRecord, tau: &Transfer| {
-        if let Some((distance, persistent)) = pair_conflict(&w.path, &o.path, tau) {
-            let kind = if o.write { DependencyKind::WriteWrite } else { DependencyKind::WriteRead };
-            let c = Conflict {
-                root: w.root,
-                write_path: w.path.clone(),
-                other_path: o.path.clone(),
-                kind,
-                distance,
-                persistent,
-            };
-            if !conflicts.contains(&c) {
-                conflicts.push(c);
-            }
+    conflict_report(accesses, transfers, None, &mut AnalysisStats::default())
+}
+
+/// The conflict engine: every write class of a parameter against every
+/// class of that parameter (the paper's formula naturally covers a
+/// write against itself), by the string-prefix test and, under a
+/// canonicalizer, by the canonical-alias test as well.
+pub(crate) fn conflict_report(
+    accesses: &AccessSummary,
+    transfers: &TransferSummary,
+    canon: Option<&Canonicalizer>,
+    stats: &mut AnalysisStats,
+) -> ConflictReport {
+    let classes = path_classes(&accesses.records);
+    stats.path_classes += classes.len();
+    let mut conflicts = Vec::new();
+    let mut aliases = Vec::new();
+    for (root, tau) in transfers.per_param.iter().enumerate() {
+        let mine: Vec<&AccessRecord> = classes.iter().filter(|c| c.root == root).copied().collect();
+        if !mine.iter().any(|c| c.write) {
+            continue;
         }
-    };
-    for w in accesses.writes() {
-        let Some(tau) = transfers.per_param.get(w.root) else { continue };
-        for o in &accesses.records {
-            if o.root != w.root {
-                continue;
+        let engine = PairEngine::new(tau, &mine, stats);
+        let mut shifts = canon.map(|canon| CanonShifts::new(tau, canon));
+        for w in mine.iter().filter(|c| c.write) {
+            for o in &mine {
+                stats.pair_tests += 1;
+                let kind =
+                    if o.write { DependencyKind::WriteWrite } else { DependencyKind::WriteRead };
+                let conflict = |distance, persistent| Conflict {
+                    root,
+                    write_path: w.path.clone(),
+                    other_path: o.path.clone(),
+                    kind,
+                    distance,
+                    persistent,
+                };
+                let plain = engine.test(&w.path, &o.path);
+                if let Some((distance, persistent)) = plain {
+                    conflicts.push(conflict(distance, persistent));
+                }
+                // A canonical alias counts only below the distance the
+                // prefix test already reports for the pair.
+                if let Some(d) = shifts.as_mut().and_then(|s| s.alias_distance(&w.path, &o.path)) {
+                    if plain.is_none_or(|(d0, _)| d < d0) {
+                        aliases.push(conflict(d, false));
+                    }
+                }
             }
-            // Skip the write-write self pairing against itself only if
-            // the paths are identical *and* τ never moves — the write
-            // then names the same location in every invocation, which
-            // IS a conflict; so do not skip anything here. The paper's
-            // formula naturally covers w == o.
-            consider(w, o, tau);
         }
     }
+    conflicts.append(&mut aliases);
     conflicts.sort_by_key(|c| (c.distance, c.root));
     let min_distance = conflicts.first().map(|c| c.distance);
     ConflictReport {

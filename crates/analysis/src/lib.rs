@@ -64,7 +64,10 @@ pub mod sapp;
 pub mod transfer;
 
 pub use access::{collect_accesses, AccessRecord, AccessSummary};
-pub use analyze::{analyze_function, analyze_program, BlockReason, FunctionAnalysis, Verdict};
+pub use analyze::{
+    analyze_function, analyze_function_in, analyze_program, AnalysisStats, BlockReason,
+    FunctionAnalysis, Verdict,
+};
 pub use canon::Canonicalizer;
 pub use canon_conflict::conflicts_with_canon;
 pub use cfg::Cfg;

@@ -32,7 +32,7 @@ use crate::access::AccessSummary;
 use crate::analyze::FunctionAnalysis;
 use crate::conflict::{Conflict, DependencyKind};
 use crate::path::Path;
-use crate::regex::PathRegex;
+use crate::regex::PowerChain;
 use crate::transfer::Transfer;
 
 /// Acquisition mode of a synthesized lock.
@@ -237,13 +237,14 @@ pub fn coincides(write: &Path, tau: &Transfer, q: &Path) -> bool {
         Some(0) => write.len().max(q.len()) + 2,
         Some(step) => (write.len() + q.len()) / step + 2,
     };
-    for d in 1..=bound {
-        let lang = tau.regex_at_distance(d).then(PathRegex::literal(q));
-        if lang.matches(write) {
-            return true;
-        }
+    // `write = u·q` with `u ∈ τ^d`: one simulation of `write` through
+    // τ's powers answers for every `d`.
+    let Some(split) = write.len().checked_sub(q.len()) else { return false };
+    if write.accessors()[split..] != *q.accessors() {
+        return false;
     }
-    false
+    let trace = PowerChain::new(&tau.regex(), bound).trace(write);
+    (1..=bound).any(|d| trace.splits_at(split, d))
 }
 
 /// A lock at `lock` covers an access at `access` when it guards it or

@@ -7,9 +7,12 @@
 //! string in the language (the paper's `≤` against `τ.A₂`)?
 //!
 //! Implementation: Thompson construction to an ε-NFA, subset
-//! simulation for matching, and prefix matching via non-emptiness of
-//! the reachable state set (every Thompson state can reach the accept
-//! state, so a non-empty state set witnesses an extension).
+//! simulation over a bit-set state vector, and prefix matching via a
+//! reached state that can still reach the accept state (which states
+//! can is computed once, when the automaton is built). [`PowerChain`]
+//! holds every power of one regex in a single automaton, so the
+//! conflict test's question about `τᵈ` costs one simulation per path
+//! for all `d` together.
 
 use crate::path::{Accessor, Path};
 use std::fmt;
@@ -103,12 +106,10 @@ impl PathRegex {
 
     /// Compile to an ε-NFA.
     pub fn compile(&self) -> Nfa {
-        let mut nfa = Nfa { states: Vec::new(), start: 0, accept: 0 };
-        let start = nfa.new_state();
-        let accept = nfa.new_state();
-        nfa.start = start;
-        nfa.accept = accept;
-        nfa.build(self, start, accept);
+        let mut nfa = Nfa::unit();
+        nfa.accept = nfa.new_state();
+        nfa.build(self, nfa.start, nfa.accept);
+        nfa.seal();
         nfa
     }
 
@@ -166,14 +167,49 @@ enum Label {
     AnyLetter,
 }
 
+/// A fixed-width bit set over state (or junction) indices.
+#[derive(Clone)]
+struct Bits(Vec<u64>);
+
+impl Bits {
+    fn new(width: usize) -> Bits {
+        Bits(vec![0; width.div_ceil(64)])
+    }
+
+    fn set(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn get(&self, i: usize) -> bool {
+        self.0.get(i / 64).is_some_and(|w| w & (1 << (i % 64)) != 0)
+    }
+
+    fn clear(&mut self) {
+        self.0.fill(0);
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.0.len() * 64).filter(|&i| self.get(i))
+    }
+}
+
 /// A Thompson ε-NFA over the accessor alphabet.
 pub struct Nfa {
     states: Vec<Vec<(Label, usize)>>,
     start: usize,
     accept: usize,
+    /// The states `accept` is reachable from, computed when the
+    /// automaton is built.
+    live: Bits,
 }
 
 impl Nfa {
+    /// One state, both start and accept, to build on; [`Nfa::seal`]
+    /// finishes the automaton.
+    fn unit() -> Nfa {
+        Nfa { states: vec![Vec::new()], start: 0, accept: 0, live: Bits::new(0) }
+    }
+
     fn new_state(&mut self) -> usize {
         self.states.push(Vec::new());
         self.states.len() - 1
@@ -232,89 +268,153 @@ impl Nfa {
         }
     }
 
-    fn eps_closure(&self, set: &mut [bool]) {
-        let mut work: Vec<usize> =
-            set.iter().enumerate().filter_map(|(i, &b)| b.then_some(i)).collect();
-        while let Some(s) = work.pop() {
-            for &(label, to) in &self.states[s] {
-                if label == Label::Eps && !set[to] {
-                    set[to] = true;
-                    work.push(to);
-                }
-            }
-        }
-    }
-
-    fn step(&self, set: &[bool], letter: Accessor) -> Vec<bool> {
-        let mut next = vec![false; self.states.len()];
-        for (s, &active) in set.iter().enumerate() {
-            if !active {
-                continue;
-            }
-            for &(label, to) in &self.states[s] {
-                let hit = match label {
-                    Label::Eps => false,
-                    Label::AnyLetter => true,
-                    Label::Letter(a) => a == letter,
-                };
-                if hit {
-                    next[to] = true;
-                }
-            }
-        }
-        self.eps_closure(&mut next);
-        next
-    }
-
-    fn run(&self, path: &Path) -> Vec<bool> {
-        let mut set = vec![false; self.states.len()];
-        set[self.start] = true;
-        self.eps_closure(&mut set);
-        for &a in path.accessors() {
-            set = self.step(&set, a);
-            if set.iter().all(|&b| !b) {
-                break;
-            }
-        }
-        set
-    }
-
-    /// Exact acceptance.
-    pub fn matches(&self, path: &Path) -> bool {
-        self.run(path)[self.accept]
-    }
-
-    /// True if `path` can be extended to an accepted string. A
-    /// non-empty state set suffices for prefix acceptance only when
-    /// every live state can reach the accept state — true by Thompson
-    /// construction, but we verify reachability explicitly to stay
-    /// robust against future construction changes.
-    pub fn accepts_prefix(&self, path: &Path) -> bool {
-        let set = self.run(path);
-        let can_reach = self.states_reaching_accept();
-        set.iter().enumerate().any(|(i, &b)| b && can_reach[i])
-    }
-
-    fn states_reaching_accept(&self) -> Vec<bool> {
-        // Reverse reachability from accept over all edge kinds.
+    /// Finish construction: record which states can reach `accept`
+    /// (reverse reachability over all edge kinds). Prefix acceptance
+    /// needs it — a non-empty state set witnesses an extension only
+    /// through a state that can still reach the accept state. Every
+    /// Thompson state can, but the test does not rely on that.
+    fn seal(&mut self) {
         let mut rev: Vec<Vec<usize>> = vec![Vec::new(); self.states.len()];
         for (s, edges) in self.states.iter().enumerate() {
             for &(_, to) in edges {
                 rev[to].push(s);
             }
         }
-        let mut seen = vec![false; self.states.len()];
-        seen[self.accept] = true;
+        let mut live = Bits::new(self.states.len());
+        live.set(self.accept);
         let mut work = vec![self.accept];
         while let Some(s) = work.pop() {
             for &p in &rev[s] {
-                if !seen[p] {
-                    seen[p] = true;
+                if !live.get(p) {
+                    live.set(p);
                     work.push(p);
                 }
             }
         }
-        seen
+        self.live = live;
+    }
+
+    /// Close `set` under ε-edges; `work` holds the states just added.
+    fn eps_closure(&self, set: &mut Bits, work: &mut Vec<usize>) {
+        while let Some(s) = work.pop() {
+            for &(label, to) in &self.states[s] {
+                if label == Label::Eps && !set.get(to) {
+                    set.set(to);
+                    work.push(to);
+                }
+            }
+        }
+    }
+
+    /// Overwrite `next` with the states reached from `cur` on `letter`.
+    fn step(&self, cur: &Bits, letter: Accessor, next: &mut Bits, work: &mut Vec<usize>) {
+        next.clear();
+        for s in cur.iter() {
+            for &(label, to) in &self.states[s] {
+                let hit = match label {
+                    Label::Eps => false,
+                    Label::AnyLetter => true,
+                    Label::Letter(a) => a == letter,
+                };
+                if hit && !next.get(to) {
+                    next.set(to);
+                    work.push(to);
+                }
+            }
+        }
+        self.eps_closure(next, work);
+    }
+
+    /// The state set after `path`, calling `visit` on the set before
+    /// the first letter and after each one.
+    fn run(&self, path: &Path, mut visit: impl FnMut(&Bits)) -> Bits {
+        let mut work = vec![self.start];
+        let mut cur = Bits::new(self.states.len());
+        let mut next = cur.clone();
+        cur.set(self.start);
+        self.eps_closure(&mut cur, &mut work);
+        visit(&cur);
+        for &a in path.accessors() {
+            self.step(&cur, a, &mut next, &mut work);
+            std::mem::swap(&mut cur, &mut next);
+            visit(&cur);
+        }
+        cur
+    }
+
+    /// Exact acceptance.
+    pub fn matches(&self, path: &Path) -> bool {
+        self.run(path, |_| ()).get(self.accept)
+    }
+
+    /// True if `path` can be extended to an accepted string: some
+    /// state reached by it can still reach the accept state.
+    pub fn accepts_prefix(&self, path: &Path) -> bool {
+        self.run(path, |_| ()).iter().any(|s| self.live.get(s))
+    }
+}
+
+/// The powers `r⁰, r¹, …, rᴰ` of one regex as a single automaton:
+/// copies of `r` chained through *junction* states, junction `k`
+/// reached by exactly the strings of `rᵏ`. The conflict test asks the
+/// same questions of `τᵈ` for every distance `d` up to a bound; here
+/// `τᵈ` is `τᵈ⁻¹` with one more copy appended, and one simulation of a
+/// path ([`PowerChain::trace`]) answers them for every `d` at once.
+pub struct PowerChain {
+    /// Start = junction 0, accept = the last junction.
+    nfa: Nfa,
+    junctions: Vec<usize>,
+    /// Per state, the index of the first junction at or after it: a
+    /// live state of level `c` reaches junction `k` iff `c ≤ k`.
+    level: Vec<usize>,
+}
+
+impl PowerChain {
+    /// The chain of `step` up to `step^depth`.
+    pub fn new(step: &PathRegex, depth: usize) -> PowerChain {
+        let mut nfa = Nfa::unit();
+        let (mut junctions, mut level) = (vec![0], vec![0]);
+        for k in 1..=depth {
+            let to = nfa.new_state();
+            nfa.build(step, nfa.accept, to);
+            nfa.accept = to;
+            junctions.push(to);
+            level.resize(nfa.states.len(), k);
+        }
+        nfa.seal();
+        PowerChain { nfa, junctions, level }
+    }
+
+    /// Simulate `path` once through the chain.
+    pub fn trace(&self, path: &Path) -> PowerTrace {
+        let mut splits = Vec::with_capacity(path.len() + 1);
+        let at_junctions = |set: &Bits| self.junctions.iter().map(|&j| set.get(j)).collect();
+        let end = self.nfa.run(path, |set| splits.push(at_junctions(set)));
+        let prefix_from = end.iter().filter(|&s| self.nfa.live.get(s)).map(|s| self.level[s]).min();
+        PowerTrace { splits, prefix_from }
+    }
+}
+
+/// What one simulation of a path through a [`PowerChain`] of `r`
+/// learned, for every power `k` up to the chain's depth.
+pub struct PowerTrace {
+    /// `splits[i][k]`: is `path[..i]` a string of `rᵏ`?
+    splits: Vec<Vec<bool>>,
+    /// The smallest `k` such that the whole path is a prefix of some
+    /// string of `rᵏ` — then it is one for every larger `k` too, since
+    /// a string of `rᵏ` extends to one of `rᵏ⁺¹`.
+    prefix_from: Option<usize>,
+}
+
+impl PowerTrace {
+    /// Is `path[..i]` a string of `rᵏ`?
+    pub fn splits_at(&self, i: usize, k: usize) -> bool {
+        self.splits[i][k]
+    }
+
+    /// Is the whole path a prefix of some string of `rᵏ`?
+    pub fn is_prefix_in(&self, k: usize) -> bool {
+        self.prefix_from.is_some_and(|from| from <= k)
     }
 }
 

@@ -2,22 +2,22 @@
 //! pipeline uses and surface its conservative assumptions as
 //! [`Diagnostic`]s instead of silently degraded concurrency.
 //!
-//! The collector never transforms anything; it parses, lowers, and
-//! analyzes exactly the way `curare transform` would, plus one step
-//! the pipeline skips entirely: loading the program sequentially and
-//! walking its `defparameter` roots for single-access-path-property
-//! violations (C002), the aliasing the conflict analysis *assumes*
-//! away (§2.1).
+//! The collector runs the real pipeline once and reads what it
+//! learned — the analysis behind each function's verdict and the
+//! devices it chose — rather than analysing the program a second
+//! time, plus one step the pipeline skips entirely: loading the
+//! program sequentially and walking its `defparameter` roots for
+//! single-access-path-property violations (C002), the aliasing the
+//! conflict analysis *assumes* away (§2.1).
 
 use std::collections::BTreeSet;
 
-use curare_analysis::analyze::analyze_function_with_canon;
 use curare_analysis::canon::resolve_letters;
 use curare_analysis::{Canonicalizer, DeclDb, Transfer};
 use curare_lisp::ast::{Expr, Program};
 use curare_lisp::{Heap, Interp, Lowerer, Val};
 use curare_sexpr::{parse_all, Sexpr};
-use curare_transform::Curare;
+use curare_transform::{Curare, CurareOutput};
 
 use crate::diag::{Code, Diagnostic, DiagnosticSet};
 
@@ -35,8 +35,23 @@ impl std::fmt::Display for CheckError {
 
 impl std::error::Error for CheckError {}
 
+/// One checked file: the findings, and what they were read from.
+pub(crate) struct Checked {
+    pub diags: DiagnosticSet,
+    pub prog: Program,
+    pub decls: DeclDb,
+    /// The pipeline's output. A transform failure is not a check
+    /// failure: the diagnostics that need no analysis stand on their
+    /// own.
+    pub restructured: Option<CurareOutput>,
+}
+
 /// Check one source file; `file` labels the findings.
 pub fn check_source(file: &str, src: &str) -> Result<DiagnosticSet, CheckError> {
+    Ok(check_program(file, src)?.diags)
+}
+
+pub(crate) fn check_program(file: &str, src: &str) -> Result<Checked, CheckError> {
     let forms = parse_all(src).map_err(|e| CheckError(format!("parse error: {e}")))?;
     let heap = Heap::new();
     let prog = {
@@ -44,13 +59,16 @@ pub fn check_source(file: &str, src: &str) -> Result<DiagnosticSet, CheckError> 
         lw.lower_program(&forms).map_err(|e| CheckError(e.to_string()))?
     };
     let decls = DeclDb::from_program(&prog).map_err(|e| CheckError(e.to_string()))?;
+    let restructured = Curare::new().transform_forms(&forms).ok();
 
-    let mut set = DiagnosticSet::new(file);
-    collect_decl_diags(&mut set, &decls, &heap, &forms);
-    collect_function_diags(&mut set, &prog, &decls, &heap);
-    collect_unsynced_tails(&mut set, &forms);
-    collect_sapp_diags(&mut set, src, &decls);
-    Ok(set)
+    let mut diags = DiagnosticSet::new(file);
+    collect_decl_diags(&mut diags, &decls, &heap, &forms);
+    collect_function_diags(&mut diags, &prog, restructured.as_ref());
+    if let Some(out) = &restructured {
+        collect_unsynced_tails(&mut diags, out);
+    }
+    collect_sapp_diags(&mut diags, src, &decls);
+    Ok(Checked { diags, prog, decls, restructured })
 }
 
 /// C003 + C004: declarations that silently do nothing.
@@ -102,16 +120,16 @@ fn uses_symbol(form: &Sexpr, op: &str) -> bool {
     }
 }
 
-/// C001 + C006: per-function analysis warnings.
-fn collect_function_diags(set: &mut DiagnosticSet, prog: &Program, decls: &DeclDb, heap: &Heap) {
-    let canon = (!decls.inverse_pairs().is_empty()).then(|| Canonicalizer::from_decls(decls, heap));
+/// C001 + C006: per-function analysis warnings. The pipeline analysed
+/// one function per defun, in `prog.funcs` order.
+fn collect_function_diags(set: &mut DiagnosticSet, prog: &Program, out: Option<&CurareOutput>) {
     let defined: BTreeSet<&str> = prog.funcs.iter().map(|f| f.name.as_str()).collect();
 
-    for func in &prog.funcs {
-        let analysis = analyze_function_with_canon(func, decls, canon.as_ref());
+    for (i, func) in prog.funcs.iter().enumerate() {
         let span = format!("function {}", func.name);
 
-        if analysis.head_tail.recursive_calls > 0 {
+        let analysis = out.and_then(|out| out.analyses.get(i));
+        if let Some(analysis) = analysis.filter(|a| a.head_tail.recursive_calls > 0) {
             for (i, t) in analysis.transfers.per_param.iter().enumerate() {
                 if matches!(t, Transfer::Unknown) {
                     let param = func.params.get(i).map(String::as_str).unwrap_or("?");
@@ -165,15 +183,10 @@ fn collect_function_diags(set: &mut DiagnosticSet, prog: &Program, decls: &DeclD
     }
 }
 
-/// C005: run the real pipeline and report functions whose
-/// order-sensitive post-call writes survived delay but were refused by
-/// future synchronization, leaving them sequential.
-fn collect_unsynced_tails(set: &mut DiagnosticSet, forms: &[Sexpr]) {
-    // A transform failure here is not a check failure: the static
-    // diagnostics above already stand on their own.
-    let Ok(out) = Curare::new().transform_forms(forms) else {
-        return;
-    };
+/// C005: functions whose order-sensitive post-call writes survived
+/// delay but were refused by future synchronization, leaving them
+/// sequential.
+fn collect_unsynced_tails(set: &mut DiagnosticSet, out: &CurareOutput) {
     for report in &out.reports {
         if report.unsynced_tail {
             set.push(

@@ -1,8 +1,8 @@
 //! The lock-placement certifier behind `curare check --locks`
 //! (C007/C008).
 //!
-//! For every recursive function with conflicts, the certifier
-//! re-derives the placement the pipeline would run under — the
+//! For every recursive function the pipeline found conflicts in, the
+//! certifier re-derives the placement it would run under — the
 //! programmer's declared `(locks f ...)` placement when one exists,
 //! the synthesized CRI placement otherwise — and re-checks it against
 //! the conflict report with `curare_analysis::locksynth::certify`:
@@ -23,15 +23,11 @@
 //! reported as machine-checkable `curare-locks/1` documents but raise
 //! nothing.
 
-use curare_analysis::analyze::analyze_function_with_canon;
 use curare_analysis::locksynth::{certify, declared_placement, synthesize, OrderingContext};
-use curare_analysis::{Canonicalizer, DeclDb};
-use curare_lisp::{Heap, Lowerer};
 use curare_obs::Json;
-use curare_sexpr::parse_all;
-use curare_transform::{Curare, Device};
+use curare_transform::Device;
 
-use crate::collect::{check_source, CheckError};
+use crate::collect::{check_program, CheckError, Checked};
 use crate::diag::{Code, Diagnostic, DiagnosticSet};
 
 /// The `--locks` result: the ordinary diagnostics plus the certifier's
@@ -45,45 +41,30 @@ pub struct LockCertReport {
     pub placements: Vec<Json>,
 }
 
-/// Run `check_source` plus the lock-placement certifier.
+/// Run `check_source` plus the lock-placement certifier, on the
+/// analyses and device choices of the one pipeline run behind both.
 pub fn check_locks_source(file: &str, src: &str) -> Result<LockCertReport, CheckError> {
-    let mut diags = check_source(file, src)?;
-
-    let forms = parse_all(src).map_err(|e| CheckError(format!("parse error: {e}")))?;
-    let heap = Heap::new();
-    let prog = {
-        let mut lw = Lowerer::new(&heap);
-        lw.lower_program(&forms).map_err(|e| CheckError(e.to_string()))?
-    };
-    let decls = DeclDb::from_program(&prog).map_err(|e| CheckError(e.to_string()))?;
-    let canon =
-        (!decls.inverse_pairs().is_empty()).then(|| Canonicalizer::from_decls(&decls, &heap));
-    // Which functions does the pipeline actually lock? (Declared
-    // placements are audited regardless.)
-    let transformed = Curare::new().transform_forms(&forms).ok();
-    let pipeline_locks = |name: &str| {
-        transformed
-            .as_ref()
-            .and_then(|out| out.report(name))
-            .is_some_and(|r| r.devices.iter().any(|d| matches!(d, Device::Locks(_))))
-    };
+    let Checked { mut diags, prog, decls, restructured } = check_program(file, src)?;
 
     let mut placements = Vec::new();
-    for func in &prog.funcs {
-        let analysis = analyze_function_with_canon(func, &decls, canon.as_ref());
+    let Some(out) = restructured else { return Ok(LockCertReport { diags, placements }) };
+    for ((func, analysis), report) in prog.funcs.iter().zip(&out.analyses).zip(&out.reports) {
         if analysis.conflicts.conflicts.is_empty() {
             continue;
         }
         let params: Vec<&str> = func.params.iter().map(String::as_str).collect();
         let declared = decls.lock_placement(&analysis.name);
         let placement = match declared {
-            Some(d) => declared_placement(&analysis, &params, d, OrderingContext::cri()),
-            None => synthesize(&analysis, &params, OrderingContext::cri()),
+            Some(d) => declared_placement(analysis, &params, d, OrderingContext::cri()),
+            None => synthesize(analysis, &params, OrderingContext::cri()),
         };
-        let in_force = declared.is_some() || pipeline_locks(&analysis.name);
+        // Which functions does the pipeline actually lock? (Declared
+        // placements are audited regardless.)
+        let in_force =
+            declared.is_some() || report.devices.iter().any(|d| matches!(d, Device::Locks(_)));
         if in_force {
             let span = format!("function {}", analysis.name);
-            for issue in certify(&placement, &analysis) {
+            for issue in certify(&placement, analysis) {
                 let code = if issue.unsound { Code::C007 } else { Code::C008 };
                 diags.push(Diagnostic::new(code, span.clone(), issue.message).with_related(
                     format!(

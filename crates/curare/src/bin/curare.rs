@@ -162,6 +162,25 @@ fn report_line(r: &curare::transform::FunctionReport) -> String {
     line
 }
 
+/// The summary lines of one restructuring: each function, then what
+/// the analysis behind them cost.
+fn print_reports(out: &curare::transform::CurareOutput, with_feedback: bool) {
+    for r in &out.reports {
+        eprintln!("{}", report_line(r));
+        if with_feedback && !r.converted {
+            for line in r.feedback.lines() {
+                eprintln!(";;   {line}");
+            }
+        }
+    }
+    let s = out.stats;
+    eprintln!(
+        ";; analysis: {} functions analysed, {} path classes, {} pair tests, {} automata built, \
+         {} probe lowerings",
+        s.functions_analysed, s.path_classes, s.pair_tests, s.automata_built, s.probe_lowerings
+    );
+}
+
 fn transform(args: &[String]) -> Result<(), String> {
     let speculate = args.iter().any(|a| a == "--speculate");
     let files: Vec<String> = args.iter().filter(|a| *a != "--speculate").cloned().collect();
@@ -171,14 +190,7 @@ fn transform(args: &[String]) -> Result<(), String> {
         .transform_source(&src)
         .map_err(|e| e.to_string())?;
     print!("{}", out.source());
-    for r in &out.reports {
-        eprintln!("{}", report_line(r));
-        if !r.converted {
-            for line in r.feedback.lines() {
-                eprintln!(";;   {line}");
-            }
-        }
-    }
+    print_reports(&out, true);
     Ok(())
 }
 
@@ -299,9 +311,7 @@ fn run(args: &[String]) -> Result<(), String> {
             .with_speculation(speculate)
             .transform_source(&src)
             .map_err(|e| e.to_string())?;
-        for r in &out.reports {
-            eprintln!("{}", report_line(r));
-        }
+        print_reports(&out, false);
         out.source()
     };
     let v = interp.load_str(&loaded_src).map_err(|e| e.to_string())?;

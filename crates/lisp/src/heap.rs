@@ -14,10 +14,10 @@
 //! workload.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 use crate::sync::RwLock;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::arena::AtomicArena;
 use crate::chash::LispHash;
@@ -70,6 +70,24 @@ struct SymbolTable {
     ids: HashMap<&'static str, SymId>,
 }
 
+/// `name` with the lifetime of the process, which is what lets
+/// [`Heap::sym_name`] hand out `&'static str`. The leak is deliberate
+/// and bounded by the distinct identifiers the process ever loads: a
+/// name is leaked once, however many heaps intern it (a heap per
+/// restructuring and per interpreter used to leak its own copy each).
+fn process_name(name: &str) -> &'static str {
+    static NAMES: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
+    // A panic elsewhere cannot leave the set half-updated: `insert` is
+    // its only mutation.
+    let mut names = NAMES.get_or_init(Default::default).lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(&known) = names.get(name) {
+        return known;
+    }
+    let leaked: &'static str = Box::leak(name.into());
+    names.insert(leaked);
+    leaked
+}
+
 impl Heap {
     /// A fresh, empty heap.
     pub fn new() -> Self {
@@ -97,10 +115,7 @@ impl Heap {
         if let Some(&id) = table.ids.get(name) {
             return id;
         }
-        // Leak the name: symbol names live as long as the process.
-        // The count is bounded by distinct identifiers in loaded
-        // programs, so this is a deliberate, tiny leak.
-        let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
+        let leaked = process_name(name);
         let id = table.names.len() as SymId;
         table.names.push(leaked);
         table.ids.insert(leaked, id);

@@ -27,8 +27,9 @@
 //! concurrency) but the moved statements need no synchronization.
 
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
-use curare_analysis::{analyze_function, collect_accesses, AccessSummary, DeclDb, Path};
+use curare_analysis::{collect_accesses, AccessSummary, FunctionAnalysis, Path};
 use curare_lisp::{Heap, Lowerer};
 use curare_sexpr::Sexpr;
 
@@ -43,63 +44,92 @@ pub struct DelayResult {
     pub moved: usize,
 }
 
-/// Move post-call statements into the head where safe.
-pub fn delay_transform(heap: &Heap, form: &Sexpr, decls: &DeclDb) -> Option<DelayResult> {
+/// Move post-call statements into the head where safe. `analysis` is
+/// the analysis of `form` itself: the locations its conflicts name are
+/// the ones whose writers must stay where they are.
+pub fn delay_transform(
+    form: &Sexpr,
+    analysis: &FunctionAnalysis,
+    probes: &mut Probes<'_>,
+) -> Option<DelayResult> {
     let parts = sx::parse_defun(form)?;
-    let fname = parts.name.to_string();
-    let params: Vec<String> = parts.params.iter().map(|p| p.to_string()).collect();
 
     // Locations involved in cross-invocation conflicts: statements
     // writing them are order-sensitive and must not move.
-    let conflicting: BTreeSet<(usize, Path)> = {
-        let mut lw = Lowerer::new(heap);
-        let prog = lw.lower_program(std::slice::from_ref(form)).ok()?;
-        let analysis = analyze_function(prog.funcs.first()?, decls);
-        analysis
-            .conflicts
-            .conflicts
-            .iter()
-            .flat_map(|c| [(c.root, c.write_path.clone()), (c.root, c.other_path.clone())])
-            .collect()
-    };
+    let conflicting: BTreeSet<(usize, Path)> = analysis
+        .conflicts
+        .conflicts
+        .iter()
+        .flat_map(|c| [(c.root, c.write_path.clone()), (c.root, c.other_path.clone())])
+        .collect();
 
     let mut moved = 0usize;
-    let ctx = Ctx { fname: &fname, params: &params, conflicting: &conflicting };
+    let mut ctx = Ctx { fname: parts.name, conflicting: &conflicting, probes };
     let new_body: Vec<Sexpr> = reorder_seq(
-        heap,
-        &ctx,
+        &mut ctx,
         &parts.body.iter().map(|&b| b.clone()).collect::<Vec<_>>(),
         &mut moved,
     );
     if moved == 0 {
         return None;
     }
-    Some(DelayResult { form: sx::make_defun(&fname, &params, &parts.declares, new_body), moved })
+    Some(DelayResult {
+        form: sx::make_defun(parts.name, &parts.params, &parts.declares, new_body),
+        moved,
+    })
 }
 
 /// Shared context for the motion walk.
-struct Ctx<'a> {
+struct Ctx<'a, 'h> {
     fname: &'a str,
-    params: &'a [String],
     conflicting: &'a BTreeSet<(usize, Path)>,
+    probes: &'a mut Probes<'h>,
 }
 
-/// Access summary of arbitrary forms, obtained by lowering a probe
-/// function with the same parameter list.
-pub(crate) fn probe_accesses(
-    heap: &Heap,
-    params: &[String],
-    forms: &[Sexpr],
-) -> Option<AccessSummary> {
-    let mut items = vec![
-        sx::sym("defun"),
-        sx::sym("%curare-probe"),
-        Sexpr::List(params.iter().map(sx::sym).collect()),
-    ];
-    items.extend(forms.iter().cloned());
-    let mut lw = Lowerer::new(heap);
-    let prog = lw.lower_program(&[Sexpr::List(items)]).ok()?;
-    Some(collect_accesses(prog.funcs.first()?))
+/// Access summaries of statements of one defun, each obtained by
+/// lowering a probe function with the defun's parameter list — once:
+/// the devices ask about the same statements again and again (delay
+/// about every candidate and the call arguments it would cross, the
+/// order-insensitivity gate about every tail statement, the bracket
+/// walk about every statement), and a summary depends on nothing but
+/// the statement, the parameters and the heap's struct registry, so it
+/// outlives every rewrite of the enclosing form.
+pub struct Probes<'h> {
+    pub(crate) heap: &'h Heap,
+    params: Vec<String>,
+    seen: Vec<(Vec<Sexpr>, Option<Rc<AccessSummary>>)>,
+}
+
+impl<'h> Probes<'h> {
+    /// An empty cache for the statements of the defun `form`; `None`
+    /// if it is not one.
+    pub fn for_defun(heap: &'h Heap, form: &Sexpr) -> Option<Self> {
+        let params = sx::parse_defun(form)?.params.iter().map(|p| p.to_string()).collect();
+        Some(Probes { heap, params, seen: Vec::new() })
+    }
+
+    /// How many probe functions were lowered.
+    pub fn lowerings(&self) -> usize {
+        self.seen.len()
+    }
+
+    /// Access summary of `forms` evaluated in sequence; `None` if they
+    /// do not lower.
+    pub fn accesses(&mut self, forms: &[Sexpr]) -> Option<Rc<AccessSummary>> {
+        if let Some((_, known)) = self.seen.iter().find(|(f, _)| f == forms) {
+            return known.clone();
+        }
+        let mut items = vec![
+            sx::sym("defun"),
+            sx::sym("%curare-probe"),
+            Sexpr::List(self.params.iter().map(sx::sym).collect()),
+        ];
+        items.extend(forms.iter().cloned());
+        let lowered = Lowerer::new(self.heap).lower_program(&[Sexpr::List(items)]).ok();
+        let summary = lowered.and_then(|p| Some(Rc::new(collect_accesses(p.funcs.first()?))));
+        self.seen.push((forms.to_vec(), summary.clone()));
+        summary
+    }
 }
 
 /// Do any of `a`'s writes overlap `b`'s accesses (same parameter root,
@@ -113,7 +143,7 @@ fn writes_overlap(a: &AccessSummary, b: &AccessSummary) -> bool {
 
 /// Can `stmt` move before the self-calls whose argument expressions
 /// are `call_args`?
-fn movable(heap: &Heap, ctx: &Ctx, stmt: &Sexpr, call_args: &[Sexpr]) -> bool {
+fn movable(ctx: &mut Ctx, stmt: &Sexpr, call_args: &[Sexpr]) -> bool {
     // Atoms have no effects; leaving them in place is always right.
     if !matches!(stmt, Sexpr::List(items) if !items.is_empty()) {
         return false;
@@ -121,7 +151,7 @@ fn movable(heap: &Heap, ctx: &Ctx, stmt: &Sexpr, call_args: &[Sexpr]) -> bool {
     if sx::mentions_call(stmt, ctx.fname) {
         return false;
     }
-    let Some(stmt_acc) = probe_accesses(heap, ctx.params, std::slice::from_ref(stmt)) else {
+    let Some(stmt_acc) = ctx.probes.accesses(std::slice::from_ref(stmt)) else {
         return false;
     };
     // Unanalyzable effects: refuse to move.
@@ -133,7 +163,7 @@ fn movable(heap: &Heap, ctx: &Ctx, stmt: &Sexpr, call_args: &[Sexpr]) -> bool {
     if stmt_acc.writes().any(|w| ctx.conflicting.contains(&(w.root, w.path.clone()))) {
         return false;
     }
-    let Some(args_acc) = probe_accesses(heap, ctx.params, call_args) else {
+    let Some(args_acc) = ctx.probes.accesses(call_args) else {
         return false;
     };
     !writes_overlap(&stmt_acc, &args_acc)
@@ -160,9 +190,9 @@ fn self_call_args(form: &Sexpr, fname: &str) -> Vec<Sexpr> {
 }
 
 /// Reorder one statement sequence and recurse into nested sequences.
-fn reorder_seq(heap: &Heap, ctx: &Ctx, stmts: &[Sexpr], moved: &mut usize) -> Vec<Sexpr> {
+fn reorder_seq(ctx: &mut Ctx, stmts: &[Sexpr], moved: &mut usize) -> Vec<Sexpr> {
     // First recurse into each statement's own nested sequences.
-    let stmts: Vec<Sexpr> = stmts.iter().map(|s| reorder_inner(heap, ctx, s, moved)).collect();
+    let stmts: Vec<Sexpr> = stmts.iter().map(|s| reorder_inner(ctx, s, moved)).collect();
 
     let Some(first_call) = stmts.iter().position(|s| sx::mentions_call(s, ctx.fname)) else {
         return stmts;
@@ -180,7 +210,7 @@ fn reorder_seq(heap: &Heap, ctx: &Ctx, stmts: &[Sexpr], moved: &mut usize) -> Ve
         if sx::mentions_call(s, ctx.fname) {
             rest.push(s.clone());
             last_was_hoisted = false;
-        } else if !blocked && movable(heap, ctx, s, &call_args) {
+        } else if !blocked && movable(ctx, s, &call_args) {
             hoisted.push(s.clone());
             *moved += 1;
             last_was_hoisted = is_last;
@@ -211,7 +241,7 @@ fn reorder_seq(heap: &Heap, ctx: &Ctx, stmts: &[Sexpr], moved: &mut usize) -> Ve
 }
 
 /// Recurse into the sequence-bearing positions of one statement.
-fn reorder_inner(heap: &Heap, ctx: &Ctx, form: &Sexpr, moved: &mut usize) -> Sexpr {
+fn reorder_inner(ctx: &mut Ctx, form: &Sexpr, moved: &mut usize) -> Sexpr {
     let Some(items) = form.as_list() else { return form.clone() };
     let Some(head) = items.first().and_then(Sexpr::as_symbol) else {
         return form.clone();
@@ -223,7 +253,7 @@ fn reorder_inner(heap: &Heap, ctx: &Ctx, form: &Sexpr, moved: &mut usize) -> Sex
                 return form.clone();
             }
             let mut out = items[..fixed].to_vec();
-            out.extend(reorder_seq(heap, ctx, &items[fixed..], moved));
+            out.extend(reorder_seq(ctx, &items[fixed..], moved));
             Sexpr::List(out)
         }
         "cond" => {
@@ -232,7 +262,7 @@ fn reorder_inner(heap: &Heap, ctx: &Ctx, form: &Sexpr, moved: &mut usize) -> Sex
                 match clause.as_list() {
                     Some(cl) if cl.len() > 1 => {
                         let mut new_cl = vec![cl[0].clone()];
-                        new_cl.extend(reorder_seq(heap, ctx, &cl[1..], moved));
+                        new_cl.extend(reorder_seq(ctx, &cl[1..], moved));
                         out.push(Sexpr::List(new_cl));
                     }
                     _ => out.push(clause.clone()),
@@ -243,7 +273,7 @@ fn reorder_inner(heap: &Heap, ctx: &Ctx, form: &Sexpr, moved: &mut usize) -> Sex
         "if" => {
             let mut out = vec![items[0].clone()];
             for a in &items[1..] {
-                out.push(reorder_inner(heap, ctx, a, moved));
+                out.push(reorder_inner(ctx, a, moved));
             }
             Sexpr::List(out)
         }
@@ -319,11 +349,14 @@ pub fn has_tail_statements(form: &Sexpr, fname: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use curare_analysis::DeclDb;
     use curare_sexpr::parse_one;
 
     fn delay(src: &str) -> Option<DelayResult> {
         let heap = Heap::new();
-        delay_transform(&heap, &parse_one(src).unwrap(), &DeclDb::new())
+        let form = parse_one(src).unwrap();
+        let analysis = crate::locks::analyze_defun(&heap, &form, &DeclDb::new()).unwrap();
+        delay_transform(&form, &analysis, &mut Probes::for_defun(&heap, &form).unwrap())
     }
 
     #[test]

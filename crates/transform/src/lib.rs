@@ -43,7 +43,7 @@ pub mod reorder;
 pub mod sx;
 
 pub use cri::{cri_convert, cri_convert_handoff, CriError, CriResult};
-pub use delay::{delay_transform, has_tail_statements, DelayResult};
+pub use delay::{delay_transform, has_tail_statements, DelayResult, Probes};
 pub use dps::{dps_transform, DpsError, DpsResult};
 pub use fold::{fold_to_walker, FoldError, FoldResult};
 pub use futuresync::{future_sync, FutureSyncResult};

@@ -30,7 +30,7 @@ use curare_analysis::{analyze_function, DeclDb, FunctionAnalysis, Path};
 use curare_lisp::{Heap, Lowerer};
 use curare_sexpr::Sexpr;
 
-use crate::delay::probe_accesses;
+use crate::delay::Probes;
 use crate::sx;
 
 /// One lock the transform inserted.
@@ -115,10 +115,9 @@ pub fn placement_specs(placement: &Placement) -> Vec<LockSpec> {
 }
 
 /// State for the statement-bracket walk.
-struct PlaceCtx<'a> {
-    heap: &'a Heap,
+struct PlaceCtx<'a, 'h> {
+    probes: &'a mut Probes<'h>,
     fname: &'a str,
-    params: Vec<String>,
     specs: &'a [LockSpec],
     /// Merge adjacent same-lock-set brackets (see [`insert_placement`]).
     coalesce: bool,
@@ -130,11 +129,11 @@ struct PlaceCtx<'a> {
     violations: Vec<String>,
 }
 
-impl PlaceCtx<'_> {
+impl PlaceCtx<'_, '_> {
     /// Locks covering any access of `forms` (ε-free specs; a lock
     /// covers an access to `p` when its path is a prefix of `p`).
-    fn covering(&self, forms: &[Sexpr]) -> Option<Vec<LockSpec>> {
-        let probe = probe_accesses(self.heap, &self.params, forms)?;
+    fn covering(&mut self, forms: &[Sexpr]) -> Option<Vec<LockSpec>> {
+        let probe = self.probes.accesses(forms)?;
         let mut out = Vec::new();
         for spec in self.specs {
             let hit = probe
@@ -191,7 +190,7 @@ impl PlaceCtx<'_> {
             self.counter += 1;
             bindings.push(Sexpr::List(vec![
                 sx::sym(tmp.clone()),
-                sx::path_to_expr(&spec.root_name, &cell_path, self.heap),
+                sx::path_to_expr(&spec.root_name, &cell_path, self.probes.heap),
             ]));
             let (lock_head, unlock_head) = if spec.exclusive {
                 ("cri-lock", "cri-unlock")
@@ -214,7 +213,7 @@ impl PlaceCtx<'_> {
     /// it? `None` for control shapes, call-bearing statements and
     /// unanalyzable or uncovered leaves — those take the ordinary
     /// [`Self::place_stmt`] route (which audits them as needed).
-    fn leaf_covering(&self, form: &Sexpr) -> Option<Vec<LockSpec>> {
+    fn leaf_covering(&mut self, form: &Sexpr) -> Option<Vec<LockSpec>> {
         if atom_or_quoted(form) {
             return None;
         }
@@ -385,10 +384,10 @@ fn atom_or_quoted(form: &Sexpr) -> bool {
 /// (exclusion is preserved — the critical section only gets coarser),
 /// but acquire/release traffic drops.
 pub fn insert_placement(
-    heap: &Heap,
     form: &Sexpr,
     placement: &Placement,
     coalesce: bool,
+    probes: &mut Probes<'_>,
 ) -> Result<LockResult, TransformError> {
     let parts = sx::parse_defun(form).ok_or(TransformError::NotADefun)?;
     let specs = placement_specs(placement);
@@ -396,9 +395,8 @@ pub fn insert_placement(
         return Ok(LockResult { form: form.clone(), locks: specs });
     }
     let mut ctx = PlaceCtx {
-        heap,
+        probes,
         fname: parts.name,
-        params: parts.params.iter().map(|p| p.to_string()).collect(),
         specs: &specs,
         coalesce,
         counter: 0,
@@ -561,8 +559,7 @@ fn commutative_rmw<'a>(stmt: &'a Sexpr, decls: &DeclDb) -> Option<&'a Sexpr> {
 /// Guard expressions governing tail statements run *outside* the
 /// brackets, so they must not touch any conflicting location at all.
 fn tails_are_order_insensitive(
-    heap: &Heap,
-    params: &[String],
+    probes: &mut Probes<'_>,
     body: &[&Sexpr],
     fname: &str,
     decls: &DeclDb,
@@ -596,7 +593,7 @@ fn tails_are_order_insensitive(
         if atom_or_quoted(g) {
             continue;
         }
-        let Some(probe) = probe_accesses(heap, params, std::slice::from_ref(g)) else {
+        let Some(probe) = probes.accesses(std::slice::from_ref(g)) else {
             return false;
         };
         if probe.unknown_writes > 0
@@ -613,7 +610,7 @@ fn tails_are_order_insensitive(
             if atom_or_quoted(e) {
                 continue;
             }
-            let Some(probe) = probe_accesses(heap, params, std::slice::from_ref(e)) else {
+            let Some(probe) = probes.accesses(std::slice::from_ref(e)) else {
                 return false;
             };
             if probe.unknown_writes > 0
@@ -626,7 +623,7 @@ fn tails_are_order_insensitive(
             continue;
         }
         // Not an RMW: must be a pure discarded read.
-        let Some(probe) = probe_accesses(heap, params, std::slice::from_ref(s)) else {
+        let Some(probe) = probes.accesses(std::slice::from_ref(s)) else {
             return false;
         };
         if probe.unknown_writes > 0
@@ -643,7 +640,7 @@ fn tails_are_order_insensitive(
 /// Try to rescue a function whose post-call statements conflict, by
 /// bracketing them with a synthesized (or declared) lock placement
 /// instead of fully serializing the tails with future
-/// synchronization.
+/// synchronization. `analysis` is the analysis of `form` itself.
 ///
 /// Returns `None` — fall back to future sync — unless:
 /// - the conflict analysis is complete (no unanalyzable writes), and
@@ -655,25 +652,24 @@ fn tails_are_order_insensitive(
 ///   ([`tails_are_order_insensitive`]), and
 /// - every covered access sits in a bracketable statement position.
 pub fn lock_rescue(
-    heap: &Heap,
     form: &Sexpr,
+    analysis: &FunctionAnalysis,
     decls: &DeclDb,
     coalesce: bool,
+    probes: &mut Probes<'_>,
 ) -> Option<LockResult> {
     let parts = sx::parse_defun(form)?;
-    let analysis = analyze_defun(heap, form, decls).ok()?;
     if analysis.conflicts.unknown_writes > 0 || analysis.conflicts.conflicts.is_empty() {
         return None;
     }
-    let params: Vec<String> = parts.params.iter().map(|p| p.to_string()).collect();
     let placement = match decls.lock_placement(parts.name) {
         Some(declared) => {
-            declared_placement(&analysis, &parts.params, declared, OrderingContext::cri())
+            declared_placement(analysis, &parts.params, declared, OrderingContext::cri())
         }
         None => {
-            let p = synthesize(&analysis, &parts.params, OrderingContext::cri());
+            let p = synthesize(analysis, &parts.params, OrderingContext::cri());
             if !p.is_certified_clean()
-                || !tails_are_order_insensitive(heap, &params, &parts.body, parts.name, decls, &p)
+                || !tails_are_order_insensitive(probes, &parts.body, parts.name, decls, &p)
             {
                 return None;
             }
@@ -683,7 +679,7 @@ pub fn lock_rescue(
     if placement.locks.is_empty() {
         return None;
     }
-    insert_placement(heap, form, &placement, coalesce).ok()
+    insert_placement(form, &placement, coalesce, probes).ok()
 }
 
 #[cfg(test)]
@@ -698,7 +694,15 @@ mod tests {
         let parts = sx::parse_defun(form).unwrap();
         let analysis = analyze_defun(heap, form, &DeclDb::new()).unwrap();
         let placement = synthesize(&analysis, &parts.params, OrderingContext::none());
-        insert_placement(heap, form, &placement, false).unwrap()
+        insert_placement(form, &placement, false, &mut Probes::for_defun(heap, form).unwrap())
+            .unwrap()
+    }
+
+    /// `lock_rescue` as the pipeline calls it: on the analysis of the
+    /// form itself.
+    fn rescue(heap: &Heap, form: &Sexpr, decls: &DeclDb, coalesce: bool) -> Option<LockResult> {
+        let analysis = analyze_defun(heap, form, decls).ok()?;
+        lock_rescue(form, &analysis, decls, coalesce, &mut Probes::for_defun(heap, form)?)
     }
 
     fn run_locks(src: &str) -> LockResult {
@@ -772,7 +776,7 @@ mod tests {
         // covers it: locking is refused, not attempted.
         let heap = Heap::new();
         let form = parse_one("(defun f (l) (setf (car *g*) 1) (f (cdr l)))").unwrap();
-        assert!(lock_rescue(&heap, &form, &DeclDb::new(), false).is_none());
+        assert!(rescue(&heap, &form, &DeclDb::new(), false).is_none());
     }
 
     #[test]
@@ -810,7 +814,7 @@ mod tests {
         let heap = Heap::new();
         let db = db_from("(curare-declare (reorderable *))");
         let form = parse_one(TAIL_RMWS).unwrap();
-        let r = lock_rescue(&heap, &form, &db, false).expect("commutative tail RMWs are rescuable");
+        let r = rescue(&heap, &form, &db, false).expect("commutative tail RMWs are rescuable");
         let paths: Vec<String> = r.locks.iter().map(|l| l.path.to_string()).collect();
         assert_eq!(paths, ["car", "cdr.car"], "{paths:?}");
         assert!(r.locks.iter().all(|l| l.exclusive), "both locations are written");
@@ -844,8 +848,8 @@ mod tests {
                  (setf (cadr l) (* (cadr l) 5))))",
         )
         .unwrap();
-        let fine = lock_rescue(&heap, &form, &db, false).expect("rescuable");
-        let fused = lock_rescue(&heap, &form, &db, true).expect("rescuable");
+        let fine = rescue(&heap, &form, &db, false).expect("rescuable");
+        let fused = rescue(&heap, &form, &db, true).expect("rescuable");
         assert_eq!(fine.locks, fused.locks, "same placement either way");
         let fine_brackets = fine.form.to_string().matches("(cri-lock ").count();
         let fused_brackets = fused.form.to_string().matches("(cri-lock ").count();
@@ -876,7 +880,7 @@ mod tests {
                  (setf (cadr l) (* (cadr l) 2))))",
         )
         .unwrap();
-        let r = lock_rescue(&heap, &form, &db, false).expect("read side is order-insensitive");
+        let r = rescue(&heap, &form, &db, false).expect("read side is order-insensitive");
         let shared: Vec<&LockSpec> = r.locks.iter().filter(|l| !l.exclusive).collect();
         assert_eq!(shared.len(), 1, "{:?}", r.locks);
         assert_eq!(shared[0].path.to_string(), "car");
@@ -896,7 +900,7 @@ mod tests {
                  (setf (cadr l) (+ (car l) (cadr l)))))",
         )
         .unwrap();
-        assert!(lock_rescue(&heap, &form, &DeclDb::new(), false).is_none());
+        assert!(rescue(&heap, &form, &DeclDb::new(), false).is_none());
     }
 
     #[test]
@@ -915,7 +919,7 @@ mod tests {
                  (setf (cadr l) (+ (cadr l) (car l)))))",
         )
         .unwrap();
-        assert!(lock_rescue(&heap, &form, &db, false).is_none());
+        assert!(rescue(&heap, &form, &db, false).is_none());
     }
 
     #[test]
@@ -933,7 +937,7 @@ mod tests {
                  (setf (cadr l) (+ (car l) (cadr l)))))",
         )
         .unwrap();
-        let r = lock_rescue(&heap, &form, &db, false).expect("declared placement must apply");
+        let r = rescue(&heap, &form, &db, false).expect("declared placement must apply");
         assert_eq!(r.locks.len(), 2, "{:?}", r.locks);
         assert!(r.locks.iter().all(|l| l.exclusive));
         assert!(r.form.to_string().contains("cri-lock"), "{}", r.form);
@@ -954,7 +958,7 @@ mod tests {
                    (setf (cadr l) (quote x)))))",
         )
         .unwrap();
-        assert!(lock_rescue(&heap, &form, &db, false).is_none());
+        assert!(rescue(&heap, &form, &db, false).is_none());
     }
 
     #[test]

@@ -23,20 +23,24 @@
 //! letting the pipeline skip conflict synthesis on the fresh
 //! destination cells.
 
-use curare_analysis::analyze::analyze_function_with_canon;
+use std::sync::Arc;
+
 use curare_analysis::{
-    head_tail_in, BlockReason, CallCosts, Canonicalizer, Cost, DeclDb, HeadTail, Verdict,
+    analyze_function_in, head_tail_in, AnalysisStats, BlockReason, CallCosts, Canonicalizer, Cost,
+    DeclDb, FunctionAnalysis, Verdict,
 };
-use curare_lisp::Heap;
+use curare_lisp::ast::{Func, Program};
+use curare_lisp::lower::TopForm;
+use curare_lisp::{Heap, Lowerer};
 use curare_sexpr::{parse_all, pretty, Sexpr};
 
 use crate::cri::{cri_convert, cri_convert_handoff, CriResult};
-use crate::delay::{delay_transform, has_tail_statements};
+use crate::delay::{delay_transform, has_tail_statements, Probes};
 use crate::dps::dps_transform;
 use crate::fold::fold_to_walker;
 use crate::futuresync::future_sync;
-use crate::locks::{analyze_defun, lock_rescue, LockSpec};
-use crate::reorder::reorder_transform;
+use crate::locks::{lock_rescue, LockSpec};
+use crate::reorder::{reorder_transform, ReorderResult};
 
 /// Which device(s) the pipeline applied to a function.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,12 +135,18 @@ impl std::fmt::Display for Publication {
 }
 
 /// The whole transformation's output.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CurareOutput {
     /// Transformed top-level forms, in input order.
     pub forms: Vec<Sexpr>,
     /// One report per input defun.
     pub reports: Vec<FunctionReport>,
+    /// The analysis each report's verdict was read from, in the same
+    /// order: of the defun as written, or as the reorder device left
+    /// it. `curare check` reads these instead of analysing again.
+    pub analyses: Vec<FunctionAnalysis>,
+    /// How much analysis the whole transformation took.
+    pub stats: AnalysisStats,
 }
 
 impl CurareOutput {
@@ -187,6 +197,10 @@ pub struct Curare {
     speculate: bool,
     /// Body cost of every defun of the program being transformed.
     calls: CallCosts,
+    /// What the program's `inverse` declarations resolve to; with one,
+    /// every analysis runs the canonical conflict test so benign-alias
+    /// detours are seen (§2.1).
+    canon: Option<Canonicalizer>,
 }
 
 impl Default for Curare {
@@ -204,6 +218,7 @@ impl Curare {
             coalesce_locks: false,
             speculate: false,
             calls: CallCosts::default(),
+            canon: None,
         }
     }
 
@@ -241,65 +256,89 @@ impl Curare {
 
     /// Transform parsed top-level forms.
     pub fn transform_forms(&mut self, forms: &[Sexpr]) -> Result<CurareOutput, PipelineError> {
-        // Pass 1: register struct types, collect declarations and cost
-        // every body, so later defuns see accessors, constraints and
-        // callees regardless of order.
-        {
-            let mut lw = curare_lisp::Lowerer::new(&self.heap);
-            let prog = lw.lower_program(forms).map_err(|e| PipelineError::Parse(e.to_string()))?;
-            self.decls =
-                DeclDb::from_program(&prog).map_err(|e| PipelineError::Decl(e.to_string()))?;
-            self.calls = CallCosts::of_program(&prog);
-        }
-
-        let mut out_forms = Vec::new();
-        let mut reports = Vec::new();
-        for form in forms {
-            if form.is_call("defun") {
-                let (mut produced, report) = self.transform_defun(form)?;
-                out_forms.append(&mut produced);
-                reports.push(report);
-            } else {
-                out_forms.push(form.clone());
+        // Pass 1: lower the program once — struct types first, so a
+        // defun sees accessors, constraints and callees regardless of
+        // order — then collect declarations and cost every body.
+        let mut lw = Lowerer::new(&self.heap);
+        let mut prog = Program::default();
+        let is_struct = |f: &&Sexpr| f.is_call("defstruct");
+        for form in forms.iter().filter(is_struct).chain(forms.iter().filter(|f| !is_struct(f))) {
+            match lw.lower_toplevel(form).map_err(|e| PipelineError::Parse(e.to_string()))? {
+                TopForm::Func(f) => prog.funcs.push(f),
+                TopForm::Declaration(d) => prog.declarations.push(d),
+                TopForm::StructDef | TopForm::Expr(_) => {}
             }
         }
-        Ok(CurareOutput { forms: out_forms, reports })
+        self.decls = DeclDb::from_program(&prog).map_err(|e| PipelineError::Decl(e.to_string()))?;
+        self.calls = CallCosts::of_program(&prog);
+        self.canon = (!self.decls.inverse_pairs().is_empty())
+            .then(|| Canonicalizer::from_decls(&self.decls, &self.heap));
+
+        let mut out = CurareOutput::default();
+        let mut funcs = prog.funcs.iter();
+        for form in forms {
+            if !form.is_call("defun") {
+                out.forms.push(form.clone());
+                continue;
+            }
+            let func = funcs.next().expect("pass 1 lowered one function per defun");
+            let mut probes =
+                Probes::for_defun(&self.heap, form).expect("pass 1 lowered this defun");
+            // Device: reorder (cheapest, applied first). The analysis
+            // is of the form it leaves.
+            let reordered = reorder_transform(&self.heap, form, &self.decls);
+            let analysis = if reordered.atomic_rewrites > 0 {
+                self.analyse(&*self.lower(&reordered.form)?, &mut out.stats)
+            } else {
+                self.analyse(func, &mut out.stats)
+            };
+            let transformed =
+                self.transform_defun(reordered, &analysis, &mut probes, &mut out.stats);
+            out.stats.probe_lowerings += probes.lowerings();
+            let (mut produced, report) = transformed?;
+            out.forms.append(&mut produced);
+            out.reports.push(report);
+            out.analyses.push(analysis);
+        }
+        Ok(out)
     }
 
-    /// Transform one defun; may emit several forms (DPS emits the
-    /// `-d` function plus a wrapper).
-    fn transform_defun(
-        &mut self,
-        form: &Sexpr,
-    ) -> Result<(Vec<Sexpr>, FunctionReport), PipelineError> {
-        let name = form.nth(1).and_then(Sexpr::as_symbol).unwrap_or("<anonymous>").to_string();
-        let mut devices = Vec::new();
+    /// Lower one defun the devices produced.
+    fn lower(&self, form: &Sexpr) -> Result<Arc<Func>, PipelineError> {
+        match Lowerer::new(&self.heap).lower_toplevel(form) {
+            Ok(TopForm::Func(f)) => Ok(f),
+            _ => Err(PipelineError::Transform(format!("not a loadable defun: {form}"))),
+        }
+    }
 
-        // Device: reorder (cheapest, applied first).
-        let reordered = reorder_transform(&self.heap, form, &self.decls);
+    fn analyse(&self, func: &Func, stats: &mut AnalysisStats) -> FunctionAnalysis {
+        analyze_function_in(func, &self.decls, self.canon.as_ref(), &self.calls, stats)
+    }
+
+    /// Pick the devices for one defun as the reorder device left it,
+    /// `analysis` being the analysis of that form; may emit several
+    /// forms (DPS emits the `-d` function plus a wrapper).
+    ///
+    /// One analysis serves the whole function: the verdict, delay's
+    /// conflicting locations, the lock synthesis and the tail cost all
+    /// read it. Only a device that rewrites the form makes it stale;
+    /// the form is then analysed again if a later device asks.
+    fn transform_defun(
+        &self,
+        reordered: ReorderResult,
+        analysis: &FunctionAnalysis,
+        probes: &mut Probes<'_>,
+        stats: &mut AnalysisStats,
+    ) -> Result<(Vec<Sexpr>, FunctionReport), PipelineError> {
+        let name = analysis.name.as_str();
         let mut current = reordered.form;
+        let mut devices = Vec::new();
         if reordered.atomic_rewrites > 0 {
             devices.push(Device::Reorder(reordered.atomic_rewrites));
         }
-
-        let analysis = if self.decls.inverse_pairs().is_empty() {
-            analyze_defun(&self.heap, &current, &self.decls)
-                .map_err(|e| PipelineError::Transform(e.to_string()))?
-        } else {
-            // Declared inverse accessors: run the canonical conflict
-            // test so benign-alias detours are seen (§2.1).
-            let canon = Canonicalizer::from_decls(&self.decls, &self.heap);
-            let mut lw = curare_lisp::Lowerer::new(&self.heap);
-            let prog = lw
-                .lower_program(std::slice::from_ref(&current))
-                .map_err(|e| PipelineError::Transform(e.to_string()))?;
-            let func =
-                prog.funcs.first().ok_or_else(|| PipelineError::Transform("not a defun".into()))?;
-            analyze_function_with_canon(func, &self.decls, Some(&canon))
-        };
         let feedback = analysis.explain();
         let report = |devices, converted, feedback, publication| FunctionReport {
-            name: name.clone(),
+            name: name.to_string(),
             verdict: analysis.verdict.clone(),
             devices,
             converted,
@@ -311,7 +350,8 @@ impl Curare {
 
         match &analysis.verdict {
             Verdict::NotRecursive => {
-                return Ok((vec![current], report(devices, false, feedback, Publication::Lazy)));
+                let unchanged = report(devices, false, feedback, Publication::Lazy);
+                return Ok((vec![current], unchanged));
             }
             Verdict::Blocked => {
                 // §5 enabling transformation: DPS for cons-shaped
@@ -364,9 +404,7 @@ impl Curare {
                     && !analysis.reasons.is_empty()
                     && analysis.reasons.iter().all(|r| matches!(r, BlockReason::UnknownWrite))
                 {
-                    if let Ok((cri, publication)) =
-                        self.convert(&current, Some(&analysis.head_tail))
-                    {
+                    if let Ok((cri, publication)) = self.convert(&current, Some(analysis)) {
                         devices.push(Device::Speculate);
                         devices.push(Device::Cri(cri.sites));
                         let feedback = format!(
@@ -375,7 +413,8 @@ impl Curare {
                         return Ok((vec![cri.form], report(devices, true, feedback, publication)));
                     }
                 }
-                return Ok((vec![current], report(devices, false, feedback, Publication::Lazy)));
+                let refused = report(devices, false, feedback, Publication::Lazy);
+                return Ok((vec![current], refused));
             }
             Verdict::ConflictFree | Verdict::NeedsSynchronization { .. } => {}
         }
@@ -400,21 +439,31 @@ impl Curare {
         // order, while statements *after* it execute in reverse
         // (unwind) order. Head ordering and delay serve the first
         // class; future synchronization reproduces the second.
-        let mut rewritten = false;
+        //
+        // `analysed` is the analysis of `current`; only delay, locks
+        // and future sync rewrite the form, and only where it has a
+        // tail.
+        let mut analysed = Some(analysis);
+        let delayed_analysis;
         if matches!(analysis.verdict, Verdict::NeedsSynchronization { .. }) {
-            if !has_tail_statements(&current, &name) {
+            if !has_tail_statements(&current, name) {
                 // All conflicting accesses precede the spawns: the
                 // sequential execution of heads orders them (§3.2.2's
                 // "the only inherent ordering").
                 devices.push(Device::HeadOrdering);
             } else {
                 // Device: delay.
-                if let Some(delayed) = delay_transform(&self.heap, &current, &self.decls) {
+                if let Some(delayed) = delay_transform(&current, analysis, probes) {
                     devices.push(Device::Delay(delayed.moved));
                     current = delayed.form;
-                    rewritten = true;
+                    analysed = None;
                 }
-                if has_tail_statements(&current, &name) {
+                if has_tail_statements(&current, name) {
+                    if analysed.is_none() {
+                        delayed_analysis =
+                            self.lower(&current).ok().map(|f| self.analyse(&f, stats));
+                        analysed = delayed_analysis.as_ref();
+                    }
                     // Device: synthesized lock placement (§3.2.1).
                     // Future sync serializes the tails completely;
                     // when the conflict report certifies a minimal
@@ -422,12 +471,13 @@ impl Curare {
                     // order-insensitive (or the programmer declared a
                     // placement), statement-scoped lock brackets keep
                     // the tails parallel instead.
-                    if let Some(locked) =
-                        lock_rescue(&self.heap, &current, &self.decls, self.coalesce_locks)
-                    {
+                    let locked = analysed.and_then(|a| {
+                        lock_rescue(&current, a, &self.decls, self.coalesce_locks, probes)
+                    });
+                    if let Some(locked) = locked {
                         devices.push(Device::Locks(locked.locks.clone()));
                         current = locked.form;
-                        rewritten = true;
+                        analysed = None;
                     } else {
                         // Device: future synchronization (§3.1) — tails
                         // must run in unwind order.
@@ -435,7 +485,7 @@ impl Curare {
                             Some(synced) => {
                                 devices.push(Device::FutureSync(synced.wrapped));
                                 current = synced.form;
-                                rewritten = true;
+                                analysed = None;
                             }
                             None => {
                                 // SpecMode admission, case B: the tail
@@ -461,9 +511,7 @@ impl Curare {
             }
         }
 
-        // CRI conversion. Only delay, locks and future sync rewrite the
-        // form after the analysis, and only where it has a tail.
-        let analysed = (!rewritten).then_some(&analysis.head_tail);
+        // CRI conversion.
         match self.convert(&current, analysed) {
             Ok((cri, publication)) => {
                 devices.push(Device::Cri(cri.sites));
@@ -482,39 +530,34 @@ impl Curare {
     /// `cri-handoff` sites, so the successor's head overlaps it (the
     /// §3.1 overlap); a shorter one keeps `cri-enqueue`, whose
     /// successor is batched — and usually chained, queue-free — when
-    /// the invocation ends. `analysed` is the partition of `form`
-    /// itself where the analysis saw exactly this form.
+    /// the invocation ends. `analysed` is the analysis of `form`
+    /// itself where one is still current; a form the devices rewrote
+    /// is lowered for its partition alone.
     fn convert(
         &self,
         form: &Sexpr,
-        analysed: Option<&HeadTail>,
+        analysed: Option<&FunctionAnalysis>,
     ) -> Result<(CriResult, Publication), crate::cri::CriError> {
         let lazy = cri_convert(form)?;
         // No enqueue site to publish early (every call was
-        // future-synchronized, or the function is hand-written CRI),
-        // or no tail to overlap with: nothing to cost.
-        if lazy.sites == 0 || analysed.is_some_and(|h| h.tail_size == 0) {
+        // future-synchronized, or the function is hand-written CRI):
+        // nothing to cost.
+        if lazy.sites == 0 {
             return Ok((lazy, Publication::Lazy));
         }
-        let tail_cost = self.tail_cost(form);
+        // Interprocedural cost of the tail (§3.1 partition), callee
+        // bodies taken from the input program's table.
+        let tail_cost = match analysed {
+            Some(a) => a.head_tail.tail_cost,
+            None => self
+                .lower(form)
+                .map_or(Cost::Bounded(0), |f| head_tail_in(&f, &self.calls).tail_cost),
+        };
         if tail_cost <= Cost::Bounded(HANDOFF_THRESHOLD) {
             return Ok((lazy, Publication::Lazy));
         }
         let publication = Publication::Handoff { tail_cost, threshold: HANDOFF_THRESHOLD };
         Ok((cri_convert_handoff(form)?, publication))
-    }
-
-    /// Interprocedural cost of `form`'s tail (§3.1 partition), callee
-    /// bodies taken from the input program's table.
-    fn tail_cost(&self, form: &Sexpr) -> Cost {
-        let mut lw = curare_lisp::Lowerer::new(&self.heap);
-        match lw.lower_program(std::slice::from_ref(form)) {
-            Ok(prog) => prog
-                .funcs
-                .first()
-                .map_or(Cost::Bounded(0), |func| head_tail_in(func, &self.calls).tail_cost),
-            Err(_) => Cost::Bounded(0),
-        }
     }
 }
 
@@ -1004,6 +1047,28 @@ mod tests {
         it.load_str(&text).expect("the restructured program loads");
         it.load_str("(padded '(1 2 3))").unwrap();
         assert_eq!(it.heap().display(it.load_str("*steps*").unwrap()), "6");
+    }
+
+    #[test]
+    fn canonical_conflicts_keep_an_order_sensitive_tail_write_in_place() {
+        // The write `pred.value` conflicts with the previous
+        // invocation's read `value` only once succ.pred cancels. Every
+        // device reads the canonical report the verdict was made from:
+        // delay must not hoist the write (sequentially the tails run in
+        // unwind order), and no plain-path lock placement covers the
+        // pair, so the function is future-synchronised.
+        let out = run("(defstruct dl succ pred value)
+             (curare-declare (inverse succ pred))
+             (defun back (n)
+               (when n
+                 (back (dl-succ n))
+                 (when (dl-pred n)
+                   (setf (dl-value (dl-pred n)) (dl-value n)))))");
+        let r = out.report("back").unwrap();
+        assert!(r.converted, "{}", r.feedback);
+        assert_eq!(r.verdict, Verdict::NeedsSynchronization { min_distance: 1 });
+        assert_eq!(r.devices, vec![Device::FutureSync(1), Device::Cri(0)]);
+        assert!(out.source().contains("(touch (future (back (dl-succ n))))"), "{}", out.source());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use curare::analysis::locksynth::{synthesize, OrderingContext};
 use curare::prelude::*;
-use curare::transform::{analyze_defun, insert_placement};
+use curare::transform::{analyze_defun, insert_placement, Probes};
 use std::sync::Arc;
 
 /// A post-call write whose location overlaps the recursion argument:
@@ -97,7 +97,8 @@ fn main() {
     let analysis = analyze_defun(&heap, &fig5, &DeclDb::new()).expect("analyzes");
     let placement = synthesize(&analysis, &["l"], OrderingContext::none());
     assert!(placement.is_certified_clean());
-    let locked = insert_placement(&heap, &fig5, &placement, false).expect("locks insert");
+    let mut probes = Probes::for_defun(&heap, &fig5).expect("a defun");
+    let locked = insert_placement(&fig5, &placement, false, &mut probes).expect("locks insert");
     println!("locks: {:?}", locked.locks);
     println!("{}", pretty(&locked.form));
 
