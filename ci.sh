@@ -40,6 +40,11 @@ check "sched --trace smoke_trace.json --metrics smoke_metrics.json" \
   smoke_metrics.json:schema,label,pool,heap,locks,vm,wall,timeline \
   BENCH_sched.json:schema,bench,host_threads,runs
 
+echo "== scheduler comparison: experiments e8 e12 (central ≡ sharded, central publishes eagerly)"
+# e8 fails unless both modes run the same tasks and leave the same
+# list and central neither chains nor batches; e12 asserts its sums.
+experiments e8 e12 > /dev/null
+
 echo "== engine differential: tree ≡ fused VM ≡ unfused VM, as written and as restructured"
 # Each file runs as written and again through the restructurer (so the
 # emitted forms — cri-enqueue, cri-handoff for tail_heavy.lisp, lock

@@ -26,7 +26,7 @@
 //! cargo run ... experiments steal [--json] [--n N] [--sites K]
 //!                                  # skew sweep: uniform / 90-10 /
 //!                                  # Zipf site loads × central,
-//!                                  # sharded, sharded+steal
+//!                                  # sharded
 //! cargo run ... experiments speculate [--json] [--seeds N]
 //!                                  # SpecMode: statically refused
 //!                                  # programs run optimistically,
@@ -1647,23 +1647,24 @@ fn locksynth_cmd(args: &[String]) -> ExitCode {
 
 /// `experiments steal [--json] [--n N] [--sites K]` — the work-stealing
 /// skew sweep (ISSUE 9 / ROADMAP item 3). Three site-load
-/// distributions (uniform, 90/10, Zipf) each run under three
-/// schedulers: the central queue, the ownership-partitioned sharded
-/// scheduler with stealing off, and the same scheduler with stealing
-/// on.
+/// distributions (uniform, 90/10, Zipf) each run under the pool's two
+/// schedulers: the central queue and the ownership-partitioned,
+/// stealing sharded one.
 ///
 /// Each cell pairs a deterministic model run ([`simulate_steal`], the
 /// same protocol the threaded pool executes: steal-half site
 /// migration plus steal-pop on a lone hot site) with a threaded pool
-/// run of the multi-site spreader workload. The headline ratios come
-/// from the model — on a single-core host threaded wall-clock cannot
+/// run of the multi-site spreader workload. The headline ratios are
+/// the model's stealing run against its static-sharding baseline
+/// (ownership without stealing — a configuration only the model still
+/// has) — on a single-core host threaded wall-clock cannot
 /// discriminate schedulers (the E2–E4 precedent) — while every
 /// threaded run is held to the sequential oracle (`*skew-sum*` and
 /// exact task counts) and contributes the real steal/park counters to
 /// `BENCH_steal.json`.
 ///
 /// The gate fails on any oracle mismatch, or if the model's
-/// steal/no-steal makespan ratio is < 1.5 on either skewed
+/// static/stealing makespan ratio is < 1.5 on either skewed
 /// distribution, or if stealing costs more than 5% on uniform load.
 fn steal_cmd(args: &[String]) -> ExitCode {
     use curare::runtime::{RuntimeConfig, SchedMode};
@@ -1742,7 +1743,7 @@ fn steal_cmd(args: &[String]) -> ExitCode {
     let dists = [SkewDist::Uniform, SkewDist::Hot90, SkewDist::Zipf];
     let mut ok = true;
     let mut runs = Vec::new();
-    // Model makespans per dist: [central, sharded, sharded+steal].
+    // Model makespans per dist: [central, static sharding, sharded].
     let mut model = std::collections::BTreeMap::new();
     for dist in dists {
         let counts: Vec<u64> = match dist {
@@ -1763,29 +1764,25 @@ fn steal_cmd(args: &[String]) -> ExitCode {
         let values = skew_values(n, k, dist, SEED);
         let expect_sum = skew_expected_sum(&values);
         let program = skew_spreader(k, PAD);
-        for (sched, mode, steal_on, model_time, model_par) in [
-            ("central", SchedMode::Central, false, central_time, SERVERS as f64),
-            (
-                "sharded",
-                SchedMode::Sharded,
-                false,
+        if !json {
+            println!(
+                "  {:>8} {:>15} {:>11} {:>9.2}   (model only)",
+                dist.name(),
+                "static sharding",
                 nosteal.total_time,
-                nosteal.achieved_concurrency,
-            ),
-            (
-                "sharded+steal",
-                SchedMode::Sharded,
-                true,
-                steal.total_time,
-                steal.achieved_concurrency,
-            ),
+                nosteal.achieved_concurrency
+            );
+        }
+        for (sched, mode, model_time, model_par) in [
+            ("central", SchedMode::Central, central_time, SERVERS as f64),
+            ("sharded", SchedMode::Sharded, steal.total_time, steal.achieved_concurrency),
         ] {
             let interp = Arc::new(Interp::new());
             interp.load_str(&program).expect("spreader loads");
             let rt = CriRuntime::with_config(
                 Arc::clone(&interp),
                 SERVERS,
-                RuntimeConfig { mode, steal: steal_on, ..RuntimeConfig::default() },
+                RuntimeConfig { mode, ..RuntimeConfig::default() },
             );
             let l = value_list(&interp, &values);
             let dt = time_once(|| rt.run("spread", &[l]).expect("pool run"));
@@ -1808,7 +1805,6 @@ fn steal_cmd(args: &[String]) -> ExitCode {
             let row = Json::obj()
                 .set("dist", dist.name())
                 .set("scheduler", sched)
-                .set("steal", steal_on)
                 .set("n", n as u64)
                 .set("sites", k as u64)
                 .set("model_time", model_time)
@@ -2203,6 +2199,7 @@ fn e8_queue_bottleneck(obs: &ObsSink) {
     const BARE_WALK: &str = "(defun w (l) (when l (w (cdr l))))";
     let n = 20_000i64;
     let mut rates = Vec::new();
+    let mut left = Vec::new();
     for (label, mode) in [("central (§4.1)", SchedMode::Central), ("sharded", SchedMode::Sharded)]
     {
         let (interp, _) = transformed_interp(BARE_WALK);
@@ -2214,8 +2211,15 @@ fn e8_queue_bottleneck(obs: &ObsSink) {
         }
         report_stats(obs, label, best, &rt);
         rates.push((n + 1) as f64 / best.as_secs_f64());
+        let stats = rt.stats();
+        if mode == SchedMode::Central {
+            let lazy = (stats.chained_tasks, stats.batched_submits);
+            assert_eq!(lazy, (0, 0), "central must publish every spawn at the spawn");
+        }
+        left.push((stats.tasks, interp.heap().display(l)));
     }
     println!("  sharded / central throughput: {:.2}x", rates[1] / rates[0].max(1e-9));
+    assert!(left[0] == left[1], "central and sharded disagree on task count or final list");
     println!(
         "expected shape: per-invocation queue cost caps throughput; larger grains amortize it\n\
          (the paper: the bottleneck 'will not adversely affect performance if the time spent\n\

@@ -36,8 +36,6 @@
 //!                    bytecode) or 'tree' (the tree-walking oracle)
 //!   --no-fuse        disable superinstruction fusion in the bytecode
 //!                    compiler (differential escape hatch)
-//!   --no-steal       disable work stealing between sharded pool
-//!                    servers (scheduler A/B escape hatch)
 //!   --speculate      admit statically unproven functions optimistically:
 //!                    the pool logs their heap accesses, validates them
 //!                    against the sequential order at quiescence, and
@@ -207,7 +205,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut chaos_seed: Option<u64> = None;
     let mut chaos_profile = String::from("mixed");
     let mut stall_budget_ms: Option<u64> = None;
-    let mut no_steal = false;
     let mut speculate = false;
     let mut i = 1;
     while i < args.len() {
@@ -242,10 +239,6 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             "--no-fuse" => {
                 no_fuse = true;
-                i += 1;
-            }
-            "--no-steal" => {
-                no_steal = true;
                 i += 1;
             }
             "--speculate" => {
@@ -357,7 +350,6 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         let config = curare::runtime::RuntimeConfig {
             stall_budget: stall_budget_ms.map(std::time::Duration::from_millis),
-            steal: !no_steal,
             speculate,
             ..curare::runtime::RuntimeConfig::default()
         };

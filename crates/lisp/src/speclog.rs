@@ -49,10 +49,11 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use crate::error::Result;
 use crate::heap::Heap;
+use crate::sync::{Mutex, MutexGuard};
 use crate::value::{FuncId, SymId, Value};
 use curare_obs::EventKind;
 
@@ -169,10 +170,6 @@ struct Journal {
     escalate: bool,
 }
 
-fn lock() -> MutexGuard<'static, Option<Journal>> {
-    JOURNAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 #[inline]
 fn tick() -> u64 {
     CLOCK.fetch_add(1, Ordering::SeqCst)
@@ -186,7 +183,7 @@ fn tick() -> u64 {
 /// one speculative run may be in flight per process (test batteries
 /// serialize on this, like the chaos and sanitizer install points).
 pub fn arm() {
-    let mut j = lock();
+    let mut j = JOURNAL.lock();
     CLOCK.store(1, Ordering::SeqCst);
     *j = Some(Journal::default());
     ARMED.store(true, Ordering::Release);
@@ -196,7 +193,7 @@ pub fn arm() {
 /// disarms itself).
 pub fn disarm() {
     ARMED.store(false, Ordering::Release);
-    *lock() = None;
+    *JOURNAL.lock() = None;
     READ_BUF.with(|b| b.borrow_mut().clear());
 }
 
@@ -242,7 +239,7 @@ pub fn flush_reads() {
     if buf.is_empty() {
         return;
     }
-    if let Some(j) = lock().as_mut() {
+    if let Some(j) = JOURNAL.lock().as_mut() {
         j.reads.extend(buf);
     }
 }
@@ -265,7 +262,7 @@ pub fn write_section() -> Option<WriteSection> {
     if inv == 0 {
         return None;
     }
-    let guard = lock();
+    let guard = JOURNAL.lock();
     guard.as_ref()?;
     let lo = tick();
     Some(WriteSection { guard, inv, lo })
@@ -331,7 +328,7 @@ pub fn divert_emit(line: &str) -> bool {
         return false;
     }
     let epoch = tick();
-    if let Some(j) = lock().as_mut() {
+    if let Some(j) = JOURNAL.lock().as_mut() {
         j.output.push(OutRec { inv, epoch, line: line.to_string() });
         true
     } else {
@@ -345,7 +342,7 @@ pub fn divert_emit(line: &str) -> bool {
 
 /// Register a spawned invocation with its re-execution recipe.
 pub fn register_invocation(inv: u64, parent: u64, fid: FuncId, args: &[Value]) {
-    if let Some(j) = lock().as_mut() {
+    if let Some(j) = JOURNAL.lock().as_mut() {
         j.invs.insert(
             inv,
             InvEntry {
@@ -367,7 +364,7 @@ pub fn record_spawn(parent: u64, child: u64, fid: FuncId, args: &[Value], future
     if parent == 0 {
         return;
     }
-    if let Some(j) = lock().as_mut() {
+    if let Some(j) = JOURNAL.lock().as_mut() {
         let epoch = CLOCK.fetch_add(1, Ordering::SeqCst);
         if let Some(e) = j.invs.get_mut(&parent) {
             e.spawns.push(SpawnRec { epoch, child, fid, args: args.to_vec(), future });
@@ -380,7 +377,7 @@ pub fn record_spawn(parent: u64, child: u64, fid: FuncId, args: &[Value], future
 /// escalates to the sequential rerun, which reproduces any genuine
 /// error exactly.
 pub fn record_error(inv: u64) {
-    if let Some(j) = lock().as_mut() {
+    if let Some(j) = JOURNAL.lock().as_mut() {
         if let Some(e) = j.invs.get_mut(&inv) {
             e.errored = true;
         }
@@ -403,7 +400,7 @@ pub fn replaying() -> bool {
 /// by its toucher). The current round finishes; the next resolution
 /// pass rolls everything back and falls to the sequential rerun.
 pub fn escalate_now() {
-    if let Some(j) = lock().as_mut() {
+    if let Some(j) = JOURNAL.lock().as_mut() {
         j.escalate = true;
     }
 }
@@ -415,7 +412,7 @@ pub fn escalate_now() {
 /// enqueue was, or more spawns than before.
 pub fn replay_spawn(fid: FuncId, args: &[Value], future: bool) -> bool {
     let inv = REPLAYING.with(Cell::get);
-    let mut g = lock();
+    let mut g = JOURNAL.lock();
     let Some(j) = g.as_mut() else { return false };
     let Some(e) = j.invs.get_mut(&inv) else {
         j.escalate = true;
@@ -653,7 +650,7 @@ pub fn resolve(
         // Decide this round's fate under the lock, then release it for
         // any replays.
         let plan = {
-            let mut g = lock();
+            let mut g = JOURNAL.lock();
             let Some(j) = g.as_mut() else {
                 return empty_resolution();
             };
@@ -703,7 +700,7 @@ pub fn resolve(
                 rounds += 1;
                 for inv in invs {
                     let Some((fid, args)) = ({
-                        let mut g = lock();
+                        let mut g = JOURNAL.lock();
                         g.as_mut().and_then(|j| {
                             j.replays += 1;
                             j.invs.get(&inv).map(|e| (e.fid, e.args.clone()))
@@ -718,7 +715,7 @@ pub fn resolve(
                     curare_obs::set_invocation(prev);
                     REPLAYING.with(|r| r.set(0));
                     flush_reads();
-                    let mut g = lock();
+                    let mut g = JOURNAL.lock();
                     if let Some(j) = g.as_mut() {
                         if let Some(e) = j.invs.get_mut(&inv) {
                             if res.is_err() {
@@ -782,7 +779,7 @@ fn commit(
 }
 
 fn escalate(heap: &Heap) -> Resolution {
-    let mut g = lock();
+    let mut g = JOURNAL.lock();
     let Some(j) = g.as_mut() else {
         return empty_resolution();
     };
@@ -816,7 +813,7 @@ mod tests {
     static TEST_GUARD: Mutex<()> = Mutex::new(());
 
     fn guard() -> MutexGuard<'static, ()> {
-        TEST_GUARD.lock().unwrap_or_else(PoisonError::into_inner)
+        TEST_GUARD.lock()
     }
 
     fn loc_car(v: Value) -> u64 {
@@ -921,7 +918,7 @@ mod tests {
         curare_obs::set_invocation(0);
         assert_eq!(heap.car(c).unwrap(), Value::int(18));
         {
-            let mut g = lock();
+            let mut g = JOURNAL.lock();
             let j = g.as_mut().unwrap();
             assert_eq!(j.writes.iter().filter(|w| w.loc == loc).count(), 2);
             let set: BTreeSet<u64> = [1u64].into_iter().collect();

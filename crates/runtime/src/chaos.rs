@@ -13,7 +13,7 @@
 //! | point | site | faults |
 //! |---|---|---|
 //! | [`DecisionPoint::TaskStart`] | `pool::execute_task`, before the body | delay, panic |
-//! | [`DecisionPoint::QueuePop`] | `queue::{QueueSet,ShardedQueues}::pop` | site shuffle |
+//! | [`DecisionPoint::QueuePop`] | `queue::ShardedQueues::{pop, pop_local}` | site shuffle |
 //! | [`DecisionPoint::FutureResolve`] | `futures::FutureTable::{resolve,fail}` | stall |
 //! | [`DecisionPoint::LockAcquire`] | `locktable::LockTable::lock` | delay |
 //!
@@ -31,9 +31,10 @@
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
+use curare_lisp::sync::Mutex;
 use curare_obs::EventKind;
 
 /// Where in the runtime a fault decision is being made.
@@ -296,7 +297,7 @@ pub fn install(plan: Option<Arc<FaultPlan>>) -> Option<Arc<FaultPlan>> {
         // hook from printing a backtrace for each one.
         silence_injected_panics();
     }
-    let mut cur = CURRENT.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut cur = CURRENT.lock();
     ARMED.store(plan.is_some(), Ordering::Release);
     GENERATION.fetch_add(1, Ordering::Release);
     std::mem::replace(&mut cur, plan)
@@ -307,7 +308,7 @@ pub fn installed() -> Option<Arc<FaultPlan>> {
     if !ARMED.load(Ordering::Relaxed) {
         return None;
     }
-    CURRENT.lock().unwrap_or_else(PoisonError::into_inner).clone()
+    CURRENT.lock().clone()
 }
 
 /// True when a plan is installed and this thread is not suppressed.
@@ -335,7 +336,7 @@ pub fn with_suppressed<R>(f: impl FnOnce() -> R) -> R {
 #[cold]
 fn refresh_cache() -> Option<Arc<FaultPlan>> {
     let generation = GENERATION.load(Ordering::Acquire);
-    let plan = CURRENT.lock().unwrap_or_else(PoisonError::into_inner).clone();
+    let plan = CURRENT.lock().clone();
     CACHE.with(|c| *c.borrow_mut() = (generation, plan.clone()));
     plan
 }
@@ -473,7 +474,7 @@ mod tests {
 
     #[test]
     fn install_and_suppression_gate_decisions() {
-        let _g = TEST_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = TEST_GUARD.lock();
         install(None);
         assert!(!armed());
         assert_eq!(decide(DecisionPoint::TaskStart), None);

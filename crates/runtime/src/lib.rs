@@ -3,7 +3,7 @@
 //!
 //! - [`locktable`]: the dynamically allocated collection of location
 //!   locks behind `cri-lock`/`cri-unlock` (§3.2.1);
-//! - [`queue`]: the central, per-call-site-ordered task queues (§4.1);
+//! - [`queue`]: the per-call-site-ordered task queues (§4.1);
 //! - [`futures`]: Multilisp-style futures with blocking `touch` (§3.1);
 //! - [`pool`]: the server pool — `S` threads repeatedly executing
 //!   invocation bodies without context switches (§4);
@@ -54,6 +54,6 @@ pub mod watchdog;
 pub use futures::FutureTable;
 pub use locktable::{Location, LockTable};
 pub use pool::{CriHooks, CriRuntime, PoolStats, RuntimeConfig, SchedMode};
-pub use queue::{QueueSet, Task};
+pub use queue::Task;
 pub use spawner::{SpawnHooks, SpawnRuntime};
 pub use unordered::{UnorderedHooks, UnorderedRuntime};

@@ -13,11 +13,18 @@
 //! the moral equivalent of the paper's kill tokens, without the flag
 //! polling.
 //!
+//! There is one queue structure, [`ShardedQueues`] (a lock per call
+//! site, a nonempty-site bitmask per ownership group, so servers
+//! contend only when touching the same site and idle `pop`s don't
+//! scan), and one question a scheduler mode answers: *when is a spawn
+//! published?* It is answered in one place, `CriHooks::spawn`.
+//!
 //! §4.1 calls the central queue "a potential bottleneck", and the E8
 //! experiment confirms it: at tiny grain, every enqueue/dequeue is a
-//! lock round trip. The default [`SchedMode::Sharded`] scheduler
-//! removes that traffic while keeping the per-call-site FIFO
-//! discipline observable behaviour:
+//! lock round trip. The default [`SchedMode::Sharded`] removes that
+//! traffic while keeping the per-call-site FIFO discipline observable
+//! behaviour — one ownership group per server, stealing between them,
+//! and lazy publication:
 //!
 //! - **batched submit** — a `cri-enqueue` is *buffered*: the executing
 //!   invocation's enqueues collect in a thread-local batch that is
@@ -36,16 +43,14 @@
 //!   buffered successor could not start before its producer's tail had
 //!   finished, which forfeits the one overlap §3.1 is about. There is
 //!   a single early-publication path (`CriHooks::spawn`): hand-off
-//!   and every speculative spawn take it, and `touch` / `cri-lock`
-//!   flush the batch before blocking, so nothing waits on unpublished
-//!   work;
-//! - **sharded site queues** — [`ShardedQueues`] gives each call site
-//!   its own lock plus a nonempty-site bitmask, so servers contend
-//!   only when touching the same site and idle `pop`s don't scan.
+//!   and every eager spawn take it, and `touch` / `cri-lock` flush the
+//!   batch before blocking, so nothing waits on unpublished work.
 //!
-//! [`SchedMode::Central`] keeps the paper-faithful single
-//! `Mutex<QueueSet>` with per-task submit/notify, as the measured
-//! baseline for the E8/E12 comparisons.
+//! [`SchedMode::Central`] is the paper-faithful baseline for the
+//! E8/E12 comparisons, built as eager publication on a one-group
+//! queue: every spawn is published at once (one lock round trip, one
+//! wake), any server may take it, nothing is buffered, chained or
+//! stolen. Speculation publishes eagerly too, in either mode.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
@@ -61,7 +66,7 @@ use curare_obs::{EventKind, Json, RunReport};
 
 use crate::futures::FutureTable;
 use crate::locktable::{Location, LockTable};
-use crate::queue::{QueueSet, ShardedQueues, Task};
+use crate::queue::{ShardedQueues, Task};
 use crate::watchdog::{
     self, BeatGuard, ServerBeat, PHASE_EXECUTING, PHASE_LOCK_WAIT, PHASE_TOUCH_WAIT,
 };
@@ -163,11 +168,6 @@ pub struct RuntimeConfig {
     /// waiting thread drains the queues sequentially so the run still
     /// completes with the sequentially-correct answer.
     pub degrade_floor: usize,
-    /// Let idle sharded servers steal work from a victim's site group
-    /// (whole-site migration / steal-pop; no effect in `Central`
-    /// mode). On by default; the skew experiments turn it off for
-    /// their A/B cells.
-    pub steal: bool,
     /// Run in `SpecMode`: invocations execute optimistically, heap
     /// effects are journaled, and a commit-time validator aborts and
     /// replays conflicting invocations (escalating to a sequential
@@ -185,140 +185,22 @@ impl Default for RuntimeConfig {
             stall_budget: None,
             retry_limit: 2,
             degrade_floor: 1,
-            steal: true,
             speculate: false,
             spec_retry_limit: 8,
         }
     }
 }
 
-/// Which work-distribution structure the pool runs on.
+/// How the pool distributes work: two configurations of one queue
+/// structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedMode {
-    /// The paper-faithful single mutex around the ordered
-    /// [`QueueSet`]; every submit takes the lock and signals.
+    /// The paper-faithful central queue: one ownership group every
+    /// server drains; every spawn is published at once and signals.
     Central,
-    /// Per-site locks, nonempty bitmask, batched submit, and task
-    /// chaining (the default).
+    /// One ownership group per server with stealing between them,
+    /// batched submit, and task chaining (the default).
     Sharded,
-}
-
-enum Scheduler {
-    Central(Mutex<QueueSet>),
-    Sharded(ShardedQueues),
-}
-
-impl Scheduler {
-    /// Publish one task. Returns a wake mask: bit `min(owner, 63)` for
-    /// the sharded owner group that received it, or all-ones for the
-    /// central queue (any server may take central work).
-    fn push(&self, task: Task) -> u64 {
-        match self {
-            Scheduler::Central(m) => {
-                m.lock().push(task);
-                u64::MAX
-            }
-            Scheduler::Sharded(s) => s.push(task),
-        }
-    }
-
-    /// Publish a batch, draining `tasks` (the buffer stays with the
-    /// caller). Returns the union of the per-task wake masks.
-    fn push_batch(&self, tasks: &mut Vec<Task>) -> u64 {
-        match self {
-            Scheduler::Central(m) => {
-                let mut q = m.lock();
-                for t in tasks.drain(..) {
-                    q.push(t);
-                }
-                u64::MAX
-            }
-            Scheduler::Sharded(s) => s.push_batch(tasks.drain(..)),
-        }
-    }
-
-    /// Dequeue in global lowest-site-first order, ignoring ownership.
-    /// The helping-`touch` and degraded-drain path; pool servers use
-    /// [`Scheduler::pop_local`].
-    fn pop(&self) -> Option<Task> {
-        match self {
-            Scheduler::Central(m) => m.lock().pop(),
-            Scheduler::Sharded(s) => s.pop(),
-        }
-    }
-
-    /// Dequeue from server `index`'s own site group (central mode has
-    /// no groups — any work qualifies).
-    fn pop_local(&self, index: usize) -> Option<Task> {
-        match self {
-            Scheduler::Central(m) => m.lock().pop(),
-            Scheduler::Sharded(s) => s.pop_local(index),
-        }
-    }
-
-    /// Steal for server `index` from another group (no-op for the
-    /// central queue, where there is nothing to steal from).
-    fn steal(&self, index: usize, rng: &mut u64) -> Option<Task> {
-        match self {
-            Scheduler::Central(_) => None,
-            Scheduler::Sharded(s) => s.steal(index, rng),
-        }
-    }
-
-    /// True when server `index`'s own group shows work (central: any
-    /// work at all).
-    fn group_has_work(&self, index: usize) -> bool {
-        match self {
-            Scheduler::Central(m) => !m.lock().is_empty(),
-            Scheduler::Sharded(s) => s.group_has_work(index),
-        }
-    }
-
-    /// Retire a poisoned server's group, rehoming its sites. Returns
-    /// the wake mask of heir groups.
-    fn retire(&self, index: usize) -> u64 {
-        match self {
-            Scheduler::Central(_) => 0,
-            Scheduler::Sharded(s) => s.retire(index),
-        }
-    }
-
-    /// (attempts, successes, races, sites migrated) — zeros for the
-    /// central queue.
-    fn steal_stats(&self) -> (u64, u64, u64, u64) {
-        match self {
-            Scheduler::Central(_) => (0, 0, 0, 0),
-            Scheduler::Sharded(s) => s.steal_stats(),
-        }
-    }
-
-    fn has_work(&self) -> bool {
-        match self {
-            Scheduler::Central(m) => !m.lock().is_empty(),
-            Scheduler::Sharded(s) => s.has_work(),
-        }
-    }
-
-    fn drain_all(&self) -> Vec<Task> {
-        match self {
-            Scheduler::Central(m) => m.lock().drain_all(),
-            Scheduler::Sharded(s) => s.drain_all(),
-        }
-    }
-
-    fn peak(&self) -> usize {
-        match self {
-            Scheduler::Central(m) => m.lock().peak(),
-            Scheduler::Sharded(s) => s.peak(),
-        }
-    }
-
-    fn can_chain(&self, site: usize) -> bool {
-        match self {
-            Scheduler::Central(_) => false,
-            Scheduler::Sharded(s) => s.can_chain(site),
-        }
-    }
 }
 
 /// One executing invocation's unpublished successors. `key` ties the
@@ -383,13 +265,17 @@ struct Parker {
 }
 
 struct Shared {
-    sched: Scheduler,
+    sched: ShardedQueues,
+    /// Named by `mode()` and the run report; the behaviour it chose
+    /// is all in `sched`'s group count and `eager`.
     mode: SchedMode,
-    /// Whether idle servers steal (sharded mode with > 1 server).
-    steal: bool,
+    /// Publish every spawn at the spawn instead of buffering it to
+    /// the end of its invocation (`Central`, and any speculative
+    /// pool). Fixed at construction.
+    eager: bool,
     /// One parking spot per server. A publisher wakes exactly the
-    /// owner groups its tasks landed on (plus one thief in steal
-    /// mode), found through `parked_mask`.
+    /// servers whose groups its tasks landed on (plus one thief),
+    /// found through `parked_mask`.
     parkers: Vec<Parker>,
     /// Bit `min(index, 63)` set while that server is parked. Written
     /// with SeqCst and read after a SeqCst fence in `wake_servers` so
@@ -464,11 +350,11 @@ impl Shared {
     }
 
     /// Wake parked servers after publishing work. `wake_mask` names
-    /// the owner groups that received tasks (bit `min(owner, 63)`);
-    /// `count` bounds how many servers are worth waking. In steal
-    /// mode one extra parked thief is woken beyond the owners, so a
-    /// burst landing on one group (or an owner that is busy executing)
-    /// gets picked up without waiting for the owner.
+    /// the servers whose groups received tasks (bit `min(index, 63)`);
+    /// `count` bounds how many servers are worth waking. One extra
+    /// parked thief is woken beyond the owners, so a burst landing on
+    /// one group (or an owner that is busy executing) gets picked up
+    /// without waiting for the owner.
     fn wake_servers(&self, wake_mask: u64, count: usize) {
         if wake_mask == 0 {
             return;
@@ -488,7 +374,7 @@ impl Shared {
             self.unpark(i);
             budget -= 1;
         }
-        if self.steal && budget > 0 {
+        if budget > 0 {
             let thieves = parked & !wake_mask;
             if thieves != 0 {
                 self.unpark(thieves.trailing_zeros() as usize);
@@ -530,14 +416,8 @@ impl Shared {
         let mask = self.parked_mask.fetch_or(bit, Ordering::SeqCst) | bit;
         self.peak_parked.fetch_max(u64::from(mask.count_ones()), Ordering::Relaxed);
         std::sync::atomic::fence(Ordering::SeqCst);
-        let work = if self.steal {
-            // A thief can take anything; park only on a globally empty
-            // scheduler.
-            self.sched.has_work()
-        } else {
-            self.sched.group_has_work(index)
-        };
-        if !work && !self.shutdown.load(Ordering::SeqCst) {
+        // A thief can take anything; park only on globally empty queues.
+        if !self.sched.has_work() && !self.shutdown.load(Ordering::SeqCst) {
             self.parks.fetch_add(1, Ordering::Relaxed);
             self.sched_waits.fetch_add(1, Ordering::Relaxed);
             curare_obs::record(EventKind::Park, index as u64);
@@ -579,7 +459,7 @@ impl Shared {
         }
         let n = tasks.len();
         self.pending.fetch_add(n as u64, Ordering::AcqRel);
-        let wake = self.sched.push_batch(tasks);
+        let wake = self.sched.push_batch(tasks.drain(..));
         self.batched_submits.fetch_add(1, Ordering::Relaxed);
         curare_obs::record(EventKind::BatchFlush, n as u64);
         self.wake_servers(wake, n);
@@ -815,11 +695,8 @@ pub struct CriHooks {
 impl CriHooks {
     /// Append `task` to the executing invocation's batch frame, or
     /// hand it back for immediate submission when no frame of this
-    /// pool is active (root-level calls, `Central` mode).
+    /// pool is active (root-level calls).
     fn try_batch(&self, task: Task) -> Option<Task> {
-        if self.shared.mode != SchedMode::Sharded {
-            return Some(task);
-        }
         let key = self.shared.key();
         BATCH.with(|b| {
             let mut frames = b.borrow_mut();
@@ -852,9 +729,9 @@ impl CriHooks {
     /// whatever the invocation still buffers (per-site FIFO), instead
     /// of joining the batch that publishes — or chains — at invocation
     /// end. Hand-off asks for it because its producer's tail is long;
-    /// speculation always does, for the same overlap, and registers
-    /// the child with the journal first so it can never run ahead of
-    /// its entry.
+    /// an eager pool always does (speculation for the same overlap,
+    /// registering the child with the journal first so it can never
+    /// run ahead of its entry). A body that may run again gets neither.
     #[inline]
     fn spawn(&self, task: Task, now: bool) {
         if self.shared.speculate {
@@ -862,7 +739,7 @@ impl CriHooks {
             speclog::register_invocation(*inv, *parent, *fid, args);
             speclog::record_spawn(*parent, *inv, *fid, args, future.is_some());
         }
-        if now || self.shared.speculate {
+        if (now || self.shared.eager) && !self.body_may_rerun() {
             self.flush_batch();
             self.shared.submit_now(task);
         } else if let Some(task) = self.try_batch(task) {
@@ -874,7 +751,8 @@ impl CriHooks {
     /// the panic policy (its function is declared idempotent). Such a
     /// body must not publish before it ends: the retry would spawn the
     /// successor a second time, whereas a buffered successor dies with
-    /// the failed attempt. Its hand-offs therefore stay lazy.
+    /// the failed attempt. Its spawns therefore stay lazy, hand-offs
+    /// and eager pools included.
     fn body_may_rerun(&self) -> bool {
         if !self.shared.any_idempotent.load(Ordering::Relaxed) {
             return false;
@@ -929,7 +807,7 @@ impl RuntimeHooks for CriHooks {
         fid: FuncId,
         args: Vec<Value>,
     ) -> Result<(), LispError> {
-        self.enqueue_at(interp, site, fid, args, !self.body_may_rerun())
+        self.enqueue_at(interp, site, fid, args, true)
     }
 
     fn future(&self, interp: &Interp, fid: FuncId, args: Vec<Value>) -> Result<Value, LispError> {
@@ -1078,10 +956,9 @@ impl CriRuntime {
     /// mode, stall watchdog, retry limit, degradation floor).
     pub fn with_config(interp: Arc<Interp>, servers: usize, config: RuntimeConfig) -> Self {
         let servers = servers.max(1);
-        let steal = config.steal && config.mode == SchedMode::Sharded && servers > 1;
         let sched = match config.mode {
-            SchedMode::Central => Scheduler::Central(Mutex::new(QueueSet::new())),
-            SchedMode::Sharded => Scheduler::Sharded(ShardedQueues::with_servers(servers, steal)),
+            SchedMode::Central => ShardedQueues::new(),
+            SchedMode::Sharded => ShardedQueues::with_servers(servers),
         };
         let watched = config.stall_budget.is_some();
         let beats = if watched {
@@ -1092,7 +969,7 @@ impl CriRuntime {
         let shared = Arc::new(Shared {
             sched,
             mode: config.mode,
-            steal,
+            eager: config.mode == SchedMode::Central || config.speculate,
             parkers: (0..servers).map(|_| Parker::default()).collect(),
             parked_mask: AtomicU64::new(0),
             parks: AtomicU64::new(0),
@@ -1386,7 +1263,6 @@ impl CriRuntime {
                     SchedMode::Sharded => "sharded",
                 },
             )
-            .set("steal", self.shared.steal)
             .set("tasks", stats.tasks)
             .set("peak_queue", stats.peak_queue)
             .set("chained_tasks", stats.chained_tasks)
@@ -1559,11 +1435,8 @@ fn execute_task(
     let retry_copy = (crate::chaos::armed() || shared.any_idempotent.load(Ordering::Relaxed))
         .then(|| task.clone());
     let Task { fid, args, future, inv, .. } = task;
-    let sharded = shared.mode == SchedMode::Sharded;
     let key = shared.key();
-    if sharded {
-        BATCH.with(|b| b.borrow_mut().push(BatchFrame { key, fid, tasks: take_spare() }));
-    }
+    BATCH.with(|b| b.borrow_mut().push(BatchFrame { key, fid, tasks: take_spare() }));
     let _beat = shared.watched.then(|| BeatGuard::enter(PHASE_EXECUTING, fid as u64));
     curare_obs::record(EventKind::TaskStart, fid as u64);
     // The causal twin of TaskStart: ties this execution interval to
@@ -1581,52 +1454,10 @@ fn execute_task(
     // still settles its pending count (`handle_panic`). Injected faults
     // fire *inside* the catch, before the body — a retried task is
     // therefore exactly-once with respect to user effects.
-    let result = {
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            crate::chaos::on_task_start();
-            interp.call_fid_owned(fid, args)
-        }));
-        match caught {
-            Ok(r) => r,
-            Err(payload) => {
-                if shared.speculate {
-                    speclog::flush_reads();
-                }
-                curare_obs::set_invocation(prev_inv);
-                if inv != 0 {
-                    curare_obs::record(EventKind::InvStop, inv);
-                }
-                curare_obs::record(EventKind::TaskStop, fid as u64);
-                if sharded {
-                    let mut frame =
-                        BATCH.with(|b| b.borrow_mut().pop()).expect("balanced batch frames");
-                    debug_assert_eq!(frame.key, key, "frames pop in push order");
-                    shared.drop_unpublished(std::mem::take(&mut frame.tasks));
-                    put_spare(frame.tasks);
-                }
-                // The executed/chained counts tallied so far belong to
-                // completed tasks of this chain; publish them before
-                // any path that returns without a later flush.
-                shared.flush_tally(tally);
-                if shared.speculate {
-                    // SpecMode has no retry/poison ladder: park the
-                    // panic as an errored invocation and let the
-                    // validator escalate to the fault-suppressed
-                    // sequential rerun, which is exactly-once by
-                    // construction.
-                    speclog::record_error(inv);
-                    if let Some(id) = future {
-                        shared
-                            .futures
-                            .fail(id, LispError::User("task panicked under speculation".into()));
-                    }
-                    shared.finish_one();
-                    return None;
-                }
-                return handle_panic(interp, shared, payload, retry_copy, future, tally);
-            }
-        }
-    };
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        crate::chaos::on_task_start();
+        interp.call_fid_owned(fid, args)
+    }));
     if shared.speculate {
         // Buffered read brackets must reach the journal before this
         // task's completion can let the run quiesce.
@@ -1637,18 +1468,43 @@ fn execute_task(
         curare_obs::record(EventKind::InvStop, inv);
     }
     curare_obs::record(EventKind::TaskStop, fid as u64);
-    tally.executed += 1;
-    let mut chained = None;
-    if sharded {
-        let mut frame = BATCH.with(|b| b.borrow_mut().pop()).expect("balanced batch frames");
-        debug_assert_eq!(frame.key, key, "frames pop in push order");
-        if result.is_ok() {
-            chained = shared.publish_batch(&mut frame.tasks, true);
-        } else {
+    let mut frame = BATCH.with(|b| b.borrow_mut().pop()).expect("balanced batch frames");
+    debug_assert_eq!(frame.key, key, "frames pop in push order");
+    let result = match caught {
+        Ok(r) => r,
+        Err(payload) => {
             shared.drop_unpublished(std::mem::take(&mut frame.tasks));
+            put_spare(frame.tasks);
+            // The executed/chained counts tallied so far belong to
+            // completed tasks of this chain; publish them before
+            // any path that returns without a later flush.
+            shared.flush_tally(tally);
+            if shared.speculate {
+                // SpecMode has no retry/poison ladder: park the
+                // panic as an errored invocation and let the
+                // validator escalate to the fault-suppressed
+                // sequential rerun, which is exactly-once by
+                // construction.
+                speclog::record_error(inv);
+                if let Some(id) = future {
+                    shared
+                        .futures
+                        .fail(id, LispError::User("task panicked under speculation".into()));
+                }
+                shared.finish_one();
+                return None;
+            }
+            return handle_panic(interp, shared, payload, retry_copy, future, tally);
         }
-        put_spare(frame.tasks);
-    }
+    };
+    tally.executed += 1;
+    let chained = if result.is_ok() {
+        shared.publish_batch(&mut frame.tasks, true)
+    } else {
+        shared.drop_unpublished(std::mem::take(&mut frame.tasks));
+        None
+    };
+    put_spare(frame.tasks);
     match result {
         Ok(v) => {
             if let Some(id) = future {

@@ -6,28 +6,25 @@
 //! "an ordered set of queues, one for each call site", servers taking
 //! from the lowest-indexed non-empty queue.
 //!
-//! Two implementations share that discipline:
+//! [`ShardedQueues`] is that ordered set: one lock *per call site*,
+//! sites partitioned into ownership groups, each group with its own
+//! atomic nonempty-site bitmask. A server scans only its own group's
+//! mask; when that is empty it *steals* from a victim group —
+//! migrating whole sites (the queue stays in place, only the owner
+//! cell and mask bits move, so per-site FIFO is preserved by
+//! construction), or popping a single task when the victim has just
+//! one non-empty site. With one group ([`ShardedQueues::new`], the
+//! pool's `SchedMode::Central`) every server drains the same mask and
+//! there is nobody to steal from.
 //!
-//! - [`QueueSet`] is the paper-faithful central structure: one lock
-//!   around the whole ordered set (the pool's `SchedMode::Central`).
-//!   A nonempty-site bitmask makes `pop` skip empty queues instead of
-//!   scanning them, and `clear` drops tasks in place.
-//! - [`ShardedQueues`] is the low-contention structure
-//!   (`SchedMode::Sharded`): one lock *per call site*, sites
-//!   partitioned into per-server ownership groups, each group with its
-//!   own atomic nonempty-site bitmask. A server scans only its own
-//!   group's mask; when that is empty it *steals* from a victim
-//!   server's group — migrating whole sites (the queue stays in place,
-//!   only the owner cell and mask bits move, so per-site FIFO is
-//!   preserved by construction), or popping a single task when the
-//!   victim has just one non-empty site.
-//!
-//! Mask discipline: every group-mask set/clear and every owner-cell
-//! write happens while holding that site's lock, so a reader holding
-//! the lock always sees owner, queue, and mask in agreement. The
-//! lock-free group-mask read in `pop_group` is only a routing hint,
-//! re-verified under the lock; the authoritative emptiness signal is
-//! `len`, incremented *before* a task becomes visible.
+//! Mask discipline: every group-mask set/clear for a site below 63 and
+//! every owner-cell write happens while holding that site's lock, so a
+//! reader holding the lock always sees owner, queue, and mask in
+//! agreement — a group's bit is set exactly while it owns a non-empty
+//! site. All dequeues go through one kernel (`take`) that keeps it so.
+//! The lock-free group-mask read in `pop_group` is only a routing
+//! hint, re-verified under the lock; the authoritative emptiness
+//! signal is `len`, incremented *before* a task becomes visible.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -79,123 +76,6 @@ fn bits_through(site: usize) -> u64 {
     }
 }
 
-/// The ordered set of per-call-site queues. Not internally
-/// synchronized: the pool wraps it in its scheduler mutex.
-#[derive(Debug, Default)]
-pub struct QueueSet {
-    queues: Vec<VecDeque<Task>>,
-    /// Bit `min(site, 63)` is set when that site may be non-empty;
-    /// bit 63 covers every site at or above 63.
-    mask: u64,
-    /// Peak total length, for the §4.1 "queue never grows" analysis.
-    peak: usize,
-    len: usize,
-}
-
-impl QueueSet {
-    /// An empty queue set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enqueue `task` on its site's queue, growing the set as needed.
-    pub fn push(&mut self, task: Task) {
-        if task.site >= self.queues.len() {
-            self.queues.resize_with(task.site + 1, VecDeque::new);
-        }
-        self.mask |= site_bit(task.site);
-        self.queues[task.site].push_back(task);
-        self.len += 1;
-        self.peak = self.peak.max(self.len);
-    }
-
-    /// Dequeue from the lowest-indexed non-empty queue.
-    pub fn pop(&mut self) -> Option<Task> {
-        if let Some(r) = crate::chaos::pop_shuffle() {
-            return self.pop_shuffled(r);
-        }
-        while self.mask != 0 {
-            let site = self.mask.trailing_zeros() as usize;
-            if site < SHARED_BIT {
-                if let Some(t) = self.queues[site].pop_front() {
-                    self.len -= 1;
-                    if self.queues[site].is_empty() {
-                        self.mask &= !site_bit(site);
-                    }
-                    return Some(t);
-                }
-                self.mask &= !site_bit(site);
-            } else {
-                for q in self.queues.iter_mut().skip(SHARED_BIT) {
-                    if let Some(t) = q.pop_front() {
-                        self.len -= 1;
-                        return Some(t);
-                    }
-                }
-                self.mask &= !site_bit(SHARED_BIT);
-            }
-        }
-        None
-    }
-
-    /// Chaos dequeue: take the head of the `r`-th non-empty site
-    /// instead of the lowest-indexed one. Within-site FIFO is
-    /// preserved (always `pop_front`); only the cross-site preference
-    /// is perturbed — the ordering the §4.1 discipline does *not*
-    /// promise, which is exactly what makes this a legal adversary.
-    fn pop_shuffled(&mut self, r: u64) -> Option<Task> {
-        let nonempty: Vec<usize> =
-            (0..self.queues.len()).filter(|&s| !self.queues[s].is_empty()).collect();
-        if nonempty.is_empty() {
-            return None;
-        }
-        let site = nonempty[(r % nonempty.len() as u64) as usize];
-        let t = self.queues[site].pop_front()?;
-        self.len -= 1;
-        if self.queues[site].is_empty() && site < SHARED_BIT {
-            self.mask &= !site_bit(site);
-        }
-        Some(t)
-    }
-
-    /// Total queued tasks.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Highest total length ever reached.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
-    /// Drop all queued tasks in place (error shutdown with nothing to
-    /// notify — no intermediate `Vec`).
-    pub fn clear(&mut self) {
-        for q in &mut self.queues {
-            q.clear();
-        }
-        self.len = 0;
-        self.mask = 0;
-    }
-
-    /// Remove and return every queued task (error shutdown needs to
-    /// fail their futures).
-    pub fn drain_all(&mut self) -> Vec<Task> {
-        let mut out = Vec::with_capacity(self.len);
-        for q in &mut self.queues {
-            out.extend(q.drain(..));
-        }
-        self.len = 0;
-        self.mask = 0;
-        out
-    }
-}
-
 /// Owner sentinel for a site that has never held a task.
 const UNOWNED: usize = usize::MAX;
 
@@ -218,21 +98,24 @@ impl Default for SiteQueue {
 }
 
 /// The ordered set of per-call-site queues, internally synchronized
-/// with one lock per site, partitioned into per-server ownership
-/// groups with optional work stealing (see module docs).
+/// with one lock per site, partitioned into ownership groups with work
+/// stealing between them (see module docs).
 #[derive(Debug)]
 pub struct ShardedQueues {
     sites: RwLock<Vec<Arc<SiteQueue>>>,
-    /// One nonempty-site bitmask per server group. Bit `min(site, 63)`
-    /// is set while a site owned by that group may hold tasks; bit 63
-    /// is shared by every site ≥ 63 and re-verified by rescanning.
+    /// One nonempty-site bitmask per ownership group. Bit
+    /// `min(site, 63)` is set while a site owned by that group may
+    /// hold tasks; bit 63 is shared by every site ≥ 63 and re-verified
+    /// by rescanning.
     groups: Vec<AtomicU64>,
-    /// Bit `i` set while server group `i` is live (cleared by
+    /// `wake[g]`: the servers that drain group `g` (server `i` drains
+    /// group `i % groups`), one bit per server index below 64 — what
+    /// a publisher hands the pool to unpark.
+    wake: Vec<u64>,
+    /// Bit `i` set while group `i` is live (cleared by
     /// [`ShardedQueues::retire`] when a server is poisoned). Only the
     /// first 64 groups are tracked; the constructor caps group count.
     live: AtomicU64,
-    /// Whether thieves may migrate sites between groups.
-    steal: bool,
     len: AtomicU64,
     peak: AtomicU64,
     steal_attempts: AtomicU64,
@@ -243,30 +126,30 @@ pub struct ShardedQueues {
 
 impl Default for ShardedQueues {
     fn default() -> Self {
-        Self::with_servers(1, false)
+        Self::with_servers(1)
     }
 }
 
 impl ShardedQueues {
-    /// An empty queue set with a single ownership group (every server
-    /// shares it; no stealing). Used by tests and by the degraded
-    /// drain path.
+    /// An empty queue set with a single ownership group: every server
+    /// drains it, a push wakes any of them, and nothing is ever stolen
+    /// or retired.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// An empty queue set partitioned into one ownership group per
-    /// server. `steal` enables site migration between groups. Group
+    /// server, idle servers stealing from the others' groups. Group
     /// count is capped at 64 so the live mask and the parked-server
     /// mask stay one word; extra servers share group `i % 64`.
-    pub fn with_servers(servers: usize, steal: bool) -> Self {
+    pub fn with_servers(servers: usize) -> Self {
         let n = servers.clamp(1, 64);
         let live = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
         Self {
             sites: RwLock::new(Vec::new()),
             groups: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            wake: (0..n).map(|g| (g..64).step_by(n).fold(0, |m, i| m | 1u64 << i)).collect(),
             live: AtomicU64::new(live),
-            steal,
             len: AtomicU64::new(0),
             peak: AtomicU64::new(0),
             steal_attempts: AtomicU64::new(0),
@@ -276,35 +159,29 @@ impl ShardedQueues {
         }
     }
 
-    /// Number of ownership groups (== capped server count).
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
     /// The ownership group a server index maps to.
     pub fn group_of(&self, server: usize) -> usize {
         server % self.groups.len()
     }
 
-    /// The home (static-hash) owner for a site — where it lands before
-    /// any migration, and the rehoming base after its owner retires.
-    fn home(&self, site: usize) -> usize {
-        self.next_live(site % self.groups.len())
-    }
-
-    /// First live group at or round-robin after `from`. Falls back to
-    /// `from` itself if every group is retired (the pool aborts in
-    /// that state; tasks must still land somewhere drainable).
-    fn next_live(&self, from: usize) -> usize {
+    /// The group that drains `site` given its recorded `owner`: that
+    /// owner while it is live; otherwise the site's home — its
+    /// static-hash group `site % groups`, or the first live group
+    /// round-robin after it. Falls back to the static group itself if
+    /// every group is retired (the pool aborts in that state; tasks
+    /// must still land somewhere drainable).
+    fn live_owner(&self, owner: usize, site: usize) -> usize {
         let n = self.groups.len();
         let live = self.live.load(Ordering::Acquire);
-        for i in 0..n {
-            let g = (from + i) % n;
-            if live & (1u64 << g) != 0 {
-                return g;
-            }
+        let is_live = |g: &usize| live & (1u64 << g) != 0;
+        if owner != UNOWNED && is_live(&owner) {
+            return owner;
         }
-        from % n
+        (0..n).map(|i| (site + i) % n).find(is_live).unwrap_or(site % n)
+    }
+
+    fn site_count(&self) -> usize {
+        self.sites.read().len()
     }
 
     fn site_queue(&self, site: usize) -> Arc<SiteQueue> {
@@ -325,25 +202,16 @@ impl ShardedQueues {
     /// owners to the site's live home. Used by the pool to route
     /// chaining decisions and targeted wakeups.
     pub fn owner_of(&self, site: usize) -> usize {
-        let owner = {
-            let sites = self.sites.read();
-            match sites.get(site) {
-                Some(sq) => sq.owner.load(Ordering::Acquire),
-                None => UNOWNED,
-            }
-        };
-        if owner == UNOWNED || self.live.load(Ordering::Acquire) & (1u64 << owner) == 0 {
-            self.home(site)
-        } else {
-            owner
-        }
+        let recorded =
+            self.sites.read().get(site).map_or(UNOWNED, |sq| sq.owner.load(Ordering::Acquire));
+        self.live_owner(recorded, site)
     }
 
     /// Publish a batch of tasks, preserving their order. Consecutive
     /// tasks for the same site are pushed under one site-lock
-    /// acquisition. Returns a wake mask: bit `min(owner, 63)` set for
-    /// every owner group that received work (the pool unparks those
-    /// servers).
+    /// acquisition. Returns a wake mask: the servers (bit
+    /// `min(index, 63)`) that drain an owner group which received work
+    /// — the pool unparks among those.
     pub fn push_batch(
         &self,
         tasks: impl IntoIterator<Item = Task, IntoIter: ExactSizeIterator>,
@@ -367,13 +235,10 @@ impl ShardedQueues {
             }
             // Resolve the owner under the site lock: assign the home
             // owner on first use, rehome if the recorded owner retired.
-            let mut owner = sq.owner.load(Ordering::Relaxed);
-            if owner == UNOWNED || self.live.load(Ordering::Acquire) & (1u64 << owner) == 0 {
-                owner = self.home(site);
-                sq.owner.store(owner, Ordering::Release);
-            }
+            let owner = self.live_owner(sq.owner.load(Ordering::Relaxed), site);
+            sq.owner.store(owner, Ordering::Release);
             self.groups[owner].fetch_or(site_bit(site), Ordering::AcqRel);
-            wake |= 1u64 << owner.min(63);
+            wake |= self.wake[owner];
         }
         wake
     }
@@ -385,33 +250,86 @@ impl ShardedQueues {
     }
 
     /// Dequeue from the lowest-indexed non-empty site, ignoring
-    /// ownership (global §4.1 order). Used by helping `touch` waiters,
-    /// the degraded drain, and single-consumer tests; pool servers use
+    /// ownership (global §4.1 order; among sites ≥ 63 of different
+    /// groups, group order). Used by helping `touch` waiters, the
+    /// degraded drain, and single-consumer tests; pool servers use
     /// [`ShardedQueues::pop_local`] + [`ShardedQueues::steal`].
     pub fn pop(&self) -> Option<Task> {
-        if let Some(r) = crate::chaos::pop_shuffle() {
-            return self.pop_shuffled(r);
-        }
-        self.pop_any()
-    }
-
-    fn pop_any(&self) -> Option<Task> {
-        if self.len.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        self.scan_from(0)
+        self.dequeue(None)
     }
 
     /// Dequeue from the calling server's own group: lowest-indexed
     /// non-empty site it owns.
     pub fn pop_local(&self, server: usize) -> Option<Task> {
-        let g = self.group_of(server);
-        if let Some(r) = crate::chaos::pop_shuffle() {
-            return self.pop_group_rotated(g, r).or_else(|| self.pop_group(g));
-        }
-        self.pop_group(g)
+        self.dequeue(Some(self.group_of(server)))
     }
 
+    /// The two iteration orders over the kernel. Under a chaos shuffle
+    /// the scan starts at a rotated site instead of the lowest one:
+    /// within-site FIFO is preserved (`take` only ever pops a front);
+    /// only the cross-site preference is perturbed — the ordering the
+    /// §4.1 discipline does *not* promise, which is exactly what makes
+    /// this a legal adversary. A rotated scan that loses every race
+    /// falls through to mask order without redrawing the decision.
+    fn dequeue(&self, group: Option<usize>) -> Option<Task> {
+        if let Some(r) = crate::chaos::pop_shuffle() {
+            let n = self.site_count();
+            let start = (r % n.max(1) as u64) as usize;
+            if let Some(t) = (0..n).find_map(|i| self.take((start + i) % n, group)) {
+                return Some(t);
+            }
+        }
+        match group {
+            Some(g) => self.pop_group(g),
+            None => loop {
+                // The group whose lowest non-empty site is lowest.
+                let first = |g: usize| (self.groups[g].load(Ordering::Acquire).trailing_zeros(), g);
+                let (site, g) = (0..self.groups.len()).map(first).min()?;
+                if site == u64::BITS {
+                    return None;
+                }
+                if let Some(t) = self.pop_group(g) {
+                    return Some(t);
+                }
+            },
+        }
+    }
+
+    /// The one dequeue: the front of `site`, provided `group` is
+    /// `None` or owns it. The site lock is held across the owner
+    /// check, the pop and the mask write, so whoever locks next sees
+    /// them agree; and every miss clears the hint that led to it (a
+    /// stale mask snapshot: the site drained or migrated since), so
+    /// the mask-order loops terminate.
+    fn take(&self, site: usize, group: Option<usize>) -> Option<Task> {
+        let sq = self.site_queue(site);
+        let mut q = sq.q.lock();
+        let owner = sq.owner.load(Ordering::Relaxed);
+        if let Some(g) = group.filter(|&g| g != owner) {
+            self.clear_hint(g, site);
+            return None;
+        }
+        let t = q.pop_front();
+        if q.is_empty() && owner != UNOWNED {
+            self.clear_hint(owner, site);
+        }
+        drop(q);
+        if t.is_some() {
+            self.len.fetch_sub(1, Ordering::AcqRel);
+        }
+        t
+    }
+
+    /// Clear `site`'s bit in group `g`'s mask (caller holds the site
+    /// lock). Sites ≥ 63 share a bit no single site may clear.
+    fn clear_hint(&self, g: usize, site: usize) {
+        if site < SHARED_BIT {
+            self.groups[g].fetch_and(!site_bit(site), Ordering::AcqRel);
+        }
+    }
+
+    /// Mask order: the front of the lowest-indexed non-empty site
+    /// group `g` owns.
     fn pop_group(&self, g: usize) -> Option<Task> {
         loop {
             let gmask = self.groups[g].load(Ordering::Acquire);
@@ -420,149 +338,23 @@ impl ShardedQueues {
             }
             let site = gmask.trailing_zeros() as usize;
             if site < SHARED_BIT {
-                let sq = self.site_queue(site);
-                let mut q = sq.q.lock();
-                if sq.owner.load(Ordering::Relaxed) != g {
-                    // The site migrated away between the mask read and
-                    // the lock; drop the stale hint (under the lock,
-                    // so a concurrent re-migration back re-sets it).
-                    self.groups[g].fetch_and(!site_bit(site), Ordering::AcqRel);
-                    continue;
-                }
-                if let Some(t) = q.pop_front() {
-                    if q.is_empty() {
-                        self.groups[g].fetch_and(!site_bit(site), Ordering::AcqRel);
-                    }
-                    drop(q);
-                    self.len.fetch_sub(1, Ordering::AcqRel);
-                    return Some(t);
-                }
-                // Stale hint: clear under the site lock so a racing
-                // pusher (serialized on the same lock) re-sets it.
-                self.groups[g].fetch_and(!site_bit(site), Ordering::AcqRel);
-            } else {
-                if let Some(t) = self.scan_group_shared(g) {
-                    return Some(t);
-                }
-                // Clear the shared bit, then rescan: a site ≥ 63 push
-                // may have landed between the scan and the clear.
-                self.groups[g].fetch_and(!site_bit(SHARED_BIT), Ordering::AcqRel);
-                if let Some(t) = self.scan_group_shared(g) {
-                    self.groups[g].fetch_or(site_bit(SHARED_BIT), Ordering::AcqRel);
-                    return Some(t);
+                match self.take(site, Some(g)) {
+                    Some(t) => return Some(t),
+                    None => continue,
                 }
             }
-        }
-    }
-
-    /// Chaos variant of `pop_group`: take the head of a rotated
-    /// non-empty site within the group instead of the lowest-indexed
-    /// one. Within-site FIFO is preserved (always `pop_front`); only
-    /// the cross-site preference is perturbed.
-    fn pop_group_rotated(&self, g: usize, r: u64) -> Option<Task> {
-        let sites: Vec<Arc<SiteQueue>> = {
-            let sites = self.sites.read();
-            sites.iter().cloned().collect()
-        };
-        if sites.is_empty() {
-            return None;
-        }
-        let n = sites.len();
-        let start = (r % n as u64) as usize;
-        for i in 0..n {
-            let site = (start + i) % n;
-            let mut q = sites[site].q.lock();
-            if sites[site].owner.load(Ordering::Relaxed) != g {
-                continue;
+            let high = || (SHARED_BIT..self.site_count()).find_map(|s| self.take(s, Some(g)));
+            if let Some(t) = high() {
+                return Some(t);
             }
-            if let Some(t) = q.pop_front() {
-                if q.is_empty() && site < SHARED_BIT {
-                    self.groups[g].fetch_and(!site_bit(site), Ordering::AcqRel);
-                }
-                drop(q);
-                self.len.fetch_sub(1, Ordering::AcqRel);
+            // Clear the shared bit, then rescan: a site ≥ 63 push
+            // may have landed between the scan and the clear.
+            self.groups[g].fetch_and(!site_bit(SHARED_BIT), Ordering::AcqRel);
+            if let Some(t) = high() {
+                self.groups[g].fetch_or(site_bit(SHARED_BIT), Ordering::AcqRel);
                 return Some(t);
             }
         }
-        None
-    }
-
-    /// Pop the lowest site ≥ 63 owned by group `g`.
-    fn scan_group_shared(&self, g: usize) -> Option<Task> {
-        let sites: Vec<Arc<SiteQueue>> = {
-            let sites = self.sites.read();
-            sites.iter().skip(SHARED_BIT).cloned().collect()
-        };
-        for sq in sites {
-            let mut q = sq.q.lock();
-            if sq.owner.load(Ordering::Relaxed) != g {
-                continue;
-            }
-            if let Some(t) = q.pop_front() {
-                drop(q);
-                self.len.fetch_sub(1, Ordering::AcqRel);
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    fn scan_from(&self, start: usize) -> Option<Task> {
-        let sites: Vec<Arc<SiteQueue>> = {
-            let sites = self.sites.read();
-            sites.iter().skip(start).cloned().collect()
-        };
-        for (i, sq) in sites.iter().enumerate() {
-            let site = start + i;
-            let mut q = sq.q.lock();
-            if let Some(t) = q.pop_front() {
-                if q.is_empty() && site < SHARED_BIT {
-                    let owner = sq.owner.load(Ordering::Relaxed);
-                    if owner != UNOWNED {
-                        self.groups[owner.min(self.groups.len() - 1)]
-                            .fetch_and(!site_bit(site), Ordering::AcqRel);
-                    }
-                }
-                drop(q);
-                self.len.fetch_sub(1, Ordering::AcqRel);
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    /// Chaos dequeue for the ownership-oblivious [`ShardedQueues::pop`]:
-    /// start the site scan at a rotated offset so the cross-site
-    /// preference is perturbed while within-site FIFO is preserved.
-    /// Falls back to the normal pop (without redrawing a shuffle
-    /// decision, which could recurse unboundedly under an
-    /// always-shuffle profile) when the rotated scan finds nothing.
-    fn pop_shuffled(&self, r: u64) -> Option<Task> {
-        let sites: Vec<Arc<SiteQueue>> = {
-            let sites = self.sites.read();
-            sites.iter().cloned().collect()
-        };
-        if !sites.is_empty() {
-            let n = sites.len();
-            let start = (r % n as u64) as usize;
-            for i in 0..n {
-                let site = (start + i) % n;
-                let mut q = sites[site].q.lock();
-                if let Some(t) = q.pop_front() {
-                    if q.is_empty() && site < SHARED_BIT {
-                        let owner = sites[site].owner.load(Ordering::Relaxed);
-                        if owner != UNOWNED {
-                            self.groups[owner.min(self.groups.len() - 1)]
-                                .fetch_and(!site_bit(site), Ordering::AcqRel);
-                        }
-                    }
-                    drop(q);
-                    self.len.fetch_sub(1, Ordering::AcqRel);
-                    return Some(t);
-                }
-            }
-        }
-        self.pop_any()
     }
 
     /// Steal work for `thief` from another group. Victims are chosen
@@ -575,10 +367,9 @@ impl ShardedQueues {
     /// construction. When the victim has a single non-empty site (or
     /// only shared-bit work), one task is popped from its front
     /// instead, which keeps a single hot site parallelizable. Returns
-    /// a task on success.
+    /// a task on success; `None` at once when there is only one group.
     pub fn steal(&self, thief: usize, rng: &mut u64) -> Option<Task> {
-        let n = self.groups.len();
-        if !self.steal || n <= 1 {
+        if self.groups.len() <= 1 {
             return None;
         }
         let me = self.group_of(thief);
@@ -664,28 +455,22 @@ impl ShardedQueues {
         true
     }
 
-    /// Retire a server group (chaos-poisoned thread): mark it dead and
-    /// rehome every site it owns to the next live group. Returns the
-    /// wake mask of groups that inherited non-empty sites.
+    /// Retire a server's group (chaos-poisoned thread): mark it dead
+    /// and migrate every non-empty site it owns to the next live group
+    /// (an empty one is rehomed by its next push). Returns the wake
+    /// mask of the servers that inherited work. A group shared by
+    /// every server outlives any one of them.
     pub fn retire(&self, server: usize) -> u64 {
+        if self.groups.len() <= 1 {
+            return 0;
+        }
         let g = self.group_of(server);
         self.live.fetch_and(!(1u64 << g), Ordering::AcqRel);
-        let sites: Vec<(usize, Arc<SiteQueue>)> = {
-            let sites = self.sites.read();
-            sites.iter().enumerate().map(|(i, sq)| (i, Arc::clone(sq))).collect()
-        };
         let mut wake = 0u64;
-        for (site, sq) in sites {
-            let q = sq.q.lock();
-            if sq.owner.load(Ordering::Relaxed) != g {
-                continue;
-            }
-            let heir = self.home(site);
-            sq.owner.store(heir, Ordering::Release);
-            self.groups[g].fetch_and(!site_bit(site), Ordering::AcqRel);
-            if !q.is_empty() {
-                self.groups[heir].fetch_or(site_bit(site), Ordering::AcqRel);
-                wake |= 1u64 << heir.min(63);
+        for site in 0..self.site_count() {
+            let heir = self.live_owner(g, site);
+            if self.migrate_site(site, g, heir) {
+                wake |= self.wake[heir];
             }
         }
         wake
@@ -694,11 +479,6 @@ impl ShardedQueues {
     /// True when a published (or mid-publish) task exists anywhere.
     pub fn has_work(&self) -> bool {
         self.len.load(Ordering::Acquire) > 0
-    }
-
-    /// True when the server's own group mask shows work.
-    pub fn group_has_work(&self, server: usize) -> bool {
-        self.groups[self.group_of(server)].load(Ordering::Acquire) != 0
     }
 
     /// Total queued tasks (may briefly lead visibility during a push).
@@ -739,19 +519,18 @@ impl ShardedQueues {
     }
 
     /// Remove and return every queued task (error shutdown needs to
-    /// fail their futures).
+    /// fail their futures). A shared bit left set is only a hint the
+    /// next `pop_group` rescans away.
     pub fn drain_all(&self) -> Vec<Task> {
-        let sites: Vec<Arc<SiteQueue>> = {
-            let sites = self.sites.read();
-            sites.iter().cloned().collect()
-        };
         let mut out = Vec::new();
-        for sq in sites {
+        for site in 0..self.site_count() {
+            let sq = self.site_queue(site);
             let mut q = sq.q.lock();
             out.extend(q.drain(..));
-        }
-        for g in &self.groups {
-            g.store(0, Ordering::Release);
+            let owner = sq.owner.load(Ordering::Relaxed);
+            if owner != UNOWNED {
+                self.clear_hint(owner, site);
+            }
         }
         if !out.is_empty() {
             self.len.fetch_sub(out.len() as u64, Ordering::AcqRel);
@@ -787,32 +566,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_within_a_site() {
-        let mut q = QueueSet::new();
-        q.push(task(0, 1));
-        q.push(task(0, 2));
-        q.push(task(0, 3));
-        assert_eq!(q.pop().unwrap().args[0], Value::int(1));
-        assert_eq!(q.pop().unwrap().args[0], Value::int(2));
-        assert_eq!(q.pop().unwrap().args[0], Value::int(3));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn lower_sites_drain_first() {
-        let mut q = QueueSet::new();
-        q.push(task(1, 10));
-        q.push(task(0, 1));
-        q.push(task(1, 11));
-        q.push(task(0, 2));
-        let order: Vec<i64> =
-            std::iter::from_fn(|| q.pop()).map(|t| t.args[0].as_int().unwrap()).collect();
-        assert_eq!(order, [1, 2, 10, 11]);
-    }
-
-    #[test]
     fn len_and_peak_track() {
-        let mut q = QueueSet::new();
+        let q = ShardedQueues::new();
         assert!(q.is_empty());
         q.push(task(0, 1));
         q.push(task(3, 2));
@@ -823,9 +578,9 @@ mod tests {
         q.push(task(0, 3));
         q.push(task(0, 4));
         assert_eq!(q.peak(), 3);
-        q.clear();
+        q.drain_all();
         assert!(q.is_empty());
-        assert_eq!(q.peak(), 3, "peak survives clear");
+        assert_eq!(q.peak(), 3, "peak survives the drain");
     }
 
     #[test]
@@ -833,7 +588,7 @@ mod tests {
         // §4.1: "Execution of a task removes an item from the queue and
         // that task adds at most one item, so its length never
         // increases."
-        let mut q = QueueSet::new();
+        let q = ShardedQueues::new();
         for i in 0..4 {
             q.push(task(0, i));
         }
@@ -847,18 +602,6 @@ mod tests {
                 assert!(q.len() <= start);
             }
         }
-    }
-
-    #[test]
-    fn queue_set_sites_beyond_the_mask_still_order() {
-        let mut q = QueueSet::new();
-        q.push(task(100, 3));
-        q.push(task(64, 1));
-        q.push(task(70, 2));
-        q.push(task(2, 0));
-        let order: Vec<i64> =
-            std::iter::from_fn(|| q.pop()).map(|t| t.args[0].as_int().unwrap()).collect();
-        assert_eq!(order, [0, 1, 2, 3]);
     }
 
     #[test]
@@ -970,7 +713,7 @@ mod tests {
 
     #[test]
     fn ownership_partitions_sites_across_groups() {
-        let q = ShardedQueues::with_servers(4, true);
+        let q = ShardedQueues::with_servers(4);
         for s in 0..8 {
             q.push(task(s, s as i64));
         }
@@ -979,7 +722,6 @@ mod tests {
         }
         // Each server sees only its own two sites.
         for g in 0..4 {
-            assert!(q.group_has_work(g));
             let a = q.pop_local(g).unwrap().args[0].as_int().unwrap();
             let b = q.pop_local(g).unwrap().args[0].as_int().unwrap();
             assert_eq!((a as usize % 4, b as usize % 4), (g, g));
@@ -991,14 +733,14 @@ mod tests {
 
     #[test]
     fn steal_migrates_half_the_victims_sites_and_preserves_fifo() {
-        let q = ShardedQueues::with_servers(2, true);
+        let q = ShardedQueues::with_servers(2);
         // Four sites, all homed on group 0 (sites 0 and 2... with 2
         // servers, even sites are group 0). Push FIFO pairs on each.
         for site in [0usize, 2, 4, 6] {
             q.push(task(site, (site * 10) as i64));
             q.push(task(site, (site * 10 + 1) as i64));
         }
-        assert!(!q.group_has_work(1));
+        assert!(q.pop_local(1).is_none(), "the thief's own group is empty");
         let mut rng = 7u64;
         let t = q.steal(1, &mut rng).expect("thief finds work");
         let (att, succ, _races, migrated) = q.steal_stats();
@@ -1031,7 +773,7 @@ mod tests {
 
     #[test]
     fn steal_pop_shares_a_single_hot_site() {
-        let q = ShardedQueues::with_servers(4, true);
+        let q = ShardedQueues::with_servers(4);
         for i in 0..6 {
             q.push(task(0, i));
         }
@@ -1048,26 +790,15 @@ mod tests {
     }
 
     #[test]
-    fn steal_disabled_never_migrates() {
-        let q = ShardedQueues::with_servers(4, false);
-        for s in 0..8 {
-            q.push(task(s, s as i64));
-        }
-        let mut rng = 3u64;
-        assert!(q.steal(3, &mut rng).is_none());
-        assert_eq!(q.steal_stats(), (0, 0, 0, 0));
-    }
-
-    #[test]
     fn retire_rehomes_sites_to_live_groups() {
-        let q = ShardedQueues::with_servers(4, true);
+        let q = ShardedQueues::with_servers(4);
         for s in 0..4 {
             q.push(task(s, s as i64));
         }
         let wake = q.retire(1);
         assert_ne!(wake, 0, "heir with non-empty site must be woken");
         assert_ne!(q.owner_of(1), 1, "dead group owns nothing");
-        assert!(!q.group_has_work(1));
+        assert!(q.pop_local(1).is_none());
         // All four tasks still drain via their (new) owners.
         let mut got = 0;
         for g in 0..4 {
@@ -1084,7 +815,7 @@ mod tests {
 
     #[test]
     fn can_chain_follows_the_migrated_owner() {
-        let q = ShardedQueues::with_servers(2, true);
+        let q = ShardedQueues::with_servers(2);
         // Sites 0 and 2 homed on group 0, two tasks each so the
         // migrated site still has queued work after the steal's pop.
         q.push_batch(vec![task(0, 1), task(0, 2), task(2, 3), task(2, 4)]);
@@ -1100,6 +831,83 @@ mod tests {
         assert_eq!(q.owner_of(2), 1);
         assert!(!q.can_chain(2), "remaining site-2 work follows the thief");
         assert!(!q.can_chain(5), "homed on the thief, outranked by site 2");
+    }
+
+    /// At a quiescent point `len` is the sum of the queue lengths, and
+    /// a group's mask has a site's bit exactly while the group owns
+    /// that site non-empty (sites ≥ 63 share a hint bit, not a fact).
+    fn assert_len_and_masks_agree(q: &ShardedQueues, ctx: &str) {
+        let sites = q.sites.read();
+        let queued: usize = sites.iter().map(|sq| sq.q.lock().len()).sum();
+        assert_eq!(q.len(), queued, "{ctx}");
+        for (g, mask) in q.groups.iter().enumerate() {
+            let owned = sites
+                .iter()
+                .take(SHARED_BIT)
+                .enumerate()
+                .filter(|(_, sq)| sq.owner.load(Ordering::Relaxed) == g && !sq.q.lock().is_empty())
+                .fold(0u64, |m, (site, _)| m | site_bit(site));
+            let low = mask.load(Ordering::Relaxed) & !site_bit(SHARED_BIT);
+            assert_eq!(low, owned, "{ctx}: group {g}");
+        }
+    }
+
+    #[test]
+    fn random_operation_sequences_keep_len_masks_and_fifo_in_agreement() {
+        const SITES: [usize; 8] = [0, 1, 2, 7, 40, 62, 63, 90];
+        for seed in 0..24u64 {
+            let mut rng = seed.wrapping_mul(0xA076_1D64_78BD_642F) | 1;
+            let groups = 1 + (seed % 4) as usize;
+            let q = ShardedQueues::with_servers(groups);
+            // Per site, the tags still queued, in push order.
+            let mut model = std::collections::HashMap::<usize, VecDeque<i64>>::new();
+            let mut alive: Vec<usize> = (0..groups).collect();
+            let mut tag = 0i64;
+            for step in 0..400 {
+                let word = splitmix64(&mut rng);
+                let server = alive[(word >> 8) as usize % alive.len()];
+                let popped = match word % 16 {
+                    0..=5 => {
+                        let batch: Vec<Task> = (0..1 + (word >> 16) % 3)
+                            .map(|i| {
+                                tag += 1;
+                                task(SITES[(word >> (20 + 3 * i)) as usize % SITES.len()], tag)
+                            })
+                            .collect();
+                        for t in &batch {
+                            model.entry(t.site).or_default().push_back(t.args[0].as_int().unwrap());
+                        }
+                        assert_ne!(q.push_batch(batch), 0, "a push names someone to wake");
+                        None
+                    }
+                    6..=9 => q.pop_local(server),
+                    10 | 11 => q.pop(),
+                    12..=14 => q.steal(server, &mut rng),
+                    _ => {
+                        if alive.len() > 1 && (word >> 16) & 7 == 0 {
+                            q.retire(server);
+                            alive.retain(|&s| s != server);
+                        }
+                        None
+                    }
+                };
+                let ctx = format!("seed {seed}, {groups} group(s), step {step}");
+                if let Some(t) = popped {
+                    let front = model.get_mut(&t.site).and_then(VecDeque::pop_front);
+                    assert_eq!(t.args[0].as_int(), front, "{ctx}: site {} out of order", t.site);
+                }
+                assert_len_and_masks_agree(&q, &ctx);
+            }
+            // Whatever is left comes out through the oblivious pop, each
+            // site still in order, and the structure ends empty.
+            while let Some(t) = q.pop() {
+                let front = model.get_mut(&t.site).and_then(VecDeque::pop_front);
+                assert_eq!(t.args[0].as_int(), front, "seed {seed}: drain of site {}", t.site);
+            }
+            assert!(model.values().all(VecDeque::is_empty), "seed {seed}: tasks left behind");
+            assert!(q.is_empty());
+            assert_len_and_masks_agree(&q, &format!("seed {seed}, drained"));
+        }
     }
 
     #[test]

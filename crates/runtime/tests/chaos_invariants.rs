@@ -10,7 +10,7 @@ use std::time::Duration;
 use curare_lisp::{Interp, LispError, Val, Value};
 use curare_runtime::chaos::{self, ChaosProfile, FaultPlan};
 use curare_runtime::queue::ShardedQueues;
-use curare_runtime::{CriRuntime, FutureTable, QueueSet, RuntimeConfig, SchedMode, Task};
+use curare_runtime::{CriRuntime, FutureTable, RuntimeConfig, SchedMode, Task};
 use curare_transform::Curare;
 
 // The chaos install point is process-global; serialize every test
@@ -68,33 +68,42 @@ fn always_shuffle(seed: u64) -> Arc<FaultPlan> {
     FaultPlan::new(seed, ChaosProfile { shuffle_ppm: 1_000_000, ..ChaosProfile::quiet("t") })
 }
 
+/// Forty tags on each of four sites, pushed round-robin.
+fn loaded(q: ShardedQueues) -> ShardedQueues {
+    for tag in 0..40 {
+        for site in 0..4 {
+            q.push(task(site, tag));
+        }
+    }
+    q
+}
+
 #[test]
 fn pop_shuffle_preserves_per_site_fifo_in_the_central_queue() {
+    // The central queue is the one-group structure drained the way a
+    // central pool's servers drain it: every server pops the group.
     let _g = guard();
     for seed in 0..8u64 {
         with_plan(always_shuffle(seed), || {
-            let mut q = QueueSet::new();
-            for tag in 0..40 {
-                for site in 0..4 {
-                    q.push(task(site, tag));
-                }
-            }
-            assert_per_site_fifo(|| q.pop(), 4);
+            let q = loaded(ShardedQueues::new());
+            let mut server = 0;
+            let next = || {
+                server += 1;
+                q.pop_local(server)
+            };
+            assert_per_site_fifo(next, 4);
         });
     }
 }
 
 #[test]
 fn pop_shuffle_preserves_per_site_fifo_in_the_sharded_queues() {
+    // The ownership-oblivious pop (helping touch, degraded drain)
+    // across two groups' sites.
     let _g = guard();
     for seed in 0..8u64 {
         with_plan(always_shuffle(seed), || {
-            let q = ShardedQueues::new();
-            for tag in 0..40 {
-                for site in 0..4 {
-                    q.push(task(site, tag));
-                }
-            }
+            let q = loaded(ShardedQueues::with_servers(2));
             assert_per_site_fifo(|| q.pop(), 4);
         });
     }
@@ -111,12 +120,7 @@ fn steal_under_shuffle_preserves_per_site_fifo() {
     let _g = guard();
     for seed in 0..8u64 {
         with_plan(always_shuffle(seed), || {
-            let q = ShardedQueues::with_servers(2, true);
-            for tag in 0..40 {
-                for site in 0..4 {
-                    q.push(task(site, tag));
-                }
-            }
+            let q = loaded(ShardedQueues::with_servers(2));
             let mut rng = seed.wrapping_add(1);
             assert_per_site_fifo(|| q.pop_local(1).or_else(|| q.steal(1, &mut rng)), 4);
             assert!(q.is_empty(), "thief must have drained both groups");

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use common::{quietly, PanicOnLock};
 use curare_lisp::{Interp, LispError, Value};
-use curare_runtime::{CriRuntime, RuntimeConfig};
+use curare_runtime::{CriRuntime, RuntimeConfig, SchedMode};
 
 /// A walker whose body can fail between its spawn and its one effect.
 const WALK: &str = "(defun walk (l)
@@ -23,6 +23,7 @@ const WALK: &str = "(defun walk (l)
                         (atomic-incf *visits* 1)
                         (cri-unlock l 'car)))";
 const N: i64 = 64;
+const MODES: [SchedMode; 2] = [SchedMode::Central, SchedMode::Sharded];
 
 // `quietly` swaps the process-global panic hook.
 static HOOK_GUARD: Mutex<()> = Mutex::new(());
@@ -77,19 +78,23 @@ fn a_panicking_task_ends_the_run_with_an_error() {
 #[test]
 fn a_declared_idempotent_body_is_retried_within_the_limit_exactly_once() {
     let _g = guard();
-    // One server, so all three panics hit the first invocation: three
-    // retries fit a limit of 3 (the default of 2 would poison).
-    let config = RuntimeConfig { retry_limit: 3, ..RuntimeConfig::default() };
-    let (rt, l) = pool(1, config, 3);
-    rt.declare_idempotent("walk");
-    quietly(|| rt.run("walk", &[l])).expect("retries absorb the panics");
-    let stats = rt.stats();
-    assert_eq!(stats.task_retries, 3, "{stats:?}");
-    assert_eq!(stats.servers_poisoned, 0, "{stats:?}");
-    assert!(!rt.degraded());
-    // The failed attempts' buffered successors died with them.
-    assert_eq!(visits(&rt), Value::int(N));
-    assert_eq!(stats.tasks, N as u64 + 1, "{stats:?}");
+    for mode in MODES {
+        // One server, so all three panics hit the first invocation: three
+        // retries fit a limit of 3 (the default of 2 would poison).
+        let config = RuntimeConfig { mode, retry_limit: 3, ..RuntimeConfig::default() };
+        let (rt, l) = pool(1, config, 3);
+        rt.declare_idempotent("walk");
+        quietly(|| rt.run("walk", &[l])).expect("retries absorb the panics");
+        let stats = rt.stats();
+        assert_eq!(stats.task_retries, 3, "{mode:?}: {stats:?}");
+        assert_eq!(stats.servers_poisoned, 0, "{mode:?}: {stats:?}");
+        assert!(!rt.degraded());
+        // The failed attempts' buffered successors died with them — on
+        // the central queue too, which publishes any other body's
+        // spawns at once.
+        assert_eq!(visits(&rt), Value::int(N), "{mode:?}");
+        assert_eq!(stats.tasks, N as u64 + 1, "{mode:?}: {stats:?}");
+    }
 }
 
 #[test]
@@ -101,17 +106,20 @@ fn a_pool_below_its_floor_finishes_sequentially_with_the_same_answer() {
     // second attempt requeues it and leaves. One live server is below a
     // floor of 2 (the waiting thread drains) but not below a floor of 1
     // (the survivor finishes); the answer is the same either way.
-    for (degrade_floor, degrades) in [(2, true), (1, false)] {
-        let config = RuntimeConfig { retry_limit: 1, degrade_floor, ..RuntimeConfig::default() };
+    for (mode, degrade_floor, degrades) in
+        MODES.into_iter().flat_map(|m| [(m, 2, true), (m, 1, false)])
+    {
+        let config =
+            RuntimeConfig { mode, retry_limit: 1, degrade_floor, ..RuntimeConfig::default() };
         let (rt, l) = pool(2, config, 2);
         rt.declare_idempotent("walk");
         quietly(|| rt.run("walk", &[l])).expect("the run completes");
         let stats = rt.stats();
-        assert_eq!(stats.task_retries, 1, "{stats:?}");
-        assert_eq!(stats.servers_poisoned, 1, "{stats:?}");
+        assert_eq!(stats.task_retries, 1, "{mode:?}: {stats:?}");
+        assert_eq!(stats.servers_poisoned, 1, "{mode:?}: {stats:?}");
         assert_eq!(rt.alive(), 1);
-        assert_eq!(rt.degraded(), degrades, "floor {degrade_floor}: {stats:?}");
-        assert_eq!(visits(&rt), Value::int(N));
-        assert_eq!(stats.tasks, N as u64 + 1, "{stats:?}");
+        assert_eq!(rt.degraded(), degrades, "{mode:?}, floor {degrade_floor}: {stats:?}");
+        assert_eq!(visits(&rt), Value::int(N), "{mode:?}");
+        assert_eq!(stats.tasks, N as u64 + 1, "{mode:?}: {stats:?}");
     }
 }

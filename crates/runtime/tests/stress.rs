@@ -318,31 +318,28 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 #[test]
 fn skewed_workload_is_exact_with_and_without_stealing() {
-    // 90% of the leaves land on one site: with stealing off the
-    // site's static owner drains them alone; with stealing on idle
-    // servers migrate sites / steal-pop the hot queue. Either way the
-    // oracle sum and the exactly-once task count must hold.
+    // 90% of the leaves land on one site: on the central queue every
+    // server drains the one group and nothing is stolen; on the
+    // sharded one idle servers migrate sites / steal-pop the hot
+    // queue. Either way the oracle sum and the exactly-once task count
+    // must hold.
     let n = 3000usize;
     let k = 4usize;
     let values: Vec<i64> =
         (0..n).map(|i| if i % 10 == 0 { (i / 10 % k) as i64 } else { 0 }).collect();
     let expect: i64 = values.iter().map(|v| v + 1).sum();
-    for steal in [false, true] {
+    for mode in [SchedMode::Central, SchedMode::Sharded] {
         let interp = Arc::new(Interp::new());
         interp.load_str(&skew_src(k)).unwrap();
-        let rt = CriRuntime::with_config(
-            Arc::clone(&interp),
-            4,
-            RuntimeConfig { mode: SchedMode::Sharded, steal, ..RuntimeConfig::default() },
-        );
+        let rt = CriRuntime::with_mode(Arc::clone(&interp), 4, mode);
         let l = value_list(&interp, &values);
         rt.run("spread", &[l]).unwrap();
-        assert_eq!(interp.load_str("*sum*").unwrap(), Value::int(expect), "steal={steal}");
+        assert_eq!(interp.load_str("*sum*").unwrap(), Value::int(expect), "{mode:?}");
         let stats = rt.stats();
-        assert_eq!(stats.tasks, 2 * n as u64 + 1, "exactly-once: steal={steal} {stats:?}");
-        if !steal {
-            assert_eq!(stats.steal_successes, 0, "stealing must stay off: {stats:?}");
-            assert_eq!(stats.sites_migrated, 0, "stealing must stay off: {stats:?}");
+        assert_eq!(stats.tasks, 2 * n as u64 + 1, "exactly-once: {mode:?} {stats:?}");
+        if mode == SchedMode::Central {
+            assert_eq!(stats.steal_attempts, 0, "one group has no victims: {stats:?}");
+            assert_eq!(stats.sites_migrated, 0, "one group has no victims: {stats:?}");
         }
     }
 }
@@ -371,11 +368,7 @@ fn chained_successors_follow_migrated_sites() {
         let interp = Arc::new(Interp::new());
         interp.load_str(src).unwrap();
         interp.load_str("(defparameter *w* 0) (defparameter *f* 0)").unwrap();
-        let rt = CriRuntime::with_config(
-            Arc::clone(&interp),
-            4,
-            RuntimeConfig { mode: SchedMode::Sharded, steal: true, ..RuntimeConfig::default() },
-        );
+        let rt = CriRuntime::new(Arc::clone(&interp), 4);
         let n = 800i64;
         let l = int_list(&interp, n);
         rt.run("driver", &[l, Value::int(n)]).unwrap();
@@ -407,23 +400,17 @@ fn e11_sequentializability_holds_under_stealing() {
         seq.heap().display(l)
     };
     let out = Curare::new().transform_source(src).unwrap();
-    for steal in [true, false] {
-        for servers in [2usize, 8] {
-            let interp = Arc::new(Interp::new());
-            interp.load_str(&out.source()).unwrap();
-            let rt = CriRuntime::with_config(
-                Arc::clone(&interp),
-                servers,
-                RuntimeConfig { mode: SchedMode::Sharded, steal, ..RuntimeConfig::default() },
-            );
-            let l = interp.load_str(&build).unwrap();
-            rt.run("f", &[l]).unwrap();
-            assert_eq!(
-                interp.heap().display(l),
-                expect,
-                "heap diverged from sequential (steal={steal}, {servers} servers)"
-            );
-        }
+    for servers in [2usize, 8] {
+        let interp = Arc::new(Interp::new());
+        interp.load_str(&out.source()).unwrap();
+        let rt = CriRuntime::new(Arc::clone(&interp), servers);
+        let l = interp.load_str(&build).unwrap();
+        rt.run("f", &[l]).unwrap();
+        assert_eq!(
+            interp.heap().display(l),
+            expect,
+            "heap diverged from sequential ({servers} servers)"
+        );
     }
 }
 
@@ -439,8 +426,6 @@ fn parked_servers_never_trip_the_stall_watchdog() {
         Arc::clone(&interp),
         4,
         RuntimeConfig {
-            mode: SchedMode::Sharded,
-            steal: true,
             stall_budget: Some(std::time::Duration::from_millis(40)),
             ..RuntimeConfig::default()
         },
@@ -467,14 +452,14 @@ fn parked_servers_never_trip_the_stall_watchdog() {
 fn random_skewed_workloads_run_exactly_once() {
     // Hand-rolled property test (the heavy-tests proptest dep is
     // gated off in this tree): splitmix64-generated site counts,
-    // skews, server counts, and steal settings; every case must keep
+    // skews, server counts, and schedulers; every case must keep
     // the oracle sum and the exactly-once task count.
     let mut state = 0xC0FF_EE00_u64;
     for case in 0..12 {
         let k = 1 + (splitmix64(&mut state) % 6) as usize;
         let n = 100 + (splitmix64(&mut state) % 500) as usize;
         let servers = 1 + (splitmix64(&mut state) % 6) as usize;
-        let steal = case % 3 != 0;
+        let mode = if case % 3 == 0 { SchedMode::Central } else { SchedMode::Sharded };
         // Skew: each value biased toward site 0 with probability
         // rising per case, the rest spread by the mix stream.
         let hot_pct = splitmix64(&mut state) % 101;
@@ -490,14 +475,10 @@ fn random_skewed_workloads_run_exactly_once() {
         let expect: i64 = values.iter().map(|v| v + 1).sum();
         let interp = Arc::new(Interp::new());
         interp.load_str(&skew_src(k)).unwrap();
-        let rt = CriRuntime::with_config(
-            Arc::clone(&interp),
-            servers,
-            RuntimeConfig { mode: SchedMode::Sharded, steal, ..RuntimeConfig::default() },
-        );
+        let rt = CriRuntime::with_mode(Arc::clone(&interp), servers, mode);
         let l = value_list(&interp, &values);
         rt.run("spread", &[l]).unwrap();
-        let ctx = format!("case {case}: k={k} n={n} servers={servers} steal={steal}");
+        let ctx = format!("case {case}: k={k} n={n} servers={servers} {mode:?}");
         assert_eq!(interp.load_str("*sum*").unwrap(), Value::int(expect), "{ctx}");
         assert_eq!(rt.stats().tasks, 2 * n as u64 + 1, "{ctx}");
     }

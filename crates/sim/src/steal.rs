@@ -225,7 +225,10 @@ mod tests {
         let steal = simulate_steal(&StealSimConfig::new(sites.clone()).servers(4));
         let nosteal = simulate_steal(&StealSimConfig::new(sites).servers(4).steal(false));
         let ratio = nosteal.total_time as f64 / steal.total_time as f64;
-        assert!(ratio >= 1.5, "steal must beat no-steal ≥1.5x on 90/10 skew, got {ratio:.2}");
+        assert!(
+            ratio >= 1.5,
+            "steal must beat static sharding ≥1.5x on 90/10 skew, got {ratio:.2}"
+        );
     }
 
     #[test]
@@ -236,13 +239,13 @@ mod tests {
         let steal = simulate_steal(&StealSimConfig::new(sites.clone()).servers(4));
         let nosteal = simulate_steal(&StealSimConfig::new(sites).servers(4).steal(false));
         let ratio = nosteal.total_time as f64 / steal.total_time as f64;
-        assert!(ratio >= 1.5, "steal must beat no-steal ≥1.5x on Zipf skew, got {ratio:.2}");
+        assert!(ratio >= 1.5, "steal must beat static sharding ≥1.5x on Zipf skew, got {ratio:.2}");
     }
 
     #[test]
     fn steal_cost_bounds_the_win() {
         // With an absurd steal cost, stealing degenerates gracefully:
-        // never slower than 20% under the no-steal makespan... in
+        // never slower than 20% under the static makespan... in
         // fact it must never beat the work/span bound either.
         let sites = hot_split(1000, 2, 90);
         let cfg = StealSimConfig::new(sites).servers(4).steal_cost(10_000);
