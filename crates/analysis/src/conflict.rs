@@ -70,9 +70,7 @@ impl ConflictReport {
         self.conflicts.is_empty() && self.unknown_writes == 0
     }
 
-    /// Stable single-line JSON (schema `curare-conflicts/1`), so
-    /// `experiments validate` can gate analysis output the way it
-    /// gates BENCH_sched.json.
+    /// Stable single-line JSON (schema `curare-conflicts/1`).
     pub fn to_json(&self) -> curare_obs::Json {
         let conflicts: Vec<curare_obs::Json> = self
             .conflicts

@@ -42,8 +42,7 @@ pub struct SappReport {
 }
 
 impl SappReport {
-    /// Stable single-line JSON (schema `curare-sapp/1`), so
-    /// `experiments validate` can gate checker output.
+    /// Stable single-line JSON (schema `curare-sapp/1`).
     pub fn to_json(&self) -> curare_obs::Json {
         let violations: Vec<curare_obs::Json> = self
             .violations

@@ -1,16 +1,26 @@
-//! Shared workloads and helpers for the Curare experiment harness.
+//! Shared programs, inputs and the one experiment driver.
 //!
-//! Every experiment (see `src/bin/experiments.rs` and the Criterion
-//! benches) builds its inputs through this module so the binary and
-//! the benches measure the same programs.
+//! `src/bin/experiments.rs` is a table of [`Experiment`]s over the
+//! driver defined here: [`drive`] owns the command line (experiment
+//! names, `list`, `--json`, `--quick`), runs each selected row through
+//! a [`Run`] — which prints the prose table or collects the
+//! `curare-bench/3` document and records every gate — and turns failed
+//! gates into the exit code. Every sweep takes its programs from the
+//! one [`programs`] table.
+//!
+//! Wall-clock claims belong to `benchmark/` (see `BENCHMARK.json`).
+//! The few timings kept here are cells no benchmark workload covers;
+//! they are medians of at least five repetitions, tagged `host`, and
+//! mean nothing without the document's `host_threads`.
 
-use std::cell::RefCell;
+use std::fmt;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use curare::lisp::{Interp, Value};
-use curare::obs;
+use curare::lisp::{Interp, LispError, Lowerer, Value};
 use curare::prelude::*;
+use curare::runtime::RuntimeConfig;
 use curare::sim;
 
 /// The paper's Figure 3: a simple recursive list walker.
@@ -157,22 +167,18 @@ pub fn read_window_walker_naive_locks(k: usize, reads: usize) -> String {
 /// static pipeline refuses to parallelize. At runtime every
 /// invocation writes only its own cell, so a speculative run commits
 /// 100% clean — the workload class SpecMode exists to reclaim. Each
-/// rewrite does `pad` arithmetic steps of local busywork so the
-/// per-invocation grain outweighs task + journaling overhead and the
-/// sequential-vs-speculative timing is meaningful.
+/// rewrite does `pad` arithmetic steps of local busywork, so an
+/// invocation is more than its own journaling.
 pub fn scrub_top_write(pad: usize) -> String {
-    let mut work = String::new();
-    for _ in 0..pad {
-        work.push_str("(setq x (+ x 1)) ");
-    }
     format!(
         "(defun veil (l) l)
 (defun crunch (v)
-  (let ((x v)) {work} x))
+  (let ((x v)) {} x))
 (defun scrub (l)
   (when (consp l)
     (scrub (cdr l))
-    (setf (car (veil l)) (crunch (car l)))))"
+    (setf (car (veil l)) (crunch (car l)))))",
+        busywork(pad)
     )
 }
 
@@ -187,15 +193,10 @@ pub const ALIASED_MIX: &str = "(defun mix (a b)
     (mix (cddr a) (cdr b))
     (setf (car b) (car a))))";
 
-/// Like [`transformed_interp`], but with speculative admission on:
-/// functions the static analysis refuses (⊤-writes, unprovable
-/// aliasing) are converted anyway and marked `Device::Speculate`.
-pub fn speculative_interp(src: &str) -> (Arc<Interp>, CurareOutput) {
-    let out =
-        Curare::new().with_speculation(true).transform_source(src).expect("program transforms");
-    let interp = Arc::new(Interp::new());
-    interp.load_str(&out.source()).expect("transformed program loads");
-    (interp, out)
+/// `pad` arithmetic steps on the local `x`: the busywork that dials a
+/// body's grain.
+fn busywork(pad: usize) -> String {
+    "(setq x (+ x 1)) ".repeat(pad)
 }
 
 /// Run `f` on a thread with a large native stack (deep sequential
@@ -218,36 +219,36 @@ pub fn with_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
 /// Build a walker with `pad` busywork operations in the head, to dial
 /// the head/tail ratio in threaded experiments.
 pub fn padded_walker(pad: usize) -> String {
-    let mut work = String::new();
-    for _ in 0..pad {
-        work.push_str("(setq x (+ x 1)) ");
-    }
     format!(
         "(defun padded (l)
            (when l
-             (let ((x 0)) {work} x)
-             (padded (cdr l))))"
+             (let ((x 0)) {} x)
+             (padded (cdr l))))",
+        busywork(pad)
     )
 }
 
-/// Build a fresh interpreter with `src` transformed by Curare and
-/// loaded.
-pub fn transformed_interp(src: &str) -> (Arc<Interp>, CurareOutput) {
-    let out = Curare::new().transform_source(src).expect("program transforms");
+/// A fresh interpreter holding `src` as `curare` restructures it.
+pub fn restructured(mut curare: Curare, src: &str) -> (Arc<Interp>, CurareOutput) {
+    let out = curare.transform_source(src).expect("program transforms");
     let interp = Arc::new(Interp::new());
     interp.load_str(&out.source()).expect("transformed program loads");
     (interp, out)
 }
 
-/// Like [`transformed_interp`], but with adjacent same-lock-set
-/// brackets coalesced (the `experiments locksynth` "coalesced"
-/// variant).
-pub fn transformed_interp_coalesced(src: &str) -> (Arc<Interp>, CurareOutput) {
-    let out =
-        Curare::new().with_coalesced_locks(true).transform_source(src).expect("program transforms");
-    let interp = Arc::new(Interp::new());
-    interp.load_str(&out.source()).expect("transformed program loads");
-    (interp, out)
+/// [`restructured`] under the default pipeline.
+pub fn transformed_interp(src: &str) -> (Arc<Interp>, CurareOutput) {
+    restructured(Curare::new(), src)
+}
+
+/// The analysis of the first function of `src` as written — the
+/// static prediction (§3.1 estimate, §3.2.1 distance) the measured
+/// rows are held against.
+pub fn analyze_first(src: &str) -> FunctionAnalysis {
+    let heap = Heap::new();
+    let forms = parse_all(src).expect("program parses");
+    let prog = Lowerer::new(&heap).lower_program(&forms).expect("program lowers");
+    analyze_function(&prog.funcs[0], &DeclDb::new())
 }
 
 /// Build an integer list `n .. 1` in `interp`'s heap.
@@ -269,11 +270,254 @@ pub fn sym_list(interp: &Interp, n: usize, syms: &[&str]) -> Value {
     l
 }
 
+/// Build `values` as a heap list (first element first).
+pub fn value_list(interp: &Interp, values: &[i64]) -> Value {
+    let mut l = Value::NIL;
+    for &v in values.iter().rev() {
+        l = interp.heap().cons(Value::int(v), l);
+    }
+    l
+}
+
+/// What a run of a [`Program`] is judged by.
+#[derive(Debug, Clone, Copy)]
+pub enum Observe {
+    /// The first argument after the run (a walker mutates its list).
+    FirstArg,
+    /// The cdr of the first argument (a DPS destination cell).
+    DestCdr,
+    /// The value of a global.
+    Global(&'static str),
+    /// The entry's return value. Sequential runs only: a pool run
+    /// returns nothing.
+    Result,
+}
+
+/// One row of the shared program table: what every sweep needs to
+/// load a program, build its input, run it and observe the outcome.
+pub struct Program {
+    /// Row label in every table and document.
+    pub name: &'static str,
+    /// The program as written.
+    pub source: String,
+    /// The function a run calls. For `remq-d` that is the entry the
+    /// DPS transform creates; every other program is entered the way
+    /// it was written.
+    pub entry: &'static str,
+    /// Default input size.
+    pub n: i64,
+    /// Build the entry's arguments on the interpreter's heap.
+    pub args: fn(&Interp, i64) -> Vec<Value>,
+    /// The observation two runs are compared by.
+    pub observe: Observe,
+    /// Forms loaded after the program, before any run (`""`: none).
+    pub setup: &'static str,
+}
+
+fn list_arg(interp: &Interp, n: i64) -> Vec<Value> {
+    vec![int_list(interp, n)]
+}
+fn list_acc_args(interp: &Interp, n: i64) -> Vec<Value> {
+    vec![int_list(interp, n), Value::int(0)]
+}
+fn int_arg(_: &Interp, n: i64) -> Vec<Value> {
+    vec![Value::int(n)]
+}
+fn remq_args(interp: &Interp, n: i64) -> Vec<Value> {
+    vec![interp.heap().sym_value("a"), sym_list(interp, n as usize, &["a", "b", "c"])]
+}
+/// `remq`'s arguments behind a fresh destination cell.
+fn remq_d_args(interp: &Interp, n: i64) -> Vec<Value> {
+    let mut args = vec![interp.heap().cons(Value::NIL, Value::NIL)];
+    args.extend(remq_args(interp, n));
+    args
+}
+/// One list passed for both parameters: the aliasing the analysis was
+/// never told about.
+fn aliased_args(interp: &Interp, n: i64) -> Vec<Value> {
+    let l = int_list(interp, n);
+    vec![l, l]
+}
+
+/// The program table. The first six are the oracle sweeps' programs
+/// (restructured, run on the pool), the next two are the ones only
+/// speculation admits, the last five the tiny-grain bodies the engine
+/// sweeps run as written.
+pub fn programs() -> Vec<Program> {
+    let walker = |name, source: &str, entry, n| Program {
+        name,
+        source: source.to_string(),
+        entry,
+        n,
+        args: list_arg,
+        observe: Observe::FirstArg,
+        setup: "",
+    };
+    vec![
+        walker("figure-5", FIGURE_5, "f", 512),
+        walker("rotate", ROTATE, "rotate", 512),
+        Program {
+            observe: Observe::Global("*sum*"),
+            setup: "(defparameter *sum* 0)",
+            ..walker("sum-walk", SUM_WALK, "walk", 512)
+        },
+        walker("distance-2", &distance_k_writer(2), "fk", 512),
+        Program {
+            args: remq_d_args,
+            observe: Observe::DestCdr,
+            ..walker("remq-d", FIGURE_12_REMQ, "remq-d", 256)
+        },
+        // The hand-off example: its successors overlap their
+        // producers' tails, which is only sound because the tails do
+        // not conflict.
+        walker("tail-heavy", include_str!("../../../examples/lisp/tail_heavy.lisp"), "th", 512),
+        // The C002/⊤-write verdict: refused statically, 100 % clean
+        // at run time.
+        walker("scrub-top", &scrub_top_write(64), "scrub", 512),
+        // Must abort and replay (or escalate) and still converge.
+        Program { args: aliased_args, ..walker("aliased-mix", ALIASED_MIX, "mix", 192) },
+        walker("bare-walk", "(defun w (l) (when l (w (cdr l))))", "w", 20_000),
+        Program {
+            args: list_acc_args,
+            observe: Observe::Result,
+            ..walker("sum", "(defun s (l acc) (if l (s (cdr l) (+ acc (car l))) acc))", "s", 20_000)
+        },
+        walker("padded-8", &padded_walker(8), "padded", 20_000),
+        Program {
+            args: int_arg,
+            observe: Observe::Result,
+            ..walker(
+                "fib",
+                "(defun fib (n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))",
+                "fib",
+                20,
+            )
+        },
+        Program {
+            args: remq_args,
+            observe: Observe::Result,
+            ..walker("remq", FIGURE_12_REMQ, "remq", 2_000)
+        },
+    ]
+}
+
+/// The rows of [`programs`] with these names, in this order.
+pub fn pick(names: &[&str]) -> Vec<Program> {
+    let mut table = programs();
+    names
+        .iter()
+        .map(|name| {
+            let at = table
+                .iter()
+                .position(|p| p.name == *name)
+                .unwrap_or_else(|| panic!("no program named {name}"));
+            table.swap_remove(at)
+        })
+        .collect()
+}
+
+impl Program {
+    /// The one row of [`programs`] called `name`.
+    pub fn named(name: &str) -> Program {
+        pick(&[name]).pop().expect("one name, one program")
+    }
+
+    /// Lift the recursion limit (sequential runs recurse once per
+    /// cell) and load the setup forms.
+    fn prepared(&self, interp: Arc<Interp>) -> Arc<Interp> {
+        interp.set_recursion_limit(10_000_000);
+        if !self.setup.is_empty() {
+            interp.load_str(self.setup).expect("setup loads");
+        }
+        interp
+    }
+
+    /// A fresh interpreter holding the program as written.
+    pub fn written(&self) -> Arc<Interp> {
+        let interp = Arc::new(Interp::new());
+        interp.load_str(&self.source).expect("program loads");
+        self.prepared(interp)
+    }
+
+    /// A fresh interpreter holding the program as `curare`
+    /// restructures it.
+    pub fn restructured(&self, curare: Curare) -> (Arc<Interp>, CurareOutput) {
+        let (interp, out) = restructured(curare, &self.source);
+        (self.prepared(interp), out)
+    }
+
+    fn observation(&self, interp: &Interp, args: &[Value], result: Value) -> String {
+        let heap = interp.heap();
+        heap.display(match self.observe {
+            Observe::FirstArg => args[0],
+            Observe::DestCdr => heap.cdr(args[0]).expect("destination is a cons"),
+            Observe::Global(name) => interp.load_str(name).expect("global readable"),
+            Observe::Result => result,
+        })
+    }
+
+    /// Call the entry on the calling side's default hooks — spawn
+    /// forms run inline, so a restructured program executes in
+    /// sequential order — on a big stack, and observe. This is the
+    /// oracle every pool run is held to.
+    pub fn sequential(&self, interp: &Interp, n: i64) -> String {
+        with_big_stack(|| {
+            let args = (self.args)(interp, n);
+            let result = interp.call(self.entry, &args).expect("sequential run");
+            self.observation(interp, &args, result)
+        })
+    }
+
+    /// One run of the entry on a fresh `servers`-server pool: how the
+    /// run ended, the observation, the pool's counters.
+    pub fn pooled(
+        &self,
+        interp: &Arc<Interp>,
+        n: i64,
+        servers: usize,
+        config: RuntimeConfig,
+    ) -> (Result<(), LispError>, String, PoolStats) {
+        let args = (self.args)(interp, n);
+        let rt = CriRuntime::with_config(Arc::clone(interp), servers, config);
+        let run = rt.run(self.entry, &args);
+        let stats = rt.stats();
+        drop(rt);
+        (run, self.observation(interp, &args, Value::NIL), stats)
+    }
+
+    /// §3.1.1 on this program: restructure it, run it on four
+    /// servers, and require the state the program as written leaves
+    /// when run sequentially.
+    pub fn sequentializable(&self, n: i64) -> Result<CurareOutput, String> {
+        let expect = self.sequential(&self.written(), n);
+        let (interp, out) = self.restructured(Curare::new());
+        match self.pooled(&interp, n, 4, RuntimeConfig::default()) {
+            (Err(e), ..) => Err(format!("{} (n = {n}): run failed: {e}", self.name)),
+            (Ok(()), got, _) if got != expect => {
+                Err(format!("{} (n = {n}): got {got}, want {expect}", self.name))
+            }
+            _ => Ok(out),
+        }
+    }
+}
+
 /// Time one closure.
 pub fn time_once(f: impl FnOnce()) -> Duration {
     let start = Instant::now();
     f();
     start.elapsed()
+}
+
+/// Median-of-`runs` timing.
+pub fn time_median(runs: usize, mut f: impl FnMut()) -> Duration {
+    let mut samples: Vec<Duration> = (0..runs.max(1)).map(|_| time_once(&mut f)).collect();
+    samples.sort();
+    samples[samples.len() / 2]
+}
+
+/// Number of hardware threads: the caveat on every `host` cell.
+pub fn hardware_threads() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// How the skew workload spreads leaf tasks across call sites.
@@ -289,12 +533,21 @@ pub enum SkewDist {
 }
 
 impl SkewDist {
-    /// The stable name used in benchmark JSON.
+    /// The stable name used in tables and documents.
     pub fn name(self) -> &'static str {
         match self {
             SkewDist::Uniform => "uniform",
             SkewDist::Hot90 => "90-10",
             SkewDist::Zipf => "zipf",
+        }
+    }
+
+    /// How many of `n` leaves each of `k` sites gets.
+    pub fn counts(self, n: usize, k: usize) -> Vec<u64> {
+        match self {
+            SkewDist::Uniform => (0..k).map(|i| (n / k) as u64 + u64::from(i < n % k)).collect(),
+            SkewDist::Hot90 => sim::hot_split(n as u64, k, 90),
+            SkewDist::Zipf => sim::zipf_split(n as u64, k),
         }
     }
 }
@@ -318,10 +571,6 @@ pub fn skew_spreader(k: usize, pad: usize) -> String {
     for v in 0..k {
         arms.push_str(&format!("((= v {v}) (cri-enqueue {} leaf v))\n", v + 1));
     }
-    let mut work = String::new();
-    for _ in 0..pad {
-        work.push_str("(setq x (+ x 1)) ");
-    }
     format!(
         "(defparameter *skew-sum* 0)
 (defun spread (l)
@@ -330,22 +579,17 @@ pub fn skew_spreader(k: usize, pad: usize) -> String {
       (cond {arms} (t nil)))
     (cri-enqueue 0 spread (cdr l))))
 (defun leaf (v)
-  (let ((x 0)) {work} x)
-  (atomic-incf *skew-sum* (+ v 1)))"
+  (let ((x 0)) {} x)
+  (atomic-incf *skew-sum* (+ v 1)))",
+        busywork(pad)
     )
 }
 
-/// Leaf-site values for `n` elements under `dist` over `k` sites,
+/// Leaf-site values for `counts[v]` leaves on site `v`,
 /// deterministically shuffled by a splitmix64 Fisher–Yates from
-/// `seed`. Returned values are in `0..k` (the spreader maps value `v`
-/// to site `v + 1`).
-pub fn skew_values(n: usize, k: usize, dist: SkewDist, seed: u64) -> Vec<i64> {
-    let counts: Vec<u64> = match dist {
-        SkewDist::Uniform => (0..k).map(|i| (n / k) as u64 + u64::from(i < n % k)).collect(),
-        SkewDist::Hot90 => sim::hot_split(n as u64, k, 90),
-        SkewDist::Zipf => sim::zipf_split(n as u64, k),
-    };
-    let mut vals: Vec<i64> = Vec::with_capacity(n);
+/// `seed` (the spreader maps value `v` to site `v + 1`).
+pub fn skew_values(counts: &[u64], seed: u64) -> Vec<i64> {
+    let mut vals: Vec<i64> = Vec::new();
     for (v, &c) in counts.iter().enumerate() {
         vals.extend(std::iter::repeat_n(v as i64, c as usize));
     }
@@ -363,118 +607,268 @@ pub fn skew_values(n: usize, k: usize, dist: SkewDist, seed: u64) -> Vec<i64> {
     vals
 }
 
-/// The oracle sum the skew workload must produce: Σ (v + 1).
-pub fn skew_expected_sum(values: &[i64]) -> i64 {
-    values.iter().map(|v| v + 1).sum()
+/// One cell of a row: text, a flag, or a number tagged by where it
+/// comes from. The tag is the number's key in the document, so no
+/// reader can take a model ratio for a measurement.
+#[derive(Debug)]
+pub enum Cell {
+    /// A label.
+    Text(String),
+    /// A verdict.
+    Flag(bool),
+    /// From the simulator, a closed form or the static analysis: the
+    /// same on every host.
+    Model(f64),
+    /// Events counted in a real run (tasks, acquisitions, faults):
+    /// exact, though some vary with the schedule.
+    Count(u64),
+    /// Derived from wall-clock time on this host; meaningless without
+    /// `host_threads`.
+    Host(f64),
 }
 
-/// Build `values` as a heap list (first element first).
-pub fn value_list(interp: &Interp, values: &[i64]) -> Value {
-    let mut l = Value::NIL;
-    for &v in values.iter().rev() {
-        l = interp.heap().cons(Value::int(v), l);
+/// A [`Cell::Model`].
+pub fn model(x: f64) -> Cell {
+    Cell::Model(x)
+}
+
+/// A [`Cell::Count`].
+pub fn count<T: TryInto<u64>>(x: T) -> Cell {
+    Cell::Count(x.try_into().unwrap_or_else(|_| panic!("a count is a non-negative integer")))
+}
+
+/// A [`Cell::Host`].
+pub fn host(x: f64) -> Cell {
+    Cell::Host(x)
+}
+
+impl From<&str> for Cell {
+    fn from(s: &str) -> Cell {
+        Cell::Text(s.to_string())
     }
-    l
+}
+impl From<String> for Cell {
+    fn from(s: String) -> Cell {
+        Cell::Text(s)
+    }
+}
+impl From<bool> for Cell {
+    fn from(b: bool) -> Cell {
+        Cell::Flag(b)
+    }
 }
 
-/// Median-of-`runs` timing.
-pub fn time_median(runs: usize, mut f: impl FnMut()) -> Duration {
-    let mut samples: Vec<Duration> = (0..runs.max(1)).map(|_| time_once(&mut f)).collect();
-    samples.sort();
-    samples[samples.len() / 2]
+impl Cell {
+    fn json(&self) -> Json {
+        match self {
+            Cell::Text(s) => s.as_str().into(),
+            Cell::Flag(b) => (*b).into(),
+            Cell::Model(x) => Json::obj().set("model", *x),
+            Cell::Count(n) => Json::obj().set("count", *n),
+            Cell::Host(x) => Json::obj().set("host", *x),
+        }
+    }
 }
 
-/// Number of hardware threads, for experiment footers.
-pub fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// `--trace` / `--metrics` plumbing for the experiment binaries.
-///
-/// Extracts the flags from the argument list, installs a
-/// process-global [`obs::Tracer`] when either is present, collects the
-/// most recent threaded run's report, and writes the requested files
-/// on [`ObsSink::finish`]: a Chrome `trace_event` document for
-/// `--trace`, and a `curare-report/1` document (with the concurrency
-/// timeline derived from the same trace) for `--metrics`.
-pub struct ObsSink {
-    tracer: Option<Arc<obs::Tracer>>,
-    trace_path: Option<String>,
-    metrics_path: Option<String>,
-    last_report: RefCell<Option<Json>>,
-}
-
-impl ObsSink {
-    /// Parse and remove `--trace PATH` / `--metrics PATH` from `args`.
-    /// When either is present a tracer sized for `servers` pool
-    /// servers is installed; every instrumented layer starts emitting.
-    pub fn from_args(args: &mut Vec<String>, servers: usize) -> Result<ObsSink, String> {
-        let mut trace_path = None;
-        let mut metrics_path = None;
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--trace" | "--metrics" => {
-                    let flag = args.remove(i);
-                    if i >= args.len() {
-                        return Err(format!("{flag} needs a file path"));
-                    }
-                    let path = Some(args.remove(i));
-                    if flag == "--trace" {
-                        trace_path = path;
-                    } else {
-                        metrics_path = path;
-                    }
-                }
-                _ => i += 1,
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Cell::Text(s) => f.pad(s),
+            Cell::Flag(b) => f.pad(&b.to_string()),
+            Cell::Count(n) => f.pad(&n.to_string()),
+            Cell::Model(x) | Cell::Host(x) => {
+                let whole = x.fract() == 0.0 || x.abs() >= 100.0;
+                let digits = if whole {
+                    0
+                } else if x.abs() >= 10.0 {
+                    2
+                } else {
+                    3
+                };
+                f.pad(&format!("{x:.digits$}"))
             }
         }
-        let tracer = (trace_path.is_some() || metrics_path.is_some()).then(|| {
-            let t = obs::Tracer::new(servers);
-            obs::install(Some(Arc::clone(&t)));
-            t
-        });
-        Ok(ObsSink { tracer, trace_path, metrics_path, last_report: RefCell::new(None) })
+    }
+}
+
+/// One row of the experiment table.
+pub struct Experiment {
+    /// The name `experiments NAME` runs it by.
+    pub name: &'static str,
+    /// The paper section or figure it reproduces.
+    pub source: &'static str,
+    /// One line: what the row shows.
+    pub about: &'static str,
+    /// The cells: rows and gates go to the [`Run`].
+    pub run: fn(&mut Run),
+}
+
+/// The document schema [`Run::document`] emits.
+pub const SCHEMA: &str = "curare-bench/3";
+
+/// One experiment's run: the only place rows are printed, documents
+/// built and gates recorded.
+pub struct Run {
+    /// `--quick`: the CI-sized cells.
+    pub quick: bool,
+    json: bool,
+    experiment: &'static str,
+    header: Vec<&'static str>,
+    rows: Vec<Json>,
+    gates: Vec<Json>,
+    failed: Vec<String>,
+}
+
+impl Run {
+    /// A run of `experiment`; with `json` the prose is withheld and
+    /// the caller prints [`Run::document`].
+    pub fn new(experiment: &'static str, quick: bool, json: bool) -> Run {
+        Run { quick, json, experiment, header: vec![], rows: vec![], gates: vec![], failed: vec![] }
     }
 
-    /// True when a tracer is installed for this sink.
-    pub fn active(&self) -> bool {
-        self.tracer.is_some()
-    }
-
-    /// Note the report of the most recent threaded run; `--metrics`
-    /// snapshots the last one noted before [`ObsSink::finish`].
-    pub fn note(&self, report: Json) {
-        *self.last_report.borrow_mut() = Some(report);
-    }
-
-    /// Uninstall the tracer and write the requested files.
-    pub fn finish(self) -> Result<(), String> {
-        let write = |path: &str, doc: &Json| -> Result<(), String> {
-            std::fs::write(path, format!("{doc}\n")).map_err(|e| format!("{path}: {e}"))
-        };
-        let Some(tracer) = self.tracer else {
-            return Ok(());
-        };
-        obs::install(None);
-        let snaps = tracer.snapshot();
-        obs::warn_if_dropped(&snaps, "experiments");
-        if let Some(path) = &self.trace_path {
-            write(path, &obs::chrome::chrome_trace(&snaps))?;
-            println!("wrote chrome trace to {path} ({} events recorded)", tracer.recorded());
+    /// A line of prose (not part of the document).
+    pub fn say(&self, text: impl fmt::Display) {
+        if !self.json {
+            println!("{text}");
         }
-        if let Some(path) = &self.metrics_path {
-            let report = self
-                .last_report
-                .borrow_mut()
-                .take()
-                .unwrap_or_else(|| RunReport::new("no-threaded-run").into_json())
-                .set("timeline", Timeline::from_trace(&snaps).to_json())
-                .set("trace", obs::trace_health_section(&snaps));
-            write(path, &report)?;
-            println!("wrote metrics report to {path}");
+    }
+
+    /// One row. Consecutive rows with the same keys print as one
+    /// table under one header.
+    pub fn row(&mut self, cells: impl IntoIterator<Item = (&'static str, Cell)>) {
+        let cells: Vec<(&'static str, Cell)> = cells.into_iter().collect();
+        if !self.json {
+            let width = |key: &str| key.len().max(9);
+            let keys: Vec<&'static str> = cells.iter().map(|c| c.0).collect();
+            if keys != self.header {
+                let line: Vec<String> =
+                    keys.iter().map(|k| format!("{k:>w$}", w = width(k))).collect();
+                println!("  {}", line.join(" "));
+                self.header = keys;
+            }
+            let line: Vec<String> =
+                cells.iter().map(|(k, c)| format!("{c:>w$}", w = width(k))).collect();
+            println!("  {}", line.join(" "));
         }
-        Ok(())
+        self.rows.push(Json::Obj(cells.iter().map(|(k, c)| (k.to_string(), c.json())).collect()));
+    }
+
+    /// Record a gate: an oracle, invariant or ratio this experiment
+    /// is held to. A failed gate fails the process, by name.
+    pub fn gate(&mut self, name: &str, ok: bool, detail: impl fmt::Display) {
+        let detail = detail.to_string();
+        if ok {
+            self.say(format!("  gate {name}: ok"));
+        } else {
+            self.say(format!("  gate {name}: FAILED {detail}"));
+            self.failed.push(format!("{}/{name}", self.experiment));
+        }
+        self.gates.push(Json::obj().set("gate", name).set("ok", ok).set("detail", detail));
+    }
+
+    /// The scheduler-mode cell loop: the paper's central queue, then
+    /// the default sharded pool.
+    pub fn per_mode(&mut self, mut cell: impl FnMut(&mut Run, SchedMode, &'static str)) {
+        for (mode, name) in [(SchedMode::Central, "central"), (SchedMode::Sharded, "sharded")] {
+            cell(self, mode, name);
+        }
+    }
+
+    /// Everything this run recorded, as one `curare-bench/3` object.
+    pub fn document(&self) -> Json {
+        Json::obj()
+            .set("schema", SCHEMA)
+            .set("experiment", self.experiment)
+            .set("host_threads", hardware_threads())
+            .set("rows", self.rows.clone())
+            .set("gates", self.gates.clone())
+    }
+}
+
+/// How a [`drive`] ended.
+#[derive(Debug, PartialEq)]
+pub enum Outcome {
+    /// Every gate of every selected experiment held.
+    Passed,
+    /// The command line named no experiment or flag we know.
+    Usage(String),
+    /// These gates (`experiment/gate`) failed.
+    Failed(Vec<String>),
+}
+
+impl Outcome {
+    /// Report on stderr and give the process its exit code: 0 passed,
+    /// 1 a gate failed, 2 bad usage.
+    pub fn exit_code(&self) -> ExitCode {
+        match self {
+            Outcome::Passed => ExitCode::SUCCESS,
+            Outcome::Usage(message) => {
+                eprintln!("experiments: {message}");
+                ExitCode::from(2)
+            }
+            Outcome::Failed(gates) => {
+                eprintln!("experiments: FAILED gates: {}", gates.join(", "));
+                ExitCode::FAILURE
+            }
+        }
+    }
+}
+
+/// The driver: `[NAME...] [--json] [--quick]` runs the named rows of
+/// `table` (all of them when none is named); `list` prints the table.
+/// Anything else is a usage error naming the valid words.
+pub fn drive(table: &'static [Experiment], args: &[String]) -> Outcome {
+    let (mut json, mut quick, mut list) = (false, false, false);
+    let mut selected: Vec<&Experiment> = Vec::new();
+    for arg in args {
+        match (arg.as_str(), table.iter().find(|e| e.name == arg)) {
+            ("--json", _) => json = true,
+            ("--quick", _) => quick = true,
+            ("list", _) => list = true,
+            (_, Some(experiment)) => selected.push(experiment),
+            (unknown, None) => {
+                let names: Vec<&str> = table.iter().map(|e| e.name).collect();
+                return Outcome::Usage(format!(
+                    "unknown experiment or flag '{unknown}'\n\
+                     usage: experiments [list | NAME...] [--json] [--quick]\n\
+                     names: {}",
+                    names.join(" ")
+                ));
+            }
+        }
+    }
+    if list {
+        for e in table {
+            println!("{:<13} {:<16} {}", e.name, e.source, e.about);
+        }
+        return Outcome::Passed;
+    }
+    if selected.is_empty() {
+        selected = table.iter().collect();
+    }
+    if !json {
+        println!(
+            "Curare reproduction — experiments; host: {} hardware thread(s), which bounds \
+             every cell tagged host.\n",
+            hardware_threads()
+        );
+    }
+    let mut failed = Vec::new();
+    for e in selected {
+        let mut run = Run::new(e.name, quick, json);
+        run.say(format!("== {}: {}   [paper: {}]", e.name, e.about, e.source));
+        (e.run)(&mut run);
+        if json {
+            println!("{}", run.document());
+        } else {
+            println!();
+        }
+        failed.append(&mut run.failed);
+    }
+    if failed.is_empty() {
+        Outcome::Passed
+    } else {
+        Outcome::Failed(failed)
     }
 }
 
@@ -493,11 +887,7 @@ mod tests {
     #[test]
     fn distance_k_writer_has_distance_k() {
         for k in 1..=4 {
-            let src = distance_k_writer(k);
-            let heap = curare::lisp::Heap::new();
-            let mut lw = curare::lisp::Lowerer::new(&heap);
-            let prog = lw.lower_program(&parse_all(&src).unwrap()).unwrap();
-            let a = analyze_function(&prog.funcs[0], &DeclDb::new());
+            let a = analyze_first(&distance_k_writer(k));
             assert_eq!(a.conflicts.min_distance, Some(k), "k = {k}");
         }
     }
@@ -524,11 +914,7 @@ mod tests {
                 assert_eq!(shared, if want_exclusive { 0 } else { 2 }, "k={k} {label}: {locks:?}");
                 // The conflict distance — the §3.2.1 concurrency
                 // bound — is the window depth.
-                let heap = curare::lisp::Heap::new();
-                let mut lw = curare::lisp::Lowerer::new(&heap);
-                let prog = lw.lower_program(&parse_all(&src).unwrap()).unwrap();
-                let a = analyze_function(&prog.funcs[0], &DeclDb::new());
-                assert_eq!(a.conflicts.min_distance, Some(k), "k = {k} {label}");
+                assert_eq!(analyze_first(&src).conflicts.min_distance, Some(k), "k = {k} {label}");
             }
         }
     }
@@ -549,7 +935,7 @@ mod tests {
         let src = scrub_top_write(4);
         let refused = Curare::new().transform_source(&src).unwrap();
         assert!(!refused.report("scrub").unwrap().converted, "⊤-write must block statically");
-        let (_, out) = speculative_interp(&src);
+        let (_, out) = restructured(Curare::new().with_speculation(true), &src);
         let r = out.report("scrub").unwrap();
         assert!(r.converted, "speculation must admit the ⊤-write walker: {}", r.feedback);
         assert!(r.devices.contains(&Device::Speculate), "{:?}", r.devices);
@@ -557,19 +943,13 @@ mod tests {
 
     #[test]
     fn aliased_mix_admits_speculatively() {
-        let (interp, out) = speculative_interp(ALIASED_MIX);
+        let mix = Program::named("aliased-mix");
+        let (interp, out) = mix.restructured(Curare::new().with_speculation(true));
         let r = out.report("mix").unwrap();
         assert!(r.converted && r.devices.contains(&Device::Speculate), "{:?}", r.devices);
         // Sequential hooks: the transformed entry still computes the
         // sequential answer on an aliased call.
-        let plain = Interp::new();
-        plain.load_str(ALIASED_MIX).unwrap();
-        let lo = int_list(&plain, 8);
-        plain.call("mix", &[lo, lo]).unwrap();
-        let want = plain.heap().display(lo);
-        let l = int_list(&interp, 8);
-        interp.call("mix", &[l, l]).unwrap();
-        assert_eq!(interp.heap().display(l), want);
+        assert_eq!(mix.sequential(&interp, 8), mix.sequential(&mix.written(), 8));
     }
 
     #[test]
@@ -580,54 +960,139 @@ mod tests {
     }
 
     #[test]
-    fn obs_sink_extracts_flags_and_writes_files() {
-        // No flags: inactive, args untouched.
-        let mut args = vec!["e8".to_string()];
-        let sink = ObsSink::from_args(&mut args, 2).unwrap();
-        assert!(!sink.active());
-        assert_eq!(args, ["e8"]);
-        sink.finish().unwrap();
-
-        // Missing path is an error (before any tracer install).
-        let mut bad = vec!["--trace".to_string()];
-        assert!(ObsSink::from_args(&mut bad, 2).is_err());
-
-        // Both flags: extracted, tracer installed, files written.
-        let dir = std::env::temp_dir();
-        let trace = dir.join("obs_sink_trace_test.json");
-        let metrics = dir.join("obs_sink_metrics_test.json");
-        let mut args = vec![
-            "sched".to_string(),
-            "--trace".to_string(),
-            trace.display().to_string(),
-            "--metrics".to_string(),
-            metrics.display().to_string(),
-        ];
-        let sink = ObsSink::from_args(&mut args, 2).unwrap();
-        assert!(sink.active());
-        assert_eq!(args, ["sched"]);
-        obs::record(obs::EventKind::TaskStart, 1);
-        obs::record(obs::EventKind::TaskStop, 1);
-        sink.note(
-            RunReport::new("test").section("pool", Json::obj().set("tasks", 1u64)).into_json(),
-        );
-        sink.finish().unwrap();
-        for (path, keys) in [
-            (&trace, &["traceEvents", "otherData"][..]),
-            (&metrics, &["schema", "label", "pool", "timeline", "trace"][..]),
-        ] {
-            let text = std::fs::read_to_string(path).unwrap();
-            obs::validate_keys(&text, keys).unwrap();
-            std::fs::remove_file(path).unwrap();
-        }
-    }
-
-    #[test]
     fn padded_walker_transforms() {
         let (interp, out) = transformed_interp(&padded_walker(8));
         assert!(out.report("padded").unwrap().converted);
         let l = int_list(&interp, 10);
         // Sequential hooks: still runs.
         interp.call("padded", &[l]).unwrap();
+    }
+
+    #[test]
+    fn program_names_are_unique_and_every_program_runs_restructured() {
+        let table = programs();
+        for (i, p) in table.iter().enumerate() {
+            assert!(table[..i].iter().all(|q| q.name != p.name), "duplicate program {}", p.name);
+            let (interp, _) = p.restructured(Curare::new().with_speculation(true));
+            assert!(!p.sequential(&interp, 12).is_empty(), "{}", p.name);
+        }
+    }
+
+    fn passing(r: &mut Run) {
+        r.per_mode(|r, _, mode| {
+            r.row([
+                ("mode", mode.into()),
+                ("sound", true.into()),
+                ("bound", model(3.99)),
+                ("tasks", count(20_001u64)),
+                ("median_ms", host(4.2)),
+            ]);
+        });
+        r.gate("holds", true, "");
+    }
+
+    fn failing(r: &mut Run) {
+        r.row([("ratio", model(1.2))]);
+        r.gate("ratio at least 1.5", false, "1.20 < 1.5");
+    }
+
+    fn tripwire(_: &mut Run) {
+        panic!("this row must never run");
+    }
+
+    static TABLE: &[Experiment] = &[
+        Experiment { name: "good", source: "§0", about: "a passing row", run: passing },
+        Experiment { name: "bad", source: "§0", about: "a row whose gate fails", run: failing },
+    ];
+
+    static TRIPWIRE: &[Experiment] =
+        &[Experiment { name: "e8", source: "§0", about: "panics when run", run: tripwire }];
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    /// The bug this driver fixes: a misspelt name or flag used to
+    /// print the banner, run nothing and exit 0.
+    #[test]
+    fn unknown_name_or_flag_is_a_usage_error_naming_the_table() {
+        for (bad, word) in [
+            (&["e14"][..], "'e14'"),
+            (&["shced"], "'shced'"),
+            (&["e8", "--bogus"], "'--bogus'"),
+            (&["e8", "--seeds", "4"], "'--seeds'"),
+        ] {
+            match drive(TRIPWIRE, &args(bad)) {
+                Outcome::Usage(message) => {
+                    assert!(message.contains(word) && message.contains("names: e8"), "{message}");
+                }
+                other => panic!("{bad:?} must be rejected, got {other:?}"),
+            }
+        }
+        assert_eq!(Outcome::Usage(String::new()).exit_code(), ExitCode::from(2));
+    }
+
+    #[test]
+    fn list_prints_the_table_and_runs_nothing() {
+        assert_eq!(drive(TRIPWIRE, &args(&["list"])), Outcome::Passed);
+        assert_eq!(drive(TRIPWIRE, &args(&["e8", "list", "--json"])), Outcome::Passed);
+    }
+
+    #[test]
+    fn a_failed_gate_fails_the_drive_and_is_named() {
+        assert_eq!(drive(TABLE, &args(&["good", "--quick"])), Outcome::Passed);
+        for words in [&["bad"][..], &["good", "bad", "--json"], &[]] {
+            assert_eq!(
+                drive(TABLE, &args(words)),
+                Outcome::Failed(vec!["bad/ratio at least 1.5".to_string()]),
+                "{words:?}"
+            );
+        }
+        assert_eq!(Outcome::Failed(vec![]).exit_code(), ExitCode::FAILURE);
+    }
+
+    /// Numbers outside a `model` / `count` / `host` tag, by path.
+    fn untagged(doc: &Json, path: &str, tagged: bool, out: &mut Vec<String>) {
+        match doc {
+            Json::Num(_) if !tagged => out.push(path.to_string()),
+            Json::Arr(items) => items.iter().for_each(|v| untagged(v, path, false, out)),
+            Json::Obj(pairs) => {
+                for (key, v) in pairs {
+                    let tag = matches!(key.as_str(), "model" | "count" | "host");
+                    untagged(v, &format!("{path}.{key}"), tag, out);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn the_document_parses_and_every_number_carries_its_tag() {
+        let mut run = Run::new("good", true, true);
+        passing(&mut run);
+        failing(&mut run);
+        let keys = ["schema", "experiment", "host_threads", "rows", "gates"];
+        let doc = curare::obs::validate_keys(&run.document().to_string(), &keys).unwrap();
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
+        assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("good"));
+        assert_eq!(doc.get("rows").and_then(Json::as_arr).map(<[Json]>::len), Some(3));
+        let gates = doc.get("gates").and_then(Json::as_arr).unwrap();
+        assert_eq!(gates[1].get("ok").and_then(Json::as_bool), Some(false));
+        let mut loose = Vec::new();
+        untagged(doc.get("rows").unwrap(), "rows", false, &mut loose);
+        untagged(doc.get("gates").unwrap(), "gates", false, &mut loose);
+        assert!(loose.is_empty(), "untagged numbers at {loose:?}");
+        let row = &doc.get("rows").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(
+            row.get("bound").and_then(|c| c.get("model")).and_then(Json::as_f64),
+            Some(3.99)
+        );
+        assert_eq!(
+            row.get("tasks").and_then(|c| c.get("count")).and_then(Json::as_u64),
+            Some(20_001)
+        );
+        // The check itself must see a bare number.
+        untagged(&Json::obj().set("wall_ns", 5u64), "row", false, &mut loose);
+        assert_eq!(loose, ["row.wall_ns"]);
     }
 }

@@ -25,8 +25,8 @@
 //!   --trace PATH     write a Chrome trace_event JSON of the pool run
 //!                    (open in chrome://tracing or Perfetto)
 //!   --metrics PATH   write the run's curare-report/1 JSON (pool,
-//!                    heap, lock-wait, vm, timeline, and trace-health
-//!                    sections)
+//!                    heap, lock-wait, vm, wall, timeline, and
+//!                    trace-health sections)
 //!   --profile PATH   write a curare-profile/1 JSON of the pool run:
 //!                    the spawn/touch DAG's work, span (critical
 //!                    path), parallelism = work/span, and per-edge
@@ -354,7 +354,9 @@ fn run(args: &[String]) -> Result<(), String> {
             ..curare::runtime::RuntimeConfig::default()
         };
         let rt = CriRuntime::with_config(Arc::clone(&interp), servers, config);
+        let started = std::time::Instant::now();
         let run_result = rt.run(fname, &argv).map_err(|e| e.to_string());
+        let seconds = started.elapsed().as_secs_f64();
         let stats = rt.stats();
         eprintln!(
             ";; pool: {} tasks, peak queue {}, {} lock acquisitions",
@@ -402,8 +404,11 @@ fn run(args: &[String]) -> Result<(), String> {
                 eprintln!(";; wrote chrome trace to {path}");
             }
             if let Some(path) = &metrics_path {
+                let tasks_per_sec = stats.tasks as f64 / seconds.max(1e-9);
+                let wall = Json::obj().set("seconds", seconds).set("tasks_per_sec", tasks_per_sec);
                 let report = rt
                     .run_report(fname)
+                    .set("wall", wall)
                     .set("timeline", Timeline::from_trace(&snaps).to_json())
                     .set("trace", curare::obs::trace_health_section(&snaps));
                 write(path, &report)?;
@@ -463,6 +468,50 @@ fn repl() -> Result<(), String> {
                 let _ = writeln!(out, "{}", interp.heap().display(v));
             }
             Err(e) => eprintln!("error: {e}"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The two documents a traced pool run writes, by the top-level
+    /// keys their readers (Perfetto; DESIGN.md's run-report contract)
+    /// rely on.
+    #[test]
+    fn run_writes_the_trace_and_metrics_documents() {
+        let dir = std::env::temp_dir();
+        let path = |name: &str| dir.join(format!("curare-run-{}-{name}", std::process::id()));
+        let (program, trace, metrics) =
+            (path("walk.lisp"), path("trace.json"), path("metrics.json"));
+        std::fs::write(&program, "(defun w (l) (when l (w (cdr l))))").unwrap();
+        let args = [
+            program.to_str().unwrap(),
+            "--servers",
+            "2",
+            "--call",
+            "(w (list 1 2 3 4 5 6 7 8))",
+            "--trace",
+            trace.to_str().unwrap(),
+            "--metrics",
+            metrics.to_str().unwrap(),
+        ];
+        run(&args.map(String::from)).expect("traced pool run");
+        for (file, keys) in [
+            (&trace, &["traceEvents", "displayTimeUnit", "otherData"][..]),
+            (&metrics, &["schema", "label", "pool", "heap", "locks", "vm", "wall", "timeline"]),
+        ] {
+            let text = std::fs::read_to_string(file).unwrap();
+            let doc = curare::obs::validate_keys(&text, keys).unwrap_or_else(|e| panic!("{e}"));
+            if let Some(pool) = doc.get("pool") {
+                assert_eq!(pool.get("tasks").and_then(Json::as_u64), Some(9), "{pool}");
+            }
+        }
+        // A flag without its path is refused before anything runs.
+        assert!(run(&[args[0].to_string(), "--trace".into()]).is_err());
+        for file in [&program, &trace, &metrics] {
+            std::fs::remove_file(file).unwrap();
         }
     }
 }

@@ -4,8 +4,8 @@
 //! metrics exports cannot use `serde_json`. This module is the small
 //! subset they need: an owned [`Json`] tree, a `Display` serializer
 //! (stable key order — objects keep insertion order), and a strict
-//! recursive-descent parser used by the round-trip tests and the CI
-//! `experiments validate` gate.
+//! recursive-descent parser used by the round-trip tests and by
+//! [`crate::validate_keys`].
 //!
 //! Numbers are stored as `f64` (JSON's own model); `u64` counters
 //! above 2^53 lose precision on export, which no counter in a single

@@ -3,10 +3,9 @@
 //! One JSON document per run, assembling every metrics source the
 //! runtime exposes — scheduler counters, heap allocation counters,
 //! lock-wait histograms, and (when traced) the concurrency timeline —
-//! under a versioned schema. The report is the cross-PR perf record:
-//! `BENCH_sched.json` is a list of these, one per (mode, servers)
-//! cell, so a later PR can diff throughput and counter trajectories
-//! mechanically instead of re-parsing log text.
+//! under a versioned schema (`curare run --metrics` writes one), so
+//! counter trajectories can be diffed mechanically instead of
+//! re-parsing log text.
 
 use crate::json::Json;
 
@@ -45,8 +44,7 @@ impl RunReport {
 }
 
 /// Check that `text` parses as JSON and contains every `key` at the
-/// top level. Returns the parsed document; the CI smoke gate calls
-/// this through `experiments validate`.
+/// top level. Returns the parsed document.
 pub fn validate_keys(text: &str, keys: &[&str]) -> Result<Json, String> {
     let doc = Json::parse(text)?;
     let probe = |d: &Json, key: &str| -> bool {

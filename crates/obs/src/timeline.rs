@@ -82,7 +82,7 @@ impl Timeline {
     ///
     /// **Caveat:** pairing assumes one writer per lane. Lane 0 is
     /// shared by every thread that never calls `set_lane` (e.g.
-    /// `UnorderedRuntime`/`SpawnRuntime` workers), so its start/stop
+    /// `SpawnRuntime` workers), so its start/stop
     /// events from different threads interleave and would pair into
     /// bogus intervals; lane-0 intervals are only meaningful when a
     /// single external thread records task events.

@@ -9,8 +9,6 @@
 //!   invocation bodies without context switches (§4);
 //! - [`spawner`]: the thread-per-invocation baseline the paper argues
 //!   against (§1.2), kept for the cost-imbalance experiment;
-//! - [`unordered`]: an order-oblivious pool ablation of the §4
-//!   scheduler;
 //! - [`chaos`]: seeded fault injection at the pool's decision points
 //!   (armed at run time by `chaos::install`).
 //!
@@ -48,7 +46,6 @@ pub mod locktable;
 pub mod pool;
 pub mod queue;
 pub mod spawner;
-pub mod unordered;
 pub mod watchdog;
 
 pub use futures::FutureTable;
@@ -56,4 +53,3 @@ pub use locktable::{Location, LockTable};
 pub use pool::{CriHooks, CriRuntime, PoolStats, RuntimeConfig, SchedMode};
 pub use queue::Task;
 pub use spawner::{SpawnHooks, SpawnRuntime};
-pub use unordered::{UnorderedHooks, UnorderedRuntime};

@@ -11,37 +11,15 @@
 //! default `SequentialHooks` run `cri-enqueue`/`future` inline) on a
 //! big-stack thread, which uniformly handles the DPS entry points.
 
-use std::sync::{Arc, Mutex, PoisonError};
+mod common;
 
+use std::sync::Arc;
+
+use common::{guard, with_big_stack};
 use curare_lisp::{Interp, Value};
 use curare_runtime::chaos::{self, ChaosProfile, FaultPlan};
 use curare_runtime::{CriRuntime, PoolStats, RuntimeConfig, SchedMode};
 use curare_transform::Curare;
-
-// The chaos install point is process-global; serialize every test
-// that arms it (same pattern as the obs tracer tests).
-static TEST_GUARD: Mutex<()> = Mutex::new(());
-
-fn guard() -> std::sync::MutexGuard<'static, ()> {
-    TEST_GUARD.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Run `f` on a big native stack (the sequential oracle recurses one
-/// frame per list cell).
-fn with_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
-    const STACK: usize = 256 << 20;
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .stack_size(STACK)
-            .spawn_scoped(scope, || {
-                curare_lisp::eval::set_thread_stack_budget(STACK - (8 << 20));
-                f()
-            })
-            .expect("spawn big-stack thread")
-            .join()
-            .expect("big-stack thread panicked")
-    })
-}
 
 /// The five experiment programs (mirrors `curare-bench`'s fixtures;
 /// runtime tests cannot depend on the bench crate).

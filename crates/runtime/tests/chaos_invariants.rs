@@ -4,22 +4,17 @@
 //! watchdog that fires on genuine stalls but never on a merely-slow
 //! healthy run.
 
-use std::sync::{Arc, Mutex, PoisonError};
+mod common;
+
+use std::sync::Arc;
 use std::time::Duration;
 
+use common::{guard, with_big_stack};
 use curare_lisp::{Interp, LispError, Val, Value};
 use curare_runtime::chaos::{self, ChaosProfile, FaultPlan};
 use curare_runtime::queue::ShardedQueues;
 use curare_runtime::{CriRuntime, FutureTable, RuntimeConfig, SchedMode, Task};
 use curare_transform::Curare;
-
-// The chaos install point is process-global; serialize every test
-// that arms it.
-static TEST_GUARD: Mutex<()> = Mutex::new(());
-
-fn guard() -> std::sync::MutexGuard<'static, ()> {
-    TEST_GUARD.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Run `f` with `plan` installed, uninstalling on the way out — even
 /// when `f` panics, so one failed assertion cannot cascade into every
@@ -324,23 +319,6 @@ fn watchdog_dumps_on_a_genuine_stall() {
 // ----------------------------------------------------------------
 // SpecMode × chaos
 // ----------------------------------------------------------------
-
-/// Run `f` on a big native stack (sequential oracles recurse one
-/// frame per list cell).
-fn with_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
-    const STACK: usize = 256 << 20;
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .stack_size(STACK)
-            .spawn_scoped(scope, || {
-                curare_lisp::eval::set_thread_stack_budget(STACK - (8 << 20));
-                f()
-            })
-            .expect("spawn big-stack thread")
-            .join()
-            .expect("big-stack thread panicked")
-    })
-}
 
 /// ⊤-write walker: parallel only under speculation (transform case A).
 const SCRUB: &str = "(defun frob (l) l)

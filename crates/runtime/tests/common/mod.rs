@@ -1,11 +1,43 @@
-//! Shared by the panic-policy tests: a hooks wrapper that makes an
-//! invocation body panic — genuinely, not through the chaos plan — at
-//! a chosen point.
+//! Test support shared by the suites in this directory: the guard
+//! that serializes tests arming process-global state, the big-stack
+//! thread sequential oracles need, and (for the panic-policy tests) a
+//! hooks wrapper that makes an invocation body panic — genuinely, not
+//! through the chaos plan — at a chosen point.
+
+// Each suite is its own crate and uses a subset of this module.
+#![allow(dead_code)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use curare_lisp::{FuncId, Interp, LispError, RuntimeHooks, Value};
+
+// The chaos install point, the speculation journal and the panic hook
+// are process-global; every test that arms one holds this guard.
+static TEST_GUARD: Mutex<()> = Mutex::new(());
+
+/// Serialize with every other test of the suite that arms
+/// process-global state (a failed test must not wedge the rest).
+pub fn guard() -> MutexGuard<'static, ()> {
+    TEST_GUARD.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Run `f` on a big native stack (a sequential oracle recurses one
+/// frame per list cell).
+pub fn with_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    const STACK: usize = 256 << 20;
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .stack_size(STACK)
+            .spawn_scoped(scope, || {
+                curare_lisp::eval::set_thread_stack_budget(STACK - (8 << 20));
+                f()
+            })
+            .expect("spawn big-stack thread")
+            .join()
+            .expect("big-stack thread panicked")
+    })
+}
 
 /// Forwards to the pool's hooks, but the first `remaining` lock
 /// acquisitions panic: in a body written `spawn; (cri-lock …); effect`
@@ -50,7 +82,7 @@ impl RuntimeHooks for PanicOnLock {
 
 /// Run `f` with the panic hook silenced, so the panics a test provokes
 /// on purpose stay out of its log. The hook is process-global: callers
-/// serialize on their own guard.
+/// hold [`guard`].
 pub fn quietly<R>(f: impl FnOnce() -> R) -> R {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));

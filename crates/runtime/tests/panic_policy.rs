@@ -8,10 +8,10 @@
 
 mod common;
 
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use common::{quietly, PanicOnLock};
+use common::{guard, quietly, PanicOnLock};
 use curare_lisp::{Interp, LispError, Value};
 use curare_runtime::{CriRuntime, RuntimeConfig, SchedMode};
 
@@ -24,13 +24,6 @@ const WALK: &str = "(defun walk (l)
                         (cri-unlock l 'car)))";
 const N: i64 = 64;
 const MODES: [SchedMode; 2] = [SchedMode::Central, SchedMode::Sharded];
-
-// `quietly` swaps the process-global panic hook.
-static HOOK_GUARD: Mutex<()> = Mutex::new(());
-
-fn guard() -> MutexGuard<'static, ()> {
-    HOOK_GUARD.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// `WALK` loaded on a pool of `servers`, with the first `panics` lock
 /// acquisitions panicking.

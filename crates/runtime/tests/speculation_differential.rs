@@ -17,36 +17,14 @@
 //!   validator must abort and replay until the sequential answer
 //!   emerges.
 
-use std::sync::{Arc, Mutex, PoisonError};
+mod common;
 
+use std::sync::Arc;
+
+use common::{guard, with_big_stack};
 use curare_lisp::{Interp, Value};
 use curare_runtime::{CriRuntime, PoolStats, RuntimeConfig, SchedMode};
 use curare_transform::Curare;
-
-// The speculation journal is process-global; serialize every test
-// that arms it (same pattern as the chaos and tracer suites).
-static TEST_GUARD: Mutex<()> = Mutex::new(());
-
-fn guard() -> std::sync::MutexGuard<'static, ()> {
-    TEST_GUARD.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Run `f` on a big native stack (the sequential oracle recurses one
-/// frame per list cell).
-fn with_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
-    const STACK: usize = 256 << 20;
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .stack_size(STACK)
-            .spawn_scoped(scope, || {
-                curare_lisp::eval::set_thread_stack_budget(STACK - (8 << 20));
-                f()
-            })
-            .expect("spawn big-stack thread")
-            .join()
-            .expect("big-stack thread panicked")
-    })
-}
 
 #[derive(Clone, Copy, Debug)]
 enum Prog {

@@ -12,33 +12,14 @@
 //! 100% commit-clean ratio: speculation may never abort an invocation
 //! the static analysis could have proven safe.
 
-use std::sync::{Arc, Mutex, PoisonError};
+mod common;
 
+use std::sync::Arc;
+
+use common::{guard, with_big_stack};
 use curare_lisp::{Engine, Interp, Value};
 use curare_runtime::{CriRuntime, PoolStats, RuntimeConfig, SchedMode};
 use curare_transform::Curare;
-
-// The speculation journal is process-global; serialize the battery.
-static TEST_GUARD: Mutex<()> = Mutex::new(());
-
-fn guard() -> std::sync::MutexGuard<'static, ()> {
-    TEST_GUARD.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn with_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
-    const STACK: usize = 256 << 20;
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .stack_size(STACK)
-            .spawn_scoped(scope, || {
-                curare_lisp::eval::set_thread_stack_budget(STACK - (8 << 20));
-                f()
-            })
-            .expect("spawn big-stack thread")
-            .join()
-            .expect("big-stack thread panicked")
-    })
-}
 
 struct XorShift(u64);
 

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use curare_lisp::{Interp, Value};
-use curare_runtime::{CriRuntime, RuntimeConfig, SchedMode, UnorderedRuntime};
+use curare_runtime::{CriRuntime, RuntimeConfig, SchedMode};
 use curare_transform::Curare;
 
 fn int_list(interp: &Interp, n: i64) -> Value {
@@ -123,30 +123,18 @@ fn future_sync_deep_chain_on_tiny_pool() {
 }
 
 #[test]
-fn unordered_and_pool_agree() {
+fn pool_sum_equals_the_closed_form() {
     let src = "(curare-declare (reorderable +))
                (defun walk (l)
                  (when l (setq *s* (+ *s* (car l))) (walk (cdr l))))";
     let out = Curare::new().transform_source(src).unwrap();
-
-    let a = Arc::new(Interp::new());
-    a.load_str(&out.source()).unwrap();
-    a.load_str("(defparameter *s* 0)").unwrap();
-    let pool = CriRuntime::new(Arc::clone(&a), 4);
-    let l = int_list(&a, 5000);
+    let interp = Arc::new(Interp::new());
+    interp.load_str(&out.source()).unwrap();
+    interp.load_str("(defparameter *s* 0)").unwrap();
+    let pool = CriRuntime::new(Arc::clone(&interp), 4);
+    let l = int_list(&interp, 5000);
     pool.run("walk", &[l]).unwrap();
-    let pool_sum = a.load_str("*s*").unwrap();
-
-    let b = Arc::new(Interp::new());
-    b.load_str(&out.source()).unwrap();
-    b.load_str("(defparameter *s* 0)").unwrap();
-    let ray = UnorderedRuntime::new(Arc::clone(&b), 4);
-    let l2 = int_list(&b, 5000);
-    ray.run("walk", &[l2]).unwrap();
-    let ray_sum = b.load_str("*s*").unwrap();
-
-    assert_eq!(pool_sum, ray_sum);
-    assert_eq!(pool_sum, Value::int(5000 * 5001 / 2));
+    assert_eq!(interp.load_str("*s*").unwrap(), Value::int(5000 * 5001 / 2));
 }
 
 #[test]
