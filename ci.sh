@@ -63,6 +63,17 @@ echo "== benchmark: the stand-alone package still builds against the facade and 
 # workload for correctness (no timing claims), self-test checks the
 # checks (manifest drift, reference cases, a corrupted cell must fail).
 bash benchmark/run.sh --quick > /dev/null
+# Speculation's speed may not be bought by giving up on it: the
+# benchmark exempts an escalated run from its commit-count check, so a
+# validator that always rolled back and reran sequentially would pass
+# everything above. Every invocation of the clean scrubber and of the
+# aliased mixer must commit, in every pass.
+spec="$(bash benchmark/run.sh --workload speculative --seed 1 --seconds 2 --trace 1)"
+for want in '"runtime.spec_commits":{"value":6002,' \
+            '"runtime.spec_escalated_share":{"value":0,' '"correct":true'; do
+  echo "$spec" | grep -F "$want" > /dev/null \
+    || { echo "speculative workload: no $want in the result line" >&2; exit 1; }
+done
 # (self-test prints the failed pass it provokes; show it only on failure)
 out="$(bash benchmark/run.sh self-test 2>&1)" || { echo "$out" >&2; exit 1; }
 

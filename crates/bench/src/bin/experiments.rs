@@ -826,17 +826,41 @@ fn sanitize(r: &mut Run) {
     r.gate("the verdict is schedule-independent (reorder profile, seed 7)", reordered, "");
 }
 
+/// Median wall time (ms) of five speculative runs of `p` over `n`
+/// cells, each on a fresh interpreter and pool: the whole `run`, and
+/// the part of it inside the commit-time resolver.
+fn speculative_run_ms(p: &Program, n: i64, servers: usize, mode: SchedMode) -> (f64, f64) {
+    const REPS: usize = 5;
+    let (run, resolve): (Vec<f64>, Vec<f64>) = (0..REPS)
+        .map(|_| {
+            let (interp, _) = p.restructured(Curare::new().with_speculation(true));
+            let args = (p.args)(&interp, n);
+            let config = RuntimeConfig { mode, speculate: true, ..RuntimeConfig::default() };
+            let rt = CriRuntime::with_config(Arc::clone(&interp), servers, config);
+            let wall = time_once(|| rt.run(p.entry, &args).expect("speculative run"));
+            (ms(wall), rt.stats().spec_resolve_ns as f64 / 1e6)
+        })
+        .unzip();
+    let median = |mut ms: Vec<f64>| {
+        ms.sort_by(f64::total_cmp);
+        ms[REPS / 2]
+    };
+    (median(run), median(resolve))
+}
+
 /// `speculate` — programs the static pipeline refuses (a ⊤-write
 /// walker and an under-declared-aliasing walker) run optimistically
 /// on 4 servers: how often do *unpredicted* programs actually
 /// conflict (commit-clean share), next to how often *predicted*
-/// pairs manifest (the sanitizer's cells, run in process). That every
+/// pairs manifest (the sanitizer's cells, run in process), and where
+/// a speculative run's time goes (executing vs resolving). That every
 /// such run lands on the sequential oracle is
 /// `speculation_differential.rs`'s claim, not this row's.
 fn speculate(r: &mut Run) {
     let mut completed = true;
     let mut top_write_clean = true;
-    for p in pick(&["scrub-top", "aliased-mix"]) {
+    let programs = pick(&["scrub-top", "aliased-mix"]);
+    for p in &programs {
         let predicted = predicted_pairs(&p.source).expect("static prediction");
         r.per_mode(|r, mode, mode_name| {
             let (interp, out) = p.restructured(Curare::new().with_speculation(true));
@@ -855,6 +879,7 @@ fn speculate(r: &mut Run) {
                     && stats.spec_aborts == 0
                     && stats.spec_commits >= p.n as u64;
             }
+            let (run_ms, resolve_ms) = speculative_run_ms(p, p.n, 4, mode);
             r.row([
                 ("program", p.name.into()),
                 ("mode", mode_name.into()),
@@ -866,8 +891,25 @@ fn speculate(r: &mut Run) {
                 ("escalated", stats.spec_escalated.into()),
                 ("static_top", predicted.top.into()),
                 ("static_pairs", count(predicted.keys.len())),
+                ("run_ms", host(run_ms)),
+                ("resolve_ms", host(resolve_ms)),
             ]);
         });
+    }
+    r.say("executing vs resolving at the benchmark's sizes (sharded; medians of 5):");
+    for (p, n) in programs.iter().zip([4000, 2000]) {
+        let n = if r.quick { p.n } else { n };
+        for servers in [1, 2] {
+            let (run_ms, resolve_ms) = speculative_run_ms(p, n, servers, SchedMode::Sharded);
+            r.row([
+                ("program", p.name.into()),
+                ("n", count(n)),
+                ("servers", count(servers)),
+                ("run_ms", host(run_ms)),
+                ("execute_ms", host(run_ms - resolve_ms)),
+                ("resolve_ms", host(resolve_ms)),
+            ]);
+        }
     }
     r.gate("every speculative run completed", completed, "");
     r.gate(

@@ -364,12 +364,15 @@ fn run(args: &[String]) -> Result<(), String> {
         );
         if rt.speculating() {
             eprintln!(
-                ";; speculation: {} commits ({} clean), {} aborts, {} replays, escalated: {}",
+                ";; speculation: {} commits ({} clean), {} aborts, {} replays, escalated: {}, \
+                 resolve {:.2} ms of the {:.2} ms run",
                 stats.spec_commits,
                 stats.spec_clean,
                 stats.spec_aborts,
                 stats.spec_replays,
-                stats.spec_escalated
+                stats.spec_escalated,
+                stats.spec_resolve_ns as f64 / 1e6,
+                seconds * 1e3
             );
         }
         if let Some(seed) = chaos_seed {

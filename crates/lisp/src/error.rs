@@ -22,6 +22,9 @@ pub enum LispError {
     DivideByZero,
     /// The evaluator exceeded its recursion limit.
     RecursionLimit(usize),
+    /// The evaluator ran out of its thread's native stack budget (in
+    /// bytes; `set_thread_stack_budget`) before reaching that limit.
+    StackExhausted(usize),
     /// `(error "message" ...)` was evaluated.
     User(String),
     /// An index was outside a vector or list.
@@ -43,6 +46,9 @@ impl fmt::Display for LispError {
             LispError::Overflow(op) => write!(f, "{op}: integer overflow"),
             LispError::DivideByZero => write!(f, "division by zero"),
             LispError::RecursionLimit(n) => write!(f, "recursion limit ({n}) exceeded"),
+            LispError::StackExhausted(budget) => {
+                write!(f, "native stack budget ({budget} bytes) exhausted by nested calls")
+            }
             LispError::User(m) => write!(f, "error: {m}"),
             LispError::IndexOutOfRange { index, len } => {
                 write!(f, "index {index} out of range for length {len}")

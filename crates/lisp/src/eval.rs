@@ -99,6 +99,15 @@ pub(crate) fn stack_exhausted(stack_base: usize) -> bool {
     stack_base.abs_diff(approximate_stack_pointer()) > STACK_BUDGET.with(std::cell::Cell::get)
 }
 
+/// What [`stack_exhausted`] means to the program. Not a
+/// recursion-limit error: no evaluator's depth count says how deep the
+/// stack is (nested evaluators each count from zero), and the limit
+/// that was hit is the budget.
+#[cold]
+pub(crate) fn stack_exhausted_error() -> LispError {
+    LispError::StackExhausted(STACK_BUDGET.with(std::cell::Cell::get))
+}
+
 impl<'i> Evaluator<'i> {
     /// A fresh evaluator at depth zero.
     pub fn new(interp: &'i Interp) -> Self {
@@ -139,7 +148,7 @@ impl<'i> Evaluator<'i> {
         }
         if stack_exhausted(self.stack_base) {
             self.depth -= 1;
-            return Err(LispError::RecursionLimit(self.depth + 1));
+            return Err(stack_exhausted_error());
         }
         // One recycled frame serves every trampoline iteration; the
         // spent argument buffer is recycled too (it feeds the next
@@ -664,6 +673,34 @@ mod tests {
         it.set_recursion_limit(100);
         let err = it.load_str("(defun boom (n) (+ 1 (boom (1+ n)))) (boom 0)").unwrap_err();
         assert!(matches!(err, LispError::RecursionLimit(_)), "{err:?}");
+    }
+
+    #[test]
+    fn native_stack_exhaustion_names_the_budget_on_both_engines() {
+        // The nested evaluator a converted function's inline run
+        // starts counts its depth from zero, so the depth says nothing
+        // here; the budget is what ran out.
+        const BUDGET: usize = 256 << 10;
+        let errors: Vec<LispError> = [Engine::Tree, Engine::Vm]
+            .into_iter()
+            .map(|engine| {
+                std::thread::Builder::new()
+                    .stack_size(8 << 20)
+                    .spawn(move || {
+                        set_thread_stack_budget(BUDGET);
+                        let it = Interp::new();
+                        it.set_engine(Some(engine));
+                        it.set_recursion_limit(usize::MAX);
+                        it.load_str("(defun boom (n) (+ 1 (boom (1+ n)))) (boom 0)").unwrap_err()
+                    })
+                    .expect("spawn")
+                    .join()
+                    .expect("no panic")
+            })
+            .collect();
+        assert_eq!(errors[0], LispError::StackExhausted(BUDGET));
+        assert_eq!(errors[0], errors[1], "tree-walker and VM must raise the same error");
+        assert!(errors[0].to_string().contains("262144 bytes"), "{}", errors[0]);
     }
 
     #[test]

@@ -208,11 +208,11 @@ impl Heap {
             Val::Cons(id) => {
                 curare_obs::record_access(id << 1, true, false, 0);
                 let cell = &self.conses.get(id).car;
-                match speclog::write_section() {
+                match speclog::write_section(id << 1, None) {
                     Some(sec) => {
                         let old = cell.load(Ordering::Acquire);
                         cell.store(new.bits(), Ordering::Release);
-                        sec.store_heap(id << 1, old, new.bits());
+                        sec.store(old, new.bits());
                     }
                     None => cell.store(new.bits(), Ordering::Release),
                 }
@@ -228,11 +228,11 @@ impl Heap {
             Val::Cons(id) => {
                 curare_obs::record_access(id << 1 | 1, true, false, 1);
                 let cell = &self.conses.get(id).cdr;
-                match speclog::write_section() {
+                match speclog::write_section(id << 1 | 1, None) {
                     Some(sec) => {
                         let old = cell.load(Ordering::Acquire);
                         cell.store(new.bits(), Ordering::Release);
-                        sec.store_heap(id << 1 | 1, old, new.bits());
+                        sec.store(old, new.bits());
                     }
                     None => cell.store(new.bits(), Ordering::Release),
                 }
@@ -361,11 +361,11 @@ impl Heap {
                 let loc = curare_obs::sanitize::STRUCT_LOC_BIT | slot;
                 curare_obs::record_access(loc, true, false, 2 + idx as u64);
                 let cell = self.slots.get(slot);
-                match speclog::write_section() {
+                match speclog::write_section(loc, None) {
                     Some(sec) => {
                         let old = cell.load(Ordering::Acquire);
                         cell.store(new.bits(), Ordering::Release);
-                        sec.store_heap(loc, old, new.bits());
+                        sec.store(old, new.bits());
                     }
                     None => cell.store(new.bits(), Ordering::Release),
                 }
@@ -402,10 +402,10 @@ impl Heap {
             }
             _ => return Err(self.type_error("locatable cell", cell, "atomic-incf-cell")),
         };
-        // Holding the journal section across the CAS keeps the
-        // journal's append order equal to the location's update order
+        // Holding the location's stripe across the CAS keeps the
+        // journal's bracket order equal to the location's update order
         // (undo recomputes values by replaying that order).
-        let sec = speclog::write_section();
+        let sec = speclog::write_section(loc, None);
         loop {
             let old_bits = slot.load(Ordering::Acquire);
             let old = Value::from_bits(old_bits);
@@ -424,7 +424,7 @@ impl Heap {
                 .is_ok()
             {
                 if let Some(sec) = sec {
-                    sec.add_heap(loc, delta);
+                    sec.add(delta);
                 }
                 return Ok(new);
             }

@@ -370,11 +370,11 @@ impl Interp {
     /// Write global `sym`.
     pub fn set_global(&self, sym: SymId, v: Value) {
         let cell = self.global_cell(sym);
-        match speclog::write_section() {
+        match speclog::write_section(speclog::GLOBAL_LOC_BIT | sym as u64, Some(&cell)) {
             Some(sec) => {
                 let old = cell.load(Ordering::Acquire);
                 cell.store(v.bits(), Ordering::Release);
-                sec.store_global(sym, &cell, old, v.bits());
+                sec.store(old, v.bits());
             }
             None => cell.store(v.bits(), Ordering::Release),
         }
@@ -398,8 +398,8 @@ impl Interp {
     pub fn atomic_incf_global(&self, sym: SymId, delta: i64) -> Result<Value> {
         let cell = self.global_cell(sym);
         // See `Heap::atomic_add_field`: the CAS runs inside the journal
-        // section so journal order matches the cell's update order.
-        let sec = speclog::write_section();
+        // section so bracket order matches the cell's update order.
+        let sec = speclog::write_section(speclog::GLOBAL_LOC_BIT | sym as u64, Some(&cell));
         loop {
             let old_bits = cell.load(Ordering::Acquire);
             let old = Value::from_bits(old_bits);
@@ -421,7 +421,7 @@ impl Interp {
                 .is_ok()
             {
                 if let Some(sec) = sec {
-                    sec.add_global(sym, &cell, delta);
+                    sec.add(delta);
                 }
                 return Ok(new);
             }

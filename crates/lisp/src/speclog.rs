@@ -1,4 +1,4 @@
-//! The speculation write-log and commit-time validator (`SpecMode`).
+//! The speculation journal and commit-time validator (`SpecMode`).
 //!
 //! The paper's pipeline forces sequential ordering the moment a
 //! conflict cannot be *proven* absent (a ⊤-write verdict, or aliasing
@@ -14,29 +14,54 @@
 //! ladder: roll back *everything* and rerun the roots inline, which
 //! returns the exact sequential answer by construction.
 //!
-//! # Epoch brackets
+//! The invocation, not the word, is the unit of commit, so nothing is
+//! globally ordered *while* invocations run — only when they are
+//! judged. Recording is private per server; ordering happens once, in
+//! [`resolve`].
+//!
+//! # Lanes
+//!
+//! Every record — read bracket, write, spawn, parked error, diverted
+//! output line — is appended to the executing thread's own lane
+//! (`curare_obs::tracer::lane()`; threads that share a lane number
+//! share its mutex, nothing else). The run path takes no process-wide
+//! lock and never looks at another lane. **Visibility at quiescence:**
+//! a record is in its lane before the call that made it returns, hence
+//! before its task's `finish_one`; `resolve` runs after the pool saw
+//! the pending count reach zero, so draining the lanes then sees every
+//! record of the run, whichever server made it and in whatever order
+//! parents and children finished.
+//!
+//! # Epoch brackets and stripes
 //!
 //! Every journaled access is stamped with a `[lo, hi]` interval from
 //! one global SeqCst clock: `lo` ticks before the heap load/store, `hi`
-//! after (writes perform the store *inside* the journal lock, so the
-//! journal's append order is exactly the heap's store order per
-//! location). Two accesses whose intervals are disjoint are ordered as
+//! after. Two accesses whose intervals are disjoint are ordered as
 //! their intervals are; overlapping intervals mean the race was too
 //! close to call and are treated as conflicting — the conservative
-//! direction, since a spurious abort only costs a replay.
+//! direction, since a spurious abort only costs a replay. Reads take
+//! their two ticks and no lock but their lane's. A write holds one of
+//! `STRIPES` mutexes, chosen by its packed location, from before `lo`
+//! until after `hi`.
+//! **Store order:** two writes to one word therefore have disjoint
+//! brackets in the order their stores hit the heap, so *ascending `lo`
+//! is the store order of a location* — the one fact undo needs (a plain
+//! store's recorded `old` is the value its predecessor in that order
+//! left) and the write–write test relies on.
 //!
 //! # Sequential ranks
 //!
-//! The validator rebuilds the spawn tree from the journal's
-//! registration and spawn records, then assigns every *segment* (the
-//! span of an invocation between two of its spawns) its position in
-//! the sequential execution: an invocation's segment before its k-th
-//! spawn runs before the k-th child's whole subtree, which runs before
-//! the next segment. This is exactly the order `SequentialHooks` would
-//! have executed — heads in spawn order, tails in unwind order. A run
+//! The validator rebuilds the spawn tree from the spawn records
+//! (`SpawnTree`), then assigns every *segment* (the span of an
+//! invocation between two of its spawns) its position in the
+//! sequential execution: an invocation's segment before its k-th spawn
+//! runs before the k-th child's whole subtree, which runs before the
+//! next segment. This is exactly the order `SequentialHooks` would have
+//! executed — heads in spawn order, tails in unwind order. A run
 //! commits iff for every same-location pair (at least one write, not
-//! both atomic RMWs, different invocations) the epoch order agrees
-//! with the rank order.
+//! both atomic RMWs, different invocations) the sequentially earlier
+//! bracket ends before the later one begins. `sweep` decides that in
+//! one pass over the accesses sorted by `(location, rank)`.
 //!
 //! # Scope
 //!
@@ -46,12 +71,12 @@
 //! speculation. Atomic RMWs journal a compensating delta instead of an
 //! old-value snapshot, so undo never loses concurrent increments.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::error::Result;
+use crate::error::{LispError, Result};
 use crate::heap::Heap;
 use crate::sync::{Mutex, MutexGuard};
 use crate::value::{FuncId, SymId, Value};
@@ -61,22 +86,37 @@ use curare_obs::EventKind;
 /// use the low 62 bits plus [`curare_obs::sanitize::STRUCT_LOC_BIT`]).
 pub const GLOBAL_LOC_BIT: u64 = 1 << 62;
 
+/// Lanes the run's records spread over; lane numbers wrap.
+const LANES: usize = 64;
+/// Stripe mutexes serialising writes per location. Two servers collide
+/// on a stripe only when their locations hash alike, so the count
+/// wants to be well above the server count and nothing more.
+const STRIPES: usize = 64;
+
 static ARMED: AtomicBool = AtomicBool::new(false);
 /// The global epoch clock. SeqCst so that an access bracket that ends
 /// before another begins really did happen first (the fetch-adds are
 /// full barriers on every supported target).
 static CLOCK: AtomicU64 = AtomicU64::new(1);
-static JOURNAL: Mutex<Option<Journal>> = Mutex::new(None);
+/// Set by [`escalate_now`], read once per resolution round.
+static ESCALATE: AtomicBool = AtomicBool::new(false);
+
+// Aligned apart: a lane is written by one server at a time, and two
+// servers' stripes should not share a cache line either.
+#[repr(align(128))]
+struct Lane(Mutex<LaneBuf>);
+#[repr(align(64))]
+struct Stripe(Mutex<()>);
+
+static LANE: [Lane; LANES] = [const { Lane(Mutex::new(LaneBuf::new())) }; LANES];
+static STRIPE: [Stripe; STRIPES] = [const { Stripe(Mutex::new(())) }; STRIPES];
 
 thread_local! {
-    /// Reads buffered per thread, flushed into the journal at task
-    /// boundaries (the pool calls [`flush_reads`] after every task).
-    static READ_BUF: RefCell<Vec<ReadRec>> = const { RefCell::new(Vec::new()) };
     /// Nonzero while this thread is replaying that invocation inline.
     static REPLAYING: Cell<u64> = const { Cell::new(0) };
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 struct ReadRec {
     inv: u64,
     loc: u64,
@@ -84,32 +124,7 @@ struct ReadRec {
     hi: u64,
 }
 
-/// Where a journaled write landed, resolvable for undo without
-/// re-deriving it from the location packing.
-#[derive(Clone)]
-enum CellRef {
-    /// A packed cons-word or struct-slot location.
-    HeapLoc(u64),
-    /// A global variable's backing cell.
-    Global(Arc<AtomicU64>),
-}
-
-impl CellRef {
-    fn load(&self, heap: &Heap) -> u64 {
-        match self {
-            CellRef::HeapLoc(loc) => heap.spec_loc_cell(*loc).load(Ordering::Acquire),
-            CellRef::Global(c) => c.load(Ordering::Acquire),
-        }
-    }
-
-    fn store(&self, heap: &Heap, bits: u64) {
-        match self {
-            CellRef::HeapLoc(loc) => heap.spec_loc_cell(*loc).store(bits, Ordering::Release),
-            CellRef::Global(c) => c.store(bits, Ordering::Release),
-        }
-    }
-}
-
+#[derive(Clone, Copy)]
 enum WriteKind {
     /// A plain store: undo restores `old`, redo restores `new`.
     Store { old: u64, new: u64 },
@@ -117,13 +132,15 @@ enum WriteKind {
     Add { delta: i64 },
 }
 
+#[derive(Clone)]
 struct WriteRec {
     inv: u64,
     loc: u64,
     lo: u64,
     hi: u64,
-    cell: CellRef,
     kind: WriteKind,
+    /// The backing cell of a global (heap locations resolve from `loc`).
+    global: Option<Arc<AtomicU64>>,
 }
 
 struct OutRec {
@@ -132,42 +149,55 @@ struct OutRec {
     line: String,
 }
 
+/// One spawn, recorded once: the child's registration with its
+/// re-execution recipe, and the parent's segment boundary. A root has
+/// parent 0. With child 0 it is a suppressed spawn of a replayed body,
+/// matched against the original at the next resolution round.
+#[derive(Clone)]
 struct SpawnRec {
-    /// Segment boundary: the clock tick at the spawn point. Refreshed
-    /// when the invocation is replayed.
-    epoch: u64,
+    parent: u64,
     child: u64,
+    /// The clock tick at the spawn point; refreshed by a replay.
+    epoch: u64,
     fid: FuncId,
-    args: Vec<Value>,
     /// True when the spawn created a future (replays cannot reproduce
     /// those and escalate instead).
     future: bool,
-}
-
-struct InvEntry {
-    parent: u64,
-    fid: FuncId,
-    args: Vec<Value>,
-    spawns: Vec<SpawnRec>,
-    /// Expectation cursor while this invocation is being replayed.
-    replay_idx: usize,
+    /// The arguments, in the lane's (then the journal's) arena.
+    args_at: usize,
+    argc: usize,
+    // Resolve-time state of the child, all clear on the run path.
     /// The body returned an error (parked; the validator decides).
     errored: bool,
     /// Ever aborted (for the commit-clean ratio).
     aborted: bool,
+    /// Aborted this round: its records are being undone, and its
+    /// replay must respawn exactly what the original spawned.
+    doomed: bool,
+    respawned: usize,
 }
 
-#[derive(Default)]
-struct Journal {
-    invs: BTreeMap<u64, InvEntry>,
-    writes: Vec<WriteRec>,
+/// What one lane holds between two resolution rounds.
+struct LaneBuf {
     reads: Vec<ReadRec>,
+    writes: Vec<WriteRec>,
+    spawns: Vec<SpawnRec>,
+    args: Vec<Value>,
+    errors: Vec<u64>,
     output: Vec<OutRec>,
-    aborts: u64,
-    replays: u64,
-    /// Set when replay hit something it cannot reproduce (argument
-    /// mismatch, a future spawn, a changed spawn count).
-    escalate: bool,
+}
+
+impl LaneBuf {
+    const fn new() -> Self {
+        LaneBuf {
+            reads: Vec::new(),
+            writes: Vec::new(),
+            spawns: Vec::new(),
+            args: Vec::new(),
+            errors: Vec::new(),
+            output: Vec::new(),
+        }
+    }
 }
 
 #[inline]
@@ -175,26 +205,42 @@ fn tick() -> u64 {
     CLOCK.fetch_add(1, Ordering::SeqCst)
 }
 
+/// The calling thread's lane.
+#[inline]
+fn lane() -> MutexGuard<'static, LaneBuf> {
+    LANE[curare_obs::tracer::lane() % LANES].0.lock()
+}
+
+fn clear_lanes() {
+    for lane in &LANE {
+        *lane.0.lock() = LaneBuf::new();
+    }
+}
+
 // ----------------------------------------------------------------
 // Arming and hot-path hooks
 // ----------------------------------------------------------------
 
-/// Arm the journal for one run. The caller owns exclusivity: exactly
-/// one speculative run may be in flight per process (test batteries
-/// serialize on this, like the chaos and sanitizer install points).
-pub fn arm() {
-    let mut j = JOURNAL.lock();
+/// Arm the journal for one run. The journal is process-wide, so one
+/// speculative run may be in flight at a time: arming an armed journal
+/// is an error and leaves the run in flight untouched.
+pub fn arm() -> Result<()> {
+    if ARMED.swap(true, Ordering::AcqRel) {
+        return Err(LispError::User("a speculative run is already in flight".into()));
+    }
+    // A thread outside the last run may have appended between its
+    // `armed` test and that run's disarm.
+    clear_lanes();
+    ESCALATE.store(false, Ordering::SeqCst);
     CLOCK.store(1, Ordering::SeqCst);
-    *j = Some(Journal::default());
-    ARMED.store(true, Ordering::Release);
+    Ok(())
 }
 
 /// Disarm and drop any journal state (used on error paths; [`resolve`]
 /// disarms itself).
 pub fn disarm() {
     ARMED.store(false, Ordering::Release);
-    *JOURNAL.lock() = None;
-    READ_BUF.with(|b| b.borrow_mut().clear());
+    clear_lanes();
 }
 
 /// True while a speculative run is journaling.
@@ -223,85 +269,68 @@ pub fn read_begin() -> Option<u64> {
     Some(tick())
 }
 
-/// Close a read bracket opened by [`read_begin`].
-#[inline]
+/// Close a read bracket opened by [`read_begin`]. Out of line, like
+/// everything else only an armed journal reaches: the heap accessors
+/// inline [`read_begin`] and [`write_section`] into the VM's loop, and
+/// all the disarmed path should cost there is a load and a branch.
+#[inline(never)]
 pub fn read_end(loc: u64, lo: u64) {
     let inv = curare_obs::current_invocation();
     let hi = tick();
-    READ_BUF.with(|b| b.borrow_mut().push(ReadRec { inv, loc, lo, hi }));
+    lane().reads.push(ReadRec { inv, loc, lo, hi });
 }
 
-/// Flush the calling thread's buffered reads into the journal. The
-/// pool calls this at every task boundary; buffered records from a run
-/// that has already resolved are dropped.
-pub fn flush_reads() {
-    let buf: Vec<ReadRec> = READ_BUF.with(|b| std::mem::take(&mut *b.borrow_mut()));
-    if buf.is_empty() {
-        return;
-    }
-    if let Some(j) = JOURNAL.lock().as_mut() {
-        j.reads.extend(buf);
-    }
-}
-
-/// An open write section: holds the journal lock so the heap store it
-/// brackets lands in journal-append order.
+/// An open write section: holds its location's stripe, so the heap
+/// store it brackets is ordered against every other journaled write of
+/// that location as their brackets are.
 pub struct WriteSection {
-    guard: MutexGuard<'static, Option<Journal>>,
+    stripe: MutexGuard<'static, ()>,
     inv: u64,
+    loc: u64,
     lo: u64,
+    global: Option<Arc<AtomicU64>>,
 }
 
-/// Open a write section, or `None` when the write should not be
-/// journaled. While the section is open the journal lock is held:
-/// perform the store (or CAS loop) and close it with one of the
-/// `store_*`/`add_*` methods.
+/// Open a write section on packed location `loc` (`global`: the
+/// backing cell when it is a [`GLOBAL_LOC_BIT`] location), or `None`
+/// when the write should not be journaled. While the section is open
+/// the location's stripe is held: perform the store (or CAS loop) and
+/// close it with [`WriteSection::store`] or [`WriteSection::add`].
 #[inline]
-pub fn write_section() -> Option<WriteSection> {
-    let inv = active_inv();
-    if inv == 0 {
-        return None;
+pub fn write_section(loc: u64, global: Option<&Arc<AtomicU64>>) -> Option<WriteSection> {
+    match active_inv() {
+        0 => None,
+        inv => Some(open_section(inv, loc, global)),
     }
-    let guard = JOURNAL.lock();
-    guard.as_ref()?;
-    let lo = tick();
-    Some(WriteSection { guard, inv, lo })
+}
+
+#[inline(never)]
+fn open_section(inv: u64, loc: u64, global: Option<&Arc<AtomicU64>>) -> WriteSection {
+    let global = global.cloned();
+    // Fibonacci hashing: neighbouring cells land on different stripes.
+    let stripe =
+        STRIPE[(loc.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize % STRIPES].0.lock();
+    WriteSection { stripe, inv, loc, lo: tick(), global }
 }
 
 impl WriteSection {
-    fn push(mut self, loc: u64, cell: CellRef, kind: WriteKind) {
+    /// Journal the plain store just performed (`old` was loaded inside
+    /// the section).
+    pub fn store(self, old: u64, new: u64) {
+        self.close(WriteKind::Store { old, new });
+    }
+
+    /// Journal the atomic RMW just performed.
+    pub fn add(self, delta: i64) {
+        self.close(WriteKind::Add { delta });
+    }
+
+    #[inline(never)]
+    fn close(self, kind: WriteKind) {
+        let WriteSection { stripe, inv, loc, lo, global } = self;
         let hi = tick();
-        if let Some(j) = self.guard.as_mut() {
-            j.writes.push(WriteRec { inv: self.inv, loc, lo: self.lo, hi, cell, kind });
-        }
-    }
-
-    /// Journal a plain store to packed heap location `loc`.
-    pub fn store_heap(self, loc: u64, old: u64, new: u64) {
-        self.push(loc, CellRef::HeapLoc(loc), WriteKind::Store { old, new });
-    }
-
-    /// Journal a plain store to global `sym`.
-    pub fn store_global(self, sym: SymId, cell: &Arc<AtomicU64>, old: u64, new: u64) {
-        self.push(
-            GLOBAL_LOC_BIT | sym as u64,
-            CellRef::Global(Arc::clone(cell)),
-            WriteKind::Store { old, new },
-        );
-    }
-
-    /// Journal an atomic RMW on packed heap location `loc`.
-    pub fn add_heap(self, loc: u64, delta: i64) {
-        self.push(loc, CellRef::HeapLoc(loc), WriteKind::Add { delta });
-    }
-
-    /// Journal an atomic RMW on global `sym`.
-    pub fn add_global(self, sym: SymId, cell: &Arc<AtomicU64>, delta: i64) {
-        self.push(
-            GLOBAL_LOC_BIT | sym as u64,
-            CellRef::Global(Arc::clone(cell)),
-            WriteKind::Add { delta },
-        );
+        drop(stripe);
+        lane().writes.push(WriteRec { inv, loc, lo, hi, kind, global });
     }
 }
 
@@ -328,48 +357,35 @@ pub fn divert_emit(line: &str) -> bool {
         return false;
     }
     let epoch = tick();
-    if let Some(j) = JOURNAL.lock().as_mut() {
-        j.output.push(OutRec { inv, epoch, line: line.to_string() });
-        true
-    } else {
-        false
-    }
+    lane().output.push(OutRec { inv, epoch, line: line.to_string() });
+    true
 }
 
 // ----------------------------------------------------------------
 // Task lifecycle (called by the pool)
 // ----------------------------------------------------------------
 
-/// Register a spawned invocation with its re-execution recipe.
-pub fn register_invocation(inv: u64, parent: u64, fid: FuncId, args: &[Value]) {
-    if let Some(j) = JOURNAL.lock().as_mut() {
-        j.invs.insert(
-            inv,
-            InvEntry {
-                parent,
-                fid,
-                args: args.to_vec(),
-                spawns: Vec::new(),
-                replay_idx: 0,
-                errored: false,
-                aborted: false,
-            },
-        );
-    }
-}
-
-/// Record that `parent` spawned `child` (segment boundary for the
-/// validator, expectation for replays).
+/// Record that `parent` (0 for a root) spawned `child`: the child's
+/// registration with its re-execution recipe and, for the validator,
+/// the parent's segment boundary.
 pub fn record_spawn(parent: u64, child: u64, fid: FuncId, args: &[Value], future: bool) {
-    if parent == 0 {
-        return;
-    }
-    if let Some(j) = JOURNAL.lock().as_mut() {
-        let epoch = CLOCK.fetch_add(1, Ordering::SeqCst);
-        if let Some(e) = j.invs.get_mut(&parent) {
-            e.spawns.push(SpawnRec { epoch, child, fid, args: args.to_vec(), future });
-        }
-    }
+    let epoch = tick();
+    let mut lane = lane();
+    let args_at = lane.args.len();
+    lane.args.extend_from_slice(args);
+    lane.spawns.push(SpawnRec {
+        parent,
+        child,
+        epoch,
+        fid,
+        future,
+        args_at,
+        argc: args.len(),
+        errored: false,
+        aborted: false,
+        doomed: false,
+        respawned: 0,
+    });
 }
 
 /// Park a body error: in `SpecMode` a task error does not abort the
@@ -377,10 +393,8 @@ pub fn record_spawn(parent: u64, child: u64, fid: FuncId, args: &[Value], future
 /// escalates to the sequential rerun, which reproduces any genuine
 /// error exactly.
 pub fn record_error(inv: u64) {
-    if let Some(j) = JOURNAL.lock().as_mut() {
-        if let Some(e) = j.invs.get_mut(&inv) {
-            e.errored = true;
-        }
+    if armed() {
+        lane().errors.push(inv);
     }
 }
 
@@ -400,207 +414,245 @@ pub fn replaying() -> bool {
 /// by its toucher). The current round finishes; the next resolution
 /// pass rolls everything back and falls to the sequential rerun.
 pub fn escalate_now() {
-    if let Some(j) = JOURNAL.lock().as_mut() {
-        j.escalate = true;
-    }
+    ESCALATE.store(true, Ordering::SeqCst);
 }
 
-/// A suppressed spawn inside a replayed body: check it against the
-/// original run's expectation and refresh the segment boundary.
-/// Returns `false` (and flags escalation) when the replayed body
-/// diverged — different callee, different arguments, a future where an
-/// enqueue was, or more spawns than before.
-pub fn replay_spawn(fid: FuncId, args: &[Value], future: bool) -> bool {
-    let inv = REPLAYING.with(Cell::get);
-    let mut g = JOURNAL.lock();
-    let Some(j) = g.as_mut() else { return false };
-    let Some(e) = j.invs.get_mut(&inv) else {
-        j.escalate = true;
-        return false;
-    };
-    let i = e.replay_idx;
-    let ok = match e.spawns.get(i) {
-        Some(s) => s.fid == fid && s.args == args && s.future == future,
-        None => false,
-    };
-    if !ok {
-        j.escalate = true;
-        return false;
+/// A suppressed spawn inside a replayed body. The next resolution
+/// round checks it against the original run's record and refreshes the
+/// segment boundary; a replayed body that diverged — different callee,
+/// different arguments, a future where an enqueue was, more or fewer
+/// spawns than before — escalates there.
+pub fn replay_spawn(fid: FuncId, args: &[Value], future: bool) {
+    record_spawn(REPLAYING.with(Cell::get), 0, fid, args, future);
+}
+
+// ----------------------------------------------------------------
+// Spawn tree and sequential ranks
+// ----------------------------------------------------------------
+
+/// The spawn tree of one run with the sequential rank of every
+/// segment, in flat arrays: invocations are numbered by ascending id,
+/// invocation `i`'s spawns are `spawns[first[i]..first[i + 1]]`, and
+/// its segments' ranks start at `ranks[first[i] + i]` (one more
+/// segment than spawns).
+#[derive(Default)]
+pub(crate) struct SpawnTree {
+    ids: Vec<u64>,
+    /// The ids are consecutive (the usual case: one run minted them),
+    /// so an id's number is its offset; else binary search.
+    dense: bool,
+    first: Vec<usize>,
+    /// `(spawn epoch, child number)`, ascending per parent.
+    spawns: Vec<(u64, usize)>,
+    /// Sequential rank per segment; 0 where no root reaches.
+    ranks: Vec<u64>,
+}
+
+impl SpawnTree {
+    /// Build from `(parent, child, epoch)` edges, ascending in `child`,
+    /// children unique and nonzero. An edge registers its child; when
+    /// its parent is registered too it is that parent's segment
+    /// boundary at `epoch`, else the child is a root (roots run in id
+    /// order). Ranks come from an iterative DFS: the chains these
+    /// programs build run tens of thousands of invocations deep.
+    pub(crate) fn build(edges: &[(u64, u64, u64)]) -> SpawnTree {
+        let n = edges.len();
+        let ids: Vec<u64> = edges.iter().map(|e| e.1).collect();
+        let dense = n > 0 && ids[n - 1] - ids[0] == (n - 1) as u64;
+        let mut t = SpawnTree { ids, dense, first: vec![0; n + 1], ..SpawnTree::default() };
+        let parents: Vec<Option<usize>> = edges.iter().map(|e| t.index(e.0)).collect();
+        for &p in parents.iter().flatten() {
+            t.first[p + 1] += 1;
+        }
+        for i in 0..n {
+            t.first[i + 1] += t.first[i];
+        }
+        t.spawns = vec![(0, 0); t.first[n]];
+        let mut next = t.first.clone();
+        for (child, parent) in parents.iter().enumerate() {
+            if let Some(p) = *parent {
+                t.spawns[next[p]] = (edges[child].2, child);
+                next[p] += 1;
+            }
+        }
+        for i in 0..n {
+            t.spawns[t.first[i]..t.first[i + 1]].sort_unstable();
+        }
+        t.ranks = vec![0; t.first[n] + n];
+        let mut rank = 0;
+        // (invocation, its next spawn to descend into)
+        let mut stack: Vec<(usize, usize)> = Vec::new();
+        for root in (0..n).filter(|&i| parents[i].is_none()) {
+            rank += 1;
+            t.ranks[t.first[root] + root] = rank;
+            stack.push((root, t.first[root]));
+            while let Some(top) = stack.last_mut() {
+                let (i, k) = *top;
+                if k < t.first[i + 1] {
+                    top.1 += 1;
+                    let child = t.spawns[k].1;
+                    rank += 1;
+                    t.ranks[t.first[child] + child] = rank;
+                    stack.push((child, t.first[child]));
+                } else {
+                    stack.pop();
+                    // The parent's segment after the spawn just
+                    // finished: first[p] + p + (k - first[p]).
+                    if let Some(&(p, k)) = stack.last() {
+                        rank += 1;
+                        t.ranks[p + k] = rank;
+                    }
+                }
+            }
+        }
+        t
     }
-    e.spawns[i].epoch = CLOCK.fetch_add(1, Ordering::SeqCst);
-    e.replay_idx = i + 1;
-    true
+
+    /// The number of registered invocation `inv`.
+    pub(crate) fn index(&self, inv: u64) -> Option<usize> {
+        if self.dense {
+            let i = inv.checked_sub(self.ids[0])? as usize;
+            (i < self.ids.len()).then_some(i)
+        } else {
+            self.ids.binary_search(&inv).ok()
+        }
+    }
+
+    /// The spawns of invocation number `i`, in spawn order.
+    fn spawns_of(&self, i: usize) -> &[(u64, usize)] {
+        &self.spawns[self.first[i]..self.first[i + 1]]
+    }
+
+    /// The sequential rank of what `inv` did at `epoch`.
+    pub(crate) fn rank(&self, inv: u64, epoch: u64) -> Option<u64> {
+        let i = self.index(inv)?;
+        let segment = self.spawns_of(i).partition_point(|s| s.0 <= epoch);
+        Some(self.ranks[self.first[i] + i + segment]).filter(|&r| r != 0)
+    }
 }
 
 // ----------------------------------------------------------------
 // Validation
 // ----------------------------------------------------------------
 
-/// Per-invocation segment boundaries (spawn epochs, ascending) and the
-/// sequential rank of each segment.
-struct InvRanks {
-    boundaries: Vec<u64>,
-    seg_ranks: Vec<u64>,
-}
-
-/// Assign sequential ranks by iterative DFS over the spawn tree (the
-/// chains these programs build can be tens of thousands of invocations
-/// deep, so no recursion).
-fn compute_ranks(j: &Journal) -> HashMap<u64, InvRanks> {
-    let mut ranks: HashMap<u64, InvRanks> = HashMap::with_capacity(j.invs.len());
-    let mut counter: u64 = 0;
-    let roots: Vec<u64> = j
-        .invs
-        .iter()
-        .filter(|(_, e)| e.parent == 0 || !j.invs.contains_key(&e.parent))
-        .map(|(&inv, _)| inv)
-        .collect();
-    for root in roots {
-        if ranks.contains_key(&root) {
-            continue; // defensive: malformed parent links
-        }
-        // (invocation, index of the next spawn to descend into)
-        let mut stack: Vec<(u64, usize)> = Vec::new();
-        let enter = |inv: u64, ranks: &mut HashMap<u64, InvRanks>, counter: &mut u64| {
-            let e = &j.invs[&inv];
-            let boundaries: Vec<u64> = e.spawns.iter().map(|s| s.epoch).collect();
-            *counter += 1;
-            ranks.insert(inv, InvRanks { boundaries, seg_ranks: vec![*counter] });
-        };
-        enter(root, &mut ranks, &mut counter);
-        stack.push((root, 0));
-        while let Some(&mut (inv, ref mut idx)) = stack.last_mut() {
-            let e = &j.invs[&inv];
-            if *idx < e.spawns.len() {
-                let child = e.spawns[*idx].child;
-                *idx += 1;
-                if j.invs.contains_key(&child) && !ranks.contains_key(&child) {
-                    enter(child, &mut ranks, &mut counter);
-                    stack.push((child, 0));
-                } else {
-                    // Child never registered (or duplicate link):
-                    // still open the parent's next segment.
-                    counter += 1;
-                    ranks.get_mut(&inv).expect("entered").seg_ranks.push(counter);
-                }
-            } else {
-                stack.pop();
-                if let Some(&(parent, _)) = stack.last() {
-                    counter += 1;
-                    ranks.get_mut(&parent).expect("entered").seg_ranks.push(counter);
-                }
-            }
-        }
-    }
-    ranks
-}
-
-fn rank_of(ranks: &HashMap<u64, InvRanks>, inv: u64, epoch: u64) -> Option<u64> {
-    let r = ranks.get(&inv)?;
-    let seg = r.boundaries.partition_point(|&b| b <= epoch);
-    Some(r.seg_ranks.get(seg).copied().unwrap_or_else(|| *r.seg_ranks.last().unwrap_or(&0)))
+#[derive(Clone, Copy)]
+enum Class {
+    Read,
+    Store,
+    Add,
 }
 
 #[derive(Clone, Copy)]
 struct Acc {
+    loc: u64,
+    rank: u64,
     inv: u64,
     lo: u64,
     hi: u64,
-    write: bool,
-    atomic: bool,
-    rank: u64,
+    class: Class,
+}
+
+/// Of the brackets noted so far, the latest end, and the latest end
+/// among invocations other than the one that owns it — enough to
+/// answer "latest end not mine" for any invocation.
+#[derive(Clone, Copy, Default)]
+struct Latest {
+    hi: u64,
+    inv: u64,
+    other_hi: u64,
+}
+
+impl Latest {
+    fn note(&mut self, hi: u64, inv: u64) {
+        if inv == self.inv {
+            self.hi = self.hi.max(hi);
+        } else if hi > self.hi {
+            *self = Latest { hi, inv, other_hi: self.hi };
+        } else {
+            self.other_hi = self.other_hi.max(hi);
+        }
+    }
+
+    fn not_by(&self, inv: u64) -> u64 {
+        if self.inv == inv {
+            self.other_hi
+        } else {
+            self.hi
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Comparisons `sweep` made on this thread (sort and pass).
+    static COMPARISONS: Cell<u64> = const { Cell::new(0) };
+}
+
+#[inline]
+fn count_comparison() {
+    #[cfg(test)]
+    COMPARISONS.with(|c| c.set(c.get() + 1));
 }
 
 /// The invocations that must abort, mapped to the smallest sequential
-/// rank at which they violated (the replay order key).
-fn validate(j: &Journal, ranks: &HashMap<u64, InvRanks>) -> BTreeMap<u64, u64> {
-    let mut by_loc: HashMap<u64, Vec<Acc>> = HashMap::new();
-    let mut push = |inv: u64, loc: u64, lo: u64, hi: u64, write: bool, atomic: bool| {
-        if let Some(rank) = rank_of(ranks, inv, lo) {
-            by_loc.entry(loc).or_default().push(Acc { inv, lo, hi, write, atomic, rank });
-        }
-    };
-    for r in &j.reads {
-        push(r.inv, r.loc, r.lo, r.hi, false, false);
-    }
-    for w in &j.writes {
-        let atomic = matches!(w.kind, WriteKind::Add { .. });
-        push(w.inv, w.loc, w.lo, w.hi, true, atomic);
-    }
+/// rank at which they violated (the replay order key). Two accesses of
+/// one location by different invocations conflict unless both read or
+/// both are atomic RMWs, and a conflicting pair violates iff the
+/// sequentially earlier bracket does not end before the later one
+/// begins — so going through a location in rank order, an access
+/// violates iff the latest end among the earlier accesses it conflicts
+/// with, its own invocation's aside, reaches its `lo`. O(n log n),
+/// however hot the location.
+fn sweep(accs: &mut [Acc]) -> BTreeMap<u64, u64> {
+    accs.sort_unstable_by(|a, b| {
+        count_comparison();
+        (a.loc, a.rank).cmp(&(b.loc, b.rank))
+    });
     let mut aborts: BTreeMap<u64, u64> = BTreeMap::new();
-    for accs in by_loc.values() {
-        if accs.len() < 2 {
-            continue;
-        }
-        for (i, a) in accs.iter().enumerate() {
-            for b in &accs[i + 1..] {
-                if a.inv == b.inv || (!a.write && !b.write) || (a.atomic && b.atomic) {
-                    continue;
-                }
-                // Epoch order: strict bracket separation, else the
-                // race was too close to call.
-                let consistent = if a.hi < b.lo {
-                    a.rank < b.rank
-                } else if b.hi < a.lo {
-                    b.rank < a.rank
-                } else {
-                    false
-                };
-                if !consistent {
-                    let later = if a.rank > b.rank { a } else { b };
-                    let slot = aborts.entry(later.inv).or_insert(later.rank);
-                    *slot = (*slot).min(later.rank);
-                }
+    for at_loc in accs.chunk_by(|a, b| a.loc == b.loc) {
+        let mut seen = [Latest::default(); 3];
+        for a in at_loc {
+            count_comparison();
+            let end = |c: Class| seen[c as usize].not_by(a.inv);
+            let latest = match a.class {
+                Class::Read => end(Class::Store).max(end(Class::Add)),
+                Class::Store => end(Class::Read).max(end(Class::Store)).max(end(Class::Add)),
+                Class::Add => end(Class::Read).max(end(Class::Store)),
+            };
+            if latest >= a.lo {
+                // Ascending rank: an invocation's first violation at a
+                // location is its smallest there.
+                let rank = aborts.entry(a.inv).or_insert(a.rank);
+                *rank = (*rank).min(a.rank);
             }
+            seen[a.class as usize].note(a.hi, a.inv);
         }
     }
     aborts
 }
 
 // ----------------------------------------------------------------
-// Undo
+// The merged journal (resolve time)
 // ----------------------------------------------------------------
 
-/// Undo the journaled writes of `abort_set`: per touched location,
-/// walk the journal backwards from the current heap value to the
-/// pre-run value, then replay only the surviving writes forward.
-/// Exact for any interleaving because journal order is store order.
-fn undo_writes(j: &mut Journal, heap: &Heap, abort_set: &BTreeSet<u64>) {
-    let mut locs: BTreeSet<u64> = BTreeSet::new();
-    for w in &j.writes {
-        if abort_set.contains(&w.inv) {
-            locs.insert(w.loc);
+impl WriteKind {
+    fn undo(self, val: u64) -> u64 {
+        match self {
+            WriteKind::Store { old, .. } => old,
+            WriteKind::Add { delta } => add_bits(val, -delta),
         }
     }
-    for loc in locs {
-        let entries: Vec<&WriteRec> = j.writes.iter().filter(|w| w.loc == loc).collect();
-        let Some(first) = entries.first() else { continue };
-        let mut val = first.cell.load(heap);
-        for w in entries.iter().rev() {
-            match &w.kind {
-                WriteKind::Store { old, .. } => val = *old,
-                WriteKind::Add { delta } => val = add_bits(val, -delta),
+
+    /// Reapply a surviving write over `val`. A store's `old` is
+    /// re-based on what now precedes it, so a later round's rollback
+    /// still walks back to the pre-run value.
+    fn redo(&mut self, val: u64) -> u64 {
+        match self {
+            WriteKind::Store { old, new } => {
+                *old = val;
+                *new
             }
-        }
-        for w in &entries {
-            if abort_set.contains(&w.inv) {
-                continue;
-            }
-            match &w.kind {
-                WriteKind::Store { new, .. } => val = *new,
-                WriteKind::Add { delta } => val = add_bits(val, *delta),
-            }
-        }
-        first.cell.store(heap, val);
-    }
-    j.writes.retain(|w| !abort_set.contains(&w.inv));
-    j.reads.retain(|r| !abort_set.contains(&r.inv));
-    j.output.retain(|o| !abort_set.contains(&o.inv));
-    for &inv in abort_set {
-        if let Some(e) = j.invs.get_mut(&inv) {
-            e.errored = false;
-            e.aborted = true;
-            e.replay_idx = 0;
+            WriteKind::Add { delta } => add_bits(val, *delta),
         }
     }
 }
@@ -609,6 +661,207 @@ fn add_bits(bits: u64, delta: i64) -> u64 {
     match Value::from_bits(bits).as_int() {
         Some(i) => Value::int_checked(i + delta).map(|v| v.bits()).unwrap_or(bits),
         None => bits,
+    }
+}
+
+impl WriteRec {
+    fn cell<'a>(&'a self, heap: &'a Heap) -> &'a AtomicU64 {
+        match &self.global {
+            Some(cell) => cell,
+            None => heap.spec_loc_cell(self.loc),
+        }
+    }
+}
+
+/// Everything the lanes held, merged: owned by [`resolve`] for the
+/// length of one resolution.
+#[derive(Default)]
+struct Journal {
+    /// The invocation table: registrations ascending in `child`,
+    /// numbered as `tree` numbers them.
+    invs: Vec<SpawnRec>,
+    tree: SpawnTree,
+    args: Vec<Value>,
+    reads: Vec<ReadRec>,
+    writes: Vec<WriteRec>,
+    output: Vec<OutRec>,
+    accs: Vec<Acc>,
+    aborts: u64,
+    replays: u64,
+    /// A replayed body did not respawn what the original spawned.
+    diverged: bool,
+}
+
+impl Journal {
+    /// Drain every lane into the journal, settle the last round's
+    /// replays against the spawn records, and rank the tree anew.
+    fn absorb(&mut self) {
+        let registered = self.invs.len();
+        let (mut respawns, mut errors) = (Vec::new(), Vec::new());
+        for lane in &LANE {
+            let l = std::mem::replace(&mut *lane.0.lock(), LaneBuf::new());
+            let base = self.args.len();
+            self.args.extend(l.args);
+            for mut s in l.spawns {
+                s.args_at += base;
+                if s.child == 0 { &mut respawns } else { &mut self.invs }.push(s);
+            }
+            self.reads.extend(l.reads);
+            self.writes.extend(l.writes);
+            self.output.extend(l.output);
+            errors.extend(l.errors);
+        }
+        // Replays ran one at a time on this thread, so their spawns
+        // arrive in program order: each must repeat the original's
+        // next spawn, and moves that segment boundary to now.
+        for r in respawns {
+            let original = self.tree.index(r.parent).and_then(|p| {
+                self.invs[p].respawned += 1;
+                self.tree.spawns_of(p).get(self.invs[p].respawned - 1).map(|s| s.1)
+            });
+            match original {
+                Some(c) if self.same_call(&self.invs[c], &r) => self.invs[c].epoch = r.epoch,
+                _ => self.diverged = true,
+            }
+        }
+        for (i, s) in self.invs.iter_mut().enumerate().filter(|(_, s)| s.doomed) {
+            s.doomed = false;
+            self.diverged |= s.respawned != self.tree.spawns_of(i).len();
+        }
+        if self.invs.len() > registered {
+            // Each lane's run ascends already; the stable sort merges.
+            self.invs.sort_by_key(|s| s.child);
+            self.invs.dedup_by_key(|s| s.child);
+        }
+        let edges: Vec<_> = self.invs.iter().map(|s| (s.parent, s.child, s.epoch)).collect();
+        self.tree = SpawnTree::build(&edges);
+        for inv in errors {
+            if let Some(i) = self.tree.index(inv) {
+                self.invs[i].errored = true;
+            }
+        }
+    }
+
+    fn args_of(&self, s: &SpawnRec) -> &[Value] {
+        &self.args[s.args_at..s.args_at + s.argc]
+    }
+
+    fn same_call(&self, a: &SpawnRec, b: &SpawnRec) -> bool {
+        a.fid == b.fid && a.future == b.future && self.args_of(a) == self.args_of(b)
+    }
+
+    /// Tag every access with its rank and judge them ([`sweep`]).
+    /// Accesses of unregistered invocations (another pool's tasks) are
+    /// no part of this run's order.
+    fn validate(&mut self) -> BTreeMap<u64, u64> {
+        let tree = &self.tree;
+        let acc = |inv, loc, lo, hi, class| {
+            Some(Acc { loc, rank: tree.rank(inv, lo)?, inv, lo, hi, class })
+        };
+        let reads = self.reads.iter().filter_map(|r| acc(r.inv, r.loc, r.lo, r.hi, Class::Read));
+        let writes = self.writes.iter().filter_map(|w| {
+            let class = match w.kind {
+                WriteKind::Store { .. } => Class::Store,
+                WriteKind::Add { .. } => Class::Add,
+            };
+            acc(w.inv, w.loc, w.lo, w.hi, class)
+        });
+        self.accs.clear();
+        self.accs.reserve(self.reads.len() + self.writes.len());
+        self.accs.extend(reads.chain(writes));
+        sweep(&mut self.accs)
+    }
+
+    /// Undo the journaled effects of the doomed invocations: per
+    /// location one of them wrote, walk the location's writes backwards
+    /// from the current heap value to the pre-run value, then reapply
+    /// only the survivors forward. Exact for any interleaving because
+    /// ascending `lo` is store order (the stripes).
+    fn undo(&mut self, heap: &Heap) {
+        let (tree, invs) = (&self.tree, &self.invs);
+        let doomed = |inv: u64| tree.index(inv).is_some_and(|i| invs[i].doomed);
+        // Survivors of earlier rounds are still in order and replays
+        // appended theirs: near-sorted input for the adaptive sort.
+        self.writes.sort_by_key(|w| (w.loc, w.lo));
+        for at_loc in self.writes.chunk_by_mut(|a, b| a.loc == b.loc) {
+            if !at_loc.iter().any(|w| doomed(w.inv)) {
+                continue;
+            }
+            let mut val = at_loc[0].cell(heap).load(Ordering::Acquire);
+            for w in at_loc.iter().rev() {
+                val = w.kind.undo(val);
+            }
+            for w in at_loc.iter_mut().filter(|w| !doomed(w.inv)) {
+                val = w.kind.redo(val);
+            }
+            at_loc[0].cell(heap).store(val, Ordering::Release);
+        }
+        self.writes.retain(|w| !doomed(w.inv));
+        self.reads.retain(|r| !doomed(r.inv));
+        self.output.retain(|o| !doomed(o.inv));
+        for s in self.invs.iter_mut().filter(|s| s.doomed) {
+            s.errored = false;
+            s.aborted = true;
+            s.respawned = 0;
+        }
+    }
+
+    /// Re-execute aborted invocation number `i` inline on this thread,
+    /// its spawns suppressed into [`replay_spawn`].
+    fn replay(&mut self, i: usize, run_body: &mut dyn FnMut(FuncId, Vec<Value>) -> Result<Value>) {
+        let inv = self.invs[i].child;
+        self.replays += 1;
+        curare_obs::record(EventKind::SpecReplay, inv);
+        REPLAYING.with(|r| r.set(inv));
+        let prev = curare_obs::set_invocation(inv);
+        let res = run_body(self.invs[i].fid, self.args_of(&self.invs[i]).to_vec());
+        curare_obs::set_invocation(prev);
+        REPLAYING.with(|r| r.set(0));
+        self.invs[i].errored |= res.is_err();
+    }
+
+    fn commit(self) -> Resolution {
+        disarm();
+        let tree = &self.tree;
+        let mut out: Vec<(u64, u64, String)> = self
+            .output
+            .into_iter()
+            .map(|o| (tree.rank(o.inv, o.epoch).unwrap_or(u64::MAX), o.epoch, o.line))
+            .collect();
+        out.sort_by_key(|o| (o.0, o.1));
+        for s in &self.invs {
+            curare_obs::record(EventKind::SpecCommit, s.child);
+        }
+        Resolution {
+            committed: self.invs.len() as u64,
+            aborts: self.aborts,
+            replays: self.replays,
+            clean: self.invs.iter().filter(|s| !s.aborted).count() as u64,
+            escalated: false,
+            roots: Vec::new(),
+            output: out.into_iter().map(|(_, _, l)| l).collect(),
+        }
+    }
+
+    fn escalate(mut self, heap: &Heap) -> Resolution {
+        self.invs.iter_mut().for_each(|s| s.doomed = true);
+        self.undo(heap);
+        disarm();
+        let roots = self
+            .invs
+            .iter()
+            .filter(|s| self.tree.index(s.parent).is_none())
+            .map(|s| (s.fid, self.args_of(s).to_vec()))
+            .collect();
+        Resolution {
+            committed: 0,
+            aborts: self.aborts,
+            replays: self.replays,
+            clean: 0,
+            escalated: true,
+            roots,
+            output: Vec::new(),
+        }
     }
 }
 
@@ -645,182 +898,60 @@ pub fn resolve(
     retry_limit: u32,
     run_body: &mut dyn FnMut(FuncId, Vec<Value>) -> Result<Value>,
 ) -> Resolution {
+    let mut j = Journal::default();
     let mut rounds: u32 = 0;
     loop {
-        // Decide this round's fate under the lock, then release it for
-        // any replays.
-        let plan = {
-            let mut g = JOURNAL.lock();
-            let Some(j) = g.as_mut() else {
-                return empty_resolution();
-            };
-            if j.escalate {
-                Plan::Escalate
-            } else {
-                let ranks = compute_ranks(j);
-                let aborts = validate(j, &ranks);
-                if aborts.is_empty() {
-                    if j.invs.values().any(|e| e.errored) {
-                        Plan::Escalate
-                    } else {
-                        return commit(g, ranks);
-                    }
-                } else if rounds >= retry_limit {
-                    Plan::Escalate
-                } else {
-                    let set: BTreeSet<u64> = aborts.keys().copied().collect();
-                    let future_aborted = j
-                        .invs
-                        .values()
-                        .any(|e| e.spawns.iter().any(|s| s.future && set.contains(&s.child)));
-                    if future_aborted {
-                        // A future-valued invocation's result may already
-                        // have been consumed by its toucher; an abort
-                        // cannot retract that value, so the whole run
-                        // falls back to the sequential rerun.
-                        Plan::Escalate
-                    } else {
-                        // Abort now (undo under the lock), replay after.
-                        j.aborts += set.len() as u64;
-                        for &inv in &set {
-                            curare_obs::record(EventKind::SpecAbort, inv);
-                        }
-                        undo_writes(j, heap, &set);
-                        let mut order: Vec<(u64, u64)> =
-                            aborts.iter().map(|(&inv, &rank)| (rank, inv)).collect();
-                        order.sort_unstable();
-                        Plan::Replay(order.into_iter().map(|(_, inv)| inv).collect())
-                    }
-                }
-            }
-        };
-        match plan {
-            Plan::Escalate => return escalate(heap),
-            Plan::Replay(invs) => {
-                rounds += 1;
-                for inv in invs {
-                    let Some((fid, args)) = ({
-                        let mut g = JOURNAL.lock();
-                        g.as_mut().and_then(|j| {
-                            j.replays += 1;
-                            j.invs.get(&inv).map(|e| (e.fid, e.args.clone()))
-                        })
-                    }) else {
-                        continue;
-                    };
-                    curare_obs::record(EventKind::SpecReplay, inv);
-                    REPLAYING.with(|r| r.set(inv));
-                    let prev = curare_obs::set_invocation(inv);
-                    let res = run_body(fid, args);
-                    curare_obs::set_invocation(prev);
-                    REPLAYING.with(|r| r.set(0));
-                    flush_reads();
-                    let mut g = JOURNAL.lock();
-                    if let Some(j) = g.as_mut() {
-                        if let Some(e) = j.invs.get_mut(&inv) {
-                            if res.is_err() {
-                                e.errored = true;
-                            }
-                            if e.replay_idx != e.spawns.len() {
-                                j.escalate = true;
-                            }
-                        }
-                    }
-                }
-            }
+        j.absorb();
+        if ESCALATE.load(Ordering::SeqCst) || j.diverged {
+            return j.escalate(heap);
         }
-    }
-}
-
-enum Plan {
-    Escalate,
-    Replay(Vec<u64>),
-}
-
-fn empty_resolution() -> Resolution {
-    ARMED.store(false, Ordering::Release);
-    Resolution {
-        committed: 0,
-        aborts: 0,
-        replays: 0,
-        clean: 0,
-        escalated: false,
-        roots: Vec::new(),
-        output: Vec::new(),
-    }
-}
-
-fn commit(
-    mut g: MutexGuard<'static, Option<Journal>>,
-    ranks: HashMap<u64, InvRanks>,
-) -> Resolution {
-    ARMED.store(false, Ordering::Release);
-    let j = g.take().expect("journal present");
-    let mut out: Vec<(u64, u64, String)> = j
-        .output
-        .into_iter()
-        .map(|o| (rank_of(&ranks, o.inv, o.epoch).unwrap_or(u64::MAX), o.epoch, o.line))
-        .collect();
-    out.sort_by_key(|a| (a.0, a.1));
-    let committed = j.invs.len() as u64;
-    let clean = j.invs.values().filter(|e| !e.aborted).count() as u64;
-    for &inv in j.invs.keys() {
-        curare_obs::record(EventKind::SpecCommit, inv);
-    }
-    Resolution {
-        committed,
-        aborts: j.aborts,
-        replays: j.replays,
-        clean,
-        escalated: false,
-        roots: Vec::new(),
-        output: out.into_iter().map(|(_, _, l)| l).collect(),
-    }
-}
-
-fn escalate(heap: &Heap) -> Resolution {
-    let mut g = JOURNAL.lock();
-    let Some(j) = g.as_mut() else {
-        return empty_resolution();
-    };
-    let all: BTreeSet<u64> = j.invs.keys().copied().collect();
-    undo_writes(j, heap, &all);
-    ARMED.store(false, Ordering::Release);
-    let j = g.take().expect("journal present");
-    let roots: Vec<(FuncId, Vec<Value>)> = j
-        .invs
-        .iter()
-        .filter(|(_, e)| e.parent == 0 || !j.invs.contains_key(&e.parent))
-        .map(|(_, e)| (e.fid, e.args.clone()))
-        .collect();
-    Resolution {
-        committed: 0,
-        aborts: j.aborts,
-        replays: j.replays,
-        clean: 0,
-        escalated: true,
-        roots,
-        output: Vec::new(),
+        let aborts = j.validate();
+        if aborts.is_empty() {
+            let errored = j.invs.iter().any(|s| s.errored);
+            return if errored { j.escalate(heap) } else { j.commit() };
+        }
+        // A future-valued invocation's result may already have been
+        // consumed by its toucher; an abort cannot retract that value,
+        // so the whole run falls back to the sequential rerun.
+        let future_aborted =
+            aborts.keys().any(|&inv| j.tree.index(inv).is_some_and(|i| j.invs[i].future));
+        if rounds >= retry_limit || future_aborted {
+            return j.escalate(heap);
+        }
+        rounds += 1;
+        j.aborts += aborts.len() as u64;
+        let mut order: Vec<(u64, usize)> = Vec::with_capacity(aborts.len());
+        for (&inv, &rank) in &aborts {
+            curare_obs::record(EventKind::SpecAbort, inv);
+            let i = j.tree.index(inv).expect("only registered invocations are ranked");
+            j.invs[i].doomed = true;
+            order.push((rank, i));
+        }
+        j.undo(heap);
+        order.sort_unstable();
+        for (_, i) in order {
+            j.replay(i, run_body);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
+    use std::collections::{BTreeSet, HashMap};
 
-    // The journal is a process-global; serialize tests that arm it.
+    // The journal is process-wide; serialize tests that arm it, and
+    // start each from a disarmed one whatever the last test left.
     static TEST_GUARD: Mutex<()> = Mutex::new(());
 
     fn guard() -> MutexGuard<'static, ()> {
-        TEST_GUARD.lock()
+        let g = TEST_GUARD.lock();
+        disarm();
+        g
     }
 
-    fn loc_car(v: Value) -> u64 {
-        match v.decode() {
-            crate::value::Val::Cons(id) => id << 1,
-            _ => panic!("cons"),
-        }
+    fn root(inv: u64, fid: FuncId, args: &[Value]) {
+        record_spawn(0, inv, fid, args, false);
     }
 
     #[test]
@@ -829,9 +960,8 @@ mod tests {
         let heap = Heap::new();
         let a = heap.cons(Value::int(1), Value::NIL);
         let b = heap.cons(Value::int(2), Value::NIL);
-        arm();
-        register_invocation(1, 0, 0, &[a]);
-        register_invocation(2, 1, 0, &[b]);
+        arm().unwrap();
+        root(1, 0, &[a]);
         // inv 1 head writes a, spawns 2; inv 2 writes b. Disjoint.
         curare_obs::set_invocation(1);
         heap.set_car(a, Value::int(10)).unwrap();
@@ -839,7 +969,6 @@ mod tests {
         curare_obs::set_invocation(2);
         heap.set_car(b, Value::int(20)).unwrap();
         curare_obs::set_invocation(0);
-        flush_reads();
         let r = resolve(&heap, 4, &mut |_, _| Ok(Value::NIL));
         assert!(!r.escalated);
         assert_eq!(r.committed, 2);
@@ -855,9 +984,8 @@ mod tests {
         let heap = Heap::new();
         let x = heap.cons(Value::int(1), Value::NIL);
         let dst = heap.cons(Value::int(0), Value::NIL);
-        arm();
-        register_invocation(1, 0, 0, &[]);
-        register_invocation(2, 1, 0, &[]);
+        arm().unwrap();
+        root(1, 0, &[]);
         // Sequential order: head(1), head+tail(2), tail(1). inv 1's
         // *tail* should see inv 2's write of x — but inv 1 reads x
         // before inv 2 writes it (stale), then copies it into dst.
@@ -868,20 +996,47 @@ mod tests {
         curare_obs::set_invocation(2);
         heap.set_car(x, Value::int(42)).unwrap();
         curare_obs::set_invocation(0);
-        flush_reads();
         // Replay of inv 1 re-runs its body: spawn (suppressed and
         // matched against the record), then read x, write dst.
         let heap_ref = &heap;
         let r = resolve(heap_ref, 4, &mut |_, _| {
-            assert!(replay_spawn(0, &[], false));
+            replay_spawn(0, &[], false);
             let v = heap_ref.car(x)?;
             heap_ref.set_car(dst, v)?;
             Ok(Value::NIL)
         });
         assert!(!r.escalated, "replay should converge");
-        assert!(r.aborts >= 1);
-        assert!(r.replays >= 1);
+        assert_eq!((r.aborts, r.replays, r.committed, r.clean), (1, 1, 2, 1));
         assert_eq!(heap.car(dst).unwrap(), Value::int(42), "tail must see conflictor's write");
+    }
+
+    #[test]
+    fn a_replay_that_spawns_differently_escalates() {
+        let _g = guard();
+        let heap = Heap::new();
+        let x = heap.cons(Value::int(1), Value::NIL);
+        for respawn in [None, Some(7), Some(0)] {
+            arm().unwrap();
+            root(1, 3, &[x]);
+            curare_obs::set_invocation(1);
+            record_spawn(1, 2, 0, &[], false);
+            heap.car(x).unwrap(); // stale, as above
+            curare_obs::set_invocation(2);
+            heap.set_car(x, Value::int(42)).unwrap();
+            curare_obs::set_invocation(0);
+            // The replayed body spawns nothing, another callee, or the
+            // right one twice.
+            let r = resolve(&heap, 4, &mut |_, _| {
+                if let Some(fid) = respawn {
+                    replay_spawn(fid, &[], false);
+                    replay_spawn(fid, &[], false);
+                }
+                Ok(Value::NIL)
+            });
+            assert!(r.escalated, "respawn {respawn:?} must not commit");
+            assert_eq!(r.roots, vec![(3, vec![x])]);
+            assert_eq!(heap.car(x).unwrap(), Value::int(1), "rolled back");
+        }
     }
 
     #[test]
@@ -889,12 +1044,11 @@ mod tests {
         let _g = guard();
         let heap = Heap::new();
         let a = heap.cons(Value::int(1), Value::NIL);
-        arm();
-        register_invocation(1, 0, 7, &[a]);
+        arm().unwrap();
+        root(1, 7, &[a]);
         curare_obs::set_invocation(1);
         heap.set_car(a, Value::int(99)).unwrap();
         curare_obs::set_invocation(0);
-        flush_reads();
         record_error(1); // parked body error forces escalation
         let r = resolve(&heap, 4, &mut |_, _| Ok(Value::NIL));
         assert!(r.escalated);
@@ -907,34 +1061,38 @@ mod tests {
         let _g = guard();
         let heap = Heap::new();
         let c = heap.cons(Value::int(10), Value::NIL);
-        let loc = loc_car(c);
-        arm();
-        register_invocation(1, 0, 0, &[]);
-        register_invocation(2, 0, 0, &[]);
+        let x = heap.cons(Value::int(1), Value::NIL);
+        arm().unwrap();
+        root(1, 0, &[]);
+        root(2, 0, &[]);
+        // inv 2 reads x before the sequentially earlier inv 1 writes
+        // it, so inv 2 aborts — after both added to c.
+        curare_obs::set_invocation(2);
+        heap.car(x).unwrap();
+        heap.atomic_add_field(c, 0, 3).unwrap();
         curare_obs::set_invocation(1);
         heap.atomic_add_field(c, 0, 5).unwrap();
-        curare_obs::set_invocation(2);
-        heap.atomic_add_field(c, 0, 3).unwrap();
+        heap.set_car(x, Value::int(42)).unwrap();
         curare_obs::set_invocation(0);
         assert_eq!(heap.car(c).unwrap(), Value::int(18));
-        {
-            let mut g = JOURNAL.lock();
-            let j = g.as_mut().unwrap();
-            assert_eq!(j.writes.iter().filter(|w| w.loc == loc).count(), 2);
-            let set: BTreeSet<u64> = [1u64].into_iter().collect();
-            undo_writes(j, &heap, &set);
-        }
-        assert_eq!(heap.car(c).unwrap(), Value::int(13), "only inv 1's delta compensated");
-        disarm();
+        let heap_ref = &heap;
+        let r = resolve(heap_ref, 4, &mut |_, _| {
+            let seen = heap_ref.car(c)?;
+            assert_eq!(seen, Value::int(15), "only inv 2's delta compensated");
+            heap_ref.car(x)?;
+            heap_ref.atomic_add_field(c, 0, 3)?;
+            Ok(Value::NIL)
+        });
+        assert_eq!((r.escalated, r.aborts, r.replays), (false, 1, 1));
+        assert_eq!(heap.car(c).unwrap(), Value::int(18));
     }
 
     #[test]
     fn output_commits_in_sequential_order() {
         let _g = guard();
         let heap = Heap::new();
-        arm();
-        register_invocation(1, 0, 0, &[]);
-        register_invocation(2, 1, 0, &[]);
+        arm().unwrap();
+        root(1, 0, &[]);
         // Tail prints run in unwind order: inv 2's line precedes
         // inv 1's even though inv 1 printed first by the clock.
         curare_obs::set_invocation(1);
@@ -943,8 +1101,609 @@ mod tests {
         curare_obs::set_invocation(2);
         assert!(divert_emit("tail-of-2"));
         curare_obs::set_invocation(0);
-        flush_reads();
         let r = resolve(&heap, 4, &mut |_, _| Ok(Value::NIL));
         assert_eq!(r.output, vec!["tail-of-2".to_string(), "tail-of-1".to_string()]);
+    }
+
+    #[test]
+    fn arming_an_armed_journal_is_refused_and_harmless() {
+        let _g = guard();
+        let heap = Heap::new();
+        let a = heap.cons(Value::int(1), Value::NIL);
+        arm().unwrap();
+        root(1, 0, &[a]);
+        curare_obs::set_invocation(1);
+        heap.set_car(a, Value::int(10)).unwrap();
+        curare_obs::set_invocation(0);
+        let err = arm().unwrap_err();
+        assert!(err.to_string().contains("already in flight"), "{err}");
+        let r = resolve(&heap, 4, &mut |_, _| Ok(Value::NIL));
+        assert_eq!((r.committed, r.escalated), (1, false), "the first run kept its journal");
+        arm().expect("free again once resolved");
+        disarm();
+    }
+
+    // ------------------------------------------------------------
+    // The previous validator, kept as the oracle: hash-map ranks, the
+    // all-pairs conflict test and the per-location-filter undo, as
+    // they stood before the sweep replaced them.
+    // ------------------------------------------------------------
+
+    mod reference {
+        use super::*;
+
+        /// Segment boundaries (spawn epochs, ascending) and segment
+        /// ranks per invocation.
+        pub type Ranks = HashMap<u64, (Vec<u64>, Vec<u64>)>;
+
+        pub fn compute_ranks(edges: &[(u64, u64, u64)]) -> Ranks {
+            // parent and spawns (epoch, child) in spawn order
+            let mut invs: BTreeMap<u64, (u64, Vec<(u64, u64)>)> = BTreeMap::new();
+            for &(parent, child, _) in edges {
+                invs.insert(child, (parent, Vec::new()));
+            }
+            for &(parent, child, epoch) in edges {
+                if let Some(e) = invs.get_mut(&parent) {
+                    e.1.push((epoch, child));
+                }
+            }
+            let mut ranks: Ranks = HashMap::new();
+            let mut counter = 0u64;
+            let roots: Vec<u64> = invs
+                .iter()
+                .filter(|(_, e)| e.0 == 0 || !invs.contains_key(&e.0))
+                .map(|(&inv, _)| inv)
+                .collect();
+            for root in roots {
+                let mut stack: Vec<(u64, usize)> = Vec::new();
+                let enter = |inv: u64, ranks: &mut Ranks, counter: &mut u64| {
+                    *counter += 1;
+                    let boundaries = invs[&inv].1.iter().map(|s| s.0).collect();
+                    ranks.insert(inv, (boundaries, vec![*counter]));
+                };
+                enter(root, &mut ranks, &mut counter);
+                stack.push((root, 0));
+                while let Some(&mut (inv, ref mut idx)) = stack.last_mut() {
+                    let spawns = &invs[&inv].1;
+                    if *idx < spawns.len() {
+                        let child = spawns[*idx].1;
+                        *idx += 1;
+                        enter(child, &mut ranks, &mut counter);
+                        stack.push((child, 0));
+                    } else {
+                        stack.pop();
+                        if let Some(&(parent, _)) = stack.last() {
+                            counter += 1;
+                            ranks.get_mut(&parent).expect("entered").1.push(counter);
+                        }
+                    }
+                }
+            }
+            ranks
+        }
+
+        pub fn rank_of(ranks: &Ranks, inv: u64, epoch: u64) -> Option<u64> {
+            let (boundaries, seg_ranks) = ranks.get(&inv)?;
+            Some(seg_ranks[boundaries.partition_point(|&b| b <= epoch)])
+        }
+
+        pub fn validate(j: &Journal, ranks: &Ranks) -> BTreeMap<u64, u64> {
+            struct Acc {
+                inv: u64,
+                lo: u64,
+                hi: u64,
+                write: bool,
+                atomic: bool,
+                rank: u64,
+            }
+            let mut by_loc: HashMap<u64, Vec<Acc>> = HashMap::new();
+            let mut push = |inv: u64, loc: u64, lo: u64, hi: u64, write: bool, atomic: bool| {
+                if let Some(rank) = rank_of(ranks, inv, lo) {
+                    by_loc.entry(loc).or_default().push(Acc { inv, lo, hi, write, atomic, rank });
+                }
+            };
+            for r in &j.reads {
+                push(r.inv, r.loc, r.lo, r.hi, false, false);
+            }
+            for w in &j.writes {
+                push(w.inv, w.loc, w.lo, w.hi, true, matches!(w.kind, WriteKind::Add { .. }));
+            }
+            let mut aborts: BTreeMap<u64, u64> = BTreeMap::new();
+            for accs in by_loc.values() {
+                for (i, a) in accs.iter().enumerate() {
+                    for b in &accs[i + 1..] {
+                        if a.inv == b.inv || (!a.write && !b.write) || (a.atomic && b.atomic) {
+                            continue;
+                        }
+                        // Epoch order: strict bracket separation, else
+                        // the race was too close to call.
+                        let consistent = if a.hi < b.lo {
+                            a.rank < b.rank
+                        } else if b.hi < a.lo {
+                            b.rank < a.rank
+                        } else {
+                            false
+                        };
+                        if !consistent {
+                            let later = if a.rank > b.rank { a } else { b };
+                            let slot = aborts.entry(later.inv).or_insert(later.rank);
+                            *slot = (*slot).min(later.rank);
+                        }
+                    }
+                }
+            }
+            aborts
+        }
+
+        /// `writes` in journal append order, which was store order.
+        pub fn undo_writes(writes: &mut Vec<WriteRec>, heap: &Heap, abort_set: &BTreeSet<u64>) {
+            let mut locs: BTreeSet<u64> = BTreeSet::new();
+            for w in writes.iter() {
+                if abort_set.contains(&w.inv) {
+                    locs.insert(w.loc);
+                }
+            }
+            for loc in locs {
+                let entries: Vec<&WriteRec> = writes.iter().filter(|w| w.loc == loc).collect();
+                let first = entries[0];
+                let mut val = first.cell(heap).load(Ordering::Acquire);
+                for w in entries.iter().rev() {
+                    val = w.kind.undo(val);
+                }
+                for w in &entries {
+                    if !abort_set.contains(&w.inv) {
+                        val = match w.kind {
+                            WriteKind::Store { new, .. } => new,
+                            WriteKind::Add { delta } => add_bits(val, delta),
+                        };
+                    }
+                }
+                first.cell(heap).store(val, Ordering::Release);
+            }
+            writes.retain(|w| !abort_set.contains(&w.inv));
+        }
+    }
+
+    /// splitmix64
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn chance(&mut self, percent: usize) -> bool {
+            self.below(100) < percent
+        }
+    }
+
+    fn registration(parent: u64, child: u64, epoch: u64) -> SpawnRec {
+        SpawnRec {
+            parent,
+            child,
+            epoch,
+            fid: 0,
+            future: false,
+            args_at: 0,
+            argc: 0,
+            errored: false,
+            aborted: false,
+            doomed: false,
+            respawned: 0,
+        }
+    }
+
+    /// What an invocation does next in a generated schedule.
+    #[derive(Clone, Copy)]
+    enum Step {
+        Spawn(usize),
+        Read(u64),
+        Store(u64),
+        Add(u64),
+    }
+
+    /// One generated journal: the merged records of a made-up run over
+    /// `cells`, the cells' values before it, and the edges of its tree.
+    struct Generated {
+        j: Journal,
+        edges: Vec<(u64, u64, u64)>,
+        pre: Vec<(u64, u64)>,
+    }
+
+    /// Invent a run: a random spawn forest (several roots, invocations
+    /// with many spawns and none, chains, orphans whose parent never
+    /// registered — the one-record format cannot write down the old
+    /// format's unregistered *child*; this is its mirror image — and
+    /// ids dense or gapped), every invocation a random program of
+    /// spawns, reads, stores and atomic adds over a few cold and one or
+    /// two hot cells, and a random interleaving of all of them at
+    /// bracket granularity: brackets come out disjoint, overlapping and
+    /// (reads) touching, except that two writes of one cell never
+    /// overlap — what the stripes guarantee, and what gives the cells
+    /// well-defined values for undo to restore.
+    fn generate(rng: &mut Rng, heap: &Heap) -> Generated {
+        let n = 1 + rng.below(40);
+        let gapped = rng.chance(30);
+        let mut ids = Vec::with_capacity(n);
+        let mut id = 1 + rng.below(1000) as u64;
+        for _ in 0..n {
+            ids.push(id);
+            id += if gapped { 1 + rng.below(3) as u64 } else { 1 };
+        }
+        let cells: Vec<u64> = (0..2 + rng.below(6))
+            .map(|_| match heap.cons(Value::int(rng.below(100) as i64), Value::NIL).decode() {
+                crate::value::Val::Cons(id) => id << 1,
+                _ => unreachable!("cons"),
+            })
+            .collect();
+        let hot = 1 + rng.below(2);
+        let pre: Vec<(u64, u64)> =
+            cells.iter().map(|&l| (l, heap.spec_loc_cell(l).load(Ordering::Acquire))).collect();
+        // Parents: an earlier invocation, none (a root), or an id that
+        // never registers (an orphan, which runs as a root).
+        let parents: Vec<u64> = (0..n)
+            .map(|i| match rng.below(10) {
+                _ if i == 0 => 0,
+                0 => 0,
+                1 => id + 5,
+                _ => ids[rng.below(i)],
+            })
+            .collect();
+        let mut programs: Vec<Vec<Step>> = vec![Vec::new(); n];
+        for (i, prog) in programs.iter_mut().enumerate() {
+            for _ in 0..rng.below(7) {
+                let loc = if rng.chance(60) {
+                    cells[rng.below(hot)]
+                } else {
+                    cells[rng.below(cells.len())]
+                };
+                prog.push(match rng.below(10) {
+                    0..=4 => Step::Read(loc),
+                    5..=7 => Step::Store(loc),
+                    _ => Step::Add(loc),
+                });
+            }
+            // Its spawns go in child order, anywhere among the accesses.
+            let mut at = 0;
+            for c in (0..n).filter(|&c| parents[c] == ids[i]) {
+                at += rng.below(prog.len() - at + 1);
+                prog.insert(at, Step::Spawn(c));
+                at += 1;
+            }
+        }
+        // Interleave. `open[i]` is invocation i's bracket in progress.
+        let mut j = Journal::default();
+        let mut epochs = vec![0u64; n];
+        let mut pc = vec![0usize; n];
+        let mut open: Vec<Option<u64>> = vec![None; n];
+        let mut value: HashMap<u64, u64> = pre.iter().copied().collect();
+        let mut clock = 1u64;
+        loop {
+            let writing = |loc: u64, open: &[Option<u64>], pc: &[usize]| {
+                (0..n).any(|k| {
+                    open[k].is_some()
+                        && matches!(programs[k][pc[k]], Step::Store(l) | Step::Add(l) if l == loc)
+                })
+            };
+            let ready: Vec<usize> = (0..n)
+                .filter(|&i| pc[i] < programs[i].len())
+                .filter(|&i| match programs[i][pc[i]] {
+                    Step::Store(l) | Step::Add(l) if open[i].is_none() => !writing(l, &open, &pc),
+                    _ => true,
+                })
+                .collect();
+            if ready.is_empty() {
+                break;
+            }
+            let i = ready[rng.below(ready.len())];
+            let inv = ids[i];
+            let step = programs[i][pc[i]];
+            // A read bracket may touch the tick before it.
+            if matches!(step, Step::Read(_)) && clock > 1 && rng.chance(15) {
+                clock -= 1;
+            }
+            let now = clock;
+            clock += 1;
+            match (step, open[i].take()) {
+                (Step::Spawn(c), _) => epochs[c] = now,
+                (_, None) => {
+                    open[i] = Some(now);
+                    continue;
+                }
+                (Step::Read(loc), Some(lo)) => j.reads.push(ReadRec { inv, loc, lo, hi: now }),
+                (Step::Store(loc), Some(lo)) => {
+                    let new = Value::int(rng.below(100) as i64).bits();
+                    let old = value.insert(loc, new).expect("a cell");
+                    let kind = WriteKind::Store { old, new };
+                    j.writes.push(WriteRec { inv, loc, lo, hi: now, kind, global: None });
+                }
+                (Step::Add(loc), Some(lo)) => {
+                    let delta = rng.below(9) as i64 - 4;
+                    let v = value.get_mut(&loc).expect("a cell");
+                    *v = add_bits(*v, delta);
+                    let kind = WriteKind::Add { delta };
+                    j.writes.push(WriteRec { inv, loc, lo, hi: now, kind, global: None });
+                }
+            }
+            pc[i] += 1;
+        }
+        for (&loc, &bits) in &value {
+            heap.spec_loc_cell(loc).store(bits, Ordering::Release);
+        }
+        let edges: Vec<(u64, u64, u64)> = (0..n).map(|c| (parents[c], ids[c], epochs[c])).collect();
+        j.invs = edges.iter().map(|&(p, c, e)| registration(p, c, e)).collect();
+        j.tree = SpawnTree::build(&edges);
+        Generated { j, edges, pre }
+    }
+
+    /// The tree of `j` under accesses with brackets drawn at random
+    /// around a few of its spawn points, mostly by the invocations on
+    /// either side of them: they nest, touch, coincide and straddle
+    /// segment boundaries.
+    fn scramble(rng: &mut Rng, j: &Journal, edges: &[(u64, u64, u64)]) -> Journal {
+        let mut out =
+            Journal { invs: j.invs.clone(), tree: SpawnTree::build(edges), ..Journal::default() };
+        let focus: Vec<(u64, u64, u64)> =
+            (0..1 + rng.below(3)).map(|_| edges[rng.below(edges.len())]).collect();
+        for _ in 0..rng.below(60) {
+            let (parent, child, epoch) = focus[rng.below(focus.len())];
+            let inv = [parent, child, edges[rng.below(edges.len())].1][rng.below(3)];
+            let loc = 2 * rng.below(3) as u64;
+            let lo = (epoch + rng.below(7) as u64).saturating_sub(3).max(1);
+            let hi = lo + rng.below(6) as u64;
+            let kind = match rng.below(3) {
+                0 => {
+                    out.reads.push(ReadRec { inv, loc, lo, hi });
+                    continue;
+                }
+                1 => WriteKind::Store { old: 0, new: 0 },
+                _ => WriteKind::Add { delta: 1 },
+            };
+            out.writes.push(WriteRec { inv, loc, lo, hi, kind, global: None });
+        }
+        out
+    }
+
+    /// What the cells must hold once `gone` are undone: the pre-run
+    /// value, then the surviving writes in `lo` order.
+    fn survivors_applied(
+        pre: &[(u64, u64)],
+        writes: &[WriteRec],
+        gone: &BTreeSet<u64>,
+    ) -> Vec<u64> {
+        let mut sorted: Vec<&WriteRec> = writes.iter().filter(|w| !gone.contains(&w.inv)).collect();
+        sorted.sort_by_key(|w| w.lo);
+        pre.iter()
+            .map(|&(loc, bits)| {
+                sorted.iter().filter(|w| w.loc == loc).fold(bits, |val, w| match w.kind {
+                    WriteKind::Store { new, .. } => new,
+                    WriteKind::Add { delta } => add_bits(val, delta),
+                })
+            })
+            .collect()
+    }
+
+    fn cell_values(heap: &Heap, pre: &[(u64, u64)]) -> Vec<u64> {
+        pre.iter().map(|&(loc, _)| heap.spec_loc_cell(loc).load(Ordering::Acquire)).collect()
+    }
+
+    #[test]
+    fn sweep_tree_and_undo_match_the_previous_validator_on_generated_journals() {
+        let heap = Heap::new();
+        let mut rng = Rng(0x5EED_0017);
+        let (mut aborting, mut orphaned, mut gapped) = (0, 0, 0);
+        for case in 0..600 {
+            let Generated { mut j, edges, pre } = generate(&mut rng, &heap);
+            let ranks = reference::compute_ranks(&edges);
+            orphaned += usize::from(edges.iter().any(|e| e.0 != 0 && !ranks.contains_key(&e.0)));
+            gapped += usize::from(!j.tree.dense);
+
+            // Identical ranks at, just before and just after every
+            // boundary, at both ends of time, and for strangers.
+            let last = edges.iter().map(|e| e.2).max().unwrap_or(0) + 2;
+            for &(_, inv, _) in &edges {
+                let probes = [0, 1, last, u64::MAX].into_iter();
+                let around = edges.iter().flat_map(|e| [e.2.saturating_sub(1), e.2, e.2 + 1]);
+                for epoch in probes.chain(around) {
+                    assert_eq!(
+                        j.tree.rank(inv, epoch),
+                        reference::rank_of(&ranks, inv, epoch),
+                        "case {case}: rank of {inv} at {epoch}; edges {edges:?}"
+                    );
+                }
+            }
+            assert_eq!(j.tree.rank(edges[0].1 - 1, 1), None);
+            assert_eq!(j.tree.rank(u64::MAX, 1), None);
+
+            // Identical abort maps — also when nothing orders the
+            // brackets: not program order within an invocation, not
+            // the stripes (the pairwise rule never asked for either).
+            let mut scrambled = scramble(&mut rng, &j, &edges);
+            let want = reference::validate(&scrambled, &ranks);
+            assert_eq!(scrambled.validate(), want, "case {case}: scrambled abort map");
+            let want = reference::validate(&j, &ranks);
+            let got = j.validate();
+            assert_eq!(got, want, "case {case}: abort map");
+            aborting += usize::from(!got.is_empty());
+
+            // Identical cells after undoing the validator's own abort
+            // set, then a random one on top (a second round: survivors
+            // of the first must still roll back to the pre-run value).
+            let finals = cell_values(&heap, &pre);
+            let mut gone: BTreeSet<u64> = BTreeSet::new();
+            let verdict: BTreeSet<u64> = got.keys().copied().collect();
+            let random = edges.iter().map(|e| e.1).filter(|_| rng.chance(40)).collect();
+            let mut old_writes = j.writes.clone();
+            old_writes.sort_by_key(|w| w.lo);
+            for (round, set) in [verdict, random].into_iter().enumerate() {
+                let before = j.writes.clone();
+                for &inv in &set {
+                    j.invs[j.tree.index(inv).unwrap()].doomed = true;
+                }
+                j.undo(&heap);
+                j.invs.iter_mut().for_each(|s| s.doomed = false);
+                gone.extend(&set);
+                let cells = cell_values(&heap, &pre);
+                assert_eq!(
+                    cells,
+                    survivors_applied(&pre, &before, &set),
+                    "case {case} round {round}: pre-run value, then the survivors"
+                );
+                assert!(j.writes.iter().all(|w| !gone.contains(&w.inv)));
+                assert!(j.reads.iter().all(|r| !gone.contains(&r.inv)));
+                if round == 0 {
+                    // The previous undo, from the same final heap.
+                    for (&(loc, _), &bits) in pre.iter().zip(&finals) {
+                        heap.spec_loc_cell(loc).store(bits, Ordering::Release);
+                    }
+                    reference::undo_writes(&mut old_writes, &heap, &set);
+                    assert_eq!(cell_values(&heap, &pre), cells, "case {case}: previous undo");
+                    assert_eq!(old_writes.len(), j.writes.len());
+                }
+            }
+        }
+        // The battery is not vacuous.
+        assert!(aborting > 200 && aborting < 600, "{aborting} of 600 journals abort something");
+        assert!(orphaned > 50 && gapped > 100, "{orphaned} orphaned, {gapped} gapped");
+    }
+
+    /// 20 000 invocations hammering one word: the all-pairs test made
+    /// 2·10⁸ comparisons here; the sweep must stay within c·n·log n.
+    #[test]
+    fn a_hot_location_resolves_in_n_log_n() {
+        const N: u64 = 20_000;
+        let mut rng = Rng(17);
+        // Roots 1..=N rank in id order; their brackets land in a
+        // shuffled order in time, pairwise disjoint.
+        let mut slot: Vec<u64> = (0..N).collect();
+        for i in (1..N as usize).rev() {
+            slot.swap(i, rng.below(i + 1));
+        }
+        let edges: Vec<(u64, u64, u64)> = (1..=N).map(|inv| (0, inv, 0)).collect();
+        let mut j = Journal {
+            invs: edges.iter().map(|&(p, c, e)| registration(p, c, e)).collect(),
+            tree: SpawnTree::build(&edges),
+            ..Journal::default()
+        };
+        let add = |inv: u64| {
+            let lo = 1 + 2 * slot[inv as usize - 1];
+            let kind = WriteKind::Add { delta: 1 };
+            WriteRec { inv, loc: 8, lo, hi: lo + 1, kind, global: None }
+        };
+        j.writes = (1..=N).map(add).collect();
+        let bound = (4.0 * N as f64 * (N as f64).log2()) as u64;
+
+        COMPARISONS.with(|c| c.set(0));
+        assert!(j.validate().is_empty(), "atomic adds never conflict with each other");
+        let all_adds = COMPARISONS.with(Cell::get);
+        assert!(all_adds <= bound, "{all_adds} comparisons for {N} atomic adds (bound {bound})");
+
+        // One plain store mixed in, by the middle invocation: it
+        // aborts iff some earlier-ranked add had not ended when it
+        // began, and every later-ranked add it did not precede aborts.
+        let mid = N / 2;
+        let store = {
+            let WriteRec { lo, hi, .. } = add(mid);
+            let kind = WriteKind::Store { old: 0, new: 0 };
+            WriteRec { inv: mid, loc: 8, lo, hi, kind, global: None }
+        };
+        let expect: BTreeMap<u64, u64> = (1..=N)
+            .filter(|&inv| match inv.cmp(&mid) {
+                std::cmp::Ordering::Less => false,
+                std::cmp::Ordering::Equal => (1..mid).any(|e| add(e).hi >= store.lo),
+                std::cmp::Ordering::Greater => store.hi >= add(inv).lo,
+            })
+            .map(|inv| (inv, inv))
+            .collect();
+        j.writes[mid as usize - 1] = store;
+        COMPARISONS.with(|c| c.set(0));
+        assert_eq!(j.validate(), expect);
+        assert!(expect.len() > 1000, "the store must conflict widely: {}", expect.len());
+        let with_store = COMPARISONS.with(Cell::get);
+        assert!(with_store <= bound, "{with_store} comparisons with a store (bound {bound})");
+    }
+
+    /// Two threads hammer one word with plain stores and
+    /// `atomic-incf-cell`, four invocations between them. Every store
+    /// yields the processor inside its open section, so the other
+    /// thread is invited into the bracket even on one core; only the
+    /// stripe keeps it out. The journal's brackets for the word must be
+    /// disjoint and, taken in `lo` order, *be* the store order — and
+    /// undoing any subset must leave the pre-run value with the
+    /// survivors applied in that order.
+    #[test]
+    fn writes_to_one_word_from_two_threads_journal_in_store_order() {
+        const PER_THREAD: i64 = 3000;
+        let _g = guard();
+        let heap = Heap::new();
+        let c = heap.cons(Value::int(7), Value::NIL);
+        let crate::value::Val::Cons(id) = c.decode() else { unreachable!("cons") };
+        let pre = [(id << 1, Value::int(7).bits())];
+        arm().unwrap();
+        for inv in 1..=4 {
+            root(inv, 0, &[]);
+        }
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (heap, start) = (&heap, &start);
+                s.spawn(move || {
+                    curare_obs::set_lane(1 + t as usize);
+                    start.wait();
+                    for k in 0..PER_THREAD {
+                        curare_obs::set_invocation(1 + t + 2 * (k as u64 % 2));
+                        if k % 3 == 0 {
+                            // `Heap::set_car`, with the window held open.
+                            let new = Value::int(1000 * (t as i64 + 1) + k).bits();
+                            let (sec, cell) =
+                                (write_section(id << 1, None), heap.spec_loc_cell(id << 1));
+                            let old = cell.load(Ordering::Acquire);
+                            std::thread::yield_now();
+                            cell.store(new, Ordering::Release);
+                            sec.expect("armed, in an invocation").store(old, new);
+                        } else {
+                            heap.atomic_add_field(c, 0, 1 + t as i64).unwrap();
+                        }
+                    }
+                });
+            }
+        });
+        let mut j = Journal::default();
+        j.absorb();
+        disarm();
+        assert_eq!(j.writes.len(), 2 * PER_THREAD as usize);
+        j.writes.sort_by_key(|w| w.lo);
+        assert!(j.writes.windows(2).all(|w| w[0].hi < w[1].lo), "brackets must be disjoint");
+        // In `lo` order every store's `old` is what its predecessor
+        // left, and the last write left what the heap holds.
+        let mut val = pre[0].1;
+        for w in &j.writes {
+            if let WriteKind::Store { old, .. } = w.kind {
+                assert_eq!(old, val, "ascending lo is not the store order");
+            }
+            let mut kind = w.kind;
+            val = kind.redo(val);
+        }
+        assert_eq!(heap.car(c).unwrap().bits(), val);
+        let all = j.writes.clone();
+        let mut gone = BTreeSet::new();
+        for set in [vec![3], vec![2], vec![1, 4]] {
+            for &inv in &set {
+                j.invs[j.tree.index(inv).unwrap()].doomed = true;
+            }
+            j.undo(&heap);
+            j.invs.iter_mut().for_each(|s| s.doomed = false);
+            gone.extend(set);
+            assert_eq!(cell_values(&heap, &pre), survivors_applied(&pre, &all, &gone), "{gone:?}");
+        }
+        assert_eq!(heap.car(c).unwrap(), Value::int(7), "everything undone: the pre-run value");
     }
 }

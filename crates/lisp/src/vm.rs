@@ -282,7 +282,7 @@ impl<'i> Vm<'i> {
         }
         if eval::stack_exhausted(self.stack_base) {
             self.depth -= 1;
-            return Err(LispError::RecursionLimit(self.depth + 1));
+            return Err(eval::stack_exhausted_error());
         }
         let saved_fid = self.cur_fid;
         let mut frame = self.take_frame();

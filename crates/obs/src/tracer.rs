@@ -116,6 +116,7 @@ pub fn set_lane(lane: usize) {
 }
 
 /// The calling thread's lane.
+#[inline]
 pub fn lane() -> usize {
     LANE.with(Cell::get)
 }

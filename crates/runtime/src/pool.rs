@@ -149,6 +149,10 @@ pub struct PoolStats {
     /// surprise, or a parked error) and fell back to the sequential
     /// rerun.
     pub spec_escalated: bool,
+    /// Wall time inside the commit-time resolver (validation, undo and
+    /// replays), ns: the share of a speculative `run` that is not the
+    /// parallel execution.
+    pub spec_resolve_ns: u64,
 }
 
 /// Pool construction options beyond the server count.
@@ -335,6 +339,7 @@ struct Shared {
     spec_replays: AtomicU64,
     spec_clean: AtomicU64,
     spec_escalated: AtomicBool,
+    spec_resolve_ns: AtomicU64,
 }
 
 thread_local! {
@@ -730,13 +735,12 @@ impl CriHooks {
     /// of joining the batch that publishes — or chains — at invocation
     /// end. Hand-off asks for it because its producer's tail is long;
     /// an eager pool always does (speculation for the same overlap,
-    /// registering the child with the journal first so it can never
-    /// run ahead of its entry). A body that may run again gets neither.
+    /// journaling the spawn at the parent's spawn point). A body that
+    /// may run again gets neither.
     #[inline]
     fn spawn(&self, task: Task, now: bool) {
         if self.shared.speculate {
             let Task { inv, parent, fid, args, future, .. } = &task;
-            speclog::register_invocation(*inv, *parent, *fid, args);
             speclog::record_spawn(*parent, *inv, *fid, args, future.is_some());
         }
         if (now || self.shared.eager) && !self.body_may_rerun() {
@@ -1006,6 +1010,7 @@ impl CriRuntime {
             spec_replays: AtomicU64::new(0),
             spec_clean: AtomicU64::new(0),
             spec_escalated: AtomicBool::new(false),
+            spec_resolve_ns: AtomicU64::new(0),
         });
         interp.set_hooks(Arc::new(CriHooks { shared: Arc::clone(&shared) }));
 
@@ -1073,22 +1078,26 @@ impl CriRuntime {
     /// resolve at quiescence — validate the interleaving against the
     /// sequential ranks, abort and replay conflicting invocations,
     /// and commit; or roll everything back and rerun the roots inline
-    /// when speculation cannot converge. Exactly one speculative run
-    /// may be in flight per process (the journal is process-global).
+    /// when speculation cannot converge. The journal is process-wide:
+    /// while one speculative run is in flight a second one is an error.
     fn run_speculative(&self, fid: FuncId, args: &[Value]) -> Result<(), LispError> {
+        speclog::arm()?;
         curare_obs::set_speculating(true);
-        speclog::arm();
         let root = new_task(0, fid, args.to_vec(), None);
-        speclog::register_invocation(root.inv, 0, fid, args);
+        speclog::record_spawn(0, root.inv, fid, args, false);
         self.shared.submit_now(root);
         self.wait_idle();
-        // Quiesced: every task has finished, so validation and any
-        // replays run single-threaded on this thread (replayed bodies
-        // route their spawns through `replay_spawn` in the hooks).
+        // Quiesced: every task has finished and its records are in the
+        // lanes, so validation and any replays run single-threaded on
+        // this thread (replayed bodies route their spawns through
+        // `replay_spawn` in the hooks).
+        let t0 = curare_obs::now_ns();
         let res = speclog::resolve(self.interp.heap(), self.shared.spec_retry_limit, &mut {
             let interp = &self.interp;
             move |fid, args| interp.call_fid_owned(fid, args)
         });
+        let resolve_ns = curare_obs::now_ns().saturating_sub(t0);
+        self.shared.spec_resolve_ns.fetch_add(resolve_ns, Ordering::Relaxed);
         curare_obs::set_speculating(false);
         self.shared.spec_commits.fetch_add(res.committed, Ordering::Relaxed);
         self.shared.spec_aborts.fetch_add(res.aborts, Ordering::Relaxed);
@@ -1212,6 +1221,7 @@ impl CriRuntime {
             spec_replays: self.shared.spec_replays.load(Ordering::Relaxed),
             spec_clean: self.shared.spec_clean.load(Ordering::Relaxed),
             spec_escalated: self.shared.spec_escalated.load(Ordering::Acquire),
+            spec_resolve_ns: self.shared.spec_resolve_ns.load(Ordering::Relaxed),
         }
     }
 
@@ -1286,7 +1296,8 @@ impl CriRuntime {
             .set("spec_aborts", stats.spec_aborts)
             .set("spec_replays", stats.spec_replays)
             .set("spec_clean", stats.spec_clean)
-            .set("spec_escalated", stats.spec_escalated);
+            .set("spec_escalated", stats.spec_escalated)
+            .set("spec_resolve_ns", stats.spec_resolve_ns);
         let hs = self.interp.heap().stats();
         let heap = Json::obj()
             .set("conses", hs.conses)
@@ -1458,11 +1469,6 @@ fn execute_task(
         crate::chaos::on_task_start();
         interp.call_fid_owned(fid, args)
     }));
-    if shared.speculate {
-        // Buffered read brackets must reach the journal before this
-        // task's completion can let the run quiesce.
-        speclog::flush_reads();
-    }
     curare_obs::set_invocation(prev_inv);
     if inv != 0 {
         curare_obs::record(EventKind::InvStop, inv);

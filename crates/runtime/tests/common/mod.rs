@@ -17,9 +17,12 @@ use curare_lisp::{FuncId, Interp, LispError, RuntimeHooks, Value};
 static TEST_GUARD: Mutex<()> = Mutex::new(());
 
 /// Serialize with every other test of the suite that arms
-/// process-global state (a failed test must not wedge the rest).
+/// process-global state (a failed test must not wedge the rest: not
+/// by poisoning the guard, not by dying with the journal armed).
 pub fn guard() -> MutexGuard<'static, ()> {
-    TEST_GUARD.lock().unwrap_or_else(PoisonError::into_inner)
+    let g = TEST_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
+    curare_lisp::speclog::disarm();
+    g
 }
 
 /// Run `f` on a big native stack (a sequential oracle recurses one

@@ -363,3 +363,58 @@ fn speculation_off_is_the_default() {
     rt.run("f", &[data]).expect("plain run");
     assert_eq!(rt.stats().spec_commits, 0);
 }
+
+/// The journal is process-wide, so one speculative run may be in
+/// flight at a time. A second pool's `run` during it must fail with an
+/// explicit error — before touching the journal, the heap or the first
+/// run, which commits as if nothing had happened — and work once the
+/// first is done.
+#[test]
+fn a_second_speculative_run_in_flight_is_refused() {
+    let _g = guard();
+    // `hold` keeps its run in flight, polling a global (with some
+    // busywork between polls, so a slow host journals few reads) until
+    // the test lets go; then it scrubs.
+    let src = "(defparameter *go* 0)
+         (defun nap (i) (if (< i 2000) (nap (+ i 1)) i))
+         (defun hold (l) (nap 0) (if (= *go* 0) (hold l) (scrub l)))
+         (defun scrub (l)
+           (when (consp l)
+             (cri-enqueue 0 scrub (cdr l))
+             (setf (car l) (+ (car l) 1))))";
+    let pool = || {
+        let interp = Arc::new(Interp::new());
+        interp.load_str(src).expect("loads");
+        let config = RuntimeConfig { speculate: true, ..RuntimeConfig::default() };
+        let rt = CriRuntime::with_config(Arc::clone(&interp), 2, config);
+        let data = interp.load_str("(list 1 2 3 4 5 6 7 8)").unwrap();
+        (interp, rt, data)
+    };
+    let (first, first_rt, first_data) = pool();
+    let (second, second_rt, second_data) = pool();
+    std::thread::scope(|s| {
+        let in_flight = s.spawn(|| first_rt.run("hold", &[first_data]));
+        while !curare_lisp::speclog::armed() {
+            std::thread::yield_now();
+        }
+        let refused = second_rt.run("scrub", &[second_data]).unwrap_err();
+        assert!(
+            refused.to_string().contains("a speculative run is already in flight"),
+            "{refused}"
+        );
+        assert_eq!(
+            second.heap().display(second_data),
+            "(1 2 3 4 5 6 7 8)",
+            "refused means untouched"
+        );
+        assert!(curare_lisp::speclog::armed(), "the first run keeps its journal");
+        first.load_str("(setq *go* 1)").unwrap();
+        in_flight.join().expect("no panic").expect("the first run is unharmed");
+    });
+    assert_eq!(first.heap().display(first_data), "(2 3 4 5 6 7 8 9)");
+    let stats = first_rt.stats();
+    assert_eq!((stats.spec_commits, stats.spec_aborts, stats.spec_escalated), (9, 0, false));
+    second_rt.run("scrub", &[second_data]).expect("free again once the first resolved");
+    assert_eq!(second.heap().display(second_data), "(2 3 4 5 6 7 8 9)");
+    assert_eq!(second_rt.stats().spec_commits, 9);
+}
