@@ -63,17 +63,29 @@ echo "== benchmark: the stand-alone package still builds against the facade and 
 # workload for correctness (no timing claims), self-test checks the
 # checks (manifest drift, reference cases, a corrupted cell must fail).
 bash benchmark/run.sh --quick > /dev/null
+# One traced 2 s run of a workload, whose result line must carry every
+# given count (and be correct).
+check_counts() {
+  local workload="$1" line; shift
+  line="$(bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 2 --trace 1)"
+  for want in "$@" '"correct":true'; do
+    echo "$line" | grep -F "$want" > /dev/null \
+      || { echo "$workload workload: no $want in the result line" >&2; exit 1; }
+  done
+}
 # Speculation's speed may not be bought by giving up on it: the
 # benchmark exempts an escalated run from its commit-count check, so a
 # validator that always rolled back and reran sequentially would pass
 # everything above. Every invocation of the clean scrubber and of the
 # aliased mixer must commit, in every pass.
-spec="$(bash benchmark/run.sh --workload speculative --seed 1 --seconds 2 --trace 1)"
-for want in '"runtime.spec_commits":{"value":6002,' \
-            '"runtime.spec_escalated_share":{"value":0,' '"correct":true'; do
-  echo "$spec" | grep -F "$want" > /dev/null \
-    || { echo "speculative workload: no $want in the result line" >&2; exit 1; }
-done
+check_counts speculative '"runtime.spec_commits":{"value":6002,' \
+  '"runtime.spec_escalated_share":{"value":0,'
+# Nor may a spawn or a lock get cheaper by not being counted: every
+# link of tiny_grain's chain is still a task (most restart their frame
+# in place), every bracket of locked_window still an acquisition.
+check_counts tiny_grain '"runtime.tasks":{"value":20001,'
+check_counts locked_window '"runtime.tasks":{"value":1996,' \
+  '"runtime.lock_acquisitions":{"value":17955,'
 # (self-test prints the failed pass it provokes; show it only on failure)
 out="$(bash benchmark/run.sh self-test 2>&1)" || { echo "$out" >&2; exit 1; }
 

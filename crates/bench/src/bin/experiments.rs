@@ -30,7 +30,7 @@ use curare::lisp::{Engine, Heap, Interp, Lowerer};
 use curare::obs;
 use curare::prelude::*;
 use curare::runtime::chaos::{self, ChaosProfile, FaultPlan};
-use curare::runtime::RuntimeConfig;
+use curare::runtime::{Location, LockTable, RuntimeConfig};
 use curare::sim::{formula, simulate_steal, StealSimConfig};
 use curare_bench::*;
 
@@ -1120,6 +1120,22 @@ fn locksynth(r: &mut Run) {
         failures.is_empty(),
         failures.join("; "),
     );
+    // What one bracket costs when nobody else wants the location: the
+    // walker's own pattern (1 exclusive + 8 shared per cell, 2000
+    // cells), one thread, median of five.
+    let table = LockTable::new();
+    let cells: Vec<Value> = (0..2000 + 8).map(Value::cons).collect();
+    let sweep = time_median(5, || {
+        for w in cells.windows(9) {
+            for (i, &cell) in w.iter().enumerate() {
+                let loc = Location::new(cell, 0);
+                table.lock(loc, i == 0);
+                assert!(table.unlock(loc, i == 0));
+            }
+        }
+    });
+    let ns_per_pair = sweep.as_nanos() as f64 / (2000.0 * 9.0);
+    r.row([("uncontended lock + unlock pair, ns", host(ns_per_pair))]);
     r.say(
         "shape: all-exclusive pins the effective distance to 1, so its model concurrency stays \
          1 at every k; the rw placement restores min(d) = k and reaches min(k, servers). rw \

@@ -359,8 +359,13 @@ fn run(args: &[String]) -> Result<(), String> {
         let seconds = started.elapsed().as_secs_f64();
         let stats = rt.stats();
         eprintln!(
-            ";; pool: {} tasks, peak queue {}, {} lock acquisitions",
-            stats.tasks, stats.peak_queue, stats.lock_acquisitions
+            ";; pool: {} tasks ({} chained, {} of them in place), peak queue {}, \
+             {} lock acquisitions",
+            stats.tasks,
+            stats.chained_tasks,
+            stats.in_place_tasks,
+            stats.peak_queue,
+            stats.lock_acquisitions
         );
         if rt.speculating() {
             eprintln!(

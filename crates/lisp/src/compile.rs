@@ -175,8 +175,11 @@ pub enum Op {
     /// `(future (f ...))` through the runtime hooks.
     Future { dst: u16, site: u16, base: u16, argc: u16 },
     /// `(cri-enqueue site f ...)` through the runtime hooks;
-    /// `handoff` for the `cri-handoff` spelling.
-    Enqueue { site: u32, callee: u16, base: u16, argc: u16, handoff: bool },
+    /// `handoff` for the `cri-handoff` spelling. `tail`: a
+    /// `cri-enqueue` in tail position — nothing of the invocation runs
+    /// after it, so a runtime that would chain the successor may have
+    /// the frame restarted in place instead.
+    Enqueue { site: u32, callee: u16, base: u16, argc: u16, handoff: bool, tail: bool },
     /// `(cri-lock ...)` / `(cri-unlock ...)` on `regs[src]`.
     Lock { src: u16, l: u16 },
     /// `(atomic-incf global delta)` — CAS add on a global cell.
@@ -1229,8 +1232,8 @@ impl Compiler<'_> {
             HKind::Enqueue { site, name, name_text, args, handoff } => {
                 let (b, argc) = self.emit_args(args);
                 let callee = self.k_site(*name, name_text);
-                let handoff = *handoff;
-                self.ops.push(Op::Enqueue { site: *site as u32, callee, base: b, argc, handoff });
+                let (site, handoff, tail) = (*site as u32, *handoff, tail && !*handoff);
+                self.ops.push(Op::Enqueue { site, callee, base: b, argc, handoff, tail });
                 self.free_to(mark);
                 self.op_const(dst, Value::NIL);
             }

@@ -85,6 +85,15 @@ pub trait RuntimeHooks: Send + Sync {
     fn handoff(&self, interp: &Interp, site: usize, fid: FuncId, args: Vec<Value>) -> Result<()> {
         self.enqueue(interp, site, fid, args)
     }
+    /// A tail-position `cri-enqueue` in the root frame of what this
+    /// runtime is executing is about to spawn `fid`, the executing
+    /// function, at `site`. `true` means: the successor now counts as
+    /// spawned and chained, and the VM restarts the frame on its
+    /// arguments instead of calling [`RuntimeHooks::enqueue`] — for a
+    /// runtime that would have run it next on this thread anyway.
+    fn chain_in_place(&self, _site: usize, _fid: FuncId) -> bool {
+        false
+    }
     /// `(future (f args...))`: start an asynchronous call, returning a
     /// value that [`RuntimeHooks::touch`] can resolve.
     fn future(&self, interp: &Interp, fid: FuncId, args: Vec<Value>) -> Result<Value>;
@@ -240,6 +249,11 @@ impl Interp {
     /// The shared heap.
     pub fn heap(&self) -> &Heap {
         &self.heap
+    }
+
+    /// The installed hooks' stamp: holders of a handle refetch on change.
+    pub fn hooks_gen(&self) -> u64 {
+        self.hooks_gen.load(Ordering::Acquire)
     }
 
     /// Install runtime hooks (returns the previous ones).

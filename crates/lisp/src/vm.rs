@@ -38,7 +38,7 @@ use crate::builtins::{apply_builtin, compare_chain, fold_arith, BuiltinCx};
 use crate::compile::{BinKind, CmpKind, Code, Op, TestKind, OPCODE_COUNT, OPCODE_NAMES};
 use crate::error::{LispError, Result};
 use crate::eval::{self, apply_struct_op, Evaluator};
-use crate::interp::Interp;
+use crate::interp::{Interp, RuntimeHooks};
 use crate::value::{FuncId, Value};
 
 thread_local! {
@@ -200,6 +200,9 @@ pub struct Vm<'i> {
     /// The dispatch table: [`HANDLERS`], or [`PROFILED_HANDLERS`] when
     /// per-opcode profiling was on as this context was created.
     handlers: &'static [Handler; OPCODE_COUNT],
+    /// The runtime hooks as of stamp `.0`, fetched on first use: the
+    /// hook ops borrow this instead of cloning the shared handle.
+    hooks: Option<(u64, Arc<dyn RuntimeHooks>)>,
     // Locally-batched counters, flushed to the globals on drop.
     ops: u64,
     typed: u64,
@@ -242,12 +245,23 @@ impl<'i> Vm<'i> {
             stack_base: eval::resolve_stack_base(),
             cur_fid: FuncId::MAX,
             handlers: if op_profiling_enabled() { &PROFILED_HANDLERS } else { &HANDLERS },
+            hooks: None,
             ops: 0,
             typed: 0,
             fused: 0,
             frames_reused: 0,
             frames_allocated: 0,
         }
+    }
+
+    /// The installed hooks. A change is seen one call late at most,
+    /// the window `Interp::hooks` itself allows.
+    fn hooks(&mut self) -> &dyn RuntimeHooks {
+        let gen = self.interp.hooks_gen();
+        if !matches!(&self.hooks, Some((g, _)) if *g == gen) {
+            self.hooks = Some((gen, self.interp.hooks()));
+        }
+        &*self.hooks.as_ref().expect("fetched above").1
     }
 
     fn take_frame(&mut self) -> Vec<Value> {
@@ -645,18 +659,25 @@ fn h_tail_call(
     // redefinition always binds a fresh id, so a redefined callee
     // falls back to the trampoline and picks up the new code.
     if fid == vm.cur_fid && argc == code.nparams {
-        let (b, n) = (base as usize, argc as usize);
-        let ncap = code.ncaptures as usize;
-        regs.copy_within(b..b + n, ncap);
-        for r in &mut regs[ncap + n..code.nslots as usize] {
-            *r = Value::UNBOUND;
-        }
-        *pc = 0;
+        restart_frame(code, regs, base, pc);
         return Ok(None);
     }
     let mut a = eval::take_value_buf();
     a.extend_from_slice(&regs[base as usize..][..argc as usize]);
     Ok(Some(VmFlow::Tail(fid, a)))
+}
+
+/// Run the executing function again on the `code.nparams` evaluated
+/// arguments at `base`: slide them into the parameter slots, reset the
+/// let slots to unbound, restart.
+#[inline(always)]
+fn restart_frame(code: &Code, regs: &mut [Value], base: u16, pc: &mut usize) {
+    let (b, n, ncap) = (base as usize, code.nparams as usize, code.ncaptures as usize);
+    regs.copy_within(b..b + n, ncap);
+    for r in &mut regs[ncap + n..code.nslots as usize] {
+        *r = Value::UNBOUND;
+    }
+    *pc = 0;
 }
 
 fn h_builtin(
@@ -733,8 +754,9 @@ fn h_future(
     let Op::Future { dst, site, base, argc } = op else { unreachable!() };
     let mut a = eval::take_value_buf();
     a.extend_from_slice(&regs[base as usize..][..argc as usize]);
-    let fid = code.sites[site as usize].resolve(vm.interp)?;
-    regs[dst as usize] = vm.interp.hooks().future(vm.interp, fid, a)?;
+    let interp = vm.interp;
+    let fid = code.sites[site as usize].resolve(interp)?;
+    regs[dst as usize] = vm.hooks().future(interp, fid, a)?;
     Ok(None)
 }
 
@@ -743,17 +765,26 @@ fn h_enqueue(
     code: &Code,
     regs: &mut [Value],
     op: Op,
-    _pc: &mut usize,
+    pc: &mut usize,
 ) -> Result<Option<VmFlow>> {
-    let Op::Enqueue { site, callee, base, argc, handoff } = op else { unreachable!() };
+    let Op::Enqueue { site, callee, base, argc, handoff, tail } = op else { unreachable!() };
+    let interp = vm.interp;
+    let fid = code.sites[callee as usize].resolve(interp)?;
+    // A tail-position spawn of the executing function from a root
+    // frame: where the runtime would chain the successor, it becomes
+    // the self-tail call it was before restructuring.
+    let restartable = tail && vm.depth == 1 && fid == vm.cur_fid && argc == code.nparams;
+    let hooks = vm.hooks();
+    if restartable && hooks.chain_in_place(site as usize, fid) {
+        restart_frame(code, regs, base, pc);
+        return Ok(None);
+    }
     let mut a = eval::take_value_buf();
     a.extend_from_slice(&regs[base as usize..][..argc as usize]);
-    let fid = code.sites[callee as usize].resolve(vm.interp)?;
-    let hooks = vm.interp.hooks();
     if handoff {
-        hooks.handoff(vm.interp, site as usize, fid, a)?;
+        hooks.handoff(interp, site as usize, fid, a)?;
     } else {
-        hooks.enqueue(vm.interp, site as usize, fid, a)?;
+        hooks.enqueue(interp, site as usize, fid, a)?;
     }
     Ok(None)
 }
@@ -768,11 +799,12 @@ fn h_lock(
     let Op::Lock { src, l } = op else { unreachable!() };
     let spec = code.locks[l as usize];
     let cell = regs[src as usize];
-    let hooks = vm.interp.hooks();
+    let interp = vm.interp;
+    let hooks = vm.hooks();
     if spec.lock {
-        hooks.lock(vm.interp, cell, spec.field, spec.exclusive)?;
+        hooks.lock(interp, cell, spec.field, spec.exclusive)?;
     } else {
-        hooks.unlock(vm.interp, cell, spec.field, spec.exclusive)?;
+        hooks.unlock(interp, cell, spec.field, spec.exclusive)?;
     }
     Ok(None)
 }
@@ -1079,7 +1111,8 @@ fn h_touch(
     _pc: &mut usize,
 ) -> Result<Option<VmFlow>> {
     let Op::Touch { dst, a } = op else { unreachable!() };
-    regs[dst as usize] = vm.interp.hooks().touch(vm.interp, regs[a as usize])?;
+    let interp = vm.interp;
+    regs[dst as usize] = vm.hooks().touch(interp, regs[a as usize])?;
     Ok(None)
 }
 
@@ -1408,7 +1441,7 @@ mod tests {
             Op::MakeClosure { dst: 0, l: 0 },
             Op::FuncRef { dst: 0, site: 0 },
             Op::Future { dst: 0, site: 0, base: 0, argc: 0 },
-            Op::Enqueue { site: 0, callee: 0, base: 0, argc: 0, handoff: false },
+            Op::Enqueue { site: 0, callee: 0, base: 0, argc: 0, handoff: false, tail: false },
             Op::Lock { src: 0, l: 0 },
             Op::AtomicIncfG { dst: 0, g: 0, delta: 0 },
             Op::Raise { e: 0 },

@@ -35,7 +35,10 @@
 //!   directly: by the lowest-site-first rule a dequeue would have
 //!   picked that task anyway, so the queues and condvar are skipped
 //!   entirely. This is what makes a tiny tail affordable, and why the
-//!   buffer stays the default;
+//!   buffer stays the default. A `cri-enqueue` in *tail position* is
+//!   that batch seen early, so the decision is taken at the spawn
+//!   (`CriHooks::chain_in_place`) and the VM restarts the frame on the
+//!   successor's arguments: no `Task`, no second VM, counted all the same;
 //! - **hand-off** — a `cri-handoff` is published at the spawn, behind
 //!   whatever the invocation still buffers. The restructurer writes it
 //!   where the function's tail costs more than a queue round trip
@@ -66,7 +69,7 @@ use curare_obs::{EventKind, Json, RunReport};
 
 use crate::futures::FutureTable;
 use crate::locktable::{Location, LockTable};
-use crate::queue::{ShardedQueues, Task};
+use crate::queue::{ShardedQueues, SiteHandle, Task};
 use crate::watchdog::{
     self, BeatGuard, ServerBeat, PHASE_EXECUTING, PHASE_LOCK_WAIT, PHASE_TOUCH_WAIT,
 };
@@ -89,6 +92,9 @@ pub struct PoolStats {
     /// Tasks run directly by their producing server, skipping the
     /// queues and condvar entirely.
     pub chained_tasks: u64,
+    /// Subset of `chained_tasks` that never left their producer's VM
+    /// frame: tail-position spawns restarted in place.
+    pub in_place_tasks: u64,
     /// Batch publications (each covers ≥ 1 task under one
     /// notification).
     pub batched_submits: u64,
@@ -212,9 +218,17 @@ pub enum SchedMode {
 /// `touch` across runtimes) never mix buffers.
 struct BatchFrame {
     key: usize,
-    /// The function whose invocation is executing.
+    /// The function whose invocation is executing, and its id (0
+    /// unless the sanitizer or a profiler is armed).
     fid: FuncId,
+    inv: u64,
     tasks: Vec<Task>,
+    /// The per-task half of `CriHooks::chain_in_place`'s decision.
+    may_restart: bool,
+    /// Successors this frame ran by restarting in place.
+    in_place: u64,
+    /// The chain decision's site handle, on loan from `Tally::site`.
+    site: Option<SiteHandle>,
 }
 
 thread_local! {
@@ -257,6 +271,10 @@ fn put_spare(v: Vec<Task>) {
 struct Tally {
     executed: u64,
     chained: u64,
+    in_place: u64,
+    /// Not a statistic: the site handle the chain's decisions share,
+    /// lent to each task's `BatchFrame` in turn.
+    site: Option<SiteHandle>,
 }
 
 /// One server's parking spot: a private mutex/condvar pair so wakeups
@@ -295,6 +313,7 @@ struct Shared {
     pending: AtomicU64,
     executed: AtomicU64,
     chained: AtomicU64,
+    in_place: AtomicU64,
     batched_submits: AtomicU64,
     sched_waits: AtomicU64,
     error: Mutex<Option<LispError>>,
@@ -444,9 +463,14 @@ impl Shared {
 
     /// Publish an invocation's collected successors, draining `tasks`
     /// (its allocation stays with the caller for reuse). With
-    /// `allow_chain`, a singleton batch whose site outranks all queued
-    /// work is returned to the caller to run directly instead.
-    fn publish_batch(&self, tasks: &mut Vec<Task>, allow_chain: bool) -> Option<Task> {
+    /// `allow_chain` (the chain's site-handle cache), a singleton batch
+    /// whose site outranks all queued work is returned to the caller
+    /// to run directly instead.
+    fn publish_batch(
+        &self,
+        tasks: &mut Vec<Task>,
+        allow_chain: Option<&mut Option<SiteHandle>>,
+    ) -> Option<Task> {
         if tasks.is_empty() {
             return None;
         }
@@ -454,7 +478,7 @@ impl Shared {
             self.drop_unpublished(std::mem::take(tasks));
             return None;
         }
-        if allow_chain && tasks.len() == 1 && self.sched.can_chain(tasks[0].site) {
+        if tasks.len() == 1 && allow_chain.is_some_and(|c| self.sched.can_chain(tasks[0].site, c)) {
             // The chained task inherits the producing invocation's
             // pending count (the producer skips `finish_one`), so the
             // fast path touches no shared counter at all; the caller
@@ -525,7 +549,10 @@ impl Shared {
         if tally.chained > 0 {
             self.chained.fetch_add(tally.chained, Ordering::Relaxed);
         }
-        *tally = Tally::default();
+        if tally.in_place > 0 {
+            self.in_place.fetch_add(tally.in_place, Ordering::Relaxed);
+        }
+        *tally = Tally { site: tally.site.take(), ..Tally::default() };
     }
 
     fn finish_one(&self) {
@@ -692,6 +719,28 @@ fn new_task(site: usize, fid: FuncId, args: Vec<Value>, future: Option<u64>) -> 
     Task { fid, args, site, future, inv, parent, attempts: 0 }
 }
 
+/// Open an invocation's trace bracket and bind the sanitizer to it,
+/// returning the binding it replaces (a helping touch runs tasks
+/// nested in another invocation's body). `InvStart` ties the interval
+/// to the id its `Spawn` event introduced, nested inside the `Task`
+/// pair so the profiler's per-lane sweep sees well-bracketed spans.
+fn begin_invocation(fid: FuncId, inv: u64) -> u64 {
+    curare_obs::record(EventKind::TaskStart, fid as u64);
+    if inv != 0 {
+        curare_obs::record(EventKind::InvStart, inv);
+    }
+    curare_obs::set_invocation(inv)
+}
+
+/// Close the bracket `begin_invocation` opened, restoring `prev`.
+fn end_invocation(fid: FuncId, inv: u64, prev: u64) {
+    curare_obs::set_invocation(prev);
+    if inv != 0 {
+        curare_obs::record(EventKind::InvStop, inv);
+    }
+    curare_obs::record(EventKind::TaskStop, fid as u64);
+}
+
 /// The hooks a pooled interpreter runs under.
 pub struct CriHooks {
     shared: Arc<Shared>,
@@ -725,7 +774,7 @@ impl CriHooks {
             Some(f) if f.key == key && !f.tasks.is_empty() => std::mem::take(&mut f.tasks),
             _ => Vec::new(),
         });
-        self.shared.publish_batch(&mut tasks, false);
+        self.shared.publish_batch(&mut tasks, None);
         put_spare(tasks);
     }
 
@@ -794,6 +843,39 @@ impl CriHooks {
 }
 
 impl RuntimeHooks for CriHooks {
+    /// The chain decision, taken at a tail-position spawn: that spawn
+    /// *is* the batch `publish_batch` would judge at invocation end,
+    /// so the same conditions decide — nothing else buffered,
+    /// `can_chain(site)`, not aborting — for the tasks `may_restart`
+    /// admits. Every link is still a task: counted, and leaving the
+    /// records a materialised chain leaves, in their order.
+    fn chain_in_place(&self, site: usize, fid: FuncId) -> bool {
+        let shared = &self.shared;
+        let key = shared.key();
+        BATCH.with(|b| {
+            let mut frames = b.borrow_mut();
+            let Some(f) = frames.last_mut().filter(|f| f.key == key && f.may_restart) else {
+                return false;
+            };
+            if !f.tasks.is_empty()
+                || shared.aborting.load(Ordering::Acquire)
+                || !shared.sched.can_chain(site, &mut f.site)
+            {
+                return false;
+            }
+            curare_obs::record(EventKind::Enqueue, site as u64);
+            let next = new_task(site, fid, Vec::new(), None).inv;
+            end_invocation(f.fid, f.inv, 0);
+            curare_obs::record(EventKind::Chain, site as u64);
+            begin_invocation(fid, next);
+            (f.fid, f.inv, f.in_place) = (fid, next, f.in_place + 1);
+            if shared.watched {
+                watchdog::beat_enter(PHASE_EXECUTING, fid as u64);
+            }
+            true
+        })
+    }
+
     fn enqueue(
         &self,
         interp: &Interp,
@@ -874,7 +956,7 @@ impl RuntimeHooks for CriHooks {
                             let mut tally = Tally::default();
                             let mut next = Some(t);
                             while let Some(t) = next.take() {
-                                next = execute_task(interp, &self.shared, t, &mut tally);
+                                next = execute_task(interp, &self.shared, t, &mut tally, true);
                                 // Once the touched future resolves,
                                 // hand any chained successor back to
                                 // the pool and return promptly.
@@ -984,6 +1066,7 @@ impl CriRuntime {
             pending: AtomicU64::new(0),
             executed: AtomicU64::new(0),
             chained: AtomicU64::new(0),
+            in_place: AtomicU64::new(0),
             batched_submits: AtomicU64::new(0),
             sched_waits: AtomicU64::new(0),
             error: Mutex::new(None),
@@ -1182,7 +1265,7 @@ impl CriRuntime {
                 let mut tally = Tally::default();
                 let mut next = Some(t);
                 while let Some(t) = next.take() {
-                    next = execute_task(&self.interp, &self.shared, t, &mut tally);
+                    next = execute_task(&self.interp, &self.shared, t, &mut tally, false);
                 }
             }
         });
@@ -1206,6 +1289,7 @@ impl CriRuntime {
             lock_shared_acquisitions: self.shared.locks.shared_acquisitions(),
             lock_contended: self.shared.locks.contended(),
             chained_tasks: self.shared.chained.load(Ordering::Relaxed),
+            in_place_tasks: self.shared.in_place.load(Ordering::Relaxed),
             batched_submits: self.shared.batched_submits.load(Ordering::Relaxed),
             sched_lock_waits: self.shared.sched_waits.load(Ordering::Relaxed),
             tlab_refills: self.interp.heap().tlab_refills(),
@@ -1276,6 +1360,7 @@ impl CriRuntime {
             .set("tasks", stats.tasks)
             .set("peak_queue", stats.peak_queue)
             .set("chained_tasks", stats.chained_tasks)
+            .set("in_place_tasks", stats.in_place_tasks)
             .set("batched_submits", stats.batched_submits)
             .set("sched_lock_waits", stats.sched_lock_waits)
             .set("steal_attempts", stats.steal_attempts)
@@ -1403,7 +1488,7 @@ fn server_loop(interp: &Interp, shared: &Arc<Shared>, index: usize) {
             let mut tally = Tally::default();
             let mut next = Some(t);
             while let Some(t) = next.take() {
-                next = execute_task(interp, shared, t, &mut tally);
+                next = execute_task(interp, shared, t, &mut tally, false);
             }
             if THREAD_POISONED.with(Cell::get) {
                 return;
@@ -1438,6 +1523,7 @@ fn execute_task(
     shared: &Arc<Shared>,
     task: Task,
     tally: &mut Tally,
+    helping: bool,
 ) -> Option<Task> {
     // Keep a copy for the retry policy (a panicked retry-eligible task
     // is requeued from the copy; the original's args are consumed by
@@ -1447,20 +1533,20 @@ fn execute_task(
         .then(|| task.clone());
     let Task { fid, args, future, inv, .. } = task;
     let key = shared.key();
-    BATCH.with(|b| b.borrow_mut().push(BatchFrame { key, fid, tasks: take_spare() }));
+    // A tail-position spawn may restart this frame in place only where
+    // that cannot be told from running the successor as a task: the
+    // pool buffers spawns at all (an eager one publishes each at the
+    // spawn), the body cannot be run again (a retry would re-run the
+    // chain from its first link), no toucher waits for this task's
+    // value (it would wait for the whole chain), no helping `touch`
+    // runs it (it must return at the first task boundary it can).
+    let may_restart = !shared.eager && retry_copy.is_none() && future.is_none() && !helping;
+    let (tasks, site, in_place) = (take_spare(), tally.site.take(), 0);
+    BATCH.with(|b| {
+        b.borrow_mut().push(BatchFrame { key, fid, inv, tasks, may_restart, in_place, site })
+    });
     let _beat = shared.watched.then(|| BeatGuard::enter(PHASE_EXECUTING, fid as u64));
-    curare_obs::record(EventKind::TaskStart, fid as u64);
-    // The causal twin of TaskStart: ties this execution interval to
-    // the invocation id the Spawn event introduced. Nested inside the
-    // TaskStart/TaskStop pair so the profiler's per-lane sweep sees
-    // well-bracketed invocations.
-    if inv != 0 {
-        curare_obs::record(EventKind::InvStart, inv);
-    }
-    // Bind the sanitizer invocation for the duration of the call,
-    // saving the caller's binding: a helping touch executes tasks
-    // nested inside another invocation's body.
-    let prev_inv = curare_obs::set_invocation(inv);
+    let prev_inv = begin_invocation(fid, inv);
     // The body runs under `catch_unwind`, so a panicking invocation
     // still settles its pending count (`handle_panic`). Injected faults
     // fire *inside* the catch, before the body — a retried task is
@@ -1469,13 +1555,14 @@ fn execute_task(
         crate::chaos::on_task_start();
         interp.call_fid_owned(fid, args)
     }));
-    curare_obs::set_invocation(prev_inv);
-    if inv != 0 {
-        curare_obs::record(EventKind::InvStop, inv);
-    }
-    curare_obs::record(EventKind::TaskStop, fid as u64);
     let mut frame = BATCH.with(|b| b.borrow_mut().pop()).expect("balanced batch frames");
     debug_assert_eq!(frame.key, key, "frames pop in push order");
+    // The frame names the last link; those before it ran in place.
+    end_invocation(frame.fid, frame.inv, prev_inv);
+    tally.site = frame.site.take();
+    tally.executed += frame.in_place;
+    tally.chained += frame.in_place;
+    tally.in_place += frame.in_place;
     let result = match caught {
         Ok(r) => r,
         Err(payload) => {
@@ -1505,7 +1592,7 @@ fn execute_task(
     };
     tally.executed += 1;
     let chained = if result.is_ok() {
-        shared.publish_batch(&mut frame.tasks, true)
+        shared.publish_batch(&mut frame.tasks, Some(&mut tally.site))
     } else {
         shared.drop_unpublished(std::mem::take(&mut frame.tasks));
         None
@@ -1588,7 +1675,7 @@ fn handle_panic(
             shared.poison_current_server();
             return None;
         }
-        return crate::chaos::with_suppressed(|| execute_task(interp, shared, copy, tally));
+        return crate::chaos::with_suppressed(|| execute_task(interp, shared, copy, tally, false));
     }
     let msg = if injected.is_some() {
         "injected non-retryable fault".to_string()
@@ -1856,6 +1943,36 @@ mod tests {
             "single-successor tail recursion should chain nearly always: {stats:?}"
         );
         assert!(stats.peak_queue <= stats.tasks as usize);
+    }
+
+    #[test]
+    fn the_lock_table_forgets_every_location_it_released() {
+        // One pool, reused: each run brackets 5 000 distinct cells, so
+        // a table that kept a location's state after its last release
+        // would hold 10 000 entries by the end.
+        let interp = Arc::new(Interp::new());
+        interp
+            .load_str(
+                "(defun walk (l)
+                   (when l
+                     (cri-lock l 'car)
+                     (cri-lock-read (cdr l) 'car)
+                     (cri-unlock-read (cdr l) 'car)
+                     (cri-unlock l 'car)
+                     (cri-enqueue 0 walk (cdr l))))",
+            )
+            .unwrap();
+        let rt = CriRuntime::new(Arc::clone(&interp), 2);
+        for _ in 0..2 {
+            let l = interp
+                .load_str("(let ((l nil)) (dotimes (i 5000) (setq l (cons i l))) l)")
+                .unwrap();
+            rt.run("walk", &[l]).unwrap();
+        }
+        // The last cell's shared bracket is on nil: no location.
+        assert_eq!(rt.stats().lock_acquisitions, 2 * (2 * 5000 - 1));
+        assert!(rt.shared.locks.held_snapshot().is_empty());
+        assert_eq!(rt.shared.locks.retained(), 0);
     }
 
     #[test]

@@ -97,6 +97,14 @@ impl Default for SiteQueue {
     }
 }
 
+/// A call site's queue, looked up once: what lets the chain decision
+/// of a whole task chain skip the site table's lock.
+#[derive(Debug)]
+pub struct SiteHandle {
+    site: usize,
+    sq: Arc<SiteQueue>,
+}
+
 /// The ordered set of per-call-site queues, internally synchronized
 /// with one lock per site, partitioned into ownership groups with work
 /// stealing between them (see module docs).
@@ -199,8 +207,7 @@ impl ShardedQueues {
     }
 
     /// Current owner group of `site`, resolving unowned or retired
-    /// owners to the site's live home. Used by the pool to route
-    /// chaining decisions and targeted wakeups.
+    /// owners to the site's live home.
     pub fn owner_of(&self, site: usize) -> usize {
         let recorded =
             self.sites.read().get(site).map_or(UNOWNED, |sq| sq.owner.load(Ordering::Acquire));
@@ -512,9 +519,14 @@ impl ShardedQueues {
     /// the site's *current owner* (chaining follows migration) has no
     /// queued work at or below the site. Re-reads the owner cell on
     /// every call, so a chained successor lands with whichever group
-    /// the site was stolen into.
-    pub fn can_chain(&self, site: usize) -> bool {
-        let owner = self.owner_of(site);
+    /// the site was stolen into — from `cache` when it already holds
+    /// this site's handle, which makes the decision two atomic loads.
+    pub fn can_chain(&self, site: usize, cache: &mut Option<SiteHandle>) -> bool {
+        let h = match cache {
+            Some(h) if h.site == site => h,
+            _ => cache.insert(SiteHandle { site, sq: self.site_queue(site) }),
+        };
+        let owner = self.live_owner(h.sq.owner.load(Ordering::Acquire), site);
         self.groups[owner].load(Ordering::Acquire) & bits_through(site) == 0
     }
 
@@ -655,15 +667,15 @@ mod tests {
     #[test]
     fn sharded_can_chain_respects_site_priority() {
         let q = ShardedQueues::new();
-        assert!(q.can_chain(0), "empty set chains anywhere");
-        assert!(q.can_chain(500));
+        assert!(q.can_chain(0, &mut None), "empty set chains anywhere");
+        assert!(q.can_chain(500, &mut None));
         q.push(task(2, 1));
-        assert!(q.can_chain(0), "site 0 outranks the queued site 2");
-        assert!(q.can_chain(1));
-        assert!(!q.can_chain(2), "FIFO: queued site-2 work goes first");
-        assert!(!q.can_chain(3), "site 2 outranks a new site-3 task");
+        assert!(q.can_chain(0, &mut None), "site 0 outranks the queued site 2");
+        assert!(q.can_chain(1, &mut None));
+        assert!(!q.can_chain(2, &mut None), "FIFO: queued site-2 work goes first");
+        assert!(!q.can_chain(3, &mut None), "site 2 outranks a new site-3 task");
         q.pop();
-        assert!(q.can_chain(2));
+        assert!(q.can_chain(2, &mut None));
     }
 
     #[test]
@@ -821,16 +833,23 @@ mod tests {
         q.push_batch(vec![task(0, 1), task(0, 2), task(2, 3), task(2, 4)]);
         // Group 1 owns nothing: a site-3 task (homed on group 1)
         // could chain even though group 0 has queued work.
-        assert!(q.can_chain(3), "chain decision is per owner group");
-        assert!(!q.can_chain(2), "queued site-2 work blocks its own site");
+        assert!(q.can_chain(3, &mut None), "chain decision is per owner group");
+        // One handle cache across the steal, as a task chain carries
+        // it: the handle names the site, the owner is read every time.
+        let mut cache = None;
+        assert!(!q.can_chain(2, &mut cache), "queued site-2 work blocks its own site");
         let mut rng = 11u64;
         let stolen = q.steal(1, &mut rng).expect("steal-half succeeds");
         // The higher site (2) migrated; its remaining queued task now
         // blocks chaining through group 1 at or above its index.
         assert_eq!(stolen.site, 2);
         assert_eq!(q.owner_of(2), 1);
-        assert!(!q.can_chain(2), "remaining site-2 work follows the thief");
-        assert!(!q.can_chain(5), "homed on the thief, outranked by site 2");
+        assert!(!q.can_chain(2, &mut cache), "remaining site-2 work follows the thief");
+        assert_eq!(q.pop_local(1).map(|t| t.site), Some(2));
+        assert!(q.can_chain(2, &mut cache), "drained: the thief's mask is clear");
+        q.push(task(2, 5));
+        assert!(!q.can_chain(5, &mut cache), "homed on the thief, outranked by site 2");
+        assert_eq!(cache.map(|h| h.site), Some(5), "a different site replaces the handle");
     }
 
     /// At a quiescent point `len` is the sum of the queue lengths, and

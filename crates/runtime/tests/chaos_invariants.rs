@@ -251,6 +251,11 @@ fn retried_tasks_apply_their_effects_exactly_once() {
         let stats = rt.stats();
         assert_eq!(stats.tasks, n as u64 + 1, "retries must not double-count: {stats:?}");
         assert!(stats.task_retries > 0, "a 15% panic rate over 301 tasks must retry: {stats:?}");
+        // The restructured walker spawns in tail position; under an
+        // armed plan every link stays a task with a start to fail at
+        // (in place, a retry would re-run the chain from its first
+        // link, and 300 of the 301 injection points would be gone).
+        assert_eq!(stats.in_place_tasks, 0, "{stats:?}");
     });
 }
 
@@ -276,6 +281,28 @@ fn watchdog_never_fires_on_a_merely_slow_healthy_run() {
         assert_eq!(stats.stall_dumps, 0, "no false positives: {stats:?}");
         assert!(rt.stall_dumps().is_empty());
     });
+    // No plan: the walk is one task whose frame restarts in place
+    // 20 000 times, far longer in all than the budget. Each link is
+    // progress and must refresh the heartbeat.
+    let interp = Arc::new(Interp::new());
+    interp
+        .load_str(
+            "(defun slow-walk (l)
+               (when l
+                 (dotimes (i 400) (car l))
+                 (cri-enqueue 0 slow-walk (cdr l))))",
+        )
+        .unwrap();
+    let budget = Duration::from_millis(50);
+    let config = RuntimeConfig { stall_budget: Some(budget), ..RuntimeConfig::default() };
+    let rt = CriRuntime::with_config(Arc::clone(&interp), 2, config);
+    let l = int_list(&interp, 20_000);
+    let started = std::time::Instant::now();
+    rt.run("slow-walk", &[l]).unwrap();
+    assert!(started.elapsed() > 2 * budget, "the chain must outlast the budget to test it");
+    let stats = rt.stats();
+    assert_eq!(stats.in_place_tasks, 20_000, "{stats:?}");
+    assert_eq!(stats.stall_dumps, 0, "no false positives: {stats:?}");
 }
 
 /// Genuine stalls (task-start delays far past the budget) must produce

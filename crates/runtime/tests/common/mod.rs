@@ -42,23 +42,29 @@ pub fn with_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
     })
 }
 
-/// Forwards to the pool's hooks, but the first `remaining` lock
-/// acquisitions panic: in a body written `spawn; (cri-lock …); effect`
-/// that is after its spawn and before its effect.
+/// Forwards to the pool's hooks, but `remaining` lock acquisitions
+/// (after the first `skip`) panic: in a body written `spawn;
+/// (cri-lock …); effect` that is after its spawn and before its effect.
 pub struct PanicOnLock {
     inner: Arc<dyn RuntimeHooks>,
+    skip: AtomicUsize,
     remaining: AtomicUsize,
 }
 
 impl PanicOnLock {
-    /// Wrap `interp`'s installed hooks (install the pool first).
-    pub fn install(interp: &Interp, panics: usize) {
-        let inner = interp.hooks();
-        interp.set_hooks(Arc::new(PanicOnLock { inner, remaining: AtomicUsize::new(panics) }));
+    /// Wrap `interp`'s installed hooks (install the pool first): after
+    /// `skip` acquisitions that succeed, `panics` that panic.
+    pub fn install(interp: &Interp, skip: usize, panics: usize) {
+        let (inner, skip, remaining) =
+            (interp.hooks(), AtomicUsize::new(skip), AtomicUsize::new(panics));
+        interp.set_hooks(Arc::new(PanicOnLock { inner, skip, remaining }));
     }
 }
 
 impl RuntimeHooks for PanicOnLock {
+    fn chain_in_place(&self, s: usize, f: FuncId) -> bool {
+        self.inner.chain_in_place(s, f)
+    }
     fn enqueue(&self, i: &Interp, s: usize, f: FuncId, a: Vec<Value>) -> Result<(), LispError> {
         self.inner.enqueue(i, s, f, a)
     }
@@ -73,7 +79,8 @@ impl RuntimeHooks for PanicOnLock {
     }
     fn lock(&self, i: &Interp, c: Value, f: u32, x: bool) -> Result<(), LispError> {
         let take_one = |left: usize| left.checked_sub(1);
-        if self.remaining.fetch_update(Ordering::SeqCst, Ordering::SeqCst, take_one).is_ok() {
+        let take = |n: &AtomicUsize| n.fetch_update(Ordering::SeqCst, Ordering::SeqCst, take_one);
+        if take(&self.skip).is_err() && take(&self.remaining).is_ok() {
             panic!("body failed");
         }
         self.inner.lock(i, c, f, x)

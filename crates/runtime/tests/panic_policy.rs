@@ -32,7 +32,7 @@ fn pool(servers: usize, config: RuntimeConfig, panics: usize) -> (CriRuntime, Va
     interp.load_str(WALK).unwrap();
     interp.load_str("(defparameter *visits* 0)").unwrap();
     let rt = CriRuntime::with_config(Arc::clone(&interp), servers, config);
-    PanicOnLock::install(&interp, panics);
+    PanicOnLock::install(&interp, 0, panics);
     let mut l = Value::NIL;
     for i in (0..N).rev() {
         l = interp.heap().cons(Value::int(i), l);
