@@ -86,6 +86,11 @@ check_counts speculative '"runtime.spec_commits":{"value":6002,' \
 check_counts tiny_grain '"runtime.tasks":{"value":20001,'
 check_counts locked_window '"runtime.tasks":{"value":1996,' \
   '"runtime.lock_acquisitions":{"value":17955,'
+# Nor a hand-over by not being made: every leaf of skewed_sites is a
+# task published in a batch of its own, behind a walker link that
+# restarted in place.
+check_counts skewed_sites '"runtime.tasks":{"value":8001,' \
+  '"runtime.batched_submits":{"value":4000,'
 # (self-test prints the failed pass it provokes; show it only on failure)
 out="$(bash benchmark/run.sh self-test 2>&1)" || { echo "$out" >&2; exit 1; }
 

@@ -154,8 +154,9 @@ impl<'i> Evaluator<'i> {
         // spent argument buffer is recycled too (it feeds the next
         // invocation's argument collection).
         let mut frame: Vec<Value> = take_value_buf();
+        let interp = self.interp;
         let result = loop {
-            let entry = self.interp.func_entry(id);
+            let entry = interp.func_entry(id);
             let func = &entry.func;
             if args.len() != func.params.len() {
                 break Err(LispError::Arity {

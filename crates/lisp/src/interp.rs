@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use crate::sync::{Mutex, RwLock};
+use crate::sync::{AppendVec, Mutex, RwLock};
 
 use crate::ast::{BuiltinOp, Func, Program};
 use crate::compile::Code;
@@ -16,6 +16,7 @@ use crate::heap::Heap;
 use crate::lower::Lowerer;
 use crate::speclog;
 use crate::value::{FuncId, SymId, Value};
+use crate::vm::Vm;
 use curare_sexpr::parse_all;
 
 /// Which execution engine runs function bodies.
@@ -57,12 +58,6 @@ pub struct FuncEntry {
     /// exceeds the compiler's register budget, in which case the VM
     /// falls back to the tree-walker for this function.
     pub code: Option<Arc<Code>>,
-}
-
-#[derive(Default)]
-struct FuncTable {
-    entries: Vec<Arc<FuncEntry>>,
-    by_name: HashMap<SymId, FuncId>,
 }
 
 /// The hooks through which the evaluator reaches a runtime scheduler.
@@ -138,7 +133,12 @@ impl RuntimeHooks for SequentialHooks {
 /// transformed programs.
 pub struct Interp {
     heap: Heap,
-    funcs: RwLock<FuncTable>,
+    /// The function table, indexed by [`FuncId`]. Ids are never
+    /// rebound (a redefinition appends), so a call reads its entry
+    /// without a lock and borrows it for the interpreter's life.
+    funcs: AppendVec<FuncEntry>,
+    /// Current definition per name; call-site caches keep it cold.
+    by_name: RwLock<HashMap<SymId, FuncId>>,
     globals: RwLock<HashMap<SymId, Arc<AtomicU64>>>,
     output: Mutex<Vec<String>>,
     hooks: RwLock<Arc<dyn RuntimeHooks>>,
@@ -199,7 +199,8 @@ impl Interp {
             .collect();
         Interp {
             heap,
-            funcs: RwLock::new(FuncTable::default()),
+            funcs: AppendVec::default(),
+            by_name: RwLock::new(HashMap::new()),
             globals: RwLock::new(HashMap::new()),
             output: Mutex::new(Vec::new()),
             hooks: RwLock::new(Arc::new(SequentialHooks)),
@@ -300,15 +301,9 @@ impl Interp {
     /// Define (or redefine) a named function; returns its id.
     pub fn define_func(&self, func: Arc<Func>) -> FuncId {
         let code = self.compiled_code(&func);
-        let mut table = self.funcs.write();
-        let id = table.entries.len() as FuncId;
-        table.entries.push(Arc::new(FuncEntry {
-            func: Arc::clone(&func),
-            captured: Arc::from([]),
-            code,
-        }));
-        table.by_name.insert(func.name_sym, id);
-        drop(table);
+        let name = func.name_sym;
+        let id = self.funcs.push(FuncEntry { func, captured: Arc::from([]), code }) as FuncId;
+        self.by_name.write().insert(name, id);
         // Bumped after the entry is visible: a racing call site may
         // cache the *old* resolution under the old generation (and
         // re-resolve next call), but never the new one under it.
@@ -319,10 +314,7 @@ impl Interp {
     /// Register a closure instance; returns its id.
     pub fn define_closure(&self, func: Arc<Func>, captured: Vec<Value>) -> FuncId {
         let code = self.compiled_code(&func);
-        let mut table = self.funcs.write();
-        let id = table.entries.len() as FuncId;
-        table.entries.push(Arc::new(FuncEntry { func, captured: captured.into(), code }));
-        id
+        self.funcs.push(FuncEntry { func, captured: captured.into(), code }) as FuncId
     }
 
     /// Bytecode for `func`, compiling on first sight of this template.
@@ -341,7 +333,7 @@ impl Interp {
 
     /// Resolve a function by name symbol.
     pub fn lookup_func(&self, name: SymId) -> Option<FuncId> {
-        self.funcs.read().by_name.get(&name).copied()
+        self.by_name.read().get(&name).copied()
     }
 
     /// Resolve a function by its source name.
@@ -349,15 +341,15 @@ impl Interp {
         self.lookup_func(self.heap.intern(name))
     }
 
-    /// The entry for `id`.
-    pub fn func_entry(&self, id: FuncId) -> Arc<FuncEntry> {
-        Arc::clone(&self.funcs.read().entries[id as usize])
+    /// The entry for `id` (which a definition returned: panics on any
+    /// other).
+    pub fn func_entry(&self, id: FuncId) -> &FuncEntry {
+        self.funcs.get(id as usize).expect("a defined function's id")
     }
 
     /// All currently defined named functions (for analysis passes).
     pub fn named_funcs(&self) -> Vec<Arc<Func>> {
-        let table = self.funcs.read();
-        table.by_name.values().map(|&id| Arc::clone(&table.entries[id as usize].func)).collect()
+        self.by_name.read().values().map(|&id| Arc::clone(&self.func_entry(id).func)).collect()
     }
 
     // ----- globals ---------------------------------------------------
@@ -373,7 +365,13 @@ impl Interp {
 
     /// Read global `sym`.
     pub fn get_global(&self, sym: SymId) -> Result<Value> {
-        let cell = self.global_cell(sym);
+        self.get_global_in(sym, &self.global_cell(sym))
+    }
+
+    /// Read global `sym` through `cell`, its [`Interp::global_cell`]
+    /// (compiled code holds it): the same journaled read, no lookup.
+    #[inline]
+    pub fn get_global_in(&self, sym: SymId, cell: &AtomicU64) -> Result<Value> {
         let v = Value::from_bits(speclog::note_global_read(sym, || cell.load(Ordering::Acquire)));
         if v == Value::UNBOUND {
             return Err(LispError::Unbound(self.heap.sym_name(sym).to_string()));
@@ -383,8 +381,14 @@ impl Interp {
 
     /// Write global `sym`.
     pub fn set_global(&self, sym: SymId, v: Value) {
-        let cell = self.global_cell(sym);
-        match speclog::write_section(speclog::GLOBAL_LOC_BIT | sym as u64, Some(&cell)) {
+        self.set_global_in(sym, &self.global_cell(sym), v);
+    }
+
+    /// Write global `sym` through `cell`, as [`Interp::get_global_in`]
+    /// reads it.
+    #[inline]
+    pub fn set_global_in(&self, sym: SymId, cell: &Arc<AtomicU64>, v: Value) {
+        match speclog::write_section(speclog::GLOBAL_LOC_BIT | sym as u64, Some(cell)) {
             Some(sec) => {
                 let old = cell.load(Ordering::Acquire);
                 cell.store(v.bits(), Ordering::Release);
@@ -410,10 +414,19 @@ impl Interp {
     /// Atomically add `delta` to integer global `sym` (the §3.2.3
     /// reordering device); returns the new value.
     pub fn atomic_incf_global(&self, sym: SymId, delta: i64) -> Result<Value> {
-        let cell = self.global_cell(sym);
+        self.atomic_incf_global_in(sym, &self.global_cell(sym), delta)
+    }
+
+    /// [`Interp::atomic_incf_global`] through `cell`, the global's own.
+    pub fn atomic_incf_global_in(
+        &self,
+        sym: SymId,
+        cell: &Arc<AtomicU64>,
+        delta: i64,
+    ) -> Result<Value> {
         // See `Heap::atomic_add_field`: the CAS runs inside the journal
         // section so bracket order matches the cell's update order.
-        let sec = speclog::write_section(speclog::GLOBAL_LOC_BIT | sym as u64, Some(&cell));
+        let sec = speclog::write_section(speclog::GLOBAL_LOC_BIT | sym as u64, Some(cell));
         loop {
             let old_bits = cell.load(Ordering::Acquire);
             let old = Value::from_bits(old_bits);
@@ -544,13 +557,7 @@ impl Interp {
     /// engine: this is the entry point through which CRI pool tasks
     /// and sequential futures run bytecode.
     pub fn call_fid_owned(&self, id: FuncId, args: Vec<Value>) -> Result<Value> {
-        match self.engine() {
-            Engine::Vm => crate::vm::Vm::new(self).apply(id, args),
-            Engine::Tree => {
-                let mut ev = Evaluator::new(self);
-                ev.apply_tree(id, args)
-            }
-        }
+        Vm::new(self).call(id, args)
     }
 
     /// Call a named function.

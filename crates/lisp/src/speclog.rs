@@ -8,7 +8,8 @@
 //! decides — after the run quiesces — whether the interleaving that
 //! actually happened is equivalent to the sequential execution. When
 //! it is not, the sequentially later invocation is aborted (its writes
-//! undone from the journal) and replayed after its conflictor; after
+//! undone from the journal) and replayed after its conflictor — which
+//! aborts too when it is a read that took its value from that write; after
 //! `spec_retry_limit` rounds, or on any surprise the replay machinery
 //! cannot express, the run falls back to the sequential-degradation
 //! ladder: roll back *everything* and rerun the roots inline, which
@@ -27,10 +28,10 @@
 //! share its mutex, nothing else). The run path takes no process-wide
 //! lock and never looks at another lane. **Visibility at quiescence:**
 //! a record is in its lane before the call that made it returns, hence
-//! before its task's `finish_one`; `resolve` runs after the pool saw
-//! the pending count reach zero, so draining the lanes then sees every
-//! record of the run, whichever server made it and in whatever order
-//! parents and children finished.
+//! before its task's pending count is released; `resolve` runs after
+//! the pool saw the pending count reach zero, so draining the lanes
+//! then sees every record of the run, whichever server made it and in
+//! whatever order parents and children finished.
 //!
 //! # Epoch brackets and stripes
 //!
@@ -61,7 +62,7 @@
 //! commits iff for every same-location pair (at least one write, not
 //! both atomic RMWs, different invocations) the sequentially earlier
 //! bracket ends before the later one begins. `sweep` decides that in
-//! one pass over the accesses sorted by `(location, rank)`.
+//! two passes over the accesses sorted by `(location, rank)`.
 //!
 //! # Scope
 //!
@@ -601,14 +602,24 @@ fn count_comparison() {
 /// sequentially earlier bracket does not end before the later one
 /// begins — so going through a location in rank order, an access
 /// violates iff the latest end among the earlier accesses it conflicts
-/// with, its own invocation's aside, reaches its `lo`. O(n log n),
-/// however hot the location.
+/// with, its own invocation's aside, reaches its `lo`. That aborts the
+/// *later* access of every violating pair. The earlier one goes too
+/// when what it computed is void once the later is undone: a read, or
+/// an add (it returns the sum), that did not end before a conflicting
+/// *write* of later rank began took its value from the future. Going
+/// back through the location in descending rank, that is: the earliest
+/// beginning among the later writes it conflicts with does not come
+/// after its `hi`. O(n log n), however hot the location.
 fn sweep(accs: &mut [Acc]) -> BTreeMap<u64, u64> {
     accs.sort_unstable_by(|a, b| {
         count_comparison();
         (a.loc, a.rank).cmp(&(b.loc, b.rank))
     });
     let mut aborts: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut abort = |a: &Acc| {
+        let rank = aborts.entry(a.inv).or_insert(a.rank);
+        *rank = (*rank).min(a.rank);
+    };
     for at_loc in accs.chunk_by(|a, b| a.loc == b.loc) {
         let mut seen = [Latest::default(); 3];
         for a in at_loc {
@@ -620,12 +631,24 @@ fn sweep(accs: &mut [Acc]) -> BTreeMap<u64, u64> {
                 Class::Add => end(Class::Read).max(end(Class::Store)),
             };
             if latest >= a.lo {
-                // Ascending rank: an invocation's first violation at a
-                // location is its smallest there.
-                let rank = aborts.entry(a.inv).or_insert(a.rank);
-                *rank = (*rank).min(a.rank);
+                abort(a);
             }
             seen[a.class as usize].note(a.hi, a.inv);
+        }
+        // `Latest` over complemented ticks keeps the earliest `lo`.
+        let mut seen = [Latest::default(); 3];
+        for a in at_loc.iter().rev() {
+            count_comparison();
+            let begin = |c: Class| seen[c as usize].not_by(a.inv);
+            let earliest = match a.class {
+                Class::Read => begin(Class::Store).max(begin(Class::Add)),
+                Class::Store => 0,
+                Class::Add => begin(Class::Store),
+            };
+            if earliest >= !a.hi {
+                abort(a);
+            }
+            seen[a.class as usize].note(!a.lo, a.inv);
         }
     }
     aborts
@@ -1011,6 +1034,51 @@ mod tests {
     }
 
     #[test]
+    fn a_read_from_the_future_aborts_with_the_write_it_read() {
+        let _g = guard();
+        let heap = Heap::new();
+        let x = heap.cons(Value::int(1), Value::NIL);
+        let y = heap.cons(Value::int(0), Value::NIL);
+        let dst = heap.cons(Value::int(0), Value::NIL);
+        arm().unwrap();
+        // Three roots, ranked 1 < 2 < 3. Sequentially: inv 1 copies
+        // x + 1 into dst (2), inv 2 sets y, inv 3 sets x to 30. In
+        // this run inv 3's store reached x before inv 1 read it.
+        for inv in 1..=3 {
+            root(inv, inv as FuncId, &[]);
+        }
+        curare_obs::set_invocation(3);
+        heap.set_car(x, Value::int(30)).unwrap();
+        curare_obs::set_invocation(1);
+        let seen = heap.car(x).unwrap().as_int().unwrap();
+        heap.set_car(dst, Value::int(seen + 1)).unwrap();
+        curare_obs::set_invocation(2);
+        heap.set_car(y, Value::int(7)).unwrap();
+        curare_obs::set_invocation(0);
+        assert_eq!(heap.car(dst).unwrap(), Value::int(31), "computed from the future");
+        // The later-ranked store aborts, as ever — and so must the
+        // read: undoing the store voids what inv 1 made of it, and a
+        // redo of inv 1's absolute store would commit it all the same.
+        let heap_ref = &heap;
+        let mut replayed = Vec::new();
+        let r = resolve(heap_ref, 4, &mut |fid, _| {
+            replayed.push(fid);
+            match fid {
+                1 => {
+                    let seen = heap_ref.car(x)?.as_int().unwrap();
+                    heap_ref.set_car(dst, Value::int(seen + 1))?;
+                }
+                _ => heap_ref.set_car(x, Value::int(30))?,
+            }
+            Ok(Value::NIL)
+        });
+        assert_eq!(replayed, [1, 3], "both abort; replays go by rank");
+        assert_eq!((r.escalated, r.aborts, r.replays, r.committed, r.clean), (false, 2, 2, 3, 1));
+        let cars = [x, y, dst].map(|c| heap.car(c).unwrap().as_int().unwrap());
+        assert_eq!(cars, [30, 7, 2], "the sequential outcome");
+    }
+
+    #[test]
     fn a_replay_that_spawns_differently_escalates() {
         let _g = guard();
         let heap = Heap::new();
@@ -1225,9 +1293,18 @@ mod tests {
                             false
                         };
                         if !consistent {
-                            let later = if a.rank > b.rank { a } else { b };
-                            let slot = aborts.entry(later.inv).or_insert(later.rank);
-                            *slot = (*slot).min(later.rank);
+                            let (earlier, later) = if a.rank > b.rank { (b, a) } else { (a, b) };
+                            let mut abort = |x: &Acc| {
+                                let slot = aborts.entry(x.inv).or_insert(x.rank);
+                                *slot = (*slot).min(x.rank);
+                            };
+                            abort(later);
+                            // A read, or an add (it returns the sum),
+                            // took its value from a write that is now
+                            // undone.
+                            if later.write && (!earlier.write || earlier.atomic) {
+                                abort(earlier);
+                            }
                         }
                     }
                 }
@@ -1608,7 +1685,8 @@ mod tests {
 
         // One plain store mixed in, by the middle invocation: it
         // aborts iff some earlier-ranked add had not ended when it
-        // began, and every later-ranked add it did not precede aborts.
+        // began (and so does that add, whose sum it went into), and
+        // every later-ranked add it did not precede aborts.
         let mid = N / 2;
         let store = {
             let WriteRec { lo, hi, .. } = add(mid);
@@ -1617,7 +1695,7 @@ mod tests {
         };
         let expect: BTreeMap<u64, u64> = (1..=N)
             .filter(|&inv| match inv.cmp(&mid) {
-                std::cmp::Ordering::Less => false,
+                std::cmp::Ordering::Less => store.lo <= add(inv).hi,
                 std::cmp::Ordering::Equal => (1..mid).any(|e| add(e).hi >= store.lo),
                 std::cmp::Ordering::Greater => store.hi >= add(inv).lo,
             })

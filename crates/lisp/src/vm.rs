@@ -38,7 +38,7 @@ use crate::builtins::{apply_builtin, compare_chain, fold_arith, BuiltinCx};
 use crate::compile::{BinKind, CmpKind, Code, Op, TestKind, OPCODE_COUNT, OPCODE_NAMES};
 use crate::error::{LispError, Result};
 use crate::eval::{self, apply_struct_op, Evaluator};
-use crate::interp::{Interp, RuntimeHooks};
+use crate::interp::{Engine, Interp, RuntimeHooks};
 use crate::value::{FuncId, Value};
 
 thread_local! {
@@ -56,8 +56,8 @@ static VM_FUSED_OPS: AtomicU64 = AtomicU64::new(0);
 static VM_FRAMES_REUSED: AtomicU64 = AtomicU64::new(0);
 static VM_FRAMES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide VM execution counters (cumulative; flushed from each
-/// [`Vm`] when it drops).
+/// Process-wide VM execution counters (cumulative; each [`Vm`] adds
+/// its own at [`Vm::publish_stats`] and when it drops).
 #[derive(Debug, Clone, Copy)]
 pub struct VmStats {
     /// Bytecode instructions dispatched.
@@ -86,8 +86,8 @@ pub fn vm_stats() -> VmStats {
 }
 
 /// Zero the process-wide VM counters (between benchmark iterations;
-/// counters batched in live [`Vm`]s flush on their drop, so reset
-/// only while no VM is executing).
+/// a live [`Vm`] still holds what it counted since it last published,
+/// so reset only while no VM is executing).
 pub fn vm_stats_reset() {
     VM_OPS.store(0, Ordering::Relaxed);
     VM_TYPED_OPS.store(0, Ordering::Relaxed);
@@ -131,7 +131,7 @@ mod op_profile {
 }
 
 /// Enable/disable per-opcode profiling for the [`Vm`] contexts created
-/// from now on (one per top-level call or pool task). A context pays
+/// from now on (one per top-level call or pool server). A context pays
 /// one relaxed load when it is created; while enabled each dispatch
 /// goes through [`h_profiled`]: two clock reads and two relaxed adds.
 pub fn set_op_profiling(on: bool) {
@@ -203,7 +203,7 @@ pub struct Vm<'i> {
     /// The runtime hooks as of stamp `.0`, fetched on first use: the
     /// hook ops borrow this instead of cloning the shared handle.
     hooks: Option<(u64, Arc<dyn RuntimeHooks>)>,
-    // Locally-batched counters, flushed to the globals on drop.
+    // Counted locally; added to the globals by `publish_stats`.
     ops: u64,
     typed: u64,
     fused: u64,
@@ -213,21 +213,7 @@ pub struct Vm<'i> {
 
 impl Drop for Vm<'_> {
     fn drop(&mut self) {
-        if self.ops != 0 {
-            VM_OPS.fetch_add(self.ops, Ordering::Relaxed);
-        }
-        if self.typed != 0 {
-            VM_TYPED_OPS.fetch_add(self.typed, Ordering::Relaxed);
-        }
-        if self.fused != 0 {
-            VM_FUSED_OPS.fetch_add(self.fused, Ordering::Relaxed);
-        }
-        if self.frames_reused != 0 {
-            VM_FRAMES_REUSED.fetch_add(self.frames_reused, Ordering::Relaxed);
-        }
-        if self.frames_allocated != 0 {
-            VM_FRAMES_ALLOCATED.fetch_add(self.frames_allocated, Ordering::Relaxed);
-        }
+        self.publish_stats();
     }
 }
 
@@ -251,6 +237,38 @@ impl<'i> Vm<'i> {
             fused: 0,
             frames_reused: 0,
             frames_allocated: 0,
+        }
+    }
+
+    /// Add what this context counted since the last call to the
+    /// process-wide counters ([`vm_stats`]). A context that outlives
+    /// one call (a pool server's) publishes when it runs out of work.
+    pub fn publish_stats(&mut self) {
+        for (mine, all) in [
+            (&mut self.ops, &VM_OPS),
+            (&mut self.typed, &VM_TYPED_OPS),
+            (&mut self.fused, &VM_FUSED_OPS),
+            (&mut self.frames_reused, &VM_FRAMES_REUSED),
+            (&mut self.frames_allocated, &VM_FRAMES_ALLOCATED),
+        ] {
+            if *mine != 0 {
+                all.fetch_add(std::mem::take(mine), Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Start over where a panic unwound through this context: its
+    /// depth and frame are stale. What it counted is published.
+    pub fn reset(&mut self) {
+        *self = Vm::new(self.interp);
+    }
+
+    /// Call function `id` on the interpreter's configured engine, which
+    /// is chosen per call: this context runs it, or the tree-walker.
+    pub fn call(&mut self, id: FuncId, args: Vec<Value>) -> Result<Value> {
+        match self.interp.engine() {
+            Engine::Vm => self.apply(id, args),
+            Engine::Tree => Evaluator::new(self.interp).apply_tree(id, args),
         }
     }
 
@@ -300,26 +318,16 @@ impl<'i> Vm<'i> {
         }
         let saved_fid = self.cur_fid;
         let mut frame = self.take_frame();
-        // Tail-recursive loops hit the same function every bounce;
-        // cache the entry keyed by (fid, table generation) to skip the
-        // per-iteration table lock. Redefinition bumps the generation,
-        // so a tail call into a function redefined mid-run still sees
-        // the new definition, like the tree-walker's refetch.
-        let mut cached: Option<(FuncId, u64, Arc<crate::interp::FuncEntry>)> = None;
+        let interp = self.interp;
         let result = loop {
-            let gen = self.interp.funcs_gen();
-            let entry = match &cached {
-                Some((cid, cgen, e)) if *cid == id && *cgen == gen => Arc::clone(e),
-                _ => {
-                    let e = self.interp.func_entry(id);
-                    cached = Some((id, gen, Arc::clone(&e)));
-                    e
-                }
-            };
+            // An id names one definition for good (a redefined name
+            // binds a fresh id, which the call site resolved), so the
+            // entry is read from the table as it stands: no lock.
+            let entry = interp.func_entry(id);
             let Some(code) = entry.code.as_deref() else {
                 // No compiled body (register budget exceeded): finish
                 // this call chain on the tree-walker at the same depth.
-                let mut ev = Evaluator::with_depth(self.interp, self.depth - 1);
+                let mut ev = Evaluator::with_depth(interp, self.depth - 1);
                 break ev.apply_tree(id, args);
             };
             let func = &entry.func;
@@ -556,23 +564,20 @@ fn h_get_global(
 ) -> Result<Option<VmFlow>> {
     let Op::GetGlobal { dst, g } = op else { unreachable!() };
     let gl = &code.globals[g as usize];
-    let v = Value::from_bits(gl.cell.load(Ordering::Acquire));
-    if v == Value::UNBOUND {
-        return Err(LispError::Unbound(vm.interp.heap().sym_name(gl.sym).to_string()));
-    }
-    regs[dst as usize] = v;
+    regs[dst as usize] = vm.interp.get_global_in(gl.sym, &gl.cell)?;
     Ok(None)
 }
 
 fn h_set_global(
-    _vm: &mut Vm,
+    vm: &mut Vm,
     code: &Code,
     regs: &mut [Value],
     op: Op,
     _pc: &mut usize,
 ) -> Result<Option<VmFlow>> {
     let Op::SetGlobal { g, src } = op else { unreachable!() };
-    code.globals[g as usize].cell.store(regs[src as usize].bits(), Ordering::Release);
+    let gl = &code.globals[g as usize];
+    vm.interp.set_global_in(gl.sym, &gl.cell, regs[src as usize]);
     Ok(None)
 }
 
@@ -826,7 +831,7 @@ fn h_atomic_incf_g(
             op: "atomic-incf",
         });
     };
-    regs[dst as usize] = vm.interp.atomic_incf_global(gl.sym, d)?;
+    regs[dst as usize] = vm.interp.atomic_incf_global_in(gl.sym, &gl.cell, d)?;
     Ok(None)
 }
 

@@ -30,15 +30,16 @@
 //!   invocation's enqueues collect in a thread-local batch that is
 //!   published when the invocation ends, under one site-lock
 //!   acquisition with one condvar notification;
-//! - **task chaining** — when that batch holds exactly one successor
-//!   and every site at or below its own is empty, the server runs it
-//!   directly: by the lowest-site-first rule a dequeue would have
-//!   picked that task anyway, so the queues and condvar are skipped
-//!   entirely. This is what makes a tiny tail affordable, and why the
-//!   buffer stays the default. A `cri-enqueue` in *tail position* is
-//!   that batch seen early, so the decision is taken at the spawn
-//!   (`CriHooks::chain_in_place`) and the VM restarts the frame on the
-//!   successor's arguments: no `Task`, no second VM, counted all the same;
+//! - **task chaining** — when every site at or below the batch's last
+//!   successor's is empty and the rest of the batch is bound for
+//!   strictly higher sites, the rest is published and the server runs
+//!   that successor directly: by the lowest-site-first rule a dequeue
+//!   would have picked it anyway, so the queues and condvar are
+//!   skipped entirely. This is what makes a tiny tail affordable, and
+//!   why the buffer stays the default. A `cri-enqueue` in *tail
+//!   position* is that batch seen early, so the decision is taken at
+//!   the spawn (`CriHooks::chain_in_place`) and the VM restarts the
+//!   frame on the successor's arguments: no `Task`, counted all the same;
 //! - **hand-off** — a `cri-handoff` is published at the spawn, behind
 //!   whatever the invocation still buffers. The restructurer writes it
 //!   where the function's tail costs more than a queue round trip
@@ -63,13 +64,13 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use curare_lisp::speclog;
-use curare_lisp::sync::{Condvar, Mutex};
-use curare_lisp::{FuncId, Interp, LispError, RuntimeHooks, Val, Value};
+use curare_lisp::sync::{CachePadded, Condvar, Mutex};
+use curare_lisp::{FuncId, Interp, LispError, RuntimeHooks, Val, Value, Vm};
 use curare_obs::{EventKind, Json, RunReport};
 
 use crate::futures::FutureTable;
 use crate::locktable::{Location, LockTable};
-use crate::queue::{ShardedQueues, SiteHandle, Task};
+use crate::queue::{ShardedQueues, Task};
 use crate::watchdog::{
     self, BeatGuard, ServerBeat, PHASE_EXECUTING, PHASE_LOCK_WAIT, PHASE_TOUCH_WAIT,
 };
@@ -227,8 +228,9 @@ struct BatchFrame {
     may_restart: bool,
     /// Successors this frame ran by restarting in place.
     in_place: u64,
-    /// The chain decision's site handle, on loan from `Tally::site`.
-    site: Option<SiteHandle>,
+    /// Batches published from inside the body (before a blocking wait,
+    /// an early publication or an in-place restart).
+    batched: u64,
 }
 
 thread_local! {
@@ -265,16 +267,29 @@ fn put_spare(v: Vec<Task>) {
     }
 }
 
-/// Statistics a server accumulates across one task chain, published
-/// to the shared counters once per chain rather than once per task.
+/// What a server has counted since it last settled (`Shared::settle`):
+/// private to it, so finishing a task writes no shared line.
 #[derive(Default)]
 struct Tally {
     executed: u64,
     chained: u64,
     in_place: u64,
-    /// Not a statistic: the site handle the chain's decisions share,
-    /// lent to each task's `BatchFrame` in turn.
-    site: Option<SiteHandle>,
+    batched: u64,
+    /// Finished tasks whose pending counts this server still holds.
+    finished: u64,
+}
+
+/// The statistics servers add to: a line of their own.
+#[derive(Default)]
+struct Counters {
+    executed: AtomicU64,
+    chained: AtomicU64,
+    in_place: AtomicU64,
+    batched_submits: AtomicU64,
+    sched_waits: AtomicU64,
+    parks: AtomicU64,
+    park_ns: AtomicU64,
+    peak_parked: AtomicU64,
 }
 
 /// One server's parking spot: a private mutex/condvar pair so wakeups
@@ -304,18 +319,15 @@ struct Shared {
     /// the park-side work re-check and the publish-side parked-mask
     /// read cannot both see stale state (the store-buffer lost-wakeup
     /// interleaving); parked waits also carry a timeout backstop.
-    parked_mask: AtomicU64,
-    parks: AtomicU64,
-    park_ns: AtomicU64,
-    peak_parked: AtomicU64,
+    /// Padded, like `pending` and `counters`: what servers write
+    /// during a run stays off the lines of what they only read.
+    parked_mask: CachePadded<AtomicU64>,
     done_m: Mutex<()>,
     done_cv: Condvar,
-    pending: AtomicU64,
-    executed: AtomicU64,
-    chained: AtomicU64,
-    in_place: AtomicU64,
-    batched_submits: AtomicU64,
-    sched_waits: AtomicU64,
+    /// Tasks published or executing, plus finished ones their server
+    /// has yet to settle: it only ever over-counts.
+    pending: CachePadded<AtomicU64>,
+    counters: CachePadded<Counters>,
     error: Mutex<Option<LispError>>,
     shutdown: AtomicBool,
     aborting: AtomicBool,
@@ -438,16 +450,17 @@ impl Shared {
         let p = &self.parkers[index];
         let mut g = p.m.lock();
         let mask = self.parked_mask.fetch_or(bit, Ordering::SeqCst) | bit;
-        self.peak_parked.fetch_max(u64::from(mask.count_ones()), Ordering::Relaxed);
+        let counters = &self.counters;
+        counters.peak_parked.fetch_max(u64::from(mask.count_ones()), Ordering::Relaxed);
         std::sync::atomic::fence(Ordering::SeqCst);
         // A thief can take anything; park only on globally empty queues.
         if !self.sched.has_work() && !self.shutdown.load(Ordering::SeqCst) {
-            self.parks.fetch_add(1, Ordering::Relaxed);
-            self.sched_waits.fetch_add(1, Ordering::Relaxed);
+            counters.parks.fetch_add(1, Ordering::Relaxed);
+            counters.sched_waits.fetch_add(1, Ordering::Relaxed);
             curare_obs::record(EventKind::Park, index as u64);
             let t0 = curare_obs::now_ns();
             let _timed_out = p.cv.wait_timeout(&mut g, timeout);
-            self.park_ns.fetch_add(curare_obs::now_ns().saturating_sub(t0), Ordering::Relaxed);
+            counters.park_ns.fetch_add(curare_obs::now_ns().saturating_sub(t0), Ordering::Relaxed);
             curare_obs::record(EventKind::Unpark, index as u64);
         }
         drop(g);
@@ -461,38 +474,50 @@ impl Shared {
         self.wake_servers(wake, 1);
     }
 
+    /// The chain decision, for `publish_batch` and `chain_in_place`
+    /// alike: the successor bound for `site` may run next on its
+    /// producer, the `others` of its batch published first, when they
+    /// all go to strictly higher sites and its owner has nothing queued
+    /// at or below `site` — a lowest-site-first dequeue would pick it
+    /// next with them in the queues as without.
+    fn chains_past(&self, site: usize, others: &[Task]) -> bool {
+        others.iter().all(|t| t.site > site) && self.sched.can_chain(site)
+    }
+
     /// Publish an invocation's collected successors, draining `tasks`
-    /// (its allocation stays with the caller for reuse). With
-    /// `allow_chain` (the chain's site-handle cache), a singleton batch
-    /// whose site outranks all queued work is returned to the caller
-    /// to run directly instead.
+    /// (its allocation stays with the caller for reuse) and counting
+    /// the publication in `batched`. With `allow_chain`, the last one
+    /// is returned to the caller to run directly instead where
+    /// `chains_past` lets it.
     fn publish_batch(
         &self,
         tasks: &mut Vec<Task>,
-        allow_chain: Option<&mut Option<SiteHandle>>,
+        allow_chain: bool,
+        batched: &mut u64,
     ) -> Option<Task> {
-        if tasks.is_empty() {
-            return None;
-        }
         if self.aborting.load(Ordering::Acquire) {
             self.drop_unpublished(std::mem::take(tasks));
-            return None;
         }
-        if tasks.len() == 1 && allow_chain.is_some_and(|c| self.sched.can_chain(tasks[0].site, c)) {
-            // The chained task inherits the producing invocation's
-            // pending count (the producer skips `finish_one`), so the
-            // fast path touches no shared counter at all; the caller
-            // tallies the chain statistic locally.
-            curare_obs::record(EventKind::Chain, tasks[0].site as u64);
-            return tasks.pop();
-        }
+        // The chained task inherits the producing invocation's pending
+        // count: chaining a singleton touches no shared counter at all.
+        let chained = match tasks.split_last() {
+            Some((last, others)) if allow_chain && self.chains_past(last.site, others) => {
+                tasks.pop()
+            }
+            _ => None,
+        };
         let n = tasks.len();
-        self.pending.fetch_add(n as u64, Ordering::AcqRel);
-        let wake = self.sched.push_batch(tasks.drain(..));
-        self.batched_submits.fetch_add(1, Ordering::Relaxed);
-        curare_obs::record(EventKind::BatchFlush, n as u64);
-        self.wake_servers(wake, n);
-        None
+        if n > 0 {
+            self.pending.fetch_add(n as u64, Ordering::AcqRel);
+            let wake = self.sched.push_batch(tasks.drain(..));
+            *batched += 1;
+            curare_obs::record(EventKind::BatchFlush, n as u64);
+            self.wake_servers(wake, n);
+        }
+        if let Some(t) = &chained {
+            curare_obs::record(EventKind::Chain, t.site as u64);
+        }
+        chained
     }
 
     /// Put a chained task back on the queues (it carries its
@@ -524,9 +549,9 @@ impl Shared {
     /// End the run on `err`, raised by the executing task (whose
     /// `future`, if any, fails with it): keep the first error, refuse
     /// further spawns, and drain queued work so the run terminates
-    /// promptly. The executing task's own pending count (its caller's
-    /// `finish_one`) keeps the counter above zero here. Dropped tasks'
-    /// futures must fail, or helping touches would wait forever.
+    /// promptly. The executing task's own pending count (released at
+    /// its server's settle) keeps the counter above zero here. Dropped
+    /// tasks' futures must fail, or helping touches would wait forever.
     fn abort_run(&self, err: LispError, future: Option<u64>) {
         if let Some(id) = future {
             self.futures.fail(id, err.clone());
@@ -541,22 +566,23 @@ impl Shared {
         }
     }
 
-    /// Add a chain's locally tallied counts to the shared statistics.
-    fn flush_tally(&self, tally: &mut Tally) {
-        if tally.executed > 0 {
-            self.executed.fetch_add(tally.executed, Ordering::Relaxed);
+    /// Settle: publish what `tally` and `vm` counted, *then* release
+    /// the pending counts of the tasks `tally` saw finish, in one
+    /// subtraction. A server settles when its own group runs dry and
+    /// before it leaves, a helper after every chain. In between
+    /// `pending` over-counts, never under-counts; and the statistics
+    /// are exact once `run` observes zero, being published first.
+    fn settle(&self, tally: &mut Tally, vm: &mut Vm<'_>) {
+        vm.publish_stats();
+        let Tally { executed, chained, in_place, batched, finished } = std::mem::take(tally);
+        let c = &self.counters;
+        let totals = [&c.executed, &c.chained, &c.in_place, &c.batched_submits];
+        for (n, total) in [executed, chained, in_place, batched].into_iter().zip(totals) {
+            if n > 0 {
+                total.fetch_add(n, Ordering::Relaxed);
+            }
         }
-        if tally.chained > 0 {
-            self.chained.fetch_add(tally.chained, Ordering::Relaxed);
-        }
-        if tally.in_place > 0 {
-            self.in_place.fetch_add(tally.in_place, Ordering::Relaxed);
-        }
-        *tally = Tally { site: tally.site.take(), ..Tally::default() };
-    }
-
-    fn finish_one(&self) {
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+        if finished > 0 && self.pending.fetch_sub(finished, Ordering::AcqRel) == finished {
             // Last pending task: wake run() waiters. Lock their mutex
             // to pair with the condvar wait.
             let _guard = self.done_m.lock();
@@ -770,12 +796,11 @@ impl CriHooks {
     /// an early publication so that it lands behind them.
     fn flush_batch(&self) {
         let key = self.shared.key();
-        let mut tasks = BATCH.with(|b| match b.borrow_mut().last_mut() {
-            Some(f) if f.key == key && !f.tasks.is_empty() => std::mem::take(&mut f.tasks),
-            _ => Vec::new(),
+        BATCH.with(|b| {
+            if let Some(f) = b.borrow_mut().last_mut().filter(|f| f.key == key) {
+                self.shared.publish_batch(&mut f.tasks, false, &mut f.batched);
+            }
         });
-        self.shared.publish_batch(&mut tasks, None);
-        put_spare(tasks);
     }
 
     /// Every spawn leaves its producer here. `now` is the one early
@@ -844,11 +869,12 @@ impl CriHooks {
 
 impl RuntimeHooks for CriHooks {
     /// The chain decision, taken at a tail-position spawn: that spawn
-    /// *is* the batch `publish_batch` would judge at invocation end,
-    /// so the same conditions decide — nothing else buffered,
-    /// `can_chain(site)`, not aborting — for the tasks `may_restart`
-    /// admits. Every link is still a task: counted, and leaving the
-    /// records a materialised chain leaves, in their order.
+    /// ends the batch `publish_batch` would judge at invocation end,
+    /// so the same conditions decide — `chains_past` what is buffered,
+    /// not aborting — for the tasks `may_restart` admits, and what is
+    /// buffered is published as it would be there. Every link is still
+    /// a task: counted, and leaving the records a materialised chain
+    /// leaves, in their order.
     fn chain_in_place(&self, site: usize, fid: FuncId) -> bool {
         let shared = &self.shared;
         let key = shared.key();
@@ -857,15 +883,13 @@ impl RuntimeHooks for CriHooks {
             let Some(f) = frames.last_mut().filter(|f| f.key == key && f.may_restart) else {
                 return false;
             };
-            if !f.tasks.is_empty()
-                || shared.aborting.load(Ordering::Acquire)
-                || !shared.sched.can_chain(site, &mut f.site)
-            {
+            if shared.aborting.load(Ordering::Acquire) || !shared.chains_past(site, &f.tasks) {
                 return false;
             }
             curare_obs::record(EventKind::Enqueue, site as u64);
             let next = new_task(site, fid, Vec::new(), None).inv;
             end_invocation(f.fid, f.inv, 0);
+            shared.publish_batch(&mut f.tasks, false, &mut f.batched);
             curare_obs::record(EventKind::Chain, site as u64);
             begin_invocation(fid, next);
             (f.fid, f.inv, f.in_place) = (fid, next, f.in_place + 1);
@@ -936,6 +960,9 @@ impl RuntimeHooks for CriHooks {
                 // exit), because helping *is* progress.
                 let _beat = self.shared.watched.then(|| BeatGuard::enter(PHASE_TOUCH_WAIT, id));
                 let mut idle_us: u64 = 1;
+                // A helper's own context and tally (the server's are
+                // up the stack, on loan to the op that called this).
+                let mut help: Option<(Vm<'_>, Tally)> = None;
                 loop {
                     if let Some(result) = self.shared.futures.try_get(id) {
                         curare_obs::record_touch(id);
@@ -953,18 +980,19 @@ impl RuntimeHooks for CriHooks {
                     match self.shared.sched.pop() {
                         Some(t) => {
                             idle_us = 1;
-                            let mut tally = Tally::default();
+                            let (vm, tally) =
+                                help.get_or_insert_with(|| (Vm::new(interp), Tally::default()));
                             let mut next = Some(t);
                             while let Some(t) = next.take() {
-                                next = execute_task(interp, &self.shared, t, &mut tally, true);
+                                next = execute_task(&self.shared, vm, t, tally, true);
                                 // Once the touched future resolves,
                                 // hand any chained successor back to
                                 // the pool and return promptly.
                                 if next.is_some() && self.shared.futures.is_resolved(id) {
                                     self.shared.requeue_chained(next.take().expect("checked"));
-                                    self.shared.flush_tally(&mut tally);
                                 }
                             }
+                            self.shared.settle(tally, vm);
                         }
                         None => {
                             // The resolving task runs elsewhere; back
@@ -1057,18 +1085,11 @@ impl CriRuntime {
             mode: config.mode,
             eager: config.mode == SchedMode::Central || config.speculate,
             parkers: (0..servers).map(|_| Parker::default()).collect(),
-            parked_mask: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
-            park_ns: AtomicU64::new(0),
-            peak_parked: AtomicU64::new(0),
+            parked_mask: CachePadded::default(),
             done_m: Mutex::new(()),
             done_cv: Condvar::new(),
-            pending: AtomicU64::new(0),
-            executed: AtomicU64::new(0),
-            chained: AtomicU64::new(0),
-            in_place: AtomicU64::new(0),
-            batched_submits: AtomicU64::new(0),
-            sched_waits: AtomicU64::new(0),
+            pending: CachePadded::default(),
+            counters: CachePadded::default(),
             error: Mutex::new(None),
             shutdown: AtomicBool::new(false),
             aborting: AtomicBool::new(false),
@@ -1260,13 +1281,14 @@ impl CriRuntime {
     /// already on the queues (the retry policy requeues *before*
     /// flipping the degraded flag), so nothing is lost or duplicated.
     fn drain_degraded(&self) {
+        let (mut vm, mut tally) = (Vm::new(&self.interp), Tally::default());
         crate::chaos::with_suppressed(|| {
             while let Some(t) = self.shared.sched.pop() {
-                let mut tally = Tally::default();
                 let mut next = Some(t);
                 while let Some(t) = next.take() {
-                    next = execute_task(&self.interp, &self.shared, t, &mut tally, false);
+                    next = execute_task(&self.shared, &mut vm, t, &mut tally, false);
                 }
+                self.shared.settle(&mut tally, &mut vm);
             }
         });
     }
@@ -1275,23 +1297,24 @@ impl CriRuntime {
     pub fn stats(&self) -> PoolStats {
         let (steal_attempts, steal_successes, steal_failed_races, sites_migrated) =
             self.shared.sched.steal_stats();
+        let c = &self.shared.counters;
         PoolStats {
             steal_attempts,
             steal_successes,
             steal_failed_races,
             sites_migrated,
-            parks: self.shared.parks.load(Ordering::Relaxed),
-            park_ns: self.shared.park_ns.load(Ordering::Relaxed),
-            peak_idle_servers: self.shared.peak_parked.load(Ordering::Relaxed) as usize,
-            tasks: self.shared.executed.load(Ordering::Relaxed),
+            parks: c.parks.load(Ordering::Relaxed),
+            park_ns: c.park_ns.load(Ordering::Relaxed),
+            peak_idle_servers: c.peak_parked.load(Ordering::Relaxed) as usize,
+            tasks: c.executed.load(Ordering::Relaxed),
             peak_queue: self.shared.sched.peak(),
             lock_acquisitions: self.shared.locks.acquisitions(),
             lock_shared_acquisitions: self.shared.locks.shared_acquisitions(),
             lock_contended: self.shared.locks.contended(),
-            chained_tasks: self.shared.chained.load(Ordering::Relaxed),
-            in_place_tasks: self.shared.in_place.load(Ordering::Relaxed),
-            batched_submits: self.shared.batched_submits.load(Ordering::Relaxed),
-            sched_lock_waits: self.shared.sched_waits.load(Ordering::Relaxed),
+            chained_tasks: c.chained.load(Ordering::Relaxed),
+            in_place_tasks: c.in_place.load(Ordering::Relaxed),
+            batched_submits: c.batched_submits.load(Ordering::Relaxed),
+            sched_lock_waits: c.sched_waits.load(Ordering::Relaxed),
             tlab_refills: self.interp.heap().tlab_refills(),
             lock_wait_total_ns: self.shared.locks.wait_total_ns(),
             lock_wait_max_ns: self.shared.locks.wait_max_ns(),
@@ -1471,11 +1494,15 @@ fn server_loop(interp: &Interp, shared: &Arc<Shared>, index: usize) {
     let mut rng: u64 = (index as u64 + 1).wrapping_mul(0x2545_F491_4F6C_DD1D);
     let mut idle_rounds: u32 = 0;
     let mut park_timeout = PARK_TIMEOUT_MIN;
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
+    // One VM context and one tally for the server's life: a task
+    // costs no construction and no shared counter.
+    let (mut vm, mut tally) = (Vm::new(interp), Tally::default());
+    while !shared.shutdown.load(Ordering::Acquire) && !THREAD_POISONED.with(Cell::get) {
         let popped = shared.sched.pop_local(index).or_else(|| {
+            // Its own group is dry: settle before turning thief,
+            // spinning or parking — whoever waits for this server's
+            // finished tasks waits no longer than that.
+            shared.settle(&mut tally, &mut vm);
             let stolen = shared.sched.steal(index, &mut rng);
             if let Some(t) = &stolen {
                 curare_obs::record(EventKind::Steal, t.site as u64);
@@ -1485,13 +1512,9 @@ fn server_loop(interp: &Interp, shared: &Arc<Shared>, index: usize) {
         if let Some(t) = popped {
             idle_rounds = 0;
             park_timeout = PARK_TIMEOUT_MIN;
-            let mut tally = Tally::default();
             let mut next = Some(t);
             while let Some(t) = next.take() {
-                next = execute_task(interp, shared, t, &mut tally, false);
-            }
-            if THREAD_POISONED.with(Cell::get) {
-                return;
+                next = execute_task(shared, &mut vm, t, &mut tally, false);
             }
             continue;
         }
@@ -1510,17 +1533,18 @@ fn server_loop(interp: &Interp, shared: &Arc<Shared>, index: usize) {
         park_timeout = (park_timeout * 2).min(PARK_TIMEOUT_MAX);
         idle_rounds = 0;
     }
+    shared.settle(&mut tally, &mut vm); // leaving: hold nothing back
 }
 
-/// Run one invocation to completion and settle its bookkeeping. Also
-/// used by helping `touch` calls, so it must be re-entrant. Returns a
-/// chained successor the caller must run (or requeue) — its pending
-/// count is already held. Statistics accumulate in `tally` and are
-/// flushed before the chain-ending `finish_one`, so they are exact by
-/// the time `run` observes zero pending tasks.
+/// Run one invocation to completion on `vm` and count it in `tally`.
+/// Also used by helping `touch` calls, so it must be re-entrant.
+/// Returns a chained successor the caller must run (or requeue) — its
+/// pending count is already held. A task that ends its chain leaves
+/// its pending count in `tally.finished`, for the caller to release
+/// when it settles (`Shared::settle`).
 fn execute_task(
-    interp: &Interp,
     shared: &Arc<Shared>,
+    vm: &mut Vm<'_>,
     task: Task,
     tally: &mut Tally,
     helping: bool,
@@ -1541,9 +1565,9 @@ fn execute_task(
     // value (it would wait for the whole chain), no helping `touch`
     // runs it (it must return at the first task boundary it can).
     let may_restart = !shared.eager && retry_copy.is_none() && future.is_none() && !helping;
-    let (tasks, site, in_place) = (take_spare(), tally.site.take(), 0);
+    let (tasks, in_place, batched) = (take_spare(), 0, 0);
     BATCH.with(|b| {
-        b.borrow_mut().push(BatchFrame { key, fid, inv, tasks, may_restart, in_place, site })
+        b.borrow_mut().push(BatchFrame { key, fid, inv, tasks, may_restart, in_place, batched })
     });
     let _beat = shared.watched.then(|| BeatGuard::enter(PHASE_EXECUTING, fid as u64));
     let prev_inv = begin_invocation(fid, inv);
@@ -1553,25 +1577,22 @@ fn execute_task(
     // therefore exactly-once with respect to user effects.
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         crate::chaos::on_task_start();
-        interp.call_fid_owned(fid, args)
+        vm.call(fid, args)
     }));
     let mut frame = BATCH.with(|b| b.borrow_mut().pop()).expect("balanced batch frames");
     debug_assert_eq!(frame.key, key, "frames pop in push order");
     // The frame names the last link; those before it ran in place.
     end_invocation(frame.fid, frame.inv, prev_inv);
-    tally.site = frame.site.take();
     tally.executed += frame.in_place;
     tally.chained += frame.in_place;
     tally.in_place += frame.in_place;
+    tally.batched += frame.batched;
     let result = match caught {
         Ok(r) => r,
         Err(payload) => {
             shared.drop_unpublished(std::mem::take(&mut frame.tasks));
             put_spare(frame.tasks);
-            // The executed/chained counts tallied so far belong to
-            // completed tasks of this chain; publish them before
-            // any path that returns without a later flush.
-            shared.flush_tally(tally);
+            vm.reset();
             if shared.speculate {
                 // SpecMode has no retry/poison ladder: park the
                 // panic as an errored invocation and let the
@@ -1584,15 +1605,15 @@ fn execute_task(
                         .futures
                         .fail(id, LispError::User("task panicked under speculation".into()));
                 }
-                shared.finish_one();
+                tally.finished += 1;
                 return None;
             }
-            return handle_panic(interp, shared, payload, retry_copy, future, tally);
+            return handle_panic(shared, vm, payload, retry_copy, future, tally);
         }
     };
     tally.executed += 1;
     let chained = if result.is_ok() {
-        shared.publish_batch(&mut frame.tasks, Some(&mut tally.site))
+        shared.publish_batch(&mut frame.tasks, true, &mut tally.batched)
     } else {
         shared.drop_unpublished(std::mem::take(&mut frame.tasks));
         None
@@ -1618,20 +1639,18 @@ fn execute_task(
         Err(e) => shared.abort_run(e, future),
     }
     // A chained successor inherits this invocation's pending count;
-    // only tasks with no chain release theirs (after publishing the
-    // chain's tallied statistics).
+    // a task with no chain leaves its own to be released at the settle.
     if chained.is_some() {
         tally.chained += 1;
     } else {
-        shared.flush_tally(tally);
-        shared.finish_one();
+        tally.finished += 1;
     }
     chained
 }
 
 /// The panic policy behind `execute_task`'s catch. The caller has
-/// already settled the obs bookkeeping, dropped the batch frame, and
-/// flushed the tally; this decides what happens to the task itself:
+/// already settled the obs bookkeeping, dropped the batch frame and
+/// reset the VM context; this decides what happens to the task itself:
 ///
 /// - **retry** (injected pre-body panic, or any panic in a declared-
 ///   idempotent function, within budget): requeue the saved copy with
@@ -1645,11 +1664,11 @@ fn execute_task(
 ///   suppressed — guaranteed progress under an always-panic profile;
 /// - **abort** (non-retryable): fail the future so waiters unblock
 ///   (the FutureTable orphan fix), surface the panic as the run error,
-///   drain the queues, and poison the server — a genuine panic may
-///   have corrupted its state.
+///   drain the queues, settle at once and poison the server — a
+///   genuine panic may have corrupted its state.
 fn handle_panic(
-    interp: &Interp,
     shared: &Arc<Shared>,
+    vm: &mut Vm<'_>,
     payload: Box<dyn std::any::Any + Send>,
     retry_copy: Option<Task>,
     future: Option<u64>,
@@ -1675,7 +1694,7 @@ fn handle_panic(
             shared.poison_current_server();
             return None;
         }
-        return crate::chaos::with_suppressed(|| execute_task(interp, shared, copy, tally, false));
+        return crate::chaos::with_suppressed(|| execute_task(shared, vm, copy, tally, false));
     }
     let msg = if injected.is_some() {
         "injected non-retryable fault".to_string()
@@ -1688,7 +1707,8 @@ fn handle_panic(
     };
     shared.abort_run(LispError::User(format!("task panicked: {msg}")), future);
     shared.poison_current_server();
-    shared.finish_one();
+    tally.finished += 1;
+    shared.settle(tally, vm);
     None
 }
 

@@ -25,12 +25,22 @@
 //! The lock-free group-mask read in `pop_group` is only a routing
 //! hint, re-verified under the lock; the authoritative emptiness
 //! signal is `len`, incremented *before* a task becomes visible.
+//!
+//! What a hand-over writes: a push or a pop takes the site's lock and
+//! moves `len`; beyond those it writes shared state only when the
+//! state changes — the owner's mask bit when the site turns non-empty
+//! or empty, the owner cell when the owner differs, `peak` when
+//! exceeded. A site is found by index in an append-only table (no
+//! lock, no reference count); each group's mask, the counters and
+//! every site's hot words have cache lines of their own. `len` stays
+//! one counter rather than being folded into the masks: the shared bit
+//! of sites ≥ 63 is cleared and re-set around a rescan, so "some mask
+//! is nonzero" cannot be the exact `has_work` that parking relies on.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
-use curare_lisp::sync::{Mutex, RwLock};
+use curare_lisp::sync::{AppendVec, CachePadded, Mutex};
 use curare_lisp::{FuncId, Value};
 
 /// One pending invocation: the function, its arguments, and the call
@@ -89,20 +99,29 @@ const UNOWNED: usize = usize::MAX;
 struct SiteQueue {
     q: Mutex<VecDeque<Task>>,
     owner: AtomicUsize,
+    /// Fills a table slot out to 128 bytes, so that two servers on
+    /// neighbouring sites share no line. Padding rather than alignment:
+    /// the table's first segment is eight of these, 1 KB, wherever the
+    /// allocator puts it.
+    _pad: [u64; 9],
 }
 
 impl Default for SiteQueue {
     fn default() -> Self {
-        Self { q: Mutex::new(VecDeque::new()), owner: AtomicUsize::new(UNOWNED) }
+        Self { q: Mutex::new(VecDeque::new()), owner: AtomicUsize::new(UNOWNED), _pad: [0; 9] }
     }
 }
 
-/// A call site's queue, looked up once: what lets the chain decision
-/// of a whole task chain skip the site table's lock.
-#[derive(Debug)]
-pub struct SiteHandle {
-    site: usize,
-    sq: Arc<SiteQueue>,
+/// The counters: total queued tasks, the highest total reached, and
+/// what thieves count. One line, which every push and pop writes.
+#[derive(Debug, Default)]
+struct Traffic {
+    len: AtomicU64,
+    peak: AtomicU64,
+    steal_attempts: AtomicU64,
+    steal_successes: AtomicU64,
+    steal_races: AtomicU64,
+    sites_migrated: AtomicU64,
 }
 
 /// The ordered set of per-call-site queues, internally synchronized
@@ -110,12 +129,13 @@ pub struct SiteHandle {
 /// stealing between them (see module docs).
 #[derive(Debug)]
 pub struct ShardedQueues {
-    sites: RwLock<Vec<Arc<SiteQueue>>>,
+    /// The queues, by site index; created on a site's first push.
+    sites: AppendVec<SiteQueue>,
     /// One nonempty-site bitmask per ownership group. Bit
     /// `min(site, 63)` is set while a site owned by that group may
     /// hold tasks; bit 63 is shared by every site ≥ 63 and re-verified
     /// by rescanning.
-    groups: Vec<AtomicU64>,
+    groups: Vec<CachePadded<AtomicU64>>,
     /// `wake[g]`: the servers that drain group `g` (server `i` drains
     /// group `i % groups`), one bit per server index below 64 — what
     /// a publisher hands the pool to unpark.
@@ -124,12 +144,7 @@ pub struct ShardedQueues {
     /// [`ShardedQueues::retire`] when a server is poisoned). Only the
     /// first 64 groups are tracked; the constructor caps group count.
     live: AtomicU64,
-    len: AtomicU64,
-    peak: AtomicU64,
-    steal_attempts: AtomicU64,
-    steal_successes: AtomicU64,
-    steal_races: AtomicU64,
-    sites_migrated: AtomicU64,
+    traffic: CachePadded<Traffic>,
 }
 
 impl Default for ShardedQueues {
@@ -154,16 +169,11 @@ impl ShardedQueues {
         let n = servers.clamp(1, 64);
         let live = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
         Self {
-            sites: RwLock::new(Vec::new()),
-            groups: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            sites: AppendVec::default(),
+            groups: (0..n).map(|_| CachePadded::default()).collect(),
             wake: (0..n).map(|g| (g..64).step_by(n).fold(0, |m, i| m | 1u64 << i)).collect(),
             live: AtomicU64::new(live),
-            len: AtomicU64::new(0),
-            peak: AtomicU64::new(0),
-            steal_attempts: AtomicU64::new(0),
-            steal_successes: AtomicU64::new(0),
-            steal_races: AtomicU64::new(0),
-            sites_migrated: AtomicU64::new(0),
+            traffic: CachePadded::default(),
         }
     }
 
@@ -188,29 +198,21 @@ impl ShardedQueues {
         (0..n).map(|i| (site + i) % n).find(is_live).unwrap_or(site % n)
     }
 
-    fn site_count(&self) -> usize {
-        self.sites.read().len()
-    }
-
-    fn site_queue(&self, site: usize) -> Arc<SiteQueue> {
-        {
-            let sites = self.sites.read();
-            if let Some(sq) = sites.get(site) {
-                return Arc::clone(sq);
+    /// `site`'s queue, appending the table out to it on first use (two
+    /// racing first users may append a spare site or two: harmless).
+    fn site_queue(&self, site: usize) -> &SiteQueue {
+        loop {
+            if let Some(sq) = self.sites.get(site) {
+                return sq;
             }
+            self.sites.push(SiteQueue::default());
         }
-        let mut sites = self.sites.write();
-        if site >= sites.len() {
-            sites.resize_with(site + 1, Arc::default);
-        }
-        Arc::clone(&sites[site])
     }
 
     /// Current owner group of `site`, resolving unowned or retired
     /// owners to the site's live home.
     pub fn owner_of(&self, site: usize) -> usize {
-        let recorded =
-            self.sites.read().get(site).map_or(UNOWNED, |sq| sq.owner.load(Ordering::Acquire));
+        let recorded = self.sites.get(site).map_or(UNOWNED, |sq| sq.owner.load(Ordering::Acquire));
         self.live_owner(recorded, site)
     }
 
@@ -228,8 +230,10 @@ impl ShardedQueues {
         if n == 0 {
             return 0;
         }
-        let new_len = self.len.fetch_add(n, Ordering::AcqRel) + n;
-        self.peak.fetch_max(new_len, Ordering::Relaxed);
+        let new_len = self.traffic.len.fetch_add(n, Ordering::AcqRel) + n;
+        if new_len > self.traffic.peak.load(Ordering::Relaxed) {
+            self.traffic.peak.fetch_max(new_len, Ordering::Relaxed);
+        }
         let mut wake = 0u64;
         let mut tasks = tasks.peekable();
         while let Some(task) = tasks.next() {
@@ -242,9 +246,18 @@ impl ShardedQueues {
             }
             // Resolve the owner under the site lock: assign the home
             // owner on first use, rehome if the recorded owner retired.
-            let owner = self.live_owner(sq.owner.load(Ordering::Relaxed), site);
-            sq.owner.store(owner, Ordering::Release);
-            self.groups[owner].fetch_or(site_bit(site), Ordering::AcqRel);
+            // The lock decides both writes: nobody else moves this
+            // site's owner or (below 63) its bit meanwhile. A shared
+            // bit seen set may be cleared under us, by a `pop_group`
+            // that then rescans and finds this push.
+            let recorded = sq.owner.load(Ordering::Relaxed);
+            let owner = self.live_owner(recorded, site);
+            if owner != recorded {
+                sq.owner.store(owner, Ordering::Release);
+            }
+            if self.groups[owner].load(Ordering::Acquire) & site_bit(site) == 0 {
+                self.groups[owner].fetch_or(site_bit(site), Ordering::AcqRel);
+            }
             wake |= self.wake[owner];
         }
         wake
@@ -280,7 +293,7 @@ impl ShardedQueues {
     /// falls through to mask order without redrawing the decision.
     fn dequeue(&self, group: Option<usize>) -> Option<Task> {
         if let Some(r) = crate::chaos::pop_shuffle() {
-            let n = self.site_count();
+            let n = self.sites.len();
             let start = (r % n.max(1) as u64) as usize;
             if let Some(t) = (0..n).find_map(|i| self.take((start + i) % n, group)) {
                 return Some(t);
@@ -322,7 +335,7 @@ impl ShardedQueues {
         }
         drop(q);
         if t.is_some() {
-            self.len.fetch_sub(1, Ordering::AcqRel);
+            self.traffic.len.fetch_sub(1, Ordering::AcqRel);
         }
         t
     }
@@ -350,7 +363,7 @@ impl ShardedQueues {
                     None => continue,
                 }
             }
-            let high = || (SHARED_BIT..self.site_count()).find_map(|s| self.take(s, Some(g)));
+            let high = || (SHARED_BIT..self.sites.len()).find_map(|s| self.take(s, Some(g)));
             if let Some(t) = high() {
                 return Some(t);
             }
@@ -380,7 +393,7 @@ impl ShardedQueues {
             return None;
         }
         let me = self.group_of(thief);
-        self.steal_attempts.fetch_add(1, Ordering::Relaxed);
+        self.traffic.steal_attempts.fetch_add(1, Ordering::Relaxed);
         for _ in 0..STEAL_RETRIES {
             let word = splitmix64(rng);
             let victim = self.pick_victim(me, word)?;
@@ -398,13 +411,13 @@ impl ShardedQueues {
                     if self.migrate_site(site, victim, me) {
                         migrated += 1;
                     } else {
-                        self.steal_races.fetch_add(1, Ordering::Relaxed);
+                        self.traffic.steal_races.fetch_add(1, Ordering::Relaxed);
                     }
                 }
                 if migrated > 0 {
-                    self.sites_migrated.fetch_add(migrated as u64, Ordering::Relaxed);
+                    self.traffic.sites_migrated.fetch_add(migrated as u64, Ordering::Relaxed);
                     if let Some(t) = self.pop_group(me) {
-                        self.steal_successes.fetch_add(1, Ordering::Relaxed);
+                        self.traffic.steal_successes.fetch_add(1, Ordering::Relaxed);
                         return Some(t);
                     }
                 }
@@ -414,10 +427,10 @@ impl ShardedQueues {
                 // around — this is what lets several servers chew on
                 // one skewed site at once.
                 if let Some(t) = self.pop_group(victim) {
-                    self.steal_successes.fetch_add(1, Ordering::Relaxed);
+                    self.traffic.steal_successes.fetch_add(1, Ordering::Relaxed);
                     return Some(t);
                 }
-                self.steal_races.fetch_add(1, Ordering::Relaxed);
+                self.traffic.steal_races.fetch_add(1, Ordering::Relaxed);
             }
         }
         None
@@ -474,7 +487,7 @@ impl ShardedQueues {
         let g = self.group_of(server);
         self.live.fetch_and(!(1u64 << g), Ordering::AcqRel);
         let mut wake = 0u64;
-        for site in 0..self.site_count() {
+        for site in 0..self.sites.len() {
             let heir = self.live_owner(g, site);
             if self.migrate_site(site, g, heir) {
                 wake |= self.wake[heir];
@@ -485,12 +498,12 @@ impl ShardedQueues {
 
     /// True when a published (or mid-publish) task exists anywhere.
     pub fn has_work(&self) -> bool {
-        self.len.load(Ordering::Acquire) > 0
+        self.traffic.len.load(Ordering::Acquire) > 0
     }
 
     /// Total queued tasks (may briefly lead visibility during a push).
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire) as usize
+        self.traffic.len.load(Ordering::Acquire) as usize
     }
 
     /// True when nothing is queued.
@@ -500,18 +513,16 @@ impl ShardedQueues {
 
     /// Highest total length ever reached.
     pub fn peak(&self) -> usize {
-        self.peak.load(Ordering::Relaxed) as usize
+        self.traffic.peak.load(Ordering::Relaxed) as usize
     }
 
     /// Steal statistics: (attempts, successes, lost races, sites
     /// migrated).
     pub fn steal_stats(&self) -> (u64, u64, u64, u64) {
-        (
-            self.steal_attempts.load(Ordering::Relaxed),
-            self.steal_successes.load(Ordering::Relaxed),
-            self.steal_races.load(Ordering::Relaxed),
-            self.sites_migrated.load(Ordering::Relaxed),
-        )
+        let t = &self.traffic;
+        [&t.steal_attempts, &t.steal_successes, &t.steal_races, &t.sites_migrated]
+            .map(|c| c.load(Ordering::Relaxed))
+            .into()
     }
 
     /// True when a freshly produced task for `site` could run
@@ -519,15 +530,9 @@ impl ShardedQueues {
     /// the site's *current owner* (chaining follows migration) has no
     /// queued work at or below the site. Re-reads the owner cell on
     /// every call, so a chained successor lands with whichever group
-    /// the site was stolen into — from `cache` when it already holds
-    /// this site's handle, which makes the decision two atomic loads.
-    pub fn can_chain(&self, site: usize, cache: &mut Option<SiteHandle>) -> bool {
-        let h = match cache {
-            Some(h) if h.site == site => h,
-            _ => cache.insert(SiteHandle { site, sq: self.site_queue(site) }),
-        };
-        let owner = self.live_owner(h.sq.owner.load(Ordering::Acquire), site);
-        self.groups[owner].load(Ordering::Acquire) & bits_through(site) == 0
+    /// the site was stolen into. Three loads: writes nothing.
+    pub fn can_chain(&self, site: usize) -> bool {
+        self.groups[self.owner_of(site)].load(Ordering::Acquire) & bits_through(site) == 0
     }
 
     /// Remove and return every queued task (error shutdown needs to
@@ -535,8 +540,7 @@ impl ShardedQueues {
     /// next `pop_group` rescans away.
     pub fn drain_all(&self) -> Vec<Task> {
         let mut out = Vec::new();
-        for site in 0..self.site_count() {
-            let sq = self.site_queue(site);
+        for (site, sq) in self.sites.iter().enumerate() {
             let mut q = sq.q.lock();
             out.extend(q.drain(..));
             let owner = sq.owner.load(Ordering::Relaxed);
@@ -545,7 +549,7 @@ impl ShardedQueues {
             }
         }
         if !out.is_empty() {
-            self.len.fetch_sub(out.len() as u64, Ordering::AcqRel);
+            self.traffic.len.fetch_sub(out.len() as u64, Ordering::AcqRel);
         }
         out
     }
@@ -564,6 +568,7 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn task(site: usize, tag: i64) -> Task {
         Task {
@@ -667,15 +672,16 @@ mod tests {
     #[test]
     fn sharded_can_chain_respects_site_priority() {
         let q = ShardedQueues::new();
-        assert!(q.can_chain(0, &mut None), "empty set chains anywhere");
-        assert!(q.can_chain(500, &mut None));
+        assert!(q.can_chain(0), "empty set chains anywhere");
+        assert!(q.can_chain(500));
+        assert!(q.sites.is_empty(), "asking creates no site");
         q.push(task(2, 1));
-        assert!(q.can_chain(0, &mut None), "site 0 outranks the queued site 2");
-        assert!(q.can_chain(1, &mut None));
-        assert!(!q.can_chain(2, &mut None), "FIFO: queued site-2 work goes first");
-        assert!(!q.can_chain(3, &mut None), "site 2 outranks a new site-3 task");
+        assert!(q.can_chain(0), "site 0 outranks the queued site 2");
+        assert!(q.can_chain(1));
+        assert!(!q.can_chain(2), "FIFO: queued site-2 work goes first");
+        assert!(!q.can_chain(3), "site 2 outranks a new site-3 task");
         q.pop();
-        assert!(q.can_chain(2, &mut None));
+        assert!(q.can_chain(2));
     }
 
     #[test]
@@ -833,34 +839,30 @@ mod tests {
         q.push_batch(vec![task(0, 1), task(0, 2), task(2, 3), task(2, 4)]);
         // Group 1 owns nothing: a site-3 task (homed on group 1)
         // could chain even though group 0 has queued work.
-        assert!(q.can_chain(3, &mut None), "chain decision is per owner group");
-        // One handle cache across the steal, as a task chain carries
-        // it: the handle names the site, the owner is read every time.
-        let mut cache = None;
-        assert!(!q.can_chain(2, &mut cache), "queued site-2 work blocks its own site");
+        assert!(q.can_chain(3), "chain decision is per owner group");
+        assert!(!q.can_chain(2), "queued site-2 work blocks its own site");
         let mut rng = 11u64;
         let stolen = q.steal(1, &mut rng).expect("steal-half succeeds");
         // The higher site (2) migrated; its remaining queued task now
         // blocks chaining through group 1 at or above its index.
         assert_eq!(stolen.site, 2);
         assert_eq!(q.owner_of(2), 1);
-        assert!(!q.can_chain(2, &mut cache), "remaining site-2 work follows the thief");
+        assert!(!q.can_chain(2), "remaining site-2 work follows the thief");
         assert_eq!(q.pop_local(1).map(|t| t.site), Some(2));
-        assert!(q.can_chain(2, &mut cache), "drained: the thief's mask is clear");
+        assert!(q.can_chain(2), "drained: the thief's mask is clear");
         q.push(task(2, 5));
-        assert!(!q.can_chain(5, &mut cache), "homed on the thief, outranked by site 2");
-        assert_eq!(cache.map(|h| h.site), Some(5), "a different site replaces the handle");
+        assert!(!q.can_chain(5), "homed on the thief, outranked by site 2");
     }
 
     /// At a quiescent point `len` is the sum of the queue lengths, and
     /// a group's mask has a site's bit exactly while the group owns
     /// that site non-empty (sites ≥ 63 share a hint bit, not a fact).
     fn assert_len_and_masks_agree(q: &ShardedQueues, ctx: &str) {
-        let sites = q.sites.read();
-        let queued: usize = sites.iter().map(|sq| sq.q.lock().len()).sum();
+        let queued: usize = q.sites.iter().map(|sq| sq.q.lock().len()).sum();
         assert_eq!(q.len(), queued, "{ctx}");
         for (g, mask) in q.groups.iter().enumerate() {
-            let owned = sites
+            let owned = q
+                .sites
                 .iter()
                 .take(SHARED_BIT)
                 .enumerate()
@@ -927,6 +929,65 @@ mod tests {
             assert!(q.is_empty());
             assert_len_and_masks_agree(&q, &format!("seed {seed}, drained"));
         }
+    }
+
+    /// One producer keeps site 0 hot (and feeds three colder sites, all
+    /// past the table's first segment, one behind the shared bit) while
+    /// its owner pops and a thief steals. Every task must come out
+    /// exactly once, each consumer seeing each site's tasks in push
+    /// order, and the counters must agree with the queues afterwards.
+    #[test]
+    fn a_hot_site_under_its_owner_and_a_thief_hands_over_each_task_once_in_order() {
+        const N: i64 = 30_000;
+        let q = ShardedQueues::with_servers(2);
+        let (start, done) = (std::sync::Barrier::new(3), std::sync::atomic::AtomicBool::new(false));
+        let consume = |server: usize| {
+            let mut rng = 0x5EED + server as u64;
+            let mut got: Vec<(usize, i64)> = Vec::new();
+            start.wait();
+            loop {
+                let stolen = || if server == 1 { q.steal(server, &mut rng) } else { None };
+                match q.pop_local(server).or_else(stolen) {
+                    Some(t) => got.push((t.site, t.args[0].as_int().unwrap())),
+                    None if done.load(Ordering::Acquire) && q.is_empty() => return got,
+                    None => std::hint::spin_loop(),
+                }
+            }
+        };
+        let (owner, thief) = std::thread::scope(|s| {
+            let (owner, thief) = (s.spawn(|| consume(0)), s.spawn(|| consume(1)));
+            start.wait();
+            for tag in 0..N {
+                let site = if tag % 8 == 7 { [10, 40, 70][tag as usize / 8 % 3] } else { 0 };
+                q.push(task(site, tag));
+            }
+            done.store(true, Ordering::Release);
+            (owner.join().unwrap(), thief.join().unwrap())
+        });
+        assert!(!thief.is_empty(), "the thief never got a task");
+        for got in [&owner, &thief] {
+            let mut last = std::collections::HashMap::new();
+            for &(site, tag) in got {
+                let prev = last.insert(site, tag);
+                assert!(prev.is_none_or(|p| p < tag), "site {site}: {tag} after {prev:?}");
+            }
+        }
+        let mut all: Vec<i64> = owner.iter().chain(&thief).map(|&(_, tag)| tag).collect();
+        all.sort_unstable();
+        assert!(all.iter().copied().eq(0..N), "{} tasks came out for {N}", all.len());
+        assert_len_and_masks_agree(&q, "drained");
+        // And with tasks left in place: `len` is their sum, the masks
+        // name the sites that hold them.
+        q.push_batch(vec![task(0, 1), task(10, 2), task(10, 3), task(70, 4)]);
+        assert_eq!(q.len(), 4);
+        assert_len_and_masks_agree(&q, "refilled");
+    }
+
+    #[test]
+    fn a_table_slot_is_two_cache_lines_and_the_first_segment_a_kilobyte() {
+        // Neighbouring sites' locks and owner cells never share a line,
+        // and a pool's first push allocates 1 KB of site table.
+        assert_eq!(std::mem::size_of::<std::sync::OnceLock<SiteQueue>>(), 128);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! indistinguishable from the chained task it replaces: same heap,
 //! same output order, same `tasks` and `chained_tasks`, same errors,
 //! same trace — and it must not happen at all where the two could be
-//! told apart (a batch that is not a singleton, a body that may be run
-//! again, a task whose value a toucher waits for, a helping `touch`,
-//! an eager pool, a run that is aborting).
+//! told apart (a batch with a task for the same or a lower site in
+//! it, a body that may be run again, a task whose value a toucher
+//! waits for, a helping `touch`, an eager pool, a run that is
+//! aborting).
 //!
 //! The materialised path is forced without a switch in product code:
 //! a pool with any declared-idempotent function keeps a retry copy of
@@ -44,6 +45,16 @@ const FAN: &str = "(defun fan (l)
                        (cri-enqueue 0 leaf (car l))
                        (cri-enqueue 1 fan (cdr l))))
                    (defun leaf (v) (print v))";
+/// The same with the sites exchanged: the buffered leaf goes to the
+/// *higher* site, so a lowest-site-first dequeue would take the tail
+/// spawn next wherever the leaf is — it chains past the leaf, which is
+/// published first.
+const SPREAD: &str = "(defun spread (l)
+                        (when l
+                          (print (- 0 (car l)))
+                          (cri-enqueue 1 leaf (car l))
+                          (cri-enqueue 0 spread (cdr l))))
+                      (defun leaf (v) (print v))";
 
 /// Restructure `src` (a hand-written CRI program passes through
 /// unchanged) and load it with the globals the walkers use.
@@ -97,8 +108,10 @@ fn in_place_and_materialised_chains_leave_the_same_run() {
         (FIGURE_3, "f3", n as u64),
         (FIGURE_5, "f5", n as u64),
         (SUM_WALK, "walk", n as u64),
-        // A batch of two is not a singleton: never in place.
+        // The leaf beside the tail spawn is bound for a lower site,
+        // which a dequeue would serve first: never in place.
         (FAN, "fan", 0),
+        (SPREAD, "spread", n as u64),
     ];
     for (src, entry, lazy_links) in programs {
         for servers in [1, 2, 4] {
@@ -115,7 +128,7 @@ fn in_place_and_materialised_chains_leave_the_same_run() {
                 assert_eq!(here.stats.batched_submits, there.stats.batched_submits, "{what}");
                 assert_eq!(here.heap, there.heap, "{what}");
                 assert_eq!(here.sum, there.sum, "{what}");
-                if entry == "fan" && servers > 1 {
+                if matches!(entry, "fan" | "spread") && servers > 1 {
                     // Leaves and fans run on different servers.
                     here.output.sort();
                     there.output.sort();
@@ -132,6 +145,16 @@ fn in_place_and_materialised_chains_leave_the_same_run() {
     let fan = run(FAN, "fan", n, 1, SchedMode::Sharded, false);
     let expect: Vec<String> = (1..=n).flat_map(|i| [(-i).to_string(), i.to_string()]).collect();
     assert_eq!(fan.output, expect, "leaf i runs before fan i + 1");
+    // The spreader's chain outranks every leaf: one server walks the
+    // whole list, then runs the leaves in the order it published them,
+    // one batch per link.
+    let spread = run(SPREAD, "spread", n, 1, SchedMode::Sharded, false);
+    let expect: Vec<String> =
+        (1..=n).map(|i| (-i).to_string()).chain((1..=n).map(|i| i.to_string())).collect();
+    assert_eq!(spread.output, expect, "leaves run after the walk, in list order");
+    let PoolStats { tasks, chained_tasks, in_place_tasks, batched_submits, .. } = spread.stats;
+    let n = n as u64;
+    assert_eq!((tasks, chained_tasks, in_place_tasks, batched_submits), (2 * n + 1, n, n, n));
 }
 
 #[test]

@@ -15,14 +15,21 @@
 //!   arguments aliased to one list — the single-access-path premise
 //!   is violated at runtime in a way no static check can see, so the
 //!   validator must abort and replay until the sequential answer
-//!   emerges.
+//!   emerges;
+//! - `FutureRead` and `HelperGlobal`, ⊤-write walkers whose tails
+//!   read–modify–write one accumulator (a cons cell; a global, written
+//!   inside a helper the admission rule does not see). Tails run in
+//!   spawn order and rank in unwind order, so every tail but one reads
+//!   what a sequentially *later* tail stored: the reader must abort
+//!   with the writer, and a global must be journaled whichever engine
+//!   touches it.
 
 mod common;
 
 use std::sync::Arc;
 
 use common::{guard, with_big_stack};
-use curare_lisp::{Interp, Value};
+use curare_lisp::{Engine, Interp, Value};
 use curare_runtime::{CriRuntime, PoolStats, RuntimeConfig, SchedMode};
 use curare_transform::Curare;
 
@@ -46,6 +53,27 @@ enum Prog {
     Scrub,
     /// Cross-parameter walker, called with aliased arguments.
     AliasedMix,
+    /// Tails accumulate into one cons cell, each from a value a
+    /// sequentially later tail stored first.
+    FutureRead,
+    /// The same through a global variable set in a helper.
+    HelperGlobal,
+}
+
+/// `(defun bump (v) ...)`: read the accumulator `place`, count sixteen
+/// up from it, store that plus `v` — a window for other tails to land
+/// in, and 17 per cell of a list of ones.
+fn bump(place: &str, store: &str) -> String {
+    let steps = "(setq x (1+ x)) ".repeat(16);
+    format!(
+        "(defun veil (l) l)
+         (defun bump (v) (let ((x {place})) {steps} ({store} (+ x v))))
+         (defun f (l)
+           (when (consp l)
+             (f (cdr l))
+             (bump (car l))
+             (setf (car (veil l)) 0)))"
+    )
 }
 
 impl Prog {
@@ -101,6 +129,13 @@ impl Prog {
                     (mix (cddr a) (cdr b))
                     (setf (car b) (car a))))"
                 .into(),
+            Prog::FutureRead => {
+                let defs = bump("(car *acc*)", "setf (car (veil *acc*))");
+                format!("(defparameter *acc* (cons 0 nil)) {defs}")
+            }
+            Prog::HelperGlobal => {
+                format!("(defparameter *sum* 0) {}", bump("*sum*", "setq *sum*"))
+            }
         }
     }
 
@@ -189,6 +224,15 @@ impl Prog {
                 exec("mix", &[data, data]);
                 heap.display(data)
             }
+            Prog::FutureRead | Prog::HelperGlobal => {
+                let mut data = Value::NIL;
+                for _ in 0..n {
+                    data = heap.cons(Value::int(1), data);
+                }
+                exec("f", &[data]);
+                let acc = if matches!(self, Prog::FutureRead) { "(car *acc*)" } else { "*sum*" };
+                format!("{} {}", heap.display(interp.load_str(acc).unwrap()), heap.display(data))
+            }
         };
         let output = interp.take_output().join("\n");
         format!("{structure}\n--output--\n{output}")
@@ -207,7 +251,18 @@ impl Prog {
 
     /// One speculative pooled run.
     fn spec_run(self, n: i64, mode: SchedMode, servers: usize) -> (String, PoolStats) {
+        self.spec_run_on(Engine::Vm, n, mode, servers)
+    }
+
+    fn spec_run_on(
+        self,
+        engine: Engine,
+        n: i64,
+        mode: SchedMode,
+        servers: usize,
+    ) -> (String, PoolStats) {
         let interp = self.interp();
+        interp.set_engine(Some(engine));
         let rt = CriRuntime::with_config(
             Arc::clone(&interp),
             servers,
@@ -223,7 +278,7 @@ impl Prog {
     }
 }
 
-const PROGRAMS: [Prog; 8] = [
+const PROGRAMS: [Prog; 10] = [
     Prog::Figure5,
     Prog::Rotate,
     Prog::SumWalk,
@@ -232,6 +287,8 @@ const PROGRAMS: [Prog; 8] = [
     Prog::SumFold,
     Prog::Scrub,
     Prog::AliasedMix,
+    Prog::FutureRead,
+    Prog::HelperGlobal,
 ];
 
 fn sweep(mode: SchedMode) {
@@ -307,6 +364,38 @@ fn aliased_arguments_abort_and_converge() {
         aborts > 0,
         "the aliasing race must have been detected at least once across the battery"
     );
+}
+
+/// Both accumulators, on every pool shape and both engines, from the
+/// smallest list on which a tail can read from the future. On one
+/// server the schedule is fixed: tail k runs before tail k + 1 and
+/// ranks after it, so all but one invocation must abort (or the run
+/// escalate) — a validator that commits them clean has committed
+/// 17·(2n − 1) for 17·n.
+#[test]
+fn a_tail_that_read_a_later_tails_store_never_commits_its_sum() {
+    let _g = guard();
+    for prog in [Prog::FutureRead, Prog::HelperGlobal] {
+        for n in [2, 3, 300] {
+            let expect = prog.oracle(n);
+            assert!(expect.starts_with(&format!("{} (0 0", 17 * n)), "{prog:?}: {expect}");
+            for engine in [Engine::Vm, Engine::Tree] {
+                for mode in [SchedMode::Sharded, SchedMode::Central] {
+                    for servers in [1, 2, 4] {
+                        let (got, stats) = prog.spec_run_on(engine, n, mode, servers);
+                        let what = format!("{prog:?}, n {n}, {engine:?}, {mode:?}, S = {servers}");
+                        assert_eq!(got, expect, "{what}: {stats:?}");
+                        if servers == 1 {
+                            assert!(
+                                stats.spec_escalated || stats.spec_aborts >= n as u64 - 1,
+                                "{what}: {stats:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Speculative runs print through the journal: committed lines come
