@@ -11,6 +11,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (deny broken intra-doc links)"
+# The docs name what the code names: a deleted or moved item that a
+# doc comment still links to fails here.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace --quiet
+
 echo "== cargo build --release"
 cargo build --release
 

@@ -851,9 +851,9 @@ fn speculative_run_ms(p: &Program, n: i64, servers: usize, mode: SchedMode) -> (
 /// `speculate` — programs the static pipeline refuses (a ⊤-write
 /// walker and an under-declared-aliasing walker) run optimistically
 /// on 4 servers: how often do *unpredicted* programs actually
-/// conflict (commit-clean share), next to how often *predicted*
-/// pairs manifest (the sanitizer's cells, run in process), and where
-/// a speculative run's time goes (executing vs resolving). That every
+/// conflict (commit-clean share; how often *predicted* pairs manifest
+/// is the `sanitize` row's first table), and where a speculative
+/// run's time goes (executing vs resolving). That every
 /// such run lands on the sequential oracle is
 /// `speculation_differential.rs`'s claim, not this row's.
 fn speculate(r: &mut Run) {
@@ -917,9 +917,6 @@ fn speculate(r: &mut Run) {
         top_write_clean,
         "",
     );
-    r.say("for comparison, how often predicted pairs manifest (the sanitizer's cells):");
-    let sound = sanitize_cells(r, None);
-    r.gate("the sanitizer's cells are sound", sound, "");
 }
 
 /// `chaos` — what the seeded `mixed` fault profile does to the pool's

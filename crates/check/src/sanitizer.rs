@@ -14,28 +14,34 @@
 //! - **predicted but never observed** — a precision loss only; the
 //!   ratio of manifested predictions is reported.
 //!
-//! **Happens-before.** Each invocation's records (confined to the one
-//! server thread that executed it) are split into *segments* at every
-//! spawn and touch. Edges: program order within an invocation, spawn
+//! **Happens-before.** Each invocation (confined to the one server
+//! thread that executed it, and stamped by the journal's one clock) is
+//! split into *segments* at the epochs of its spawns and touches; what
+//! it did at an epoch lies in the segment after as many of those as
+//! precede it. Edges: program order within an invocation, spawn
 //! (everything before the spawn precedes the child), and touch (the
 //! touched future's whole invocation precedes everything after the
 //! touch). Lock-based ordering is deliberately *not* modeled: a
 //! lock-guarded pair is unordered here but predicted statically, so it
 //! never reports as a failure — only *unpredicted* pairs need an
-//! order.
+//! order. (Touch edges make it a DAG and it is not the sequential rank
+//! of `speclog`'s `SpawnTree`, so reachability is searched, not looked
+//! up there: DESIGN.md "Sanitizer".)
 //!
 //! **Matching.** Observed pairs are keyed by their two final accessor
-//! codes (0 = car, 1 = cdr, 2+k = struct field k), unordered;
-//! predicted pairs take the same key from the conflict's write/other
-//! path tails. A function with unanalyzable writes predicts ⊤ — every
+//! codes (0 = car, 1 = cdr, 2+k = struct field k: `accessor_code` of
+//! the location), unordered; predicted pairs take the same key from
+//! the conflict's write/other path tails. Accesses to globals are in
+//! the journal and skipped here: the §2 prediction is about heap words. A function with unanalyzable writes predicts ⊤ — every
 //! pair — matching its conservative treatment by the pipeline.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use curare_analysis::analyze::analyze_function_with_canon;
 use curare_analysis::{Canonicalizer, DeclDb};
+use curare_lisp::speclog::{self, accessor_code, Observed, GLOBAL_LOC_BIT};
 use curare_lisp::{Heap, Lowerer};
-use curare_obs::{Json, SanEvent, SanRecord};
+use curare_obs::Json;
 use curare_sexpr::parse_all;
 
 /// Unordered pair of final accessor codes.
@@ -135,7 +141,7 @@ pub struct CrossCheck {
     pub pairs_checked: usize,
     /// True when the pair scan hit its cap; coverage was partial.
     pub capped: bool,
-    /// Total records in the snapshot.
+    /// Records judged: heap-word accesses, spawns and touches.
     pub events: usize,
 }
 
@@ -210,101 +216,75 @@ struct AccessAt {
     seg: usize,
     write: bool,
     atomic: bool,
-    tag: u64,
 }
 
-/// Diff a recorded snapshot against the predicted conflict set.
-pub fn cross_check(lanes: &[Vec<SanRecord>], predicted: &PredictedPairs) -> CrossCheck {
-    // 1. Per-invocation event sequences. An invocation executes on
-    // exactly one thread (helping saves/restores the binding), so its
-    // records live in one lane in program order; concatenating lanes
-    // in index order cannot interleave one invocation's records.
-    let mut seqs: BTreeMap<u64, Vec<SanEvent>> = BTreeMap::new();
-    let mut events = 0usize;
-    for lane in lanes {
-        for rec in lane {
-            events += 1;
-            seqs.entry(rec.inv).or_default().push(rec.ev);
-        }
-    }
+/// Diff what the journal observed against the predicted conflict set.
+pub fn cross_check(seen: &Observed, predicted: &PredictedPairs) -> CrossCheck {
+    let accesses = || seen.accesses.iter().filter(|a| a.loc & GLOBAL_LOC_BIT == 0);
 
-    // 2. Segmentation: split each invocation at spawns and touches.
-    // seg_count[inv] = number of segments; accesses collected per
-    // (inv, local segment index).
-    let mut seg_count: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut accesses: Vec<(u64, usize, SanEvent)> = Vec::new();
-    let mut spawn_edges: Vec<(u64, usize, u64)> = Vec::new(); // (inv, seg, child)
-    let mut touch_edges: Vec<(u64, usize, u64)> = Vec::new(); // (inv, post-seg, future)
-    let mut future_owner: HashMap<u64, u64> = HashMap::new();
-    for (&inv, evs) in &seqs {
-        let mut seg = 0usize;
-        for &ev in evs {
-            match ev {
-                SanEvent::Access { .. } => accesses.push((inv, seg, ev)),
-                SanEvent::Spawn { child, future } => {
-                    if let Some(f) = future {
-                        future_owner.insert(f, child);
-                    }
-                    spawn_edges.push((inv, seg, child));
-                    seg += 1;
-                }
-                SanEvent::Touch { future } => {
-                    seg += 1;
-                    touch_edges.push((inv, seg, future));
-                }
-            }
-        }
-        seg_count.insert(inv, seg + 1);
+    // 1. Segmentation: every invocation with a record of its own, as
+    // (its first segment's number, the epochs of its spawns and touches
+    // that cut it). An invocation runs on one thread and the journal
+    // has one clock, so ascending epoch is its program order, whatever
+    // order the lanes gave the records up in.
+    let mut segs: BTreeMap<u64, (usize, Vec<u64>)> = BTreeMap::new();
+    for a in accesses() {
+        segs.entry(a.inv).or_default();
     }
-
-    // 3. Global node ids and the happens-before DAG.
-    let mut base: BTreeMap<u64, usize> = BTreeMap::new();
+    for s in &seen.spawns {
+        segs.entry(s.parent).or_default().1.push(s.epoch);
+    }
+    for t in &seen.touches {
+        segs.entry(t.inv).or_default().1.push(t.epoch);
+    }
     let mut nodes = 0usize;
-    for (&inv, &n) in &seg_count {
-        base.insert(inv, nodes);
-        nodes += n;
+    for (first, cuts) in segs.values_mut() {
+        cuts.sort_unstable();
+        *first = nodes;
+        nodes += cuts.len() + 1;
     }
-    let node = |inv: u64, seg: usize| base[&inv] + seg;
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); nodes];
-    for (&inv, &n) in &seg_count {
-        for s in 0..n.saturating_sub(1) {
-            succs[node(inv, s)].push(node(inv, s + 1));
+    // The segment `inv` was in at `epoch`. (An invocation that recorded
+    // nothing has no node — and no accesses to order.)
+    let node = |inv: u64, epoch: u64| {
+        let (first, cuts) = segs.get(&inv)?;
+        Some(first + cuts.partition_point(|&c| c < epoch))
+    };
+
+    // 2. The happens-before DAG: program order (every segment but an
+    // invocation's last precedes the next one), spawns, touches.
+    let mut succs: Vec<Vec<usize>> = (1..=nodes).map(|next| vec![next]).collect();
+    for (first, cuts) in segs.values() {
+        succs[first + cuts.len()].clear();
+    }
+    let mut future_owner: HashMap<u64, u64> = HashMap::new();
+    for s in &seen.spawns {
+        if let Some(f) = s.future {
+            future_owner.insert(f, s.child);
+        }
+        if let (Some(before), Some(child)) = (node(s.parent, s.epoch), node(s.child, 0)) {
+            succs[before].push(child);
         }
     }
-    for &(inv, seg, child) in &spawn_edges {
-        // A child that recorded nothing has no node — and no accesses
-        // to order.
-        if seg_count.contains_key(&child) {
-            succs[node(inv, seg)].push(node(child, 0));
-        }
-    }
-    for &(inv, post_seg, future) in &touch_edges {
-        if let Some(&owner) = future_owner.get(&future) {
-            if let Some(&n) = seg_count.get(&owner) {
-                succs[node(owner, n - 1)].push(node(inv, post_seg));
-            }
+    for t in &seen.touches {
+        let owner_end = future_owner.get(&t.future).and_then(|&owner| node(owner, u64::MAX));
+        if let (Some(end), Some(after)) = (owner_end, node(t.inv, t.epoch + 1)) {
+            succs[end].push(after);
         }
     }
 
-    // 4. Location index, deduplicated: repeated identical accesses in
+    // 3. Location index, deduplicated: repeated identical accesses in
     // one segment add nothing to the pair scan.
     let mut index: BTreeMap<u64, BTreeSet<AccessAt>> = BTreeMap::new();
-    for &(inv, seg, ev) in &accesses {
-        if inv == 0 {
-            continue; // outside any CRI invocation: driver-side work
-        }
-        if let SanEvent::Access { loc, write, atomic, tag } = ev {
-            index.entry(loc).or_default().insert(AccessAt {
-                inv,
-                seg: node(inv, seg),
-                write,
-                atomic,
-                tag,
-            });
-        }
+    for a in accesses().filter(|a| a.inv != 0) {
+        index.entry(a.loc).or_default().insert(AccessAt {
+            inv: a.inv,
+            seg: node(a.inv, a.epoch).expect("an accessor has segments"),
+            write: a.write,
+            atomic: a.atomic,
+        });
     }
 
-    // 5. Pair scan. Reachability is answered by DFS over the DAG with
+    // 4. Pair scan. Reachability is answered by DFS over the DAG with
     // a memo; unpredicted keys are rare (none, in a sound run), so the
     // DFS almost never runs.
     let mut reach_memo: HashMap<(usize, usize), bool> = HashMap::new();
@@ -316,12 +296,14 @@ pub fn cross_check(lanes: &[Vec<SanRecord>], predicted: &PredictedPairs) -> Cros
         unpredicted_total: 0,
         pairs_checked: 0,
         capped: false,
-        events,
+        events: accesses().count() + seen.spawns.len() + seen.touches.len(),
     };
     'locs: for (&loc, accs) in &index {
         if !accs.iter().any(|a| a.write) {
             continue;
         }
+        // The accessor code is the word's, so both sides carry it.
+        let key = (accessor_code(loc), accessor_code(loc));
         let accs: Vec<&AccessAt> = accs.iter().collect();
         for i in 0..accs.len() {
             for j in i + 1..accs.len() {
@@ -334,7 +316,6 @@ pub fn cross_check(lanes: &[Vec<SanRecord>], predicted: &PredictedPairs) -> Cros
                     break 'locs;
                 }
                 check.pairs_checked += 1;
-                let key = pair_key(a.tag, b.tag);
                 check.observed.insert(key);
                 let ordered = reaches(&succs, &mut reach_memo, a.seg, b.seg)
                     || reaches(&succs, &mut reach_memo, b.seg, a.seg);
@@ -491,9 +472,9 @@ pub fn lock_coverage(src: &str, check: CrossCheck) -> Result<LockCheck, String> 
 }
 
 /// Replay a program under its transformed form (locks and all) with
-/// the sanitizer installed, and fail the coverage check if any
-/// observed happens-before-unordered conflict escapes the synthesized
-/// or declared lock placement. Serialize calls like [`sanitized_run`].
+/// the journal observing, and fail the coverage check if any observed
+/// happens-before-unordered conflict escapes the synthesized or
+/// declared lock placement. One at a time, like [`sanitized_run`].
 pub fn sanitized_lock_check(
     src: &str,
     entry: &str,
@@ -505,14 +486,15 @@ pub fn sanitized_lock_check(
     lock_coverage(src, check)
 }
 
-/// Run a program's transformed form on a CRI pool with the sanitizer
-/// installed and cross-check the recording. `args_for` builds the
-/// entry function's arguments on the loaded interpreter's heap
-/// (before recording starts, so setup accesses are not logged).
+/// Run a program's transformed form on a CRI pool with the access
+/// journal observing (`speclog::observe`) and cross-check what it saw.
+/// `args_for` builds the entry function's arguments on the loaded
+/// interpreter's heap (before recording starts, so setup accesses are
+/// not journaled).
 ///
-/// Installs the process-global sanitizer for the run's duration:
-/// callers (tests, the experiments driver) must serialize sanitized
-/// runs.
+/// The journal is process-wide and serves one run at a time: while
+/// another sanitized run, or a speculative one, is in flight this
+/// returns that refusal and disturbs nothing.
 pub fn sanitized_run(
     src: &str,
     entry: &str,
@@ -528,19 +510,19 @@ pub fn sanitized_run(
     interp.load_str(&out.source()).map_err(|e| e.to_string())?;
     let args = args_for(&interp);
 
-    let log = curare_obs::AccessLog::new(servers);
-    curare_obs::install_sanitizer(Some(Arc::clone(&log)));
+    speclog::observe().map_err(|e| e.to_string())?;
     let rt = curare_runtime::CriRuntime::with_mode(Arc::clone(&interp), servers, mode);
     let run_result = rt.run(entry, &args);
     drop(rt);
-    curare_obs::install_sanitizer(None);
+    let seen = speclog::observed();
     run_result.map_err(|e| e.to_string())?;
-    Ok(cross_check(&log.snapshot(), &predicted))
+    Ok(cross_check(&seen, &predicted))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use curare_lisp::speclog::{Access, Spawn, Touch};
 
     #[test]
     fn dps_introduced_links_are_predicted() {
@@ -556,16 +538,40 @@ mod tests {
         assert!(!p.top);
     }
 
-    fn acc(inv: u64, loc: u64, write: bool, tag: u64) -> SanRecord {
-        SanRecord { inv, ev: SanEvent::Access { loc, write, atomic: false, tag } }
+    /// One thing an invocation did: read or write `loc`, spawn `child`
+    /// (with its future's id), touch `future`.
+    #[derive(Clone, Copy)]
+    enum Did {
+        Read(u64),
+        Write(u64),
+        Spawn(u64, Option<u64>),
+        Touch(u64),
+    }
+    use Did::*;
+
+    /// The journal of `(invocation, what it did)` in the order it
+    /// happened: the k-th record is stamped epoch k + 1.
+    fn seen(in_order: &[(u64, Did)]) -> Observed {
+        let mut seen = Observed::default();
+        for (&(inv, did), epoch) in in_order.iter().zip(1..) {
+            match did {
+                Read(loc) | Write(loc) => {
+                    let write = matches!(did, Write(_));
+                    seen.accesses.push(Access { inv, loc, epoch, write, atomic: false });
+                }
+                Spawn(child, future) => {
+                    seen.spawns.push(Spawn { parent: inv, child, epoch, future })
+                }
+                Touch(future) => seen.touches.push(Touch { inv, future, epoch }),
+            }
+        }
+        seen
     }
 
-    fn spawn(inv: u64, child: u64, future: Option<u64>) -> SanRecord {
-        SanRecord { inv, ev: SanEvent::Spawn { child, future } }
-    }
-
-    fn touch(inv: u64, future: u64) -> SanRecord {
-        SanRecord { inv, ev: SanEvent::Touch { future } }
+    /// inv 1 spawns inv 2 and *then* reads `loc`, which inv 2 writes:
+    /// no order between them.
+    fn post_spawn_race(loc: u64) -> Observed {
+        seen(&[(1, Spawn(2, None)), (1, Read(loc)), (2, Write(loc))])
     }
 
     #[test]
@@ -573,19 +579,16 @@ mod tests {
         // inv 1 writes loc 8, then spawns inv 2, which reads loc 8:
         // ordered by the spawn edge, so unpredicted stays empty even
         // with an empty prediction set.
-        let lanes = vec![vec![acc(1, 8, true, 0), spawn(1, 2, None)], vec![acc(2, 8, false, 0)]];
-        let check = cross_check(&lanes, &PredictedPairs::default());
+        let seen = seen(&[(1, Write(8)), (1, Spawn(2, None)), (2, Read(8))]);
+        let check = cross_check(&seen, &PredictedPairs::default());
         assert!(check.sound(), "{:?}", check.unpredicted);
-        assert_eq!(check.pairs_checked, 1);
-        assert_eq!(check.observed.len(), 1);
+        assert_eq!((check.pairs_checked, check.observed.len(), check.events), (1, 1, 3));
     }
 
     #[test]
     fn post_spawn_read_against_child_write_is_a_failure() {
-        // inv 1 spawns inv 2 and *then* reads loc 8, which inv 2
-        // writes: no order between them, nothing predicted → unsound.
-        let lanes = vec![vec![spawn(1, 2, None), acc(1, 8, false, 0)], vec![acc(2, 8, true, 0)]];
-        let check = cross_check(&lanes, &PredictedPairs::default());
+        // Nothing orders them, nothing predicted them → unsound.
+        let check = cross_check(&post_spawn_race(8), &PredictedPairs::default());
         assert!(!check.sound());
         assert_eq!(check.unpredicted_total, 1);
         assert_eq!(check.unpredicted[0].loc, 8);
@@ -594,10 +597,9 @@ mod tests {
 
     #[test]
     fn predicted_pair_is_not_a_failure_even_unordered() {
-        let lanes = vec![vec![spawn(1, 2, None), acc(1, 8, false, 0)], vec![acc(2, 8, true, 0)]];
         let mut predicted = PredictedPairs::default();
         predicted.keys.insert((0, 0));
-        let check = cross_check(&lanes, &predicted);
+        let check = cross_check(&post_spawn_race(8), &predicted);
         assert!(check.sound());
         // ... and it manifested, so precision is 1.
         assert!((check.precision() - 1.0).abs() < 1e-9);
@@ -605,31 +607,30 @@ mod tests {
 
     #[test]
     fn touch_orders_child_before_continuation() {
-        // inv 1 spawns inv 2 as future 7, touches it, then writes what
-        // the child wrote: ordered through the touch edge.
-        let lanes = vec![
-            vec![spawn(1, 2, Some(7)), touch(1, 7), acc(1, 8, true, 0)],
-            vec![acc(2, 8, true, 0)],
-        ];
-        let check = cross_check(&lanes, &PredictedPairs::default());
-        assert!(check.sound(), "{:?}", check.unpredicted);
+        // inv 1 spawns inv 2 as future 7 and touches it. What it writes
+        // after the touch is ordered behind the child's write through
+        // the touch edge; what it wrote before is not. Epochs say which
+        // is which, not the order the lanes gave the records up in.
+        let journal = |early: bool| {
+            let (spawn, child) = ((1, Spawn(2, Some(7))), (2, Write(8)));
+            let (write, touch) = ((1, Write(8)), (1, Touch(7)));
+            let order =
+                if early { [spawn, write, child, touch] } else { [spawn, child, touch, write] };
+            let mut seen = seen(&order);
+            seen.accesses.reverse();
+            cross_check(&seen, &PredictedPairs::default())
+        };
+        assert!(journal(false).sound(), "{:?}", journal(false).unpredicted);
+        assert_eq!(journal(true).unpredicted[0].invs, (1, 2), "written before the touch");
     }
 
     #[test]
     fn same_invocation_and_atomic_pairs_are_ignored() {
-        let lanes = vec![vec![
-            acc(1, 8, true, 0),
-            acc(1, 8, false, 0), // same invocation: no pair
-            SanRecord {
-                inv: 2,
-                ev: SanEvent::Access { loc: 9, write: true, atomic: true, tag: 0 },
-            },
-            SanRecord {
-                inv: 3,
-                ev: SanEvent::Access { loc: 9, write: true, atomic: true, tag: 0 },
-            },
-        ]];
-        let check = cross_check(&lanes, &PredictedPairs::default());
+        // inv 1 against itself is no pair, and two atomic RMWs of one
+        // word never race.
+        let mut seen = seen(&[(1, Write(8)), (1, Read(8)), (2, Write(9)), (3, Write(9))]);
+        seen.accesses[2..].iter_mut().for_each(|a| a.atomic = true);
+        let check = cross_check(&seen, &PredictedPairs::default());
         assert!(check.sound());
         assert_eq!(check.pairs_checked, 0);
     }
@@ -638,18 +639,27 @@ mod tests {
     fn driver_accesses_are_excluded() {
         // inv 0 (the driver, displaying results) reads everything the
         // invocations wrote; no pairs involve it.
-        let lanes = vec![vec![acc(0, 8, false, 0)], vec![acc(1, 8, true, 0)]];
-        let check = cross_check(&lanes, &PredictedPairs::default());
+        let seen = seen(&[(0, Read(8)), (1, Write(8))]);
+        let check = cross_check(&seen, &PredictedPairs::default());
         assert!(check.sound());
         assert_eq!(check.pairs_checked, 0);
     }
 
     #[test]
-    fn top_prediction_absorbs_everything() {
-        let lanes = vec![vec![spawn(1, 2, None), acc(1, 8, false, 3)], vec![acc(2, 8, true, 5)]];
-        let predicted = PredictedPairs { keys: BTreeSet::new(), top: true };
-        let check = cross_check(&lanes, &predicted);
+    fn a_conflicting_pair_on_a_global_is_ignored() {
+        // A global's cell is in the journal (speculation undoes it)
+        // and not judged here: §2 predicts heap words.
+        let check = cross_check(&post_spawn_race(GLOBAL_LOC_BIT | 8), &PredictedPairs::default());
         assert!(check.sound());
+        assert_eq!((check.pairs_checked, check.events), (0, 1), "only the spawn counts");
+    }
+
+    #[test]
+    fn top_prediction_absorbs_everything() {
+        let predicted = PredictedPairs { keys: BTreeSet::new(), top: true };
+        let check = cross_check(&post_spawn_race(speclog::struct_loc(8, 3)), &predicted);
+        assert!(check.sound());
+        assert_eq!(check.observed, BTreeSet::from([(5, 5)]), "field 3 of a struct");
     }
 
     #[test]
@@ -682,8 +692,7 @@ mod tests {
 
     #[test]
     fn json_round_trips() {
-        let lanes = vec![vec![spawn(1, 2, None), acc(1, 8, false, 0)], vec![acc(2, 8, true, 0)]];
-        let check = cross_check(&lanes, &PredictedPairs::default());
+        let check = cross_check(&post_spawn_race(8), &PredictedPairs::default());
         let text = check.to_json().to_string();
         assert!(!text.contains('\n'));
         let doc = Json::parse(&text).expect("round-trip");
@@ -702,7 +711,8 @@ mod sanitized_tests {
     use curare_runtime::SchedMode;
     use std::sync::{Mutex, PoisonError};
 
-    // The sanitizer install point is process-global: serialize runs.
+    // The journal is process-global and serves one run at a time:
+    // serialize runs.
     static RUN_GUARD: Mutex<()> = Mutex::new(());
 
     fn list_src(n: usize) -> String {
@@ -758,6 +768,52 @@ mod sanitized_tests {
                        (rot (cdr l))))";
         let check = run(src, "rot", 32, 2, SchedMode::Sharded);
         assert!(check.sound(), "unpredicted: {:?}", check.unpredicted);
+    }
+
+    #[test]
+    fn a_struct_field_is_keyed_by_its_accessor_code() {
+        // Figure 5 over a `defstruct` chain: each invocation adds its
+        // node's `val` into the next node's. `val` is field 1, so both
+        // sides of the predicted — and of the observed — pair carry
+        // accessor code 2 + 1, read back out of the packed location.
+        let src = "(defstruct node next val)
+                   (defun bump (n)
+                     (when (node-next n)
+                       (setf (node-val (node-next n))
+                             (+ (node-val n) (node-val (node-next n))))
+                       (bump (node-next n))))";
+        let _g = RUN_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
+        let check = sanitized_run(src, "bump", 2, SchedMode::Sharded, |interp| {
+            let chain = "(let ((l nil)) (dotimes (i 24) (setq l (make-node l 1))) l)";
+            vec![interp.load_str(chain).unwrap()]
+        })
+        .expect("sanitized run");
+        assert!(check.sound(), "unpredicted: {:?}", check.unpredicted);
+        assert!(check.predicted.keys.contains(&(3, 3)), "{:?}", check.predicted.keys);
+        assert!(check.observed.contains(&(3, 3)), "{:?}", check.observed);
+        assert!(check.observed.iter().all(|&(a, b)| a >= 2 && b >= 2), "{:?}", check.observed);
+    }
+
+    #[test]
+    fn one_journaled_run_at_a_time_and_a_failed_one_frees_the_journal() {
+        let _g = RUN_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
+        let run = |src| {
+            sanitized_run(src, "walk", 2, SchedMode::Sharded, |interp| {
+                vec![interp.load_str(&list_src(8)).unwrap()]
+            })
+        };
+        // The last invocation's body errors: the error is the run's,
+        // as it would be unobserved, and the journal is free again.
+        let failing = "(defun walk (l) (cond ((null l) (car 7)) (t (walk (cdr l)))))";
+        let err = run(failing).expect_err("the body error is the run's");
+        assert!(err.contains("car") && !speclog::armed(), "{err}");
+        // While a speculative run holds the journal a sanitized one is
+        // refused (two recorders used to run side by side, unaware).
+        speclog::arm().expect("free after the failed run");
+        let refused = run(failing).expect_err("one run at a time");
+        assert!(refused.contains("a speculative run is already in flight"), "{refused}");
+        assert!(speclog::armed(), "refused means untouched");
+        speclog::disarm();
     }
 
     #[test]

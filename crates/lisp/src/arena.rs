@@ -159,7 +159,7 @@ impl<T: Default + Send + Sync> AtomicArena<T> {
     }
 
     /// Reserve one slot through this thread's allocation buffer:
-    /// slots are claimed from the shared counter [`TLAB_CHUNK`] at a
+    /// slots are claimed from the shared counter `TLAB_CHUNK` at a
     /// time and bump-allocated locally, so the hot path touches no
     /// shared cache line. Reserved-but-unconsumed slots stay
     /// default-initialized (and count toward [`Self::len`]), exactly

@@ -139,9 +139,8 @@ impl Heap {
     /// the arena counter's cache line on every cons.
     ///
     /// Initialization stores (here and in [`Heap::make_struct`]) are
-    /// not sanitizer-instrumented: a fresh cell is invisible to other
-    /// invocations until its value is published through an already
-    /// instrumented write.
+    /// not journaled: a fresh cell is invisible to other invocations
+    /// until its value is published through a journaled write.
     pub fn cons(&self, car: Value, cdr: Value) -> Value {
         let id = self.conses.alloc_tlab();
         let cell = self.conses.get(id);
@@ -150,11 +149,11 @@ impl Heap {
         Value::cons(id)
     }
 
-    /// The mutable word behind a packed sanitizer/speculation location
-    /// (cons car/cdr or struct slot — never a global or vector slot).
+    /// The mutable word behind a packed journal location (cons car/cdr
+    /// or struct slot — never a global or vector slot).
     pub(crate) fn spec_loc_cell(&self, loc: u64) -> &AtomicU64 {
-        if loc & curare_obs::sanitize::STRUCT_LOC_BIT != 0 {
-            self.slots.get(loc & !curare_obs::sanitize::STRUCT_LOC_BIT)
+        if loc & speclog::STRUCT_LOC_BIT != 0 {
+            self.slots.get(speclog::struct_slot(loc))
         } else if loc & 1 != 0 {
             &self.conses.get(loc >> 1).cdr
         } else {
@@ -164,24 +163,12 @@ impl Heap {
 
     /// Read the `car` of cons `id`.
     pub fn car_of(&self, id: ConsId) -> Value {
-        curare_obs::record_access(id << 1, false, false, 0);
-        let lo = speclog::read_begin();
-        let v = Value::from_bits(self.conses.get(id).car.load(Ordering::Acquire));
-        if let Some(lo) = lo {
-            speclog::read_end(id << 1, lo);
-        }
-        v
+        Value::from_bits(speclog::load(&self.conses.get(id).car, id << 1))
     }
 
     /// Read the `cdr` of cons `id`.
     pub fn cdr_of(&self, id: ConsId) -> Value {
-        curare_obs::record_access(id << 1 | 1, false, false, 1);
-        let lo = speclog::read_begin();
-        let v = Value::from_bits(self.conses.get(id).cdr.load(Ordering::Acquire));
-        if let Some(lo) = lo {
-            speclog::read_end(id << 1 | 1, lo);
-        }
-        v
+        Value::from_bits(speclog::load(&self.conses.get(id).cdr, id << 1 | 1))
     }
 
     /// `(car v)`: nil for nil, error for non-lists.
@@ -206,16 +193,7 @@ impl Heap {
     pub fn set_car(&self, v: Value, new: Value) -> Result<()> {
         match v.decode() {
             Val::Cons(id) => {
-                curare_obs::record_access(id << 1, true, false, 0);
-                let cell = &self.conses.get(id).car;
-                match speclog::write_section(id << 1, None) {
-                    Some(sec) => {
-                        let old = cell.load(Ordering::Acquire);
-                        cell.store(new.bits(), Ordering::Release);
-                        sec.store(old, new.bits());
-                    }
-                    None => cell.store(new.bits(), Ordering::Release),
-                }
+                speclog::store(&self.conses.get(id).car, id << 1, None, new.bits());
                 Ok(())
             }
             _ => Err(self.type_error("cons", v, "rplaca")),
@@ -226,16 +204,7 @@ impl Heap {
     pub fn set_cdr(&self, v: Value, new: Value) -> Result<()> {
         match v.decode() {
             Val::Cons(id) => {
-                curare_obs::record_access(id << 1 | 1, true, false, 1);
-                let cell = &self.conses.get(id).cdr;
-                match speclog::write_section(id << 1 | 1, None) {
-                    Some(sec) => {
-                        let old = cell.load(Ordering::Acquire);
-                        cell.store(new.bits(), Ordering::Release);
-                        sec.store(old, new.bits());
-                    }
-                    None => cell.store(new.bits(), Ordering::Release),
-                }
+                speclog::store(&self.conses.get(id).cdr, id << 1 | 1, None, new.bits());
                 Ok(())
             }
             _ => Err(self.type_error("cons", v, "rplacd")),
@@ -336,14 +305,8 @@ impl Heap {
                     return Err(LispError::IndexOutOfRange { index: idx as i64, len });
                 }
                 let slot = base + idx as u64;
-                let loc = curare_obs::sanitize::STRUCT_LOC_BIT | slot;
-                curare_obs::record_access(loc, false, false, 2 + idx as u64);
-                let lo = speclog::read_begin();
-                let v = Value::from_bits(self.slots.get(slot).load(Ordering::Acquire));
-                if let Some(lo) = lo {
-                    speclog::read_end(loc, lo);
-                }
-                Ok(v)
+                let loc = speclog::struct_loc(slot, idx);
+                Ok(Value::from_bits(speclog::load(self.slots.get(slot), loc)))
             }
             _ => Err(self.type_error("struct", v, "struct field read")),
         }
@@ -358,17 +321,8 @@ impl Heap {
                     return Err(LispError::IndexOutOfRange { index: idx as i64, len });
                 }
                 let slot = base + idx as u64;
-                let loc = curare_obs::sanitize::STRUCT_LOC_BIT | slot;
-                curare_obs::record_access(loc, true, false, 2 + idx as u64);
-                let cell = self.slots.get(slot);
-                match speclog::write_section(loc, None) {
-                    Some(sec) => {
-                        let old = cell.load(Ordering::Acquire);
-                        cell.store(new.bits(), Ordering::Release);
-                        sec.store(old, new.bits());
-                    }
-                    None => cell.store(new.bits(), Ordering::Release),
-                }
+                let loc = speclog::struct_loc(slot, idx);
+                speclog::store(self.slots.get(slot), loc, None, new.bits());
                 Ok(())
             }
             _ => Err(self.type_error("struct", v, "struct field write")),
@@ -381,14 +335,8 @@ impl Heap {
     /// updates; concurrent updates never lose increments.
     pub fn atomic_add_field(&self, cell: Value, field: u32, delta: i64) -> Result<Value> {
         let (slot, loc): (&AtomicU64, u64) = match (cell.decode(), field) {
-            (Val::Cons(id), 0) => {
-                curare_obs::record_access(id << 1, true, true, 0);
-                (&self.conses.get(id).car, id << 1)
-            }
-            (Val::Cons(id), 1) => {
-                curare_obs::record_access(id << 1 | 1, true, true, 1);
-                (&self.conses.get(id).cdr, id << 1 | 1)
-            }
+            (Val::Cons(id), 0) => (&self.conses.get(id).car, id << 1),
+            (Val::Cons(id), 1) => (&self.conses.get(id).cdr, id << 1 | 1),
             (Val::Struct(id), f) if f >= 2 => {
                 let (_, base, len) = self.struct_header(id);
                 let idx = (f - 2) as usize;
@@ -396,9 +344,7 @@ impl Heap {
                     return Err(LispError::IndexOutOfRange { index: idx as i64, len });
                 }
                 let s = base + idx as u64;
-                let loc = curare_obs::sanitize::STRUCT_LOC_BIT | s;
-                curare_obs::record_access(loc, true, true, f as u64);
-                (self.slots.get(s), loc)
+                (self.slots.get(s), speclog::struct_loc(s, idx))
             }
             _ => return Err(self.type_error("locatable cell", cell, "atomic-incf-cell")),
         };

@@ -372,7 +372,7 @@ impl Interp {
     /// (compiled code holds it): the same journaled read, no lookup.
     #[inline]
     pub fn get_global_in(&self, sym: SymId, cell: &AtomicU64) -> Result<Value> {
-        let v = Value::from_bits(speclog::note_global_read(sym, || cell.load(Ordering::Acquire)));
+        let v = Value::from_bits(speclog::load(cell, speclog::GLOBAL_LOC_BIT | sym as u64));
         if v == Value::UNBOUND {
             return Err(LispError::Unbound(self.heap.sym_name(sym).to_string()));
         }
@@ -388,14 +388,7 @@ impl Interp {
     /// reads it.
     #[inline]
     pub fn set_global_in(&self, sym: SymId, cell: &Arc<AtomicU64>, v: Value) {
-        match speclog::write_section(speclog::GLOBAL_LOC_BIT | sym as u64, Some(cell)) {
-            Some(sec) => {
-                let old = cell.load(Ordering::Acquire);
-                cell.store(v.bits(), Ordering::Release);
-                sec.store(old, v.bits());
-            }
-            None => cell.store(v.bits(), Ordering::Release),
-        }
+        speclog::store(cell, speclog::GLOBAL_LOC_BIT | sym as u64, Some(cell), v.bits());
     }
 
     /// Snapshot every bound global as `(symbol, value)` pairs, in no

@@ -1,4 +1,14 @@
-//! The speculation journal and commit-time validator (`SpecMode`).
+//! The access journal: the one recorder of what an invocation did to
+//! the heap — which invocation touched which word, who spawned whom,
+//! who saw which future resolved — armed at one of two levels by
+//! whoever will read it. [`observe`] is the heap-access sanitizer's:
+//! the run is left alone (`print` is not diverted, errors are not
+//! parked, nothing is undone) and [`observed`] hands its records to
+//! `curare_check::cross_check`. [`arm`] is speculation's, read by
+//! [`resolve`]: the rest of this page. The journal is process-wide, so
+//! one run holds it at a time, at one level.
+//!
+//! # Speculation
 //!
 //! The paper's pipeline forces sequential ordering the moment a
 //! conflict cannot be *proven* absent (a ⊤-write verdict, or aliasing
@@ -10,7 +20,7 @@
 //! it is not, the sequentially later invocation is aborted (its writes
 //! undone from the journal) and replayed after its conflictor — which
 //! aborts too when it is a read that took its value from that write; after
-//! `spec_retry_limit` rounds, or on any surprise the replay machinery
+//! `retry_limit` rounds, or on any surprise the replay machinery
 //! cannot express, the run falls back to the sequential-degradation
 //! ladder: roll back *everything* and rerun the roots inline, which
 //! returns the exact sequential answer by construction.
@@ -22,8 +32,8 @@
 //!
 //! # Lanes
 //!
-//! Every record — read bracket, write, spawn, parked error, diverted
-//! output line — is appended to the executing thread's own lane
+//! Every record — read bracket, write, spawn, touch, parked error,
+//! diverted output line — is appended to the executing thread's own lane
 //! (`curare_obs::tracer::lane()`; threads that share a lane number
 //! share its mutex, nothing else). The run path takes no process-wide
 //! lock and never looks at another lane. **Visibility at quiescence:**
@@ -33,10 +43,21 @@
 //! then sees every record of the run, whichever server made it and in
 //! whatever order parents and children finished.
 //!
+//! # Locations
+//!
+//! A location is one mutable word, in the packing this page defines: the
+//! car of cons `id` is `id << 1`, its cdr `id << 1 | 1`, a struct slot
+//! [`struct_loc`], global `sym` [`GLOBAL_LOC_BIT`]` | sym`. A slot is
+//! one field of one struct for good, so its location carries the field
+//! index, and the §2 accessor code the sanitizer keys pairs on
+//! ([`accessor_code`]) is read off the location, not kept beside it.
+//!
 //! # Epoch brackets and stripes
 //!
 //! Every journaled access is stamped with a `[lo, hi]` interval from
-//! one global SeqCst clock: `lo` ticks before the heap load/store, `hi`
+//! one global SeqCst clock (`curare_obs::tick`: the word lives on the id
+//! source's cache line, which every spawn writes anyway, and arming
+//! restarts it): `lo` ticks before the heap load/store, `hi`
 //! after. Two accesses whose intervals are disjoint are ordered as
 //! their intervals are; overlapping intervals mean the race was too
 //! close to call and are treated as conflicting — the conservative
@@ -67,25 +88,56 @@
 //! # Scope
 //!
 //! Cons cells, struct slots, and global variables are journaled;
-//! vector and hash-table mutations are not (mirroring the sanitizer's
-//! location model) — programs mutating those should not be admitted to
-//! speculation. Atomic RMWs journal a compensating delta instead of an
-//! old-value snapshot, so undo never loses concurrent increments.
+//! vector and hash-table mutations are not — programs mutating those
+//! should not be admitted to speculation. Atomic RMWs journal a
+//! compensating delta instead of an old-value snapshot, so undo never
+//! loses concurrent increments.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use crate::error::{LispError, Result};
 use crate::heap::Heap;
 use crate::sync::{Mutex, MutexGuard};
-use crate::value::{FuncId, SymId, Value};
-use curare_obs::EventKind;
+use crate::value::{FuncId, Value};
+use curare_obs::{tick, EventKind};
 
-/// Bit marking a packed location as a global-variable cell (heap locs
-/// use the low 62 bits plus [`curare_obs::sanitize::STRUCT_LOC_BIT`]).
+/// Bit marking a packed location as a struct slot ([`struct_loc`]).
+pub const STRUCT_LOC_BIT: u64 = 1 << 63;
+/// Bit marking a packed location as a global-variable cell (the low
+/// bits are its symbol).
 pub const GLOBAL_LOC_BIT: u64 = 1 << 62;
+/// A struct location's low bits are its index in the heap's slot
+/// arena; the bits from here up to [`GLOBAL_LOC_BIT`] its field index.
+const FIELD_SHIFT: u32 = 40;
+const SLOT_MASK: u64 = (1 << FIELD_SHIFT) - 1;
+const FIELD_MASK: u64 = (GLOBAL_LOC_BIT >> FIELD_SHIFT) - 1;
+
+/// The packed location of field `idx` of a struct, which is slot
+/// `slot` of the heap's slot arena.
+#[inline]
+pub fn struct_loc(slot: u64, idx: usize) -> u64 {
+    debug_assert!(slot <= SLOT_MASK && idx as u64 <= FIELD_MASK, "slot {slot}, field {idx}");
+    STRUCT_LOC_BIT | (idx as u64) << FIELD_SHIFT | slot
+}
+
+/// The slot-arena index in a [`struct_loc`].
+#[inline]
+pub(crate) fn struct_slot(loc: u64) -> u64 {
+    loc & SLOT_MASK
+}
+
+/// The §2 accessor code of the word at heap location `loc`: 0 = car,
+/// 1 = cdr, 2+k = struct field k.
+pub fn accessor_code(loc: u64) -> u64 {
+    if loc & STRUCT_LOC_BIT != 0 {
+        2 + (loc >> FIELD_SHIFT & FIELD_MASK)
+    } else {
+        loc & 1
+    }
+}
 
 /// Lanes the run's records spread over; lane numbers wrap.
 const LANES: usize = 64;
@@ -94,11 +146,13 @@ const LANES: usize = 64;
 /// wants to be well above the server count and nothing more.
 const STRIPES: usize = 64;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-/// The global epoch clock. SeqCst so that an access bracket that ends
-/// before another begins really did happen first (the fetch-adds are
-/// full barriers on every supported target).
-static CLOCK: AtomicU64 = AtomicU64::new(1);
+/// The journal's level: who armed it, hence what it does to the run
+/// besides recording it — nothing ([`observe`]), or divert its output,
+/// park its errors and undo ([`arm`]).
+const OFF: u8 = 0;
+const OBSERVE: u8 = 1;
+const UNDO: u8 = 2;
+static LEVEL: AtomicU8 = AtomicU8::new(OFF);
 /// Set by [`escalate_now`], read once per resolution round.
 static ESCALATE: AtomicBool = AtomicBool::new(false);
 
@@ -161,12 +215,12 @@ struct SpawnRec {
     /// The clock tick at the spawn point; refreshed by a replay.
     epoch: u64,
     fid: FuncId,
-    /// True when the spawn created a future (replays cannot reproduce
-    /// those and escalate instead).
-    future: bool,
+    /// The future the child resolves, or [`NO_FUTURE`] (replays cannot
+    /// reproduce a spawn that created one and escalate instead).
+    future: u64,
     /// The arguments, in the lane's (then the journal's) arena.
     args_at: usize,
-    argc: usize,
+    argc: u32,
     // Resolve-time state of the child, all clear on the run path.
     /// The body returned an error (parked; the validator decides).
     errored: bool,
@@ -175,14 +229,21 @@ struct SpawnRec {
     /// Aborted this round: its records are being undone, and its
     /// replay must respawn exactly what the original spawned.
     doomed: bool,
-    respawned: usize,
+    respawned: u32,
 }
+
+/// [`SpawnRec::future`] of a spawn that created none. A sentinel, and
+/// the record's two counts `u32`, because it is written on every spawn
+/// of an armed run and is 56 bytes this way: at 72, with an
+/// `Option<u64>` and `usize`s, the aliased mixer executed 5–7 % slower.
+const NO_FUTURE: u64 = u64::MAX;
 
 /// What one lane holds between two resolution rounds.
 struct LaneBuf {
     reads: Vec<ReadRec>,
     writes: Vec<WriteRec>,
     spawns: Vec<SpawnRec>,
+    touches: Vec<Touch>,
     args: Vec<Value>,
     errors: Vec<u64>,
     output: Vec<OutRec>,
@@ -194,16 +255,12 @@ impl LaneBuf {
             reads: Vec::new(),
             writes: Vec::new(),
             spawns: Vec::new(),
+            touches: Vec::new(),
             args: Vec::new(),
             errors: Vec::new(),
             output: Vec::new(),
         }
     }
-}
-
-#[inline]
-fn tick() -> u64 {
-    CLOCK.fetch_add(1, Ordering::SeqCst)
 }
 
 /// The calling thread's lane.
@@ -222,63 +279,100 @@ fn clear_lanes() {
 // Arming and hot-path hooks
 // ----------------------------------------------------------------
 
-/// Arm the journal for one run. The journal is process-wide, so one
-/// speculative run may be in flight at a time: arming an armed journal
-/// is an error and leaves the run in flight untouched.
-pub fn arm() -> Result<()> {
-    if ARMED.swap(true, Ordering::AcqRel) {
-        return Err(LispError::User("a speculative run is already in flight".into()));
+/// Take the disarmed journal to `level`. The journal is process-wide,
+/// so one run may record at a time: arming an armed journal is an
+/// error and leaves the run in flight untouched.
+fn engage(level: u8) -> Result<()> {
+    if let Err(held) = LEVEL.compare_exchange(OFF, level, Ordering::AcqRel, Ordering::Acquire) {
+        let run = if held == UNDO { "speculative" } else { "sanitized" };
+        return Err(LispError::User(format!("a {run} run is already in flight")));
     }
     // A thread outside the last run may have appended between its
-    // `armed` test and that run's disarm.
+    // level test and that run's disarm.
     clear_lanes();
     ESCALATE.store(false, Ordering::SeqCst);
-    CLOCK.store(1, Ordering::SeqCst);
+    curare_obs::set_journaling(true);
     Ok(())
 }
 
+/// Arm the journal for one speculative run, to be read by [`resolve`].
+pub fn arm() -> Result<()> {
+    engage(UNDO)
+}
+
+/// Arm the journal to watch one run without touching it, to be read by
+/// [`observed`].
+pub fn observe() -> Result<()> {
+    engage(OBSERVE)
+}
+
 /// Disarm and drop any journal state (used on error paths; [`resolve`]
-/// disarms itself).
+/// and [`observed`] disarm themselves).
 pub fn disarm() {
-    ARMED.store(false, Ordering::Release);
+    curare_obs::set_journaling(false);
+    LEVEL.store(OFF, Ordering::Release);
     clear_lanes();
+}
+
+/// True while the journal records, at either level.
+#[inline]
+pub fn armed() -> bool {
+    LEVEL.load(Ordering::Relaxed) != OFF
 }
 
 /// True while a speculative run is journaling.
 #[inline]
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
+fn speculating() -> bool {
+    LEVEL.load(Ordering::Relaxed) == UNDO
 }
 
+/// The word in `cell`, which is location `loc`: a plain load, and while
+/// the journal is armed a read bracket around it. All a disarmed
+/// journal costs an accessor is the level test; the rest is out of
+/// line, like everything only an armed journal reaches.
 #[inline]
-fn active_inv() -> u64 {
+pub fn load(cell: &AtomicU64, loc: u64) -> u64 {
     if !armed() {
-        return 0;
+        return cell.load(Ordering::Acquire);
     }
-    curare_obs::current_invocation()
+    load_journaled(cell, loc)
 }
 
-/// Begin a journaled read bracket: returns the `lo` tick, or `None`
-/// when the access should not be journaled (mode off, or the driving
-/// thread outside any invocation). The caller performs the load, then
-/// calls [`read_end`].
-#[inline]
-pub fn read_begin() -> Option<u64> {
-    if active_inv() == 0 {
-        return None;
-    }
-    Some(tick())
-}
-
-/// Close a read bracket opened by [`read_begin`]. Out of line, like
-/// everything else only an armed journal reaches: the heap accessors
-/// inline [`read_begin`] and [`write_section`] into the VM's loop, and
-/// all the disarmed path should cost there is a load and a branch.
 #[inline(never)]
-pub fn read_end(loc: u64, lo: u64) {
+fn load_journaled(cell: &AtomicU64, loc: u64) -> u64 {
+    // The driving thread outside any invocation is no part of the run.
     let inv = curare_obs::current_invocation();
+    if inv == 0 {
+        return cell.load(Ordering::Acquire);
+    }
+    let lo = tick();
+    let bits = cell.load(Ordering::Acquire);
     let hi = tick();
     lane().reads.push(ReadRec { inv, loc, lo, hi });
+    bits
+}
+
+/// Store `new` into `cell`, which is location `loc` (`global`: the
+/// same cell, when it is a [`GLOBAL_LOC_BIT`] location): a plain
+/// store, and while the journal is armed a write section around it.
+#[inline]
+pub fn store(cell: &AtomicU64, loc: u64, global: Option<&Arc<AtomicU64>>, new: u64) {
+    if !armed() {
+        return cell.store(new, Ordering::Release);
+    }
+    store_journaled(cell, loc, global, new)
+}
+
+#[inline(never)]
+fn store_journaled(cell: &AtomicU64, loc: u64, global: Option<&Arc<AtomicU64>>, new: u64) {
+    match open_section(loc, global) {
+        None => cell.store(new, Ordering::Release),
+        Some(sec) => {
+            let old = cell.load(Ordering::Acquire);
+            cell.store(new, Ordering::Release);
+            sec.store(old, new);
+        }
+    }
 }
 
 /// An open write section: holds its location's stripe, so the heap
@@ -297,21 +391,26 @@ pub struct WriteSection {
 /// when the write should not be journaled. While the section is open
 /// the location's stripe is held: perform the store (or CAS loop) and
 /// close it with [`WriteSection::store`] or [`WriteSection::add`].
+/// [`store`] does all of it for a plain store.
 #[inline]
 pub fn write_section(loc: u64, global: Option<&Arc<AtomicU64>>) -> Option<WriteSection> {
-    match active_inv() {
-        0 => None,
-        inv => Some(open_section(inv, loc, global)),
+    if !armed() {
+        return None;
     }
+    open_section(loc, global)
 }
 
 #[inline(never)]
-fn open_section(inv: u64, loc: u64, global: Option<&Arc<AtomicU64>>) -> WriteSection {
+fn open_section(loc: u64, global: Option<&Arc<AtomicU64>>) -> Option<WriteSection> {
+    let inv = curare_obs::current_invocation();
+    if inv == 0 {
+        return None;
+    }
     let global = global.cloned();
     // Fibonacci hashing: neighbouring cells land on different stripes.
     let stripe =
         STRIPE[(loc.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize % STRIPES].0.lock();
-    WriteSection { stripe, inv, loc, lo: tick(), global }
+    Some(WriteSection { stripe, inv, loc, lo: tick(), global })
 }
 
 impl WriteSection {
@@ -335,25 +434,12 @@ impl WriteSection {
     }
 }
 
-/// Journal a read of global `sym` (globals have no packed heap
-/// location, so they bracket here instead of in the heap).
-#[inline]
-pub fn note_global_read(sym: SymId, read: impl FnOnce() -> u64) -> u64 {
-    match read_begin() {
-        None => read(),
-        Some(lo) => {
-            let bits = read();
-            read_end(GLOBAL_LOC_BIT | sym as u64, lo);
-            bits
-        }
-    }
-}
-
-/// Divert a printed line into the journal; returns `false` when the
-/// caller should append to the ordinary output log instead. Committed
-/// lines are released in sequential order by [`resolve`].
+/// Divert a printed line into the journal of a speculative run;
+/// returns `false` when the caller should append to the ordinary
+/// output log instead. Committed lines are released in sequential
+/// order by [`resolve`].
 pub fn divert_emit(line: &str) -> bool {
-    let inv = active_inv();
+    let inv = if speculating() { curare_obs::current_invocation() } else { 0 };
     if inv == 0 {
         return false;
     }
@@ -366,10 +452,25 @@ pub fn divert_emit(line: &str) -> bool {
 // Task lifecycle (called by the pool)
 // ----------------------------------------------------------------
 
-/// Record that `parent` (0 for a root) spawned `child`: the child's
-/// registration with its re-execution recipe and, for the validator,
-/// the parent's segment boundary.
-pub fn record_spawn(parent: u64, child: u64, fid: FuncId, args: &[Value], future: bool) {
+/// Whether a pool's spawns are this run's to record
+/// ([`record_spawn`]). A sanitizer observes every pool. A speculative
+/// run's order is made of its own pool's spawns only (`speculative`:
+/// the caller is a speculating pool): accesses of unregistered
+/// invocations are no part of it, and a plain pool running beside it
+/// must stay out of its tree.
+#[inline]
+pub fn registers(speculative: bool) -> bool {
+    match LEVEL.load(Ordering::Relaxed) {
+        OFF => false,
+        OBSERVE => true,
+        _ => speculative,
+    }
+}
+
+/// Record that `parent` (0 for a root) spawned `child`, to resolve
+/// `future` if it created one: the child's registration with its
+/// re-execution recipe and the parent's segment boundary.
+pub fn record_spawn(parent: u64, child: u64, fid: FuncId, args: &[Value], future: Option<u64>) {
     let epoch = tick();
     let mut lane = lane();
     let args_at = lane.args.len();
@@ -379,9 +480,9 @@ pub fn record_spawn(parent: u64, child: u64, fid: FuncId, args: &[Value], future
         child,
         epoch,
         fid,
-        future,
+        future: future.unwrap_or(NO_FUTURE),
         args_at,
-        argc: args.len(),
+        argc: args.len() as u32,
         errored: false,
         aborted: false,
         doomed: false,
@@ -389,14 +490,101 @@ pub fn record_spawn(parent: u64, child: u64, fid: FuncId, args: &[Value], future
     });
 }
 
+/// Record that the calling thread's invocation saw `future` resolved:
+/// whatever it does from here on happens after the whole invocation
+/// that resolved it.
+pub fn record_touch(future: u64) {
+    if armed() {
+        let inv = curare_obs::current_invocation();
+        lane().touches.push(Touch { inv, future, epoch: tick() });
+    }
+}
+
 /// Park a body error: in `SpecMode` a task error does not abort the
 /// run (the inputs it read may be a misspeculation); the validator
 /// escalates to the sequential rerun, which reproduces any genuine
 /// error exactly.
 pub fn record_error(inv: u64) {
-    if armed() {
+    if speculating() {
         lane().errors.push(inv);
     }
+}
+
+// ----------------------------------------------------------------
+// The observe level's reader
+// ----------------------------------------------------------------
+
+/// One heap-word or global access of an observed run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Access {
+    /// The invocation that made it (never 0).
+    pub inv: u64,
+    /// The packed location (see the module docs).
+    pub loc: u64,
+    /// The clock tick at which it began.
+    pub epoch: u64,
+    /// True for writes (including atomic read-modify-writes).
+    pub write: bool,
+    /// True for an atomic RMW (`atomic-incf`-family); two atomic
+    /// writes to the same word never race.
+    pub atomic: bool,
+}
+
+/// One spawn of an observed run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Spawn {
+    /// The spawning invocation (0: the driving thread).
+    pub parent: u64,
+    /// The spawned invocation.
+    pub child: u64,
+    /// The clock tick at the spawn point.
+    pub epoch: u64,
+    /// The future the child resolves, when the spawn created one.
+    pub future: Option<u64>,
+}
+
+/// One observation of a resolved future.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Touch {
+    /// The touching invocation (0: the driving thread).
+    pub inv: u64,
+    /// The touched future.
+    pub future: u64,
+    /// The clock tick at which it was seen resolved.
+    pub epoch: u64,
+}
+
+/// What an observed run did, in no particular order: one thread runs
+/// an invocation and one clock stamps its records, so ascending
+/// `epoch` is program order within each invocation.
+#[derive(Debug, Clone, Default)]
+pub struct Observed {
+    /// Every journaled access.
+    pub accesses: Vec<Access>,
+    /// Every spawn, of every pool.
+    pub spawns: Vec<Spawn>,
+    /// Every touch that found its future resolved.
+    pub touches: Vec<Touch>,
+}
+
+/// Hand over what the journal recorded since [`observe`], and disarm
+/// it. Must only be called when no task is in flight.
+pub fn observed() -> Observed {
+    let mut seen = Observed::default();
+    let access = |inv, loc, epoch, write, atomic| Access { inv, loc, epoch, write, atomic };
+    let atomic = |w: &WriteRec| matches!(w.kind, WriteKind::Add { .. });
+    for lane in &LANE {
+        let l = std::mem::replace(&mut *lane.0.lock(), LaneBuf::new());
+        seen.accesses.extend(l.reads.iter().map(|r| access(r.inv, r.loc, r.lo, false, false)));
+        seen.accesses.extend(l.writes.iter().map(|w| access(w.inv, w.loc, w.lo, true, atomic(w))));
+        seen.spawns.extend(l.spawns.iter().map(|s| {
+            let &SpawnRec { parent, child, epoch, future, .. } = s;
+            Spawn { parent, child, epoch, future: (future != NO_FUTURE).then_some(future) }
+        }));
+        seen.touches.extend(l.touches);
+    }
+    disarm();
+    seen
 }
 
 // ----------------------------------------------------------------
@@ -418,13 +606,13 @@ pub fn escalate_now() {
     ESCALATE.store(true, Ordering::SeqCst);
 }
 
-/// A suppressed spawn inside a replayed body. The next resolution
+/// A suppressed enqueue inside a replayed body. The next resolution
 /// round checks it against the original run's record and refreshes the
 /// segment boundary; a replayed body that diverged — different callee,
-/// different arguments, a future where an enqueue was, more or fewer
+/// different arguments, an enqueue where a future was, more or fewer
 /// spawns than before — escalates there.
-pub fn replay_spawn(fid: FuncId, args: &[Value], future: bool) {
-    record_spawn(REPLAYING.with(Cell::get), 0, fid, args, future);
+pub fn replay_spawn(fid: FuncId, args: &[Value]) {
+    record_spawn(REPLAYING.with(Cell::get), 0, fid, args, None);
 }
 
 // ----------------------------------------------------------------
@@ -740,7 +928,7 @@ impl Journal {
         for r in respawns {
             let original = self.tree.index(r.parent).and_then(|p| {
                 self.invs[p].respawned += 1;
-                self.tree.spawns_of(p).get(self.invs[p].respawned - 1).map(|s| s.1)
+                self.tree.spawns_of(p).get(self.invs[p].respawned as usize - 1).map(|s| s.1)
             });
             match original {
                 Some(c) if self.same_call(&self.invs[c], &r) => self.invs[c].epoch = r.epoch,
@@ -749,7 +937,7 @@ impl Journal {
         }
         for (i, s) in self.invs.iter_mut().enumerate().filter(|(_, s)| s.doomed) {
             s.doomed = false;
-            self.diverged |= s.respawned != self.tree.spawns_of(i).len();
+            self.diverged |= s.respawned as usize != self.tree.spawns_of(i).len();
         }
         if self.invs.len() > registered {
             // Each lane's run ascends already; the stable sort merges.
@@ -766,7 +954,7 @@ impl Journal {
     }
 
     fn args_of(&self, s: &SpawnRec) -> &[Value] {
-        &self.args[s.args_at..s.args_at + s.argc]
+        &self.args[s.args_at..s.args_at + s.argc as usize]
     }
 
     fn same_call(&self, a: &SpawnRec, b: &SpawnRec) -> bool {
@@ -936,8 +1124,9 @@ pub fn resolve(
         // A future-valued invocation's result may already have been
         // consumed by its toucher; an abort cannot retract that value,
         // so the whole run falls back to the sequential rerun.
-        let future_aborted =
-            aborts.keys().any(|&inv| j.tree.index(inv).is_some_and(|i| j.invs[i].future));
+        let future_aborted = aborts
+            .keys()
+            .any(|&inv| j.tree.index(inv).is_some_and(|i| j.invs[i].future != NO_FUTURE));
         if rounds >= retry_limit || future_aborted {
             return j.escalate(heap);
         }
@@ -961,6 +1150,7 @@ pub fn resolve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Val;
     use std::collections::{BTreeSet, HashMap};
 
     // The journal is process-wide; serialize tests that arm it, and
@@ -974,7 +1164,7 @@ mod tests {
     }
 
     fn root(inv: u64, fid: FuncId, args: &[Value]) {
-        record_spawn(0, inv, fid, args, false);
+        record_spawn(0, inv, fid, args, None);
     }
 
     #[test]
@@ -988,7 +1178,7 @@ mod tests {
         // inv 1 head writes a, spawns 2; inv 2 writes b. Disjoint.
         curare_obs::set_invocation(1);
         heap.set_car(a, Value::int(10)).unwrap();
-        record_spawn(1, 2, 0, &[b], false);
+        record_spawn(1, 2, 0, &[b], None);
         curare_obs::set_invocation(2);
         heap.set_car(b, Value::int(20)).unwrap();
         curare_obs::set_invocation(0);
@@ -1013,7 +1203,7 @@ mod tests {
         // *tail* should see inv 2's write of x — but inv 1 reads x
         // before inv 2 writes it (stale), then copies it into dst.
         curare_obs::set_invocation(1);
-        record_spawn(1, 2, 0, &[], false);
+        record_spawn(1, 2, 0, &[], None);
         let stale = heap.car(x).unwrap(); // tail read, epoch-early
         heap.set_car(dst, stale).unwrap();
         curare_obs::set_invocation(2);
@@ -1023,7 +1213,7 @@ mod tests {
         // matched against the record), then read x, write dst.
         let heap_ref = &heap;
         let r = resolve(heap_ref, 4, &mut |_, _| {
-            replay_spawn(0, &[], false);
+            replay_spawn(0, &[]);
             let v = heap_ref.car(x)?;
             heap_ref.set_car(dst, v)?;
             Ok(Value::NIL)
@@ -1087,7 +1277,7 @@ mod tests {
             arm().unwrap();
             root(1, 3, &[x]);
             curare_obs::set_invocation(1);
-            record_spawn(1, 2, 0, &[], false);
+            record_spawn(1, 2, 0, &[], None);
             heap.car(x).unwrap(); // stale, as above
             curare_obs::set_invocation(2);
             heap.set_car(x, Value::int(42)).unwrap();
@@ -1096,8 +1286,8 @@ mod tests {
             // right one twice.
             let r = resolve(&heap, 4, &mut |_, _| {
                 if let Some(fid) = respawn {
-                    replay_spawn(fid, &[], false);
-                    replay_spawn(fid, &[], false);
+                    replay_spawn(fid, &[]);
+                    replay_spawn(fid, &[]);
                 }
                 Ok(Value::NIL)
             });
@@ -1164,7 +1354,7 @@ mod tests {
         // Tail prints run in unwind order: inv 2's line precedes
         // inv 1's even though inv 1 printed first by the clock.
         curare_obs::set_invocation(1);
-        record_spawn(1, 2, 0, &[], false);
+        record_spawn(1, 2, 0, &[], None);
         assert!(divert_emit("tail-of-1"));
         curare_obs::set_invocation(2);
         assert!(divert_emit("tail-of-2"));
@@ -1183,12 +1373,72 @@ mod tests {
         curare_obs::set_invocation(1);
         heap.set_car(a, Value::int(10)).unwrap();
         curare_obs::set_invocation(0);
-        let err = arm().unwrap_err();
-        assert!(err.to_string().contains("already in flight"), "{err}");
+        // At either level: one journal, one run.
+        for err in [arm().unwrap_err(), observe().unwrap_err()] {
+            assert!(err.to_string().contains("a speculative run is already in flight"), "{err}");
+        }
         let r = resolve(&heap, 4, &mut |_, _| Ok(Value::NIL));
         assert_eq!((r.committed, r.escalated), (1, false), "the first run kept its journal");
-        arm().expect("free again once resolved");
+        observe().expect("free again once resolved");
+        curare_obs::set_invocation(2);
+        heap.car(a).unwrap();
+        curare_obs::set_invocation(0);
+        for err in [arm().unwrap_err(), observe().unwrap_err()] {
+            assert!(err.to_string().contains("a sanitized run is already in flight"), "{err}");
+        }
+        assert_eq!(observed().accesses.len(), 1, "the observer kept its journal");
+        arm().expect("free again once handed over");
         disarm();
+    }
+
+    #[test]
+    fn observing_records_the_run_and_leaves_it_alone() {
+        let _g = guard();
+        let heap = Heap::new();
+        let ty = heap.define_struct_type("p", &["x".into(), "y".into()]);
+        let s = heap.make_struct(ty, &[Value::int(1), Value::int(2)]);
+        let c = heap.cons(Value::int(1), Value::NIL);
+        let Val::Cons(id) = c.decode() else { unreachable!("cons") };
+        observe().unwrap();
+        heap.car(c).unwrap(); // outside any invocation: no part of the run
+        record_spawn(0, 1, 0, &[c], Some(7));
+        curare_obs::set_invocation(1);
+        heap.set_cdr(c, Value::T).unwrap();
+        heap.struct_ref(s, 1).unwrap();
+        heap.atomic_add_field(s, 2, 5).unwrap();
+        assert!(!divert_emit("a line"), "print is not diverted");
+        record_error(1);
+        assert!(lane().errors.is_empty(), "errors are not parked");
+        curare_obs::set_invocation(0);
+        record_touch(7);
+        let mut seen = observed();
+        assert!(!armed(), "handing over disarms");
+        assert_eq!(heap.cdr(c).unwrap(), Value::T, "nothing is undone");
+        seen.accesses.sort_unstable_by_key(|a| a.epoch);
+        let did: Vec<_> = seen.accesses.iter().map(|a| (a.inv, a.loc, a.write, a.atomic)).collect();
+        let (y, x) = (struct_loc(1, 1), struct_loc(0, 0));
+        assert_eq!(did, [(1, id << 1 | 1, true, false), (1, y, false, false), (1, x, true, true)]);
+        let (spawn, touch) = (seen.spawns[0], seen.touches[0]);
+        assert_eq!((spawn.parent, spawn.child, spawn.future), (0, 1, Some(7)));
+        assert_eq!((touch.inv, touch.future), (0, 7));
+        assert!(spawn.epoch < seen.accesses[0].epoch && seen.accesses[2].epoch < touch.epoch);
+    }
+
+    #[test]
+    fn locations_pack_the_accessor_code_and_records_keep_their_size() {
+        // The code rides in the location, not beside it: a record a
+        // word larger costs the armed run a seventh of its speed.
+        assert_eq!(std::mem::size_of::<ReadRec>(), 32);
+        assert_eq!(std::mem::size_of::<WriteRec>(), 64);
+        assert_eq!(std::mem::size_of::<SpawnRec>(), 56);
+        for slot in [0, 1, SLOT_MASK] {
+            for idx in [0, 1, FIELD_MASK as usize] {
+                let loc = struct_loc(slot, idx);
+                assert_eq!((struct_slot(loc), accessor_code(loc)), (slot, 2 + idx as u64));
+                assert_eq!(loc & (STRUCT_LOC_BIT | GLOBAL_LOC_BIT), STRUCT_LOC_BIT, "not a global");
+            }
+        }
+        assert_eq!((accessor_code(8 << 1), accessor_code(8 << 1 | 1)), (0, 1));
     }
 
     // ------------------------------------------------------------
@@ -1368,7 +1618,7 @@ mod tests {
             child,
             epoch,
             fid: 0,
-            future: false,
+            future: NO_FUTURE,
             args_at: 0,
             argc: 0,
             errored: false,

@@ -14,7 +14,7 @@
 //! redefined name binds a fresh function id.
 //!
 //! Dispatch is direct-threaded: every opcode indexes a function-
-//! pointer table ([`HANDLERS`]; per-opcode profiling swaps in a table
+//! pointer table (`HANDLERS`; per-opcode profiling swaps in a table
 //! of timing wrappers) instead of one giant `match`, keeping
 //! each handler a small, tail-call-friendly unit the branch predictor
 //! can track per-opcode. Typed instructions (operands proven integer
@@ -133,7 +133,7 @@ mod op_profile {
 /// Enable/disable per-opcode profiling for the [`Vm`] contexts created
 /// from now on (one per top-level call or pool server). A context pays
 /// one relaxed load when it is created; while enabled each dispatch
-/// goes through [`h_profiled`]: two clock reads and two relaxed adds.
+/// goes through `h_profiled`: two clock reads and two relaxed adds.
 pub fn set_op_profiling(on: bool) {
     op_profile::ENABLED.store(on, Ordering::Release);
 }

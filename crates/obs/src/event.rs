@@ -51,7 +51,7 @@ pub enum EventKind {
     Degraded = 13,
     /// The current invocation spawned a child invocation (`arg` =
     /// parent and child invocation ids, [`crate::profile::pack_pair`]).
-    /// Recorded only while causal profiling (or the sanitizer) assigns
+    /// Recorded only while causal profiling (or the access journal) assigns
     /// nonzero invocation ids.
     Spawn = 14,
     /// A server began executing invocation `arg` (the causal twin of

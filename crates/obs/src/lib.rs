@@ -29,8 +29,10 @@
 //! Recording is always compiled and armed at run time: with no tracer
 //! installed, [`record`] is a single relaxed atomic load and a branch
 //! (see the `disabled_record_is_cheap` test; the benchmark's
-//! `obs.trace_overhead_ratio` is the armed cost). The sanitizer's
-//! [`record_access`] has the same shape.
+//! `obs.trace_overhead_ratio` is the armed cost). The access journal
+//! (`curare_lisp::speclog`, which the sanitizer and speculation read)
+//! has the same shape; this crate keeps only its id source
+//! ([`sanitize`]).
 
 pub mod chrome;
 pub mod clock;
@@ -54,10 +56,6 @@ pub use profile::{
 };
 pub use report::{validate_keys, RunReport, SCHEMA_REPORT, SCHEMA_TRACE};
 pub use ring::{RingSnapshot, TraceRing};
-pub use sanitize::{
-    current_invocation, install_sanitizer, new_invocation, record_access, record_spawn,
-    record_touch, sanitizing_enabled, set_invocation, set_speculating, speculating_enabled,
-    AccessLog, SanEvent, SanRecord,
-};
+pub use sanitize::{current_invocation, new_invocation, set_invocation, set_journaling, tick};
 pub use timeline::Timeline;
 pub use tracer::{install, installed, record, set_lane, tracing_enabled, Tracer};

@@ -32,7 +32,7 @@
 //! the CI profile gate checks it on every run.
 //!
 //! Invocation ids come from [`crate::sanitize::new_invocation`], which
-//! assigns nonzero ids while either the sanitizer or this profiler
+//! assigns nonzero ids while either the access journal or this profiler
 //! ([`set_profiling`]) is enabled. Two-id events pack both into the
 //! ring's 56-bit arg via [`pack_pair`] (28 bits each — plenty for one
 //! run). Ring overflow drops oldest events; the reconstruction

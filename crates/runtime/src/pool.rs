@@ -184,9 +184,6 @@ pub struct RuntimeConfig {
     /// replays conflicting invocations (escalating to a sequential
     /// rerun when speculation cannot converge). Off by default.
     pub speculate: bool,
-    /// Abort/replay rounds before a speculative run gives up and
-    /// falls to the sequential-degradation rerun.
-    pub spec_retry_limit: u32,
 }
 
 impl Default for RuntimeConfig {
@@ -197,7 +194,6 @@ impl Default for RuntimeConfig {
             retry_limit: 2,
             degrade_floor: 1,
             speculate: false,
-            spec_retry_limit: 8,
         }
     }
 }
@@ -220,7 +216,7 @@ pub enum SchedMode {
 struct BatchFrame {
     key: usize,
     /// The function whose invocation is executing, and its id (0
-    /// unless the sanitizer or a profiler is armed).
+    /// unless the access journal or a profiler is armed).
     fid: FuncId,
     inv: u64,
     tasks: Vec<Task>,
@@ -363,8 +359,6 @@ struct Shared {
     /// the journal and publish eagerly, body errors park instead of
     /// aborting the run, and `run` validates at quiescence.
     speculate: bool,
-    /// Abort/replay rounds before escalating to the sequential rerun.
-    spec_retry_limit: u32,
     spec_commits: AtomicU64,
     spec_aborts: AtomicU64,
     spec_replays: AtomicU64,
@@ -729,23 +723,29 @@ fn watchdog_loop(shared: &Arc<Shared>, budget: Duration) {
     }
 }
 
-/// Build the task for a spawn of `fid`, recording its causal events
-/// (the spawn edge, and the future it will resolve).
-#[inline]
-fn new_task(site: usize, fid: FuncId, args: Vec<Value>, future: Option<u64>) -> Task {
-    let parent = curare_obs::current_invocation();
-    let inv = curare_obs::new_invocation();
-    if inv != 0 {
-        curare_obs::record_spawn(inv, future);
-        curare_obs::record(EventKind::Spawn, curare_obs::pack_pair(parent, inv));
-        if let Some(id) = future {
-            curare_obs::record(EventKind::BindFuture, curare_obs::pack_pair(inv, id));
+impl Shared {
+    /// Build the task for a spawn of `fid` by this pool, recording its
+    /// causal events (the spawn edge, and the future it will resolve):
+    /// in the access journal at the parent's spawn point, when the
+    /// spawn is the journaled run's to record, and in the trace.
+    #[inline]
+    fn new_task(&self, site: usize, fid: FuncId, args: Vec<Value>, future: Option<u64>) -> Task {
+        let inv = curare_obs::new_invocation();
+        if inv != 0 {
+            let parent = curare_obs::current_invocation();
+            if speclog::registers(self.speculate) {
+                speclog::record_spawn(parent, inv, fid, &args, future);
+            }
+            curare_obs::record(EventKind::Spawn, curare_obs::pack_pair(parent, inv));
+            if let Some(id) = future {
+                curare_obs::record(EventKind::BindFuture, curare_obs::pack_pair(inv, id));
+            }
         }
+        Task { fid, args, site, future, inv, attempts: 0 }
     }
-    Task { fid, args, site, future, inv, parent, attempts: 0 }
 }
 
-/// Open an invocation's trace bracket and bind the sanitizer to it,
+/// Open an invocation's trace bracket and bind the thread to it,
 /// returning the binding it replaces (a helping touch runs tasks
 /// nested in another invocation's body). `InvStart` ties the interval
 /// to the id its `Spawn` event introduced, nested inside the `Task`
@@ -808,15 +808,10 @@ impl CriHooks {
     /// whatever the invocation still buffers (per-site FIFO), instead
     /// of joining the batch that publishes — or chains — at invocation
     /// end. Hand-off asks for it because its producer's tail is long;
-    /// an eager pool always does (speculation for the same overlap,
-    /// journaling the spawn at the parent's spawn point). A body that
-    /// may run again gets neither.
+    /// an eager pool always does (speculation for the same overlap).
+    /// A body that may run again gets neither.
     #[inline]
     fn spawn(&self, task: Task, now: bool) {
-        if self.shared.speculate {
-            let Task { inv, parent, fid, args, future, .. } = &task;
-            speclog::record_spawn(*parent, *inv, *fid, args, future.is_some());
-        }
         if (now || self.shared.eager) && !self.body_may_rerun() {
             self.flush_batch();
             self.shared.submit_now(task);
@@ -855,14 +850,14 @@ impl CriHooks {
             // Suppressed spawn inside a replayed body: match it
             // against the original run's record instead of enqueueing
             // (the subtree already executed; divergence escalates).
-            speclog::replay_spawn(fid, &args, false);
+            speclog::replay_spawn(fid, &args);
             return Ok(());
         }
         if self.shared.aborting.load(Ordering::Acquire) {
             return Ok(());
         }
         curare_obs::record(EventKind::Enqueue, site as u64);
-        self.spawn(new_task(site, fid, args, None), now);
+        self.spawn(self.shared.new_task(site, fid, args, None), now);
         Ok(())
     }
 }
@@ -887,7 +882,9 @@ impl RuntimeHooks for CriHooks {
                 return false;
             }
             curare_obs::record(EventKind::Enqueue, site as u64);
-            let next = new_task(site, fid, Vec::new(), None).inv;
+            // No arguments: re-execution recipes are for a speculative
+            // run's resolver, and an eager pool never restarts in place.
+            let next = shared.new_task(site, fid, Vec::new(), None).inv;
             end_invocation(f.fid, f.inv, 0);
             shared.publish_batch(&mut f.tasks, false, &mut f.batched);
             curare_obs::record(EventKind::Chain, site as u64);
@@ -938,7 +935,7 @@ impl RuntimeHooks for CriHooks {
             return Ok(fut);
         }
         curare_obs::record(EventKind::Enqueue, 0);
-        self.spawn(new_task(0, fid, args, Some(id)), false);
+        self.spawn(self.shared.new_task(0, fid, args, Some(id)), false);
         Ok(fut)
     }
 
@@ -965,7 +962,7 @@ impl RuntimeHooks for CriHooks {
                 let mut help: Option<(Vm<'_>, Tally)> = None;
                 loop {
                     if let Some(result) = self.shared.futures.try_get(id) {
-                        curare_obs::record_touch(id);
+                        speclog::record_touch(id);
                         if curare_obs::profiling_enabled() {
                             curare_obs::record(
                                 EventKind::TouchWake,
@@ -1108,7 +1105,6 @@ impl CriRuntime {
             idempotent: Mutex::new(HashSet::new()),
             any_idempotent: AtomicBool::new(false),
             speculate: config.speculate,
-            spec_retry_limit: config.spec_retry_limit,
             spec_commits: AtomicU64::new(0),
             spec_aborts: AtomicU64::new(0),
             spec_replays: AtomicU64::new(0),
@@ -1170,7 +1166,7 @@ impl CriRuntime {
             return self.run_speculative(fid, args);
         }
 
-        self.shared.submit_now(new_task(0, fid, args.to_vec(), None));
+        self.shared.submit_now(self.shared.new_task(0, fid, args.to_vec(), None));
         self.wait_idle();
         match self.shared.error.lock().take() {
             Some(e) => Err(e),
@@ -1185,24 +1181,23 @@ impl CriRuntime {
     /// when speculation cannot converge. The journal is process-wide:
     /// while one speculative run is in flight a second one is an error.
     fn run_speculative(&self, fid: FuncId, args: &[Value]) -> Result<(), LispError> {
+        /// Abort/replay rounds before a speculative run gives up and
+        /// falls to the sequential-degradation rerun.
+        const SPEC_RETRY_LIMIT: u32 = 8;
         speclog::arm()?;
-        curare_obs::set_speculating(true);
-        let root = new_task(0, fid, args.to_vec(), None);
-        speclog::record_spawn(0, root.inv, fid, args, false);
-        self.shared.submit_now(root);
+        self.shared.submit_now(self.shared.new_task(0, fid, args.to_vec(), None));
         self.wait_idle();
         // Quiesced: every task has finished and its records are in the
         // lanes, so validation and any replays run single-threaded on
         // this thread (replayed bodies route their spawns through
         // `replay_spawn` in the hooks).
         let t0 = curare_obs::now_ns();
-        let res = speclog::resolve(self.interp.heap(), self.shared.spec_retry_limit, &mut {
+        let res = speclog::resolve(self.interp.heap(), SPEC_RETRY_LIMIT, &mut {
             let interp = &self.interp;
             move |fid, args| interp.call_fid_owned(fid, args)
         });
         let resolve_ns = curare_obs::now_ns().saturating_sub(t0);
         self.shared.spec_resolve_ns.fetch_add(resolve_ns, Ordering::Relaxed);
-        curare_obs::set_speculating(false);
         self.shared.spec_commits.fetch_add(res.committed, Ordering::Relaxed);
         self.shared.spec_aborts.fetch_add(res.aborts, Ordering::Relaxed);
         self.shared.spec_replays.fetch_add(res.replays, Ordering::Relaxed);

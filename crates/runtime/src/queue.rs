@@ -55,13 +55,9 @@ pub struct Task {
     pub site: usize,
     /// Future to resolve with the invocation's value, if any.
     pub future: Option<u64>,
-    /// Invocation id (0 unless the sanitizer or causal profiler is
-    /// enabled).
+    /// Invocation id (0 unless the access journal or the causal
+    /// profiler is armed).
     pub inv: u64,
-    /// Spawning invocation's id — the causal profiler's spawn-edge
-    /// metadata (0 when spawned outside any invocation, or when ids
-    /// are disabled).
-    pub parent: u64,
     /// Execution attempts so far (> 0 only for chaos-injected retries).
     pub attempts: u8,
 }
@@ -379,7 +375,7 @@ impl ShardedQueues {
 
     /// Steal work for `thief` from another group. Victims are chosen
     /// by the caller-supplied splitmix64 stream (`rng`), bounded to
-    /// [`STEAL_RETRIES`] attempts. When the victim owns ≥ 2 non-empty
+    /// `STEAL_RETRIES` attempts. When the victim owns ≥ 2 non-empty
     /// sites below the shared bit, half of them (the highest-indexed
     /// ones, so the victim keeps its preferred low sites) migrate to
     /// the thief — owner cell and mask bit flip under each site's
@@ -571,15 +567,7 @@ mod tests {
     use std::sync::Arc;
 
     fn task(site: usize, tag: i64) -> Task {
-        Task {
-            fid: 0,
-            args: vec![Value::int(tag)],
-            site,
-            future: None,
-            inv: 0,
-            parent: 0,
-            attempts: 0,
-        }
+        Task { fid: 0, args: vec![Value::int(tag)], site, future: None, inv: 0, attempts: 0 }
     }
 
     #[test]

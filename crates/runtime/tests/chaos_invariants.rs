@@ -32,7 +32,7 @@ fn with_plan<T>(plan: Arc<FaultPlan>, f: impl FnOnce() -> T) -> T {
 }
 
 fn task(site: usize, tag: i64) -> Task {
-    Task { fid: 0, args: vec![Value::int(tag)], site, future: None, inv: 0, parent: 0, attempts: 0 }
+    Task { fid: 0, args: vec![Value::int(tag)], site, future: None, inv: 0, attempts: 0 }
 }
 
 /// Drain `pop` to exhaustion and assert tags stay ascending within

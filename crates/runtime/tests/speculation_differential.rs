@@ -453,6 +453,62 @@ fn speculation_off_is_the_default() {
     assert_eq!(rt.stats().spec_commits, 0);
 }
 
+// ---------------------------------------------------------------
+// One journal, armed at one of two levels by one run at a time.
+// ---------------------------------------------------------------
+
+/// `hold` keeps its run in flight, polling a global (with some
+/// busywork between polls, so a slow host journals few reads) until
+/// the test lets go; then it scrubs.
+const HOLD: &str = "(defparameter *go* 0)
+     (defun nap (i) (if (< i 2000) (nap (+ i 1)) i))
+     (defun hold (l) (nap 0) (if (= *go* 0) (hold l) (scrub l)))
+     (defun scrub (l)
+       (when (consp l)
+         (cri-enqueue 0 scrub (cdr l))
+         (setf (car l) (+ (car l) 1))))";
+const HELD_LIST: &str = "(1 2 3 4 5 6 7 8)";
+const SCRUBBED: &str = "(2 3 4 5 6 7 8 9)";
+
+/// A fresh interpreter with `HOLD` loaded, a two-server pool over it
+/// and `HELD_LIST` on its heap.
+fn hold_pool(speculate: bool) -> (Arc<Interp>, CriRuntime, Value) {
+    let interp = Arc::new(Interp::new());
+    interp.load_str(HOLD).expect("loads");
+    let config = RuntimeConfig { speculate, ..RuntimeConfig::default() };
+    let rt = CriRuntime::with_config(Arc::clone(&interp), 2, config);
+    let data = interp.load_str(&format!("(list {})", &HELD_LIST[1..HELD_LIST.len() - 1])).unwrap();
+    (interp, rt, data)
+}
+
+/// Keep a speculative `hold` run in flight on a pool of its own while
+/// `during` runs, then let it go: returns what `during` made, the
+/// held run's list as it left it, and its pool's statistics. The run
+/// is let go on every path out of `during`, a panic included — a
+/// failed assertion in there must fail the test, not leave the scope
+/// joining a run that never ends and the suite spinning for good.
+fn while_a_speculative_run_is_held<R>(during: impl FnOnce() -> R) -> (R, String, PoolStats) {
+    struct LetGo<'a>(&'a Interp);
+    impl Drop for LetGo<'_> {
+        fn drop(&mut self) {
+            self.0.load_str("(setq *go* 1)").expect("lets go");
+        }
+    }
+    let (held, held_rt, held_data) = hold_pool(true);
+    let made = std::thread::scope(|s| {
+        let in_flight = s.spawn(|| held_rt.run("hold", &[held_data]));
+        let let_go = LetGo(&held);
+        while !curare_lisp::speclog::armed() && !in_flight.is_finished() {
+            std::thread::yield_now();
+        }
+        let made = during();
+        drop(let_go);
+        in_flight.join().expect("no panic").expect("the held run is unharmed");
+        made
+    });
+    (made, held.heap().display(held_data), held_rt.stats())
+}
+
 /// The journal is process-wide, so one speculative run may be in
 /// flight at a time. A second pool's `run` during it must fail with an
 /// explicit error — before touching the journal, the heap or the first
@@ -461,49 +517,59 @@ fn speculation_off_is_the_default() {
 #[test]
 fn a_second_speculative_run_in_flight_is_refused() {
     let _g = guard();
-    // `hold` keeps its run in flight, polling a global (with some
-    // busywork between polls, so a slow host journals few reads) until
-    // the test lets go; then it scrubs.
-    let src = "(defparameter *go* 0)
-         (defun nap (i) (if (< i 2000) (nap (+ i 1)) i))
-         (defun hold (l) (nap 0) (if (= *go* 0) (hold l) (scrub l)))
-         (defun scrub (l)
-           (when (consp l)
-             (cri-enqueue 0 scrub (cdr l))
-             (setf (car l) (+ (car l) 1))))";
-    let pool = || {
-        let interp = Arc::new(Interp::new());
-        interp.load_str(src).expect("loads");
-        let config = RuntimeConfig { speculate: true, ..RuntimeConfig::default() };
-        let rt = CriRuntime::with_config(Arc::clone(&interp), 2, config);
-        let data = interp.load_str("(list 1 2 3 4 5 6 7 8)").unwrap();
-        (interp, rt, data)
-    };
-    let (first, first_rt, first_data) = pool();
-    let (second, second_rt, second_data) = pool();
-    std::thread::scope(|s| {
-        let in_flight = s.spawn(|| first_rt.run("hold", &[first_data]));
-        while !curare_lisp::speclog::armed() {
-            std::thread::yield_now();
-        }
-        let refused = second_rt.run("scrub", &[second_data]).unwrap_err();
-        assert!(
-            refused.to_string().contains("a speculative run is already in flight"),
-            "{refused}"
-        );
-        assert_eq!(
-            second.heap().display(second_data),
-            "(1 2 3 4 5 6 7 8)",
-            "refused means untouched"
-        );
-        assert!(curare_lisp::speclog::armed(), "the first run keeps its journal");
-        first.load_str("(setq *go* 1)").unwrap();
-        in_flight.join().expect("no panic").expect("the first run is unharmed");
-    });
-    assert_eq!(first.heap().display(first_data), "(2 3 4 5 6 7 8 9)");
-    let stats = first_rt.stats();
-    assert_eq!((stats.spec_commits, stats.spec_aborts, stats.spec_escalated), (9, 0, false));
+    let (second, second_rt, second_data) = hold_pool(true);
+    let ((refused, after_refusal, still_armed), held_list, held) =
+        while_a_speculative_run_is_held(|| {
+            let refused = second_rt.run("scrub", &[second_data]).unwrap_err().to_string();
+            (refused, second.heap().display(second_data), curare_lisp::speclog::armed())
+        });
+    assert!(refused.contains("a speculative run is already in flight"), "{refused}");
+    assert_eq!(after_refusal, HELD_LIST, "refused means untouched");
+    assert!(still_armed, "the first run keeps its journal");
+    assert_eq!(held_list, SCRUBBED);
+    assert_eq!((held.spec_commits, held.spec_aborts, held.spec_escalated), (9, 0, false));
     second_rt.run("scrub", &[second_data]).expect("free again once the first resolved");
-    assert_eq!(second.heap().display(second_data), "(2 3 4 5 6 7 8 9)");
+    assert_eq!(second.heap().display(second_data), SCRUBBED);
     assert_eq!(second_rt.stats().spec_commits, 9);
+}
+
+/// A speculative run's order is made of its own pool's spawns. A plain
+/// pool running beside it gets invocation ids while the journal is
+/// armed, and its accesses are journaled — but it must stay out of the
+/// speculative run's tree: its invocations are nobody's to commit,
+/// abort or replay.
+#[test]
+fn a_plain_pool_beside_a_speculative_run_stays_out_of_its_tree() {
+    let _g = guard();
+    let (plain, plain_rt, plain_data) = hold_pool(false);
+    let (ran, held_list, held) =
+        while_a_speculative_run_is_held(|| plain_rt.run("scrub", &[plain_data]));
+    ran.expect("a plain pool runs beside a speculative one");
+    assert_eq!(plain.heap().display(plain_data), SCRUBBED);
+    assert_eq!(plain_rt.stats().spec_commits, 0);
+    assert_eq!(held_list, SCRUBBED);
+    assert_eq!((held.spec_commits, held.spec_aborts, held.spec_escalated), (9, 0, false));
+}
+
+/// The journal's other level, `observe`, is the sanitizer's: it
+/// records the run and leaves it alone. Printed lines reach the output
+/// log as they are printed, not through a commit; a body error is the
+/// run's error, not a parked one for a validator that will never run.
+#[test]
+fn an_observed_run_prints_and_fails_like_an_unobserved_one() {
+    let _g = guard();
+    let src = "(defun chant (l)
+           (cond ((null l) (car 7))
+                 (t (print (car l)) (cri-enqueue 0 chant (cdr l)))))";
+    let interp = Arc::new(Interp::new());
+    interp.load_str(src).expect("loads");
+    let rt = CriRuntime::with_config(Arc::clone(&interp), 1, RuntimeConfig::default());
+    let data = interp.load_str("(list 1 2 3 4 5)").unwrap();
+    curare_lisp::speclog::observe().expect("a free journal");
+    let err = rt.run("chant", &[data]).expect_err("the last invocation's error is the run's");
+    let seen = curare_lisp::speclog::observed();
+    assert!(err.to_string().contains("car"), "{err}");
+    assert_eq!(interp.take_output(), ["1", "2", "3", "4", "5"], "undiverted, in order");
+    assert_eq!(seen.spawns.len(), 6, "and every invocation was seen");
+    assert!(!curare_lisp::speclog::armed());
 }

@@ -649,7 +649,7 @@ fn tails_are_order_insensitive(
 ///   written — `curare check --locks` audits it with C007/C008), or
 ///   the synthesized CRI placement is certifier-clean *and* every tail
 ///   statement passes the order-insensitivity gate
-///   ([`tails_are_order_insensitive`]), and
+///   (`tails_are_order_insensitive`), and
 /// - every covered access sits in a bracketable statement position.
 pub fn lock_rescue(
     form: &Sexpr,
