@@ -20,6 +20,10 @@ echo "== cargo build --release"
 cargo build --release
 
 echo "== cargo test -q"
+# Beside every suite, the table's own checks (crates/bench, `experiments`
+# unit tests): each command line and schema a document quotes exists,
+# and each `pub mod` of a product crate is named by product code
+# outside its own file.
 cargo test -q
 
 echo "== experiments: every row of the table at its CI size"
@@ -58,9 +62,14 @@ echo "== speculation: example contract"
 # (plain grep, not -q: early grep exit would SIGPIPE curare under pipefail)
 target/release/curare run examples/lisp/fixtures/scrub.lisp --servers 4 \
   --call "(scrub *data*)" 2>&1 | grep "scrub: converted = false" > /dev/null
-# …but admitted under --speculate, committing without escalation.
-target/release/curare run examples/lisp/fixtures/scrub.lisp --servers 4 \
-  --speculate --call "(scrub *data*)" 2>&1 | grep "escalated: false" > /dev/null
+# …but admitted under --speculate, committing without escalation, and
+# reported as published the way a speculating pool publishes.
+out="$(target/release/curare run examples/lisp/fixtures/scrub.lisp --servers 4 \
+  --speculate --call "(scrub *data*)" 2>&1)"
+for want in "escalated: false" "publication = eager (speculating pool)"; do
+  echo "$out" | grep -F "$want" > /dev/null \
+    || { echo "scrub --speculate: no '$want' in the report" >&2; exit 1; }
+done
 
 echo "== benchmark: the stand-alone package still builds against the facade and passes"
 # benchmark/ is its own workspace, so nothing above compiles it: an API

@@ -148,7 +148,11 @@ mod tests {
         let heap = Heap::new();
         let mut lw = Lowerer::new(&heap);
         let prog = lw.lower_program(&parse_all(src).unwrap()).unwrap();
-        let func = prog.funcs.iter().find(|f| f.is_recursive()).expect("a recursive function");
+        let func = prog
+            .funcs
+            .iter()
+            .find(|f| f.body.iter().any(|e| e.calls(f.name_sym)))
+            .expect("a recursive function");
         let accesses = collect_accesses(func);
         let transfers = transfer_functions(func);
         let canon = match decl {

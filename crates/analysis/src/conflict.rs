@@ -69,39 +69,6 @@ impl ConflictReport {
     pub fn is_conflict_free(&self) -> bool {
         self.conflicts.is_empty() && self.unknown_writes == 0
     }
-
-    /// Stable single-line JSON (schema `curare-conflicts/1`).
-    pub fn to_json(&self) -> curare_obs::Json {
-        let conflicts: Vec<curare_obs::Json> = self
-            .conflicts
-            .iter()
-            .map(|c| {
-                curare_obs::Json::obj()
-                    .set("root", c.root)
-                    .set("write_path", c.write_path.to_string())
-                    .set("other_path", c.other_path.to_string())
-                    .set(
-                        "kind",
-                        match c.kind {
-                            DependencyKind::WriteRead => "write-read",
-                            DependencyKind::WriteWrite => "write-write",
-                        },
-                    )
-                    .set("distance", c.distance)
-                    .set("persistent", c.persistent)
-            })
-            .collect();
-        let mut doc = curare_obs::Json::obj()
-            .set("schema", "curare-conflicts/1")
-            .set("conflict_free", self.is_conflict_free())
-            .set("conflicts", conflicts)
-            .set("unknown_writes", self.unknown_writes)
-            .set("unknown_reads", self.unknown_reads);
-        if let Some(d) = self.min_distance {
-            doc = doc.set("min_distance", d);
-        }
-        doc
-    }
 }
 
 /// Largest distance probed when a conflict's persistence is checked.
@@ -473,31 +440,6 @@ mod tests {
                  (setf (cadr l) 1)))",
         );
         assert!(!r.conflicts.iter().any(|c| c.other_path.to_string() == "cdr"), "{r:?}");
-    }
-
-    #[test]
-    fn report_json_round_trips() {
-        let r = report_of("(defun f (l) (when l (setf (cadr l) (car l)) (f (cdr l))))");
-        let text = r.to_json().to_string();
-        assert!(!text.contains('\n'), "single line: {text}");
-        let doc = curare_obs::Json::parse(&text).expect("round-trip");
-        assert_eq!(
-            doc.get("schema").and_then(curare_obs::Json::as_str),
-            Some("curare-conflicts/1")
-        );
-        assert_eq!(doc.get("min_distance").and_then(curare_obs::Json::as_u64), Some(1));
-        let cs = doc.get("conflicts").and_then(curare_obs::Json::as_arr).unwrap();
-        assert_eq!(cs.len(), r.conflicts.len());
-        assert_eq!(cs[0].get("write_path").and_then(curare_obs::Json::as_str), Some("cdr.car"));
-        assert_eq!(cs[0].get("kind").and_then(curare_obs::Json::as_str), Some("write-read"));
-    }
-
-    #[test]
-    fn conflict_free_report_json_has_no_min_distance() {
-        let r = report_of("(defun f (l) (when l (print (car l)) (f (cdr l))))");
-        let doc = curare_obs::Json::parse(&r.to_json().to_string()).unwrap();
-        assert!(doc.get("min_distance").is_none());
-        assert_eq!(doc.get("conflict_free").and_then(curare_obs::Json::as_bool), Some(true));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! | clause | meaning | paper |
 //! |---|---|---|
-//! | `(no-alias v...)` | the listed parameters are unaliased SAPP roots | §2.1 |
+//! | `(no-alias v...)` | the listed parameters are unaliased SAPP roots (checked for shape only: the analysis takes it as its premise for every parameter) | §2.1 |
 //! | `(sapp v...)` | synonym of `no-alias` | §2.1 |
 //! | `(inverse f g)` | accessors `f` and `g` are inverses (canonicalization) | §2.1 |
 //! | `(reorderable op...)` | op is atomic+commutative+associative | §3.2.3 |
@@ -19,7 +19,7 @@
 //! | `(any-result f...)` | any result satisfying the search is acceptable | §3.2.3 |
 //! | `(transform f...)` | restructure these functions | §6 |
 //! | `(dont-transform f...)` | leave these functions alone | §6 |
-//! | `(structural ty field...)` | fields point to instances of the same structure | §2.1 |
+//! | `(structural ty field...)` | fields point to instances of the same structure (checked for shape only: no analysis consults it) | §2.1 |
 //! | `(locks f (exclusive v path)...)` | use this lock placement instead of synthesizing one | §3.2.1 |
 //!
 //! A `locks` clause asserts a read-write lock placement: each spec is
@@ -55,8 +55,6 @@ impl std::error::Error for DeclError {}
 /// Accumulated declarations, queried by the analyses and transforms.
 #[derive(Debug, Clone, Default)]
 pub struct DeclDb {
-    /// Function name -> parameter names declared alias-free (SAPP roots).
-    no_alias: HashMap<String, HashSet<String>>,
     /// Unordered pairs of inverse accessor names.
     inverses: Vec<(String, String)>,
     reorderable: HashSet<String>,
@@ -64,8 +62,6 @@ pub struct DeclDb {
     any_result: HashSet<String>,
     transform: HashSet<String>,
     dont_transform: HashSet<String>,
-    /// (type name, field name) pairs declared structural.
-    structural: HashSet<(String, String)>,
     /// Function name -> declared lock placement (§3.2.1).
     lock_placements: HashMap<String, Vec<DeclaredLock>>,
 }
@@ -123,11 +119,10 @@ impl DeclDb {
         };
         match head {
             "no-alias" | "sapp" => {
-                let Some(f) = fname else {
+                if fname.is_none() {
                     return Err(DeclError(format!("{head} is only valid inside a defun")));
-                };
-                let names = syms(&items[1..])?;
-                self.no_alias.entry(f.to_string()).or_default().extend(names);
+                }
+                syms(&items[1..])?;
             }
             "inverse" => {
                 let names = syms(&items[1..])?;
@@ -145,11 +140,8 @@ impl DeclDb {
             "dont-transform" => self.dont_transform.extend(syms(&items[1..])?),
             "structural" => {
                 let names = syms(&items[1..])?;
-                let Some((ty, fields)) = names.split_first() else {
+                if names.is_empty() {
                     return Err(DeclError(format!("(structural ty field...) malformed: {clause}")));
-                };
-                for f in fields {
-                    self.structural.insert((ty.clone(), f.clone()));
                 }
             }
             "locks" => {
@@ -207,19 +199,9 @@ impl DeclDb {
         Ok(())
     }
 
-    /// Was parameter `param` of `fname` declared alias-free?
-    pub fn is_no_alias(&self, fname: &str, param: &str) -> bool {
-        self.no_alias.get(fname).is_some_and(|s| s.contains(param))
-    }
-
     /// All inverse accessor pairs.
     pub fn inverse_pairs(&self) -> &[(String, String)] {
         &self.inverses
-    }
-
-    /// Are `a` and `b` declared inverses (in either order)?
-    pub fn are_inverses(&self, a: &str, b: &str) -> bool {
-        self.inverses.iter().any(|(x, y)| (x == a && y == b) || (x == b && y == a))
     }
 
     /// Is `op` declared atomic-commutative-associative?
@@ -258,11 +240,6 @@ impl DeclDb {
         }
     }
 
-    /// Was `(ty, field)` declared structural?
-    pub fn is_structural(&self, ty: &str, field: &str) -> bool {
-        self.structural.contains(&(ty.to_string(), field.to_string()))
-    }
-
     /// The declared lock placement for `f`, if any.
     pub fn lock_placement(&self, f: &str) -> Option<&[DeclaredLock]> {
         self.lock_placements.get(f).map(Vec::as_slice)
@@ -296,9 +273,7 @@ mod tests {
                 .unwrap(),
         )
         .unwrap();
-        assert!(db.are_inverses("succ", "pred"));
-        assert!(db.are_inverses("pred", "succ"));
-        assert!(!db.are_inverses("succ", "succ"));
+        assert_eq!(db.inverse_pairs(), [("succ".to_string(), "pred".to_string())]);
         assert!(db.is_reorderable("+"));
         assert!(!db.is_reorderable("-"));
         assert!(db.is_any_result("find"));
@@ -309,10 +284,8 @@ mod tests {
         let mut db = DeclDb::new();
         db.add_function_decl("f", &parse_one("(declare (curare (no-alias l r)))").unwrap())
             .unwrap();
-        assert!(db.is_no_alias("f", "l"));
-        assert!(db.is_no_alias("f", "r"));
-        assert!(!db.is_no_alias("f", "x"));
-        assert!(!db.is_no_alias("g", "l"));
+        let toplevel = parse_one("(curare-declare (no-alias l))").unwrap();
+        assert!(db.add_toplevel(&toplevel).unwrap_err().0.contains("only valid inside a defun"));
     }
 
     #[test]
@@ -320,7 +293,7 @@ mod tests {
         let mut db = DeclDb::new();
         db.add_function_decl("f", &parse_one("(declare (type list l) (optimize speed))").unwrap())
             .unwrap();
-        assert!(!db.is_no_alias("f", "l"));
+        assert!(db.reorderable_ops().is_empty());
     }
 
     #[test]
@@ -338,9 +311,8 @@ mod tests {
         let mut db = DeclDb::new();
         db.add_toplevel(&parse_one("(curare-declare (structural node left right))").unwrap())
             .unwrap();
-        assert!(db.is_structural("node", "left"));
-        assert!(db.is_structural("node", "right"));
-        assert!(!db.is_structural("node", "value"));
+        let bare = parse_one("(curare-declare (structural))").unwrap();
+        assert!(db.add_toplevel(&bare).unwrap_err().0.contains("malformed"));
     }
 
     #[test]
@@ -438,6 +410,5 @@ mod tests {
             .unwrap();
         let db = DeclDb::from_program(&prog).unwrap();
         assert!(db.is_reorderable("+"));
-        assert!(db.is_no_alias("f", "l"));
     }
 }

@@ -368,13 +368,6 @@ pub fn classify_calls(func: &Func) -> CallPositions {
     }
 }
 
-/// Count self-call sites whose value is discarded (free calls, §3.1:
-/// "if f does not use the result returned by one of these calls, say
-/// Cᵢ, then Cᵢ is a free call").
-pub fn count_free_calls(func: &Func) -> usize {
-    classify_calls(func).free
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

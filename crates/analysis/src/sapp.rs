@@ -41,28 +41,6 @@ pub struct SappReport {
     pub visited: usize,
 }
 
-impl SappReport {
-    /// Stable single-line JSON (schema `curare-sapp/1`).
-    pub fn to_json(&self) -> curare_obs::Json {
-        let violations: Vec<curare_obs::Json> = self
-            .violations
-            .iter()
-            .map(|v| {
-                curare_obs::Json::obj()
-                    .set("node", v.node.as_str())
-                    .set("first", v.first.to_string())
-                    .set("second", v.second.to_string())
-                    .set("cycle", v.cycle)
-            })
-            .collect();
-        curare_obs::Json::obj()
-            .set("schema", "curare-sapp/1")
-            .set("holds", self.holds)
-            .set("visited", self.visited)
-            .set("violations", violations)
-    }
-}
-
 const MAX_VIOLATIONS: usize = 16;
 
 /// Check the SAPP for the graph reachable from `root`.
@@ -207,22 +185,6 @@ mod tests {
         canon.add_pair(Accessor::Field { ty, field: 0 }, Accessor::Field { ty, field: 1 });
         let r = check_sapp(&h, a, &canon);
         assert!(r.holds, "{r:?}");
-    }
-
-    #[test]
-    fn report_json_round_trips() {
-        let h = Heap::new();
-        let shared = h.list(&[Value::int(9)]);
-        let a = h.cons(shared, shared);
-        let r = check_sapp(&h, a, &Canonicalizer::identity());
-        let text = r.to_json().to_string();
-        assert!(!text.contains('\n'), "single line: {text}");
-        let doc = curare_obs::Json::parse(&text).expect("round-trip");
-        assert_eq!(doc.get("schema").and_then(curare_obs::Json::as_str), Some("curare-sapp/1"));
-        assert_eq!(doc.get("holds").and_then(curare_obs::Json::as_bool), Some(false));
-        let vs = doc.get("violations").and_then(curare_obs::Json::as_arr).unwrap();
-        assert_eq!(vs.len(), 1);
-        assert_eq!(vs[0].get("cycle").and_then(curare_obs::Json::as_bool), Some(false));
     }
 
     #[test]

@@ -29,12 +29,6 @@ pub enum Transfer {
 }
 
 impl Transfer {
-    /// Is the parameter invariant across invocations (`τ = ε` at every
-    /// site)?
-    pub fn is_identity(&self) -> bool {
-        matches!(self, Transfer::Literal(paths) if paths.iter().all(Path::is_empty))
-    }
-
     /// Regex for one application of τ.
     pub fn regex(&self) -> PathRegex {
         match self {
@@ -52,15 +46,6 @@ impl Transfer {
                 }
                 re
             }
-        }
-    }
-
-    /// Regex for `τ^d` (composition over `d` invocations).
-    pub fn regex_at_distance(&self, d: usize) -> PathRegex {
-        match self {
-            // A* composed d times is still A*.
-            Transfer::Unknown => PathRegex::any_star(),
-            _ => self.regex().power(d),
         }
     }
 
@@ -176,7 +161,7 @@ mod tests {
                      (t (cons (car lst) (remq obj (cdr lst))))))",
         );
         assert_eq!(s.call_sites, 2);
-        assert!(s.per_param[0].is_identity(), "{:?}", s.per_param[0]);
+        assert_eq!(s.per_param[0], literal(&["ε"]));
         assert_eq!(s.per_param[1], literal(&["cdr"]));
     }
 
@@ -221,7 +206,7 @@ mod tests {
     fn non_recursive_function_has_no_sites() {
         let s = summary_of("(defun f (l) (car l))");
         assert_eq!(s.call_sites, 0);
-        assert!(s.per_param[0].is_identity());
+        assert_eq!(s.per_param[0], literal(&[]));
     }
 
     #[test]
@@ -232,14 +217,6 @@ mod tests {
         let s = summary_of("(defun f (l) (when l (future (f (cdr l)))))");
         assert_eq!(s.call_sites, 1);
         assert_eq!(s.per_param[0], literal(&["cdr"]));
-    }
-
-    #[test]
-    fn distance_powers() {
-        let s = summary_of("(defun f (l) (when l (f (cdr l))))");
-        let tau2 = s.per_param[0].regex_at_distance(2);
-        assert!(tau2.matches(&parse_list_path("cdr.cdr").unwrap()));
-        assert!(!tau2.matches(&parse_list_path("cdr").unwrap()));
     }
 
     #[test]

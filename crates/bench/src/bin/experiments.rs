@@ -6,7 +6,7 @@
 //! ```text
 //! experiments list                 # the table: name, paper section, one line
 //! experiments                      # every row
-//! experiments e4 e7 steal          # some
+//! experiments e4 e7 locksynth      # some
 //! experiments e8 --json            # the curare-bench/3 document instead of prose
 //! experiments --quick              # CI-sized cells; the exit code is the gate
 //! ```
@@ -31,7 +31,7 @@ use curare::obs;
 use curare::prelude::*;
 use curare::runtime::chaos::{self, ChaosProfile, FaultPlan};
 use curare::runtime::{Location, LockTable, RuntimeConfig};
-use curare::sim::{formula, simulate_steal, StealSimConfig};
+use curare::sim::formula;
 use curare_bench::*;
 
 static EXPERIMENTS: &[Experiment] = &[
@@ -80,7 +80,7 @@ static EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "e8",
         source: "§4.1",
-        about: "the central-queue bottleneck: model, and central vs sharded measured",
+        about: "the central-queue bottleneck: model, and central vs sharded counted",
         run: e8_queue_bottleneck,
     },
     Experiment {
@@ -88,12 +88,6 @@ static EXPERIMENTS: &[Experiment] = &[
         source: "Fig. 12-13, §5",
         about: "destination-passing style: remq-d on the pool equals remq",
         run: e9_dps_remq,
-    },
-    Experiment {
-        name: "e10",
-        source: "§1.2",
-        about: "a thread per invocation vs the server pool, measured",
-        run: e10_spawn_vs_server,
     },
     Experiment {
         name: "e11",
@@ -154,12 +148,6 @@ static EXPERIMENTS: &[Experiment] = &[
         source: "§3.2.1",
         about: "naive exclusive vs synthesised rw vs coalesced lock placements",
         run: locksynth,
-    },
-    Experiment {
-        name: "steal",
-        source: "DESIGN: STEAL",
-        about: "site skew: the steal model vs static sharding, threaded runs counted",
-        run: steal,
     },
 ];
 
@@ -420,45 +408,42 @@ fn e8_queue_bottleneck(r: &mut Run) {
             ("speedup", model(sim.speedup)),
         ]);
     }
-    // Measured: the tiniest grain under the paper's central queue
-    // (one published task per spawn) and under the default pool
-    // (chaining, batched submit), same binary, 8 servers.
-    const REPS: usize = 5;
+    // Counted: the tiniest grain under the paper's central queue (one
+    // published task per spawn) and under the default pool (chaining,
+    // batched submit), same binary, 8 servers, one run per mode.
     let p = Program::named("bare-walk");
-    r.say(format!("measured: {} cells, 8 servers, median of {REPS} runs per mode", p.n));
+    r.say(format!("counted: {} cells, 8 servers, one run per mode", p.n));
     let mut cells = Vec::new();
     r.per_mode(|r, mode, mode_name| {
         let (interp, _) = p.restructured(Curare::new());
         let rt = CriRuntime::with_mode(Arc::clone(&interp), 8, mode);
         let args = (p.args)(&interp, p.n);
-        let median = time_median(REPS, || rt.run(p.entry, &args).expect("pool run"));
+        rt.run(p.entry, &args).expect("pool run");
         let stats = rt.stats();
         r.row([
             ("mode", mode_name.into()),
-            ("median_ms", host(ms(median))),
             ("tasks", count(stats.tasks)),
             ("chained", count(stats.chained_tasks)),
             ("batched", count(stats.batched_submits)),
             ("parks", count(stats.parks)),
         ]);
         let lazy = stats.chained_tasks + stats.batched_submits;
-        cells.push((median, stats.tasks, lazy, interp.heap().display(args[0])));
+        cells.push((stats.tasks, lazy, interp.heap().display(args[0])));
     });
-    r.row([("sharded / central", host(cells[0].0.as_secs_f64() / cells[1].0.as_secs_f64()))]);
     r.gate(
         "central and sharded run the same tasks and leave the same list",
-        cells[0].1 == cells[1].1 && cells[0].3 == cells[1].3,
-        format!("{} vs {} tasks", cells[0].1, cells[1].1),
+        cells[0].0 == cells[1].0 && cells[0].2 == cells[1].2,
+        format!("{} vs {} tasks", cells[0].0, cells[1].0),
     );
     r.gate(
         "central publishes every spawn at the spawn (nothing chained or batched)",
-        cells[0].2 == 0,
+        cells[0].1 == 0,
         "",
     );
     r.say(
         "shape: per-invocation queue cost caps throughput and batching amortises it; the \
-         measured ratio is item 3(a)'s dial (benchmark: tiny_grain runtime.par_central_p50_ms \
-         vs runtime.par_p50_ms).",
+         measured central vs sharded time is the benchmark's: tiny_grain \
+         runtime.par_central_p50_ms against runtime.par_p50_ms.",
     );
 }
 
@@ -480,38 +465,6 @@ fn e9_dps_remq(r: &mut Run) {
         ]);
     }
     r.gate("remq-d on 4 servers returns the list remq returns", equal, "");
-}
-
-/// E10 — process-per-invocation vs server reuse (§1.2).
-fn e10_spawn_vs_server(r: &mut Run) {
-    const REPS: usize = 5;
-    let p = Program::named("sum-walk");
-    let n: i64 = if r.quick { 1_000 } else { 4_000 };
-    let (interp, _) = p.restructured(Curare::new());
-    // The walker only reads its list: one list serves every run.
-    let args = (p.args)(&interp, n);
-    let pool = CriRuntime::new(Arc::clone(&interp), 4);
-    let pooled = time_median(REPS, || pool.run(p.entry, &args).expect("pool run"));
-    drop(pool);
-    let spawner = SpawnRuntime::new(Arc::clone(&interp));
-    let spawned = time_median(REPS, || spawner.run(p.entry, &args).expect("spawn run"));
-    r.row([
-        ("server pool ms", host(ms(pooled))),
-        ("thread each ms", host(ms(spawned))),
-        ("threads", count(spawner.threads_spawned())),
-        ("penalty", host(spawned.as_secs_f64() / pooled.as_secs_f64())),
-    ]);
-    // Both runtimes added into the one global: 2·REPS exact sums.
-    let sum = interp.heap().display(interp.load_str("*sum*").expect("*sum* readable"));
-    r.gate(
-        "every invocation ran exactly once under both runtimes",
-        sum == (2 * REPS as i64 * n * (n + 1) / 2).to_string(),
-        format!("*sum* = {sum}"),
-    );
-    r.say(format!(
-        "median of {REPS} runs of {n} invocations. §1.2: 'programmers cannot treat processes as \
-         a free and infinite resource'."
-    ));
 }
 
 /// E11 — sequentializability: concurrent result == sequential result.
@@ -600,7 +553,7 @@ fn e13_handoff_crossover(r: &mut Run) {
 fn vm_counts(p: &Program, fuse: bool) -> ([u64; 3], curare::lisp::VmStats) {
     with_big_stack(|| {
         let interp = with_fusion(fuse, || p.written());
-        interp.set_engine(Some(Engine::Vm));
+        interp.set_engine(Engine::Vm);
         let args = (p.args)(&interp, p.n);
         interp.call(p.entry, &args).expect("warm-up call");
         let id = interp.lookup_func_by_name(p.entry).expect("entry defined");
@@ -630,7 +583,7 @@ fn interp_engines(r: &mut Run) {
         let median_on = |engine: Engine| {
             with_big_stack(|| {
                 let interp = p.written();
-                interp.set_engine(Some(engine));
+                interp.set_engine(engine);
                 let args = (p.args)(&interp, p.n);
                 interp.call(p.entry, &args).expect("warm-up call");
                 time_median(REPS, || {
@@ -699,7 +652,7 @@ fn differential(r: &mut Run) {
     let run_engine = |src: &str, engine: Engine, fuse: bool| -> String {
         with_big_stack(move || {
             let interp = Interp::new();
-            interp.set_engine(Some(engine));
+            interp.set_engine(engine);
             let outcome = match with_fusion(fuse, || interp.load_str(src)) {
                 Ok(v) => format!("ok: {}", interp.heap().display(v)),
                 Err(e) => format!("err: {e}"),
@@ -1140,108 +1093,6 @@ fn locksynth(r: &mut Run) {
     );
 }
 
-/// `steal` — the work-stealing skew sweep: three site-load
-/// distributions (uniform, 90/10, Zipf) over 8 leaf sites.
-///
-/// Each cell pairs a deterministic model run ([`simulate_steal`], the
-/// same protocol the threaded pool executes: steal-half site
-/// migration plus steal-pop on a lone hot site) with a threaded pool
-/// run of the multi-site spreader. The ratios gated are the model's
-/// stealing run against its static-sharding baseline (ownership
-/// without stealing — a configuration only the model still has);
-/// every threaded run is held to the sequential oracle (`*skew-sum*`
-/// and the exact task count) and contributes the real steal/park
-/// counters. Measured: the benchmark's `skewed_sites`.
-fn steal(r: &mut Run) {
-    const SERVERS: usize = 4;
-    // "Uniform" must mean uniform per *owner*: static ownership homes
-    // site `k` on server `k mod SERVERS`, so the site count divides.
-    const SITES: usize = 8;
-    /// Model ticks per task (only the ratios matter).
-    const GRAIN: u64 = 100;
-    /// Arithmetic busywork per leaf in the threaded runs.
-    const PAD: usize = 16;
-    let n: usize = if r.quick { 800 } else { 4000 };
-    let program = skew_spreader(SITES, PAD);
-    let mut diverged = Vec::new();
-    // Model makespans per distribution: (static sharding, stealing).
-    let mut makespans = Vec::new();
-    for dist in [SkewDist::Uniform, SkewDist::Hot90, SkewDist::Zipf] {
-        let counts = dist.counts(n, SITES);
-        // Central model: one shared queue balances perfectly; the
-        // makespan is the work bound whatever the distribution.
-        let central_time = (n as u64 * GRAIN).div_ceil(SERVERS as u64).max(GRAIN);
-        let config = StealSimConfig::new(counts.clone()).grain(GRAIN).servers(SERVERS);
-        let (fixed, stealing) =
-            (simulate_steal(&config.clone().steal(false)), simulate_steal(&config));
-        makespans.push((fixed.total_time as f64, stealing.total_time as f64));
-        r.row([
-            ("dist", dist.name().into()),
-            ("scheduler", "static sharding".into()),
-            ("model_time", model(fixed.total_time as f64)),
-            ("model_par", model(fixed.achieved_concurrency)),
-        ]);
-        let values = skew_values(&counts, 9);
-        let expect_sum: i64 = values.iter().map(|v| v + 1).sum();
-        let model_of = |mode| match mode {
-            SchedMode::Central => (central_time, SERVERS as f64),
-            SchedMode::Sharded => (stealing.total_time, stealing.achieved_concurrency),
-        };
-        r.per_mode(|r, mode, mode_name| {
-            let interp = Arc::new(Interp::new());
-            interp.load_str(&program).expect("spreader loads");
-            let rt = CriRuntime::with_mode(Arc::clone(&interp), SERVERS, mode);
-            let run = rt.run("spread", &[value_list(&interp, &values)]);
-            let stats = rt.stats();
-            drop(rt);
-            let sum = interp.load_str("*skew-sum*").expect("oracle global");
-            // 1 root + n spread continuations + n leaves, exactly once.
-            let result_ok =
-                run.is_ok() && sum == Value::int(expect_sum) && stats.tasks == 2 * n as u64 + 1;
-            if !result_ok {
-                diverged.push(format!("{} {mode_name}", dist.name()));
-            }
-            let (model_time, model_par) = model_of(mode);
-            r.row([
-                ("dist", dist.name().into()),
-                ("scheduler", mode_name.into()),
-                ("model_time", model(model_time as f64)),
-                ("model_par", model(model_par)),
-                ("tasks", count(stats.tasks)),
-                ("steals", count(stats.steal_successes)),
-                ("migrated", count(stats.sites_migrated)),
-                ("parks", count(stats.parks)),
-                ("result_ok", result_ok.into()),
-            ]);
-        });
-    }
-    r.gate(
-        "every threaded run left the oracle sum over exactly 2n+1 tasks",
-        diverged.is_empty(),
-        diverged.join(", "),
-    );
-    let speedup = |(fixed, stealing): (f64, f64)| fixed / stealing.max(1.0);
-    let uniform_delta = (makespans[0].1 - makespans[0].0) / makespans[0].0.max(1.0);
-    r.row([
-        ("90-10 steal speedup", model(speedup(makespans[1]))),
-        ("zipf steal speedup", model(speedup(makespans[2]))),
-        ("uniform delta", model(uniform_delta)),
-    ]);
-    for (dist, at) in [("90/10", 1), ("Zipf", 2)] {
-        let ratio = speedup(makespans[at]);
-        r.gate(
-            &format!("model: stealing at least 1.5x static sharding on {dist}"),
-            ratio >= 1.5,
-            format!("{ratio:.2}x"),
-        );
-    }
-    r.gate(
-        "model: stealing moves the uniform makespan by at most 5%",
-        uniform_delta.abs() <= 0.05,
-        format!("{:+.1}%", uniform_delta * 100.0),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1276,9 +1127,24 @@ mod tests {
             );
         }
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let product: String = product_sources().into_iter().map(|(_, text)| text).collect();
         let mut seen = 0;
         for doc in ["README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"] {
             let text = std::fs::read_to_string(format!("{root}/{doc}")).expect(doc);
+            // A schema a document names is one some product code emits.
+            for (at, _) in text.match_indices("curare-") {
+                let end = text[at..]
+                    .find(|c: char| !(c.is_alphanumeric() || "-/".contains(c)))
+                    .unwrap_or(text.len() - at);
+                let word = &text[at..at + end];
+                let is_schema = word
+                    .split_once('/')
+                    .is_some_and(|(_, n)| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()));
+                assert!(
+                    !is_schema || product.contains(word),
+                    "{doc} names the schema {word}, which no non-test source emits"
+                );
+            }
             for line in quoted_command_lines(&text) {
                 seen += 1;
                 for word in line.iter().filter(|w| *w != "--") {
@@ -1296,5 +1162,59 @@ mod tests {
             }
         }
         assert!(seen >= 20, "the scan found only {seen} command lines: has the quoting changed?");
+    }
+
+    /// Every `.rs` file under the workspace's `crates/*/src` and
+    /// `examples/`, cut at its first `#[cfg(test)]`: the code a product
+    /// root can reach.
+    fn product_sources() -> Vec<(std::path::PathBuf, String)> {
+        fn walk(dir: &std::path::Path, out: &mut Vec<(std::path::PathBuf, String)>) {
+            for entry in std::fs::read_dir(dir).expect("a source directory").flatten() {
+                let path = entry.path();
+                if path.is_dir() {
+                    walk(&path, out);
+                } else if path.extension().is_some_and(|e| e == "rs") {
+                    let text = std::fs::read_to_string(&path).expect("a source file");
+                    let cut = text.find("#[cfg(test)]").unwrap_or(text.len());
+                    out.push((path, text[..cut].to_string()));
+                }
+            }
+        }
+        let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+        let mut out = Vec::new();
+        walk(&root.join("examples"), &mut out);
+        for krate in std::fs::read_dir(root.join("crates")).expect("crates/").flatten() {
+            walk(&krate.path().join("src"), &mut out);
+        }
+        out
+    }
+
+    /// Product code is reachable from a product root: a `pub mod` of a
+    /// crate's `lib.rs` is named in a path (`name::` or `::name`) by
+    /// some non-test, non-comment line outside its own file. A module
+    /// only its own unit tests and the crate's `tests/` reach fails.
+    #[test]
+    fn every_public_module_is_named_outside_itself() {
+        let sources = product_sources();
+        let mut modules = 0;
+        for (lib, text) in sources.iter().filter(|(p, _)| p.ends_with("src/lib.rs")) {
+            for name in text.lines().filter_map(|l| l.strip_prefix("pub mod ")?.strip_suffix(';')) {
+                modules += 1;
+                let own = lib.with_file_name(format!("{name}.rs"));
+                let named = sources.iter().filter(|(p, _)| *p != own).any(|(_, text)| {
+                    text.lines().filter(|l| !l.trim_start().starts_with("//")).any(|l| {
+                        l.match_indices(name).any(|(at, _)| {
+                            let (before, after) = (&l[..at], &l[at + name.len()..]);
+                            let word = |c: char| c.is_alphanumeric() || c == '_';
+                            !before.ends_with(word)
+                                && !after.starts_with(word)
+                                && (before.ends_with("::") || after.starts_with("::"))
+                        })
+                    })
+                });
+                assert!(named, "{}: `pub mod {name}` is named by no product code", lib.display());
+            }
+        }
+        assert!(modules >= 60, "the scan found only {modules} modules: has the layout changed?");
     }
 }

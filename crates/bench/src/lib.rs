@@ -21,7 +21,6 @@ use std::time::{Duration, Instant};
 use curare::lisp::{Interp, LispError, Lowerer, Value};
 use curare::prelude::*;
 use curare::runtime::RuntimeConfig;
-use curare::sim;
 
 /// The paper's Figure 3: a simple recursive list walker.
 pub const FIGURE_3: &str = "(defun f (l) (when l (print (car l)) (f (cdr l))))";
@@ -270,15 +269,6 @@ pub fn sym_list(interp: &Interp, n: usize, syms: &[&str]) -> Value {
     l
 }
 
-/// Build `values` as a heap list (first element first).
-pub fn value_list(interp: &Interp, values: &[i64]) -> Value {
-    let mut l = Value::NIL;
-    for &v in values.iter().rev() {
-        l = interp.heap().cons(Value::int(v), l);
-    }
-    l
-}
-
 /// What a run of a [`Program`] is judged by.
 #[derive(Debug, Clone, Copy)]
 pub enum Observe {
@@ -518,93 +508,6 @@ pub fn time_median(runs: usize, mut f: impl FnMut()) -> Duration {
 /// Number of hardware threads: the caveat on every `host` cell.
 pub fn hardware_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// How the skew workload spreads leaf tasks across call sites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SkewDist {
-    /// Every leaf site gets the same share.
-    Uniform,
-    /// 90% of the leaves land on the first site, the rest divide the
-    /// remainder evenly.
-    Hot90,
-    /// Zipf(1) shares: site `i` proportional to `1/(i+1)`.
-    Zipf,
-}
-
-impl SkewDist {
-    /// The stable name used in tables and documents.
-    pub fn name(self) -> &'static str {
-        match self {
-            SkewDist::Uniform => "uniform",
-            SkewDist::Hot90 => "90-10",
-            SkewDist::Zipf => "zipf",
-        }
-    }
-
-    /// How many of `n` leaves each of `k` sites gets.
-    pub fn counts(self, n: usize, k: usize) -> Vec<u64> {
-        match self {
-            SkewDist::Uniform => (0..k).map(|i| (n / k) as u64 + u64::from(i < n % k)).collect(),
-            SkewDist::Hot90 => sim::hot_split(n as u64, k, 90),
-            SkewDist::Zipf => sim::zipf_split(n as u64, k),
-        }
-    }
-}
-
-/// Multi-call-site skew workload for the work-stealing experiments.
-///
-/// `spread` walks the driver list; each element enqueues one `leaf`
-/// invocation on a site chosen by the element's value (sites `1..=k`
-/// — `cri-enqueue` requires literal site indices, hence the `cond`
-/// ladder) plus the walk's own continuation on site 0. Every spread
-/// step therefore publishes a two-task batch, which cannot chain, so
-/// all leaves go through the site queues — the scheduler, not the
-/// chaining fast path, is what gets measured. Leaves do `pad`
-/// arithmetic steps of local busywork, then add `v + 1` into the
-/// global `*skew-sum*` with the race-free `atomic-incf`, giving every
-/// run a sequentially checkable oracle (lost or duplicated tasks move
-/// the sum).
-pub fn skew_spreader(k: usize, pad: usize) -> String {
-    assert!(k >= 1, "at least one leaf site");
-    let mut arms = String::new();
-    for v in 0..k {
-        arms.push_str(&format!("((= v {v}) (cri-enqueue {} leaf v))\n", v + 1));
-    }
-    format!(
-        "(defparameter *skew-sum* 0)
-(defun spread (l)
-  (when l
-    (let ((v (car l)))
-      (cond {arms} (t nil)))
-    (cri-enqueue 0 spread (cdr l))))
-(defun leaf (v)
-  (let ((x 0)) {} x)
-  (atomic-incf *skew-sum* (+ v 1)))",
-        busywork(pad)
-    )
-}
-
-/// Leaf-site values for `counts[v]` leaves on site `v`,
-/// deterministically shuffled by a splitmix64 Fisher–Yates from
-/// `seed` (the spreader maps value `v` to site `v + 1`).
-pub fn skew_values(counts: &[u64], seed: u64) -> Vec<i64> {
-    let mut vals: Vec<i64> = Vec::new();
-    for (v, &c) in counts.iter().enumerate() {
-        vals.extend(std::iter::repeat_n(v as i64, c as usize));
-    }
-    let mut state = seed;
-    let mut mix = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    for i in (1..vals.len()).rev() {
-        vals.swap(i, (mix() % (i as u64 + 1)) as usize);
-    }
-    vals
 }
 
 /// One cell of a row: text, a flag, or a number tagged by where it

@@ -21,8 +21,8 @@
 //!   reconstructed from spawn/touch events, and every cross-invocation
 //!   conflicting pair is diffed against the statically predicted
 //!   conflict set. An observed-but-unpredicted unordered pair is a
-//!   soundness failure; predicted-but-never-observed pairs are
-//!   reported as a precision ratio.
+//!   soundness failure; predicted-but-never-observed pairs are a
+//!   precision loss only.
 
 pub mod collect;
 pub mod diag;
@@ -33,6 +33,6 @@ pub use collect::{check_source, CheckError};
 pub use diag::{Code, Diagnostic, DiagnosticSet, Severity};
 pub use lockcert::{check_locks_source, LockCertReport};
 pub use sanitizer::{
-    covered_keys, cross_check, lock_coverage, predicted_pairs, sanitized_lock_check, sanitized_run,
-    CrossCheck, LockCheck, PredictedPairs, UnpredictedPair,
+    covered_keys, cross_check, lock_coverage, predicted_pairs, sanitized_run, CrossCheck,
+    LockCheck, PredictedPairs, UnpredictedPair,
 };

@@ -11,8 +11,8 @@
 //!
 //! - **observed but unpredicted and unordered** — a soundness failure:
 //!   the runtime exhibited a race the analysis missed;
-//! - **predicted but never observed** — a precision loss only; the
-//!   ratio of manifested predictions is reported.
+//! - **predicted but never observed** — a precision loss only
+//!   (`experiments sanitize` prints manifested against predicted).
 //!
 //! **Happens-before.** Each invocation (confined to the one server
 //! thread that executed it, and stamped by the journal's one clock) is
@@ -41,7 +41,6 @@ use curare_analysis::analyze::analyze_function_with_canon;
 use curare_analysis::{Canonicalizer, DeclDb};
 use curare_lisp::speclog::{self, accessor_code, Observed, GLOBAL_LOC_BIT};
 use curare_lisp::{Heap, Lowerer};
-use curare_obs::Json;
 use curare_sexpr::parse_all;
 
 /// Unordered pair of final accessor codes.
@@ -153,60 +152,6 @@ impl CrossCheck {
     pub fn sound(&self) -> bool {
         self.unpredicted_total == 0
     }
-
-    /// Fraction of predicted pairs that manifested in this run
-    /// (1.0 when nothing was predicted — nothing was wasted).
-    pub fn precision(&self) -> f64 {
-        if self.predicted.keys.is_empty() {
-            return 1.0;
-        }
-        let hit = self.predicted.keys.intersection(&self.observed).count();
-        hit as f64 / self.predicted.keys.len() as f64
-    }
-
-    /// The imprecision ratio: predicted-but-unobserved over predicted
-    /// (0.0 when nothing was predicted). A high ratio means the static
-    /// analysis paid for synchronization the run never needed.
-    pub fn unobserved_ratio(&self) -> f64 {
-        1.0 - self.precision()
-    }
-
-    /// Stable single-line JSON, suitable as a `curare-report/1`
-    /// section (schema marker `curare-sanitize/1`).
-    pub fn to_json(&self) -> Json {
-        let predicted: Vec<Json> = self
-            .predicted
-            .keys
-            .iter()
-            .map(|&(a, b)| Json::obj().set("a", a as f64).set("b", b as f64))
-            .collect();
-        let examples: Vec<Json> = self
-            .unpredicted
-            .iter()
-            .map(|u| {
-                Json::obj()
-                    .set("loc", u.loc as f64)
-                    .set("a", u.key.0 as f64)
-                    .set("b", u.key.1 as f64)
-                    .set("inv1", u.invs.0 as f64)
-                    .set("inv2", u.invs.1 as f64)
-            })
-            .collect();
-        Json::obj()
-            .set("schema", "curare-sanitize/1")
-            .set("sound", self.sound())
-            .set("precision", self.precision())
-            .set("unobserved_ratio", self.unobserved_ratio())
-            .set("events", self.events)
-            .set("pairs_checked", self.pairs_checked)
-            .set("capped", self.capped)
-            .set("predicted_top", self.predicted.top)
-            .set("predicted_pairs", predicted)
-            .set("observed_pairs", self.observed.len())
-            .set("unordered_observed", self.unordered_observed.len())
-            .set("unpredicted_total", self.unpredicted_total)
-            .set("unpredicted", examples)
-    }
 }
 
 /// One deduplicated access instance at a location.
@@ -285,8 +230,9 @@ pub fn cross_check(seen: &Observed, predicted: &PredictedPairs) -> CrossCheck {
     }
 
     // 4. Pair scan. Reachability is answered by DFS over the DAG with
-    // a memo; unpredicted keys are rare (none, in a sound run), so the
-    // DFS almost never runs.
+    // a memo, for every candidate pair in both directions: a predicted
+    // pair's order is wanted too (`unordered_observed` is what
+    // `lock_coverage` holds the placements to).
     let mut reach_memo: HashMap<(usize, usize), bool> = HashMap::new();
     let mut check = CrossCheck {
         predicted: predicted.clone(),
@@ -432,28 +378,6 @@ impl LockCheck {
     pub fn covered_ok(&self) -> bool {
         self.uncovered.is_empty()
     }
-
-    /// Stable single-line JSON (schema `curare-lockcheck/1`).
-    pub fn to_json(&self) -> Json {
-        let covered: Vec<Json> = self
-            .covered
-            .iter()
-            .map(|&(a, b)| Json::obj().set("a", a as f64).set("b", b as f64))
-            .collect();
-        let uncovered: Vec<Json> = self
-            .uncovered
-            .iter()
-            .map(|&(a, b)| Json::obj().set("a", a as f64).set("b", b as f64))
-            .collect();
-        Json::obj()
-            .set("schema", "curare-lockcheck/1")
-            .set("covered_ok", self.covered_ok())
-            .set("sound", self.check.sound())
-            .set("unordered_observed", self.check.unordered_observed.len())
-            .set("covered_keys", covered)
-            .set("uncovered", uncovered)
-            .set("sanitize", self.check.to_json())
-    }
 }
 
 /// Diff a finished cross-check against the placements in force for
@@ -469,21 +393,6 @@ pub fn lock_coverage(src: &str, check: CrossCheck) -> Result<LockCheck, String> 
         .copied()
         .collect();
     Ok(LockCheck { check, covered, uncovered })
-}
-
-/// Replay a program under its transformed form (locks and all) with
-/// the journal observing, and fail the coverage check if any observed
-/// happens-before-unordered conflict escapes the synthesized or
-/// declared lock placement. One at a time, like [`sanitized_run`].
-pub fn sanitized_lock_check(
-    src: &str,
-    entry: &str,
-    servers: usize,
-    mode: curare_runtime::SchedMode,
-    args_for: impl FnOnce(&curare_lisp::Interp) -> Vec<curare_lisp::Value>,
-) -> Result<LockCheck, String> {
-    let check = sanitized_run(src, entry, servers, mode, args_for)?;
-    lock_coverage(src, check)
 }
 
 /// Run a program's transformed form on a CRI pool with the access
@@ -601,8 +510,8 @@ mod tests {
         predicted.keys.insert((0, 0));
         let check = cross_check(&post_spawn_race(8), &predicted);
         assert!(check.sound());
-        // ... and it manifested, so precision is 1.
-        assert!((check.precision() - 1.0).abs() < 1e-9);
+        // ... and it manifested.
+        assert!(check.observed.contains(&(0, 0)));
     }
 
     #[test]
@@ -689,20 +598,6 @@ mod tests {
         assert!(!p.top, "no unknown writes in the fixture");
         assert!(p.keys.is_empty(), "{:?}", p.keys);
     }
-
-    #[test]
-    fn json_round_trips() {
-        let check = cross_check(&post_spawn_race(8), &PredictedPairs::default());
-        let text = check.to_json().to_string();
-        assert!(!text.contains('\n'));
-        let doc = Json::parse(&text).expect("round-trip");
-        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("curare-sanitize/1"));
-        assert_eq!(doc.get("sound").and_then(Json::as_bool), Some(false));
-        assert_eq!(doc.get("unpredicted_total").and_then(Json::as_f64), Some(1.0));
-        let ex = doc.get("unpredicted").and_then(Json::as_arr).unwrap();
-        assert_eq!(ex.len(), 1);
-        assert_eq!(ex[0].get("loc").and_then(Json::as_f64), Some(8.0));
-    }
 }
 
 #[cfg(test)]
@@ -739,7 +634,7 @@ mod sanitized_tests {
         assert!(check.sound(), "unpredicted: {:?}", check.unpredicted);
         assert!(check.events > 0, "recording actually happened");
         // The predicted (car, car) conflict manifests.
-        assert!((check.precision() - 1.0).abs() < 1e-9, "{:?}", check.observed);
+        assert!(check.predicted.keys.is_subset(&check.observed), "{:?}", check.observed);
         assert!(!check.capped);
     }
 
@@ -909,10 +804,11 @@ mod sanitized_tests {
     fn synthesized_placement_covers_every_observed_conflict() {
         for mode in [SchedMode::Central, SchedMode::Sharded] {
             let _g = RUN_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
-            let lc = sanitized_lock_check(LOCKED_RMWS, "f", 3, mode, |interp| {
+            let check = sanitized_run(LOCKED_RMWS, "f", 3, mode, |interp| {
                 vec![interp.load_str(&list_src(32)).unwrap()]
             })
-            .expect("sanitized lock check");
+            .expect("sanitized run");
+            let lc = lock_coverage(LOCKED_RMWS, check).expect("coverage diff");
             assert!(lc.check.sound(), "unpredicted: {:?}", lc.check.unpredicted);
             assert!(lc.covered_ok(), "uncovered: {:?}", lc.uncovered);
             assert!(lc.covered.contains(&(0, 0)), "{:?}", lc.covered);
@@ -926,9 +822,5 @@ mod sanitized_tests {
         let check = run_mix(SchedMode::Sharded);
         let lc = lock_coverage(MIX, check).expect("coverage diff");
         assert!(!lc.covered_ok(), "{:?}", lc.covered);
-        let text = lc.to_json().to_string();
-        let doc = Json::parse(&text).expect("round-trip");
-        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("curare-lockcheck/1"));
-        assert_eq!(doc.get("covered_ok").and_then(Json::as_bool), Some(false));
     }
 }

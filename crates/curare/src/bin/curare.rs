@@ -152,19 +152,25 @@ fn check(args: &[String]) -> ExitCode {
 }
 
 /// The one-line per-function summary `transform` and `run` print.
-fn report_line(r: &curare::transform::FunctionReport) -> String {
+/// `publication` is what the program text asks for; a speculating
+/// pool publishes every spawn at the spawn whatever the text says, and
+/// a run on one reports what runs.
+fn report_line(r: &curare::transform::FunctionReport, speculating: bool) -> String {
     let mut line = format!(";; {}: converted = {}, devices = {:?}", r.name, r.converted, r.devices);
-    if r.converted {
+    if r.converted && speculating {
+        line.push_str(", publication = eager (speculating pool)");
+    } else if r.converted {
         line.push_str(&format!(", publication = {}", r.publication));
     }
     line
 }
 
 /// The summary lines of one restructuring: each function, then what
-/// the analysis behind them cost.
-fn print_reports(out: &curare::transform::CurareOutput, with_feedback: bool) {
+/// the analysis behind them cost. `transform` adds the feedback for
+/// what was refused; `run --speculate` passes `speculating`.
+fn print_reports(out: &curare::transform::CurareOutput, with_feedback: bool, speculating: bool) {
     for r in &out.reports {
-        eprintln!("{}", report_line(r));
+        eprintln!("{}", report_line(r, speculating));
         if with_feedback && !r.converted {
             for line in r.feedback.lines() {
                 eprintln!(";;   {line}");
@@ -188,7 +194,7 @@ fn transform(args: &[String]) -> Result<(), String> {
         .transform_source(&src)
         .map_err(|e| e.to_string())?;
     print!("{}", out.source());
-    print_reports(&out, true);
+    print_reports(&out, true, false);
     Ok(())
 }
 
@@ -200,7 +206,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut trace_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
     let mut profile_path: Option<String> = None;
-    let mut engine: Option<curare::lisp::Engine> = None;
+    let mut engine = curare::lisp::Engine::Vm;
     let mut no_fuse = false;
     let mut chaos_seed: Option<u64> = None;
     let mut chaos_profile = String::from("mixed");
@@ -230,11 +236,11 @@ fn run(args: &[String]) -> Result<(), String> {
                 i += 2;
             }
             "--engine" => {
-                engine = Some(match args.get(i + 1).map(String::as_str) {
+                engine = match args.get(i + 1).map(String::as_str) {
                     Some("vm") => curare::lisp::Engine::Vm,
                     Some("tree") | Some("eval-tree") => curare::lisp::Engine::Tree,
                     _ => return Err("--engine needs 'vm' or 'tree'".into()),
-                });
+                };
                 i += 2;
             }
             "--no-fuse" => {
@@ -292,11 +298,7 @@ fn run(args: &[String]) -> Result<(), String> {
         curare::lisp::set_fusion_enabled(false);
     }
     let interp = Arc::new(Interp::new());
-    if let Some(e) = engine {
-        // Process-wide so pool server threads inherit it too.
-        curare::lisp::set_default_engine(e);
-        interp.set_engine(Some(e));
-    }
+    interp.set_engine(engine);
     let loaded_src = if sequential {
         src
     } else {
@@ -304,7 +306,7 @@ fn run(args: &[String]) -> Result<(), String> {
             .with_speculation(speculate)
             .transform_source(&src)
             .map_err(|e| e.to_string())?;
-        print_reports(&out, false);
+        print_reports(&out, false, speculate);
         out.source()
     };
     let v = interp.load_str(&loaded_src).map_err(|e| e.to_string())?;

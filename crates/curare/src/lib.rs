@@ -61,7 +61,7 @@ pub mod prelude {
     pub use curare_check::{check_source, Diagnostic, DiagnosticSet};
     pub use curare_lisp::{Heap, Interp, LispError, SequentialHooks, Value};
     pub use curare_obs::{Json, RunReport, Timeline, Tracer};
-    pub use curare_runtime::{CriRuntime, PoolStats, SchedMode, SpawnRuntime};
+    pub use curare_runtime::{CriRuntime, PoolStats, SchedMode};
     pub use curare_sexpr::{parse_all, parse_one, pretty, Sexpr};
     pub use curare_sim::{simulate, FunctionModel, SimConfig};
     pub use curare_transform::{Curare, CurareOutput, Device, FunctionReport};

@@ -414,11 +414,6 @@ impl Func {
     pub fn size(&self) -> usize {
         self.body.iter().map(Expr::size).sum()
     }
-
-    /// True if the function calls itself.
-    pub fn is_recursive(&self) -> bool {
-        self.body.iter().any(|e| e.calls(self.name_sym))
-    }
 }
 
 /// A lowered top-level program: function definitions, struct types,
@@ -474,21 +469,5 @@ mod tests {
         let mut e = Expr::Progn(vec![int(1), int(2)]);
         e.for_children_mut(&mut |c| *c = Expr::Nil);
         assert_eq!(e, Expr::Progn(vec![Expr::Nil, Expr::Nil]));
-    }
-
-    #[test]
-    fn func_is_recursive() {
-        let f = Func {
-            name: "f".into(),
-            name_sym: 9,
-            params: vec!["l".into()],
-            ncaptures: 0,
-            nslots: 1,
-            body: vec![Expr::Call { name: 9, name_text: "f".into(), args: vec![] }],
-            declarations: vec![],
-        };
-        assert!(f.is_recursive());
-        let g = Func { name_sym: 10, body: vec![Expr::Nil], ..f.clone() };
-        assert!(!g.is_recursive());
     }
 }

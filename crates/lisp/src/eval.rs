@@ -690,7 +690,7 @@ mod tests {
                     .spawn(move || {
                         set_thread_stack_budget(BUDGET);
                         let it = Interp::new();
-                        it.set_engine(Some(engine));
+                        it.set_engine(engine);
                         it.set_recursion_limit(usize::MAX);
                         it.load_str("(defun boom (n) (+ 1 (boom (1+ n)))) (boom 0)").unwrap_err()
                     })

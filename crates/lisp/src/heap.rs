@@ -467,14 +467,6 @@ impl Heap {
         self.strings.get(id).get().map(String::as_str).unwrap_or("")
     }
 
-    /// The text behind a string value.
-    pub fn string_val(&self, v: Value) -> Result<&str> {
-        match v.decode() {
-            Val::Str(id) => Ok(self.str_text(id)),
-            _ => Err(self.type_error("string", v, "string")),
-        }
-    }
-
     // ----- hash tables --------------------------------------------------
 
     /// Allocate a fresh hash table.
@@ -840,7 +832,7 @@ mod tests {
         assert_ne!(a, b);
         assert!(!h.eql(a, b));
         assert!(h.equal(a, b));
-        assert_eq!(h.string_val(a).unwrap(), "hello");
+        assert_eq!(h.display(a), "\"hello\"");
     }
 
     #[test]

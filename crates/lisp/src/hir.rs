@@ -34,10 +34,8 @@
 //! is only read directly at instruction time when the intervening
 //! expression writes no slots.
 //!
-//! [`to_expr`] converts back to [`Expr`] so the desugared program can
-//! be run on the tree-walker — the `heavy-tests` property suite checks
-//! desugared ≡ undesugared under the oracle alone, isolating this
-//! stage from codegen.
+//! `tests/interp_properties.rs` holds the desugared program on the VM
+//! to the lowered tree on the tree-walker over generated sugar.
 
 use std::sync::Arc;
 
@@ -787,71 +785,6 @@ pub fn builtin_result_ty(op: BuiltinOp, args: &[Ty]) -> Ty {
     }
 }
 
-// ----------------------------------------------------------------
-// Back-conversion (oracle support)
-// ----------------------------------------------------------------
-
-/// Convert HIR back to a lowered [`Expr`] so the desugared program
-/// can run on the tree-walker. Slot assignments are preserved, so the
-/// result evaluates in the same frame the original did.
-pub fn to_expr(h: &HExpr) -> Expr {
-    match &h.kind {
-        HKind::Nil => Expr::Nil,
-        HKind::T => Expr::T,
-        HKind::Int(i) => Expr::Int(*i),
-        // Any out-of-range i64 reproduces the overflow raise.
-        HKind::RaiseInt => Expr::Int(i64::MAX),
-        HKind::Float(x) => Expr::Float(*x),
-        HKind::Str(s) => Expr::Str(s.clone()),
-        HKind::Quote(d) => Expr::Quote(d.clone()),
-        HKind::Var(vr, n) => Expr::Var(*vr, n.clone()),
-        HKind::Setq(vr, n, rhs) => Expr::Setq(*vr, n.clone(), Box::new(to_expr(rhs))),
-        HKind::If(c, t, f) => {
-            Expr::If(Box::new(to_expr(c)), Box::new(to_expr(t)), Box::new(to_expr(f)))
-        }
-        HKind::Progn(es) => Expr::Progn(es.iter().map(to_expr).collect()),
-        HKind::And(es) => Expr::And(es.iter().map(to_expr).collect()),
-        HKind::Or(es) => Expr::Or(es.iter().map(to_expr).collect()),
-        HKind::Let { bindings, body } => Expr::Let {
-            bindings: bindings.iter().map(|(s, n, i)| (*s, n.clone(), to_expr(i))).collect(),
-            body: body.iter().map(to_expr).collect(),
-            sequential: false,
-        },
-        HKind::While(c, body) => {
-            Expr::While(Box::new(to_expr(c)), body.iter().map(to_expr).collect())
-        }
-        HKind::Call { name, name_text, args } => Expr::Call {
-            name: *name,
-            name_text: name_text.clone(),
-            args: args.iter().map(to_expr).collect(),
-        },
-        HKind::Builtin(op, args) => Expr::Builtin(*op, args.iter().map(to_expr).collect()),
-        HKind::Struct(op, args) => Expr::Struct(*op, args.iter().map(to_expr).collect()),
-        HKind::Lambda { func, captures } => {
-            Expr::Lambda { func: Arc::clone(func), captures: captures.clone() }
-        }
-        HKind::FuncRef(sym, text) => Expr::FuncRef(*sym, text.clone()),
-        HKind::Future { name, name_text, args } => Expr::Future {
-            name: *name,
-            name_text: name_text.clone(),
-            args: args.iter().map(to_expr).collect(),
-        },
-        HKind::Enqueue { site, name, name_text, args, handoff } => Expr::Enqueue {
-            site: *site,
-            name: *name,
-            name_text: name_text.clone(),
-            args: args.iter().map(to_expr).collect(),
-            handoff: *handoff,
-        },
-        HKind::LockOp { lock, base, field, exclusive } => Expr::LockOp {
-            lock: *lock,
-            base: Box::new(to_expr(base)),
-            field: *field,
-            exclusive: *exclusive,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1031,22 +964,5 @@ mod tests {
         }
         assert_eq!(Nil.join(Bool), Bool);
         assert_eq!(Int.join(Float), Any);
-    }
-
-    #[test]
-    fn to_expr_round_trips_shapes() {
-        let heap = Heap::new();
-        let mut lw = Lowerer::new(&heap);
-        for src in [
-            "(if a (+ b 1) (progn c d))",
-            "(let* ((x 1) (y x)) (and x y (or a b)))",
-            "(while (consp l) (setq l (cdr l)))",
-        ] {
-            let ast = lw.lower_expr(&parse_one(src).unwrap()).unwrap();
-            let back = to_expr(&desugar(&ast));
-            // The round trip is not the identity (desugaring), but
-            // re-desugaring is stable.
-            assert_eq!(desugar(&back), desugar(&ast), "{src}");
-        }
     }
 }

@@ -29,23 +29,6 @@ pub enum Engine {
     Tree,
 }
 
-/// Process-wide default engine: 0 = VM, 1 = tree.
-static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(0);
-
-/// The process-wide default engine: the VM unless
-/// [`set_default_engine`] chose the tree-walker.
-pub fn default_engine() -> Engine {
-    match DEFAULT_ENGINE.load(Ordering::Relaxed) {
-        0 => Engine::Vm,
-        _ => Engine::Tree,
-    }
-}
-
-/// Override the process-wide default engine (the `--engine` flag).
-pub fn set_default_engine(e: Engine) {
-    DEFAULT_ENGINE.store(u8::from(e == Engine::Tree), Ordering::Relaxed);
-}
-
 /// A function-table entry: the code plus any values captured when a
 /// lambda was evaluated (empty for named functions).
 #[derive(Clone)]
@@ -149,8 +132,7 @@ pub struct Interp {
     /// Bumped on every named (re)definition; tags the VM's call-site
     /// inline caches so redefinition invalidates them.
     funcs_gen: AtomicU64,
-    /// Per-interp engine override: 0 = process default, 1 = VM,
-    /// 2 = tree.
+    /// The engine that runs function bodies: 0 = VM, 1 = tree.
     engine: AtomicU8,
     /// Builtin dispatch pre-resolved to interned symbol ids, so
     /// funcall-by-symbol and `#'name` skip the per-call string
@@ -215,24 +197,18 @@ impl Interp {
         }
     }
 
-    /// The engine this interpreter runs function bodies on: a
-    /// per-interp override when set, the process default otherwise.
+    /// The engine this interpreter runs function bodies on: the VM
+    /// until [`Interp::set_engine`] says otherwise.
     pub fn engine(&self) -> Engine {
         match self.engine.load(Ordering::Relaxed) {
-            1 => Engine::Vm,
-            2 => Engine::Tree,
-            _ => default_engine(),
+            0 => Engine::Vm,
+            _ => Engine::Tree,
         }
     }
 
-    /// Set (or with `None`, clear) this interpreter's engine override.
-    pub fn set_engine(&self, e: Option<Engine>) {
-        let code = match e {
-            None => 0,
-            Some(Engine::Vm) => 1,
-            Some(Engine::Tree) => 2,
-        };
-        self.engine.store(code, Ordering::Relaxed);
+    /// Choose the engine this interpreter runs function bodies on.
+    pub fn set_engine(&self, e: Engine) {
+        self.engine.store(u8::from(e == Engine::Tree), Ordering::Relaxed);
     }
 
     /// Builtin operation and arity bounds for symbol `s`, when `s`
@@ -564,19 +540,6 @@ impl Interp {
     /// Call a function by source name.
     pub fn call(&self, name: &str, args: &[Value]) -> Result<Value> {
         self.call_by_sym(self.heap.intern(name), args)
-    }
-
-    /// Call a function value (named function or closure).
-    pub fn apply_value(&self, f: Value, args: &[Value]) -> Result<Value> {
-        match f.decode() {
-            crate::value::Val::Func(id) => self.call_fid(id, args),
-            crate::value::Val::Sym(s) => self.call_by_sym(s, args),
-            _ => Err(LispError::Type {
-                expected: "function",
-                got: self.heap.display(f),
-                op: "funcall",
-            }),
-        }
     }
 }
 

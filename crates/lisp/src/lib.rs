@@ -11,8 +11,8 @@
 //! - [`arena`]: the lock-free chunked allocator behind the heap;
 //! - [`heap`]: cons cells, `defstruct` records, vectors, strings,
 //!   floats, symbols, and concurrent hash tables ([`chash`]);
-//! - [`ast`] / [`lower`] / [`unparse`]: the program representation
-//!   Curare analyses and rewrites, with a source-to-source round trip;
+//! - [`ast`] / [`lower`]: the program representation Curare analyses
+//!   and rewrites;
 //! - [`eval`] / [`builtins`] / [`interp`]: a reentrant, `Sync`
 //!   interpreter with proper tail calls and pluggable
 //!   [`interp::RuntimeHooks`] that let the CRI runtime intercept
@@ -20,7 +20,7 @@
 //! - [`compile`] / [`vm`]: a register bytecode compiler and dispatch
 //!   loop — the default engine for function invocation, with the
 //!   tree-walker retained as a differential oracle (select with
-//!   [`interp::Engine`] / [`interp::set_default_engine`]).
+//!   [`Interp::set_engine`]).
 //!
 //! # Quick example
 //!
@@ -50,7 +50,6 @@ pub mod interp;
 pub mod lower;
 pub mod speclog;
 pub mod sync;
-pub mod unparse;
 pub mod value;
 pub mod vm;
 
@@ -58,12 +57,10 @@ pub use compile::{fusion_enabled, set_fusion_enabled};
 pub use error::{LispError, Result};
 pub use eval::{set_thread_stack_budget, Evaluator};
 pub use heap::{Heap, HeapStats, StructType};
-pub use interp::{
-    default_engine, set_default_engine, Engine, Interp, RuntimeHooks, SequentialHooks,
-};
+pub use interp::{Engine, Interp, RuntimeHooks, SequentialHooks};
 pub use lower::{Lowerer, TopForm};
 pub use value::{FuncId, SymId, Val, Value};
 pub use vm::{
-    op_profile_reset, op_profile_snapshot, op_profile_top, op_profiling_enabled, set_op_profiling,
-    vm_stats, vm_stats_reset, OpProfileEntry, Vm, VmStats,
+    op_profile_snapshot, op_profile_top, op_profiling_enabled, set_op_profiling, vm_stats,
+    vm_stats_reset, OpProfileEntry, Vm, VmStats,
 };

@@ -1168,7 +1168,7 @@ mod tests {
         assert_eq!(f.name, "f");
         assert_eq!(f.params, ["l"]);
         assert_eq!(f.nslots, 1);
-        assert!(f.is_recursive());
+        assert!(f.body.iter().any(|e| e.calls(f.name_sym)));
     }
 
     #[test]

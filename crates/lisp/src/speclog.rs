@@ -492,9 +492,11 @@ pub fn record_spawn(parent: u64, child: u64, fid: FuncId, args: &[Value], future
 
 /// Record that the calling thread's invocation saw `future` resolved:
 /// whatever it does from here on happens after the whole invocation
-/// that resolved it.
+/// that resolved it. Only [`observed`] reads touches (the speculative
+/// validator orders by the spawn tree alone), so only the observe
+/// level records them.
 pub fn record_touch(future: u64) {
-    if armed() {
+    if LEVEL.load(Ordering::Relaxed) == OBSERVE {
         let inv = curare_obs::current_invocation();
         lane().touches.push(Touch { inv, future, epoch: tick() });
     }

@@ -219,11 +219,6 @@ impl Value {
         self.tag() == Tag::Cons as u64
     }
 
-    /// True for an integer.
-    pub fn is_int(self) -> bool {
-        self.tag() == Tag::Int as u64
-    }
-
     /// The sign-extended integer payload, *without* checking the tag.
     ///
     /// For the VM's typed fast-path ops: when the compiler's type
@@ -241,14 +236,6 @@ impl Value {
     pub fn as_int(self) -> Option<i64> {
         match self.decode() {
             Val::Int(i) => Some(i),
-            _ => None,
-        }
-    }
-
-    /// The cons id, if this is a cons.
-    pub fn as_cons(self) -> Option<ConsId> {
-        match self.decode() {
-            Val::Cons(c) => Some(c),
             _ => None,
         }
     }

@@ -144,14 +144,6 @@ pub fn op_profiling_enabled() -> bool {
     op_profile::ENABLED.load(Ordering::Relaxed)
 }
 
-/// Zero the per-opcode counters (between benchmark iterations).
-pub fn op_profile_reset() {
-    for i in 0..OPCODE_COUNT {
-        op_profile::COUNTS[i].store(0, Ordering::Relaxed);
-        op_profile::NS[i].store(0, Ordering::Relaxed);
-    }
-}
-
 /// Snapshot every opcode with a nonzero dispatch count (empty unless
 /// profiling was on during a run).
 pub fn op_profile_snapshot() -> Vec<OpProfileEntry> {
@@ -1528,7 +1520,6 @@ mod tests {
         it.eval_str("(defun count-up (n acc) (if (= n 0) acc (count-up (- n 1) (+ acc 1))))")
             .unwrap();
         set_op_profiling(true);
-        op_profile_reset();
         let v = it.eval_str("(count-up 1000 0)").unwrap();
         set_op_profiling(false);
         assert_eq!(v.as_int(), Some(1000));
@@ -1539,7 +1530,5 @@ mod tests {
         let top = op_profile_top(3);
         assert!(top.len() <= 3);
         assert!(top.windows(2).all(|w| w[0].ns >= w[1].ns), "top-k sorted by ns");
-        op_profile_reset();
-        assert!(op_profile_snapshot().is_empty(), "reset clears rows");
     }
 }

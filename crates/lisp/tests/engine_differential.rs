@@ -13,7 +13,7 @@ use curare_lisp::{vm_stats, Engine, Interp};
 /// outcome and the post-run globals to comparable strings.
 fn run_engine(src: &str, engine: Engine) -> (String, String) {
     let interp = Interp::new();
-    interp.set_engine(Some(engine));
+    interp.set_engine(engine);
     let outcome = match interp.load_str(src) {
         Ok(v) => format!("ok: {}", interp.heap().display(v)),
         Err(e) => format!("err: {e}"),

@@ -58,4 +58,4 @@ pub use report::{validate_keys, RunReport, SCHEMA_REPORT, SCHEMA_TRACE};
 pub use ring::{RingSnapshot, TraceRing};
 pub use sanitize::{current_invocation, new_invocation, set_invocation, set_journaling, tick};
 pub use timeline::Timeline;
-pub use tracer::{install, installed, record, set_lane, tracing_enabled, Tracer};
+pub use tracer::{install, installed, record, set_lane, Tracer};

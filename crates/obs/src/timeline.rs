@@ -81,11 +81,10 @@ impl Timeline {
     /// wrap-around — closes at the lane's last timestamp.
     ///
     /// **Caveat:** pairing assumes one writer per lane. Lane 0 is
-    /// shared by every thread that never calls `set_lane` (e.g.
-    /// `SpawnRuntime` workers), so its start/stop
-    /// events from different threads interleave and would pair into
-    /// bogus intervals; lane-0 intervals are only meaningful when a
-    /// single external thread records task events.
+    /// shared by every thread that never calls `set_lane`, so its
+    /// start/stop events from different threads interleave and would
+    /// pair into bogus intervals; lane-0 intervals are only meaningful
+    /// when a single external thread records task events.
     pub fn from_trace(snapshots: &[RingSnapshot]) -> Timeline {
         let mut intervals = Vec::new();
         for snap in snapshots {
@@ -127,41 +126,6 @@ impl Timeline {
                     self.points.iter().map(|&(t, b)| Json::Arr(vec![t.into(), b.into()])).collect(),
                 ),
             )
-    }
-
-    /// Parse a document in the shared schema (for diff tooling and
-    /// round-trip tests).
-    pub fn from_json(j: &Json) -> Result<Timeline, String> {
-        if j.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
-            return Err(format!("not a {SCHEMA} document"));
-        }
-        let unit = match j.get("unit").and_then(Json::as_str) {
-            Some("ns") => "ns",
-            Some("steps") => "steps",
-            other => return Err(format!("unknown unit {other:?}")),
-        };
-        let points = j
-            .get("points")
-            .and_then(Json::as_arr)
-            .ok_or("missing points")?
-            .iter()
-            .map(|p| {
-                let pair = p.as_arr().filter(|a| a.len() == 2).ok_or("bad point")?;
-                Ok((pair[0].as_u64().ok_or("bad t")?, pair[1].as_u64().ok_or("bad busy")?))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(Timeline {
-            unit,
-            points,
-            mean_concurrency: j
-                .get("mean_concurrency")
-                .and_then(Json::as_f64)
-                .ok_or("missing mean_concurrency")?,
-            peak_concurrency: j
-                .get("peak_concurrency")
-                .and_then(Json::as_u64)
-                .ok_or("missing peak_concurrency")?,
-        })
     }
 }
 
@@ -235,15 +199,21 @@ mod tests {
         let t = Timeline::from_intervals("steps", &[(0, 4), (2, 8), (6, 10)]);
         let j = t.to_json();
         let parsed = Json::parse(&j.to_string()).unwrap();
-        let back = Timeline::from_json(&parsed).unwrap();
-        assert_eq!(back.points, t.points);
-        assert_eq!(back.peak_concurrency, t.peak_concurrency);
-        assert!((back.mean_concurrency - t.mean_concurrency).abs() < 1e-9);
-    }
-
-    #[test]
-    fn from_json_rejects_wrong_schema() {
-        let j = Json::obj().set("schema", "other/9");
-        assert!(Timeline::from_json(&j).is_err());
+        assert_eq!(parsed.get("schema").and_then(Json::as_str), Some(SCHEMA));
+        assert_eq!(parsed.get("unit").and_then(Json::as_str), Some("steps"));
+        let points: Vec<(u64, u64)> = parsed
+            .get("points")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|p| {
+                let pair = p.as_arr().unwrap();
+                (pair[0].as_u64().unwrap(), pair[1].as_u64().unwrap())
+            })
+            .collect();
+        assert_eq!(points, t.points);
+        assert_eq!(parsed.get("peak_concurrency").and_then(Json::as_u64), Some(t.peak_concurrency));
+        let mean = parsed.get("mean_concurrency").and_then(Json::as_f64).unwrap();
+        assert!((mean - t.mean_concurrency).abs() < 1e-9);
     }
 }

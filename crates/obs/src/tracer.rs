@@ -92,12 +92,6 @@ pub fn install(tracer: Option<Arc<Tracer>>) -> Option<Arc<Tracer>> {
     std::mem::replace(&mut cur, tracer)
 }
 
-/// True while a tracer is installed.
-#[inline]
-pub fn tracing_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
 /// The currently installed tracer, if any — for diagnostic consumers
 /// (the runtime's stall watchdog attaches the stalled lane's recent
 /// events to its dump) that need to *read* the rings mid-run rather
@@ -174,14 +168,12 @@ mod tests {
         let _g = TEST_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
         let t = Tracer::new(2);
         install(Some(Arc::clone(&t)));
-        assert!(tracing_enabled());
         set_lane(1);
         record(EventKind::TaskStart, 7);
         record(EventKind::TaskStop, 7);
         set_lane(0);
         record(EventKind::Enqueue, 3);
         install(None);
-        assert!(!tracing_enabled());
         record(EventKind::Enqueue, 99); // after uninstall: dropped
         let snaps = t.snapshot();
         assert_eq!(snaps.len(), 3);

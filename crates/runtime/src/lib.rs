@@ -7,8 +7,6 @@
 //! - [`futures`]: Multilisp-style futures with blocking `touch` (§3.1);
 //! - [`pool`]: the server pool — `S` threads repeatedly executing
 //!   invocation bodies without context switches (§4);
-//! - [`spawner`]: the thread-per-invocation baseline the paper argues
-//!   against (§1.2), kept for the cost-imbalance experiment;
 //! - [`chaos`]: seeded fault injection at the pool's decision points
 //!   (armed at run time by `chaos::install`).
 //!
@@ -45,11 +43,9 @@ pub mod futures;
 pub mod locktable;
 pub mod pool;
 pub mod queue;
-pub mod spawner;
 pub mod watchdog;
 
 pub use futures::FutureTable;
 pub use locktable::{Location, LockTable};
 pub use pool::{CriHooks, CriRuntime, PoolStats, RuntimeConfig, SchedMode};
 pub use queue::Task;
-pub use spawner::{SpawnHooks, SpawnRuntime};

@@ -50,11 +50,12 @@
 //!   and every eager spawn take it, and `touch` / `cri-lock` flush the
 //!   batch before blocking, so nothing waits on unpublished work.
 //!
-//! [`SchedMode::Central`] is the paper-faithful baseline for the
-//! E8/E12 comparisons, built as eager publication on a one-group
-//! queue: every spawn is published at once (one lock round trip, one
-//! wake), any server may take it, nothing is buffered, chained or
-//! stolen. Speculation publishes eagerly too, in either mode.
+//! [`SchedMode::Central`] is the paper-faithful baseline (E8, and the
+//! benchmark's `runtime.par_central_p50_ms`), built as eager
+//! publication on a one-group queue: every spawn is published at once
+//! (one lock round trip, one wake), any server may take it, nothing is
+//! buffered, chained or stolen. Speculation publishes eagerly too, in
+//! either mode.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
@@ -1058,7 +1059,7 @@ impl CriRuntime {
     }
 
     /// Spawn a pool on an explicit [`SchedMode`] (the `Central`
-    /// baseline exists for the E8/E12 scheduler measurements).
+    /// baseline exists for E8 and the benchmark's central passes).
     pub fn with_mode(interp: Arc<Interp>, servers: usize, mode: SchedMode) -> Self {
         Self::with_config(interp, servers, RuntimeConfig { mode, ..RuntimeConfig::default() })
     }

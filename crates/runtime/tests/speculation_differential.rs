@@ -262,7 +262,7 @@ impl Prog {
         servers: usize,
     ) -> (String, PoolStats) {
         let interp = self.interp();
-        interp.set_engine(Some(engine));
+        interp.set_engine(engine);
         let rt = CriRuntime::with_config(
             Arc::clone(&interp),
             servers,

@@ -107,7 +107,7 @@ fn generate(rng: &mut XorShift) -> Case {
     }
 }
 
-fn load(case: &Case, engine: Option<Engine>) -> Arc<Interp> {
+fn load(case: &Case, engine: Engine) -> Arc<Interp> {
     let out =
         Curare::new().with_speculation(true).transform_source(&case.source).expect("transforms");
     let interp = Arc::new(Interp::new());
@@ -127,7 +127,7 @@ fn int_list(interp: &Interp, n: i64, rng: &mut XorShift) -> Value {
 /// Tree-walker oracle observation (sequential hooks, `Engine::Tree`).
 fn oracle(case: &Case, n: i64, input_seed: u64) -> String {
     with_big_stack(|| {
-        let interp = load(case, Some(Engine::Tree));
+        let interp = load(case, Engine::Tree);
         let l = int_list(&interp, n, &mut XorShift(input_seed));
         interp.call("walk", &[l]).expect("oracle run");
         interp.heap().display(l)
@@ -135,7 +135,7 @@ fn oracle(case: &Case, n: i64, input_seed: u64) -> String {
 }
 
 fn spec_run(case: &Case, n: i64, input_seed: u64, mode: SchedMode) -> (String, PoolStats) {
-    let interp = load(case, None);
+    let interp = load(case, Engine::Vm);
     let rt = CriRuntime::with_config(
         Arc::clone(&interp),
         4,

@@ -12,12 +12,7 @@
 //!   central queue of §4.1;
 //! - **spawn batch** `b`: the queue cost is paid once every `b`
 //!   spawns, modelling batched submission (and, at the limit, task
-//!   chaining) in the runtime's low-contention scheduler;
-//! - **per-invocation head/tail vectors** for irregular workloads;
-//! - **seeded delay faults**: a deterministic per-invocation roll
-//!   (mirroring the runtime's chaos harness) charges `fault_delay`
-//!   extra head steps to a `fault_rate_ppm` fraction of invocations,
-//!   modelling injected slowdowns and GC pauses.
+//!   chaining) in the runtime's low-contention scheduler.
 
 /// Parameters of one simulated recursion.
 #[derive(Debug, Clone)]
@@ -37,12 +32,6 @@ pub struct SimConfig {
     /// Spawns per queue publication: the overhead is charged on one
     /// spawn in every `spawn_batch` (amortized batched submit).
     pub spawn_batch: u64,
-    /// Delay-fault rate, parts per million per invocation.
-    pub fault_rate_ppm: u32,
-    /// Extra head steps charged to a faulted invocation.
-    pub fault_delay: u64,
-    /// Seed of the deterministic fault stream.
-    pub fault_seed: u64,
 }
 
 impl SimConfig {
@@ -56,9 +45,6 @@ impl SimConfig {
             conflict_distance: None,
             spawn_overhead: 0,
             spawn_batch: 1,
-            fault_rate_ppm: 0,
-            fault_delay: 0,
-            fault_seed: 0,
         }
     }
 
@@ -81,26 +67,6 @@ impl SimConfig {
         self.spawn_batch = b;
         self
     }
-
-    /// Inject seeded delay faults: each invocation independently rolls
-    /// against `rate_ppm` (deterministically from `seed`) and, when
-    /// hit, its head is `delay` steps slower — the simulator analogue
-    /// of the runtime chaos harness's `delays` profile.
-    pub fn with_delay_faults(mut self, seed: u64, rate_ppm: u32, delay: u64) -> Self {
-        self.fault_seed = seed;
-        self.fault_rate_ppm = rate_ppm;
-        self.fault_delay = delay;
-        self
-    }
-}
-
-/// The same mixing function the runtime's fault plans use, so a sim
-/// seed perturbs schedules the way a chaos seed perturbs runs.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The outcome of one simulation.
@@ -136,22 +102,11 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
     for i in 0..d {
         // Batched submit: one spawn in every `spawn_batch` pays the
         // queue publication cost; the rest ride in the same batch.
-        let mut step = if (i as u64).is_multiple_of(cfg.spawn_batch) {
+        let step = if (i as u64).is_multiple_of(cfg.spawn_batch) {
             cfg.head + cfg.spawn_overhead
         } else {
             cfg.head
         };
-        // Seeded delay fault: the roll per invocation is a pure
-        // function of the seed, so a given (seed, rate) pair always
-        // slows the same invocations. Charging the head (not the
-        // tail) also delays the spawn of invocation i + 1, as a slow
-        // server does in the real runtime.
-        if cfg.fault_rate_ppm > 0 {
-            let roll = splitmix64(cfg.fault_seed ^ (i as u64).wrapping_mul(0x2545_F491_4F6C_DD1D));
-            if roll % 1_000_000 < cfg.fault_rate_ppm as u64 {
-                step += cfg.fault_delay;
-            }
-        }
         let work = step + cfg.tail;
         let mut ready = spawn_time;
         if let Some(dc) = cfg.conflict_distance {
@@ -372,47 +327,6 @@ mod tests {
         // Very large pools do not beat S* by much (diminishing
         // returns); allow the pipeline-depth floor.
         assert!(at(d) as f64 >= t_star as f64 * 0.5);
-    }
-
-    #[test]
-    fn delay_faults_are_deterministic_per_seed() {
-        let cfg = |seed: u64| SimConfig::new(2000, 8, 1, 7).with_delay_faults(seed, 200_000, 5);
-        let a = simulate(&cfg(42));
-        let b = simulate(&cfg(42));
-        assert_eq!(a.finishes, b.finishes, "same seed, same schedule");
-        let c = simulate(&cfg(43));
-        assert_ne!(a.finishes, c.finishes, "different seed, different schedule");
-        // Zero rate is exactly the clean schedule, whatever the seed.
-        let clean = simulate(&SimConfig::new(2000, 8, 1, 7));
-        let quiet = simulate(&SimConfig::new(2000, 8, 1, 7).with_delay_faults(42, 0, 5));
-        assert_eq!(clean.finishes, quiet.finishes);
-    }
-
-    #[test]
-    fn delay_faults_monotonically_slow_execution() {
-        // For a fixed seed the per-invocation roll is fixed, so the
-        // faulted set only grows with the rate: total time is exactly
-        // monotone, not just statistically.
-        let at = |ppm: u32| {
-            simulate(&SimConfig::new(2000, 8, 1, 7).with_delay_faults(7, ppm, 4)).total_time
-        };
-        let times: Vec<u64> = [0u32, 50_000, 200_000, 500_000, 1_000_000].map(at).to_vec();
-        for pair in times.windows(2) {
-            assert!(pair[0] <= pair[1], "{times:?}");
-        }
-        assert!(times[0] < *times.last().unwrap(), "full-rate faults must cost something");
-    }
-
-    #[test]
-    fn concurrency_shape_survives_sparse_faults() {
-        // Sparse, small delays perturb the schedule without changing
-        // its character: achieved concurrency stays near the clean
-        // run's (the sim analogue of the chaos differential sweep).
-        let clean = simulate(&SimConfig::new(10_000, 16, 1, 15));
-        let faulted = simulate(&SimConfig::new(10_000, 16, 1, 15).with_delay_faults(3, 20_000, 2));
-        assert!(faulted.total_time >= clean.total_time);
-        let ratio = faulted.achieved_concurrency / clean.achieved_concurrency;
-        assert!(ratio > 0.9, "sparse faults collapsed concurrency: {ratio}");
     }
 
     #[test]

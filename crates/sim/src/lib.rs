@@ -27,10 +27,8 @@
 pub mod engine;
 pub mod formula;
 pub mod model;
-pub mod steal;
 pub mod timeline;
 
 pub use engine::{simulate, SimConfig, SimResult};
 pub use model::FunctionModel;
-pub use steal::{hot_split, simulate_steal, zipf_split, StealSimConfig};
 pub use timeline::{concurrency_timeline, render_sequential, render_timeline};

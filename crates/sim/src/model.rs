@@ -51,15 +51,6 @@ impl FunctionModel {
         }
         cfg
     }
-
-    /// The §4.1 server-count recommendation: `min(√(d(h+t)/h), c_f)`
-    /// — the paper takes the minimum of the time-optimal count and the
-    /// concurrency bound.
-    pub fn recommended_servers(&self, depth: u64) -> u64 {
-        let s_time = formula::optimal_servers(depth, self.head, self.tail);
-        let s = s_time.min(self.concurrency()).round() as u64;
-        s.clamp(1, depth.max(1))
-    }
 }
 
 #[cfg(test)]
@@ -111,35 +102,10 @@ mod tests {
     }
 
     #[test]
-    fn recommended_servers_sane() {
-        let m = FunctionModel { head: 1, tail: 15, conflict_distance: None, sites: 1 };
-        let s = m.recommended_servers(256);
-        // √(256·16/1) = 64 capped by c_f = 16.
-        assert_eq!(s, 16);
-        let free = FunctionModel { head: 1, tail: 0, conflict_distance: None, sites: 1 };
-        assert_eq!(free.recommended_servers(100), 1);
-    }
-
-    #[test]
     fn model_drives_simulation() {
         let m = FunctionModel { head: 2, tail: 6, conflict_distance: Some(2), sites: 1 };
         let r = simulate(&m.config(1000, 8));
         assert!(r.achieved_concurrency <= 2.0 + 1e-9);
         assert!(r.speedup > 1.5, "{}", r.speedup);
-    }
-
-    #[test]
-    fn recommended_is_near_best_over_sweep() {
-        let m = FunctionModel { head: 1, tail: 15, conflict_distance: None, sites: 1 };
-        let depth = 256;
-        let rec = m.recommended_servers(depth);
-        let time_at = |s: u64| simulate(&m.config(depth, s)).total_time;
-        let best = (1..=64).map(time_at).min().unwrap();
-        assert!(
-            time_at(rec) as f64 <= 1.25 * best as f64,
-            "recommended {rec}: {} vs best {}",
-            time_at(rec),
-            best
-        );
     }
 }

@@ -171,9 +171,6 @@ mod tests {
         let j = concurrency_timeline(&r).to_json();
         assert_eq!(j.get("schema").unwrap().as_str(), Some(curare_obs::timeline::SCHEMA));
         assert_eq!(j.get("unit").unwrap().as_str(), Some("steps"));
-        let parsed = curare_obs::Json::parse(&j.to_string()).unwrap();
-        let back = curare_obs::Timeline::from_json(&parsed).unwrap();
-        assert_eq!(back, concurrency_timeline(&r));
     }
 
     #[test]
