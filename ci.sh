@@ -22,8 +22,9 @@ cargo build --release
 echo "== cargo test -q"
 # Beside every suite, the table's own checks (crates/bench, `experiments`
 # unit tests): each command line and schema a document quotes exists,
-# and each `pub mod` of a product crate is named by product code
-# outside its own file.
+# each `pub mod` of a product crate is named by product code outside
+# its own file, and `crates/transform` spells a control keyword in
+# `shape.rs` alone (`control_keywords_live_in_one_transform_file`).
 cargo test -q
 
 echo "== experiments: every row of the table at its CI size"
@@ -69,6 +70,23 @@ out="$(target/release/curare run examples/lisp/fixtures/scrub.lisp --servers 4 \
 for want in "escalated: false" "publication = eager (speculating pool)"; do
   echo "$out" | grep -F "$want" > /dev/null \
     || { echo "scrub --speculate: no '$want' in the report" >&2; exit 1; }
+done
+
+echo "== loops: a spawn in a loop body is never head-ordered"
+# The write precedes the call in the text and follows the previous
+# trip's spawn at run time: read as a straight sequence the fixture was
+# head-ordered and printed a deterministic 0 2 2 at two servers.
+# (--sequential also prints the call's value, (); compare the cells.)
+loop_head() {
+  target/release/curare run examples/lisp/fixtures/loop-head.lisp "$@" \
+    --call "(w *d* 2)" 2> /dev/null | grep -E '^[0-9]+$' | tr '\n' ' '
+}
+want="$(loop_head --sequential)"
+for _ in 1 2 3; do
+  got="$(loop_head --servers 2)"
+  if [ "$got" != "$want" ] || [ "$got" != "0 1 2 " ]; then
+    echo "loop-head fixture: printed '$got', sequentially '$want'" >&2; exit 1
+  fi
 done
 
 echo "== benchmark: the stand-alone package still builds against the facade and passes"

@@ -1217,4 +1217,45 @@ mod tests {
         }
         assert!(modules >= 60, "the scan found only {modules} modules: has the layout changed?");
     }
+
+    /// One table of statement shapes: a control keyword is spelt as a
+    /// string literal by no non-test, non-comment line of
+    /// `crates/transform/src` outside `shape.rs`. A device that matched
+    /// on one would be a private copy of the grammar again — the copies
+    /// disagreed about `while` bodies, `and` / `or` and `unless` / `let`
+    /// before there was a table.
+    #[test]
+    fn control_keywords_live_in_one_transform_file() {
+        const KEYWORDS: [&str; 10] =
+            ["progn", "when", "unless", "cond", "if", "while", "let", "let*", "and", "or"];
+        const EXCEPTIONS: [(&str, &str); 2] = [
+            (
+                "fold.rs",
+                "emits the accumulating walker's `unless` (it reads `if` / `cond` as views)",
+            ),
+            ("reorder.rs", "scopes binders (`defun`, `lambda`, `dolist`, `let`), not control"),
+        ];
+        let mut files = 0;
+        let mut offenders = Vec::new();
+        for (path, text) in product_sources() {
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default().to_string();
+            if !path.ends_with(format!("crates/transform/src/{name}"))
+                || name == "shape.rs"
+                || EXCEPTIONS.iter().any(|(file, _)| *file == name)
+            {
+                continue;
+            }
+            files += 1;
+            let spelt = text
+                .lines()
+                .filter(|l| !l.trim_start().starts_with("//"))
+                .any(|l| KEYWORDS.iter().any(|k| l.contains(&format!("\"{k}\""))));
+            if spelt {
+                offenders.push(name);
+            }
+        }
+        offenders.sort();
+        assert!(offenders.is_empty(), "control keywords outside shape.rs: {offenders:?}");
+        assert!(files >= 9, "the scan found only {files} files: has the layout changed?");
+    }
 }

@@ -316,13 +316,14 @@ mod tests {
 
     #[test]
     fn unsynced_tail_yields_c005() {
-        // The self-call hides inside an `and`, which the future-sync
-        // rewriter does not descend into, while the order-sensitive
-        // post-call write blocks delay: the pipeline gives up and
-        // leaves the function sequential.
+        // The self-call hides inside a `dolist`, which the restructurer
+        // reads as an ordinary call (its operands are value positions:
+        // the future-sync rewriter wraps no call there), while the
+        // order-sensitive post-call write blocks delay: the pipeline
+        // gives up and leaves the function sequential.
         let src = "(defun f (l)
                      (when (consp l)
-                       (and t (f (cdr l)))
+                       (dolist (x (list 1)) (f (cdr l)))
                        (setf (cadr l) (+ (car l) (cadr l)))))";
         let set = check_source("t", src).unwrap();
         assert!(codes(&set).contains(&"C005"), "{}", set.render());

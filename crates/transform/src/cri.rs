@@ -19,6 +19,7 @@
 
 use curare_sexpr::Sexpr;
 
+use crate::shape::{self, Device, Pos};
 use crate::sx;
 
 /// Why CRI conversion failed.
@@ -58,6 +59,8 @@ struct Ctx<'a> {
     /// The spawn form's head: `cri-enqueue` or `cri-handoff`.
     spawn: &'static str,
     next_site: usize,
+    /// The first self-call found in a value position.
+    refused: Option<CriError>,
 }
 
 /// Convert a defun's self-recursive calls to enqueues.
@@ -70,162 +73,61 @@ pub fn cri_convert_handoff(form: &Sexpr) -> Result<CriResult, CriError> {
     convert_as(form, "cri-handoff")
 }
 
-fn convert_as(form: &Sexpr, spawn: &'static str) -> Result<CriResult, CriError> {
-    let parts = sx::parse_defun(form).ok_or(CriError::NotADefun)?;
-    let mut ctx = Ctx { fname: parts.name, spawn, next_site: 0 };
-    let n = parts.body.len();
-    let mut new_body = Vec::with_capacity(n);
-    for (i, b) in parts.body.iter().enumerate() {
-        let tail = i + 1 == n;
-        new_body.push(conv(b, tail, !tail, &mut ctx)?);
+/// Would conversion find a site in the defun `form`: a self-call
+/// outside the call a `future` wraps?
+pub(crate) fn has_site(form: &Sexpr) -> bool {
+    fn within(form: &Sexpr, fname: &str) -> bool {
+        let Some(items) = form.as_list().filter(|_| !shape::inert(form)) else { return false };
+        match form.call_args("future").and_then(|a| a.first()?.as_list()) {
+            Some(wrapped) => wrapped.iter().skip(1).any(|a| within(a, fname)),
+            None => items[0].is_symbol(fname) || items.iter().any(|i| within(i, fname)),
+        }
     }
-    let name = parts.name.to_string();
-    let params = parts.params.clone();
-    Ok(CriResult {
-        form: sx::make_defun(&name, &params, &parts.declares, new_body),
-        sites: ctx.next_site,
-    })
+    sx::parse_defun(form).is_some_and(|p| p.body.iter().any(|b| within(b, p.name)))
 }
 
-/// Rewrite `form`. `tail`: the form's value is the function's return
-/// value; `discarded`: the value is ignored. A self-call is
-/// convertible in either situation (CRI executes for effect; the
-/// return value of a converted function is no longer meaningful).
-fn conv(form: &Sexpr, tail: bool, discarded: bool, ctx: &mut Ctx) -> Result<Sexpr, CriError> {
-    let Some(items) = form.as_list() else { return Ok(form.clone()) };
-    let Some(head) = items.first().and_then(Sexpr::as_symbol) else {
-        return Ok(form.clone());
-    };
-    let args = &items[1..];
+fn convert_as(form: &Sexpr, spawn: &'static str) -> Result<CriResult, CriError> {
+    let parts = sx::parse_defun(form).ok_or(CriError::NotADefun)?;
+    let mut ctx = Ctx { fname: parts.name, spawn, next_site: 0, refused: None };
+    let body = shape::walk_body(&mut ctx, &parts.body);
+    match ctx.refused {
+        Some(e) => Err(e),
+        None => Ok(CriResult {
+            form: sx::make_defun(parts.name, &parts.params, &parts.declares, body),
+            sites: ctx.next_site,
+        }),
+    }
+}
 
-    if head == ctx.fname {
-        if !(tail || discarded) {
-            return Err(CriError::ValuePositionCall(form.to_string()));
-        }
-        let site = ctx.next_site;
-        ctx.next_site += 1;
-        let mut out = vec![sx::sym(ctx.spawn), Sexpr::Int(site as i64), sx::sym(ctx.fname)];
-        for a in args {
-            out.push(conv(a, false, false, ctx)?);
-        }
-        return Ok(Sexpr::List(out));
+impl Device for Ctx<'_> {
+    fn fname(&self) -> &str {
+        self.fname
     }
 
-    fn rebuilt(head: &str, parts: Vec<Sexpr>) -> Sexpr {
-        let mut v = vec![sx::sym(head)];
-        v.extend(parts);
-        Sexpr::List(v)
+    /// A self-call is convertible where its value is the function's or
+    /// ignored (CRI executes for effect; the return value of a
+    /// converted function is no longer meaningful): `(f a...)` becomes
+    /// `(<spawn> <site> f a...)`, its arguments value positions.
+    fn self_call(&mut self, call: &Sexpr, pos: Pos) -> Sexpr {
+        if pos.is_value() {
+            self.refused.get_or_insert_with(|| CriError::ValuePositionCall(call.to_string()));
+            return call.clone();
+        }
+        let mut out = vec![sx::sym(self.spawn), Sexpr::Int(self.next_site as i64)];
+        self.next_site += 1;
+        if let Sexpr::List(call) = shape::operands(self, call, pos) {
+            out.extend(call);
+        }
+        Sexpr::List(out)
     }
 
-    match head {
-        "quote" => Ok(form.clone()),
-        "future" => {
-            // A future is already non-strict: the wrapped call needs no
-            // conversion (the future-sync transform produced it); its
-            // arguments are ordinary value positions.
-            let Some(call) = args.first().and_then(Sexpr::as_list) else {
-                return Ok(form.clone());
-            };
-            let Some((callee, cargs)) = call.split_first() else {
-                return Ok(form.clone());
-            };
-            let mut inner = vec![callee.clone()];
-            for a in cargs {
-                inner.push(conv(a, false, false, ctx)?);
-            }
-            Ok(rebuilt("future", vec![Sexpr::List(inner)]))
-        }
-        "progn" => {
-            let mut out = Vec::with_capacity(args.len());
-            let n = args.len();
-            for (i, a) in args.iter().enumerate() {
-                let last = i + 1 == n;
-                out.push(conv(a, tail && last, if last { discarded } else { true }, ctx)?);
-            }
-            Ok(rebuilt("progn", out))
-        }
-        "when" | "unless" => {
-            let Some((test, body)) = args.split_first() else { return Ok(form.clone()) };
-            let mut out = vec![conv(test, false, false, ctx)?];
-            let n = body.len();
-            for (i, a) in body.iter().enumerate() {
-                let last = i + 1 == n;
-                out.push(conv(a, tail && last, if last { discarded } else { true }, ctx)?);
-            }
-            Ok(rebuilt(head, out))
-        }
-        "if" => {
-            let mut out = Vec::with_capacity(args.len());
-            for (i, a) in args.iter().enumerate() {
-                if i == 0 {
-                    out.push(conv(a, false, false, ctx)?);
-                } else {
-                    out.push(conv(a, tail, discarded, ctx)?);
-                }
-            }
-            Ok(rebuilt("if", out))
-        }
-        "cond" => {
-            let mut out = Vec::with_capacity(args.len());
-            for clause in args {
-                let Some(cl) = clause.as_list() else { return Ok(form.clone()) };
-                let Some((test, body)) = cl.split_first() else { return Ok(form.clone()) };
-                let mut new_cl = vec![if test.is_symbol("t") {
-                    test.clone()
-                } else {
-                    conv(test, false, false, ctx)?
-                }];
-                let n = body.len();
-                for (i, a) in body.iter().enumerate() {
-                    let last = i + 1 == n;
-                    new_cl.push(conv(a, tail && last, if last { discarded } else { true }, ctx)?);
-                }
-                out.push(Sexpr::List(new_cl));
-            }
-            Ok(rebuilt("cond", out))
-        }
-        "let" | "let*" => {
-            let Some((bindings, body)) = args.split_first() else { return Ok(form.clone()) };
-            let new_bindings = match bindings.as_list() {
-                Some(bs) => {
-                    let mut v = Vec::with_capacity(bs.len());
-                    for b in bs {
-                        match b.as_list() {
-                            Some([name, init]) => v.push(Sexpr::List(vec![
-                                name.clone(),
-                                conv(init, false, false, ctx)?,
-                            ])),
-                            _ => v.push(b.clone()),
-                        }
-                    }
-                    Sexpr::List(v)
-                }
-                None => bindings.clone(),
-            };
-            let mut out = vec![new_bindings];
-            let n = body.len();
-            for (i, a) in body.iter().enumerate() {
-                let last = i + 1 == n;
-                out.push(conv(a, tail && last, if last { discarded } else { true }, ctx)?);
-            }
-            Ok(rebuilt(head, out))
-        }
-        "while" => {
-            let Some((test, body)) = args.split_first() else { return Ok(form.clone()) };
-            let mut out = vec![conv(test, false, false, ctx)?];
-            for a in body {
-                out.push(conv(a, false, true, ctx)?);
-            }
-            Ok(rebuilt("while", out))
-        }
-        _ => {
-            // Ordinary call/special form: every argument is in value
-            // position.
-            let mut out = Vec::with_capacity(args.len());
-            for a in args {
-                out.push(conv(a, false, false, ctx)?);
-            }
-            Ok(rebuilt(head, out))
+    fn leaf(&mut self, form: &Sexpr, pos: Pos) -> Sexpr {
+        // A future is already non-strict: the wrapped call needs no
+        // conversion (the future-sync transform produced it); its
+        // arguments are ordinary value positions.
+        match form.call_args("future") {
+            Some([wrapped, ..]) => sx::call("future", vec![shape::operands(self, wrapped, pos)]),
+            _ => shape::operands(self, form, pos),
         }
     }
 }
@@ -344,5 +246,30 @@ mod tests {
         // an inner self-call inside the args must be rejected.
         let err = cri_convert(&parse_one("(defun f (l) (when l (f (f l))))").unwrap()).unwrap_err();
         assert!(matches!(err, CriError::ValuePositionCall(_)));
+    }
+
+    #[test]
+    fn a_chain_s_last_operand_sits_where_the_chain_sits() {
+        let r = convert("(defun f (l) (and l (progn (print (car l)) (f (cdr l)))))");
+        assert_eq!(
+            r.form.to_string(),
+            "(defun f (l) (and l (progn (print (car l)) (cri-enqueue 0 f (cdr l)))))"
+        );
+        assert_eq!(convert("(defun f (l) (or (null l) (f (cdr l))))").sites, 1);
+        // Every earlier operand is tested: a value position.
+        for src in ["(defun f (l) (and (f (cdr l)) l))", "(defun f (l) (or (f (cdr l)) l))"] {
+            let err = cri_convert(&parse_one(src).unwrap()).unwrap_err();
+            assert!(matches!(err, CriError::ValuePositionCall(_)), "{src}");
+        }
+    }
+
+    #[test]
+    fn a_site_is_a_self_call_no_future_wraps() {
+        let site = |src: &str| has_site(&parse_one(src).unwrap());
+        assert!(site("(defun f (l) (when l (f (cdr l))))"));
+        assert!(!site("(defun f (l) (when l (touch (future (f (cdr l)))) (print l)))"));
+        assert!(!site("(defun f (l) (when l (cri-enqueue 0 f (cdr l))))"));
+        assert!(!site("(defun f (l) (print '(f l)))"));
+        assert!(site("(defun f (l) (touch (future (f (f l)))))"));
     }
 }

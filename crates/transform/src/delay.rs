@@ -33,6 +33,7 @@ use curare_analysis::{collect_accesses, AccessSummary, FunctionAnalysis, Path};
 use curare_lisp::{Heap, Lowerer};
 use curare_sexpr::Sexpr;
 
+use crate::shape::{self, Device, Pos};
 use crate::sx;
 
 /// Output of the delay pass.
@@ -63,19 +64,20 @@ pub fn delay_transform(
         .flat_map(|c| [(c.root, c.write_path.clone()), (c.root, c.other_path.clone())])
         .collect();
 
-    let mut moved = 0usize;
-    let mut ctx = Ctx { fname: parts.name, conflicting: &conflicting, probes };
-    let new_body: Vec<Sexpr> = reorder_seq(
-        &mut ctx,
-        &parts.body.iter().map(|&b| b.clone()).collect::<Vec<_>>(),
-        &mut moved,
-    );
-    if moved == 0 {
+    let mut ctx = Ctx {
+        fname: parts.name,
+        conflicting: &conflicting,
+        probes,
+        moved: 0,
+        call_args: Vec::new(),
+    };
+    let new_body = shape::walk_body(&mut ctx, &parts.body);
+    if ctx.moved == 0 {
         return None;
     }
     Some(DelayResult {
         form: sx::make_defun(parts.name, &parts.params, &parts.declares, new_body),
-        moved,
+        moved: ctx.moved,
     })
 }
 
@@ -84,6 +86,9 @@ struct Ctx<'a, 'h> {
     fname: &'a str,
     conflicting: &'a BTreeSet<(usize, Path)>,
     probes: &'a mut Probes<'h>,
+    moved: usize,
+    /// The arguments of every self-call walked so far.
+    call_args: Vec<Sexpr>,
 }
 
 /// Access summaries of statements of one defun, each obtained by
@@ -169,181 +174,98 @@ fn movable(ctx: &mut Ctx, stmt: &Sexpr, call_args: &[Sexpr]) -> bool {
     !writes_overlap(&stmt_acc, &args_acc)
 }
 
-/// Arguments of every self-call in a statement.
-fn self_call_args(form: &Sexpr, fname: &str) -> Vec<Sexpr> {
-    let mut out = Vec::new();
-    fn walk(form: &Sexpr, fname: &str, out: &mut Vec<Sexpr>) {
-        if let Some(items) = form.as_list() {
-            if items.first().is_some_and(|h| h.is_symbol("quote")) {
-                return;
-            }
-            if items.first().is_some_and(|h| h.is_symbol(fname)) {
-                out.extend(items[1..].iter().cloned());
-            }
-            for i in items {
-                walk(i, fname, out);
-            }
-        }
+impl Device for Ctx<'_, '_> {
+    fn fname(&self) -> &str {
+        self.fname
     }
-    walk(form, fname, &mut out);
-    out
+
+    /// Nested sequences first, then this one. In a body that repeats, a
+    /// statement hoisted above the call would still follow the previous
+    /// iteration's spawn: it is not head work, so nothing moves.
+    fn sequence(&mut self, stmts: &[(&Sexpr, Pos)], repeats: bool) -> Vec<Sexpr> {
+        let before = self.call_args.len();
+        let stmts = shape::walk_each(self, stmts);
+        if repeats {
+            return stmts;
+        }
+        let call_args = self.call_args[before..].to_vec();
+        self.hoist(stmts, &call_args)
+    }
+
+    fn self_call(&mut self, call: &Sexpr, pos: Pos) -> Sexpr {
+        self.call_args.extend(call.as_list().expect("a call")[1..].iter().cloned());
+        shape::operands(self, call, pos)
+    }
 }
 
-/// Reorder one statement sequence and recurse into nested sequences.
-fn reorder_seq(ctx: &mut Ctx, stmts: &[Sexpr], moved: &mut usize) -> Vec<Sexpr> {
-    // First recurse into each statement's own nested sequences.
-    let stmts: Vec<Sexpr> = stmts.iter().map(|s| reorder_inner(ctx, s, moved)).collect();
+impl Ctx<'_, '_> {
+    /// Move the movable statements that follow the first call-bearing
+    /// statement of one sequence to just before it; `call_args` are the
+    /// arguments of the self-calls they would cross.
+    fn hoist(&mut self, stmts: Vec<Sexpr>, call_args: &[Sexpr]) -> Vec<Sexpr> {
+        let Some(first_call) = stmts.iter().position(|s| sx::mentions_call(s, self.fname)) else {
+            return stmts;
+        };
 
-    let Some(first_call) = stmts.iter().position(|s| sx::mentions_call(s, ctx.fname)) else {
-        return stmts;
-    };
-    let call_args: Vec<Sexpr> =
-        stmts[first_call..].iter().flat_map(|s| self_call_args(s, ctx.fname)).collect();
-
-    let mut head: Vec<Sexpr> = stmts[..first_call].to_vec();
-    let mut hoisted: Vec<Sexpr> = Vec::new();
-    let mut rest: Vec<Sexpr> = Vec::new();
-    let mut blocked = false;
-    let mut last_was_hoisted = false;
-    for (i, s) in stmts[first_call..].iter().enumerate() {
-        let is_last = first_call + i + 1 == stmts.len();
-        if sx::mentions_call(s, ctx.fname) {
-            rest.push(s.clone());
-            last_was_hoisted = false;
-        } else if !blocked && movable(ctx, s, &call_args) {
-            hoisted.push(s.clone());
-            *moved += 1;
-            last_was_hoisted = is_last;
+        let mut head: Vec<Sexpr> = stmts[..first_call].to_vec();
+        let mut hoisted: Vec<Sexpr> = Vec::new();
+        let mut rest: Vec<Sexpr> = Vec::new();
+        let mut blocked = false;
+        let mut last_was_hoisted = false;
+        for (i, s) in stmts[first_call..].iter().enumerate() {
+            let is_last = first_call + i + 1 == stmts.len();
+            if sx::mentions_call(s, self.fname) {
+                rest.push(s.clone());
+            } else if !blocked && movable(self, s, call_args) {
+                hoisted.push(s.clone());
+                self.moved += 1;
+                last_was_hoisted = is_last;
+            } else {
+                blocked = true;
+                rest.push(s.clone());
+            }
+        }
+        if last_was_hoisted {
+            // The hoisted statement was the sequence's value. Preserve it
+            // by binding: (let ((%curare-delayed S)) rest... %curare-delayed).
+            let value_stmt = hoisted.pop().expect("last_was_hoisted implies nonempty");
+            let tmp = format!("%curare-delayed{}", self.moved);
+            head.extend(hoisted);
+            rest.push(sx::sym(tmp.clone()));
+            head.push(shape::let_form(false, vec![(tmp, value_stmt)], rest));
         } else {
-            blocked = true;
-            rest.push(s.clone());
-            last_was_hoisted = false;
+            head.extend(hoisted);
+            head.extend(rest);
         }
-    }
-    if last_was_hoisted {
-        // The hoisted statement was the sequence's value. Preserve it
-        // by binding: (let ((%curare-delayed S)) rest... %curare-delayed).
-        let value_stmt = hoisted.pop().expect("last_was_hoisted implies nonempty");
-        let tmp = format!("%curare-delayed{}", *moved);
-        head.extend(hoisted);
-        let mut let_form = vec![
-            sx::sym("let"),
-            Sexpr::List(vec![Sexpr::List(vec![sx::sym(tmp.clone()), value_stmt])]),
-        ];
-        let_form.extend(rest);
-        let_form.push(sx::sym(tmp));
-        head.push(Sexpr::List(let_form));
-    } else {
-        head.extend(hoisted);
-        head.extend(rest);
-    }
-    head
-}
-
-/// Recurse into the sequence-bearing positions of one statement.
-fn reorder_inner(ctx: &mut Ctx, form: &Sexpr, moved: &mut usize) -> Sexpr {
-    let Some(items) = form.as_list() else { return form.clone() };
-    let Some(head) = items.first().and_then(Sexpr::as_symbol) else {
-        return form.clone();
-    };
-    match head {
-        "progn" | "when" | "unless" | "while" | "let" | "let*" => {
-            let fixed = if head == "progn" { 1 } else { 2 };
-            if items.len() <= fixed {
-                return form.clone();
-            }
-            let mut out = items[..fixed].to_vec();
-            out.extend(reorder_seq(ctx, &items[fixed..], moved));
-            Sexpr::List(out)
-        }
-        "cond" => {
-            let mut out = vec![items[0].clone()];
-            for clause in &items[1..] {
-                match clause.as_list() {
-                    Some(cl) if cl.len() > 1 => {
-                        let mut new_cl = vec![cl[0].clone()];
-                        new_cl.extend(reorder_seq(ctx, &cl[1..], moved));
-                        out.push(Sexpr::List(new_cl));
-                    }
-                    _ => out.push(clause.clone()),
-                }
-            }
-            Sexpr::List(out)
-        }
-        "if" => {
-            let mut out = vec![items[0].clone()];
-            for a in &items[1..] {
-                out.push(reorder_inner(ctx, a, moved));
-            }
-            Sexpr::List(out)
-        }
-        _ => form.clone(),
+        head
     }
 }
 
-/// Is there any statement following a self-call in some sequence of
-/// the body? (Used by the pipeline to decide whether head ordering
-/// already resolves all conflicts.)
+/// Is there work after a self-call within one invocation of the body?
+/// (Used by the pipeline to decide whether head ordering already
+/// resolves all conflicts.) Atoms and quoted data are not work — a
+/// trailing variable reference, such as the value binding the delay
+/// transform introduces, touches no heap location — while a self-call
+/// whose value is consumed always has the consumer after it, and one
+/// in a loop body the next iteration.
 pub fn has_tail_statements(form: &Sexpr, fname: &str) -> bool {
+    struct Probe<'a> {
+        fname: &'a str,
+        found: bool,
+    }
+    impl Device for Probe<'_> {
+        fn fname(&self) -> &str {
+            self.fname
+        }
+        fn self_call(&mut self, call: &Sexpr, pos: Pos) -> Sexpr {
+            self.found |= pos.follows;
+            shape::operands(self, call, pos)
+        }
+    }
     let Some(parts) = sx::parse_defun(form) else { return false };
-    /// Atoms and quoted data touch no heap locations: a trailing
-    /// variable reference (e.g. the value binding the delay transform
-    /// introduces) is not tail *work*.
-    fn harmless(s: &Sexpr) -> bool {
-        match s {
-            Sexpr::List(items) => {
-                items.is_empty() || items.first().is_some_and(|h| h.is_symbol("quote"))
-            }
-            _ => true,
-        }
-    }
-    fn seq_has_tail(stmts: &[&Sexpr], fname: &str) -> bool {
-        let mut seen_call = false;
-        for s in stmts {
-            if seen_call && !harmless(s) {
-                return true;
-            }
-            if sx::mentions_call(s, fname) {
-                // Inspect nested sequences inside the call-bearing
-                // statement too.
-                if stmt_has_tail(s, fname) {
-                    return true;
-                }
-                seen_call = true;
-            }
-        }
-        false
-    }
-    fn stmt_has_tail(form: &Sexpr, fname: &str) -> bool {
-        let Some(items) = form.as_list() else { return false };
-        let Some(head) = items.first().and_then(Sexpr::as_symbol) else { return false };
-        match head {
-            "quote" => false,
-            "progn" | "when" | "unless" | "while" | "let" | "let*" => {
-                let fixed = if head == "progn" { 1 } else { 2 };
-                if items.len() <= fixed {
-                    return false;
-                }
-                seq_has_tail(&items[fixed..].iter().collect::<Vec<_>>(), fname)
-            }
-            "cond" => items[1..].iter().any(|clause| match clause.as_list() {
-                Some(cl) if cl.len() > 1 => {
-                    seq_has_tail(&cl[1..].iter().collect::<Vec<_>>(), fname)
-                }
-                _ => false,
-            }),
-            "if" => items[1..].iter().any(|a| stmt_has_tail(a, fname)),
-            h if h == fname => false,
-            _ => {
-                // A self-call nested in argument position of another
-                // operator means work happens after it returns — that
-                // is tail work (and usually a value-position call the
-                // CRI pass will reject anyway).
-                items[1..].iter().any(|a| sx::mentions_call(a, fname))
-            }
-        }
-    }
-    seq_has_tail(&parts.body, fname)
+    let mut probe = Probe { fname, found: false };
+    shape::walk_body(&mut probe, &parts.body);
+    probe.found
 }
 
 #[cfg(test)]
@@ -493,5 +415,30 @@ mod tests {
         assert!(has_tail_statements(&nested, "f"));
         let value_pos = parse_one("(defun f (l) (cons 1 (f (cdr l))))").unwrap();
         assert!(has_tail_statements(&value_pos, "f"));
+    }
+
+    #[test]
+    fn a_loop_body_is_tail_work_and_nothing_in_it_is_head_work() {
+        // The spawn of one trip round the loop is followed by the next
+        // trip: the write *before* the call is tail work too.
+        let looping = "(defun f (l k)
+               (when l
+                 (while (> k 0)
+                   (setq k (- k 1))
+                   (setf (car l) 0)
+                   (f (cdr l) 0))))";
+        assert!(has_tail_statements(&parse_one(looping).unwrap(), "f"));
+        // A loop that spawns nothing is head work like any other.
+        let before = "(defun f (l k) (when l (while (> k 0) (setq k (- k 1))) (f (cdr l) 0)))";
+        assert!(!has_tail_statements(&parse_one(before).unwrap(), "f"));
+        // Hoisting inside the loop would leave the statement after the
+        // previous trip's spawn: delay moves nothing there.
+        let after = "(defun f (l k)
+               (when l
+                 (while (> k 0)
+                   (setq k (- k 1))
+                   (f (cdr l) 0)
+                   (setf (car l) 0))))";
+        assert!(delay(after).is_none());
     }
 }

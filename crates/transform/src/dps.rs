@@ -24,6 +24,7 @@
 
 use curare_sexpr::Sexpr;
 
+use crate::shape::{self, Device, Pos};
 use crate::sx;
 
 /// Why the DPS transform did not apply.
@@ -70,23 +71,18 @@ const DEST: &str = "%curare-dest";
 /// Apply the destination-passing-style transformation.
 pub fn dps_transform(form: &Sexpr) -> Result<DpsResult, DpsError> {
     let parts = sx::parse_defun(form).ok_or(DpsError::NotADefun)?;
-    let whole = Sexpr::List(parts.body.iter().map(|&b| b.clone()).collect());
-    if !sx::mentions_call(&whole, parts.name) {
+    if !parts.body.iter().any(|b| sx::mentions_call(b, parts.name)) {
         return Err(DpsError::NotRecursive);
     }
     let dps_name = format!("{}-d", parts.name);
 
-    // Transform the body: the last form is the result producer.
-    let (last, init) = parts.body.split_last().ok_or(DpsError::NotADefun)?;
-    let mut new_body: Vec<Sexpr> = init.iter().map(|&b| b.clone()).collect();
-    for b in init {
-        if sx::mentions_call(b, parts.name) {
-            return Err(DpsError::UnsupportedShape(format!(
-                "self-call outside the result expression: {b}"
-            )));
-        }
+    // Every tail leaf of the body produces the result; a self-call
+    // anywhere else is outside the class.
+    let mut ctx = Ctx { fname: parts.name, dps_name: &dps_name, refused: None };
+    let new_body = shape::walk_body(&mut ctx, &parts.body);
+    if let Some(shape) = ctx.refused {
+        return Err(DpsError::UnsupportedShape(shape));
     }
-    new_body.push(rewrite_result(last, parts.name, &dps_name)?);
 
     let mut dps_params: Vec<String> = vec![DEST.to_string()];
     dps_params.extend(parts.params.iter().map(|p| p.to_string()));
@@ -96,168 +92,86 @@ pub fn dps_transform(form: &Sexpr) -> Result<DpsResult, DpsError> {
     //            (f-d %curare-dest p...) (cdr %curare-dest)))
     let mut call_dps = vec![sx::sym(dps_name.clone()), sx::sym(DEST)];
     call_dps.extend(parts.params.iter().map(|p| sx::sym(*p)));
-    let wrapper_body = sx::call(
-        "let",
-        vec![
-            Sexpr::List(vec![Sexpr::List(vec![
-                sx::sym(DEST),
-                sx::call("cons", vec![sx::sym("nil"), sx::sym("nil")]),
-            ])]),
-            Sexpr::List(call_dps),
-            sx::call("cdr", vec![sx::sym(DEST)]),
-        ],
+    let wrapper_body = shape::let_form(
+        false,
+        vec![(DEST.to_string(), sx::call("cons", vec![sx::sym("nil"), sx::sym("nil")]))],
+        vec![Sexpr::List(call_dps), sx::call("cdr", vec![sx::sym(DEST)])],
     );
     let wrapper = sx::make_defun(parts.name, &parts.params, &[], vec![wrapper_body]);
 
     Ok(DpsResult { dps_form, wrapper, dps_name, provenance_safe: true })
 }
 
-/// Rewrite a result-producing expression into destination stores.
-fn rewrite_result(form: &Sexpr, fname: &str, dps_name: &str) -> Result<Sexpr, DpsError> {
-    // Control forms: rewrite each branch's result.
-    if let Some(items) = form.as_list() {
-        if let Some(head) = items.first().and_then(Sexpr::as_symbol) {
-            match head {
-                "cond" => {
-                    let mut out = vec![sx::sym("cond")];
-                    for clause in &items[1..] {
-                        let Some(cl) = clause.as_list() else {
-                            return Err(DpsError::UnsupportedShape(clause.to_string()));
-                        };
-                        let Some((test, body)) = cl.split_first() else {
-                            return Err(DpsError::UnsupportedShape(clause.to_string()));
-                        };
-                        if sx::mentions_call(test, fname) {
-                            return Err(DpsError::UnsupportedShape(test.to_string()));
-                        }
-                        let mut new_cl = vec![test.clone()];
-                        if body.is_empty() {
-                            // (test) clause: its value is the test's.
-                            new_cl = vec![test.clone(), store_value(test.clone())];
-                        } else {
-                            let (last, init) = body.split_last().expect("nonempty");
-                            for b in init {
-                                if sx::mentions_call(b, fname) {
-                                    return Err(DpsError::UnsupportedShape(b.to_string()));
-                                }
-                                new_cl.push(b.clone());
-                            }
-                            new_cl.push(rewrite_result(last, fname, dps_name)?);
-                        }
-                        out.push(Sexpr::List(new_cl));
-                    }
-                    return Ok(Sexpr::List(out));
-                }
-                "if" => {
-                    let rest = &items[1..];
-                    if rest.len() < 2 || rest.len() > 3 {
-                        return Err(DpsError::UnsupportedShape(form.to_string()));
-                    }
-                    if sx::mentions_call(&rest[0], fname) {
-                        return Err(DpsError::UnsupportedShape(rest[0].to_string()));
-                    }
-                    let mut out = vec![sx::sym("if"), rest[0].clone()];
-                    out.push(rewrite_result(&rest[1], fname, dps_name)?);
-                    if let Some(e) = rest.get(2) {
-                        out.push(rewrite_result(e, fname, dps_name)?);
-                    } else {
-                        out.push(store_value(sx::sym("nil")));
-                    }
-                    return Ok(Sexpr::List(out));
-                }
-                "when" => {
-                    // (when test body...) ≡ (if test (progn body...) nil);
-                    // a false test must still terminate the list.
-                    let rest = &items[1..];
-                    let Some((test, body)) = rest.split_first() else {
-                        return Err(DpsError::UnsupportedShape(form.to_string()));
-                    };
-                    let equivalent = sx::call(
-                        "if",
-                        vec![test.clone(), sx::progn(body.to_vec()), sx::sym("nil")],
-                    );
-                    return rewrite_result(&equivalent, fname, dps_name);
-                }
-                "progn" => {
-                    // Rewrite only the last form; earlier forms are
-                    // effects that must not self-call.
-                    let rest = &items[1..];
-                    let Some((last, init)) = rest.split_last() else {
-                        return Ok(store_value(sx::sym("nil")));
-                    };
-                    let mut out = vec![sx::sym("progn")];
-                    for b in init {
-                        if sx::mentions_call(b, fname) {
-                            return Err(DpsError::UnsupportedShape(b.to_string()));
-                        }
-                        out.push(b.clone());
-                    }
-                    out.push(rewrite_result(last, fname, dps_name)?);
-                    return Ok(Sexpr::List(out));
-                }
-                _ => {}
-            }
+struct Ctx<'a> {
+    fname: &'a str,
+    dps_name: &'a str,
+    /// The first form found outside the supported class.
+    refused: Option<String>,
+}
 
-            // Shape 2: tail self-call (f a...) → (f-d dest a...).
-            if head == fname {
-                let mut out = vec![sx::sym(dps_name), sx::sym(DEST)];
-                for a in &items[1..] {
-                    if sx::mentions_call(a, fname) {
-                        return Err(DpsError::UnsupportedShape(a.to_string()));
-                    }
-                    out.push(a.clone());
-                }
-                return Ok(Sexpr::List(out));
-            }
+impl Ctx<'_> {
+    /// `form` unchanged — refused if it calls the function.
+    fn call_free(&mut self, form: &Sexpr) -> Sexpr {
+        if sx::mentions_call(form, self.fname) {
+            self.refused.get_or_insert_with(|| form.to_string());
+        }
+        form.clone()
+    }
 
-            // Shape 3: (cons X (f a...)).
-            if head == "cons" && items.len() == 3 {
-                let x = &items[1];
-                let r = &items[2];
-                if sx::mentions_call(x, fname) {
-                    return Err(DpsError::UnsupportedShape(x.to_string()));
-                }
-                if let Some(call) = r.as_list() {
-                    if call.first().is_some_and(|h| h.is_symbol(fname)) {
-                        for a in &call[1..] {
-                            if sx::mentions_call(a, fname) {
-                                return Err(DpsError::UnsupportedShape(a.to_string()));
-                            }
-                        }
-                        // (let ((%curare-cell (cons X nil)))
-                        //   (f-d %curare-cell a...)
-                        //   (setf (cdr dest) %curare-cell))
-                        let mut rec = vec![sx::sym(dps_name), sx::sym("%curare-cell")];
-                        rec.extend(call[1..].iter().cloned());
-                        return Ok(sx::call(
-                            "let",
-                            vec![
-                                Sexpr::List(vec![Sexpr::List(vec![
-                                    sx::sym("%curare-cell"),
-                                    sx::call("cons", vec![x.clone(), sx::sym("nil")]),
-                                ])]),
-                                Sexpr::List(rec),
-                                sx::call(
-                                    "setf",
-                                    vec![
-                                        sx::call("cdr", vec![sx::sym(DEST)]),
-                                        sx::sym("%curare-cell"),
-                                    ],
-                                ),
-                            ],
-                        ));
-                    }
-                }
-                // cons of two non-recursive things: shape 1.
+    /// `(f a...)` → `(f-d dest a...)`; no argument may call `f`.
+    fn redirected(&mut self, call: &Sexpr, dest: &str) -> Sexpr {
+        let mut out = vec![sx::sym(self.dps_name), sx::sym(dest)];
+        out.extend(call.as_list().expect("a call")[1..].iter().map(|a| self.call_free(a)));
+        Sexpr::List(out)
+    }
+}
+
+/// Result-position rewrite: a branch whose value is nil stores nothing
+/// (an `if` without an else arm, a false `when` / true `unless` test, a
+/// `cond` no clause of which fires) and the list still ends there,
+/// because every destination cell is allocated with a nil cdr.
+impl Device for Ctx<'_> {
+    fn fname(&self) -> &str {
+        self.fname
+    }
+
+    /// Shape 2: a tail self-call `(f a...)` → `(f-d dest a...)`.
+    fn self_call(&mut self, call: &Sexpr, pos: Pos) -> Sexpr {
+        if !pos.tail {
+            self.refused.get_or_insert_with(|| call.to_string());
+            return call.clone();
+        }
+        self.redirected(call, DEST)
+    }
+
+    /// A guard's value must not be the result (an `or` operand, a
+    /// `cond` clause that is all test): nothing would store it.
+    fn guard(&mut self, form: &Sexpr, pos: Pos) -> Sexpr {
+        if pos.tail {
+            self.refused.get_or_insert_with(|| format!("guard whose value is the result: {form}"));
+        }
+        self.call_free(form)
+    }
+
+    fn leaf(&mut self, form: &Sexpr, pos: Pos) -> Sexpr {
+        if !pos.tail {
+            return self.call_free(form);
+        }
+        // Shape 3: (cons X (f a...)) →
+        // (let ((%curare-cell (cons X nil)))
+        //   (f-d %curare-cell a...)
+        //   (setf (cdr dest) %curare-cell))
+        match form.call_args("cons") {
+            Some([x, rec]) if rec.is_call(self.fname) => {
+                let cell = "%curare-cell";
+                let fresh = sx::call("cons", vec![self.call_free(x), sx::sym("nil")]);
+                let body = vec![self.redirected(rec, cell), store_value(sx::sym(cell))];
+                shape::let_form(false, vec![(cell.to_string(), fresh)], body)
             }
+            // Shape 1: any expression without self-calls.
+            _ => store_value(self.call_free(form)),
         }
     }
-
-    // Shape 1: any expression without self-calls.
-    if sx::mentions_call(form, fname) {
-        return Err(DpsError::UnsupportedShape(form.to_string()));
-    }
-    Ok(store_value(form.clone()))
 }
 
 /// `(setf (cdr dest) E)`.
@@ -396,5 +310,48 @@ mod tests {
             let b = dps.load_str(call).unwrap();
             assert_eq!(orig.heap().display(a), dps.heap().display(b), "{call}");
         }
+    }
+
+    #[test]
+    fn unless_and_let_spell_the_same_class() {
+        let src = "(defun remq2 (x l)
+                     (unless (null l)
+                       (let ((h (car l)))
+                         (if (eq h x) (remq2 x (cdr l)) (cons h (remq2 x (cdr l)))))))";
+        let r = dps_transform(&parse_one(src).unwrap()).unwrap();
+        let text = r.dps_form.to_string();
+        assert!(text.contains("(remq2-d %curare-dest x (cdr l))"), "{text}");
+        assert!(text.contains("(%curare-cell (cons h nil))"), "{text}");
+        let orig = Interp::new();
+        orig.load_str(src).unwrap();
+        let dps = Interp::new();
+        dps.load_str(&text).unwrap();
+        dps.load_str(&r.wrapper.to_string()).unwrap();
+        for call in ["(remq2 'a '(a b a c a d))", "(remq2 'a '(a a))", "(remq2 'a nil)"] {
+            let a = orig.load_str(call).unwrap();
+            let b = dps.load_str(call).unwrap();
+            assert_eq!(orig.heap().display(a), dps.heap().display(b), "{call}");
+        }
+    }
+
+    #[test]
+    fn a_guard_whose_value_is_the_result_is_refused() {
+        // `or` returns its first true operand and a bodiless `cond`
+        // clause its test: values no store would carry.
+        for src in [
+            "(defun f (l) (or (null l) (cons (car l) (f (cdr l)))))",
+            "(defun f (l) (cond ((null l)) (t (cons (car l) (f (cdr l))))))",
+        ] {
+            let err = dps_transform(&parse_one(src).unwrap()).unwrap_err();
+            assert!(matches!(err, DpsError::UnsupportedShape(_)), "{src}");
+        }
+        // `and` yields only nil early: the list ends where it stands.
+        let src = "(defun f (l) (and l (cons (car l) (f (cdr l)))))";
+        let r = dps_transform(&parse_one(src).unwrap()).unwrap();
+        let dps = Interp::new();
+        dps.load_str(&r.dps_form.to_string()).unwrap();
+        dps.load_str(&r.wrapper.to_string()).unwrap();
+        let v = dps.load_str("(f '(1 2 3))").unwrap();
+        assert_eq!(dps.heap().display(v), "(1 2 3)");
     }
 }

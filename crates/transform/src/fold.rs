@@ -32,6 +32,7 @@
 use curare_analysis::DeclDb;
 use curare_sexpr::Sexpr;
 
+use crate::shape::{self, Class, Shape, View};
 use crate::sx;
 
 /// Why the reduction transform did not apply.
@@ -96,25 +97,21 @@ fn recognize(fname: &str, body: &[&Sexpr]) -> Result<Reduction, FoldError> {
     let [form] = body else {
         return Err(FoldError::NotAReduction("body must be a single expression".into()));
     };
-    let items = form.as_list().ok_or_else(|| FoldError::NotAReduction(form.to_string()))?;
-    let head = items
-        .first()
-        .and_then(Sexpr::as_symbol)
-        .ok_or_else(|| FoldError::NotAReduction(form.to_string()))?;
-
-    let (test, init, combine) = match head {
-        "if" if items.len() == 4 => (items[1].clone(), items[2].clone(), items[3].clone()),
-        "cond" if items.len() == 3 => {
-            let c1 =
-                items[1].as_list().ok_or_else(|| FoldError::NotAReduction(form.to_string()))?;
-            let c2 =
-                items[2].as_list().ok_or_else(|| FoldError::NotAReduction(form.to_string()))?;
-            if c1.len() != 2 || c2.len() != 2 || !c2[0].is_symbol("t") {
-                return Err(FoldError::NotAReduction(form.to_string()));
-            }
-            (c1[0].clone(), c1[1].clone(), c2[1].clone())
+    // Two clauses: TEST with INIT alone, then the combiner alone — under
+    // no test of its own (`if`) or under `t` (`cond`).
+    let not_a_reduction = || FoldError::NotAReduction(form.to_string());
+    let Shape::Form(View { class: Class::If | Class::Cond, clauses, .. }) =
+        shape::classify(form, fname)
+    else {
+        return Err(not_a_reduction());
+    };
+    let [base, step] = &clauses[..] else { return Err(not_a_reduction()) };
+    let mut tests = base.guards();
+    let (test, init, combine) = match (tests.next(), tests.next(), base.body, step.body) {
+        (Some(test), None, [init], [combine]) if step.guards().all(|g| g.is_symbol("t")) => {
+            (test.clone(), init.clone(), combine.clone())
         }
-        _ => return Err(FoldError::NotAReduction(form.to_string())),
+        _ => return Err(not_a_reduction()),
     };
     if sx::mentions_call(&test, fname) || sx::mentions_call(&init, fname) {
         return Err(FoldError::NotAReduction("self-call in test or base case".into()));
@@ -180,13 +177,10 @@ pub fn fold_to_walker(form: &Sexpr, decls: &DeclDb) -> Result<FoldResult, FoldEr
     //   (let ((%curare-acc (cons INIT nil)))
     //     (f-acc %curare-acc l)
     //     (car %curare-acc)))
-    let wrapper_body = sx::call(
-        "let",
+    let wrapper_body = shape::let_form(
+        false,
+        vec![(ACC.to_string(), sx::call("cons", vec![red.init.clone(), sx::sym("nil")]))],
         vec![
-            Sexpr::List(vec![Sexpr::List(vec![
-                sx::sym(ACC),
-                sx::call("cons", vec![red.init.clone(), sx::sym("nil")]),
-            ])]),
             sx::call(&walker_name, vec![sx::sym(ACC), sx::sym(param)]),
             sx::call("car", vec![sx::sym(ACC)]),
         ],

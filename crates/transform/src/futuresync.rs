@@ -17,6 +17,7 @@
 
 use curare_sexpr::Sexpr;
 
+use crate::shape::{self, Device, Pos};
 use crate::sx;
 
 /// Result of the future-sync transform.
@@ -28,99 +29,38 @@ pub struct FutureSyncResult {
     pub wrapped: usize,
 }
 
-/// Wrap every self-call that has statements after it in its sequence.
+/// Wrap every self-call that has work after it in its invocation.
 pub fn future_sync(form: &Sexpr) -> Option<FutureSyncResult> {
     let parts = sx::parse_defun(form)?;
-    let fname = parts.name.to_string();
-    let mut wrapped = 0usize;
-    let n = parts.body.len();
-    let new_body: Vec<Sexpr> = parts
-        .body
-        .iter()
-        .enumerate()
-        .map(|(i, b)| conv(b, &fname, i + 1 < n, &mut wrapped))
-        .collect();
-    if wrapped == 0 {
+    let mut sync = Sync { fname: parts.name, wrapped: 0 };
+    let body = shape::walk_body(&mut sync, &parts.body);
+    if sync.wrapped == 0 {
         return None;
     }
     Some(FutureSyncResult {
-        form: sx::make_defun(&fname, &parts.params, &parts.declares, new_body),
-        wrapped,
+        form: sx::make_defun(parts.name, &parts.params, &parts.declares, body),
+        wrapped: sync.wrapped,
     })
 }
 
-/// Rewrite `form`; `follows` is true when statements execute after it
-/// within the current invocation.
-fn conv(form: &Sexpr, fname: &str, follows: bool, wrapped: &mut usize) -> Sexpr {
-    let Some(items) = form.as_list() else { return form.clone() };
-    let Some(head) = items.first().and_then(Sexpr::as_symbol) else {
-        return form.clone();
-    };
-    let args = &items[1..];
+struct Sync<'a> {
+    fname: &'a str,
+    wrapped: usize,
+}
 
-    if head == fname {
-        if follows {
-            *wrapped += 1;
-            return sx::call("touch", vec![sx::call("future", vec![form.clone()])]);
-        }
-        return form.clone();
+impl Device for Sync<'_> {
+    fn fname(&self) -> &str {
+        self.fname
     }
 
-    let seq = |body: &[Sexpr], follows: bool, wrapped: &mut usize| -> Vec<Sexpr> {
-        let n = body.len();
-        body.iter()
-            .enumerate()
-            .map(|(i, s)| conv(s, fname, follows || i + 1 < n, wrapped))
-            .collect()
-    };
-
-    match head {
-        "quote" => form.clone(),
-        "progn" => {
-            let mut out = vec![items[0].clone()];
-            out.extend(seq(args, follows, wrapped));
-            Sexpr::List(out)
+    /// A call whose value is consumed stays as it is: CRI conversion
+    /// refuses it, and a future would not make its value meaningful.
+    fn self_call(&mut self, call: &Sexpr, pos: Pos) -> Sexpr {
+        if !pos.follows || pos.is_value() {
+            return call.clone();
         }
-        "when" | "unless" | "let" | "let*" => {
-            if args.is_empty() {
-                return form.clone();
-            }
-            let mut out = vec![items[0].clone(), args[0].clone()];
-            out.extend(seq(&args[1..], follows, wrapped));
-            Sexpr::List(out)
-        }
-        "while" => {
-            if args.is_empty() {
-                return form.clone();
-            }
-            let mut out = vec![items[0].clone(), args[0].clone()];
-            // Loop bodies repeat: a call there always has following
-            // work (the next iteration).
-            out.extend(args[1..].iter().map(|s| conv(s, fname, true, wrapped)));
-            Sexpr::List(out)
-        }
-        "if" => {
-            let mut out = vec![items[0].clone()];
-            for (i, a) in args.iter().enumerate() {
-                out.push(if i == 0 { a.clone() } else { conv(a, fname, follows, wrapped) });
-            }
-            Sexpr::List(out)
-        }
-        "cond" => {
-            let mut out = vec![items[0].clone()];
-            for clause in args {
-                match clause.as_list() {
-                    Some(cl) if !cl.is_empty() => {
-                        let mut new_cl = vec![cl[0].clone()];
-                        new_cl.extend(seq(&cl[1..], follows, wrapped));
-                        out.push(Sexpr::List(new_cl));
-                    }
-                    _ => out.push(clause.clone()),
-                }
-            }
-            Sexpr::List(out)
-        }
-        _ => form.clone(),
+        self.wrapped += 1;
+        sx::call("touch", vec![sx::call("future", vec![call.clone()])])
     }
 }
 

@@ -6,6 +6,9 @@
 //! of each pass is a readable Lisp program the next pass (or a human)
 //! can inspect — exactly the paper's feedback model (§6).
 //!
+//! - [`shape`]: the table of statement shapes — the one place a control
+//!   keyword is spelt — and the walk that tells every device below where
+//!   a form sits (value used or not, work after it, a spawn before it);
 //! - [`reorder`]: §3.2.3 — declared-commutative updates become atomic;
 //!   unordered-insert / any-result constraints are dismissed;
 //! - [`delay`]: §3.2.2 — post-call statements move into the head;
@@ -40,6 +43,7 @@ pub mod locks;
 pub mod pipeline;
 pub mod rec2iter;
 pub mod reorder;
+pub mod shape;
 pub mod sx;
 
 pub use cri::{cri_convert, cri_convert_handoff, CriError, CriResult};

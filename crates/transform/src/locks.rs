@@ -31,6 +31,7 @@ use curare_lisp::{Heap, Lowerer};
 use curare_sexpr::Sexpr;
 
 use crate::delay::Probes;
+use crate::shape::{self, Device, Pos, Shape};
 use crate::sx;
 
 /// One lock the transform inserted.
@@ -151,7 +152,7 @@ impl PlaceCtx<'_, '_> {
     /// or call-bearing statement — positions the walk cannot bracket)
     /// touches a covered location.
     fn audit_unbracketed(&mut self, form: &Sexpr, what: &str) {
-        if atom_or_quoted(form) {
+        if shape::inert(form) {
             return;
         }
         match self.covering(std::slice::from_ref(form)) {
@@ -181,51 +182,44 @@ impl PlaceCtx<'_, '_> {
     /// result executes for effect only.
     fn wrap(&mut self, stmt: Sexpr, covered: &[LockSpec]) -> Sexpr {
         let mut bindings = Vec::new();
-        let mut lock_forms = Vec::new();
+        let mut body = Vec::new();
         let mut unlock_forms = Vec::new();
         for spec in covered {
             let cell_path = spec.path.cell_prefix().expect("ε filtered out of placement");
             let field = spec.path.last().expect("nonempty");
             let tmp = format!("%curare-plock{}", self.counter);
             self.counter += 1;
-            bindings.push(Sexpr::List(vec![
-                sx::sym(tmp.clone()),
-                sx::path_to_expr(&spec.root_name, &cell_path, self.probes.heap),
-            ]));
+            let cell = sx::path_to_expr(&spec.root_name, &cell_path, self.probes.heap);
+            bindings.push((tmp.clone(), cell));
             let (lock_head, unlock_head) = if spec.exclusive {
                 ("cri-lock", "cri-unlock")
             } else {
                 ("cri-lock-read", "cri-unlock-read")
             };
-            lock_forms
-                .push(sx::call(lock_head, vec![sx::sym(tmp.clone()), sx::field_operand(field)]));
+            body.push(sx::call(lock_head, vec![sx::sym(tmp.clone()), sx::field_operand(field)]));
             unlock_forms.push(sx::call(unlock_head, vec![sx::sym(tmp), sx::field_operand(field)]));
         }
-        unlock_forms.reverse();
-        let mut outer = vec![sx::sym("let*"), Sexpr::List(bindings)];
-        outer.extend(lock_forms);
-        outer.push(stmt);
-        outer.extend(unlock_forms);
-        Sexpr::List(outer)
+        body.push(stmt);
+        body.extend(unlock_forms.into_iter().rev());
+        shape::let_form(true, bindings, body)
     }
 
     /// Is `form` a bracketable leaf statement, and which locks cover
     /// it? `None` for control shapes, call-bearing statements and
     /// unanalyzable or uncovered leaves — those take the ordinary
-    /// [`Self::place_stmt`] route (which audits them as needed).
+    /// [`shape::walk`] route (which audits them as needed).
     fn leaf_covering(&mut self, form: &Sexpr) -> Option<Vec<LockSpec>> {
-        if atom_or_quoted(form) {
-            return None;
-        }
-        let items = form.as_list()?;
-        let head = items.first().and_then(Sexpr::as_symbol).unwrap_or_default();
-        if matches!(head, "progn" | "when" | "unless" | "while" | "let" | "let*" | "cond" | "if") {
-            return None;
-        }
-        if sx::mentions_call(form, self.fname) {
+        let call = matches!(shape::classify(form, self.fname), Shape::Call);
+        if !call || sx::mentions_call(form, self.fname) {
             return None;
         }
         self.covering(std::slice::from_ref(form)).filter(|c| !c.is_empty())
+    }
+}
+
+impl Device for PlaceCtx<'_, '_> {
+    fn fname(&self) -> &str {
+        self.fname
     }
 
     /// Bracket the statements of one sequence. With coalescing on,
@@ -234,9 +228,9 @@ impl PlaceCtx<'_, '_> {
     /// critical section gets coarser (fewer acquisitions), never
     /// weaker, and no spawn can sit inside a merged bracket because
     /// call-bearing statements are never part of a run.
-    fn place_seq(&mut self, stmts: &[Sexpr]) -> Vec<Sexpr> {
+    fn sequence(&mut self, stmts: &[(&Sexpr, Pos)], _repeats: bool) -> Vec<Sexpr> {
         if !self.coalesce {
-            return stmts.iter().map(|s| self.place_stmt(s)).collect();
+            return shape::walk_each(self, stmts);
         }
         let mut out = Vec::new();
         let mut run: Vec<Sexpr> = Vec::new();
@@ -244,20 +238,13 @@ impl PlaceCtx<'_, '_> {
         macro_rules! flush {
             () => {
                 if !run.is_empty() {
-                    let stmt = if run.len() == 1 {
-                        run.pop().expect("nonempty")
-                    } else {
-                        let mut p = vec![sx::sym("progn")];
-                        p.append(&mut run);
-                        Sexpr::List(p)
-                    };
-                    run.clear();
+                    let stmt = shape::progn(std::mem::take(&mut run));
                     let specs = std::mem::take(&mut run_specs);
                     out.push(self.wrap(stmt, &specs));
                 }
             };
         }
-        for s in stmts {
+        for &(s, pos) in stmts {
             match self.leaf_covering(s) {
                 Some(covered) => {
                     if !run.is_empty() && run_specs != covered {
@@ -268,7 +255,7 @@ impl PlaceCtx<'_, '_> {
                 }
                 None => {
                     flush!();
-                    out.push(self.place_stmt(s));
+                    out.push(shape::walk(self, s, pos));
                 }
             }
         }
@@ -276,93 +263,36 @@ impl PlaceCtx<'_, '_> {
         out
     }
 
-    /// Bracket one statement, recursing into sequence-bearing shapes.
-    fn place_stmt(&mut self, form: &Sexpr) -> Sexpr {
-        if atom_or_quoted(form) {
+    /// The test / binding initialisers cannot be bracketed; audit them.
+    fn guard(&mut self, form: &Sexpr, _pos: Pos) -> Sexpr {
+        self.audit_unbracketed(form, "guard expression");
+        form.clone()
+    }
+
+    /// Self-call-bearing statements are the spawn points — never
+    /// bracket them (the lock would be held across the enqueue);
+    /// instead audit that they touch nothing the placement covers.
+    fn self_call(&mut self, call: &Sexpr, _pos: Pos) -> Sexpr {
+        self.audit_unbracketed(call, "recursive-call statement");
+        call.clone()
+    }
+
+    /// A leaf effect statement gets its own bracket.
+    fn leaf(&mut self, form: &Sexpr, pos: Pos) -> Sexpr {
+        if shape::inert(form) {
             return form.clone();
         }
-        let items = form.as_list().expect("atoms handled above");
-        let head = items.first().and_then(Sexpr::as_symbol).unwrap_or_default();
-        match head {
-            "progn" | "when" | "unless" | "while" | "let" | "let*" => {
-                let fixed = if head == "progn" { 1 } else { 2 };
-                if items.len() <= fixed {
-                    return form.clone();
-                }
-                // The test / bindings cannot be bracketed; audit them.
-                for f in &items[1..fixed] {
-                    match head {
-                        "let" | "let*" => {
-                            for b in f.as_list().unwrap_or(&[]) {
-                                if let Some(bl) = b.as_list() {
-                                    if bl.len() == 2 {
-                                        self.audit_unbracketed(&bl[1], "binding initializer");
-                                    }
-                                }
-                            }
-                        }
-                        _ => self.audit_unbracketed(f, "guard expression"),
-                    }
-                }
-                let mut out = items[..fixed].to_vec();
-                out.extend(self.place_seq(&items[fixed..]));
-                Sexpr::List(out)
-            }
-            "cond" => {
-                let mut out = vec![items[0].clone()];
-                for clause in &items[1..] {
-                    match clause.as_list() {
-                        Some(cl) if !cl.is_empty() => {
-                            self.audit_unbracketed(&cl[0], "cond test");
-                            let mut new_cl = vec![cl[0].clone()];
-                            new_cl.extend(self.place_seq(&cl[1..]));
-                            out.push(Sexpr::List(new_cl));
-                        }
-                        _ => out.push(clause.clone()),
-                    }
-                }
-                Sexpr::List(out)
-            }
-            "if" => {
-                let mut out = vec![items[0].clone()];
-                if let Some(test) = items.get(1) {
-                    self.audit_unbracketed(test, "if test");
-                    out.push(test.clone());
-                }
-                for a in items.iter().skip(2) {
-                    out.push(self.place_stmt(a));
-                }
-                Sexpr::List(out)
-            }
-            _ => {
-                // A leaf effect statement. Self-call-bearing statements
-                // are the spawn points — never bracket them (the lock
-                // would be held across the enqueue); instead audit that
-                // they touch nothing the placement covers.
-                if sx::mentions_call(form, self.fname) {
-                    self.audit_unbracketed(form, "recursive-call statement");
-                    return form.clone();
-                }
-                match self.covering(std::slice::from_ref(form)) {
-                    Some(covered) if covered.is_empty() => form.clone(),
-                    Some(covered) => self.wrap(form.clone(), &covered),
-                    None => {
-                        self.violations.push(format!("statement `{form}` is not analyzable"));
-                        form.clone()
-                    }
-                }
+        if sx::mentions_call(form, self.fname) {
+            return self.self_call(form, pos);
+        }
+        match self.covering(std::slice::from_ref(form)) {
+            Some(covered) if covered.is_empty() => form.clone(),
+            Some(covered) => self.wrap(form.clone(), &covered),
+            None => {
+                self.violations.push(format!("statement `{form}` is not analyzable"));
+                form.clone()
             }
         }
-    }
-}
-
-/// Atoms, empty lists and quoted data touch no heap locations.
-fn atom_or_quoted(form: &Sexpr) -> bool {
-    match form {
-        Sexpr::List(items) => {
-            items.is_empty() || items.first().is_some_and(|h| h.is_symbol("quote"))
-        }
-        _ => true,
     }
 }
 
@@ -402,8 +332,7 @@ pub fn insert_placement(
         counter: 0,
         violations: Vec::new(),
     };
-    let owned: Vec<Sexpr> = parts.body.iter().map(|&b| b.clone()).collect();
-    let body: Vec<Sexpr> = ctx.place_seq(&owned);
+    let body = shape::walk_body(&mut ctx, &parts.body);
     if !ctx.violations.is_empty() {
         return Err(TransformError::CannotLock(ctx.violations.join("; ")));
     }
@@ -418,22 +347,10 @@ pub fn insert_placement(
     Ok(LockResult { form: new_form, locks: specs })
 }
 
-/// Does this form contain a `setq` anywhere outside quoted data?
-fn contains_setq(form: &Sexpr) -> bool {
-    match form {
-        Sexpr::List(items) => {
-            if items.first().is_some_and(|h| h.is_symbol("quote")) {
-                return false;
-            }
-            items.first().is_some_and(|h| h.is_symbol("setq")) || items.iter().any(contains_setq)
-        }
-        _ => false,
-    }
-}
-
-/// Tail statements and the guard expressions that govern them.
-#[derive(Default)]
-struct TailParts {
+/// Tail statements — those a self-call may precede within their
+/// invocation — and the guard expressions that govern them.
+struct TailParts<'a> {
+    fname: &'a str,
     stmts: Vec<Sexpr>,
     guards: Vec<Sexpr>,
     /// A recursive call appeared in a tail leaf (value-position call
@@ -441,77 +358,32 @@ struct TailParts {
     call_in_tail_leaf: bool,
 }
 
-fn collect_tail_seq(stmts: &[&Sexpr], fname: &str, in_tail: bool, out: &mut TailParts) {
-    let mut seen_call = false;
-    for s in stmts {
-        collect_tail_stmt(s, fname, in_tail || seen_call, out);
-        if sx::mentions_call(s, fname) {
-            seen_call = true;
-        }
+impl Device for TailParts<'_> {
+    fn fname(&self) -> &str {
+        self.fname
     }
-}
 
-fn collect_tail_stmt(form: &Sexpr, fname: &str, in_tail: bool, out: &mut TailParts) {
-    if atom_or_quoted(form) {
-        return;
+    /// A spawn, not tail work.
+    fn self_call(&mut self, call: &Sexpr, _pos: Pos) -> Sexpr {
+        call.clone()
     }
-    let items = form.as_list().expect("atoms handled above");
-    let head = items.first().and_then(Sexpr::as_symbol).unwrap_or_default();
-    match head {
-        "progn" | "when" | "unless" | "while" | "let" | "let*" => {
-            let fixed = if head == "progn" { 1 } else { 2 };
-            if items.len() <= fixed {
-                return;
-            }
-            if in_tail {
-                match head {
-                    "let" | "let*" => {
-                        for b in items[1].as_list().unwrap_or(&[]) {
-                            if let Some(bl) = b.as_list() {
-                                if bl.len() == 2 {
-                                    out.guards.push(bl[1].clone());
-                                }
-                            }
-                        }
-                    }
-                    "progn" => {}
-                    _ => out.guards.push(items[1].clone()),
-                }
-            }
-            collect_tail_seq(&items[fixed..].iter().collect::<Vec<_>>(), fname, in_tail, out);
+
+    fn guard(&mut self, form: &Sexpr, pos: Pos) -> Sexpr {
+        if pos.spawned {
+            self.guards.push(form.clone());
         }
-        "cond" => {
-            for clause in &items[1..] {
-                if let Some(cl) = clause.as_list() {
-                    if !cl.is_empty() {
-                        if in_tail {
-                            out.guards.push(cl[0].clone());
-                        }
-                        collect_tail_seq(&cl[1..].iter().collect::<Vec<_>>(), fname, in_tail, out);
-                    }
-                }
+        form.clone()
+    }
+
+    fn leaf(&mut self, form: &Sexpr, pos: Pos) -> Sexpr {
+        if pos.spawned && !shape::inert(form) {
+            if sx::mentions_call(form, self.fname) {
+                self.call_in_tail_leaf = true;
+            } else {
+                self.stmts.push(form.clone());
             }
         }
-        "if" => {
-            if in_tail {
-                if let Some(test) = items.get(1) {
-                    out.guards.push(test.clone());
-                }
-            }
-            for a in items.iter().skip(2) {
-                collect_tail_stmt(a, fname, in_tail, out);
-            }
-        }
-        h if h == fname => {} // a spawn, not tail work
-        _ => {
-            if in_tail {
-                if sx::mentions_call(form, fname) {
-                    out.call_in_tail_leaf = true;
-                } else {
-                    out.stmts.push(form.clone());
-                }
-            }
-        }
+        form.clone()
     }
 }
 
@@ -565,8 +437,9 @@ fn tails_are_order_insensitive(
     decls: &DeclDb,
     placement: &Placement,
 ) -> bool {
-    let mut tails = TailParts::default();
-    collect_tail_seq(body, fname, false, &mut tails);
+    let mut tails =
+        TailParts { fname, stmts: Vec::new(), guards: Vec::new(), call_in_tail_leaf: false };
+    shape::walk_body(&mut tails, body);
     if tails.call_in_tail_leaf {
         return false;
     }
@@ -589,52 +462,25 @@ fn tails_are_order_insensitive(
             })
         })
     };
-    for g in &tails.guards {
-        if atom_or_quoted(g) {
-            continue;
-        }
-        let Some(probe) = probes.accesses(std::slice::from_ref(g)) else {
-            return false;
-        };
-        if probe.unknown_writes > 0
-            || !probe.globals_written.is_empty()
-            || probe.writes().next().is_some()
-            || contains_setq(g)
-            || overlaps_conflict(&probe)
-        {
-            return false;
-        }
-    }
-    for s in &tails.stmts {
-        if let Some(e) = commutative_rmw(s, decls) {
-            if atom_or_quoted(e) {
-                continue;
-            }
-            let Some(probe) = probes.accesses(std::slice::from_ref(e)) else {
-                return false;
-            };
-            if probe.unknown_writes > 0
-                || !probe.globals_written.is_empty()
-                || probe.writes().next().is_some()
-                || overlaps_conflict(&probe)
-            {
-                return false;
-            }
-            continue;
-        }
-        // Not an RMW: must be a pure discarded read.
-        let Some(probe) = probes.accesses(std::slice::from_ref(s)) else {
-            return false;
-        };
-        if probe.unknown_writes > 0
-            || !probe.globals_written.is_empty()
-            || probe.writes().next().is_some()
-            || contains_setq(s)
-        {
-            return false;
-        }
-    }
-    true
+    // `form` writes nothing the analysis or the text can see — and, where
+    // it runs outside a bracket or feeds one (`apart`), reads no
+    // conflicting location either.
+    let mut read_only = |form: &Sexpr, apart: bool| {
+        shape::inert(form)
+            || probes.accesses(std::slice::from_ref(form)).is_some_and(|probe| {
+                probe.unknown_writes == 0
+                    && probe.globals_written.is_empty()
+                    && probe.writes().next().is_none()
+                    && !sx::mentions_call(form, "setq")
+                    && !(apart && overlaps_conflict(&probe))
+            })
+    };
+    tails.guards.iter().all(|g| read_only(g, true))
+        && tails.stmts.iter().all(|s| match commutative_rmw(s, decls) {
+            Some(operand) => read_only(operand, true),
+            // Not an RMW: must be a pure discarded read.
+            None => read_only(s, false),
+        })
 }
 
 /// Try to rescue a function whose post-call statements conflict, by

@@ -34,7 +34,7 @@ use curare_lisp::lower::TopForm;
 use curare_lisp::{Heap, Lowerer};
 use curare_sexpr::{parse_all, pretty, Sexpr};
 
-use crate::cri::{cri_convert, cri_convert_handoff, CriResult};
+use crate::cri::{cri_convert, cri_convert_handoff, has_site, CriError, CriResult};
 use crate::delay::{delay_transform, has_tail_statements, Probes};
 use crate::dps::dps_transform;
 use crate::fold::fold_to_walker;
@@ -346,7 +346,7 @@ impl Curare {
             unsynced_tail: false,
             publication,
         };
-        let transform_err = |e: crate::cri::CriError| PipelineError::Transform(e.to_string());
+        let transform_err = |e: CriError| PipelineError::Transform(e.to_string());
 
         match &analysis.verdict {
             Verdict::NotRecursive => {
@@ -525,8 +525,8 @@ impl Curare {
     }
 
     /// CRI-convert `form` (already through its synchronization
-    /// devices), deciding from the cost of its tail where its spawns
-    /// publish: a tail longer than a queue round trip gets
+    /// devices), deciding first — from the cost of its tail — where its
+    /// spawns publish: a tail longer than a queue round trip gets
     /// `cri-handoff` sites, so the successor's head overlaps it (the
     /// §3.1 overlap); a shorter one keeps `cri-enqueue`, whose
     /// successor is batched — and usually chained, queue-free — when
@@ -537,24 +537,20 @@ impl Curare {
         &self,
         form: &Sexpr,
         analysed: Option<&FunctionAnalysis>,
-    ) -> Result<(CriResult, Publication), crate::cri::CriError> {
-        let lazy = cri_convert(form)?;
-        // No enqueue site to publish early (every call was
-        // future-synchronized, or the function is hand-written CRI):
-        // nothing to cost.
-        if lazy.sites == 0 {
-            return Ok((lazy, Publication::Lazy));
-        }
+    ) -> Result<(CriResult, Publication), CriError> {
         // Interprocedural cost of the tail (§3.1 partition), callee
-        // bodies taken from the input program's table.
+        // bodies taken from the input program's table. With no enqueue
+        // site to publish early (every call was future-synchronized, or
+        // the function is hand-written CRI) there is nothing to cost.
         let tail_cost = match analysed {
+            _ if !has_site(form) => Cost::Bounded(0),
             Some(a) => a.head_tail.tail_cost,
             None => self
                 .lower(form)
                 .map_or(Cost::Bounded(0), |f| head_tail_in(&f, &self.calls).tail_cost),
         };
         if tail_cost <= Cost::Bounded(HANDOFF_THRESHOLD) {
-            return Ok((lazy, Publication::Lazy));
+            return Ok((cri_convert(form)?, Publication::Lazy));
         }
         let publication = Publication::Handoff { tail_cost, threshold: HANDOFF_THRESHOLD };
         Ok((cri_convert_handoff(form)?, publication))
@@ -1081,5 +1077,23 @@ mod tests {
         let r = out.report("bump-all").unwrap();
         assert!(r.converted, "{}", r.feedback);
         assert!(out.source().contains("cri-enqueue"));
+    }
+
+    #[test]
+    fn a_spawn_in_a_loop_is_never_head_ordered() {
+        // The write precedes the call in the text, but the second trip's
+        // write follows the first trip's spawn: head ordering (and a
+        // vacuous lock gate) would let both children read the final
+        // value. The unwind order needs a future.
+        let out = run("(defun w (l k)
+               (when l
+                 (print (car l))
+                 (while (> k 0)
+                   (setq k (- k 1))
+                   (setf (car (cdr l)) (+ (car (cdr l)) 1))
+                   (w (cdr l) 0))))");
+        let r = out.report("w").unwrap();
+        assert!(r.converted, "{}", r.feedback);
+        assert_eq!(r.devices, vec![Device::FutureSync(1), Device::Cri(0)]);
     }
 }

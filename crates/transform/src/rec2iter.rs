@@ -27,6 +27,7 @@
 
 use curare_sexpr::Sexpr;
 
+use crate::shape::{self, Device, Pos};
 use crate::sx;
 
 /// Why the transformation did not apply.
@@ -57,162 +58,65 @@ impl std::error::Error for Rec2IterError {}
 struct Ctx<'a> {
     fname: &'a str,
     params: &'a [&'a str],
-    replaced: usize,
     temp_counter: usize,
+    /// The first self-call found outside tail position.
+    refused: Option<Rec2IterError>,
 }
 
 /// Transform a tail-recursive defun into an equivalent loop.
 pub fn recursion_to_iteration(form: &Sexpr) -> Result<Sexpr, Rec2IterError> {
     let parts = sx::parse_defun(form).ok_or(Rec2IterError::NotADefun)?;
-    if !sx::mentions_call(&Sexpr::List(parts.body.iter().map(|&b| b.clone()).collect()), parts.name)
-    {
+    if !parts.body.iter().any(|b| sx::mentions_call(b, parts.name)) {
         return Err(Rec2IterError::NotRecursive);
     }
-    let mut ctx = Ctx { fname: parts.name, params: &parts.params, replaced: 0, temp_counter: 0 };
-
-    // The body's last form is in tail position; earlier forms are not.
-    let n = parts.body.len();
-    let mut new_body_forms = Vec::with_capacity(n);
-    for (i, b) in parts.body.iter().enumerate() {
-        new_body_forms.push(rewrite(b, i + 1 == n, &mut ctx)?);
+    let mut ctx = Ctx { fname: parts.name, params: &parts.params, temp_counter: 0, refused: None };
+    let new_body_forms = shape::walk_body(&mut ctx, &parts.body);
+    if let Some(e) = ctx.refused {
+        return Err(e);
     }
-    debug_assert!(ctx.replaced > 0, "mentions_call guaranteed a site");
 
+    let (go, value) = ("%curare-continue", "%curare-value");
     let loop_body = vec![
-        sx::call("setq", vec![sx::sym("%curare-continue"), sx::sym("nil")]),
-        sx::call("setq", vec![sx::sym("%curare-value"), sx::progn(new_body_forms)]),
+        sx::call("setq", vec![sx::sym(go), sx::sym("nil")]),
+        sx::call("setq", vec![sx::sym(value), shape::progn(new_body_forms)]),
     ];
-    let mut while_form = vec![sx::sym("while"), sx::sym("%curare-continue")];
-    while_form.extend(loop_body);
-
-    let let_form = sx::call(
-        "let",
-        vec![
-            Sexpr::List(vec![
-                Sexpr::List(vec![sx::sym("%curare-continue"), sx::sym("t")]),
-                Sexpr::List(vec![sx::sym("%curare-value"), sx::sym("nil")]),
-            ]),
-            Sexpr::List(while_form),
-            sx::sym("%curare-value"),
-        ],
+    let let_form = shape::let_form(
+        false,
+        vec![(go.to_string(), sx::sym("t")), (value.to_string(), sx::sym("nil"))],
+        vec![shape::while_form(sx::sym(go), loop_body), sx::sym(value)],
     );
-
     Ok(sx::make_defun(parts.name, &parts.params, &parts.declares, vec![let_form]))
 }
 
-/// Rewrite `form`; tail calls become parameter reassignment.
-fn rewrite(form: &Sexpr, tail: bool, ctx: &mut Ctx) -> Result<Sexpr, Rec2IterError> {
-    let Some(items) = form.as_list() else { return Ok(form.clone()) };
-    let Some(head) = items.first().and_then(Sexpr::as_symbol) else {
-        return Ok(form.clone());
-    };
-    let args = &items[1..];
-
-    if head == ctx.fname {
-        if !tail {
-            return Err(Rec2IterError::NotTailRecursive(form.to_string()));
-        }
-        // Check arity matches the parameter list; otherwise leave the
-        // evaluator to report it (but we cannot renumber).
-        ctx.replaced += 1;
-        // Evaluate args into temps, then assign params.
-        let mut bindings = Vec::new();
-        let mut assigns = Vec::new();
-        for (i, a) in args.iter().enumerate() {
-            ctx.temp_counter += 1;
-            let tmp = format!("%curare-arg{}", ctx.temp_counter);
-            let a = rewrite(a, false, ctx)?;
-            bindings.push(Sexpr::List(vec![sx::sym(tmp.clone()), a]));
-            if let Some(p) = ctx.params.get(i) {
-                assigns.push(sx::call("setq", vec![sx::sym(*p), sx::sym(tmp)]));
-            }
-        }
-        let mut let_items = vec![sx::sym("let"), Sexpr::List(bindings)];
-        let_items.extend(assigns);
-        return Ok(sx::progn(vec![
-            Sexpr::List(let_items),
-            sx::call("setq", vec![sx::sym("%curare-continue"), sx::sym("t")]),
-            sx::sym("nil"),
-        ]));
+impl Device for Ctx<'_> {
+    fn fname(&self) -> &str {
+        self.fname
     }
 
-    let pass_args = |args: &[Sexpr], ctx: &mut Ctx| -> Result<Vec<Sexpr>, Rec2IterError> {
-        args.iter().map(|a| rewrite(a, false, ctx)).collect()
-    };
-
-    match head {
-        "quote" => Ok(form.clone()),
-        "progn" | "when" | "unless" | "let" | "let*" => {
-            // First element(s) (test / bindings) in non-tail; the last
-            // body form inherits tail position.
-            let fixed = match head {
-                "progn" => 0,
-                _ => 1,
-            };
-            let mut out = vec![sx::sym(head)];
-            for a in args.iter().take(fixed) {
-                // Bindings of let need their inits rewritten non-tail.
-                if (head == "let" || head == "let*") && a.as_list().is_some() {
-                    let bs = a.as_list().expect("checked");
-                    let mut v = Vec::with_capacity(bs.len());
-                    for b in bs {
-                        match b.as_list() {
-                            Some([name, init]) => {
-                                v.push(Sexpr::List(vec![name.clone(), rewrite(init, false, ctx)?]))
-                            }
-                            _ => v.push(b.clone()),
-                        }
-                    }
-                    out.push(Sexpr::List(v));
-                } else {
-                    out.push(rewrite(a, false, ctx)?);
-                }
-            }
-            let body = &args[fixed.min(args.len())..];
-            let n = body.len();
-            for (i, a) in body.iter().enumerate() {
-                out.push(rewrite(a, tail && i + 1 == n, ctx)?);
-            }
-            Ok(Sexpr::List(out))
+    /// A tail call becomes parameter reassignment: the arguments are
+    /// evaluated into temporaries, then assigned. (An arity mismatch is
+    /// left for the evaluator to report.)
+    fn self_call(&mut self, call: &Sexpr, pos: Pos) -> Sexpr {
+        if !pos.tail {
+            self.refused.get_or_insert_with(|| Rec2IterError::NotTailRecursive(call.to_string()));
+            return call.clone();
         }
-        "if" => {
-            let mut out = vec![sx::sym("if")];
-            for (i, a) in args.iter().enumerate() {
-                out.push(rewrite(a, tail && i > 0, ctx)?);
+        let mut bindings = Vec::new();
+        let mut assigns = Vec::new();
+        for (i, a) in call.as_list().expect("a call")[1..].iter().enumerate() {
+            self.temp_counter += 1;
+            let tmp = format!("%curare-arg{}", self.temp_counter);
+            let a = shape::walk(self, a, pos.value());
+            if let Some(p) = self.params.get(i) {
+                assigns.push(sx::call("setq", vec![sx::sym(*p), sx::sym(tmp.clone())]));
             }
-            Ok(Sexpr::List(out))
+            bindings.push((tmp, a));
         }
-        "cond" => {
-            let mut out = vec![sx::sym("cond")];
-            for clause in args {
-                let Some(cl) = clause.as_list() else { return Ok(form.clone()) };
-                let Some((test, body)) = cl.split_first() else { return Ok(form.clone()) };
-                let mut new_cl = vec![if test.is_symbol("t") {
-                    test.clone()
-                } else {
-                    rewrite(test, false, ctx)?
-                }];
-                let n = body.len();
-                for (i, a) in body.iter().enumerate() {
-                    new_cl.push(rewrite(a, tail && i + 1 == n, ctx)?);
-                }
-                out.push(Sexpr::List(new_cl));
-            }
-            Ok(Sexpr::List(out))
-        }
-        "and" | "or" => {
-            let mut out = vec![sx::sym(head)];
-            let n = args.len();
-            for (i, a) in args.iter().enumerate() {
-                out.push(rewrite(a, tail && i + 1 == n, ctx)?);
-            }
-            Ok(Sexpr::List(out))
-        }
-        _ => {
-            let mut out = vec![sx::sym(head)];
-            out.extend(pass_args(args, ctx)?);
-            Ok(Sexpr::List(out))
-        }
+        shape::progn(vec![
+            shape::let_form(false, bindings, assigns),
+            sx::call("setq", vec![sx::sym("%curare-continue"), sx::sym("t")]),
+            sx::sym("nil"),
+        ])
     }
 }
 

@@ -22,15 +22,6 @@ pub fn quote(x: Sexpr) -> Sexpr {
     call("quote", vec![x])
 }
 
-/// `(progn forms...)`, collapsing a single form to itself.
-pub fn progn(mut forms: Vec<Sexpr>) -> Sexpr {
-    if forms.len() == 1 {
-        forms.pop().expect("len checked")
-    } else {
-        call("progn", forms)
-    }
-}
-
 /// Destructure `(defun name (params...) body...)`.
 pub struct DefunParts<'a> {
     /// Function name.
@@ -205,11 +196,5 @@ mod tests {
         let p = parse_list_path("cdr.car").unwrap();
         assert_eq!(path_to_expr("l", &p, &heap).to_string(), "(car (cdr l))");
         assert_eq!(path_to_expr("l", &parse_list_path("ε").unwrap(), &heap).to_string(), "l");
-    }
-
-    #[test]
-    fn progn_collapses_singleton() {
-        assert_eq!(progn(vec![sym("x")]).to_string(), "x");
-        assert_eq!(progn(vec![sym("x"), sym("y")]).to_string(), "(progn x y)");
     }
 }

@@ -72,6 +72,23 @@ fn figure_5_full_pipeline() {
     );
 }
 
+/// Figure 5's running sum spelled with `and`: the chain's last operand
+/// sits where the chain sits, so the call converts (it was refused as a
+/// value-position call while `curare check` said `clean`).
+#[test]
+fn and_spelled_walker_full_pipeline() {
+    let src = "(defun walk (l)
+           (and (cdr l)
+                (progn (setf (cadr l) (+ (car l) (cadr l)))
+                       (walk (cdr l)))))";
+    let report = Curare::new().transform_source(src).unwrap();
+    assert!(report.report("walk").unwrap().converted, "{}", report.source());
+    for servers in [1, 2, 4] {
+        let build = "(let ((l nil)) (dotimes (i 200) (setq l (cons 1 l))) l)";
+        check_sequentializable(src, "", "walk", build, servers);
+    }
+}
+
 #[test]
 fn unwind_ordered_writer_full_pipeline() {
     check_sequentializable(
@@ -141,21 +158,32 @@ fn struct_walker_full_pipeline() {
 
 #[test]
 fn remq_wrapper_matches_original_under_sequential_hooks() {
-    let src = "(defun remq (obj lst)
+    // Figure 12 as the paper spells it, and with `unless` / `let`.
+    let spellings = [
+        "(defun remq (obj lst)
         (cond ((null lst) nil)
               ((eq obj (car lst)) (remq obj (cdr lst)))
-              (t (cons (car lst) (remq obj (cdr lst))))))";
-    let out = Curare::new().transform_source(src).unwrap();
-    let orig = Interp::new();
-    orig.load_str(src).unwrap();
-    let xf = Interp::new();
-    xf.load_str(&out.source()).unwrap();
-    for driver in
-        ["(remq 'a '(a b a c))", "(remq 'x '(a b c))", "(remq 'a nil)", "(remq 'a '(a a a))"]
-    {
-        let a = orig.load_str(driver).unwrap();
-        let b = xf.load_str(driver).unwrap();
-        assert_eq!(orig.heap().display(a), xf.heap().display(b), "{driver}");
+              (t (cons (car lst) (remq obj (cdr lst))))))",
+        "(defun remq (obj lst)
+        (unless (null lst)
+          (let ((h (car lst)))
+            (if (eq h obj) (remq obj (cdr lst)) (cons h (remq obj (cdr lst)))))))",
+    ];
+    for src in spellings {
+        let out = Curare::new().transform_source(src).unwrap();
+        let devices = &out.report("remq").unwrap().devices;
+        assert!(devices.contains(&Device::Dps), "{devices:?}: {src}");
+        let orig = Interp::new();
+        orig.load_str(src).unwrap();
+        let xf = Interp::new();
+        xf.load_str(&out.source()).unwrap();
+        for driver in
+            ["(remq 'a '(a b a c))", "(remq 'x '(a b c))", "(remq 'a nil)", "(remq 'a '(a a a))"]
+        {
+            let a = orig.load_str(driver).unwrap();
+            let b = xf.load_str(driver).unwrap();
+            assert_eq!(orig.heap().display(a), xf.heap().display(b), "{driver}: {src}");
+        }
     }
 }
 
