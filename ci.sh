@@ -23,8 +23,10 @@ echo "== cargo test -q"
 # Beside every suite, the table's own checks (crates/bench, `experiments`
 # unit tests): each command line and schema a document quotes exists,
 # each `pub mod` of a product crate is named by product code outside
-# its own file, and `crates/transform` spells a control keyword in
-# `shape.rs` alone (`control_keywords_live_in_one_transform_file`).
+# its own file, `crates/transform` spells a control keyword in
+# `shape.rs` alone (`control_keywords_live_in_one_transform_file`), and
+# a program is prepared for analysis in `analyze.rs` alone
+# (`a_program_is_prepared_in_one_place`).
 cargo test -q
 
 echo "== experiments: every row of the table at its CI size"
@@ -88,6 +90,31 @@ for _ in 1 2 3; do
     echo "loop-head fixture: printed '$got', sequentially '$want'" >&2; exit 1
   fi
 done
+
+echo "== front doors agree: analyze, check, transform and both runs read one program"
+# The §6 tool names the conflict the restructurer synchronises `back`
+# for (it used to analyse without the canonicalizer the pipeline
+# resolves and print "no conflicts detected")…
+target/release/curare analyze examples/lisp/fixtures/inverse-tail.lisp \
+  | grep -F "conflict: write f0.1.f0.2 ⊙ f0.2 at distance 1" > /dev/null
+# …and a walker written above its defstruct is one program to all five
+# commands (only the restructurer used to lower struct types first: it
+# converted the walker and emitted text the other four refused).
+late=examples/lisp/fixtures/late-struct.lisp
+for cmd in analyze check "check --locks" transform; do
+  target/release/curare $cmd "$late" > /dev/null 2>&1 \
+    || { echo "late-struct fixture: curare $cmd failed" >&2; exit 1; }
+done
+# (--sequential also prints the call's value; sed, not head: an early
+# exit would SIGPIPE curare under pipefail)
+late_struct() {
+  target/release/curare run "$late" "$@" --call "(bump *chain*)" 2> /dev/null | sed -n 1p
+}
+want="$(late_struct --sequential)"
+got="$(late_struct --servers 2)"
+if [ "$got" != "$want" ] || [ "$got" != "(2 4 6)" ]; then
+  echo "late-struct fixture: printed '$got', sequentially '$want'" >&2; exit 1
+fi
 
 echo "== benchmark: the stand-alone package still builds against the facade and passes"
 # benchmark/ is its own workspace, so nothing above compiles it: an API

@@ -1,18 +1,22 @@
 //! The combined per-function analysis and transformability verdict.
 //!
-//! This is the front door the transformer uses: it runs access
+//! [`Analyzer`] is the front door the transformer uses: built once per
+//! program from what its functions share, its `analyse` runs access
 //! collection, transfer functions, conflict detection, and the
 //! head/tail partition, then decides which of the paper's devices
 //! apply — and, per §6, explains *why* a function could not be
 //! transformed, since "the unresolved conflicts that necessitate these
-//! locks" are the programmer's tuning feedback.
+//! locks" are the programmer's tuning feedback. Nothing else prepares
+//! a program: [`analyze_program`] is the same analyzer applied to every
+//! function, [`analyze_function`] the analysis of a function with no
+//! program around it.
 
 use curare_lisp::ast::{Func, Program};
 
 use crate::access::{collect_accesses, AccessSummary};
 use crate::canon::Canonicalizer;
 use crate::conflict::{conflict_report, ConflictReport};
-use crate::declare::DeclDb;
+use crate::declare::{DeclDb, DeclError};
 use crate::headtail::{head_tail_in, CallCosts, HeadTail};
 use crate::transfer::{transfer_functions, TransferSummary};
 
@@ -143,88 +147,115 @@ pub struct AnalysisStats {
     pub probe_lowerings: usize,
 }
 
-/// Analyze one function under `decls`.
-pub fn analyze_function(func: &Func, decls: &DeclDb) -> FunctionAnalysis {
-    analyze_function_with_canon(func, decls, None)
+/// What the functions of one program share — its declarations, the
+/// canonicalizer its `inverse` pairs resolve to (with one, every
+/// conflict test is the canonical one, so benign-alias detours are
+/// seen: §2.1) and the cost of every defun's body — and the one way to
+/// analyse a function of it. The restructurer builds one per program
+/// and hands it on in its output, so every later reader (`curare
+/// analyze`, `check`, the lock certifier, the sanitizer) judges the
+/// program by what the devices were chosen from.
+#[derive(Debug, Clone, Default)]
+pub struct Analyzer {
+    decls: DeclDb,
+    canon: Option<Canonicalizer>,
+    calls: CallCosts,
 }
 
-/// Analyze with an optional canonicalizer: declared inverse accessors
-/// (§2.1) let the conflict test see aliases like `succ.pred.value` ≡
-/// `value` that the plain string-prefix test misses.
-pub fn analyze_function_with_canon(
-    func: &Func,
-    decls: &DeclDb,
-    canon: Option<&Canonicalizer>,
-) -> FunctionAnalysis {
-    analyze_function_in(func, decls, canon, &CallCosts::default(), &mut AnalysisStats::default())
-}
-
-/// The analysis itself, for a caller that holds what a program's
-/// functions share: its declarations, the canonicalizer its inverse
-/// declarations resolve to, and the cost of every callee body.
-pub fn analyze_function_in(
-    func: &Func,
-    decls: &DeclDb,
-    canon: Option<&Canonicalizer>,
-    calls: &CallCosts,
-    stats: &mut AnalysisStats,
-) -> FunctionAnalysis {
-    stats.functions_analysed += 1;
-    let accesses = collect_accesses(func);
-    let transfers = transfer_functions(func);
-    let conflicts = conflict_report(&accesses, &transfers, canon, stats);
-    let ht = head_tail_in(func, calls);
-
-    let mut reasons = Vec::new();
-    if decls.transform_requested(&func.name) == Some(false) {
-        reasons.push(BlockReason::DeclaredOff);
-    }
-    if conflicts.unknown_writes > 0 {
-        reasons.push(BlockReason::UnknownWrite);
-    }
-    // A function whose recursive results feed further computation
-    // cannot spawn its invocations asynchronously (§3.1). Free calls
-    // and tail-position calls are fine: neither needs the value before
-    // proceeding.
-    if ht.recursive_calls > 0 && ht.value_position_calls > 0 {
-        reasons.push(BlockReason::UsesCallResult);
-    }
-    if ht.recursive_calls > 0 && !accesses.globals_written.is_empty() {
-        reasons.push(BlockReason::GlobalWrite(accesses.globals_written.iter().cloned().collect()));
+impl Analyzer {
+    /// Prepare `prog`: collect its declarations, resolve its inverse
+    /// pairs against its struct types, cost its bodies.
+    pub fn of_program(prog: &Program) -> Result<Self, DeclError> {
+        let decls = DeclDb::from_program(prog)?;
+        let canon = (!decls.inverse_pairs().is_empty())
+            .then(|| Canonicalizer::from_decls(&decls, &prog.structs));
+        Ok(Analyzer { decls, canon, calls: CallCosts::of_program(prog) })
     }
 
-    let verdict = if ht.recursive_calls == 0 {
-        Verdict::NotRecursive
-    } else if !reasons.is_empty() {
-        Verdict::Blocked
-    } else if conflicts.is_conflict_free() {
-        Verdict::ConflictFree
-    } else {
-        match conflicts.min_distance {
-            Some(d) => Verdict::NeedsSynchronization { min_distance: d },
-            None => Verdict::ConflictFree,
+    /// The program's declarations.
+    pub fn decls(&self) -> &DeclDb {
+        &self.decls
+    }
+
+    /// What the program's `inverse` declarations resolved to, if it
+    /// made any.
+    pub fn canonicalizer(&self) -> Option<&Canonicalizer> {
+        self.canon.as_ref()
+    }
+
+    /// The head/tail partition of `func`, callee bodies costed from
+    /// the program.
+    pub fn head_tail(&self, func: &Func) -> HeadTail {
+        head_tail_in(func, &self.calls)
+    }
+
+    /// Analyse one function of the program (or a rewriting of one).
+    pub fn analyse(&self, func: &Func, stats: &mut AnalysisStats) -> FunctionAnalysis {
+        stats.functions_analysed += 1;
+        let accesses = collect_accesses(func);
+        let transfers = transfer_functions(func);
+        let conflicts = conflict_report(&accesses, &transfers, self.canon.as_ref(), stats);
+        let ht = self.head_tail(func);
+
+        let mut reasons = Vec::new();
+        if self.decls.transform_requested(&func.name) == Some(false) {
+            reasons.push(BlockReason::DeclaredOff);
         }
-    };
+        if conflicts.unknown_writes > 0 {
+            reasons.push(BlockReason::UnknownWrite);
+        }
+        // A function whose recursive results feed further computation
+        // cannot spawn its invocations asynchronously (§3.1). Free calls
+        // and tail-position calls are fine: neither needs the value before
+        // proceeding.
+        if ht.recursive_calls > 0 && ht.value_position_calls > 0 {
+            reasons.push(BlockReason::UsesCallResult);
+        }
+        if ht.recursive_calls > 0 && !accesses.globals_written.is_empty() {
+            reasons
+                .push(BlockReason::GlobalWrite(accesses.globals_written.iter().cloned().collect()));
+        }
 
-    FunctionAnalysis {
-        name: func.name.clone(),
-        accesses,
-        transfers,
-        conflicts,
-        head_tail: ht,
-        verdict,
-        reasons,
+        let verdict = if ht.recursive_calls == 0 {
+            Verdict::NotRecursive
+        } else if !reasons.is_empty() {
+            Verdict::Blocked
+        } else if conflicts.is_conflict_free() {
+            Verdict::ConflictFree
+        } else {
+            match conflicts.min_distance {
+                Some(d) => Verdict::NeedsSynchronization { min_distance: d },
+                None => Verdict::ConflictFree,
+            }
+        };
+
+        FunctionAnalysis {
+            name: func.name.clone(),
+            accesses,
+            transfers,
+            conflicts,
+            head_tail: ht,
+            verdict,
+            reasons,
+        }
     }
 }
 
-/// Analyze every function of a lowered program. Seeing the whole
-/// program, this is the entry point whose head/tail costs include
-/// callee bodies (the per-function ones count any call as unbounded).
-pub fn analyze_program(prog: &Program) -> Result<Vec<FunctionAnalysis>, crate::declare::DeclError> {
-    let decls = DeclDb::from_program(prog)?;
-    let calls = CallCosts::of_program(prog);
+/// Analyze one function on its own under `decls`: no canonicalizer,
+/// and every call of another defun costs its side of the partition
+/// unbounded.
+pub fn analyze_function(func: &Func, decls: &DeclDb) -> FunctionAnalysis {
+    let alone = Analyzer { decls: decls.clone(), ..Analyzer::default() };
+    alone.analyse(func, &mut AnalysisStats::default())
+}
+
+/// Analyze every function of a lowered program, as the restructurer
+/// does: under the program's declarations and canonicalizer, with
+/// head/tail costs that include callee bodies.
+pub fn analyze_program(prog: &Program) -> Result<Vec<FunctionAnalysis>, DeclError> {
+    let analyzer = Analyzer::of_program(prog)?;
     let stats = &mut AnalysisStats::default();
-    Ok(prog.funcs.iter().map(|f| analyze_function_in(f, &decls, None, &calls, stats)).collect())
+    Ok(prog.funcs.iter().map(|f| analyzer.analyse(f, stats)).collect())
 }
 
 #[cfg(test)]
@@ -364,29 +395,27 @@ mod tests {
 
     #[test]
     fn canonicalizer_changes_the_verdict_for_backward_writers() {
-        use crate::canon::Canonicalizer;
-        use curare_sexpr::parse_one;
         let heap = Heap::new();
         let mut lw = Lowerer::new(&heap);
         let prog = lw
             .lower_program(
                 &parse_all(
-                    "(defstruct dl succ pred value)
-                     (defun walk (n)
+                    "(defun walk (n)
                        (when n
                          (when (dl-pred n)
                            (setf (dl-value (dl-pred n)) (dl-value n)))
-                         (walk (dl-succ n))))",
+                         (walk (dl-succ n))))
+                     (curare-declare (inverse succ pred))
+                     (defstruct dl succ pred value)",
                 )
                 .unwrap(),
             )
             .unwrap();
-        let mut db = DeclDb::new();
-        db.add_toplevel(&parse_one("(curare-declare (inverse succ pred))").unwrap()).unwrap();
-        let canon = Canonicalizer::from_decls(&db, &heap);
 
-        let plain = analyze_function(&prog.funcs[0], &db);
-        let canonical = analyze_function_with_canon(&prog.funcs[0], &db, Some(&canon));
+        // The function alone, then as a function of its program: the
+        // struct type and the declaration below it are the program's.
+        let plain = analyze_function(&prog.funcs[0], &DeclDb::new());
+        let canonical = analyze_program(&prog).unwrap().remove(0);
         assert!(
             canonical.conflicts.min_distance.is_some(),
             "canonical analysis must find the backward-write conflict"

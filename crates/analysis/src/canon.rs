@@ -10,11 +10,12 @@
 //! ```
 //!
 //! Inverse pairs come from `(curare-declare (inverse succ pred))`
-//! declarations resolved against the heap's struct registry.
+//! declarations resolved against the struct types the program's
+//! `defstruct`s defined (`Program::structs`).
 
 use crate::declare::DeclDb;
 use crate::path::{Accessor, Path};
-use curare_lisp::Heap;
+use curare_lisp::StructType;
 
 /// A resolved canonicalizer: the set of unordered inverse accessor
 /// pairs, as alphabet letters.
@@ -34,13 +35,14 @@ impl Canonicalizer {
         self.pairs.push((a, b));
     }
 
-    /// Resolve declared inverse field names against the heap's struct
+    /// Resolve declared inverse field names against a program's struct
     /// types. A name matches field `f` of type `T` when it equals the
     /// accessor name `T-f` or the bare field name `f`.
-    pub fn from_decls(db: &DeclDb, heap: &Heap) -> Self {
+    pub fn from_decls(db: &DeclDb, structs: &[(u32, StructType)]) -> Self {
         let mut canon = Canonicalizer::default();
         for (a, b) in db.inverse_pairs() {
-            for (la, lb) in resolve_letters(heap, a).into_iter().zip(resolve_letters(heap, b)) {
+            for (la, lb) in resolve_letters(structs, a).into_iter().zip(resolve_letters(structs, b))
+            {
                 canon.add_pair(la, lb);
             }
         }
@@ -73,14 +75,13 @@ impl Canonicalizer {
 /// `curare check` can flag declarations that resolve to nothing
 /// (C003): `from_decls` skips such pairs silently, which silently
 /// disables canonicalization for the structure they meant to cover.
-pub fn resolve_letters(heap: &Heap, name: &str) -> Vec<Accessor> {
+pub fn resolve_letters(structs: &[(u32, StructType)], name: &str) -> Vec<Accessor> {
     let mut out = Vec::new();
     match name {
         "car" => out.push(Accessor::Car),
         "cdr" => out.push(Accessor::Cdr),
         _ => {
-            for ty in 0..heap.struct_type_count() as u32 {
-                let st = heap.struct_type(ty);
+            for &(ty, ref st) in structs {
                 for (i, f) in st.fields.iter().enumerate() {
                     if f == name || format!("{}-{}", st.name, f) == name {
                         out.push(Accessor::Field { ty, field: i as u32 });
@@ -96,6 +97,12 @@ pub fn resolve_letters(heap: &Heap, name: &str) -> Vec<Accessor> {
 mod tests {
     use super::*;
     use curare_sexpr::parse_one;
+
+    /// A program's struct registry holding the one type `dl`.
+    fn dl(fields: &[&str]) -> [(u32, StructType); 1] {
+        let fields = fields.iter().map(|f| f.to_string()).collect();
+        [(0, StructType { name: "dl".into(), fields })]
+    }
 
     fn letters() -> (Accessor, Accessor) {
         (Accessor::Field { ty: 0, field: 0 }, Accessor::Field { ty: 0, field: 1 })
@@ -151,11 +158,9 @@ mod tests {
 
     #[test]
     fn from_declarations_and_heap() {
-        let heap = Heap::new();
-        heap.define_struct_type("dl", &["succ".into(), "pred".into(), "value".into()]);
         let mut db = DeclDb::new();
         db.add_toplevel(&parse_one("(curare-declare (inverse succ pred))").unwrap()).unwrap();
-        let c = Canonicalizer::from_decls(&db, &heap);
+        let c = Canonicalizer::from_decls(&db, &dl(&["succ", "pred", "value"]));
         let succ = Accessor::Field { ty: 0, field: 0 };
         let pred = Accessor::Field { ty: 0, field: 1 };
         assert_eq!(c.canonicalize(&Path::from([succ, pred])), Path::empty());
@@ -163,11 +168,9 @@ mod tests {
 
     #[test]
     fn qualified_names_resolve() {
-        let heap = Heap::new();
-        heap.define_struct_type("dl", &["succ".into(), "pred".into()]);
         let mut db = DeclDb::new();
         db.add_toplevel(&parse_one("(curare-declare (inverse dl-succ dl-pred))").unwrap()).unwrap();
-        let c = Canonicalizer::from_decls(&db, &heap);
+        let c = Canonicalizer::from_decls(&db, &dl(&["succ", "pred"]));
         let succ = Accessor::Field { ty: 0, field: 0 };
         let pred = Accessor::Field { ty: 0, field: 1 };
         assert_eq!(c.canonicalize(&Path::from([succ, pred])), Path::empty());

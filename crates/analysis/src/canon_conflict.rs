@@ -159,7 +159,7 @@ mod tests {
             Some(d) => {
                 let mut db = DeclDb::new();
                 db.add_toplevel(&parse_one(d).unwrap()).unwrap();
-                Canonicalizer::from_decls(&db, &heap)
+                Canonicalizer::from_decls(&db, &prog.structs)
             }
             None => Canonicalizer::identity(),
         };

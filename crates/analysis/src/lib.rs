@@ -65,15 +65,15 @@ pub mod transfer;
 
 pub use access::{collect_accesses, AccessRecord, AccessSummary};
 pub use analyze::{
-    analyze_function, analyze_function_in, analyze_program, AnalysisStats, BlockReason,
-    FunctionAnalysis, Verdict,
+    analyze_function, analyze_program, AnalysisStats, Analyzer, BlockReason, FunctionAnalysis,
+    Verdict,
 };
 pub use canon::Canonicalizer;
 pub use canon_conflict::conflicts_with_canon;
 pub use cfg::Cfg;
 pub use conflict::{analyze_conflicts, Conflict, ConflictReport, DependencyKind};
 pub use declare::{DeclDb, DeclError, DeclaredLock};
-pub use headtail::{head_tail, head_tail_in, CallCosts, Cost, HeadTail};
+pub use headtail::{head_tail, CallCosts, Cost, HeadTail};
 pub use locksynth::{
     certify, covering_pair, declared_placement, naive as naive_placement, synthesize, CertIssue,
     LockMode, OrderingContext, PairInfo, PairOrder, Placement, SynthLock,

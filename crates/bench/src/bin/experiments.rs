@@ -24,9 +24,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use curare::analysis::headtail;
 use curare::check::{predicted_pairs, sanitized_run};
-use curare::lisp::{Engine, Heap, Interp, Lowerer};
+use curare::lisp::{Engine, Interp};
 use curare::obs;
 use curare::prelude::*;
 use curare::runtime::chaos::{self, ChaosProfile, FaultPlan};
@@ -302,15 +301,11 @@ fn e5_delays(r: &mut Run) {
          (setf (car l) (* 2 (car l)))
          (setf (car acc) (+ (car acc) (car l)))))";
     let out = Curare::new().transform_source(src).expect("transforms");
-    let heap = Heap::new();
-    let partition = |forms: &[Sexpr]| {
-        let prog = Lowerer::new(&heap).lower_program(forms).expect("lowers");
-        headtail::head_tail(&prog.funcs[0])
-    };
-    let stages = [
-        ("as written", partition(&parse_all(src).expect("parses"))),
-        ("delayed", partition(&out.forms)),
-    ];
+    // The partition of the text the devices left, read the way any
+    // program's is: from the record of restructuring it.
+    let again = Curare::new().transform_forms(&out.forms).expect("the output is a program");
+    let partition = |out: &CurareOutput| out.reports[0].analysis.head_tail.clone();
+    let stages = [("as written", partition(&out)), ("delayed", partition(&again))];
     for (stage, ht) in &stages {
         let sim =
             simulate(&SimConfig::new(2048, 16, ht.head_size.max(1) as u64, ht.tail_size as u64));
@@ -508,11 +503,9 @@ fn e13_handoff_crossover(r: &mut Run) {
                 "(setq x (+ x 1)) ".repeat(pad)
             )
         };
-        // The cost the transformer would see for this tail.
-        let heap = Heap::new();
-        let forms = parse_all(&source("cri-enqueue")).expect("parses");
-        let prog = Lowerer::new(&heap).lower_program(&forms).expect("lowers");
-        let tail_cost = analyze_program(&prog).expect("analyses")[1].head_tail.tail_cost;
+        // The cost the transformer sees for this tail.
+        let out = Curare::new().transform_source(&source("cri-enqueue")).expect("transforms");
+        let tail_cost = out.reports[1].analysis.head_tail.tail_cost;
         let mut cells = Vec::new();
         for spawn in ["cri-enqueue", "cri-handoff"] {
             let interp = Arc::new(Interp::new());
@@ -814,9 +807,9 @@ fn speculate(r: &mut Run) {
     let mut top_write_clean = true;
     let programs = pick(&["scrub-top", "aliased-mix"]);
     for p in &programs {
-        let predicted = predicted_pairs(&p.source).expect("static prediction");
         r.per_mode(|r, mode, mode_name| {
             let (interp, out) = p.restructured(Curare::new().with_speculation(true));
+            let predicted = predicted_pairs(&out);
             let admitted = out
                 .report(p.entry)
                 .is_some_and(|f| f.converted && f.devices.contains(&Device::Speculate));
@@ -1257,5 +1250,30 @@ mod tests {
         offenders.sort();
         assert!(offenders.is_empty(), "control keywords outside shape.rs: {offenders:?}");
         assert!(files >= 9, "the scan found only {files} files: has the layout changed?");
+    }
+
+    /// One front door: the steps that prepare a lowered program for
+    /// analysis — its declarations, the canonicalizer its inverse pairs
+    /// resolve to, the cost of its bodies — are each spelt by one
+    /// non-test, non-comment line of product code, all in one file
+    /// (`Analyzer::of_program`). A second speller is a second door, and
+    /// the doors disagreed: `analyze` passed no canonicalizer, the
+    /// certifier and the sanitizer each derived a placement of their own.
+    #[test]
+    fn a_program_is_prepared_in_one_place() {
+        let sources = product_sources();
+        for step in ["DeclDb::from_program", "Canonicalizer::from_decls", "CallCosts::of_program"] {
+            let spelt: Vec<String> = sources
+                .iter()
+                .filter(|(_, text)| {
+                    text.lines().any(|l| !l.trim_start().starts_with("//") && l.contains(step))
+                })
+                .map(|(path, _)| path.display().to_string())
+                .collect();
+            assert!(
+                matches!(&spelt[..], [one] if one.ends_with("crates/analysis/src/analyze.rs")),
+                "`{step}` is spelt in {spelt:?}"
+            );
+        }
     }
 }

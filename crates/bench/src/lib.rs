@@ -18,7 +18,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use curare::lisp::{Interp, LispError, Lowerer, Value};
+use curare::lisp::{Interp, LispError, Value};
 use curare::prelude::*;
 use curare::runtime::RuntimeConfig;
 
@@ -228,7 +228,7 @@ pub fn padded_walker(pad: usize) -> String {
 }
 
 /// A fresh interpreter holding `src` as `curare` restructures it.
-pub fn restructured(mut curare: Curare, src: &str) -> (Arc<Interp>, CurareOutput) {
+pub fn restructured(curare: Curare, src: &str) -> (Arc<Interp>, CurareOutput) {
     let out = curare.transform_source(src).expect("program transforms");
     let interp = Arc::new(Interp::new());
     interp.load_str(&out.source()).expect("transformed program loads");
@@ -240,14 +240,12 @@ pub fn transformed_interp(src: &str) -> (Arc<Interp>, CurareOutput) {
     restructured(Curare::new(), src)
 }
 
-/// The analysis of the first function of `src` as written — the
-/// static prediction (§3.1 estimate, §3.2.1 distance) the measured
-/// rows are held against.
+/// The analysis of the first function of `src`, from the record of
+/// its restructuring — the static prediction (§3.1 estimate, §3.2.1
+/// distance) the measured rows are held against.
 pub fn analyze_first(src: &str) -> FunctionAnalysis {
-    let heap = Heap::new();
-    let forms = parse_all(src).expect("program parses");
-    let prog = Lowerer::new(&heap).lower_program(&forms).expect("program lowers");
-    analyze_function(&prog.funcs[0], &DeclDb::new())
+    let mut out = Curare::new().transform_source(src).expect("program transforms");
+    out.reports.swap_remove(0).analysis
 }
 
 /// Build an integer list `n .. 1` in `interp`'s heap.

@@ -1,21 +1,22 @@
-//! The `curare check` diagnostics pass: run every static analysis the
-//! pipeline uses and surface its conservative assumptions as
+//! The `curare check` diagnostics pass: surface the conservative
+//! assumptions of the static analyses the pipeline uses as
 //! [`Diagnostic`]s instead of silently degraded concurrency.
 //!
-//! The collector runs the real pipeline once and reads what it
-//! learned — the analysis behind each function's verdict and the
-//! devices it chose — rather than analysing the program a second
-//! time, plus one step the pipeline skips entirely: loading the
-//! program sequentially and walking its `defparameter` roots for
-//! single-access-path-property violations (C002), the aliasing the
-//! conflict analysis *assumes* away (§2.1).
+//! The collector runs the real pipeline once and reads its record
+//! ([`CurareOutput`]): the program as the pipeline lowered it, the
+//! declarations and canonicalizer it resolved, the analysis behind
+//! each function's verdict and the devices it chose. It lowers and
+//! analyses nothing itself. One step is its own, because the pipeline
+//! never runs a program: loading the source sequentially and walking
+//! its `defparameter` roots for single-access-path-property violations
+//! (C002), the aliasing the conflict analysis *assumes* away (§2.1).
 
 use std::collections::BTreeSet;
 
 use curare_analysis::canon::resolve_letters;
-use curare_analysis::{Canonicalizer, DeclDb, Transfer};
-use curare_lisp::ast::{Expr, Program};
-use curare_lisp::{Heap, Interp, Lowerer, Val};
+use curare_analysis::{Canonicalizer, Transfer};
+use curare_lisp::ast::Expr;
+use curare_lisp::{Interp, Val};
 use curare_sexpr::{parse_all, Sexpr};
 use curare_transform::{Curare, CurareOutput};
 
@@ -35,48 +36,35 @@ impl std::fmt::Display for CheckError {
 
 impl std::error::Error for CheckError {}
 
-/// One checked file: the findings, and what they were read from.
-pub(crate) struct Checked {
-    pub diags: DiagnosticSet,
-    pub prog: Program,
-    pub decls: DeclDb,
-    /// The pipeline's output. A transform failure is not a check
-    /// failure: the diagnostics that need no analysis stand on their
-    /// own.
-    pub restructured: Option<CurareOutput>,
-}
-
 /// Check one source file; `file` labels the findings.
 pub fn check_source(file: &str, src: &str) -> Result<DiagnosticSet, CheckError> {
-    Ok(check_program(file, src)?.diags)
+    Ok(check_program(file, src)?.0)
 }
 
-pub(crate) fn check_program(file: &str, src: &str) -> Result<Checked, CheckError> {
+/// The findings for one file, and the restructuring they were read
+/// from (the lock certifier reads on).
+pub(crate) fn check_program(
+    file: &str,
+    src: &str,
+) -> Result<(DiagnosticSet, CurareOutput), CheckError> {
     let forms = parse_all(src).map_err(|e| CheckError(format!("parse error: {e}")))?;
-    let heap = Heap::new();
-    let prog = {
-        let mut lw = Lowerer::new(&heap);
-        lw.lower_program(&forms).map_err(|e| CheckError(e.to_string()))?
-    };
-    let decls = DeclDb::from_program(&prog).map_err(|e| CheckError(e.to_string()))?;
-    let restructured = Curare::new().transform_forms(&forms).ok();
+    let out = Curare::new().transform_forms(&forms).map_err(|e| CheckError(e.to_string()))?;
 
     let mut diags = DiagnosticSet::new(file);
-    collect_decl_diags(&mut diags, &decls, &heap, &forms);
-    collect_function_diags(&mut diags, &prog, restructured.as_ref());
-    if let Some(out) = &restructured {
-        collect_unsynced_tails(&mut diags, out);
-    }
-    collect_sapp_diags(&mut diags, src, &decls);
-    Ok(Checked { diags, prog, decls, restructured })
+    collect_decl_diags(&mut diags, &out, &forms);
+    collect_function_diags(&mut diags, &out);
+    collect_unsynced_tails(&mut diags, &out);
+    collect_sapp_diags(&mut diags, src, &out);
+    Ok((diags, out))
 }
 
 /// C003 + C004: declarations that silently do nothing.
-fn collect_decl_diags(set: &mut DiagnosticSet, decls: &DeclDb, heap: &Heap, forms: &[Sexpr]) {
+fn collect_decl_diags(set: &mut DiagnosticSet, out: &CurareOutput, forms: &[Sexpr]) {
+    let decls = out.analyzer.decls();
     for (a, b) in decls.inverse_pairs() {
         let span = format!("(inverse {a} {b})");
         for name in [a, b] {
-            if resolve_letters(heap, name).is_empty() {
+            if resolve_letters(&out.program.structs, name).is_empty() {
                 set.push(
                     Diagnostic::new(
                         Code::C003,
@@ -120,17 +108,16 @@ fn uses_symbol(form: &Sexpr, op: &str) -> bool {
     }
 }
 
-/// C001 + C006: per-function analysis warnings. The pipeline analysed
-/// one function per defun, in `prog.funcs` order.
-fn collect_function_diags(set: &mut DiagnosticSet, prog: &Program, out: Option<&CurareOutput>) {
-    let defined: BTreeSet<&str> = prog.funcs.iter().map(|f| f.name.as_str()).collect();
+/// C001 + C006: per-function analysis warnings, each function beside
+/// its report.
+fn collect_function_diags(set: &mut DiagnosticSet, out: &CurareOutput) {
+    let defined: BTreeSet<&str> = out.program.funcs.iter().map(|f| f.name.as_str()).collect();
 
-    for (i, func) in prog.funcs.iter().enumerate() {
+    for (func, report) in out.program.funcs.iter().zip(&out.reports) {
         let span = format!("function {}", func.name);
 
-        let analysis = out.and_then(|out| out.analyses.get(i));
-        if let Some(analysis) = analysis.filter(|a| a.head_tail.recursive_calls > 0) {
-            for (i, t) in analysis.transfers.per_param.iter().enumerate() {
+        if report.analysis.head_tail.recursive_calls > 0 {
+            for (i, t) in report.analysis.transfers.per_param.iter().enumerate() {
                 if matches!(t, Transfer::Unknown) {
                     let param = func.params.get(i).map(String::as_str).unwrap_or("?");
                     set.push(
@@ -205,21 +192,25 @@ fn collect_unsynced_tails(set: &mut DiagnosticSet, out: &CurareOutput) {
 }
 
 /// C002: load the program sequentially and walk every global root for
-/// single-access-path-property violations.
-fn collect_sapp_diags(set: &mut DiagnosticSet, src: &str, decls: &DeclDb) {
+/// single-access-path-property violations, canonicalising as the
+/// pipeline did. (Its accessor letters fit the loaded heap: both
+/// lowered this text from an empty struct registry, so both numbered
+/// its struct types alike.)
+fn collect_sapp_diags(set: &mut DiagnosticSet, src: &str, out: &CurareOutput) {
     let interp = Interp::new();
     // A program whose top level cannot evaluate (e.g. it expects to be
     // driven externally) simply has no global roots to check.
     if interp.load_str(src).is_err() {
         return;
     }
-    let canon = Canonicalizer::from_decls(decls, interp.heap());
+    let identity = Canonicalizer::identity();
+    let canon = out.analyzer.canonicalizer().unwrap_or(&identity);
     for (sym, val) in interp.globals_snapshot() {
         if !matches!(val.decode(), Val::Cons(_) | Val::Struct(_)) {
             continue;
         }
         let name = interp.heap().sym_name(sym);
-        let report = curare_analysis::check_sapp(interp.heap(), val, &canon);
+        let report = curare_analysis::check_sapp(interp.heap(), val, canon);
         for v in &report.violations {
             let what = if v.cycle { "a cycle" } else { "two canonical paths" };
             set.push(

@@ -1,11 +1,14 @@
 //! `curare-check` — static diagnostics and the dynamic soundness
 //! oracle for the Curare conflict analysis.
 //!
-//! Two halves:
+//! Two halves, both readers of the one record a restructuring leaves
+//! (`curare_transform::CurareOutput`) — neither lowers a program,
+//! collects declarations, analyses a function or derives a lock
+//! placement of its own:
 //!
-//! - [`collect::check_source`] runs every static analysis the
-//!   transformation pipeline relies on and reports its conservative
-//!   assumptions and silent degradations as structured
+//! - [`collect::check_source`] runs the transformation pipeline and
+//!   reports the conservative assumptions and silent degradations of
+//!   the analyses it relied on as structured
 //!   [`diag::Diagnostic`]s with stable codes (C001–C008), rendered as
 //!   human text or `curare-diag/1` JSON. The `curare check`
 //!   subcommand is a thin wrapper over this with the exit contract
@@ -33,6 +36,6 @@ pub use collect::{check_source, CheckError};
 pub use diag::{Code, Diagnostic, DiagnosticSet, Severity};
 pub use lockcert::{check_locks_source, LockCertReport};
 pub use sanitizer::{
-    covered_keys, cross_check, lock_coverage, predicted_pairs, sanitized_run, CrossCheck,
-    LockCheck, PredictedPairs, UnpredictedPair,
+    cross_check, lock_coverage, predicted_pairs, sanitized_run, CrossCheck, PredictedPairs,
+    UnpredictedPair,
 };

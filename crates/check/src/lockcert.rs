@@ -2,10 +2,9 @@
 //! (C007/C008).
 //!
 //! For every recursive function the pipeline found conflicts in, the
-//! certifier re-derives the placement it would run under — the
-//! programmer's declared `(locks f ...)` placement when one exists,
-//! the synthesized CRI placement otherwise — and re-checks it against
-//! the conflict report with `curare_analysis::locksynth::certify`:
+//! certifier takes the placement it runs under and re-checks it
+//! against the conflicts it names with
+//! `curare_analysis::locksynth::certify`:
 //!
 //! - **C007 (error)**: a conflicting pair that no ordering device
 //!   covers (unordered under CRI head ordering) has no coinciding lock
@@ -15,19 +14,21 @@
 //!   the naive all-pairs placement would still emit it, but it only
 //!   costs acquisitions.
 //!
-//! Diagnostics fire only for placements that are actually *in force*:
-//! declared placements (always audited — the transform applies them as
-//! written), and synthesized placements the pipeline exploits
-//! (`Device::Locks`). Hypothetical placements of functions the
-//! pipeline resolves with head ordering or future synchronization are
-//! reported as machine-checkable `curare-locks/1` documents but raise
-//! nothing.
+//! Where the pipeline locked a function (`Device::Locks`) the placement
+//! certified is the one in its report — the very value the brackets
+//! were written from, derived after the delay device where delay moved
+//! statements — not a second derivation: a certificate for a placement
+//! that is not in force certifies nothing. A declared `(locks f ...)`
+//! placement the pipeline did not apply (head ordering got there first)
+//! is audited all the same, from the analysis in the report. The
+//! hypothetical placement of a function the pipeline resolves with head
+//! ordering or future synchronization is reported as a
+//! machine-checkable `curare-locks/1` document but raises nothing.
 
 use curare_analysis::locksynth::{certify, declared_placement, synthesize, OrderingContext};
 use curare_obs::Json;
-use curare_transform::Device;
 
-use crate::collect::{check_program, CheckError, Checked};
+use crate::collect::{check_program, CheckError};
 use crate::diag::{Code, Diagnostic, DiagnosticSet};
 
 /// The `--locks` result: the ordinary diagnostics plus the certifier's
@@ -41,30 +42,37 @@ pub struct LockCertReport {
     pub placements: Vec<Json>,
 }
 
-/// Run `check_source` plus the lock-placement certifier, on the
-/// analyses and device choices of the one pipeline run behind both.
+/// Run `check_source` plus the lock-placement certifier, on the record
+/// of the one pipeline run behind both.
 pub fn check_locks_source(file: &str, src: &str) -> Result<LockCertReport, CheckError> {
-    let Checked { mut diags, prog, decls, restructured } = check_program(file, src)?;
+    let (mut diags, out) = check_program(file, src)?;
 
     let mut placements = Vec::new();
-    let Some(out) = restructured else { return Ok(LockCertReport { diags, placements }) };
-    for ((func, analysis), report) in prog.funcs.iter().zip(&out.analyses).zip(&out.reports) {
+    for (func, report) in out.program.funcs.iter().zip(&out.reports) {
+        let analysis = &report.analysis;
         if analysis.conflicts.conflicts.is_empty() {
             continue;
         }
-        let params: Vec<&str> = func.params.iter().map(String::as_str).collect();
-        let declared = decls.lock_placement(&analysis.name);
-        let placement = match declared {
-            Some(d) => declared_placement(analysis, &params, d, OrderingContext::cri()),
-            None => synthesize(analysis, &params, OrderingContext::cri()),
+        let declared = out.analyzer.decls().lock_placement(&analysis.name);
+        let hypothetical;
+        let placement = match &report.placement {
+            Some(applied) => applied,
+            None => {
+                let params: Vec<&str> = func.params.iter().map(String::as_str).collect();
+                hypothetical = match declared {
+                    Some(d) => declared_placement(analysis, &params, d, OrderingContext::cri()),
+                    None => synthesize(analysis, &params, OrderingContext::cri()),
+                };
+                &hypothetical
+            }
         };
         // Which functions does the pipeline actually lock? (Declared
         // placements are audited regardless.)
-        let in_force =
-            declared.is_some() || report.devices.iter().any(|d| matches!(d, Device::Locks(_)));
-        if in_force {
+        if report.placement.is_some() || declared.is_some() {
             let span = format!("function {}", analysis.name);
-            for issue in certify(&placement, analysis) {
+            // Delay moves statements, never a call's arguments: τ is
+            // the same before and after it.
+            for issue in certify(placement, analysis) {
                 let code = if issue.unsound { Code::C007 } else { Code::C008 };
                 diags.push(Diagnostic::new(code, span.clone(), issue.message).with_related(
                     format!(

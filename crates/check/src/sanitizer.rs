@@ -32,22 +32,32 @@
 //! codes (0 = car, 1 = cdr, 2+k = struct field k: `accessor_code` of
 //! the location), unordered; predicted pairs take the same key from
 //! the conflict's write/other path tails. Accesses to globals are in
-//! the journal and skipped here: the §2 prediction is about heap words. A function with unanalyzable writes predicts ⊤ — every
-//! pair — matching its conservative treatment by the pipeline.
+//! the journal and skipped here: the §2 prediction is about heap words.
+//! A function with unanalyzable writes predicts ⊤ — every pair —
+//! matching its conservative treatment by the pipeline.
+//!
+//! **The static side is read, not derived.** [`predicted_pairs`] takes
+//! the record of the restructuring whose text runs
+//! ([`CurareOutput`]): the conflicts are those of the analyses the
+//! devices were chosen from, the lock-covered pairs those of the
+//! placements the brackets were written from. [`sanitized_run`]
+//! restructures its program once and reads both from that one record.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use curare_analysis::analyze::analyze_function_with_canon;
-use curare_analysis::{Canonicalizer, DeclDb};
+use curare_analysis::Conflict;
 use curare_lisp::speclog::{self, accessor_code, Observed, GLOBAL_LOC_BIT};
-use curare_lisp::{Heap, Lowerer};
-use curare_sexpr::parse_all;
+use curare_transform::{Curare, CurareOutput, Device};
 
 /// Unordered pair of final accessor codes.
 pub type PairKey = (u64, u64);
 
-fn pair_key(a: u64, b: u64) -> PairKey {
-    (a.min(b), a.max(b))
+/// The key of a conflict's two path tails; `None` for a conflict on a
+/// parameter root itself, which has no cell tag to match.
+fn conflict_key(c: &Conflict) -> Option<PairKey> {
+    let (w, o) =
+        (c.write_path.last()?.field_code() as u64, c.other_path.last()?.field_code() as u64);
+    Some((w.min(o), w.max(o)))
 }
 
 /// The static side of the diff: every conflict the analysis predicts,
@@ -60,51 +70,43 @@ pub struct PredictedPairs {
     /// analysis predicts a conflict everywhere, so no observed pair
     /// can be a surprise.
     pub top: bool,
+    /// The subset a lock placement in force covers (`Device::Locks`:
+    /// the placement in the function's report). Atomic rewrites are
+    /// excluded separately by the pair scan, and head-ordered /
+    /// future-synced pairs are ordered in the recorded happens-before
+    /// DAG — so an observed *unordered* pair is legitimate exactly when
+    /// one of these keys matches it.
+    pub covered: BTreeSet<PairKey>,
 }
 
-/// Collect the predicted conflict set of a source program (with
-/// canonicalization when inverse accessors are declared, mirroring the
-/// pipeline).
-pub fn predicted_pairs(src: &str) -> Result<PredictedPairs, String> {
-    let forms = parse_all(src).map_err(|e| e.to_string())?;
-    let heap = Heap::new();
-    let prog = {
-        let mut lw = Lowerer::new(&heap);
-        lw.lower_program(&forms).map_err(|e| e.to_string())?
-    };
-    let decls = DeclDb::from_program(&prog).map_err(|e| e.to_string())?;
-    let canon =
-        (!decls.inverse_pairs().is_empty()).then(|| Canonicalizer::from_decls(&decls, &heap));
-
-    let mut out = PredictedPairs::default();
-    for func in &prog.funcs {
-        let analysis = analyze_function_with_canon(func, &decls, canon.as_ref());
-        if analysis.conflicts.unknown_writes > 0 {
-            out.top = true;
-        }
-        for c in &analysis.conflicts.conflicts {
-            match (c.write_path.last(), c.other_path.last()) {
-                (Some(w), Some(o)) => {
-                    out.keys.insert(pair_key(w.field_code() as u64, o.field_code() as u64));
+/// The predicted conflict set of a restructured program, from its
+/// record.
+pub fn predicted_pairs(out: &CurareOutput) -> PredictedPairs {
+    let mut pairs = PredictedPairs::default();
+    for report in &out.reports {
+        pairs.top |= report.analysis.conflicts.unknown_writes > 0;
+        for c in &report.analysis.conflicts.conflicts {
+            match conflict_key(c) {
+                Some(key) => {
+                    pairs.keys.insert(key);
                 }
-                // A conflict on a parameter root itself has no cell
-                // tag to match; predict everything.
-                _ => out.top = true,
+                None => pairs.top = true,
             }
         }
-    }
-    // Destination-passing style introduces writes the source never
-    // had: every invocation links its freshly consed cell into the
-    // caller's destination cdr, and the wrapper reads the result head
-    // back out of its own destination. The transform synchronizes
-    // those (links happen in queue order, the result read after pool
-    // quiescence), so they are predicted conflicts, not surprises.
-    if let Ok(out2) = curare_transform::Curare::new().transform_forms(&forms) {
-        if out2.reports.iter().any(|r| r.devices.contains(&curare_transform::Device::Dps)) {
-            out.keys.insert(pair_key(1, 1)); // dest cdr link vs cdr link/read
+        let covered = report.placement.iter().flat_map(|p| &p.pairs).filter(|p| p.covered);
+        pairs.covered.extend(covered.filter_map(|p| conflict_key(&p.conflict)));
+        // Destination-passing style introduces writes the source never
+        // had: every invocation links its freshly consed cell into the
+        // caller's destination cdr, and the wrapper reads the result
+        // head back out of its own destination. The transform
+        // synchronizes those (links happen in queue order, the result
+        // read after pool quiescence), so they are predicted conflicts,
+        // not surprises.
+        if report.devices.contains(&Device::Dps) {
+            pairs.keys.insert((1, 1)); // dest cdr link vs cdr link/read
         }
     }
-    Ok(out)
+    pairs
 }
 
 /// One observed-but-unpredicted pair (a soundness failure example).
@@ -319,84 +321,21 @@ fn reaches(
     found
 }
 
-/// Keys of conflicting pairs that the lock placements in force for
-/// this program cover (declared placements, or the synthesized CRI
-/// placement of functions whose conflicts are not fully ordered).
-/// Atomic rewrites are excluded separately by the pair scan, and
-/// head-ordered / future-synced pairs are ordered in the recorded
-/// happens-before DAG — so an observed *unordered* pair is legitimate
-/// exactly when one of these keys matches it.
-pub fn covered_keys(src: &str) -> Result<BTreeSet<PairKey>, String> {
-    use curare_analysis::locksynth::{declared_placement, synthesize, OrderingContext};
-
-    let forms = parse_all(src).map_err(|e| e.to_string())?;
-    let heap = Heap::new();
-    let prog = {
-        let mut lw = Lowerer::new(&heap);
-        lw.lower_program(&forms).map_err(|e| e.to_string())?
-    };
-    let decls = DeclDb::from_program(&prog).map_err(|e| e.to_string())?;
-    let canon =
-        (!decls.inverse_pairs().is_empty()).then(|| Canonicalizer::from_decls(&decls, &heap));
-    let mut out = BTreeSet::new();
-    for func in &prog.funcs {
-        let analysis = analyze_function_with_canon(func, &decls, canon.as_ref());
-        if analysis.conflicts.conflicts.is_empty() {
-            continue;
-        }
-        let params: Vec<&str> = func.params.iter().map(String::as_str).collect();
-        let placement = match decls.lock_placement(&analysis.name) {
-            Some(d) => declared_placement(&analysis, &params, d, OrderingContext::cri()),
-            None => synthesize(&analysis, &params, OrderingContext::cri()),
-        };
-        for pair in placement.pairs.iter().filter(|p| p.covered) {
-            if let (Some(w), Some(o)) =
-                (pair.conflict.write_path.last(), pair.conflict.other_path.last())
-            {
-                out.insert(pair_key(w.field_code() as u64, o.field_code() as u64));
-            }
-        }
-    }
-    Ok(out)
+/// The dynamic half of the lock certifier: the observed,
+/// happens-before-unordered pairs of a finished cross-check that no
+/// placement in force covers (`check.predicted.covered`) — races the
+/// locks were supposed to exclude. Empty when the prediction was ⊤: the
+/// static side already gave up on precision there, and the ordinary
+/// soundness verdict is all there is to say.
+pub fn lock_coverage(check: &CrossCheck) -> Vec<PairKey> {
+    let predicted = &check.predicted;
+    let uncovered = |k: &&PairKey| !predicted.covered.contains(k) && !predicted.top;
+    check.unordered_observed.iter().filter(uncovered).copied().collect()
 }
 
-/// The dynamic half of the lock certifier: a sanitized run diffed
-/// against the placements in force.
-#[derive(Debug, Clone)]
-pub struct LockCheck {
-    /// The ordinary sanitizer cross-check of the same run.
-    pub check: CrossCheck,
-    /// Pair keys the placements cover.
-    pub covered: BTreeSet<PairKey>,
-    /// Observed, happens-before-unordered pairs no placement covers —
-    /// races the locks were supposed to exclude.
-    pub uncovered: Vec<PairKey>,
-}
-
-impl LockCheck {
-    /// Did every observed unordered conflict fall under a lock?
-    pub fn covered_ok(&self) -> bool {
-        self.uncovered.is_empty()
-    }
-}
-
-/// Diff a finished cross-check against the placements in force for
-/// `src`: every observed unordered pair must be lock-covered (or the
-/// prediction was ⊤, in which case the static side already gave up on
-/// precision and the ordinary soundness verdict is all we can say).
-pub fn lock_coverage(src: &str, check: CrossCheck) -> Result<LockCheck, String> {
-    let covered = covered_keys(src)?;
-    let uncovered: Vec<PairKey> = check
-        .unordered_observed
-        .iter()
-        .filter(|k| !covered.contains(k) && !check.predicted.top)
-        .copied()
-        .collect();
-    Ok(LockCheck { check, covered, uncovered })
-}
-
-/// Run a program's transformed form on a CRI pool with the access
-/// journal observing (`speclog::observe`) and cross-check what it saw.
+/// Restructure a program, run the restructured text on a CRI pool with
+/// the access journal observing (`speclog::observe`) and cross-check
+/// what it saw against the record of that one restructuring.
 /// `args_for` builds the entry function's arguments on the loaded
 /// interpreter's heap (before recording starts, so setup accesses are
 /// not journaled).
@@ -413,8 +352,8 @@ pub fn sanitized_run(
 ) -> Result<CrossCheck, String> {
     use std::sync::Arc;
 
-    let predicted = predicted_pairs(src)?;
-    let out = curare_transform::Curare::new().transform_source(src).map_err(|e| e.to_string())?;
+    let out = Curare::new().transform_source(src).map_err(|e| e.to_string())?;
+    let predicted = predicted_pairs(&out);
     let interp = Arc::new(curare_lisp::Interp::new());
     interp.load_str(&out.source()).map_err(|e| e.to_string())?;
     let args = args_for(&interp);
@@ -442,9 +381,14 @@ mod tests {
                      (cond ((null lst) nil)
                            ((eq obj (car lst)) (remq obj (cdr lst)))
                            (t (cons (car lst) (remq obj (cdr lst))))))";
-        let p = predicted_pairs(src).unwrap();
+        let p = predicted(src);
         assert!(p.keys.contains(&(1, 1)), "{:?}", p.keys);
         assert!(!p.top);
+    }
+
+    /// The static side of `src`, restructured by the default pipeline.
+    fn predicted(src: &str) -> PredictedPairs {
+        predicted_pairs(&Curare::new().transform_source(src).unwrap())
     }
 
     /// One thing an invocation did: read or write `loc`, spawn `child`
@@ -565,7 +509,7 @@ mod tests {
 
     #[test]
     fn top_prediction_absorbs_everything() {
-        let predicted = PredictedPairs { keys: BTreeSet::new(), top: true };
+        let predicted = PredictedPairs { top: true, ..PredictedPairs::default() };
         let check = cross_check(&post_spawn_race(speclog::struct_loc(8, 3)), &predicted);
         assert!(check.sound());
         assert_eq!(check.observed, BTreeSet::from([(5, 5)]), "field 3 of a struct");
@@ -578,7 +522,7 @@ mod tests {
                            ((null (cdr l)) (f (cdr l)))
                            (t (setf (cadr l) (+ (car l) (cadr l)))
                               (f (cdr l)))))";
-        let p = predicted_pairs(src).unwrap();
+        let p = predicted(src);
         assert!(!p.top);
         // The write tail is car (cadr = cdr.car); conflicting reads
         // end in car too.
@@ -594,7 +538,7 @@ mod tests {
                      (when (consp b)
                        (mix (cddr a) (cdr b))
                        (setf (car b) (car a))))";
-        let p = predicted_pairs(src).unwrap();
+        let p = predicted(src);
         assert!(!p.top, "no unknown writes in the fixture");
         assert!(p.keys.is_empty(), "{:?}", p.keys);
     }
@@ -808,10 +752,10 @@ mod sanitized_tests {
                 vec![interp.load_str(&list_src(32)).unwrap()]
             })
             .expect("sanitized run");
-            let lc = lock_coverage(LOCKED_RMWS, check).expect("coverage diff");
-            assert!(lc.check.sound(), "unpredicted: {:?}", lc.check.unpredicted);
-            assert!(lc.covered_ok(), "uncovered: {:?}", lc.uncovered);
-            assert!(lc.covered.contains(&(0, 0)), "{:?}", lc.covered);
+            assert!(check.sound(), "unpredicted: {:?}", check.unpredicted);
+            assert_eq!(lock_coverage(&check), [], "uncovered");
+            let covered = &check.predicted.covered;
+            assert!(covered.contains(&(0, 0)), "{covered:?}");
         }
     }
 
@@ -820,7 +764,6 @@ mod sanitized_tests {
         // The aliasing fixture has no placement at all: its unordered
         // observed pair must surface as uncovered, not be absorbed.
         let check = run_mix(SchedMode::Sharded);
-        let lc = lock_coverage(MIX, check).expect("coverage diff");
-        assert!(!lc.covered_ok(), "{:?}", lc.covered);
+        assert!(!lock_coverage(&check).is_empty(), "{:?}", check.predicted.covered);
     }
 }

@@ -82,15 +82,15 @@ fn read_file(args: &[String]) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
 }
 
+/// Per-function §6 feedback, read from the record of the default
+/// restructuring: the analysis each function's devices were chosen
+/// from (of a function the reorder device rewrote, that is the
+/// analysis of the rewritten form).
 fn analyze(args: &[String]) -> Result<(), String> {
     let src = read_file(args)?;
-    let heap = Heap::new();
-    let mut lw = curare::lisp::Lowerer::new(&heap);
-    let forms = parse_all(&src).map_err(|e| e.to_string())?;
-    let prog = lw.lower_program(&forms).map_err(|e| e.to_string())?;
-    let analyses = analyze_program(&prog).map_err(|e| e.to_string())?;
-    for a in analyses {
-        print!("{}", a.explain());
+    let out = Curare::new().transform_source(&src).map_err(|e| e.to_string())?;
+    for r in &out.reports {
+        print!("{}", r.analysis.explain());
     }
     Ok(())
 }

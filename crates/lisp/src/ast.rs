@@ -10,6 +10,7 @@
 
 use std::sync::Arc;
 
+use crate::heap::StructType;
 use crate::value::SymId;
 use curare_sexpr::Sexpr;
 
@@ -426,6 +427,10 @@ pub struct Program {
     pub toplevel: Vec<Expr>,
     /// Top-level `(curare-declare ...)` forms, consumed by analysis.
     pub declarations: Vec<Sexpr>,
+    /// The struct types the program's `defstruct`s defined, each with
+    /// the id the lowering heap gave it (the `ty` of a field access) —
+    /// what a declared accessor name resolves against.
+    pub structs: Vec<(u32, StructType)>,
 }
 
 #[cfg(test)]

@@ -107,13 +107,20 @@ impl<'h> Lowerer<'h> {
         }
     }
 
-    /// Lower a whole program (sequence of top-level forms).
+    /// Lower a whole program (sequence of top-level forms): every
+    /// `defstruct` first, then the other forms in order, so a `defun`
+    /// sees the accessors of a struct type defined below it. Nothing is
+    /// evaluated while lowering, so no other order is observable.
     pub fn lower_program(&mut self, forms: &[Sexpr]) -> Result<Program> {
         let mut prog = Program::default();
-        for form in forms {
+        for args in forms.iter().filter_map(|f| f.call_args("defstruct")) {
+            let ty = self.lower_defstruct(args)?;
+            prog.structs.push((ty, self.heap.struct_type(ty)));
+        }
+        for form in forms.iter().filter(|f| !f.is_call("defstruct")) {
             match self.lower_toplevel(form)? {
                 TopForm::Func(f) => prog.funcs.push(f),
-                TopForm::StructDef => {}
+                TopForm::StructDef => unreachable!("every defstruct was lowered above"),
                 TopForm::Declaration(d) => prog.declarations.push(d),
                 TopForm::Expr(e) => prog.toplevel.push(e),
             }

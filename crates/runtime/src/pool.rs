@@ -1714,7 +1714,7 @@ mod tests {
     use curare_transform::Curare;
 
     fn pooled(src: &str, servers: usize) -> (CriRuntime, String) {
-        let mut curare = Curare::new();
+        let curare = Curare::new();
         let out = curare.transform_source(src).unwrap();
         let interp = Arc::new(Interp::new());
         interp.load_str(&out.source()).unwrap();
@@ -1834,7 +1834,7 @@ mod tests {
                (cond ((null lst) nil)
                      ((eq obj (car lst)) (remq obj (cdr lst)))
                      (t (cons (car lst) (remq obj (cdr lst))))))";
-        let mut curare = Curare::new();
+        let curare = Curare::new();
         let out = curare.transform_source(src).unwrap();
         let interp = Arc::new(Interp::new());
         interp.load_str(&out.source()).unwrap();

@@ -26,8 +26,7 @@
 //! ```
 //! use curare_transform::Curare;
 //!
-//! let mut curare = Curare::new();
-//! let out = curare
+//! let out = Curare::new()
 //!     .transform_source("(defun f (l) (when l (print (car l)) (f (cdr l))))")
 //!     .unwrap();
 //! assert!(out.source().contains("cri-enqueue"));

@@ -497,13 +497,16 @@ fn tails_are_order_insensitive(
 ///   statement passes the order-insensitivity gate
 ///   (`tails_are_order_insensitive`), and
 /// - every covered access sits in a bracketable statement position.
+///
+/// The placement the brackets were written from comes back with them:
+/// it is the one in force, and what `curare check --locks` certifies.
 pub fn lock_rescue(
     form: &Sexpr,
     analysis: &FunctionAnalysis,
     decls: &DeclDb,
     coalesce: bool,
     probes: &mut Probes<'_>,
-) -> Option<LockResult> {
+) -> Option<(LockResult, Placement)> {
     let parts = sx::parse_defun(form)?;
     if analysis.conflicts.unknown_writes > 0 || analysis.conflicts.conflicts.is_empty() {
         return None;
@@ -525,7 +528,8 @@ pub fn lock_rescue(
     if placement.locks.is_empty() {
         return None;
     }
-    insert_placement(form, &placement, coalesce, probes).ok()
+    let locked = insert_placement(form, &placement, coalesce, probes).ok()?;
+    Some((locked, placement))
 }
 
 #[cfg(test)]
@@ -548,7 +552,14 @@ mod tests {
     /// form itself.
     fn rescue(heap: &Heap, form: &Sexpr, decls: &DeclDb, coalesce: bool) -> Option<LockResult> {
         let analysis = analyze_defun(heap, form, decls).ok()?;
-        lock_rescue(form, &analysis, decls, coalesce, &mut Probes::for_defun(heap, form)?)
+        let rescued =
+            lock_rescue(form, &analysis, decls, coalesce, &mut Probes::for_defun(heap, form)?)?;
+        assert_eq!(
+            placement_specs(&rescued.1),
+            rescued.0.locks,
+            "the brackets are the placement's"
+        );
+        Some(rescued.0)
     }
 
     fn run_locks(src: &str) -> LockResult {

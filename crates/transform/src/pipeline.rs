@@ -1,5 +1,18 @@
 //! The Curare driver: analysis → device selection → CRI conversion.
 //!
+//! [`Curare::transform_forms`] is the one front door to a restructuring
+//! and [`CurareOutput`] the one record of it. The door lowers the
+//! program once ([`Lowerer::lower_program`]: struct types first),
+//! prepares what its functions share once ([`Analyzer::of_program`]:
+//! declarations, canonicalizer, call costs) and analyses each `defun`
+//! through that; the record keeps all of it — the lowered
+//! [`Program`], the [`Analyzer`], and in each [`FunctionReport`] the
+//! analysis its verdict was read from and the lock placement in force —
+//! so that `curare analyze`, `curare check`, the lock certifier and the
+//! sanitizer read what the devices were chosen from instead of
+//! deriving a program, a declaration database or a placement of their
+//! own.
+//!
 //! For each `defun` of a program the pipeline picks the cheapest
 //! correctness device the paper describes, in the §3.2 cost order
 //! (locking is most general and most expensive, delays cheaper,
@@ -26,8 +39,7 @@
 use std::sync::Arc;
 
 use curare_analysis::{
-    analyze_function_in, head_tail_in, AnalysisStats, BlockReason, CallCosts, Canonicalizer, Cost,
-    DeclDb, FunctionAnalysis, Verdict,
+    AnalysisStats, Analyzer, BlockReason, Cost, FunctionAnalysis, Placement, Verdict,
 };
 use curare_lisp::ast::{Func, Program};
 use curare_lisp::lower::TopForm;
@@ -92,6 +104,14 @@ pub struct FunctionReport {
     /// Where a converted function's spawns publish, and the cost
     /// estimate that decided it.
     pub publication: Publication,
+    /// The analysis `verdict` was read from: of the defun as written,
+    /// or as the reorder device left it.
+    pub analysis: FunctionAnalysis,
+    /// The lock placement in force — the one [`Device::Locks`]'
+    /// brackets were written from, derived from the analysis of the
+    /// form as it stood when they were (after delay, where delay moved
+    /// statements). `None` unless the device applied.
+    pub placement: Option<Placement>,
 }
 
 /// A tail must cost more than this many units (AST nodes, callee
@@ -134,19 +154,21 @@ impl std::fmt::Display for Publication {
     }
 }
 
-/// The whole transformation's output.
+/// The whole transformation's output: the restructured text, and the
+/// record of what it was restructured from.
 #[derive(Debug, Clone, Default)]
 pub struct CurareOutput {
     /// Transformed top-level forms, in input order.
     pub forms: Vec<Sexpr>,
-    /// One report per input defun.
+    /// One report per input defun, in `program.funcs` order.
     pub reports: Vec<FunctionReport>,
-    /// The analysis each report's verdict was read from, in the same
-    /// order: of the defun as written, or as the reorder device left
-    /// it. `curare check` reads these instead of analysing again.
-    pub analyses: Vec<FunctionAnalysis>,
     /// How much analysis the whole transformation took.
     pub stats: AnalysisStats,
+    /// The input program as the pipeline lowered it.
+    pub program: Program,
+    /// What the program's functions share, as every analysis in
+    /// `reports` saw it: declarations, canonicalizer, call costs.
+    pub analyzer: Analyzer,
 }
 
 impl CurareOutput {
@@ -189,37 +211,17 @@ impl std::fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// The Curare transformer.
+/// The Curare transformer: the configuration of a restructuring.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Curare {
-    heap: Heap,
-    decls: DeclDb,
     coalesce_locks: bool,
     speculate: bool,
-    /// Body cost of every defun of the program being transformed.
-    calls: CallCosts,
-    /// What the program's `inverse` declarations resolve to; with one,
-    /// every analysis runs the canonical conflict test so benign-alias
-    /// detours are seen (§2.1).
-    canon: Option<Canonicalizer>,
-}
-
-impl Default for Curare {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Curare {
-    /// A transformer with an empty declaration database.
+    /// The default pipeline.
     pub fn new() -> Self {
-        Curare {
-            heap: Heap::new(),
-            decls: DeclDb::new(),
-            coalesce_locks: false,
-            speculate: false,
-            calls: CallCosts::default(),
-            canon: None,
-        }
+        Self::default()
     }
 
     /// Merge adjacent lock brackets with identical lock sets when the
@@ -243,76 +245,68 @@ impl Curare {
         self
     }
 
-    /// The declaration database (for inspection).
-    pub fn decls(&self) -> &DeclDb {
-        &self.decls
-    }
-
     /// Transform a whole program's source text.
-    pub fn transform_source(&mut self, src: &str) -> Result<CurareOutput, PipelineError> {
+    pub fn transform_source(&self, src: &str) -> Result<CurareOutput, PipelineError> {
         let forms = parse_all(src).map_err(|e| PipelineError::Parse(e.to_string()))?;
         self.transform_forms(&forms)
     }
 
     /// Transform parsed top-level forms.
-    pub fn transform_forms(&mut self, forms: &[Sexpr]) -> Result<CurareOutput, PipelineError> {
-        // Pass 1: lower the program once — struct types first, so a
-        // defun sees accessors, constraints and callees regardless of
-        // order — then collect declarations and cost every body.
-        let mut lw = Lowerer::new(&self.heap);
-        let mut prog = Program::default();
-        let is_struct = |f: &&Sexpr| f.is_call("defstruct");
-        for form in forms.iter().filter(is_struct).chain(forms.iter().filter(|f| !is_struct(f))) {
-            match lw.lower_toplevel(form).map_err(|e| PipelineError::Parse(e.to_string()))? {
-                TopForm::Func(f) => prog.funcs.push(f),
-                TopForm::Declaration(d) => prog.declarations.push(d),
-                TopForm::StructDef | TopForm::Expr(_) => {}
-            }
-        }
-        self.decls = DeclDb::from_program(&prog).map_err(|e| PipelineError::Decl(e.to_string()))?;
-        self.calls = CallCosts::of_program(&prog);
-        self.canon = (!self.decls.inverse_pairs().is_empty())
-            .then(|| Canonicalizer::from_decls(&self.decls, &self.heap));
+    pub fn transform_forms(&self, forms: &[Sexpr]) -> Result<CurareOutput, PipelineError> {
+        // Pass 1: lower the program once, then collect what its
+        // functions share.
+        let heap = Heap::new();
+        let program = Lowerer::new(&heap)
+            .lower_program(forms)
+            .map_err(|e| PipelineError::Parse(e.to_string()))?;
+        let analyzer =
+            Analyzer::of_program(&program).map_err(|e| PipelineError::Decl(e.to_string()))?;
+        let pass = Pass { config: *self, heap: &heap, analyzer: &analyzer };
 
-        let mut out = CurareOutput::default();
-        let mut funcs = prog.funcs.iter();
+        let (mut out_forms, mut reports) = (Vec::new(), Vec::new());
+        let mut stats = AnalysisStats::default();
+        let mut funcs = program.funcs.iter();
         for form in forms {
             if !form.is_call("defun") {
-                out.forms.push(form.clone());
+                out_forms.push(form.clone());
                 continue;
             }
             let func = funcs.next().expect("pass 1 lowered one function per defun");
-            let mut probes =
-                Probes::for_defun(&self.heap, form).expect("pass 1 lowered this defun");
+            let mut probes = Probes::for_defun(&heap, form).expect("pass 1 lowered this defun");
             // Device: reorder (cheapest, applied first). The analysis
             // is of the form it leaves.
-            let reordered = reorder_transform(&self.heap, form, &self.decls);
+            let reordered = reorder_transform(&heap, form, analyzer.decls());
             let analysis = if reordered.atomic_rewrites > 0 {
-                self.analyse(&*self.lower(&reordered.form)?, &mut out.stats)
+                analyzer.analyse(&*pass.lower(&reordered.form)?, &mut stats)
             } else {
-                self.analyse(func, &mut out.stats)
+                analyzer.analyse(func, &mut stats)
             };
-            let transformed =
-                self.transform_defun(reordered, &analysis, &mut probes, &mut out.stats);
-            out.stats.probe_lowerings += probes.lowerings();
+            let transformed = pass.transform_defun(reordered, analysis, &mut probes, &mut stats);
+            stats.probe_lowerings += probes.lowerings();
             let (mut produced, report) = transformed?;
-            out.forms.append(&mut produced);
-            out.reports.push(report);
-            out.analyses.push(analysis);
+            out_forms.append(&mut produced);
+            reports.push(report);
         }
-        Ok(out)
+        Ok(CurareOutput { forms: out_forms, reports, stats, program, analyzer })
     }
+}
 
+/// One run of the pipeline over one program.
+struct Pass<'a> {
+    config: Curare,
+    /// Where pass 1 registered the program's struct types: every later
+    /// lowering (a probe, a rewritten defun) resolves accessors here.
+    heap: &'a Heap,
+    analyzer: &'a Analyzer,
+}
+
+impl Pass<'_> {
     /// Lower one defun the devices produced.
     fn lower(&self, form: &Sexpr) -> Result<Arc<Func>, PipelineError> {
-        match Lowerer::new(&self.heap).lower_toplevel(form) {
+        match Lowerer::new(self.heap).lower_toplevel(form) {
             Ok(TopForm::Func(f)) => Ok(f),
             _ => Err(PipelineError::Transform(format!("not a loadable defun: {form}"))),
         }
-    }
-
-    fn analyse(&self, func: &Func, stats: &mut AnalysisStats) -> FunctionAnalysis {
-        analyze_function_in(func, &self.decls, self.canon.as_ref(), &self.calls, stats)
     }
 
     /// Pick the devices for one defun as the reorder device left it,
@@ -322,14 +316,29 @@ impl Curare {
     /// One analysis serves the whole function: the verdict, delay's
     /// conflicting locations, the lock synthesis and the tail cost all
     /// read it. Only a device that rewrites the form makes it stale;
-    /// the form is then analysed again if a later device asks.
+    /// the form is then analysed again if a later device asks. The
+    /// report keeps `analysis` itself, whatever the devices did after.
     fn transform_defun(
         &self,
         reordered: ReorderResult,
-        analysis: &FunctionAnalysis,
+        kept: FunctionAnalysis,
         probes: &mut Probes<'_>,
         stats: &mut AnalysisStats,
     ) -> Result<(Vec<Sexpr>, FunctionReport), PipelineError> {
+        let made = |analysis: FunctionAnalysis, devices, converted, feedback, publication| {
+            FunctionReport {
+                name: analysis.name.clone(),
+                verdict: analysis.verdict.clone(),
+                devices,
+                converted,
+                feedback,
+                unsynced_tail: false,
+                publication,
+                analysis,
+                placement: None,
+            }
+        };
+        let analysis = &kept;
         let name = analysis.name.as_str();
         let mut current = reordered.form;
         let mut devices = Vec::new();
@@ -337,21 +346,14 @@ impl Curare {
             devices.push(Device::Reorder(reordered.atomic_rewrites));
         }
         let feedback = analysis.explain();
-        let report = |devices, converted, feedback, publication| FunctionReport {
-            name: name.to_string(),
-            verdict: analysis.verdict.clone(),
-            devices,
-            converted,
-            feedback,
-            unsynced_tail: false,
-            publication,
-        };
         let transform_err = |e: CriError| PipelineError::Transform(e.to_string());
 
         match &analysis.verdict {
             Verdict::NotRecursive => {
-                let unchanged = report(devices, false, feedback, Publication::Lazy);
-                return Ok((vec![current], unchanged));
+                return Ok((
+                    vec![current],
+                    made(kept, devices, false, feedback, Publication::Lazy),
+                ));
             }
             Verdict::Blocked => {
                 // §5 enabling transformation: DPS for cons-shaped
@@ -368,17 +370,16 @@ impl Curare {
                         let feedback = format!(
                             "{feedback}  applied destination-passing style (provenance-safe)\n"
                         );
-                        return Ok((
-                            vec![cri.form, dps.wrapper],
-                            report(devices, true, feedback, publication),
-                        ));
+                        let forms = vec![cri.form, dps.wrapper];
+                        return Ok((forms, made(kept, devices, true, feedback, publication)));
                     }
                     // §5 again: a declared-reorderable linear reduction
                     // becomes an accumulating walker, whose update the
                     // reorder pass then makes atomic.
-                    if let Ok(fold) = fold_to_walker(&current, &self.decls) {
+                    if let Ok(fold) = fold_to_walker(&current, self.analyzer.decls()) {
                         devices.push(Device::Fold);
-                        let walker = reorder_transform(&self.heap, &fold.walker, &self.decls);
+                        let walker =
+                            reorder_transform(self.heap, &fold.walker, self.analyzer.decls());
                         if walker.atomic_rewrites > 0 {
                             devices.push(Device::Reorder(walker.atomic_rewrites));
                         }
@@ -389,10 +390,8 @@ impl Curare {
                             "{feedback}  applied reduction restructuring (operator {})\n",
                             fold.operator
                         );
-                        return Ok((
-                            vec![cri.form, fold.wrapper],
-                            report(devices, true, feedback, publication),
-                        ));
+                        let forms = vec![cri.form, fold.wrapper];
+                        return Ok((forms, made(kept, devices, true, feedback, publication)));
                     }
                 }
                 // SpecMode admission, case A: blocked *only* by writes
@@ -400,7 +399,7 @@ impl Curare {
                 // refusal is a may-conflict, not a will-conflict: run
                 // the invocations optimistically and let the runtime
                 // validator catch any real collision.
-                if self.speculate
+                if self.config.speculate
                     && !analysis.reasons.is_empty()
                     && analysis.reasons.iter().all(|r| matches!(r, BlockReason::UnknownWrite))
                 {
@@ -410,11 +409,16 @@ impl Curare {
                         let feedback = format!(
                             "{feedback}  admitted to speculative execution (unproven write roots)\n"
                         );
-                        return Ok((vec![cri.form], report(devices, true, feedback, publication)));
+                        return Ok((
+                            vec![cri.form],
+                            made(kept, devices, true, feedback, publication),
+                        ));
                     }
                 }
-                let refused = report(devices, false, feedback, Publication::Lazy);
-                return Ok((vec![current], refused));
+                return Ok((
+                    vec![current],
+                    made(kept, devices, false, feedback, Publication::Lazy),
+                ));
             }
             Verdict::ConflictFree | Verdict::NeedsSynchronization { .. } => {}
         }
@@ -425,7 +429,7 @@ impl Curare {
         // speculation mark such functions so the journaled run is
         // validated — under-declared aliasing then aborts and replays
         // instead of silently diverging from the sequential answer.
-        if self.speculate && matches!(analysis.verdict, Verdict::ConflictFree) {
+        if self.config.speculate && matches!(analysis.verdict, Verdict::ConflictFree) {
             let roots: std::collections::BTreeSet<usize> =
                 analysis.accesses.records.iter().map(|r| r.root).collect();
             if analysis.accesses.writes().next().is_some() && roots.len() >= 2 {
@@ -445,6 +449,7 @@ impl Curare {
         // tail.
         let mut analysed = Some(analysis);
         let delayed_analysis;
+        let mut placement = None;
         if matches!(analysis.verdict, Verdict::NeedsSynchronization { .. }) {
             if !has_tail_statements(&current, name) {
                 // All conflicting accesses precede the spawns: the
@@ -461,7 +466,7 @@ impl Curare {
                 if has_tail_statements(&current, name) {
                     if analysed.is_none() {
                         delayed_analysis =
-                            self.lower(&current).ok().map(|f| self.analyse(&f, stats));
+                            self.lower(&current).ok().map(|f| self.analyzer.analyse(&f, stats));
                         analysed = delayed_analysis.as_ref();
                     }
                     // Device: synthesized lock placement (§3.2.1).
@@ -471,12 +476,14 @@ impl Curare {
                     // order-insensitive (or the programmer declared a
                     // placement), statement-scoped lock brackets keep
                     // the tails parallel instead.
+                    let decls = self.analyzer.decls();
                     let locked = analysed.and_then(|a| {
-                        lock_rescue(&current, a, &self.decls, self.coalesce_locks, probes)
+                        lock_rescue(&current, a, decls, self.config.coalesce_locks, probes)
                     });
-                    if let Some(locked) = locked {
-                        devices.push(Device::Locks(locked.locks.clone()));
+                    if let Some((locked, applied)) = locked {
+                        devices.push(Device::Locks(locked.locks));
                         current = locked.form;
+                        placement = Some(applied);
                         analysed = None;
                     } else {
                         // Device: future synchronization (§3.1) — tails
@@ -492,17 +499,18 @@ impl Curare {
                                 // is order-sensitive and future sync
                                 // refused it — run it optimistically
                                 // instead of sequentially.
-                                if self.speculate {
+                                if self.config.speculate {
                                     devices.push(Device::Speculate);
                                 } else {
                                     let feedback = format!(
                                         "{feedback}  post-call conflicting statements could not be synchronized\n"
                                     );
-                                    let unsynced = FunctionReport {
-                                        unsynced_tail: true,
-                                        ..report(devices, false, feedback, Publication::Lazy)
-                                    };
-                                    return Ok((vec![current], unsynced));
+                                    let refused =
+                                        made(kept, devices, false, feedback, Publication::Lazy);
+                                    return Ok((
+                                        vec![current],
+                                        FunctionReport { unsynced_tail: true, ..refused },
+                                    ));
                                 }
                             }
                         }
@@ -512,16 +520,17 @@ impl Curare {
         }
 
         // CRI conversion.
-        match self.convert(&current, analysed) {
+        let (form, report) = match self.convert(&current, analysed) {
             Ok((cri, publication)) => {
                 devices.push(Device::Cri(cri.sites));
-                Ok((vec![cri.form], report(devices, true, feedback, publication)))
+                (cri.form, made(kept, devices, true, feedback, publication))
             }
             Err(e) => {
                 let feedback = format!("{feedback}  CRI conversion failed: {e}\n");
-                Ok((vec![current], report(devices, false, feedback, Publication::Lazy)))
+                (current, made(kept, devices, false, feedback, Publication::Lazy))
             }
-        }
+        };
+        Ok((vec![form], FunctionReport { placement, ..report }))
     }
 
     /// CRI-convert `form` (already through its synchronization
@@ -545,9 +554,9 @@ impl Curare {
         let tail_cost = match analysed {
             _ if !has_site(form) => Cost::Bounded(0),
             Some(a) => a.head_tail.tail_cost,
-            None => self
-                .lower(form)
-                .map_or(Cost::Bounded(0), |f| head_tail_in(&f, &self.calls).tail_cost),
+            None => {
+                self.lower(form).map_or(Cost::Bounded(0), |f| self.analyzer.head_tail(&f).tail_cost)
+            }
         };
         if tail_cost <= Cost::Bounded(HANDOFF_THRESHOLD) {
             return Ok((cri_convert(form)?, Publication::Lazy));
