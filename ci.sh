@@ -91,6 +91,27 @@ for _ in 1 2 3; do
   fi
 done
 
+echo "== chaos: an armed plan perturbs the schedule, not the path"
+# A plan only delays, shuffles and stalls, so figure5's walker restarts
+# 6 of its 7 tasks in place armed, as it does unarmed (0 while an armed
+# pool kept a retry copy of every task).
+out="$(target/release/curare run examples/lisp/figure5.lisp --servers 2 --chaos-seed 3 \
+  --chaos-profile reorder --call "(f *data*)" 2>&1)"
+echo "$out" | grep -F "6 of them in place" > /dev/null \
+  || { echo "figure5 under reorder: no '6 of them in place' in the report" >&2; exit 1; }
+
+echo "== delay: a read of a conflicting location stays after the call"
+# The copy of (cadr l) reads what the next invocation doubles: hoisted
+# above the call, the restructured program printed (1 1 1 1 0).
+delay_read() {
+  target/release/curare run examples/lisp/fixtures/delay-read.lisp "$@" --call "(go)" 2> /dev/null
+}
+for got in "$(delay_read --sequential)" "$(delay_read)"; do
+  if [ "$got" != "(2 2 2 1 0)" ]; then
+    echo "delay-read fixture: printed '$got', want (2 2 2 1 0)" >&2; exit 1
+  fi
+done
+
 echo "== front doors agree: analyze, check, transform and both runs read one program"
 # The §6 tool names the conflict the restructurer synchronises `back`
 # for (it used to analyse without the canonicalizer the pipeline

@@ -133,7 +133,7 @@ static EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "chaos",
         source: "DESIGN: CHAOS",
-        about: "what the mixed fault profile injects, and the collapse-to-sequential demo",
+        about: "what the mixed fault profile injects; in-place links survive it",
         run: chaos_counts,
     },
     Experiment {
@@ -727,9 +727,8 @@ fn differential(r: &mut Run) {
 /// The sanitizer's cells: every program under both schedulers with
 /// every heap word access recorded and cross-checked against the
 /// static prediction (DESIGN.md, "heap-access sanitizer"). With
-/// `reorder` the no-panic `reorder` fault profile perturbs the
-/// schedule: the verdict must not depend on it. (Panic profiles are
-/// excluded — a retried body would record its accesses twice.)
+/// `reorder` the `reorder` fault profile perturbs the schedule: the
+/// verdict must not depend on it.
 fn sanitize_cells(r: &mut Run, reorder: Option<u64>) -> bool {
     let schedule = reorder.map_or("as scheduled".to_string(), |seed| format!("reorder/{seed}"));
     let mut all_sound = true;
@@ -866,34 +865,38 @@ fn speculate(r: &mut Run) {
 }
 
 /// `chaos` — what the seeded `mixed` fault profile does to the pool's
-/// programs (faults injected, tasks retried, servers poisoned), each
-/// run held to the sequential oracle, and the collapse demo. The
-/// 32-seed differential is `chaos_differential.rs`; this row is the
-/// account of the adversary.
+/// programs (faults injected, links restarted in place), each run held
+/// to the sequential oracle. A plan perturbs only the schedule, so a
+/// program whose tail spawns restart in place unarmed must still do so
+/// armed. The 32-seed differential is `chaos_differential.rs`; this row
+/// is the account of the adversary.
 fn chaos_counts(r: &mut Run) {
     let seeds: u64 = if r.quick { 2 } else { 8 };
     const N: i64 = 96;
-    let mut mismatches = Vec::new();
+    let (mut mismatches, mut lost_in_place) = (Vec::new(), Vec::new());
     for p in pick(&POOL_SET) {
         // The restructured program under the calling side's inline
         // hooks: the same code path the pool executes, sequentially.
         let expect = p.sequential(&p.restructured(Curare::new()).0, N);
         r.per_mode(|r, mode, mode_name| {
-            let (mut matched, mut faults, mut retries, mut poisoned) = (0u64, 0, 0, 0);
+            let config = || RuntimeConfig { mode, ..RuntimeConfig::default() };
+            let unarmed = p.pooled(&p.restructured(Curare::new()).0, N, 4, config()).2;
+            let (mut matched, mut faults, mut in_place) = (0u64, 0, 0);
             for seed in 0..seeds {
                 arm_chaos("mixed", seed);
                 let (interp, _) = p.restructured(Curare::new());
-                let config = RuntimeConfig { mode, ..RuntimeConfig::default() };
-                let (run, got, stats) = p.pooled(&interp, N, 4, config);
+                let (run, got, stats) = p.pooled(&interp, N, 4, config());
                 chaos::install(None);
                 faults += stats.faults_injected;
-                retries += stats.task_retries;
-                poisoned += stats.servers_poisoned;
+                in_place += stats.in_place_tasks;
                 if run.is_ok() && got == expect {
                     matched += 1;
                 } else {
                     mismatches.push(format!("{}/{mode_name} seed {seed}", p.name));
                 }
+            }
+            if unarmed.in_place_tasks > 0 && in_place == 0 {
+                lost_in_place.push(format!("{}/{mode_name}", p.name));
             }
             r.row([
                 ("program", p.name.into()),
@@ -901,8 +904,7 @@ fn chaos_counts(r: &mut Run) {
                 ("seeds", count(seeds)),
                 ("matched", count(matched)),
                 ("faults", count(faults)),
-                ("retries", count(retries)),
-                ("poisoned", count(poisoned)),
+                ("in_place", count(in_place)),
             ]);
         });
     }
@@ -911,26 +913,10 @@ fn chaos_counts(r: &mut Run) {
         mismatches.is_empty(),
         mismatches.join(", "),
     );
-
-    // The degradation demo: a profile that panics every task on every
-    // server collapses the pool below its floor; the drain must still
-    // produce the exact sequential answer and flag the run degraded.
-    let p = Program::named("sum-walk");
-    arm_chaos("collapse", 1);
-    let (interp, _) = p.restructured(Curare::new());
-    let config = RuntimeConfig { retry_limit: 1, ..RuntimeConfig::default() };
-    let (run, sum, stats) = p.pooled(&interp, 100, 4, config);
-    chaos::install(None);
-    r.row([
-        ("profile", "collapse".into()),
-        ("sum", sum.as_str().into()),
-        ("poisoned", count(stats.servers_poisoned)),
-        ("degraded", stats.degraded.into()),
-    ]);
     r.gate(
-        "a collapsed pool drains sequentially to the right sum and says it degraded",
-        run.is_ok() && sum == "5050" && stats.degraded,
-        format!("run {run:?}"),
+        "a program that restarts in place unarmed restarts in place under the plan",
+        lost_in_place.is_empty(),
+        lost_in_place.join(", "),
     );
 }
 

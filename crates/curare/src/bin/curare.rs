@@ -42,8 +42,7 @@
 //!                    aborts/replays (or reruns sequentially) on conflict
 //!   --chaos-seed N   install a seeded fault plan for the pool run
 //!   --chaos-profile P  fault profile for --chaos-seed: delays,
-//!                    panics, stalls, shuffle, reorder, mixed
-//!                    (default), or collapse
+//!                    stalls, shuffle, reorder, or mixed (default)
 //!   --stall-budget-ms M  arm the stall watchdog: servers stuck past
 //!                    M ms produce curare-stall/1 dumps on stderr
 //! ```
@@ -53,6 +52,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use curare::prelude::*;
+use curare::runtime::chaos::{self, ChaosProfile, FaultPlan};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -209,7 +209,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut engine = curare::lisp::Engine::Vm;
     let mut no_fuse = false;
     let mut chaos_seed: Option<u64> = None;
-    let mut chaos_profile = String::from("mixed");
+    let mut chaos_profile = ChaosProfile::named("mixed").expect("a named profile");
     let mut stall_budget_ms: Option<u64> = None;
     let mut speculate = false;
     let mut i = 1;
@@ -224,7 +224,12 @@ fn run(args: &[String]) -> Result<(), String> {
                 i += 2;
             }
             "--chaos-profile" => {
-                chaos_profile = args.get(i + 1).ok_or("--chaos-profile needs a name")?.clone();
+                chaos_profile = args
+                    .get(i + 1)
+                    .and_then(|name| ChaosProfile::named(name))
+                    .ok_or_else(|| {
+                        format!("--chaos-profile needs one of: {}", ChaosProfile::NAMES.join(", "))
+                    })?;
                 i += 2;
             }
             "--stall-budget-ms" => {
@@ -344,11 +349,7 @@ fn run(args: &[String]) -> Result<(), String> {
         // Install the fault plan before the pool spawns so server
         // threads see it from their first task.
         if let Some(seed) = chaos_seed {
-            let profile = curare::runtime::chaos::ChaosProfile::named(&chaos_profile)
-                .ok_or_else(|| format!("unknown chaos profile '{chaos_profile}'"))?;
-            curare::runtime::chaos::install(Some(curare::runtime::chaos::FaultPlan::new(
-                seed, profile,
-            )));
+            chaos::install(Some(FaultPlan::new(seed, chaos_profile.clone())));
         }
         let config = curare::runtime::RuntimeConfig {
             stall_budget: stall_budget_ms.map(std::time::Duration::from_millis),
@@ -384,9 +385,9 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         if let Some(seed) = chaos_seed {
             eprintln!(
-                ";; chaos: seed {seed}, profile {chaos_profile}: {} faults injected, \
-                 {} retries, {} servers poisoned, degraded: {}",
-                stats.faults_injected, stats.task_retries, stats.servers_poisoned, stats.degraded
+                ";; chaos: seed {seed}, profile {}: {} faults injected, \
+                 {} servers poisoned, degraded: {}",
+                chaos_profile.name, stats.faults_injected, stats.servers_poisoned, stats.degraded
             );
         }
         if stall_budget_ms.is_some() {
@@ -395,7 +396,7 @@ fn run(args: &[String]) -> Result<(), String> {
             }
         }
         if chaos_seed.is_some() {
-            curare::runtime::chaos::install(None);
+            chaos::install(None);
         }
         run_result?;
         if let Some(tracer) = tracer {

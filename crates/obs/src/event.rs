@@ -40,57 +40,54 @@ pub enum EventKind {
     /// The chaos harness injected a fault at a decision point
     /// (`arg` = decision-point code; see `curare_runtime::chaos`).
     FaultInjected = 10,
-    /// A panicked retry-eligible task was requeued for another attempt
-    /// (`arg` = function id).
-    TaskRetry = 11,
-    /// A server exhausted its retry budget (or hit a non-retryable
-    /// panic) and left the pool (`arg` = servers still alive).
-    ServerPoisoned = 12,
-    /// The pool collapsed below its floor and fell back to sequential
+    /// A task panicked on a server, which left the pool (`arg` =
+    /// servers still alive).
+    ServerPoisoned = 11,
+    /// No server was left alive and the pool fell back to sequential
     /// draining on the caller thread (`arg` = servers still alive).
-    Degraded = 13,
+    Degraded = 12,
     /// The current invocation spawned a child invocation (`arg` =
     /// parent and child invocation ids, [`crate::profile::pack_pair`]).
     /// Recorded only while causal profiling (or the access journal) assigns
     /// nonzero invocation ids.
-    Spawn = 14,
+    Spawn = 13,
     /// A server began executing invocation `arg` (the causal twin of
     /// [`EventKind::TaskStart`], whose `arg` is the function id).
-    InvStart = 15,
+    InvStart = 14,
     /// Invocation `arg` finished (the causal twin of
     /// [`EventKind::TaskStop`]).
-    InvStop = 16,
+    InvStop = 15,
     /// A freshly spawned invocation will resolve a future (`arg` =
     /// producer invocation id and future id, packed).
-    BindFuture = 17,
+    BindFuture = 16,
     /// A touch observed its future resolved and resumed (`arg` =
     /// toucher invocation id and future id, packed).
-    TouchWake = 18,
+    TouchWake = 17,
     /// An idle server stole work from a victim's site group (`arg` =
     /// the stolen task's call site).
-    Steal = 19,
+    Steal = 18,
     /// A server found no runnable or stealable work and parked on its
     /// per-server condvar (`arg` = server index).
-    Park = 20,
+    Park = 19,
     /// A parked server woke — notified by a publisher or by the
     /// backstop timeout (`arg` = server index).
-    Unpark = 21,
+    Unpark = 20,
     /// The speculation validator committed an optimistically executed
     /// invocation: its logged accesses were consistent with the
     /// sequential order (`arg` = invocation id).
-    SpecCommit = 22,
+    SpecCommit = 21,
     /// The validator observed a cross-invocation conflict that
     /// contradicts sequential order and aborted the sequentially later
     /// invocation, undoing its journaled writes (`arg` = invocation
     /// id).
-    SpecAbort = 23,
+    SpecAbort = 22,
     /// An aborted invocation was re-executed after its conflictor
     /// (`arg` = invocation id).
-    SpecReplay = 24,
+    SpecReplay = 23,
 }
 
 /// Number of distinct kinds (for per-kind count tables).
-pub const KIND_COUNT: usize = 25;
+pub const KIND_COUNT: usize = 24;
 
 impl EventKind {
     /// The stable wire name used in exported JSON.
@@ -107,7 +104,6 @@ impl EventKind {
             EventKind::LockWaitEnd => "lock_wait_end",
             EventKind::TlabRefill => "tlab_refill",
             EventKind::FaultInjected => "fault_injected",
-            EventKind::TaskRetry => "task_retry",
             EventKind::ServerPoisoned => "server_poisoned",
             EventKind::Degraded => "degraded",
             EventKind::Spawn => "spawn",
@@ -138,20 +134,19 @@ impl EventKind {
             8 => EventKind::LockWaitEnd,
             9 => EventKind::TlabRefill,
             10 => EventKind::FaultInjected,
-            11 => EventKind::TaskRetry,
-            12 => EventKind::ServerPoisoned,
-            13 => EventKind::Degraded,
-            14 => EventKind::Spawn,
-            15 => EventKind::InvStart,
-            16 => EventKind::InvStop,
-            17 => EventKind::BindFuture,
-            18 => EventKind::TouchWake,
-            19 => EventKind::Steal,
-            20 => EventKind::Park,
-            21 => EventKind::Unpark,
-            22 => EventKind::SpecCommit,
-            23 => EventKind::SpecAbort,
-            24 => EventKind::SpecReplay,
+            11 => EventKind::ServerPoisoned,
+            12 => EventKind::Degraded,
+            13 => EventKind::Spawn,
+            14 => EventKind::InvStart,
+            15 => EventKind::InvStop,
+            16 => EventKind::BindFuture,
+            17 => EventKind::TouchWake,
+            18 => EventKind::Steal,
+            19 => EventKind::Park,
+            20 => EventKind::Unpark,
+            21 => EventKind::SpecCommit,
+            22 => EventKind::SpecAbort,
+            23 => EventKind::SpecReplay,
             _ => return None,
         })
     }

@@ -215,8 +215,8 @@ impl Profile {
             sweep_lane(&snap.events, &mut invs, &mut edges);
         }
         for d in invs.values_mut() {
-            // Retried tasks can run on two lanes under one id; keep
-            // each invocation's segments time-ordered regardless.
+            // Keep each invocation's segments time-ordered, whatever
+            // lanes they were gathered from.
             d.segments.sort_by_key(|s| s.start);
         }
 

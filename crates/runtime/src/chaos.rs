@@ -12,7 +12,7 @@
 //!
 //! | point | site | faults |
 //! |---|---|---|
-//! | [`DecisionPoint::TaskStart`] | `pool::execute_task`, before the body | delay, panic |
+//! | [`DecisionPoint::TaskStart`] | `pool::execute_task` before the body; each in-place link | delay |
 //! | [`DecisionPoint::QueuePop`] | `queue::ShardedQueues::{pop, pop_local}` | site shuffle |
 //! | [`DecisionPoint::FutureResolve`] | `futures::FutureTable::{resolve,fail}` | stall |
 //! | [`DecisionPoint::LockAcquire`] | `locktable::LockTable::lock` | delay |
@@ -23,13 +23,12 @@
 //! generation-cached per-thread handle, so an armed decision costs one
 //! relaxed load, one generation compare, and one splitmix round.
 //!
-//! Injected panics carry an [`InjectedPanic`] payload and fire
-//! *before* the invocation body runs, so the pool's catch/retry policy
-//! can requeue the task with exactly-once semantics — no user effect
-//! has happened yet. `retryable: false` simulates a hard mid-body
-//! crash instead, exercising the poison/abort path.
+//! Every fault perturbs only *when* something happens, never *what*:
+//! a chaos run executes the program an unarmed run executes, each body
+//! once. (A genuine panic is the pool's panic policy's business; the
+//! plan injects none.)
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -64,10 +63,6 @@ const SALTS: [u64; POINT_COUNT] =
 pub enum Fault {
     /// Sleep before proceeding (models a slow server / GC pause).
     Delay(Duration),
-    /// Panic before the body runs; `retryable` distinguishes an
-    /// injected pre-body fault (safe to requeue) from a simulated hard
-    /// crash.
-    Panic { retryable: bool },
     /// Dequeue from the `r`-th eligible non-empty site instead of the
     /// lowest-indexed one (within-site FIFO is preserved).
     Shuffle(u64),
@@ -87,11 +82,6 @@ pub struct ChaosProfile {
     pub delay_ppm: u32,
     /// Maximum TaskStart delay, µs (drawn uniformly below this).
     pub delay_max_us: u64,
-    /// TaskStart panic rate, ppm.
-    pub panic_ppm: u32,
-    /// Whether injected panics are pre-body (retryable) or simulate a
-    /// hard crash.
-    pub panic_retryable: bool,
     /// QueuePop shuffle rate, ppm.
     pub shuffle_ppm: u32,
     /// FutureResolve stall rate, ppm.
@@ -106,8 +96,7 @@ pub struct ChaosProfile {
 
 impl ChaosProfile {
     /// The named profiles `--chaos-profile` accepts.
-    pub const NAMES: [&'static str; 7] =
-        ["delays", "panics", "stalls", "shuffle", "reorder", "mixed", "collapse"];
+    pub const NAMES: [&'static str; 5] = ["delays", "stalls", "shuffle", "reorder", "mixed"];
 
     /// A profile that injects nothing (base for bespoke ones).
     pub fn quiet(name: &'static str) -> Self {
@@ -115,8 +104,6 @@ impl ChaosProfile {
             name,
             delay_ppm: 0,
             delay_max_us: 0,
-            panic_ppm: 0,
-            panic_retryable: true,
             shuffle_ppm: 0,
             stall_ppm: 0,
             stall_max_us: 0,
@@ -138,17 +125,14 @@ impl ChaosProfile {
                 lock_delay_max_us: 100,
                 ..Self::quiet("delays")
             },
-            // Pre-body panics: exercises catch/retry/poison.
-            "panics" => ChaosProfile { panic_ppm: 150_000, ..Self::quiet("panics") },
             // Resolution stalls: widens producer/consumer races.
             "stalls" => {
                 ChaosProfile { stall_ppm: 300_000, stall_max_us: 500, ..Self::quiet("stalls") }
             }
             // Cross-site dequeue shuffling (within-site FIFO kept).
             "shuffle" => ChaosProfile { shuffle_ppm: 600_000, ..Self::quiet("shuffle") },
-            // Delays + shuffling, no panics: pure interleaving
-            // perturbation (the sanitizer cross-check profile — panics
-            // would re-run bodies and double their access events).
+            // Task-start delays, shuffling and stalls: the sanitizer's
+            // cross-check profile.
             "reorder" => ChaosProfile {
                 delay_ppm: 150_000,
                 delay_max_us: 150,
@@ -161,7 +145,6 @@ impl ChaosProfile {
             "mixed" => ChaosProfile {
                 delay_ppm: 100_000,
                 delay_max_us: 100,
-                panic_ppm: 50_000,
                 shuffle_ppm: 300_000,
                 stall_ppm: 100_000,
                 stall_max_us: 100,
@@ -169,9 +152,6 @@ impl ChaosProfile {
                 lock_delay_max_us: 50,
                 ..Self::quiet("mixed")
             },
-            // Every task-start panics: drives poison → drain → degrade
-            // until the pool collapses to the sequential fallback.
-            "collapse" => ChaosProfile { panic_ppm: 1_000_000, ..Self::quiet("collapse") },
             _ => return None,
         };
         Some(p)
@@ -232,9 +212,7 @@ impl FaultPlan {
         let us = |max: u64| Duration::from_micros(if max == 0 { 0 } else { magnitude % max });
         let fault = match point {
             DecisionPoint::TaskStart => {
-                if roll < self.profile.panic_ppm {
-                    Fault::Panic { retryable: self.profile.panic_retryable }
-                } else if roll < self.profile.panic_ppm.saturating_add(self.profile.delay_ppm) {
+                if roll < self.profile.delay_ppm {
                     Fault::Delay(us(self.profile.delay_max_us))
                 } else {
                     return None;
@@ -268,35 +246,18 @@ impl FaultPlan {
     }
 }
 
-/// The payload of an injected panic. The pool's catch site downcasts
-/// to this to distinguish injected faults (with their retry policy)
-/// from genuine bugs.
-#[derive(Debug, Clone, Copy)]
-pub struct InjectedPanic {
-    /// True when the panic fired before the body ran (requeue-safe).
-    pub retryable: bool,
-}
-
 static ARMED: AtomicBool = AtomicBool::new(false);
 static GENERATION: AtomicU64 = AtomicU64::new(0);
 static CURRENT: Mutex<Option<Arc<FaultPlan>>> = Mutex::new(None);
 
 thread_local! {
     static CACHE: RefCell<(u64, Option<Arc<FaultPlan>>)> = const { RefCell::new((0, None)) };
-    /// Suppression depth: > 0 disables injection on this thread (the
-    /// degraded sequential drain and final-attempt execution run here).
-    static SUPPRESS: Cell<u32> = const { Cell::new(0) };
 }
 
 /// Install (`Some`) or remove (`None`) the process-global fault plan.
 /// Returns the previous plan. Injection sites in every instrumented
 /// layer start/stop consulting it immediately.
 pub fn install(plan: Option<Arc<FaultPlan>>) -> Option<Arc<FaultPlan>> {
-    if plan.is_some() {
-        // Injected panics are expected control flow; keep the default
-        // hook from printing a backtrace for each one.
-        silence_injected_panics();
-    }
     let mut cur = CURRENT.lock();
     ARMED.store(plan.is_some(), Ordering::Release);
     GENERATION.fetch_add(1, Ordering::Release);
@@ -311,26 +272,10 @@ pub fn installed() -> Option<Arc<FaultPlan>> {
     CURRENT.lock().clone()
 }
 
-/// True when a plan is installed and this thread is not suppressed.
+/// True when a plan is installed.
 #[inline]
 pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed) && SUPPRESS.with(Cell::get) == 0
-}
-
-/// Run `f` with injection disabled on this thread. The pool uses this
-/// for the degraded sequential drain and for an external helper's
-/// final attempt after retries are exhausted, so progress is
-/// guaranteed even under an always-panic profile.
-pub fn with_suppressed<R>(f: impl FnOnce() -> R) -> R {
-    SUPPRESS.with(|s| s.set(s.get() + 1));
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            SUPPRESS.with(|s| s.set(s.get() - 1));
-        }
-    }
-    let _restore = Restore;
-    f()
+    ARMED.load(Ordering::Relaxed)
 }
 
 #[cold]
@@ -342,8 +287,8 @@ fn refresh_cache() -> Option<Arc<FaultPlan>> {
 }
 
 /// Draw a decision from the installed plan (generation-cached handle,
-/// as in `obs::tracer`). `None` when disarmed, suppressed, or the
-/// stream rolled no fault.
+/// as in `obs::tracer`). `None` when disarmed or the stream rolled no
+/// fault.
 #[inline]
 pub fn decide(point: DecisionPoint) -> Option<Fault> {
     if !armed() {
@@ -367,15 +312,10 @@ fn decide_armed(point: DecisionPoint) -> Option<Fault> {
     plan.and_then(|p| p.decide(point))
 }
 
-/// TaskStart injection: sleep on a delay, unwind on a panic. Must be
-/// called *inside* the pool's `catch_unwind`, before the body runs.
+/// TaskStart injection: sleep before the body runs.
 pub fn on_task_start() {
-    match decide(DecisionPoint::TaskStart) {
-        Some(Fault::Delay(d)) => std::thread::sleep(d),
-        Some(Fault::Panic { retryable }) => {
-            std::panic::panic_any(InjectedPanic { retryable });
-        }
-        _ => {}
+    if let Some(Fault::Delay(d)) = decide(DecisionPoint::TaskStart) {
+        std::thread::sleep(d);
     }
 }
 
@@ -400,22 +340,6 @@ pub fn on_lock_acquire() {
     if let Some(Fault::Delay(d)) = decide(DecisionPoint::LockAcquire) {
         std::thread::sleep(d);
     }
-}
-
-/// Install a panic hook that swallows [`InjectedPanic`] payloads (the
-/// default hook would print a backtrace per injected fault) while
-/// forwarding every genuine panic to the previous hook. Idempotent.
-pub fn silence_injected_panics() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<InjectedPanic>().is_none() {
-                prev(info);
-            }
-        }));
-    });
 }
 
 #[cfg(test)]
@@ -464,16 +388,16 @@ mod tests {
     }
 
     #[test]
-    fn collapse_always_panics_and_quiet_never() {
-        let always =
-            stream(3, ChaosProfile::named("collapse").unwrap(), DecisionPoint::TaskStart, 32);
-        assert!(always.iter().all(|f| matches!(f, Some(Fault::Panic { retryable: true }))));
+    fn a_full_rate_profile_always_injects_and_quiet_never() {
+        let full = ChaosProfile { delay_ppm: 1_000_000, ..ChaosProfile::quiet("full") };
+        let always = stream(3, full, DecisionPoint::TaskStart, 32);
+        assert!(always.iter().all(|f| matches!(f, Some(Fault::Delay(_)))));
         let never = stream(3, ChaosProfile::quiet("q"), DecisionPoint::TaskStart, 32);
         assert!(never.iter().all(Option::is_none));
     }
 
     #[test]
-    fn install_and_suppression_gate_decisions() {
+    fn install_gates_decisions() {
         let _g = TEST_GUARD.lock();
         install(None);
         assert!(!armed());
@@ -485,12 +409,8 @@ mod tests {
         install(Some(Arc::clone(&plan)));
         assert!(armed());
         assert_eq!(decide(DecisionPoint::TaskStart), Some(Fault::Delay(Duration::ZERO)));
-        with_suppressed(|| {
-            assert!(!armed());
-            assert_eq!(decide(DecisionPoint::TaskStart), None);
-        });
-        assert!(armed(), "suppression is scoped");
         install(None);
+        assert!(!armed());
         assert_eq!(decide(DecisionPoint::TaskStart), None);
         assert!(plan.injected() >= 1);
     }

@@ -50,7 +50,7 @@ impl FutureTable {
 
     /// Resolve future `id` with a value. First write wins: returns
     /// false (and changes nothing) when the future is already resolved
-    /// or failed, so a retried producer cannot overwrite the result a
+    /// or failed, so no second writer can overwrite the result a
     /// waiter may already have observed.
     pub fn resolve(&self, id: u64, v: Value) -> bool {
         crate::chaos::on_future_resolve();

@@ -58,7 +58,6 @@
 //! either mode.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -111,10 +110,10 @@ pub struct PoolStats {
     pub lock_wait_total_ns: u64,
     /// Longest single contended lock wait, ns.
     pub lock_wait_max_ns: u64,
-    /// Panicked retry-eligible tasks requeued for another attempt.
+    /// Always 0: the pool never runs a body twice. Kept only because
+    /// the benchmark harness in `benchmark/` still reads it.
     pub task_retries: u64,
-    /// Servers that left the pool after exhausting a task's retry
-    /// budget (or a non-retryable panic).
+    /// Servers that left the pool after a task panicked on them.
     pub servers_poisoned: u64,
     /// `curare-stall/1` dumps emitted by the watchdog.
     pub stall_dumps: u64,
@@ -122,8 +121,8 @@ pub struct PoolStats {
     /// installed; process-global, so concurrent pools under one plan
     /// share the count).
     pub faults_injected: u64,
-    /// True once the pool collapsed below its floor and fell back to
-    /// sequential draining on the waiting thread.
+    /// True once no server was left alive and the waiting thread took
+    /// over, draining the queues sequentially.
     pub degraded: bool,
     /// Steal rounds begun by servers whose own site group was empty
     /// (each round makes a bounded number of victim probes).
@@ -173,13 +172,6 @@ pub struct RuntimeConfig {
     /// `None` (the default) spawns no watchdog thread and keeps the
     /// hot path free of heartbeat writes.
     pub stall_budget: Option<Duration>,
-    /// How many times a retry-eligible panicked task is requeued
-    /// before its server is poisoned instead.
-    pub retry_limit: u8,
-    /// Degrade once fewer than this many servers are alive: the
-    /// waiting thread drains the queues sequentially so the run still
-    /// completes with the sequentially-correct answer.
-    pub degrade_floor: usize,
     /// Run in `SpecMode`: invocations execute optimistically, heap
     /// effects are journaled, and a commit-time validator aborts and
     /// replays conflicting invocations (escalating to a sequential
@@ -189,13 +181,7 @@ pub struct RuntimeConfig {
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
-        RuntimeConfig {
-            mode: SchedMode::Sharded,
-            stall_budget: None,
-            retry_limit: 2,
-            degrade_floor: 1,
-            speculate: false,
-        }
+        RuntimeConfig { mode: SchedMode::Sharded, stall_budget: None, speculate: false }
     }
 }
 
@@ -331,10 +317,6 @@ struct Shared {
     locks: LockTable,
     futures: FutureTable,
     // ---- robustness layer (panic policy / watchdog / degradation) ----
-    /// Times a retry-eligible panicked task is requeued before poison.
-    retry_limit: u8,
-    /// Degrade once `alive` drops below this.
-    degrade_floor: usize,
     /// True when a stall budget armed the watchdog; gates every beat
     /// write so the unwatched hot path pays one branch.
     watched: bool,
@@ -342,19 +324,9 @@ struct Shared {
     beats: Vec<Arc<ServerBeat>>,
     alive: AtomicUsize,
     poisoned: AtomicU64,
-    retries: AtomicU64,
     stalls: AtomicU64,
     degraded: AtomicBool,
     stall_dumps: Mutex<Vec<Json>>,
-    /// Functions declared idempotent: real (non-injected) panics in
-    /// these are retry-eligible too.
-    idempotent: Mutex<HashSet<FuncId>>,
-    /// True once `idempotent` is non-empty, so the per-task and
-    /// per-hand-off paths skip the mutex while nothing is declared.
-    /// Relaxed: it publishes no data of its own (readers that see it
-    /// set go on to take the mutex), and `declare_idempotent` is called
-    /// before the `run` it is meant to affect.
-    any_idempotent: AtomicBool,
     // ---- speculation layer (`SpecMode`) ----
     /// True when this pool runs speculatively: spawns register with
     /// the journal and publish eagerly, body errors park instead of
@@ -516,9 +488,8 @@ impl Shared {
     }
 
     /// Put a chained task back on the queues (it carries its
-    /// producer's pending count) — used when the chaining server must
-    /// return to its caller instead of executing it, and by the retry
-    /// policy (a requeued panicked task keeps its held pending count).
+    /// producer's pending count): a helping `touch` whose future
+    /// resolved returns to its caller instead of executing it.
     fn requeue_chained(&self, task: Task) {
         let wake = self.sched.push(task);
         self.wake_servers(wake, 1);
@@ -587,10 +558,9 @@ impl Shared {
 
     /// Remove the calling server thread from the pool: decrement the
     /// alive count (once per thread, however many panics it catches on
-    /// the way out) and, when the pool drops below its floor, flip to
-    /// degraded mode and wake the `wait_idle` thread to start the
-    /// sequential drain. A no-op on threads that are not this pool's
-    /// servers.
+    /// the way out) and, when no server is left alive, flip to degraded
+    /// mode and wake the `wait_idle` thread to start the sequential
+    /// drain. A no-op on threads that are not this pool's servers.
     fn poison_current_server(self: &Arc<Self>) {
         let (pool, index) = SERVER_OF.with(Cell::get);
         if pool != self.key() || THREAD_POISONED.with(Cell::get) {
@@ -609,7 +579,7 @@ impl Shared {
         if heirs != 0 {
             self.wake_servers(heirs, usize::MAX);
         }
-        if now_alive < self.degrade_floor && !self.degraded.swap(true, Ordering::AcqRel) {
+        if now_alive == 0 && !self.degraded.swap(true, Ordering::AcqRel) {
             curare_obs::record(EventKind::Degraded, now_alive as u64);
             let _g = self.done_m.lock();
             self.done_cv.notify_all();
@@ -686,9 +656,9 @@ impl Shared {
 /// and dump any live server whose last transition is older than the
 /// budget while in a non-idle phase. One dump per stall — the
 /// per-server latch re-arms when the beat progresses or goes idle.
-/// Detection only: recovery belongs to the retry/poison/degrade
-/// machinery at the catch sites, because a stalled-but-alive server
-/// cannot be safely killed from outside.
+/// Detection only: recovery belongs to the panic policy at the catch
+/// site, because a stalled-but-alive server cannot be safely killed
+/// from outside.
 fn watchdog_loop(shared: &Arc<Shared>, budget: Duration) {
     let budget_ns = u64::try_from(budget.as_nanos()).unwrap_or(u64::MAX);
     let tick = (budget / 4).max(Duration::from_millis(5));
@@ -742,7 +712,7 @@ impl Shared {
                 curare_obs::record(EventKind::BindFuture, curare_obs::pack_pair(inv, id));
             }
         }
-        Task { fid, args, site, future, inv, attempts: 0 }
+        Task { fid, args, site, future, inv }
     }
 }
 
@@ -810,30 +780,14 @@ impl CriHooks {
     /// of joining the batch that publishes — or chains — at invocation
     /// end. Hand-off asks for it because its producer's tail is long;
     /// an eager pool always does (speculation for the same overlap).
-    /// A body that may run again gets neither.
     #[inline]
     fn spawn(&self, task: Task, now: bool) {
-        if (now || self.shared.eager) && !self.body_may_rerun() {
+        if now || self.shared.eager {
             self.flush_batch();
             self.shared.submit_now(task);
         } else if let Some(task) = self.try_batch(task) {
             self.shared.submit_now(task);
         }
-    }
-
-    /// True when the executing invocation's body may be run again by
-    /// the panic policy (its function is declared idempotent). Such a
-    /// body must not publish before it ends: the retry would spawn the
-    /// successor a second time, whereas a buffered successor dies with
-    /// the failed attempt. Its spawns therefore stay lazy, hand-offs
-    /// and eager pools included.
-    fn body_may_rerun(&self) -> bool {
-        if !self.shared.any_idempotent.load(Ordering::Relaxed) {
-            return false;
-        }
-        let key = self.shared.key();
-        let executing = BATCH.with(|b| b.borrow().last().filter(|f| f.key == key).map(|f| f.fid));
-        executing.is_some_and(|fid| self.shared.idempotent.lock().contains(&fid))
     }
 
     fn enqueue_at(
@@ -869,8 +823,8 @@ impl RuntimeHooks for CriHooks {
     /// so the same conditions decide — `chains_past` what is buffered,
     /// not aborting — for the tasks `may_restart` admits, and what is
     /// buffered is published as it would be there. Every link is still
-    /// a task: counted, and leaving the records a materialised chain
-    /// leaves, in their order.
+    /// a task: counted, leaving the records a materialised chain leaves,
+    /// in their order, and starting at the plan's task-start point.
     fn chain_in_place(&self, site: usize, fid: FuncId) -> bool {
         let shared = &self.shared;
         let key = shared.key();
@@ -894,6 +848,7 @@ impl RuntimeHooks for CriHooks {
             if shared.watched {
                 watchdog::beat_enter(PHASE_EXECUTING, fid as u64);
             }
+            crate::chaos::on_task_start();
             true
         })
     }
@@ -1065,7 +1020,7 @@ impl CriRuntime {
     }
 
     /// Spawn a pool with full [`RuntimeConfig`] control (scheduler
-    /// mode, stall watchdog, retry limit, degradation floor).
+    /// mode, stall watchdog, speculation).
     pub fn with_config(interp: Arc<Interp>, servers: usize, config: RuntimeConfig) -> Self {
         let servers = servers.max(1);
         let sched = match config.mode {
@@ -1093,18 +1048,13 @@ impl CriRuntime {
             aborting: AtomicBool::new(false),
             locks: LockTable::new(),
             futures: FutureTable::new(),
-            retry_limit: config.retry_limit,
-            degrade_floor: config.degrade_floor,
             watched,
             beats,
             alive: AtomicUsize::new(servers),
             poisoned: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
             stalls: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
             stall_dumps: Mutex::new(Vec::new()),
-            idempotent: Mutex::new(HashSet::new()),
-            any_idempotent: AtomicBool::new(false),
             speculate: config.speculate,
             spec_commits: AtomicU64::new(0),
             spec_aborts: AtomicU64::new(0),
@@ -1223,12 +1173,10 @@ impl CriRuntime {
     }
 
     /// Execute one invocation inline and sequentially (the speculation
-    /// escalation path): hook-routed spawns call straight through, and
-    /// fault injection is suppressed so the rerun always progresses.
+    /// escalation path): hook-routed spawns call straight through.
     fn run_inline(&self, fid: FuncId, args: Vec<Value>) -> Result<(), LispError> {
         INLINE_SEQ.with(|f| f.set(true));
-        let res =
-            crate::chaos::with_suppressed(|| self.interp.call_fid_owned(fid, args).map(|_| ()));
+        let res = self.interp.call_fid_owned(fid, args).map(|_| ());
         INLINE_SEQ.with(|f| f.set(false));
         res
     }
@@ -1248,8 +1196,8 @@ impl CriRuntime {
         self.interp.hooks().touch(&self.interp, v)
     }
 
-    /// Block until no invocation is pending. On a degraded pool (too
-    /// few live servers) the waiting thread itself drains the queues
+    /// Block until no invocation is pending. On a degraded pool (no
+    /// server left alive) the waiting thread itself drains the queues
     /// sequentially, so the run still completes with the
     /// sequentially-correct answer.
     pub fn wait_idle(&self) {
@@ -1271,22 +1219,16 @@ impl CriRuntime {
     }
 
     /// Sequential fallback: execute every queued task (and its chains)
-    /// on the calling thread, with fault injection suppressed so
-    /// progress is guaranteed even under an always-panic profile.
-    /// Tasks requeued by poisoned servers before degradation are
-    /// already on the queues (the retry policy requeues *before*
-    /// flipping the degraded flag), so nothing is lost or duplicated.
+    /// on the calling thread.
     fn drain_degraded(&self) {
         let (mut vm, mut tally) = (Vm::new(&self.interp), Tally::default());
-        crate::chaos::with_suppressed(|| {
-            while let Some(t) = self.shared.sched.pop() {
-                let mut next = Some(t);
-                while let Some(t) = next.take() {
-                    next = execute_task(&self.shared, &mut vm, t, &mut tally, false);
-                }
-                self.shared.settle(&mut tally, &mut vm);
+        while let Some(t) = self.shared.sched.pop() {
+            let mut next = Some(t);
+            while let Some(t) = next.take() {
+                next = execute_task(&self.shared, &mut vm, t, &mut tally, false);
             }
-        });
+            self.shared.settle(&mut tally, &mut vm);
+        }
     }
 
     /// Lifetime statistics.
@@ -1314,7 +1256,7 @@ impl CriRuntime {
             tlab_refills: self.interp.heap().tlab_refills(),
             lock_wait_total_ns: self.shared.locks.wait_total_ns(),
             lock_wait_max_ns: self.shared.locks.wait_max_ns(),
-            task_retries: self.shared.retries.load(Ordering::Relaxed),
+            task_retries: 0,
             servers_poisoned: self.shared.poisoned.load(Ordering::Relaxed),
             stall_dumps: self.shared.stalls.load(Ordering::Relaxed),
             faults_injected: crate::chaos::installed().map_or(0, |p| p.injected()),
@@ -1333,19 +1275,7 @@ impl CriRuntime {
         self.shared.speculate
     }
 
-    /// Declare `fname` idempotent-by-construction (a pure reader per
-    /// the conflict analysis): real panics in it become retry-eligible,
-    /// not just chaos-injected pre-body ones. No-op for undefined
-    /// names.
-    pub fn declare_idempotent(&self, fname: &str) {
-        let sym = self.interp.heap().intern(fname);
-        if let Some(fid) = self.interp.lookup_func(sym) {
-            self.shared.idempotent.lock().insert(fid);
-            self.shared.any_idempotent.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// True once the pool collapsed below its floor and fell back to
+    /// True once no server was left alive and the pool fell back to
     /// sequential draining.
     pub fn degraded(&self) -> bool {
         self.shared.degraded.load(Ordering::Acquire)
@@ -1390,7 +1320,6 @@ impl CriRuntime {
             .set("park_ns", stats.park_ns)
             .set("peak_idle_servers", stats.peak_idle_servers)
             .set("tlab_refills", stats.tlab_refills)
-            .set("task_retries", stats.task_retries)
             .set("servers_poisoned", stats.servers_poisoned)
             .set("stall_dumps", stats.stall_dumps)
             .set("faults_injected", stats.faults_injected)
@@ -1545,36 +1474,25 @@ fn execute_task(
     tally: &mut Tally,
     helping: bool,
 ) -> Option<Task> {
-    // Keep a copy for the retry policy (a panicked retry-eligible task
-    // is requeued from the copy; the original's args are consumed by
-    // the call below) — only where a retry can happen at all: a chaos
-    // plan is armed, or this pool has a declared-idempotent function.
-    let retry_copy = (crate::chaos::armed() || shared.any_idempotent.load(Ordering::Relaxed))
-        .then(|| task.clone());
     let Task { fid, args, future, inv, .. } = task;
     let key = shared.key();
     // A tail-position spawn may restart this frame in place only where
     // that cannot be told from running the successor as a task: the
     // pool buffers spawns at all (an eager one publishes each at the
-    // spawn), the body cannot be run again (a retry would re-run the
-    // chain from its first link), no toucher waits for this task's
-    // value (it would wait for the whole chain), no helping `touch`
-    // runs it (it must return at the first task boundary it can).
-    let may_restart = !shared.eager && retry_copy.is_none() && future.is_none() && !helping;
+    // spawn), no toucher waits for this task's value (it would wait for
+    // the whole chain), no helping `touch` runs it (it must return at
+    // the first task boundary it can).
+    let may_restart = !shared.eager && future.is_none() && !helping;
     let (tasks, in_place, batched) = (take_spare(), 0, 0);
     BATCH.with(|b| {
         b.borrow_mut().push(BatchFrame { key, fid, inv, tasks, may_restart, in_place, batched })
     });
     let _beat = shared.watched.then(|| BeatGuard::enter(PHASE_EXECUTING, fid as u64));
     let prev_inv = begin_invocation(fid, inv);
+    crate::chaos::on_task_start();
     // The body runs under `catch_unwind`, so a panicking invocation
-    // still settles its pending count (`handle_panic`). Injected faults
-    // fire *inside* the catch, before the body — a retried task is
-    // therefore exactly-once with respect to user effects.
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        crate::chaos::on_task_start();
-        vm.call(fid, args)
-    }));
+    // still settles its pending count (`handle_panic`).
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| vm.call(fid, args)));
     let mut frame = BATCH.with(|b| b.borrow_mut().pop()).expect("balanced batch frames");
     debug_assert_eq!(frame.key, key, "frames pop in push order");
     // The frame names the last link; those before it ran in place.
@@ -1590,10 +1508,9 @@ fn execute_task(
             put_spare(frame.tasks);
             vm.reset();
             if shared.speculate {
-                // SpecMode has no retry/poison ladder: park the
-                // panic as an errored invocation and let the
-                // validator escalate to the fault-suppressed
-                // sequential rerun, which is exactly-once by
+                // SpecMode does not poison: park the panic as an
+                // errored invocation and let the validator escalate to
+                // the sequential rerun, which is exactly-once by
                 // construction.
                 speclog::record_error(inv);
                 if let Some(id) = future {
@@ -1604,7 +1521,8 @@ fn execute_task(
                 tally.finished += 1;
                 return None;
             }
-            return handle_panic(shared, vm, payload, retry_copy, future, tally);
+            handle_panic(shared, vm, payload.as_ref(), future, tally);
+            return None;
         }
     };
     tally.executed += 1;
@@ -1644,57 +1562,21 @@ fn execute_task(
     chained
 }
 
-/// The panic policy behind `execute_task`'s catch. The caller has
-/// already settled the obs bookkeeping, dropped the batch frame and
-/// reset the VM context; this decides what happens to the task itself:
-///
-/// - **retry** (injected pre-body panic, or any panic in a declared-
-///   idempotent function, within budget): requeue the saved copy with
-///   a tiny linear backoff — it keeps the held pending count, so the
-///   run's termination accounting is untouched;
-/// - **poison** (budget exhausted on one of this pool's servers):
-///   requeue the task *first*, then remove the server, so the degrade
-///   wakeup always finds the task queued;
-/// - **final attempt** (budget exhausted on an external helper, or on
-///   a server already leaving): execute inline with injection
-///   suppressed — guaranteed progress under an always-panic profile;
-/// - **abort** (non-retryable): fail the future so waiters unblock
-///   (the FutureTable orphan fix), surface the panic as the run error,
-///   drain the queues, settle at once and poison the server — a
-///   genuine panic may have corrupted its state.
+/// The panic policy behind `execute_task`'s catch, for a body that
+/// panicked outside speculation. The caller has already settled the
+/// obs bookkeeping, dropped the batch frame and reset the VM context.
+/// The pool never runs the body again: it fails the future so waiters
+/// unblock, surfaces the panic as the run error, drains the queues,
+/// settles at once and poisons the server — a genuine panic may have
+/// corrupted its state.
 fn handle_panic(
     shared: &Arc<Shared>,
     vm: &mut Vm<'_>,
-    payload: Box<dyn std::any::Any + Send>,
-    retry_copy: Option<Task>,
+    payload: &(dyn std::any::Any + Send),
     future: Option<u64>,
     tally: &mut Tally,
-) -> Option<Task> {
-    let injected = payload.downcast_ref::<crate::chaos::InjectedPanic>().copied();
-    let retryable = retry_copy.as_ref().is_some_and(|copy| {
-        injected.is_some_and(|ip| ip.retryable) || shared.idempotent.lock().contains(&copy.fid)
-    });
-    if retryable {
-        let mut copy = retry_copy.expect("retryable implies a saved copy");
-        copy.attempts = copy.attempts.saturating_add(1);
-        if copy.attempts <= shared.retry_limit {
-            shared.retries.fetch_add(1, Ordering::Relaxed);
-            curare_obs::record(EventKind::TaskRetry, copy.fid as u64);
-            std::thread::sleep(Duration::from_micros(50 * copy.attempts as u64));
-            shared.requeue_chained(copy);
-            return None;
-        }
-        let (pool, _) = SERVER_OF.with(Cell::get);
-        if pool == shared.key() && !THREAD_POISONED.with(Cell::get) {
-            shared.requeue_chained(copy);
-            shared.poison_current_server();
-            return None;
-        }
-        return crate::chaos::with_suppressed(|| execute_task(shared, vm, copy, tally, false));
-    }
-    let msg = if injected.is_some() {
-        "injected non-retryable fault".to_string()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
+) {
+    let msg = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
@@ -1705,7 +1587,6 @@ fn handle_panic(
     shared.poison_current_server();
     tally.finished += 1;
     shared.settle(tally, vm);
-    None
 }
 
 #[cfg(test)]

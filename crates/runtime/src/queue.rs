@@ -45,7 +45,7 @@ use curare_lisp::{FuncId, Value};
 
 /// One pending invocation: the function, its arguments, and the call
 /// site that produced it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Task {
     /// Function to invoke.
     pub fid: FuncId,
@@ -58,8 +58,6 @@ pub struct Task {
     /// Invocation id (0 unless the access journal or the causal
     /// profiler is armed).
     pub inv: u64,
-    /// Execution attempts so far (> 0 only for chaos-injected retries).
-    pub attempts: u8,
 }
 
 /// Sites at or above this index share the top bitmask bit.
@@ -471,7 +469,7 @@ impl ShardedQueues {
         true
     }
 
-    /// Retire a server's group (chaos-poisoned thread): mark it dead
+    /// Retire a server's group (poisoned thread): mark it dead
     /// and migrate every non-empty site it owns to the next live group
     /// (an empty one is rehomed by its next push). Returns the wake
     /// mask of the servers that inherited work. A group shared by
@@ -567,7 +565,7 @@ mod tests {
     use std::sync::Arc;
 
     fn task(site: usize, tag: i64) -> Task {
-        Task { fid: 0, args: vec![Value::int(tag)], site, future: None, inv: 0, attempts: 0 }
+        Task { fid: 0, args: vec![Value::int(tag)], site, future: None, inv: 0 }
     }
 
     #[test]

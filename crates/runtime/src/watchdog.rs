@@ -8,7 +8,7 @@
 //! budget while in a non-idle phase — a blocked `touch`, a lock
 //! convoy, or a body that simply never returns. Detection is separate
 //! from policy: the watchdog emits a `curare-stall/1` dump and leaves
-//! recovery to the retry/poison/degrade machinery at the catch sites,
+//! recovery to the panic policy at the catch site (poison, degrade),
 //! because a stalled-but-alive server cannot be safely killed from
 //! outside.
 //!

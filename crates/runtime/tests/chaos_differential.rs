@@ -1,8 +1,8 @@
 //! Schedule-permutation differential battery (chaos harness).
 //!
 //! Every seeded fault plan is a legal adversary: it perturbs *when*
-//! things happen (delays, stalls, cross-site dequeue choice, retried
-//! tasks), never *what* the program means. So for every program the
+//! things happen (delays, stalls, cross-site dequeue choice), never
+//! *what* the program means. So for every program the
 //! paper's claim must hold verbatim — the chaos run's observable
 //! outcome equals the sequential oracle's, for every seed, under both
 //! schedulers.
@@ -151,12 +151,13 @@ impl Prog {
         })
     }
 
-    /// One pooled run under an installed fault plan.
+    /// One pooled run on `servers` servers under an installed fault
+    /// plan.
     fn chaos_run(
         self,
         n: i64,
         seed: u64,
-        mode: SchedMode,
+        (mode, servers): (SchedMode, usize),
         profile: ChaosProfile,
     ) -> (String, PoolStats) {
         // Uninstall on the way out even when an assertion panics, so
@@ -172,7 +173,7 @@ impl Prog {
         let interp = self.interp();
         let rt = CriRuntime::with_config(
             Arc::clone(&interp),
-            4,
+            servers,
             RuntimeConfig { mode, ..RuntimeConfig::default() },
         );
         let observed = self.observe(&interp, n, &|entry, args| {
@@ -194,7 +195,8 @@ fn sweep(mode: SchedMode, programs: &[Prog]) {
         for seed in 0..32u64 {
             let n = 32 + (seed as i64 % 17);
             let expect = prog.oracle(n);
-            let (got, stats) = prog.chaos_run(n, seed, mode, ChaosProfile::named("mixed").unwrap());
+            let mixed = ChaosProfile::named("mixed").unwrap();
+            let (got, stats) = prog.chaos_run(n, seed, (mode, 4), mixed);
             assert_eq!(
                 got, expect,
                 "{prog:?} diverged from the sequential oracle (seed {seed}, {mode:?}, n {n})"
@@ -216,7 +218,7 @@ fn five_programs_match_oracle_across_32_seeds_sharded() {
 }
 
 /// The hand-off path under the same adversary: successors published
-/// at the spawn, injected pre-body panics retried, dequeues shuffled.
+/// at the spawn, task starts delayed, dequeues shuffled.
 #[test]
 fn handed_off_tail_heavy_matches_oracle_across_32_seeds_both_schedulers() {
     assert!(Prog::TailHeavy.interp().named_funcs().iter().any(|f| f.name == "th"));
@@ -232,16 +234,33 @@ fn handed_off_tail_heavy_matches_oracle_across_32_seeds_both_schedulers() {
 fn every_named_profile_preserves_the_oracle() {
     let _g = guard();
     for name in ChaosProfile::NAMES {
-        // `collapse` drives the pool to the degraded fallback; covered
-        // by the invariants suite where its stats are asserted too.
-        if name == "collapse" {
-            continue;
-        }
         for prog in [Prog::Figure5, Prog::SumWalk] {
             let expect = prog.oracle(40);
-            let (got, _) =
-                prog.chaos_run(40, 7, SchedMode::Sharded, ChaosProfile::named(name).unwrap());
+            let profile = ChaosProfile::named(name).unwrap();
+            let (got, _) = prog.chaos_run(40, 7, (SchedMode::Sharded, 4), profile);
             assert_eq!(got, expect, "profile {name} broke {prog:?}");
+        }
+    }
+}
+
+/// A plan perturbs only the schedule, so a chaos run takes the path an
+/// unarmed one takes: under every named profile, a lazy pool of 2 or 4
+/// servers restarts the tail-spawn walkers' links in place — the path
+/// the benchmark's tiny-grain walk runs — and matches the oracle.
+#[test]
+fn every_named_profile_restarts_tail_spawns_in_place() {
+    let _g = guard();
+    let n = 240;
+    for prog in [Prog::Figure5, Prog::SumWalk] {
+        let expect = prog.oracle(n);
+        for name in ChaosProfile::NAMES {
+            for servers in [2, 4] {
+                let profile = ChaosProfile::named(name).unwrap();
+                let (got, stats) = prog.chaos_run(n, 3, (SchedMode::Sharded, servers), profile);
+                let what = format!("{prog:?} under {name}, S = {servers}");
+                assert_eq!(got, expect, "{what}");
+                assert!(stats.in_place_tasks > 0, "{what}: {stats:?}");
+            }
         }
     }
 }
@@ -278,7 +297,8 @@ fn random_program_battery_matches_oracle() {
         let seed = rng.next();
         let mode = if case % 2 == 0 { SchedMode::Central } else { SchedMode::Sharded };
         let expect = prog.oracle(n);
-        let (got, _) = prog.chaos_run(n, seed, mode, ChaosProfile::named("mixed").unwrap());
+        let mixed = ChaosProfile::named("mixed").unwrap();
+        let (got, _) = prog.chaos_run(n, seed, (mode, 4), mixed);
         assert_eq!(got, expect, "case {case}: {prog:?} n={n} seed={seed} {mode:?}");
     }
 }

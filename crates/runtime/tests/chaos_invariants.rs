@@ -1,15 +1,16 @@
 //! Invariants that must survive every fault the chaos harness can
-//! inject: per-site FIFO under dequeue shuffling, first-write-wins
-//! futures, exactly-once effects through retry/poison/degrade, and a
-//! watchdog that fires on genuine stalls but never on a merely-slow
-//! healthy run.
+//! inject — per-site FIFO under dequeue shuffling, first-write-wins
+//! futures, a watchdog that fires on genuine stalls but never on a
+//! merely-slow healthy run — and the two a genuine panic must keep: a
+//! crashed producer's future fails, and a speculative run escalates
+//! with every effect exactly once.
 
 mod common;
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{guard, with_big_stack};
+use common::{guard, quietly, with_big_stack, Hook, PanicOn};
 use curare_lisp::{Interp, LispError, Val, Value};
 use curare_runtime::chaos::{self, ChaosProfile, FaultPlan};
 use curare_runtime::queue::ShardedQueues;
@@ -32,7 +33,7 @@ fn with_plan<T>(plan: Arc<FaultPlan>, f: impl FnOnce() -> T) -> T {
 }
 
 fn task(site: usize, tag: i64) -> Task {
-    Task { fid: 0, args: vec![Value::int(tag)], site, future: None, inv: 0, attempts: 0 }
+    Task { fid: 0, args: vec![Value::int(tag)], site, future: None, inv: 0 }
 }
 
 /// Drain `pop` to exhaustion and assert tags stay ascending within
@@ -137,7 +138,7 @@ fn futures_stay_first_write_wins_under_resolution_stalls() {
             other => panic!("not a future: {other:?}"),
         };
         assert!(t.resolve(id, Value::int(1)));
-        assert!(!t.resolve(id, Value::int(2)), "retried producer must not overwrite");
+        assert!(!t.resolve(id, Value::int(2)), "a second producer must not overwrite");
         assert!(!t.fail(id, LispError::User("late".into())));
         assert_eq!(t.touch(id).unwrap(), Value::int(1));
     });
@@ -165,98 +166,6 @@ fn int_list(interp: &Interp, n: i64) -> Value {
         l = interp.heap().cons(Value::int(i + 1), l);
     }
     l
-}
-
-/// The collapse profile panics every task on every server: all four
-/// servers exhaust the retry budget and are poisoned, the pool drops
-/// below its floor, and the degraded drain must still run every task
-/// exactly once — the requeue-before-poison rule means nothing is
-/// dropped, and first-write-wins futures mean nothing is doubled.
-#[test]
-fn poisoned_server_drain_is_exactly_once() {
-    let _g = guard();
-    let n = 200i64;
-    let plan = FaultPlan::new(11, ChaosProfile::named("collapse").unwrap());
-    with_plan(plan, || {
-        let interp = sum_walk_interp();
-        let rt = CriRuntime::with_config(
-            Arc::clone(&interp),
-            4,
-            RuntimeConfig { retry_limit: 1, ..RuntimeConfig::default() },
-        );
-        let l = int_list(&interp, n);
-        rt.run("walk", &[l]).expect("degraded run still completes");
-        assert_eq!(interp.load_str("*sum*").unwrap(), Value::int(n * (n + 1) / 2));
-        let stats = rt.stats();
-        assert_eq!(stats.tasks, n as u64 + 1, "every task ran exactly once: {stats:?}");
-        assert_eq!(stats.servers_poisoned, 4, "all servers must collapse: {stats:?}");
-        assert!(stats.degraded, "the pool must report degradation: {stats:?}");
-        // Attempts persist across requeues: the first server grants
-        // the single retry, and every later server sees the budget
-        // already exhausted and poisons itself immediately.
-        assert!(stats.task_retries >= 1, "the first attempt retries before poisoning: {stats:?}");
-        assert_eq!(rt.alive(), 0);
-        assert!(rt.degraded());
-        let report = rt.run_report("collapse");
-        let degraded = report
-            .get("pool")
-            .and_then(|p| p.get("degraded"))
-            .and_then(|d| d.as_bool())
-            .expect("pool.degraded in run report");
-        assert!(degraded, "run report must carry the degraded flag");
-    });
-}
-
-/// The same collapse, but through further runs: a degraded pool keeps
-/// answering correctly (sequentially) instead of wedging.
-#[test]
-fn degraded_pool_survives_subsequent_runs() {
-    let _g = guard();
-    let plan = FaultPlan::new(5, ChaosProfile::named("collapse").unwrap());
-    with_plan(plan, || {
-        let interp = sum_walk_interp();
-        let rt = CriRuntime::with_config(
-            Arc::clone(&interp),
-            2,
-            RuntimeConfig { retry_limit: 1, ..RuntimeConfig::default() },
-        );
-        for round in 1..=3i64 {
-            interp.load_str("(setq *sum* 0)").unwrap();
-            let n = 40 * round;
-            let l = int_list(&interp, n);
-            rt.run("walk", &[l]).expect("degraded run completes");
-            assert_eq!(
-                interp.load_str("*sum*").unwrap(),
-                Value::int(n * (n + 1) / 2),
-                "round {round}"
-            );
-        }
-        assert!(rt.degraded());
-    });
-}
-
-/// Retryable panics at a moderate rate: tasks are re-attempted but
-/// user effects stay exactly-once (injection fires before the body).
-#[test]
-fn retried_tasks_apply_their_effects_exactly_once() {
-    let _g = guard();
-    let n = 300i64;
-    let plan = FaultPlan::new(21, ChaosProfile::named("panics").unwrap());
-    with_plan(plan, || {
-        let interp = sum_walk_interp();
-        let rt = CriRuntime::with_config(Arc::clone(&interp), 4, RuntimeConfig::default());
-        let l = int_list(&interp, n);
-        rt.run("walk", &[l]).expect("run completes despite injected panics");
-        assert_eq!(interp.load_str("*sum*").unwrap(), Value::int(n * (n + 1) / 2));
-        let stats = rt.stats();
-        assert_eq!(stats.tasks, n as u64 + 1, "retries must not double-count: {stats:?}");
-        assert!(stats.task_retries > 0, "a 15% panic rate over 301 tasks must retry: {stats:?}");
-        // The restructured walker spawns in tail position; under an
-        // armed plan every link stays a task with a start to fail at
-        // (in place, a retry would re-run the chain from its first
-        // link, and 300 of the 301 injection points would be gone).
-        assert_eq!(stats.in_place_tasks, 0, "{stats:?}");
-    });
 }
 
 /// A slow-but-healthy run (sub-millisecond injected delays) against a
@@ -395,47 +304,46 @@ fn walker_oracle(src: &str, entry: &str, n: i64) -> String {
     })
 }
 
-/// Injected panics under `SpecMode` must not retry, poison, or double
-/// any effect: panicked invocations park as errored, the validator
+/// Genuine panics under `SpecMode` must not poison or double any
+/// effect: panicked invocations park as errored, the validator
 /// escalates, the rollback erases every journaled write, and the
-/// fault-suppressed sequential rerun applies each effect exactly once.
+/// sequential rerun applies each effect exactly once.
 #[test]
 fn speculative_effects_stay_exactly_once_when_panics_force_escalation() {
     let _g = guard();
     let n = 120i64;
-    let plan = FaultPlan::new(13, ChaosProfile::named("panics").unwrap());
-    with_plan(plan, || {
-        let out = Curare::new()
-            .with_speculation(true)
-            .transform_source(
-                "(curare-declare (reorderable +))
-                 (defun walk (l)
-                   (when l
-                     (setq *sum* (+ *sum* (car l)))
-                     (walk (cdr l))))",
-            )
-            .unwrap();
-        let interp = Arc::new(Interp::new());
-        interp.load_str(&out.source()).unwrap();
-        interp.load_str("(defparameter *sum* 0)").unwrap();
-        let rt = CriRuntime::with_config(
-            Arc::clone(&interp),
-            4,
-            RuntimeConfig { speculate: true, ..RuntimeConfig::default() },
-        );
-        let l = int_list(&interp, n);
-        rt.run("walk", &[l]).expect("speculative chaos run completes");
-        assert_eq!(
-            interp.load_str("*sum*").unwrap(),
-            Value::int(n * (n + 1) / 2),
-            "rollback + sequential rerun must leave each increment exactly once"
-        );
-        let stats = rt.stats();
-        assert!(stats.spec_escalated, "a 15% panic rate over {n} tasks must escalate: {stats:?}");
-        assert_eq!(stats.task_retries, 0, "SpecMode parks panics, it never requeues: {stats:?}");
-        assert_eq!(stats.servers_poisoned, 0, "SpecMode never poisons servers: {stats:?}");
-        assert!(!stats.degraded, "escalation is not the poison/degrade ladder: {stats:?}");
-    });
+    let out = Curare::new()
+        .with_speculation(true)
+        .transform_source(
+            "(curare-declare (reorderable +))
+             (defun walk (l)
+               (when l
+                 (setq *sum* (+ *sum* (car l)))
+                 (walk (cdr l))))",
+        )
+        .unwrap();
+    let interp = Arc::new(Interp::new());
+    interp.load_str(&out.source()).unwrap();
+    interp.load_str("(defparameter *sum* 0)").unwrap();
+    let rt = CriRuntime::with_config(
+        Arc::clone(&interp),
+        4,
+        RuntimeConfig { speculate: true, ..RuntimeConfig::default() },
+    );
+    // Link 41 dies at its spawn: the chain's suffix is never spawned,
+    // so only the rerun can leave the right sum.
+    PanicOn::install(&interp, Hook::Enqueue, 40, 1);
+    let l = int_list(&interp, n);
+    quietly(|| rt.run("walk", &[l])).expect("speculative run completes");
+    assert_eq!(
+        interp.load_str("*sum*").unwrap(),
+        Value::int(n * (n + 1) / 2),
+        "rollback + sequential rerun must leave each increment exactly once"
+    );
+    let stats = rt.stats();
+    assert!(stats.spec_escalated, "a panicked invocation must escalate: {stats:?}");
+    assert_eq!(stats.servers_poisoned, 0, "SpecMode never poisons servers: {stats:?}");
+    assert!(!stats.degraded, "escalation is not the poison/degrade ladder: {stats:?}");
 }
 
 /// The abort machinery racing the chaos adversary: full-rate dequeue
@@ -486,33 +394,23 @@ fn shuffled_speculative_sweep_matches_oracle_across_32_seeds() {
 #[test]
 fn crashed_producer_fails_its_future_instead_of_orphaning_waiters() {
     let _g = guard();
-    // Non-retryable hard crashes on every task: the first future
-    // producer dies and the pool aborts the run.
-    let plan = FaultPlan::new(
-        4,
-        ChaosProfile {
-            panic_ppm: 1_000_000,
-            panic_retryable: false,
-            ..ChaosProfile::quiet("crash")
-        },
-    );
-    with_plan(plan, || {
-        let out = Curare::new()
-            .transform_source(
-                "(defun rot (l)
-                   (when l
-                     (rot (cdr l))
-                     (setf (cdr l) (car l))))",
-            )
-            .unwrap();
-        let interp = Arc::new(Interp::new());
-        interp.load_str(&out.source()).unwrap();
-        let rt = CriRuntime::with_config(Arc::clone(&interp), 2, RuntimeConfig::default());
-        let l = int_list(&interp, 50);
-        // `rot` touches the future of its recursive call, so an
-        // orphaned future would wedge this run instead of erroring.
-        let err = rt.run("rot", &[l]).expect_err("hard crashes must surface as an error");
-        let msg = format!("{err:?}");
-        assert!(msg.contains("task panicked"), "panic surfaces in the run error: {msg}");
-    });
+    let out = Curare::new()
+        .transform_source(
+            "(defun rot (l)
+               (when l
+                 (rot (cdr l))
+                 (setf (cdr l) (car l))))",
+        )
+        .unwrap();
+    let interp = Arc::new(Interp::new());
+    interp.load_str(&out.source()).unwrap();
+    let rt = CriRuntime::with_config(Arc::clone(&interp), 2, RuntimeConfig::default());
+    // `rot` touches the future of its recursive call. The root's
+    // future is created; the invocation producing it dies creating its
+    // own, so an orphaned future would wedge the root's touch.
+    PanicOn::install(&interp, Hook::Future, 1, 1);
+    let l = int_list(&interp, 50);
+    let err = quietly(|| rt.run("rot", &[l])).expect_err("the crash must surface as an error");
+    let msg = format!("{err:?}");
+    assert!(msg.contains("task panicked"), "panic surfaces in the run error: {msg}");
 }

@@ -1,8 +1,9 @@
 //! Test support shared by the suites in this directory: the guard
 //! that serializes tests arming process-global state, the big-stack
-//! thread sequential oracles need, and (for the panic-policy tests) a
-//! hooks wrapper that makes an invocation body panic — genuinely, not
-//! through the chaos plan — at a chosen point.
+//! thread sequential oracles need, and two hooks wrappers: one that
+//! makes an invocation body panic — genuinely, not through the chaos
+//! plan — at a chosen call, one that keeps every link of a chain a
+//! task (the materialised reference of the in-place tests).
 
 // Each suite is its own crate and uses a subset of this module.
 #![allow(dead_code)]
@@ -42,51 +43,104 @@ pub fn with_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
     })
 }
 
-/// Forwards to the pool's hooks, but `remaining` lock acquisitions
-/// (after the first `skip`) panic: in a body written `spawn;
-/// (cri-lock …); effect` that is after its spawn and before its effect.
-pub struct PanicOnLock {
+/// The runtime calls a [`PanicOn`] wrapper can make panic.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub enum Hook {
+    Enqueue,
+    Future,
+    Lock,
+}
+
+/// Forwards to the pool's hooks, but `remaining` calls of one hook
+/// (after the first `skip`) panic — genuinely, inside the body that
+/// made the call. At `Lock`, in a body written `spawn; (cri-lock …);
+/// effect`, that is after its spawn and before its effect.
+pub struct PanicOn {
     inner: Arc<dyn RuntimeHooks>,
+    hook: Hook,
     skip: AtomicUsize,
     remaining: AtomicUsize,
 }
 
-impl PanicOnLock {
+impl PanicOn {
     /// Wrap `interp`'s installed hooks (install the pool first): after
-    /// `skip` acquisitions that succeed, `panics` that panic.
-    pub fn install(interp: &Interp, skip: usize, panics: usize) {
+    /// `skip` calls of `hook` that succeed, `panics` that panic.
+    pub fn install(interp: &Interp, hook: Hook, skip: usize, panics: usize) {
         let (inner, skip, remaining) =
             (interp.hooks(), AtomicUsize::new(skip), AtomicUsize::new(panics));
-        interp.set_hooks(Arc::new(PanicOnLock { inner, skip, remaining }));
+        interp.set_hooks(Arc::new(PanicOn { inner, hook, skip, remaining }));
+    }
+
+    fn strike(&self, hook: Hook) {
+        let take_one = |left: usize| left.checked_sub(1);
+        let take = |n: &AtomicUsize| n.fetch_update(Ordering::SeqCst, Ordering::SeqCst, take_one);
+        if hook == self.hook && take(&self.skip).is_err() && take(&self.remaining).is_ok() {
+            panic!("body failed");
+        }
     }
 }
 
-impl RuntimeHooks for PanicOnLock {
+impl RuntimeHooks for PanicOn {
     fn chain_in_place(&self, s: usize, f: FuncId) -> bool {
         self.inner.chain_in_place(s, f)
     }
     fn enqueue(&self, i: &Interp, s: usize, f: FuncId, a: Vec<Value>) -> Result<(), LispError> {
+        self.strike(Hook::Enqueue);
         self.inner.enqueue(i, s, f, a)
     }
     fn handoff(&self, i: &Interp, s: usize, f: FuncId, a: Vec<Value>) -> Result<(), LispError> {
         self.inner.handoff(i, s, f, a)
     }
     fn future(&self, i: &Interp, f: FuncId, a: Vec<Value>) -> Result<Value, LispError> {
+        self.strike(Hook::Future);
         self.inner.future(i, f, a)
     }
     fn touch(&self, i: &Interp, v: Value) -> Result<Value, LispError> {
         self.inner.touch(i, v)
     }
     fn lock(&self, i: &Interp, c: Value, f: u32, x: bool) -> Result<(), LispError> {
-        let take_one = |left: usize| left.checked_sub(1);
-        let take = |n: &AtomicUsize| n.fetch_update(Ordering::SeqCst, Ordering::SeqCst, take_one);
-        if take(&self.skip).is_err() && take(&self.remaining).is_ok() {
-            panic!("body failed");
-        }
+        self.strike(Hook::Lock);
         self.inner.lock(i, c, f, x)
     }
     fn unlock(&self, i: &Interp, c: Value, f: u32, x: bool) -> Result<(), LispError> {
         self.inner.unlock(i, c, f, x)
+    }
+}
+
+/// Forwards to the pool's hooks, but never restarts a frame in place:
+/// every tail-position spawn becomes a task, chained or queued as the
+/// pool decides — the materialised reference an in-place run is held
+/// to, with no switch in the pool itself.
+pub struct NoInPlace(Arc<dyn RuntimeHooks>);
+
+impl NoInPlace {
+    /// Wrap `interp`'s installed hooks (install the pool first).
+    pub fn install(interp: &Interp) {
+        interp.set_hooks(Arc::new(NoInPlace(interp.hooks())));
+    }
+}
+
+impl RuntimeHooks for NoInPlace {
+    fn chain_in_place(&self, _: usize, _: FuncId) -> bool {
+        false
+    }
+    fn enqueue(&self, i: &Interp, s: usize, f: FuncId, a: Vec<Value>) -> Result<(), LispError> {
+        self.0.enqueue(i, s, f, a)
+    }
+    fn handoff(&self, i: &Interp, s: usize, f: FuncId, a: Vec<Value>) -> Result<(), LispError> {
+        self.0.handoff(i, s, f, a)
+    }
+    fn future(&self, i: &Interp, f: FuncId, a: Vec<Value>) -> Result<Value, LispError> {
+        self.0.future(i, f, a)
+    }
+    fn touch(&self, i: &Interp, v: Value) -> Result<Value, LispError> {
+        self.0.touch(i, v)
+    }
+    fn lock(&self, i: &Interp, c: Value, f: u32, x: bool) -> Result<(), LispError> {
+        self.0.lock(i, c, f, x)
+    }
+    fn unlock(&self, i: &Interp, c: Value, f: u32, x: bool) -> Result<(), LispError> {
+        self.0.unlock(i, c, f, x)
     }
 }
 

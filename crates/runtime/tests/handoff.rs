@@ -1,10 +1,7 @@
 //! Hand-off publication (`cri-handoff`) through the pool: the
 //! successor leaves its producer at the spawn instead of at invocation
 //! end, so nothing chains; per-site FIFO still holds, including behind
-//! spawns the same invocation still buffers; and a body the panic
-//! policy may run twice never hands its successor off twice.
-
-mod common;
+//! spawns the same invocation still buffers.
 
 use std::sync::Arc;
 
@@ -120,56 +117,4 @@ fn two_site_hand_off_runs_every_invocation_exactly_once_in_parallel() {
     let stats = rt.stats();
     assert_eq!(stats.tasks, 2 * n as u64 + 1);
     assert_eq!(stats.chained_tasks, 0, "{stats:?}");
-}
-
-mod retried_bodies {
-    use super::*;
-    use crate::common::{quietly, PanicOnLock};
-
-    #[test]
-    fn a_retried_idempotent_body_does_not_spawn_its_successor_twice() {
-        // The rule: a function declared idempotent keeps its hand-offs
-        // lazy. Its successor is then still in the invocation's batch
-        // when the body panics, dies with the failed attempt, and is
-        // spawned once — by the attempt that completes.
-        let handing_off = "(defun walk (l)
-                             (when l
-                               (cri-handoff 0 walk (cdr l))
-                               (cri-lock l 'car)
-                               (atomic-incf *visits* 1)
-                               (cri-unlock l 'car)))";
-        // The same rule keeps a tail-position spawn a task: restarted
-        // in place, the link that panics would take every link before
-        // it along into the retry.
-        let tail_position = "(defun walk (l)
-                               (when l
-                                 (cri-lock l 'car)
-                                 (atomic-incf *visits* 1)
-                                 (cri-unlock l 'car)
-                                 (cri-enqueue 0 walk (cdr l))))";
-        for src in [handing_off, tail_position] {
-            let n = 64;
-            let interp = Arc::new(Interp::new());
-            interp.load_str(src).unwrap();
-            interp.load_str("(defparameter *visits* 0)").unwrap();
-            let rt = CriRuntime::new(Arc::clone(&interp), 2);
-            rt.declare_idempotent("walk");
-            // Within the default retry budget even if one task takes
-            // both; mid-list (acquisitions 41 and 42 fail), so that a
-            // retry which took earlier links along would show.
-            let panics = 2;
-            PanicOnLock::install(&interp, 40, panics);
-            let l = int_list(&interp, n);
-            let result = quietly(|| rt.run("walk", &[l]));
-            result.expect("retries absorb the panics");
-
-            let stats = rt.stats();
-            assert_eq!(stats.task_retries, panics as u64, "{stats:?}");
-            // Every cell visited once: a doubled successor would visit
-            // its whole suffix again (and run n + 1 + suffix tasks).
-            assert_eq!(interp.load_str("*visits*").unwrap(), Value::int(n));
-            assert_eq!(stats.tasks, n as u64 + 1, "{stats:?}");
-            assert_eq!(stats.in_place_tasks, 0, "{stats:?}");
-        }
-    }
 }

@@ -3,13 +3,11 @@
 //! same output order, same `tasks` and `chained_tasks`, same errors,
 //! same trace — and it must not happen at all where the two could be
 //! told apart (a batch with a task for the same or a lower site in
-//! it, a body that may be run again, a task whose value a toucher
-//! waits for, a helping `touch`, an eager pool, a run that is
-//! aborting).
+//! it, a task whose value a toucher waits for, a helping `touch`, an
+//! eager pool, a run that is aborting).
 //!
 //! The materialised path is forced without a switch in product code:
-//! a pool with any declared-idempotent function keeps a retry copy of
-//! every task, and a task with a retry copy never restarts in place.
+//! the `NoInPlace` hooks wrapper answers every in-place request `no`.
 //!
 //! One test installs the process-wide tracer, so every test here holds
 //! the suite's guard: no other pool may record into its rings.
@@ -19,7 +17,7 @@ mod common;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use common::guard;
+use common::{guard, NoInPlace};
 use curare_lisp::{Interp, Value};
 use curare_obs::{EventKind, Tracer};
 use curare_runtime::{CriRuntime, PoolStats, SchedMode};
@@ -62,15 +60,15 @@ fn load(src: &str) -> Arc<Interp> {
     let out = Curare::new().transform_source(src).expect("transforms");
     let interp = Arc::new(Interp::new());
     interp.load_str(&out.source()).expect("loads");
-    interp.load_str("(defparameter *sum* 0) (defun noop () nil)").unwrap();
+    interp.load_str("(defparameter *sum* 0)").unwrap();
     interp
 }
 
-/// A pool over `interp`; `materialise` declares the no-op idempotent.
+/// A pool over `interp`; `materialise` keeps every link a task.
 fn pool(interp: &Arc<Interp>, servers: usize, mode: SchedMode, materialise: bool) -> CriRuntime {
     let rt = CriRuntime::with_mode(Arc::clone(interp), servers, mode);
     if materialise {
-        rt.declare_idempotent("noop");
+        NoInPlace::install(interp);
     }
     rt
 }

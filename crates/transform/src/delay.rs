@@ -15,10 +15,12 @@
 //! - its structure writes do not overlap the locations the crossed
 //!   calls' argument expressions read (checked with the access-path
 //!   machinery, not syntax);
-//! - **its writes take part in no cross-invocation conflict**: moving
-//!   an order-sensitive write across the spawn would replace the
-//!   sequential *unwind* order with invocation order and change the
-//!   result — such statements are left for future synchronization;
+//! - **none of its accesses takes part in a cross-invocation
+//!   conflict**: moving an order-sensitive write across the spawn would
+//!   replace the sequential *unwind* order with invocation order, and
+//!   moving a read would read before the later invocations' writes it
+//!   follows — either changes the result, so such statements are left
+//!   for future synchronization;
 //! - nothing unmovable sits between it and the call (relative order
 //!   with unmoved effectful statements is preserved by stopping at the
 //!   first blocker).
@@ -56,7 +58,7 @@ pub fn delay_transform(
     let parts = sx::parse_defun(form)?;
 
     // Locations involved in cross-invocation conflicts: statements
-    // writing them are order-sensitive and must not move.
+    // accessing them are order-sensitive and must not move.
     let conflicting: BTreeSet<(usize, Path)> = analysis
         .conflicts
         .conflicts
@@ -163,9 +165,9 @@ fn movable(ctx: &mut Ctx, stmt: &Sexpr, call_args: &[Sexpr]) -> bool {
     if stmt_acc.unknown_writes > 0 || !stmt_acc.globals_written.is_empty() {
         return false;
     }
-    // Order-sensitive writes (cross-invocation conflicts) must keep
+    // Order-sensitive accesses (cross-invocation conflicts) must keep
     // their unwind-order position; future-sync will handle them.
-    if stmt_acc.writes().any(|w| ctx.conflicting.contains(&(w.root, w.path.clone()))) {
+    if stmt_acc.records.iter().any(|r| ctx.conflicting.contains(&(r.root, r.path.clone()))) {
         return false;
     }
     let Some(args_acc) = ctx.probes.accesses(call_args) else {
@@ -347,6 +349,21 @@ mod tests {
                (when l
                  (f acc (cdr l))
                  (setf (car acc) (cons (car l) (car acc)))))",
+        );
+        assert!(r.is_none(), "{r:?}");
+    }
+
+    #[test]
+    fn a_read_of_a_conflicting_location_does_not_move() {
+        // The next invocation doubles `(cadr l)`; sequentially the copy
+        // reads it after that, hoisted above the call it would read it
+        // before (`examples/lisp/fixtures/delay-read.lisp`).
+        let r = delay(
+            "(defun f (l m)
+               (when (cdr l)
+                 (f (cdr l) (cdr m))
+                 (setf (car m) (cadr l))
+                 (setf (car l) (* (car l) 2))))",
         );
         assert!(r.is_none(), "{r:?}");
     }
