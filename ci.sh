@@ -118,6 +118,12 @@ echo "== front doors agree: analyze, check, transform and both runs read one pro
 # resolves and print "no conflicts detected")…
 target/release/curare analyze examples/lisp/fixtures/inverse-tail.lisp \
   | grep -F "conflict: write f0.1.f0.2 ⊙ f0.2 at distance 1" > /dev/null
+# …and the canonical test that finds it still runs there: it is skipped
+# only for parameters no inverse pair can rewrite, and a skip that
+# reached `back` would read "(0 alias tests)".
+target/release/curare transform examples/lisp/fixtures/inverse-tail.lisp 2>&1 > /dev/null \
+  | grep -E "^;; analysis: .* pair tests \([1-9][0-9]* alias tests\)" > /dev/null \
+  || { echo "inverse-tail fixture: no pair went to the canonical alias test" >&2; exit 1; }
 # …and a walker written above its defstruct is one program to all five
 # commands (only the restructurer used to lower struct types first: it
 # converted the walker and emitted text the other four refused).

@@ -124,6 +124,18 @@ impl FunctionAnalysis {
                 self.conflicts.unknown_writes
             ));
         }
+        for reason in &self.reasons {
+            match reason {
+                BlockReason::UsesCallResult => out.push_str(
+                    "  the value of a recursive call is used; §5: DPS or a reorderable fold\n",
+                ),
+                BlockReason::DeclaredOff => {
+                    out.push_str("  declared dont-transform: left as written\n")
+                }
+                // Rendered above, with what was written.
+                BlockReason::UnknownWrite | BlockReason::GlobalWrite(_) => {}
+            }
+        }
         out.push_str(&format!("  verdict: {:?}\n", self.verdict));
         out
     }
@@ -141,6 +153,10 @@ pub struct AnalysisStats {
     pub path_classes: usize,
     /// `(write class, class)` pairs put to the conflict test.
     pub pair_tests: usize,
+    /// Those of the pairs also put to the canonical-alias test (§2.1):
+    /// only a parameter whose τ or paths hold a letter of an inverse
+    /// pair has any.
+    pub alias_tests: usize,
     /// Automata built: one per `(τ, d)`, each from `τᵈ⁻¹`.
     pub automata_built: usize,
     /// Statements lowered as `%curare-probe` functions by the devices.
@@ -148,13 +164,14 @@ pub struct AnalysisStats {
 }
 
 /// What the functions of one program share — its declarations, the
-/// canonicalizer its `inverse` pairs resolve to (with one, every
-/// conflict test is the canonical one, so benign-alias detours are
-/// seen: §2.1) and the cost of every defun's body — and the one way to
-/// analyse a function of it. The restructurer builds one per program
-/// and hands it on in its output, so every later reader (`curare
-/// analyze`, `check`, the lock certifier, the sanitizer) judges the
-/// program by what the devices were chosen from.
+/// canonicalizer its `inverse` pairs resolve to (with one, a parameter
+/// whose τ or paths hold a paired letter also gets the canonical
+/// conflict test, so benign-alias detours are seen: §2.1) and the cost
+/// of every defun's body — and the one way to analyse a function of
+/// it. The restructurer builds one per program and hands it on in its
+/// output, so every later reader (`curare analyze`, `check`, the lock
+/// certifier, the sanitizer) judges the program by what the devices
+/// were chosen from.
 #[derive(Debug, Clone, Default)]
 pub struct Analyzer {
     decls: DeclDb,
@@ -303,6 +320,23 @@ mod tests {
         let a = analyze("(defun sum (l) (if (null l) 0 (+ (car l) (sum (cdr l)))))");
         assert_eq!(a.verdict, Verdict::Blocked);
         assert!(a.reasons.contains(&BlockReason::UsesCallResult));
+    }
+
+    #[test]
+    fn every_refusal_is_named_in_the_feedback() {
+        let used = analyze("(defun sum (l) (if (null l) 0 (+ (car l) (sum (cdr l)))))");
+        assert!(
+            used.explain().contains("the value of a recursive call is used"),
+            "{}",
+            used.explain()
+        );
+        let heap = Heap::new();
+        let src = "(curare-declare (dont-transform f))
+                   (defun f (l) (when l (print (car l)) (f (cdr l))))";
+        let prog = Lowerer::new(&heap).lower_program(&parse_all(src).unwrap()).unwrap();
+        let off = analyze_function(&prog.funcs[0], &DeclDb::from_program(&prog).unwrap());
+        assert_eq!(off.reasons, [BlockReason::DeclaredOff]);
+        assert!(off.explain().contains("declared dont-transform"), "{}", off.explain());
     }
 
     #[test]

@@ -49,6 +49,12 @@ impl Canonicalizer {
         canon
     }
 
+    /// Does `path` hold a letter of an inverse pair? Where no string
+    /// does, canonicalisation is the identity.
+    pub(crate) fn touches(&self, path: &Path) -> bool {
+        path.accessors().iter().any(|&a| self.pairs.iter().any(|&(x, y)| a == x || a == y))
+    }
+
     fn are_inverse(&self, a: Accessor, b: Accessor) -> bool {
         self.pairs.iter().any(|&(x, y)| (x == a && y == b) || (x == b && y == a))
     }

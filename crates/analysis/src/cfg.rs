@@ -1,44 +1,18 @@
-//! A statement-level control-flow graph with dominators.
+//! A statement-level control-flow graph with dominators: the oracle
+//! the head/tail partition is checked against.
 //!
-//! The head/tail partition of paper §3.1 is defined by dominance: "a
-//! statement S belongs in the tail of f if S is not a recursive call
-//! and is dominated by a recursive call". This module builds a CFG
-//! from the lowered AST (one node per evaluation step, with diamonds
-//! for `if`, loops for `while`, and short-circuit edges for
-//! `and`/`or`) and computes immediate dominators with the iterative
-//! Cooper–Harvey–Kennedy algorithm.
+//! Paper §3.1 defines the partition by dominance: "a statement S
+//! belongs in the tail of f if S is not a recursive call and is
+//! dominated by a recursive call". This module builds a CFG from the
+//! lowered AST (one node per evaluation step, with diamonds for `if`,
+//! loops for `while`, and short-circuit edges for `and`/`or`) and
+//! computes immediate dominators with the iterative
+//! Cooper–Harvey–Kennedy algorithm. `headtail` reads the same
+//! dominance off the structured body in one walk; its tests hold the
+//! two to each other node by node, in node-creation order, which is
+//! the walk's evaluation order.
 
-use curare_lisp::ast::{BuiltinOp, Expr, Func};
-use curare_lisp::SymId;
-
-/// What one evaluation step can cost beyond its own unit — the part
-/// of the §3.1 size measure that is not visible in the statement
-/// itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Extra {
-    /// Nothing: the step is its unit cost.
-    None,
-    /// A direct call: the named function's whole body runs here.
-    Call(SymId),
-    /// No static bound: a loop, or a callee only known at run time
-    /// (`funcall`, `apply`, `mapcar`).
-    Unbounded,
-}
-
-impl Extra {
-    /// Classify one step. `future` and `cri-enqueue` are spawns, not
-    /// work done here, whatever they name.
-    pub fn of(e: &Expr) -> Extra {
-        match e {
-            Expr::Call { name, .. } => Extra::Call(*name),
-            Expr::While(..)
-            | Expr::Builtin(BuiltinOp::Funcall | BuiltinOp::Apply | BuiltinOp::Mapcar, _) => {
-                Extra::Unbounded
-            }
-            _ => Extra::None,
-        }
-    }
-}
+use curare_lisp::ast::{Expr, Func};
 
 /// What a CFG node represents.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,17 +21,12 @@ pub enum NodeKind {
     Entry,
     /// Function exit.
     Exit,
-    /// One evaluation step; `size` is its unit cost, `label` a short
-    /// description for diagnostics.
+    /// One evaluation step.
     Op {
-        /// Cost contribution (1 per AST node).
-        size: usize,
         /// True for self-recursive call/future/enqueue sites.
         recursive_call: bool,
         /// Human-readable description.
         label: String,
-        /// Cost the step stands for beyond `size`.
-        extra: Extra,
     },
 }
 
@@ -118,8 +87,7 @@ impl Builder {
             Expr::LockOp { lock: false, .. } => "unlock".to_string(),
             other => shape_name(other).to_string(),
         };
-        let extra = Extra::of(e);
-        let n = self.new_node(NodeKind::Op { size: 1, recursive_call, label, extra });
+        let n = self.new_node(NodeKind::Op { recursive_call, label });
         self.connect_all(preds, n);
         n
     }

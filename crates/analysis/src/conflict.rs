@@ -166,7 +166,15 @@ pub fn conflicts_from_parts(
 /// The conflict engine: every write class of a parameter against every
 /// class of that parameter (the paper's formula naturally covers a
 /// write against itself), by the string-prefix test and, under a
-/// canonicalizer, by the canonical-alias test as well.
+/// canonicalizer that can rewrite one of the parameter's paths, by the
+/// canonical-alias test as well.
+///
+/// Where neither τ's steps nor the parameter's paths hold a letter of
+/// an inverse pair, canonicalisation is the identity on every string
+/// the alias test builds. It then asks the prefix test's own two
+/// questions (`write ≤ τᵈ∘other`; `other = τᵈ·write·rest`), over
+/// distances past which those answers no longer change, so it can
+/// never find a distance below the prefix test's and is skipped.
 pub(crate) fn conflict_report(
     accesses: &AccessSummary,
     transfers: &TransferSummary,
@@ -183,10 +191,18 @@ pub(crate) fn conflict_report(
             continue;
         }
         let engine = PairEngine::new(tau, &mine, stats);
-        let mut shifts = canon.map(|canon| CanonShifts::new(tau, canon));
+        let steps = match tau {
+            Transfer::Literal(steps) => Some(steps),
+            Transfer::Unknown => None,
+        };
+        let mut paths = steps.into_iter().flatten().chain(mine.iter().map(|c| &c.path));
+        let mut shifts = canon
+            .filter(|canon| paths.any(|p| canon.touches(p)))
+            .map(|canon| CanonShifts::new(tau, canon));
         for w in mine.iter().filter(|c| c.write) {
             for o in &mine {
                 stats.pair_tests += 1;
+                stats.alias_tests += usize::from(shifts.is_some());
                 let kind =
                     if o.write { DependencyKind::WriteWrite } else { DependencyKind::WriteRead };
                 let conflict = |distance, persistent| Conflict {
@@ -440,6 +456,78 @@ mod tests {
                  (setf (cadr l) 1)))",
         );
         assert!(!r.conflicts.iter().any(|c| c.other_path.to_string() == "cdr"), "{r:?}");
+    }
+
+    /// Where no string holds a paired letter, canonicalisation is the
+    /// identity and the canonical test may be skipped: on generated
+    /// list and struct paths and τs, a canonicalizer that touches
+    /// nothing (no alias test runs) reports what one pairing every
+    /// present letter with an absent partner reports (the alias test
+    /// runs on every pair, canonicalising nothing), and what no
+    /// canonicalizer reports.
+    #[test]
+    fn the_alias_test_adds_nothing_where_no_paired_letter_appears() {
+        use crate::path::Accessor;
+        use std::collections::BTreeSet;
+        let field = |ty, field| Accessor::Field { ty, field };
+        let letters = [Accessor::Car, Accessor::Cdr, field(0, 0), field(0, 1)];
+        struct Gen(u64);
+        impl Gen {
+            fn below(&mut self, n: usize) -> usize {
+                // xorshift64
+                self.0 ^= self.0 << 13;
+                self.0 ^= self.0 >> 7;
+                self.0 ^= self.0 << 17;
+                (self.0 % n as u64) as usize
+            }
+            fn path(&mut self, letters: &[Accessor], min: usize, max: usize) -> Path {
+                let len = min + self.below(max - min + 1);
+                Path::from((0..len).map(|_| letters[self.below(letters.len())]).collect::<Vec<_>>())
+            }
+        }
+        let mut untouched = Canonicalizer::identity();
+        untouched.add_pair(field(7, 0), field(7, 1));
+        let mut forced = Canonicalizer::identity();
+        for (i, &a) in letters.iter().enumerate() {
+            forced.add_pair(a, field(9, i as u32));
+        }
+        let mut gen = Gen(0x5eed);
+        let (mut alias_tests, mut conflicts) = (0, 0);
+        for case in 0..300 {
+            let mut per_param = Vec::new();
+            for _ in 0..2 {
+                per_param.push(match gen.below(8) {
+                    0 => Transfer::Unknown,
+                    1 => Transfer::Literal(BTreeSet::new()),
+                    _ => {
+                        let n = 1 + gen.below(2);
+                        Transfer::Literal((0..n).map(|_| gen.path(&letters, 0, 2)).collect())
+                    }
+                });
+            }
+            let mut records = Vec::new();
+            for _ in 0..2 + gen.below(5) {
+                let (root, path) = (gen.below(2), gen.path(&letters, 1, 3));
+                records.push(AccessRecord { root, path, write: gen.below(2) == 0, tail: false });
+            }
+            let accesses = AccessSummary { records, ..AccessSummary::default() };
+            let transfers = TransferSummary { per_param, call_sites: 1 };
+            let report = |canon: Option<&Canonicalizer>| {
+                let mut stats = AnalysisStats::default();
+                let r = conflict_report(&accesses, &transfers, canon, &mut stats);
+                (r.conflicts, r.min_distance, stats)
+            };
+            let (plain, plain_min, _) = report(None);
+            let (skipped, skipped_min, skipped_stats) = report(Some(&untouched));
+            let (tested, tested_min, tested_stats) = report(Some(&forced));
+            assert_eq!(skipped_stats.alias_tests, 0, "case {case}");
+            assert_eq!(tested_stats.alias_tests, tested_stats.pair_tests, "case {case}");
+            assert_eq!((&skipped, skipped_min), (&plain, plain_min), "case {case}");
+            assert_eq!((&tested, tested_min), (&plain, plain_min), "case {case}: {transfers:?}");
+            alias_tests += tested_stats.alias_tests;
+            conflicts += plain.len();
+        }
+        assert!(alias_tests > 1000 && conflicts > 300, "{alias_tests} tests, {conflicts}");
     }
 
     #[test]

@@ -7,6 +7,17 @@
 //!   is the serial prefix each invocation must finish before spawning
 //!   the next, so a smaller head means more overlap.
 //!
+//! Lisp's control flow is structured, so dominance is a property of the
+//! syntax and the partition is one walk over the lowered body in
+//! evaluation order (one step per atom, per operator after its operands,
+//! per `if`/`while` after its test). A self-call dominates everything
+//! after it in the same sequence; it dominates what follows an `if`
+//! only from the test, what follows an `and`/`or` only from the first
+//! operand (the others may be skipped), and what follows a `while` only
+//! from the test (the body may run zero times). No graph is built: the
+//! statement-level CFG and its dominator tree survive as the test
+//! oracle this walk is checked against, node by node.
+//!
 //! `|H|` and `|T|` count the statements of the function itself. What
 //! running them costs also depends on what they call, so the partition
 //! carries a second, interprocedural measure ([`Cost`]): each step's
@@ -18,10 +29,37 @@
 
 use std::collections::HashMap;
 
-use curare_lisp::ast::{Expr, Func, Program};
+use curare_lisp::ast::{BuiltinOp, Expr, Func, Program};
 use curare_lisp::SymId;
 
-use crate::cfg::{Cfg, Extra, NodeKind, ENTRY, EXIT};
+/// What one evaluation step can cost beyond its own unit — the part
+/// of the §3.1 size measure that is not visible in the statement
+/// itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Extra {
+    /// Nothing: the step is its unit cost.
+    None,
+    /// A direct call: the named function's whole body runs here.
+    Call(SymId),
+    /// No static bound: a loop, or a callee only known at run time
+    /// (`funcall`, `apply`, `mapcar`).
+    Unbounded,
+}
+
+impl Extra {
+    /// Classify one step. `future` and `cri-enqueue` are spawns, not
+    /// work done here, whatever they name.
+    fn of(e: &Expr) -> Extra {
+        match e {
+            Expr::Call { name, .. } => Extra::Call(*name),
+            Expr::While(..)
+            | Expr::Builtin(BuiltinOp::Funcall | BuiltinOp::Apply | BuiltinOp::Mapcar, _) => {
+                Extra::Unbounded
+            }
+            _ => Extra::None,
+        }
+    }
+}
 
 /// A static cost in the unit of [`HeadTail::head_size`] (one per AST
 /// node), or no static bound at all. Ordered: every bounded cost is
@@ -108,10 +146,11 @@ impl CallCosts {
         self.bodies.get(&name).copied().unwrap_or(Cost::Unbounded)
     }
 
-    fn step(&self, size: usize, extra: Extra) -> Cost {
-        match extra {
-            Extra::None => Cost::Bounded(size),
-            Extra::Call(callee) => Cost::Bounded(size) + self.body(callee),
+    /// What evaluating the one step `e` costs.
+    fn step(&self, e: &Expr) -> Cost {
+        match Extra::of(e) {
+            Extra::None => Cost::Bounded(1),
+            Extra::Call(callee) => Cost::Bounded(1) + self.body(callee),
             Extra::Unbounded => Cost::Unbounded,
         }
     }
@@ -153,71 +192,135 @@ impl HeadTail {
     }
 }
 
-/// Compute the head/tail partition of `func` via CFG dominance, with
-/// no knowledge of the rest of the program: every call of another
-/// defun makes the cost of its side unbounded.
+/// Compute the head/tail partition of `func`, with no knowledge of
+/// the rest of the program: every call of another defun makes the cost
+/// of its side unbounded.
 pub fn head_tail(func: &Func) -> HeadTail {
     head_tail_in(func, &CallCosts::default())
 }
 
 /// [`head_tail`] with callee bodies costed from `calls`.
 pub fn head_tail_in(func: &Func, calls: &CallCosts) -> HeadTail {
-    let cfg = Cfg::build(func);
-    let idom = cfg.immediate_dominators();
-    let is_rec = |n: usize| matches!(cfg.nodes[n], NodeKind::Op { recursive_call: true, .. });
-    let recursive_calls = (0..cfg.nodes.len()).filter(|&n| is_rec(n)).count();
-    // after_call[n]: a recursive call strictly dominates n — true of
-    // n's immediate dominator or inherited from it. One pass: each
-    // node walks up to the nearest ancestor already decided (the
-    // entry, decided false, ends every chain) and fills in the chain.
-    // A function that never calls itself is all head.
-    let mut after_call: Vec<Option<bool>> = vec![None; cfg.nodes.len()];
-    after_call[ENTRY] = Some(false);
-    let mut chain = Vec::new();
-    if recursive_calls > 0 {
-        for start in 0..cfg.nodes.len() {
-            let mut n = start;
-            while after_call[n].is_none() && idom[n] != usize::MAX {
-                chain.push(n);
-                n = idom[n];
-            }
-            let mut known = after_call[n].unwrap_or(false);
-            while let Some(c) = chain.pop() {
-                known = known || is_rec(idom[c]);
-                after_call[c] = Some(known);
-            }
-        }
-    }
-    let mut head_size = 0usize;
-    let mut tail_size = 0usize;
-    let mut head_cost = Cost::Bounded(0);
-    let mut tail_cost = Cost::Bounded(0);
-    for (n, kind) in cfg.nodes.iter().enumerate() {
-        let NodeKind::Op { size, recursive_call, extra, .. } = kind else { continue };
-        if n == ENTRY || n == EXIT || idom[n] == usize::MAX {
-            continue;
-        }
-        // A self-call is a spawn under CRI, not work done here — and
-        // never tail, whatever dominates it.
-        let cost = if *recursive_call { Cost::Bounded(*size) } else { calls.step(*size, *extra) };
-        if !recursive_call && after_call[n] == Some(true) {
-            tail_size += size;
-            tail_cost = tail_cost + cost;
-        } else {
-            head_size += size;
-            head_cost = head_cost + cost;
-        }
-    }
+    let p = Partition::of(func, calls);
     let positions = classify_calls(func);
     HeadTail {
-        head_size,
-        tail_size,
-        recursive_calls,
+        head_size: p.head_size,
+        tail_size: p.tail_size,
+        recursive_calls: p.recursive_calls,
         tail_recursive: is_tail_recursive(func),
         free_calls: positions.free,
         value_position_calls: positions.value,
-        head_cost,
-        tail_cost,
+        head_cost: p.head_cost,
+        tail_cost: p.tail_cost,
+    }
+}
+
+/// The sums of one partition walk. Every `walk` takes the flag "a
+/// self-call dominates this point" and returns it for the point after
+/// the expression.
+struct Partition<'a> {
+    fname: SymId,
+    calls: &'a CallCosts,
+    recursive_calls: usize,
+    head_size: usize,
+    tail_size: usize,
+    head_cost: Cost,
+    tail_cost: Cost,
+    /// Per step, in evaluation order: (self-call, tail).
+    #[cfg(test)]
+    steps: Vec<(bool, bool)>,
+}
+
+impl<'a> Partition<'a> {
+    fn of(func: &Func, calls: &'a CallCosts) -> Self {
+        let mut p = Partition {
+            fname: func.name_sym,
+            calls,
+            recursive_calls: 0,
+            head_size: 0,
+            tail_size: 0,
+            head_cost: Cost::Bounded(0),
+            tail_cost: Cost::Bounded(0),
+            #[cfg(test)]
+            steps: Vec::new(),
+        };
+        p.seq(&func.body, false);
+        p
+    }
+
+    /// Count the step `e` itself. A self-call is a spawn under CRI, not
+    /// work done here, and never tail — but it dominates what follows.
+    fn step(&mut self, e: &Expr, dominated: bool) -> bool {
+        let own = matches!(
+            e,
+            Expr::Call { name, .. } | Expr::Future { name, .. } | Expr::Enqueue { name, .. }
+                if *name == self.fname
+        );
+        let tail = dominated && !own;
+        let cost = if own { Cost::Bounded(1) } else { self.calls.step(e) };
+        if tail {
+            self.tail_size += 1;
+            self.tail_cost = self.tail_cost + cost;
+        } else {
+            self.head_size += 1;
+            self.head_cost = self.head_cost + cost;
+        }
+        self.recursive_calls += usize::from(own);
+        #[cfg(test)]
+        self.steps.push((own, tail));
+        dominated || own
+    }
+
+    fn seq(&mut self, es: &[Expr], dominated: bool) -> bool {
+        es.iter().fold(dominated, |d, e| self.walk(e, d))
+    }
+
+    fn walk(&mut self, e: &Expr, dominated: bool) -> bool {
+        match e {
+            Expr::If(c, t, f) => {
+                let at_branch = self.walk(c, dominated);
+                let at_branch = self.step(e, at_branch);
+                self.walk(t, at_branch);
+                self.walk(f, at_branch);
+                at_branch
+            }
+            Expr::Progn(es) | Expr::And(es) | Expr::Or(es) if es.is_empty() => {
+                self.step(e, dominated)
+            }
+            Expr::Progn(es) => self.seq(es, dominated),
+            Expr::And(es) | Expr::Or(es) => {
+                let after_first = self.walk(&es[0], dominated);
+                self.seq(&es[1..], after_first);
+                after_first
+            }
+            Expr::Let { bindings, body, .. } => {
+                let d = bindings.iter().fold(dominated, |d, (_, _, init)| self.walk(init, d));
+                self.seq(body, d)
+            }
+            Expr::While(c, body) => {
+                let at_test = self.walk(c, dominated);
+                let at_test = self.step(e, at_test);
+                self.seq(body, at_test);
+                at_test
+            }
+            Expr::Setq(_, _, rhs) => {
+                let d = self.walk(rhs, dominated);
+                self.step(e, d)
+            }
+            Expr::Call { args, .. }
+            | Expr::Builtin(_, args)
+            | Expr::Struct(_, args)
+            | Expr::Future { args, .. }
+            | Expr::Enqueue { args, .. } => {
+                let d = self.seq(args, dominated);
+                self.step(e, d)
+            }
+            Expr::LockOp { base, .. } => {
+                let d = self.walk(base, dominated);
+                self.step(e, d)
+            }
+            _ => self.step(e, dominated),
+        }
     }
 }
 
@@ -371,6 +474,7 @@ pub fn classify_calls(func: &Func) -> CallPositions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cfg::{Cfg, ENTRY, EXIT};
     use curare_lisp::{Heap, Lowerer};
     use curare_sexpr::parse_all;
 
@@ -521,12 +625,68 @@ mod tests {
         assert_eq!((Cost::Bounded(2) + Cost::Unbounded).to_string(), "unbounded");
     }
 
+    /// A seeded body built from the special forms that shape control
+    /// flow, with self-calls `(f …)` in test, arm, operand, binding
+    /// initialiser and loop-body positions, and inside other calls.
+    struct BodyGen(u64);
+
+    impl BodyGen {
+        fn below(&mut self, n: u64) -> u64 {
+            // splitmix64
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn exprs(&mut self, depth: u32, min: u64, max: u64) -> String {
+            let n = min + self.below(max - min + 1);
+            (0..n).map(|_| format!(" {}", self.expr(depth))).collect()
+        }
+
+        fn expr(&mut self, depth: u32) -> String {
+            let pick = if depth == 0 { self.below(4) } else { self.below(16) };
+            let d = depth.saturating_sub(1);
+            match pick {
+                0 => "l".into(),
+                1 => "1".into(),
+                2 => "(f (cdr l))".into(),
+                3 => "(print l)".into(),
+                4 | 5 => format!("(f {})", self.expr(d)),
+                6 => format!("(cons {} {})", self.expr(d), self.expr(d)),
+                7 => format!("(if {} {}{})", self.expr(d), self.expr(d), self.exprs(d, 0, 1)),
+                8 => format!(
+                    "(cond ({}{}) ({}{}) (t{}))",
+                    self.expr(d),
+                    self.exprs(d, 0, 2),
+                    self.expr(d),
+                    self.exprs(d, 0, 1),
+                    self.exprs(d, 1, 1)
+                ),
+                9 => format!("(when {}{})", self.expr(d), self.exprs(d, 0, 3)),
+                10 => format!("(and{})", self.exprs(d, 0, 3)),
+                11 => format!("(or{})", self.exprs(d, 0, 3)),
+                12 => format!("(while {}{})", self.expr(d), self.exprs(d, 0, 3)),
+                13 => format!(
+                    "(let ((x {}) (y {})){})",
+                    self.expr(d),
+                    self.expr(d),
+                    self.exprs(d, 0, 3)
+                ),
+                14 => format!("(progn{})", self.exprs(d, 0, 3)),
+                _ => format!("(setq l {})", self.expr(d)),
+            }
+        }
+    }
+
     #[test]
     fn partition_matches_the_dominance_definition() {
         // §3.1 verbatim — "not a recursive call and dominated by a
-        // recursive call" — checked node by node with `dominates`,
-        // against the one-pass propagation `head_tail` uses.
-        for src in [
+        // recursive call" — checked node by node with the CFG's
+        // `dominates`, against the structured walk `head_tail` uses.
+        // The CFG creates its nodes in the walk's evaluation order.
+        let mut sources: Vec<String> = [
             "(defun f (l) (when l (print 1) (f (cdr l)) (print 2) (print 3)))",
             "(defun f (l) (if l (progn (f (car l)) (print 1)) (print 2)) (print 3))",
             "(defun f (l) (cond ((null l) nil) ((car l) (f (car l)) (print 1)) (t (f (cdr l)))) (print l))",
@@ -535,21 +695,36 @@ mod tests {
             "(defun f (l) (let ((x (car l))) (when x (f x) (print x)) (f (cdr l)) (print l)))",
             "(defun f (l) (when l (f (car l)) (f (cdr l)) (print l)))",
             "(defun f (l) (car l))",
-        ] {
+        ]
+        .map(String::from)
+        .to_vec();
+        let mut gen = BodyGen(26);
+        sources.extend((0..600).map(|_| format!("(defun f (l){})", gen.exprs(4, 1, 4))));
+        let (mut tails, mut self_calls) = (0, 0);
+        for src in &sources {
             let heap = Heap::new();
             let prog = Lowerer::new(&heap).lower_program(&parse_all(src).unwrap()).unwrap();
-            let cfg = Cfg::build(&prog.funcs[0]);
+            let func = &prog.funcs[0];
+            let cfg = Cfg::build(func);
             let idom = cfg.immediate_dominators();
             let calls = cfg.recursive_call_nodes();
-            let naive: usize = (0..cfg.nodes.len())
-                .filter(|&n| n != ENTRY && n != EXIT && idom[n] != usize::MAX)
-                .filter(|n| !calls.contains(n))
-                .filter(|&n| calls.iter().any(|&c| cfg.dominates(&idom, c, n)))
-                .count();
-            let h = head_tail(&prog.funcs[0]);
-            assert_eq!(h.tail_size, naive, "{src}");
+            let oracle: Vec<(bool, bool)> = (0..cfg.nodes.len())
+                .filter(|&n| n != ENTRY && n != EXIT)
+                .map(|n| {
+                    assert_ne!(idom[n], usize::MAX, "every step is reachable: {src}");
+                    let own = calls.contains(&n);
+                    (own, !own && calls.iter().any(|&c| cfg.dominates(&idom, c, n)))
+                })
+                .collect();
+            assert_eq!(Partition::of(func, &CallCosts::default()).steps, oracle, "{src}");
+            let h = head_tail(func);
+            assert_eq!(h.tail_size, oracle.iter().filter(|s| s.1).count(), "{src}");
+            assert_eq!(h.head_size + h.tail_size, oracle.len(), "{src}");
             assert_eq!(h.recursive_calls, calls.len(), "{src}");
+            tails += h.tail_size;
+            self_calls += h.recursive_calls;
         }
+        assert!(tails > 1000 && self_calls > 1000, "the bodies exercise the walk");
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   alternations, `A*`);
 //! - [`conflict`]: conflicts between recursive invocations and their
 //!   *distances*;
-//! - [`cfg`](mod@cfg) / [`headtail`]: dominator-based head/tail partition and
-//!   the CRI concurrency estimate `(|H|+|T|)/|H|`;
+//! - [`headtail`]: the dominance-defined head/tail partition, read off
+//!   the structured body in one walk, and the CRI concurrency estimate
+//!   `(|H|+|T|)/|H|`;
 //! - [`canon`] / [`sapp`]: canonicalization of benign aliasing and the
 //!   single-access-path-property checker;
 //! - [`declare`]: the programmer-declaration database (§6);
@@ -53,7 +54,8 @@ pub mod access;
 pub mod analyze;
 pub mod canon;
 pub mod canon_conflict;
-pub mod cfg;
+#[cfg(test)]
+mod cfg;
 pub mod conflict;
 pub mod declare;
 pub mod headtail;
@@ -70,7 +72,6 @@ pub use analyze::{
 };
 pub use canon::Canonicalizer;
 pub use canon_conflict::conflicts_with_canon;
-pub use cfg::Cfg;
 pub use conflict::{analyze_conflicts, Conflict, ConflictReport, DependencyKind};
 pub use declare::{DeclDb, DeclError, DeclaredLock};
 pub use headtail::{head_tail, CallCosts, Cost, HeadTail};

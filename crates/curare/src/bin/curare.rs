@@ -179,9 +179,14 @@ fn print_reports(out: &curare::transform::CurareOutput, with_feedback: bool, spe
     }
     let s = out.stats;
     eprintln!(
-        ";; analysis: {} functions analysed, {} path classes, {} pair tests, {} automata built, \
-         {} probe lowerings",
-        s.functions_analysed, s.path_classes, s.pair_tests, s.automata_built, s.probe_lowerings
+        ";; analysis: {} functions analysed, {} path classes, {} pair tests ({} alias tests), \
+         {} automata built, {} probe lowerings",
+        s.functions_analysed,
+        s.path_classes,
+        s.pair_tests,
+        s.alias_tests,
+        s.automata_built,
+        s.probe_lowerings
     );
 }
 

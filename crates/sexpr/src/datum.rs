@@ -1,7 +1,7 @@
 //! The [`Sexpr`] datum type: what the reader produces and the
 //! transformer's code generator consumes.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// An s-expression datum.
 ///
@@ -151,16 +151,24 @@ impl Sexpr {
     }
 }
 
+/// The escape a string literal writes for `c`, if any.
+fn escape(c: char) -> Option<&'static str> {
+    match c {
+        '"' => Some("\\\""),
+        '\\' => Some("\\\\"),
+        '\n' => Some("\\n"),
+        '\t' => Some("\\t"),
+        '\r' => Some("\\r"),
+        _ => None,
+    }
+}
+
 fn escape_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
+        match escape(c) {
+            Some(e) => out.push_str(e),
+            None => out.push(c),
         }
     }
     out.push('"');
@@ -187,7 +195,9 @@ impl Sexpr {
     pub fn write(&self, out: &mut String) {
         match self {
             Sexpr::Sym(s) => out.push_str(s),
-            Sexpr::Int(i) => out.push_str(&i.to_string()),
+            Sexpr::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
             Sexpr::Float(x) => write_float(*x, out),
             Sexpr::Str(s) => escape_str(s, out),
             Sexpr::List(items) => {
@@ -217,6 +227,50 @@ impl Sexpr {
                 out.push_str(" . ");
                 tail.write(out);
                 out.push(')');
+            }
+        }
+    }
+
+    /// The byte length of what [`Sexpr::write`] writes, if it is at
+    /// most `room`: a length walk that stops once the budget is spent,
+    /// without rendering.
+    pub(crate) fn flat_len_within(&self, room: usize) -> Option<usize> {
+        let mut left = room;
+        self.spend(&mut left).then(|| room - left)
+    }
+
+    /// Take this datum's written length out of `left`; false once it
+    /// does not fit.
+    fn spend(&self, left: &mut usize) -> bool {
+        fn take(left: &mut usize, n: usize) -> bool {
+            left.checked_sub(n).map(|rest| *left = rest).is_some()
+        }
+        match self {
+            Sexpr::Sym(s) => take(left, s.len()),
+            Sexpr::Int(i) => {
+                let digits = i.unsigned_abs().checked_ilog10().map_or(1, |d| d as usize + 1);
+                take(left, usize::from(*i < 0) + digits)
+            }
+            Sexpr::Float(x) => {
+                let mut s = String::new();
+                write_float(*x, &mut s);
+                take(left, s.len())
+            }
+            Sexpr::Str(s) => {
+                let body: usize = s.chars().map(|c| escape(c).map_or(c.len_utf8(), str::len)).sum();
+                take(left, body + 2)
+            }
+            Sexpr::List(items) if items.len() == 2 && items[0].is_symbol("quote") => {
+                take(left, 1) && items[1].spend(left)
+            }
+            Sexpr::List(items) => {
+                take(left, items.len().saturating_sub(1) + 2)
+                    && items.iter().all(|it| it.spend(left))
+            }
+            Sexpr::Dotted(items, tail) => {
+                take(left, items.len().saturating_sub(1) + 5)
+                    && items.iter().all(|it| it.spend(left))
+                    && tail.spend(left)
             }
         }
     }

@@ -1,40 +1,30 @@
 //! Reader: turns tokens into [`Sexpr`] data.
 
+use std::iter::Peekable;
+
 use crate::datum::Sexpr;
 use crate::error::{ReadError, ReadErrorKind, Span};
 use crate::lexer::{Lexer, Token, TokenKind};
 
-/// A recursive-descent reader over a token stream.
+/// A recursive-descent reader over a token stream. Each token is moved
+/// out of the stream as it is read, symbol and string text included.
 pub struct Parser {
-    toks: Vec<Token>,
-    pos: usize,
+    toks: Peekable<std::vec::IntoIter<Token>>,
+    /// The span of the last token: where an unexpected end is reported.
+    eof: Span,
 }
 
 impl Parser {
     /// Tokenize `src` and prepare to read from it.
     pub fn new(src: &str) -> Result<Self, ReadError> {
-        Ok(Parser { toks: Lexer::new(src).tokenize()?, pos: 0 })
-    }
-
-    fn peek(&self) -> Option<&Token> {
-        self.toks.get(self.pos)
-    }
-
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.toks.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn eof_span(&self) -> Span {
-        self.toks.last().map(|t| t.span).unwrap_or_default()
+        let toks = Lexer::new(src).tokenize()?;
+        let eof = toks.last().map(|t| t.span).unwrap_or_default();
+        Ok(Parser { toks: toks.into_iter().peekable(), eof })
     }
 
     /// Read one datum. Returns `None` at end of input.
     pub fn read(&mut self) -> Result<Option<Sexpr>, ReadError> {
-        let Some(tok) = self.bump() else { return Ok(None) };
+        let Some(tok) = self.toks.next() else { return Ok(None) };
         match tok.kind {
             TokenKind::Int(i) => Ok(Some(Sexpr::Int(i))),
             TokenKind::Float(x) => Ok(Some(Sexpr::Float(x))),
@@ -61,22 +51,22 @@ impl Parser {
     fn read_list(&mut self, open: Span) -> Result<Sexpr, ReadError> {
         let mut items = Vec::new();
         loop {
-            match self.peek() {
-                None => return Err(ReadError::new(ReadErrorKind::UnexpectedEof, self.eof_span())),
+            match self.toks.peek() {
+                None => return Err(ReadError::new(ReadErrorKind::UnexpectedEof, self.eof)),
                 Some(t) if t.kind == TokenKind::Close => {
-                    self.bump();
+                    self.toks.next();
                     return Ok(Sexpr::List(items));
                 }
                 Some(t) if t.kind == TokenKind::Dot => {
                     let dot_span = t.span;
-                    self.bump();
+                    self.toks.next();
                     if items.is_empty() {
                         return Err(ReadError::new(ReadErrorKind::MalformedDot, dot_span));
                     }
                     let Some(tail) = self.read()? else {
-                        return Err(ReadError::new(ReadErrorKind::UnexpectedEof, self.eof_span()));
+                        return Err(ReadError::new(ReadErrorKind::UnexpectedEof, self.eof));
                     };
-                    match self.bump() {
+                    match self.toks.next() {
                         Some(t) if t.kind == TokenKind::Close => {
                             // `(a . (b c))` normalizes to `(a b c)`.
                             return Ok(match tail {
@@ -102,7 +92,7 @@ impl Parser {
                 }
                 Some(_) => {
                     let Some(item) = self.read()? else {
-                        return Err(ReadError::new(ReadErrorKind::UnexpectedEof, self.eof_span()));
+                        return Err(ReadError::new(ReadErrorKind::UnexpectedEof, self.eof));
                     };
                     items.push(item);
                 }

@@ -91,29 +91,6 @@ pub fn mentions_call(form: &Sexpr, fname: &str) -> bool {
     }
 }
 
-/// Replace every call `(fname args...)` using `rewrite`, recursing
-/// into subforms (but not quoted data).
-pub fn rewrite_calls(
-    form: &Sexpr,
-    fname: &str,
-    rewrite: &mut impl FnMut(&[Sexpr]) -> Sexpr,
-) -> Sexpr {
-    match form {
-        Sexpr::List(items) => {
-            if items.first().is_some_and(|h| h.is_symbol("quote")) {
-                return form.clone();
-            }
-            if items.first().is_some_and(|h| h.is_symbol(fname)) {
-                let new_args: Vec<Sexpr> =
-                    items[1..].iter().map(|a| rewrite_calls(a, fname, rewrite)).collect();
-                return rewrite(&new_args);
-            }
-            Sexpr::List(items.iter().map(|i| rewrite_calls(i, fname, rewrite)).collect())
-        }
-        other => other.clone(),
-    }
-}
-
 /// Build the accessor-chain expression applying `path` to `root`:
 /// path `cdr.car` over `l` gives `(car (cdr l))`.
 pub fn path_to_expr(root: &str, path: &curare_analysis::Path, heap: &curare_lisp::Heap) -> Sexpr {
@@ -169,24 +146,44 @@ mod tests {
         assert_eq!(rebuilt.to_string(), src);
     }
 
+    /// Replaces every self-call of `f` through the statement-shape walker,
+    /// the way the passes rewrite calls.
+    struct Replace<R: FnMut(&[Sexpr]) -> Sexpr>(R);
+
+    impl<R: FnMut(&[Sexpr]) -> Sexpr> crate::shape::Device for Replace<R> {
+        fn fname(&self) -> &str {
+            "f"
+        }
+        fn self_call(&mut self, call: &Sexpr, pos: crate::shape::Pos) -> Sexpr {
+            let rebuilt = crate::shape::operands(self, call, pos);
+            let args = rebuilt.as_list().expect("a call is a list")[1..].to_vec();
+            (self.0)(&args)
+        }
+    }
+
+    fn rewrite(src: &str, replace: impl FnMut(&[Sexpr]) -> Sexpr) -> String {
+        let form = curare_sexpr::parse_one(src).unwrap();
+        crate::shape::walk(&mut Replace(replace), &form, crate::shape::Pos::BODY).to_string()
+    }
+
     #[test]
     fn mentions_and_rewrite() {
         let f = curare_sexpr::parse_one("(when l (print (car l)) (f (cdr l)))").unwrap();
         assert!(mentions_call(&f, "f"));
         assert!(!mentions_call(&f, "g"));
-        let out = rewrite_calls(&f, "f", &mut |args| {
+        let out = rewrite("(when l (print (car l)) (f (cdr l)))", |args| {
             let mut v = vec![sym("cri-enqueue"), Sexpr::Int(0), sym("f")];
             v.extend(args.to_vec());
             Sexpr::List(v)
         });
-        assert_eq!(out.to_string(), "(when l (print (car l)) (cri-enqueue 0 f (cdr l)))");
+        assert_eq!(out, "(when l (print (car l)) (cri-enqueue 0 f (cdr l)))");
     }
 
     #[test]
     fn quoted_data_is_not_rewritten() {
-        let f = curare_sexpr::parse_one("(append '(f 1) (f x))").unwrap();
-        let out = rewrite_calls(&f, "f", &mut |_| sym("HIT"));
-        assert_eq!(out.to_string(), "(append '(f 1) HIT)");
+        let quoted = curare_sexpr::parse_one("(append '(f 1) (g x))").unwrap();
+        assert!(!mentions_call(&quoted, "f"));
+        assert_eq!(rewrite("(append '(f 1) (f x))", |_| sym("HIT")), "(append '(f 1) HIT)");
     }
 
     #[test]

@@ -4,13 +4,16 @@
 //! text and every `FunctionReport` for the shipped examples and
 //! fixtures (plain and under `--speculate`) and for one generated
 //! window walker per `(k, reads)`. The walkers are checked a second
-//! time under an `inverse` declaration, which sends every function of
-//! the file through the canonical conflict test (the benchmark's
-//! corpus is such a file) and must change nothing for list walkers.
+//! time under an `inverse` declaration (the benchmark's corpus is such
+//! a file), which must change nothing for list walkers: no inverse pair
+//! can rewrite their paths, so none of their pairs reaches the
+//! canonical conflict test.
 //!
 //! The strings were recorded from the commit before the shared
 //! conflict engine (PR 13), with one exception: `inverse-tail.lisp`,
-//! which that commit miscompiled, is recorded from the fix.
+//! which that commit miscompiled, is recorded from the fix. The §6
+//! feedback of refused functions has since gained a line per refusal
+//! reason (`UsesCallResult`, `DeclaredOff`).
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -142,6 +145,11 @@ fn an_unrelated_inverse_declaration_changes_no_list_walker() {
     let plain = restructured(&walkers(""), false);
     let canonical = restructured(&walkers(INVERSE_PRELUDE), false);
     assert_eq!(canonical, format!("{INVERSE_PRELUDE}{plain}"));
+    // No path of a list walker holds a paired letter, so none of its
+    // pairs is put to the canonical test.
+    let out = Curare::new().transform_source(&walkers(INVERSE_PRELUDE)).unwrap();
+    assert!(out.stats.pair_tests > 0);
+    assert_eq!(out.stats.alias_tests, 0);
 }
 
 /// The work behind the `(4, 4)` walker, pinned as counts so that
@@ -167,6 +175,7 @@ fn the_window_walker_is_analysed_once() {
             functions_analysed: 1,
             path_classes: 6,
             pair_tests: 6,
+            alias_tests: 0,
             automata_built: 10,
             probe_lowerings: 5,
         }
