@@ -112,6 +112,20 @@ for got in "$(delay_read --sequential)" "$(delay_read)"; do
   fi
 done
 
+echo "== reader: inf and nan are names, not floats"
+# Rust's float parser takes `inf` and `nan`; the reader used to, so
+# this walker named `inf`, which binds `nan`, did not load at all.
+# (--sequential also prints the call's value; compare the first line.)
+float_names() {
+  target/release/curare run examples/lisp/fixtures/float-names.lisp "$@" \
+    --call "(inf *data*)" 2> /dev/null | sed -n 1p
+}
+want="$(float_names --sequential)"
+got="$(float_names --servers 2)"
+if [ "$got" != "$want" ] || [ "$got" != "(2 4 6 8)" ]; then
+  echo "float-names fixture: printed '$got', sequentially '$want'" >&2; exit 1
+fi
+
 echo "== front doors agree: analyze, check, transform and both runs read one program"
 # The §6 tool names the conflict the restructurer synchronises `back`
 # for (it used to analyse without the canonicalizer the pipeline

@@ -249,10 +249,10 @@ fn expr_mentions_slot(e: &Expr, slot: usize) -> bool {
 fn collect_expr(e: &Expr, cx: &mut Cx<'_>, out: &mut AccessSummary) {
     match e {
         Expr::Var(VarRef::Global(_), name) => {
-            out.globals_read.insert(name.clone());
+            out.globals_read.insert(name.to_string());
         }
         Expr::Setq(VarRef::Global(_), name, rhs) => {
-            out.globals_written.insert(name.clone());
+            out.globals_written.insert(name.to_string());
             collect_expr(rhs, cx, out);
         }
         Expr::Builtin(BuiltinOp::AtomicIncfGlobal, args) => {

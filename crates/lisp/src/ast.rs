@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use crate::heap::StructType;
 use crate::value::SymId;
-use curare_sexpr::Sexpr;
+use curare_sexpr::{Sexpr, Symbol};
 
 /// Index of a local variable in a function's frame.
 pub type LocalSlot = usize;
@@ -197,9 +197,9 @@ pub enum Expr {
     /// `(quote datum)` — builds the datum in the heap on evaluation.
     Quote(Sexpr),
     /// Variable reference; the name is kept for diagnostics/codegen.
-    Var(VarRef, String),
+    Var(VarRef, Symbol),
     /// `(setq var e)`; evaluates to the new value.
-    Setq(VarRef, String, Box<Expr>),
+    Setq(VarRef, Symbol, Box<Expr>),
     /// `(if c then else)`
     If(Box<Expr>, Box<Expr>, Box<Expr>),
     /// `(progn e...)`; empty evaluates to nil.
@@ -211,7 +211,7 @@ pub enum Expr {
     /// `(let ((v e)...) body...)`. `sequential` marks `let*`.
     Let {
         /// `(slot, name, init)` triples.
-        bindings: Vec<(LocalSlot, String, Expr)>,
+        bindings: Vec<(LocalSlot, Symbol, Expr)>,
         /// Body forms.
         body: Vec<Expr>,
         /// True for `let*` scoping.
@@ -224,7 +224,7 @@ pub enum Expr {
         /// Function name.
         name: SymId,
         /// Name text for diagnostics.
-        name_text: String,
+        name_text: Symbol,
         /// Argument expressions.
         args: Vec<Expr>,
     },
@@ -240,7 +240,7 @@ pub enum Expr {
         captures: Vec<LocalSlot>,
     },
     /// `(function f)` / `#'f` — reference to a named function.
-    FuncRef(SymId, String),
+    FuncRef(SymId, Symbol),
     /// `(future (f args...))` — spawn via the runtime hooks;
     /// sequentially, evaluates the call directly (Multilisp semantics
     /// under a serial scheduler).
@@ -248,7 +248,7 @@ pub enum Expr {
         /// Callee.
         name: SymId,
         /// Callee text.
-        name_text: String,
+        name_text: Symbol,
         /// Argument expressions.
         args: Vec<Expr>,
     },
@@ -263,7 +263,7 @@ pub enum Expr {
         /// Callee.
         name: SymId,
         /// Callee text.
-        name_text: String,
+        name_text: Symbol,
         /// Argument expressions.
         args: Vec<Expr>,
         /// Publish at once (`cri-handoff`) instead of at invocation end.
@@ -444,7 +444,10 @@ mod tests {
     #[test]
     fn walk_counts_nodes() {
         let e = Expr::If(
-            Box::new(Expr::Builtin(BuiltinOp::Null, vec![Expr::Var(VarRef::Local(0), "l".into())])),
+            Box::new(Expr::Builtin(
+                BuiltinOp::Null,
+                vec![Expr::Var(VarRef::Local(0), Symbol::intern("l"))],
+            )),
             Box::new(Expr::Nil),
             Box::new(Expr::Builtin(BuiltinOp::Add, vec![int(1), int(2)])),
         );
@@ -453,7 +456,7 @@ mod tests {
 
     #[test]
     fn calls_detects_recursion() {
-        let e = Expr::Call { name: 5, name_text: "f".into(), args: vec![int(1)] };
+        let e = Expr::Call { name: 5, name_text: Symbol::intern("f"), args: vec![int(1)] };
         assert!(e.calls(5));
         assert!(!e.calls(6));
         let wrapped = Expr::Progn(vec![Expr::Nil, e]);
@@ -462,10 +465,10 @@ mod tests {
 
     #[test]
     fn calls_sees_enqueue_and_future() {
-        let e =
-            Expr::Enqueue { site: 0, name: 3, name_text: "f".into(), args: vec![], handoff: false };
+        let name_text = Symbol::intern("f");
+        let e = Expr::Enqueue { site: 0, name: 3, name_text, args: vec![], handoff: false };
         assert!(e.calls(3));
-        let e = Expr::Future { name: 4, name_text: "g".into(), args: vec![] };
+        let e = Expr::Future { name: 4, name_text: Symbol::intern("g"), args: vec![] };
         assert!(e.calls(4));
     }
 

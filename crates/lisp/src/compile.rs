@@ -40,7 +40,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use curare_sexpr::Sexpr;
+use curare_sexpr::{Sexpr, Symbol};
 
 use crate::ast::{BuiltinOp, Func, VarRef};
 use crate::error::LispError;
@@ -453,12 +453,12 @@ pub struct CallSite {
     /// Callee name symbol.
     pub name: SymId,
     /// Callee source text, for `UndefinedFunction` diagnostics.
-    pub text: String,
+    pub text: Symbol,
     cache: AtomicU64,
 }
 
 impl CallSite {
-    fn new(name: SymId, text: String) -> CallSite {
+    fn new(name: SymId, text: Symbol) -> CallSite {
         CallSite { name, text, cache: AtomicU64::new(0) }
     }
 
@@ -478,7 +478,7 @@ impl CallSite {
 
     /// Resolve the callee or report it undefined.
     pub fn resolve(&self, interp: &Interp) -> crate::error::Result<FuncId> {
-        self.try_resolve(interp).ok_or_else(|| LispError::UndefinedFunction(self.text.clone()))
+        self.try_resolve(interp).ok_or_else(|| LispError::UndefinedFunction(self.text.to_string()))
     }
 }
 
@@ -529,7 +529,7 @@ pub struct Code {
     /// Pre-resolved global cells.
     pub globals: Box<[GlobalRef]>,
     /// Variable names for checked captured-slot loads.
-    pub names: Box<[String]>,
+    pub names: Box<[Symbol]>,
     /// Call sites with inline caches.
     pub sites: Box<[CallSite]>,
     /// Lambda templates.
@@ -775,7 +775,7 @@ struct Compiler<'a> {
     strs: Vec<String>,
     quotes: Vec<Sexpr>,
     globals: Vec<GlobalRef>,
-    names: Vec<String>,
+    names: Vec<Symbol>,
     sites: Vec<CallSite>,
     lambdas: Vec<LambdaSpec>,
     structops: Vec<crate::ast::StructOp>,
@@ -841,11 +841,11 @@ impl Compiler<'_> {
         self.pool_idx(self.consts.len() - 1)
     }
 
-    fn k_name(&mut self, name: &str) -> u16 {
-        if let Some(i) = self.names.iter().position(|n| n == name) {
+    fn k_name(&mut self, name: Symbol) -> u16 {
+        if let Some(i) = self.names.iter().position(|&n| n == name) {
             return self.pool_idx(i);
         }
-        self.names.push(name.to_string());
+        self.names.push(name);
         self.pool_idx(self.names.len() - 1)
     }
 
@@ -857,10 +857,10 @@ impl Compiler<'_> {
         self.pool_idx(self.globals.len() - 1)
     }
 
-    fn k_site(&mut self, name: SymId, text: &str) -> u16 {
+    fn k_site(&mut self, name: SymId, text: Symbol) -> u16 {
         // Sites are deliberately not deduplicated: each syntactic call
         // site keeps its own inline cache.
-        self.sites.push(CallSite::new(name, text.to_string()));
+        self.sites.push(CallSite::new(name, text));
         self.pool_idx(self.sites.len() - 1)
     }
 
@@ -1047,7 +1047,7 @@ impl Compiler<'_> {
                         // produces this inside a function body.
                         self.ok = false;
                     } else if *slot < self.func.ncaptures {
-                        let name = self.k_name(name);
+                        let name = self.k_name(*name);
                         let (dst, src) = (self.r16(dst), self.r16(*slot));
                         self.ops.push(Op::LoadCap { dst, src, name });
                     } else if *slot != dst {
@@ -1189,7 +1189,7 @@ impl Compiler<'_> {
             }
             HKind::Call { name, name_text, args } => {
                 let (b, argc) = self.emit_args(args);
-                let site = self.k_site(*name, name_text);
+                let site = self.k_site(*name, *name_text);
                 if tail {
                     self.ops.push(Op::TailCall { site, base: b, argc });
                 } else {
@@ -1218,20 +1218,20 @@ impl Compiler<'_> {
                 self.ops.push(Op::MakeClosure { dst, l });
             }
             HKind::FuncRef(sym, text) => {
-                let site = self.k_site(*sym, text);
+                let site = self.k_site(*sym, *text);
                 let dst = self.r16(dst);
                 self.ops.push(Op::FuncRef { dst, site });
             }
             HKind::Future { name, name_text, args } => {
                 let (b, argc) = self.emit_args(args);
-                let site = self.k_site(*name, name_text);
+                let site = self.k_site(*name, *name_text);
                 let dst = self.r16(dst);
                 self.ops.push(Op::Future { dst, site, base: b, argc });
                 self.free_to(mark);
             }
             HKind::Enqueue { site, name, name_text, args, handoff } => {
                 let (b, argc) = self.emit_args(args);
-                let callee = self.k_site(*name, name_text);
+                let callee = self.k_site(*name, *name_text);
                 let (site, handoff, tail) = (*site as u32, *handoff, tail && !*handoff);
                 self.ops.push(Op::Enqueue { site, callee, base: b, argc, handoff, tail });
                 self.free_to(mark);

@@ -227,7 +227,7 @@ impl<'i> Evaluator<'i> {
                 VarRef::Local(slot) => {
                     let v = frame.get(*slot).copied().unwrap_or(Value::UNBOUND);
                     if v == Value::UNBOUND {
-                        return Err(LispError::Unbound(name.clone()));
+                        return Err(LispError::Unbound(name.to_string()));
                     }
                     v
                 }
@@ -338,7 +338,7 @@ impl<'i> Evaluator<'i> {
                 }
                 let id = interp
                     .lookup_func(*name)
-                    .ok_or_else(|| LispError::UndefinedFunction(name_text.clone()))?;
+                    .ok_or_else(|| LispError::UndefinedFunction(name_text.to_string()))?;
                 if tail {
                     return Ok(Flow::Tail(id, vals));
                 }
@@ -412,7 +412,7 @@ impl<'i> Evaluator<'i> {
                     // through the pre-interned id table, not a string
                     // comparison chain.
                     None if interp.builtin_by_sym(*sym).is_some() => Value::sym(*sym),
-                    None => return Err(LispError::UndefinedFunction(name_text.clone())),
+                    None => return Err(LispError::UndefinedFunction(name_text.to_string())),
                 }
             }
             Expr::Future { name, name_text, args } => {
@@ -421,7 +421,7 @@ impl<'i> Evaluator<'i> {
                     vals.push(self.eval(a, frame)?);
                 }
                 let Some(fid) = interp.lookup_func(*name) else {
-                    return Err(LispError::UndefinedFunction(name_text.clone()));
+                    return Err(LispError::UndefinedFunction(name_text.to_string()));
                 };
                 interp.hooks().future(interp, fid, vals)?
             }
@@ -431,7 +431,7 @@ impl<'i> Evaluator<'i> {
                     vals.push(self.eval(a, frame)?);
                 }
                 let Some(fid) = interp.lookup_func(*name) else {
-                    return Err(LispError::UndefinedFunction(name_text.clone()));
+                    return Err(LispError::UndefinedFunction(name_text.to_string()));
                 };
                 if *handoff {
                     interp.hooks().handoff(interp, *site, fid, vals)?;

@@ -14,17 +14,17 @@
 //! workload.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use crate::sync::RwLock;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::arena::AtomicArena;
 use crate::chash::LispHash;
 use crate::error::{LispError, Result};
 use crate::speclog;
 use crate::value::{ConsId, StrId, StructId, SymId, Val, Value, VectorId};
-use curare_sexpr::Sexpr;
+use curare_sexpr::{Sexpr, Symbol};
 
 /// One cons cell: two mutable value words.
 #[derive(Default)]
@@ -64,28 +64,13 @@ pub struct Heap {
     struct_types: RwLock<Vec<StructType>>,
 }
 
+/// This heap's symbol ids. A name is the process-wide [`Symbol`], so
+/// [`Heap::sym_name`] hands out `&'static str` and nothing is copied
+/// per heap.
 #[derive(Default)]
 struct SymbolTable {
-    names: Vec<&'static str>,
-    ids: HashMap<&'static str, SymId>,
-}
-
-/// `name` with the lifetime of the process, which is what lets
-/// [`Heap::sym_name`] hand out `&'static str`. The leak is deliberate
-/// and bounded by the distinct identifiers the process ever loads: a
-/// name is leaked once, however many heaps intern it (a heap per
-/// restructuring and per interpreter used to leak its own copy each).
-fn process_name(name: &str) -> &'static str {
-    static NAMES: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    // A panic elsewhere cannot leave the set half-updated: `insert` is
-    // its only mutation.
-    let mut names = NAMES.get_or_init(Default::default).lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(&known) = names.get(name) {
-        return known;
-    }
-    let leaked: &'static str = Box::leak(name.into());
-    names.insert(leaked);
-    leaked
+    names: Vec<Symbol>,
+    ids: HashMap<Symbol, SymId>,
 }
 
 impl Heap {
@@ -106,29 +91,34 @@ impl Heap {
 
     // ----- symbols ---------------------------------------------------
 
-    /// Intern `name`, returning its stable id.
-    pub fn intern(&self, name: &str) -> SymId {
-        if let Some(&id) = self.symbols.read().ids.get(name) {
+    /// Intern `name`, returning its stable id. The lowerer passes the
+    /// [`Symbol`] the reader interned; a `&str` is interned first.
+    pub fn intern(&self, name: impl Into<Symbol>) -> SymId {
+        let name = name.into();
+        if let Some(&id) = self.symbols.read().ids.get(&name) {
             return id;
         }
         let mut table = self.symbols.write();
-        if let Some(&id) = table.ids.get(name) {
+        if let Some(&id) = table.ids.get(&name) {
             return id;
         }
-        let leaked = process_name(name);
         let id = table.names.len() as SymId;
-        table.names.push(leaked);
-        table.ids.insert(leaked, id);
+        table.names.push(name);
+        table.ids.insert(name, id);
         id
     }
 
     /// The printable name of symbol `id`.
     pub fn sym_name(&self, id: SymId) -> &'static str {
+        self.symbol(id).as_str()
+    }
+
+    fn symbol(&self, id: SymId) -> Symbol {
         self.symbols.read().names[id as usize]
     }
 
     /// Intern and wrap as a value.
-    pub fn sym_value(&self, name: &str) -> Value {
+    pub fn sym_value(&self, name: impl Into<Symbol>) -> Value {
         Value::sym(self.intern(name))
     }
 
@@ -599,7 +589,7 @@ impl Heap {
             Val::Nil => Sexpr::nil(),
             Val::T => Sexpr::sym("t"),
             Val::Int(i) => Sexpr::Int(i),
-            Val::Sym(id) => Sexpr::sym(self.sym_name(id)),
+            Val::Sym(id) => Sexpr::Sym(self.symbol(id)),
             Val::Float(_) => Sexpr::Float(self.float_val(v).ok()?),
             Val::Str(id) => Sexpr::Str(self.str_text(id).to_string()),
             Val::Cons(_) => {
@@ -657,9 +647,9 @@ impl Heap {
     /// Build a heap constant from a quoted datum.
     pub fn from_sexpr(&self, d: &Sexpr) -> Value {
         match d {
-            Sexpr::Sym(s) if s == "nil" => Value::NIL,
-            Sexpr::Sym(s) if s == "t" => Value::T,
-            Sexpr::Sym(s) => self.sym_value(s),
+            Sexpr::Sym(s) if *s == "nil" => Value::NIL,
+            Sexpr::Sym(s) if *s == "t" => Value::T,
+            Sexpr::Sym(s) => self.sym_value(*s),
             Sexpr::Int(i) => Value::int_checked(*i).unwrap_or_else(|| self.float(*i as f64)),
             Sexpr::Float(x) => self.float(*x),
             Sexpr::Str(s) => self.string(s.clone()),

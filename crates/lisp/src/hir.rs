@@ -39,7 +39,7 @@
 
 use std::sync::Arc;
 
-use curare_sexpr::Sexpr;
+use curare_sexpr::{Sexpr, Symbol};
 
 use crate::ast::{BuiltinOp, Expr, Func, LocalSlot, StructOp, VarRef};
 use crate::lower::builtin_foldable;
@@ -141,9 +141,9 @@ pub enum HKind {
     /// Quoted datum, built fresh per execution.
     Quote(Sexpr),
     /// Variable reference.
-    Var(VarRef, String),
+    Var(VarRef, Symbol),
     /// Assignment; evaluates to the new value.
-    Setq(VarRef, String, Box<HExpr>),
+    Setq(VarRef, Symbol, Box<HExpr>),
     /// Two-way branch.
     If(Box<HExpr>, Box<HExpr>, Box<HExpr>),
     /// Sequence; never empty, never a single form (desugared away).
@@ -155,7 +155,7 @@ pub enum HKind {
     /// Parallel `let` (sequential `let*` desugars to nesting).
     Let {
         /// `(slot, name, init)` triples.
-        bindings: Vec<(LocalSlot, String, HExpr)>,
+        bindings: Vec<(LocalSlot, Symbol, HExpr)>,
         /// Body forms.
         body: Vec<HExpr>,
     },
@@ -166,7 +166,7 @@ pub enum HKind {
         /// Callee symbol.
         name: SymId,
         /// Callee text for diagnostics.
-        name_text: String,
+        name_text: Symbol,
         /// Arguments.
         args: Vec<HExpr>,
     },
@@ -183,13 +183,13 @@ pub enum HKind {
         captures: Vec<LocalSlot>,
     },
     /// `#'f`.
-    FuncRef(SymId, String),
+    FuncRef(SymId, Symbol),
     /// `(future (f ...))`.
     Future {
         /// Callee symbol.
         name: SymId,
         /// Callee text.
-        name_text: String,
+        name_text: Symbol,
         /// Arguments.
         args: Vec<HExpr>,
     },
@@ -200,7 +200,7 @@ pub enum HKind {
         /// Callee symbol.
         name: SymId,
         /// Callee text.
-        name_text: String,
+        name_text: Symbol,
         /// Arguments.
         args: Vec<HExpr>,
         /// `cri-handoff`: publish at once.
@@ -284,13 +284,13 @@ pub fn desugar(e: &Expr) -> HExpr {
         // literals (quoted conses/symbols still build per execution).
         Expr::Quote(d) => match d {
             Sexpr::Int(i) if Value::int_checked(*i).is_some() => HKind::Int(*i),
-            Sexpr::Sym(s) if s == "nil" => HKind::Nil,
-            Sexpr::Sym(s) if s == "t" => HKind::T,
+            Sexpr::Sym(s) if *s == "nil" => HKind::Nil,
+            Sexpr::Sym(s) if *s == "t" => HKind::T,
             Sexpr::List(items) if items.is_empty() => HKind::Nil,
             _ => HKind::Quote(d.clone()),
         },
-        Expr::Var(vr, name) => HKind::Var(*vr, name.clone()),
-        Expr::Setq(vr, name, rhs) => HKind::Setq(*vr, name.clone(), Box::new(desugar(rhs))),
+        Expr::Var(vr, name) => HKind::Var(*vr, *name),
+        Expr::Setq(vr, name, rhs) => HKind::Setq(*vr, *name, Box::new(desugar(rhs))),
         // Rule `if-literal`: a literal condition selects its branch.
         Expr::If(c, t, f) => {
             let (c, t, f) = (desugar(c), desugar(t), desugar(f));
@@ -313,7 +313,7 @@ pub fn desugar(e: &Expr) -> HExpr {
                 let mut inner: Vec<HExpr> = body_h;
                 for (slot, name, init) in bindings.iter().rev() {
                     let le = HExpr::new(HKind::Let {
-                        bindings: vec![(*slot, name.clone(), desugar(init))],
+                        bindings: vec![(*slot, *name, desugar(init))],
                         body: inner,
                     });
                     inner = vec![le];
@@ -325,14 +325,14 @@ pub fn desugar(e: &Expr) -> HExpr {
                 return desugar_progn(body_h);
             }
             HKind::Let {
-                bindings: bindings.iter().map(|(s, n, i)| (*s, n.clone(), desugar(i))).collect(),
+                bindings: bindings.iter().map(|(s, n, i)| (*s, *n, desugar(i))).collect(),
                 body: body_h,
             }
         }
         Expr::While(c, body) => HKind::While(Box::new(desugar(c)), desugar_body(body)),
         Expr::Call { name, name_text, args } => HKind::Call {
             name: *name,
-            name_text: name_text.clone(),
+            name_text: *name_text,
             args: args.iter().map(desugar).collect(),
         },
         Expr::Builtin(op, args) => {
@@ -347,16 +347,16 @@ pub fn desugar(e: &Expr) -> HExpr {
         Expr::Lambda { func, captures } => {
             HKind::Lambda { func: Arc::clone(func), captures: captures.clone() }
         }
-        Expr::FuncRef(sym, text) => HKind::FuncRef(*sym, text.clone()),
+        Expr::FuncRef(sym, text) => HKind::FuncRef(*sym, *text),
         Expr::Future { name, name_text, args } => HKind::Future {
             name: *name,
-            name_text: name_text.clone(),
+            name_text: *name_text,
             args: args.iter().map(desugar).collect(),
         },
         Expr::Enqueue { site, name, name_text, args, handoff } => HKind::Enqueue {
             site: *site,
             name: *name,
-            name_text: name_text.clone(),
+            name_text: *name_text,
             args: args.iter().map(desugar).collect(),
             handoff: *handoff,
         },

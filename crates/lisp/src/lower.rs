@@ -12,11 +12,11 @@ use std::sync::Arc;
 use crate::ast::{BuiltinOp, Expr, Func, LocalSlot, Program, StructOp, VarRef};
 use crate::error::{LispError, Result};
 use crate::heap::Heap;
-use curare_sexpr::Sexpr;
+use curare_sexpr::{Sexpr, Symbol};
 
 /// Per-function lowering context.
 struct FnCtx {
-    scopes: Vec<HashMap<String, LocalSlot>>,
+    scopes: Vec<HashMap<Symbol, LocalSlot>>,
     nslots: usize,
     /// parent slot -> local capture slot (lambdas only).
     capture_map: HashMap<LocalSlot, LocalSlot>,
@@ -40,14 +40,14 @@ impl FnCtx {
         s
     }
 
-    fn bind(&mut self, name: &str) -> LocalSlot {
+    fn bind(&mut self, name: Symbol) -> LocalSlot {
         let s = self.fresh_slot();
-        self.scopes.last_mut().expect("scope stack never empty").insert(name.to_string(), s);
+        self.scopes.last_mut().expect("scope stack never empty").insert(name, s);
         s
     }
 
-    fn lookup(&self, name: &str) -> Option<LocalSlot> {
-        self.scopes.iter().rev().find_map(|m| m.get(name)).copied()
+    fn lookup(&self, name: Symbol) -> Option<LocalSlot> {
+        self.scopes.iter().rev().find_map(|m| m.get(&name)).copied()
     }
 }
 
@@ -56,7 +56,7 @@ impl FnCtx {
 pub struct Lowerer<'h> {
     heap: &'h Heap,
     /// defstruct-generated name -> operation.
-    struct_ops: HashMap<String, StructOpKind>,
+    struct_ops: HashMap<Symbol, StructOpKind>,
     ctxs: Vec<FnCtx>,
     /// Collected lambdas pending id assignment are inline in Expr.
     gensym: usize,
@@ -99,11 +99,11 @@ impl<'h> Lowerer<'h> {
 
     fn register_struct_ops(&mut self, ty: u32) {
         let st = self.heap.struct_type(ty);
-        self.struct_ops
-            .insert(format!("make-{}", st.name), StructOpKind::Make(ty, st.fields.len()));
-        self.struct_ops.insert(format!("{}-p", st.name), StructOpKind::Pred(ty));
+        let mut define = |name: String, op| self.struct_ops.insert(Symbol::intern(&name), op);
+        define(format!("make-{}", st.name), StructOpKind::Make(ty, st.fields.len()));
+        define(format!("{}-p", st.name), StructOpKind::Pred(ty));
         for (i, f) in st.fields.iter().enumerate() {
-            self.struct_ops.insert(format!("{}-{}", st.name, f), StructOpKind::Ref(ty, i));
+            define(format!("{}-{}", st.name, f), StructOpKind::Ref(ty, i));
         }
     }
 
@@ -144,16 +144,12 @@ impl<'h> Lowerer<'h> {
             let [name, init] = args else {
                 return Err(syntax("defparameter expects (defparameter name init)"));
             };
-            let Some(n) = name.as_symbol() else {
+            let Some(n) = name.symbol() else {
                 return Err(syntax("defparameter name must be a symbol"));
             };
             let sym = self.heap.intern(n);
             let init = self.lower_expr(init)?;
-            return Ok(TopForm::Expr(Expr::Setq(
-                VarRef::Global(sym),
-                n.to_string(),
-                Box::new(init),
-            )));
+            return Ok(TopForm::Expr(Expr::Setq(VarRef::Global(sym), n, Box::new(init))));
         }
         Ok(TopForm::Expr(self.lower_expr(form)?))
     }
@@ -179,22 +175,16 @@ impl<'h> Lowerer<'h> {
             [name, params, body @ ..] => (name, params, body),
             _ => return Err(syntax("defun expects (defun name (params) body...)")),
         };
-        let Some(name) = name.as_symbol() else {
+        let Some(name) = name.symbol() else {
             return Err(syntax("defun name must be a symbol"));
         };
         let Some(params) = params.as_list() else {
             return Err(syntax("defun parameter list must be a list"));
         };
-        let mut pnames = Vec::new();
-        for p in params {
-            match p.as_symbol() {
-                Some(s) => pnames.push(s.to_string()),
-                None => return Err(syntax("parameters must be symbols")),
-            }
-        }
+        let pnames = param_names(params)?;
 
         self.ctxs.push(FnCtx::new());
-        for p in &pnames {
+        for &p in &pnames {
             self.ctxs.last_mut().expect("ctx pushed above").bind(p);
         }
         let result = self.lower_body_with_decls(body);
@@ -206,7 +196,7 @@ impl<'h> Lowerer<'h> {
         Ok(Arc::new(Func {
             name: name.to_string(),
             name_sym: self.heap.intern(name),
-            params: pnames,
+            params: pnames.iter().map(|p| p.to_string()).collect(),
             ncaptures: 0,
             nslots: ctx.nslots,
             body,
@@ -232,7 +222,7 @@ impl<'h> Lowerer<'h> {
 
     /// Resolve a variable: innermost function locals, then captures
     /// from enclosing functions (for lambdas), then global.
-    fn resolve_var(&mut self, name: &str) -> VarRef {
+    fn resolve_var(&mut self, name: Symbol) -> VarRef {
         // Fast path: bound in the current function.
         if let Some(slot) = self.ctxs.last().expect("ctx stack never empty").lookup(name) {
             return VarRef::Local(slot);
@@ -271,22 +261,15 @@ impl<'h> Lowerer<'h> {
             Sexpr::Sym(s) => Ok(match s.as_str() {
                 "nil" => Expr::Nil,
                 "t" => Expr::T,
-                name => {
-                    let vr = self.resolve_var(name);
-                    Expr::Var(vr, name.to_string())
-                }
+                _ => Expr::Var(self.resolve_var(*s), *s),
             }),
             Sexpr::Dotted(..) => Err(syntax("dotted list in expression position")),
             Sexpr::List(items) => {
                 if items.is_empty() {
                     return Ok(Expr::Nil);
                 }
-                let head = items[0]
-                    .as_symbol()
-                    .ok_or_else(|| syntax("call head must be a symbol"))?
-                    .to_string();
-                let args = &items[1..];
-                self.lower_form(&head, args)
+                let head = items[0].symbol().ok_or_else(|| syntax("call head must be a symbol"))?;
+                self.lower_form(head, &items[1..])
             }
         }
     }
@@ -302,10 +285,10 @@ impl<'h> Lowerer<'h> {
         Ok(())
     }
 
-    fn lower_form(&mut self, head: &str, args: &[Sexpr]) -> Result<Expr> {
-        match head {
+    fn lower_form(&mut self, head: Symbol, args: &[Sexpr]) -> Result<Expr> {
+        match head.as_str() {
             "quote" => {
-                Self::expect_arity(head, args, 1)?;
+                Self::expect_arity(&head, args, 1)?;
                 Ok(Expr::Quote(args[0].clone()))
             }
             "if" => match args {
@@ -355,27 +338,23 @@ impl<'h> Lowerer<'h> {
             "dolist" => self.lower_dolist(args),
             "dotimes" => self.lower_dotimes(args),
             "defparameter" | "defvar" => {
-                Self::expect_arity(head, args, 2)?;
-                let Some(name) = args[0].as_symbol() else {
+                Self::expect_arity(&head, args, 2)?;
+                let Some(name) = args[0].symbol() else {
                     return Err(syntax("defparameter name must be a symbol"));
                 };
                 let sym = self.heap.intern(name);
-                Ok(Expr::Setq(
-                    VarRef::Global(sym),
-                    name.to_string(),
-                    Box::new(self.lower_expr(&args[1])?),
-                ))
+                Ok(Expr::Setq(VarRef::Global(sym), name, Box::new(self.lower_expr(&args[1])?)))
             }
             "setq" => {
-                Self::expect_arity(head, args, 2)?;
-                let Some(name) = args[0].as_symbol() else {
+                Self::expect_arity(&head, args, 2)?;
+                let Some(name) = args[0].symbol() else {
                     return Err(syntax("setq target must be a symbol"));
                 };
                 let vr = self.resolve_var(name);
-                Ok(Expr::Setq(vr, name.to_string(), Box::new(self.lower_expr(&args[1])?)))
+                Ok(Expr::Setq(vr, name, Box::new(self.lower_expr(&args[1])?)))
             }
             "setf" => {
-                Self::expect_arity(head, args, 2)?;
+                Self::expect_arity(&head, args, 2)?;
                 self.lower_setf(&args[0], &args[1])
             }
             "incf" | "decf" => {
@@ -389,50 +368,50 @@ impl<'h> Lowerer<'h> {
                 self.lower_setf(place, &new)
             }
             "push" => {
-                Self::expect_arity(head, args, 2)?;
+                Self::expect_arity(&head, args, 2)?;
                 let new = Sexpr::List(vec![Sexpr::sym("cons"), args[0].clone(), args[1].clone()]);
                 self.lower_setf(&args[1], &new)
             }
             "pop" => {
-                Self::expect_arity(head, args, 1)?;
-                let Some(name) = args[0].as_symbol() else {
+                Self::expect_arity(&head, args, 1)?;
+                let Some(name) = args[0].symbol() else {
                     return Err(syntax("pop target must be a symbol"));
                 };
                 // (let ((%pop (car v))) (setq v (cdr v)) %pop)
-                let tmp = self.fresh_name("%pop");
+                let (tmp, var) = (Sexpr::sym(self.fresh_name("%pop")), Sexpr::Sym(name));
                 self.lower_expr(&Sexpr::List(vec![
                     Sexpr::sym("let"),
                     Sexpr::List(vec![Sexpr::List(vec![
-                        Sexpr::sym(tmp.clone()),
-                        Sexpr::List(vec![Sexpr::sym("car"), Sexpr::sym(name)]),
+                        tmp.clone(),
+                        Sexpr::List(vec![Sexpr::sym("car"), var.clone()]),
                     ])]),
                     Sexpr::List(vec![
                         Sexpr::sym("setq"),
-                        Sexpr::sym(name),
-                        Sexpr::List(vec![Sexpr::sym("cdr"), Sexpr::sym(name)]),
+                        var.clone(),
+                        Sexpr::List(vec![Sexpr::sym("cdr"), var]),
                     ]),
-                    Sexpr::sym(tmp),
+                    tmp,
                 ]))
             }
             "lambda" => self.lower_lambda(args),
             "function" => {
-                Self::expect_arity(head, args, 1)?;
-                let Some(name) = args[0].as_symbol() else {
+                Self::expect_arity(&head, args, 1)?;
+                let Some(name) = args[0].symbol() else {
                     return Err(syntax("function expects a symbol"));
                 };
-                Ok(Expr::FuncRef(self.heap.intern(name), name.to_string()))
+                Ok(Expr::FuncRef(self.heap.intern(name), name))
             }
             "future" => {
-                Self::expect_arity(head, args, 1)?;
+                Self::expect_arity(&head, args, 1)?;
                 let Some(call) = args[0].as_list() else {
                     return Err(syntax("future expects a function call"));
                 };
-                let Some(fname) = call.first().and_then(Sexpr::as_symbol) else {
+                let Some(fname) = call.first().and_then(Sexpr::symbol) else {
                     return Err(syntax("future expects (future (f args...))"));
                 };
                 Ok(Expr::Future {
                     name: self.heap.intern(fname),
-                    name_text: fname.to_string(),
+                    name_text: fname,
                     args: self.lower_all(&call[1..])?,
                 })
             }
@@ -443,19 +422,19 @@ impl<'h> Lowerer<'h> {
                 let Some(site) = site.as_int() else {
                     return Err(syntax(format!("{head} site must be an integer")));
                 };
-                let Some(fname) = fname.as_symbol() else {
+                let Some(fname) = fname.symbol() else {
                     return Err(syntax(format!("{head} fname must be a symbol")));
                 };
                 Ok(Expr::Enqueue {
                     site: site as usize,
                     name: self.heap.intern(fname),
-                    name_text: fname.to_string(),
+                    name_text: fname,
                     args: self.lower_all(rest)?,
                     handoff: head == "cri-handoff",
                 })
             }
             "atomic-incf-cell" => {
-                Self::expect_arity(head, args, 3)?;
+                Self::expect_arity(&head, args, 3)?;
                 let base = self.lower_expr(&args[0])?;
                 let field = field_code(&args[1])?;
                 let delta = self.lower_expr(&args[2])?;
@@ -465,7 +444,7 @@ impl<'h> Lowerer<'h> {
                 ))
             }
             "cri-lock" | "cri-unlock" | "cri-lock-read" | "cri-unlock-read" => {
-                Self::expect_arity(head, args, 2)?;
+                Self::expect_arity(&head, args, 2)?;
                 let base = self.lower_expr(&args[0])?;
                 let field = field_code(&args[1])?;
                 Ok(Expr::LockOp {
@@ -513,15 +492,16 @@ impl<'h> Lowerer<'h> {
             return Err(syntax("let binding list must be a list"));
         };
         // Parse (name init) or bare name pairs.
+        let nil = Sexpr::nil();
         let mut parsed = Vec::new();
         for b in bindings {
             match b {
-                Sexpr::Sym(n) => parsed.push((n.clone(), Sexpr::nil())),
+                Sexpr::Sym(n) => parsed.push((*n, &nil)),
                 Sexpr::List(pair) if pair.len() == 2 => {
-                    let Some(n) = pair[0].as_symbol() else {
+                    let Some(n) = pair[0].symbol() else {
                         return Err(syntax("let binding name must be a symbol"));
                     };
-                    parsed.push((n.to_string(), pair[1].clone()));
+                    parsed.push((n, &pair[1]));
                 }
                 _ => return Err(syntax("let binding must be (name init) or name")),
             }
@@ -530,10 +510,10 @@ impl<'h> Lowerer<'h> {
         let result = (|| {
             let mut lowered = Vec::new();
             if sequential {
-                for (n, init) in &parsed {
+                for &(n, init) in &parsed {
                     let init = self.lower_expr(init)?; // sees earlier bindings
                     let slot = self.ctx().bind(n);
-                    lowered.push((slot, n.clone(), init));
+                    lowered.push((slot, n, init));
                 }
             } else {
                 // Plain let: inits see only the outer scope.
@@ -541,9 +521,9 @@ impl<'h> Lowerer<'h> {
                     .iter()
                     .map(|(_, init)| self.lower_expr(init))
                     .collect::<Result<Vec<_>>>()?;
-                for ((n, _), init) in parsed.iter().zip(inits) {
+                for (&(n, _), init) in parsed.iter().zip(inits) {
                     let slot = self.ctx().bind(n);
-                    lowered.push((slot, n.clone(), init));
+                    lowered.push((slot, n, init));
                 }
             }
             let body = self.lower_all(body)?;
@@ -560,33 +540,31 @@ impl<'h> Lowerer<'h> {
         let Some([var, list]) = spec.as_list() else {
             return Err(syntax("dolist spec must be (var list)"));
         };
-        let Some(vname) = var.as_symbol() else {
+        if var.symbol().is_none() {
             return Err(syntax("dolist var must be a symbol"));
-        };
-        let tmp = self.fresh_name("%dolist");
+        }
+        let tmp = Sexpr::sym(self.fresh_name("%dolist"));
         // (let ((tmp list) (var nil))
         //   (while (consp tmp) (setq var (car tmp)) body... (setq tmp (cdr tmp))))
         let mut while_body = vec![Sexpr::List(vec![
             Sexpr::sym("setq"),
-            Sexpr::sym(vname),
-            Sexpr::List(vec![Sexpr::sym("car"), Sexpr::sym(tmp.clone())]),
+            var.clone(),
+            Sexpr::List(vec![Sexpr::sym("car"), tmp.clone()]),
         ])];
         while_body.extend(body.iter().cloned());
         while_body.push(Sexpr::List(vec![
             Sexpr::sym("setq"),
-            Sexpr::sym(tmp.clone()),
-            Sexpr::List(vec![Sexpr::sym("cdr"), Sexpr::sym(tmp.clone())]),
+            tmp.clone(),
+            Sexpr::List(vec![Sexpr::sym("cdr"), tmp.clone()]),
         ]));
-        let mut whole = vec![
-            Sexpr::sym("while"),
-            Sexpr::List(vec![Sexpr::sym("consp"), Sexpr::sym(tmp.clone())]),
-        ];
+        let mut whole =
+            vec![Sexpr::sym("while"), Sexpr::List(vec![Sexpr::sym("consp"), tmp.clone()])];
         whole.extend(while_body);
         self.lower_expr(&Sexpr::List(vec![
             Sexpr::sym("let"),
             Sexpr::List(vec![
-                Sexpr::List(vec![Sexpr::sym(tmp), list.clone()]),
-                Sexpr::List(vec![Sexpr::sym(vname), Sexpr::sym("nil")]),
+                Sexpr::List(vec![tmp, list.clone()]),
+                Sexpr::List(vec![var.clone(), Sexpr::sym("nil")]),
             ]),
             Sexpr::List(whole),
         ]))
@@ -599,25 +577,25 @@ impl<'h> Lowerer<'h> {
         let Some([var, n]) = spec.as_list() else {
             return Err(syntax("dotimes spec must be (var n)"));
         };
-        let Some(vname) = var.as_symbol() else {
+        if var.symbol().is_none() {
             return Err(syntax("dotimes var must be a symbol"));
-        };
-        let limit = self.fresh_name("%dotimes");
+        }
+        let limit = Sexpr::sym(self.fresh_name("%dotimes"));
         let mut while_form = vec![
             Sexpr::sym("while"),
-            Sexpr::List(vec![Sexpr::sym("<"), Sexpr::sym(vname), Sexpr::sym(limit.clone())]),
+            Sexpr::List(vec![Sexpr::sym("<"), var.clone(), limit.clone()]),
         ];
         while_form.extend(body.iter().cloned());
         while_form.push(Sexpr::List(vec![
             Sexpr::sym("setq"),
-            Sexpr::sym(vname),
-            Sexpr::List(vec![Sexpr::sym("1+"), Sexpr::sym(vname)]),
+            var.clone(),
+            Sexpr::List(vec![Sexpr::sym("1+"), var.clone()]),
         ]));
         self.lower_expr(&Sexpr::List(vec![
             Sexpr::sym("let"),
             Sexpr::List(vec![
-                Sexpr::List(vec![Sexpr::sym(limit), n.clone()]),
-                Sexpr::List(vec![Sexpr::sym(vname), Sexpr::Int(0)]),
+                Sexpr::List(vec![limit, n.clone()]),
+                Sexpr::List(vec![var.clone(), Sexpr::Int(0)]),
             ]),
             Sexpr::List(while_form),
         ]))
@@ -630,18 +608,12 @@ impl<'h> Lowerer<'h> {
         let Some(params) = params.as_list() else {
             return Err(syntax("lambda parameter list must be a list"));
         };
-        let mut pnames = Vec::new();
-        for p in params {
-            match p.as_symbol() {
-                Some(s) => pnames.push(s.to_string()),
-                None => return Err(syntax("parameters must be symbols")),
-            }
-        }
+        let pnames = param_names(params)?;
         self.ctxs.push(FnCtx::new());
         // Captures will claim slots lazily as free variables are seen;
         // we therefore bind parameters first and renumber captures
         // after lowering (captures must precede params in the frame).
-        for p in &pnames {
+        for &p in &pnames {
             self.ctxs.last_mut().expect("pushed above").bind(p);
         }
         let result = self.lower_body_with_decls(body);
@@ -672,9 +644,9 @@ impl<'h> Lowerer<'h> {
         let name = self.fresh_name("%lambda");
         Ok(Expr::Lambda {
             func: Arc::new(Func {
-                name: name.clone(),
                 name_sym: self.heap.intern(&name),
-                params: pnames,
+                name,
+                params: pnames.iter().map(|p| p.to_string()).collect(),
                 ncaptures: k,
                 nslots: ctx.nslots,
                 body: lowered_body,
@@ -685,15 +657,15 @@ impl<'h> Lowerer<'h> {
     }
 
     /// Calls to builtins, struct ops, `c[ad]+r`, or user functions.
-    fn lower_call_like(&mut self, head: &str, args: &[Sexpr]) -> Result<Expr> {
+    fn lower_call_like(&mut self, head: Symbol, args: &[Sexpr]) -> Result<Expr> {
         // defstruct-generated names first: they shadow nothing else.
-        if let Some(&op) = self.struct_ops.get(head) {
+        if let Some(&op) = self.struct_ops.get(&head) {
             let lowered = self.lower_all(args)?;
             return match op {
                 StructOpKind::Make(ty, nfields) => {
                     if lowered.len() != nfields {
                         return Err(LispError::Arity {
-                            name: head.into(),
+                            name: head.to_string(),
                             expected: nfields,
                             got: lowered.len(),
                         });
@@ -703,7 +675,7 @@ impl<'h> Lowerer<'h> {
                 StructOpKind::Ref(ty, field) => {
                     if lowered.len() != 1 {
                         return Err(LispError::Arity {
-                            name: head.into(),
+                            name: head.to_string(),
                             expected: 1,
                             got: lowered.len(),
                         });
@@ -713,7 +685,7 @@ impl<'h> Lowerer<'h> {
                 StructOpKind::Pred(ty) => {
                     if lowered.len() != 1 {
                         return Err(LispError::Arity {
-                            name: head.into(),
+                            name: head.to_string(),
                             expected: 1,
                             got: lowered.len(),
                         });
@@ -723,8 +695,8 @@ impl<'h> Lowerer<'h> {
             };
         }
         // c[ad]+r compositions: cadr, cddr, caddr, ...
-        if let Some(expansion) = cxr_letters(head) {
-            Self::expect_arity(head, args, 1)?;
+        if let Some(expansion) = cxr_letters(&head) {
+            Self::expect_arity(&head, args, 1)?;
             let mut e = self.lower_expr(&args[0])?;
             for letter in expansion.iter().rev() {
                 let op = if *letter == b'a' { BuiltinOp::Car } else { BuiltinOp::Cdr };
@@ -732,16 +704,17 @@ impl<'h> Lowerer<'h> {
             }
             return Ok(e);
         }
-        if let Some((op, min, max)) = builtin_signature(head) {
+        if let Some((op, min, max)) = builtin_signature(&head) {
             if args.len() < min || args.len() > max {
-                return Err(LispError::Arity { name: head.into(), expected: min, got: args.len() });
+                let (name, got) = (head.to_string(), args.len());
+                return Err(LispError::Arity { name, expected: min, got });
             }
             return Ok(Expr::Builtin(op, self.lower_all(args)?));
         }
         // Otherwise: a user function call by name.
         Ok(Expr::Call {
             name: self.heap.intern(head),
-            name_text: head.to_string(),
+            name_text: head,
             args: self.lower_all(args)?,
         })
     }
@@ -750,45 +723,44 @@ impl<'h> Lowerer<'h> {
     fn lower_setf(&mut self, place: &Sexpr, value: &Sexpr) -> Result<Expr> {
         match place {
             Sexpr::Sym(name) => {
-                let vr = self.resolve_var(name);
-                Ok(Expr::Setq(vr, name.clone(), Box::new(self.lower_expr(value)?)))
+                let vr = self.resolve_var(*name);
+                Ok(Expr::Setq(vr, *name, Box::new(self.lower_expr(value)?)))
             }
             Sexpr::List(items) if !items.is_empty() => {
-                let head = items[0]
-                    .as_symbol()
-                    .ok_or_else(|| syntax("setf place head must be a symbol"))?;
+                let head =
+                    items[0].symbol().ok_or_else(|| syntax("setf place head must be a symbol"))?;
                 let pargs = &items[1..];
                 // Struct field place.
-                if let Some(&StructOpKind::Ref(ty, field)) = self.struct_ops.get(head) {
-                    Self::expect_arity(head, pargs, 1)?;
+                if let Some(&StructOpKind::Ref(ty, field)) = self.struct_ops.get(&head) {
+                    Self::expect_arity(&head, pargs, 1)?;
                     let obj = self.lower_expr(&pargs[0])?;
                     let v = self.lower_expr(value)?;
                     return Ok(Expr::Struct(StructOp::Set { ty, field }, vec![obj, v]));
                 }
-                match head {
+                match head.as_str() {
                     "car" | "cdr" => {
-                        Self::expect_arity(head, pargs, 1)?;
+                        Self::expect_arity(&head, pargs, 1)?;
                         let base = self.lower_expr(&pargs[0])?;
                         let v = self.lower_expr(value)?;
                         let op = if head == "car" { BuiltinOp::SetCar } else { BuiltinOp::SetCdr };
                         Ok(Expr::Builtin(op, vec![base, v]))
                     }
                     "nth" => {
-                        Self::expect_arity(head, pargs, 2)?;
+                        Self::expect_arity(&head, pargs, 2)?;
                         let i = self.lower_expr(&pargs[0])?;
                         let l = self.lower_expr(&pargs[1])?;
                         let v = self.lower_expr(value)?;
                         Ok(Expr::Builtin(BuiltinOp::SetNth, vec![i, l, v]))
                     }
                     "gethash" => {
-                        Self::expect_arity(head, pargs, 2)?;
+                        Self::expect_arity(&head, pargs, 2)?;
                         let k = self.lower_expr(&pargs[0])?;
                         let h = self.lower_expr(&pargs[1])?;
                         let v = self.lower_expr(value)?;
                         Ok(Expr::Builtin(BuiltinOp::Puthash, vec![k, v, h]))
                     }
                     "aref" => {
-                        Self::expect_arity(head, pargs, 2)?;
+                        Self::expect_arity(&head, pargs, 2)?;
                         let vec = self.lower_expr(&pargs[0])?;
                         let i = self.lower_expr(&pargs[1])?;
                         let v = self.lower_expr(value)?;
@@ -797,8 +769,8 @@ impl<'h> Lowerer<'h> {
                     _ => {
                         // c[ad]+r composition place: peel the outermost
                         // accessor, e.g. (setf (cadr l) v) = (rplaca (cdr l) v).
-                        if let Some(letters) = cxr_letters(head) {
-                            Self::expect_arity(head, pargs, 1)?;
+                        if let Some(letters) = cxr_letters(&head) {
+                            Self::expect_arity(&head, pargs, 1)?;
                             let mut base = self.lower_expr(&pargs[0])?;
                             for letter in letters[1..].iter().rev() {
                                 let op =
@@ -820,6 +792,11 @@ impl<'h> Lowerer<'h> {
             _ => Err(syntax("unsupported setf place")),
         }
     }
+}
+
+/// The names of a parameter list.
+fn param_names(params: &[Sexpr]) -> Result<Vec<Symbol>> {
+    params.iter().map(|p| p.symbol().ok_or_else(|| syntax("parameters must be symbols"))).collect()
 }
 
 /// Recursively renumber local slots in a lowered expression (used by

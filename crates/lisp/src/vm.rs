@@ -541,7 +541,7 @@ fn h_load_cap(
     let Op::LoadCap { dst, src, name } = op else { unreachable!() };
     let v = regs[src as usize];
     if v == Value::UNBOUND {
-        return Err(LispError::Unbound(code.names[name as usize].clone()));
+        return Err(LispError::Unbound(code.names[name as usize].to_string()));
     }
     regs[dst as usize] = v;
     Ok(None)
@@ -735,7 +735,7 @@ fn h_func_ref(
         // `#'car` etc.: builtins are designated by their symbol.
         None if vm.interp.builtin_by_sym(site.name).is_some() => Value::sym(site.name),
         None => {
-            return Err(LispError::UndefinedFunction(site.text.clone()));
+            return Err(LispError::UndefinedFunction(site.text.to_string()));
         }
     };
     Ok(None)

@@ -3,6 +3,8 @@
 
 use std::fmt::{self, Write as _};
 
+use crate::Symbol;
+
 /// An s-expression datum.
 ///
 /// Lists are represented as vectors; a *dotted* list carries its final
@@ -12,8 +14,8 @@ use std::fmt::{self, Write as _};
 /// [`Sexpr::List`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Sexpr {
-    /// A symbol such as `defun` or `car`.
-    Sym(String),
+    /// A symbol such as `defun` or `car`, interned.
+    Sym(Symbol),
     /// A signed integer literal.
     Int(i64),
     /// A floating-point literal.
@@ -28,9 +30,9 @@ pub enum Sexpr {
 }
 
 impl Sexpr {
-    /// Build a symbol datum.
-    pub fn sym(name: impl Into<String>) -> Sexpr {
-        Sexpr::Sym(name.into())
+    /// Build a symbol datum, interning `name`.
+    pub fn sym(name: impl AsRef<str>) -> Sexpr {
+        Sexpr::Sym(Symbol::intern(name.as_ref()))
     }
 
     /// Build a proper list datum.
@@ -45,13 +47,18 @@ impl Sexpr {
 
     /// True if this datum is the symbol `name`.
     pub fn is_symbol(&self, name: &str) -> bool {
-        matches!(self, Sexpr::Sym(s) if s == name)
+        matches!(self, Sexpr::Sym(s) if *s == name)
     }
 
     /// The symbol's name, if this is a symbol.
     pub fn as_symbol(&self) -> Option<&str> {
+        self.symbol().map(Symbol::as_str)
+    }
+
+    /// The symbol itself, if this is one.
+    pub fn symbol(&self) -> Option<Symbol> {
         match self {
-            Sexpr::Sym(s) => Some(s),
+            Sexpr::Sym(s) => Some(*s),
             _ => None,
         }
     }
@@ -100,34 +107,6 @@ impl Sexpr {
                 Some(&items[1..])
             }
             _ => None,
-        }
-    }
-
-    /// Total number of atoms in this datum; a rough size measure used
-    /// by head/tail cost estimation and in tests.
-    pub fn atom_count(&self) -> usize {
-        match self {
-            Sexpr::Sym(_) | Sexpr::Int(_) | Sexpr::Float(_) | Sexpr::Str(_) => 1,
-            Sexpr::List(items) => items.iter().map(Sexpr::atom_count).sum(),
-            Sexpr::Dotted(items, tail) => {
-                items.iter().map(Sexpr::atom_count).sum::<usize>() + tail.atom_count()
-            }
-        }
-    }
-
-    /// Maximum nesting depth (an atom has depth 0).
-    pub fn depth(&self) -> usize {
-        match self {
-            Sexpr::Sym(_) | Sexpr::Int(_) | Sexpr::Float(_) | Sexpr::Str(_) => 0,
-            Sexpr::List(items) => 1 + items.iter().map(Sexpr::depth).max().unwrap_or(0),
-            Sexpr::Dotted(items, tail) => {
-                1 + items
-                    .iter()
-                    .map(Sexpr::depth)
-                    .chain(std::iter::once(tail.depth()))
-                    .max()
-                    .unwrap_or(0)
-            }
         }
     }
 
@@ -320,12 +299,11 @@ mod tests {
     }
 
     #[test]
-    fn atom_count_and_depth() {
+    fn nested_shape_displays() {
         let e =
             Sexpr::list(vec![sx("f"), Sexpr::list(vec![sx("g"), Sexpr::Int(1)]), Sexpr::Int(2)]);
-        assert_eq!(e.atom_count(), 4);
-        assert_eq!(e.depth(), 2);
-        assert_eq!(sx("x").depth(), 0);
+        assert_eq!(e.to_string(), "(f (g 1) 2)");
+        assert_eq!(sx("x").to_string(), "x");
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! end of line) and whitespace separate tokens and are skipped.
 
 use crate::error::{ReadError, ReadErrorKind, Span};
+use crate::Symbol;
 
 /// The kinds of token the reader distinguishes.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,8 +25,8 @@ pub enum TokenKind {
     Float(f64),
     /// A string literal, unescaped.
     Str(String),
-    /// A symbol (identifier, operator name, `nil`, `t`, ...).
-    Sym(String),
+    /// A symbol (identifier, operator name, `nil`, `t`, ...), interned.
+    Sym(Symbol),
 }
 
 /// A token plus its source span.
@@ -161,22 +162,26 @@ impl<'a> Lexer<'a> {
         if text == "." {
             return Ok(Token { kind: TokenKind::Dot, span });
         }
-        // Numbers: try i64, then f64; anything else is a symbol. The
+        // Numbers: a token with a digit may be an i64, then an f64
+        // (Rust's float parser also takes `inf`, `nan` and `infinity`,
+        // which are symbols here); anything else is a symbol. The
         // special non-finite spellings are accepted for round-tripping.
-        if let Ok(i) = text.parse::<i64>() {
-            return Ok(Token { kind: TokenKind::Int(i), span });
-        }
         match text {
             "+inf.0" => return Ok(Token { kind: TokenKind::Float(f64::INFINITY), span }),
             "-inf.0" => return Ok(Token { kind: TokenKind::Float(f64::NEG_INFINITY), span }),
             "+nan.0" => return Ok(Token { kind: TokenKind::Float(f64::NAN), span }),
             _ => {}
         }
-        if let Ok(x) = text.parse::<f64>() {
-            return Ok(Token { kind: TokenKind::Float(x), span });
+        if text.bytes().any(|b| b.is_ascii_digit()) {
+            if let Ok(i) = text.parse::<i64>() {
+                return Ok(Token { kind: TokenKind::Int(i), span });
+            }
+            if let Ok(x) = text.parse::<f64>() {
+                return Ok(Token { kind: TokenKind::Float(x), span });
+            }
         }
         // Anything else — including Lisp classics like `1+` — is a symbol.
-        Ok(Token { kind: TokenKind::Sym(text.to_string()), span })
+        Ok(Token { kind: TokenKind::Sym(Symbol::intern(text)), span })
     }
 
     /// Read the next token, or `None` at end of input.
@@ -240,13 +245,17 @@ mod tests {
         Lexer::new(src).tokenize().unwrap().into_iter().map(|t| t.kind).collect()
     }
 
+    fn sym(name: &str) -> TokenKind {
+        TokenKind::Sym(Symbol::intern(name))
+    }
+
     #[test]
     fn basic_tokens() {
         assert_eq!(
             kinds("(f 1 2.5)"),
             vec![
                 TokenKind::Open,
-                TokenKind::Sym("f".into()),
+                sym("f"),
                 TokenKind::Int(1),
                 TokenKind::Float(2.5),
                 TokenKind::Close
@@ -258,43 +267,32 @@ mod tests {
     fn comments_are_skipped() {
         assert_eq!(
             kinds("(a ; comment (ignored)\n b)"),
-            vec![
-                TokenKind::Open,
-                TokenKind::Sym("a".into()),
-                TokenKind::Sym("b".into()),
-                TokenKind::Close
-            ]
+            vec![TokenKind::Open, sym("a"), sym("b"), TokenKind::Close]
         );
     }
 
     #[test]
     fn quote_token() {
-        assert_eq!(kinds("'x"), vec![TokenKind::Quote, TokenKind::Sym("x".into())]);
+        assert_eq!(kinds("'x"), vec![TokenKind::Quote, sym("x")]);
     }
 
     #[test]
     fn dot_token_only_when_alone() {
         assert_eq!(
             kinds("(a . b)"),
-            vec![
-                TokenKind::Open,
-                TokenKind::Sym("a".into()),
-                TokenKind::Dot,
-                TokenKind::Sym("b".into()),
-                TokenKind::Close
-            ]
+            vec![TokenKind::Open, sym("a"), TokenKind::Dot, sym("b"), TokenKind::Close]
         );
         // "a.b" is a symbol, not a dotted pair.
-        assert_eq!(kinds("a.b"), vec![TokenKind::Sym("a.b".into())]);
+        assert_eq!(kinds("a.b"), vec![sym("a.b")]);
     }
 
     #[test]
     fn negative_numbers_and_symbols() {
         assert_eq!(kinds("-5"), vec![TokenKind::Int(-5)]);
         assert_eq!(kinds("-5.5"), vec![TokenKind::Float(-5.5)]);
-        assert_eq!(kinds("-"), vec![TokenKind::Sym("-".into())]);
-        assert_eq!(kinds("+"), vec![TokenKind::Sym("+".into())]);
-        assert_eq!(kinds("1+"), vec![TokenKind::Sym("1+".into())]);
+        assert_eq!(kinds("-"), vec![sym("-")]);
+        assert_eq!(kinds("+"), vec![sym("+")]);
+        assert_eq!(kinds("1+"), vec![sym("1+")]);
     }
 
     #[test]
@@ -337,5 +335,20 @@ mod tests {
             TokenKind::Float(x) => assert!(x.is_nan()),
             k => panic!("expected float, got {k:?}"),
         }
+    }
+
+    /// Rust's `f64` parser takes `inf`, `NaN` and `infinity` in any
+    /// case; only a token with a digit is a number here.
+    #[test]
+    fn float_words_are_symbols() {
+        for word in ["inf", "NaN", "nan", "infinity", "-inf", "+Infinity"] {
+            assert_eq!(kinds(word), vec![sym(word)], "{word}");
+        }
+        assert_eq!(kinds("1e5"), vec![TokenKind::Float(1e5)]);
+        assert_eq!(kinds(".5"), vec![TokenKind::Float(0.5)]);
+        assert_eq!(kinds("1+"), vec![sym("1+")]);
+        assert_eq!(kinds("+"), vec![sym("+")]);
+        assert_eq!(kinds("-"), vec![sym("-")]);
+        assert_eq!(kinds("-inf.0"), vec![TokenKind::Float(f64::NEG_INFINITY)]);
     }
 }

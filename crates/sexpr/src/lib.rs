@@ -3,6 +3,8 @@
 //! This crate implements the textual substrate of the mini-Lisp used
 //! throughout the repository: a lexer ([`lexer`]), a reader producing
 //! [`Sexpr`] data ([`parser`]), and a pretty printer ([`printer`]).
+//! Symbols are interned as they are read: a [`Symbol`] is a `Copy`
+//! handle to the one copy of its name.
 //!
 //! The dialect is the subset of Common Lisp / Scheme that the paper's
 //! examples use: symbols, integers, floats, strings, `'quote`
@@ -24,9 +26,11 @@ pub mod error;
 pub mod lexer;
 pub mod parser;
 pub mod printer;
+mod symbol;
 
 pub use datum::Sexpr;
 pub use error::{ReadError, ReadErrorKind, Span};
 pub use lexer::{Lexer, Token, TokenKind};
 pub use parser::{parse_all, parse_one, Parser};
 pub use printer::{pretty, pretty_width};
+pub use symbol::Symbol;

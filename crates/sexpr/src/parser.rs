@@ -214,6 +214,10 @@ mod tests {
                    (f (cdr l)))))";
         let e = parse_one(src).unwrap();
         assert!(e.is_call("defun"));
-        assert_eq!(e.atom_count(), 25);
+        assert_eq!(
+            e.to_string(),
+            "(defun f (l) (cond ((null l) nil) ((null (cdr l)) (f (cdr l))) \
+             (t (setf (cadr l) (+ (car l) (cadr l))) (f (cdr l)))))"
+        );
     }
 }

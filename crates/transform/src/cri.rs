@@ -99,7 +99,7 @@ fn convert_as(form: &Sexpr, spawn: &'static str) -> Result<CriResult, CriError> 
     }
 }
 
-impl Device for Ctx<'_> {
+impl Device<'_> for Ctx<'_> {
     fn fname(&self) -> &str {
         self.fname
     }

@@ -103,7 +103,8 @@ struct Ctx<'a, 'h> {
 /// outlives every rewrite of the enclosing form.
 pub struct Probes<'h> {
     pub(crate) heap: &'h Heap,
-    params: Vec<String>,
+    /// The defun's parameter list, as written.
+    params: Sexpr,
     seen: Vec<(Vec<Sexpr>, Option<Rc<AccessSummary>>)>,
 }
 
@@ -111,7 +112,7 @@ impl<'h> Probes<'h> {
     /// An empty cache for the statements of the defun `form`; `None`
     /// if it is not one.
     pub fn for_defun(heap: &'h Heap, form: &Sexpr) -> Option<Self> {
-        let params = sx::parse_defun(form)?.params.iter().map(|p| p.to_string()).collect();
+        let params = sx::parse_defun(form).and(form.nth(2))?.clone();
         Some(Probes { heap, params, seen: Vec::new() })
     }
 
@@ -126,11 +127,7 @@ impl<'h> Probes<'h> {
         if let Some((_, known)) = self.seen.iter().find(|(f, _)| f == forms) {
             return known.clone();
         }
-        let mut items = vec![
-            sx::sym("defun"),
-            sx::sym("%curare-probe"),
-            Sexpr::List(self.params.iter().map(sx::sym).collect()),
-        ];
+        let mut items = vec![sx::sym("defun"), sx::sym("%curare-probe"), self.params.clone()];
         items.extend(forms.iter().cloned());
         let lowered = Lowerer::new(self.heap).lower_program(&[Sexpr::List(items)]).ok();
         let summary = lowered.and_then(|p| Some(Rc::new(collect_accesses(p.funcs.first()?))));
@@ -176,7 +173,7 @@ fn movable(ctx: &mut Ctx, stmt: &Sexpr, call_args: &[Sexpr]) -> bool {
     !writes_overlap(&stmt_acc, &args_acc)
 }
 
-impl Device for Ctx<'_, '_> {
+impl Device<'_> for Ctx<'_, '_> {
     fn fname(&self) -> &str {
         self.fname
     }
@@ -255,7 +252,9 @@ pub fn has_tail_statements(form: &Sexpr, fname: &str) -> bool {
         fname: &'a str,
         found: bool,
     }
-    impl Device for Probe<'_> {
+    impl Device<'_> for Probe<'_> {
+        const REBUILDS: bool = false;
+
         fn fname(&self) -> &str {
             self.fname
         }

@@ -130,7 +130,7 @@ impl Ctx<'_> {
 /// (an `if` without an else arm, a false `when` / true `unless` test, a
 /// `cond` no clause of which fires) and the list still ends there,
 /// because every destination cell is allocated with a nil cdr.
-impl Device for Ctx<'_> {
+impl Device<'_> for Ctx<'_> {
     fn fname(&self) -> &str {
         self.fname
     }

@@ -48,7 +48,7 @@ struct Sync<'a> {
     wrapped: usize,
 }
 
-impl Device for Sync<'_> {
+impl Device<'_> for Sync<'_> {
     fn fname(&self) -> &str {
         self.fname
     }

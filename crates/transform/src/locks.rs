@@ -217,7 +217,7 @@ impl PlaceCtx<'_, '_> {
     }
 }
 
-impl Device for PlaceCtx<'_, '_> {
+impl Device<'_> for PlaceCtx<'_, '_> {
     fn fname(&self) -> &str {
         self.fname
     }
@@ -348,42 +348,45 @@ pub fn insert_placement(
 }
 
 /// Tail statements — those a self-call may precede within their
-/// invocation — and the guard expressions that govern them.
+/// invocation — and the guard expressions that govern them, as they sit
+/// in the body.
 struct TailParts<'a> {
     fname: &'a str,
-    stmts: Vec<Sexpr>,
-    guards: Vec<Sexpr>,
+    stmts: Vec<&'a Sexpr>,
+    guards: Vec<&'a Sexpr>,
     /// A recursive call appeared in a tail leaf (value-position call
     /// after a spawn) — not a shape locks can rescue.
     call_in_tail_leaf: bool,
 }
 
-impl Device for TailParts<'_> {
+impl<'a> Device<'a> for TailParts<'a> {
+    const REBUILDS: bool = false;
+
     fn fname(&self) -> &str {
         self.fname
     }
 
     /// A spawn, not tail work.
-    fn self_call(&mut self, call: &Sexpr, _pos: Pos) -> Sexpr {
-        call.clone()
+    fn self_call(&mut self, _call: &'a Sexpr, _pos: Pos) -> Sexpr {
+        Sexpr::nil()
     }
 
-    fn guard(&mut self, form: &Sexpr, pos: Pos) -> Sexpr {
+    fn guard(&mut self, form: &'a Sexpr, pos: Pos) -> Sexpr {
         if pos.spawned {
-            self.guards.push(form.clone());
+            self.guards.push(form);
         }
-        form.clone()
+        Sexpr::nil()
     }
 
-    fn leaf(&mut self, form: &Sexpr, pos: Pos) -> Sexpr {
+    fn leaf(&mut self, form: &'a Sexpr, pos: Pos) -> Sexpr {
         if pos.spawned && !shape::inert(form) {
             if sx::mentions_call(form, self.fname) {
                 self.call_in_tail_leaf = true;
             } else {
-                self.stmts.push(form.clone());
+                self.stmts.push(form);
             }
         }
-        form.clone()
+        Sexpr::nil()
     }
 }
 

@@ -88,7 +88,7 @@ pub fn recursion_to_iteration(form: &Sexpr) -> Result<Sexpr, Rec2IterError> {
     Ok(sx::make_defun(parts.name, &parts.params, &parts.declares, vec![let_form]))
 }
 
-impl Device for Ctx<'_> {
+impl Device<'_> for Ctx<'_> {
     fn fname(&self) -> &str {
         self.fname
     }

@@ -26,7 +26,8 @@
 //!   operand, the test of a `cond` clause with no body — is marked
 //!   `yields`.
 //! - The rebuilder is private to [`walk`]: a view is reassembled from
-//!   its rewritten guards and bodies with the text it had.
+//!   its rewritten guards and bodies with the text it had — unless the
+//!   device only looks ([`Device::REBUILDS`]), when nothing is.
 //! - [`walk`] threads a [`Pos`] through a body once and calls a
 //!   [`Device`] at self-calls, leaves, guards and statement sequences.
 //!   In a repeating sequence that mentions a self-call, every statement
@@ -216,41 +217,56 @@ pub fn while_form(test: Sexpr, body: Vec<Sexpr>) -> Sexpr {
 /// What a pass does at the nodes it cares about; [`walk`] owns the rest.
 /// Every default descends and rebuilds the form unchanged — into a guard
 /// only as far as it mentions the function: a position matters to a
-/// default at a self-call and nowhere else.
-pub trait Device: Sized {
+/// default at a self-call and nowhere else. `'a` is the body's: a device
+/// may keep the forms it is shown.
+pub trait Device<'a>: Sized {
+    /// False for a device that only looks: [`walk`] visits every node as
+    /// usual but copies and reassembles nothing, and the forms it and the
+    /// defaults return are placeholders (`()`).
+    const REBUILDS: bool = true;
+
     /// The function being restructured.
     fn fname(&self) -> &str;
 
     /// A self-call at `pos`. Default: its arguments are guards.
-    fn self_call(&mut self, call: &Sexpr, pos: Pos) -> Sexpr {
+    fn self_call(&mut self, call: &'a Sexpr, pos: Pos) -> Sexpr {
         operands(self, call, pos)
     }
 
     /// An inert form or ordinary call in statement position. Default:
     /// its operands are guards.
-    fn leaf(&mut self, form: &Sexpr, pos: Pos) -> Sexpr {
+    fn leaf(&mut self, form: &'a Sexpr, pos: Pos) -> Sexpr {
         operands(self, form, pos)
     }
 
     /// A guard; `pos` is a value position (but see [`Pos::tail`]).
-    fn guard(&mut self, form: &Sexpr, pos: Pos) -> Sexpr {
+    fn guard(&mut self, form: &'a Sexpr, pos: Pos) -> Sexpr {
         if sx::mentions_call(form, self.fname()) {
             walk(self, form, Pos { tail: false, ..pos })
         } else {
-            form.clone()
+            kept::<Self>(form)
         }
     }
 
     /// The statements of one body, each with its position; `repeats`
     /// as in the table. An `if` arm and a chain's last operand arrive
     /// alone and must come back as one form.
-    fn sequence(&mut self, stmts: &[(&Sexpr, Pos)], _repeats: bool) -> Vec<Sexpr> {
+    fn sequence(&mut self, stmts: &[(&'a Sexpr, Pos)], _repeats: bool) -> Vec<Sexpr> {
         walk_each(self, stmts)
     }
 }
 
+/// `form` as a device that leaves it alone returns it.
+fn kept<'a, D: Device<'a>>(form: &Sexpr) -> Sexpr {
+    if D::REBUILDS {
+        form.clone()
+    } else {
+        Sexpr::nil()
+    }
+}
+
 /// Rewrite `form`, which sits at `pos`, through `d`.
-pub fn walk<D: Device>(d: &mut D, form: &Sexpr, pos: Pos) -> Sexpr {
+pub fn walk<'a, D: Device<'a>>(d: &mut D, form: &'a Sexpr, pos: Pos) -> Sexpr {
     match classify(form, d.fname()) {
         Shape::SelfCall => d.self_call(form, pos),
         Shape::Form(view) => descend(d, &view, pos),
@@ -259,22 +275,22 @@ pub fn walk<D: Device>(d: &mut D, form: &Sexpr, pos: Pos) -> Sexpr {
 }
 
 /// [`walk`] over statements that already have their positions.
-pub fn walk_each<D: Device>(d: &mut D, stmts: &[(&Sexpr, Pos)]) -> Vec<Sexpr> {
+pub fn walk_each<'a, D: Device<'a>>(d: &mut D, stmts: &[(&'a Sexpr, Pos)]) -> Vec<Sexpr> {
     stmts.iter().map(|&(s, pos)| walk(d, s, pos)).collect()
 }
 
 /// Rewrite a function body: a sequence that ends at [`Pos::BODY`].
-pub fn walk_body<D: Device>(d: &mut D, body: &[&Sexpr]) -> Vec<Sexpr> {
+pub fn walk_body<'a, D: Device<'a>>(d: &mut D, body: &[&'a Sexpr]) -> Vec<Sexpr> {
     let stmts = positions(body.iter().copied(), Pos::BODY, d.fname());
     d.sequence(&stmts, false)
 }
 
 /// Rebuild a call (or self-call) with every operand visited as a guard;
 /// anything inert comes back as it is.
-pub fn operands<D: Device>(d: &mut D, form: &Sexpr, pos: Pos) -> Sexpr {
+pub fn operands<'a, D: Device<'a>>(d: &mut D, form: &'a Sexpr, pos: Pos) -> Sexpr {
     match form.as_list() {
         Some(items) if !inert(form) => descend(d, &call_view(items), pos),
-        _ => form.clone(),
+        _ => kept::<D>(form),
     }
 }
 
@@ -298,22 +314,25 @@ fn positions<'a>(
     body.enumerate().map(at).collect()
 }
 
-/// Visit the guards and bodies of `view` and reassemble it.
-fn descend<D: Device>(d: &mut D, view: &View<'_>, pos: Pos) -> Sexpr {
+/// Visit the guards and bodies of `view` and reassemble it (into `()`
+/// for a device that only looks).
+fn descend<'a, D: Device<'a>>(d: &mut D, view: &View<'a>, pos: Pos) -> Sexpr {
     let looped = view.repeats && view.items.iter().any(|i| sx::mentions_call(i, d.fname()));
     let mut end = Pos { follows: pos.follows || looped, spawned: pos.spawned || looped, ..pos };
     if view.repeats {
         (end.tail, end.discarded) = (false, true);
     }
-    let mut out = vec![view.items[0].clone()];
+    let mut out = if D::REBUILDS { vec![view.items[0].clone()] } else { Vec::new() };
     for clause in &view.clauses {
         let at_guard = Pos { tail: clause.yields && end.tail, ..end.value() };
-        let mut part: Vec<Sexpr> = clause.guards().map(|g| d.guard(g, at_guard)).collect();
-        if clause.binds {
-            part = vec![rebind(clause.guarded, part)];
-        }
+        let guards: Vec<Sexpr> = clause.guards().map(|g| d.guard(g, at_guard)).collect();
         let stmts = positions(clause.body.iter(), end, d.fname());
-        part.extend(d.sequence(&stmts, view.repeats));
+        let body = d.sequence(&stmts, view.repeats);
+        if !D::REBUILDS {
+            continue;
+        }
+        let mut part = if clause.binds { vec![rebind(clause.guarded, guards)] } else { guards };
+        part.extend(body);
         if view.class == Class::Cond {
             out.push(Sexpr::List(part));
         } else {
@@ -345,7 +364,7 @@ mod tests {
         leaves: Vec<(String, Pos)>,
     }
 
-    impl Device for Recorder {
+    impl Device<'_> for Recorder {
         fn fname(&self) -> &str {
             "f"
         }
@@ -432,7 +451,7 @@ mod tests {
     #[test]
     fn work_after_a_call_and_calls_before_work() {
         struct Calls(Vec<Pos>, Vec<(String, Pos)>);
-        impl Device for Calls {
+        impl Device<'_> for Calls {
             fn fname(&self) -> &str {
                 "f"
             }
@@ -483,7 +502,7 @@ mod tests {
     #[test]
     fn positions_agree_with_the_lowerer() {
         struct ValueCalls(usize);
-        impl Device for ValueCalls {
+        impl Device<'_> for ValueCalls {
             fn fname(&self) -> &str {
                 "f"
             }

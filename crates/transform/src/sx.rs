@@ -13,8 +13,8 @@ pub fn call(head: &str, args: Vec<Sexpr>) -> Sexpr {
 }
 
 /// A bare symbol.
-pub fn sym(name: impl Into<String>) -> Sexpr {
-    Sexpr::sym(name.into())
+pub fn sym(name: impl AsRef<str>) -> Sexpr {
+    Sexpr::sym(name)
 }
 
 /// `(quote x)`.
@@ -150,7 +150,7 @@ mod tests {
     /// the way the passes rewrite calls.
     struct Replace<R: FnMut(&[Sexpr]) -> Sexpr>(R);
 
-    impl<R: FnMut(&[Sexpr]) -> Sexpr> crate::shape::Device for Replace<R> {
+    impl<R: FnMut(&[Sexpr]) -> Sexpr> crate::shape::Device<'_> for Replace<R> {
         fn fname(&self) -> &str {
             "f"
         }

@@ -1,0 +1,99 @@
+//! A guard on what restructuring allocates: symbols are interned once
+//! by the reader and carried as `Copy` handles by the devices, the
+//! lowerer and the heap. A change that copies names per reference again
+//! (or rebuilds forms a device only looks at) shows here as a count
+//! above the ceiling, long before it shows as a slower benchmark.
+//!
+//! One test in its own binary: the counting allocator sees every
+//! allocation of the process, and no other test runs beside it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use curare_transform::Curare;
+
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The benchmark's read-window walker at `k`: doubles its own car after
+/// the call, then `reads` statements of sixteen loads over the cars `k`
+/// and `k + 1` ahead.
+fn window_walker(k: usize, reads: usize) -> String {
+    let cdrs = |n: usize| (0..n).fold("l".to_string(), |place, _| format!("(cdr {place})"));
+    let (near, far) = (cdrs(k), cdrs(k + 1));
+    let sum_of = |word: &str| format!("(+{}) ", format!(" (car {word})").repeat(16));
+    let mut body = String::new();
+    for _ in 0..reads.div_ceil(2) {
+        for word in [&near, &near, &far, &far] {
+            body.push_str(&sum_of(word));
+        }
+    }
+    format!(
+        "(curare-declare (reorderable *))
+(defun win (l)
+  (when {far}
+    (win (cdr l))
+    (setf (car l) (* (car l) 2))
+    {body}))\n"
+    )
+}
+
+/// Allocator calls (allocations and reallocations) of one
+/// `transform_source` of `src`, after a first run has interned its names.
+fn allocations_of(src: &str) -> usize {
+    let curare = Curare::new();
+    curare.transform_source(src).expect("restructures");
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = curare.transform_source(src).expect("restructures");
+    let counted = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    drop(out);
+    counted
+}
+
+/// The counts when names were `String`s (symbols copied at every read,
+/// reference and clone, looking devices rebuilding what they walked)
+/// and with interned symbols; the ceiling sits halfway between.
+const CASES: [(&str, usize, usize); 2] =
+    [("window walker k = 4", 26_244, 11_059), ("figure5", 443, 297)];
+
+#[test]
+fn restructuring_allocates_no_copy_per_name() {
+    let figure5 = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/lisp/figure5.lisp");
+    let figure5 = std::fs::read_to_string(&figure5).expect("figure5.lisp");
+    let counts = [allocations_of(&window_walker(4, 4)), allocations_of(&figure5)];
+    for ((what, copied, interned), now) in CASES.into_iter().zip(counts) {
+        let ceiling = (copied + interned) / 2;
+        eprintln!("{what}: {now} allocations (copied names {copied}, interned {interned})");
+        assert!(
+            now <= ceiling,
+            "{what}: transform_source made {now} allocations, above the ceiling {ceiling} \
+             (halfway between {copied} with copied names and {interned} with interned ones)"
+        );
+    }
+}
