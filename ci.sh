@@ -59,6 +59,12 @@ rc=0; target/release/curare check --locks \
 if [ "$rc" -ne 1 ]; then
   echo "expected exit 1 on the redundant-locks fixture, got $rc" >&2; exit 1
 fi
+# The lock device asks about every statement of the undercovered
+# fixture's walker; pass 1's lowering answers them all (each was lowered
+# again as a probe function, 4 of them, before).
+target/release/curare transform examples/lisp/fixtures/undercovered-locks.lisp 2>&1 > /dev/null \
+  | grep -E "^;; analysis: .*, 0 probe lowerings$" > /dev/null \
+  || { echo "undercovered-locks fixture: a statement was lowered again" >&2; exit 1; }
 
 echo "== speculation: example contract"
 # The ⊤-write fixture is refused by the static transformer…

@@ -13,7 +13,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use curare_lisp::ast::{BuiltinOp, Expr, Func, StructOp, VarRef};
+use curare_lisp::ast::{BuiltinOp, Expr, Func, LocalSlot, StructOp, VarRef};
+use curare_lisp::SymId;
+use curare_sexpr::Symbol;
 
 use crate::path::{Accessor, Path};
 
@@ -38,7 +40,7 @@ pub struct AccessRecord {
 
 /// Everything the collector learned about a function's memory
 /// behaviour.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AccessSummary {
     /// Parameter-rooted accesses.
     pub records: Vec<AccessRecord>,
@@ -80,13 +82,72 @@ pub(crate) enum SlotAlias {
 
 /// Collect the access summary of `func`.
 pub fn collect_accesses(func: &Func) -> AccessSummary {
-    let aliases = solve_aliases(func);
+    collect(&func.body.iter().collect::<Vec<_>>(), func, Scope::Function, Some(func.name_sym))
+}
+
+/// The access summary of `stmts` — nodes of defun `func`'s body — as if they
+/// stood alone, in order, as the body of a function with `func`'s
+/// parameters: only the parameters and the variables the statements
+/// bind themselves are locals, and any other variable reads and writes
+/// as the global of its name (a parameter's, if it is one's). So a
+/// `setq` of a `let` variable bound around the statements is a global
+/// write, and no call is a self-call. This is what lowering the
+/// statements as such a function gives, without lowering them.
+pub fn statement_accesses(func: &Func, stmts: &[&Expr]) -> AccessSummary {
+    let mut inner = Vec::new();
+    for s in stmts {
+        s.walk(&mut |e| {
+            if let Expr::Let { bindings, .. } = e {
+                inner.extend(bindings.iter().map(|&(slot, _, _)| slot));
+            }
+        });
+    }
+    collect(stmts, func, Scope::Alone { params: &func.params, inner: &inner }, None)
+}
+
+fn collect(
+    body: &[&Expr],
+    func: &Func,
+    scope: Scope<'_>,
+    self_sym: Option<SymId>,
+) -> AccessSummary {
+    let aliases = Aliases::solve(body, func, scope);
     let mut out = AccessSummary::default();
-    let mut cx = Cx { aliases: &aliases, self_sym: func.name_sym, tail: false };
-    for e in &func.body {
+    let mut cx = Cx { aliases: &aliases, self_sym, tail: false };
+    for e in body {
         collect_expr(e, &mut cx, &mut out);
     }
     out
+}
+
+/// How the collector reads a variable reference of the lowered body.
+#[derive(Clone, Copy)]
+enum Scope<'a> {
+    /// A whole function: every local is its own frame slot.
+    Function,
+    /// Statements read alone ([`statement_accesses`]): `inner` are the
+    /// slots they bind themselves.
+    Alone { params: &'a [String], inner: &'a [LocalSlot] },
+}
+
+impl Scope<'_> {
+    /// The frame slot `var` (named `name`) reads here; `None` for a
+    /// global. A variable bound around statements read alone is the
+    /// parameter of its name, the last one if two share it, as a
+    /// lowering of them would bind it — or else a global.
+    fn slot(self, var: VarRef, name: Symbol) -> Option<LocalSlot> {
+        match (self, var) {
+            (_, VarRef::Global(_)) => None,
+            (Scope::Function, VarRef::Local(s)) => Some(s),
+            (Scope::Alone { params, inner }, VarRef::Local(s)) => {
+                if s < params.len() || inner.contains(&s) {
+                    Some(s)
+                } else {
+                    params.iter().rposition(|p| *p == *name)
+                }
+            }
+        }
+    }
 }
 
 /// Collection context: alias facts plus the head/tail position
@@ -95,152 +156,174 @@ pub fn collect_accesses(func: &Func) -> AccessSummary {
 /// over-approximate toward tail, which is the sound direction (a
 /// head-only claim is a claim of ordering).
 struct Cx<'a> {
-    aliases: &'a BTreeMap<usize, SlotAlias>,
-    self_sym: curare_lisp::SymId,
+    aliases: &'a Aliases<'a>,
+    self_sym: Option<SymId>,
     tail: bool,
 }
 
-/// Resolve `expr` to chains `(root_param, paths)` if it is an accessor
-/// chain over a parameter or a parameter-aliased local.
-pub(crate) fn chase(
-    expr: &Expr,
-    aliases: &BTreeMap<usize, SlotAlias>,
-) -> Option<(usize, BTreeSet<Path>)> {
-    match expr {
-        Expr::Var(VarRef::Local(slot), _) => match aliases.get(slot) {
-            Some(SlotAlias::Chain { root, paths }) => Some((*root, paths.clone())),
-            _ => None,
-        },
-        Expr::Builtin(BuiltinOp::Car, args) => extend(chase(&args[0], aliases), Accessor::Car),
-        Expr::Builtin(BuiltinOp::Cdr, args) => extend(chase(&args[0], aliases), Accessor::Cdr),
-        Expr::Struct(StructOp::Ref { ty, field }, args) => {
-            extend(chase(&args[0], aliases), Accessor::Field { ty: *ty, field: *field as u32 })
-        }
-        _ => None,
+impl Cx<'_> {
+    fn global(&self, var: VarRef, name: Symbol) -> bool {
+        self.aliases.scope.slot(var, name).is_none()
     }
 }
 
-fn extend(base: Option<(usize, BTreeSet<Path>)>, a: Accessor) -> Option<(usize, BTreeSet<Path>)> {
-    base.map(|(root, paths)| {
-        (
-            root,
-            paths
-                .into_iter()
-                .map(|mut p| {
-                    p.push(a);
-                    p
-                })
-                .collect(),
-        )
-    })
+/// The flow-insensitive alias facts of a body, per frame slot, and the
+/// scope its variables are read in.
+pub(crate) struct Aliases<'a> {
+    slots: BTreeMap<LocalSlot, SlotAlias>,
+    scope: Scope<'a>,
 }
 
-/// Fixed-point alias solve: a slot is a known chain only if *every*
-/// assignment to it (parameter binding, `let` init, `setq`) resolves
-/// to a chain over the same parameter. Self-referential assignments
-/// (`(setq x (cdr x))`) are conservatively unknown.
-pub(crate) fn solve_aliases(func: &Func) -> BTreeMap<usize, SlotAlias> {
-    // Gather all assignments: slot -> list of rhs expressions.
-    let mut assigns: BTreeMap<usize, Vec<&Expr>> = BTreeMap::new();
-    let mut stack: Vec<&Expr> = func.body.iter().collect();
-    let mut all: Vec<(usize, &Expr)> = Vec::new();
-    while let Some(e) = stack.pop() {
-        match e {
-            Expr::Setq(VarRef::Local(slot), _, rhs) => all.push((*slot, rhs)),
-            Expr::Let { bindings, .. } => {
-                for (slot, _, init) in bindings {
-                    all.push((*slot, init));
+impl Aliases<'static> {
+    /// The alias facts of `func`'s whole body.
+    pub(crate) fn of(func: &Func) -> Self {
+        Aliases::solve(&func.body.iter().collect::<Vec<_>>(), func, Scope::Function)
+    }
+}
+
+impl<'a> Aliases<'a> {
+    /// Resolve `expr` to chains `(root_param, paths)` if it is an
+    /// accessor chain over a parameter or a parameter-aliased local.
+    pub(crate) fn chase(&self, expr: &Expr) -> Option<(usize, BTreeSet<Path>)> {
+        self.chase_then(expr, None)
+    }
+
+    /// [`Aliases::chase`] of `expr` followed by the letter `last`: one
+    /// walk down the chain collects its letters, then each of the base
+    /// variable's paths is extended by them at once.
+    fn chase_then(&self, expr: &Expr, last: Option<Accessor>) -> Option<(usize, BTreeSet<Path>)> {
+        let mut letters: Vec<Accessor> = last.into_iter().collect();
+        let mut e = expr;
+        let slot = loop {
+            let (letter, base) = match e {
+                Expr::Var(var, name) => break self.scope.slot(*var, *name)?,
+                Expr::Builtin(BuiltinOp::Car, args) => (Accessor::Car, &args[0]),
+                Expr::Builtin(BuiltinOp::Cdr, args) => (Accessor::Cdr, &args[0]),
+                Expr::Struct(StructOp::Ref { ty, field }, args) => {
+                    (Accessor::Field { ty: *ty, field: *field as u32 }, &args[0])
                 }
+                _ => return None,
+            };
+            letters.push(letter);
+            e = base;
+        };
+        let Some(SlotAlias::Chain { root, paths }) = self.slots.get(&slot) else { return None };
+        letters.reverse();
+        Some((*root, paths.iter().map(|p| p.followed_by(&letters)).collect()))
+    }
+
+    /// Fixed-point alias solve: a slot is a known chain only if *every*
+    /// assignment to it (parameter binding, `let` init, `setq`) resolves
+    /// to a chain over the same parameter. Self-referential assignments
+    /// (`(setq x (cdr x))`) are conservatively unknown.
+    fn solve(body: &[&Expr], func: &Func, scope: Scope<'a>) -> Self {
+        // Gather all assignments: slot -> list of rhs expressions.
+        let mut assigns: BTreeMap<usize, Vec<&Expr>> = BTreeMap::new();
+        let mut stack: Vec<&Expr> = body.to_vec();
+        let mut all: Vec<(usize, &Expr)> = Vec::new();
+        while let Some(e) = stack.pop() {
+            match e {
+                Expr::Setq(var, name, rhs) => {
+                    if let Some(slot) = scope.slot(*var, *name) {
+                        all.push((slot, rhs));
+                    }
+                }
+                Expr::Let { bindings, .. } => {
+                    for (slot, _, init) in bindings {
+                        all.push((*slot, init));
+                    }
+                }
+                _ => {}
             }
-            _ => {}
+            e.for_children(&mut |c| stack.push(c));
         }
-        e.for_children(&mut |c| stack.push(c));
-    }
-    for (slot, rhs) in all {
-        assigns.entry(slot).or_default().push(rhs);
-    }
-
-    // Parameters start as ε-chains of themselves; slots that are also
-    // assigned elsewhere will be re-checked below.
-    let nparams = func.params.len();
-    let mut aliases: BTreeMap<usize, SlotAlias> = BTreeMap::new();
-    for i in 0..nparams {
-        aliases.insert(
-            func.ncaptures + i,
-            SlotAlias::Chain { root: i, paths: std::iter::once(Path::empty()).collect() },
-        );
-    }
-
-    // A parameter that is reassigned in the body loses its identity as
-    // a stable root *unless* every reassignment is a chain over itself
-    // (handled by the transfer-function analysis, not here): for
-    // access collection we conservatively drop reassigned params.
-    for &slot in assigns.keys() {
-        if slot >= func.ncaptures && slot < func.ncaptures + nparams {
-            aliases.insert(slot, SlotAlias::Unknown);
+        for (slot, rhs) in all {
+            assigns.entry(slot).or_default().push(rhs);
         }
-    }
 
-    // Iterate to a fixed point over the remaining slots.
-    loop {
-        let mut changed = false;
-        for (&slot, rhss) in &assigns {
-            if matches!(aliases.get(&slot), Some(SlotAlias::Unknown)) {
-                continue;
+        // Parameters start as ε-chains of themselves; slots that are
+        // also assigned elsewhere will be re-checked below.
+        let params = func.ncaptures..func.ncaptures + func.params.len();
+        let mut aliases = Aliases { slots: BTreeMap::new(), scope };
+        for (i, slot) in params.clone().enumerate() {
+            aliases.slots.insert(
+                slot,
+                SlotAlias::Chain { root: i, paths: std::iter::once(Path::empty()).collect() },
+            );
+        }
+
+        // A parameter that is reassigned in the body loses its identity
+        // as a stable root *unless* every reassignment is a chain over
+        // itself (handled by the transfer-function analysis, not here):
+        // for access collection we conservatively drop reassigned
+        // params.
+        for slot in assigns.keys() {
+            if params.contains(slot) {
+                aliases.slots.insert(*slot, SlotAlias::Unknown);
             }
-            let mut root: Option<usize> = None;
-            let mut paths: BTreeSet<Path> = BTreeSet::new();
-            let mut ok = true;
-            for rhs in rhss {
-                // A nil assignment creates no aliasing: nil has no
-                // fields, so it contributes no paths.
-                if matches!(rhs, Expr::Nil) {
+        }
+
+        // Iterate to a fixed point over the remaining slots.
+        loop {
+            let mut changed = false;
+            for (&slot, rhss) in &assigns {
+                if matches!(aliases.slots.get(&slot), Some(SlotAlias::Unknown)) {
                     continue;
                 }
-                // Self-reference check: the rhs chain must not pass
-                // through the slot being assigned.
-                if expr_mentions_slot(rhs, slot) {
-                    ok = false;
-                    break;
-                }
-                match chase(rhs, &aliases) {
-                    Some((r, ps)) => {
-                        if *root.get_or_insert(r) != r {
-                            ok = false;
-                            break;
-                        }
-                        paths.extend(ps);
+                let mut root: Option<usize> = None;
+                let mut paths: BTreeSet<Path> = BTreeSet::new();
+                let mut ok = true;
+                for rhs in rhss {
+                    // A nil assignment creates no aliasing: nil has no
+                    // fields, so it contributes no paths.
+                    if matches!(rhs, Expr::Nil) {
+                        continue;
                     }
-                    None => {
+                    // Self-reference check: the rhs chain must not pass
+                    // through the slot being assigned.
+                    if aliases.mentions_slot(rhs, slot) {
                         ok = false;
                         break;
                     }
+                    match aliases.chase(rhs) {
+                        Some((r, ps)) => {
+                            if *root.get_or_insert(r) != r {
+                                ok = false;
+                                break;
+                            }
+                            paths.extend(ps);
+                        }
+                        None => {
+                            ok = false;
+                            break;
+                        }
+                    }
+                }
+                let new = match root {
+                    Some(root) if ok => SlotAlias::Chain { root, paths },
+                    _ => SlotAlias::Unknown,
+                };
+                if aliases.slots.get(&slot) != Some(&new) {
+                    aliases.slots.insert(slot, new);
+                    changed = true;
                 }
             }
-            let new = match root {
-                Some(root) if ok => SlotAlias::Chain { root, paths },
-                _ => SlotAlias::Unknown,
-            };
-            if aliases.get(&slot) != Some(&new) {
-                aliases.insert(slot, new);
-                changed = true;
+            if !changed {
+                break;
             }
         }
-        if !changed {
-            break;
-        }
+        aliases
     }
-    aliases
-}
 
-fn expr_mentions_slot(e: &Expr, slot: usize) -> bool {
-    let mut found = false;
-    e.walk(&mut |x| {
-        if matches!(x, Expr::Var(VarRef::Local(s), _) if *s == slot) {
-            found = true;
-        }
-    });
-    found
+    fn mentions_slot(&self, e: &Expr, slot: usize) -> bool {
+        let mut found = false;
+        e.walk(&mut |x| {
+            if let Expr::Var(var, name) = x {
+                found |= self.scope.slot(*var, *name) == Some(slot);
+            }
+        });
+        found
+    }
 }
 
 /// Record accesses in `e`. Accessor chains are recorded at their
@@ -248,10 +331,10 @@ fn expr_mentions_slot(e: &Expr, slot: usize) -> bool {
 /// the intermediate reads).
 fn collect_expr(e: &Expr, cx: &mut Cx<'_>, out: &mut AccessSummary) {
     match e {
-        Expr::Var(VarRef::Global(_), name) => {
+        Expr::Var(var, name) if cx.global(*var, *name) => {
             out.globals_read.insert(name.to_string());
         }
-        Expr::Setq(VarRef::Global(_), name, rhs) => {
+        Expr::Setq(var, name, rhs) if cx.global(*var, *name) => {
             out.globals_written.insert(name.to_string());
             collect_expr(rhs, cx, out);
         }
@@ -264,7 +347,7 @@ fn collect_expr(e: &Expr, cx: &mut Cx<'_>, out: &mut AccessSummary) {
             }
         }
         Expr::Builtin(BuiltinOp::Car | BuiltinOp::Cdr, args) => {
-            match chase(e, cx.aliases) {
+            match cx.aliases.chase(e) {
                 Some((root, paths)) => {
                     for path in paths {
                         out.records.push(AccessRecord { root, path, write: false, tail: cx.tail });
@@ -279,7 +362,7 @@ fn collect_expr(e: &Expr, cx: &mut Cx<'_>, out: &mut AccessSummary) {
                 }
             }
         }
-        Expr::Struct(StructOp::Ref { .. }, args) => match chase(e, cx.aliases) {
+        Expr::Struct(StructOp::Ref { .. }, args) => match cx.aliases.chase(e) {
             Some((root, paths)) => {
                 for path in paths {
                     out.records.push(AccessRecord { root, path, write: false, tail: cx.tail });
@@ -297,10 +380,7 @@ fn collect_expr(e: &Expr, cx: &mut Cx<'_>, out: &mut AccessSummary) {
             // analyze it first so the write carries the position the
             // store itself occupies.
             collect_expr(&args[1], cx, out);
-            match extend(
-                chase(&args[0], cx.aliases).or_else(|| base_chain(&args[0], cx.aliases)),
-                letter,
-            ) {
+            match cx.aliases.chase_then(&args[0], Some(letter)) {
                 Some((root, paths)) => {
                     for path in paths {
                         out.records.push(AccessRecord { root, path, write: true, tail: cx.tail });
@@ -316,7 +396,7 @@ fn collect_expr(e: &Expr, cx: &mut Cx<'_>, out: &mut AccessSummary) {
         Expr::Struct(StructOp::Set { ty, field }, args) => {
             let letter = Accessor::Field { ty: *ty, field: *field as u32 };
             collect_expr(&args[1], cx, out);
-            match extend(chase(&args[0], cx.aliases), letter) {
+            match cx.aliases.chase_then(&args[0], Some(letter)) {
                 Some((root, paths)) => {
                     for path in paths {
                         out.records.push(AccessRecord { root, path, write: true, tail: cx.tail });
@@ -338,7 +418,7 @@ fn collect_expr(e: &Expr, cx: &mut Cx<'_>, out: &mut AccessSummary) {
             for a in args {
                 collect_expr(a, cx, out);
             }
-            if *name == cx.self_sym {
+            if Some(*name) == cx.self_sym {
                 cx.tail = true;
             }
         }
@@ -360,7 +440,7 @@ fn collect_expr(e: &Expr, cx: &mut Cx<'_>, out: &mut AccessSummary) {
             // A loop that self-calls interleaves its iterations with
             // the spawned invocations; conservatively mark the whole
             // loop tail.
-            if e.calls(cx.self_sym) {
+            if cx.self_sym.is_some_and(|me| e.calls(me)) {
                 cx.tail = true;
             }
             collect_expr(cond, cx, out);
@@ -370,11 +450,6 @@ fn collect_expr(e: &Expr, cx: &mut Cx<'_>, out: &mut AccessSummary) {
         }
         _ => e.for_children(&mut |c| collect_expr(c, cx, out)),
     }
-}
-
-/// For a `setf` base that is itself a bare chain root, produce it.
-fn base_chain(e: &Expr, aliases: &BTreeMap<usize, SlotAlias>) -> Option<(usize, BTreeSet<Path>)> {
-    chase(e, aliases)
 }
 
 /// Walk down an accessor chain and continue collection below it (at

@@ -11,13 +11,13 @@
 //! function, [`analyze_function`] the analysis of a function with no
 //! program around it.
 
-use curare_lisp::ast::{Func, Program};
+use curare_lisp::ast::{Expr, Func, Program};
 
 use crate::access::{collect_accesses, AccessSummary};
 use crate::canon::Canonicalizer;
 use crate::conflict::{conflict_report, ConflictReport};
 use crate::declare::{DeclDb, DeclError};
-use crate::headtail::{head_tail_in, CallCosts, HeadTail};
+use crate::headtail::{head_tail_bracketed, head_tail_in, CallCosts, HeadTail};
 use crate::transfer::{transfer_functions, TransferSummary};
 
 /// How a function can be executed concurrently.
@@ -159,7 +159,9 @@ pub struct AnalysisStats {
     pub alias_tests: usize,
     /// Automata built: one per `(τ, d)`, each from `τᵈ⁻¹`.
     pub automata_built: usize,
-    /// Statements lowered as `%curare-probe` functions by the devices.
+    /// Statements the devices asked about that the lowered program did
+    /// not hold (a device synthesised them), each lowered on its own as
+    /// a `%curare-probe` function.
     pub probe_lowerings: usize,
 }
 
@@ -204,6 +206,12 @@ impl Analyzer {
     /// the program.
     pub fn head_tail(&self, func: &Func) -> HeadTail {
         head_tail_in(func, &self.calls)
+    }
+
+    /// [`Analyzer::head_tail`] of `func` once lock brackets wrap some
+    /// of its statements ([`head_tail_bracketed`]).
+    pub fn head_tail_bracketed(&self, func: &Func, brackets: &[(&Expr, usize)]) -> HeadTail {
+        head_tail_bracketed(func, &self.calls, brackets)
     }
 
     /// Analyse one function of the program (or a rewriting of one).

@@ -32,6 +32,8 @@ use std::collections::HashMap;
 use curare_lisp::ast::{BuiltinOp, Expr, Func, Program};
 use curare_lisp::SymId;
 
+use crate::path::Path;
+
 /// What one evaluation step can cost beyond its own unit — the part
 /// of the §3.1 size measure that is not visible in the statement
 /// itself.
@@ -157,7 +159,7 @@ impl CallCosts {
 }
 
 /// The partition of a function body with its size measures.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeadTail {
     /// Summed size of head operations (|H|), ≥ 1 for nonempty bodies.
     pub head_size: usize,
@@ -201,7 +203,32 @@ pub fn head_tail(func: &Func) -> HeadTail {
 
 /// [`head_tail`] with callee bodies costed from `calls`.
 pub fn head_tail_in(func: &Func, calls: &CallCosts) -> HeadTail {
-    let p = Partition::of(func, calls);
+    head_tail_bracketed(func, calls, &[])
+}
+
+/// The steps a lock bracket adds to its side of the partition, one lock
+/// per location in `locations` (a path whose last letter is the locked
+/// field). Each lock binds its cell — the root variable, then one step
+/// per accessor of the location's path without its field — and both
+/// the acquire and the release are an operation over the bound variable
+/// (two steps each). The `let*` that binds the cells, and the `progn`
+/// that gathers a coalesced run, are no steps of their own.
+pub fn lock_bracket_steps<'p>(locations: impl IntoIterator<Item = &'p Path>) -> usize {
+    locations.into_iter().map(|p| (1 + p.len().saturating_sub(1)) + 2 + 2).sum()
+}
+
+/// [`head_tail_in`] of `func` once each of `brackets` wraps a statement
+/// of it: `(statement, steps)` names a node of `func`'s body and the
+/// steps ([`lock_bracket_steps`]) of the bracket around it, which
+/// count on the side of the partition the statement starts on. A
+/// bracket holds no self-call, so it moves nothing else: this is the
+/// partition of the bracketed function, without lowering it.
+pub fn head_tail_bracketed(
+    func: &Func,
+    calls: &CallCosts,
+    brackets: &[(&Expr, usize)],
+) -> HeadTail {
+    let p = Partition::of(func, calls, brackets);
     let positions = classify_calls(func);
     HeadTail {
         head_size: p.head_size,
@@ -221,6 +248,8 @@ pub fn head_tail_in(func: &Func, calls: &CallCosts) -> HeadTail {
 struct Partition<'a> {
     fname: SymId,
     calls: &'a CallCosts,
+    /// Statements wrapped in lock brackets, with the brackets' steps.
+    brackets: &'a [(&'a Expr, usize)],
     recursive_calls: usize,
     head_size: usize,
     tail_size: usize,
@@ -232,10 +261,11 @@ struct Partition<'a> {
 }
 
 impl<'a> Partition<'a> {
-    fn of(func: &Func, calls: &'a CallCosts) -> Self {
+    fn of(func: &Func, calls: &'a CallCosts, brackets: &'a [(&'a Expr, usize)]) -> Self {
         let mut p = Partition {
             fname: func.name_sym,
             calls,
+            brackets,
             recursive_calls: 0,
             head_size: 0,
             tail_size: 0,
@@ -275,7 +305,22 @@ impl<'a> Partition<'a> {
         es.iter().fold(dominated, |d, e| self.walk(e, d))
     }
 
+    /// Count the unit steps of a bracket that starts where `dominated`
+    /// holds.
+    fn bracket(&mut self, steps: usize, dominated: bool) {
+        let (size, cost) = if dominated {
+            (&mut self.tail_size, &mut self.tail_cost)
+        } else {
+            (&mut self.head_size, &mut self.head_cost)
+        };
+        *size += steps;
+        *cost = *cost + Cost::Bounded(steps);
+    }
+
     fn walk(&mut self, e: &Expr, dominated: bool) -> bool {
+        if let Some(&(_, steps)) = self.brackets.iter().find(|(s, _)| std::ptr::eq(*s, e)) {
+            self.bracket(steps, dominated);
+        }
         match e {
             Expr::If(c, t, f) => {
                 let at_branch = self.walk(c, dominated);
@@ -716,7 +761,7 @@ mod tests {
                     (own, !own && calls.iter().any(|&c| cfg.dominates(&idom, c, n)))
                 })
                 .collect();
-            assert_eq!(Partition::of(func, &CallCosts::default()).steps, oracle, "{src}");
+            assert_eq!(Partition::of(func, &CallCosts::default(), &[]).steps, oracle, "{src}");
             let h = head_tail(func);
             assert_eq!(h.tail_size, oracle.iter().filter(|s| s.1).count(), "{src}");
             assert_eq!(h.head_size + h.tail_size, oracle.len(), "{src}");

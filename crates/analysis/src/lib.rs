@@ -65,7 +65,7 @@ pub mod regex;
 pub mod sapp;
 pub mod transfer;
 
-pub use access::{collect_accesses, AccessRecord, AccessSummary};
+pub use access::{collect_accesses, statement_accesses, AccessRecord, AccessSummary};
 pub use analyze::{
     analyze_function, analyze_program, AnalysisStats, Analyzer, BlockReason, FunctionAnalysis,
     Verdict,
@@ -74,7 +74,7 @@ pub use canon::Canonicalizer;
 pub use canon_conflict::conflicts_with_canon;
 pub use conflict::{analyze_conflicts, Conflict, ConflictReport, DependencyKind};
 pub use declare::{DeclDb, DeclError, DeclaredLock};
-pub use headtail::{head_tail, CallCosts, Cost, HeadTail};
+pub use headtail::{head_tail, lock_bracket_steps, CallCosts, Cost, HeadTail};
 pub use locksynth::{
     certify, covering_pair, declared_placement, naive as naive_placement, synthesize, CertIssue,
     LockMode, OrderingContext, PairInfo, PairOrder, Placement, SynthLock,

@@ -93,6 +93,14 @@ impl Path {
         Path(v)
     }
 
+    /// `self` followed by `letters`.
+    pub fn followed_by(&self, letters: &[Accessor]) -> Path {
+        let mut v = Vec::with_capacity(self.0.len() + letters.len());
+        v.extend_from_slice(&self.0);
+        v.extend_from_slice(letters);
+        Path(v)
+    }
+
     /// True if `self` is a (non-strict) prefix of `other` — the `≤`
     /// operator of §2.1.
     pub fn is_prefix_of(&self, other: &Path) -> bool {

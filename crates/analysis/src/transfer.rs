@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 use curare_lisp::ast::{Expr, Func};
 use curare_lisp::SymId;
 
-use crate::access::{chase, solve_aliases};
+use crate::access::Aliases;
 use crate::path::Path;
 use crate::regex::PathRegex;
 
@@ -97,7 +97,7 @@ fn self_call_args(func: &Func) -> Vec<&[Expr]> {
 /// Non-recursive functions return an empty-site summary with every
 /// parameter `ε` (they have no inter-invocation relation to model).
 pub fn transfer_functions(func: &Func) -> TransferSummary {
-    let aliases = solve_aliases(func);
+    let aliases = Aliases::of(func);
     let sites = self_call_args(func);
     let mut per_param = Vec::with_capacity(func.params.len());
     for i in 0..func.params.len() {
@@ -106,7 +106,7 @@ pub fn transfer_functions(func: &Func) -> TransferSummary {
             let contribution = match args.get(i) {
                 // CRI enqueue sites can carry extra args; index by
                 // position among the original parameters.
-                Some(arg) => match chase(arg, &aliases) {
+                Some(arg) => match aliases.chase(arg) {
                     Some((root, paths)) if root == i => Transfer::Literal(paths),
                     _ => Transfer::Unknown,
                 },

@@ -17,14 +17,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::sync::RwLock;
-use std::collections::HashMap;
 
 use crate::arena::AtomicArena;
 use crate::chash::LispHash;
 use crate::error::{LispError, Result};
 use crate::speclog;
 use crate::value::{ConsId, StrId, StructId, SymId, Val, Value, VectorId};
-use curare_sexpr::{Sexpr, Symbol};
+use curare_sexpr::{Sexpr, Symbol, SymbolMap};
 
 /// One cons cell: two mutable value words.
 #[derive(Default)]
@@ -70,7 +69,7 @@ pub struct Heap {
 #[derive(Default)]
 struct SymbolTable {
     names: Vec<Symbol>,
-    ids: HashMap<Symbol, SymId>,
+    ids: SymbolMap<SymId>,
 }
 
 impl Heap {

@@ -12,11 +12,11 @@ use std::sync::Arc;
 use crate::ast::{BuiltinOp, Expr, Func, LocalSlot, Program, StructOp, VarRef};
 use crate::error::{LispError, Result};
 use crate::heap::Heap;
-use curare_sexpr::{Sexpr, Symbol};
+use curare_sexpr::{Sexpr, Symbol, SymbolMap};
 
 /// Per-function lowering context.
 struct FnCtx {
-    scopes: Vec<HashMap<Symbol, LocalSlot>>,
+    scopes: Vec<SymbolMap<LocalSlot>>,
     nslots: usize,
     /// parent slot -> local capture slot (lambdas only).
     capture_map: HashMap<LocalSlot, LocalSlot>,
@@ -27,7 +27,7 @@ struct FnCtx {
 impl FnCtx {
     fn new() -> Self {
         FnCtx {
-            scopes: vec![HashMap::new()],
+            scopes: vec![SymbolMap::default()],
             nslots: 0,
             capture_map: HashMap::new(),
             captures: Vec::new(),
@@ -56,7 +56,7 @@ impl FnCtx {
 pub struct Lowerer<'h> {
     heap: &'h Heap,
     /// defstruct-generated name -> operation.
-    struct_ops: HashMap<Symbol, StructOpKind>,
+    struct_ops: SymbolMap<StructOpKind>,
     ctxs: Vec<FnCtx>,
     /// Collected lambdas pending id assignment are inline in Expr.
     gensym: usize,
@@ -90,7 +90,7 @@ impl<'h> Lowerer<'h> {
     /// types already defined in the heap (so multiple `load`s compose).
     pub fn new(heap: &'h Heap) -> Self {
         let mut lw =
-            Lowerer { heap, struct_ops: HashMap::new(), ctxs: vec![FnCtx::new()], gensym: 0 };
+            Lowerer { heap, struct_ops: SymbolMap::default(), ctxs: vec![FnCtx::new()], gensym: 0 };
         for ty in 0..heap.struct_type_count() as u32 {
             lw.register_struct_ops(ty);
         }
@@ -506,7 +506,7 @@ impl<'h> Lowerer<'h> {
                 _ => return Err(syntax("let binding must be (name init) or name")),
             }
         }
-        self.ctx().scopes.push(HashMap::new());
+        self.ctx().scopes.push(SymbolMap::default());
         let result = (|| {
             let mut lowered = Vec::new();
             if sequential {

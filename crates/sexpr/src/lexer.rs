@@ -1,7 +1,8 @@
 //! Tokenizer for the mini-Lisp reader.
 //!
-//! Produces a stream of [`Token`]s with byte spans. Comments (`;` to
-//! end of line) and whitespace separate tokens and are skipped.
+//! Produces [`Token`]s with byte spans on demand: the reader asks for
+//! the next one as it builds its lists. Comments (`;` to end of line)
+//! and whitespace separate tokens and are skipped.
 
 use crate::error::{ReadError, ReadErrorKind, Span};
 use crate::Symbol;
@@ -38,13 +39,16 @@ pub struct Token {
     pub span: Span,
 }
 
-/// A hand-written lexer over a source string.
+/// A hand-written lexer over a source string. The column of a position
+/// is its byte distance from the start of its line, so only a newline
+/// costs bookkeeping.
 pub struct Lexer<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     line: u32,
-    col: u32,
+    /// Byte offset of the first byte of the current line.
+    line_start: usize,
 }
 
 fn is_delimiter(b: u8) -> bool {
@@ -54,7 +58,7 @@ fn is_delimiter(b: u8) -> bool {
 impl<'a> Lexer<'a> {
     /// Create a lexer over `src`.
     pub fn new(src: &'a str) -> Self {
-        Lexer { src, bytes: src.as_bytes(), pos: 0, line: 1, col: 1 }
+        Lexer { src, bytes: src.as_bytes(), pos: 0, line: 1, line_start: 0 }
     }
 
     fn peek(&self) -> Option<u8> {
@@ -66,11 +70,14 @@ impl<'a> Lexer<'a> {
         self.pos += 1;
         if b == b'\n' {
             self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
+            self.line_start = self.pos;
         }
         Some(b)
+    }
+
+    /// The 1-based column of the current position.
+    fn col(&self) -> u32 {
+        (self.pos - self.line_start + 1) as u32
     }
 
     fn skip_trivia(&mut self) {
@@ -80,12 +87,8 @@ impl<'a> Lexer<'a> {
                     self.bump();
                 }
                 Some(b';') => {
-                    while let Some(b) = self.peek() {
-                        if b == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
+                    let rest = &self.bytes[self.pos..];
+                    self.pos += rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
                 }
                 _ => break,
             }
@@ -96,10 +99,23 @@ impl<'a> Lexer<'a> {
         Span::new(start, self.pos, line, col)
     }
 
+    /// Move past the atom that starts here (it holds no newline: a
+    /// newline is a delimiter).
+    fn skip_atom(&mut self) {
+        let rest = &self.bytes[self.pos..];
+        self.pos += rest.iter().position(|&b| is_delimiter(b)).unwrap_or(rest.len());
+    }
+
     fn read_string(&mut self, start: usize, line: u32, col: u32) -> Result<Token, ReadError> {
         // Opening quote already consumed.
         let mut out = String::new();
         loop {
+            // Copy the run up to the next byte that means something.
+            let rest = &self.bytes[self.pos..];
+            let run = rest.iter().position(|&b| matches!(b, b'"' | b'\\' | b'\n'));
+            let run = run.unwrap_or(rest.len());
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
             match self.bump() {
                 None => {
                     return Err(ReadError::new(
@@ -132,30 +148,14 @@ impl<'a> Lexer<'a> {
                         ))
                     }
                 },
-                Some(b) => {
-                    // Re-assemble multibyte UTF-8 sequences byte by byte.
-                    if b < 0x80 {
-                        out.push(b as char);
-                    } else {
-                        let len = utf8_len(b);
-                        let from = self.pos - 1;
-                        for _ in 1..len {
-                            self.bump();
-                        }
-                        out.push_str(&self.src[from..self.pos]);
-                    }
-                }
+                // The run stopped at a newline.
+                Some(b) => out.push(b as char),
             }
         }
     }
 
     fn read_atom(&mut self, start: usize, line: u32, col: u32) -> Result<Token, ReadError> {
-        while let Some(b) = self.peek() {
-            if is_delimiter(b) {
-                break;
-            }
-            self.bump();
-        }
+        self.skip_atom();
         let text = &self.src[start..self.pos];
         let span = self.span_from(start, line, col);
         debug_assert!(!text.is_empty());
@@ -187,7 +187,7 @@ impl<'a> Lexer<'a> {
     /// Read the next token, or `None` at end of input.
     pub fn next_token(&mut self) -> Result<Option<Token>, ReadError> {
         self.skip_trivia();
-        let (start, line, col) = (self.pos, self.line, self.col);
+        let (start, line, col) = (self.pos, self.line, self.col());
         let Some(b) = self.peek() else { return Ok(None) };
         match b {
             b'(' => {
@@ -219,21 +219,32 @@ impl<'a> Lexer<'a> {
     }
 
     /// Tokenize the whole input.
-    pub fn tokenize(mut self) -> Result<Vec<Token>, ReadError> {
+    #[cfg(test)]
+    pub(crate) fn tokenize(mut self) -> Result<Vec<Token>, ReadError> {
         let mut out = Vec::new();
         while let Some(t) = self.next_token()? {
             out.push(t);
         }
         Ok(out)
     }
-}
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0xF0..=0xF7 => 4,
-        0xE0..=0xEF => 3,
-        0xC0..=0xDF => 2,
-        _ => 1,
+    /// The first error in the rest of the input, if any: what reading
+    /// it to the end would stop at. Nothing is interned or parsed, only
+    /// strings are checked.
+    pub fn first_error(&mut self) -> Option<ReadError> {
+        loop {
+            self.skip_trivia();
+            let (start, line, col) = (self.pos, self.line, self.col());
+            match self.bump()? {
+                b'"' => {
+                    if let Err(e) = self.read_string(start, line, col) {
+                        return Some(e);
+                    }
+                }
+                b'(' | b')' | b'\'' => {}
+                _ => self.skip_atom(),
+            }
+        }
     }
 }
 

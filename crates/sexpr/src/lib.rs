@@ -33,4 +33,4 @@ pub use error::{ReadError, ReadErrorKind, Span};
 pub use lexer::{Lexer, Token, TokenKind};
 pub use parser::{parse_all, parse_one, Parser};
 pub use printer::{pretty, pretty_width};
-pub use symbol::Symbol;
+pub use symbol::{AddressHasher, Symbol, SymbolMap};

@@ -5,7 +5,8 @@
 //! carries the handle instead of a copy of the text. Cloning a form,
 //! comparing two names and hashing one cost a pointer each.
 
-use std::collections::HashSet;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::Deref;
@@ -19,6 +20,32 @@ use std::sync::{Mutex, OnceLock};
 /// table is bounded by the distinct names the process ever interns.
 #[derive(Clone, Copy)]
 pub struct Symbol(&'static str);
+
+/// A hasher for keys that hash as one address: a [`Symbol`], a pointer.
+/// One multiply spreads the address over the high bits the table's
+/// control bytes read, and the fold brings them down to the low bits
+/// its buckets are chosen by (an address's own low bits are alignment).
+#[derive(Default)]
+pub struct AddressHasher(u64);
+
+impl Hasher for AddressHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_usize(usize::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (self.0.rotate_left(5) ^ n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A map keyed by [`Symbol`], hashed by the symbol's address.
+pub type SymbolMap<V> = HashMap<Symbol, V, BuildHasherDefault<AddressHasher>>;
 
 /// FxHash's step over 8-byte words: the interner hashes short names, and
 /// this is what the table spends per lookup.
@@ -42,9 +69,29 @@ impl Hasher for NameHasher {
 
 type Table = HashSet<&'static str, BuildHasherDefault<NameHasher>>;
 
+thread_local! {
+    /// The names this thread has interned, each the process table's own
+    /// copy: a name found here costs no lock.
+    static SEEN: RefCell<Table> = RefCell::default();
+}
+
 impl Symbol {
     /// The symbol named `name`, interning it on first use.
     pub fn intern(name: &str) -> Symbol {
+        let cached = SEEN.try_with(|seen| {
+            if let Some(&known) = seen.borrow().get(name) {
+                return Symbol(known);
+            }
+            let shared = Symbol::intern_shared(name);
+            seen.borrow_mut().insert(shared.0);
+            shared
+        });
+        // A thread tearing its locals down still interns, unhurried.
+        cached.unwrap_or_else(|_| Symbol::intern_shared(name))
+    }
+
+    /// `name` looked up in, or added to, the one process-wide table.
+    fn intern_shared(name: &str) -> Symbol {
         static TABLE: OnceLock<Mutex<Table>> = OnceLock::new();
         // `insert` is the set's only mutation, so a panic elsewhere
         // cannot leave it half-updated.
@@ -147,6 +194,37 @@ mod tests {
         assert_ne!(a, Symbol::intern("cdr"));
         assert_eq!(a, "car");
         assert_eq!(format!("{a} {a:?} {a:>5}"), "car \"car\"   car");
+    }
+
+    /// The second intern of a name on a thread is answered by the
+    /// thread's cache: it must be the name's own handle, the one another
+    /// thread got from the process table.
+    #[test]
+    fn a_name_found_in_the_thread_cache_is_its_own() {
+        let names: Vec<String> = (0..200).map(|i| format!("cached-{}", i * 7 % 13)).collect();
+        let first: Vec<Symbol> = names.iter().map(|n| Symbol::intern(n)).collect();
+        let elsewhere: Vec<Symbol> = std::thread::spawn(|| {
+            (0..13).map(|i| Symbol::intern(&format!("cached-{i}"))).collect()
+        })
+        .join()
+        .unwrap();
+        for (name, &sym) in names.iter().zip(&first) {
+            let again = Symbol::intern(name);
+            assert_eq!(again.as_str(), name.as_str());
+            assert!(std::ptr::eq(again.as_str(), sym.as_str()), "{name}");
+            assert!(elsewhere.contains(&again), "{name}: another thread's handle differs");
+        }
+    }
+
+    #[test]
+    fn symbol_maps_find_every_key() {
+        let syms: Vec<Symbol> = (0..500).map(|i| Symbol::intern(&format!("key{i}"))).collect();
+        let map: SymbolMap<usize> = syms.iter().enumerate().map(|(i, &s)| (s, i)).collect();
+        assert_eq!(map.len(), syms.len());
+        for (i, s) in syms.iter().enumerate() {
+            assert_eq!(map[s], i);
+        }
+        assert!(!map.contains_key(&Symbol::intern("no-such-key")));
     }
 
     #[test]

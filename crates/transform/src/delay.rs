@@ -28,12 +28,16 @@
 //! The net effect is the paper's trade: the head grows (less
 //! concurrency) but the moved statements need no synchronization.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 
-use curare_analysis::{collect_accesses, AccessSummary, FunctionAnalysis, Path};
+use curare_analysis::{
+    collect_accesses, statement_accesses, AccessSummary, FunctionAnalysis, Path,
+};
+use curare_lisp::ast::{Expr, Func};
 use curare_lisp::{Heap, Lowerer};
-use curare_sexpr::Sexpr;
+use curare_sexpr::{AddressHasher, Sexpr};
 
 use crate::shape::{self, Device, Pos};
 use crate::sx;
@@ -49,7 +53,8 @@ pub struct DelayResult {
 
 /// Move post-call statements into the head where safe. `analysis` is
 /// the analysis of `form` itself: the locations its conflicts name are
-/// the ones whose writers must stay where they are.
+/// the ones whose writers must stay where they are. `probes` answers
+/// questions about `form`'s statements.
 pub fn delay_transform(
     form: &Sexpr,
     analysis: &FunctionAnalysis,
@@ -83,57 +88,105 @@ pub fn delay_transform(
     })
 }
 
-/// Shared context for the motion walk.
-struct Ctx<'a, 'h> {
+/// Shared context for the motion walk over a body whose forms live
+/// for `'f`.
+struct Ctx<'a, 'p, 'f> {
     fname: &'a str,
     conflicting: &'a BTreeSet<(usize, Path)>,
-    probes: &'a mut Probes<'h>,
+    probes: &'a mut Probes<'p>,
     moved: usize,
-    /// The arguments of every self-call walked so far.
-    call_args: Vec<Sexpr>,
+    /// The arguments of every self-call walked so far, as written.
+    call_args: Vec<&'f Sexpr>,
 }
 
-/// Access summaries of statements of one defun, each obtained by
-/// lowering a probe function with the defun's parameter list — once:
-/// the devices ask about the same statements again and again (delay
+/// Access summaries of statements of one defun, read off its lowering.
+///
+/// The devices ask about the same statements again and again (delay
 /// about every candidate and the call arguments it would cross, the
 /// order-insensitivity gate about every tail statement, the bracket
-/// walk about every statement), and a summary depends on nothing but
-/// the statement, the parameters and the heap's struct registry, so it
-/// outlives every rewrite of the enclosing form.
-pub struct Probes<'h> {
-    pub(crate) heap: &'h Heap,
-    /// The defun's parameter list, as written.
-    params: Sexpr,
-    seen: Vec<(Vec<Sexpr>, Option<Rc<AccessSummary>>)>,
+/// walk about every statement). Every question names forms of the one
+/// defun the cache was made for, by reference, and that defun comes
+/// with its lowering — pass 1's, or the pipeline's lowering of a form a
+/// device rewrote. A summary is of the forms' nodes in that lowering,
+/// read as [`statement_accesses`] reads statements: as if they stood
+/// alone as the body of a function of the defun's parameters, which is
+/// what lowering them as a `%curare-probe` function gives. Only forms
+/// the lowering kept no node of ([`shape::lowered_nodes`]) are lowered
+/// that way still.
+pub struct Probes<'a> {
+    pub(crate) heap: &'a Heap,
+    form: &'a Sexpr,
+    func: &'a Func,
+    /// Each form a walk can show a device, by address, with its node in
+    /// `func`: paired at the first question.
+    nodes: Option<HashMap<*const Sexpr, &'a Expr, BuildHasherDefault<AddressHasher>>>,
+    /// The summaries given, by the addresses of the forms asked about.
+    seen: Vec<(Vec<*const Sexpr>, Option<Rc<AccessSummary>>)>,
+    lowerings: usize,
 }
 
-impl<'h> Probes<'h> {
-    /// An empty cache for the statements of the defun `form`; `None`
-    /// if it is not one.
-    pub fn for_defun(heap: &'h Heap, form: &Sexpr) -> Option<Self> {
-        let params = sx::parse_defun(form).and(form.nth(2))?.clone();
-        Some(Probes { heap, params, seen: Vec::new() })
+impl<'a> Probes<'a> {
+    /// An empty cache for the statements of the defun `form`, answered
+    /// from `func`, its lowering over `heap`.
+    pub fn new(heap: &'a Heap, form: &'a Sexpr, func: &'a Func) -> Self {
+        Probes { heap, form, func, nodes: None, seen: Vec::new(), lowerings: 0 }
     }
 
-    /// How many probe functions were lowered.
+    /// How many questions were answered by lowering a probe function.
     pub fn lowerings(&self) -> usize {
-        self.seen.len()
+        self.lowerings
     }
 
-    /// Access summary of `forms` evaluated in sequence; `None` if they
-    /// do not lower.
-    pub fn accesses(&mut self, forms: &[Sexpr]) -> Option<Rc<AccessSummary>> {
-        if let Some((_, known)) = self.seen.iter().find(|(f, _)| f == forms) {
+    /// The node `stmt`, a form of the defun, was lowered to, if the
+    /// lowering kept one of its own.
+    pub(crate) fn lowered(&mut self, stmt: &Sexpr) -> Option<&'a Expr> {
+        let (form, func) = (self.form, self.func);
+        let nodes = self.nodes.get_or_insert_with(|| {
+            let mut nodes = HashMap::default();
+            if let Some(parts) = sx::parse_defun(form) {
+                shape::lowered_nodes(&parts.body, &func.body, &mut |s, e| {
+                    nodes.insert(s as *const Sexpr, e);
+                });
+            }
+            nodes
+        });
+        nodes.get(&(stmt as *const Sexpr)).copied()
+    }
+
+    /// Access summary of `forms`, forms of the defun, evaluated in
+    /// sequence; `None` if they do not lower.
+    pub fn accesses(&mut self, forms: &[&Sexpr]) -> Option<Rc<AccessSummary>> {
+        let same = |seen: &[*const Sexpr]| {
+            seen.len() == forms.len() && seen.iter().zip(forms).all(|(&a, &b)| std::ptr::eq(a, b))
+        };
+        if let Some((_, known)) = self.seen.iter().find(|(seen, _)| same(seen)) {
             return known.clone();
         }
-        let mut items = vec![sx::sym("defun"), sx::sym("%curare-probe"), self.params.clone()];
-        items.extend(forms.iter().cloned());
-        let lowered = Lowerer::new(self.heap).lower_program(&[Sexpr::List(items)]).ok();
-        let summary = lowered.and_then(|p| Some(Rc::new(collect_accesses(p.funcs.first()?))));
-        self.seen.push((forms.to_vec(), summary.clone()));
+        // A probe function takes its leading `(declare …)` forms as
+        // declarations, not statements.
+        let stmts = &forms[forms.iter().take_while(|f| f.is_call("declare")).count()..];
+        let nodes: Option<Vec<&Expr>> = stmts.iter().map(|s| self.lowered(s)).collect();
+        let summary = match nodes {
+            Some(nodes) => Some(statement_accesses(self.func, &nodes)),
+            None => {
+                self.lowerings += 1;
+                lowered_alone(self.heap, self.form, stmts)
+            }
+        };
+        let summary = summary.map(Rc::new);
+        self.seen.push((forms.iter().map(|&f| f as *const Sexpr).collect(), summary.clone()));
         summary
     }
+}
+
+/// The access summary of `stmts` lowered on their own, as the body of a
+/// function `%curare-probe` with the parameter list of `defun`; `None`
+/// if they do not lower.
+pub(crate) fn lowered_alone(heap: &Heap, defun: &Sexpr, stmts: &[&Sexpr]) -> Option<AccessSummary> {
+    let mut items = vec![sx::sym("defun"), sx::sym("%curare-probe"), defun.nth(2)?.clone()];
+    items.extend(stmts.iter().map(|&s| s.clone()));
+    let program = Lowerer::new(heap).lower_program(&[Sexpr::List(items)]).ok()?;
+    Some(collect_accesses(program.funcs.first()?))
 }
 
 /// Do any of `a`'s writes overlap `b`'s accesses (same parameter root,
@@ -147,7 +200,7 @@ fn writes_overlap(a: &AccessSummary, b: &AccessSummary) -> bool {
 
 /// Can `stmt` move before the self-calls whose argument expressions
 /// are `call_args`?
-fn movable(ctx: &mut Ctx, stmt: &Sexpr, call_args: &[Sexpr]) -> bool {
+fn movable(ctx: &mut Ctx, stmt: &Sexpr, call_args: &[&Sexpr]) -> bool {
     // Atoms have no effects; leaving them in place is always right.
     if !matches!(stmt, Sexpr::List(items) if !items.is_empty()) {
         return false;
@@ -155,7 +208,7 @@ fn movable(ctx: &mut Ctx, stmt: &Sexpr, call_args: &[Sexpr]) -> bool {
     if sx::mentions_call(stmt, ctx.fname) {
         return false;
     }
-    let Some(stmt_acc) = ctx.probes.accesses(std::slice::from_ref(stmt)) else {
+    let Some(stmt_acc) = ctx.probes.accesses(&[stmt]) else {
         return false;
     };
     // Unanalyzable effects: refuse to move.
@@ -173,7 +226,7 @@ fn movable(ctx: &mut Ctx, stmt: &Sexpr, call_args: &[Sexpr]) -> bool {
     !writes_overlap(&stmt_acc, &args_acc)
 }
 
-impl Device<'_> for Ctx<'_, '_> {
+impl<'f> Device<'f> for Ctx<'_, '_, 'f> {
     fn fname(&self) -> &str {
         self.fname
     }
@@ -181,47 +234,58 @@ impl Device<'_> for Ctx<'_, '_> {
     /// Nested sequences first, then this one. In a body that repeats, a
     /// statement hoisted above the call would still follow the previous
     /// iteration's spawn: it is not head work, so nothing moves.
-    fn sequence(&mut self, stmts: &[(&Sexpr, Pos)], repeats: bool) -> Vec<Sexpr> {
+    fn sequence(&mut self, stmts: &[(&'f Sexpr, Pos)], repeats: bool) -> Vec<Sexpr> {
         let before = self.call_args.len();
-        let stmts = shape::walk_each(self, stmts);
+        let rebuilt = shape::walk_each(self, stmts);
         if repeats {
-            return stmts;
+            return rebuilt;
         }
         let call_args = self.call_args[before..].to_vec();
-        self.hoist(stmts, &call_args)
+        self.hoist(stmts, rebuilt, &call_args)
     }
 
-    fn self_call(&mut self, call: &Sexpr, pos: Pos) -> Sexpr {
-        self.call_args.extend(call.as_list().expect("a call")[1..].iter().cloned());
+    fn self_call(&mut self, call: &'f Sexpr, pos: Pos) -> Sexpr {
+        self.call_args.extend(&call.as_list().expect("a call")[1..]);
         shape::operands(self, call, pos)
     }
 }
 
-impl Ctx<'_, '_> {
+impl Ctx<'_, '_, '_> {
     /// Move the movable statements that follow the first call-bearing
     /// statement of one sequence to just before it; `call_args` are the
-    /// arguments of the self-calls they would cross.
-    fn hoist(&mut self, stmts: Vec<Sexpr>, call_args: &[Sexpr]) -> Vec<Sexpr> {
-        let Some(first_call) = stmts.iter().position(|s| sx::mentions_call(s, self.fname)) else {
-            return stmts;
+    /// arguments of the self-calls they would cross. `rebuilt` are the
+    /// statements `written` as the walk gave them back: a statement
+    /// with no self-call in it comes back as written, and the probes
+    /// are asked about it as written, where its lowering is.
+    fn hoist(
+        &mut self,
+        written: &[(&Sexpr, Pos)],
+        rebuilt: Vec<Sexpr>,
+        call_args: &[&Sexpr],
+    ) -> Vec<Sexpr> {
+        let Some(first_call) = written.iter().position(|&(s, _)| sx::mentions_call(s, self.fname))
+        else {
+            return rebuilt;
         };
 
-        let mut head: Vec<Sexpr> = stmts[..first_call].to_vec();
+        let count = rebuilt.len();
+        let mut head: Vec<Sexpr> = Vec::with_capacity(count + 1);
         let mut hoisted: Vec<Sexpr> = Vec::new();
         let mut rest: Vec<Sexpr> = Vec::new();
         let mut blocked = false;
         let mut last_was_hoisted = false;
-        for (i, s) in stmts[first_call..].iter().enumerate() {
-            let is_last = first_call + i + 1 == stmts.len();
-            if sx::mentions_call(s, self.fname) {
-                rest.push(s.clone());
-            } else if !blocked && movable(self, s, call_args) {
-                hoisted.push(s.clone());
+        for (i, (s, &(as_written, _))) in rebuilt.into_iter().zip(written).enumerate() {
+            if i < first_call {
+                head.push(s);
+            } else if sx::mentions_call(as_written, self.fname) {
+                rest.push(s);
+            } else if !blocked && movable(self, as_written, call_args) {
+                hoisted.push(s);
                 self.moved += 1;
-                last_was_hoisted = is_last;
+                last_was_hoisted = i + 1 == count;
             } else {
                 blocked = true;
-                rest.push(s.clone());
+                rest.push(s);
             }
         }
         if last_was_hoisted {
@@ -273,13 +337,162 @@ pub fn has_tail_statements(form: &Sexpr, fname: &str) -> bool {
 mod tests {
     use super::*;
     use curare_analysis::DeclDb;
-    use curare_sexpr::parse_one;
+    use curare_sexpr::{parse_all, parse_one};
+
+    /// Put every question the devices can ask about `src`'s defuns —
+    /// each form the lowering pairs, and the argument list of each
+    /// self-call — to the lowering pass 1 made, and to a probe function
+    /// lowered for it alone: the summaries must be equal. Returns the
+    /// questions put and how many of them needed a lowering of their
+    /// own (a self-call inside a form the lowering does not pair).
+    fn summaries_agree(src: &str) -> (usize, usize) {
+        let heap = Heap::new();
+        let forms = parse_all(src).unwrap();
+        let program = Lowerer::new(&heap).lower_program(&forms).unwrap();
+        let (mut asked, mut lowered) = (0, 0);
+        for (form, func) in forms.iter().filter(|f| f.is_call("defun")).zip(&program.funcs) {
+            let parts = sx::parse_defun(form).unwrap();
+            let mut questions: Vec<Vec<&Sexpr>> = Vec::new();
+            shape::lowered_nodes(&parts.body, &func.body, &mut |s, _| questions.push(vec![s]));
+            form.walk(&mut |s| {
+                if let Some(args) = s.call_args(parts.name).filter(|_| !shape::inert(s)) {
+                    questions.push(args.iter().collect());
+                }
+            });
+            let mut probes = Probes::new(&heap, form, func);
+            for q in &questions {
+                let alone = lowered_alone(&heap, form, q).map(Rc::new);
+                assert_eq!(probes.accesses(q), alone, "{:?} in {form}", q);
+            }
+            asked += questions.len();
+            lowered += probes.lowerings();
+        }
+        (asked, lowered)
+    }
+
+    /// The shipped programs and the golden window walkers.
+    #[test]
+    fn pass_1_answers_what_a_probe_answered_on_the_shipped_programs() {
+        let mut asked = 0;
+        for (path, text) in crate::shipped_programs() {
+            let (n, lowered) = summaries_agree(&text);
+            assert_eq!(lowered, 0, "{path}: a question was not paired");
+            asked += n;
+        }
+        let cdrs = |n: usize| (0..n).fold("l".to_string(), |place, _| format!("(cdr {place})"));
+        for k in [1, 2, 4] {
+            for reads in [2, 4] {
+                let (near, far) = (cdrs(k), cdrs(k + 1));
+                let sum_of = |word: &str| format!("(+{}) ", format!(" (car {word})").repeat(16));
+                let body: String = (0..reads / 2)
+                    .flat_map(|_| [&near, &near, &far, &far])
+                    .map(|w| sum_of(w))
+                    .collect();
+                let (n, lowered) = summaries_agree(&format!(
+                    "(curare-declare (reorderable *))
+                     (defun win (l) (when {far} (win (cdr l)) (setf (car l) (* (car l) 2)) {body}))"
+                ));
+                assert_eq!(lowered, 0, "window walker {k}/{reads}: a question was not paired");
+                asked += n;
+            }
+        }
+        assert!(asked > 300, "only {asked} questions");
+    }
+
+    /// Seeded statements over the scoping cases a lowering of a
+    /// statement alone reads differently from the function: variables
+    /// bound around the statement by `let`, `dolist` and `pop`, the
+    /// same bound inside it, `setq` of an enclosing local, a `let`
+    /// that shadows a parameter, struct accessors, `lambda`.
+    struct StatementGen(u64);
+
+    impl StatementGen {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+
+        fn pick<'a>(&mut self, of: &[&'a str]) -> &'a str {
+            of[self.below(of.len() as u64) as usize]
+        }
+
+        /// A place or value over the variables in scope.
+        fn expr(&mut self, vars: &[&str], depth: u32) -> String {
+            let v = self.pick(vars);
+            match self.below(if depth == 0 { 4 } else { 9 }) {
+                0 => v.to_string(),
+                1 => format!("(car {v})"),
+                2 => format!("(cdr {v})"),
+                3 => format!("(node-value {v})"),
+                4 => format!("(node-next (node-next {v}))"),
+                5 => format!("(cadr {v})"),
+                6 => format!("(pop {v})"),
+                7 => format!("(mapcar (lambda (z) (car {v})) {})", self.pick(vars)),
+                _ => format!("(+ {} {})", self.expr(vars, depth - 1), self.expr(vars, depth - 1)),
+            }
+        }
+
+        fn stmt(&mut self, vars: &[&str], depth: u32) -> String {
+            let v = self.pick(vars);
+            let e = self.expr(vars, 1);
+            if depth == 0 {
+                return match self.below(6) {
+                    0 => format!("(setf (car {v}) {e})"),
+                    1 => format!("(setf (node-value {v}) {e})"),
+                    2 => format!("(setq {v} {e})"),
+                    3 => format!("(print {e})"),
+                    4 => format!("(f (cdr l) {e})"),
+                    _ => e,
+                };
+            }
+            let d = depth - 1;
+            let with = |name: &'static str, this: &mut Self| {
+                let mut inner = vars.to_vec();
+                inner.push(name);
+                (0..1 + this.below(3)).map(|_| this.stmt(&inner, d)).collect::<Vec<_>>().join(" ")
+            };
+            match self.below(8) {
+                0 => format!("(let ((x {e})) {})", with("x", self)),
+                1 => format!("(let* ((y {e}) (x y)) {})", with("x", self)),
+                2 => format!("(dolist (d {v}) {})", with("d", self)),
+                3 => format!("(let ((l (cdr l))) {})", with("l", self)),
+                4 => format!("(when {e} {})", with("l", self)),
+                5 => format!("(progn {})", with("m", self)),
+                6 => format!("(cond ({e} {}) (t {}))", with("m", self), self.stmt(vars, d)),
+                _ => format!("(if {e} {} {})", self.stmt(vars, d), self.stmt(vars, d)),
+            }
+        }
+    }
+
+    #[test]
+    fn pass_1_answers_what_a_probe_answered_on_generated_statements() {
+        let mut gen = StatementGen(0x5EED_0028_D1CE_F00D);
+        let (mut asked, mut lowered) = (0, 0);
+        for _ in 0..150 {
+            let body: Vec<String> = (0..3).map(|_| gen.stmt(&["l", "m"], 3)).collect();
+            let src = format!(
+                "(defstruct node next value)
+                 (defun f (l m) (let ((p (car m))) (when l {} (setq p (cdr p)) (f (cdr l) p))))",
+                body.join(" ")
+            );
+            let (n, by_lowering) = summaries_agree(&src);
+            asked += n;
+            lowered += by_lowering;
+        }
+        assert!(asked - lowered >= 500, "only {} questions answered by pass 1", asked - lowered);
+    }
 
     fn delay(src: &str) -> Option<DelayResult> {
         let heap = Heap::new();
         let form = parse_one(src).unwrap();
-        let analysis = crate::locks::analyze_defun(&heap, &form, &DeclDb::new()).unwrap();
-        delay_transform(&form, &analysis, &mut Probes::for_defun(&heap, &form).unwrap())
+        let program = Lowerer::new(&heap).lower_program(std::slice::from_ref(&form)).unwrap();
+        let analysis = curare_analysis::analyze_function(&program.funcs[0], &DeclDb::new());
+        let mut probes = Probes::new(&heap, &form, &program.funcs[0]);
+        let delayed = delay_transform(&form, &analysis, &mut probes);
+        assert_eq!(probes.lowerings(), 0, "every question is answered from the lowering");
+        delayed
     }
 
     #[test]

@@ -51,11 +51,29 @@ pub use dps::{dps_transform, DpsError, DpsResult};
 pub use fold::{fold_to_walker, FoldError, FoldResult};
 pub use futuresync::{future_sync, FutureSyncResult};
 pub use locks::{
-    analyze_defun, insert_placement, lock_rescue, placement_specs, LockResult, LockSpec,
-    TransformError,
+    insert_placement, lock_rescue, placement_specs, LockResult, LockSpec, TransformError,
 };
 pub use pipeline::{
     Curare, CurareOutput, Device, FunctionReport, PipelineError, Publication, HANDOFF_THRESHOLD,
 };
 pub use rec2iter::{recursion_to_iteration, Rec2IterError};
 pub use reorder::{reorder_transform, ReorderResult};
+
+/// Every program under `examples/lisp` and its fixtures: path and text,
+/// sorted by path.
+#[cfg(test)]
+pub(crate) fn shipped_programs() -> Vec<(String, String)> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/lisp");
+    let mut files = Vec::new();
+    for dir in [root.clone(), root.join("fixtures")] {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|x| x == "lisp") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                files.push((path.display().to_string(), text));
+            }
+        }
+    }
+    files.sort();
+    files
+}

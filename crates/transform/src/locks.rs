@@ -26,8 +26,7 @@ use std::collections::BTreeSet;
 use curare_analysis::locksynth::{
     declared_placement, synthesize, LockMode, OrderingContext, PairOrder, Placement,
 };
-use curare_analysis::{analyze_function, DeclDb, FunctionAnalysis, Path};
-use curare_lisp::{Heap, Lowerer};
+use curare_analysis::{lock_bracket_steps, DeclDb, FunctionAnalysis, Path};
 use curare_sexpr::Sexpr;
 
 use crate::delay::Probes;
@@ -47,13 +46,18 @@ pub struct LockSpec {
     pub exclusive: bool,
 }
 
-/// Result of the locking transform.
+/// Result of the locking transform on a defun whose forms live for
+/// `'f`.
 #[derive(Debug, Clone)]
-pub struct LockResult {
+pub struct LockResult<'f> {
     /// The rewritten `defun`.
     pub form: Sexpr,
     /// The locks inserted, in acquisition order.
     pub locks: Vec<LockSpec>,
+    /// One entry per bracket written: the first statement it wraps, as
+    /// it stands in the input defun, and the steps the bracket adds to
+    /// the head/tail partition ([`lock_bracket_steps`]).
+    pub brackets: Vec<(&'f Sexpr, usize)>,
 }
 
 /// Errors the transform can report.
@@ -61,8 +65,6 @@ pub struct LockResult {
 pub enum TransformError {
     /// The input was not a well-formed defun.
     NotADefun,
-    /// Lowering/analysis failed.
-    Analysis(String),
     /// The function is not transformable and locking cannot help
     /// (e.g. unanalyzable writes).
     CannotLock(String),
@@ -72,27 +74,12 @@ impl std::fmt::Display for TransformError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TransformError::NotADefun => write!(f, "not a defun form"),
-            TransformError::Analysis(m) => write!(f, "analysis failed: {m}"),
             TransformError::CannotLock(m) => write!(f, "cannot lock: {m}"),
         }
     }
 }
 
 impl std::error::Error for TransformError {}
-
-/// Analyze a standalone defun form (helper shared by the transforms).
-pub fn analyze_defun(
-    heap: &Heap,
-    form: &Sexpr,
-    decls: &DeclDb,
-) -> Result<FunctionAnalysis, TransformError> {
-    let mut lw = Lowerer::new(heap);
-    let prog = lw
-        .lower_program(std::slice::from_ref(form))
-        .map_err(|e| TransformError::Analysis(e.to_string()))?;
-    let func = prog.funcs.first().ok_or(TransformError::NotADefun)?;
-    Ok(analyze_function(func, decls))
-}
 
 /// Convert a synthesized placement's locks to the transform's
 /// [`LockSpec`] form, in acquisition order (sorted by root then path,
@@ -115,9 +102,10 @@ pub fn placement_specs(placement: &Placement) -> Vec<LockSpec> {
     out
 }
 
-/// State for the statement-bracket walk.
-struct PlaceCtx<'a, 'h> {
-    probes: &'a mut Probes<'h>,
+/// State for the statement-bracket walk over a defun whose forms live
+/// for `'f`.
+struct PlaceCtx<'a, 'p, 'f> {
+    probes: &'a mut Probes<'p>,
     fname: &'a str,
     specs: &'a [LockSpec],
     /// Merge adjacent same-lock-set brackets (see [`insert_placement`]).
@@ -128,13 +116,15 @@ struct PlaceCtx<'a, 'h> {
     /// failed, or covered accesses inside call-bearing statements and
     /// guard positions, which the bracket walk never wraps).
     violations: Vec<String>,
+    /// The brackets written, as [`LockResult::brackets`].
+    brackets: Vec<(&'f Sexpr, usize)>,
 }
 
-impl PlaceCtx<'_, '_> {
-    /// Locks covering any access of `forms` (ε-free specs; a lock
+impl<'f> PlaceCtx<'_, '_, 'f> {
+    /// Locks covering any access of `form` (ε-free specs; a lock
     /// covers an access to `p` when its path is a prefix of `p`).
-    fn covering(&mut self, forms: &[Sexpr]) -> Option<Vec<LockSpec>> {
-        let probe = self.probes.accesses(forms)?;
+    fn covering(&mut self, form: &Sexpr) -> Option<Vec<LockSpec>> {
+        let probe = self.probes.accesses(&[form])?;
         let mut out = Vec::new();
         for spec in self.specs {
             let hit = probe
@@ -155,7 +145,7 @@ impl PlaceCtx<'_, '_> {
         if shape::inert(form) {
             return;
         }
-        match self.covering(std::slice::from_ref(form)) {
+        match self.covering(form) {
             Some(covered) if covered.is_empty() => {}
             Some(covered) => self.violations.push(format!(
                 "{what} `{form}` touches locked location(s) {} but cannot be bracketed",
@@ -179,8 +169,10 @@ impl PlaceCtx<'_, '_> {
     /// ```
     ///
     /// The bracket's value is nil — like every CRI conversion the
-    /// result executes for effect only.
-    fn wrap(&mut self, stmt: Sexpr, covered: &[LockSpec]) -> Sexpr {
+    /// result executes for effect only. `first` is the first statement
+    /// `stmt` holds, as written.
+    fn wrap(&mut self, first: &'f Sexpr, stmt: Sexpr, covered: &[LockSpec]) -> Sexpr {
+        self.brackets.push((first, lock_bracket_steps(covered.iter().map(|s| &s.path))));
         let mut bindings = Vec::new();
         let mut body = Vec::new();
         let mut unlock_forms = Vec::new();
@@ -213,11 +205,11 @@ impl PlaceCtx<'_, '_> {
         if !call || sx::mentions_call(form, self.fname) {
             return None;
         }
-        self.covering(std::slice::from_ref(form)).filter(|c| !c.is_empty())
+        self.covering(form).filter(|c| !c.is_empty())
     }
 }
 
-impl Device<'_> for PlaceCtx<'_, '_> {
+impl<'f> Device<'f> for PlaceCtx<'_, '_, 'f> {
     fn fname(&self) -> &str {
         self.fname
     }
@@ -228,29 +220,31 @@ impl Device<'_> for PlaceCtx<'_, '_> {
     /// critical section gets coarser (fewer acquisitions), never
     /// weaker, and no spawn can sit inside a merged bracket because
     /// call-bearing statements are never part of a run.
-    fn sequence(&mut self, stmts: &[(&Sexpr, Pos)], _repeats: bool) -> Vec<Sexpr> {
+    fn sequence(&mut self, stmts: &[(&'f Sexpr, Pos)], _repeats: bool) -> Vec<Sexpr> {
         if !self.coalesce {
             return shape::walk_each(self, stmts);
         }
         let mut out = Vec::new();
         let mut run: Vec<Sexpr> = Vec::new();
+        let mut run_first: Option<&'f Sexpr> = None;
         let mut run_specs: Vec<LockSpec> = Vec::new();
         macro_rules! flush {
             () => {
-                if !run.is_empty() {
+                if let Some(first) = run_first.take() {
                     let stmt = shape::progn(std::mem::take(&mut run));
                     let specs = std::mem::take(&mut run_specs);
-                    out.push(self.wrap(stmt, &specs));
+                    out.push(self.wrap(first, stmt, &specs));
                 }
             };
         }
         for &(s, pos) in stmts {
             match self.leaf_covering(s) {
                 Some(covered) => {
-                    if !run.is_empty() && run_specs != covered {
+                    if run_first.is_some() && run_specs != covered {
                         flush!();
                     }
                     run_specs = covered;
+                    run_first.get_or_insert(s);
                     run.push(s.clone());
                 }
                 None => {
@@ -264,7 +258,7 @@ impl Device<'_> for PlaceCtx<'_, '_> {
     }
 
     /// The test / binding initialisers cannot be bracketed; audit them.
-    fn guard(&mut self, form: &Sexpr, _pos: Pos) -> Sexpr {
+    fn guard(&mut self, form: &'f Sexpr, _pos: Pos) -> Sexpr {
         self.audit_unbracketed(form, "guard expression");
         form.clone()
     }
@@ -272,22 +266,22 @@ impl Device<'_> for PlaceCtx<'_, '_> {
     /// Self-call-bearing statements are the spawn points — never
     /// bracket them (the lock would be held across the enqueue);
     /// instead audit that they touch nothing the placement covers.
-    fn self_call(&mut self, call: &Sexpr, _pos: Pos) -> Sexpr {
+    fn self_call(&mut self, call: &'f Sexpr, _pos: Pos) -> Sexpr {
         self.audit_unbracketed(call, "recursive-call statement");
         call.clone()
     }
 
     /// A leaf effect statement gets its own bracket.
-    fn leaf(&mut self, form: &Sexpr, pos: Pos) -> Sexpr {
+    fn leaf(&mut self, form: &'f Sexpr, pos: Pos) -> Sexpr {
         if shape::inert(form) {
             return form.clone();
         }
         if sx::mentions_call(form, self.fname) {
             return self.self_call(form, pos);
         }
-        match self.covering(std::slice::from_ref(form)) {
+        match self.covering(form) {
             Some(covered) if covered.is_empty() => form.clone(),
-            Some(covered) => self.wrap(form.clone(), &covered),
+            Some(covered) => self.wrap(form, form.clone(), &covered),
             None => {
                 self.violations.push(format!("statement `{form}` is not analyzable"));
                 form.clone()
@@ -313,16 +307,18 @@ impl Device<'_> for PlaceCtx<'_, '_> {
 /// lock set share one bracket: the same locks are held across the run
 /// (exclusion is preserved — the critical section only gets coarser),
 /// but acquire/release traffic drops.
-pub fn insert_placement(
-    form: &Sexpr,
+///
+/// `probes` answers questions about `form`'s statements.
+pub fn insert_placement<'f>(
+    form: &'f Sexpr,
     placement: &Placement,
     coalesce: bool,
     probes: &mut Probes<'_>,
-) -> Result<LockResult, TransformError> {
+) -> Result<LockResult<'f>, TransformError> {
     let parts = sx::parse_defun(form).ok_or(TransformError::NotADefun)?;
     let specs = placement_specs(placement);
     if specs.is_empty() {
-        return Ok(LockResult { form: form.clone(), locks: specs });
+        return Ok(LockResult { form: form.clone(), locks: specs, brackets: Vec::new() });
     }
     let mut ctx = PlaceCtx {
         probes,
@@ -331,6 +327,7 @@ pub fn insert_placement(
         coalesce,
         counter: 0,
         violations: Vec::new(),
+        brackets: Vec::new(),
     };
     let body = shape::walk_body(&mut ctx, &parts.body);
     if !ctx.violations.is_empty() {
@@ -343,8 +340,9 @@ pub fn insert_placement(
             "placement covers no statement of this body".to_string(),
         ));
     }
-    let new_form = sx::make_defun(parts.name, &parts.params, &parts.declares, body);
-    Ok(LockResult { form: new_form, locks: specs })
+    let brackets = ctx.brackets;
+    let form = sx::make_defun(parts.name, &parts.params, &parts.declares, body);
+    Ok(LockResult { form, locks: specs, brackets })
 }
 
 /// Tail statements — those a self-call may precede within their
@@ -407,10 +405,9 @@ fn commutative_rmw<'a>(stmt: &'a Sexpr, decls: &DeclDb) -> Option<&'a Sexpr> {
     if !decls.is_reorderable(op) {
         return None;
     }
-    let place_text = place.to_string();
-    if rhs[1].to_string() == place_text {
+    if rhs[1] == *place {
         Some(&rhs[2])
-    } else if rhs[2].to_string() == place_text {
+    } else if rhs[2] == *place {
         Some(&rhs[1])
     } else {
         None
@@ -470,7 +467,7 @@ fn tails_are_order_insensitive(
     // conflicting location either.
     let mut read_only = |form: &Sexpr, apart: bool| {
         shape::inert(form)
-            || probes.accesses(std::slice::from_ref(form)).is_some_and(|probe| {
+            || probes.accesses(&[form]).is_some_and(|probe| {
                 probe.unknown_writes == 0
                     && probe.globals_written.is_empty()
                     && probe.writes().next().is_none()
@@ -503,13 +500,13 @@ fn tails_are_order_insensitive(
 ///
 /// The placement the brackets were written from comes back with them:
 /// it is the one in force, and what `curare check --locks` certifies.
-pub fn lock_rescue(
-    form: &Sexpr,
+pub fn lock_rescue<'f>(
+    form: &'f Sexpr,
     analysis: &FunctionAnalysis,
     decls: &DeclDb,
     coalesce: bool,
     probes: &mut Probes<'_>,
-) -> Option<(LockResult, Placement)> {
+) -> Option<(LockResult<'f>, Placement)> {
     let parts = sx::parse_defun(form)?;
     if analysis.conflicts.unknown_writes > 0 || analysis.conflicts.conflicts.is_empty() {
         return None;
@@ -538,25 +535,44 @@ pub fn lock_rescue(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use curare_analysis::analyze_function;
+    use curare_lisp::{Heap, Lowerer};
     use curare_sexpr::parse_one;
+
+    /// The analysis of a standalone defun form.
+    fn analyze_defun(heap: &Heap, form: &Sexpr, decls: &DeclDb) -> Option<FunctionAnalysis> {
+        Some(analyze_function(&lowered(heap, form), decls))
+    }
+
+    /// `form`'s lowering over `heap`.
+    fn lowered(heap: &Heap, form: &Sexpr) -> std::sync::Arc<curare_lisp::ast::Func> {
+        let program = Lowerer::new(heap).lower_program(std::slice::from_ref(form)).unwrap();
+        program.funcs[0].clone()
+    }
 
     /// The standalone §3.2.1 device: the placement synthesized with
     /// no ordering assumed (every conflicting pair needs a lock),
     /// applied as statement brackets.
-    fn locks_on(heap: &Heap, form: &Sexpr) -> LockResult {
+    fn locks_on<'f>(heap: &Heap, form: &'f Sexpr) -> LockResult<'f> {
         let parts = sx::parse_defun(form).unwrap();
         let analysis = analyze_defun(heap, form, &DeclDb::new()).unwrap();
         let placement = synthesize(&analysis, &parts.params, OrderingContext::none());
-        insert_placement(form, &placement, false, &mut Probes::for_defun(heap, form).unwrap())
-            .unwrap()
+        let func = lowered(heap, form);
+        insert_placement(form, &placement, false, &mut Probes::new(heap, form, &func)).unwrap()
     }
 
     /// `lock_rescue` as the pipeline calls it: on the analysis of the
     /// form itself.
-    fn rescue(heap: &Heap, form: &Sexpr, decls: &DeclDb, coalesce: bool) -> Option<LockResult> {
-        let analysis = analyze_defun(heap, form, decls).ok()?;
+    fn rescue<'f>(
+        heap: &Heap,
+        form: &'f Sexpr,
+        decls: &DeclDb,
+        coalesce: bool,
+    ) -> Option<LockResult<'f>> {
+        let analysis = analyze_defun(heap, form, decls)?;
+        let func = lowered(heap, form);
         let rescued =
-            lock_rescue(form, &analysis, decls, coalesce, &mut Probes::for_defun(heap, form)?)?;
+            lock_rescue(form, &analysis, decls, coalesce, &mut Probes::new(heap, form, &func))?;
         assert_eq!(
             placement_specs(&rescued.1),
             rescued.0.locks,
@@ -565,8 +581,10 @@ mod tests {
         Some(rescued.0)
     }
 
-    fn run_locks(src: &str) -> LockResult {
-        locks_on(&Heap::new(), &parse_one(src).unwrap())
+    fn run_locks(src: &str) -> LockResult<'static> {
+        let form = parse_one(src).unwrap();
+        let r = locks_on(&Heap::new(), &form);
+        LockResult { form: r.form, locks: r.locks, brackets: Vec::new() }
     }
 
     #[test]

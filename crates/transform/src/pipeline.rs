@@ -36,12 +36,13 @@
 //! letting the pipeline skip conflict synthesis on the fresh
 //! destination cells.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use curare_analysis::{
     AnalysisStats, Analyzer, BlockReason, Cost, FunctionAnalysis, Placement, Verdict,
 };
-use curare_lisp::ast::{Func, Program};
+use curare_lisp::ast::{Expr, Func, Program};
 use curare_lisp::lower::TopForm;
 use curare_lisp::{Heap, Lowerer};
 use curare_sexpr::{parse_all, pretty, Sexpr};
@@ -272,18 +273,20 @@ impl Curare {
                 continue;
             }
             let func = funcs.next().expect("pass 1 lowered one function per defun");
-            let mut probes = Probes::for_defun(&heap, form).expect("pass 1 lowered this defun");
             // Device: reorder (cheapest, applied first). The analysis
-            // is of the form it leaves.
+            // is of the form it leaves: pass 1's, unless it rewrote one.
             let reordered = reorder_transform(&heap, form, analyzer.decls());
-            let analysis = if reordered.atomic_rewrites > 0 {
-                analyzer.analyse(&*pass.lower(&reordered.form)?, &mut stats)
-            } else {
-                analyzer.analyse(func, &mut stats)
+            let rewritten;
+            let lowered = match &reordered.form {
+                Cow::Borrowed(_) => func,
+                Cow::Owned(form) => {
+                    rewritten = pass.lower(form)?;
+                    &rewritten
+                }
             };
-            let transformed = pass.transform_defun(reordered, analysis, &mut probes, &mut stats);
-            stats.probe_lowerings += probes.lowerings();
-            let (mut produced, report) = transformed?;
+            let analysis = analyzer.analyse(lowered, &mut stats);
+            let (mut produced, report) =
+                pass.transform_defun(reordered, lowered, analysis, &mut stats)?;
             out_forms.append(&mut produced);
             reports.push(report);
         }
@@ -295,10 +298,14 @@ impl Curare {
 struct Pass<'a> {
     config: Curare,
     /// Where pass 1 registered the program's struct types: every later
-    /// lowering (a probe, a rewritten defun) resolves accessors here.
+    /// lowering (a rewritten defun, a probe) resolves accessors here.
     heap: &'a Heap,
     analyzer: &'a Analyzer,
 }
+
+/// A form the devices read, with its lowering and that lowering's
+/// analysis.
+type Lowered<'a> = (&'a Func, &'a FunctionAnalysis);
 
 impl Pass<'_> {
     /// Lower one defun the devices produced.
@@ -310,19 +317,21 @@ impl Pass<'_> {
     }
 
     /// Pick the devices for one defun as the reorder device left it,
-    /// `analysis` being the analysis of that form; may emit several
-    /// forms (DPS emits the `-d` function plus a wrapper).
+    /// `lowered` being its lowering and `kept` the analysis of that; may
+    /// emit several forms (DPS emits the `-d` function plus a wrapper).
     ///
     /// One analysis serves the whole function: the verdict, delay's
     /// conflicting locations, the lock synthesis and the tail cost all
-    /// read it. Only a device that rewrites the form makes it stale;
-    /// the form is then analysed again if a later device asks. The
-    /// report keeps `analysis` itself, whatever the devices did after.
+    /// read it, and the devices' questions about its statements are
+    /// answered from the lowering it was made from. Only a device that
+    /// rewrites the form makes them stale; the form is then lowered and
+    /// analysed again if a later device asks. The report keeps `kept`
+    /// itself, whatever the devices did after.
     fn transform_defun(
         &self,
-        reordered: ReorderResult,
+        reordered: ReorderResult<'_>,
+        lowered: &Func,
         kept: FunctionAnalysis,
-        probes: &mut Probes<'_>,
         stats: &mut AnalysisStats,
     ) -> Result<(Vec<Sexpr>, FunctionReport), PipelineError> {
         let made = |analysis: FunctionAnalysis, devices, converted, feedback, publication| {
@@ -351,7 +360,7 @@ impl Pass<'_> {
         match &analysis.verdict {
             Verdict::NotRecursive => {
                 return Ok((
-                    vec![current],
+                    vec![current.into_owned()],
                     made(kept, devices, false, feedback, Publication::Lazy),
                 ));
             }
@@ -403,7 +412,8 @@ impl Pass<'_> {
                     && !analysis.reasons.is_empty()
                     && analysis.reasons.iter().all(|r| matches!(r, BlockReason::UnknownWrite))
                 {
-                    if let Ok((cri, publication)) = self.convert(&current, Some(analysis)) {
+                    let tail_cost = Some(analysis.head_tail.tail_cost);
+                    if let Ok((cri, publication)) = self.convert(&current, tail_cost) {
                         devices.push(Device::Speculate);
                         devices.push(Device::Cri(cri.sites));
                         let feedback = format!(
@@ -416,7 +426,7 @@ impl Pass<'_> {
                     }
                 }
                 return Ok((
-                    vec![current],
+                    vec![current.into_owned()],
                     made(kept, devices, false, feedback, Publication::Lazy),
                 ));
             }
@@ -444,11 +454,10 @@ impl Pass<'_> {
         // (unwind) order. Head ordering and delay serve the first
         // class; future synchronization reproduces the second.
         //
-        // `analysed` is the analysis of `current`; only delay, locks
-        // and future sync rewrite the form, and only where it has a
-        // tail.
-        let mut analysed = Some(analysis);
-        let delayed_analysis;
+        // `tail_cost` is the tail cost of `current` where it is known
+        // without lowering it; only delay, locks and future sync
+        // rewrite the form, and only where it has a tail.
+        let mut tail_cost = Some(analysis.head_tail.tail_cost);
         let mut placement = None;
         if matches!(analysis.verdict, Verdict::NeedsSynchronization { .. }) {
             if !has_tail_statements(&current, name) {
@@ -458,16 +467,24 @@ impl Pass<'_> {
                 devices.push(Device::HeadOrdering);
             } else {
                 // Device: delay.
-                if let Some(delayed) = delay_transform(&current, analysis, probes) {
+                let mut probes = Probes::new(self.heap, &current, lowered);
+                let delayed = delay_transform(&current, analysis, &mut probes);
+                stats.probe_lowerings += probes.lowerings();
+                let delayed_func;
+                let delayed_analysis;
+                let mut source: Option<Lowered<'_>> = Some((lowered, analysis));
+                if let Some(delayed) = delayed {
                     devices.push(Device::Delay(delayed.moved));
-                    current = delayed.form;
-                    analysed = None;
+                    current = Cow::Owned(delayed.form);
+                    (tail_cost, source) = (None, None);
                 }
                 if has_tail_statements(&current, name) {
-                    if analysed.is_none() {
+                    if source.is_none() {
+                        delayed_func = self.lower(&current).ok();
                         delayed_analysis =
-                            self.lower(&current).ok().map(|f| self.analyzer.analyse(&f, stats));
-                        analysed = delayed_analysis.as_ref();
+                            delayed_func.as_deref().map(|f| self.analyzer.analyse(f, stats));
+                        source = delayed_func.as_deref().zip(delayed_analysis.as_ref());
+                        tail_cost = source.map(|(_, a)| a.head_tail.tail_cost);
                     }
                     // Device: synthesized lock placement (§3.2.1).
                     // Future sync serializes the tails completely;
@@ -476,23 +493,20 @@ impl Pass<'_> {
                     // order-insensitive (or the programmer declared a
                     // placement), statement-scoped lock brackets keep
                     // the tails parallel instead.
-                    let decls = self.analyzer.decls();
-                    let locked = analysed.and_then(|a| {
-                        lock_rescue(&current, a, decls, self.config.coalesce_locks, probes)
-                    });
-                    if let Some((locked, applied)) = locked {
-                        devices.push(Device::Locks(locked.locks));
-                        current = locked.form;
+                    let locked = source.and_then(|lowered| self.lock(&current, lowered, stats));
+                    if let Some((form, locks, applied, bracketed_tail)) = locked {
+                        devices.push(Device::Locks(locks));
+                        current = Cow::Owned(form);
                         placement = Some(applied);
-                        analysed = None;
+                        tail_cost = bracketed_tail;
                     } else {
                         // Device: future synchronization (§3.1) — tails
                         // must run in unwind order.
                         match future_sync(&current) {
                             Some(synced) => {
                                 devices.push(Device::FutureSync(synced.wrapped));
-                                current = synced.form;
-                                analysed = None;
+                                current = Cow::Owned(synced.form);
+                                tail_cost = None;
                             }
                             None => {
                                 // SpecMode admission, case B: the tail
@@ -508,7 +522,7 @@ impl Pass<'_> {
                                     let refused =
                                         made(kept, devices, false, feedback, Publication::Lazy);
                                     return Ok((
-                                        vec![current],
+                                        vec![current.into_owned()],
                                         FunctionReport { unsynced_tail: true, ..refused },
                                     ));
                                 }
@@ -520,17 +534,48 @@ impl Pass<'_> {
         }
 
         // CRI conversion.
-        let (form, report) = match self.convert(&current, analysed) {
+        let (form, report) = match self.convert(&current, tail_cost) {
             Ok((cri, publication)) => {
                 devices.push(Device::Cri(cri.sites));
                 (cri.form, made(kept, devices, true, feedback, publication))
             }
             Err(e) => {
                 let feedback = format!("{feedback}  CRI conversion failed: {e}\n");
-                (current, made(kept, devices, false, feedback, Publication::Lazy))
+                (current.into_owned(), made(kept, devices, false, feedback, Publication::Lazy))
             }
         };
         Ok((vec![form], FunctionReport { placement, ..report }))
+    }
+
+    /// The lock device on `form`, whose lowering and its analysis are
+    /// `lowered`: the bracketed form, its locks, the placement they
+    /// were written from, and the tail cost of the bracketed form —
+    /// the analysed partition with each bracket's steps on its
+    /// statement's side, or `None` where a bracketed statement has no
+    /// node of its own in the lowering.
+    fn lock(
+        &self,
+        form: &Sexpr,
+        (func, analysis): Lowered<'_>,
+        stats: &mut AnalysisStats,
+    ) -> Option<(Sexpr, Vec<LockSpec>, Placement, Option<Cost>)> {
+        let mut probes = Probes::new(self.heap, form, func);
+        let decls = self.analyzer.decls();
+        let rescued = lock_rescue(form, analysis, decls, self.config.coalesce_locks, &mut probes);
+        stats.probe_lowerings += probes.lowerings();
+        let (locked, applied) = rescued?;
+        let brackets: Option<Vec<(&Expr, usize)>> = locked
+            .brackets
+            .iter()
+            .map(|&(stmt, steps)| Some((probes.lowered(stmt)?, steps)))
+            .collect();
+        let bracketed = brackets.map(|b| self.analyzer.head_tail_bracketed(func, &b));
+        #[cfg(test)]
+        tests::priced(
+            &bracketed,
+            self.lower(&locked.form).ok().map(|f| self.analyzer.head_tail(&f)),
+        );
+        Some((locked.form, locked.locks, applied, bracketed.map(|h| h.tail_cost)))
     }
 
     /// CRI-convert `form` (already through its synchronization
@@ -539,21 +584,21 @@ impl Pass<'_> {
     /// `cri-handoff` sites, so the successor's head overlaps it (the
     /// §3.1 overlap); a shorter one keeps `cri-enqueue`, whose
     /// successor is batched — and usually chained, queue-free — when
-    /// the invocation ends. `analysed` is the analysis of `form`
-    /// itself where one is still current; a form the devices rewrote
-    /// is lowered for its partition alone.
+    /// the invocation ends. `tail_cost` is the cost of `form`'s tail
+    /// where it is known; a form the devices rewrote otherwise is
+    /// lowered for its partition alone.
     fn convert(
         &self,
         form: &Sexpr,
-        analysed: Option<&FunctionAnalysis>,
+        tail_cost: Option<Cost>,
     ) -> Result<(CriResult, Publication), CriError> {
         // Interprocedural cost of the tail (§3.1 partition), callee
         // bodies taken from the input program's table. With no enqueue
         // site to publish early (every call was future-synchronized, or
         // the function is hand-written CRI) there is nothing to cost.
-        let tail_cost = match analysed {
+        let tail_cost = match tail_cost {
             _ if !has_site(form) => Cost::Bounded(0),
-            Some(a) => a.head_tail.tail_cost,
+            Some(cost) => cost,
             None => {
                 self.lower(form).map_or(Cost::Bounded(0), |f| self.analyzer.head_tail(&f).tail_cost)
             }
@@ -568,10 +613,70 @@ impl Pass<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
+    use curare_analysis::HeadTail;
+
     use super::*;
 
     fn run(src: &str) -> CurareOutput {
         Curare::new().transform_source(src).unwrap()
+    }
+
+    thread_local! {
+        /// Each lock-rescued form's partition as the pipeline priced it
+        /// and as relowering the bracketed form gives it.
+        static PRICED: RefCell<Vec<(Option<HeadTail>, Option<HeadTail>)>> = RefCell::default();
+    }
+
+    pub(super) fn priced(bracketed: &Option<HeadTail>, relowered: Option<HeadTail>) {
+        PRICED.with(|p| p.borrow_mut().push((bracketed.clone(), relowered)));
+    }
+
+    /// The tail cost of a lock-bracketed function is read off the
+    /// partition the pipeline already analysed, each bracket's steps on
+    /// its statement's side: it must be the partition of the bracketed
+    /// form, lowered — on every placement the shipped programs and the
+    /// commutative tail writers get, brackets coalesced or not.
+    #[test]
+    fn the_bracket_priced_partition_is_the_relowered_one() {
+        let tail_rmws = "(curare-declare (reorderable *))
+             (defun f (l)
+               (when (cdr l)
+                 (f (cdr l))
+                 (car l)
+                 (setf (car l) (* (car l) 2))
+                 (setf (car l) (* (car l) 3))
+                 (setf (cadr l) (* (cadr l) 5))))";
+        // The benchmark's read-window walker at k = 1.
+        let window = "(curare-declare (reorderable *))
+             (defun win (l)
+               (when (cdr (cdr l))
+                 (win (cdr l))
+                 (setf (car l) (* (car l) 2))
+                 (+ (car (cdr l)) (car (cdr l)))
+                 (+ (car (cdr (cdr l))) (car (cdr (cdr l))))))";
+        let mut programs = crate::shipped_programs();
+        programs.push(("tail RMWs".into(), tail_rmws.into()));
+        programs.push(("window walker".into(), window.into()));
+        PRICED.with(|p| p.borrow_mut().clear());
+        for (name, src) in &programs {
+            for curare in [
+                Curare::new(),
+                Curare::new().with_speculation(true),
+                Curare::new().with_coalesced_locks(true),
+            ] {
+                curare.transform_source(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+            }
+        }
+        let priced = PRICED.with(|p| p.take());
+        let mut tail_brackets = 0;
+        for (bracketed, relowered) in &priced {
+            let bracketed = bracketed.as_ref().expect("every bracketed statement has a node");
+            assert_eq!(Some(bracketed), relowered.as_ref());
+            tail_brackets += usize::from(bracketed.tail_cost != Cost::Bounded(0));
+        }
+        assert!(priced.len() >= 9 && tail_brackets >= 9, "{} placements", priced.len());
     }
 
     #[test]

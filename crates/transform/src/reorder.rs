@@ -20,17 +20,20 @@
 //!    accepts any satisfying answer, so read-ordering constraints on
 //!    its searches are dismissed.
 
+use std::borrow::Cow;
+
 use curare_analysis::DeclDb;
 use curare_lisp::Heap;
-use curare_sexpr::Sexpr;
+use curare_sexpr::{Sexpr, Symbol};
 
 use crate::sx;
 
-/// Output of the reordering pass.
+/// Output of the reordering pass over a defun that lives for `'a`.
 #[derive(Debug, Clone)]
-pub struct ReorderResult {
-    /// The rewritten defun.
-    pub form: Sexpr,
+pub struct ReorderResult<'a> {
+    /// The rewritten defun: the input itself where nothing was
+    /// rewritten.
+    pub form: Cow<'a, Sexpr>,
     /// Number of accumulations rewritten to atomic updates (global
     /// variables and heap cells together).
     pub atomic_rewrites: usize,
@@ -40,59 +43,77 @@ pub struct ReorderResult {
 
 /// Apply §3.2.3 reorderings to a defun under `decls`. The heap
 /// provides the struct registry for field-accessor places.
-pub fn reorder_transform(heap: &Heap, form: &Sexpr, decls: &DeclDb) -> ReorderResult {
+pub fn reorder_transform<'a>(heap: &Heap, form: &'a Sexpr, decls: &DeclDb) -> ReorderResult<'a> {
     let mut pass =
         Pass { heap, decls, locals: Vec::new(), atomic_rewrites: 0, dismissed: Vec::new() };
-    let form = pass.rewrite(form);
+    let form = pass.rewrite(form).map_or(Cow::Borrowed(form), Cow::Owned);
     ReorderResult { form, atomic_rewrites: pass.atomic_rewrites, dismissed: pass.dismissed }
 }
 
+/// One rewriting. Every rewrite returns `None` for a form it leaves as
+/// it is, so only the spine above a rewritten accumulation is copied.
 struct Pass<'a> {
     heap: &'a Heap,
     decls: &'a DeclDb,
     /// Names bound locally at the form being rewritten (parameters,
     /// `let`/`dolist`/`dotimes` variables), innermost last — the
     /// lowerer's resolution rule: any other symbol is a global.
-    locals: Vec<String>,
+    locals: Vec<Symbol>,
     atomic_rewrites: usize,
     dismissed: Vec<String>,
 }
 
 /// The symbols of a parameter or binding list (`x` and `(x init)`).
-fn bound_names(list: &Sexpr) -> impl Iterator<Item = String> + '_ {
-    list.as_list().into_iter().flatten().filter_map(|b| {
-        b.as_symbol().or_else(|| b.nth(0).and_then(Sexpr::as_symbol)).map(str::to_string)
-    })
+fn bound_names(list: &Sexpr) -> impl Iterator<Item = Symbol> + '_ {
+    list.as_list()
+        .into_iter()
+        .flatten()
+        .filter_map(|b| b.symbol().or_else(|| b.nth(0).and_then(Sexpr::symbol)))
 }
 
 impl Pass<'_> {
     /// Rewrite `items[from..]` with `names` bound around them.
-    fn scoped(&mut self, items: &[Sexpr], from: usize, names: Vec<String>) -> Sexpr {
+    fn scoped(
+        &mut self,
+        items: &[Sexpr],
+        from: usize,
+        names: impl Iterator<Item = Symbol>,
+    ) -> Option<Sexpr> {
         let outer = self.locals.len();
-        let mut out: Vec<Sexpr> = items[..from].to_vec();
         self.locals.extend(names);
-        out.extend(items[from..].iter().map(|i| self.rewrite(i)));
+        let out = self.rewrite_items(items, from);
         self.locals.truncate(outer);
-        Sexpr::List(out)
+        out
     }
 
-    fn rewrite(&mut self, form: &Sexpr) -> Sexpr {
-        let Some(items) = form.as_list() else { return form.clone() };
-        let Some(head) = items.first().and_then(Sexpr::as_symbol) else {
-            return form.clone();
-        };
+    /// The list `items` with `items[from..]` rewritten, if one was.
+    fn rewrite_items(&mut self, items: &[Sexpr], from: usize) -> Option<Sexpr> {
+        let mut out: Option<Vec<Sexpr>> = None;
+        for (i, item) in items.iter().enumerate().skip(from) {
+            if let Some(new) = self.rewrite(item) {
+                out.get_or_insert_with(|| items[..i].to_vec()).push(new);
+            } else if let Some(out) = &mut out {
+                out.push(item.clone());
+            }
+        }
+        out.map(Sexpr::List)
+    }
+
+    fn rewrite(&mut self, form: &Sexpr) -> Option<Sexpr> {
+        let items = form.as_list()?;
+        let head = items.first()?.as_symbol()?;
         let (heap, decls) = (self.heap, self.decls);
         match head {
-            "quote" => return form.clone(),
+            "quote" => return None,
             // Binding forms: their variables shadow globals in the
             // body (the binding list itself is left as it is).
             _ if items.len() < 3 => {}
-            "defun" => return self.scoped(items, 3, bound_names(&items[2]).collect()),
-            "lambda" => return self.scoped(items, 2, bound_names(&items[1]).collect()),
-            "let" | "let*" => return self.scoped(items, 2, bound_names(&items[1]).collect()),
+            "defun" => return self.scoped(items, 3, bound_names(&items[2])),
+            "lambda" => return self.scoped(items, 2, bound_names(&items[1])),
+            "let" | "let*" => return self.scoped(items, 2, bound_names(&items[1])),
             "dolist" | "dotimes" => {
-                let var = items[1].nth(0).and_then(Sexpr::as_symbol).map(str::to_string);
-                return self.scoped(items, 2, var.into_iter().collect());
+                let var = items[1].nth(0).and_then(Sexpr::symbol);
+                return self.scoped(items, 2, var.into_iter());
             }
             _ => {}
         }
@@ -101,12 +122,12 @@ impl Pass<'_> {
         // (atomic-incf g e). Also the (incf g e) spelling.
         if let Some(replacement) = match_accumulation(items, decls, &self.locals) {
             self.atomic_rewrites += 1;
-            return replacement;
+            return Some(replacement);
         }
         // (setf (car x) (+ (car x) e)) and friends → atomic cell update.
         if let Some(replacement) = match_cell_accumulation(heap, items, decls) {
             self.atomic_rewrites += 1;
-            return replacement;
+            return Some(replacement);
         }
 
         // Unordered inserts: no rewrite needed (the substrate hash table
@@ -118,7 +139,7 @@ impl Pass<'_> {
             self.dismissed.push(format!("any-result search: {form}"));
         }
 
-        Sexpr::List(items.iter().map(|i| self.rewrite(i)).collect())
+        self.rewrite_items(items, 0)
     }
 }
 
@@ -186,10 +207,10 @@ fn match_cell_accumulation(heap: &Heap, items: &[Sexpr], decls: &DeclDb) -> Opti
 
 /// Recognize commutative accumulations into a global variable
 /// (`locals`: the names bound around the form).
-fn match_accumulation(items: &[Sexpr], decls: &DeclDb, locals: &[String]) -> Option<Sexpr> {
+fn match_accumulation(items: &[Sexpr], decls: &DeclDb, locals: &[Symbol]) -> Option<Sexpr> {
     let head = items.first()?.as_symbol()?;
-    fn global<'a>(var: &'a Sexpr, locals: &[String]) -> Option<&'a str> {
-        var.as_symbol().filter(|v| !locals.iter().any(|l| l == v))
+    fn global(var: &Sexpr, locals: &[Symbol]) -> Option<Symbol> {
+        var.symbol().filter(|v| !locals.contains(v))
     }
     let (var, update) = match head {
         "setq" | "setf" => {
@@ -203,7 +224,7 @@ fn match_accumulation(items: &[Sexpr], decls: &DeclDb, locals: &[String]) -> Opt
             }
             let var = global(items.get(1)?, locals)?;
             let delta = items.get(2).cloned().unwrap_or(Sexpr::Int(1));
-            return Some(sx::call("atomic-incf", vec![sx::sym(var), delta]));
+            return Some(sx::call("atomic-incf", vec![Sexpr::Sym(var), delta]));
         }
         _ => return None,
     };
@@ -212,19 +233,19 @@ fn match_accumulation(items: &[Sexpr], decls: &DeclDb, locals: &[String]) -> Opt
     if op != "+" || !decls.is_reorderable("+") || call.len() != 3 {
         return None;
     }
-    let delta = if call[1].is_symbol(var) {
+    let delta = if call[1].is_symbol(&var) {
         &call[2]
-    } else if call[2].is_symbol(var) {
+    } else if call[2].is_symbol(&var) {
         &call[1]
     } else {
         return None;
     };
     // The delta must not itself mention the accumulator (that would
     // not be a simple commutative update).
-    if sx::mentions_call(delta, var) || delta.is_symbol(var) {
+    if sx::mentions_call(delta, &var) || delta.is_symbol(&var) {
         return None;
     }
-    Some(sx::call("atomic-incf", vec![sx::sym(var), delta.clone()]))
+    Some(sx::call("atomic-incf", vec![Sexpr::Sym(var), delta.clone()]))
 }
 
 #[cfg(test)]
@@ -295,7 +316,8 @@ mod tests {
             // target is not the operand
             "(defun f (x) (setq *s* (+ *t* x)) (f x))",
         ] {
-            let r = reorder_transform(&Heap::new(), &parse_one(src).unwrap(), &db);
+            let form = parse_one(src).unwrap();
+            let r = reorder_transform(&Heap::new(), &form, &db);
             assert_eq!(r.atomic_rewrites, 0, "{src}");
         }
     }
@@ -348,7 +370,8 @@ mod tests {
                      (dotimes (i 3) (setq i (+ i 1)))
                      (setq *g* (+ *g* n))
                      (f (cdr l) n))";
-        let r = reorder_transform(&Heap::new(), &parse_one(src).unwrap(), &db);
+        let form = parse_one(src).unwrap();
+        let r = reorder_transform(&Heap::new(), &form, &db);
         assert_eq!(r.atomic_rewrites, 1, "{}", r.form);
         let text = r.form.to_string();
         assert!(text.contains("(atomic-incf *g* n)"), "{text}");
@@ -357,7 +380,8 @@ mod tests {
         // Outside the binding form the name is a global again.
         let shadow =
             "(defun g (l) (let ((*s* 0)) (setq *s* (+ *s* 1))) (setq *s* (+ *s* 1)) (g l))";
-        let r = reorder_transform(&Heap::new(), &parse_one(shadow).unwrap(), &db);
+        let form = parse_one(shadow).unwrap();
+        let r = reorder_transform(&Heap::new(), &form, &db);
         assert_eq!(r.atomic_rewrites, 1, "{}", r.form);
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Every device asks the same question of a function body — where does
 //! this form sit relative to the function's value and its self-calls —
-//! and this module answers it once. It has three parts:
+//! and this module answers it once. It has four parts:
 //!
 //! - [`classify`] reads a form as *inert* (an atom, `()`, quoted data),
 //!   a *self-call*, an ordinary *call*, or a [`View`]: clauses of
@@ -32,11 +32,17 @@
 //!   [`Device`] at self-calls, leaves, guards and statement sequences.
 //!   In a repeating sequence that mentions a self-call, every statement
 //!   and the guard both follow a spawn and have work after them.
+//! - [`lowered_nodes`] reads a body beside its lowering and pairs every
+//!   form a walk can show a device with the node the lowerer made of it,
+//!   so a device's question about a statement is answered from the
+//!   lowered program instead of by lowering the statement again.
 //!
 //! Named exceptions: `fold::recognize` is a two-arm pattern match on one
 //! expression, not a traversal, and `reorder::Pass` scopes *binders*
 //! (`defun`, `lambda`, `dolist` too), not control.
 
+use curare_lisp::ast::{BuiltinOp, Expr, StructOp};
+use curare_lisp::lower::builtin_signature;
 use curare_sexpr::Sexpr;
 
 use crate::sx;
@@ -340,6 +346,155 @@ fn descend<'a, D: Device<'a>>(d: &mut D, view: &View<'a>, pos: Pos) -> Sexpr {
         }
     }
     Sexpr::List(out)
+}
+
+/// Pair each form of a defun's `body` (as [`sx::parse_defun`] splits
+/// it) with its node in `lowered`, the body `Lowerer` made of it:
+/// `visit(form, node)` for every statement, guard and call operand the
+/// lowering kept as a node of its own, mirroring its desugaring —
+/// `when` is an `if` over a `progn`, `cond` a chain of `if`s (a clause
+/// with no body an `or`), `dolist` a `let` around a `while`, a `setf`
+/// of a variable, `car`/`cdr` or struct field stores its value operand,
+/// a call of a defun or builtin keeps its operands. The operands of any
+/// other form are not paired: a question about one of them is answered
+/// by lowering it.
+pub fn lowered_nodes<'s, 'e>(
+    body: &[&'s Sexpr],
+    lowered: &'e [Expr],
+    visit: &mut impl FnMut(&'s Sexpr, &'e Expr),
+) {
+    if body.len() == lowered.len() {
+        body.iter().zip(lowered).for_each(|(&s, e)| pair(s, e, visit));
+    }
+}
+
+/// [`pair`] the forms and nodes of two sequences of one length.
+fn pairs<'s, 'e>(
+    forms: &'s [Sexpr],
+    nodes: &'e [Expr],
+    visit: &mut impl FnMut(&'s Sexpr, &'e Expr),
+) {
+    if forms.len() == nodes.len() {
+        forms.iter().zip(nodes).for_each(|(s, e)| pair(s, e, visit));
+    }
+}
+
+/// `visit` `form` and `node`, then what the lowerer kept of its parts.
+fn pair<'s, 'e>(form: &'s Sexpr, node: &'e Expr, visit: &mut impl FnMut(&'s Sexpr, &'e Expr)) {
+    visit(form, node);
+    let Some(items) = form.as_list().filter(|_| !inert(form)) else { return };
+    let Some(head) = items[0].symbol() else { return };
+    let args = &items[1..];
+    match (head.as_str(), args, node) {
+        ("progn", _, Expr::Progn(es)) | ("and", _, Expr::And(es)) | ("or", _, Expr::Or(es)) => {
+            pairs(args, es, visit)
+        }
+        ("when", [test, body @ ..], Expr::If(t, then, otherwise)) => {
+            if let (Expr::Progn(es), Expr::Nil) = (&**then, &**otherwise) {
+                pair(test, t, visit);
+                pairs(body, es, visit);
+            }
+        }
+        ("unless", [test, body @ ..], Expr::If(t, then, otherwise)) => {
+            if let (Expr::Nil, Expr::Progn(es)) = (&**then, &**otherwise) {
+                pair(test, t, visit);
+                pairs(body, es, visit);
+            }
+        }
+        ("while", [test, body @ ..], Expr::While(t, es)) => {
+            pair(test, t, visit);
+            pairs(body, es, visit);
+        }
+        (
+            "let" | "let*",
+            [Sexpr::List(bindings), body @ ..],
+            Expr::Let { bindings: lb, body: es, .. },
+        ) if bindings.len() == lb.len() => {
+            for (b, (_, _, init)) in bindings.iter().zip(lb) {
+                if let Some([_, form]) = b.as_list() {
+                    pair(form, init, visit);
+                }
+            }
+            pairs(body, es, visit);
+        }
+        // A counting loop: `(let ((%tmp list-or-count) (var init)) (while
+        // test [step-in] body... step))`.
+        (
+            loop_head @ ("dolist" | "dotimes"),
+            [spec, body @ ..],
+            Expr::Let { bindings, body: b, .. },
+        ) => {
+            let (Some([_, over]), [(_, _, over_node), _], [Expr::While(_, steps)]) =
+                (spec.as_list(), &bindings[..], &b[..])
+            else {
+                return;
+            };
+            pair(over, over_node, visit);
+            let from = usize::from(loop_head == "dolist");
+            if steps.len() == body.len() + from + 1 {
+                pairs(body, &steps[from..steps.len() - 1], visit);
+            }
+        }
+        ("if", [test, then, rest @ ..], Expr::If(t, th, otherwise)) if rest.len() <= 1 => {
+            pair(test, t, visit);
+            pair(then, th, visit);
+            if let [otherwise_form] = rest {
+                pair(otherwise_form, otherwise, visit);
+            }
+        }
+        ("cond", clauses, _) => cond_nodes(clauses, node, visit),
+        ("setf", [place, value], _) => {
+            let stored = match node {
+                Expr::Setq(_, _, v) if place.symbol().is_some() => Some(&**v),
+                Expr::Builtin(BuiltinOp::SetCar | BuiltinOp::SetCdr, a)
+                | Expr::Struct(StructOp::Set { .. }, a) => a.get(1),
+                _ => None,
+            };
+            if let Some(v) = stored {
+                pair(value, v, visit);
+            }
+        }
+        (_, _, Expr::Call { name_text, args: es, .. }) if *name_text == head => {
+            pairs(args, es, visit)
+        }
+        (name, _, Expr::Builtin(op, es)) => {
+            let direct = match name {
+                "not" | "null" => *op == BuiltinOp::Null,
+                _ => builtin_signature(name).is_some_and(|(sig, ..)| sig == *op),
+            };
+            if direct {
+                pairs(args, es, visit);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// The `cond` clauses `clauses`, lowered to `node`: each clause an `if`
+/// of its test over a `progn` of its body, the rest its else arm — or,
+/// with no body, an `or` of its test and the rest.
+fn cond_nodes<'s, 'e>(
+    clauses: &'s [Sexpr],
+    node: &'e Expr,
+    visit: &mut impl FnMut(&'s Sexpr, &'e Expr),
+) {
+    let Some((first, rest)) = clauses.split_first() else { return };
+    let Some([test, body @ ..]) = first.as_list() else { return };
+    match node {
+        Expr::Or(es) if body.is_empty() => {
+            if let [t, otherwise] = &es[..] {
+                pair(test, t, visit);
+                cond_nodes(rest, otherwise, visit);
+            }
+        }
+        Expr::If(t, then, otherwise) if !body.is_empty() => {
+            let Expr::Progn(es) = &**then else { return };
+            pair(test, t, visit);
+            pairs(body, es, visit);
+            cond_nodes(rest, otherwise, visit);
+        }
+        _ => {}
+    }
 }
 
 /// The binding list `bindings` with its initialisers replaced in order.

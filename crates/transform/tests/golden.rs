@@ -158,8 +158,9 @@ fn an_unrelated_inverse_declaration_changes_no_list_walker() {
 /// six path classes, one of them a write; one analysis serves the
 /// verdict, delay, the lock synthesis and the tail cost; τ = `cdr` is
 /// compiled once per distance up to the longest pair's bound; and the
-/// five distinct statements the devices ask about (the write, the two
-/// read sums, the guard and the call) are each lowered once.
+/// statements the devices ask about (the write, the two read sums, the
+/// guard and the call) are answered from pass 1's lowering, none of
+/// them lowered again.
 #[test]
 fn the_window_walker_is_analysed_once() {
     let src = format!("(curare-declare (reorderable *))\n{}", window_walker(4, 4));
@@ -177,7 +178,7 @@ fn the_window_walker_is_analysed_once() {
             pair_tests: 6,
             alias_tests: 0,
             automata_built: 10,
-            probe_lowerings: 5,
+            probe_lowerings: 0,
         }
     );
 }

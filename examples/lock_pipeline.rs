@@ -7,8 +7,9 @@
 //! ```
 
 use curare::analysis::locksynth::{synthesize, OrderingContext};
+use curare::lisp::Lowerer;
 use curare::prelude::*;
-use curare::transform::{analyze_defun, insert_placement, Probes};
+use curare::transform::{insert_placement, Probes};
 use std::sync::Arc;
 
 /// A post-call write whose location overlaps the recursion argument:
@@ -94,10 +95,12 @@ fn main() {
     )
     .expect("parses");
     let heap = Heap::new();
-    let analysis = analyze_defun(&heap, &fig5, &DeclDb::new()).expect("analyzes");
+    let program = Lowerer::new(&heap).lower_program(std::slice::from_ref(&fig5)).expect("lowers");
+    let analysis = analyze_function(&program.funcs[0], &DeclDb::new());
     let placement = synthesize(&analysis, &["l"], OrderingContext::none());
     assert!(placement.is_certified_clean());
-    let mut probes = Probes::for_defun(&heap, &fig5).expect("a defun");
+    // The device asks about fig5's statements; their lowering answers.
+    let mut probes = Probes::new(&heap, &fig5, &program.funcs[0]);
     let locked = insert_placement(&fig5, &placement, false, &mut probes).expect("locks insert");
     println!("locks: {:?}", locked.locks);
     println!("{}", pretty(&locked.form));
