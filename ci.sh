@@ -29,6 +29,16 @@ echo "== cargo test -q"
 # (`a_program_is_prepared_in_one_place`).
 cargo test -q
 
+echo "== golden text on one CPU: the restructurer's one-thread path"
+# With one CPU in the affinity mask the defun jobs run one after another
+# on the calling thread; above, the golden walkers ran on the host's
+# threads. The one golden file must hold on both paths.
+if command -v taskset > /dev/null; then
+  taskset -c 0 cargo test -q -p curare-transform --test golden
+else
+  echo "taskset not found: skipping the one-CPU golden run"
+fi
+
 echo "== experiments: every row of the table at its CI size"
 # One driver, one exit code: a failed oracle, invariant or ratio in any
 # row (`experiments list` names them) is recorded as a gate, named on

@@ -165,6 +165,28 @@ pub struct AnalysisStats {
     pub probe_lowerings: usize,
 }
 
+/// The work of two parts of a restructuring together: the restructurer
+/// counts each function's on its own and sums them.
+impl std::ops::AddAssign for AnalysisStats {
+    fn add_assign(&mut self, other: AnalysisStats) {
+        // Spelt out field by field, so a new counter cannot be left out.
+        let AnalysisStats {
+            functions_analysed,
+            path_classes,
+            pair_tests,
+            alias_tests,
+            automata_built,
+            probe_lowerings,
+        } = other;
+        self.functions_analysed += functions_analysed;
+        self.path_classes += path_classes;
+        self.pair_tests += pair_tests;
+        self.alias_tests += alias_tests;
+        self.automata_built += automata_built;
+        self.probe_lowerings += probe_lowerings;
+    }
+}
+
 /// What the functions of one program share — its declarations, the
 /// canonicalizer its `inverse` pairs resolve to (with one, a parameter
 /// whose τ or paths hold a paired letter also gets the canonical
@@ -315,6 +337,30 @@ mod tests {
         );
         assert_eq!(a.verdict, Verdict::NeedsSynchronization { min_distance: 1 });
         assert!((a.concurrency_bound() - 1.0).abs() < 1e-9);
+    }
+
+    /// Counting each function's work on its own and summing the counts
+    /// gives what one running count over all of them gives.
+    #[test]
+    fn stats_summed_per_function_are_the_running_count() {
+        let heap = Heap::new();
+        let src = "(defstruct dl succ pred value)
+             (curare-declare (inverse succ pred))
+             (defun f (l) (cond ((null l) nil) (t (setf (cadr l) (+ (car l) (cadr l))) (f (cdr l)))))
+             (defun back (n) (when n (back (dl-succ n)) (setf (dl-value n) 0)))";
+        let prog = Lowerer::new(&heap).lower_program(&parse_all(src).unwrap()).unwrap();
+        let analyzer = Analyzer::of_program(&prog).unwrap();
+        let mut running = AnalysisStats::default();
+        let mut summed = AnalysisStats::default();
+        for f in &prog.funcs {
+            analyzer.analyse(f, &mut running);
+            let mut own = AnalysisStats::default();
+            analyzer.analyse(f, &mut own);
+            summed += own;
+        }
+        assert_eq!(summed, running);
+        assert_eq!(summed.functions_analysed, 2);
+        assert!(summed.pair_tests > 0 && summed.alias_tests > 0, "{summed:?}");
     }
 
     #[test]

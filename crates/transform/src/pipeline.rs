@@ -35,9 +35,24 @@
 //! result is list construction, with the DPS provenance guarantee
 //! letting the pipeline skip conflict synthesis on the fresh
 //! destination cells.
+//!
+//! Lowering and preparing the program is pass 1, on the calling thread.
+//! Pass 2 is one job per `defun` — reorder, the analysis, the devices
+//! and CRI conversion — and a job reads only pass 1's program, analyzer
+//! and heap, and writes only the forms, report and counts it returns.
+//! For each `FAN_OUT_THRESHOLD` lowered nodes the defuns beside the
+//! largest one hold, the calling thread takes one more of the host's
+//! threads to help run the jobs. The results are put back in input
+//! order and the counts summed; where a job fails or panics, the first
+//! such job in input order decides, as in a loop on one thread. Either
+//! path gives the same text, reports and counts (DESIGN.md,
+//! "Restructuring on several threads").
 
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::num::NonZeroUsize;
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use curare_analysis::{
     AnalysisStats, Analyzer, BlockReason, Cost, FunctionAnalysis, Placement, Verdict,
@@ -254,6 +269,16 @@ impl Curare {
 
     /// Transform parsed top-level forms.
     pub fn transform_forms(&self, forms: &[Sexpr]) -> Result<CurareOutput, PipelineError> {
+        self.transform_scheduled(forms, |program| Schedule::of(program, host_threads()))
+    }
+
+    /// [`Curare::transform_forms`], its defuns restructured as
+    /// `schedule` says from pass 1's program.
+    fn transform_scheduled(
+        &self,
+        forms: &[Sexpr],
+        schedule: impl FnOnce(&Program) -> Schedule,
+    ) -> Result<CurareOutput, PipelineError> {
         // Pass 1: lower the program once, then collect what its
         // functions share.
         let heap = Heap::new();
@@ -264,35 +289,128 @@ impl Curare {
             Analyzer::of_program(&program).map_err(|e| PipelineError::Decl(e.to_string()))?;
         let pass = Pass { config: *self, heap: &heap, analyzer: &analyzer };
 
-        let (mut out_forms, mut reports) = (Vec::new(), Vec::new());
+        // Pass 2: one job per defun, each reading only what pass 1 made.
+        let defuns: Vec<&Sexpr> = forms.iter().filter(|f| f.is_call("defun")).collect();
+        assert_eq!(defuns.len(), program.funcs.len(), "pass 1 lowers one function per defun");
+        let Schedule { order, threads } = schedule(&program);
+        let done = fan_out(&order, threads, |i| pass.defun(defuns[i], &program.funcs[i]))?;
+
+        let mut done = done.into_iter();
+        let mut out_forms = Vec::with_capacity(forms.len());
+        let mut reports = Vec::with_capacity(defuns.len());
         let mut stats = AnalysisStats::default();
-        let mut funcs = program.funcs.iter();
         for form in forms {
             if !form.is_call("defun") {
                 out_forms.push(form.clone());
                 continue;
             }
-            let func = funcs.next().expect("pass 1 lowered one function per defun");
-            // Device: reorder (cheapest, applied first). The analysis
-            // is of the form it leaves: pass 1's, unless it rewrote one.
-            let reordered = reorder_transform(&heap, form, analyzer.decls());
-            let rewritten;
-            let lowered = match &reordered.form {
-                Cow::Borrowed(_) => func,
-                Cow::Owned(form) => {
-                    rewritten = pass.lower(form)?;
-                    &rewritten
-                }
-            };
-            let analysis = analyzer.analyse(lowered, &mut stats);
-            let (mut produced, report) =
-                pass.transform_defun(reordered, lowered, analysis, &mut stats)?;
-            out_forms.append(&mut produced);
+            let (produced, report, spent) = done.next().expect("one result per defun");
+            out_forms.extend(produced);
             reports.push(report);
+            stats += spent;
         }
         Ok(CurareOutput { forms: out_forms, reports, stats, program, analyzer })
     }
 }
+
+/// Each thread beyond the calling one is started for this many lowered
+/// nodes ([`Func::size`]) of the defuns beside the largest: the work a
+/// helper can take must outweigh starting it. A helper starts running
+/// 50–90 µs after the spawn, and the two vCPUs of the host measured
+/// share a core, so each thread runs ≈ 30 % slower while both are busy.
+/// The defun loop of the benchmark's 72-defun corpus spends ≈ 0.55 µs
+/// per node (4226 nodes, ≈ 3.4k beside its largest), so 1000 nodes
+/// handed over are several thread starts' worth; at the cheapest rate
+/// measured, ≈ 0.05 µs per node of a straight-line helper that is not
+/// recursive, they are one.
+const FAN_OUT_THRESHOLD: usize = 1000;
+
+/// How pass 2 runs a program's defuns: the order jobs are claimed in,
+/// and on how many threads.
+struct Schedule {
+    order: Vec<usize>,
+    threads: usize,
+}
+
+impl Schedule {
+    /// In input order, on the calling thread and one more for each
+    /// [`FAN_OUT_THRESHOLD`] nodes beside the largest defun — at most
+    /// the `host`'s threads, and one per defun.
+    fn of(program: &Program, host: usize) -> Schedule {
+        let sizes = program.funcs.iter().map(|f| f.size());
+        let (total, largest) = sizes.fold((0, 0), |(t, l), n| (t + n, l.max(n)));
+        let grain = 1 + (total - largest) / FAN_OUT_THRESHOLD;
+        let jobs = program.funcs.len();
+        Schedule { order: (0..jobs).collect(), threads: grain.min(host).min(jobs).max(1) }
+    }
+}
+
+/// The threads the host gives this process (its affinity mask and CPU
+/// quota), read once: reading them costs ≈ 20 µs of system calls.
+fn host_threads() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Run `job(i)` for each job `i` of `order`, claimed in that order from
+/// one counter by up to `threads` threads, the calling thread one of
+/// them. The outcome is the sequential loop's: the results in job order,
+/// whatever order they finished in, unless a job failed or panicked —
+/// then the first such job in job order decides, its error returned or
+/// its panic resumed, and no job after it is started once it is known.
+fn fan_out<T: Send>(
+    order: &[usize],
+    threads: usize,
+    job: impl Fn(usize) -> Result<T, PipelineError> + Sync,
+) -> Result<Vec<T>, PipelineError> {
+    // Relaxed: the counters hand out and skip indices and publish
+    // nothing; a helper's results reach this thread through `join`.
+    let next = AtomicUsize::new(0);
+    let first_failed = AtomicUsize::new(usize::MAX);
+    let claim = || {
+        let mut finished = Vec::with_capacity(order.len());
+        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            if i > first_failed.load(Ordering::Relaxed) {
+                continue;
+            }
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| job(i)));
+            if !matches!(outcome, Ok(Ok(_))) {
+                first_failed.fetch_min(i, Ordering::Relaxed);
+            }
+            finished.push((i, outcome));
+        }
+        finished
+    };
+    let finished = std::thread::scope(|s| {
+        // A helper the OS refuses is one fewer: this thread claims every
+        // job no helper does.
+        let helpers: Vec<_> = (1..threads)
+            .filter_map(|_| std::thread::Builder::new().spawn_scoped(s, claim).ok())
+            .collect();
+        let mut finished = claim();
+        for helper in helpers {
+            finished.extend(helper.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        finished
+    });
+    let mut slots: Vec<Option<std::thread::Result<_>>> = order.iter().map(|_| None).collect();
+    for (i, outcome) in finished {
+        slots[i] = Some(outcome);
+    }
+    // `collect` stops at the first error, and a job is skipped only
+    // after one before it failed.
+    slots
+        .into_iter()
+        .map(|slot| match slot.expect("every job up to the first failure ran") {
+            Ok(result) => result,
+            Err(panic) => std::panic::resume_unwind(panic),
+        })
+        .collect()
+}
+
+/// What one defun's job gives back: its forms, its report, and the
+/// analysis work it did.
+type Job = (Vec<Sexpr>, FunctionReport, AnalysisStats);
 
 /// One run of the pipeline over one program.
 struct Pass<'a> {
@@ -308,6 +426,27 @@ struct Pass<'a> {
 type Lowered<'a> = (&'a Func, &'a FunctionAnalysis);
 
 impl Pass<'_> {
+    /// The job of the defun `form`, lowered by pass 1 as `func`. It reads
+    /// only the pass — the program's heap and analyzer — and writes only
+    /// what it returns.
+    fn defun(&self, form: &Sexpr, func: &Func) -> Result<Job, PipelineError> {
+        let mut stats = AnalysisStats::default();
+        // Device: reorder (cheapest, applied first). The analysis is of
+        // the form it leaves: pass 1's, unless it rewrote one.
+        let reordered = reorder_transform(self.heap, form, self.analyzer.decls());
+        let rewritten;
+        let lowered = match &reordered.form {
+            Cow::Borrowed(_) => func,
+            Cow::Owned(form) => {
+                rewritten = self.lower(form)?;
+                &rewritten
+            }
+        };
+        let analysis = self.analyzer.analyse(lowered, &mut stats);
+        let (forms, report) = self.transform_defun(reordered, lowered, analysis, &mut stats)?;
+        Ok((forms, report, stats))
+    }
+
     /// Lower one defun the devices produced.
     fn lower(&self, form: &Sexpr) -> Result<Arc<Func>, PipelineError> {
         match Lowerer::new(self.heap).lower_toplevel(form) {
@@ -473,12 +612,18 @@ impl Pass<'_> {
                 let delayed_func;
                 let delayed_analysis;
                 let mut source: Option<Lowered<'_>> = Some((lowered, analysis));
-                if let Some(delayed) = delayed {
-                    devices.push(Device::Delay(delayed.moved));
-                    current = Cow::Owned(delayed.form);
-                    (tail_cost, source) = (None, None);
-                }
-                if has_tail_statements(&current, name) {
+                // A form delay left as it was still has the tail found
+                // above; only a rewritten one is asked again.
+                let tail_remains = match delayed {
+                    Some(delayed) => {
+                        devices.push(Device::Delay(delayed.moved));
+                        current = Cow::Owned(delayed.form);
+                        (tail_cost, source) = (None, None);
+                        has_tail_statements(&current, name)
+                    }
+                    None => true,
+                };
+                if tail_remains {
                     if source.is_none() {
                         delayed_func = self.lower(&current).ok();
                         delayed_analysis =
@@ -616,11 +761,278 @@ mod tests {
     use std::cell::RefCell;
 
     use curare_analysis::HeadTail;
+    use curare_sexpr::Symbol;
 
     use super::*;
 
     fn run(src: &str) -> CurareOutput {
         Curare::new().transform_source(src).unwrap()
+    }
+
+    /// `curare` on `src`, its defuns' jobs claimed in `order(jobs)` by
+    /// `threads` threads.
+    fn scheduled(
+        curare: Curare,
+        src: &str,
+        threads: usize,
+        order: impl FnOnce(usize) -> Vec<usize>,
+    ) -> Result<CurareOutput, PipelineError> {
+        let forms = parse_all(src).map_err(|e| PipelineError::Parse(e.to_string()))?;
+        curare.transform_scheduled(&forms, |p| Schedule { order: order(p.funcs.len()), threads })
+    }
+
+    /// What may not depend on the order the jobs ran in: the text, every
+    /// field of every report (the analysis and placement included) and
+    /// the stats — or the error.
+    fn observed(out: &Result<CurareOutput, PipelineError>) -> String {
+        match out {
+            Ok(out) => format!("{}{:?}\n{:?}", out.source(), out.reports, out.stats),
+            Err(e) => format!("error: {e}"),
+        }
+    }
+
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: usize) -> usize {
+            let mut x = self.0;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            self.0 = x;
+            (x % n as u64) as usize
+        }
+
+        fn shuffled(&mut self, n: usize) -> Vec<usize> {
+            let mut v: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                v.swap(i, self.below(i + 1));
+            }
+            v
+        }
+    }
+
+    /// The golden file's window walker `win-k-reads`: doubles its own car
+    /// after the call, then `reads` sums of sixteen loads over the cars
+    /// `k` and `k + 1` ahead.
+    fn window_walker(k: usize, reads: usize) -> String {
+        let cdrs = |n: usize| (0..n).fold("l".to_string(), |l, _| format!("(cdr {l})"));
+        let (near, far) = (cdrs(k), cdrs(k + 1));
+        let sum_of = |word: &str| format!("(+{}) ", format!(" (car {word})").repeat(16));
+        let mut body = String::new();
+        for _ in 0..reads / 2 {
+            for word in [&near, &near, &far, &far] {
+                body.push_str(&sum_of(word));
+            }
+        }
+        format!(
+            "(defun win-{k}-{reads} (l)
+               (when {far}
+                 (win-{k}-{reads} (cdr l))
+                 (setf (car l) (* (car l) 2))
+                 {body}))\n"
+        )
+    }
+
+    const WALKER_PAIRS: [(usize, usize); 6] = [(1, 2), (1, 4), (2, 2), (2, 4), (4, 2), (4, 4)];
+
+    /// The golden file's six window walkers in one program.
+    fn window_walkers() -> String {
+        let walkers = WALKER_PAIRS.map(|(k, reads)| window_walker(k, reads)).concat();
+        format!("(curare-declare (reorderable *))\n{walkers}")
+    }
+
+    /// `programs` as one: their forms one after another, the defuns of
+    /// the `j`th renamed apart with the suffix `-j` wherever their names
+    /// appear, a `defstruct` or declaration that repeats one before it
+    /// left out.
+    fn concatenated(programs: &[&str]) -> String {
+        fn renamed(form: &Sexpr, names: &[Symbol], j: usize) -> Sexpr {
+            match form {
+                Sexpr::Sym(s) if names.contains(s) => Sexpr::sym(format!("{s}-{j}")),
+                Sexpr::List(items) => {
+                    Sexpr::List(items.iter().map(|f| renamed(f, names, j)).collect())
+                }
+                Sexpr::Dotted(items, tail) => Sexpr::Dotted(
+                    items.iter().map(|f| renamed(f, names, j)).collect(),
+                    Box::new(renamed(tail, names, j)),
+                ),
+                other => other.clone(),
+            }
+        }
+        let mut seen = std::collections::HashSet::new();
+        let mut out = String::new();
+        for (j, src) in programs.iter().enumerate() {
+            let forms = parse_all(src).unwrap();
+            let names: Vec<Symbol> =
+                forms.iter().filter_map(|f| f.call_args("defun")?.first()?.symbol()).collect();
+            for form in forms.iter().map(|f| renamed(f, &names, j)) {
+                let shared = form.is_call("defstruct") || form.is_call("curare-declare");
+                if !shared || seen.insert(form.to_string()) {
+                    out.push_str(&format!("{form}\n"));
+                }
+            }
+        }
+        out
+    }
+
+    /// The restructured text, every report and the stats are the same
+    /// whatever order the defuns' jobs run in: input order, reversed,
+    /// shuffled, all on this thread — and as a two-thread host runs them.
+    /// Over every shipped program, the golden file's window walkers, and
+    /// 200 programs of 2–6 of those that have a defun (each walker on its
+    /// own), concatenated and renamed apart; plain and speculating.
+    #[test]
+    fn the_output_does_not_depend_on_the_order_jobs_run_in() {
+        let mut pool: Vec<String> = crate::shipped_programs().into_iter().map(|(_, s)| s).collect();
+        let mut programs = pool.clone();
+        programs.push(window_walkers());
+        pool.retain(|src| src.contains("(defun "));
+        pool.extend(WALKER_PAIRS.map(|(k, reads)| {
+            format!("(curare-declare (reorderable *))\n{}", window_walker(k, reads))
+        }));
+        let rng = &mut XorShift(0x2929_5eed);
+        for _ in 0..200 {
+            let picks: Vec<&str> =
+                (0..2 + rng.below(5)).map(|_| pool[rng.below(pool.len())].as_str()).collect();
+            programs.push(concatenated(&picks));
+        }
+        let (mut restructured, mut fanned_out) = (0, 0);
+        for src in &programs {
+            for curare in [Curare::new(), Curare::new().with_speculation(true)] {
+                let in_order = scheduled(curare, src, 1, |n| (0..n).collect());
+                let want = observed(&in_order);
+                let seed = rng.0;
+                let mut permuted = vec![
+                    ("reversed", scheduled(curare, src, 1, |n| (0..n).rev().collect())),
+                    ("shuffled", scheduled(curare, src, 1, |n| rng.shuffled(n))),
+                ];
+                // As a two-thread host runs them, where they fan out.
+                if let Ok(out) = &in_order {
+                    let fanned = Schedule::of(&out.program, 2);
+                    if fanned.threads > 1 {
+                        let forms = parse_all(src).unwrap();
+                        let out = curare.transform_scheduled(&forms, |_| fanned);
+                        permuted.push(("fanned out", out));
+                        fanned_out += 1;
+                    }
+                }
+                for (how, out) in &permuted {
+                    assert!(
+                        observed(out) == want,
+                        "{how} (shuffle seed {seed:#x}), speculate = {}: the output moved on\n{src}",
+                        curare.speculate
+                    );
+                }
+                restructured += usize::from(in_order.is_ok_and(|o| o.reports.len() > 1));
+            }
+        }
+        assert!(restructured >= 400, "{restructured} multi-defun restructurings");
+        assert!(fanned_out >= 30, "{fanned_out} restructurings fanned out");
+    }
+
+    /// A job's analysis work is counted once, whichever job did it: three
+    /// copies of a program renamed apart cost three times one copy.
+    #[test]
+    fn the_stats_are_the_sum_over_every_defun() {
+        for (name, src) in crate::shipped_programs() {
+            let Ok(alone) = Curare::new().transform_source(&src) else { continue };
+            let copies = Curare::new().transform_source(&concatenated(&[&src, &src, &src]));
+            let copies = copies.unwrap_or_else(|e| panic!("{name}: {e}"));
+            let mut thrice = AnalysisStats::default();
+            for _ in 0..3 {
+                thrice += alone.stats;
+            }
+            assert_eq!(copies.stats, thrice, "{name}");
+            assert_eq!(copies.reports.len(), 3 * alone.reports.len(), "{name}");
+        }
+    }
+
+    /// The fan-out hands results back in job order and the first error in
+    /// job order, whatever order the jobs were claimed and finished in —
+    /// a job after it that panics included.
+    #[test]
+    fn fan_out_answers_in_job_order() {
+        let rng = &mut XorShift(0x0bad_5eed);
+        let fails = |i: usize| PipelineError::Transform(format!("job {i}"));
+        for threads in [1, 2, 3] {
+            for order in [(0..40).collect(), (0..40).rev().collect(), rng.shuffled(40)] {
+                let squares = fan_out(&order, threads, |i| Ok(i * i));
+                assert_eq!(squares, Ok((0..40).map(|i| i * i).collect()), "{order:?}");
+                let failed = fan_out(&order, threads, |i| match i {
+                    7 | 23 | 31 => Err(fails(i)),
+                    29 => panic!("job {i} panicked"),
+                    _ => Ok(i),
+                });
+                assert_eq!(failed, Err(fails(7)), "{threads} threads, {order:?}");
+            }
+        }
+        // Claimed in job order, no job after the failing one runs.
+        let last = AtomicUsize::new(0);
+        let failed = fan_out(&(0..40).collect::<Vec<_>>(), 1, |i| {
+            last.fetch_max(i, Ordering::Relaxed);
+            if i == 7 {
+                Err(fails(i))
+            } else {
+                Ok(i)
+            }
+        });
+        assert_eq!((failed, last.into_inner()), (Err(fails(7)), 7));
+    }
+
+    /// A job's panic reaches the caller with its payload, on whichever
+    /// thread it ran — also where a job after it failed first in time.
+    #[test]
+    fn a_panicking_job_panics_the_caller() {
+        for threads in [1, 2, 3] {
+            for order in [(0..8).collect(), (0..8).rev().collect::<Vec<usize>>()] {
+                let job = |i| match i {
+                    5 => panic!("job {i} panicked"),
+                    6 => Err(PipelineError::Transform(format!("job {i}"))),
+                    _ => Ok(i),
+                };
+                let caught = std::panic::catch_unwind(|| fan_out(&order, threads, job));
+                let payload = caught.expect_err("the panic propagates");
+                let message = payload.downcast_ref::<String>().map(String::as_str);
+                assert_eq!(message, Some("job 5 panicked"), "{threads} threads, {order:?}");
+            }
+        }
+    }
+
+    /// The benchmark's other workloads run programs shaped like these:
+    /// their work beside the largest defun is below the threshold, so
+    /// they keep to the calling thread whatever the host. The six window
+    /// walkers cross it, and fan out to the host's threads.
+    #[test]
+    fn only_programs_past_the_threshold_fan_out() {
+        let program = |src: &str| run(src).program;
+        let examples = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/lisp");
+        for file in ["tail_heavy.lisp", "figure5.lisp", "fixtures/scrub.lisp"] {
+            let src = std::fs::read_to_string(examples.join(file)).unwrap();
+            assert_eq!(Schedule::of(&program(&src), 4).threads, 1, "{file}");
+        }
+        // `tail_heavy`'s program: a 512-step helper is its largest defun.
+        assert_eq!(Schedule::of(&program(&th_source(512)), 4).threads, 1);
+        for (_, src) in crate::shipped_programs() {
+            if let Ok(out) = Curare::new().transform_source(&src) {
+                assert_eq!(Schedule::of(&out.program, 4).threads, 1, "{src}");
+            }
+        }
+        // The walkers hold 2918 nodes, 2060 beside the largest: two
+        // helpers' worth.
+        let walkers = program(&window_walkers());
+        let fanned = Schedule::of(&walkers, 2);
+        assert_eq!((fanned.threads, fanned.order), (2, (0..6).collect()));
+        assert_eq!(Schedule::of(&walkers, 1).threads, 1, "a host of one thread");
+        assert_eq!(Schedule::of(&walkers, 64).threads, 3, "one thread per 1000 nodes beside");
+        let twice = program(&concatenated(&[&window_walkers(), &window_walkers()]));
+        assert_eq!(Schedule::of(&twice, 64).threads, 5, "4978 nodes beside the largest");
+        let two = |reads| {
+            let walker = format!("(curare-declare (reorderable *))\n{}", window_walker(4, reads));
+            Schedule::of(&program(&concatenated(&[&walker, &walker])), 64).threads
+        };
+        assert_eq!(two(4), 1, "858 nodes beside the largest");
+        assert_eq!(two(12), 2, "two jobs, however many nodes they hold");
     }
 
     thread_local! {
@@ -666,7 +1078,9 @@ mod tests {
                 Curare::new().with_speculation(true),
                 Curare::new().with_coalesced_locks(true),
             ] {
-                curare.transform_source(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+                // On this thread, where `PRICED` records.
+                scheduled(curare, src, 1, |n| (0..n).collect())
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
             }
         }
         let priced = PRICED.with(|p| p.take());

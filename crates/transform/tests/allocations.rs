@@ -44,10 +44,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// The benchmark's read-window walker at `k`: doubles its own car after
-/// the call, then `reads` statements of sixteen loads over the cars `k`
-/// and `k + 1` ahead.
-fn window_walker(k: usize, reads: usize) -> String {
+/// The benchmark's read-window walker at `k`, named `name`: doubles its
+/// own car after the call, then `reads` statements of sixteen loads over
+/// the cars `k` and `k + 1` ahead.
+fn window_walker(name: &str, k: usize, reads: usize) -> String {
     let cdrs = |n: usize| (0..n).fold("l".to_string(), |place, _| format!("(cdr {place})"));
     let (near, far) = (cdrs(k), cdrs(k + 1));
     let sum_of = |word: &str| format!("(+{}) ", format!(" (car {word})").repeat(16));
@@ -58,10 +58,9 @@ fn window_walker(k: usize, reads: usize) -> String {
         }
     }
     format!(
-        "(curare-declare (reorderable *))
-(defun win (l)
+        "(defun {name} (l)
   (when {far}
-    (win (cdr l))
+    ({name} (cdr l))
     (setf (car l) (* (car l) 2))
     {body}))\n"
     )
@@ -79,6 +78,19 @@ fn allocations_of(src: &str) -> usize {
     counted
 }
 
+/// The six window walkers of the golden file, `k` ∈ {1, 2, 4} ×
+/// `reads` ∈ {2, 4}: a program whose defuns, the largest aside, cross the
+/// restructurer's threshold for running them on several threads.
+fn window_walkers() -> String {
+    let mut src = String::from("(curare-declare (reorderable *))\n");
+    for k in [1, 2, 4] {
+        for reads in [2, 4] {
+            src.push_str(&window_walker(&format!("win-{k}-{reads}"), k, reads));
+        }
+    }
+    src
+}
+
 /// The counts when each statement a device asked about was lowered
 /// again as a probe function and the lock device's output relowered
 /// for its tail cost, and with both read off pass 1's lowering; the
@@ -86,11 +98,18 @@ fn allocations_of(src: &str) -> usize {
 const CASES: [(&str, usize, usize); 2] =
     [("window walker k = 4", 11_059, 6_532), ("figure5", 297, 266)];
 
+/// The six walkers' count with their defuns restructured one after
+/// another on one thread. Restructuring them on several threads may add
+/// only the helper's cold interner cache and the per-job slots: 5 % at
+/// most.
+const WALKERS_ON_ONE_THREAD: usize = 24_356;
+
 #[test]
 fn restructuring_allocates_no_copy_per_name() {
     let figure5 = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/lisp/figure5.lisp");
     let figure5 = std::fs::read_to_string(&figure5).expect("figure5.lisp");
-    let counts = [allocations_of(&window_walker(4, 4)), allocations_of(&figure5)];
+    let walker = format!("(curare-declare (reorderable *))\n{}", window_walker("win", 4, 4));
+    let counts = [allocations_of(&walker), allocations_of(&figure5)];
     for ((what, before, recorded), now) in CASES.into_iter().zip(counts) {
         let ceiling = (before + recorded) / 2;
         eprintln!("{what}: {now} allocations (before {before}, recorded {recorded})");
@@ -100,4 +119,13 @@ fn restructuring_allocates_no_copy_per_name() {
              (halfway between {before} with statements lowered again and {recorded} without)"
         );
     }
+    // In the same test: the counter sees every thread of the process.
+    let now = allocations_of(&window_walkers());
+    let ceiling = WALKERS_ON_ONE_THREAD * 105 / 100;
+    eprintln!("six window walkers: {now} allocations (on one thread {WALKERS_ON_ONE_THREAD})");
+    assert!(
+        now <= ceiling,
+        "six window walkers: transform_source made {now} allocations, above the ceiling \
+         {ceiling} (5 % over {WALKERS_ON_ONE_THREAD} on one thread)"
+    );
 }
