@@ -128,6 +128,23 @@ for got in "$(delay_read --sequential)" "$(delay_read)"; do
   fi
 done
 
+echo "== trace: a future-synchronised run names its vocabulary"
+# The delay-read walker touches a future per cell, so its toucher's
+# task encloses the tasks it helps run. The Chrome document names the
+# event vocabulary it was read with; the metrics document keeps its
+# sections.
+obs_dir="$(mktemp -d)"
+target/release/curare run examples/lisp/fixtures/delay-read.lisp --servers 2 --call "(go)" \
+  --trace "$obs_dir/trace.json" --metrics "$obs_dir/metrics.json" > /dev/null 2>&1
+grep -F '"otherData":{"schema":"curare-trace/2"' "$obs_dir/trace.json" > /dev/null \
+  || { echo "traced delay-read run: the trace does not name curare-trace/2" >&2; exit 1; }
+for key in '"schema":"curare-report/1"' '"label":' '"pool":{' '"heap":{' '"locks":{' \
+  '"vm":{' '"wall":{' '"timeline":{' '"trace":{'; do
+  grep -F "$key" "$obs_dir/metrics.json" > /dev/null \
+    || { echo "traced delay-read run: no $key in the metrics document" >&2; exit 1; }
+done
+rm -r "$obs_dir"
+
 echo "== reader: inf and nan are names, not floats"
 # Rust's float parser takes `inf` and `nan`; the reader used to, so
 # this walker named `inf`, which binds `nan`, did not load at all.

@@ -1238,6 +1238,34 @@ mod tests {
         assert!(files >= 9, "the scan found only {files} files: has the layout changed?");
     }
 
+    /// One reading of the trace: an invocation's bracket is named by no
+    /// non-test, non-comment line of `crates/obs/src` outside
+    /// `sweep.rs`, which pairs it (and `event.rs`, which defines it).
+    /// The timeline, the Chrome export and the profiler each paired the
+    /// ring themselves before, with three overflow rules, and only the
+    /// profiler nested a helping touch.
+    #[test]
+    fn trace_brackets_are_paired_in_one_obs_file() {
+        let mut files = 0;
+        let mut offenders = Vec::new();
+        for (path, text) in product_sources() {
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default().to_string();
+            if !path.ends_with(format!("crates/obs/src/{name}")) {
+                continue;
+            }
+            files += 1;
+            let named = text
+                .lines()
+                .filter(|l| !l.trim_start().starts_with("//"))
+                .any(|l| l.contains("EventKind::TaskStart") || l.contains("EventKind::TaskStop"));
+            if named && name != "sweep.rs" && name != "event.rs" {
+                offenders.push(name);
+            }
+        }
+        assert!(offenders.is_empty(), "task brackets read outside sweep.rs: {offenders:?}");
+        assert!(files >= 12, "the scan found only {files} files: has the layout changed?");
+    }
+
     /// One front door: the steps that prepare a lowered program for
     /// analysis — its declarations, the canonicalizer its inverse pairs
     /// resolve to, the cost of its bodies — are each spelt by one

@@ -23,10 +23,14 @@
 //!   --call  "(f …)"  transform the program, then run this entry
 //!   --sequential     skip transformation (plain interpreter)
 //!   --trace PATH     write a Chrome trace_event JSON of the pool run
-//!                    (open in chrome://tracing or Perfetto)
+//!                    (open in chrome://tracing or Perfetto): one task
+//!                    slice per invocation, a helping touch's nested
+//!                    inside the toucher's, lock and future waits
+//!                    inside them; vocabulary curare-trace/2
 //!   --metrics PATH   write the run's curare-report/1 JSON (pool,
 //!                    heap, lock-wait, vm, wall, timeline, and
-//!                    trace-health sections)
+//!                    trace-health sections; the timeline counts a
+//!                    server busy while any task slice is open on it)
 //!   --profile PATH   write a curare-profile/1 JSON of the pool run:
 //!                    the spawn/touch DAG's work, span (critical
 //!                    path), parallelism = work/span, and per-edge
@@ -492,11 +496,20 @@ fn repl() -> Result<(), String> {
 mod tests {
     use super::*;
 
+    // `run` installs the tracer and arms profiling process-wide; every
+    // test that runs the pool traced holds this guard.
+    static TRACE_GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn trace_guard() -> std::sync::MutexGuard<'static, ()> {
+        TRACE_GUARD.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// The two documents a traced pool run writes, by the top-level
     /// keys their readers (Perfetto; DESIGN.md's run-report contract)
     /// rely on.
     #[test]
     fn run_writes_the_trace_and_metrics_documents() {
+        let _guard = trace_guard();
         let dir = std::env::temp_dir();
         let path = |name: &str| dir.join(format!("curare-run-{}-{name}", std::process::id()));
         let (program, trace, metrics) =
@@ -527,6 +540,85 @@ mod tests {
         // A flag without its path is refused before anything runs.
         assert!(run(&[args[0].to_string(), "--trace".into()]).is_err());
         for file in [&program, &trace, &metrics] {
+            std::fs::remove_file(file).unwrap();
+        }
+    }
+
+    /// A future-synchronised walker's touches help: a toucher runs the
+    /// task it waits for nested inside its own. Every reader of the
+    /// trace must see the toucher's slice enclose the helper's and
+    /// resume after it, so the Chrome slices' self time is the
+    /// profile's work and the timeline is busy for at least that long.
+    #[test]
+    fn every_reader_of_a_traced_run_accounts_for_the_profiled_work() {
+        let _guard = trace_guard();
+        let dir = std::env::temp_dir();
+        let path = |name: &str| dir.join(format!("curare-nest-{}-{name}", std::process::id()));
+        let files = ["walk.lisp", "trace.json", "metrics.json", "profile.json"].map(path);
+        std::fs::write(
+            &files[0],
+            "(defun f (l m)
+               (when (cdr l)
+                 (f (cdr l) (cdr m))
+                 (setf (car m) (cadr l))
+                 (setf (car l) (* (car l) 2))))
+             (defparameter *l* (let ((l nil)) (dotimes (i 300) (setq l (cons 1 l))) l))
+             (defparameter *m* (let ((l nil)) (dotimes (i 300) (setq l (cons 0 l))) l))",
+        )
+        .unwrap();
+        let [program, trace, metrics, profile] = files.each_ref().map(|f| f.to_str().unwrap());
+        let args = [program, "--servers", "2", "--call", "(f *l* *m*)", "--trace", trace];
+        let args = [&args[..], &["--metrics", metrics, "--profile", profile]].concat();
+        run(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>()).expect("traced pool run");
+        let read = |f: &str| Json::parse(&std::fs::read_to_string(f).unwrap()).unwrap();
+        let (trace, metrics, profile) = (read(trace), read(metrics), read(profile));
+        let count = |doc: &Json, path: &[&str]| {
+            path.iter().try_fold(doc, |d, k| d.get(k)).and_then(Json::as_u64).unwrap()
+        };
+        let work_ns = count(&profile, &["work_ns"]);
+        assert_eq!(count(&profile, &["edges", "touch"]), 299, "one touch per non-last cell");
+        assert_eq!(count(&metrics, &["pool", "tasks"]), 300);
+
+        // Self time of the task slices: each slice less the slices
+        // (tasks and waits) directly inside it, per track.
+        let mut tracks: std::collections::BTreeMap<u64, Vec<(f64, f64, bool)>> = Default::default();
+        let events = trace.get("traceEvents").and_then(Json::as_arr).unwrap();
+        for e in events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("X")) {
+            let at = |k: &str| e.get(k).and_then(Json::as_f64).unwrap();
+            let task = e.get("name").and_then(Json::as_str) == Some("task");
+            tracks.entry(count(e, &["tid"])).or_default().push((at("ts"), at("dur"), task));
+        }
+        let (mut self_us, mut slices) = (0.0, 0);
+        for slices_on_track in tracks.values_mut() {
+            slices_on_track.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.total_cmp(&a.1)));
+            let mut open: Vec<f64> = Vec::new();
+            for &(ts, dur, task) in slices_on_track.iter() {
+                while open.last().is_some_and(|&end| end <= ts + 1e-6) {
+                    open.pop();
+                }
+                if task {
+                    self_us += dur;
+                }
+                if !open.is_empty() {
+                    self_us -= dur;
+                }
+                open.push(ts + dur);
+                slices += 1;
+            }
+        }
+        let self_ns = self_us * 1e3;
+        assert!(
+            (self_ns - work_ns as f64).abs() <= slices as f64,
+            "task slices' self time {self_ns} ns, profiled work {work_ns} ns"
+        );
+
+        let timeline = metrics.get("timeline").and_then(|t| t.get("points"));
+        let points = timeline.and_then(Json::as_arr).unwrap();
+        let at = |point: &Json, i: usize| point.as_arr().unwrap()[i].as_u64().unwrap();
+        let busy_ns: u64 =
+            points.windows(2).map(|w| (at(&w[1], 0) - at(&w[0], 0)) * at(&w[0], 1)).sum();
+        assert!(busy_ns >= work_ns, "timeline busy {busy_ns} ns, profiled work {work_ns} ns");
+        for file in &files {
             std::fs::remove_file(file).unwrap();
         }
     }

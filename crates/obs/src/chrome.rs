@@ -2,22 +2,26 @@
 //!
 //! Converts per-lane ring snapshots into the JSON object format that
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev) open
-//! directly: task executions and lock waits become complete (`"X"`)
-//! duration events on one track per server lane, everything else
-//! becomes thread-scoped instants. Timestamps are microseconds (the
-//! format's unit) as floats, so nanosecond resolution survives.
+//! directly, one track per server lane. Each slice the lane sweep
+//! reads becomes a complete (`"X"`) `task` event (`args` = `{fid,
+//! inv}`), nested as the tasks ran, with its lock and future waits as
+//! `lock_wait` / `future_wait` events inside it: a task's self time is
+//! its execution. Every other kind becomes a thread-scoped instant.
+//! Timestamps are microseconds (the format's unit) as floats.
 //!
 //! When a trace was recorded under causal profiling
 //! ([`crate::profile::set_profiling`]), the causal edges export as
 //! **flow events** (`"s"`/`"f"` phases), which Perfetto draws as
 //! arrows between slices: a `spawn` flow from the spawning site to the
-//! child's first execution, and a `touch` flow from a future's
+//! start of the child's slice, and a `touch` flow from a future's
 //! resolution to each touch that woke on it.
 
 use crate::event::EventKind;
 use crate::json::Json;
 use crate::profile::unpack_pair;
+use crate::report::SCHEMA_TRACE;
 use crate::ring::RingSnapshot;
+use crate::sweep::{self, State};
 
 /// Flow-id namespace for future (resolve → wake) arrows, keeping them
 /// disjoint from spawn arrows keyed by child invocation id.
@@ -27,7 +31,7 @@ fn us(ts_ns: u64) -> f64 {
     ts_ns as f64 / 1_000.0
 }
 
-fn complete(name: &str, lane: usize, start_ns: u64, end_ns: u64, arg: u64) -> Json {
+fn complete(name: &str, lane: usize, start_ns: u64, end_ns: u64, args: Json) -> Json {
     Json::obj()
         .set("name", name)
         .set("ph", "X")
@@ -35,7 +39,7 @@ fn complete(name: &str, lane: usize, start_ns: u64, end_ns: u64, arg: u64) -> Js
         .set("dur", us(end_ns.saturating_sub(start_ns)))
         .set("pid", 1u64)
         .set("tid", lane)
-        .set("args", Json::obj().set("arg", arg))
+        .set("args", args)
 }
 
 fn instant(name: &str, lane: usize, ts_ns: u64, arg: u64) -> Json {
@@ -77,55 +81,39 @@ fn thread_name(lane: usize) -> Json {
 }
 
 /// Export `snapshots` (index == lane) as one Chrome-trace document.
-///
-/// Begin/end pairing assumes one writer per lane. Lane 0 is shared by
-/// every thread that never calls `set_lane`, so if multiple such
-/// threads emit `TaskStart`/`TaskStop` or lock-wait pairs, the lane-0
-/// track shows mis-paired intervals; its durations are only meaningful
-/// for a single external thread.
 pub fn chrome_trace(snapshots: &[RingSnapshot]) -> Json {
     let mut events = Vec::new();
     let mut dropped_total = 0u64;
     for (lane, snap) in snapshots.iter().enumerate() {
         events.push(thread_name(lane));
         dropped_total += snap.dropped;
-        // Pair begin/end kinds into complete events; a lane is one
-        // server, so pairs close in order.
-        let mut open_task: Option<(u64, u64)> = None;
-        let mut open_lock: Option<(u64, u64)> = None;
+        let read = sweep::sweep(&snap.events);
+        for s in &read.slices {
+            let args = Json::obj().set("fid", s.fid).set("inv", s.inv);
+            events.push(complete("task", lane, s.start, s.end, args));
+            if s.inv != 0 {
+                events.push(flow("spawn", "f", lane, s.start, s.inv));
+            }
+        }
+        for seg in &read.segments {
+            let (name, arg) = match seg.state {
+                State::Exec => continue,
+                State::LockWait(loc) => ("lock_wait", loc),
+                State::FutureWait(id) => ("future_wait", id),
+            };
+            events.push(complete(name, lane, seg.start, seg.end, Json::obj().set("arg", arg)));
+        }
         for e in &snap.events {
             match e.kind {
-                EventKind::TaskStart => {
-                    if let Some((ts, arg)) = open_task.take() {
-                        // Stop was lost to wrap-around; close at the
-                        // next start so the track stays well-formed.
-                        events.push(complete("task", lane, ts, e.ts_ns, arg));
-                    }
-                    open_task = Some((e.ts_ns, e.arg));
-                }
-                EventKind::TaskStop => {
-                    if let Some((ts, arg)) = open_task.take() {
-                        events.push(complete("task", lane, ts, e.ts_ns, arg));
-                    }
-                }
-                EventKind::LockWaitBegin => open_lock = Some((e.ts_ns, e.arg)),
-                EventKind::LockWaitEnd => {
-                    if let Some((ts, arg)) = open_lock.take() {
-                        events.push(complete("lock_wait", lane, ts, e.ts_ns, arg));
-                    }
-                }
-                // Causal-profiling kinds: spawn → child start and
-                // resolve → wake become flow arrows; the start/stop
-                // twins duplicate the task slices and BindFuture is
-                // pure metadata, so none of them emit instants.
+                kind if sweep::brackets(kind) => {}
+                // Causal-profiling kinds: spawn → child slice and
+                // resolve → wake become flow arrows; BindFuture is pure
+                // metadata.
                 EventKind::Spawn => {
                     let (_parent, child) = unpack_pair(e.arg);
                     events.push(flow("spawn", "s", lane, e.ts_ns, child));
                 }
-                EventKind::InvStart => {
-                    events.push(flow("spawn", "f", lane, e.ts_ns, e.arg));
-                }
-                EventKind::InvStop | EventKind::BindFuture => {}
+                EventKind::BindFuture => {}
                 EventKind::FutureResolve => {
                     events.push(instant(e.kind.name(), lane, e.ts_ns, e.arg));
                     events.push(flow("touch", "s", lane, e.ts_ns, FUTURE_FLOW_BASE + e.arg));
@@ -137,24 +125,18 @@ pub fn chrome_trace(snapshots: &[RingSnapshot]) -> Json {
                 kind => events.push(instant(kind.name(), lane, e.ts_ns, e.arg)),
             }
         }
-        let last_ts = snap.events.last().map(|e| e.ts_ns).unwrap_or(0);
-        if let Some((ts, arg)) = open_task {
-            events.push(complete("task", lane, ts, last_ts, arg));
-        }
-        if let Some((ts, arg)) = open_lock {
-            events.push(complete("lock_wait", lane, ts, last_ts, arg));
-        }
     }
-    Json::obj()
-        .set("traceEvents", Json::Arr(events))
-        .set("displayTimeUnit", "ns")
-        .set("otherData", Json::obj().set("dropped_events", dropped_total))
+    Json::obj().set("traceEvents", Json::Arr(events)).set("displayTimeUnit", "ns").set(
+        "otherData",
+        Json::obj().set("schema", SCHEMA_TRACE).set("dropped_events", dropped_total),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::Event;
+    use crate::profile::pack_pair;
 
     fn snap(events: Vec<(u64, EventKind, u64)>, dropped: u64) -> RingSnapshot {
         RingSnapshot {
@@ -172,10 +154,10 @@ mod tests {
             snap(vec![(100, EventKind::Enqueue, 0)], 0),
             snap(
                 vec![
-                    (200, EventKind::TaskStart, 7),
+                    (200, EventKind::TaskStart, pack_pair(7, 0)),
                     (250, EventKind::LockWaitBegin, 3),
                     (300, EventKind::LockWaitEnd, 50),
-                    (400, EventKind::TaskStop, 7),
+                    (400, EventKind::TaskStop, pack_pair(7, 0)),
                 ],
                 2,
             ),
@@ -187,16 +169,16 @@ mod tests {
         let events = parsed.get("traceEvents").unwrap().as_arr().unwrap();
         // 2 thread_name metadata + 1 instant + task X + lock_wait X.
         assert_eq!(events.len(), 5);
-        assert_eq!(
-            parsed.get("otherData").unwrap().get("dropped_events").unwrap().as_u64(),
-            Some(2)
-        );
+        let other = parsed.get("otherData").unwrap();
+        assert_eq!(other.get("dropped_events").unwrap().as_u64(), Some(2));
+        assert_eq!(other.get("schema").unwrap().as_str(), Some(SCHEMA_TRACE));
     }
 
     #[test]
     fn tasks_become_complete_events_with_duration() {
+        let (start, stop) = (EventKind::TaskStart, EventKind::TaskStop);
         let snaps =
-            vec![snap(vec![(1_000, EventKind::TaskStart, 9), (3_500, EventKind::TaskStop, 9)], 0)];
+            vec![snap(vec![(1_000, start, pack_pair(9, 4)), (3_500, stop, pack_pair(9, 4))], 0)];
         let doc = chrome_trace(&snaps);
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let task = events.iter().find(|e| e.get("name").unwrap().as_str() == Some("task")).unwrap();
@@ -204,6 +186,9 @@ mod tests {
         assert_eq!(task.get("ts").unwrap().as_f64(), Some(1.0));
         assert_eq!(task.get("dur").unwrap().as_f64(), Some(2.5));
         assert_eq!(task.get("tid").unwrap().as_u64(), Some(0));
+        let args = task.get("args").unwrap();
+        assert_eq!(args.get("fid").unwrap().as_u64(), Some(9));
+        assert_eq!(args.get("inv").unwrap().as_u64(), Some(4));
     }
 
     #[test]
@@ -220,15 +205,12 @@ mod tests {
 
     #[test]
     fn causal_edges_become_flow_arrows() {
-        use crate::profile::pack_pair;
         let snaps = vec![
             snap(vec![(5, EventKind::Spawn, pack_pair(0, 3))], 0),
             snap(
                 vec![
-                    (10, EventKind::TaskStart, 7),
-                    (10, EventKind::InvStart, 3),
-                    (40, EventKind::InvStop, 3),
-                    (40, EventKind::TaskStop, 7),
+                    (10, EventKind::TaskStart, pack_pair(7, 3)),
+                    (40, EventKind::TaskStop, pack_pair(7, 3)),
                     (45, EventKind::FutureResolve, 9),
                 ],
                 0,
@@ -255,31 +237,10 @@ mod tests {
         // The finish end binds to the enclosing slice.
         let f = events.iter().find(|e| e.get("ph").unwrap().as_str() == Some("f")).unwrap();
         assert_eq!(f.get("bp").unwrap().as_str(), Some("e"));
-        // InvStart/InvStop/BindFuture add no instant noise.
-        assert!(!events
-            .iter()
-            .any(|e| matches!(e.get("name").unwrap().as_str(), Some("inv_start" | "inv_stop"))));
-    }
-
-    #[test]
-    fn lost_stop_closes_at_next_start() {
-        let snaps = vec![snap(
-            vec![
-                (10, EventKind::TaskStart, 1),
-                (30, EventKind::TaskStart, 2),
-                (50, EventKind::TaskStop, 2),
-            ],
-            0,
-        )];
-        let doc = chrome_trace(&snaps);
-        let tasks: Vec<_> = doc
-            .get("traceEvents")
-            .unwrap()
-            .as_arr()
-            .unwrap()
-            .iter()
-            .filter(|e| e.get("name").unwrap().as_str() == Some("task"))
-            .collect();
-        assert_eq!(tasks.len(), 2, "both tasks closed");
+        // Brackets are slices and BindFuture is metadata: no instants.
+        assert!(!events.iter().any(|e| matches!(
+            e.get("name").unwrap().as_str(),
+            Some("task_start" | "task_stop" | "bind_future")
+        )));
     }
 }

@@ -10,10 +10,12 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
-    /// A server began executing an invocation (`arg` = function id).
+    /// A server began executing an invocation (`arg` = function id and
+    /// invocation id, [`crate::profile::pack_pair`]; the invocation id
+    /// is 0 unless the access journal or the profiler minted ids).
     TaskStart = 0,
-    /// The invocation finished, successfully or not (`arg` = function
-    /// id).
+    /// The invocation finished, successfully or not (`arg` as for
+    /// [`EventKind::TaskStart`]).
     TaskStop = 1,
     /// An invocation was submitted to the scheduler (`arg` = call
     /// site).
@@ -51,43 +53,36 @@ pub enum EventKind {
     /// Recorded only while causal profiling (or the access journal) assigns
     /// nonzero invocation ids.
     Spawn = 13,
-    /// A server began executing invocation `arg` (the causal twin of
-    /// [`EventKind::TaskStart`], whose `arg` is the function id).
-    InvStart = 14,
-    /// Invocation `arg` finished (the causal twin of
-    /// [`EventKind::TaskStop`]).
-    InvStop = 15,
     /// A freshly spawned invocation will resolve a future (`arg` =
     /// producer invocation id and future id, packed).
-    BindFuture = 16,
+    BindFuture = 14,
     /// A touch observed its future resolved and resumed (`arg` =
-    /// toucher invocation id and future id, packed).
-    TouchWake = 17,
+    /// toucher invocation id and future id, packed). Recorded after
+    /// every [`EventKind::FutureBlock`], and after every touch while
+    /// causal profiling.
+    TouchWake = 15,
     /// An idle server stole work from a victim's site group (`arg` =
     /// the stolen task's call site).
-    Steal = 18,
+    Steal = 16,
     /// A server found no runnable or stealable work and parked on its
     /// per-server condvar (`arg` = server index).
-    Park = 19,
+    Park = 17,
     /// A parked server woke — notified by a publisher or by the
     /// backstop timeout (`arg` = server index).
-    Unpark = 20,
+    Unpark = 18,
     /// The speculation validator committed an optimistically executed
     /// invocation: its logged accesses were consistent with the
     /// sequential order (`arg` = invocation id).
-    SpecCommit = 21,
+    SpecCommit = 19,
     /// The validator observed a cross-invocation conflict that
     /// contradicts sequential order and aborted the sequentially later
     /// invocation, undoing its journaled writes (`arg` = invocation
     /// id).
-    SpecAbort = 22,
+    SpecAbort = 20,
     /// An aborted invocation was re-executed after its conflictor
     /// (`arg` = invocation id).
-    SpecReplay = 23,
+    SpecReplay = 21,
 }
-
-/// Number of distinct kinds (for per-kind count tables).
-pub const KIND_COUNT: usize = 24;
 
 impl EventKind {
     /// The stable wire name used in exported JSON.
@@ -107,8 +102,6 @@ impl EventKind {
             EventKind::ServerPoisoned => "server_poisoned",
             EventKind::Degraded => "degraded",
             EventKind::Spawn => "spawn",
-            EventKind::InvStart => "inv_start",
-            EventKind::InvStop => "inv_stop",
             EventKind::BindFuture => "bind_future",
             EventKind::TouchWake => "touch_wake",
             EventKind::Steal => "steal",
@@ -137,16 +130,14 @@ impl EventKind {
             11 => EventKind::ServerPoisoned,
             12 => EventKind::Degraded,
             13 => EventKind::Spawn,
-            14 => EventKind::InvStart,
-            15 => EventKind::InvStop,
-            16 => EventKind::BindFuture,
-            17 => EventKind::TouchWake,
-            18 => EventKind::Steal,
-            19 => EventKind::Park,
-            20 => EventKind::Unpark,
-            21 => EventKind::SpecCommit,
-            22 => EventKind::SpecAbort,
-            23 => EventKind::SpecReplay,
+            14 => EventKind::BindFuture,
+            15 => EventKind::TouchWake,
+            16 => EventKind::Steal,
+            17 => EventKind::Park,
+            18 => EventKind::Unpark,
+            19 => EventKind::SpecCommit,
+            20 => EventKind::SpecAbort,
+            21 => EventKind::SpecReplay,
             _ => return None,
         })
     }
@@ -168,19 +159,22 @@ pub struct Event {
 mod tests {
     use super::*;
 
+    /// The vocabulary of `curare-trace/2`.
+    const KINDS: u8 = 22;
+
     #[test]
     fn kind_round_trips_through_u8() {
-        for b in 0..KIND_COUNT as u8 {
+        for b in 0..KINDS {
             let k = EventKind::from_u8(b).expect("in range");
             assert_eq!(k as u8, b);
         }
-        assert_eq!(EventKind::from_u8(KIND_COUNT as u8), None);
+        assert_eq!(EventKind::from_u8(KINDS), None);
     }
 
     #[test]
     fn names_are_unique() {
         let names: std::collections::HashSet<_> =
-            (0..KIND_COUNT as u8).map(|b| EventKind::from_u8(b).unwrap().name()).collect();
-        assert_eq!(names.len(), KIND_COUNT);
+            (0..KINDS).map(|b| EventKind::from_u8(b).unwrap().name()).collect();
+        assert_eq!(names.len(), KINDS as usize);
     }
 }

@@ -10,15 +10,14 @@
 //!   ring buffers of timestamped [`event::EventKind`] records (task
 //!   start/stop, enqueue, chain, batch flush, future block/resolve,
 //!   lock wait begin/end, TLAB refill) on a nanosecond monotonic
-//!   clock, exportable as Chrome `trace_event` JSON ([`chrome`]) that
-//!   opens directly in `chrome://tracing` / Perfetto;
+//!   clock, read once per lane into nested invocation slices
+//!   (`sweep`) and exportable as Chrome `trace_event` JSON
+//!   ([`chrome`]) that opens directly in `chrome://tracing` / Perfetto;
 //! - **metrics** ([`hist`], [`report`]): lock-free log₂ wait-time
 //!   histograms (p50/p95/max) and a schema-versioned run report
 //!   assembling pool, heap, and lock sections into one JSON document;
 //! - **timelines** ([`timeline`]): busy-servers-over-time derived from
-//!   the trace (or from the simulator's start/finish vectors) in one
-//!   shared schema, so the paper's predicted timelines (Figures 6/7/9)
-//!   can be diffed against measured reality.
+//!   the trace, the measured counterpart of the paper's Figures 6/7/9.
 //!
 //! The workspace builds with zero external crates, so [`json`]
 //! provides the minimal JSON value type, serializer, and parser the
@@ -43,6 +42,7 @@ pub mod profile;
 pub mod report;
 pub mod ring;
 pub mod sanitize;
+mod sweep;
 pub mod timeline;
 pub mod tracer;
 
@@ -54,7 +54,7 @@ pub use profile::{
     dropped_total, pack_pair, profiling_enabled, set_profiling, trace_health_section, unpack_pair,
     warn_if_dropped, EdgeCounts, PathAttribution, Profile, SCHEMA_PROFILE,
 };
-pub use report::{validate_keys, RunReport, SCHEMA_REPORT, SCHEMA_TRACE};
+pub use report::{validate_keys, SCHEMA_REPORT, SCHEMA_TRACE};
 pub use ring::{RingSnapshot, TraceRing};
 pub use sanitize::{current_invocation, new_invocation, set_invocation, set_journaling, tick};
 pub use timeline::Timeline;

@@ -35,10 +35,10 @@
 //! assigns nonzero ids while either the access journal or this profiler
 //! ([`set_profiling`]) is enabled. Two-id events pack both into the
 //! ring's 56-bit arg via [`pack_pair`] (28 bits each — plenty for one
-//! run). Ring overflow drops oldest events; the reconstruction
-//! tolerates half-open pairs, and [`Profile::dropped_events`] reports
-//! how much was lost so numbers are never silently trusted from
-//! truncated rings.
+//! run). Ring overflow drops oldest events; the sweep clips what it
+//! lost to the window the ring holds (the `sweep` module), and
+//! [`Profile::dropped_events`] reports how much was lost so numbers
+//! are never silently trusted from truncated rings.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,6 +46,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use crate::event::{Event, EventKind};
 use crate::json::Json;
 use crate::ring::RingSnapshot;
+use crate::sweep::{sweep, Segment, State};
 
 /// Profile schema identifier (bump on breaking change).
 pub const SCHEMA_PROFILE: &str = "curare-profile/1";
@@ -54,8 +55,8 @@ static PROFILING: AtomicBool = AtomicBool::new(false);
 
 /// Enable/disable causal profiling. While enabled,
 /// [`crate::sanitize::new_invocation`] hands out nonzero invocation
-/// ids, which makes the runtime emit `Spawn`/`InvStart`/`InvStop`/
-/// `BindFuture`/`TouchWake` events into the installed tracer.
+/// ids, which the runtime records in its `TaskStart`/`TaskStop`
+/// brackets and `Spawn`/`BindFuture`/`TouchWake` events.
 pub fn set_profiling(on: bool) {
     PROFILING.store(on, Ordering::Release);
 }
@@ -80,22 +81,6 @@ pub fn unpack_pair(arg: u64) -> (u64, u64) {
     ((arg >> PAIR_BITS) & PAIR_MASK, arg & PAIR_MASK)
 }
 
-/// What a lane was doing on behalf of its current invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SegState {
-    Exec,
-    LockWait,
-    FutureWait(u64),
-}
-
-/// One attributed interval of an invocation's lifetime on its lane.
-#[derive(Debug, Clone, Copy)]
-struct Segment {
-    start: u64,
-    end: u64,
-    state: SegState,
-}
-
 #[derive(Debug, Default)]
 struct InvData {
     segments: Vec<Segment>,
@@ -118,14 +103,14 @@ impl InvData {
             if seg.end > ts {
                 break;
             }
-            if seg.state == SegState::Exec {
+            if seg.state == State::Exec {
                 self.cursor_acc += seg.end - seg.start;
             }
             self.cursor_idx += 1;
         }
         let mut v = self.cursor_acc;
         if let Some(seg) = self.segments.get(self.cursor_idx) {
-            if seg.state == SegState::Exec && seg.start < ts {
+            if seg.state == State::Exec && seg.start < ts {
                 v += ts - seg.start;
             }
         }
@@ -133,7 +118,7 @@ impl InvData {
     }
 
     fn exec_total(&self) -> u64 {
-        self.segments.iter().filter(|s| s.state == SegState::Exec).map(|s| s.end - s.start).sum()
+        self.segments.iter().filter(|s| s.state == State::Exec).map(|s| s.end - s.start).sum()
     }
 }
 
@@ -206,13 +191,36 @@ impl Profile {
         let mut invs: HashMap<u64, InvData> = HashMap::new();
         let mut edges = EdgeCounts::default();
 
-        // Phase 1 — per-lane sweep: attribute each lane interval to
-        // the innermost live invocation (top of the nesting stack) in
-        // its current state. Touch-helping nests a helper's
-        // InvStart/InvStop inside the toucher's FutureWait, so the
+        // Phase 1 — the per-lane sweep: each lane interval belongs to
+        // the innermost open slice in its state. A helping touch nests
+        // the helper's slice inside the toucher's FutureWait, so the
         // helper's time lands on the helper — work stays exclusive.
-        for snap in snaps {
-            sweep_lane(&snap.events, &mut invs, &mut edges);
+        // Invocation 0 (ids not minted) is nobody's.
+        let mut causal: Vec<(u64, usize, Event)> = Vec::new();
+        for (lane, snap) in snaps.iter().enumerate() {
+            let read = sweep(&snap.events);
+            for s in read.slices.iter().filter(|s| s.inv != 0) {
+                let d = invs.entry(s.inv).or_default();
+                d.start_ts.get_or_insert(s.start);
+                d.stop_ts = Some(s.end);
+            }
+            for seg in read.segments {
+                let inv = read.slices[seg.slice].inv;
+                if inv != 0 {
+                    invs.entry(inv).or_default().segments.push(seg);
+                }
+            }
+            // The causal events phase 2 replays.
+            for e in &snap.events {
+                match e.kind {
+                    EventKind::LockWaitBegin => edges.lock_wait += 1,
+                    EventKind::Spawn
+                    | EventKind::BindFuture
+                    | EventKind::FutureResolve
+                    | EventKind::TouchWake => causal.push((e.ts_ns, lane, *e)),
+                    _ => {}
+                }
+            }
         }
         for d in invs.values_mut() {
             // Keep each invocation's segments time-ordered, whatever
@@ -223,21 +231,6 @@ impl Profile {
         // Phase 2 — span DP over the merged, timestamp-ordered causal
         // events. Ring timestamps are strictly increasing per lane;
         // cross-lane ties break by lane index.
-        let mut causal: Vec<(u64, usize, Event)> = Vec::new();
-        for (lane, snap) in snaps.iter().enumerate() {
-            for e in &snap.events {
-                if matches!(
-                    e.kind,
-                    EventKind::Spawn
-                        | EventKind::BindFuture
-                        | EventKind::FutureResolve
-                        | EventKind::TouchWake
-                        | EventKind::InvStop
-                ) {
-                    causal.push((e.ts_ns, lane, *e));
-                }
-            }
-        }
         causal.sort_by_key(|&(ts, lane, _)| (ts, lane));
 
         let mut base_cp: HashMap<u64, u64> = HashMap::new();
@@ -245,7 +238,6 @@ impl Profile {
         let mut producer_of: HashMap<u64, u64> = HashMap::new();
         let mut resolve_cp: HashMap<u64, u64> = HashMap::new();
         let mut resolve_ts: HashMap<u64, u64> = HashMap::new();
-        let mut span = 0u64;
 
         let cp_at = |invs: &mut HashMap<u64, InvData>,
                      base: &HashMap<u64, u64>,
@@ -281,7 +273,7 @@ impl Profile {
                 }
                 EventKind::FutureResolve => {
                     // Resolution is recorded after the producer's
-                    // InvStop, so its critical path is final here.
+                    // slice ends, so its critical path is final here.
                     let cp = producer_of
                         .get(&e.arg)
                         .map(|&p| cp_at(&mut invs, &base_cp, &boost, p, ts))
@@ -299,13 +291,17 @@ impl Profile {
                     }
                     edges.touch += 1;
                 }
-                EventKind::InvStop => {
-                    let cp = cp_at(&mut invs, &base_cp, &boost, e.arg, ts);
-                    span = span.max(cp);
-                }
                 _ => {}
             }
         }
+        // An invocation's length is final at its stop: its spawn and
+        // every wake that boosted it came before.
+        let span = (invs.iter().filter(|(_, d)| d.stop_ts.is_some()))
+            .map(|(inv, d)| {
+                base_cp.get(inv).unwrap_or(&0) + boost.get(inv).unwrap_or(&0) + d.exec_total()
+            })
+            .max()
+            .unwrap_or(0);
 
         // Phase 3 — realized critical-path attribution: walk backward
         // from the last invocation to finish, following the blocking
@@ -371,63 +367,6 @@ impl Profile {
     }
 }
 
-fn sweep_lane(events: &[Event], invs: &mut HashMap<u64, InvData>, edges: &mut EdgeCounts) {
-    let mut stack: Vec<(u64, SegState)> = Vec::new();
-    let mut last_ts = events.first().map(|e| e.ts_ns).unwrap_or(0);
-    for e in events {
-        if let Some(&(inv, state)) = stack.last() {
-            if e.ts_ns > last_ts {
-                invs.entry(inv).or_default().segments.push(Segment {
-                    start: last_ts,
-                    end: e.ts_ns,
-                    state,
-                });
-            }
-        }
-        match e.kind {
-            EventKind::InvStart => {
-                stack.push((e.arg, SegState::Exec));
-                let d = invs.entry(e.arg).or_default();
-                if d.start_ts.is_none() {
-                    d.start_ts = Some(e.ts_ns);
-                }
-            }
-            EventKind::InvStop => {
-                // Pop to the matching frame; a stop whose start fell
-                // off an overflowed ring has no frame — record the
-                // stop and leave the stack alone.
-                if let Some(pos) = stack.iter().rposition(|&(i, _)| i == e.arg) {
-                    stack.truncate(pos);
-                }
-                invs.entry(e.arg).or_default().stop_ts = Some(e.ts_ns);
-            }
-            EventKind::LockWaitBegin => {
-                edges.lock_wait += 1;
-                if let Some(top) = stack.last_mut() {
-                    top.1 = SegState::LockWait;
-                }
-            }
-            EventKind::LockWaitEnd => {
-                if let Some(top) = stack.last_mut() {
-                    top.1 = SegState::Exec;
-                }
-            }
-            EventKind::FutureBlock => {
-                if let Some(top) = stack.last_mut() {
-                    top.1 = SegState::FutureWait(e.arg);
-                }
-            }
-            EventKind::TouchWake => {
-                if let Some(top) = stack.last_mut() {
-                    top.1 = SegState::Exec;
-                }
-            }
-            _ => {}
-        }
-        last_ts = e.ts_ns;
-    }
-}
-
 fn attribute_path(
     invs: &HashMap<u64, InvData>,
     producer_of: &HashMap<u64, u64>,
@@ -462,9 +401,9 @@ fn attribute_path(
             // time.
             let hi = t;
             match seg.state {
-                SegState::Exec => attr.exec_ns += hi - seg.start,
-                SegState::LockWait => attr.lock_wait_ns += hi - seg.start,
-                SegState::FutureWait(fid) => {
+                State::Exec => attr.exec_ns += hi - seg.start,
+                State::LockWait(_) => attr.lock_wait_ns += hi - seg.start,
+                State::FutureWait(fid) => {
                     let producer_stop = producer_of
                         .get(&fid)
                         .filter(|_| resolve_ts.contains_key(&fid))
@@ -563,11 +502,14 @@ mod tests {
         // reaches 100. Span = max(100, 90) = 100.
         let external = snap(vec![ev(10, EventKind::Spawn, pack_pair(0, 1))]);
         let lane1 = snap(vec![
-            ev(20, EventKind::InvStart, 1),
+            ev(20, EventKind::TaskStart, pack_pair(0, 1)),
             ev(60, EventKind::Spawn, pack_pair(1, 2)),
-            ev(120, EventKind::InvStop, 1),
+            ev(120, EventKind::TaskStop, pack_pair(0, 1)),
         ]);
-        let lane2 = snap(vec![ev(150, EventKind::InvStart, 2), ev(200, EventKind::InvStop, 2)]);
+        let lane2 = snap(vec![
+            ev(150, EventKind::TaskStart, pack_pair(0, 2)),
+            ev(200, EventKind::TaskStop, pack_pair(0, 2)),
+        ]);
         let p = Profile::from_trace(&[external, lane1, lane2]);
         assert_eq!(p.invocations, 2);
         assert_eq!(p.work_ns, 150);
@@ -594,15 +536,15 @@ mod tests {
             ev(3, EventKind::Spawn, pack_pair(0, 2)),
         ]);
         let lane1 = snap(vec![
-            ev(20, EventKind::InvStart, 1),
-            ev(120, EventKind::InvStop, 1),
+            ev(20, EventKind::TaskStart, pack_pair(0, 1)),
+            ev(120, EventKind::TaskStop, pack_pair(0, 1)),
             ev(125, EventKind::FutureResolve, 9),
         ]);
         let lane2 = snap(vec![
-            ev(10, EventKind::InvStart, 2),
+            ev(10, EventKind::TaskStart, pack_pair(0, 2)),
             ev(30, EventKind::FutureBlock, 9),
             ev(130, EventKind::TouchWake, pack_pair(2, 9)),
-            ev(150, EventKind::InvStop, 2),
+            ev(150, EventKind::TaskStop, pack_pair(0, 2)),
         ]);
         let p = Profile::from_trace(&[external, lane1, lane2]);
         // Work: inv1 100 + inv2 (20 pre-block + 20 post-wake) = 140.
@@ -633,13 +575,13 @@ mod tests {
             ev(3, EventKind::BindFuture, pack_pair(2, 5)),
         ]);
         let lane1 = snap(vec![
-            ev(10, EventKind::InvStart, 1),
+            ev(10, EventKind::TaskStart, pack_pair(0, 1)),
             ev(20, EventKind::FutureBlock, 5),
-            ev(25, EventKind::InvStart, 2), // helping: runs the producer itself
-            ev(75, EventKind::InvStop, 2),
+            ev(25, EventKind::TaskStart, pack_pair(0, 2)), // helping: runs the producer itself
+            ev(75, EventKind::TaskStop, pack_pair(0, 2)),
             ev(76, EventKind::FutureResolve, 5),
             ev(80, EventKind::TouchWake, pack_pair(1, 5)),
-            ev(100, EventKind::InvStop, 1),
+            ev(100, EventKind::TaskStop, pack_pair(0, 1)),
         ]);
         let p = Profile::from_trace(&[external, lane1]);
         // inv 1: 10 exec before block + 20 after wake; inv 2: 50.
@@ -656,13 +598,13 @@ mod tests {
 
     #[test]
     fn overflowed_ring_degrades_gracefully() {
-        // An InvStop whose InvStart fell off the ring, plus a nonzero
+        // A TaskStop whose TaskStart fell off the ring, plus a nonzero
         // dropped count: no panic, drops surfaced, invariant holds.
         let lane = RingSnapshot {
             events: vec![
-                ev(50, EventKind::InvStop, 7),
-                ev(60, EventKind::InvStart, 8),
-                ev(90, EventKind::InvStop, 8),
+                ev(50, EventKind::TaskStop, pack_pair(0, 7)),
+                ev(60, EventKind::TaskStart, pack_pair(0, 8)),
+                ev(90, EventKind::TaskStop, pack_pair(0, 8)),
             ],
             dropped: 123,
         };
@@ -681,10 +623,10 @@ mod tests {
     fn lock_wait_segments_attributed() {
         let external = snap(vec![ev(1, EventKind::Spawn, pack_pair(0, 1))]);
         let lane1 = snap(vec![
-            ev(10, EventKind::InvStart, 1),
+            ev(10, EventKind::TaskStart, pack_pair(0, 1)),
             ev(20, EventKind::LockWaitBegin, 42),
             ev(70, EventKind::LockWaitEnd, 50),
-            ev(100, EventKind::InvStop, 1),
+            ev(100, EventKind::TaskStop, pack_pair(0, 1)),
         ]);
         let p = Profile::from_trace(&[external, lane1]);
         assert_eq!(p.work_ns, 40, "lock wait is not execution");
@@ -760,7 +702,7 @@ mod tests {
             // lane frees and the spawn happened.
             let lane = (1..=lanes).min_by_key(|&l| lane_free_at[l]).unwrap();
             let mut t = lane_free_at[lane].max(spawn_ts) + 1 + rng.below(20);
-            lane_events[lane].push(ev(t, EventKind::InvStart, inv));
+            lane_events[lane].push(ev(t, EventKind::TaskStart, pack_pair(0, inv)));
             // Execute in 1-3 bursts; between bursts maybe spawn a
             // child, wait a lock, or touch an already-resolved future.
             let bursts = 1 + rng.below(3);
@@ -806,7 +748,7 @@ mod tests {
                 }
             }
             t += 1 + rng.below(100);
-            lane_events[lane].push(ev(t, EventKind::InvStop, inv));
+            lane_events[lane].push(ev(t, EventKind::TaskStop, pack_pair(0, inv)));
             if let Some(f) = fut {
                 t += 1;
                 lane_events[lane].push(ev(t, EventKind::FutureResolve, f));
@@ -854,32 +796,25 @@ mod tests {
     #[test]
     fn timeline_busy_integral_cross_checks_profiler_work() {
         use crate::timeline::Timeline;
-        // The concurrency timeline (TaskStart/TaskStop sweep) and the
-        // profiler (InvStart/InvStop segments) are two independent
-        // reconstructions of the same trace. When every task brackets
-        // exactly one invocation at the same instants and nothing
-        // waits, the timeline's busy integral — mean concurrency ×
-        // active span — must equal the profiler's work exactly.
+        // The concurrency timeline (outermost slices) and the profiler
+        // (exclusive execution) read the same sweep. When no task nests
+        // and nothing waits, the timeline's busy integral — mean
+        // concurrency × active span — must equal the profiler's work
+        // exactly.
         let external = snap(vec![
             ev(1, EventKind::Spawn, pack_pair(0, 1)),
             ev(2, EventKind::Spawn, pack_pair(0, 2)),
             ev(3, EventKind::Spawn, pack_pair(0, 3)),
         ]);
         let lane1 = snap(vec![
-            ev(100, EventKind::TaskStart, 0),
-            ev(100, EventKind::InvStart, 1),
-            ev(200, EventKind::InvStop, 1),
-            ev(200, EventKind::TaskStop, 0),
-            ev(250, EventKind::TaskStart, 0),
-            ev(250, EventKind::InvStart, 3),
-            ev(400, EventKind::InvStop, 3),
-            ev(400, EventKind::TaskStop, 0),
+            ev(100, EventKind::TaskStart, pack_pair(0, 1)),
+            ev(200, EventKind::TaskStop, pack_pair(0, 1)),
+            ev(250, EventKind::TaskStart, pack_pair(0, 3)),
+            ev(400, EventKind::TaskStop, pack_pair(0, 3)),
         ]);
         let lane2 = snap(vec![
-            ev(150, EventKind::TaskStart, 0),
-            ev(150, EventKind::InvStart, 2),
-            ev(300, EventKind::InvStop, 2),
-            ev(300, EventKind::TaskStop, 0),
+            ev(150, EventKind::TaskStart, pack_pair(0, 2)),
+            ev(300, EventKind::TaskStop, pack_pair(0, 2)),
         ]);
         let snaps = vec![external, lane1, lane2];
         let p = Profile::from_trace(&snaps);

@@ -3,16 +3,14 @@
 //!
 //! The paper's Figures 6/7/9 are exactly this picture — how many
 //! invocations are in flight at each instant. [`Timeline`] is the
-//! measured counterpart, derived either from real trace events
-//! (task start/stop pairs per server lane) or from the simulator's
-//! start/finish vectors. Both producers emit the *same* JSON schema
-//! ([`SCHEMA`]), so a threaded run can be diffed against the paper's
-//! predicted timeline (and against the §3.1 CRI concurrency bound)
-//! with no format shims.
+//! measured counterpart, read off the trace's per-lane invocation
+//! slices (the `sweep` module) and emitted in a versioned JSON schema
+//! ([`SCHEMA`]), so a threaded run can be set against the §3.1 CRI
+//! concurrency bound with no format shims.
 
-use crate::event::EventKind;
 use crate::json::Json;
 use crate::ring::RingSnapshot;
+use crate::sweep::sweep;
 
 /// The timeline schema identifier (bump on breaking change).
 pub const SCHEMA: &str = "curare-timeline/1";
@@ -20,10 +18,7 @@ pub const SCHEMA: &str = "curare-timeline/1";
 /// A step function of concurrently busy servers; see module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Timeline {
-    /// Time unit of the points: `"ns"` (traced runs) or `"steps"`
-    /// (the discrete simulator).
-    pub unit: &'static str,
-    /// `(t, busy)` — at time `t` the busy count became `busy`.
+    /// `(t, busy)`, `t` in ns — at time `t` the busy count became `busy`.
     /// Sorted by `t`; the function holds its value until the next
     /// point.
     pub points: Vec<(u64, u64)>,
@@ -36,7 +31,7 @@ pub struct Timeline {
 impl Timeline {
     /// Build from busy intervals (`start`, `finish`) in any order.
     /// Zero-length and inverted intervals are ignored.
-    pub fn from_intervals(unit: &'static str, intervals: &[(u64, u64)]) -> Timeline {
+    pub fn from_intervals(intervals: &[(u64, u64)]) -> Timeline {
         // Sweep line: +1 at each start, -1 at each finish.
         let mut deltas: Vec<(u64, i64)> = Vec::with_capacity(intervals.len() * 2);
         for &(s, f) in intervals {
@@ -71,53 +66,28 @@ impl Timeline {
         }
         let span = prev_t.saturating_sub(t0);
         let mean = if span == 0 { 0.0 } else { weighted as f64 / span as f64 };
-        Timeline { unit, points, mean_concurrency: mean, peak_concurrency: peak }
+        Timeline { points, mean_concurrency: mean, peak_concurrency: peak }
     }
 
-    /// Build from per-lane trace snapshots: each lane's
-    /// `TaskStart`/`TaskStop` events pair up in order (the lane is one
-    /// server, which runs one invocation at a time). A start left
-    /// unmatched — snapshot mid-task, or the stop overwritten by
-    /// wrap-around — closes at the lane's last timestamp.
-    ///
-    /// **Caveat:** pairing assumes one writer per lane. Lane 0 is
-    /// shared by every thread that never calls `set_lane`, so its
-    /// start/stop events from different threads interleave and would
-    /// pair into bogus intervals; lane-0 intervals are only meaningful
-    /// when a single external thread records task events.
+    /// Build from per-lane trace snapshots: a lane is busy while any
+    /// invocation slice is open on it, so its busy intervals are its
+    /// outermost slices (a helping touch's nested tasks run inside the
+    /// toucher's). Overflow and lane 0 as the `sweep` module reads them.
     pub fn from_trace(snapshots: &[RingSnapshot]) -> Timeline {
-        let mut intervals = Vec::new();
-        for snap in snapshots {
-            let last_ts = snap.events.last().map(|e| e.ts_ns).unwrap_or(0);
-            let mut open: Option<u64> = None;
-            for e in &snap.events {
-                match e.kind {
-                    EventKind::TaskStart => {
-                        if let Some(s) = open.take() {
-                            intervals.push((s, e.ts_ns));
-                        }
-                        open = Some(e.ts_ns);
-                    }
-                    EventKind::TaskStop => {
-                        if let Some(s) = open.take() {
-                            intervals.push((s, e.ts_ns));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            if let Some(s) = open {
-                intervals.push((s, last_ts));
-            }
-        }
-        Timeline::from_intervals("ns", &intervals)
+        let intervals: Vec<(u64, u64)> = snapshots
+            .iter()
+            .flat_map(|snap| sweep(&snap.events).slices)
+            .filter(|s| s.enclosing.is_none())
+            .map(|s| (s.start, s.end))
+            .collect();
+        Timeline::from_intervals(&intervals)
     }
 
-    /// Serialize in the shared schema.
+    /// Serialize in the versioned schema.
     pub fn to_json(&self) -> Json {
         Json::obj()
             .set("schema", SCHEMA)
-            .set("unit", self.unit)
+            .set("unit", "ns")
             .set("mean_concurrency", self.mean_concurrency)
             .set("peak_concurrency", self.peak_concurrency)
             .set(
@@ -132,11 +102,11 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
+    use crate::event::{Event, EventKind};
 
     #[test]
     fn disjoint_intervals_never_overlap() {
-        let t = Timeline::from_intervals("steps", &[(0, 10), (10, 20)]);
+        let t = Timeline::from_intervals(&[(0, 10), (10, 20)]);
         assert_eq!(t.peak_concurrency, 1);
         assert!((t.mean_concurrency - 1.0).abs() < 1e-9);
         assert_eq!(t.points, vec![(0, 1), (20, 0)]);
@@ -145,19 +115,19 @@ mod tests {
     #[test]
     fn overlap_counts_busy_servers() {
         // [0,10) and [5,15): busy 1,2,1 then 0.
-        let t = Timeline::from_intervals("steps", &[(0, 10), (5, 15)]);
+        let t = Timeline::from_intervals(&[(0, 10), (5, 15)]);
         assert_eq!(t.points, vec![(0, 1), (5, 2), (10, 1), (15, 0)]);
         assert_eq!(t.peak_concurrency, 2);
-        // 20 busy step-units over a 15-step span.
+        // 20 busy units over a 15-unit span.
         assert!((t.mean_concurrency - 20.0 / 15.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_and_degenerate_inputs() {
-        let t = Timeline::from_intervals("ns", &[]);
+        let t = Timeline::from_intervals(&[]);
         assert_eq!(t.points, vec![]);
         assert_eq!(t.mean_concurrency, 0.0);
-        let t = Timeline::from_intervals("ns", &[(5, 5), (9, 3)]);
+        let t = Timeline::from_intervals(&[(5, 5), (9, 3)]);
         assert_eq!(t.peak_concurrency, 0, "zero/inverted intervals ignored");
     }
 
@@ -175,32 +145,18 @@ mod tests {
             lane(vec![e(5, EventKind::TaskStart), e(15, EventKind::TaskStop)]),
         ];
         let t = Timeline::from_trace(&snaps);
-        assert_eq!(t.unit, "ns");
         assert_eq!(t.peak_concurrency, 2);
         // Busy spans: [0,10),[12,20) and [5,15) → overlap [5,10) and [12,15).
         assert_eq!(t.points, vec![(0, 1), (5, 2), (10, 1), (12, 2), (15, 1), (20, 0)]);
     }
 
     #[test]
-    fn unmatched_start_closes_at_last_event() {
-        let snaps = vec![RingSnapshot {
-            events: vec![
-                Event { ts_ns: 1, kind: EventKind::TaskStart, arg: 0 },
-                Event { ts_ns: 9, kind: EventKind::Enqueue, arg: 0 },
-            ],
-            dropped: 0,
-        }];
-        let t = Timeline::from_trace(&snaps);
-        assert_eq!(t.points, vec![(1, 1), (9, 0)]);
-    }
-
-    #[test]
     fn json_round_trip() {
-        let t = Timeline::from_intervals("steps", &[(0, 4), (2, 8), (6, 10)]);
+        let t = Timeline::from_intervals(&[(0, 4), (2, 8), (6, 10)]);
         let j = t.to_json();
         let parsed = Json::parse(&j.to_string()).unwrap();
         assert_eq!(parsed.get("schema").and_then(Json::as_str), Some(SCHEMA));
-        assert_eq!(parsed.get("unit").and_then(Json::as_str), Some("steps"));
+        assert_eq!(parsed.get("unit").and_then(Json::as_str), Some("ns"));
         let points: Vec<(u64, u64)> = parsed
             .get("points")
             .and_then(Json::as_arr)

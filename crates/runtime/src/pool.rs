@@ -66,7 +66,7 @@ use std::time::Duration;
 use curare_lisp::speclog;
 use curare_lisp::sync::{CachePadded, Condvar, Mutex};
 use curare_lisp::{FuncId, Interp, LispError, RuntimeHooks, Val, Value, Vm};
-use curare_obs::{EventKind, Json, RunReport};
+use curare_obs::{EventKind, Json};
 
 use crate::futures::FutureTable;
 use crate::locktable::{Location, LockTable};
@@ -718,24 +718,17 @@ impl Shared {
 
 /// Open an invocation's trace bracket and bind the thread to it,
 /// returning the binding it replaces (a helping touch runs tasks
-/// nested in another invocation's body). `InvStart` ties the interval
-/// to the id its `Spawn` event introduced, nested inside the `Task`
-/// pair so the profiler's per-lane sweep sees well-bracketed spans.
+/// nested in another invocation's body). The bracket carries the
+/// function id and the invocation id its `Spawn` event introduced.
 fn begin_invocation(fid: FuncId, inv: u64) -> u64 {
-    curare_obs::record(EventKind::TaskStart, fid as u64);
-    if inv != 0 {
-        curare_obs::record(EventKind::InvStart, inv);
-    }
+    curare_obs::record(EventKind::TaskStart, curare_obs::pack_pair(fid as u64, inv));
     curare_obs::set_invocation(inv)
 }
 
 /// Close the bracket `begin_invocation` opened, restoring `prev`.
 fn end_invocation(fid: FuncId, inv: u64, prev: u64) {
     curare_obs::set_invocation(prev);
-    if inv != 0 {
-        curare_obs::record(EventKind::InvStop, inv);
-    }
-    curare_obs::record(EventKind::TaskStop, fid as u64);
+    curare_obs::record(EventKind::TaskStop, curare_obs::pack_pair(fid as u64, inv));
 }
 
 /// The hooks a pooled interpreter runs under.
@@ -903,7 +896,8 @@ impl RuntimeHooks for CriHooks {
             // the Multilisp discipline.
             Val::Future(id) => {
                 self.flush_batch();
-                if !self.shared.futures.is_resolved(id) {
+                let blocked = !self.shared.futures.is_resolved(id);
+                if blocked {
                     curare_obs::record(EventKind::FutureBlock, id);
                 }
                 // Heartbeat: the wait-entry timestamp is deliberately
@@ -919,7 +913,9 @@ impl RuntimeHooks for CriHooks {
                 loop {
                     if let Some(result) = self.shared.futures.try_get(id) {
                         speclog::record_touch(id);
-                        if curare_obs::profiling_enabled() {
+                        // A wake ends the block's wait in the trace; the
+                        // profiler also reads it as a touch edge.
+                        if blocked || curare_obs::profiling_enabled() {
                             curare_obs::record(
                                 EventKind::TouchWake,
                                 curare_obs::pack_pair(curare_obs::current_invocation(), id),
@@ -1371,12 +1367,13 @@ impl CriRuntime {
                         .collect(),
                 ),
             );
-        RunReport::new(label)
-            .section("pool", pool)
-            .section("heap", heap)
-            .section("locks", locks)
-            .section("vm", vm)
-            .into_json()
+        Json::obj()
+            .set("schema", curare_obs::SCHEMA_REPORT)
+            .set("label", label)
+            .set("pool", pool)
+            .set("heap", heap)
+            .set("locks", locks)
+            .set("vm", vm)
     }
 }
 

@@ -302,7 +302,7 @@ fn a_traced_in_place_run_records_what_a_materialised_run_records() {
     for kind in [EventKind::Enqueue, EventKind::Chain] {
         assert_eq!(here[kind.name()], 2000, "{here:?}");
     }
-    for kind in [EventKind::Spawn, EventKind::TaskStart, EventKind::InvStart, EventKind::InvStop] {
+    for kind in [EventKind::Spawn, EventKind::TaskStart] {
         assert_eq!(here[kind.name()], 2001, "{here:?}");
     }
 }

@@ -31,4 +31,4 @@ pub mod timeline;
 
 pub use engine::{simulate, SimConfig, SimResult};
 pub use model::FunctionModel;
-pub use timeline::{concurrency_timeline, render_sequential, render_timeline};
+pub use timeline::{render_sequential, render_timeline};

@@ -7,18 +7,6 @@
 //! same picture from an actual simulation.
 
 use crate::engine::{SimConfig, SimResult};
-use curare_obs::Timeline;
-
-/// The simulated run as a machine-readable concurrency timeline in
-/// the shared `curare-timeline/1` schema (unit `"steps"`). The
-/// threaded pool emits the same schema from its trace
-/// (`Timeline::from_trace`, unit `"ns"`), so a simulated Figure 7/9
-/// prediction diffs directly against a measured run.
-pub fn concurrency_timeline(result: &SimResult) -> Timeline {
-    let intervals: Vec<(u64, u64)> =
-        result.starts.iter().copied().zip(result.finishes.iter().copied()).collect();
-    Timeline::from_intervals("steps", &intervals)
-}
 
 /// Render one row per invocation: spaces for idle/waiting time, `H`
 /// for head steps, `T` for tail steps. `max_rows` and `max_width`
@@ -128,49 +116,6 @@ mod tests {
         let r = simulate(&cfg);
         let pic = render_timeline(&cfg, &r, 5, 60);
         assert!(pic.contains("more invocations") || pic.contains("truncated"), "{pic}");
-    }
-
-    #[test]
-    fn concurrency_timeline_matches_engine_mean() {
-        // The timeline's time-weighted mean over [first start, last
-        // finish] is the engine's achieved concurrency (busy steps /
-        // total time): same numerator, same span.
-        let r = simulate(&SimConfig::new(500, 8, 1, 7).with_conflict_distance(5));
-        let tl = concurrency_timeline(&r);
-        assert_eq!(tl.unit, "steps");
-        assert!(
-            (tl.mean_concurrency - r.achieved_concurrency).abs() < 1e-9,
-            "timeline {} vs engine {}",
-            tl.mean_concurrency,
-            r.achieved_concurrency
-        );
-        assert!(tl.peak_concurrency <= 8);
-    }
-
-    #[test]
-    fn concurrency_timeline_approaches_cri_formula() {
-        // §3.1: with ample servers the busy count approaches
-        // c_f = (h + t) / h; the timeline must agree with the formula,
-        // not just with the engine's own summary statistic.
-        let (h, t) = (1u64, 9u64);
-        let r = simulate(&SimConfig::new(10_000, 64, h, t));
-        let tl = concurrency_timeline(&r);
-        let bound = crate::formula::concurrency(h as f64, t as f64);
-        assert!(
-            (tl.mean_concurrency - bound).abs() / bound < 0.02,
-            "timeline {} vs bound {}",
-            tl.mean_concurrency,
-            bound
-        );
-        assert_eq!(tl.peak_concurrency, bound as u64);
-    }
-
-    #[test]
-    fn concurrency_timeline_emits_shared_schema() {
-        let r = simulate(&SimConfig::new(16, 4, 1, 3));
-        let j = concurrency_timeline(&r).to_json();
-        assert_eq!(j.get("schema").unwrap().as_str(), Some(curare_obs::timeline::SCHEMA));
-        assert_eq!(j.get("unit").unwrap().as_str(), Some("steps"));
     }
 
     #[test]
