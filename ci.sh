@@ -89,6 +89,19 @@ for want in "escalated: false" "publication = eager (speculating pool)"; do
   echo "$out" | grep -F "$want" > /dev/null \
     || { echo "scrub --speculate: no '$want' in the report" >&2; exit 1; }
 done
+# The aliased mixer is converted, and its arguments alias at run time,
+# so a speculative run aborts and replays: it must commit without
+# escalating, and print the sequential run's cells in the sequential
+# order (--sequential also prints the call's value, its last line).
+mix() {
+  target/release/curare run examples/lisp/fixtures/aliased-mix.lisp "$@" \
+    --call "(mix *l* (cdr *l*))"
+}
+out="$(mix --servers 2 --speculate 2>&1)"
+echo "$out" | grep -F "escalated: false" > /dev/null \
+  || { echo "aliased-mix --speculate escalated: $out" >&2; exit 1; }
+[ "$(echo "$out" | grep -v '^;;')" = "$(mix --sequential 2> /dev/null | sed '$d')" ] \
+  || { echo "aliased-mix --speculate: not the sequential cells" >&2; exit 1; }
 
 echo "== loops: a spawn in a loop body is never head-ordered"
 # The write precedes the call in the text and follows the previous

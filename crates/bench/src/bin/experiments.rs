@@ -1238,6 +1238,37 @@ mod tests {
         assert!(files >= 9, "the scan found only {files} files: has the layout changed?");
     }
 
+    /// The pool's protocol keeps to its module: no non-test,
+    /// non-comment line of `pool.rs` (or its `pool/` files) builds JSON
+    /// or runs speculation's commit (`speclog::resolve…`), and no
+    /// runtime file but `watchdog.rs` names a heartbeat (`ServerBeat`).
+    /// The protocol's one struct carried the watchdog's beats and
+    /// dumps, the commit's totals and the run report's fields before.
+    #[test]
+    fn the_pool_protocol_keeps_to_its_module() {
+        let mut files = 0;
+        let mut offenders = Vec::new();
+        for (path, text) in product_sources() {
+            let path = path.to_string_lossy().replace('\\', "/");
+            let Some((_, file)) = path.split_once("crates/runtime/src/") else { continue };
+            files += 1;
+            let code: Vec<&str> =
+                text.lines().filter(|l| !l.trim_start().starts_with("//")).collect();
+            let names = |word: &str| code.iter().any(|l| l.contains(word));
+            let protocol = file == "pool.rs" || file.starts_with("pool/");
+            for word in ["Json", "speclog::resolve"].into_iter().filter(|_| protocol) {
+                if names(word) {
+                    offenders.push(format!("{file} names {word}"));
+                }
+            }
+            if file != "watchdog.rs" && names("ServerBeat") {
+                offenders.push(format!("{file} names ServerBeat"));
+            }
+        }
+        assert!(offenders.is_empty(), "the pool's protocol reaches out: {offenders:?}");
+        assert!(files >= 9, "the scan found only {files} files: has the layout changed?");
+    }
+
     /// One reading of the trace: an invocation's bracket is named by no
     /// non-test, non-comment line of `crates/obs/src` outside
     /// `sweep.rs`, which pairs it (and `event.rs`, which defines it).

@@ -240,6 +240,19 @@ impl Interp {
         std::mem::replace(&mut *slot, hooks)
     }
 
+    /// Run `f` under `hooks`, putting the installed ones back on every
+    /// exit, an error or a panic included.
+    pub fn with_hooks<R>(&self, hooks: Arc<dyn RuntimeHooks>, f: impl FnOnce() -> R) -> R {
+        struct Restore<'a>(&'a Interp, Option<Arc<dyn RuntimeHooks>>);
+        impl Drop for Restore<'_> {
+            fn drop(&mut self) {
+                self.0.set_hooks(self.1.take().expect("restored once"));
+            }
+        }
+        let _restore = Restore(self, Some(self.set_hooks(hooks)));
+        f()
+    }
+
     /// The currently installed hooks.
     ///
     /// Fast path: a thread-local `(interp, generation)` cache, so the

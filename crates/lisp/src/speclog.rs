@@ -5,7 +5,7 @@
 //! the run is left alone (`print` is not diverted, errors are not
 //! parked, nothing is undone) and [`observed`] hands its records to
 //! `curare_check::cross_check`. [`arm`] is speculation's, read by
-//! [`resolve`]: the rest of this page. The journal is process-wide, so
+//! [`resolve_run`]: the rest of this page. The journal is process-wide, so
 //! one run holds it at a time, at one level.
 //!
 //! # Speculation
@@ -28,7 +28,7 @@
 //! The invocation, not the word, is the unit of commit, so nothing is
 //! globally ordered *while* invocations run — only when they are
 //! judged. Recording is private per server; ordering happens once, in
-//! [`resolve`].
+//! [`resolve_run`].
 //!
 //! # Lanes
 //!
@@ -93,6 +93,7 @@
 //! compensating delta instead of an old-value snapshot, so undo never
 //! loses concurrent increments.
 
+#[cfg(test)]
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -100,6 +101,7 @@ use std::sync::Arc;
 
 use crate::error::{LispError, Result};
 use crate::heap::Heap;
+use crate::interp::{Interp, RuntimeHooks};
 use crate::sync::{Mutex, MutexGuard};
 use crate::value::{FuncId, Value};
 use curare_obs::{tick, EventKind};
@@ -153,7 +155,9 @@ const OFF: u8 = 0;
 const OBSERVE: u8 = 1;
 const UNDO: u8 = 2;
 static LEVEL: AtomicU8 = AtomicU8::new(OFF);
-/// Set by [`escalate_now`], read once per resolution round.
+/// Set by a replay that cannot be reproduced (it created a future),
+/// read once per resolution round: the next pass rolls everything back
+/// and falls to the sequential rerun.
 static ESCALATE: AtomicBool = AtomicBool::new(false);
 
 // Aligned apart: a lane is written by one server at a time, and two
@@ -165,11 +169,6 @@ struct Stripe(Mutex<()>);
 
 static LANE: [Lane; LANES] = [const { Lane(Mutex::new(LaneBuf::new())) }; LANES];
 static STRIPE: [Stripe; STRIPES] = [const { Stripe(Mutex::new(())) }; STRIPES];
-
-thread_local! {
-    /// Nonzero while this thread is replaying that invocation inline.
-    static REPLAYING: Cell<u64> = const { Cell::new(0) };
-}
 
 #[derive(Clone, Copy)]
 struct ReadRec {
@@ -295,7 +294,7 @@ fn engage(level: u8) -> Result<()> {
     Ok(())
 }
 
-/// Arm the journal for one speculative run, to be read by [`resolve`].
+/// Arm the journal for one speculative run, to be read by [`resolve_run`].
 pub fn arm() -> Result<()> {
     engage(UNDO)
 }
@@ -306,7 +305,7 @@ pub fn observe() -> Result<()> {
     engage(OBSERVE)
 }
 
-/// Disarm and drop any journal state (used on error paths; [`resolve`]
+/// Disarm and drop any journal state (used on error paths; [`resolve_run`]
 /// and [`observed`] disarm themselves).
 pub fn disarm() {
     curare_obs::set_journaling(false);
@@ -437,7 +436,7 @@ impl WriteSection {
 /// Divert a printed line into the journal of a speculative run;
 /// returns `false` when the caller should append to the ordinary
 /// output log instead. Committed lines are released in sequential
-/// order by [`resolve`].
+/// order by [`resolve_run`].
 pub fn divert_emit(line: &str) -> bool {
     let inv = if speculating() { curare_obs::current_invocation() } else { 0 };
     if inv == 0 {
@@ -590,31 +589,51 @@ pub fn observed() -> Observed {
 }
 
 // ----------------------------------------------------------------
-// Replay hooks (called by the pool's RuntimeHooks)
+// Replay hooks
 // ----------------------------------------------------------------
 
-/// True while the calling thread is replaying an aborted invocation
-/// (spawns are suppressed and checked against the original run).
-#[inline]
-pub fn replaying() -> bool {
-    REPLAYING.with(Cell::get) != 0
+/// The hooks a replayed body runs under, installed by [`resolve_run`]
+/// for its length. A spawn is not enqueued: it was the original run's,
+/// and its subtree has executed. It is recorded against that run
+/// instead, and the next resolution round checks it there. `future`
+/// escalates. `touch` and the location locks are the pool's.
+struct ReplayHooks {
+    pool: Arc<dyn RuntimeHooks>,
 }
 
-/// Force escalation: the replay machinery hit a structure it cannot
-/// reproduce (e.g. a future whose original value was already consumed
-/// by its toucher). The current round finishes; the next resolution
-/// pass rolls everything back and falls to the sequential rerun.
-pub fn escalate_now() {
-    ESCALATE.store(true, Ordering::SeqCst);
+impl RuntimeHooks for ReplayHooks {
+    fn enqueue(&self, _: &Interp, _site: usize, fid: FuncId, args: Vec<Value>) -> Result<()> {
+        replay_spawn(fid, &args);
+        Ok(())
+    }
+
+    fn future(&self, _: &Interp, _fid: FuncId, _args: Vec<Value>) -> Result<Value> {
+        // The original future's value was already consumed by its
+        // toucher; a replay cannot re-create it.
+        ESCALATE.store(true, Ordering::SeqCst);
+        Err(LispError::User("speculative replay cannot re-create a future".into()))
+    }
+
+    fn touch(&self, interp: &Interp, v: Value) -> Result<Value> {
+        self.pool.touch(interp, v)
+    }
+
+    fn lock(&self, interp: &Interp, cell: Value, field: u32, exclusive: bool) -> Result<()> {
+        self.pool.lock(interp, cell, field, exclusive)
+    }
+
+    fn unlock(&self, interp: &Interp, cell: Value, field: u32, exclusive: bool) -> Result<()> {
+        self.pool.unlock(interp, cell, field, exclusive)
+    }
 }
 
-/// A suppressed enqueue inside a replayed body. The next resolution
+/// A suppressed spawn of the replayed invocation. The next resolution
 /// round checks it against the original run's record and refreshes the
 /// segment boundary; a replayed body that diverged — different callee,
 /// different arguments, an enqueue where a future was, more or fewer
 /// spawns than before — escalates there.
-pub fn replay_spawn(fid: FuncId, args: &[Value]) {
-    record_spawn(REPLAYING.with(Cell::get), 0, fid, args, None);
+fn replay_spawn(fid: FuncId, args: &[Value]) {
+    record_spawn(curare_obs::current_invocation(), 0, fid, args, None);
 }
 
 // ----------------------------------------------------------------
@@ -1020,16 +1039,14 @@ impl Journal {
     }
 
     /// Re-execute aborted invocation number `i` inline on this thread,
-    /// its spawns suppressed into [`replay_spawn`].
+    /// bound to its id, so that its spawns record against it.
     fn replay(&mut self, i: usize, run_body: &mut dyn FnMut(FuncId, Vec<Value>) -> Result<Value>) {
         let inv = self.invs[i].child;
         self.replays += 1;
         curare_obs::record(EventKind::SpecReplay, inv);
-        REPLAYING.with(|r| r.set(inv));
         let prev = curare_obs::set_invocation(inv);
         let res = run_body(self.invs[i].fid, self.args_of(&self.invs[i]).to_vec());
         curare_obs::set_invocation(prev);
-        REPLAYING.with(|r| r.set(0));
         self.invs[i].errored |= res.is_err();
     }
 
@@ -1082,7 +1099,7 @@ impl Journal {
 // Resolution
 // ----------------------------------------------------------------
 
-/// What [`resolve`] decided.
+/// What [`resolve_run`] decided.
 pub struct Resolution {
     /// Invocations committed (0 when escalated).
     pub committed: u64,
@@ -1102,11 +1119,20 @@ pub struct Resolution {
     pub output: Vec<String>,
 }
 
-/// Validate the quiesced run, replaying aborted invocations through
-/// `run_body` (which must execute one function body under the caller's
-/// hooks, with spawns routed to [`replay_spawn`]). Disarms the journal
-/// before returning. Must only be called when no task is in flight.
-pub fn resolve(
+/// Validate the quiesced run of `interp`'s pool, replaying aborted
+/// invocations on this thread under the replay hooks. Disarms the
+/// journal before returning. Must only be called when no task is in
+/// flight.
+pub fn resolve_run(interp: &Interp, retry_limit: u32) -> Resolution {
+    let replays = Arc::new(ReplayHooks { pool: interp.hooks() });
+    interp.with_hooks(replays, || {
+        resolve(interp.heap(), retry_limit, &mut |fid, args| interp.call_fid_owned(fid, args))
+    })
+}
+
+/// [`resolve_run`], with each replay run by `run_body`: a function
+/// body as it runs under the replay hooks.
+fn resolve(
     heap: &Heap,
     retry_limit: u32,
     run_body: &mut dyn FnMut(FuncId, Vec<Value>) -> Result<Value>,
@@ -1391,6 +1417,97 @@ mod tests {
         assert_eq!(observed().accesses.len(), 1, "the observer kept its journal");
         arm().expect("free again once handed over");
         disarm();
+    }
+
+    /// A pool's hooks as a replay reaches them: they count the spawns
+    /// and futures that arrive and run nothing.
+    #[derive(Default)]
+    struct Counting {
+        spawns: AtomicU64,
+        futures: AtomicU64,
+    }
+
+    impl RuntimeHooks for Counting {
+        fn enqueue(&self, _: &Interp, _: usize, _: FuncId, _: Vec<Value>) -> Result<()> {
+            self.spawns.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        }
+
+        fn future(&self, _: &Interp, _: FuncId, _: Vec<Value>) -> Result<Value> {
+            self.futures.fetch_add(1, Ordering::Relaxed);
+            Ok(Value::NIL)
+        }
+
+        fn touch(&self, _: &Interp, v: Value) -> Result<Value> {
+            Ok(v)
+        }
+
+        fn lock(&self, _: &Interp, _: Value, _: u32, _: bool) -> Result<()> {
+            Ok(())
+        }
+
+        fn unlock(&self, _: &Interp, _: Value, _: u32, _: bool) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `src` loaded under `Counting` hooks, and a journaled run of
+    /// `(f x dst)` with a stale read, as in `stale_read_aborts_and_replays`:
+    /// invocation 1 spawns `(g x)`, invocation 2, then copies x into dst
+    /// before 2 stores 42 in x. Returns the root's recipe too.
+    fn a_stale_run_of_f(src: &str) -> (Interp, Arc<Counting>, FuncId, [Value; 2]) {
+        let interp = Interp::new();
+        interp.load_str(src).unwrap();
+        let pool = Arc::new(Counting::default());
+        interp.set_hooks(pool.clone());
+        let heap = interp.heap();
+        let fid = |name| interp.lookup_func(heap.intern(name)).unwrap();
+        let (f, g) = (fid("f"), fid("g"));
+        let [x, dst] = [1, 0].map(|v| heap.cons(Value::int(v), Value::NIL));
+        arm().unwrap();
+        root(1, f, &[x, dst]);
+        curare_obs::set_invocation(1);
+        record_spawn(1, 2, g, &[x], None);
+        heap.set_car(dst, heap.car(x).unwrap()).unwrap();
+        curare_obs::set_invocation(2);
+        heap.set_car(x, Value::int(42)).unwrap();
+        curare_obs::set_invocation(0);
+        (interp, pool, f, [x, dst])
+    }
+
+    fn hooks_are(interp: &Interp, pool: &Arc<Counting>) -> bool {
+        Arc::as_ptr(&interp.hooks()) as *const () == Arc::as_ptr(pool) as *const ()
+    }
+
+    #[test]
+    fn a_replayed_spawn_is_recorded_and_not_enqueued() {
+        let _g = guard();
+        let (interp, pool, _, [_, dst]) = a_stale_run_of_f(
+            "(defun g (x) x)
+             (defun f (x dst) (cri-enqueue 0 g x) (setf (car dst) (car x)))",
+        );
+        let r = resolve_run(&interp, 4);
+        // The replay spawned what the original did, so the run commits.
+        assert_eq!((r.escalated, r.aborts, r.replays, r.committed), (false, 1, 1, 2));
+        assert_eq!(interp.heap().car(dst).unwrap(), Value::int(42));
+        assert_eq!(pool.spawns.load(Ordering::Relaxed), 0, "the spawn was not enqueued");
+        assert!(hooks_are(&interp, &pool), "the pool's hooks are back");
+    }
+
+    #[test]
+    fn a_future_inside_a_replay_escalates() {
+        let _g = guard();
+        let (interp, pool, f, [x, dst]) = a_stale_run_of_f(
+            "(defun g (x) x)
+             (defun f (x dst) (cri-enqueue 0 g x) (setf (car dst) (car x)) (future (g x)))",
+        );
+        let r = resolve_run(&interp, 4);
+        assert!(r.escalated, "a replay cannot re-create a future");
+        assert_eq!(r.roots, vec![(f, vec![x, dst])]);
+        let cars = [x, dst].map(|c| interp.heap().car(c).unwrap());
+        assert_eq!(cars, [1, 0].map(Value::int), "rolled back");
+        assert_eq!(pool.futures.load(Ordering::Relaxed), 0, "the future never reached the pool");
+        assert!(hooks_are(&interp, &pool), "the pool's hooks are back");
     }
 
     #[test]

@@ -6,25 +6,22 @@
 //! future is a placeholder value; `touch` blocks until the producing
 //! task resolves it.
 
-use curare_lisp::sync::{Condvar, Mutex, RwLock};
+use curare_lisp::sync::{AppendVec, Condvar, Mutex};
 
 use curare_lisp::{LispError, Value};
 
-enum FutureState {
-    Pending,
-    Done(Value),
-    Failed(LispError),
-}
-
+/// One future: its outcome once written (`None` while pending).
 struct FutureSlot {
-    state: Mutex<FutureState>,
+    state: Mutex<Option<Result<Value, LispError>>>,
     cv: Condvar,
 }
 
 /// The table of live futures; `Value::future(id)` indexes into it.
+/// Slots never move, so every operation but `create` finds its slot
+/// without a lock.
 #[derive(Default)]
 pub struct FutureTable {
-    slots: RwLock<Vec<std::sync::Arc<FutureSlot>>>,
+    slots: AppendVec<FutureSlot>,
 }
 
 impl FutureTable {
@@ -35,17 +32,12 @@ impl FutureTable {
 
     /// Create a pending future; returns its value handle.
     pub fn create(&self) -> Value {
-        let mut slots = self.slots.write();
-        let id = slots.len() as u64;
-        slots.push(std::sync::Arc::new(FutureSlot {
-            state: Mutex::new(FutureState::Pending),
-            cv: Condvar::new(),
-        }));
-        Value::future(id)
+        let slot = FutureSlot { state: Mutex::new(None), cv: Condvar::new() };
+        Value::future(self.slots.push(slot) as u64)
     }
 
-    fn slot(&self, id: u64) -> Option<std::sync::Arc<FutureSlot>> {
-        self.slots.read().get(id as usize).cloned()
+    fn slot(&self, id: u64) -> Option<&FutureSlot> {
+        self.slots.get(usize::try_from(id).ok()?)
     }
 
     /// Resolve future `id` with a value. First write wins: returns
@@ -53,49 +45,34 @@ impl FutureTable {
     /// or failed, so no second writer can overwrite the result a
     /// waiter may already have observed.
     pub fn resolve(&self, id: u64, v: Value) -> bool {
-        crate::chaos::on_future_resolve();
-        if let Some(slot) = self.slot(id) {
-            let mut st = slot.state.lock();
-            if !matches!(&*st, FutureState::Pending) {
-                return false;
-            }
-            *st = FutureState::Done(v);
-            drop(st);
-            slot.cv.notify_all();
-            curare_obs::record(curare_obs::EventKind::FutureResolve, id);
-            return true;
-        }
-        false
+        self.write(id, Ok(v))
     }
 
     /// Fail future `id` with an error. First write wins, as in
     /// [`FutureTable::resolve`].
     pub fn fail(&self, id: u64, e: LispError) -> bool {
+        self.write(id, Err(e))
+    }
+
+    fn write(&self, id: u64, outcome: Result<Value, LispError>) -> bool {
         crate::chaos::on_future_resolve();
-        if let Some(slot) = self.slot(id) {
-            let mut st = slot.state.lock();
-            if !matches!(&*st, FutureState::Pending) {
-                return false;
-            }
-            *st = FutureState::Failed(e);
-            drop(st);
-            slot.cv.notify_all();
-            curare_obs::record(curare_obs::EventKind::FutureResolve, id);
-            return true;
+        let Some(slot) = self.slot(id) else { return false };
+        let mut st = slot.state.lock();
+        if st.is_some() {
+            return false;
         }
-        false
+        *st = Some(outcome);
+        drop(st);
+        slot.cv.notify_all();
+        curare_obs::record(curare_obs::EventKind::FutureResolve, id);
+        true
     }
 
     /// Ids of futures still pending — for stall dumps and the abort
     /// path (which must fail them so waiters unblock rather than hang).
     pub fn pending_ids(&self) -> Vec<u64> {
-        let slots = self.slots.read();
-        slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(&*s.state.lock(), FutureState::Pending))
-            .map(|(i, _)| i as u64)
-            .collect()
+        let pending = self.slots.iter().map(|s| s.state.lock().is_none());
+        pending.enumerate().filter(|&(_, p)| p).map(|(i, _)| i as u64).collect()
     }
 
     /// Block until future `id` resolves; returns its value.
@@ -106,32 +83,25 @@ impl FutureTable {
         let mut st = slot.state.lock();
         loop {
             match &*st {
-                FutureState::Done(v) => return Ok(*v),
-                FutureState::Failed(e) => return Err(e.clone()),
-                FutureState::Pending => slot.cv.wait(&mut st),
+                Some(outcome) => return outcome.clone(),
+                None => slot.cv.wait(&mut st),
             }
         }
     }
 
     /// Non-blocking read: `Some(result)` if resolved.
     pub fn try_get(&self, id: u64) -> Option<Result<Value, LispError>> {
-        let slot = self.slot(id)?;
-        let st = slot.state.lock();
-        match &*st {
-            FutureState::Done(v) => Some(Ok(*v)),
-            FutureState::Failed(e) => Some(Err(e.clone())),
-            FutureState::Pending => None,
-        }
+        self.slot(id)?.state.lock().clone()
     }
 
     /// Non-blocking probe (for tests).
     pub fn is_resolved(&self, id: u64) -> bool {
-        self.slot(id).map(|s| !matches!(&*s.state.lock(), FutureState::Pending)).unwrap_or(false)
+        self.slot(id).is_some_and(|s| s.state.lock().is_some())
     }
 
     /// Number of futures ever created.
     pub fn len(&self) -> usize {
-        self.slots.read().len()
+        self.slots.len()
     }
 
     /// True when no futures were created.

@@ -40,12 +40,15 @@
 
 pub mod chaos;
 pub mod futures;
+mod lifecycle;
 pub mod locktable;
 pub mod pool;
 pub mod queue;
+mod speculate;
 pub mod watchdog;
 
 pub use futures::FutureTable;
+pub use lifecycle::{CriRuntime, PoolStats, RuntimeConfig, SchedMode};
 pub use locktable::{Location, LockTable};
-pub use pool::{CriHooks, CriRuntime, PoolStats, RuntimeConfig, SchedMode};
+pub use pool::CriHooks;
 pub use queue::Task;

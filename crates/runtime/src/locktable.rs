@@ -244,11 +244,6 @@ impl LockTable {
         self.wait_hist.total_ns()
     }
 
-    /// Longest single contended wait, ns.
-    pub fn wait_max_ns(&self) -> u64 {
-        self.wait_hist.max_ns()
-    }
-
     /// Snapshot of the contended-wait histogram (count, total, max,
     /// p50, p95).
     pub fn wait_summary(&self) -> HistogramSummary {
@@ -430,7 +425,7 @@ mod tests {
         assert!(t.unlock(l, false));
         assert_eq!(t.wait_summary().count, 0);
         assert_eq!(t.wait_total_ns(), 0);
-        assert_eq!(t.wait_max_ns(), 0);
+        assert_eq!(t.wait_summary().max_ns, 0);
     }
 
     #[test]

@@ -60,142 +60,22 @@
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use curare_lisp::speclog;
 use curare_lisp::sync::{CachePadded, Condvar, Mutex};
-use curare_lisp::{FuncId, Interp, LispError, RuntimeHooks, Val, Value, Vm};
-use curare_obs::{EventKind, Json};
+use curare_lisp::{FuncId, Interp, LispError, Value, Vm};
+use curare_obs::EventKind;
+
+pub use crate::lifecycle::{CriRuntime, PoolStats, RuntimeConfig, SchedMode};
+pub use hooks::CriHooks;
+
+mod hooks;
 
 use crate::futures::FutureTable;
-use crate::locktable::{Location, LockTable};
+use crate::locktable::LockTable;
 use crate::queue::{ShardedQueues, Task};
-use crate::watchdog::{
-    self, BeatGuard, ServerBeat, PHASE_EXECUTING, PHASE_LOCK_WAIT, PHASE_TOUCH_WAIT,
-};
-
-/// Counters describing one `run` (and the pool's lifetime totals).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PoolStats {
-    /// Invocations executed.
-    pub tasks: u64,
-    /// Peak total queue length (chained tasks never enter a queue).
-    pub peak_queue: usize,
-    /// Lock acquisitions performed.
-    pub lock_acquisitions: u64,
-    /// Subset of `lock_acquisitions` taken in shared (read) mode —
-    /// how much of the lock traffic an rw placement moves off the
-    /// exclusive path.
-    pub lock_shared_acquisitions: u64,
-    /// Lock acquisitions that had to wait.
-    pub lock_contended: u64,
-    /// Tasks run directly by their producing server, skipping the
-    /// queues and condvar entirely.
-    pub chained_tasks: u64,
-    /// Subset of `chained_tasks` that never left their producer's VM
-    /// frame: tail-position spawns restarted in place.
-    pub in_place_tasks: u64,
-    /// Batch publications (each covers ≥ 1 task under one
-    /// notification).
-    pub batched_submits: u64,
-    /// Times a server found no work and blocked on the scheduler
-    /// condvar.
-    pub sched_lock_waits: u64,
-    /// Thread-local allocation buffer refills in the heap arenas.
-    pub tlab_refills: u64,
-    /// Total nanoseconds spent waiting in contended `cri-lock`
-    /// acquisitions (the count alone cannot tell a 1 ns collision
-    /// from a 10 ms convoy).
-    pub lock_wait_total_ns: u64,
-    /// Longest single contended lock wait, ns.
-    pub lock_wait_max_ns: u64,
-    /// Always 0: the pool never runs a body twice. Kept only because
-    /// the benchmark harness in `benchmark/` still reads it.
-    pub task_retries: u64,
-    /// Servers that left the pool after a task panicked on them.
-    pub servers_poisoned: u64,
-    /// `curare-stall/1` dumps emitted by the watchdog.
-    pub stall_dumps: u64,
-    /// Faults injected by the installed chaos plan (0 with no plan
-    /// installed; process-global, so concurrent pools under one plan
-    /// share the count).
-    pub faults_injected: u64,
-    /// True once no server was left alive and the waiting thread took
-    /// over, draining the queues sequentially.
-    pub degraded: bool,
-    /// Steal rounds begun by servers whose own site group was empty
-    /// (each round makes a bounded number of victim probes).
-    pub steal_attempts: u64,
-    /// Steal rounds that returned a task (via site migration or a
-    /// single-task steal-pop).
-    pub steal_successes: u64,
-    /// Victim probes lost to a race (site migrated or drained between
-    /// the mask snapshot and the site lock).
-    pub steal_failed_races: u64,
-    /// Whole sites whose ownership migrated to a thief.
-    pub sites_migrated: u64,
-    /// Times a server parked on its condvar after the backoff spins
-    /// found nothing runnable or stealable.
-    pub parks: u64,
-    /// Total nanoseconds servers spent parked.
-    pub park_ns: u64,
-    /// Most servers simultaneously parked (idle) at any point.
-    pub peak_idle_servers: usize,
-    /// Speculative invocations committed by the validator.
-    pub spec_commits: u64,
-    /// Speculative invocations aborted on a detected conflict (an
-    /// invocation aborted in several rounds counts each time).
-    pub spec_aborts: u64,
-    /// Aborted invocations replayed after their conflictors.
-    pub spec_replays: u64,
-    /// Committed invocations that never aborted (the commit-clean
-    /// numerator; `spec_commits` is the denominator).
-    pub spec_clean: u64,
-    /// True once a speculative run gave up (retry budget, a replay
-    /// surprise, or a parked error) and fell back to the sequential
-    /// rerun.
-    pub spec_escalated: bool,
-    /// Wall time inside the commit-time resolver (validation, undo and
-    /// replays), ns: the share of a speculative `run` that is not the
-    /// parallel execution.
-    pub spec_resolve_ns: u64,
-}
-
-/// Pool construction options beyond the server count.
-#[derive(Debug, Clone)]
-pub struct RuntimeConfig {
-    /// Work-distribution structure.
-    pub mode: SchedMode,
-    /// Arm the stall watchdog: a server stuck in one non-idle phase
-    /// longer than this budget produces a `curare-stall/1` dump.
-    /// `None` (the default) spawns no watchdog thread and keeps the
-    /// hot path free of heartbeat writes.
-    pub stall_budget: Option<Duration>,
-    /// Run in `SpecMode`: invocations execute optimistically, heap
-    /// effects are journaled, and a commit-time validator aborts and
-    /// replays conflicting invocations (escalating to a sequential
-    /// rerun when speculation cannot converge). Off by default.
-    pub speculate: bool,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        RuntimeConfig { mode: SchedMode::Sharded, stall_budget: None, speculate: false }
-    }
-}
-
-/// How the pool distributes work: two configurations of one queue
-/// structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedMode {
-    /// The paper-faithful central queue: one ownership group every
-    /// server drains; every spawn is published at once and signals.
-    Central,
-    /// One ownership group per server with stealing between them,
-    /// batched submit, and task chaining (the default).
-    Sharded,
-}
+use crate::watchdog::{BeatGuard, Watch, PHASE_EXECUTING};
 
 /// One executing invocation's unpublished successors. `key` ties the
 /// frame to a specific pool so nested pools on one thread (helping
@@ -221,9 +101,6 @@ thread_local! {
     /// Retired batch buffers, recycled so the per-task fast path does
     /// not allocate a fresh `Vec` for every invocation's frame.
     static SPARE: RefCell<Vec<Vec<Task>>> = const { RefCell::new(Vec::new()) };
-}
-
-thread_local! {
     /// (pool key, server index) when this thread is a pool's server —
     /// the poison policy applies only to servers of the panicking
     /// task's own pool, never to external helpers.
@@ -269,7 +146,6 @@ struct Counters {
     chained: AtomicU64,
     in_place: AtomicU64,
     batched_submits: AtomicU64,
-    sched_waits: AtomicU64,
     parks: AtomicU64,
     park_ns: AtomicU64,
     peak_parked: AtomicU64,
@@ -284,11 +160,10 @@ struct Parker {
     cv: Condvar,
 }
 
-struct Shared {
+/// The protocol's state, shared by the servers, the hooks and the
+/// pool's owner.
+pub(crate) struct Shared {
     sched: ShardedQueues,
-    /// Named by `mode()` and the run report; the behaviour it chose
-    /// is all in `sched`'s group count and `eager`.
-    mode: SchedMode,
     /// Publish every spawn at the spawn instead of buffering it to
     /// the end of its invocation (`Central`, and any speculative
     /// pool). Fixed at construction.
@@ -316,38 +191,45 @@ struct Shared {
     aborting: AtomicBool,
     locks: LockTable,
     futures: FutureTable,
-    // ---- robustness layer (panic policy / watchdog / degradation) ----
-    /// True when a stall budget armed the watchdog; gates every beat
-    /// write so the unwatched hot path pays one branch.
-    watched: bool,
-    /// Per-server heartbeats (empty when unwatched).
-    beats: Vec<Arc<ServerBeat>>,
+    /// The stall detector, when a budget armed it: every beat write
+    /// is behind this one test.
+    watch: Option<Watch>,
+    /// Servers not poisoned: the rest of `parkers` are.
     alive: AtomicUsize,
-    poisoned: AtomicU64,
-    stalls: AtomicU64,
     degraded: AtomicBool,
-    stall_dumps: Mutex<Vec<Json>>,
-    // ---- speculation layer (`SpecMode`) ----
     /// True when this pool runs speculatively: spawns register with
-    /// the journal and publish eagerly, body errors park instead of
-    /// aborting the run, and `run` validates at quiescence.
+    /// the journal and publish eagerly, and body errors park instead of
+    /// aborting the run.
     speculate: bool,
-    spec_commits: AtomicU64,
-    spec_aborts: AtomicU64,
-    spec_replays: AtomicU64,
-    spec_clean: AtomicU64,
-    spec_escalated: AtomicBool,
-    spec_resolve_ns: AtomicU64,
-}
-
-thread_local! {
-    /// True while this thread reruns invocations inline and
-    /// sequentially (the speculation escalation path): hook-routed
-    /// spawns call straight through instead of enqueueing.
-    static INLINE_SEQ: Cell<bool> = const { Cell::new(false) };
 }
 
 impl Shared {
+    /// The state of a pool of `servers` configured by `config`.
+    pub(crate) fn new(servers: usize, config: &RuntimeConfig) -> Arc<Self> {
+        Arc::new(Shared {
+            sched: match config.mode {
+                SchedMode::Central => ShardedQueues::new(),
+                SchedMode::Sharded => ShardedQueues::with_servers(servers),
+            },
+            eager: config.mode == SchedMode::Central || config.speculate,
+            parkers: (0..servers).map(|_| Parker::default()).collect(),
+            parked_mask: CachePadded::default(),
+            done_m: Mutex::new(()),
+            done_cv: Condvar::new(),
+            pending: CachePadded::default(),
+            counters: CachePadded::default(),
+            error: Mutex::new(None),
+            shutdown: AtomicBool::new(false),
+            aborting: AtomicBool::new(false),
+            locks: LockTable::new(),
+            futures: FutureTable::new(),
+            watch: config.stall_budget.map(|budget| Watch::new(servers, budget)),
+            alive: AtomicUsize::new(servers),
+            degraded: AtomicBool::new(false),
+            speculate: config.speculate,
+        })
+    }
+
     fn key(self: &Arc<Self>) -> usize {
         Arc::as_ptr(self) as usize
     }
@@ -423,7 +305,6 @@ impl Shared {
         // A thief can take anything; park only on globally empty queues.
         if !self.sched.has_work() && !self.shutdown.load(Ordering::SeqCst) {
             counters.parks.fetch_add(1, Ordering::Relaxed);
-            counters.sched_waits.fetch_add(1, Ordering::Relaxed);
             curare_obs::record(EventKind::Park, index as u64);
             let t0 = curare_obs::now_ns();
             let _timed_out = p.cv.wait_timeout(&mut g, timeout);
@@ -495,9 +376,8 @@ impl Shared {
         self.wake_servers(wake, 1);
         if self.degraded.load(Ordering::Acquire) {
             // A degraded pool's tasks are drained by the thread in
-            // `wait_idle`, which sleeps on `done_cv`, not `work_cv`.
-            let _g = self.done_m.lock();
-            self.done_cv.notify_all();
+            // `wait_idle`, which sleeps on `done_cv`, not a parker.
+            self.wake_waiter();
         }
     }
 
@@ -549,11 +429,15 @@ impl Shared {
             }
         }
         if finished > 0 && self.pending.fetch_sub(finished, Ordering::AcqRel) == finished {
-            // Last pending task: wake run() waiters. Lock their mutex
-            // to pair with the condvar wait.
-            let _guard = self.done_m.lock();
-            self.done_cv.notify_all();
+            self.wake_waiter(); // the last pending task
         }
+    }
+
+    /// Wake the thread in `wait_idle`, under its mutex to pair with the
+    /// condvar wait.
+    fn wake_waiter(&self) {
+        let _guard = self.done_m.lock();
+        self.done_cv.notify_all();
     }
 
     /// Remove the calling server thread from the pool: decrement the
@@ -567,10 +451,9 @@ impl Shared {
             return;
         }
         THREAD_POISONED.with(|p| p.set(true));
-        if let Some(beat) = self.beats.get(index) {
-            beat.alive.store(false, Ordering::Relaxed);
+        if let Some(watch) = &self.watch {
+            watch.retire(index);
         }
-        self.poisoned.fetch_add(1, Ordering::Relaxed);
         let now_alive = self.alive.fetch_sub(1, Ordering::AcqRel) - 1;
         curare_obs::record(EventKind::ServerPoisoned, now_alive as u64);
         // Rehome the dead server's sites to live groups and wake the
@@ -581,120 +464,10 @@ impl Shared {
         }
         if now_alive == 0 && !self.degraded.swap(true, Ordering::AcqRel) {
             curare_obs::record(EventKind::Degraded, now_alive as u64);
-            let _g = self.done_m.lock();
-            self.done_cv.notify_all();
+            self.wake_waiter();
         }
     }
 
-    /// Build one `curare-stall/1` dump for server `index`, stuck in
-    /// `phase` for `age_ns`: every server's heartbeat, currently held
-    /// locks, still-pending futures, scheduler occupancy, and the
-    /// stalled lane's most recent trace events (when a tracer is
-    /// installed).
-    fn stall_dump(&self, index: usize, age_ns: u64, budget_ns: u64, now: u64) -> Json {
-        let servers: Vec<Json> = self
-            .beats
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                Json::obj()
-                    .set("server", i)
-                    .set("alive", b.alive.load(Ordering::Relaxed))
-                    .set("phase", watchdog::phase_name(b.phase.load(Ordering::Relaxed)))
-                    .set("detail", b.detail.load(Ordering::Relaxed))
-                    .set("age_ns", b.age_ns(now))
-            })
-            .collect();
-        let held: Vec<Json> = self
-            .locks
-            .held_snapshot()
-            .into_iter()
-            .take(64)
-            .map(|(hash, wdepth, readers)| {
-                Json::obj().set("loc", hash).set("write_depth", wdepth).set("readers", readers)
-            })
-            .collect();
-        let pending_futures: Vec<Json> =
-            self.futures.pending_ids().into_iter().take(64).map(Json::from).collect();
-        let recent: Vec<Json> = curare_obs::installed()
-            .and_then(|t| {
-                let snaps = t.snapshot();
-                snaps.get(index + 1).map(|snap| {
-                    let skip = snap.events.len().saturating_sub(32);
-                    snap.events[skip..]
-                        .iter()
-                        .map(|e| {
-                            Json::obj()
-                                .set("ts_ns", e.ts_ns)
-                                .set("kind", e.kind.name())
-                                .set("arg", e.arg)
-                        })
-                        .collect()
-                })
-            })
-            .unwrap_or_default();
-        let stalled = &self.beats[index];
-        Json::obj()
-            .set("schema", "curare-stall/1")
-            .set("server", index)
-            .set("phase", watchdog::phase_name(stalled.phase.load(Ordering::Relaxed)))
-            .set("detail", stalled.detail.load(Ordering::Relaxed))
-            .set("age_ns", age_ns)
-            .set("budget_ns", budget_ns)
-            .set("alive", self.alive.load(Ordering::Acquire))
-            .set("pending_tasks", self.pending.load(Ordering::Acquire))
-            .set("queued", self.sched.has_work())
-            .set("degraded", self.degraded.load(Ordering::Acquire))
-            .set("servers", Json::Arr(servers))
-            .set("held_locks", Json::Arr(held))
-            .set("pending_futures", Json::Arr(pending_futures))
-            .set("recent_events", Json::Arr(recent))
-    }
-}
-
-/// The watchdog thread body: scan the heartbeats every quarter budget
-/// and dump any live server whose last transition is older than the
-/// budget while in a non-idle phase. One dump per stall — the
-/// per-server latch re-arms when the beat progresses or goes idle.
-/// Detection only: recovery belongs to the panic policy at the catch
-/// site, because a stalled-but-alive server cannot be safely killed
-/// from outside.
-fn watchdog_loop(shared: &Arc<Shared>, budget: Duration) {
-    let budget_ns = u64::try_from(budget.as_nanos()).unwrap_or(u64::MAX);
-    let tick = (budget / 4).max(Duration::from_millis(5));
-    let mut fired = vec![false; shared.beats.len()];
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        std::thread::sleep(tick);
-        let now = curare_obs::now_ns();
-        for (i, beat) in shared.beats.iter().enumerate() {
-            if !beat.alive.load(Ordering::Relaxed)
-                || beat.phase.load(Ordering::Relaxed) == watchdog::PHASE_IDLE
-            {
-                fired[i] = false;
-                continue;
-            }
-            if beat.age_ns(now) < budget_ns {
-                fired[i] = false;
-                continue;
-            }
-            if fired[i] {
-                continue;
-            }
-            fired[i] = true;
-            let dump = shared.stall_dump(i, beat.age_ns(now), budget_ns, now);
-            shared.stalls.fetch_add(1, Ordering::Relaxed);
-            let mut dumps = shared.stall_dumps.lock();
-            if dumps.len() < 64 {
-                dumps.push(dump);
-            }
-        }
-    }
-}
-
-impl Shared {
     /// Build the task for a spawn of `fid` by this pool, recording its
     /// causal events (the spawn edge, and the future it will resolve):
     /// in the access journal at the parent's spawn point, when the
@@ -714,6 +487,145 @@ impl Shared {
         }
         Task { fid, args, site, future, inv }
     }
+
+    /// Park a failed invocation under speculation instead of ending the
+    /// run: the body may have read misspeculated state, so the validator
+    /// decides at quiescence, and a genuine failure reproduces in the
+    /// sequential rerun, exactly once. Waiters unblock through the
+    /// failed future.
+    fn park_failure(&self, inv: u64, future: Option<u64>, err: LispError) {
+        if let Some(id) = future {
+            self.futures.fail(id, err);
+        }
+        speclog::record_error(inv);
+    }
+
+    /// Run popped `task` and the successors it chains on this thread,
+    /// then settle. A helping `touch` names the future it waits for:
+    /// once that resolves, a chained successor goes back to the queues
+    /// and the toucher returns promptly.
+    fn run_chain(
+        self: &Arc<Self>,
+        vm: &mut Vm<'_>,
+        tally: &mut Tally,
+        task: Task,
+        touching: Option<u64>,
+    ) {
+        let mut next = Some(task);
+        while let Some(t) = next.take() {
+            next = execute_task(self, vm, t, tally, touching.is_some());
+            if next.is_some() && touching.is_some_and(|id| self.futures.is_resolved(id)) {
+                self.requeue_chained(next.take().expect("checked"));
+            }
+        }
+        self.settle(tally, vm);
+    }
+
+    // ---- what the pool's owner and its watchdog use ----
+
+    /// Run `(fid args...)` from its root invocation until the pool is
+    /// idle, and hand back the error that ended the run, if one did.
+    pub(crate) fn run(
+        self: &Arc<Self>,
+        interp: &Interp,
+        fid: FuncId,
+        args: Vec<Value>,
+    ) -> Result<(), LispError> {
+        self.aborting.store(false, Ordering::Release);
+        *self.error.lock() = None;
+        self.submit_now(self.new_task(0, fid, args, None));
+        self.wait_idle(interp);
+        self.error.lock().take().map_or(Ok(()), Err)
+    }
+
+    /// Block until no invocation is pending. On a degraded pool (no
+    /// server left alive) the calling thread itself drains the queues
+    /// on `interp`, so the run still completes with the
+    /// sequentially-correct answer.
+    pub(crate) fn wait_idle(self: &Arc<Self>, interp: &Interp) {
+        loop {
+            if self.degraded() {
+                let (mut vm, mut tally) = (Vm::new(interp), Tally::default());
+                while let Some(t) = self.sched.pop() {
+                    self.run_chain(&mut vm, &mut tally, t, None);
+                }
+            }
+            let mut g = self.done_m.lock();
+            loop {
+                if self.pending_tasks() == 0 {
+                    return;
+                }
+                if self.degraded() && self.sched.has_work() {
+                    break; // go drain on this thread
+                }
+                self.done_cv.wait(&mut g);
+            }
+        }
+    }
+
+    /// Tell the servers and the watchdog to leave.
+    pub(crate) fn shut_down(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.wake_all();
+    }
+
+    /// `base` with the protocol's share of the pool's statistics, the
+    /// scheduler's counts, filled in.
+    pub(crate) fn stats(&self, base: PoolStats) -> PoolStats {
+        let (steal_attempts, steal_successes, steal_failed_races, sites_migrated) =
+            self.sched.steal_stats();
+        let c = &self.counters;
+        let count = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        PoolStats {
+            tasks: count(&c.executed),
+            peak_queue: self.sched.peak(),
+            chained_tasks: count(&c.chained),
+            in_place_tasks: count(&c.in_place),
+            batched_submits: count(&c.batched_submits),
+            servers_poisoned: (self.parkers.len() - self.alive()) as u64,
+            degraded: self.degraded(),
+            steal_attempts,
+            steal_successes,
+            steal_failed_races,
+            sites_migrated,
+            parks: count(&c.parks),
+            park_ns: count(&c.park_ns),
+            peak_idle_servers: count(&c.peak_parked) as usize,
+            ..base
+        }
+    }
+
+    pub(crate) fn is_shut_down(&self) -> bool {
+        self.shutdown.load(Ordering::Acquire)
+    }
+
+    pub(crate) fn alive(&self) -> usize {
+        self.alive.load(Ordering::Acquire)
+    }
+
+    pub(crate) fn degraded(&self) -> bool {
+        self.degraded.load(Ordering::Acquire)
+    }
+
+    pub(crate) fn pending_tasks(&self) -> u64 {
+        self.pending.load(Ordering::Acquire)
+    }
+
+    pub(crate) fn has_work(&self) -> bool {
+        self.sched.has_work()
+    }
+
+    pub(crate) fn locks(&self) -> &LockTable {
+        &self.locks
+    }
+
+    pub(crate) fn futures(&self) -> &FutureTable {
+        &self.futures
+    }
+
+    pub(crate) fn watch(&self) -> Option<&Watch> {
+        self.watch.as_ref()
+    }
 }
 
 /// Open an invocation's trace bracket and bind the thread to it,
@@ -731,666 +643,10 @@ fn end_invocation(fid: FuncId, inv: u64, prev: u64) {
     curare_obs::record(EventKind::TaskStop, curare_obs::pack_pair(fid as u64, inv));
 }
 
-/// The hooks a pooled interpreter runs under.
-pub struct CriHooks {
-    shared: Arc<Shared>,
-}
-
-impl CriHooks {
-    /// Append `task` to the executing invocation's batch frame, or
-    /// hand it back for immediate submission when no frame of this
-    /// pool is active (root-level calls).
-    fn try_batch(&self, task: Task) -> Option<Task> {
-        let key = self.shared.key();
-        BATCH.with(|b| {
-            let mut frames = b.borrow_mut();
-            match frames.last_mut() {
-                Some(f) if f.key == key => {
-                    f.tasks.push(task);
-                    None
-                }
-                _ => Some(task),
-            }
-        })
-    }
-
-    /// Publish the executing invocation's buffered successors now.
-    /// Called before any potentially blocking wait so no other server
-    /// (or future toucher) can depend on unpublished work, and before
-    /// an early publication so that it lands behind them.
-    fn flush_batch(&self) {
-        let key = self.shared.key();
-        BATCH.with(|b| {
-            if let Some(f) = b.borrow_mut().last_mut().filter(|f| f.key == key) {
-                self.shared.publish_batch(&mut f.tasks, false, &mut f.batched);
-            }
-        });
-    }
-
-    /// Every spawn leaves its producer here. `now` is the one early
-    /// publication: the task goes to the queues at once, behind
-    /// whatever the invocation still buffers (per-site FIFO), instead
-    /// of joining the batch that publishes — or chains — at invocation
-    /// end. Hand-off asks for it because its producer's tail is long;
-    /// an eager pool always does (speculation for the same overlap).
-    #[inline]
-    fn spawn(&self, task: Task, now: bool) {
-        if now || self.shared.eager {
-            self.flush_batch();
-            self.shared.submit_now(task);
-        } else if let Some(task) = self.try_batch(task) {
-            self.shared.submit_now(task);
-        }
-    }
-
-    fn enqueue_at(
-        &self,
-        interp: &Interp,
-        site: usize,
-        fid: FuncId,
-        args: Vec<Value>,
-        now: bool,
-    ) -> Result<(), LispError> {
-        if INLINE_SEQ.with(Cell::get) {
-            return interp.call_fid_owned(fid, args).map(|_| ());
-        }
-        if self.shared.speculate && speclog::replaying() {
-            // Suppressed spawn inside a replayed body: match it
-            // against the original run's record instead of enqueueing
-            // (the subtree already executed; divergence escalates).
-            speclog::replay_spawn(fid, &args);
-            return Ok(());
-        }
-        if self.shared.aborting.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        curare_obs::record(EventKind::Enqueue, site as u64);
-        self.spawn(self.shared.new_task(site, fid, args, None), now);
-        Ok(())
-    }
-}
-
-impl RuntimeHooks for CriHooks {
-    /// The chain decision, taken at a tail-position spawn: that spawn
-    /// ends the batch `publish_batch` would judge at invocation end,
-    /// so the same conditions decide — `chains_past` what is buffered,
-    /// not aborting — for the tasks `may_restart` admits, and what is
-    /// buffered is published as it would be there. Every link is still
-    /// a task: counted, leaving the records a materialised chain leaves,
-    /// in their order, and starting at the plan's task-start point.
-    fn chain_in_place(&self, site: usize, fid: FuncId) -> bool {
-        let shared = &self.shared;
-        let key = shared.key();
-        BATCH.with(|b| {
-            let mut frames = b.borrow_mut();
-            let Some(f) = frames.last_mut().filter(|f| f.key == key && f.may_restart) else {
-                return false;
-            };
-            if shared.aborting.load(Ordering::Acquire) || !shared.chains_past(site, &f.tasks) {
-                return false;
-            }
-            curare_obs::record(EventKind::Enqueue, site as u64);
-            // No arguments: re-execution recipes are for a speculative
-            // run's resolver, and an eager pool never restarts in place.
-            let next = shared.new_task(site, fid, Vec::new(), None).inv;
-            end_invocation(f.fid, f.inv, 0);
-            shared.publish_batch(&mut f.tasks, false, &mut f.batched);
-            curare_obs::record(EventKind::Chain, site as u64);
-            begin_invocation(fid, next);
-            (f.fid, f.inv, f.in_place) = (fid, next, f.in_place + 1);
-            if shared.watched {
-                watchdog::beat_enter(PHASE_EXECUTING, fid as u64);
-            }
-            crate::chaos::on_task_start();
-            true
-        })
-    }
-
-    fn enqueue(
-        &self,
-        interp: &Interp,
-        site: usize,
-        fid: FuncId,
-        args: Vec<Value>,
-    ) -> Result<(), LispError> {
-        self.enqueue_at(interp, site, fid, args, false)
-    }
-
-    fn handoff(
-        &self,
-        interp: &Interp,
-        site: usize,
-        fid: FuncId,
-        args: Vec<Value>,
-    ) -> Result<(), LispError> {
-        self.enqueue_at(interp, site, fid, args, true)
-    }
-
-    fn future(&self, interp: &Interp, fid: FuncId, args: Vec<Value>) -> Result<Value, LispError> {
-        if INLINE_SEQ.with(Cell::get) {
-            return interp.call_fid_owned(fid, args);
-        }
-        if self.shared.speculate && speclog::replaying() {
-            // The original future's value was already consumed by its
-            // toucher; a replay cannot re-create it. Fall back to the
-            // sequential rerun.
-            speclog::escalate_now();
-            return Err(LispError::User("speculative replay cannot re-create a future".into()));
-        }
-        let fut = self.shared.futures.create();
-        let Val::Future(id) = fut.decode() else { unreachable!("create returns a future") };
-        if self.shared.aborting.load(Ordering::Acquire) {
-            self.shared.futures.fail(id, LispError::User("aborted by earlier error".into()));
-            return Ok(fut);
-        }
-        curare_obs::record(EventKind::Enqueue, 0);
-        self.spawn(self.shared.new_task(0, fid, args, Some(id)), false);
-        Ok(fut)
-    }
-
-    fn touch(&self, interp: &Interp, v: Value) -> Result<Value, LispError> {
-        match v.decode() {
-            // A server blocked in touch would strand queued work (and
-            // deadlock pools shallower than the recursion), so touch
-            // *helps*: it executes queued invocations while waiting —
-            // the Multilisp discipline.
-            Val::Future(id) => {
-                self.flush_batch();
-                let blocked = !self.shared.futures.is_resolved(id);
-                if blocked {
-                    curare_obs::record(EventKind::FutureBlock, id);
-                }
-                // Heartbeat: the wait-entry timestamp is deliberately
-                // NOT refreshed by the idle sleep below — a touch that
-                // waits without making progress must age into a stall.
-                // Helped tasks refresh it on completion (their guard's
-                // exit), because helping *is* progress.
-                let _beat = self.shared.watched.then(|| BeatGuard::enter(PHASE_TOUCH_WAIT, id));
-                let mut idle_us: u64 = 1;
-                // A helper's own context and tally (the server's are
-                // up the stack, on loan to the op that called this).
-                let mut help: Option<(Vm<'_>, Tally)> = None;
-                loop {
-                    if let Some(result) = self.shared.futures.try_get(id) {
-                        speclog::record_touch(id);
-                        // A wake ends the block's wait in the trace; the
-                        // profiler also reads it as a touch edge.
-                        if blocked || curare_obs::profiling_enabled() {
-                            curare_obs::record(
-                                EventKind::TouchWake,
-                                curare_obs::pack_pair(curare_obs::current_invocation(), id),
-                            );
-                        }
-                        return result;
-                    }
-                    if self.shared.shutdown.load(Ordering::Acquire) {
-                        return Err(LispError::User("pool shut down while touching".into()));
-                    }
-                    match self.shared.sched.pop() {
-                        Some(t) => {
-                            idle_us = 1;
-                            let (vm, tally) =
-                                help.get_or_insert_with(|| (Vm::new(interp), Tally::default()));
-                            let mut next = Some(t);
-                            while let Some(t) = next.take() {
-                                next = execute_task(&self.shared, vm, t, tally, true);
-                                // Once the touched future resolves,
-                                // hand any chained successor back to
-                                // the pool and return promptly.
-                                if next.is_some() && self.shared.futures.is_resolved(id) {
-                                    self.shared.requeue_chained(next.take().expect("checked"));
-                                }
-                            }
-                            self.shared.settle(tally, vm);
-                        }
-                        None => {
-                            // The resolving task runs elsewhere; back
-                            // off exponentially (1 µs doubling to a
-                            // 256 µs cap) rather than spin-poll at a
-                            // fixed rate.
-                            std::thread::sleep(std::time::Duration::from_micros(idle_us));
-                            idle_us = (idle_us * 2).min(256);
-                        }
-                    }
-                }
-            }
-            _ => Ok(v),
-        }
-    }
-
-    fn lock(
-        &self,
-        _interp: &Interp,
-        cell: Value,
-        field: u32,
-        exclusive: bool,
-    ) -> Result<(), LispError> {
-        // Publish buffered work first: a blocking lock acquisition
-        // must never hold successors hostage in a local buffer.
-        self.flush_batch();
-        let _beat = self.shared.watched.then(|| BeatGuard::enter(PHASE_LOCK_WAIT, cell.bits()));
-        self.shared.locks.lock(Location::new(cell, field), exclusive);
-        Ok(())
-    }
-
-    fn unlock(
-        &self,
-        _interp: &Interp,
-        cell: Value,
-        field: u32,
-        exclusive: bool,
-    ) -> Result<(), LispError> {
-        if self.shared.locks.unlock(Location::new(cell, field), exclusive) {
-            Ok(())
-        } else {
-            Err(LispError::User("cri-unlock without a matching cri-lock".into()))
-        }
-    }
-}
-
-/// The server pool. Owns its worker threads; dropping shuts them down.
-pub struct CriRuntime {
-    interp: Arc<Interp>,
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-    watchdog: Option<JoinHandle<()>>,
-    servers: usize,
-}
-
 /// Per-server native stack size. Invocation bodies are shallow (the
 /// recursion became queue hops), but builtins and user helpers may
 /// still recurse.
-const SERVER_STACK: usize = 256 << 20;
-
-impl CriRuntime {
-    /// Spawn `servers` server threads over `interp` with the default
-    /// low-contention scheduler and install the CRI hooks on it.
-    pub fn new(interp: Arc<Interp>, servers: usize) -> Self {
-        Self::with_mode(interp, servers, SchedMode::Sharded)
-    }
-
-    /// Spawn a pool on an explicit [`SchedMode`] (the `Central`
-    /// baseline exists for E8 and the benchmark's central passes).
-    pub fn with_mode(interp: Arc<Interp>, servers: usize, mode: SchedMode) -> Self {
-        Self::with_config(interp, servers, RuntimeConfig { mode, ..RuntimeConfig::default() })
-    }
-
-    /// Spawn a pool with full [`RuntimeConfig`] control (scheduler
-    /// mode, stall watchdog, speculation).
-    pub fn with_config(interp: Arc<Interp>, servers: usize, config: RuntimeConfig) -> Self {
-        let servers = servers.max(1);
-        let sched = match config.mode {
-            SchedMode::Central => ShardedQueues::new(),
-            SchedMode::Sharded => ShardedQueues::with_servers(servers),
-        };
-        let watched = config.stall_budget.is_some();
-        let beats = if watched {
-            (0..servers).map(|_| Arc::new(ServerBeat::new())).collect()
-        } else {
-            Vec::new()
-        };
-        let shared = Arc::new(Shared {
-            sched,
-            mode: config.mode,
-            eager: config.mode == SchedMode::Central || config.speculate,
-            parkers: (0..servers).map(|_| Parker::default()).collect(),
-            parked_mask: CachePadded::default(),
-            done_m: Mutex::new(()),
-            done_cv: Condvar::new(),
-            pending: CachePadded::default(),
-            counters: CachePadded::default(),
-            error: Mutex::new(None),
-            shutdown: AtomicBool::new(false),
-            aborting: AtomicBool::new(false),
-            locks: LockTable::new(),
-            futures: FutureTable::new(),
-            watched,
-            beats,
-            alive: AtomicUsize::new(servers),
-            poisoned: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
-            degraded: AtomicBool::new(false),
-            stall_dumps: Mutex::new(Vec::new()),
-            speculate: config.speculate,
-            spec_commits: AtomicU64::new(0),
-            spec_aborts: AtomicU64::new(0),
-            spec_replays: AtomicU64::new(0),
-            spec_clean: AtomicU64::new(0),
-            spec_escalated: AtomicBool::new(false),
-            spec_resolve_ns: AtomicU64::new(0),
-        });
-        interp.set_hooks(Arc::new(CriHooks { shared: Arc::clone(&shared) }));
-
-        let workers = (0..servers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let interp = Arc::clone(&interp);
-                std::thread::Builder::new()
-                    .name(format!("cri-server-{i}"))
-                    .stack_size(SERVER_STACK)
-                    .spawn(move || server_loop(&interp, &shared, i))
-                    .expect("spawn server thread")
-            })
-            .collect();
-        let watchdog = config.stall_budget.map(|budget| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("cri-watchdog".into())
-                .spawn(move || watchdog_loop(&shared, budget))
-                .expect("spawn watchdog thread")
-        });
-        CriRuntime { interp, shared, workers, watchdog, servers }
-    }
-
-    /// Number of servers.
-    pub fn servers(&self) -> usize {
-        self.servers
-    }
-
-    /// The scheduler this pool runs on.
-    pub fn mode(&self) -> SchedMode {
-        self.shared.mode
-    }
-
-    /// The interpreter this pool executes against.
-    pub fn interp(&self) -> &Arc<Interp> {
-        &self.interp
-    }
-
-    /// Execute `(fname args...)` to completion across the pool:
-    /// enqueue the root invocation, then wait until every transitively
-    /// spawned invocation has finished. The function's effects are the
-    /// result; the returned value is `nil` unless an error occurred.
-    pub fn run(&self, fname: &str, args: &[Value]) -> Result<(), LispError> {
-        let sym = self.interp.heap().intern(fname);
-        let fid = self
-            .interp
-            .lookup_func(sym)
-            .ok_or_else(|| LispError::UndefinedFunction(fname.to_string()))?;
-        self.shared.aborting.store(false, Ordering::Release);
-        *self.shared.error.lock() = None;
-        if self.shared.speculate {
-            return self.run_speculative(fid, args);
-        }
-
-        self.shared.submit_now(self.shared.new_task(0, fid, args.to_vec(), None));
-        self.wait_idle();
-        match self.shared.error.lock().take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// A `SpecMode` run: arm the journal, execute optimistically, and
-    /// resolve at quiescence — validate the interleaving against the
-    /// sequential ranks, abort and replay conflicting invocations,
-    /// and commit; or roll everything back and rerun the roots inline
-    /// when speculation cannot converge. The journal is process-wide:
-    /// while one speculative run is in flight a second one is an error.
-    fn run_speculative(&self, fid: FuncId, args: &[Value]) -> Result<(), LispError> {
-        /// Abort/replay rounds before a speculative run gives up and
-        /// falls to the sequential-degradation rerun.
-        const SPEC_RETRY_LIMIT: u32 = 8;
-        speclog::arm()?;
-        self.shared.submit_now(self.shared.new_task(0, fid, args.to_vec(), None));
-        self.wait_idle();
-        // Quiesced: every task has finished and its records are in the
-        // lanes, so validation and any replays run single-threaded on
-        // this thread (replayed bodies route their spawns through
-        // `replay_spawn` in the hooks).
-        let t0 = curare_obs::now_ns();
-        let res = speclog::resolve(self.interp.heap(), SPEC_RETRY_LIMIT, &mut {
-            let interp = &self.interp;
-            move |fid, args| interp.call_fid_owned(fid, args)
-        });
-        let resolve_ns = curare_obs::now_ns().saturating_sub(t0);
-        self.shared.spec_resolve_ns.fetch_add(resolve_ns, Ordering::Relaxed);
-        self.shared.spec_commits.fetch_add(res.committed, Ordering::Relaxed);
-        self.shared.spec_aborts.fetch_add(res.aborts, Ordering::Relaxed);
-        self.shared.spec_replays.fetch_add(res.replays, Ordering::Relaxed);
-        self.shared.spec_clean.fetch_add(res.clean, Ordering::Relaxed);
-        // The journal is disarmed now, so committed lines (already in
-        // sequential order) append to the ordinary output log.
-        for line in res.output {
-            self.interp.emit(line);
-        }
-        if res.escalated {
-            self.shared.spec_escalated.store(true, Ordering::Release);
-            for (fid, args) in res.roots {
-                // A genuine sequential error surfaces here, exactly as
-                // the non-speculative run would have reported it.
-                self.run_inline(fid, args)?;
-            }
-        }
-        match self.shared.error.lock().take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Execute one invocation inline and sequentially (the speculation
-    /// escalation path): hook-routed spawns call straight through.
-    fn run_inline(&self, fid: FuncId, args: Vec<Value>) -> Result<(), LispError> {
-        INLINE_SEQ.with(|f| f.set(true));
-        let res = self.interp.call_fid_owned(fid, args).map(|_| ());
-        INLINE_SEQ.with(|f| f.set(false));
-        res
-    }
-
-    /// Spawn `(fname args...)` as a future from the caller's thread.
-    pub fn spawn_future(&self, fname: &str, args: &[Value]) -> Result<Value, LispError> {
-        let sym = self.interp.heap().intern(fname);
-        let fid = self
-            .interp
-            .lookup_func(sym)
-            .ok_or_else(|| LispError::UndefinedFunction(fname.to_string()))?;
-        self.interp.hooks().future(&self.interp, fid, args.to_vec())
-    }
-
-    /// Wait for a future value (identity on plain values).
-    pub fn touch(&self, v: Value) -> Result<Value, LispError> {
-        self.interp.hooks().touch(&self.interp, v)
-    }
-
-    /// Block until no invocation is pending. On a degraded pool (no
-    /// server left alive) the waiting thread itself drains the queues
-    /// sequentially, so the run still completes with the
-    /// sequentially-correct answer.
-    pub fn wait_idle(&self) {
-        loop {
-            if self.shared.degraded.load(Ordering::Acquire) {
-                self.drain_degraded();
-            }
-            let mut g = self.shared.done_m.lock();
-            loop {
-                if self.shared.pending.load(Ordering::Acquire) == 0 {
-                    return;
-                }
-                if self.shared.degraded.load(Ordering::Acquire) && self.shared.sched.has_work() {
-                    break; // go drain on this thread
-                }
-                self.shared.done_cv.wait(&mut g);
-            }
-        }
-    }
-
-    /// Sequential fallback: execute every queued task (and its chains)
-    /// on the calling thread.
-    fn drain_degraded(&self) {
-        let (mut vm, mut tally) = (Vm::new(&self.interp), Tally::default());
-        while let Some(t) = self.shared.sched.pop() {
-            let mut next = Some(t);
-            while let Some(t) = next.take() {
-                next = execute_task(&self.shared, &mut vm, t, &mut tally, false);
-            }
-            self.shared.settle(&mut tally, &mut vm);
-        }
-    }
-
-    /// Lifetime statistics.
-    pub fn stats(&self) -> PoolStats {
-        let (steal_attempts, steal_successes, steal_failed_races, sites_migrated) =
-            self.shared.sched.steal_stats();
-        let c = &self.shared.counters;
-        PoolStats {
-            steal_attempts,
-            steal_successes,
-            steal_failed_races,
-            sites_migrated,
-            parks: c.parks.load(Ordering::Relaxed),
-            park_ns: c.park_ns.load(Ordering::Relaxed),
-            peak_idle_servers: c.peak_parked.load(Ordering::Relaxed) as usize,
-            tasks: c.executed.load(Ordering::Relaxed),
-            peak_queue: self.shared.sched.peak(),
-            lock_acquisitions: self.shared.locks.acquisitions(),
-            lock_shared_acquisitions: self.shared.locks.shared_acquisitions(),
-            lock_contended: self.shared.locks.contended(),
-            chained_tasks: c.chained.load(Ordering::Relaxed),
-            in_place_tasks: c.in_place.load(Ordering::Relaxed),
-            batched_submits: c.batched_submits.load(Ordering::Relaxed),
-            sched_lock_waits: c.sched_waits.load(Ordering::Relaxed),
-            tlab_refills: self.interp.heap().tlab_refills(),
-            lock_wait_total_ns: self.shared.locks.wait_total_ns(),
-            lock_wait_max_ns: self.shared.locks.wait_max_ns(),
-            task_retries: 0,
-            servers_poisoned: self.shared.poisoned.load(Ordering::Relaxed),
-            stall_dumps: self.shared.stalls.load(Ordering::Relaxed),
-            faults_injected: crate::chaos::installed().map_or(0, |p| p.injected()),
-            degraded: self.shared.degraded.load(Ordering::Acquire),
-            spec_commits: self.shared.spec_commits.load(Ordering::Relaxed),
-            spec_aborts: self.shared.spec_aborts.load(Ordering::Relaxed),
-            spec_replays: self.shared.spec_replays.load(Ordering::Relaxed),
-            spec_clean: self.shared.spec_clean.load(Ordering::Relaxed),
-            spec_escalated: self.shared.spec_escalated.load(Ordering::Acquire),
-            spec_resolve_ns: self.shared.spec_resolve_ns.load(Ordering::Relaxed),
-        }
-    }
-
-    /// True when this pool runs in `SpecMode`.
-    pub fn speculating(&self) -> bool {
-        self.shared.speculate
-    }
-
-    /// True once no server was left alive and the pool fell back to
-    /// sequential draining.
-    pub fn degraded(&self) -> bool {
-        self.shared.degraded.load(Ordering::Acquire)
-    }
-
-    /// Servers still alive (not poisoned or shut down).
-    pub fn alive(&self) -> usize {
-        self.shared.alive.load(Ordering::Acquire)
-    }
-
-    /// The `curare-stall/1` dumps the watchdog has emitted (capped at
-    /// 64 per pool lifetime).
-    pub fn stall_dumps(&self) -> Vec<Json> {
-        self.shared.stall_dumps.lock().clone()
-    }
-
-    /// Machine-readable run report (`curare-report/1`): the pool
-    /// counters, the heap occupancy, and the lock-wait histogram in
-    /// one JSON document. `label` names the run in the report header.
-    pub fn run_report(&self, label: &str) -> Json {
-        let stats = self.stats();
-        let pool = Json::obj()
-            .set("servers", self.servers)
-            .set(
-                "mode",
-                match self.shared.mode {
-                    SchedMode::Central => "central",
-                    SchedMode::Sharded => "sharded",
-                },
-            )
-            .set("tasks", stats.tasks)
-            .set("peak_queue", stats.peak_queue)
-            .set("chained_tasks", stats.chained_tasks)
-            .set("in_place_tasks", stats.in_place_tasks)
-            .set("batched_submits", stats.batched_submits)
-            .set("sched_lock_waits", stats.sched_lock_waits)
-            .set("steal_attempts", stats.steal_attempts)
-            .set("steal_successes", stats.steal_successes)
-            .set("steal_failed_races", stats.steal_failed_races)
-            .set("sites_migrated", stats.sites_migrated)
-            .set("parks", stats.parks)
-            .set("park_ns", stats.park_ns)
-            .set("peak_idle_servers", stats.peak_idle_servers)
-            .set("tlab_refills", stats.tlab_refills)
-            .set("servers_poisoned", stats.servers_poisoned)
-            .set("stall_dumps", stats.stall_dumps)
-            .set("faults_injected", stats.faults_injected)
-            .set("degraded", stats.degraded)
-            .set("speculate", self.shared.speculate)
-            .set("spec_commits", stats.spec_commits)
-            .set("spec_aborts", stats.spec_aborts)
-            .set("spec_replays", stats.spec_replays)
-            .set("spec_clean", stats.spec_clean)
-            .set("spec_escalated", stats.spec_escalated)
-            .set("spec_resolve_ns", stats.spec_resolve_ns);
-        let hs = self.interp.heap().stats();
-        let heap = Json::obj()
-            .set("conses", hs.conses)
-            .set("slots", hs.slots)
-            .set("floats", hs.floats)
-            .set("strings", hs.strings)
-            .set("tlab_refills", stats.tlab_refills);
-        let locks = Json::obj()
-            .set("acquisitions", stats.lock_acquisitions)
-            .set("shared_acquisitions", stats.lock_shared_acquisitions)
-            .set("contended", stats.lock_contended)
-            .set("wait", self.shared.locks.wait_summary().to_json());
-        let vs = curare_lisp::vm_stats();
-        let vm = Json::obj()
-            .set(
-                "engine",
-                match self.interp.engine() {
-                    curare_lisp::Engine::Vm => "vm",
-                    curare_lisp::Engine::Tree => "tree",
-                },
-            )
-            .set("dispatched_ops", vs.dispatched_ops)
-            .set("typed_ops", vs.typed_ops)
-            .set("fused_ops", vs.fused_ops)
-            .set("frames_reused", vs.frames_reused)
-            .set("frames_allocated", vs.frames_allocated)
-            // Hottest opcodes by accumulated handler ns; always
-            // present, empty unless per-opcode profiling was on
-            // during the run.
-            .set(
-                "hot_ops",
-                Json::Arr(
-                    curare_lisp::op_profile_top(8)
-                        .into_iter()
-                        .map(|r| {
-                            Json::obj().set("op", r.name).set("count", r.count).set("ns", r.ns)
-                        })
-                        .collect(),
-                ),
-            );
-        Json::obj()
-            .set("schema", curare_obs::SCHEMA_REPORT)
-            .set("label", label)
-            .set("pool", pool)
-            .set("heap", heap)
-            .set("locks", locks)
-            .set("vm", vm)
-    }
-}
-
-impl Drop for CriRuntime {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.wake_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        if let Some(w) = self.watchdog.take() {
-            let _ = w.join();
-        }
-        // Restore ordinary semantics on the interpreter.
-        self.interp.set_hooks(Arc::new(curare_lisp::SequentialHooks));
-    }
-}
+pub(crate) const SERVER_STACK: usize = 256 << 20;
 
 /// Idle policy knobs for `server_loop`: a few exponentially widening
 /// spin rounds absorb the publish-to-pop latency of a busy pool, then
@@ -1400,15 +656,17 @@ const IDLE_SPIN_ROUNDS: u32 = 6;
 const PARK_TIMEOUT_MIN: Duration = Duration::from_millis(1);
 const PARK_TIMEOUT_MAX: Duration = Duration::from_millis(64);
 
-fn server_loop(interp: &Interp, shared: &Arc<Shared>, index: usize) {
+/// Server `index`'s life: pop, run the chain, settle when dry, park
+/// when idle, until the pool shuts down or the server is poisoned.
+pub(crate) fn server_loop(interp: &Interp, shared: &Arc<Shared>, index: usize) {
     // Servers get a large native stack; let the evaluator use most of
     // it for any residual non-tail recursion in task bodies.
     curare_lisp::eval::set_thread_stack_budget(SERVER_STACK - (4 << 20));
     // Trace lane: server i records into ring i + 1 (0 is external).
     curare_obs::set_lane(index + 1);
     SERVER_OF.with(|s| s.set((shared.key(), index)));
-    if shared.watched {
-        watchdog::set_current_beat(shared.beats.get(index).cloned());
+    if let Some(watch) = &shared.watch {
+        watch.bind(index);
     }
     // Per-server deterministic victim-selection stream: seeded from
     // the index alone, so a chaos replay of the same seed and program
@@ -1484,7 +742,7 @@ fn execute_task(
     BATCH.with(|b| {
         b.borrow_mut().push(BatchFrame { key, fid, inv, tasks, may_restart, in_place, batched })
     });
-    let _beat = shared.watched.then(|| BeatGuard::enter(PHASE_EXECUTING, fid as u64));
+    let _beat = shared.watch.is_some().then(|| BeatGuard::enter(PHASE_EXECUTING, fid as u64));
     let prev_inv = begin_invocation(fid, inv);
     crate::chaos::on_task_start();
     // The body runs under `catch_unwind`, so a panicking invocation
@@ -1505,20 +763,14 @@ fn execute_task(
             put_spare(frame.tasks);
             vm.reset();
             if shared.speculate {
-                // SpecMode does not poison: park the panic as an
-                // errored invocation and let the validator escalate to
-                // the sequential rerun, which is exactly-once by
-                // construction.
-                speclog::record_error(inv);
-                if let Some(id) = future {
-                    shared
-                        .futures
-                        .fail(id, LispError::User("task panicked under speculation".into()));
-                }
+                // SpecMode does not poison: the validator escalates to
+                // the sequential rerun.
+                let err = LispError::User("task panicked under speculation".into());
+                shared.park_failure(inv, future, err);
                 tally.finished += 1;
-                return None;
+            } else {
+                handle_panic(shared, vm, payload.as_ref(), future, tally);
             }
-            handle_panic(shared, vm, payload.as_ref(), future, tally);
             return None;
         }
     };
@@ -1536,17 +788,7 @@ fn execute_task(
                 shared.futures.resolve(id, v);
             }
         }
-        Err(e) if shared.speculate => {
-            // SpecMode parks the error instead of aborting the run:
-            // the failing body may have read misspeculated state, so
-            // the validator decides at quiescence — a genuine error
-            // reproduces in the sequential rerun. Waiters still
-            // unblock through the failed future.
-            if let Some(id) = future {
-                shared.futures.fail(id, e);
-            }
-            speclog::record_error(inv);
-        }
+        Err(e) if shared.speculate => shared.park_failure(inv, future, e),
         Err(e) => shared.abort_run(e, future),
     }
     // A chained successor inherits this invocation's pending count;

@@ -3,7 +3,7 @@
 //! Each watched server publishes a [`ServerBeat`] — a timestamped
 //! (phase, detail) pair updated at every phase transition. The pool's
 //! watchdog thread (spawned only when `RuntimeConfig::stall_budget` is
-//! set; see `pool::watchdog_loop`) scans the beats on a coarse tick
+//! set, running `watch`) scans the beats on a coarse tick
 //! and flags any server whose *last transition* is older than the
 //! budget while in a non-idle phase — a blocked `touch`, a lock
 //! convoy, or a body that simply never returns. Detection is separate
@@ -41,6 +41,12 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
+
+use curare_lisp::sync::Mutex;
+use curare_obs::Json;
+
+use crate::pool::Shared;
 
 /// Server is parked or between tasks; never considered stalled.
 pub const PHASE_IDLE: u8 = 0;
@@ -155,6 +161,115 @@ impl Drop for BeatGuard {
     fn drop(&mut self) {
         beat_exit(self.prev);
     }
+}
+
+/// A watched pool's stall detector: one beat per server, and the
+/// dumps the watchdog made of them.
+pub(crate) struct Watch {
+    budget: Duration,
+    beats: Vec<Arc<ServerBeat>>,
+    /// Stalls detected, and the dumps of the first 64.
+    found: Mutex<(u64, Vec<Json>)>,
+}
+
+impl Watch {
+    /// A detector for `servers` servers, each stalled after `budget`
+    /// in one non-idle phase.
+    pub(crate) fn new(servers: usize, budget: Duration) -> Self {
+        let beats = (0..servers).map(|_| Arc::new(ServerBeat::new())).collect();
+        Watch { budget, beats, found: Mutex::new((0, Vec::new())) }
+    }
+
+    /// Bind the calling thread, server `index`, to its beat.
+    pub(crate) fn bind(&self, index: usize) {
+        set_current_beat(self.beats.get(index).cloned());
+    }
+
+    /// Server `index` left the pool: its beat never stalls.
+    pub(crate) fn retire(&self, index: usize) {
+        if let Some(beat) = self.beats.get(index) {
+            beat.alive.store(false, Ordering::Relaxed);
+        }
+    }
+
+    /// Stalls detected so far.
+    pub(crate) fn stalls(&self) -> u64 {
+        self.found.lock().0
+    }
+
+    /// The `curare-stall/1` dumps made so far (the first 64).
+    pub(crate) fn dumps(&self) -> Vec<Json> {
+        self.found.lock().1.clone()
+    }
+}
+
+/// The watchdog thread body: scan the heartbeats every quarter budget
+/// and dump any live server whose last transition is older than the
+/// budget while in a non-idle phase. One dump per stall — the
+/// per-server latch re-arms when the beat progresses or goes idle.
+/// Detection only: recovery belongs to the panic policy at the catch
+/// site, because a stalled-but-alive server cannot be safely killed
+/// from outside.
+pub(crate) fn watch(watch: &Watch, pool: &Shared) {
+    let budget_ns = u64::try_from(watch.budget.as_nanos()).unwrap_or(u64::MAX);
+    let tick = (watch.budget / 4).max(Duration::from_millis(5));
+    let mut fired = vec![false; watch.beats.len()];
+    while !pool.is_shut_down() {
+        std::thread::sleep(tick);
+        let now = curare_obs::now_ns();
+        for (i, beat) in watch.beats.iter().enumerate() {
+            let stalled = beat.alive.load(Ordering::Relaxed)
+                && beat.phase.load(Ordering::Relaxed) != PHASE_IDLE
+                && beat.age_ns(now) >= budget_ns;
+            if !stalled || fired[i] {
+                fired[i] = stalled;
+                continue;
+            }
+            fired[i] = true;
+            let dump = stall_dump(watch, pool, i, budget_ns, now);
+            let mut found = watch.found.lock();
+            found.0 += 1;
+            if found.1.len() < 64 {
+                found.1.push(dump);
+            }
+        }
+    }
+}
+
+/// One `curare-stall/1` dump for server `index`: every server's
+/// heartbeat, currently held locks, still-pending futures, scheduler
+/// occupancy, and the stalled lane's most recent trace events (when a
+/// tracer is installed).
+fn stall_dump(watch: &Watch, pool: &Shared, index: usize, budget_ns: u64, now: u64) -> Json {
+    // A beat's (phase, detail, age) after the keys `head` names it by.
+    let beat = |head: Json, b: &ServerBeat| {
+        head.set("phase", phase_name(b.phase.load(Ordering::Relaxed)))
+            .set("detail", b.detail.load(Ordering::Relaxed))
+            .set("age_ns", b.age_ns(now))
+    };
+    let servers = watch.beats.iter().enumerate().map(|(i, b)| {
+        beat(Json::obj().set("server", i).set("alive", b.alive.load(Ordering::Relaxed)), b)
+    });
+    let held = pool.locks().held_snapshot().into_iter().take(64).map(|(hash, wdepth, readers)| {
+        Json::obj().set("loc", hash).set("write_depth", wdepth).set("readers", readers)
+    });
+    let pending_futures = pool.futures().pending_ids().into_iter().take(64).map(Json::from);
+    let snapshot = curare_obs::installed().map(|t| t.snapshot()).unwrap_or_default();
+    let events = snapshot.get(index + 1).map_or(&[][..], |snap| &snap.events);
+    let recent = events[events.len().saturating_sub(32)..]
+        .iter()
+        .map(|e| Json::obj().set("ts_ns", e.ts_ns).set("kind", e.kind.name()).set("arg", e.arg));
+    let head = Json::obj().set("schema", "curare-stall/1").set("server", index);
+    beat(head, &watch.beats[index])
+        .set("budget_ns", budget_ns)
+        .set("alive", pool.alive())
+        .set("pending_tasks", pool.pending_tasks())
+        .set("queued", pool.has_work())
+        .set("degraded", pool.degraded())
+        .set("servers", Json::Arr(servers.collect()))
+        .set("held_locks", Json::Arr(held.collect()))
+        .set("pending_futures", Json::Arr(pending_futures.collect()))
+        .set("recent_events", Json::Arr(recent.collect()))
 }
 
 #[cfg(test)]

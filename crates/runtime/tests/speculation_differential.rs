@@ -453,6 +453,59 @@ fn speculation_off_is_the_default() {
     assert_eq!(rt.stats().spec_commits, 0);
 }
 
+/// Two speculative runs that escalate, on one server, so the schedule
+/// is fixed: `f`'s tails read `*x*` before its successor writes it and
+/// abort, and the replays create futures; `g`'s last link fails. The
+/// rerun under the sequential hooks completes for `f` and returns the
+/// body's error for `g`. Either way the interpreter runs under the
+/// pool's hooks again: a following run puts its n spawns on the server,
+/// n + 1 tasks.
+#[test]
+fn an_escalated_rerun_hands_the_interpreter_back_to_the_pool() {
+    let _g = guard();
+    let interp = Arc::new(Interp::new());
+    interp
+        .load_str(
+            "(defparameter *x* 0)
+             (defparameter *log* nil)
+             (defun id (n) n)
+             (defun f (n)
+               (when (> n 0)
+                 (setq *x* n)
+                 (cri-enqueue 0 f (- n 1))
+                 (setq *log* (cons *x* *log*))
+                 (touch (future (id n)))))
+             (defun g (n)
+               (when (> n 0)
+                 (cri-enqueue 0 g (- n 1))
+                 (when (= n 1) (error \"boom\"))))
+             (defun walk (l) (when l (cri-enqueue 0 walk (cdr l))))",
+        )
+        .unwrap();
+    let config = RuntimeConfig { speculate: true, ..RuntimeConfig::default() };
+    let rt = CriRuntime::with_config(Arc::clone(&interp), 1, config);
+    let hooks = |i: &Interp| Arc::as_ptr(&i.hooks()) as *const ();
+    let pool_hooks = hooks(&interp);
+    let the_next_run_reaches_the_server = || {
+        assert_eq!(hooks(&interp), pool_hooks, "the pool's hooks are installed again");
+        let before = rt.stats().tasks;
+        let l = interp.load_str("(list 1 2 3 4)").unwrap();
+        rt.run("walk", &[l]).expect("a clean run");
+        assert_eq!(rt.stats().tasks, before + 5, "4 spawns and the root, run as tasks");
+    };
+
+    rt.run("f", &[Value::int(2)]).expect("the rerun completes");
+    let stats = rt.stats();
+    assert!(stats.spec_replays >= 1 && stats.spec_escalated, "a replay escalated: {stats:?}");
+    let log = interp.load_str("*log*").unwrap();
+    assert_eq!(interp.heap().display(log), "(1 1)", "the sequential answer");
+    the_next_run_reaches_the_server();
+
+    let err = rt.run("g", &[Value::int(3)]).expect_err("the rerun fails as the body did");
+    assert!(err.to_string().contains("boom"), "{err}");
+    the_next_run_reaches_the_server();
+}
+
 // ---------------------------------------------------------------
 // One journal, armed at one of two levels by one run at a time.
 // ---------------------------------------------------------------
