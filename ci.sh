@@ -21,12 +21,13 @@ cargo build --release
 
 echo "== cargo test -q"
 # Beside every suite, the table's own checks (crates/bench, `experiments`
-# unit tests): each command line and schema a document quotes exists,
-# each `pub mod` of a product crate is named by product code outside
-# its own file, `crates/transform` spells a control keyword in
-# `shape.rs` alone (`control_keywords_live_in_one_transform_file`), and
+# unit tests): each command line, `curare run` flag and schema a
+# document quotes exists, each `pub mod` of a product crate is named by
+# product code outside its own file, `crates/transform` spells a control
+# keyword in `shape.rs` alone (`control_keywords_live_in_one_transform_file`),
 # a program is prepared for analysis in `analyze.rs` alone
-# (`a_program_is_prepared_in_one_place`).
+# (`a_program_is_prepared_in_one_place`), and a schema is spelt in
+# `obs/src/report.rs` alone (`the_document_format_lives_in_one_module`).
 cargo test -q
 
 echo "== golden text on one CPU: the restructurer's one-thread path"
@@ -92,7 +93,7 @@ done
 # The aliased mixer is converted, and its arguments alias at run time,
 # so a speculative run aborts and replays: it must commit without
 # escalating, and print the sequential run's cells in the sequential
-# order (--sequential also prints the call's value, its last line).
+# order, then the sequential run's value (both runs print it last).
 mix() {
   target/release/curare run examples/lisp/fixtures/aliased-mix.lisp "$@" \
     --call "(mix *l* (cdr *l*))"
@@ -100,14 +101,14 @@ mix() {
 out="$(mix --servers 2 --speculate 2>&1)"
 echo "$out" | grep -F "escalated: false" > /dev/null \
   || { echo "aliased-mix --speculate escalated: $out" >&2; exit 1; }
-[ "$(echo "$out" | grep -v '^;;')" = "$(mix --sequential 2> /dev/null | sed '$d')" ] \
-  || { echo "aliased-mix --speculate: not the sequential cells" >&2; exit 1; }
+[ "$(echo "$out" | grep -v '^;;')" = "$(mix --sequential 2> /dev/null)" ] \
+  || { echo "aliased-mix --speculate: not the sequential cells and value" >&2; exit 1; }
 
 echo "== loops: a spawn in a loop body is never head-ordered"
 # The write precedes the call in the text and follows the previous
 # trip's spawn at run time: read as a straight sequence the fixture was
 # head-ordered and printed a deterministic 0 2 2 at two servers.
-# (--sequential also prints the call's value, (); compare the cells.)
+# (Both runs also print the call's value, (); compare the cells.)
 loop_head() {
   target/release/curare run examples/lisp/fixtures/loop-head.lisp "$@" \
     --call "(w *d* 2)" 2> /dev/null | grep -E '^[0-9]+$' | tr '\n' ' '
@@ -144,24 +145,24 @@ done
 echo "== trace: a future-synchronised run names its vocabulary"
 # The delay-read walker touches a future per cell, so its toucher's
 # task encloses the tasks it helps run. The Chrome document names the
-# event vocabulary it was read with; the metrics document keeps its
-# sections.
+# event vocabulary it was read with; the run's report carries every run
+# section, the causal profile included.
 obs_dir="$(mktemp -d)"
 target/release/curare run examples/lisp/fixtures/delay-read.lisp --servers 2 --call "(go)" \
-  --trace "$obs_dir/trace.json" --metrics "$obs_dir/metrics.json" > /dev/null 2>&1
+  --trace "$obs_dir/trace.json" --report "$obs_dir/report.json" > /dev/null 2>&1
 grep -F '"otherData":{"schema":"curare-trace/2"' "$obs_dir/trace.json" > /dev/null \
   || { echo "traced delay-read run: the trace does not name curare-trace/2" >&2; exit 1; }
-for key in '"schema":"curare-report/1"' '"label":' '"pool":{' '"heap":{' '"locks":{' \
-  '"vm":{' '"wall":{' '"timeline":{' '"trace":{'; do
-  grep -F "$key" "$obs_dir/metrics.json" > /dev/null \
-    || { echo "traced delay-read run: no $key in the metrics document" >&2; exit 1; }
+for key in '"schema":"curare-report/2"' '"label":' '"pool":{' '"heap":{' '"locks":{' \
+  '"vm":{' '"wall":{' '"timeline":{' '"trace":{' '"profile":{'; do
+  grep -F "$key" "$obs_dir/report.json" > /dev/null \
+    || { echo "traced delay-read run: no $key in the run's report" >&2; exit 1; }
 done
 rm -r "$obs_dir"
 
 echo "== reader: inf and nan are names, not floats"
 # Rust's float parser takes `inf` and `nan`; the reader used to, so
 # this walker named `inf`, which binds `nan`, did not load at all.
-# (--sequential also prints the call's value; compare the first line.)
+# (Both runs also print the call's value; compare the first line.)
 float_names() {
   target/release/curare run examples/lisp/fixtures/float-names.lisp "$@" \
     --call "(inf *data*)" 2> /dev/null | sed -n 1p
@@ -192,8 +193,8 @@ for cmd in analyze check "check --locks" transform; do
   target/release/curare $cmd "$late" > /dev/null 2>&1 \
     || { echo "late-struct fixture: curare $cmd failed" >&2; exit 1; }
 done
-# (--sequential also prints the call's value; sed, not head: an early
-# exit would SIGPIPE curare under pipefail)
+# (Both runs also print the call's value; sed, not head: an early exit
+# would SIGPIPE curare under pipefail)
 late_struct() {
   target/release/curare run "$late" "$@" --call "(bump *chain*)" 2> /dev/null | sed -n 1p
 }

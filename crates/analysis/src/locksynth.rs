@@ -167,7 +167,7 @@ impl Placement {
         self.pairs.iter().filter(|p| !p.covered).count()
     }
 
-    /// The `curare-locks/1` placement document (single line).
+    /// The placement as one entry of a report's `placements` section.
     pub fn to_json(&self) -> curare_obs::Json {
         let pairs: Vec<curare_obs::Json> = self
             .pairs
@@ -210,7 +210,6 @@ impl Placement {
             })
             .collect();
         let mut doc = curare_obs::Json::obj()
-            .set("schema", "curare-locks/1")
             .set("function", self.function.as_str())
             .set("declared", self.declared)
             .set("head_ordering", self.context.head_ordering)
@@ -824,10 +823,11 @@ mod tests {
     fn placement_json_round_trips() {
         let a = analyze(FIGURE_4);
         let p = synthesize(&a, &["l"], OrderingContext::none());
-        let text = p.to_json().to_string();
+        let placements = curare_obs::Json::Arr(vec![p.to_json()]);
+        let text = curare_obs::report::document("f", [("placements", placements)]).to_string();
         assert!(!text.contains('\n'), "single line: {text}");
-        let doc = curare_obs::Json::parse(&text).unwrap();
-        assert_eq!(doc.get("schema").and_then(curare_obs::Json::as_str), Some("curare-locks/1"));
+        let doc = curare_obs::report::validate(&text, &["placements"]).unwrap();
+        let doc = &doc.get("placements").and_then(curare_obs::Json::as_arr).unwrap()[0];
         assert_eq!(doc.get("certified_clean").and_then(curare_obs::Json::as_bool), Some(true));
         assert!(doc.get("locks").and_then(curare_obs::Json::as_arr).is_some_and(|a| !a.is_empty()));
         let lock = &doc.get("locks").and_then(curare_obs::Json::as_arr).unwrap()[0];

@@ -7,7 +7,7 @@
 //! experiments list                 # the table: name, paper section, one line
 //! experiments                      # every row
 //! experiments e4 e7 locksynth      # some
-//! experiments e8 --json            # the curare-bench/3 document instead of prose
+//! experiments e8 --json            # its curare-report/2 document instead of prose
 //! experiments --quick              # CI-sized cells; the exit code is the gate
 //! ```
 //!
@@ -515,7 +515,7 @@ fn e13_handoff_crossover(r: &mut Run) {
             let mut samples: Vec<Duration> = (0..reps)
                 .map(|_| {
                     let l = int_list(&interp, CELLS);
-                    time_once(|| rt.run("th", &[l]).expect("run"))
+                    time_once(|| rt.run("th", &[l]).map(drop).expect("run"))
                 })
                 .collect();
             samples.sort();
@@ -782,7 +782,7 @@ fn speculative_run_ms(p: &Program, n: i64, servers: usize, mode: SchedMode) -> (
             let args = (p.args)(&interp, n);
             let config = RuntimeConfig { mode, speculate: true, ..RuntimeConfig::default() };
             let rt = CriRuntime::with_config(Arc::clone(&interp), servers, config);
-            let wall = time_once(|| rt.run(p.entry, &args).expect("speculative run"));
+            let wall = time_once(|| rt.run(p.entry, &args).map(drop).expect("speculative run"));
             (ms(wall), rt.stats().spec_resolve_ns as f64 / 1e6)
         })
         .unzip();
@@ -1093,8 +1093,56 @@ mod tests {
         lines
     }
 
+    /// The flags of every `curare run` command line `text` quotes —
+    /// `` `curare run FILE --servers 2` ``, `target/release/curare run
+    /// …`, `--bin curare -- run …`, continued over `\`-ended lines —
+    /// that `parsed` lacks.
+    fn unknown_run_flags(text: &str, parsed: &[String]) -> Vec<String> {
+        let text = text.replace("\\\n", " ");
+        let mut unknown = Vec::new();
+        for (at, word) in text.match_indices("curare ") {
+            let before = &text[..at];
+            let inline = before.ends_with('`');
+            let rest = text[at + word.len()..].trim_start();
+            let rest = rest.strip_prefix("-- ").unwrap_or(rest).trim_start();
+            let quoted = inline || before.ends_with('/') || before.ends_with("--bin ");
+            if !quoted || !rest.starts_with("run ") {
+                continue;
+            }
+            let end = rest.find(|c| c == '`' || (!inline && c == '\n')).unwrap_or(rest.len());
+            let flags = rest[..end].split_whitespace().filter(|w| w.starts_with("--"));
+            unknown.extend(flags.filter(|f| !parsed.contains(&f.to_string())).map(str::to_string));
+        }
+        unknown
+    }
+
+    /// The options `curare run` parses: its match arms' `"--flag" =>`.
+    fn run_flags() -> Vec<String> {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let cli = std::fs::read_to_string(format!("{root}/crates/curare/src/bin/curare.rs"))
+            .expect("the CLI's source");
+        let body = &cli[cli.find("fn run(").expect("fn run")..cli.find("fn repl(").expect("repl")];
+        let arms = body.match_indices("\"--").filter_map(|(at, _)| {
+            let flag = &body[at + 1..];
+            let end = flag.find('"')?;
+            flag[end..].starts_with("\" =>").then(|| flag[..end].to_string())
+        });
+        arms.collect()
+    }
+
+    #[test]
+    fn a_documented_run_flag_that_is_not_parsed_is_found() {
+        let parsed = run_flags();
+        assert!(parsed.contains(&"--report".to_string()), "{parsed:?}");
+        let planted = "run it: `curare run f.lisp --servers 2\n  --metrics m.json`, or\n\
+                       target/release/curare \\\n    run f.lisp --profile p.json --trace t.json\n\
+                       cargo run --bin curare -- \\\n  run f.lisp --report r.json --stats\n";
+        assert_eq!(unknown_run_flags(planted, &parsed), ["--metrics", "--profile", "--stats"]);
+    }
+
     /// "Every experiment still reachable by name", made permanent: a
-    /// name a document tells the reader to type is a row of the table.
+    /// name a document tells the reader to type is a row of the table,
+    /// and a flag it gives `curare run` is one the CLI parses.
     #[test]
     fn names_are_unique_and_every_documented_command_line_resolves() {
         for (i, e) in EXPERIMENTS.iter().enumerate() {
@@ -1107,6 +1155,7 @@ mod tests {
         }
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
         let product: String = product_sources().into_iter().map(|(_, text)| text).collect();
+        let parsed = run_flags();
         let mut seen = 0;
         for doc in ["README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"] {
             let text = std::fs::read_to_string(format!("{root}/{doc}")).expect(doc);
@@ -1124,6 +1173,11 @@ mod tests {
                     "{doc} names the schema {word}, which no non-test source emits"
                 );
             }
+            let unknown = unknown_run_flags(&text, &parsed);
+            assert!(
+                unknown.is_empty(),
+                "{doc} gives `curare run` flags it does not parse: {unknown:?}"
+            );
             for line in quoted_command_lines(&text) {
                 seen += 1;
                 for word in line.iter().filter(|w| *w != "--") {
@@ -1267,6 +1321,36 @@ mod tests {
         }
         assert!(offenders.is_empty(), "the pool's protocol reaches out: {offenders:?}");
         assert!(files >= 9, "the scan found only {files} files: has the layout changed?");
+    }
+
+    /// One document format: no non-test, non-comment line of product
+    /// code outside `obs/src/report.rs` spells a `curare-<name>/<n>`
+    /// schema, and none but `report.rs` and `chrome.rs` (which takes
+    /// `SCHEMA_TRACE` from it) sets a `"schema"` key. Eight producers
+    /// stamped eight tags of their own before.
+    #[test]
+    fn the_document_format_lives_in_one_module() {
+        let mut offenders = Vec::new();
+        for (path, text) in product_sources() {
+            let path = path.to_string_lossy().replace('\\', "/");
+            let code = text.lines().filter(|l| !l.trim_start().starts_with("//"));
+            for line in code {
+                let schema = line.match_indices("\"curare-").any(|(at, _)| {
+                    let word = &line[at + 1..];
+                    let word = &word[..word.find('"').unwrap_or(word.len())];
+                    word.split_once('/').is_some_and(|(_, n)| n.bytes().all(|b| b.is_ascii_digit()))
+                });
+                let stamps = line.contains("set(\"schema\"");
+                if schema && !path.ends_with("crates/obs/src/report.rs") {
+                    offenders.push(format!("{path} spells a schema: {}", line.trim()));
+                }
+                let stamper = ["crates/obs/src/report.rs", "crates/obs/src/chrome.rs"];
+                if stamps && !stamper.iter().any(|f| path.ends_with(f)) {
+                    offenders.push(format!("{path} sets a schema: {}", line.trim()));
+                }
+            }
+        }
+        assert!(offenders.is_empty(), "the document format leaks: {offenders:#?}");
     }
 
     /// One reading of the trace: an invocation's bracket is named by no

@@ -4,7 +4,7 @@
 //! driver defined here: [`drive`] owns the command line (experiment
 //! names, `list`, `--json`, `--quick`), runs each selected row through
 //! a [`Run`] — which prints the prose table or collects the
-//! `curare-bench/3` document and records every gate — and turns failed
+//! `experiment` section of its report and records every gate — and turns failed
 //! gates into the exit code. Every sweep takes its programs from the
 //! one [`programs`] table.
 //!
@@ -470,7 +470,8 @@ impl Program {
         let run = rt.run(self.entry, &args);
         let stats = rt.stats();
         drop(rt);
-        (run, self.observation(interp, &args, Value::NIL), stats)
+        let value = *run.as_ref().unwrap_or(&Value::NIL);
+        (run.map(drop), self.observation(interp, &args, value), stats)
     }
 
     /// §3.1.1 on this program: restructure it, run it on four
@@ -604,9 +605,6 @@ pub struct Experiment {
     pub run: fn(&mut Run),
 }
 
-/// The document schema [`Run::document`] emits.
-pub const SCHEMA: &str = "curare-bench/3";
-
 /// One experiment's run: the only place rows are printed, documents
 /// built and gates recorded.
 pub struct Run {
@@ -675,14 +673,14 @@ impl Run {
         }
     }
 
-    /// Everything this run recorded, as one `curare-bench/3` object.
+    /// Everything this run recorded, as a report labelled with the
+    /// experiment's name.
     pub fn document(&self) -> Json {
-        Json::obj()
-            .set("schema", SCHEMA)
-            .set("experiment", self.experiment)
+        let experiment = Json::obj()
             .set("host_threads", hardware_threads())
             .set("rows", self.rows.clone())
-            .set("gates", self.gates.clone())
+            .set("gates", self.gates.clone());
+        curare::obs::report::document(self.experiment, [("experiment", experiment)])
     }
 }
 
@@ -776,6 +774,7 @@ pub fn drive(table: &'static [Experiment], args: &[String]) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use curare::obs::report;
 
     #[test]
     fn figure_programs_parse_and_transform() {
@@ -972,10 +971,10 @@ mod tests {
         let mut run = Run::new("good", true, true);
         passing(&mut run);
         failing(&mut run);
-        let keys = ["schema", "experiment", "host_threads", "rows", "gates"];
-        let doc = curare::obs::validate_keys(&run.document().to_string(), &keys).unwrap();
-        assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
-        assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("good"));
+        let doc = report::validate(&run.document().to_string(), &["experiment"]).unwrap();
+        assert_eq!(doc.get("label").and_then(Json::as_str), Some("good"));
+        let doc = doc.get("experiment").unwrap();
+        assert!(doc.get("host_threads").and_then(Json::as_u64).is_some());
         assert_eq!(doc.get("rows").and_then(Json::as_arr).map(<[Json]>::len), Some(3));
         let gates = doc.get("gates").and_then(Json::as_arr).unwrap();
         assert_eq!(gates[1].get("ok").and_then(Json::as_bool), Some(false));

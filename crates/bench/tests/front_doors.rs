@@ -124,10 +124,11 @@ fn a_defun_above_its_defstruct_gets_one_answer_from_every_door() {
         let interp = Arc::new(Interp::new());
         interp.load_str(text).unwrap_or_else(|e| panic!("{e}\n{text}"));
         let chain = interp.load_str("*chain*").unwrap();
-        match servers {
-            0 => drop(interp.call("bump", &[chain]).unwrap()),
-            n => CriRuntime::new(Arc::clone(&interp), n).run("bump", &[chain]).unwrap(),
-        }
+        let ran = match servers {
+            0 => interp.call("bump", &[chain]),
+            n => CriRuntime::new(Arc::clone(&interp), n).run("bump", &[chain]),
+        };
+        ran.unwrap();
         interp.take_output()
     };
     assert_eq!(printed(&src, 0), ["(2 4 6)"]);

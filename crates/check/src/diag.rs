@@ -210,11 +210,10 @@ impl DiagnosticSet {
         out
     }
 
-    /// Stable single-line JSON (schema `curare-diag/1`).
+    /// The findings as a report's `diagnostics` section.
     pub fn to_json(&self) -> Json {
         let diags: Vec<Json> = self.diags.iter().map(Diagnostic::to_json).collect();
         Json::obj()
-            .set("schema", "curare-diag/1")
             .set("file", self.file.as_str())
             .set("errors", self.errors() as f64)
             .set("warnings", self.warnings() as f64)
@@ -254,10 +253,11 @@ mod tests {
             Diagnostic::new(Code::C003, "(inverse fwd bwd)", "fwd resolves to no accessor")
                 .with_related("declared pairs: (fwd bwd)"),
         );
-        let text = set.to_json().to_string();
+        let text = curare_obs::report::document("t.lisp", [("diagnostics", set.to_json())]);
+        let text = text.to_string();
         assert!(!text.contains('\n'), "single line: {text}");
-        let doc = Json::parse(&text).expect("round-trip");
-        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("curare-diag/1"));
+        let doc = curare_obs::report::validate(&text, &["diagnostics"]).expect("round-trip");
+        let doc = doc.get("diagnostics").unwrap();
         assert_eq!(doc.get("file").and_then(Json::as_str), Some("t.lisp"));
         assert_eq!(doc.get("errors").and_then(Json::as_f64), Some(0.0));
         assert_eq!(doc.get("warnings").and_then(Json::as_f64), Some(1.0));

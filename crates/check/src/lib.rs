@@ -10,12 +10,12 @@
 //!   reports the conservative assumptions and silent degradations of
 //!   the analyses it relied on as structured
 //!   [`diag::Diagnostic`]s with stable codes (C001–C008), rendered as
-//!   human text or `curare-diag/1` JSON. The `curare check`
+//!   human text or a report's `diagnostics` section. The `curare check`
 //!   subcommand is a thin wrapper over this with the exit contract
 //!   0 = clean, 1 = warnings, 2 = errors.
 //!   [`lockcert::check_locks_source`] adds the §3.2.1 lock-placement
 //!   certifier on top (C007 unsound / C008 non-minimal, plus
-//!   machine-checkable `curare-locks/1` placement documents) — the
+//!   a machine-checkable placement per conflicting function) — the
 //!   `curare check --locks` surface.
 //!
 //! - [`sanitizer`] validates the analysis itself: under

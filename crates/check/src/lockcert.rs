@@ -23,7 +23,7 @@
 //! is audited all the same, from the analysis in the report. The
 //! hypothetical placement of a function the pipeline resolves with head
 //! ordering or future synchronization is reported as a
-//! machine-checkable `curare-locks/1` document but raises nothing.
+//! machine-checkable placement but raises nothing.
 
 use curare_analysis::locksynth::{certify, declared_placement, synthesize, OrderingContext};
 use curare_obs::Json;
@@ -32,13 +32,13 @@ use crate::collect::{check_program, CheckError};
 use crate::diag::{Code, Diagnostic, DiagnosticSet};
 
 /// The `--locks` result: the ordinary diagnostics plus the certifier's
-/// findings, and one `curare-locks/1` document per conflicting
-/// function.
+/// findings, and one placement (an entry of a report's `placements`
+/// section) per conflicting function.
 #[derive(Debug, Clone)]
 pub struct LockCertReport {
     /// Base diagnostics merged with C007/C008 findings.
     pub diags: DiagnosticSet,
-    /// One placement document per conflicting recursive function.
+    /// One placement per conflicting recursive function.
     pub placements: Vec<Json>,
 }
 
@@ -113,7 +113,6 @@ mod tests {
         assert_eq!(r.placements.len(), 1);
         assert!(!r.diags.diags.iter().any(|d| matches!(d.code, Code::C007 | Code::C008)));
         let doc = &r.placements[0];
-        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("curare-locks/1"));
         assert_eq!(doc.get("certified_clean").and_then(Json::as_bool), Some(true));
     }
 

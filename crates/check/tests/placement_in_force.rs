@@ -34,7 +34,7 @@ const DELAYED_THEN_LOCKED: &str = "(curare-declare (reorderable *))
                                        (setf (cadr l) (* (cadr l) 3))))";
 
 /// Restructure `src`; `fname`'s applied lock specs, and its
-/// `curare-locks/1` certificate.
+/// certified placement.
 fn applied_and_certified(src: &str, fname: &str) -> (CurareOutput, Vec<LockSpec>, Json) {
     let out = Curare::new().transform_source(src).unwrap();
     let report = out.report(fname).unwrap();

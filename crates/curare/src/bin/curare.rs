@@ -10,13 +10,13 @@
 //!
 //! check exits 0 when every file is clean, 1 when any warning was
 //! reported, 2 on any error (or unreadable/unparsable input); --json
-//! prints one curare-diag/1 line per file instead of prose. With
-//! --locks the §3.2.1 lock-placement certifier runs too: declared or
-//! pipeline-applied placements are re-checked against the conflict
-//! report (C007 = unsound, error; C008 = non-minimal, warning), and
-//! every conflicting function's placement is printed as a
-//! machine-checkable curare-locks/1 document (one JSON line each under
-//! --json, a summary line otherwise).
+//! prints one report line per file (its `diagnostics` section) instead
+//! of prose. With --locks the §3.2.1 lock-placement certifier runs too:
+//! declared or pipeline-applied placements are re-checked against the
+//! conflict report (C007 = unsound, error; C008 = non-minimal,
+//! warning), and every conflicting function's placement is printed,
+//! machine-checkable (the file's `placements` section under --json, a
+//! summary line each otherwise).
 //!
 //! run options:
 //!   --servers N      execute `--call` on an N-server CRI pool
@@ -27,15 +27,12 @@
 //!                    slice per invocation, a helping touch's nested
 //!                    inside the toucher's, lock and future waits
 //!                    inside them; vocabulary curare-trace/2
-//!   --metrics PATH   write the run's curare-report/1 JSON (pool,
-//!                    heap, lock-wait, vm, wall, timeline, and
-//!                    trace-health sections; the timeline counts a
-//!                    server busy while any task slice is open on it)
-//!   --profile PATH   write a curare-profile/1 JSON of the pool run:
-//!                    the spawn/touch DAG's work, span (critical
-//!                    path), parallelism = work/span, and per-edge
-//!                    critical-path attribution, plus the hottest
-//!                    VM opcodes
+//!   --report PATH    write the pool run's report: pool, heap,
+//!                    lock-wait, vm (with the hottest opcodes), wall,
+//!                    timeline (a server is busy while any task slice
+//!                    is open on it), trace-health, and profile (the
+//!                    spawn/touch DAG's work, span, parallelism =
+//!                    work/span, and critical-path attribution)
 //!   --engine E       invocation engine: 'vm' (default; register
 //!                    bytecode) or 'tree' (the tree-walking oracle)
 //!   --no-fuse        disable superinstruction fusion in the bytecode
@@ -48,7 +45,8 @@
 //!   --chaos-profile P  fault profile for --chaos-seed: delays,
 //!                    stalls, shuffle, reorder, or mixed (default)
 //!   --stall-budget-ms M  arm the stall watchdog: servers stuck past
-//!                    M ms produce curare-stall/1 dumps on stderr
+//!                    M ms are dumped in a report's stalls section,
+//!                    printed on stderr
 //! ```
 
 use std::io::{BufRead, Write};
@@ -123,10 +121,11 @@ fn check(args: &[String]) -> ExitCode {
         match report {
             Ok(report) => {
                 if json {
-                    println!("{}", report.diags.to_json());
-                    for doc in &report.placements {
-                        println!("{doc}");
+                    let mut sections = vec![("diagnostics", report.diags.to_json())];
+                    if locks {
+                        sections.push(("placements", Json::Arr(report.placements.clone())));
                     }
+                    println!("{}", curare::obs::report::document(path, sections));
                 } else {
                     print!("{}", report.diags.render());
                     for doc in &report.placements {
@@ -213,8 +212,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut call: Option<String> = None;
     let mut sequential = false;
     let mut trace_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut profile_path: Option<String> = None;
+    let mut report_path: Option<String> = None;
     let mut engine = curare::lisp::Engine::Vm;
     let mut no_fuse = false;
     let mut chaos_seed: Option<u64> = None;
@@ -284,19 +282,15 @@ fn run(args: &[String]) -> Result<(), String> {
                 trace_path = Some(args.get(i + 1).ok_or("--trace needs a file path")?.clone());
                 i += 2;
             }
-            "--metrics" => {
-                metrics_path = Some(args.get(i + 1).ok_or("--metrics needs a file path")?.clone());
-                i += 2;
-            }
-            "--profile" => {
-                profile_path = Some(args.get(i + 1).ok_or("--profile needs a file path")?.clone());
+            "--report" => {
+                report_path = Some(args.get(i + 1).ok_or("--report needs a file path")?.clone());
                 i += 2;
             }
             other => return Err(format!("unknown option {other}")),
         }
     }
-    if (trace_path.is_some() || metrics_path.is_some() || profile_path.is_some()) && servers == 0 {
-        return Err("--trace/--metrics/--profile need a pool run (--servers N with --call)".into());
+    if (trace_path.is_some() || report_path.is_some()) && servers == 0 {
+        return Err("--trace/--report need a pool run (--servers N with --call)".into());
     }
     if (chaos_seed.is_some() || stall_budget_ms.is_some()) && servers == 0 {
         return Err("--chaos-seed/--stall-budget-ms need a pool run (--servers N)".into());
@@ -341,17 +335,16 @@ fn run(args: &[String]) -> Result<(), String> {
     for a in &items[1..] {
         argv.push(interp.eval_str(&a.to_string()).map_err(|e| e.to_string())?);
     }
-    if servers > 0 {
-        let tracer = (trace_path.is_some() || metrics_path.is_some() || profile_path.is_some())
-            .then(|| {
-                let t = Tracer::new(servers);
-                curare::obs::install(Some(Arc::clone(&t)));
-                t
-            });
-        // Arm the causal profiler (spawn/touch/future edge events +
-        // invocation ids) and the per-opcode VM counters before the
-        // pool spawns.
-        if profile_path.is_some() {
+    let value = if servers > 0 {
+        let tracer = (trace_path.is_some() || report_path.is_some()).then(|| {
+            let t = Tracer::new(servers);
+            curare::obs::install(Some(Arc::clone(&t)));
+            t
+        });
+        // A report carries the causal profile (spawn/touch/future edge
+        // events + invocation ids) and the hottest VM opcodes: arm both
+        // before the pool spawns.
+        if report_path.is_some() {
             curare::obs::set_profiling(true);
             curare::lisp::set_op_profiling(true);
         }
@@ -369,6 +362,15 @@ fn run(args: &[String]) -> Result<(), String> {
         let started = std::time::Instant::now();
         let run_result = rt.run(fname, &argv).map_err(|e| e.to_string());
         let seconds = started.elapsed().as_secs_f64();
+        // Disarm before anything can return: a failed run leaves
+        // nothing armed behind it.
+        if tracer.is_some() {
+            curare::obs::install(None);
+        }
+        if report_path.is_some() {
+            curare::obs::set_profiling(false);
+            curare::lisp::set_op_profiling(false);
+        }
         let stats = rt.stats();
         eprintln!(
             ";; pool: {} tasks ({} chained, {} of them in place), peak queue {}, \
@@ -398,22 +400,15 @@ fn run(args: &[String]) -> Result<(), String> {
                  {} servers poisoned, degraded: {}",
                 chaos_profile.name, stats.faults_injected, stats.servers_poisoned, stats.degraded
             );
-        }
-        if stall_budget_ms.is_some() {
-            for dump in rt.stall_dumps() {
-                eprintln!("{dump}");
-            }
-        }
-        if chaos_seed.is_some() {
             chaos::install(None);
         }
-        run_result?;
+        if stall_budget_ms.is_some() {
+            let stalls = Json::Arr(rt.stall_dumps());
+            eprintln!("{}", curare::obs::report::document(fname, [("stalls", stalls)]));
+        }
+        // The documents asked for are written whether or not the run
+        // failed: a failed run is when they are wanted most.
         if let Some(tracer) = tracer {
-            curare::obs::install(None);
-            if profile_path.is_some() {
-                curare::obs::set_profiling(false);
-                curare::lisp::set_op_profiling(false);
-            }
             let snaps = tracer.snapshot();
             curare::obs::warn_if_dropped(&snaps, "curare run");
             let write = |path: &str, doc: &Json| -> Result<(), String> {
@@ -423,42 +418,19 @@ fn run(args: &[String]) -> Result<(), String> {
                 write(path, &curare::obs::chrome::chrome_trace(&snaps))?;
                 eprintln!(";; wrote chrome trace to {path}");
             }
-            if let Some(path) = &metrics_path {
-                let tasks_per_sec = stats.tasks as f64 / seconds.max(1e-9);
-                let wall = Json::obj().set("seconds", seconds).set("tasks_per_sec", tasks_per_sec);
-                let report = rt
-                    .run_report(fname)
-                    .set("wall", wall)
-                    .set("timeline", Timeline::from_trace(&snaps).to_json())
-                    .set("trace", curare::obs::trace_health_section(&snaps));
-                write(path, &report)?;
-                eprintln!(";; wrote metrics report to {path}");
-            }
-            if let Some(path) = &profile_path {
-                let profile = curare::obs::Profile::from_trace(&snaps);
-                let hot: Vec<Json> = curare::lisp::op_profile_top(8)
-                    .into_iter()
-                    .map(|r| Json::obj().set("op", r.name).set("count", r.count).set("ns", r.ns))
-                    .collect();
-                let doc = profile.to_json().set("label", fname).set("hot_ops", Json::Arr(hot));
-                write(path, &doc)?;
-                eprintln!(
-                    ";; wrote causal profile to {path} (work {} ns, span {} ns, \
-                     parallelism {:.2})",
-                    profile.work_ns, profile.span_ns, profile.parallelism
-                );
+            if let Some(path) = &report_path {
+                write(path, &rt.run_report(fname, seconds, &snaps))?;
+                eprintln!(";; wrote run report to {path}");
             }
         }
-        for line in interp.take_output() {
-            println!("{line}");
-        }
+        run_result?
     } else {
-        let v = interp.call(fname, &argv).map_err(|e| e.to_string())?;
-        for line in interp.take_output() {
-            println!("{line}");
-        }
-        println!("{}", interp.heap().display(v));
+        interp.call(fname, &argv).map_err(|e| e.to_string())?
+    };
+    for line in interp.take_output() {
+        println!("{line}");
     }
+    println!("{}", interp.heap().display(value));
     Ok(())
 }
 
@@ -504,16 +476,15 @@ mod tests {
         TRACE_GUARD.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// The two documents a traced pool run writes, by the top-level
-    /// keys their readers (Perfetto; DESIGN.md's run-report contract)
-    /// rely on.
+    /// The two documents a traced pool run writes: the Chrome trace,
+    /// named by the vocabulary Perfetto's readers of it rely on, and
+    /// the run's report with every section a run report carries.
     #[test]
-    fn run_writes_the_trace_and_metrics_documents() {
+    fn run_writes_the_trace_and_report_documents() {
         let _guard = trace_guard();
         let dir = std::env::temp_dir();
         let path = |name: &str| dir.join(format!("curare-run-{}-{name}", std::process::id()));
-        let (program, trace, metrics) =
-            (path("walk.lisp"), path("trace.json"), path("metrics.json"));
+        let (program, trace, report) = (path("walk.lisp"), path("trace.json"), path("report.json"));
         std::fs::write(&program, "(defun w (l) (when l (w (cdr l))))").unwrap();
         let args = [
             program.to_str().unwrap(),
@@ -523,23 +494,52 @@ mod tests {
             "(w (list 1 2 3 4 5 6 7 8))",
             "--trace",
             trace.to_str().unwrap(),
-            "--metrics",
-            metrics.to_str().unwrap(),
+            "--report",
+            report.to_str().unwrap(),
         ];
         run(&args.map(String::from)).expect("traced pool run");
-        for (file, keys) in [
-            (&trace, &["traceEvents", "displayTimeUnit", "otherData"][..]),
-            (&metrics, &["schema", "label", "pool", "heap", "locks", "vm", "wall", "timeline"]),
-        ] {
-            let text = std::fs::read_to_string(file).unwrap();
-            let doc = curare::obs::validate_keys(&text, keys).unwrap_or_else(|e| panic!("{e}"));
-            if let Some(pool) = doc.get("pool") {
-                assert_eq!(pool.get("tasks").and_then(Json::as_u64), Some(9), "{pool}");
-            }
-        }
-        // A flag without its path is refused before anything runs.
+        let trace = Json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+        let vocabulary = trace.get("otherData").and_then(|d| d.get("schema")?.as_str());
+        assert_eq!(vocabulary, Some(curare::obs::report::SCHEMA_TRACE));
+        assert!(trace.get("traceEvents").and_then(Json::as_arr).is_some());
+        let text = std::fs::read_to_string(&report).unwrap();
+        let sections = ["pool", "heap", "locks", "vm", "wall", "timeline", "trace", "profile"];
+        let doc = curare::obs::report::validate(&text, &sections).unwrap_or_else(|e| panic!("{e}"));
+        let pool = doc.get("pool").unwrap();
+        assert_eq!(pool.get("tasks").and_then(Json::as_u64), Some(9), "{pool}");
+        // A flag without its path is refused before anything runs, and
+        // the two flags `--report` replaced are unknown.
         assert!(run(&[args[0].to_string(), "--trace".into()]).is_err());
-        for file in [&program, &trace, &metrics] {
+        for gone in ["--metrics", "--profile"] {
+            let err = run(&[args[0], "--servers", "2", gone, "x.json"].map(String::from));
+            assert_eq!(err.unwrap_err(), format!("unknown option {gone}"));
+        }
+        for file in [&program, &path("trace.json"), &report] {
+            std::fs::remove_file(file).unwrap();
+        }
+    }
+
+    /// A traced run whose program errors still writes what was asked
+    /// for, and leaves nothing armed: no tracer installed, neither
+    /// profiler on, for whatever runs next in the process.
+    #[test]
+    fn a_failed_observed_run_disarms_and_still_reports() {
+        let _guard = trace_guard();
+        let dir = std::env::temp_dir();
+        let path = |name: &str| dir.join(format!("curare-fail-{}-{name}", std::process::id()));
+        let files = ["walk.lisp", "trace.json", "report.json"].map(path);
+        std::fs::write(&files[0], "(defun w (l) (when l (car 5) (w (cdr l))))").unwrap();
+        let [program, trace, report] = files.each_ref().map(|f| f.to_str().unwrap());
+        let args = [program, "--servers", "2", "--call", "(w (list 1 2 3))", "--trace", trace];
+        let args = [&args[..], &["--report", report]].concat();
+        assert!(run(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>()).is_err());
+        assert!(curare::obs::installed().is_none(), "the tracer is still installed");
+        assert!(!curare::obs::profiling_enabled(), "the causal profiler is still armed");
+        assert!(!curare::lisp::op_profiling_enabled(), "the opcode profiler is still armed");
+        let text = std::fs::read_to_string(report).unwrap();
+        curare::obs::report::validate(&text, &["pool", "profile"]).unwrap();
+        assert!(std::fs::metadata(trace).is_ok(), "the trace was not written");
+        for file in &files {
             std::fs::remove_file(file).unwrap();
         }
     }
@@ -554,7 +554,7 @@ mod tests {
         let _guard = trace_guard();
         let dir = std::env::temp_dir();
         let path = |name: &str| dir.join(format!("curare-nest-{}-{name}", std::process::id()));
-        let files = ["walk.lisp", "trace.json", "metrics.json", "profile.json"].map(path);
+        let files = ["walk.lisp", "trace.json", "report.json"].map(path);
         std::fs::write(
             &files[0],
             "(defun f (l m)
@@ -566,18 +566,24 @@ mod tests {
              (defparameter *m* (let ((l nil)) (dotimes (i 300) (setq l (cons 0 l))) l))",
         )
         .unwrap();
-        let [program, trace, metrics, profile] = files.each_ref().map(|f| f.to_str().unwrap());
+        let [program, trace, report] = files.each_ref().map(|f| f.to_str().unwrap());
         let args = [program, "--servers", "2", "--call", "(f *l* *m*)", "--trace", trace];
-        let args = [&args[..], &["--metrics", metrics, "--profile", profile]].concat();
+        let args = [&args[..], &["--report", report]].concat();
         run(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>()).expect("traced pool run");
-        let read = |f: &str| Json::parse(&std::fs::read_to_string(f).unwrap()).unwrap();
-        let (trace, metrics, profile) = (read(trace), read(metrics), read(profile));
+        let trace = Json::parse(&std::fs::read_to_string(trace).unwrap()).unwrap();
+        let report = std::fs::read_to_string(report).unwrap();
+        let report = curare::obs::report::validate(&report, &["pool", "timeline", "profile"])
+            .unwrap_or_else(|e| panic!("{e}"));
         let count = |doc: &Json, path: &[&str]| {
             path.iter().try_fold(doc, |d, k| d.get(k)).and_then(Json::as_u64).unwrap()
         };
-        let work_ns = count(&profile, &["work_ns"]);
-        assert_eq!(count(&profile, &["edges", "touch"]), 299, "one touch per non-last cell");
-        assert_eq!(count(&metrics, &["pool", "tasks"]), 300);
+        let work_ns = count(&report, &["profile", "work_ns"]);
+        assert_eq!(
+            count(&report, &["profile", "edges", "touch"]),
+            299,
+            "one touch per non-last cell"
+        );
+        assert_eq!(count(&report, &["pool", "tasks"]), 300);
 
         // Self time of the task slices: each slice less the slices
         // (tasks and waits) directly inside it, per track.
@@ -612,7 +618,7 @@ mod tests {
             "task slices' self time {self_ns} ns, profiled work {work_ns} ns"
         );
 
-        let timeline = metrics.get("timeline").and_then(|t| t.get("points"));
+        let timeline = report.get("timeline").and_then(|t| t.get("points"));
         let points = timeline.and_then(Json::as_arr).unwrap();
         let at = |point: &Json, i: usize| point.as_arr().unwrap()[i].as_u64().unwrap();
         let busy_ns: u64 =

@@ -15,7 +15,7 @@
 //! | [`transform`] | the restructurer: reorder/delay/locks/DPS/rec2iter/CRI |
 //! | [`runtime`] | the CRI server pool, lock table, queues, futures |
 //! | [`sim`] | deterministic timing model of CRI execution |
-//! | [`obs`] | event traces, metrics reports, concurrency timelines |
+//! | [`obs`] | event traces, the one report format, concurrency timelines |
 //! | [`check`] | `curare check` diagnostics and the heap-access sanitizer |
 //!
 //! # Quickstart

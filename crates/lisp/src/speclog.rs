@@ -1040,7 +1040,11 @@ impl Journal {
 
     /// Re-execute aborted invocation number `i` inline on this thread,
     /// bound to its id, so that its spawns record against it.
-    fn replay(&mut self, i: usize, run_body: &mut dyn FnMut(FuncId, Vec<Value>) -> Result<Value>) {
+    fn replay(
+        &mut self,
+        i: usize,
+        run_body: &mut dyn FnMut(FuncId, Vec<Value>) -> Result<Value>,
+    ) -> Result<Value> {
         let inv = self.invs[i].child;
         self.replays += 1;
         curare_obs::record(EventKind::SpecReplay, inv);
@@ -1048,9 +1052,10 @@ impl Journal {
         let res = run_body(self.invs[i].fid, self.args_of(&self.invs[i]).to_vec());
         curare_obs::set_invocation(prev);
         self.invs[i].errored |= res.is_err();
+        res
     }
 
-    fn commit(self) -> Resolution {
+    fn commit(self, root_value: Option<Value>) -> Resolution {
         disarm();
         let tree = &self.tree;
         let mut out: Vec<(u64, u64, String)> = self
@@ -1069,6 +1074,7 @@ impl Journal {
             clean: self.invs.iter().filter(|s| !s.aborted).count() as u64,
             escalated: false,
             roots: Vec::new(),
+            root_value,
             output: out.into_iter().map(|(_, _, l)| l).collect(),
         }
     }
@@ -1090,6 +1096,7 @@ impl Journal {
             clean: 0,
             escalated: true,
             roots,
+            root_value: None,
             output: Vec::new(),
         }
     }
@@ -1115,6 +1122,9 @@ pub struct Resolution {
     pub escalated: bool,
     /// Root invocations (re-execution recipes) in spawn order.
     pub roots: Vec<(FuncId, Vec<Value>)>,
+    /// The committed value of a root invocation that was replayed:
+    /// its replay's, not the aborted execution's.
+    pub root_value: Option<Value>,
     /// Committed printed lines, in sequential order.
     pub output: Vec<String>,
 }
@@ -1139,6 +1149,7 @@ fn resolve(
 ) -> Resolution {
     let mut j = Journal::default();
     let mut rounds: u32 = 0;
+    let mut root_value = None;
     loop {
         j.absorb();
         if ESCALATE.load(Ordering::SeqCst) || j.diverged {
@@ -1147,7 +1158,7 @@ fn resolve(
         let aborts = j.validate();
         if aborts.is_empty() {
             let errored = j.invs.iter().any(|s| s.errored);
-            return if errored { j.escalate(heap) } else { j.commit() };
+            return if errored { j.escalate(heap) } else { j.commit(root_value) };
         }
         // A future-valued invocation's result may already have been
         // consumed by its toucher; an abort cannot retract that value,
@@ -1170,7 +1181,10 @@ fn resolve(
         j.undo(heap);
         order.sort_unstable();
         for (_, i) in order {
-            j.replay(i, run_body);
+            let value = j.replay(i, run_body);
+            if j.tree.index(j.invs[i].parent).is_none() {
+                root_value = value.ok();
+            }
         }
     }
 }
@@ -1215,6 +1229,7 @@ mod tests {
         assert_eq!(r.committed, 2);
         assert_eq!(r.clean, 2);
         assert_eq!(r.aborts, 0);
+        assert_eq!(r.root_value, None, "nothing replayed: the pool's value stands");
         assert_eq!(heap.car(a).unwrap(), Value::int(10));
         assert_eq!(heap.car(b).unwrap(), Value::int(20));
     }
@@ -1244,10 +1259,11 @@ mod tests {
             replay_spawn(0, &[]);
             let v = heap_ref.car(x)?;
             heap_ref.set_car(dst, v)?;
-            Ok(Value::NIL)
+            Ok(v)
         });
         assert!(!r.escalated, "replay should converge");
         assert_eq!((r.aborts, r.replays, r.committed, r.clean), (1, 1, 2, 1));
+        assert_eq!(r.root_value, Some(Value::int(42)), "the root's value is its replay's");
         assert_eq!(heap.car(dst).unwrap(), Value::int(42), "tail must see conflictor's write");
     }
 

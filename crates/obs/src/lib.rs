@@ -14,8 +14,9 @@
 //!   (`sweep`) and exportable as Chrome `trace_event` JSON
 //!   ([`chrome`]) that opens directly in `chrome://tracing` / Perfetto;
 //! - **metrics** ([`hist`], [`report`]): lock-free log₂ wait-time
-//!   histograms (p50/p95/max) and a schema-versioned run report
-//!   assembling pool, heap, and lock sections into one JSON document;
+//!   histograms (p50/p95/max), and the one document format
+//!   (`curare-report/2`) every run, check and experiment writes its
+//!   sections in;
 //! - **timelines** ([`timeline`]): busy-servers-over-time derived from
 //!   the trace, the measured counterpart of the paper's Figures 6/7/9.
 //!
@@ -51,10 +52,9 @@ pub use event::{Event, EventKind};
 pub use hist::{AtomicHistogram, HistogramSummary};
 pub use json::Json;
 pub use profile::{
-    dropped_total, pack_pair, profiling_enabled, set_profiling, trace_health_section, unpack_pair,
-    warn_if_dropped, EdgeCounts, PathAttribution, Profile, SCHEMA_PROFILE,
+    dropped_total, pack_pair, profiling_enabled, set_profiling, unpack_pair, warn_if_dropped,
+    EdgeCounts, PathAttribution, Profile,
 };
-pub use report::{validate_keys, SCHEMA_REPORT, SCHEMA_TRACE};
 pub use ring::{RingSnapshot, TraceRing};
 pub use sanitize::{current_invocation, new_invocation, set_invocation, set_journaling, tick};
 pub use timeline::Timeline;

@@ -48,9 +48,6 @@ use crate::json::Json;
 use crate::ring::RingSnapshot;
 use crate::sweep::{sweep, Segment, State};
 
-/// Profile schema identifier (bump on breaking change).
-pub const SCHEMA_PROFILE: &str = "curare-profile/1";
-
 static PROFILING: AtomicBool = AtomicBool::new(false);
 
 /// Enable/disable causal profiling. While enabled,
@@ -334,10 +331,9 @@ impl Profile {
         }
     }
 
-    /// The profile as a versioned JSON document.
+    /// The profile as a run report's `profile` section.
     pub fn to_json(&self) -> Json {
         Json::obj()
-            .set("schema", SCHEMA_PROFILE)
             .set("invocations", self.invocations)
             .set("work_ns", self.work_ns)
             .set("span_ns", self.span_ns)
@@ -447,14 +443,6 @@ fn attribute_path(
 /// Total ring-overflow drops across lane snapshots.
 pub fn dropped_total(snaps: &[RingSnapshot]) -> u64 {
     snaps.iter().map(|s| s.dropped).sum()
-}
-
-/// The `trace` section for `curare-report/1`: per-lane and total
-/// dropped counts, so reports built from truncated rings say so.
-pub fn trace_health_section(snaps: &[RingSnapshot]) -> Json {
-    Json::obj()
-        .set("dropped_events", dropped_total(snaps))
-        .set("dropped_per_lane", Json::Arr(snaps.iter().map(|s| s.dropped.into()).collect()))
 }
 
 /// One-line stderr warning when any lane overflowed, naming the
@@ -614,9 +602,10 @@ mod tests {
         assert_eq!(p.work_ns, 30);
         assert!(p.span_ns <= p.work_ns);
         assert!(p.parallelism >= 1.0);
-        let j = p.to_json();
-        assert_eq!(j.get("schema").unwrap().as_str(), Some(SCHEMA_PROFILE));
-        assert_eq!(j.get("dropped_events").unwrap().as_u64(), Some(123));
+        let doc = crate::report::document("lossy", [("profile", p.to_json())]).to_string();
+        let doc = crate::report::validate(&doc, &["profile"]).unwrap();
+        let section = doc.get("profile").unwrap();
+        assert_eq!(section.get("dropped_events").and_then(Json::as_u64), Some(123));
     }
 
     #[test]
@@ -841,7 +830,7 @@ mod tests {
     fn trace_health_reports_drops() {
         let clean = snap(vec![]);
         let lossy = RingSnapshot { events: vec![], dropped: 9 };
-        let j = trace_health_section(&[clean, lossy]);
+        let j = Profile::from_trace(&[clean, lossy]).to_json();
         assert_eq!(j.get("dropped_events").unwrap().as_u64(), Some(9));
         assert_eq!(j.get("dropped_per_lane").unwrap().as_arr().unwrap().len(), 2);
         assert_eq!(dropped_total(&[]), 0);

@@ -1,19 +1,15 @@
-//! Concurrency timelines: busy-servers-over-time in one shared
-//! schema.
+//! Concurrency timelines: busy-servers-over-time.
 //!
 //! The paper's Figures 6/7/9 are exactly this picture — how many
 //! invocations are in flight at each instant. [`Timeline`] is the
 //! measured counterpart, read off the trace's per-lane invocation
-//! slices (the `sweep` module) and emitted in a versioned JSON schema
-//! ([`SCHEMA`]), so a threaded run can be set against the §3.1 CRI
-//! concurrency bound with no format shims.
+//! slices (the `sweep` module) and written as a run report's
+//! `timeline` section, so a threaded run can be set against the §3.1
+//! CRI concurrency bound with no format shims.
 
 use crate::json::Json;
 use crate::ring::RingSnapshot;
 use crate::sweep::sweep;
-
-/// The timeline schema identifier (bump on breaking change).
-pub const SCHEMA: &str = "curare-timeline/1";
 
 /// A step function of concurrently busy servers; see module docs.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,10 +79,9 @@ impl Timeline {
         Timeline::from_intervals(&intervals)
     }
 
-    /// Serialize in the versioned schema.
+    /// The timeline as a run report's `timeline` section.
     pub fn to_json(&self) -> Json {
         Json::obj()
-            .set("schema", SCHEMA)
             .set("unit", "ns")
             .set("mean_concurrency", self.mean_concurrency)
             .set("peak_concurrency", self.peak_concurrency)
@@ -153,9 +148,9 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let t = Timeline::from_intervals(&[(0, 4), (2, 8), (6, 10)]);
-        let j = t.to_json();
-        let parsed = Json::parse(&j.to_string()).unwrap();
-        assert_eq!(parsed.get("schema").and_then(Json::as_str), Some(SCHEMA));
+        let doc = crate::report::document("t", [("timeline", t.to_json())]).to_string();
+        let doc = crate::report::validate(&doc, &["timeline"]).unwrap();
+        let parsed = doc.get("timeline").unwrap();
         assert_eq!(parsed.get("unit").and_then(Json::as_str), Some("ns"));
         let points: Vec<(u64, u64)> = parsed
             .get("points")

@@ -1,5 +1,5 @@
 //! A pool's life as its owner sees it: configuration, construction,
-//! `run` and `wait_idle`, the statistics and the run report, and
+//! `run` and `wait_idle`, the statistics and the run's report, and
 //! shutdown. What the servers do between is `pool`'s; speculation's
 //! commit is `speculate`'s and stall detection `watchdog`'s.
 
@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use curare_lisp::sync::Mutex;
 use curare_lisp::{FuncId, Interp, LispError, Value};
-use curare_obs::Json;
+use curare_obs::{report, Json, Profile, RingSnapshot, Timeline};
 
 use crate::pool::{self, CriHooks, Shared};
 use crate::watchdog::{self, Watch};
@@ -49,7 +49,7 @@ pub struct PoolStats {
     pub task_retries: u64,
     /// Servers that left the pool after a task panicked on them.
     pub servers_poisoned: u64,
-    /// `curare-stall/1` dumps emitted by the watchdog.
+    /// Stall dumps emitted by the watchdog.
     pub stall_dumps: u64,
     /// Faults injected by the installed chaos plan (0 with no plan
     /// installed; process-global, so concurrent pools under one plan
@@ -102,7 +102,7 @@ pub struct RuntimeConfig {
     /// Work-distribution structure.
     pub mode: SchedMode,
     /// Arm the stall watchdog: a server stuck in one non-idle phase
-    /// longer than this budget produces a `curare-stall/1` dump.
+    /// longer than this budget produces a stall dump.
     /// `None` (the default) spawns no watchdog thread and keeps the
     /// hot path free of heartbeat writes.
     pub stall_budget: Option<Duration>,
@@ -197,9 +197,12 @@ impl CriRuntime {
 
     /// Execute `(fname args...)` to completion across the pool:
     /// enqueue the root invocation, then wait until every transitively
-    /// spawned invocation has finished. The function's effects are the
-    /// result; the returned value is `nil` unless an error occurred.
-    pub fn run(&self, fname: &str, args: &[Value]) -> Result<(), LispError> {
+    /// spawned invocation has finished, and return the root
+    /// invocation's value: under speculation the committed execution's,
+    /// after an escalation the sequential rerun's. A tail spawn is not
+    /// a call, so where the sequential program's value rides on a tail
+    /// self-call the two can differ.
+    pub fn run(&self, fname: &str, args: &[Value]) -> Result<Value, LispError> {
         let fid = self.lookup(fname)?;
         if self.config.speculate {
             return self.run_speculative(fid, args);
@@ -263,28 +266,24 @@ impl CriRuntime {
         self.shared.alive()
     }
 
-    /// The `curare-stall/1` dumps the watchdog has emitted (capped at
-    /// 64 per pool lifetime).
+    /// The stall dumps the watchdog has emitted (capped at 64 per pool
+    /// lifetime), the entries of a report's `stalls` section.
     pub fn stall_dumps(&self) -> Vec<Json> {
         self.shared.watch().map_or_else(Vec::new, Watch::dumps)
     }
 }
 
 impl CriRuntime {
-    /// Machine-readable run report (`curare-report/1`): the pool
-    /// counters, the heap occupancy, and the lock-wait histogram in
-    /// one JSON document. `label` names the run in the report header.
-    pub fn run_report(&self, label: &str) -> Json {
+    /// The run's report, labelled `label`: the pool counters, the heap
+    /// occupancy, the lock-wait histogram, the VM counters with the
+    /// hottest opcodes, the wall time (`seconds`), and what the run's
+    /// trace `snaps` holds — its timeline, its rings' health and its
+    /// causal profile.
+    pub fn run_report(&self, label: &str, seconds: f64, snaps: &[RingSnapshot]) -> Json {
         let stats = self.stats();
         let pool = Json::obj()
             .set("servers", self.servers)
-            .set(
-                "mode",
-                match self.config.mode {
-                    SchedMode::Central => "central",
-                    SchedMode::Sharded => "sharded",
-                },
-            )
+            .set("mode", if self.config.mode == SchedMode::Central { "central" } else { "sharded" })
             .set("tasks", stats.tasks)
             .set("peak_queue", stats.peak_queue)
             .set("chained_tasks", stats.chained_tasks)
@@ -321,40 +320,42 @@ impl CriRuntime {
             .set("contended", stats.lock_contended)
             .set("wait", self.shared.locks().wait_summary().to_json());
         let vs = curare_lisp::vm_stats();
+        // Hottest opcodes by accumulated handler ns: empty unless
+        // per-opcode profiling was on during the run.
+        let hot_ops = curare_lisp::op_profile_top(8)
+            .into_iter()
+            .map(|r| Json::obj().set("op", r.name).set("count", r.count).set("ns", r.ns));
         let vm = Json::obj()
             .set(
                 "engine",
-                match self.interp.engine() {
-                    curare_lisp::Engine::Vm => "vm",
-                    curare_lisp::Engine::Tree => "tree",
-                },
+                if self.interp.engine() == curare_lisp::Engine::Vm { "vm" } else { "tree" },
             )
             .set("dispatched_ops", vs.dispatched_ops)
             .set("typed_ops", vs.typed_ops)
             .set("fused_ops", vs.fused_ops)
             .set("frames_reused", vs.frames_reused)
             .set("frames_allocated", vs.frames_allocated)
-            // Hottest opcodes by accumulated handler ns; always
-            // present, empty unless per-opcode profiling was on
-            // during the run.
-            .set(
-                "hot_ops",
-                Json::Arr(
-                    curare_lisp::op_profile_top(8)
-                        .into_iter()
-                        .map(|r| {
-                            Json::obj().set("op", r.name).set("count", r.count).set("ns", r.ns)
-                        })
-                        .collect(),
-                ),
-            );
-        Json::obj()
-            .set("schema", curare_obs::SCHEMA_REPORT)
-            .set("label", label)
-            .set("pool", pool)
-            .set("heap", heap)
-            .set("locks", locks)
-            .set("vm", vm)
+            .set("hot_ops", Json::Arr(hot_ops.collect()));
+        let tasks_per_sec = stats.tasks as f64 / seconds.max(1e-9);
+        let wall = Json::obj().set("seconds", seconds).set("tasks_per_sec", tasks_per_sec);
+        // The rings' health, so a report built from truncated rings
+        // says so.
+        let profile = Profile::from_trace(snaps);
+        let lanes = profile.dropped_per_lane.iter().map(|&d| Json::from(d)).collect();
+        let trace = Json::obj().set("dropped_events", profile.dropped_events);
+        report::document(
+            label,
+            [
+                ("pool", pool),
+                ("heap", heap),
+                ("locks", locks),
+                ("vm", vm),
+                ("wall", wall),
+                ("timeline", Timeline::from_trace(snaps).to_json()),
+                ("trace", trace.set("dropped_per_lane", Json::Arr(lanes))),
+                ("profile", profile.to_json()),
+            ],
+        )
     }
 }
 

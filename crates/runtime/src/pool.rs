@@ -187,6 +187,8 @@ pub(crate) struct Shared {
     pending: CachePadded<AtomicU64>,
     counters: CachePadded<Counters>,
     error: Mutex<Option<LispError>>,
+    /// What the run's root invocation returned.
+    root_value: Mutex<Value>,
     shutdown: AtomicBool,
     aborting: AtomicBool,
     locks: LockTable,
@@ -219,6 +221,7 @@ impl Shared {
             pending: CachePadded::default(),
             counters: CachePadded::default(),
             error: Mutex::new(None),
+            root_value: Mutex::new(Value::NIL),
             shutdown: AtomicBool::new(false),
             aborting: AtomicBool::new(false),
             locks: LockTable::new(),
@@ -485,7 +488,7 @@ impl Shared {
                 curare_obs::record(EventKind::BindFuture, curare_obs::pack_pair(inv, id));
             }
         }
-        Task { fid, args, site, future, inv }
+        Task { fid, args, site, future, inv, root: false }
     }
 
     /// Park a failed invocation under speculation instead of ending the
@@ -524,18 +527,20 @@ impl Shared {
     // ---- what the pool's owner and its watchdog use ----
 
     /// Run `(fid args...)` from its root invocation until the pool is
-    /// idle, and hand back the error that ended the run, if one did.
+    /// idle, and hand back the root's value, or the error that ended
+    /// the run if one did.
     pub(crate) fn run(
         self: &Arc<Self>,
         interp: &Interp,
         fid: FuncId,
         args: Vec<Value>,
-    ) -> Result<(), LispError> {
+    ) -> Result<Value, LispError> {
         self.aborting.store(false, Ordering::Release);
         *self.error.lock() = None;
-        self.submit_now(self.new_task(0, fid, args, None));
+        *self.root_value.lock() = Value::NIL;
+        self.submit_now(Task { root: true, ..self.new_task(0, fid, args, None) });
         self.wait_idle(interp);
-        self.error.lock().take().map_or(Ok(()), Err)
+        self.error.lock().take().map_or_else(|| Ok(*self.root_value.lock()), Err)
     }
 
     /// Block until no invocation is pending. On a degraded pool (no
@@ -729,7 +734,7 @@ fn execute_task(
     tally: &mut Tally,
     helping: bool,
 ) -> Option<Task> {
-    let Task { fid, args, future, inv, .. } = task;
+    let Task { fid, args, future, inv, root, .. } = task;
     let key = shared.key();
     // A tail-position spawn may restart this frame in place only where
     // that cannot be told from running the successor as a task: the
@@ -786,6 +791,9 @@ fn execute_task(
         Ok(v) => {
             if let Some(id) = future {
                 shared.futures.resolve(id, v);
+            }
+            if root {
+                *shared.root_value.lock() = v;
             }
         }
         Err(e) if shared.speculate => shared.park_failure(inv, future, e),
@@ -859,6 +867,29 @@ mod tests {
         let v = interp.load_str("*count*").unwrap();
         assert_eq!(interp.heap().display(v), "10");
         assert_eq!(rt.stats().tasks, 11, "one invocation per cell plus the nil case");
+    }
+
+    /// A run returns its root invocation's value, the one the
+    /// sequential run returns: of an entry that spawns nothing, and of a
+    /// converted walker whose base case returns nil, on one server and
+    /// on two.
+    #[test]
+    fn a_run_returns_the_sequential_value() {
+        let src = "(defun sq (x) (* x x))
+                   (defun w (l) (when l (setf (car l) (sq (car l))) (w (cdr l))))";
+        let seq = Interp::new();
+        seq.load_str(src).unwrap();
+        let list = seq.load_str("(list 1 2 3)").unwrap();
+        let want = [seq.call("sq", &[Value::int(7)]).unwrap(), seq.call("w", &[list]).unwrap()];
+        assert_eq!(want, [Value::int(49), Value::NIL]);
+        for servers in [1, 2] {
+            let (rt, text) = pooled(src, servers);
+            assert!(text.contains("cri-enqueue"), "w is converted: {text}");
+            let list = rt.interp().load_str("(list 1 2 3)").unwrap();
+            let got = [rt.run("sq", &[Value::int(7)]).unwrap(), rt.run("w", &[list]).unwrap()];
+            assert_eq!(got, want, "S = {servers}");
+            assert_eq!(rt.interp().heap().display(list), "(1 4 9)");
+        }
     }
 
     #[test]

@@ -58,6 +58,8 @@ pub struct Task {
     /// Invocation id (0 unless the access journal or the causal
     /// profiler is armed).
     pub inv: u64,
+    /// The run's root invocation, whose value the run returns.
+    pub root: bool,
 }
 
 /// Sites at or above this index share the top bitmask bit.
@@ -565,7 +567,7 @@ mod tests {
     use std::sync::Arc;
 
     fn task(site: usize, tag: i64) -> Task {
-        Task { fid: 0, args: vec![Value::int(tag)], site, future: None, inv: 0 }
+        Task { fid: 0, args: vec![Value::int(tag)], site, future: None, inv: 0, root: false }
     }
 
     #[test]

@@ -17,11 +17,12 @@ use crate::lifecycle::CriRuntime;
 const SPEC_RETRY_LIMIT: u32 = 8;
 
 impl CriRuntime {
-    /// A `SpecMode` run of `(fid args...)`. Replays run under the
-    /// journal's hooks, on this thread; an escalated rerun runs under
-    /// `SequentialHooks` — nothing runs beside it, so it takes no pool
-    /// lock — and the pool's hooks are back on every exit.
-    pub(crate) fn run_speculative(&self, fid: FuncId, args: &[Value]) -> Result<(), LispError> {
+    /// A `SpecMode` run of `(fid args...)`, to the committed value.
+    /// Replays run under the journal's hooks, on this thread; an
+    /// escalated rerun runs under `SequentialHooks` — nothing runs
+    /// beside it, so it takes no pool lock — and the pool's hooks are
+    /// back on every exit.
+    pub(crate) fn run_speculative(&self, fid: FuncId, args: &[Value]) -> Result<Value, LispError> {
         speclog::arm()?;
         let ran = self.shared.run(&self.interp, fid, args.to_vec());
         let t0 = curare_obs::now_ns();
@@ -44,12 +45,13 @@ impl CriRuntime {
         if res.escalated {
             // A genuine sequential error surfaces here, exactly as the
             // non-speculative run would have reported it.
-            self.interp.with_hooks(Arc::new(SequentialHooks), || {
+            let rerun = self.interp.with_hooks(Arc::new(SequentialHooks), || {
                 res.roots
                     .into_iter()
-                    .try_for_each(|(fid, args)| self.interp.call_fid_owned(fid, args).map(drop))
+                    .try_fold(Value::NIL, |_, (fid, args)| self.interp.call_fid_owned(fid, args))
             })?;
+            return ran.map(|_| rerun);
         }
-        ran
+        ran.map(|v| res.root_value.unwrap_or(v))
     }
 }

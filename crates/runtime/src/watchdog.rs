@@ -7,10 +7,9 @@
 //! and flags any server whose *last transition* is older than the
 //! budget while in a non-idle phase — a blocked `touch`, a lock
 //! convoy, or a body that simply never returns. Detection is separate
-//! from policy: the watchdog emits a `curare-stall/1` dump and leaves
-//! recovery to the panic policy at the catch site (poison, degrade),
-//! because a stalled-but-alive server cannot be safely killed from
-//! outside.
+//! from policy: the watchdog makes a stall dump and leaves recovery to
+//! the panic policy at the catch site (poison, degrade), because a
+//! stalled-but-alive server cannot be safely killed from outside.
 //!
 //! The beat state machine per server:
 //!
@@ -197,7 +196,7 @@ impl Watch {
         self.found.lock().0
     }
 
-    /// The `curare-stall/1` dumps made so far (the first 64).
+    /// The stall dumps made so far (the first 64).
     pub(crate) fn dumps(&self) -> Vec<Json> {
         self.found.lock().1.clone()
     }
@@ -236,7 +235,7 @@ pub(crate) fn watch(watch: &Watch, pool: &Shared) {
     }
 }
 
-/// One `curare-stall/1` dump for server `index`: every server's
+/// One stall dump for server `index`: every server's
 /// heartbeat, currently held locks, still-pending futures, scheduler
 /// occupancy, and the stalled lane's most recent trace events (when a
 /// tracer is installed).
@@ -259,8 +258,7 @@ fn stall_dump(watch: &Watch, pool: &Shared, index: usize, budget_ns: u64, now: u
     let recent = events[events.len().saturating_sub(32)..]
         .iter()
         .map(|e| Json::obj().set("ts_ns", e.ts_ns).set("kind", e.kind.name()).set("arg", e.arg));
-    let head = Json::obj().set("schema", "curare-stall/1").set("server", index);
-    beat(head, &watch.beats[index])
+    beat(Json::obj().set("server", index), &watch.beats[index])
         .set("budget_ns", budget_ns)
         .set("alive", pool.alive())
         .set("pending_tasks", pool.pending_tasks())

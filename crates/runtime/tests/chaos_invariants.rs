@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use common::{guard, quietly, with_big_stack, Hook, PanicOn};
 use curare_lisp::{Interp, LispError, Val, Value};
+use curare_obs::{report, Json};
 use curare_runtime::chaos::{self, ChaosProfile, FaultPlan};
 use curare_runtime::queue::ShardedQueues;
 use curare_runtime::{CriRuntime, FutureTable, RuntimeConfig, SchedMode, Task};
@@ -33,7 +34,7 @@ fn with_plan<T>(plan: Arc<FaultPlan>, f: impl FnOnce() -> T) -> T {
 }
 
 fn task(site: usize, tag: i64) -> Task {
-    Task { fid: 0, args: vec![Value::int(tag)], site, future: None, inv: 0 }
+    Task { fid: 0, args: vec![Value::int(tag)], site, future: None, inv: 0, root: false }
 }
 
 /// Drain `pop` to exhaustion and assert tags stay ascending within
@@ -215,8 +216,8 @@ fn watchdog_never_fires_on_a_merely_slow_healthy_run() {
 }
 
 /// Genuine stalls (task-start delays far past the budget) must produce
-/// at least one `curare-stall/1` dump — and the run must still finish
-/// with the right answer, because the watchdog only reports.
+/// at least one stall dump — and the run must still finish with the
+/// right answer, because the watchdog only reports.
 #[test]
 fn watchdog_dumps_on_a_genuine_stall() {
     let _g = guard();
@@ -244,11 +245,10 @@ fn watchdog_dumps_on_a_genuine_stall() {
         assert_eq!(interp.load_str("*sum*").unwrap(), Value::int(n * (n + 1) / 2));
         let stats = rt.stats();
         assert!(stats.stall_dumps >= 1, "a 20ms budget against ~60ms delays: {stats:?}");
-        let dumps = rt.stall_dumps();
-        assert!(!dumps.is_empty());
-        let text = dumps[0].to_string();
-        assert!(text.contains("curare-stall/1"), "dump carries its schema tag: {text}");
-        assert!(text.contains("\"phase\""), "dump names the stuck phase: {text}");
+        let doc = report::document("walk", [("stalls", Json::Arr(rt.stall_dumps()))]);
+        let doc = report::validate(&doc.to_string(), &["stalls"]).unwrap();
+        let dumps = doc.get("stalls").and_then(Json::as_arr).unwrap();
+        assert!(dumps[0].get("phase").is_some(), "a dump names the stuck phase: {doc}");
     });
 }
 

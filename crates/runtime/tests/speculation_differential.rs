@@ -457,7 +457,7 @@ fn speculation_off_is_the_default() {
 /// is fixed: `f`'s tails read `*x*` before its successor writes it and
 /// abort, and the replays create futures; `g`'s last link fails. The
 /// rerun under the sequential hooks completes for `f` and returns the
-/// body's error for `g`. Either way the interpreter runs under the
+/// body's error for `g`, and `f`'s value is the rerun's. Either way the interpreter runs under the
 /// pool's hooks again: a following run puts its n spawns on the server,
 /// n + 1 tasks.
 #[test]
@@ -494,7 +494,8 @@ fn an_escalated_rerun_hands_the_interpreter_back_to_the_pool() {
         assert_eq!(rt.stats().tasks, before + 5, "4 spawns and the root, run as tasks");
     };
 
-    rt.run("f", &[Value::int(2)]).expect("the rerun completes");
+    let value = rt.run("f", &[Value::int(2)]).expect("the rerun completes");
+    assert_eq!(value, Value::int(2), "the run's value is the rerun's");
     let stats = rt.stats();
     assert!(stats.spec_replays >= 1 && stats.spec_escalated, "a replay escalated: {stats:?}");
     let log = interp.load_str("*log*").unwrap();
