@@ -232,7 +232,7 @@ check_counts speculative '"runtime.spec_commits":{"value":6002,' \
 # in place), every bracket of locked_window still an acquisition.
 check_counts tiny_grain '"runtime.tasks":{"value":20001,'
 check_counts locked_window '"runtime.tasks":{"value":1996,' \
-  '"runtime.lock_acquisitions":{"value":17955,'
+  '"runtime.lock_acquisitions":{"value":9975,'
 # Nor a hand-over by not being made: every leaf of skewed_sites is a
 # task published in a batch of its own, behind a walker link that
 # restarted in place.

@@ -145,7 +145,7 @@ static EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "locksynth",
         source: "§3.2.1",
-        about: "naive exclusive vs synthesised rw vs coalesced lock placements",
+        about: "naive exclusive vs synthesised rw lock placements",
         run: locksynth,
     },
 ];
@@ -171,17 +171,6 @@ fn ms(d: Duration) -> f64 {
 fn arm_chaos(profile: &str, seed: u64) {
     let profile = ChaosProfile::named(profile).expect("a named chaos profile");
     chaos::install(Some(FaultPlan::new(seed, profile)));
-}
-
-/// Run `load` with superinstruction fusion set to `fuse` — it applies
-/// at compile (= load) time — and put the flag back before anything
-/// else observes it.
-fn with_fusion<T>(fuse: bool, load: impl FnOnce() -> T) -> T {
-    let prev = curare::lisp::fusion_enabled();
-    curare::lisp::set_fusion_enabled(fuse);
-    let loaded = load();
-    curare::lisp::set_fusion_enabled(prev);
-    loaded
 }
 
 /// E1 — the worked conflict-detection examples of §2 (Figures 2–5).
@@ -540,12 +529,12 @@ fn e13_handoff_crossover(r: &mut Run) {
     );
 }
 
-/// `p` as written on the VM, compiled with fusion on or off: the
-/// entry's static (total, typed, fused) op counts and the VM's
+/// `p` as written on the VM of an interpreter from `build`
+/// (`Interp::new` fuses, `Interp::unfused` does not): the entry's static (total, typed, fused) op counts and the VM's
 /// counters for one call.
-fn vm_counts(p: &Program, fuse: bool) -> ([u64; 3], curare::lisp::VmStats) {
+fn vm_counts(p: &Program, build: fn() -> Interp) -> ([u64; 3], curare::lisp::VmStats) {
     with_big_stack(|| {
-        let interp = with_fusion(fuse, || p.written());
+        let interp = p.written_in(build());
         interp.set_engine(Engine::Vm);
         let args = (p.args)(&interp, p.n);
         interp.call(p.entry, &args).expect("warm-up call");
@@ -611,8 +600,8 @@ fn interp_engines(r: &mut Run) {
 fn hir_fusion(r: &mut Run) {
     let mut regressed = Vec::new();
     for p in pick(&ENGINE_SET) {
-        let ([total, typed, fused], on) = vm_counts(&p, true);
-        let ([total_off, ..], off) = vm_counts(&p, false);
+        let ([total, typed, fused], on) = vm_counts(&p, Interp::new);
+        let ([total_off, ..], off) = vm_counts(&p, Interp::unfused);
         if on.dispatched_ops > off.dispatched_ops {
             regressed.push(p.name);
         }
@@ -642,11 +631,11 @@ fn hir_fusion(r: &mut Run) {
 /// and tree-walked), and must leave the output and globals the file
 /// as written leaves.
 fn differential(r: &mut Run) {
-    let run_engine = |src: &str, engine: Engine, fuse: bool| -> String {
+    let run_engine = |src: &str, engine: Engine, build: fn() -> Interp| -> String {
         with_big_stack(move || {
-            let interp = Interp::new();
+            let interp = build();
             interp.set_engine(engine);
-            let outcome = match with_fusion(fuse, || interp.load_str(src)) {
+            let outcome = match interp.load_str(src) {
                 Ok(v) => format!("ok: {}", interp.heap().display(v)),
                 Err(e) => format!("err: {e}"),
             };
@@ -664,14 +653,14 @@ fn differential(r: &mut Run) {
     };
     // The three engines on one text: `Ok(outcome)` when they agree.
     let three_way = |src: &str| -> Result<String, String> {
-        let tree = run_engine(src, Engine::Tree, true);
-        let vm = run_engine(src, Engine::Vm, true);
-        let vm_nofuse = run_engine(src, Engine::Vm, false);
+        let tree = run_engine(src, Engine::Tree, Interp::new);
+        let vm = run_engine(src, Engine::Vm, Interp::new);
+        let vm_nofuse = run_engine(src, Engine::Vm, Interp::unfused);
         if tree == vm && vm == vm_nofuse {
             Ok(tree)
         } else {
             Err(format!(
-                "--- tree ---\n{tree}\n--- vm (fused) ---\n{vm}\n--- vm (--no-fuse) ---\n{vm_nofuse}"
+                "--- tree ---\n{tree}\n--- vm (fused) ---\n{vm}\n--- vm (unfused) ---\n{vm_nofuse}"
             ))
         }
     };
@@ -973,9 +962,10 @@ fn profile(r: &mut Run) {
 /// `locksynth` — the lock-synthesis sweep (§3.2.1): for the
 /// read-window walker family (each invocation writes its own car and
 /// reads the cars `k` and `k+1` cells ahead), the synthesised
-/// placement (exclusive writer + shared readers) and its
-/// bracket-coalesced variant against the naive all-pairs exclusive
-/// placement, across k ∈ {1,2,4,8}.
+/// placement (exclusive writer + shared readers) against the naive
+/// all-pairs exclusive placement, across k ∈ {1,2,4,8}. Both are
+/// written as the pipeline writes every placement: one bracket per run
+/// of statements with the same lock set.
 ///
 /// The placement's effect is a change of *effective conflict
 /// distance*: under all-exclusive locking, adjacent invocations lock
@@ -1005,19 +995,15 @@ fn locksynth(r: &mut Run) {
             ..Program::named("figure-5")
         };
         let expect = walker(&rw_src).sequential(&walker(&rw_src).written(), N);
-        for (variant, src, coalesce, d_eff) in [
-            ("exclusive", &excl_src, false, 1),
-            ("rw", &rw_src, false, k),
-            ("coalesced", &rw_src, true, k),
-        ] {
-            // head = guard + spawn, tail = the 2*READS+1 lock
-            // brackets, exclusion radius = the effective distance.
+        for (variant, src, d_eff) in [("exclusive", &excl_src, 1), ("rw", &rw_src, k)] {
+            // head = guard + spawn, tail = the 2*READS+1 bracketed
+            // statements, exclusion radius = the effective distance.
             let sim = simulate(
                 &SimConfig::new(N as u64, SERVERS as u64, 1, 2 * READS as u64 + 1)
                     .with_conflict_distance(d_eff as u64),
             );
             let p = walker(src);
-            let (interp, out) = p.restructured(Curare::new().with_coalesced_locks(coalesce));
+            let (interp, out) = p.restructured(Curare::new());
             let locked = out
                 .report("fw")
                 .is_some_and(|f| f.devices.iter().any(|d| matches!(d, Device::Locks(_))));
@@ -1068,7 +1054,8 @@ fn locksynth(r: &mut Run) {
     r.say(
         "shape: all-exclusive pins the effective distance to 1, so its model concurrency stays \
          1 at every k; the rw placement restores min(d) = k and reaches min(k, servers). rw \
-         moves most acquisitions to the shared path; coalescing halves the bracket count.",
+         moves most acquisitions to the shared path. A run of statements with one lock set is \
+         one bracket, so a cell's 17 bracketed statements take 9 acquisitions.",
     );
 }
 

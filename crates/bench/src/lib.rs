@@ -422,7 +422,12 @@ impl Program {
 
     /// A fresh interpreter holding the program as written.
     pub fn written(&self) -> Arc<Interp> {
-        let interp = Arc::new(Interp::new());
+        self.written_in(Interp::new())
+    }
+
+    /// `interp` (fresh) holding the program as written.
+    pub fn written_in(&self, interp: Interp) -> Arc<Interp> {
+        let interp = Arc::new(interp);
         interp.load_str(&self.source).expect("program loads");
         self.prepared(interp)
     }
@@ -816,6 +821,39 @@ mod tests {
                 // bound — is the window depth.
                 assert_eq!(analyze_first(&src).conflicts.min_distance, Some(k), "k = {k} {label}");
             }
+        }
+    }
+
+    /// The pipeline writes one bracket per maximal run of tail
+    /// statements with the same lock set, from the placement
+    /// `synthesize` gives, and the bracketed walker leaves the list the
+    /// program as written leaves.
+    #[test]
+    fn the_window_walker_takes_one_bracket_per_same_lockset_run() {
+        use curare::analysis::locksynth::{synthesize, OrderingContext};
+        let src = read_window_walker(4, 8);
+        // The statements after the spawn. Equal texts read the same word
+        // and different texts different words, so a run of equal texts
+        // is a run of one lock set.
+        let defun = parse_all(&src).unwrap().pop().unwrap();
+        let body = defun.as_list().unwrap()[3].as_list().unwrap();
+        let tail = &body[3..];
+        let runs = 1 + tail.windows(2).filter(|w| w[0] != w[1]).count();
+        assert_eq!((tail.len(), runs), (17, 9));
+
+        let out = Curare::new().transform_source(&src).unwrap();
+        assert_eq!(out.source().matches("(cri-lock").count(), runs, "{}", out.source());
+        let report = out.report("fw").unwrap();
+        let synthesized = synthesize(&report.analysis, &["l"], OrderingContext::cri());
+        assert_eq!(format!("{:?}", report.placement), format!("{:?}", Some(synthesized)));
+
+        let walker = Program { source: src, entry: "fw", ..Program::named("figure-5") };
+        let expect = walker.sequential(&walker.written(), 64);
+        for servers in [1, 2] {
+            let (interp, _) = walker.restructured(Curare::new());
+            let (run, got, _) = walker.pooled(&interp, 64, servers, RuntimeConfig::default());
+            assert!(run.is_ok(), "S = {servers}: {run:?}");
+            assert_eq!(got, expect, "S = {servers}");
         }
     }
 

@@ -33,10 +33,6 @@
 //!                    is open on it), trace-health, and profile (the
 //!                    spawn/touch DAG's work, span, parallelism =
 //!                    work/span, and critical-path attribution)
-//!   --engine E       invocation engine: 'vm' (default; register
-//!                    bytecode) or 'tree' (the tree-walking oracle)
-//!   --no-fuse        disable superinstruction fusion in the bytecode
-//!                    compiler (differential escape hatch)
 //!   --speculate      admit statically unproven functions optimistically:
 //!                    the pool logs their heap accesses, validates them
 //!                    against the sequential order at quiescence, and
@@ -213,8 +209,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut sequential = false;
     let mut trace_path: Option<String> = None;
     let mut report_path: Option<String> = None;
-    let mut engine = curare::lisp::Engine::Vm;
-    let mut no_fuse = false;
     let mut chaos_seed: Option<u64> = None;
     let mut chaos_profile = ChaosProfile::named("mixed").expect("a named profile");
     let mut stall_budget_ms: Option<u64> = None;
@@ -246,18 +240,6 @@ fn run(args: &[String]) -> Result<(), String> {
                         .ok_or("--stall-budget-ms needs a number")?,
                 );
                 i += 2;
-            }
-            "--engine" => {
-                engine = match args.get(i + 1).map(String::as_str) {
-                    Some("vm") => curare::lisp::Engine::Vm,
-                    Some("tree") | Some("eval-tree") => curare::lisp::Engine::Tree,
-                    _ => return Err("--engine needs 'vm' or 'tree'".into()),
-                };
-                i += 2;
-            }
-            "--no-fuse" => {
-                no_fuse = true;
-                i += 1;
             }
             "--speculate" => {
                 speculate = true;
@@ -300,13 +282,7 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 
     curare::lisp::set_thread_stack_budget(6 << 20);
-    if no_fuse {
-        // Before the interpreter exists: functions compile (and fuse)
-        // at load time.
-        curare::lisp::set_fusion_enabled(false);
-    }
     let interp = Arc::new(Interp::new());
-    interp.set_engine(engine);
     let loaded_src = if sequential {
         src
     } else {
@@ -507,12 +483,20 @@ mod tests {
         let doc = curare::obs::report::validate(&text, &sections).unwrap_or_else(|e| panic!("{e}"));
         let pool = doc.get("pool").unwrap();
         assert_eq!(pool.get("tasks").and_then(Json::as_u64), Some(9), "{pool}");
-        // A flag without its path is refused before anything runs, and
-        // the two flags `--report` replaced are unknown.
+        // A flag without its path is refused before anything runs; the
+        // two flags `--report` replaced and the engine differential's
+        // two are unknown.
         assert!(run(&[args[0].to_string(), "--trace".into()]).is_err());
-        for gone in ["--metrics", "--profile"] {
-            let err = run(&[args[0], "--servers", "2", gone, "x.json"].map(String::from));
-            assert_eq!(err.unwrap_err(), format!("unknown option {gone}"));
+        let gone: [&[&str]; 4] = [
+            &["--metrics", "x.json"],
+            &["--profile", "x.json"],
+            &["--engine", "tree"],
+            &["--no-fuse"],
+        ];
+        for flag in gone {
+            let line = [&[args[0], "--servers", "2"], flag].concat();
+            let err = run(&line.iter().map(|a| a.to_string()).collect::<Vec<_>>());
+            assert_eq!(err.unwrap_err(), format!("unknown option {}", flag[0]));
         }
         for file in [&program, &path("trace.json"), &report] {
             std::fs::remove_file(file).unwrap();

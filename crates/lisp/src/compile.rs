@@ -23,9 +23,10 @@
 //! fuses across a basic-block boundary (an instruction that is a jump
 //! target keeps its own dispatch slot). Every superinstruction still
 //! performs *both* constituent writes in original order, so no
-//! liveness analysis is needed — only dispatch is saved. Fusion can
-//! be disabled with [`set_fusion_enabled`] as a differential escape
-//! hatch.
+//! liveness analysis is needed — only dispatch is saved. Whether an
+//! interpreter fuses is fixed when it is built: [`Interp::new`] fuses,
+//! [`Interp::unfused`] gives the unfused VM the differential compares
+//! against.
 //!
 //! Heap traffic (car/cdr/cons/setf/struct/vector ops) stays behind the
 //! same `heap.rs` accessors the tree-walker uses, so the sanitizer's
@@ -37,7 +38,7 @@
 //! with the interpreter's function-table generation (redefinition
 //! bumps the generation, invalidating every cached resolution).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use curare_sexpr::{Sexpr, Symbol};
@@ -47,25 +48,6 @@ use crate::error::LispError;
 use crate::hir::{self, HExpr, HKind, Ty};
 use crate::interp::Interp;
 use crate::value::{FuncId, SymId, Value};
-
-// ----------------------------------------------------------------
-// Fusion escape hatch
-// ----------------------------------------------------------------
-
-static FUSION: AtomicBool = AtomicBool::new(true);
-
-/// Whether the superinstruction fusion pass runs at compile time (on
-/// unless [`set_fusion_enabled`] turned it off).
-pub fn fusion_enabled() -> bool {
-    FUSION.load(Ordering::Relaxed)
-}
-
-/// Force fusion on or off. Affects functions compiled afterwards;
-/// already-compiled code is unchanged, so toggle before creating the
-/// interpreter that loads the program.
-pub fn set_fusion_enabled(on: bool) {
-    FUSION.store(on, Ordering::Relaxed);
-}
 
 // ----------------------------------------------------------------
 // Instruction set
@@ -592,7 +574,7 @@ pub fn compile(interp: &Interp, func: &Func) -> Option<Code> {
     if !c.ok || c.max_reg > u16::MAX as usize || c.ops.len() > u32::MAX as usize {
         return None;
     }
-    let ops = if fusion_enabled() { fuse(c.ops) } else { c.ops };
+    let ops = if interp.fuse { fuse(c.ops) } else { c.ops };
     Some(Code {
         ops: ops.into(),
         consts: c.consts.into(),

@@ -134,6 +134,9 @@ pub struct Interp {
     funcs_gen: AtomicU64,
     /// The engine that runs function bodies: 0 = VM, 1 = tree.
     engine: AtomicU8,
+    /// Whether the VM compiler fuses superinstructions: fixed when the
+    /// interpreter is built ([`Interp::new`] or [`Interp::unfused`]).
+    pub(crate) fuse: bool,
     /// Builtin dispatch pre-resolved to interned symbol ids, so
     /// funcall-by-symbol and `#'name` skip the per-call string
     /// comparison chain of `lower::builtin_signature`.
@@ -168,7 +171,7 @@ thread_local! {
 }
 
 impl Interp {
-    /// A fresh interpreter with sequential hooks.
+    /// A fresh interpreter with sequential hooks; its VM code is fused.
     pub fn new() -> Self {
         let heap = Heap::new();
         let builtins_by_sym = crate::lower::BUILTIN_NAMES
@@ -189,12 +192,20 @@ impl Interp {
             hooks_gen: AtomicU64::new(NEXT_HOOKS_GEN.fetch_add(1, Ordering::Relaxed)),
             funcs_gen: AtomicU64::new(0),
             engine: AtomicU8::new(0),
+            fuse: true,
             builtins_by_sym,
             code_cache: RwLock::new(HashMap::new()),
             gensym: AtomicU64::new(0),
             rng: Mutex::new(0x853C_49E6_748F_EA9B),
             max_depth: AtomicU64::new(10_000),
         }
+    }
+
+    /// [`Interp::new`], but every function compiles without
+    /// superinstruction fusion: the VM the fusion differential compares
+    /// against.
+    pub fn unfused() -> Self {
+        Interp { fuse: false, ..Interp::new() }
     }
 
     /// The engine this interpreter runs function bodies on: the VM

@@ -53,7 +53,6 @@ pub mod sync;
 pub mod value;
 pub mod vm;
 
-pub use compile::{fusion_enabled, set_fusion_enabled};
 pub use error::{LispError, Result};
 pub use eval::{set_thread_stack_budget, Evaluator};
 pub use heap::{Heap, HeapStats, StructType};

@@ -14,6 +14,11 @@ use curare_lisp::{vm_stats, Engine, Interp};
 fn run_engine(src: &str, engine: Engine) -> (String, String) {
     let interp = Interp::new();
     interp.set_engine(engine);
+    run_in(interp, src)
+}
+
+/// Run `src` in `interp`, rendering as [`run_engine`] does.
+fn run_in(interp: Interp, src: &str) -> (String, String) {
     let outcome = match interp.load_str(src) {
         Ok(v) => format!("ok: {}", interp.heap().display(v)),
         Err(e) => format!("err: {e}"),
@@ -407,34 +412,22 @@ fn random_programs_agree() {
 }
 
 // ---------------------------------------------------------------------
-// Fusion differential: superinstruction fusion is a load-time
-// code-gen choice, so with it disabled (`--no-fuse`) the VM must
-// produce byte-identical outcomes on the same battery.
-// The flag is process-global and read at compile time; tests that
-// toggle it serialize on a mutex and restore the previous value.
+// Fusion differential: superinstruction fusion is a code-gen choice
+// fixed when an interpreter is built, so the unfused VM
+// (`Interp::unfused`) must produce byte-identical outcomes on the same
+// battery.
 // ---------------------------------------------------------------------
-
-static FUSION_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn run_vm_with_fusion(src: &str, fuse: bool) -> (String, String) {
-    let prev = curare_lisp::fusion_enabled();
-    curare_lisp::set_fusion_enabled(fuse);
-    let r = run_engine(src, Engine::Vm);
-    curare_lisp::set_fusion_enabled(prev);
-    r
-}
 
 #[test]
 fn random_programs_agree_without_fusion() {
-    let _guard = FUSION_FLAG.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = XorShift(0x9E3779B97F4A7C15);
     for case in 0..300 {
         let src = gen_program(&mut rng);
-        let fused = run_vm_with_fusion(&src, true);
-        let unfused = run_vm_with_fusion(&src, false);
+        let fused = run_engine(&src, Engine::Vm);
+        let unfused = run_in(Interp::unfused(), &src);
         assert_eq!(fused, unfused, "fused/unfused VM divergence on random case {case}:\n{src}");
         let tree = run_engine(&src, Engine::Tree);
-        assert_eq!(tree, unfused, "tree/--no-fuse divergence on random case {case}:\n{src}");
+        assert_eq!(tree, unfused, "tree/unfused VM divergence on random case {case}:\n{src}");
     }
 }
 
@@ -444,14 +437,26 @@ fn random_programs_agree_without_fusion() {
 /// tree-walker on every input combination.
 #[test]
 fn fusion_respects_branch_targets_end_to_end() {
-    let _guard = FUSION_FLAG.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = curare_lisp::fusion_enabled();
-    curare_lisp::set_fusion_enabled(true);
     for (a, b) in [("1", "2"), ("1", "nil"), ("nil", "2"), ("nil", "nil")] {
         let src = format!("(defun f (a b) (if (and a b) (+ 10 1) 2)) (f {a} {b})");
         let tree = run_engine(&src, Engine::Tree);
         let vm = run_engine(&src, Engine::Vm);
         assert_eq!(tree, vm, "divergence on f({a}, {b})");
     }
-    curare_lisp::set_fusion_enabled(prev);
+}
+
+/// Fusion belongs to the interpreter: building an unfused one leaves
+/// a default interpreter built beside it, or after it, fusing.
+#[test]
+fn a_default_interpreter_fuses_beside_an_unfused_one() {
+    let fused_ops = |interp: &Interp| {
+        interp.load_str("(defun s (l acc) (if l (s (cdr l) (+ acc (car l))) acc))").unwrap();
+        let code = interp.func_entry(interp.lookup_func_by_name("s").unwrap()).code.clone();
+        code.expect("s compiles").ops.iter().filter(|op| op.is_fused()).count()
+    };
+    let unfused = Interp::unfused();
+    let beside = Interp::new();
+    assert_eq!(fused_ops(&unfused), 0);
+    assert!(fused_ops(&beside) > 0, "an interpreter built beside an unfused one fuses");
+    assert!(fused_ops(&Interp::new()) > 0, "an interpreter built after an unfused one fuses");
 }

@@ -12,8 +12,9 @@
 //! - [`reorder`]: §3.2.3 — declared-commutative updates become atomic;
 //!   unordered-insert / any-result constraints are dismissed;
 //! - [`delay`]: §3.2.2 — post-call statements move into the head;
-//! - [`locks`]: §3.2.1 — statement-scoped lock brackets from a
-//!   synthesized (coalesced, read–write) placement;
+//! - [`locks`]: §3.2.1 — lock brackets, one per run of statements with
+//!   the same lock set, from a synthesized (coalesced, read–write)
+//!   placement;
 //! - [`rec2iter`]: §5 — tail recursion becomes a loop;
 //! - [`dps`]: §5 — destination-passing style (Figures 12–13);
 //! - [`fold`]: §5 — linear reductions become accumulating walkers;

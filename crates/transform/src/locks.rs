@@ -5,13 +5,14 @@
 //! touches it. Locks enter a program one way: [`insert_placement`]
 //! (and [`lock_rescue`], the pipeline's gate in front of it) applies a
 //! [`Placement`] from `curare_analysis::locksynth` as statement-scoped
-//! brackets. Each statement that touches a location the placement
-//! covers is wrapped in its own acquire/statement/release bracket, so
-//! independent invocations only serialize for the duration of the
-//! conflicting access — this is what the pipeline uses to rescue
-//! order-insensitive tails that would otherwise fall back to full
-//! future synchronization. Brackets acquire in one global (root, path)
-//! order, so they cannot deadlock.
+//! brackets. A maximal run of consecutive leaf statements that the
+//! placement covers with the same lock set is wrapped in one
+//! acquire/run/release bracket, so independent invocations only
+//! serialize for the duration of the conflicting accesses, and each
+//! run costs one acquisition per lock — this is what the pipeline uses
+//! to rescue order-insensitive tails that would otherwise fall back to
+//! full future synchronization. Brackets acquire in one global (root,
+//! path) order, so they cannot deadlock.
 //!
 //! The paper's refinements live in the synthesis, not here:
 //! *coalescing* (a lock that still covers every pair absorbs a finer
@@ -108,8 +109,6 @@ struct PlaceCtx<'a, 'p, 'f> {
     probes: &'a mut Probes<'p>,
     fname: &'a str,
     specs: &'a [LockSpec],
-    /// Merge adjacent same-lock-set brackets (see [`insert_placement`]).
-    coalesce: bool,
     /// Unique suffix for `%curare-plockN` temporaries.
     counter: usize,
     /// Accesses the brackets could not cover (statement probes that
@@ -214,16 +213,13 @@ impl<'f> Device<'f> for PlaceCtx<'_, '_, 'f> {
         self.fname
     }
 
-    /// Bracket the statements of one sequence. With coalescing on,
-    /// maximal runs of consecutive leaf statements covered by the
-    /// *identical* lock set share one acquire/release bracket — the
-    /// critical section gets coarser (fewer acquisitions), never
-    /// weaker, and no spawn can sit inside a merged bracket because
-    /// call-bearing statements are never part of a run.
+    /// Bracket the statements of one sequence: each maximal run of
+    /// consecutive leaf statements covered by the *identical* lock set
+    /// shares one acquire/release bracket — the critical section gets
+    /// coarser (fewer acquisitions), never weaker, and no spawn can sit
+    /// inside a bracket because call-bearing statements are never part
+    /// of a run.
     fn sequence(&mut self, stmts: &[(&'f Sexpr, Pos)], _repeats: bool) -> Vec<Sexpr> {
-        if !self.coalesce {
-            return shape::walk_each(self, stmts);
-        }
         let mut out = Vec::new();
         let mut run: Vec<Sexpr> = Vec::new();
         let mut run_first: Option<&'f Sexpr> = None;
@@ -271,7 +267,8 @@ impl<'f> Device<'f> for PlaceCtx<'_, '_, 'f> {
         call.clone()
     }
 
-    /// A leaf effect statement gets its own bracket.
+    /// A leaf effect statement outside a sequence (a branch of an
+    /// `if`) gets its own bracket.
     fn leaf(&mut self, form: &'f Sexpr, pos: Pos) -> Sexpr {
         if shape::inert(form) {
             return form.clone();
@@ -296,23 +293,20 @@ impl<'f> Device<'f> for PlaceCtx<'_, '_, 'f> {
 /// Every statement (head or tail — an unordered conflict can pair a
 /// tail write of invocation *i* with a *head* read of invocation
 /// *i+1*, which runs concurrently with it) that touches a location the
-/// placement covers is wrapped in an acquire/statement/release
-/// bracket; brackets acquire in the global (root, path) order, so two
-/// brackets can never deadlock. Fails with [`TransformError::CannotLock`]
-/// if some covered access sits in a position a bracket cannot guard
-/// (a guard test, binding initializer or recursive-call statement) —
-/// the pipeline then falls back to future synchronization.
-///
-/// With `coalesce` on, consecutive statements covered by the identical
-/// lock set share one bracket: the same locks are held across the run
-/// (exclusion is preserved — the critical section only gets coarser),
-/// but acquire/release traffic drops.
+/// placement covers is wrapped in an acquire/release bracket;
+/// consecutive statements covered by the identical lock set share one
+/// bracket (the same locks are held across the run, so exclusion is
+/// preserved and acquire/release traffic drops). Brackets acquire in
+/// the global (root, path) order, so two brackets can never deadlock.
+/// Fails with [`TransformError::CannotLock`] if some covered access
+/// sits in a position a bracket cannot guard (a guard test, binding
+/// initializer or recursive-call statement) — the pipeline then falls
+/// back to future synchronization.
 ///
 /// `probes` answers questions about `form`'s statements.
 pub fn insert_placement<'f>(
     form: &'f Sexpr,
     placement: &Placement,
-    coalesce: bool,
     probes: &mut Probes<'_>,
 ) -> Result<LockResult<'f>, TransformError> {
     let parts = sx::parse_defun(form).ok_or(TransformError::NotADefun)?;
@@ -324,7 +318,6 @@ pub fn insert_placement<'f>(
         probes,
         fname: parts.name,
         specs: &specs,
-        coalesce,
         counter: 0,
         violations: Vec::new(),
         brackets: Vec::new(),
@@ -504,7 +497,6 @@ pub fn lock_rescue<'f>(
     form: &'f Sexpr,
     analysis: &FunctionAnalysis,
     decls: &DeclDb,
-    coalesce: bool,
     probes: &mut Probes<'_>,
 ) -> Option<(LockResult<'f>, Placement)> {
     let parts = sx::parse_defun(form)?;
@@ -528,7 +520,7 @@ pub fn lock_rescue<'f>(
     if placement.locks.is_empty() {
         return None;
     }
-    let locked = insert_placement(form, &placement, coalesce, probes).ok()?;
+    let locked = insert_placement(form, &placement, probes).ok()?;
     Some((locked, placement))
 }
 
@@ -558,21 +550,15 @@ mod tests {
         let analysis = analyze_defun(heap, form, &DeclDb::new()).unwrap();
         let placement = synthesize(&analysis, &parts.params, OrderingContext::none());
         let func = lowered(heap, form);
-        insert_placement(form, &placement, false, &mut Probes::new(heap, form, &func)).unwrap()
+        insert_placement(form, &placement, &mut Probes::new(heap, form, &func)).unwrap()
     }
 
     /// `lock_rescue` as the pipeline calls it: on the analysis of the
     /// form itself.
-    fn rescue<'f>(
-        heap: &Heap,
-        form: &'f Sexpr,
-        decls: &DeclDb,
-        coalesce: bool,
-    ) -> Option<LockResult<'f>> {
+    fn rescue<'f>(heap: &Heap, form: &'f Sexpr, decls: &DeclDb) -> Option<LockResult<'f>> {
         let analysis = analyze_defun(heap, form, decls)?;
         let func = lowered(heap, form);
-        let rescued =
-            lock_rescue(form, &analysis, decls, coalesce, &mut Probes::new(heap, form, &func))?;
+        let rescued = lock_rescue(form, &analysis, decls, &mut Probes::new(heap, form, &func))?;
         assert_eq!(
             placement_specs(&rescued.1),
             rescued.0.locks,
@@ -654,7 +640,7 @@ mod tests {
         // covers it: locking is refused, not attempted.
         let heap = Heap::new();
         let form = parse_one("(defun f (l) (setf (car *g*) 1) (f (cdr l)))").unwrap();
-        assert!(rescue(&heap, &form, &DeclDb::new(), false).is_none());
+        assert!(rescue(&heap, &form, &DeclDb::new()).is_none());
     }
 
     #[test]
@@ -692,7 +678,7 @@ mod tests {
         let heap = Heap::new();
         let db = db_from("(curare-declare (reorderable *))");
         let form = parse_one(TAIL_RMWS).unwrap();
-        let r = rescue(&heap, &form, &db, false).expect("commutative tail RMWs are rescuable");
+        let r = rescue(&heap, &form, &db).expect("commutative tail RMWs are rescuable");
         let paths: Vec<String> = r.locks.iter().map(|l| l.path.to_string()).collect();
         assert_eq!(paths, ["car", "cdr.car"], "{paths:?}");
         assert!(r.locks.iter().all(|l| l.exclusive), "both locations are written");
@@ -716,7 +702,8 @@ mod tests {
         let heap = Heap::new();
         let db = db_from("(curare-declare (reorderable *))");
         // Two consecutive RMWs on the SAME location share a covering
-        // lock set; coalescing fuses their brackets into one.
+        // lock set, so they share one bracket; the third statement's
+        // lock set differs and gets its own.
         let form = parse_one(
             "(defun f (l)
                (when (cdr l)
@@ -726,21 +713,18 @@ mod tests {
                  (setf (cadr l) (* (cadr l) 5))))",
         )
         .unwrap();
-        let fine = rescue(&heap, &form, &db, false).expect("rescuable");
-        let fused = rescue(&heap, &form, &db, true).expect("rescuable");
-        assert_eq!(fine.locks, fused.locks, "same placement either way");
-        let fine_brackets = fine.form.to_string().matches("(cri-lock ").count();
-        let fused_brackets = fused.form.to_string().matches("(cri-lock ").count();
-        assert!(fused_brackets < fine_brackets, "{fused_brackets} !< {fine_brackets}");
-        assert!(fused.form.to_string().contains("progn"), "{}", fused.form);
+        let r = rescue(&heap, &form, &db).expect("rescuable");
+        let paths: Vec<String> = r.locks.iter().map(|l| l.path.to_string()).collect();
+        assert_eq!(paths, ["car", "cdr.car"]);
+        let text = r.form.to_string();
+        assert_eq!(text.matches("(cri-lock ").count(), 2, "{text}");
+        assert!(text.contains("progn"), "{text}");
 
-        // Sequentially identical results.
-        for r in [&fine, &fused] {
-            let it = curare_lisp::Interp::new();
-            it.load_str(&r.form.to_string()).unwrap();
-            let v = it.load_str("(let ((d (list 1 1 1))) (f d) d)").unwrap();
-            assert_eq!(it.heap().display(v), "(6 30 5)", "{}", r.form);
-        }
+        // Sequential execution (locks are no-ops) is unchanged.
+        let it = curare_lisp::Interp::new();
+        it.load_str(&text).unwrap();
+        let v = it.load_str("(let ((d (list 1 1 1))) (f d) d)").unwrap();
+        assert_eq!(it.heap().display(v), "(6 30 5)", "{text}");
     }
 
     #[test]
@@ -758,7 +742,7 @@ mod tests {
                  (setf (cadr l) (* (cadr l) 2))))",
         )
         .unwrap();
-        let r = rescue(&heap, &form, &db, false).expect("read side is order-insensitive");
+        let r = rescue(&heap, &form, &db).expect("read side is order-insensitive");
         let shared: Vec<&LockSpec> = r.locks.iter().filter(|l| !l.exclusive).collect();
         assert_eq!(shared.len(), 1, "{:?}", r.locks);
         assert_eq!(shared[0].path.to_string(), "car");
@@ -778,7 +762,7 @@ mod tests {
                  (setf (cadr l) (+ (car l) (cadr l)))))",
         )
         .unwrap();
-        assert!(rescue(&heap, &form, &DeclDb::new(), false).is_none());
+        assert!(rescue(&heap, &form, &DeclDb::new()).is_none());
     }
 
     #[test]
@@ -797,7 +781,7 @@ mod tests {
                  (setf (cadr l) (+ (cadr l) (car l)))))",
         )
         .unwrap();
-        assert!(rescue(&heap, &form, &db, false).is_none());
+        assert!(rescue(&heap, &form, &db).is_none());
     }
 
     #[test]
@@ -815,7 +799,7 @@ mod tests {
                  (setf (cadr l) (+ (car l) (cadr l)))))",
         )
         .unwrap();
-        let r = rescue(&heap, &form, &db, false).expect("declared placement must apply");
+        let r = rescue(&heap, &form, &db).expect("declared placement must apply");
         assert_eq!(r.locks.len(), 2, "{:?}", r.locks);
         assert!(r.locks.iter().all(|l| l.exclusive));
         assert!(r.form.to_string().contains("cri-lock"), "{}", r.form);
@@ -836,7 +820,7 @@ mod tests {
                    (setf (cadr l) (quote x)))))",
         )
         .unwrap();
-        assert!(rescue(&heap, &form, &db, false).is_none());
+        assert!(rescue(&heap, &form, &db).is_none());
     }
 
     #[test]

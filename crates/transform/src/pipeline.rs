@@ -79,8 +79,11 @@ pub enum Device {
     HeadOrdering,
     /// Statements moved into the head (count).
     Delay(usize),
-    /// Locks inserted (the standalone §3.2.1 transform; the pipeline
-    /// itself prefers the order-correct devices below).
+    /// Locks inserted (§3.2.1): tail statements that still conflict
+    /// after delay, under a certified synthesised placement (or a
+    /// declared one) and an order-insensitive tail, get lock brackets,
+    /// one per run of statements with the same lock set; tried before
+    /// future synchronization, which serializes the tails instead.
     Locks(Vec<LockSpec>),
     /// Post-call statements synchronized with `(touch (future …))`
     /// (count of wrapped call sites).
@@ -230,7 +233,6 @@ impl std::error::Error for PipelineError {}
 /// The Curare transformer: the configuration of a restructuring.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Curare {
-    coalesce_locks: bool,
     speculate: bool,
 }
 
@@ -238,14 +240,6 @@ impl Curare {
     /// The default pipeline.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Merge adjacent lock brackets with identical lock sets when the
-    /// lock device applies (coarser critical sections, fewer
-    /// acquisitions; exclusion is unchanged). Off by default.
-    pub fn with_coalesced_locks(mut self, on: bool) -> Self {
-        self.coalesce_locks = on;
-        self
     }
 
     /// Admit statically unprovable functions to optimistic execution
@@ -706,7 +700,7 @@ impl Pass<'_> {
     ) -> Option<(Sexpr, Vec<LockSpec>, Placement, Option<Cost>)> {
         let mut probes = Probes::new(self.heap, form, func);
         let decls = self.analyzer.decls();
-        let rescued = lock_rescue(form, analysis, decls, self.config.coalesce_locks, &mut probes);
+        let rescued = lock_rescue(form, analysis, decls, &mut probes);
         stats.probe_lowerings += probes.lowerings();
         let (locked, applied) = rescued?;
         let brackets: Option<Vec<(&Expr, usize)>> = locked
@@ -1049,7 +1043,8 @@ mod tests {
     /// partition the pipeline already analysed, each bracket's steps on
     /// its statement's side: it must be the partition of the bracketed
     /// form, lowered — on every placement the shipped programs and the
-    /// commutative tail writers get, brackets coalesced or not.
+    /// commutative tail writers get, a bracket holding one statement or
+    /// a run of them.
     #[test]
     fn the_bracket_priced_partition_is_the_relowered_one() {
         let tail_rmws = "(curare-declare (reorderable *))
@@ -1068,16 +1063,30 @@ mod tests {
                  (setf (car l) (* (car l) 2))
                  (+ (car (cdr l)) (car (cdr l)))
                  (+ (car (cdr (cdr l))) (car (cdr (cdr l))))))";
+        // The walker at k = 2, its reads in runs of two, under the
+        // synthesised placement and under a declared all-exclusive one:
+        // brackets that hold a run of statements.
+        let runs = "(defun win (l)
+               (when (cdr (cdr (cdr l)))
+                 (win (cdr l))
+                 (setf (car l) (* (car l) 2))
+                 (+ (car (cdr (cdr l))) 1)
+                 (+ (car (cdr (cdr l))) 2)
+                 (+ (car (cdr (cdr (cdr l)))) 3)
+                 (+ (car (cdr (cdr (cdr l)))) 4)))";
+        let declared = "(curare-declare (locks win (exclusive l car) (exclusive l cdr.cdr.car)
+                                           (exclusive l cdr.cdr.cdr.car)))";
         let mut programs = crate::shipped_programs();
         programs.push(("tail RMWs".into(), tail_rmws.into()));
         programs.push(("window walker".into(), window.into()));
+        programs.push((
+            "window walker, runs".into(),
+            format!("(curare-declare (reorderable *)) {runs}"),
+        ));
+        programs.push(("window walker, runs, declared".into(), format!("{declared} {runs}")));
         PRICED.with(|p| p.borrow_mut().clear());
         for (name, src) in &programs {
-            for curare in [
-                Curare::new(),
-                Curare::new().with_speculation(true),
-                Curare::new().with_coalesced_locks(true),
-            ] {
+            for curare in [Curare::new(), Curare::new().with_speculation(true)] {
                 // On this thread, where `PRICED` records.
                 scheduled(curare, src, 1, |n| (0..n).collect())
                     .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -1158,25 +1167,6 @@ mod tests {
         assert!(!r.devices.iter().any(|d| matches!(d, Device::FutureSync(_))), "{:?}", r.devices);
         assert!(out.source().contains("cri-lock"), "{}", out.source());
         assert!(out.source().contains("cri-enqueue"), "{}", out.source());
-    }
-
-    #[test]
-    fn coalesced_locks_emit_fewer_brackets_same_placement() {
-        let src = "(curare-declare (reorderable *))
-             (defun f (l)
-               (when (cdr l)
-                 (f (cdr l))
-                 (setf (car l) (* (car l) 2))
-                 (setf (car l) (* (car l) 3))
-                 (setf (cadr l) (* (cadr l) 5))))";
-        let fine = run(src);
-        let fused = Curare::new().with_coalesced_locks(true).transform_source(src).unwrap();
-        for out in [&fine, &fused] {
-            let r = out.report("f").unwrap();
-            assert!(r.devices.iter().any(|d| matches!(d, Device::Locks(_))), "{:?}", r.devices);
-        }
-        let brackets = |out: &CurareOutput| out.source().matches("(cri-lock ").count();
-        assert!(brackets(&fused) < brackets(&fine), "{} !< {}", brackets(&fused), brackets(&fine));
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! conflict engine (PR 13), with one exception: `inverse-tail.lisp`,
 //! which that commit miscompiled, is recorded from the fix. The §6
 //! feedback of refused functions has since gained a line per refusal
-//! reason (`UsesCallResult`, `DeclaredOff`).
+//! reason (`UsesCallResult`, `DeclaredOff`), and the generated walkers
+//! were recorded again when the lock device came to write one bracket
+//! per run of statements with the same lock set (fewer bracket steps,
+//! so `win-1-4`'s tail cost fell below the hand-off threshold).
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};

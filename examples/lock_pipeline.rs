@@ -101,7 +101,7 @@ fn main() {
     assert!(placement.is_certified_clean());
     // The device asks about fig5's statements; their lowering answers.
     let mut probes = Probes::new(&heap, &fig5, &program.funcs[0]);
-    let locked = insert_placement(&fig5, &placement, false, &mut probes).expect("locks insert");
+    let locked = insert_placement(&fig5, &placement, &mut probes).expect("locks insert");
     println!("locks: {:?}", locked.locks);
     println!("{}", pretty(&locked.form));
 
