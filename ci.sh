@@ -173,6 +173,27 @@ if [ "$got" != "$want" ] || [ "$got" != "(2 4 6 8)" ]; then
   echo "float-names fixture: printed '$got', sequentially '$want'" >&2; exit 1
 fi
 
+echo "== no pool: a converted tail recursion is its sequential self"
+# Run without a pool, a tail-position spawn of the executing function
+# restarts its frame, as the self-tail call it replaced: value-tail
+# printed () for the sequential 6, and load-nest's 20000 links each
+# nested a call until the native stack budget ran out.
+for fixture in value-tail load-nest; do
+  file="examples/lisp/fixtures/$fixture.lisp"
+  want="$(target/release/curare run "$file" --sequential 2> /dev/null)"
+  got="$(target/release/curare run "$file" 2> /dev/null)" \
+    || { echo "$fixture fixture: curare run failed" >&2; exit 1; }
+  if [ "$got" != "$want" ]; then
+    echo "$fixture fixture: printed '$got', sequentially '$want'" >&2; exit 1
+  fi
+done
+
+echo "== the pool's crate builds without the restructurer"
+# curare-runtime runs restructured programs; only its tests restructure.
+if cargo tree -p curare-runtime -e normal --offline | grep -F curare-transform > /dev/null; then
+  echo "curare-runtime depends on curare-transform outside its tests" >&2; exit 1
+fi
+
 echo "== front doors agree: analyze, check, transform and both runs read one program"
 # The §6 tool names the conflict the restructurer synchronises `back`
 # for (it used to analyse without the canonicalizer the pipeline

@@ -511,7 +511,7 @@ mod tests {
                 records.push(AccessRecord { root, path, write: gen.below(2) == 0, tail: false });
             }
             let accesses = AccessSummary { records, ..AccessSummary::default() };
-            let transfers = TransferSummary { per_param, call_sites: 1 };
+            let transfers = TransferSummary { per_param };
             let report = |canon: Option<&Canonicalizer>| {
                 let mut stats = AnalysisStats::default();
                 let r = conflict_report(&accesses, &transfers, canon, &mut stats);

@@ -18,6 +18,12 @@
 //! statement-level CFG and its dominator tree survive as the test
 //! oracle this walk is checked against, node by node.
 //!
+//! The same walk places the self-calls: it carries whether the value
+//! of the form it visits is used (an operand, a test, a binding's
+//! initialiser) or not (a statement whose value is discarded, or the
+//! function's own return value), and counts the self-calls whose value
+//! is used — the calls that block CRI conversion.
+//!
 //! `|H|` and `|T|` count the statements of the function itself. What
 //! running them costs also depends on what they call, so the partition
 //! carries a second, interprocedural measure ([`Cost`]): each step's
@@ -167,13 +173,8 @@ pub struct HeadTail {
     pub tail_size: usize,
     /// Number of self-recursive call sites.
     pub recursive_calls: usize,
-    /// True if every self-recursive call is in tail position (the
-    /// returned value is the call's value).
-    pub tail_recursive: bool,
-    /// Number of *free* call sites: self-calls whose value is unused.
-    pub free_calls: usize,
-    /// Self-calls whose value feeds another computation (neither free
-    /// nor tail); these block CRI conversion.
+    /// Self-calls whose value feeds another computation (neither
+    /// discarded nor returned); these block CRI conversion.
     pub value_position_calls: usize,
     /// Interprocedural cost of the head: `head_size` plus the bodies
     /// of the defuns the head calls.
@@ -229,14 +230,11 @@ pub fn head_tail_bracketed(
     brackets: &[(&Expr, usize)],
 ) -> HeadTail {
     let p = Partition::of(func, calls, brackets);
-    let positions = classify_calls(func);
     HeadTail {
         head_size: p.head_size,
         tail_size: p.tail_size,
         recursive_calls: p.recursive_calls,
-        tail_recursive: is_tail_recursive(func),
-        free_calls: positions.free,
-        value_position_calls: positions.value,
+        value_position_calls: p.value_position_calls,
         head_cost: p.head_cost,
         tail_cost: p.tail_cost,
     }
@@ -244,13 +242,15 @@ pub fn head_tail_bracketed(
 
 /// The sums of one partition walk. Every `walk` takes the flag "a
 /// self-call dominates this point" and returns it for the point after
-/// the expression.
+/// the expression; it also takes the flag "the expression's value is
+/// used".
 struct Partition<'a> {
     fname: SymId,
     calls: &'a CallCosts,
     /// Statements wrapped in lock brackets, with the brackets' steps.
     brackets: &'a [(&'a Expr, usize)],
     recursive_calls: usize,
+    value_position_calls: usize,
     head_size: usize,
     tail_size: usize,
     head_cost: Cost,
@@ -267,6 +267,7 @@ impl<'a> Partition<'a> {
             calls,
             brackets,
             recursive_calls: 0,
+            value_position_calls: 0,
             head_size: 0,
             tail_size: 0,
             head_cost: Cost::Bounded(0),
@@ -274,18 +275,21 @@ impl<'a> Partition<'a> {
             #[cfg(test)]
             steps: Vec::new(),
         };
-        p.seq(&func.body, false);
+        p.body(&func.body, false, false);
         p
     }
 
     /// Count the step `e` itself. A self-call is a spawn under CRI, not
     /// work done here, and never tail — but it dominates what follows.
-    fn step(&mut self, e: &Expr, dominated: bool) -> bool {
+    /// A direct one whose value is `used` is a value-position call; a
+    /// spawn never yields its callee's value.
+    fn step(&mut self, e: &Expr, dominated: bool, used: bool) -> bool {
         let own = matches!(
             e,
             Expr::Call { name, .. } | Expr::Future { name, .. } | Expr::Enqueue { name, .. }
                 if *name == self.fname
         );
+        self.value_position_calls += usize::from(used && own && matches!(e, Expr::Call { .. }));
         let tail = dominated && !own;
         let cost = if own { Cost::Bounded(1) } else { self.calls.step(e) };
         if tail {
@@ -301,8 +305,16 @@ impl<'a> Partition<'a> {
         dominated || own
     }
 
+    /// Operands, tests and initialisers: every value is used.
     fn seq(&mut self, es: &[Expr], dominated: bool) -> bool {
-        es.iter().fold(dominated, |d, e| self.walk(e, d))
+        es.iter().fold(dominated, |d, e| self.walk(e, d, true))
+    }
+
+    /// A sequence of statements: each value is discarded but the last,
+    /// which is the sequence's own.
+    fn body(&mut self, es: &[Expr], dominated: bool, used: bool) -> bool {
+        let last = es.len().saturating_sub(1);
+        es.iter().enumerate().fold(dominated, |d, (i, e)| self.walk(e, d, used && i == last))
     }
 
     /// Count the unit steps of a bracket that starts where `dominated`
@@ -317,40 +329,51 @@ impl<'a> Partition<'a> {
         *cost = *cost + Cost::Bounded(steps);
     }
 
-    fn walk(&mut self, e: &Expr, dominated: bool) -> bool {
+    /// Walk `e`, whose value is `used` or not (discarded, or returned
+    /// as the function's own).
+    fn walk(&mut self, e: &Expr, dominated: bool, used: bool) -> bool {
         if let Some(&(_, steps)) = self.brackets.iter().find(|(s, _)| std::ptr::eq(*s, e)) {
             self.bracket(steps, dominated);
         }
         match e {
             Expr::If(c, t, f) => {
-                let at_branch = self.walk(c, dominated);
-                let at_branch = self.step(e, at_branch);
-                self.walk(t, at_branch);
-                self.walk(f, at_branch);
+                let at_branch = self.walk(c, dominated, true);
+                let at_branch = self.step(e, at_branch, used);
+                self.walk(t, at_branch, used);
+                self.walk(f, at_branch, used);
                 at_branch
             }
             Expr::Progn(es) | Expr::And(es) | Expr::Or(es) if es.is_empty() => {
-                self.step(e, dominated)
+                self.step(e, dominated, used)
             }
-            Expr::Progn(es) => self.seq(es, dominated),
+            Expr::Progn(es) => self.body(es, dominated, used),
+            // Every operand but the last is tested; the last is the
+            // chain's value.
             Expr::And(es) | Expr::Or(es) => {
-                let after_first = self.walk(&es[0], dominated);
-                self.seq(&es[1..], after_first);
-                after_first
+                let (last, tested) = es.split_last().expect("not empty");
+                match tested.split_first() {
+                    None => self.walk(last, dominated, used),
+                    Some((first, rest)) => {
+                        let after_first = self.walk(first, dominated, true);
+                        let d = self.seq(rest, after_first);
+                        self.walk(last, d, used);
+                        after_first
+                    }
+                }
             }
             Expr::Let { bindings, body, .. } => {
-                let d = bindings.iter().fold(dominated, |d, (_, _, init)| self.walk(init, d));
-                self.seq(body, d)
+                let d = bindings.iter().fold(dominated, |d, (_, _, init)| self.walk(init, d, true));
+                self.body(body, d, used)
             }
             Expr::While(c, body) => {
-                let at_test = self.walk(c, dominated);
-                let at_test = self.step(e, at_test);
-                self.seq(body, at_test);
+                let at_test = self.walk(c, dominated, true);
+                let at_test = self.step(e, at_test, used);
+                self.body(body, at_test, false);
                 at_test
             }
             Expr::Setq(_, _, rhs) => {
-                let d = self.walk(rhs, dominated);
-                self.step(e, d)
+                let d = self.walk(rhs, dominated, true);
+                self.step(e, d, used)
             }
             Expr::Call { args, .. }
             | Expr::Builtin(_, args)
@@ -358,160 +381,13 @@ impl<'a> Partition<'a> {
             | Expr::Future { args, .. }
             | Expr::Enqueue { args, .. } => {
                 let d = self.seq(args, dominated);
-                self.step(e, d)
+                self.step(e, d, used)
             }
             Expr::LockOp { base, .. } => {
-                let d = self.walk(base, dominated);
-                self.step(e, d)
+                let d = self.walk(base, dominated, true);
+                self.step(e, d, used)
             }
-            _ => self.step(e, dominated),
-        }
-    }
-}
-
-/// True if every self-recursive call sits in tail position.
-pub fn is_tail_recursive(func: &Func) -> bool {
-    let mut all_tail = true;
-    let mut any = false;
-    // Visit body forms: only the last is in tail position.
-    if let Some((last, init)) = func.body.split_last() {
-        for e in init {
-            check(e, func, false, &mut all_tail, &mut any);
-        }
-        check(last, func, true, &mut all_tail, &mut any);
-    }
-    return any && all_tail;
-
-    fn check(e: &Expr, func: &Func, tail: bool, all_tail: &mut bool, any: &mut bool) {
-        match e {
-            Expr::Call { name, args, .. } if *name == func.name_sym => {
-                *any = true;
-                if !tail {
-                    *all_tail = false;
-                }
-                for a in args {
-                    check(a, func, false, all_tail, any);
-                }
-            }
-            Expr::If(c, t, f) => {
-                check(c, func, false, all_tail, any);
-                check(t, func, tail, all_tail, any);
-                check(f, func, tail, all_tail, any);
-            }
-            Expr::Progn(es) | Expr::And(es) | Expr::Or(es) => {
-                if let Some((last, init)) = es.split_last() {
-                    for s in init {
-                        // and/or non-final elements are tested, their
-                        // value *is* used, so a call there is not tail.
-                        check(s, func, false, all_tail, any);
-                    }
-                    check(last, func, tail, all_tail, any);
-                }
-            }
-            Expr::Let { bindings, body, .. } => {
-                for (_, _, init) in bindings {
-                    check(init, func, false, all_tail, any);
-                }
-                if let Some((last, init)) = body.split_last() {
-                    for s in init {
-                        check(s, func, false, all_tail, any);
-                    }
-                    check(last, func, tail, all_tail, any);
-                }
-            }
-            other => other.for_children(&mut |c| check(c, func, false, all_tail, any)),
-        }
-    }
-}
-
-/// How a function's self-recursive call sites sit in its body.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CallPositions {
-    /// Calls whose value is discarded (free calls, §3.1).
-    pub free: usize,
-    /// Calls in tail position (the value, if any, is the function's
-    /// own return value — CRI-convertible).
-    pub tail: usize,
-    /// Calls whose value feeds another computation; these block CRI
-    /// until a §5 enabling transformation removes them.
-    pub value: usize,
-}
-
-/// Classify every self-call site by position.
-pub fn classify_calls(func: &Func) -> CallPositions {
-    let mut out = CallPositions::default();
-    if let Some((last, init)) = func.body.split_last() {
-        for e in init {
-            walk(e, func, false, true, &mut out);
-        }
-        walk(last, func, true, false, &mut out);
-    }
-    return out;
-
-    fn walk(e: &Expr, func: &Func, tail: bool, discarded: bool, out: &mut CallPositions) {
-        match e {
-            Expr::Call { name, args, .. } if *name == func.name_sym => {
-                if discarded {
-                    out.free += 1;
-                } else if tail {
-                    out.tail += 1;
-                } else {
-                    out.value += 1;
-                }
-                for a in args {
-                    walk(a, func, false, false, out);
-                }
-            }
-            Expr::Enqueue { name, args, .. } | Expr::Future { name, args, .. }
-                if *name == func.name_sym =>
-            {
-                // Enqueues never yield a value; futures are non-strict
-                // by construction. Both count as free.
-                out.free += 1;
-                for a in args {
-                    walk(a, func, false, false, out);
-                }
-            }
-            Expr::Progn(es) => {
-                if let Some((last, init)) = es.split_last() {
-                    for s in init {
-                        walk(s, func, false, true, out);
-                    }
-                    walk(last, func, tail, discarded, out);
-                }
-            }
-            Expr::And(es) | Expr::Or(es) => {
-                if let Some((last, init)) = es.split_last() {
-                    for s in init {
-                        // Non-final and/or elements are tested: used.
-                        walk(s, func, false, false, out);
-                    }
-                    walk(last, func, tail, discarded, out);
-                }
-            }
-            Expr::Let { bindings, body, .. } => {
-                for (_, _, init) in bindings {
-                    walk(init, func, false, false, out);
-                }
-                if let Some((last, init)) = body.split_last() {
-                    for s in init {
-                        walk(s, func, false, true, out);
-                    }
-                    walk(last, func, tail, discarded, out);
-                }
-            }
-            Expr::If(c, t, f) => {
-                walk(c, func, false, false, out);
-                walk(t, func, tail, discarded, out);
-                walk(f, func, tail, discarded, out);
-            }
-            Expr::While(c, body) => {
-                walk(c, func, false, false, out);
-                for s in body {
-                    walk(s, func, false, true, out);
-                }
-            }
-            other => other.for_children(&mut |c| walk(c, func, false, false, out)),
+            _ => self.step(e, dominated, used),
         }
     }
 }
@@ -523,11 +399,109 @@ mod tests {
     use curare_lisp::{Heap, Lowerer};
     use curare_sexpr::parse_all;
 
-    fn ht(src: &str) -> HeadTail {
+    /// How a function's self-call sites sit in its body: the reference
+    /// the partition walk's `value_position_calls` is held to.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    struct CallPositions {
+        /// Calls whose value is discarded, and every spawn (an enqueue
+        /// yields no value, a future is non-strict).
+        free: usize,
+        /// Calls whose value is the function's own return value.
+        tail: usize,
+        /// Calls whose value feeds another computation.
+        value: usize,
+    }
+
+    /// The classification the partition walk replaced: its own walk
+    /// with a (tail, discarded) context per form.
+    fn classify_calls(func: &Func) -> CallPositions {
+        let mut out = CallPositions::default();
+        if let Some((last, init)) = func.body.split_last() {
+            for e in init {
+                walk(e, func, false, true, &mut out);
+            }
+            walk(last, func, true, false, &mut out);
+        }
+        return out;
+
+        fn walk(e: &Expr, func: &Func, tail: bool, discarded: bool, out: &mut CallPositions) {
+            match e {
+                Expr::Call { name, args, .. } if *name == func.name_sym => {
+                    if discarded {
+                        out.free += 1;
+                    } else if tail {
+                        out.tail += 1;
+                    } else {
+                        out.value += 1;
+                    }
+                    for a in args {
+                        walk(a, func, false, false, out);
+                    }
+                }
+                Expr::Enqueue { name, args, .. } | Expr::Future { name, args, .. }
+                    if *name == func.name_sym =>
+                {
+                    out.free += 1;
+                    for a in args {
+                        walk(a, func, false, false, out);
+                    }
+                }
+                Expr::Progn(es) => {
+                    if let Some((last, init)) = es.split_last() {
+                        for s in init {
+                            walk(s, func, false, true, out);
+                        }
+                        walk(last, func, tail, discarded, out);
+                    }
+                }
+                Expr::And(es) | Expr::Or(es) => {
+                    if let Some((last, init)) = es.split_last() {
+                        for s in init {
+                            walk(s, func, false, false, out);
+                        }
+                        walk(last, func, tail, discarded, out);
+                    }
+                }
+                Expr::Let { bindings, body, .. } => {
+                    for (_, _, init) in bindings {
+                        walk(init, func, false, false, out);
+                    }
+                    if let Some((last, init)) = body.split_last() {
+                        for s in init {
+                            walk(s, func, false, true, out);
+                        }
+                        walk(last, func, tail, discarded, out);
+                    }
+                }
+                Expr::If(c, t, f) => {
+                    walk(c, func, false, false, out);
+                    walk(t, func, tail, discarded, out);
+                    walk(f, func, tail, discarded, out);
+                }
+                Expr::While(c, body) => {
+                    walk(c, func, false, false, out);
+                    for s in body {
+                        walk(s, func, false, true, out);
+                    }
+                }
+                other => other.for_children(&mut |c| walk(c, func, false, false, out)),
+            }
+        }
+    }
+
+    /// The partition of the first defun of `src`, its value-position
+    /// count held to the reference, and the reference's positions.
+    fn positions(src: &str) -> (HeadTail, CallPositions) {
         let heap = Heap::new();
         let mut lw = Lowerer::new(&heap);
         let prog = lw.lower_program(&parse_all(src).unwrap()).unwrap();
-        head_tail(&prog.funcs[0])
+        let (h, reference) = (head_tail(&prog.funcs[0]), classify_calls(&prog.funcs[0]));
+        assert_eq!(h.value_position_calls, reference.value, "{src}");
+        (h, reference)
+    }
+
+    fn ht(src: &str) -> HeadTail {
+        positions(src).0
     }
 
     #[test]
@@ -543,26 +517,25 @@ mod tests {
         assert!(h.tail_size > 0, "{h:?}");
         assert!(h.concurrency() > 1.5, "{h:?}");
         assert_eq!(h.recursive_calls, 1);
-        assert_eq!(h.free_calls, 1);
-        assert!(!h.tail_recursive);
+        assert_eq!(h.value_position_calls, 0);
     }
 
     #[test]
     fn tail_recursive_has_empty_tail() {
         // Everything executes before the recursive call: tail empty,
         // concurrency (h+0)/h = 1 per unit... i.e. minimal.
-        let h = ht("(defun f (l) (when l (print (car l)) (f (cdr l))))");
+        let (h, at) = positions("(defun f (l) (when l (print (car l)) (f (cdr l))))");
         assert_eq!(h.tail_size, 0, "{h:?}");
         assert!((h.concurrency() - 1.0).abs() < f64::EPSILON);
-        assert!(h.tail_recursive);
+        assert_eq!(at, CallPositions { free: 0, tail: 1, value: 0 });
     }
 
     #[test]
     fn non_recursive_concurrency_is_one() {
-        let h = ht("(defun f (l) (car l))");
+        let (h, at) = positions("(defun f (l) (car l))");
         assert_eq!(h.recursive_calls, 0);
         assert_eq!(h.concurrency(), 1.0);
-        assert!(!h.tail_recursive);
+        assert_eq!(at, CallPositions::default());
     }
 
     #[test]
@@ -574,32 +547,77 @@ mod tests {
 
     #[test]
     fn remq_is_not_tail_recursive_but_remq_tail_version_is() {
-        let h = ht("(defun remq (obj lst)
-                      (cond ((null lst) nil)
-                            ((eq obj (car lst)) (remq obj (cdr lst)))
-                            (t (cons (car lst) (remq obj (cdr lst))))))");
-        assert!(!h.tail_recursive, "the cons-wrapped call is not tail");
+        let (h, at) = positions(
+            "(defun remq (obj lst)
+               (cond ((null lst) nil)
+                     ((eq obj (car lst)) (remq obj (cdr lst)))
+                     (t (cons (car lst) (remq obj (cdr lst))))))",
+        );
+        assert_eq!(h.value_position_calls, 1, "the cons-wrapped call is not tail");
+        assert_eq!(at, CallPositions { free: 0, tail: 1, value: 1 });
         assert_eq!(h.recursive_calls, 2);
 
-        let h2 = ht("(defun walk (l) (if (null l) nil (walk (cdr l))))");
-        assert!(h2.tail_recursive);
+        let (h2, at) = positions("(defun walk (l) (if (null l) nil (walk (cdr l))))");
+        assert_eq!(h2.value_position_calls, 0);
+        assert_eq!(at, CallPositions { free: 0, tail: 1, value: 0 });
     }
 
     #[test]
     fn free_calls_counted() {
-        let h = ht("(defun f (l)
-                      (when l
-                        (f (car l))
-                        (f (cdr l))))");
+        let (h, at) = positions(
+            "(defun f (l)
+               (when l
+                 (f (car l))
+                 (f (cdr l))))",
+        );
         // First call's value discarded; second is the return value.
-        assert_eq!(h.free_calls, 1);
+        assert_eq!(at, CallPositions { free: 1, tail: 1, value: 0 });
+        assert_eq!(h.value_position_calls, 0);
         assert_eq!(h.recursive_calls, 2);
     }
 
     #[test]
     fn enqueue_is_always_free() {
-        let h = ht("(defun f (l) (when l (cri-enqueue 0 f (cdr l))))");
-        assert_eq!(h.free_calls, 1);
+        // A spawn yields no value of its callee, wherever it stands;
+        // a direct call in the same operand position is a value call.
+        for (src, value) in [
+            ("(defun f (l) (when l (cri-enqueue 0 f (cdr l))))", 0),
+            ("(defun f (l) (list (cri-enqueue 0 f (cdr l)) (future (f l))))", 0),
+            ("(defun f (l) (list (cri-enqueue 0 f (f (cdr l)))))", 1),
+            ("(defun f (l) (and (f l) (or (f l) (progn (f l) (f l)))))", 2),
+            ("(defun f (l) (let ((x (f l))) (while (f x) (f x)) (setq x (f x))))", 3),
+        ] {
+            let (h, at) = positions(src);
+            assert_eq!(h.value_position_calls, value, "{src}");
+            assert_eq!(at.free + at.tail + at.value, h.recursive_calls, "{src}");
+        }
+        let (_, at) = positions("(defun f (l) (when l (cri-enqueue 0 f (cdr l))))");
+        assert_eq!(at, CallPositions { free: 1, tail: 0, value: 0 });
+    }
+
+    /// Every defun of every shipped program: the partition walk counts
+    /// the value-position self-calls the reference classification does.
+    #[test]
+    fn value_positions_of_the_shipped_programs_match_the_reference() {
+        let examples = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/lisp");
+        let mut checked = 0;
+        for dir in [examples.clone(), examples.join("fixtures")] {
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.extension().is_none_or(|x| x != "lisp") {
+                    continue;
+                }
+                let src = std::fs::read_to_string(&path).unwrap();
+                let heap = Heap::new();
+                let prog = Lowerer::new(&heap).lower_program(&parse_all(&src).unwrap()).unwrap();
+                for func in &prog.funcs {
+                    let (h, reference) = (head_tail(func), classify_calls(func));
+                    assert_eq!(h.value_position_calls, reference.value, "{}", path.display());
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked >= 20, "{checked} defuns");
     }
 
     /// Head/tail of the *last* defun of `src`, costed over the whole
@@ -745,7 +763,7 @@ mod tests {
         .to_vec();
         let mut gen = BodyGen(26);
         sources.extend((0..600).map(|_| format!("(defun f (l){})", gen.exprs(4, 1, 4))));
-        let (mut tails, mut self_calls) = (0, 0);
+        let (mut tails, mut self_calls, mut values) = (0, 0, 0);
         for src in &sources {
             let heap = Heap::new();
             let prog = Lowerer::new(&heap).lower_program(&parse_all(src).unwrap()).unwrap();
@@ -766,10 +784,13 @@ mod tests {
             assert_eq!(h.tail_size, oracle.iter().filter(|s| s.1).count(), "{src}");
             assert_eq!(h.head_size + h.tail_size, oracle.len(), "{src}");
             assert_eq!(h.recursive_calls, calls.len(), "{src}");
+            assert_eq!(h.value_position_calls, classify_calls(func).value, "{src}");
+            values += h.value_position_calls;
             tails += h.tail_size;
             self_calls += h.recursive_calls;
         }
         assert!(tails > 1000 && self_calls > 1000, "the bodies exercise the walk");
+        assert!(values > 100 && values < self_calls, "{values} of {self_calls} calls used");
     }
 
     #[test]

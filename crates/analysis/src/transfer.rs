@@ -59,15 +59,13 @@ impl Transfer {
     }
 }
 
-/// Transfer functions for every parameter of one function, plus the
-/// recursive call sites they were derived from.
+/// Transfer functions for every parameter of one function, derived
+/// from its self-recursive call sites (direct calls, futures, and
+/// enqueues).
 #[derive(Debug, Clone)]
 pub struct TransferSummary {
     /// `τ` per parameter, indexed like `func.params`.
     pub per_param: Vec<Transfer>,
-    /// Number of self-recursive call sites found (direct calls,
-    /// futures, and enqueues).
-    pub call_sites: usize,
 }
 
 /// Find the self-recursive call argument lists of `func`.
@@ -123,7 +121,7 @@ pub fn transfer_functions(func: &Func) -> TransferSummary {
         }
         per_param.push(acc.unwrap_or_else(|| Transfer::Literal(BTreeSet::new())));
     }
-    TransferSummary { per_param, call_sites: sites.len() }
+    TransferSummary { per_param }
 }
 
 #[cfg(test)]
@@ -147,7 +145,6 @@ mod tests {
     #[test]
     fn figure_3_tau_is_cdr() {
         let s = summary_of("(defun f (l) (when l (print (car l)) (f (cdr l))))");
-        assert_eq!(s.call_sites, 1);
         assert_eq!(s.per_param[0], literal(&["cdr"]));
         assert_eq!(s.per_param[0].regex().to_string(), "cdr");
     }
@@ -160,7 +157,6 @@ mod tests {
                      ((eq obj (car lst)) (remq obj (cdr lst)))
                      (t (cons (car lst) (remq obj (cdr lst))))))",
         );
-        assert_eq!(s.call_sites, 2);
         assert_eq!(s.per_param[0], literal(&["ε"]));
         assert_eq!(s.per_param[1], literal(&["cdr"]));
     }
@@ -175,7 +171,6 @@ mod tests {
                  (walk (node-left n))
                  (walk (node-right n))))",
         );
-        assert_eq!(s.call_sites, 2);
         let Transfer::Literal(paths) = &s.per_param[0] else { panic!("{:?}", s.per_param[0]) };
         assert_eq!(paths.len(), 2);
     }
@@ -205,17 +200,14 @@ mod tests {
     #[test]
     fn non_recursive_function_has_no_sites() {
         let s = summary_of("(defun f (l) (car l))");
-        assert_eq!(s.call_sites, 0);
         assert_eq!(s.per_param[0], literal(&[]));
     }
 
     #[test]
     fn enqueue_and_future_sites_count() {
         let s = summary_of("(defun f (l) (when l (cri-enqueue 0 f (cdr l))))");
-        assert_eq!(s.call_sites, 1);
         assert_eq!(s.per_param[0], literal(&["cdr"]));
         let s = summary_of("(defun f (l) (when l (future (f (cdr l)))))");
-        assert_eq!(s.call_sites, 1);
         assert_eq!(s.per_param[0], literal(&["cdr"]));
     }
 

@@ -180,10 +180,7 @@ fn engine_agrees_with_the_prefix_definition() {
             for _ in 0..rng.pick(4) {
                 records.push(records[rng.pick(records.len())].clone());
             }
-            let transfers = TransferSummary {
-                per_param: vec![Transfer::Literal(steps.clone())],
-                call_sites: 1,
-            };
+            let transfers = TransferSummary { per_param: vec![Transfer::Literal(steps.clone())] };
             let case = format!("{src}, τ = {steps:?}, records = {records:?}");
 
             let report = conflicts_from_parts(&summary(records.clone()), &transfers);

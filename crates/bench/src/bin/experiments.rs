@@ -343,7 +343,7 @@ fn e6_reorder(r: &mut Run) {
         ("converted", report.converted.into()),
         ("sum", "-".into()),
     ]);
-    r.say(format!("feedback:\n{}", report.feedback.trim_end()));
+    r.say(format!("feedback:\n{}", report.feedback().trim_end()));
     r.gate("undeclared: the walker is refused", !report.converted, "");
 }
 

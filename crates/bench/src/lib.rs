@@ -813,7 +813,7 @@ mod tests {
                         Device::Locks(l) => Some(l.clone()),
                         _ => None,
                     })
-                    .unwrap_or_else(|| panic!("k={k} {label}: no locks: {}", r.feedback));
+                    .unwrap_or_else(|| panic!("k={k} {label}: no locks: {}", r.feedback()));
                 assert_eq!(locks.len(), 3, "k={k} {label}: {locks:?}");
                 let shared = locks.iter().filter(|l| !l.exclusive).count();
                 assert_eq!(shared, if want_exclusive { 0 } else { 2 }, "k={k} {label}: {locks:?}");
@@ -875,7 +875,7 @@ mod tests {
         assert!(!refused.report("scrub").unwrap().converted, "⊤-write must block statically");
         let (_, out) = restructured(Curare::new().with_speculation(true), &src);
         let r = out.report("scrub").unwrap();
-        assert!(r.converted, "speculation must admit the ⊤-write walker: {}", r.feedback);
+        assert!(r.converted, "speculation must admit the ⊤-write walker: {}", r.feedback());
         assert!(r.devices.contains(&Device::Speculate), "{:?}", r.devices);
     }
 

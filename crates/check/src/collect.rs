@@ -18,7 +18,7 @@ use curare_analysis::{Canonicalizer, Transfer};
 use curare_lisp::ast::Expr;
 use curare_lisp::{Interp, Val};
 use curare_sexpr::{parse_all, Sexpr};
-use curare_transform::{Curare, CurareOutput};
+use curare_transform::{Curare, CurareOutput, Note};
 
 use crate::diag::{Code, Diagnostic, DiagnosticSet};
 
@@ -175,7 +175,7 @@ fn collect_function_diags(set: &mut DiagnosticSet, out: &CurareOutput) {
 /// sequential.
 fn collect_unsynced_tails(set: &mut DiagnosticSet, out: &CurareOutput) {
     for report in &out.reports {
-        if report.unsynced_tail {
+        if report.note == Some(Note::UnsyncedTail) {
             set.push(
                 Diagnostic::new(
                     Code::C005,
@@ -185,7 +185,7 @@ fn collect_unsynced_tails(set: &mut DiagnosticSet, out: &CurareOutput) {
                      runs sequentially"
                         .to_string(),
                 )
-                .with_related(report.feedback.trim().to_string()),
+                .with_related(report.feedback().trim().to_string()),
             );
         }
     }

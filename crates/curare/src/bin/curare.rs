@@ -171,7 +171,7 @@ fn print_reports(out: &curare::transform::CurareOutput, with_feedback: bool, spe
     for r in &out.reports {
         eprintln!("{}", report_line(r, speculating));
         if with_feedback && !r.converted {
-            for line in r.feedback.lines() {
+            for line in r.feedback().lines() {
                 eprintln!(";;   {line}");
             }
         }

@@ -23,6 +23,9 @@ enum Flow {
 pub struct Evaluator<'i> {
     interp: &'i Interp,
     depth: usize,
+    /// The function the innermost `apply_tree` is running, as the VM's
+    /// `cur_fid`: a spawn of it may restart its frame in place.
+    cur_fid: FuncId,
     /// Address of a stack local captured at construction; used to
     /// bound native stack growth independent of the depth limit.
     stack_base: usize,
@@ -111,14 +114,14 @@ pub(crate) fn stack_exhausted_error() -> LispError {
 impl<'i> Evaluator<'i> {
     /// A fresh evaluator at depth zero.
     pub fn new(interp: &'i Interp) -> Self {
-        Evaluator { interp, depth: 0, stack_base: resolve_stack_base() }
+        Evaluator::with_depth(interp, 0)
     }
 
     /// An evaluator continuing at `depth` — used when the bytecode VM
     /// hands a call chain to the tree oracle (or vice versa) so the
     /// recursion budget spans both engines.
     pub(crate) fn with_depth(interp: &'i Interp, depth: usize) -> Self {
-        Evaluator { interp, depth, stack_base: resolve_stack_base() }
+        Evaluator { interp, depth, cur_fid: FuncId::MAX, stack_base: resolve_stack_base() }
     }
 
     /// Evaluate a top-level expression in an empty frame.
@@ -155,6 +158,7 @@ impl<'i> Evaluator<'i> {
         // invocation's argument collection).
         let mut frame: Vec<Value> = take_value_buf();
         let interp = self.interp;
+        let saved_fid = self.cur_fid;
         let result = loop {
             let entry = interp.func_entry(id);
             let func = &entry.func;
@@ -171,6 +175,7 @@ impl<'i> Evaluator<'i> {
             frame.append(&mut args);
             frame.resize(func.nslots.max(frame.len()), Value::UNBOUND);
             put_value_buf(std::mem::take(&mut args));
+            self.cur_fid = id;
 
             let (last, init) = match func.body.split_last() {
                 Some(x) => x,
@@ -196,6 +201,7 @@ impl<'i> Evaluator<'i> {
             }
         };
         put_value_buf(frame);
+        self.cur_fid = saved_fid;
         self.depth -= 1;
         result
     }
@@ -433,6 +439,17 @@ impl<'i> Evaluator<'i> {
                 let Some(fid) = interp.lookup_func(*name) else {
                     return Err(LispError::UndefinedFunction(name_text.to_string()));
                 };
+                // The VM's in-place restart: a tail-position spawn of
+                // the executing function from a root frame, chained by
+                // the runtime, is its self-tail call again.
+                let restartable = tail
+                    && !*handoff
+                    && self.depth == 1
+                    && fid == self.cur_fid
+                    && vals.len() == interp.func_entry(fid).func.params.len();
+                if restartable && interp.hooks().chain_in_place(*site, fid) {
+                    return Ok(Flow::Tail(fid, vals));
+                }
                 if *handoff {
                     interp.hooks().handoff(interp, *site, fid, vals)?;
                 } else {

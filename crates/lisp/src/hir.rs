@@ -16,15 +16,15 @@
 //!    `Overflow`/`DivideByZero` is left for execution, preserving
 //!    error identity and ordering).
 //! 2. **Type propagation** ([`infer_body`]): a forward dataflow pass
-//!    over the [`Ty`] lattice annotates every node with the type its
-//!    value is *proven* to have. Parameters and captures start at
-//!    `Any`; `let` bindings and `setq`s transfer the right-hand type;
+//!    over the [`Ty`] lattice annotates every node with whether its
+//!    value is *proven* to be an integer. Parameters and captures start
+//!    at `Any`; `let` bindings and `setq`s transfer the right-hand type;
 //!    `if`/`and`/`or` join branches; `while` iterates to a fixpoint
 //!    (the lattice has height 2, so this terminates in a few rounds).
-//!    Builtin result types come from a signature table mirroring
-//!    `builtins.rs` semantics (all-integer arithmetic stays integer —
-//!    overflow raises rather than widening — predicates are boolean,
-//!    `cons` is a cons, calls and accessors are `Any`).
+//!    Builtin result types come from the rules of `builtins.rs` that
+//!    yield an integer (all-integer arithmetic stays integer — overflow
+//!    raises rather than widening — and counts are integers); anything
+//!    else is `Any`.
 //!
 //! `compile.rs` consumes the annotated tree: where both operands of an
 //! arithmetic/comparison are proven `Int` it emits unconditional
@@ -49,34 +49,17 @@ use crate::value::{SymId, Value};
 // The type lattice
 // ----------------------------------------------------------------
 
-/// The HIR type lattice: `Bot < {Nil ≤ Bool, Int, Float, Cons,
-/// Struct, Sym, Str} < Any`.
+/// The HIR type lattice: `Bot < Int < Any`.
 ///
 /// `Bot` is "no value yet" (an unbound `let` slot before its binding
-/// executes); `Nil` is the singleton type of `nil`, a subtype of
-/// `Bool` so that predicate joins stay precise; `Any` is the top.
-/// Only `Int` drives codegen today, but the full lattice is recorded
-/// so later passes (and diagnostics) can use it.
+/// executes); `Any` is the top. `Int` is the one type codegen selects
+/// an op by, so it is the one the pass tells apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ty {
     /// Unreachable / not yet bound.
     Bot,
-    /// Exactly `nil`.
-    Nil,
-    /// `nil` or `t` (predicate results).
-    Bool,
     /// A fixnum in the tagged 60-bit range.
     Int,
-    /// A heap float.
-    Float,
-    /// A cons cell.
-    Cons,
-    /// A `defstruct` record.
-    Struct,
-    /// A symbol.
-    Sym,
-    /// A heap string.
-    Str,
     /// Anything.
     Any,
 }
@@ -84,18 +67,11 @@ pub enum Ty {
 impl Ty {
     /// Least upper bound.
     pub fn join(self, other: Ty) -> Ty {
-        use Ty::*;
         match (self, other) {
             (a, b) if a == b => a,
-            (Bot, x) | (x, Bot) => x,
-            (Nil, Bool) | (Bool, Nil) => Bool,
-            _ => Any,
+            (Ty::Bot, x) | (x, Ty::Bot) => x,
+            _ => Ty::Any,
         }
-    }
-
-    /// Lattice order: `self ≤ other`.
-    pub fn le(self, other: Ty) -> bool {
-        self.join(other) == other
     }
 }
 
@@ -579,13 +555,9 @@ impl InferCx {
     /// Infer `e`'s type under `env`, applying its effects to `env`.
     fn infer(&self, e: &mut HExpr, env: &mut SlotTys) -> Ty {
         let ty = match &mut e.kind {
-            HKind::Nil => Ty::Nil,
-            HKind::T => Ty::Bool,
             HKind::Int(_) => Ty::Int,
             HKind::RaiseInt => Ty::Bot,
-            HKind::Float(_) => Ty::Float,
-            HKind::Str(_) => Ty::Str,
-            HKind::Quote(_) => Ty::Any,
+            HKind::Nil | HKind::T | HKind::Float(_) | HKind::Str(_) | HKind::Quote(_) => Ty::Any,
             HKind::Var(VarRef::Local(slot), _) => {
                 if *slot < self.ncaptures {
                     Ty::Any
@@ -614,7 +586,7 @@ impl InferCx {
                 tt.join(tf)
             }
             HKind::Progn(es) => {
-                let mut ty = Ty::Nil;
+                let mut ty = Ty::Any;
                 for s in es.iter_mut() {
                     ty = self.infer(s, env);
                 }
@@ -624,19 +596,18 @@ impl InferCx {
                 // The first form runs unconditionally; each later one
                 // only when everything before was true, so its effects
                 // join in rather than overwrite.
-                let mut ty = Ty::Nil;
                 for (i, s) in es.iter_mut().enumerate() {
                     if i == 0 {
                         self.infer(s, env);
                     } else {
                         let mut taken = env.clone();
-                        ty = self.infer(s, &mut taken);
+                        self.infer(s, &mut taken);
                         join_env(env, &taken);
                     }
                 }
                 // Result: nil from any short-circuit, or the last
-                // form's value.
-                Ty::Nil.join(ty)
+                // form's value — never a proven integer.
+                Ty::Any
             }
             HKind::Or(es) => {
                 let mut ty = Ty::Bot;
@@ -664,7 +635,7 @@ impl InferCx {
                         }
                     }
                 }
-                let mut ty = Ty::Nil;
+                let mut ty = Ty::Any;
                 for s in body.iter_mut() {
                     ty = self.infer(s, env);
                 }
@@ -686,19 +657,16 @@ impl InferCx {
                 // from the final fixpoint round above are already
                 // sound for it.
                 self.infer(c, env);
-                Ty::Nil
+                Ty::Any
             }
-            HKind::Call { args, .. } | HKind::Future { args, .. } => {
+            HKind::Call { args, .. }
+            | HKind::Future { args, .. }
+            | HKind::Enqueue { args, .. }
+            | HKind::Struct(_, args) => {
                 for a in args.iter_mut() {
                     self.infer(a, env);
                 }
                 Ty::Any
-            }
-            HKind::Enqueue { args, .. } => {
-                for a in args.iter_mut() {
-                    self.infer(a, env);
-                }
-                Ty::Nil
             }
             HKind::Builtin(op, args) => {
                 let mut arg_tys = Vec::with_capacity(args.len());
@@ -707,20 +675,10 @@ impl InferCx {
                 }
                 builtin_result_ty(*op, &arg_tys)
             }
-            HKind::Struct(op, args) => {
-                for a in args.iter_mut() {
-                    self.infer(a, env);
-                }
-                match op {
-                    StructOp::Make { .. } => Ty::Struct,
-                    StructOp::Pred { .. } => Ty::Bool,
-                    StructOp::Ref { .. } | StructOp::Set { .. } => Ty::Any,
-                }
-            }
             HKind::Lambda { .. } | HKind::FuncRef(..) => Ty::Any,
             HKind::LockOp { base, .. } => {
                 self.infer(base, env);
-                Ty::Nil
+                Ty::Any
             }
         };
         e.ty = ty;
@@ -728,59 +686,20 @@ impl InferCx {
     }
 }
 
-/// Result type of a builtin application given argument types —
-/// mirrors `builtins.rs`: all-integer arithmetic raises on overflow
-/// instead of widening, so `Int` in means `Int` out; any float mixes
-/// to `Float` via contagion; predicates are boolean.
+/// Result type of a builtin application given argument types — the
+/// rules of `builtins.rs` that yield an integer: all-integer arithmetic
+/// raises on overflow instead of widening, so `Int` in means `Int` out,
+/// and counts are integers. `identity` and `set-car`/`set-cdr` return
+/// an argument.
 pub fn builtin_result_ty(op: BuiltinOp, args: &[Ty]) -> Ty {
     use BuiltinOp::*;
-    let all_int = !args.is_empty() && args.iter().all(|&t| t == Ty::Int);
-    let numericish =
-        args.iter().all(|&t| t == Ty::Int || t == Ty::Float) && args.contains(&Ty::Float);
+    let all_int = args.iter().all(|&t| t == Ty::Int);
     match op {
-        Add | Sub | Mul | Div => {
-            if all_int || args.is_empty() {
-                Ty::Int
-            } else if numericish {
-                Ty::Float
-            } else {
-                Ty::Any
-            }
-        }
-        Mod => Ty::Int,
-        Abs | Add1 | Sub1 => {
-            if all_int {
-                Ty::Int
-            } else if numericish {
-                Ty::Float
-            } else {
-                Ty::Any
-            }
-        }
-        Min | Max => {
-            if all_int {
-                Ty::Int
-            } else if args.iter().all(|&t| t == Ty::Float) {
-                Ty::Float
-            } else {
-                Ty::Any
-            }
-        }
-        Lt | Gt | Le | Ge | NumEq | NumNe | Null | Eq | Eql | Equal | Atom | Consp | Symbolp
-        | Numberp | Stringp | Functionp => Ty::Bool,
-        Cons => Ty::Cons,
-        Length | HashCount | VectorLength => Ty::Int,
-        AtomicIncfGlobal | AtomicIncfCell => Ty::Int,
-        Gensym => Ty::Sym,
+        Add | Sub | Mul | Div if all_int => Ty::Int,
+        Abs | Add1 | Sub1 | Min | Max if all_int && !args.is_empty() => Ty::Int,
+        Mod | Length | HashCount | VectorLength | AtomicIncfGlobal | AtomicIncfCell => Ty::Int,
         Identity => args.first().copied().unwrap_or(Ty::Any),
         SetCar | SetCdr => args.get(1).copied().unwrap_or(Ty::Any),
-        List => {
-            if args.is_empty() {
-                Ty::Nil
-            } else {
-                Ty::Cons
-            }
-        }
         _ => Ty::Any,
     }
 }
@@ -946,23 +865,22 @@ mod tests {
         let body = lower_defun("(defun f (n) (if n 1 nil))");
         assert_eq!(body[0].ty, Ty::Any, "int/nil joins to any");
         let body = lower_defun("(defun f (n) (if n (null n) t))");
-        assert_eq!(body[0].ty, Ty::Bool, "nil≤bool keeps predicate joins");
+        assert_eq!(body[0].ty, Ty::Any, "predicate joins are no integer");
     }
 
     #[test]
     fn lattice_join_laws() {
         use Ty::*;
-        let all = [Bot, Nil, Bool, Int, Float, Cons, Struct, Sym, Str, Any];
+        let all = [Bot, Int, Any];
         for &a in &all {
             assert_eq!(a.join(a), a);
             assert_eq!(a.join(Bot), a);
             assert_eq!(a.join(Any), Any);
             for &b in &all {
                 assert_eq!(a.join(b), b.join(a), "commutative {a:?} {b:?}");
-                assert!(a.le(a.join(b)), "upper bound {a:?} {b:?}");
+                assert_eq!(a.join(a.join(b)), a.join(b), "upper bound {a:?} {b:?}");
             }
         }
-        assert_eq!(Nil.join(Bool), Bool);
-        assert_eq!(Int.join(Float), Any);
+        assert_eq!(Int.join(Any), Any);
     }
 }

@@ -92,6 +92,13 @@ impl RuntimeHooks for SequentialHooks {
         Ok(())
     }
 
+    /// A tail-position spawn of the executing function restarts its
+    /// frame: the self-tail call the spawn was before restructuring,
+    /// with its value and no native frame per link.
+    fn chain_in_place(&self, _site: usize, _fid: FuncId) -> bool {
+        true
+    }
+
     fn future(&self, interp: &Interp, fid: FuncId, args: Vec<Value>) -> Result<Value> {
         interp.call_fid_owned(fid, args)
     }

@@ -82,8 +82,6 @@ pub struct SimResult {
     pub achieved_concurrency: f64,
     /// Start time of every invocation.
     pub starts: Vec<u64>,
-    /// Finish time of every invocation.
-    pub finishes: Vec<u64>,
 }
 
 /// Run the simulation.
@@ -136,7 +134,6 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
         speedup: if total_time == 0 { 1.0 } else { sequential_time as f64 / total_time as f64 },
         achieved_concurrency: if total_time == 0 { 0.0 } else { busy as f64 / total_time as f64 },
         starts,
-        finishes,
     }
 }
 
@@ -275,7 +272,7 @@ mod tests {
         let unbatched = simulate(&base);
         let batched = simulate(&base.clone().with_spawn_batch(1));
         assert_eq!(unbatched.total_time, batched.total_time);
-        assert_eq!(unbatched.finishes, batched.finishes);
+        assert_eq!(unbatched.starts, batched.starts);
     }
 
     #[test]

@@ -50,7 +50,9 @@ impl std::fmt::Display for DpsError {
 
 impl std::error::Error for DpsError {}
 
-/// The DPS transform's output.
+/// The DPS transform's output. Its destination writes are to unique,
+/// per-invocation cells, so the pipeline converts `dps_form` without
+/// conflict synthesis.
 #[derive(Debug, Clone)]
 pub struct DpsResult {
     /// The `f-d` function (first parameter `%curare-dest`).
@@ -60,10 +62,6 @@ pub struct DpsResult {
     pub wrapper: Sexpr,
     /// Name of the DPS function (`<f>-d`).
     pub dps_name: String,
-    /// Provenance guarantee: the destination writes are to unique,
-    /// per-invocation cells — downstream passes may skip conflict
-    /// synthesis for parameter 0 of `dps_form`.
-    pub provenance_safe: bool,
 }
 
 const DEST: &str = "%curare-dest";
@@ -99,7 +97,7 @@ pub fn dps_transform(form: &Sexpr) -> Result<DpsResult, DpsError> {
     );
     let wrapper = sx::make_defun(parts.name, &parts.params, &[], vec![wrapper_body]);
 
-    Ok(DpsResult { dps_form, wrapper, dps_name, provenance_safe: true })
+    Ok(DpsResult { dps_form, wrapper, dps_name })
 }
 
 struct Ctx<'a> {
@@ -198,7 +196,6 @@ mod tests {
         assert!(text.contains("(setf (cdr %curare-dest) nil)"), "{text}");
         assert!(text.contains("(remq-d %curare-dest obj (cdr lst))"), "{text}");
         assert!(text.contains("(cons (car lst) nil)"), "{text}");
-        assert!(r.provenance_safe);
         let w = r.wrapper.to_string();
         assert!(w.starts_with("(defun remq (obj lst)"), "{w}");
         assert!(w.contains("(cdr %curare-dest)"), "{w}");

@@ -67,8 +67,6 @@ pub struct FoldResult {
     pub walker: Sexpr,
     /// A wrapper with the original name and signature.
     pub wrapper: Sexpr,
-    /// The walker's name.
-    pub walker_name: String,
     /// The combining operator.
     pub operator: String,
 }
@@ -187,7 +185,7 @@ pub fn fold_to_walker(form: &Sexpr, decls: &DeclDb) -> Result<FoldResult, FoldEr
     );
     let wrapper = sx::make_defun(parts.name, &[param], &[], vec![wrapper_body]);
 
-    Ok(FoldResult { walker, wrapper, walker_name, operator: red.op })
+    Ok(FoldResult { walker, wrapper, operator: red.op })
 }
 
 #[cfg(test)]
@@ -207,7 +205,6 @@ mod tests {
     #[test]
     fn sum_becomes_accumulating_walker() {
         let r = fold_to_walker(&parse_one(SUM).unwrap(), &decls_plus()).unwrap();
-        assert_eq!(r.walker_name, "sum-acc");
         assert_eq!(r.operator, "+");
         let w = r.walker.to_string();
         assert!(w.starts_with("(defun sum-acc (%curare-acc l)"), "{w}");

@@ -55,7 +55,8 @@ pub use locks::{
     insert_placement, lock_rescue, placement_specs, LockResult, LockSpec, TransformError,
 };
 pub use pipeline::{
-    Curare, CurareOutput, Device, FunctionReport, PipelineError, Publication, HANDOFF_THRESHOLD,
+    Curare, CurareOutput, Device, FunctionReport, Note, PipelineError, Publication,
+    HANDOFF_THRESHOLD,
 };
 pub use rec2iter::{recursion_to_iteration, Rec2IterError};
 pub use reorder::{reorder_transform, ReorderResult};

@@ -114,12 +114,9 @@ pub struct FunctionReport {
     pub devices: Vec<Device>,
     /// Whether the function was converted for concurrent execution.
     pub converted: bool,
-    /// §6-style feedback text.
-    pub feedback: String,
-    /// Provenance for diagnostics: true when order-sensitive post-call
-    /// statements survived delay but future synchronization refused
-    /// them, leaving the function unconverted (C005).
-    pub unsynced_tail: bool,
+    /// What the devices add to the analysis's account of the function:
+    /// the rescue that converted it, or why they stopped.
+    pub note: Option<Note>,
     /// Where a converted function's spawns publish, and the cost
     /// estimate that decided it.
     pub publication: Publication,
@@ -131,6 +128,58 @@ pub struct FunctionReport {
     /// form as it stood when they were (after delay, where delay moved
     /// statements). `None` unless the device applied.
     pub placement: Option<Placement>,
+}
+
+impl FunctionReport {
+    /// §6-style feedback: the analysis's explanation of the function,
+    /// then the note, one line.
+    pub fn feedback(&self) -> String {
+        let mut text = self.analysis.explain();
+        if let Some(note) = &self.note {
+            text.push_str(&format!("  {note}\n"));
+        }
+        text
+    }
+}
+
+/// What the devices did to a function beyond its analysis, or why they
+/// stopped: the line [`FunctionReport::feedback`] adds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Note {
+    /// Rescued by destination-passing style (§5).
+    Dps,
+    /// Rescued by reduction restructuring (§5) over `operator`.
+    Fold {
+        /// The combining operator.
+        operator: String,
+    },
+    /// Admitted to speculative execution: the only refusal was writes
+    /// with unproven roots.
+    SpeculatedUnprovenWrites,
+    /// Order-sensitive post-call statements survived delay and future
+    /// synchronization refused them, leaving the function unconverted
+    /// (C005).
+    UnsyncedTail,
+    /// CRI conversion refused the form the devices left.
+    CriFailed(CriError),
+}
+
+impl std::fmt::Display for Note {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Note::Dps => write!(f, "applied destination-passing style (provenance-safe)"),
+            Note::Fold { operator } => {
+                write!(f, "applied reduction restructuring (operator {operator})")
+            }
+            Note::SpeculatedUnprovenWrites => {
+                write!(f, "admitted to speculative execution (unproven write roots)")
+            }
+            Note::UnsyncedTail => {
+                write!(f, "post-call conflicting statements could not be synchronized")
+            }
+            Note::CriFailed(e) => write!(f, "CRI conversion failed: {e}"),
+        }
+    }
 }
 
 /// A tail must cost more than this many units (AST nodes, callee
@@ -467,19 +516,17 @@ impl Pass<'_> {
         kept: FunctionAnalysis,
         stats: &mut AnalysisStats,
     ) -> Result<(Vec<Sexpr>, FunctionReport), PipelineError> {
-        let made = |analysis: FunctionAnalysis, devices, converted, feedback, publication| {
-            FunctionReport {
+        let made =
+            |analysis: FunctionAnalysis, devices, converted, note, publication| FunctionReport {
                 name: analysis.name.clone(),
                 verdict: analysis.verdict.clone(),
                 devices,
                 converted,
-                feedback,
-                unsynced_tail: false,
+                note,
                 publication,
                 analysis,
                 placement: None,
-            }
-        };
+            };
         let analysis = &kept;
         let name = analysis.name.as_str();
         let mut current = reordered.form;
@@ -487,14 +534,13 @@ impl Pass<'_> {
         if reordered.atomic_rewrites > 0 {
             devices.push(Device::Reorder(reordered.atomic_rewrites));
         }
-        let feedback = analysis.explain();
         let transform_err = |e: CriError| PipelineError::Transform(e.to_string());
 
         match &analysis.verdict {
             Verdict::NotRecursive => {
                 return Ok((
                     vec![current.into_owned()],
-                    made(kept, devices, false, feedback, Publication::Lazy),
+                    made(kept, devices, false, None, Publication::Lazy),
                 ));
             }
             Verdict::Blocked => {
@@ -509,11 +555,9 @@ impl Pass<'_> {
                         let (cri, publication) =
                             self.convert(&dps.dps_form, None).map_err(transform_err)?;
                         devices.push(Device::Cri(cri.sites));
-                        let feedback = format!(
-                            "{feedback}  applied destination-passing style (provenance-safe)\n"
-                        );
+                        let note = Some(Note::Dps);
                         let forms = vec![cri.form, dps.wrapper];
-                        return Ok((forms, made(kept, devices, true, feedback, publication)));
+                        return Ok((forms, made(kept, devices, true, note, publication)));
                     }
                     // §5 again: a declared-reorderable linear reduction
                     // becomes an accumulating walker, whose update the
@@ -528,12 +572,9 @@ impl Pass<'_> {
                         let (cri, publication) =
                             self.convert(&walker.form, None).map_err(transform_err)?;
                         devices.push(Device::Cri(cri.sites));
-                        let feedback = format!(
-                            "{feedback}  applied reduction restructuring (operator {})\n",
-                            fold.operator
-                        );
+                        let note = Some(Note::Fold { operator: fold.operator });
                         let forms = vec![cri.form, fold.wrapper];
-                        return Ok((forms, made(kept, devices, true, feedback, publication)));
+                        return Ok((forms, made(kept, devices, true, note, publication)));
                     }
                 }
                 // SpecMode admission, case A: blocked *only* by writes
@@ -549,18 +590,13 @@ impl Pass<'_> {
                     if let Ok((cri, publication)) = self.convert(&current, tail_cost) {
                         devices.push(Device::Speculate);
                         devices.push(Device::Cri(cri.sites));
-                        let feedback = format!(
-                            "{feedback}  admitted to speculative execution (unproven write roots)\n"
-                        );
-                        return Ok((
-                            vec![cri.form],
-                            made(kept, devices, true, feedback, publication),
-                        ));
+                        let note = Some(Note::SpeculatedUnprovenWrites);
+                        return Ok((vec![cri.form], made(kept, devices, true, note, publication)));
                     }
                 }
                 return Ok((
                     vec![current.into_owned()],
-                    made(kept, devices, false, feedback, Publication::Lazy),
+                    made(kept, devices, false, None, Publication::Lazy),
                 ));
             }
             Verdict::ConflictFree | Verdict::NeedsSynchronization { .. } => {}
@@ -655,15 +691,10 @@ impl Pass<'_> {
                                 if self.config.speculate {
                                     devices.push(Device::Speculate);
                                 } else {
-                                    let feedback = format!(
-                                        "{feedback}  post-call conflicting statements could not be synchronized\n"
-                                    );
+                                    let note = Some(Note::UnsyncedTail);
                                     let refused =
-                                        made(kept, devices, false, feedback, Publication::Lazy);
-                                    return Ok((
-                                        vec![current.into_owned()],
-                                        FunctionReport { unsynced_tail: true, ..refused },
-                                    ));
+                                        made(kept, devices, false, note, Publication::Lazy);
+                                    return Ok((vec![current.into_owned()], refused));
                                 }
                             }
                         }
@@ -676,11 +707,11 @@ impl Pass<'_> {
         let (form, report) = match self.convert(&current, tail_cost) {
             Ok((cri, publication)) => {
                 devices.push(Device::Cri(cri.sites));
-                (cri.form, made(kept, devices, true, feedback, publication))
+                (cri.form, made(kept, devices, true, None, publication))
             }
             Err(e) => {
-                let feedback = format!("{feedback}  CRI conversion failed: {e}\n");
-                (current.into_owned(), made(kept, devices, false, feedback, Publication::Lazy))
+                let note = Some(Note::CriFailed(e));
+                (current.into_owned(), made(kept, devices, false, note, Publication::Lazy))
             }
         };
         Ok((vec![form], FunctionReport { placement, ..report }))
@@ -874,7 +905,7 @@ mod tests {
     /// whatever order the defuns' jobs run in: input order, reversed,
     /// shuffled, all on this thread — and as a two-thread host runs them.
     /// Over every shipped program, the golden file's window walkers, and
-    /// 200 programs of 2–6 of those that have a defun (each walker on its
+    /// 300 programs of 2–6 of those that have a defun (each walker on its
     /// own), concatenated and renamed apart; plain and speculating.
     #[test]
     fn the_output_does_not_depend_on_the_order_jobs_run_in() {
@@ -886,7 +917,7 @@ mod tests {
             format!("(curare-declare (reorderable *))\n{}", window_walker(k, reads))
         }));
         let rng = &mut XorShift(0x2929_5eed);
-        for _ in 0..200 {
+        for _ in 0..300 {
             let picks: Vec<&str> =
                 (0..2 + rng.below(5)).map(|_| pool[rng.below(pool.len())].as_str()).collect();
             programs.push(concatenated(&picks));
@@ -1123,7 +1154,7 @@ mod tests {
                      (t (setf (cadr l) (+ (car l) (cadr l)))
                         (f (cdr l)))))");
         let r = out.report("f").unwrap();
-        assert!(r.converted, "{}", r.feedback);
+        assert!(r.converted, "{}", r.feedback());
         assert_eq!(r.verdict, Verdict::NeedsSynchronization { min_distance: 1 });
         assert!(r.devices.contains(&Device::HeadOrdering), "{:?}", r.devices);
         assert!(!r.devices.iter().any(|d| matches!(d, Device::Locks(_))));
@@ -1139,7 +1170,7 @@ mod tests {
                  (f acc (cdr l))
                  (setf (car acc) (+ (car acc) (car l)))))");
         let r = out.report("f").unwrap();
-        assert!(r.converted, "{}", r.feedback);
+        assert!(r.converted, "{}", r.feedback());
         assert!(r.devices.iter().any(|d| matches!(d, Device::FutureSync(1))), "{:?}", r.devices);
         assert!(!r.devices.iter().any(|d| matches!(d, Device::Delay(_))), "{:?}", r.devices);
     }
@@ -1157,7 +1188,7 @@ mod tests {
                  (setf (car l) (* (car l) 2))
                  (setf (cadr l) (* (cadr l) 3))))");
         let r = out.report("f").unwrap();
-        assert!(r.converted, "{}", r.feedback);
+        assert!(r.converted, "{}", r.feedback());
         let locks = r.devices.iter().find_map(|d| match d {
             Device::Locks(l) => Some(l.clone()),
             _ => None,
@@ -1180,7 +1211,7 @@ mod tests {
                  (f (cdr l))
                  (setf (cadr l) (+ (car l) (cadr l)))))");
         let r = out.report("f").unwrap();
-        assert!(r.converted, "{}", r.feedback);
+        assert!(r.converted, "{}", r.feedback());
         assert!(r.devices.iter().any(|d| matches!(d, Device::Locks(_))), "{:?}", r.devices);
         assert!(!r.devices.iter().any(|d| matches!(d, Device::FutureSync(_))), "{:?}", r.devices);
     }
@@ -1196,7 +1227,7 @@ mod tests {
                  (setf (car l) 0)
                  (setf (car acc) (+ (car acc) (car l)))))");
         let r = out.report("f").unwrap();
-        assert!(r.converted, "{}", r.feedback);
+        assert!(r.converted, "{}", r.feedback());
         assert!(r.devices.iter().any(|d| matches!(d, Device::Delay(1))), "{:?}", r.devices);
         assert!(r.devices.iter().any(|d| matches!(d, Device::FutureSync(1))), "{:?}", r.devices);
         let text = out.source();
@@ -1230,7 +1261,7 @@ mod tests {
                  (f (cdr l))
                  (setf (cdr l) (car l))))");
         let r = out.report("f").unwrap();
-        assert!(r.converted, "{}", r.feedback);
+        assert!(r.converted, "{}", r.feedback());
         assert!(r.devices.iter().any(|d| matches!(d, Device::FutureSync(1))), "{:?}", r.devices);
         let text = out.source();
         assert!(text.contains("(touch (future (f (cdr l))))"), "{text}");
@@ -1247,7 +1278,7 @@ mod tests {
                  (f acc (cdr l))
                  (setf (car acc) (+ (car acc) (car l)))))");
         let r = out.report("f").unwrap();
-        assert!(r.converted, "{}", r.feedback);
+        assert!(r.converted, "{}", r.feedback());
         assert!(r.devices.iter().any(|d| matches!(d, Device::Reorder(1))), "{:?}", r.devices);
         assert!(
             !r.devices.iter().any(|d| matches!(d, Device::FutureSync(_))),
@@ -1266,7 +1297,7 @@ mod tests {
                      ((eq obj (car lst)) (remq obj (cdr lst)))
                      (t (cons (car lst) (remq obj (cdr lst))))))");
         let r = out.report("remq").unwrap();
-        assert!(r.converted, "{}", r.feedback);
+        assert!(r.converted, "{}", r.feedback());
         assert!(r.devices.contains(&Device::Dps));
         let text = out.source();
         assert!(text.contains("remq-d"), "{text}");
@@ -1281,7 +1312,7 @@ mod tests {
         let r = out.report("sum").unwrap();
         assert!(!r.converted);
         assert_eq!(r.verdict, Verdict::Blocked);
-        assert!(r.feedback.contains("verdict"), "{}", r.feedback);
+        assert!(r.feedback().contains("verdict"), "{}", r.feedback());
         // Output is the unchanged function.
         assert!(out.source().contains("(sum (cdr l))"));
     }
@@ -1294,7 +1325,7 @@ mod tests {
                  (setq *sum* (+ *sum* (car l)))
                  (walk (cdr l))))");
         let r = out.report("walk").unwrap();
-        assert!(r.converted, "{}", r.feedback);
+        assert!(r.converted, "{}", r.feedback());
         assert!(r.devices.iter().any(|d| matches!(d, Device::Reorder(1))), "{:?}", r.devices);
         assert!(out.source().contains("atomic-incf"));
     }
@@ -1307,7 +1338,7 @@ mod tests {
                  (walk (cdr l))))");
         let r = out.report("walk").unwrap();
         assert!(!r.converted);
-        assert!(r.feedback.contains("*sum*"), "{}", r.feedback);
+        assert!(r.feedback().contains("*sum*"), "{}", r.feedback());
     }
 
     #[test]
@@ -1363,7 +1394,7 @@ mod tests {
         assert!(!plain.report("scrub").unwrap().converted);
         let out = Curare::new().with_speculation(true).transform_source(src).unwrap();
         let r = out.report("scrub").unwrap();
-        assert!(r.converted, "{}", r.feedback);
+        assert!(r.converted, "{}", r.feedback());
         assert_eq!(r.verdict, Verdict::Blocked);
         assert!(r.devices.contains(&Device::Speculate), "{:?}", r.devices);
         assert!(r.devices.iter().any(|d| matches!(d, Device::Cri(1))), "{:?}", r.devices);
@@ -1384,7 +1415,7 @@ mod tests {
                  (setf (car b) (car a))))";
         let out = Curare::new().with_speculation(true).transform_source(src).unwrap();
         let r = out.report("mix").unwrap();
-        assert!(r.converted, "{}", r.feedback);
+        assert!(r.converted, "{}", r.feedback());
         assert_eq!(r.verdict, Verdict::ConflictFree);
         assert!(r.devices.contains(&Device::Speculate), "{:?}", r.devices);
         // Single-root conflict-free functions stay unmarked.
@@ -1422,7 +1453,7 @@ mod tests {
             )
             .unwrap();
         let r = out.report("f").unwrap();
-        assert!(r.converted, "{}", r.feedback);
+        assert!(r.converted, "{}", r.feedback());
         assert!(r.devices.iter().any(|d| matches!(d, Device::FutureSync(1))), "{:?}", r.devices);
     }
 
@@ -1461,7 +1492,7 @@ mod tests {
         let short = run("(defun f (l) (when l (f (cdr l)) (setf (car l) 0)))");
         for (out, name) in [(&figure5, "f"), (&padded, "padded"), (&short, "f")] {
             let r = out.report(name).unwrap();
-            assert!(r.converted, "{}", r.feedback);
+            assert!(r.converted, "{}", r.feedback());
             assert_eq!(r.publication, Publication::Lazy, "{name}");
             assert!(out.source().contains("(cri-enqueue "), "{}", out.source());
             assert!(!out.source().contains("cri-handoff"), "{}", out.source());
@@ -1497,7 +1528,7 @@ mod tests {
                  (setf (car l) (len (car l)))))");
         for out in [&looping, &recursive] {
             let r = out.report("f").unwrap();
-            assert!(r.converted, "{}", r.feedback);
+            assert!(r.converted, "{}", r.feedback());
             assert_eq!(
                 r.publication,
                 Publication::Handoff { tail_cost: Cost::Unbounded, threshold: HANDOFF_THRESHOLD }
@@ -1553,7 +1584,7 @@ mod tests {
                  (padded (cdr l))))";
         let out = run(src);
         let r = out.report("padded").unwrap();
-        assert!(r.converted, "{}", r.feedback);
+        assert!(r.converted, "{}", r.feedback());
         assert!(r.devices.contains(&Device::Reorder(1)), "only the global: {:?}", r.devices);
         let text = out.source();
         assert!(text.contains("(setq x (+ x 1))") && text.contains("(atomic-incf *steps* x)"));
@@ -1579,7 +1610,7 @@ mod tests {
                  (when (dl-pred n)
                    (setf (dl-value (dl-pred n)) (dl-value n)))))");
         let r = out.report("back").unwrap();
-        assert!(r.converted, "{}", r.feedback);
+        assert!(r.converted, "{}", r.feedback());
         assert_eq!(r.verdict, Verdict::NeedsSynchronization { min_distance: 1 });
         assert_eq!(r.devices, vec![Device::FutureSync(1), Device::Cri(0)]);
         assert!(out.source().contains("(touch (future (back (dl-succ n))))"), "{}", out.source());
@@ -1593,7 +1624,7 @@ mod tests {
                  (setf (node-value n) (1+ (node-value n)))
                  (bump-all (node-next n))))");
         let r = out.report("bump-all").unwrap();
-        assert!(r.converted, "{}", r.feedback);
+        assert!(r.converted, "{}", r.feedback());
         assert!(out.source().contains("cri-enqueue"));
     }
 
@@ -1611,7 +1642,7 @@ mod tests {
                    (setf (car (cdr l)) (+ (car (cdr l)) 1))
                    (w (cdr l) 0))))");
         let r = out.report("w").unwrap();
-        assert!(r.converted, "{}", r.feedback);
+        assert!(r.converted, "{}", r.feedback());
         assert_eq!(r.devices, vec![Device::FutureSync(1), Device::Cri(0)]);
     }
 }

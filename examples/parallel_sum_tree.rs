@@ -43,7 +43,7 @@ fn main() {
     println!("=== transformed ===\n{}", out.source());
     let report = out.report("sum-tree").expect("processed");
     println!("devices: {:?}", report.devices);
-    assert!(report.converted, "{}", report.feedback);
+    assert!(report.converted, "{}", report.feedback());
 
     let interp = Arc::new(Interp::new());
     interp.load_str(&out.source()).expect("loads");

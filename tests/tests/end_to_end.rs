@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use curare::lisp::Engine;
 use curare::prelude::*;
 
 /// Run `f` on a thread with a large native stack (deep sequential
@@ -324,4 +325,41 @@ fn errors_in_parallel_runs_surface_cleanly() {
     // Pool still healthy.
     let l2 = interp.load_str("(list 1 2 3)").unwrap();
     rt.run("walk", &[l2]).unwrap();
+}
+
+/// The restructured text of fixture `name` loaded without a pool on
+/// `engine`: what it printed, and the value of its last form.
+fn load_restructured_fixture(name: &str, engine: Engine) -> (Vec<String>, String) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../examples/lisp/fixtures")
+        .join(name);
+    let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let out = Curare::new().transform_source(&src).expect("transforms");
+    assert!(out.reports.iter().all(|r| r.converted), "{name}: {:?}", out.reports);
+    let interp = Interp::new();
+    interp.set_engine(engine);
+    let value = interp
+        .load_str(&out.source())
+        .unwrap_or_else(|e| panic!("{name} on {engine:?}: {e}\n{}", out.source()));
+    (interp.take_output(), interp.heap().display(value))
+}
+
+#[test]
+fn a_converted_tail_call_returns_its_value_without_a_pool() {
+    // The spawn of `m` in tail position restarts its frame: the caller
+    // prints the sequential 6, not the spawn's nil.
+    for engine in [Engine::Vm, Engine::Tree] {
+        let (printed, value) = load_restructured_fixture("value-tail.lisp", engine);
+        assert_eq!((printed, value.as_str()), (vec!["6".to_string()], "6"), "{engine:?}");
+    }
+}
+
+#[test]
+fn a_converted_tail_recursion_loads_without_nesting() {
+    // 20000 links on a test thread's native stack budget: a nested
+    // call per spawn exhausts it, a restarted frame does not.
+    for engine in [Engine::Vm, Engine::Tree] {
+        let (printed, _) = load_restructured_fixture("load-nest.lisp", engine);
+        assert_eq!(printed, ["20000"], "{engine:?}");
+    }
 }

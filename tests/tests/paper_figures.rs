@@ -102,7 +102,7 @@ fn figure_8_reorderable_pair() {
         )
         .unwrap();
     let r = out.report("bump").unwrap();
-    assert!(r.converted, "{}", r.feedback);
+    assert!(r.converted, "{}", r.feedback());
     assert!(out.source().contains("(atomic-incf *a* 1)"), "{}", out.source());
     assert!(out.source().contains("(atomic-incf *a* 2)"), "{}", out.source());
 

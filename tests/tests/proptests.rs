@@ -80,7 +80,7 @@ fn generated_walkers_are_sequentializable() {
         let src = walker_source(wrapper, head_prints, write_offset, step);
         let out = Curare::new().transform_source(&src).unwrap();
         let report = out.report("w").unwrap();
-        assert!(report.converted, "{src}: {}", report.feedback);
+        assert!(report.converted, "{src}: {}", report.feedback());
         let counter = wrapper.is_none().then_some(Value::int(2));
         for len in [1, 2, 7, 59] {
             let seq = Interp::new();
