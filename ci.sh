@@ -130,6 +130,19 @@ out="$(target/release/curare run examples/lisp/figure5.lisp --servers 2 --chaos-
 echo "$out" | grep -F "6 of them in place" > /dev/null \
   || { echo "figure5 under reorder: no '6 of them in place' in the report" >&2; exit 1; }
 
+echo "== an armed run: every link is a task the observers see"
+# An in-place link that nothing observes is only counted; --report arms
+# the tracer and the profiler's ids, so each of figure5's 6 in-place
+# links must still be an invocation of its own in the report.
+obs_dir="$(mktemp -d)"
+target/release/curare run examples/lisp/figure5.lisp --servers 2 --report "$obs_dir/report.json" \
+  --call "(f *data*)" > /dev/null 2>&1
+for want in '"tasks":7,' '"in_place_tasks":6,' '"invocations":7,'; do
+  grep -F "$want" "$obs_dir/report.json" > /dev/null \
+    || { echo "figure5 --report: no $want in the run's report" >&2; exit 1; }
+done
+rm -r "$obs_dir"
+
 echo "== delay: a read of a conflicting location stays after the call"
 # The copy of (cadr l) reads what the next invocation doubles: hoisted
 # above the call, the restructured program printed (1 1 1 1 0).

@@ -177,6 +177,14 @@ thread_local! {
         const { std::cell::RefCell::new(None) };
 }
 
+/// Let go of the hooks the calling thread last resolved. The cache
+/// spares `Interp::hooks` a lock, but it holds what the hooks hold: a
+/// pool server that outlives its pool calls this when it leaves, or it
+/// would keep the dropped pool's state alive until its next borrow.
+pub fn forget_thread_hooks() {
+    HOOKS_CACHE.with(|c| c.borrow_mut().take());
+}
+
 impl Interp {
     /// A fresh interpreter with sequential hooks; its VM code is fused.
     pub fn new() -> Self {

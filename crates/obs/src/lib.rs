@@ -56,6 +56,8 @@ pub use profile::{
     EdgeCounts, PathAttribution, Profile,
 };
 pub use ring::{RingSnapshot, TraceRing};
-pub use sanitize::{current_invocation, new_invocation, set_invocation, set_journaling, tick};
+pub use sanitize::{
+    current_invocation, new_invocation, observed, set_invocation, set_journaling, tick,
+};
 pub use timeline::Timeline;
 pub use tracer::{install, installed, record, set_lane, Tracer};

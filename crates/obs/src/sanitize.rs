@@ -73,6 +73,17 @@ pub fn new_invocation() -> u64 {
     }
 }
 
+/// True while anything records what an invocation does: the tracer,
+/// or invocation ids (the access journal or the causal profiler). When
+/// false, [`crate::record`] and [`new_invocation`] do nothing, and a
+/// caller may skip them and the bindings they would annotate.
+#[inline]
+pub fn observed() -> bool {
+    crate::tracer::enabled()
+        || JOURNALING.load(Ordering::Relaxed)
+        || crate::profile::profiling_enabled()
+}
+
 /// Bind the calling thread to invocation `inv`, returning the
 /// previous binding so callers can nest (a server "helping" inside a
 /// blocking touch executes another task, then restores).

@@ -120,10 +120,16 @@ pub fn lane() -> usize {
 /// relaxed load.
 #[inline]
 pub fn record(kind: EventKind, arg: u64) {
-    if !ENABLED.load(Ordering::Relaxed) {
+    if !enabled() {
         return;
     }
     record_enabled(kind, arg);
+}
+
+/// True while a tracer is installed.
+#[inline]
+pub(crate) fn enabled() -> bool {
+    ENABLED.load(Ordering::Relaxed)
 }
 
 #[cold]

@@ -6,9 +6,11 @@
 //! invocation to begin executing a new task. It does not need to
 //! execute a process context switch."
 //!
-//! The pool owns `S` OS threads that loop over the ordered site
-//! queues, executing one invocation at a time against the shared
-//! interpreter. `cri-enqueue` (installed through [`CriHooks`]) adds
+//! A pool borrows `S` threads of the process-wide server set
+//! (`lifecycle`) for its life; each loops over the ordered site queues
+//! (`server_loop`, once per borrow), executing one invocation at a time
+//! against the shared interpreter, and goes back to the set when the
+//! pool is dropped. `cri-enqueue` (installed through [`CriHooks`]) adds
 //! invocations; termination is detected with a pending-task counter —
 //! the moral equivalent of the paper's kill tokens, without the flag
 //! polling.
@@ -39,7 +41,10 @@
 //!   why the buffer stays the default. A `cri-enqueue` in *tail
 //!   position* is that batch seen early, so the decision is taken at
 //!   the spawn (`CriHooks::chain_in_place`) and the VM restarts the
-//!   frame on the successor's arguments: no `Task`, counted all the same;
+//!   frame on the successor's arguments: no `Task`, counted all the
+//!   same. Where something observes the run (the tracer, invocation
+//!   ids, a chaos plan, the pool's watchdog) the link also leaves what
+//!   a task would; where nothing does, it is the count alone;
 //! - **hand-off** — a `cri-handoff` is published at the spawn, behind
 //!   whatever the invocation still buffers. The restructurer writes it
 //!   where the function's tail costs more than a queue round trip
@@ -661,17 +666,22 @@ const IDLE_SPIN_ROUNDS: u32 = 6;
 const PARK_TIMEOUT_MIN: Duration = Duration::from_millis(1);
 const PARK_TIMEOUT_MAX: Duration = Duration::from_millis(64);
 
-/// Server `index`'s life: pop, run the chain, settle when dry, park
-/// when idle, until the pool shuts down or the server is poisoned.
-pub(crate) fn server_loop(interp: &Interp, shared: &Arc<Shared>, index: usize) {
+/// One borrow of a set thread as server `index`: pop, run the chain,
+/// settle when dry, park when idle, until the pool shuts down or the
+/// server is poisoned. True when it was poisoned: the thread retires
+/// instead of going back to the set. What makes the thread this pool's
+/// server is bound here, on every borrow.
+pub(crate) fn server_loop(interp: &Interp, shared: &Arc<Shared>, index: usize) -> bool {
     // Servers get a large native stack; let the evaluator use most of
     // it for any residual non-tail recursion in task bodies.
     curare_lisp::eval::set_thread_stack_budget(SERVER_STACK - (4 << 20));
     // Trace lane: server i records into ring i + 1 (0 is external).
     curare_obs::set_lane(index + 1);
     SERVER_OF.with(|s| s.set((shared.key(), index)));
-    if let Some(watch) = &shared.watch {
-        watch.bind(index);
+    match &shared.watch {
+        Some(watch) => watch.bind(index),
+        // The thread may have served a watched pool before.
+        None => crate::watchdog::set_current_beat(None),
     }
     // Per-server deterministic victim-selection stream: seeded from
     // the index alone, so a chaos replay of the same seed and program
@@ -679,8 +689,8 @@ pub(crate) fn server_loop(interp: &Interp, shared: &Arc<Shared>, index: usize) {
     let mut rng: u64 = (index as u64 + 1).wrapping_mul(0x2545_F491_4F6C_DD1D);
     let mut idle_rounds: u32 = 0;
     let mut park_timeout = PARK_TIMEOUT_MIN;
-    // One VM context and one tally for the server's life: a task
-    // costs no construction and no shared counter.
+    // One VM context and one tally per borrow: a task costs no
+    // construction and no shared counter.
     let (mut vm, mut tally) = (Vm::new(interp), Tally::default());
     while !shared.shutdown.load(Ordering::Acquire) && !THREAD_POISONED.with(Cell::get) {
         let popped = shared.sched.pop_local(index).or_else(|| {
@@ -719,6 +729,7 @@ pub(crate) fn server_loop(interp: &Interp, shared: &Arc<Shared>, index: usize) {
         idle_rounds = 0;
     }
     shared.settle(&mut tally, &mut vm); // leaving: hold nothing back
+    THREAD_POISONED.with(Cell::get)
 }
 
 /// Run one invocation to completion on `vm` and count it in `tally`.

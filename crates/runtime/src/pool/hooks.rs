@@ -85,6 +85,9 @@ impl RuntimeHooks for CriHooks {
     /// buffered is published as it would be there. Every link is still
     /// a task: counted, leaving the records a materialised chain leaves,
     /// in their order, and starting at the plan's task-start point.
+    /// Where nothing observes the run (no tracer, no invocation ids, no
+    /// chaos plan, no watchdog on this pool) those records are all
+    /// no-ops, and the link is the count alone.
     fn chain_in_place(&self, site: usize, fid: FuncId) -> bool {
         let shared = &self.shared;
         let key = shared.key();
@@ -95,6 +98,15 @@ impl RuntimeHooks for CriHooks {
             };
             if shared.aborting.load(Ordering::Acquire) || !shared.chains_past(site, &f.tasks) {
                 return false;
+            }
+            let observed =
+                curare_obs::observed() || crate::chaos::armed() || shared.watch.is_some();
+            if !observed {
+                if !f.tasks.is_empty() {
+                    shared.publish_batch(&mut f.tasks, false, &mut f.batched);
+                }
+                (f.fid, f.in_place) = (fid, f.in_place + 1);
+                return true;
             }
             curare_obs::record(EventKind::Enqueue, site as u64);
             // No arguments: re-execution recipes are for a speculative

@@ -9,18 +9,25 @@
 //! The materialised path is forced without a switch in product code:
 //! the `NoInPlace` hooks wrapper answers every in-place request `no`.
 //!
-//! One test installs the process-wide tracer, so every test here holds
-//! the suite's guard: no other pool may record into its rings.
+//! An unobserved link skips the records a task leaves, so each observer
+//! (the tracer, invocation ids, a chaos plan, a watchdog) is armed alone
+//! and must still see every link.
+//!
+//! Tests install the process-wide tracer, profiler switch and chaos
+//! plan, so every test here holds the suite's guard: no other pool may
+//! record into the rings, mint ids or draw faults meanwhile.
 
 mod common;
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use common::{guard, NoInPlace};
-use curare_lisp::{Interp, Value};
-use curare_obs::{EventKind, Tracer};
-use curare_runtime::{CriRuntime, PoolStats, SchedMode};
+use curare_lisp::{FuncId, Interp, LispError, RuntimeHooks, Value};
+use curare_obs::{EventKind, Profile, Tracer};
+use curare_runtime::chaos::{self, ChaosProfile, FaultPlan};
+use curare_runtime::{CriRuntime, PoolStats, RuntimeConfig, SchedMode};
 use curare_transform::Curare;
 
 const FIGURE_3: &str = "(defun f3 (l) (when l (print (car l)) (f3 (cdr l))))";
@@ -305,4 +312,169 @@ fn a_traced_in_place_run_records_what_a_materialised_run_records() {
     for kind in [EventKind::Spawn, EventKind::TaskStart] {
         assert_eq!(here[kind.name()], 2001, "{here:?}");
     }
+}
+
+// ---- every observer sees every link ----
+//
+// An in-place link that nothing observes is the count alone; each test
+// below arms one observer on its own and checks that it still sees
+// every link of Figure 5 over 200 cells: 201 tasks, 200 of them in
+// place, on one server.
+
+const CELLS: i64 = 200;
+
+/// Run `f5` over [`CELLS`] cells on one server, with `arm` called once
+/// the pool is built, and return the pool's statistics.
+fn observed_run(arm: impl FnOnce(&Arc<Interp>)) -> PoolStats {
+    observed_run_on(FIGURE_5, "f5", RuntimeConfig::default(), arm)
+}
+
+fn observed_run_on(
+    src: &str,
+    entry: &str,
+    config: RuntimeConfig,
+    arm: impl FnOnce(&Arc<Interp>),
+) -> PoolStats {
+    let interp = load(src);
+    let rt = CriRuntime::with_config(Arc::clone(&interp), 1, config);
+    arm(&interp);
+    let l = int_list(&interp, CELLS);
+    rt.run(entry, &[l]).expect("runs");
+    let stats = rt.stats();
+    assert_eq!((stats.tasks, stats.in_place_tasks), (CELLS as u64 + 1, CELLS as u64));
+    stats
+}
+
+#[test]
+fn the_tracer_sees_every_link() {
+    let _g = guard();
+    let tracer = Tracer::new(1);
+    curare_obs::install(Some(Arc::clone(&tracer)));
+    observed_run(|_| {});
+    curare_obs::install(None);
+    let mut counts = BTreeMap::new();
+    for e in tracer.snapshot().into_iter().flat_map(|snap| snap.events) {
+        *counts.entry(e.kind.name()).or_insert(0u64) += 1;
+    }
+    // Each link is enqueued and chained, and brackets a task of its
+    // own; the root task is the one bracket more.
+    let links = CELLS as u64;
+    for (kind, want) in [
+        (EventKind::Enqueue, links),
+        (EventKind::Chain, links),
+        (EventKind::TaskStart, links + 1),
+        (EventKind::TaskStop, links + 1),
+    ] {
+        assert_eq!(counts.get(kind.name()), Some(&want), "{}: {counts:?}", kind.name());
+    }
+}
+
+/// Forwards to the pool's hooks and notes the invocation each in-place
+/// link is bound to once it restarts.
+struct SeeIds(Arc<dyn RuntimeHooks>, Arc<Mutex<Vec<u64>>>);
+
+impl RuntimeHooks for SeeIds {
+    fn chain_in_place(&self, s: usize, f: FuncId) -> bool {
+        let restarted = self.0.chain_in_place(s, f);
+        if restarted {
+            self.1.lock().unwrap().push(curare_obs::current_invocation());
+        }
+        restarted
+    }
+    fn enqueue(&self, i: &Interp, s: usize, f: FuncId, a: Vec<Value>) -> Result<(), LispError> {
+        self.0.enqueue(i, s, f, a)
+    }
+    fn handoff(&self, i: &Interp, s: usize, f: FuncId, a: Vec<Value>) -> Result<(), LispError> {
+        self.0.handoff(i, s, f, a)
+    }
+    fn future(&self, i: &Interp, f: FuncId, a: Vec<Value>) -> Result<Value, LispError> {
+        self.0.future(i, f, a)
+    }
+    fn touch(&self, i: &Interp, v: Value) -> Result<Value, LispError> {
+        self.0.touch(i, v)
+    }
+    fn lock(&self, i: &Interp, c: Value, f: u32, x: bool) -> Result<(), LispError> {
+        self.0.lock(i, c, f, x)
+    }
+    fn unlock(&self, i: &Interp, c: Value, f: u32, x: bool) -> Result<(), LispError> {
+        self.0.unlock(i, c, f, x)
+    }
+}
+
+#[test]
+fn the_profiler_sees_every_link() {
+    let _g = guard();
+    // Ids alone, no tracer: each link is bound to an invocation of its
+    // own, a fresh one.
+    let ids = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&ids);
+    curare_obs::set_profiling(true);
+    observed_run(move |interp| {
+        interp.set_hooks(Arc::new(SeeIds(interp.hooks(), log)));
+    });
+    curare_obs::set_profiling(false);
+    let ids = ids.lock().unwrap();
+    let distinct: BTreeSet<u64> = ids.iter().copied().collect();
+    assert_eq!((ids.len(), distinct.len()), (CELLS as usize, CELLS as usize), "{ids:?}");
+    assert!(!distinct.contains(&0), "{ids:?}");
+    // With the tracer as well, the causal profile counts every task.
+    let tracer = Tracer::new(1);
+    curare_obs::set_profiling(true);
+    curare_obs::install(Some(Arc::clone(&tracer)));
+    let stats = observed_run(|_| {});
+    curare_obs::install(None);
+    curare_obs::set_profiling(false);
+    let profile = Profile::from_trace(&tracer.snapshot());
+    assert_eq!(profile.invocations as u64, stats.tasks, "{stats:?}");
+}
+
+#[test]
+fn a_chaos_plan_sees_every_link() {
+    let _g = guard();
+    // A delay (of at most a microsecond) at every task start.
+    let profile =
+        ChaosProfile { delay_ppm: 1_000_000, delay_max_us: 1, ..ChaosProfile::quiet("all") };
+    chaos::install(Some(FaultPlan::new(1, profile)));
+    let stats = observed_run(|_| {});
+    chaos::install(None);
+    assert_eq!(stats.faults_injected, stats.tasks, "{stats:?}");
+}
+
+#[test]
+fn a_watchdog_sees_every_link() {
+    let _g = guard();
+    // Figure 5 (as restructured) with links 60 and 140 held, each past
+    // the budget, until the test lets them go. Each held link is a
+    // stall of its own: the links between are progress, so the second
+    // hold dumps again. Seen only at task boundaries, the whole chain
+    // would be one stall, dumped once.
+    let src = "(defparameter *links* 0) (defparameter *held* 0) (defparameter *go* 0)
+               (defun f5h (l)
+                 (setq *links* (+ *links* 1))
+                 (when (or (= *links* 60) (= *links* 140))
+                   (setq *held* *links*)
+                   (while (< *go* *links*) nil))
+                 (cond ((null l) nil)
+                       ((null (cdr l)) (cri-enqueue 0 f5h (cdr l)))
+                       (t (setf (cadr l) (+ (car l) (cadr l)))
+                          (cri-enqueue 1 f5h (cdr l)))))";
+    let budget = Duration::from_millis(30);
+    let config = RuntimeConfig { stall_budget: Some(budget), ..RuntimeConfig::default() };
+    let stats = std::thread::scope(|scope| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = scope.spawn(move || {
+            observed_run_on(src, "f5h", config, |i| tx.send(Arc::clone(i)).unwrap())
+        });
+        let interp = rx.recv().unwrap();
+        for link in [60, 140] {
+            while interp.load_str("*held*").unwrap() != Value::int(link) {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(4 * budget);
+            interp.load_str(&format!("(setq *go* {link})")).unwrap();
+        }
+        run.join().unwrap()
+    });
+    // At least: a loaded host may stall an unheld link too.
+    assert!(stats.stall_dumps >= 2, "{stats:?}");
 }

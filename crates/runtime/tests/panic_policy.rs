@@ -86,3 +86,35 @@ fn a_pool_with_no_server_left_runs_the_next_run_sequentially() {
         assert_eq!(stats.servers_poisoned, 1, "{mode:?}: {stats:?}");
     }
 }
+
+/// A poisoned server leaves the server set with its pool: a runtime
+/// built after the poisoning one is dropped gets as many live servers
+/// as it asks for, and they run. (A poisoned thread handed out again
+/// would leave at once, and a one-server pool's run would never end.)
+#[test]
+fn a_poisoned_server_never_serves_again() {
+    let _g = guard();
+    for servers in [1, 2] {
+        let (rt, l) = pool(servers, RuntimeConfig::default(), 1);
+        quietly(|| rt.run("walk", &[l])).expect_err("the panic ends the run");
+        assert_eq!(rt.alive(), servers - 1, "S = {servers}");
+        drop(rt);
+        let interp = Arc::new(Interp::new());
+        interp.load_str(WALK).unwrap();
+        interp.load_str("(defparameter *visits* 0)").unwrap();
+        let rt = CriRuntime::new(Arc::clone(&interp), servers);
+        assert_eq!(rt.alive(), servers);
+        let l = int_list(&interp);
+        let (tx, rx) = mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let result = rt.run("walk", &[l]);
+            tx.send((result, rt.stats(), visits(&rt))).unwrap();
+        });
+        let (result, stats, visits) =
+            rx.recv_timeout(Duration::from_secs(30)).expect("the new pool's servers run");
+        runner.join().unwrap();
+        result.expect("a clean run");
+        assert_eq!(visits, Value::int(N), "S = {servers}");
+        assert_eq!((stats.servers_poisoned, stats.degraded), (0, false), "S = {servers}");
+    }
+}
