@@ -26,8 +26,10 @@ echo "== cargo test -q"
 # product code outside its own file, `crates/transform` spells a control
 # keyword in `shape.rs` alone (`control_keywords_live_in_one_transform_file`),
 # a program is prepared for analysis in `analyze.rs` alone
-# (`a_program_is_prepared_in_one_place`), and a schema is spelt in
-# `obs/src/report.rs` alone (`the_document_format_lives_in_one_module`).
+# (`a_program_is_prepared_in_one_place`), a schema is spelt in
+# `obs/src/report.rs` alone (`the_document_format_lives_in_one_module`),
+# and the tests draw from `curare-testkit`'s one RNG, which no product
+# crate depends on (`the_tests_draw_from_one_rng`).
 cargo test -q
 
 echo "== golden text on one CPU: the restructurer's one-thread path"

@@ -469,21 +469,13 @@ mod tests {
     fn the_alias_test_adds_nothing_where_no_paired_letter_appears() {
         use crate::path::Accessor;
         use std::collections::BTreeSet;
+
+        use curare_testkit::Rng;
         let field = |ty, field| Accessor::Field { ty, field };
         let letters = [Accessor::Car, Accessor::Cdr, field(0, 0), field(0, 1)];
-        struct Gen(u64);
-        impl Gen {
-            fn below(&mut self, n: usize) -> usize {
-                // xorshift64
-                self.0 ^= self.0 << 13;
-                self.0 ^= self.0 >> 7;
-                self.0 ^= self.0 << 17;
-                (self.0 % n as u64) as usize
-            }
-            fn path(&mut self, letters: &[Accessor], min: usize, max: usize) -> Path {
-                let len = min + self.below(max - min + 1);
-                Path::from((0..len).map(|_| letters[self.below(letters.len())]).collect::<Vec<_>>())
-            }
+        fn path(rng: &mut Rng, letters: &[Accessor], min: usize, max: usize) -> Path {
+            let len = min + rng.below(max - min + 1);
+            Path::from((0..len).map(|_| *rng.pick(letters)).collect::<Vec<_>>())
         }
         let mut untouched = Canonicalizer::identity();
         untouched.add_pair(field(7, 0), field(7, 1));
@@ -491,24 +483,24 @@ mod tests {
         for (i, &a) in letters.iter().enumerate() {
             forced.add_pair(a, field(9, i as u32));
         }
-        let mut gen = Gen(0x5eed);
+        let mut rng = Rng::new(0x5eed);
         let (mut alias_tests, mut conflicts) = (0, 0);
         for case in 0..300 {
             let mut per_param = Vec::new();
             for _ in 0..2 {
-                per_param.push(match gen.below(8) {
+                per_param.push(match rng.below(8) {
                     0 => Transfer::Unknown,
                     1 => Transfer::Literal(BTreeSet::new()),
                     _ => {
-                        let n = 1 + gen.below(2);
-                        Transfer::Literal((0..n).map(|_| gen.path(&letters, 0, 2)).collect())
+                        let n = 1 + rng.below(2);
+                        Transfer::Literal((0..n).map(|_| path(&mut rng, &letters, 0, 2)).collect())
                     }
                 });
             }
             let mut records = Vec::new();
-            for _ in 0..2 + gen.below(5) {
-                let (root, path) = (gen.below(2), gen.path(&letters, 1, 3));
-                records.push(AccessRecord { root, path, write: gen.below(2) == 0, tail: false });
+            for _ in 0..2 + rng.below(5) {
+                let (root, path) = (rng.below(2), path(&mut rng, &letters, 1, 3));
+                records.push(AccessRecord { root, path, write: rng.below(2) == 0, tail: false });
             }
             let accesses = AccessSummary { records, ..AccessSummary::default() };
             let transfers = TransferSummary { per_param };

@@ -691,16 +691,11 @@ mod tests {
     /// A seeded body built from the special forms that shape control
     /// flow, with self-calls `(f …)` in test, arm, operand, binding
     /// initialiser and loop-body positions, and inside other calls.
-    struct BodyGen(u64);
+    struct BodyGen(curare_testkit::Rng);
 
     impl BodyGen {
         fn below(&mut self, n: u64) -> u64 {
-            // splitmix64
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            (z ^ (z >> 31)) % n
+            self.0.below(n as usize) as u64
         }
 
         fn exprs(&mut self, depth: u32, min: u64, max: u64) -> String {
@@ -761,7 +756,7 @@ mod tests {
         ]
         .map(String::from)
         .to_vec();
-        let mut gen = BodyGen(26);
+        let mut gen = BodyGen(curare_testkit::Rng::new(26));
         sources.extend((0..600).map(|_| format!("(defun f (l){})", gen.exprs(4, 1, 4))));
         let (mut tails, mut self_calls, mut values) = (0, 0, 0);
         for src in &sources {

@@ -843,12 +843,8 @@ mod tests {
     /// on a path the function writes.
     #[test]
     fn random_walkers_synthesize_certified_minimal_placements() {
-        // Deterministic LCG (Knuth MMIX constants) so failures replay.
-        let mut state: u64 = 0xcafe_f00d_d15e_a5e5;
-        let mut next = move |bound: u64| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) % bound
-        };
+        let mut rng = curare_testkit::Rng::new(0xcafe_f00d_d15e_a5e5);
+        let mut next = move |bound: u64| rng.below(bound as usize) as u64;
         let word = |depth: u64| {
             let mut s = String::from("l");
             for _ in 0..depth {

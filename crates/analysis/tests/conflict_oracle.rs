@@ -15,6 +15,7 @@ use curare_analysis::{
 };
 use curare_lisp::{Heap, Lowerer};
 use curare_sexpr::parse_all;
+use curare_testkit::{Rng, Walker, WRAPPERS};
 
 // ---------------------------------------------------------------
 // The oracle
@@ -80,65 +81,17 @@ fn key(c: &Conflict) -> String {
 }
 
 // ---------------------------------------------------------------
-// Generators (deterministic PRNG; reproducible by construction)
+// Generators
 // ---------------------------------------------------------------
 
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    /// Uniform-ish pick in `0..n`.
-    fn pick(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            items.swap(i, self.pick(i + 1));
-        }
-    }
-}
-
-fn gen_path(rng: &mut XorShift, min: usize, max: usize) -> Path {
-    let len = min + rng.pick(max - min + 1);
-    Path::from((0..len).map(|_| [Accessor::Car, Accessor::Cdr][rng.pick(2)]).collect::<Vec<_>>())
+fn gen_path(rng: &mut Rng, min: usize, max: usize) -> Path {
+    let len = min + rng.below(max - min + 1);
+    Path::from((0..len).map(|_| *rng.pick(&[Accessor::Car, Accessor::Cdr])).collect::<Vec<_>>())
 }
 
 /// A literal τ (one call site) or an alternating one (two), ε allowed.
-fn gen_tau(rng: &mut XorShift) -> BTreeSet<Path> {
-    (0..1 + rng.pick(2)).map(|_| gen_path(rng, 0, 2)).collect()
-}
-
-fn nth_cdr(n: usize) -> String {
-    (0..n).fold("l".to_string(), |place, _| format!("(cdr {place})"))
-}
-
-/// The 24 walkers of `tests/proptests.rs`: `head_prints` head prints,
-/// an optional guarded in-head write `write_offset` cells ahead,
-/// recursion by `step` cells.
-fn walker_shapes() -> Vec<String> {
-    let mut out = Vec::new();
-    for head_prints in 0..3 {
-        for write_offset in [None, Some(0), Some(1), Some(2)] {
-            for step in 1..3 {
-                let mut body = "(princ (car l)) ".repeat(head_prints);
-                if let Some(w) = write_offset {
-                    let place = nth_cdr(w);
-                    body.push_str(&format!("(when {place} (setf (car {place}) (+ 1 (car l)))) "));
-                }
-                out.push(format!("(defun w (l) (when l {body}(w {})))", nth_cdr(step)));
-            }
-        }
-    }
-    out
+fn gen_tau(rng: &mut Rng) -> BTreeSet<Path> {
+    (0..1 + rng.below(2)).map(|_| gen_path(rng, 0, 2)).collect()
 }
 
 fn summary(records: Vec<AccessRecord>) -> AccessSummary {
@@ -160,8 +113,13 @@ fn keys(report: &ConflictReport) -> BTreeSet<String> {
 /// order, and duplicating or shuffling the records changes nothing.
 #[test]
 fn engine_agrees_with_the_prefix_definition() {
-    let mut rng = XorShift(0x5EED_0005_ACCE_5505);
-    let shapes = walker_shapes();
+    let mut rng = Rng::new(0x5EED_0005_ACCE_5505);
+    // The walker family's 24 under its first wrapper, `(when l …)`.
+    let shapes: Vec<String> = Walker::family()
+        .iter()
+        .filter(|w| w.wrapper == Some(WRAPPERS[0]))
+        .map(Walker::source)
+        .collect();
     assert_eq!(shapes.len(), 24);
     let mut conflicts_seen = 0;
     for src in &shapes {
@@ -173,12 +131,12 @@ fn engine_agrees_with_the_prefix_definition() {
         for draw in 0..12 {
             let steps = if draw == 0 { own_steps.clone() } else { gen_tau(&mut rng) };
             let mut records = collect_accesses(func).records;
-            for _ in 0..rng.pick(5) {
-                let (path, write) = (gen_path(&mut rng, 1, 3), rng.pick(3) == 0);
+            for _ in 0..rng.below(5) {
+                let (path, write) = (gen_path(&mut rng, 1, 3), rng.below(3) == 0);
                 records.push(AccessRecord { root: 0, path, write, tail: false });
             }
-            for _ in 0..rng.pick(4) {
-                records.push(records[rng.pick(records.len())].clone());
+            for _ in 0..rng.below(4) {
+                records.push(rng.pick(&records).clone());
             }
             let transfers = TransferSummary { per_param: vec![Transfer::Literal(steps.clone())] };
             let case = format!("{src}, τ = {steps:?}, records = {records:?}");

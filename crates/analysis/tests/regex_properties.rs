@@ -3,6 +3,7 @@
 //! brute-force backtracking matcher on randomized regexes and paths.
 
 use curare_analysis::{Accessor, Path, PathRegex};
+use curare_testkit::Rng;
 
 // ---------------------------------------------------------------
 // An independent reference implementation: backtracking match of a
@@ -129,43 +130,25 @@ fn brute_prefix(re: &PathRegex, path: &Path, extra: usize) -> bool {
 }
 
 // ---------------------------------------------------------------
-// Generators (deterministic PRNG; reproducible by construction)
+// Generators
 // ---------------------------------------------------------------
 
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    /// Uniform-ish pick in `0..n`.
-    fn pick(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
+fn gen_accessor(rng: &mut Rng) -> Accessor {
+    *rng.pick(&[Accessor::Car, Accessor::Cdr, Accessor::Field { ty: 0, field: 0 }])
 }
 
-fn gen_accessor(rng: &mut XorShift) -> Accessor {
-    [Accessor::Car, Accessor::Cdr, Accessor::Field { ty: 0, field: 0 }][rng.pick(3)]
-}
-
-fn gen_regex(rng: &mut XorShift, depth: usize) -> PathRegex {
-    if depth == 0 || rng.pick(3) == 0 {
-        return match rng.pick(3) {
+fn gen_regex(rng: &mut Rng, depth: usize) -> PathRegex {
+    if depth == 0 || rng.below(3) == 0 {
+        return match rng.below(3) {
             0 => PathRegex::Empty,
             1 => PathRegex::Atom(gen_accessor(rng)),
             _ => PathRegex::Any,
         };
     }
-    let parts = |rng: &mut XorShift| -> Vec<PathRegex> {
-        (0..1 + rng.pick(2)).map(|_| gen_regex(rng, depth - 1)).collect()
+    let parts = |rng: &mut Rng| -> Vec<PathRegex> {
+        (0..1 + rng.below(2)).map(|_| gen_regex(rng, depth - 1)).collect()
     };
-    match rng.pick(4) {
+    match rng.below(4) {
         0 => PathRegex::Concat(parts(rng)),
         1 => PathRegex::Alt(parts(rng)),
         2 => PathRegex::Star(Box::new(gen_regex(rng, depth - 1))),
@@ -173,13 +156,13 @@ fn gen_regex(rng: &mut XorShift, depth: usize) -> PathRegex {
     }
 }
 
-fn gen_path(rng: &mut XorShift) -> Path {
-    Path::from((0..rng.pick(6)).map(|_| gen_accessor(rng)).collect::<Vec<_>>())
+fn gen_path(rng: &mut Rng) -> Path {
+    Path::from((0..rng.below(6)).map(|_| gen_accessor(rng)).collect::<Vec<_>>())
 }
 
 /// Run `check` on `cases` random (regex, regex, path, path) draws.
 fn for_cases(seed: u64, cases: usize, check: impl Fn(&PathRegex, &PathRegex, &Path, &Path)) {
-    let mut rng = XorShift(seed);
+    let mut rng = Rng::new(seed);
     for _ in 0..cases {
         let (a, b) = (gen_regex(&mut rng, 3), gen_regex(&mut rng, 3));
         check(&a, &b, &gen_path(&mut rng), &gen_path(&mut rng));

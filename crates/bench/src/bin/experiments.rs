@@ -1238,6 +1238,84 @@ mod tests {
         assert!(modules >= 60, "the scan found only {modules} modules: has the layout changed?");
     }
 
+    /// One RNG in the tests: no test source — `crates/*/tests`,
+    /// `tests/tests`, the `#[cfg(test)]` tail of a `crates/*/src` file —
+    /// spells a PRNG step (the xorshift shift triple, the splitmix
+    /// increment, an LCG multiplier) outside `crates/testkit`, whose
+    /// `Rng` every battery draws from; the product's streams are the
+    /// runtime's `queue::splitmix64` and the language's `(random n)`;
+    /// and no product crate depends on the kit. (`benchmark/` is the
+    /// contract and keeps its own; this file spells the steps it looks
+    /// for.)
+    #[test]
+    fn the_tests_draw_from_one_rng() {
+        fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+            for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+                let path = entry.path();
+                if path.is_dir() {
+                    rust_files(&path, out);
+                } else if path.extension().is_some_and(|e| e == "rs") {
+                    out.push(path);
+                }
+            }
+        }
+        /// The PRNG steps `text` spells, read with whitespace and `_`
+        /// dropped and in lower case.
+        fn steps(text: &str) -> Vec<&'static str> {
+            let flat: String =
+                text.chars().filter(|c| !c.is_whitespace() && *c != '_').collect::<String>();
+            let flat = flat.to_lowercase();
+            let mut found = Vec::new();
+            if ["<<13", ">>7", "<<17"].iter().all(|shift| flat.contains(shift)) {
+                found.push("xorshift");
+            }
+            if flat.contains("wrappingadd(0x9e3779b97f4a7c15)") {
+                found.push("splitmix");
+            }
+            let lcg = ["6364136223846793005", "0x5851f42d4c957f2d", "1103515245", "0x5deece66d"];
+            if lcg.iter().any(|m| flat.contains(&format!("wrappingmul({m})"))) {
+                found.push("LCG");
+            }
+            found
+        }
+        let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+        let mut files = Vec::new();
+        rust_files(&root.join("tests/tests"), &mut files);
+        for krate in std::fs::read_dir(root.join("crates")).expect("crates/").flatten() {
+            let krate = krate.path();
+            if krate.ends_with("testkit") {
+                continue;
+            }
+            rust_files(&krate.join("tests"), &mut files);
+            rust_files(&krate.join("src"), &mut files);
+            let manifest = std::fs::read_to_string(krate.join("Cargo.toml")).expect("a manifest");
+            let mut deps = manifest.split("\n[").filter(|s| s.starts_with("dependencies"));
+            assert!(
+                !deps.any(|section| section.contains("curare-testkit")),
+                "{}: a product crate depends on the test kit",
+                krate.display()
+            );
+        }
+        let (mut scanned, mut product_streams) = (0, Vec::new());
+        for path in files.iter().filter(|p| !p.ends_with("src/bin/experiments.rs")) {
+            let text = std::fs::read_to_string(path).expect("a source file");
+            let in_src = path.components().any(|c| c.as_os_str() == "src");
+            let cut = if in_src { text.find("#[cfg(test)]").unwrap_or(text.len()) } else { 0 };
+            let (product, tests) = text.split_at(cut);
+            let found = steps(tests);
+            assert!(found.is_empty(), "{}: a test spells its own {found:?} step", path.display());
+            if !steps(product).is_empty() {
+                product_streams.push(path.clone());
+            }
+            scanned += 1;
+        }
+        assert!(scanned >= 100, "the scan found only {scanned} files: has the layout changed?");
+        product_streams.sort();
+        let streams =
+            ["crates/lisp/src/interp.rs", "crates/runtime/src/queue.rs"].map(|p| root.join(p));
+        assert_eq!(product_streams, streams, "the product's PRNG steps");
+    }
+
     /// One table of statement shapes: a control keyword is spelt as a
     /// string literal by no non-test, non-comment line of
     /// `crates/transform/src` outside `shape.rs`. A device that matched

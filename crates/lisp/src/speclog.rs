@@ -1193,6 +1193,7 @@ fn resolve(
 mod tests {
     use super::*;
     use crate::value::Val;
+    use curare_testkit::Rng;
     use std::collections::{BTreeSet, HashMap};
 
     // The journal is process-wide; serialize tests that arm it, and
@@ -1726,25 +1727,9 @@ mod tests {
         }
     }
 
-    /// splitmix64
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
-
-        fn chance(&mut self, percent: usize) -> bool {
-            self.below(100) < percent
-        }
+    /// True `percent` times in a hundred.
+    fn chance(rng: &mut Rng, percent: usize) -> bool {
+        rng.below(100) < percent
     }
 
     fn registration(parent: u64, child: u64, epoch: u64) -> SpawnRec {
@@ -1793,7 +1778,7 @@ mod tests {
     /// well-defined values for undo to restore.
     fn generate(rng: &mut Rng, heap: &Heap) -> Generated {
         let n = 1 + rng.below(40);
-        let gapped = rng.chance(30);
+        let gapped = chance(rng, 30);
         let mut ids = Vec::with_capacity(n);
         let mut id = 1 + rng.below(1000) as u64;
         for _ in 0..n {
@@ -1822,7 +1807,7 @@ mod tests {
         let mut programs: Vec<Vec<Step>> = vec![Vec::new(); n];
         for (i, prog) in programs.iter_mut().enumerate() {
             for _ in 0..rng.below(7) {
-                let loc = if rng.chance(60) {
+                let loc = if chance(rng, 60) {
                     cells[rng.below(hot)]
                 } else {
                     cells[rng.below(cells.len())]
@@ -1869,7 +1854,7 @@ mod tests {
             let inv = ids[i];
             let step = programs[i][pc[i]];
             // A read bracket may touch the tick before it.
-            if matches!(step, Step::Read(_)) && clock > 1 && rng.chance(15) {
+            if matches!(step, Step::Read(_)) && clock > 1 && chance(rng, 15) {
                 clock -= 1;
             }
             let now = clock;
@@ -1960,7 +1945,7 @@ mod tests {
     #[test]
     fn sweep_tree_and_undo_match_the_previous_validator_on_generated_journals() {
         let heap = Heap::new();
-        let mut rng = Rng(0x5EED_0017);
+        let mut rng = Rng::new(0x5EED_0017);
         let (mut aborting, mut orphaned, mut gapped) = (0, 0, 0);
         for case in 0..600 {
             let Generated { mut j, edges, pre } = generate(&mut rng, &heap);
@@ -2002,7 +1987,7 @@ mod tests {
             let finals = cell_values(&heap, &pre);
             let mut gone: BTreeSet<u64> = BTreeSet::new();
             let verdict: BTreeSet<u64> = got.keys().copied().collect();
-            let random = edges.iter().map(|e| e.1).filter(|_| rng.chance(40)).collect();
+            let random = edges.iter().map(|e| e.1).filter(|_| chance(&mut rng, 40)).collect();
             let mut old_writes = j.writes.clone();
             old_writes.sort_by_key(|w| w.lo);
             for (round, set) in [verdict, random].into_iter().enumerate() {
@@ -2042,7 +2027,7 @@ mod tests {
     #[test]
     fn a_hot_location_resolves_in_n_log_n() {
         const N: u64 = 20_000;
-        let mut rng = Rng(17);
+        let mut rng = Rng::new(17);
         // Roots 1..=N rank in id order; their brackets land in a
         // shuffled order in time, pairwise disjoint.
         let mut slot: Vec<u64> = (0..N).collect();

@@ -3,51 +3,29 @@
 //! on a hand-written battery covering every expression form and on a
 //! deterministic stream of randomly generated programs.
 //!
-//! Both engines run each program in a fresh interpreter; we compare
-//! the displayed result (or error message) and a rendered snapshot of
-//! the global bindings afterwards.
+//! Each engine runs each program in a fresh interpreter, and
+//! `curare_testkit::agree` holds it to the tree-walker on the
+//! displayed result (or error message), the output and the global
+//! bindings afterwards.
 
-use curare_lisp::{vm_stats, Engine, Interp};
+use curare_lisp::{vm_stats, Interp};
+use curare_testkit::{agree, program, Config, Engine, Program, Rng};
 
-/// Run `src` in a fresh interpreter pinned to `engine`, rendering the
-/// outcome and the post-run globals to comparable strings.
-fn run_engine(src: &str, engine: Engine) -> (String, String) {
-    let interp = Interp::new();
-    interp.set_engine(engine);
-    run_in(interp, src)
-}
-
-/// Run `src` in `interp`, rendering as [`run_engine`] does.
-fn run_in(interp: Interp, src: &str) -> (String, String) {
-    let outcome = match interp.load_str(src) {
-        Ok(v) => format!("ok: {}", interp.heap().display(v)),
-        Err(e) => format!("err: {e}"),
-    };
-    let mut globals: Vec<String> = interp
-        .globals_snapshot()
-        .into_iter()
-        .map(|(sym, v)| format!("{}={}", interp.heap().sym_name(sym), interp.heap().display(v)))
-        .collect();
-    globals.sort();
-    (outcome, globals.join(" "))
-}
-
-/// Assert tree and VM agree on `src`; returns the shared outcome.
-fn assert_engines_agree(src: &str) -> String {
-    let tree = run_engine(src, Engine::Tree);
-    let vm = run_engine(src, Engine::Vm);
-    assert_eq!(tree, vm, "engine divergence on program:\n{src}");
-    tree.0
+/// Assert the tree-walker, the fused VM and the unfused VM agree on
+/// `src`.
+fn assert_engines_agree(src: &str) {
+    agree(
+        &Program::text(src, src),
+        &[Config::sequential(Engine::Vm), Config::sequential(Engine::Unfused)],
+    );
 }
 
 #[test]
 fn vm_actually_executes_bytecode() {
+    let src = "(defun count (n acc) (if (= n 0) acc (count (- n 1) (+ acc 1)))) (count 100 0)";
+    assert_engines_agree(src);
     let before = vm_stats().dispatched_ops;
-    let out = assert_engines_agree(
-        "(defun count (n acc) (if (= n 0) acc (count (- n 1) (+ acc 1))))
-         (count 100 0)",
-    );
-    assert_eq!(out, "ok: 100");
+    assert_eq!(Interp::new().load_str(src).unwrap(), curare_lisp::Value::int(100));
     assert!(
         vm_stats().dispatched_ops > before,
         "the VM engine dispatched no bytecode; it silently fell back to the tree"
@@ -255,180 +233,27 @@ fn concurrency_surface_forms() {
     }
 }
 
-// ---------------------------------------------------------------------
-// Randomized differential testing with a deterministic PRNG (no
-// external crates; reproducible by construction).
-// ---------------------------------------------------------------------
-
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
+/// The expression level's programs at one seed: the tree-walker is
+/// the oracle of the fused VM (and, with `unfused`, of the unfused one
+/// too — superinstruction fusion is a code-gen choice fixed when an
+/// interpreter is built, so it must change no outcome).
+fn random_programs(engines: &[Engine]) {
+    let mut rng = Rng::new(0x9E3779B97F4A7C15);
+    let configs: Vec<Config> = engines.iter().map(|&e| Config::sequential(e)).collect();
+    for case in 0..300 {
+        let src = program(&mut rng);
+        agree(&Program::text(format!("engine_differential case {case}"), &src), &configs);
     }
-
-    /// Uniform-ish pick in `0..n`.
-    fn pick(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-/// Generate a random expression over the variables in `scope`. The
-/// grammar may produce programs that error (overflow, type errors,
-/// car of an atom): both engines must then report the same error.
-fn gen_expr(rng: &mut XorShift, scope: &mut Vec<String>, depth: usize) -> String {
-    if depth == 0 || rng.pick(6) == 0 {
-        return match rng.pick(4) {
-            0 => format!("{}", rng.next() as i64 % 1000),
-            1 if !scope.is_empty() => scope[rng.pick(scope.len())].clone(),
-            2 => "nil".to_string(),
-            _ => format!("'s{}", rng.pick(4)),
-        };
-    }
-    match rng.pick(12) {
-        0 => {
-            let op = ["+", "-", "*", "min", "max"][rng.pick(5)];
-            format!(
-                "({op} {} {})",
-                gen_expr(rng, scope, depth - 1),
-                gen_expr(rng, scope, depth - 1)
-            )
-        }
-        1 => {
-            let op = ["<", ">", "<=", ">=", "=", "eq", "equal"][rng.pick(7)];
-            format!(
-                "({op} {} {})",
-                gen_expr(rng, scope, depth - 1),
-                gen_expr(rng, scope, depth - 1)
-            )
-        }
-        2 => format!(
-            "(if {} {} {})",
-            gen_expr(rng, scope, depth - 1),
-            gen_expr(rng, scope, depth - 1),
-            gen_expr(rng, scope, depth - 1)
-        ),
-        3 => {
-            let var = format!("v{}", scope.len());
-            let init = gen_expr(rng, scope, depth - 1);
-            scope.push(var.clone());
-            let body = gen_expr(rng, scope, depth - 1);
-            scope.pop();
-            format!("(let (({var} {init})) {body})")
-        }
-        4 => format!(
-            "(cons {} {})",
-            gen_expr(rng, scope, depth - 1),
-            gen_expr(rng, scope, depth - 1)
-        ),
-        5 => {
-            let op = ["car", "cdr", "null", "consp", "atom", "1+", "1-", "identity"][rng.pick(8)];
-            format!("({op} {})", gen_expr(rng, scope, depth - 1))
-        }
-        6 => format!(
-            "(list {} {} {})",
-            gen_expr(rng, scope, depth - 1),
-            gen_expr(rng, scope, depth - 1),
-            gen_expr(rng, scope, depth - 1)
-        ),
-        7 => {
-            let n = 1 + rng.pick(3);
-            let stmts: Vec<String> = (0..n).map(|_| gen_expr(rng, scope, depth - 1)).collect();
-            format!("(progn {})", stmts.join(" "))
-        }
-        8 => {
-            let op = ["and", "or"][rng.pick(2)];
-            format!(
-                "({op} {} {})",
-                gen_expr(rng, scope, depth - 1),
-                gen_expr(rng, scope, depth - 1)
-            )
-        }
-        9 if !scope.is_empty() => {
-            let var = scope[rng.pick(scope.len())].clone();
-            format!("(setq {var} {})", gen_expr(rng, scope, depth - 1))
-        }
-        10 => {
-            // A sequential let with two bindings, the second reading
-            // the first.
-            let a = format!("v{}", scope.len());
-            let init = gen_expr(rng, scope, depth - 1);
-            scope.push(a.clone());
-            let b = format!("v{}", scope.len());
-            let init2 = gen_expr(rng, scope, depth - 1);
-            scope.push(b.clone());
-            let body = gen_expr(rng, scope, depth - 1);
-            scope.pop();
-            scope.pop();
-            format!("(let* (({a} {init}) ({b} {init2})) {body})")
-        }
-        _ => format!(
-            "(append (list {}) (list {}))",
-            gen_expr(rng, scope, depth - 1),
-            gen_expr(rng, scope, depth - 1)
-        ),
-    }
-}
-
-/// A random program: a few helper functions (each may call the ones
-/// defined before it — no recursion, so termination is structural),
-/// then a toplevel expression invoking the last helper.
-fn gen_program(rng: &mut XorShift) -> String {
-    let mut out = String::new();
-    let nfuncs = 1 + rng.pick(3);
-    for i in 0..nfuncs {
-        let mut scope = vec!["a".to_string(), "b".to_string()];
-        let mut body = gen_expr(rng, &mut scope, 3);
-        if i > 0 && rng.pick(2) == 0 {
-            let callee = rng.pick(i);
-            body = format!("(f{callee} {body} {})", gen_expr(rng, &mut scope, 2));
-        }
-        out.push_str(&format!("(defun f{i} (a b) {body})\n"));
-    }
-    let mut scope = Vec::new();
-    out.push_str(&format!(
-        "(f{} {} {})",
-        nfuncs - 1,
-        gen_expr(rng, &mut scope, 2),
-        gen_expr(rng, &mut scope, 2)
-    ));
-    out
 }
 
 #[test]
 fn random_programs_agree() {
-    let mut rng = XorShift(0x9E3779B97F4A7C15);
-    for case in 0..300 {
-        let src = gen_program(&mut rng);
-        let tree = run_engine(&src, Engine::Tree);
-        let vm = run_engine(&src, Engine::Vm);
-        assert_eq!(tree, vm, "engine divergence on random case {case}:\n{src}");
-    }
+    random_programs(&[Engine::Vm]);
 }
-
-// ---------------------------------------------------------------------
-// Fusion differential: superinstruction fusion is a code-gen choice
-// fixed when an interpreter is built, so the unfused VM
-// (`Interp::unfused`) must produce byte-identical outcomes on the same
-// battery.
-// ---------------------------------------------------------------------
 
 #[test]
 fn random_programs_agree_without_fusion() {
-    let mut rng = XorShift(0x9E3779B97F4A7C15);
-    for case in 0..300 {
-        let src = gen_program(&mut rng);
-        let fused = run_engine(&src, Engine::Vm);
-        let unfused = run_in(Interp::unfused(), &src);
-        assert_eq!(fused, unfused, "fused/unfused VM divergence on random case {case}:\n{src}");
-        let tree = run_engine(&src, Engine::Tree);
-        assert_eq!(tree, unfused, "tree/unfused VM divergence on random case {case}:\n{src}");
-    }
+    random_programs(&[Engine::Vm, Engine::Unfused]);
 }
 
 /// End-to-end check of the block-boundary rule: `(and a b)` makes the
@@ -438,10 +263,7 @@ fn random_programs_agree_without_fusion() {
 #[test]
 fn fusion_respects_branch_targets_end_to_end() {
     for (a, b) in [("1", "2"), ("1", "nil"), ("nil", "2"), ("nil", "nil")] {
-        let src = format!("(defun f (a b) (if (and a b) (+ 10 1) 2)) (f {a} {b})");
-        let tree = run_engine(&src, Engine::Tree);
-        let vm = run_engine(&src, Engine::Vm);
-        assert_eq!(tree, vm, "divergence on f({a}, {b})");
+        assert_engines_agree(&format!("(defun f (a b) (if (and a b) (+ 10 1) 2)) (f {a} {b})"));
     }
 }
 

@@ -5,120 +5,29 @@
 //! Engine agreement on random programs is `engine_differential.rs`'s
 //! `random_programs_agree`, over a richer grammar than this one.
 
-use curare_lisp::{Engine, Heap, Interp, Lowerer, Value};
+use curare_lisp::{Heap, Interp, Lowerer, Value};
 use curare_sexpr::parse_all;
+use curare_testkit::{agree, arith, list_of, malformed, sugar, Config, Engine, Program, Rng};
 
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    /// Uniform-ish pick in `0..n`.
-    fn pick(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    /// An integer in `-bound..bound`.
-    fn int(&mut self, bound: i64) -> i64 {
-        (self.next() % (2 * bound as u64)) as i64 - bound
-    }
-
-    fn ints(&mut self, bound: i64, min_len: usize, max_len: usize) -> Vec<i64> {
-        (0..min_len + self.pick(max_len - min_len)).map(|_| self.int(bound)).collect()
-    }
-}
-
-/// `(op e e …)` over `n` generated operands.
-fn call(op: &str, n: usize, mut operand: impl FnMut() -> String) -> String {
-    let operands: Vec<String> = (0..n).map(|_| operand()).collect();
-    format!("({op} {})", operands.join(" "))
-}
-
-/// A small, always-well-formed arithmetic and list expression; `x` is
-/// used only where a `let` binds it. The only possible error is
-/// overflow in a `*` chain.
-fn gen_arith(rng: &mut XorShift, x_bound: bool, depth: usize) -> String {
-    if depth == 0 || rng.pick(4) == 0 {
-        return if x_bound && rng.pick(2) == 0 { "x".into() } else { rng.int(1000).to_string() };
-    }
-    let sub = |rng: &mut XorShift| gen_arith(rng, x_bound, depth - 1);
-    match rng.pick(9) {
-        0 => call("+", 1 + rng.pick(3), || sub(rng)),
-        1 => call("-", 2, || sub(rng)),
-        2 => call("*", 1 + rng.pick(2), || sub(rng)),
-        3 => call("min", 1 + rng.pick(3), || sub(rng)),
-        4 => call("max", 1 + rng.pick(3), || sub(rng)),
-        5 => format!("(if (> {} 0) {} {})", sub(rng), sub(rng), sub(rng)),
-        6 => format!("(length {})", call("list", rng.pick(3), || sub(rng))),
-        7 => format!("(car (cons {} {}))", sub(rng), sub(rng)),
-        _ => format!("(let ((x {})) {})", sub(rng), gen_arith(rng, true, depth - 1)),
-    }
-}
-
-/// Sugar-heavy expressions (`let*`/`cond`/`and`/`or`/`when`/`unless`)
-/// with `vars` sequentially bound variables x0..x(vars-1) in scope.
-fn gen_sugar(rng: &mut XorShift, vars: usize, depth: usize) -> String {
-    if depth == 0 || rng.pick(4) == 0 {
-        return if vars > 0 && rng.pick(2) == 0 {
-            format!("x{}", rng.pick(vars))
-        } else {
-            rng.int(1000).to_string()
-        };
-    }
-    let sub = |rng: &mut XorShift| gen_sugar(rng, vars, depth - 1);
-    match rng.pick(10) {
-        0 => call("+", 2, || sub(rng)),
-        1 => call("-", 2, || sub(rng)),
-        2 => call("<", 2, || sub(rng)),
-        3 => call("and", rng.pick(4), || sub(rng)),
-        4 => call("or", rng.pick(4), || sub(rng)),
-        5 => {
-            let mut clauses: Vec<String> =
-                (0..rng.pick(3)).map(|_| format!("({} {})", sub(rng), sub(rng))).collect();
-            clauses.push(format!("(t {})", sub(rng)));
-            format!("(cond {})", clauses.join(" "))
-        }
-        6 => {
-            let n = 1 + rng.pick(3);
-            let binds: Vec<String> = (0..n)
-                .map(|i| format!("(x{} {})", vars + i, gen_sugar(rng, vars + i, depth - 1)))
-                .collect();
-            format!("(let* ({}) {})", binds.join(" "), gen_sugar(rng, vars + n, depth - 1))
-        }
-        7 => call("when", 2, || sub(rng)),
-        8 => call("unless", 2, || sub(rng)),
-        _ => call("progn", 1 + rng.pick(3), || sub(rng)),
-    }
-}
-
-/// Evaluate in a fresh interpreter to a display string; `None` on
-/// error (errors compare as `None`: a rewritten program may raise the
-/// same overflow under a different operator's name).
-fn eval_display(src: &str, engine: Engine) -> Option<String> {
+/// Evaluate on the VM in a fresh interpreter to a display string;
+/// `None` on error.
+fn eval_display(src: &str) -> Option<String> {
     let it = Interp::new();
-    it.set_engine(engine);
     it.load_str(src).ok().map(|v| it.heap().display(v))
 }
 
-fn int_list(it: &Interp, xs: &[i64]) -> Value {
-    it.heap().list(&xs.iter().map(|&i| Value::int(i)).collect::<Vec<_>>())
+/// `n` integers in `-bound..bound`, `min_len <= n < max_len`.
+fn ints(rng: &mut Rng, bound: i64, min_len: usize, max_len: usize) -> Vec<i64> {
+    (0..min_len + rng.below(max_len - min_len)).map(|_| rng.int(bound)).collect()
 }
 
 /// Evaluation is a function of the program, not of interpreter state.
 #[test]
 fn evaluation_is_deterministic() {
-    let mut rng = XorShift(0x5EED_0001_1157_C0DE);
+    let mut rng = Rng::new(0x5EED_0001_1157_C0DE);
     for case in 0..200 {
-        let src = gen_arith(&mut rng, false, 4);
-        let value = eval_display(&src, Engine::Vm);
-        assert_eq!(value, eval_display(&src, Engine::Vm), "case {case}: {src}");
+        let src = arith(&mut rng, false, 4);
+        assert_eq!(eval_display(&src), eval_display(&src), "case {case}: {src}");
     }
 }
 
@@ -128,14 +37,12 @@ fn evaluation_is_deterministic() {
 /// the lowered tree as it is, and the two must print the same.
 #[test]
 fn desugar_preserves_tree_semantics() {
-    let mut rng = XorShift(0x5EED_0002_1157_C0DE);
+    let mut rng = Rng::new(0x5EED_0002_1157_C0DE);
     for case in 0..300 {
-        let src = gen_sugar(&mut rng, 0, 4);
-        let program = format!("(defun g () {src}) (g)");
-        assert_eq!(
-            eval_display(&program, Engine::Tree),
-            eval_display(&program, Engine::Vm),
-            "case {case}: desugar changed semantics: {src}"
+        let program = format!("(defun g () {}) (g)", sugar(&mut rng, 0, 4));
+        agree(
+            &Program::text(format!("desugar case {case}"), &program),
+            &[Config::sequential(Engine::Vm)],
         );
     }
 }
@@ -143,14 +50,14 @@ fn desugar_preserves_tree_semantics() {
 /// Integer arithmetic agrees with Rust's on flat sums and minima.
 #[test]
 fn flat_arithmetic_matches_rust() {
-    let mut rng = XorShift(0x5EED_0003_1157_C0DE);
+    let mut rng = Rng::new(0x5EED_0003_1157_C0DE);
     for _ in 0..100 {
-        let xs = rng.ints(10_000, 1, 8);
+        let xs = ints(&mut rng, 10_000, 1, 8);
         let operands = xs.iter().map(i64::to_string).collect::<Vec<_>>().join(" ");
         let sum: i64 = xs.iter().sum();
-        assert_eq!(eval_display(&format!("(+ {operands})"), Engine::Vm), Some(sum.to_string()));
+        assert_eq!(eval_display(&format!("(+ {operands})")), Some(sum.to_string()));
         let min = xs.iter().min().expect("nonempty");
-        assert_eq!(eval_display(&format!("(min {operands})"), Engine::Vm), Some(min.to_string()));
+        assert_eq!(eval_display(&format!("(min {operands})")), Some(min.to_string()));
     }
 }
 
@@ -160,11 +67,11 @@ fn flat_arithmetic_matches_rust() {
 /// reads back `equal`.
 #[test]
 fn list_algebra() {
-    let mut rng = XorShift(0x5EED_0004_1157_C0DE);
+    let mut rng = Rng::new(0x5EED_0004_1157_C0DE);
     for _ in 0..100 {
-        let (xs, ys) = (rng.ints(100, 0, 12), rng.ints(100, 0, 12));
+        let (xs, ys) = (ints(&mut rng, 100, 0, 12), ints(&mut rng, 100, 0, 12));
         let it = Interp::new();
-        let (lx, ly) = (int_list(&it, &xs), int_list(&it, &ys));
+        let (lx, ly) = (list_of(&it, &xs), list_of(&it, &ys));
         it.set_global(it.heap().intern("*x*"), lx);
         it.set_global(it.heap().intern("*y*"), ly);
         let rr = it.load_str("(reverse (reverse *x*))").unwrap();
@@ -206,35 +113,9 @@ fn reloading_is_safe() {
 /// doubled (which keeps most of the structure a lowerer branches on).
 #[test]
 fn lowering_never_panics() {
-    let mut rng = XorShift(0x5EED_0005_1157_C0DE);
-    let printable: Vec<u8> = (b' '..=b'~').chain([b'\n']).collect();
-    let shaped = b" abcxyz0123456789()'+*-";
-    let heads = ["defun", "let", "let*", "cond", "setf", "setq", "lambda", "if", "defstruct"];
+    let mut rng = Rng::new(0x5EED_0005_1157_C0DE);
     for case in 0..3000 {
-        let s: String = match case % 3 {
-            0 => (0..rng.pick(81)).map(|_| printable[rng.pick(printable.len())] as char).collect(),
-            1 => {
-                let noise: String =
-                    (0..rng.pick(81)).map(|_| shaped[rng.pick(shaped.len())] as char).collect();
-                format!("({} {noise}", heads[rng.pick(heads.len())])
-            }
-            _ => {
-                let mut bytes = format!(
-                    "(defun f (a b) {}) (f {} {})",
-                    gen_sugar(&mut rng, 0, 3),
-                    gen_arith(&mut rng, false, 2),
-                    gen_arith(&mut rng, false, 2)
-                )
-                .into_bytes();
-                let at = rng.pick(bytes.len());
-                if rng.pick(2) == 0 {
-                    bytes.remove(at);
-                } else {
-                    bytes.insert(at, bytes[at]);
-                }
-                String::from_utf8(bytes).expect("generated programs are ASCII")
-            }
-        };
+        let s = malformed(&mut rng, case);
         if let Ok(forms) = parse_all(&s) {
             let heap = Heap::new();
             let _ = Lowerer::new(&heap).lower_program(&forms);

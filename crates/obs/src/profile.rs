@@ -460,6 +460,8 @@ pub fn warn_if_dropped(snaps: &[RingSnapshot], context: &str) {
 
 #[cfg(test)]
 mod tests {
+    use curare_testkit::Rng;
+
     use super::*;
 
     fn ev(ts_ns: u64, kind: EventKind, arg: u64) -> Event {
@@ -634,25 +636,16 @@ mod tests {
         assert_eq!(p.invocations, 0);
     }
 
-    // Deterministic linear-congruential generator: the workspace has
-    // no proptest dependency, so the "random DAGs" property test
-    // drives a tiny scheduler simulation from seeded LCG draws.
-    struct Lcg(u64);
-    impl Lcg {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            self.0 >> 33
-        }
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n.max(1)
-        }
+    /// A number in `0..n`, as a `u64`.
+    fn below(rng: &mut Rng, n: u64) -> u64 {
+        rng.below(n.max(1) as usize) as u64
     }
 
     /// Simulate a random spawn-tree schedule over `lanes` lanes and
     /// return per-lane event streams consistent with how the runtime
     /// records them.
     fn random_dag_trace(seed: u64, lanes: usize) -> Vec<RingSnapshot> {
-        let mut rng = Lcg(seed);
+        let mut rng = Rng::new(seed);
         let mut lane_events: Vec<Vec<Event>> = vec![Vec::new(); lanes + 1];
         let mut lane_free_at: Vec<u64> = vec![0; lanes + 1];
         let mut next_inv = 1u64;
@@ -663,13 +656,13 @@ mod tests {
         let mut resolved: Vec<(u64, u64)> = Vec::new();
 
         // Root spawns 1-4 children from the external lane.
-        let roots = 1 + rng.below(4);
+        let roots = 1 + below(&mut rng, 4);
         let mut ts = 1u64;
         for _ in 0..roots {
             let inv = next_inv;
             next_inv += 1;
             lane_events[0].push(ev(ts, EventKind::Spawn, pack_pair(0, inv)));
-            let fut = if rng.below(2) == 0 {
+            let fut = if below(&mut rng, 2) == 0 {
                 let f = next_future;
                 next_future += 1;
                 lane_events[0].push(ev(ts + 1, EventKind::BindFuture, pack_pair(inv, f)));
@@ -690,19 +683,19 @@ mod tests {
             // Pick the lane that frees earliest; start after both the
             // lane frees and the spawn happened.
             let lane = (1..=lanes).min_by_key(|&l| lane_free_at[l]).unwrap();
-            let mut t = lane_free_at[lane].max(spawn_ts) + 1 + rng.below(20);
+            let mut t = lane_free_at[lane].max(spawn_ts) + 1 + below(&mut rng, 20);
             lane_events[lane].push(ev(t, EventKind::TaskStart, pack_pair(0, inv)));
             // Execute in 1-3 bursts; between bursts maybe spawn a
             // child, wait a lock, or touch an already-resolved future.
-            let bursts = 1 + rng.below(3);
+            let bursts = 1 + below(&mut rng, 3);
             for _ in 0..bursts {
-                t += 1 + rng.below(200);
-                match rng.below(4) {
+                t += 1 + below(&mut rng, 200);
+                match below(&mut rng, 4) {
                     0 if executed + ready.len() < 48 => {
                         let child = next_inv;
                         next_inv += 1;
                         lane_events[lane].push(ev(t, EventKind::Spawn, pack_pair(inv, child)));
-                        let cf = if rng.below(3) == 0 {
+                        let cf = if below(&mut rng, 3) == 0 {
                             let f = next_future;
                             next_future += 1;
                             lane_events[lane].push(ev(
@@ -717,26 +710,26 @@ mod tests {
                         };
                         ready.push((child, t, cf));
                         // LIFO vs FIFO scheduling, randomly.
-                        if rng.below(2) == 0 {
+                        if below(&mut rng, 2) == 0 {
                             let n = ready.len();
                             ready.swap(0, n - 1);
                         }
                     }
                     1 => {
                         lane_events[lane].push(ev(t, EventKind::LockWaitBegin, 7));
-                        t += 1 + rng.below(50);
+                        t += 1 + below(&mut rng, 50);
                         lane_events[lane].push(ev(t, EventKind::LockWaitEnd, 0));
                     }
                     2 if !resolved.is_empty() => {
-                        let (f, rts) = resolved[rng.below(resolved.len() as u64) as usize];
+                        let (f, rts) = resolved[below(&mut rng, resolved.len() as u64) as usize];
                         lane_events[lane].push(ev(t, EventKind::FutureBlock, f));
-                        t = t.max(rts) + 1 + rng.below(10);
+                        t = t.max(rts) + 1 + below(&mut rng, 10);
                         lane_events[lane].push(ev(t, EventKind::TouchWake, pack_pair(inv, f)));
                     }
                     _ => {}
                 }
             }
-            t += 1 + rng.below(100);
+            t += 1 + below(&mut rng, 100);
             lane_events[lane].push(ev(t, EventKind::TaskStop, pack_pair(0, inv)));
             if let Some(f) = fut {
                 t += 1;

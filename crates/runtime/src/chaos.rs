@@ -167,13 +167,6 @@ pub struct FaultPlan {
     injected: AtomicU64,
 }
 
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl FaultPlan {
     /// A plan drawing from `seed` under `profile`.
     pub fn new(seed: u64, profile: ChaosProfile) -> Arc<Self> {
@@ -206,7 +199,8 @@ impl FaultPlan {
     pub fn decide(&self, point: DecisionPoint) -> Option<Fault> {
         let p = point as usize;
         let n = self.counters[p].fetch_add(1, Ordering::Relaxed);
-        let r = splitmix64(self.seed ^ SALTS[p] ^ n.wrapping_mul(0x2545_F491_4F6C_DD1D));
+        let mut state = self.seed ^ SALTS[p] ^ n.wrapping_mul(0x2545_F491_4F6C_DD1D);
+        let r = crate::queue::splitmix64(&mut state);
         let roll = (r % 1_000_000) as u32;
         let magnitude = r >> 32;
         let us = |max: u64| Duration::from_micros(if max == 0 { 0 } else { magnitude % max });
@@ -373,6 +367,63 @@ mod tests {
         let a = stream(1, ChaosProfile::named("mixed").unwrap(), DecisionPoint::TaskStart, 256);
         let b = stream(2, ChaosProfile::named("mixed").unwrap(), DecisionPoint::TaskStart, 256);
         assert_ne!(a, b);
+    }
+
+    /// A replay is bit-identical across versions: the first 16
+    /// decisions of one seed at every point, under a profile that
+    /// injects half the time with magnitudes as wide as the draw.
+    #[test]
+    fn the_first_decisions_of_a_seed_are_pinned() {
+        const MAX: u64 = 1 << 32;
+        let half = ChaosProfile {
+            delay_ppm: 500_000,
+            delay_max_us: MAX,
+            shuffle_ppm: 500_000,
+            stall_ppm: 500_000,
+            stall_max_us: MAX,
+            lock_delay_ppm: 500_000,
+            lock_delay_max_us: MAX,
+            ..ChaosProfile::quiet("half")
+        };
+        let plan = FaultPlan::new(0x5EED_C4A0, half);
+        let magnitude = |f: Fault| match f {
+            Fault::Delay(d) | Fault::Stall(d) => d.as_micros() as u64,
+            Fault::Shuffle(m) => m,
+        };
+        let pinned: [(DecisionPoint, [u64; 16]); POINT_COUNT] = [
+            (
+                DecisionPoint::TaskStart,
+                [
+                    1909620048, 2148398957, 0, 0, 483317328, 3203443681, 0, 2046545448, 0,
+                    1915856846, 0, 0, 4228529927, 2172187737, 0, 118835947,
+                ],
+            ),
+            (
+                DecisionPoint::QueuePop,
+                [
+                    0, 2333378372, 67182956, 0, 3118841067, 2086850128, 0, 101447013, 0, 0,
+                    3126263157, 696408006, 2696174184, 3339635635, 0, 1979735684,
+                ],
+            ),
+            (
+                DecisionPoint::FutureResolve,
+                [
+                    1675510496, 0, 4115501301, 0, 1385339600, 0, 0, 0, 795922067, 780596180,
+                    3031369332, 0, 0, 2537211463, 1587941338, 2188481279,
+                ],
+            ),
+            (
+                DecisionPoint::LockAcquire,
+                [
+                    0, 0, 3484682861, 0, 0, 0, 3272824589, 0, 0, 1627899499, 0, 2144415692, 0, 0,
+                    0, 0,
+                ],
+            ),
+        ];
+        for (point, want) in pinned {
+            let got: Vec<u64> = (0..16).map(|_| plan.decide(point).map_or(0, magnitude)).collect();
+            assert_eq!(got, want, "{point:?}");
+        }
     }
 
     #[test]

@@ -199,9 +199,13 @@ impl CriRuntime {
     /// enqueue the root invocation, then wait until every transitively
     /// spawned invocation has finished, and return the root
     /// invocation's value: under speculation the committed execution's,
-    /// after an escalation the sequential rerun's. A tail spawn is not
-    /// a call, so where the sequential program's value rides on a tail
-    /// self-call the two can differ.
+    /// after an escalation the sequential rerun's.
+    ///
+    /// Open defect (ROADMAP item 1(a)): where the sequential value rides
+    /// on a tail self-call, the value is lost. A central pool returns
+    /// `()` at any S, since eager publication never restarts a link in
+    /// place, and so does a speculating pool in either mode; only a
+    /// sharded pool that restarts the link in place returns it.
     pub fn run(&self, fname: &str, args: &[Value]) -> Result<Value, LispError> {
         let fid = self.lookup(fname)?;
         if self.config.speculate {

@@ -5,17 +5,15 @@
 //! crashed producer's future fails, and a speculative run escalates
 //! with every effect exactly once.
 
-mod common;
-
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{guard, quietly, with_big_stack, Hook, PanicOn};
 use curare_lisp::{Interp, LispError, Val, Value};
 use curare_obs::{report, Json};
 use curare_runtime::chaos::{self, ChaosProfile, FaultPlan};
 use curare_runtime::queue::ShardedQueues;
 use curare_runtime::{CriRuntime, FutureTable, RuntimeConfig, SchedMode, Task};
+use curare_testkit::{guard, int_list, quietly, with_big_stack, Hook, PanicOn};
 use curare_transform::Curare;
 
 /// Run `f` with `plan` installed, uninstalling on the way out — even
@@ -159,14 +157,6 @@ fn sum_walk_interp() -> Arc<Interp> {
     interp.load_str(&out.source()).unwrap();
     interp.load_str("(defparameter *sum* 0)").unwrap();
     interp
-}
-
-fn int_list(interp: &Interp, n: i64) -> Value {
-    let mut l = Value::NIL;
-    for i in 0..n {
-        l = interp.heap().cons(Value::int(i + 1), l);
-    }
-    l
 }
 
 /// A slow-but-healthy run (sub-millisecond injected delays) against a

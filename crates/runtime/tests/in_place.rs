@@ -17,17 +17,15 @@
 //! plan, so every test here holds the suite's guard: no other pool may
 //! record into the rings, mint ids or draw faults meanwhile.
 
-mod common;
-
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use common::{guard, NoInPlace};
 use curare_lisp::{FuncId, Interp, LispError, RuntimeHooks, Value};
 use curare_obs::{EventKind, Profile, Tracer};
 use curare_runtime::chaos::{self, ChaosProfile, FaultPlan};
 use curare_runtime::{CriRuntime, PoolStats, RuntimeConfig, SchedMode};
+use curare_testkit::{guard, list_of, NoInPlace};
 use curare_transform::Curare;
 
 const FIGURE_3: &str = "(defun f3 (l) (when l (print (car l)) (f3 (cdr l))))";
@@ -80,8 +78,9 @@ fn pool(interp: &Arc<Interp>, servers: usize, mode: SchedMode, materialise: bool
     rt
 }
 
-fn int_list(interp: &Interp, n: i64) -> Value {
-    (1..=n).rev().fold(Value::NIL, |l, i| interp.heap().cons(Value::int(i), l))
+/// `(1 2 … n)`.
+fn ascending(interp: &Interp, n: i64) -> Value {
+    list_of(interp, &(1..=n).collect::<Vec<_>>())
 }
 
 struct Outcome {
@@ -94,7 +93,7 @@ struct Outcome {
 fn run(src: &str, entry: &str, n: i64, servers: usize, mode: SchedMode, mat: bool) -> Outcome {
     let interp = load(src);
     let rt = pool(&interp, servers, mode, mat);
-    let l = int_list(&interp, n);
+    let l = ascending(&interp, n);
     rt.run(entry, &[l]).expect("runs");
     Outcome {
         heap: interp.heap().display(l),
@@ -199,7 +198,7 @@ fn an_error_in_link_k_is_the_same_error_over_the_same_heap_prefix() {
     let outcome = |materialise: bool| {
         let interp = load(src);
         let rt = pool(&interp, 2, SchedMode::Sharded, materialise);
-        let l = int_list(&interp, n);
+        let l = ascending(&interp, n);
         let mut cell = l;
         for _ in 0..k {
             cell = interp.heap().cdr(cell).unwrap();
@@ -276,7 +275,7 @@ fn a_helping_touch_returns_at_the_first_task_boundary_after_its_future_resolves(
 fn event_counts(materialise: bool) -> BTreeMap<&'static str, u64> {
     let n = 2000;
     let interp = load(FIGURE_5);
-    let l = int_list(&interp, n);
+    let l = ascending(&interp, n);
     curare_obs::set_profiling(true);
     let tracer = Tracer::new(1);
     curare_obs::install(Some(Arc::clone(&tracer)));
@@ -338,7 +337,7 @@ fn observed_run_on(
     let interp = load(src);
     let rt = CriRuntime::with_config(Arc::clone(&interp), 1, config);
     arm(&interp);
-    let l = int_list(&interp, CELLS);
+    let l = ascending(&interp, CELLS);
     rt.run(entry, &[l]).expect("runs");
     let stats = rt.stats();
     assert_eq!((stats.tasks, stats.in_place_tasks), (CELLS as u64 + 1, CELLS as u64));

@@ -5,14 +5,12 @@
 //! the server leaves the pool; once no server is left, the waiting
 //! thread runs the next run sequentially, to the same answer.
 
-mod common;
-
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use common::{guard, quietly, Hook, PanicOn};
 use curare_lisp::{Interp, LispError, Value};
 use curare_runtime::{CriRuntime, RuntimeConfig, SchedMode};
+use curare_testkit::{guard, list_of, quietly, Hook, PanicOn};
 
 /// A walker whose body can fail between its spawn and its one effect.
 const WALK: &str = "(defun walk (l)
@@ -31,11 +29,12 @@ fn pool(servers: usize, config: RuntimeConfig, panics: usize) -> (CriRuntime, Va
     interp.load_str("(defparameter *visits* 0)").unwrap();
     let rt = CriRuntime::with_config(Arc::clone(&interp), servers, config);
     PanicOn::install(&interp, Hook::Lock, 0, panics);
-    (rt, int_list(&interp))
+    (rt, ascending(&interp))
 }
 
-fn int_list(interp: &Interp) -> Value {
-    (0..N).rev().fold(Value::NIL, |l, i| interp.heap().cons(Value::int(i), l))
+/// `(0 1 … N-1)`.
+fn ascending(interp: &Interp) -> Value {
+    list_of(interp, &(0..N).collect::<Vec<_>>())
 }
 
 fn visits(rt: &CriRuntime) -> Value {
@@ -79,7 +78,7 @@ fn a_pool_with_no_server_left_runs_the_next_run_sequentially() {
         // Run 2 drains on this thread, to the answer the walker gives
         // sequentially: every cell visited once.
         rt.interp().load_str("(setq *visits* 0)").unwrap();
-        rt.run("walk", &[int_list(rt.interp())]).expect("a degraded pool still runs");
+        rt.run("walk", &[ascending(rt.interp())]).expect("a degraded pool still runs");
         assert_eq!(visits(&rt), Value::int(N), "{mode:?}");
         let stats = rt.stats();
         assert!(stats.degraded, "{mode:?}: {stats:?}");
@@ -104,7 +103,7 @@ fn a_poisoned_server_never_serves_again() {
         interp.load_str("(defparameter *visits* 0)").unwrap();
         let rt = CriRuntime::new(Arc::clone(&interp), servers);
         assert_eq!(rt.alive(), servers);
-        let l = int_list(&interp);
+        let l = ascending(&interp);
         let (tx, rx) = mpsc::channel();
         let runner = std::thread::spawn(move || {
             let result = rt.run("walk", &[l]);

@@ -7,14 +7,12 @@
 //! `vm_stats()` is process-wide, so this suite is its own process and
 //! its tests take turns.
 
-mod common;
-
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use common::guard;
 use curare_lisp::{vm_stats, Interp, Value};
 use curare_runtime::CriRuntime;
+use curare_testkit::guard;
 
 /// Two sites: each link of `spread` publishes a leaf for the other
 /// server and restarts in place, so every run has all three of tasks,

@@ -2,63 +2,35 @@
 //!
 //! The contract under test: a speculative run — optimistic parallel
 //! execution, journaled effects, commit-time validation with
-//! abort/replay, sequential-rerun escalation — produces *exactly* the
-//! sequential oracle's observable outcome (structure, globals, and
-//! printed output), for every program, under both schedulers. The
-//! programs mirror the example set (`examples/lisp`) and the chaos
-//! battery's fixtures, plus two speculation-specific ones:
+//! abort/replay, sequential-rerun escalation — leaves *exactly* what
+//! the sequential oracle leaves (`agree`: value, output, heap,
+//! globals), for every program, under both schedulers. The programs
+//! are `curare-bench`'s table's, among them two speculation-specific
+//! ones:
 //!
-//! - `Scrub`, a ⊤-write walker (`(setf (car (frob l)) ...)`) the
-//!   static analysis must refuse — it runs in parallel *only* under
-//!   speculation (transform case A), and must commit clean;
-//! - `AliasedMix`, a cross-parameter walker called with both
-//!   arguments aliased to one list — the single-access-path premise
-//!   is violated at runtime in a way no static check can see, so the
+//! - `scrub-top`, a ⊤-write walker the static analysis must refuse —
+//!   it runs in parallel *only* under speculation, and must commit
+//!   clean;
+//! - `aliased-mix`, a cross-parameter walker called with both
+//!   arguments aliased to one list — the single-access-path premise is
+//!   violated at runtime in a way no static check can see, so the
 //!   validator must abort and replay until the sequential answer
 //!   emerges;
-//! - `FutureRead` and `HelperGlobal`, ⊤-write walkers whose tails
-//!   read–modify–write one accumulator (a cons cell; a global, written
-//!   inside a helper the admission rule does not see). Tails run in
-//!   spawn order and rank in unwind order, so every tail but one reads
-//!   what a sequentially *later* tail stored: the reader must abort
-//!   with the writer, and a global must be journaled whichever engine
-//!   touches it.
-
-mod common;
+//!
+//! and, beside them, the `sum.lisp` fold and two ⊤-write walkers whose
+//! tails read–modify–write one accumulator (a cons cell; a global,
+//! written inside a helper the admission rule does not see). Tails run
+//! in spawn order and rank in unwind order, so every tail but one reads
+//! what a sequentially *later* tail stored: the reader must abort with
+//! the writer, and a global must be journaled whichever engine touches
+//! it.
 
 use std::sync::Arc;
 
-use common::{guard, with_big_stack};
-use curare_lisp::{Engine, Interp, Value};
+use curare_lisp::{Interp, Value};
 use curare_runtime::{CriRuntime, PoolStats, RuntimeConfig, SchedMode};
+use curare_testkit::{agree, guard, int_list, list_of, Config, Engine, Oracle, Program};
 use curare_transform::Curare;
-
-#[derive(Clone, Copy, Debug)]
-enum Prog {
-    /// Paper Figure 5: conflicting neighbour-sum walker (head order).
-    Figure5,
-    /// Distance-1 tail writer (lock pipeline).
-    Rotate,
-    /// Commutative global accumulation (`reorderable +`), with output.
-    SumWalk,
-    /// Tail writer with conflict distance `k`.
-    DistanceK(usize),
-    /// Paper Figure 12 `remq` via the DPS transform.
-    Remq,
-    /// The `examples/lisp/sum.lisp` fold: pure reduction through an
-    /// accumulator cell and atomic RMWs.
-    SumFold,
-    /// ⊤-write walker: unanalyzable write root, admitted only under
-    /// speculation.
-    Scrub,
-    /// Cross-parameter walker, called with aliased arguments.
-    AliasedMix,
-    /// Tails accumulate into one cons cell, each from a value a
-    /// sequentially later tail stored first.
-    FutureRead,
-    /// The same through a global variable set in a helper.
-    HelperGlobal,
-}
 
 /// `(defun bump (v) ...)`: read the accumulator `place`, count sixteen
 /// up from it, store that plus `v` — a window for other tails to land
@@ -76,234 +48,44 @@ fn bump(place: &str, store: &str) -> String {
     )
 }
 
-impl Prog {
-    fn source(self) -> String {
-        match self {
-            Prog::Figure5 => "(defun f (l)
-                  (cond ((null l) nil)
-                        ((null (cdr l)) (f (cdr l)))
-                        (t (setf (cadr l) (+ (car l) (cadr l)))
-                           (f (cdr l)))))"
-                .into(),
-            Prog::Rotate => "(defun rotate (l)
-                  (when l
-                    (rotate (cdr l))
-                    (setf (cdr l) (car l))))"
-                .into(),
-            Prog::SumWalk => "(curare-declare (reorderable +))
-                 (defun walk (l)
-                   (when l
-                     (setq *sum* (+ *sum* (car l)))
-                     (walk (cdr l))))"
-                .into(),
-            Prog::DistanceK(k) => {
-                let mut place = "l".to_string();
-                for _ in 0..k {
-                    place = format!("(cdr {place})");
-                }
-                format!(
-                    "(defun fk (l)
-                       (when l
-                         (fk (cdr l))
-                         (when {place}
-                           (setf (car {place}) (car l)))))"
-                )
-            }
-            Prog::Remq => "(defun remq (obj lst)
-                  (cond ((null lst) nil)
-                        ((eq obj (car lst)) (remq obj (cdr lst)))
-                        (t (cons (car lst) (remq obj (cdr lst))))))"
-                .into(),
-            Prog::SumFold => "(curare-declare (reorderable +))
-                 (defun sum (l) (if (null l) 0 (+ (car l) (sum (cdr l)))))"
-                .into(),
-            Prog::Scrub => "(defun frob (l) l)
-                 (defun crunch (x) (+ x 1))
-                 (defun scrub (l)
-                   (when (consp l)
-                     (scrub (cdr l))
-                     (setf (car (frob l)) (crunch (car l)))))"
-                .into(),
-            Prog::AliasedMix => "(defun mix (a b)
-                  (when (consp b)
-                    (mix (cddr a) (cdr b))
-                    (setf (car b) (car a))))"
-                .into(),
-            Prog::FutureRead => {
-                let defs = bump("(car *acc*)", "setf (car (veil *acc*))");
-                format!("(defparameter *acc* (cons 0 nil)) {defs}")
-            }
-            Prog::HelperGlobal => {
-                format!("(defparameter *sum* 0) {}", bump("*sum*", "setq *sum*"))
-            }
-        }
-    }
-
-    /// Transform (with speculation admission on) and load into a
-    /// fresh interpreter. Returns the interpreter and whether the
-    /// function converted at all.
-    fn interp(self) -> Arc<Interp> {
-        let out = Curare::new()
-            .with_speculation(true)
-            .transform_source(&self.source())
-            .expect("transforms");
-        let interp = Arc::new(Interp::new());
-        interp.load_str(&out.source()).expect("loads");
-        interp
-    }
-
-    /// Build this program's input, run its entry through `exec`, and
-    /// return the canonical observation (mutated structure, global,
-    /// accumulator, or DPS result — plus any printed output) as one
-    /// display string.
-    fn observe(self, interp: &Arc<Interp>, n: i64, exec: &dyn Fn(&str, &[Value])) -> String {
-        let heap = interp.heap();
-        let structure = match self {
-            Prog::Figure5 => {
-                let mut data = Value::NIL;
-                for _ in 0..n {
-                    data = heap.cons(Value::int(1), data);
-                }
-                exec("f", &[data]);
-                heap.display(data)
-            }
-            Prog::Rotate | Prog::DistanceK(_) => {
-                let entry = if matches!(self, Prog::Rotate) { "rotate" } else { "fk" };
-                let mut data = Value::NIL;
-                for i in 0..n {
-                    data = heap.cons(Value::int(i + 1), data);
-                }
-                exec(entry, &[data]);
-                heap.display(data)
-            }
-            Prog::SumWalk => {
-                interp.load_str("(defparameter *sum* 0)").unwrap();
-                let mut data = Value::NIL;
-                for i in 0..n {
-                    data = heap.cons(Value::int(i + 1), data);
-                }
-                exec("walk", &[data]);
-                let v = interp.load_str("*sum*").unwrap();
-                heap.display(v)
-            }
-            Prog::Remq => {
-                let obj = heap.sym_value("a");
-                let syms = ["a", "b", "a", "c", "d"];
-                let mut lst = Value::NIL;
-                for i in 0..n {
-                    lst = heap.cons(heap.sym_value(syms[i as usize % syms.len()]), lst);
-                }
-                let dest = heap.cons(Value::NIL, Value::NIL);
-                exec("remq-d", &[dest, obj, lst]);
-                heap.display(heap.cdr(dest).unwrap())
-            }
-            Prog::SumFold => {
-                let mut data = Value::NIL;
-                for i in 0..n {
-                    data = heap.cons(Value::int(i + 1), data);
-                }
-                let acc = heap.cons(Value::int(0), Value::NIL);
-                exec("sum-acc", &[acc, data]);
-                heap.display(heap.car(acc).unwrap())
-            }
-            Prog::Scrub => {
-                let mut data = Value::NIL;
-                for i in 0..n {
-                    data = heap.cons(Value::int(i + 1), data);
-                }
-                exec("scrub", &[data]);
-                heap.display(data)
-            }
-            Prog::AliasedMix => {
-                let mut data = Value::NIL;
-                for i in 0..n {
-                    data = heap.cons(Value::int(i + 1), data);
-                }
-                // Both parameters alias one list: the analysis's
-                // unaliased-parameters premise is false at runtime.
-                exec("mix", &[data, data]);
-                heap.display(data)
-            }
-            Prog::FutureRead | Prog::HelperGlobal => {
-                let mut data = Value::NIL;
-                for _ in 0..n {
-                    data = heap.cons(Value::int(1), data);
-                }
-                exec("f", &[data]);
-                let acc = if matches!(self, Prog::FutureRead) { "(car *acc*)" } else { "*sum*" };
-                format!("{} {}", heap.display(interp.load_str(acc).unwrap()), heap.display(data))
-            }
-        };
-        let output = interp.take_output().join("\n");
-        format!("{structure}\n--output--\n{output}")
-    }
-
-    /// Sequential oracle observation for size `n` (the transformed
-    /// source under `SequentialHooks`).
-    fn oracle(self, n: i64) -> String {
-        with_big_stack(|| {
-            let interp = self.interp();
-            self.observe(&interp, n, &|entry, args| {
-                interp.call(entry, args).expect("oracle run");
-            })
-        })
-    }
-
-    /// One speculative pooled run.
-    fn spec_run(self, n: i64, mode: SchedMode, servers: usize) -> (String, PoolStats) {
-        self.spec_run_on(Engine::Vm, n, mode, servers)
-    }
-
-    fn spec_run_on(
-        self,
-        engine: Engine,
-        n: i64,
-        mode: SchedMode,
-        servers: usize,
-    ) -> (String, PoolStats) {
-        let interp = self.interp();
-        interp.set_engine(engine);
-        let rt = CriRuntime::with_config(
-            Arc::clone(&interp),
-            servers,
-            RuntimeConfig { mode, speculate: true, ..RuntimeConfig::default() },
-        );
-        assert!(rt.speculating(), "speculation must be armed");
-        let observed = self.observe(&interp, n, &|entry, args| {
-            rt.run(entry, args).expect("speculative run completes");
-        });
-        let stats = rt.stats();
-        drop(rt);
-        (observed, stats)
+/// `f` over `n` ones, its tails accumulating into one cons cell or,
+/// with `global`, into a global set in a helper.
+fn accumulator(global: bool, n: usize) -> Program {
+    let (name, source) = if global {
+        ("helper-global", format!("(defparameter *sum* 0) {}", bump("*sum*", "setq *sum*")))
+    } else {
+        let defs = bump("(car *acc*)", "setf (car (veil *acc*))");
+        ("future-read", format!("(defparameter *acc* (cons 0 nil)) {defs}"))
+    };
+    Program {
+        args: Arc::new(move |interp| vec![list_of(interp, &vec![1; n])]),
+        oracle: Oracle::Restructured,
+        ..Program::entered(format!("{name} (n = {n})"), &source, "f")
     }
 }
 
-const PROGRAMS: [Prog; 10] = [
-    Prog::Figure5,
-    Prog::Rotate,
-    Prog::SumWalk,
-    Prog::DistanceK(2),
-    Prog::Remq,
-    Prog::SumFold,
-    Prog::Scrub,
-    Prog::AliasedMix,
-    Prog::FutureRead,
-    Prog::HelperGlobal,
-];
+/// The `examples/lisp/sum.lisp` fold over `(n … 1)`: a pure reduction
+/// through an accumulator cell and atomic RMWs. Its entry passes the
+/// accumulator, so its value is not compared.
+fn sum_fold(n: i64) -> Program {
+    let source = "(curare-declare (reorderable +))
+                  (defun sum (l) (if (null l) 0 (+ (car l) (sum (cdr l)))))";
+    Program {
+        args: Arc::new(move |i| vec![i.heap().cons(Value::int(0), Value::NIL), int_list(i, n)]),
+        oracle: Oracle::Restructured,
+        root_value: false,
+        ..Program::entered(format!("sum-fold (n = {n})"), source, "sum-acc")
+    }
+}
 
 fn sweep(mode: SchedMode) {
-    let _g = guard();
-    for prog in PROGRAMS {
-        for round in 0..4u64 {
-            let n = 24 + (round as i64 * 13);
-            let expect = prog.oracle(n);
-            let (got, stats) = prog.spec_run(n, mode, 4);
-            assert_eq!(
-                got, expect,
-                "{prog:?} diverged from the sequential oracle ({mode:?}, n {n}); \
-                 stats: commits {} aborts {} replays {} escalated {}",
-                stats.spec_commits, stats.spec_aborts, stats.spec_replays, stats.spec_escalated
-            );
+    let table =
+        ["figure-5", "rotate", "sum-walk", "distance-2", "remq-d", "scrub-top", "aliased-mix"];
+    for round in 0..4 {
+        let n = 24 + round * 13;
+        let extra = [sum_fold(n as i64), accumulator(false, n), accumulator(true, n)];
+        for program in table.iter().map(|name| Program::named(name, n as i64)).chain(extra) {
+            agree(&program, &[Config::pool(4, mode).speculating()]);
         }
     }
 }
@@ -318,22 +100,21 @@ fn every_program_matches_oracle_sharded() {
     sweep(SchedMode::Sharded);
 }
 
+/// One speculative run of `program` on a sharded pool of four, held to
+/// the oracle.
+fn speculated(program: &Program) -> PoolStats {
+    agree(program, &[Config::pool(4, SchedMode::Sharded).speculating()])[0]
+}
+
 /// The ⊤-write walker is the speculation headline: statically Blocked
 /// (unanalyzable write root), it must actually run as parallel
 /// invocations under `SpecMode` and commit without escalation.
 #[test]
 fn top_write_walker_commits_clean_in_parallel() {
-    let _g = guard();
     let n = 64;
-    let expect = Prog::Scrub.oracle(n);
-    let (got, stats) = Prog::Scrub.spec_run(n, SchedMode::Sharded, 4);
-    assert_eq!(got, expect);
+    let stats = speculated(&Program::named("scrub-top", n));
     assert!(!stats.spec_escalated, "scrub must not need the sequential fallback");
-    assert!(
-        stats.spec_commits >= n as u64,
-        "one committed invocation per cell, got {}",
-        stats.spec_commits
-    );
+    assert!(stats.spec_commits >= n as u64, "one committed invocation per cell: {stats:?}");
     assert_eq!(
         stats.spec_clean, stats.spec_commits,
         "writes are per-cell disjoint: every invocation must commit clean"
@@ -343,27 +124,15 @@ fn top_write_walker_commits_clean_in_parallel() {
 /// The under-declared-aliasing fixture: `mix` looks conflict-free to
 /// the analysis (distinct parameters), but both arguments alias one
 /// list. The validator must detect the cross-invocation read/write
-/// races, abort, and converge to the sequential answer.
+/// races, abort, and converge to the sequential answer (escalation is
+/// a legal outcome — it reruns sequentially — and counts as detection).
 #[test]
 fn aliased_arguments_abort_and_converge() {
-    let _g = guard();
-    let mut aborts = 0u64;
-    for round in 0..6u64 {
-        let n = 32 + (round as i64 * 11);
-        let expect = Prog::AliasedMix.oracle(n);
-        let (got, stats) = Prog::AliasedMix.spec_run(n, SchedMode::Sharded, 4);
-        assert_eq!(got, expect, "aliased mix diverged (n {n})");
-        aborts += stats.spec_aborts;
-        if stats.spec_escalated {
-            // Escalation is a legal outcome (it reruns sequentially);
-            // count it as detection too.
-            aborts += 1;
-        }
-    }
-    assert!(
-        aborts > 0,
-        "the aliasing race must have been detected at least once across the battery"
-    );
+    let aborts: u64 = (0..6)
+        .map(|round| speculated(&Program::named("aliased-mix", 32 + round * 11)))
+        .map(|stats| stats.spec_aborts + u64::from(stats.spec_escalated))
+        .sum();
+    assert!(aborts > 0, "the aliasing race must have been detected at least once");
 }
 
 /// Both accumulators, on every pool shape and both engines, from the
@@ -374,25 +143,24 @@ fn aliased_arguments_abort_and_converge() {
 /// 17·(2n − 1) for 17·n.
 #[test]
 fn a_tail_that_read_a_later_tails_store_never_commits_its_sum() {
-    let _g = guard();
-    for prog in [Prog::FutureRead, Prog::HelperGlobal] {
+    let configs: Vec<Config> = [Engine::Vm, Engine::Tree]
+        .into_iter()
+        .flat_map(|engine| [SchedMode::Sharded, SchedMode::Central].map(|m| (engine, m)))
+        .flat_map(|(engine, m)| [1, 2, 4].map(|s| Config { engine, ..Config::pool(s, m) }))
+        .map(Config::speculating)
+        .collect();
+    for global in [false, true] {
         for n in [2, 3, 300] {
-            let expect = prog.oracle(n);
-            assert!(expect.starts_with(&format!("{} (0 0", 17 * n)), "{prog:?}: {expect}");
-            for engine in [Engine::Vm, Engine::Tree] {
-                for mode in [SchedMode::Sharded, SchedMode::Central] {
-                    for servers in [1, 2, 4] {
-                        let (got, stats) = prog.spec_run_on(engine, n, mode, servers);
-                        let what = format!("{prog:?}, n {n}, {engine:?}, {mode:?}, S = {servers}");
-                        assert_eq!(got, expect, "{what}: {stats:?}");
-                        if servers == 1 {
-                            assert!(
-                                stats.spec_escalated || stats.spec_aborts >= n as u64 - 1,
-                                "{what}: {stats:?}"
-                            );
-                        }
-                    }
-                }
+            let program = accumulator(global, n);
+            let sequential = Interp::new();
+            sequential.load_str(&program.source).unwrap();
+            sequential.call("f", &(program.args)(&sequential)).unwrap();
+            let acc = sequential.load_str(["(car *acc*)", "*sum*"][usize::from(global)]).unwrap();
+            assert_eq!(acc, Value::int(17 * n as i64), "{}", program.name);
+            for (config, stats) in configs.iter().zip(agree(&program, &configs)) {
+                let ok =
+                    config.servers > 1 || stats.spec_escalated || stats.spec_aborts >= n as u64 - 1;
+                assert!(ok, "{} under {config:?}: {stats:?}", program.name);
             }
         }
     }
@@ -402,54 +170,28 @@ fn a_tail_that_read_a_later_tails_store_never_commits_its_sum() {
 /// out in sequential order, aborted invocations leave no output.
 #[test]
 fn printed_output_is_committed_in_sequential_order() {
-    let _g = guard();
     let src = "(defun chant (l)
            (when (consp l)
              (chant (cdr l))
              (print (car l))))";
-    let build = || {
-        let out = Curare::new().with_speculation(true).transform_source(src).expect("transforms");
-        let interp = Arc::new(Interp::new());
-        interp.load_str(&out.source()).expect("loads");
-        interp
+    let program = Program {
+        args: Arc::new(|interp| vec![int_list(interp, 40)]),
+        oracle: Oracle::Restructured,
+        ..Program::entered("chant", src, "chant")
     };
-    let mk_list = |interp: &Arc<Interp>, n: i64| {
-        let mut data = Value::NIL;
-        for i in 0..n {
-            data = interp.heap().cons(Value::int(i + 1), data);
-        }
-        data
-    };
-    let n = 40;
-    let oracle = with_big_stack(|| {
-        let interp = build();
-        let data = mk_list(&interp, n);
-        interp.call("chant", &[data]).expect("oracle");
-        interp.take_output()
-    });
-    let interp = build();
-    let rt = CriRuntime::with_config(
-        Arc::clone(&interp),
-        4,
-        RuntimeConfig { speculate: true, ..RuntimeConfig::default() },
-    );
-    let data = mk_list(&interp, n);
-    rt.run("chant", &[data]).expect("speculative run");
-    assert_eq!(interp.take_output(), oracle, "printed lines must commit in sequential order");
+    speculated(&program);
 }
 
 /// A pool configured without speculation reports `speculating() == false` and journals nothing.
 #[test]
 fn speculation_off_is_the_default() {
     let _g = guard();
-    let interp = Prog::Figure5.interp();
+    let source = Program::named("figure-5", 8).source;
+    let interp = Arc::new(Interp::new());
+    interp.load_str(&Curare::new().transform_source(&source).unwrap().source()).unwrap();
     let rt = CriRuntime::with_config(Arc::clone(&interp), 2, RuntimeConfig::default());
     assert!(!rt.speculating());
-    let mut data = Value::NIL;
-    for _ in 0..8 {
-        data = interp.heap().cons(Value::int(1), data);
-    }
-    rt.run("f", &[data]).expect("plain run");
+    rt.run("f", &[int_list(&interp, 8)]).expect("plain run");
     assert_eq!(rt.stats().spec_commits, 0);
 }
 

@@ -6,15 +6,8 @@ use std::sync::Arc;
 
 use curare_lisp::{Interp, Value};
 use curare_runtime::{CriRuntime, RuntimeConfig, SchedMode};
+use curare_testkit::{agree, int_list, list_of, Config, Oracle, Program, Rng};
 use curare_transform::Curare;
-
-fn int_list(interp: &Interp, n: i64) -> Value {
-    let mut l = Value::NIL;
-    for i in 0..n {
-        l = interp.heap().cons(Value::int(i + 1), l);
-    }
-    l
-}
 
 #[test]
 fn hundred_consecutive_runs_are_all_exact() {
@@ -173,40 +166,17 @@ fn per_site_fifo_order_is_preserved_by_both_schedulers() {
     }
 }
 
+/// The E11 property: a future-synced program with conflicting writes
+/// (Figure 5 over 1500 cells) leaves what the program as written
+/// leaves sequentially, whatever the scheduler or server count.
+fn e11(configs: &[Config]) {
+    agree(&Program { oracle: Oracle::Written, ..Program::named("figure-5", 1500) }, configs);
+}
+
 #[test]
 fn e11_sequentializability_across_modes_and_pool_sizes() {
-    // The E11 property: a future-synced program with conflicting
-    // writes must leave the heap exactly as a sequential run does,
-    // whatever the scheduler or server count.
-    let src = "(defun f (l)
-                 (cond ((null l) nil)
-                       ((null (cdr l)) (f (cdr l)))
-                       (t (setf (cadr l) (+ (car l) (cadr l)))
-                          (f (cdr l)))))";
-    let n = 1500;
-    let build = format!("(let ((l nil)) (dotimes (i {n}) (setq l (cons 1 l))) l)");
-    let seq = Interp::new();
-    seq.load_str(src).unwrap();
-    let expect = {
-        let l = seq.load_str(&build).unwrap();
-        seq.call("f", &[l]).unwrap();
-        seq.heap().display(l)
-    };
-    let out = Curare::new().transform_source(src).unwrap();
-    for mode in [SchedMode::Central, SchedMode::Sharded] {
-        for servers in [2usize, 8] {
-            let interp = Arc::new(Interp::new());
-            interp.load_str(&out.source()).unwrap();
-            let rt = CriRuntime::with_mode(Arc::clone(&interp), servers, mode);
-            let l = interp.load_str(&build).unwrap();
-            rt.run("f", &[l]).unwrap();
-            assert_eq!(
-                interp.heap().display(l),
-                expect,
-                "heap state diverged from sequential ({mode:?}, {servers} servers)"
-            );
-        }
-    }
+    let modes = [SchedMode::Central, SchedMode::Sharded];
+    e11(&modes.into_iter().flat_map(|m| [2, 8].map(|s| Config::pool(s, m))).collect::<Vec<_>>());
 }
 
 #[test]
@@ -288,22 +258,6 @@ fn skew_src(k: usize) -> String {
     )
 }
 
-fn value_list(interp: &Interp, values: &[i64]) -> Value {
-    let mut l = Value::NIL;
-    for &v in values.iter().rev() {
-        l = interp.heap().cons(Value::int(v), l);
-    }
-    l
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[test]
 fn skewed_workload_is_exact_with_and_without_stealing() {
     // 90% of the leaves land on one site: on the central queue every
@@ -320,7 +274,7 @@ fn skewed_workload_is_exact_with_and_without_stealing() {
         let interp = Arc::new(Interp::new());
         interp.load_str(&skew_src(k)).unwrap();
         let rt = CriRuntime::with_mode(Arc::clone(&interp), 4, mode);
-        let l = value_list(&interp, &values);
+        let l = list_of(&interp, &values);
         rt.run("spread", &[l]).unwrap();
         assert_eq!(interp.load_str("*sum*").unwrap(), Value::int(expect), "{mode:?}");
         let stats = rt.stats();
@@ -367,39 +321,11 @@ fn chained_successors_follow_migrated_sites() {
     }
 }
 
+/// E11 with the thief in play: idle servers of a sharded pool migrate
+/// sites and steal-pop hot queues.
 #[test]
 fn e11_sequentializability_holds_under_stealing() {
-    // The E11 property with the thief in play: a future-synced
-    // program with conflicting writes must still leave the heap
-    // exactly as a sequential run does when idle servers migrate
-    // sites and steal-pop hot queues.
-    let src = "(defun f (l)
-                 (cond ((null l) nil)
-                       ((null (cdr l)) (f (cdr l)))
-                       (t (setf (cadr l) (+ (car l) (cadr l)))
-                          (f (cdr l)))))";
-    let n = 1500;
-    let build = format!("(let ((l nil)) (dotimes (i {n}) (setq l (cons 1 l))) l)");
-    let seq = Interp::new();
-    seq.load_str(src).unwrap();
-    let expect = {
-        let l = seq.load_str(&build).unwrap();
-        seq.call("f", &[l]).unwrap();
-        seq.heap().display(l)
-    };
-    let out = Curare::new().transform_source(src).unwrap();
-    for servers in [2usize, 8] {
-        let interp = Arc::new(Interp::new());
-        interp.load_str(&out.source()).unwrap();
-        let rt = CriRuntime::new(Arc::clone(&interp), servers);
-        let l = interp.load_str(&build).unwrap();
-        rt.run("f", &[l]).unwrap();
-        assert_eq!(
-            interp.heap().display(l),
-            expect,
-            "heap diverged from sequential ({servers} servers)"
-        );
-    }
+    e11(&[2, 8].map(|s| Config::pool(s, SchedMode::Sharded)));
 }
 
 #[test]
@@ -419,7 +345,7 @@ fn parked_servers_never_trip_the_stall_watchdog() {
         },
     );
     let values = vec![0i64; 200];
-    let l = value_list(&interp, &values);
+    let l = list_of(&interp, &values);
     rt.run("spread", &[l]).unwrap();
     // All four servers now sit parked; the 40ms budget elapses many
     // times over.
@@ -430,7 +356,7 @@ fn parked_servers_never_trip_the_stall_watchdog() {
         rt.stall_dumps()
     );
     interp.load_str("(setq *sum* 0)").unwrap();
-    let l = value_list(&interp, &values);
+    let l = list_of(&interp, &values);
     rt.run("spread", &[l]).unwrap();
     assert_eq!(interp.load_str("*sum*").unwrap(), Value::int(200));
     assert!(rt.stats().parks > 0, "the idle gap must actually have parked servers");
@@ -438,33 +364,26 @@ fn parked_servers_never_trip_the_stall_watchdog() {
 
 #[test]
 fn random_skewed_workloads_run_exactly_once() {
-    // Hand-rolled property test (the heavy-tests proptest dep is
-    // gated off in this tree): splitmix64-generated site counts,
-    // skews, server counts, and schedulers; every case must keep
-    // the oracle sum and the exactly-once task count.
-    let mut state = 0xC0FF_EE00_u64;
-    for case in 0..12 {
-        let k = 1 + (splitmix64(&mut state) % 6) as usize;
-        let n = 100 + (splitmix64(&mut state) % 500) as usize;
-        let servers = 1 + (splitmix64(&mut state) % 6) as usize;
-        let mode = if case % 3 == 0 { SchedMode::Central } else { SchedMode::Sharded };
-        // Skew: each value biased toward site 0 with probability
-        // rising per case, the rest spread by the mix stream.
-        let hot_pct = splitmix64(&mut state) % 101;
+    // Every scheduler × 1–6 servers four times over, with seeded site
+    // counts and skews; every case must keep the oracle sum and the
+    // exactly-once task count.
+    let mut rng = Rng::new(0xC0FF_EE00);
+    for case in 0..48 {
+        let k = 1 + rng.below(6);
+        let n = 100 + rng.below(500);
+        let servers = 1 + case / 2 % 6;
+        let mode = [SchedMode::Central, SchedMode::Sharded][case % 2];
+        // Skew: each value biased toward site 0 with a drawn
+        // probability, the rest spread by the stream.
+        let hot_pct = rng.below(101);
         let values: Vec<i64> = (0..n)
-            .map(|_| {
-                if splitmix64(&mut state) % 100 < hot_pct {
-                    0
-                } else {
-                    (splitmix64(&mut state) % k as u64) as i64
-                }
-            })
+            .map(|_| if rng.below(100) < hot_pct { 0 } else { rng.below(k) as i64 })
             .collect();
         let expect: i64 = values.iter().map(|v| v + 1).sum();
         let interp = Arc::new(Interp::new());
         interp.load_str(&skew_src(k)).unwrap();
         let rt = CriRuntime::with_mode(Arc::clone(&interp), servers, mode);
-        let l = value_list(&interp, &values);
+        let l = list_of(&interp, &values);
         rt.run("spread", &[l]).unwrap();
         let ctx = format!("case {case}: k={k} n={n} servers={servers} {mode:?}");
         assert_eq!(interp.load_str("*sum*").unwrap(), Value::int(expect), "{ctx}");

@@ -336,7 +336,7 @@ mod tests {
     /// malformed: unbalanced parentheses, stray and misplaced dots,
     /// dangling quotes, unterminated strings, bad escapes, comments and
     /// multi-line strings that move the line/column bookkeeping.
-    fn generated_text(seed: u64) -> String {
+    fn generated_text(rng: &mut curare_testkit::Rng, malformed: bool) -> String {
         const PIECES: &[&str] = &[
             "(",
             "(",
@@ -394,15 +394,9 @@ mod tests {
             "()",
         ];
         const GAPS: &[&str] = &[" ", " ", "\n", "\t ", " ; note\n"];
-        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        let mut next = move |n: usize| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            (x % n as u64) as usize
-        };
+        let mut next = |n: usize| rng.below(n);
         let mut text = String::new();
-        if seed % 2 == 1 {
+        if malformed {
             for _ in 0..1 + next(24) {
                 text.push_str(PIECES[next(PIECES.len())]);
                 if next(3) == 0 {
@@ -449,8 +443,9 @@ mod tests {
     #[test]
     fn one_pass_reads_what_two_passes_read() {
         let (mut malformed, mut read) = (0, 0);
-        for seed in 0..6000 {
-            let text = generated_text(seed);
+        let mut rng = curare_testkit::Rng::new(0x5EED_0006_D1CE_F00D);
+        for case in 0..6000 {
+            let text = generated_text(&mut rng, case % 2 == 1);
             let all = parse_all(&text);
             assert_eq!(all, two_pass::parse_all(&text), "parse_all of {text:?}");
             assert_eq!(parse_one(&text), two_pass::parse_one(&text), "parse_one of {text:?}");

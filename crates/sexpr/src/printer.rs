@@ -231,16 +231,11 @@ mod tests {
     /// multibyte names), integers at both ends, floats, strings holding
     /// `(`, `"`, `\`, newlines and multibyte characters, quote forms,
     /// empty, nested and dotted lists.
-    struct DataGen(u64);
+    struct DataGen(curare_testkit::Rng);
 
     impl DataGen {
         fn below(&mut self, n: usize) -> usize {
-            // splitmix64
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            ((z ^ (z >> 31)) % n as u64) as usize
+            self.0.below(n)
         }
 
         fn pick<'a>(&mut self, of: &[&'a str]) -> &'a str {
@@ -303,7 +298,7 @@ mod tests {
 
     #[test]
     fn the_layout_matches_the_reference_printer_on_generated_data() {
-        let mut gen = DataGen(72);
+        let mut gen = DataGen(curare_testkit::Rng::new(72));
         for case in 0..800 {
             let x = gen.datum(5);
             for w in WIDTHS {

@@ -7,26 +7,13 @@ use std::hash::{Hash, Hasher};
 use std::thread;
 
 use curare_sexpr::Symbol;
+use curare_testkit::Rng;
 
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    /// A name of 1–12 characters from a small alphabet, so that
-    /// generated pairs often coincide or share a prefix.
-    fn name(&mut self) -> String {
-        const ALPHABET: &[u8] = b"abcd-*12";
-        let len = 1 + (self.next() % 12) as usize;
-        (0..len).map(|_| ALPHABET[(self.next() % ALPHABET.len() as u64) as usize] as char).collect()
-    }
+/// A name of 1–12 characters from a small alphabet, so that generated
+/// pairs often coincide or share a prefix.
+fn name(rng: &mut Rng) -> String {
+    let len = 1 + rng.below(12);
+    rng.string(b"abcd-*12", len)
 }
 
 fn hash_of(s: Symbol) -> u64 {
@@ -37,8 +24,8 @@ fn hash_of(s: Symbol) -> u64 {
 
 #[test]
 fn threads_interning_the_same_names_get_the_same_addresses() {
-    let mut rng = XorShift(0x5EED_0004_D1CE_F00D);
-    let names: Vec<String> = (0..1000).map(|i| format!("{}#{i}", rng.name())).collect();
+    let mut rng = Rng::new(0x5EED_0004_D1CE_F00D);
+    let names: Vec<String> = (0..1000).map(|i| format!("{}#{i}", name(&mut rng))).collect();
     let addresses: Vec<Vec<usize>> = thread::scope(|scope| {
         let workers: Vec<_> = (0..8)
             .map(|t| {
@@ -73,11 +60,11 @@ fn threads_interning_the_same_names_get_the_same_addresses() {
 
 #[test]
 fn equality_and_hash_agree_with_the_name() {
-    let mut rng = XorShift(0x5EED_0005_D1CE_F00D);
+    let mut rng = Rng::new(0x5EED_0005_D1CE_F00D);
     let mut equal_pairs = 0;
     for case in 0..5000 {
-        let a = rng.name();
-        let b = if rng.next().is_multiple_of(4) { a.clone() } else { rng.name() };
+        let a = name(&mut rng);
+        let b = if rng.next().is_multiple_of(4) { a.clone() } else { name(&mut rng) };
         let (sa, sb) = (Symbol::intern(&a), Symbol::intern(&b));
         assert_eq!(sa == sb, a == b, "case {case}: {a:?} vs {b:?}");
         assert_eq!(sa.cmp(&sb), a.cmp(&b), "case {case}: order of {a:?} and {b:?}");

@@ -1,12 +1,9 @@
-//! Test support shared by the suites in this directory: the guard
-//! that serializes tests arming process-global state, the big-stack
-//! thread sequential oracles need, and two hooks wrappers: one that
-//! makes an invocation body panic — genuinely, not through the chaos
-//! plan — at a chosen call, one that keeps every link of a chain a
-//! task (the materialised reference of the in-place tests).
-
-// Each suite is its own crate and uses a subset of this module.
-#![allow(dead_code)]
+//! What the runtime's suites share besides programs: the guard that
+//! serializes tests arming process-global state, list builders, and
+//! two hooks wrappers — one that makes an invocation body panic
+//! (genuinely, not through the chaos plan) at a chosen call, one that
+//! keeps every link of a chain a task (the materialised reference of
+//! the in-place tests).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -17,7 +14,7 @@ use curare_lisp::{FuncId, Interp, LispError, RuntimeHooks, Value};
 // are process-global; every test that arms one holds this guard.
 static TEST_GUARD: Mutex<()> = Mutex::new(());
 
-/// Serialize with every other test of the suite that arms
+/// Serialize with every other test of the binary that arms
 /// process-global state (a failed test must not wedge the rest: not
 /// by poisoning the guard, not by dying with the journal armed).
 pub fn guard() -> MutexGuard<'static, ()> {
@@ -26,21 +23,20 @@ pub fn guard() -> MutexGuard<'static, ()> {
     g
 }
 
-/// Run `f` on a big native stack (a sequential oracle recurses one
-/// frame per list cell).
-pub fn with_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
-    const STACK: usize = 256 << 20;
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .stack_size(STACK)
-            .spawn_scoped(scope, || {
-                curare_lisp::eval::set_thread_stack_budget(STACK - (8 << 20));
-                f()
-            })
-            .expect("spawn big-stack thread")
-            .join()
-            .expect("big-stack thread panicked")
-    })
+/// The list of `values`, in order, on `interp`'s heap.
+pub fn list_of(interp: &Interp, values: &[i64]) -> Value {
+    values.iter().rev().fold(Value::NIL, |l, &v| interp.heap().cons(Value::int(v), l))
+}
+
+/// Run `f` with the panic hook silenced, so the panics a test provokes
+/// on purpose stay out of its log. The hook is process-global: callers
+/// hold [`guard`].
+pub fn quietly<R>(f: impl FnOnce() -> R) -> R {
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let r = f();
+    std::panic::set_hook(prev);
+    r
 }
 
 /// The runtime calls a [`PanicOn`] wrapper can make panic.
@@ -142,15 +138,4 @@ impl RuntimeHooks for NoInPlace {
     fn unlock(&self, i: &Interp, c: Value, f: u32, x: bool) -> Result<(), LispError> {
         self.0.unlock(i, c, f, x)
     }
-}
-
-/// Run `f` with the panic hook silenced, so the panics a test provokes
-/// on purpose stay out of its log. The hook is process-global: callers
-/// hold [`guard`].
-pub fn quietly<R>(f: impl FnOnce() -> R) -> R {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let r = f();
-    std::panic::set_hook(prev);
-    r
 }

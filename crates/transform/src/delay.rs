@@ -404,18 +404,15 @@ mod tests {
     /// bound around the statement by `let`, `dolist` and `pop`, the
     /// same bound inside it, `setq` of an enclosing local, a `let`
     /// that shadows a parameter, struct accessors, `lambda`.
-    struct StatementGen(u64);
+    struct StatementGen(curare_testkit::Rng);
 
     impl StatementGen {
         fn below(&mut self, n: u64) -> u64 {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            self.0 % n
+            self.0.below(n as usize) as u64
         }
 
         fn pick<'a>(&mut self, of: &[&'a str]) -> &'a str {
-            of[self.below(of.len() as u64) as usize]
+            of[self.0.below(of.len())]
         }
 
         /// A place or value over the variables in scope.
@@ -468,7 +465,7 @@ mod tests {
 
     #[test]
     fn pass_1_answers_what_a_probe_answered_on_generated_statements() {
-        let mut gen = StatementGen(0x5EED_0028_D1CE_F00D);
+        let mut gen = StatementGen(curare_testkit::Rng::new(0x5EED_0028_D1CE_F00D));
         let (mut asked, mut lowered) = (0, 0);
         for _ in 0..150 {
             let body: Vec<String> = (0..3).map(|_| gen.stmt(&["l", "m"], 3)).collect();

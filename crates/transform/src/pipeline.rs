@@ -787,6 +787,7 @@ mod tests {
 
     use curare_analysis::HeadTail;
     use curare_sexpr::Symbol;
+    use curare_testkit::Rng;
 
     use super::*;
 
@@ -816,25 +817,11 @@ mod tests {
         }
     }
 
-    struct XorShift(u64);
-
-    impl XorShift {
-        fn below(&mut self, n: usize) -> usize {
-            let mut x = self.0;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.0 = x;
-            (x % n as u64) as usize
-        }
-
-        fn shuffled(&mut self, n: usize) -> Vec<usize> {
-            let mut v: Vec<usize> = (0..n).collect();
-            for i in (1..n).rev() {
-                v.swap(i, self.below(i + 1));
-            }
-            v
-        }
+    /// `0..n` in an order drawn from `rng`.
+    fn shuffled(rng: &mut Rng, n: usize) -> Vec<usize> {
+        let mut v: Vec<usize> = (0..n).collect();
+        rng.shuffle(&mut v);
+        v
     }
 
     /// The golden file's window walker `win-k-reads`: doubles its own car
@@ -916,10 +903,10 @@ mod tests {
         pool.extend(WALKER_PAIRS.map(|(k, reads)| {
             format!("(curare-declare (reorderable *))\n{}", window_walker(k, reads))
         }));
-        let rng = &mut XorShift(0x2929_5eed);
+        let rng = &mut Rng::new(0x2929_5eed);
         for _ in 0..300 {
             let picks: Vec<&str> =
-                (0..2 + rng.below(5)).map(|_| pool[rng.below(pool.len())].as_str()).collect();
+                (0..2 + rng.below(5)).map(|_| rng.pick(&pool).as_str()).collect();
             programs.push(concatenated(&picks));
         }
         let (mut restructured, mut fanned_out) = (0, 0);
@@ -927,10 +914,10 @@ mod tests {
             for curare in [Curare::new(), Curare::new().with_speculation(true)] {
                 let in_order = scheduled(curare, src, 1, |n| (0..n).collect());
                 let want = observed(&in_order);
-                let seed = rng.0;
+                let at = rng.clone();
                 let mut permuted = vec![
                     ("reversed", scheduled(curare, src, 1, |n| (0..n).rev().collect())),
-                    ("shuffled", scheduled(curare, src, 1, |n| rng.shuffled(n))),
+                    ("shuffled", scheduled(curare, src, 1, |n| shuffled(rng, n))),
                 ];
                 // As a two-thread host runs them, where they fan out.
                 if let Ok(out) = &in_order {
@@ -945,7 +932,7 @@ mod tests {
                 for (how, out) in &permuted {
                     assert!(
                         observed(out) == want,
-                        "{how} (shuffle seed {seed:#x}), speculate = {}: the output moved on\n{src}",
+                        "{how} (shuffle from {at:?}), speculate = {}: the output moved on\n{src}",
                         curare.speculate
                     );
                 }
@@ -978,10 +965,10 @@ mod tests {
     /// a job after it that panics included.
     #[test]
     fn fan_out_answers_in_job_order() {
-        let rng = &mut XorShift(0x0bad_5eed);
+        let rng = &mut Rng::new(0x0bad_5eed);
         let fails = |i: usize| PipelineError::Transform(format!("job {i}"));
         for threads in [1, 2, 3] {
-            for order in [(0..40).collect(), (0..40).rev().collect(), rng.shuffled(40)] {
+            for order in [(0..40).collect(), (0..40).rev().collect(), shuffled(rng, 40)] {
                 let squares = fan_out(&order, threads, |i| Ok(i * i));
                 assert_eq!(squares, Ok((0..40).map(|i| i * i).collect()), "{order:?}");
                 let failed = fan_out(&order, threads, |i| match i {

@@ -5,57 +5,19 @@ use std::sync::Arc;
 
 use curare::lisp::Engine;
 use curare::prelude::*;
+use curare_testkit::{agree, with_big_stack, Config, Program};
 
-/// Run `f` on a thread with a large native stack (deep sequential
-/// recursion in original programs needs it; test threads default to
-/// 2 MiB).
-fn with_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
-    const STACK: usize = 128 << 20;
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .stack_size(STACK)
-            .spawn_scoped(scope, || {
-                curare::lisp::set_thread_stack_budget(STACK - (8 << 20));
-                f()
-            })
-            .expect("spawn big-stack thread")
-            .join()
-            .expect("big-stack thread panicked")
-    })
-}
-
-/// Transform `src`, load both versions, run `driver` (an expression
-/// producing the final data) on each, and compare displays.
+/// Transform `src`, run `fname` on `servers` servers over the data
+/// `build` (an expression) evaluates to, and hold the run to the
+/// original's sequential one (`setup` loaded after either text).
 fn check_sequentializable(src: &str, setup: &str, fname: &str, build: &str, servers: usize) {
-    // Sequential original.
-    let expect = with_big_stack(|| {
-        let seq = Interp::new();
-        seq.load_str(src).expect("original loads");
-        if !setup.is_empty() {
-            seq.load_str(setup).expect("setup");
-        }
-        seq.set_recursion_limit(1_000_000);
-        let seq_data = seq.load_str(build).expect("build");
-        seq.call(fname, &[seq_data]).expect("sequential run");
-        seq.heap().display(seq_data)
-    });
-
-    // Transformed, parallel.
-    let out = Curare::new().transform_source(src).expect("transforms");
-    let interp = Arc::new(Interp::new());
-    interp.load_str(&out.source()).expect("transformed loads");
-    if !setup.is_empty() {
-        interp.load_str(setup).expect("setup");
-    }
-    let rt = CriRuntime::new(Arc::clone(&interp), servers);
-    let data = interp.load_str(build).expect("build");
-    rt.run(fname, &[data]).expect("parallel run");
-    assert_eq!(
-        interp.heap().display(data),
-        expect,
-        "sequentializability violated for {fname}\ntransformed:\n{}",
-        out.source()
-    );
+    let build = build.to_string();
+    let program = Program {
+        args: Arc::new(move |interp| vec![interp.load_str(&build).expect("build")]),
+        setup: setup.to_string(),
+        ..Program::entered(fname, src, fname)
+    };
+    agree(&program, &[Config::pool(servers, SchedMode::Sharded)]);
 }
 
 #[test]
