@@ -322,7 +322,8 @@ fn e6_reorder(r: &mut Run) {
     let p = Program::named("sum-walk");
     let n: i64 = if r.quick { 5_000 } else { 50_000 };
     let (interp, out) = p.restructured(Curare::new());
-    let (run, sum, _) = p.pooled(&interp, n, 4, RuntimeConfig::default());
+    let run = p.pooled(&interp, n, 4, RuntimeConfig::default()).0;
+    let sum = interp.heap().display(interp.load_str("*sum*").expect("*sum* is bound"));
     r.row([
         ("declaration", "(reorderable +)".into()),
         ("converted", true.into()),
@@ -440,6 +441,7 @@ fn e9_dps_remq(r: &mut Run) {
         let expect = written.sequential(&written.written(), n);
         let (interp, out) = dps.restructured(Curare::new());
         let (run, got, stats) = dps.pooled(&interp, n, 4, RuntimeConfig::default());
+        let (got, expect) = (got.value, expect.value);
         equal &= run.is_ok() && got == expect;
         r.row([
             ("n", count(n)),
@@ -1013,7 +1015,7 @@ fn locksynth(r: &mut Run) {
             // (not just placement) matter.
             let config = RuntimeConfig { mode: SchedMode::Central, ..RuntimeConfig::default() };
             let (run, got, stats) = p.pooled(&interp, N, SERVERS, config);
-            let result_ok = run.is_ok() && locked && got == expect;
+            let result_ok = run.is_ok() && locked && got.matches_written(&expect);
             if !result_ok {
                 failures.push(format!("k={k} {variant}: locked={locked} run={run:?}"));
             }

@@ -16,11 +16,6 @@ fn eval_display(src: &str) -> Option<String> {
     it.load_str(src).ok().map(|v| it.heap().display(v))
 }
 
-/// `n` integers in `-bound..bound`, `min_len <= n < max_len`.
-fn ints(rng: &mut Rng, bound: i64, min_len: usize, max_len: usize) -> Vec<i64> {
-    (0..min_len + rng.below(max_len - min_len)).map(|_| rng.int(bound)).collect()
-}
-
 /// Evaluation is a function of the program, not of interpreter state.
 #[test]
 fn evaluation_is_deterministic() {
@@ -52,7 +47,7 @@ fn desugar_preserves_tree_semantics() {
 fn flat_arithmetic_matches_rust() {
     let mut rng = Rng::new(0x5EED_0003_1157_C0DE);
     for _ in 0..100 {
-        let xs = ints(&mut rng, 10_000, 1, 8);
+        let xs = rng.ints(10_000, 1..8);
         let operands = xs.iter().map(i64::to_string).collect::<Vec<_>>().join(" ");
         let sum: i64 = xs.iter().sum();
         assert_eq!(eval_display(&format!("(+ {operands})")), Some(sum.to_string()));
@@ -69,7 +64,7 @@ fn flat_arithmetic_matches_rust() {
 fn list_algebra() {
     let mut rng = Rng::new(0x5EED_0004_1157_C0DE);
     for _ in 0..100 {
-        let (xs, ys) = (ints(&mut rng, 100, 0, 12), ints(&mut rng, 100, 0, 12));
+        let (xs, ys) = (rng.ints(100, 0..12), rng.ints(100, 0..12));
         let it = Interp::new();
         let (lx, ly) = (list_of(&it, &xs), list_of(&it, &ys));
         it.set_global(it.heap().intern("*x*"), lx);

@@ -13,7 +13,7 @@ use curare_obs::{report, Json};
 use curare_runtime::chaos::{self, ChaosProfile, FaultPlan};
 use curare_runtime::queue::ShardedQueues;
 use curare_runtime::{CriRuntime, FutureTable, RuntimeConfig, SchedMode, Task};
-use curare_testkit::{guard, int_list, quietly, with_big_stack, Hook, PanicOn};
+use curare_testkit::{agree, guard, int_list, quietly, Config, Hook, Oracle, PanicOn, Program};
 use curare_transform::Curare;
 
 /// Run `f` with `plan` installed, uninstalling on the way out — even
@@ -254,46 +254,6 @@ const SCRUB: &str = "(defun frob (l) l)
          (scrub (cdr l))
          (setf (car (frob l)) (crunch (car l)))))";
 
-/// Cross-parameter walker, called with both arguments aliased below:
-/// conflicts only the runtime validator can see.
-const MIX: &str = "(defun mix (a b)
-      (when (consp b)
-        (mix (cddr a) (cdr b))
-        (setf (car b) (car a))))";
-
-fn spec_interp(src: &str) -> Arc<Interp> {
-    let out = Curare::new().with_speculation(true).transform_source(src).unwrap();
-    let interp = Arc::new(Interp::new());
-    interp.load_str(&out.source()).unwrap();
-    interp
-}
-
-/// Build the walker's input, run `entry` through `exec` (aliasing both
-/// arguments for `mix`), and display the mutated list.
-fn walker_observe(
-    interp: &Arc<Interp>,
-    entry: &str,
-    n: i64,
-    exec: &dyn Fn(&str, &[Value]),
-) -> String {
-    let l = int_list(interp, n);
-    if entry == "mix" {
-        exec(entry, &[l, l]);
-    } else {
-        exec(entry, &[l]);
-    }
-    interp.heap().display(l)
-}
-
-fn walker_oracle(src: &str, entry: &str, n: i64) -> String {
-    with_big_stack(|| {
-        let interp = spec_interp(src);
-        walker_observe(&interp, entry, n, &|e, args| {
-            interp.call(e, args).expect("oracle run");
-        })
-    })
-}
-
 /// Genuine panics under `SpecMode` must not poison or double any
 /// effect: panicked invocations park as errored, the validator
 /// escalates, the rollback erases every journaled write, and the
@@ -342,37 +302,19 @@ fn speculative_effects_stay_exactly_once_when_panics_force_escalation() {
 /// still land on the sequential oracle exactly.
 #[test]
 fn shuffled_speculative_sweep_matches_oracle_across_32_seeds() {
-    let _g = guard();
-    let shuffle = || ChaosProfile {
-        shuffle_ppm: 1_000_000,
-        delay_ppm: 200_000,
-        delay_max_us: 50,
-        ..ChaosProfile::quiet("spec-shuffle")
-    };
     for mode in [SchedMode::Central, SchedMode::Sharded] {
         for seed in 0..32u64 {
-            let (src, entry) = if seed % 2 == 0 { (SCRUB, "scrub") } else { (MIX, "mix") };
             let n = 24 + (seed as i64 % 13);
-            let expect = walker_oracle(src, entry, n);
-            let plan = FaultPlan::new(seed, shuffle());
-            let (got, stats) = with_plan(plan, || {
-                let interp = spec_interp(src);
-                let rt = CriRuntime::with_config(
-                    Arc::clone(&interp),
-                    4,
-                    RuntimeConfig { mode, speculate: true, ..RuntimeConfig::default() },
-                );
-                let got = walker_observe(&interp, entry, n, &|e, args| {
-                    rt.run(e, args).expect("speculative run completes");
-                });
-                (got, rt.stats())
-            });
-            assert_eq!(
-                got, expect,
-                "{entry} diverged (seed {seed}, {mode:?}, n {n}); \
-                 commits {} aborts {} replays {} escalated {}",
-                stats.spec_commits, stats.spec_aborts, stats.spec_replays, stats.spec_escalated
-            );
+            let program = if seed % 2 == 0 {
+                Program {
+                    args: Arc::new(move |interp| vec![int_list(interp, n)]),
+                    oracle: Oracle::Restructured,
+                    ..Program::entered(format!("scrub (n = {n})"), SCRUB, "scrub")
+                }
+            } else {
+                Program::named("aliased-mix", n)
+            };
+            agree(&program, &[Config::pool(4, mode).chaos("shuffle-all", seed).speculating()]);
         }
     }
 }

@@ -10,11 +10,6 @@ use curare_runtime::{CriRuntime, SchedMode};
 use curare_testkit::list_of;
 use curare_transform::{Curare, Publication};
 
-/// `(0 1 … n-1)`.
-fn ascending(interp: &Interp, n: i64) -> Value {
-    list_of(interp, &(0..n).collect::<Vec<_>>())
-}
-
 fn ints(interp: &Interp, mut l: Value) -> Vec<i64> {
     let mut out = Vec::new();
     while !l.is_nil() {
@@ -40,7 +35,7 @@ fn hand_off_walker_publishes_every_successor_and_chains_none() {
     let n = 400;
     let interp = tail_heavy();
     let rt = CriRuntime::new(Arc::clone(&interp), 2);
-    let l = ascending(&interp, n);
+    let l = list_of(&interp, 0..n);
     rt.run("th", &[l]).unwrap();
     let stats = rt.stats();
     assert_eq!(stats.tasks, n as u64 + 1, "one task per invocation: {stats:?}");
@@ -55,12 +50,12 @@ fn hand_off_is_a_plain_enqueue_to_runtimes_that_do_not_defer() {
     // Sequential hooks (and any `RuntimeHooks` that keeps the default
     // `handoff`) treat the form as `cri-enqueue`.
     let interp = tail_heavy();
-    let l = ascending(&interp, 50);
+    let l = list_of(&interp, 0..50);
     interp.call("th", &[l]).unwrap();
     assert_eq!(ints(&interp, l), (0..50).map(|v| v + 256).collect::<Vec<_>>());
     // The central queue publishes per task anyway.
     let rt = CriRuntime::with_mode(Arc::clone(&interp), 2, SchedMode::Central);
-    let l = ascending(&interp, 50);
+    let l = list_of(&interp, 0..50);
     rt.run("th", &[l]).unwrap();
     assert_eq!(rt.stats().tasks, 51);
     assert_eq!(ints(&interp, l), (0..50).map(|v| v + 256).collect::<Vec<_>>());

@@ -78,11 +78,6 @@ fn pool(interp: &Arc<Interp>, servers: usize, mode: SchedMode, materialise: bool
     rt
 }
 
-/// `(1 2 … n)`.
-fn ascending(interp: &Interp, n: i64) -> Value {
-    list_of(interp, &(1..=n).collect::<Vec<_>>())
-}
-
 struct Outcome {
     heap: String,
     sum: String,
@@ -93,7 +88,7 @@ struct Outcome {
 fn run(src: &str, entry: &str, n: i64, servers: usize, mode: SchedMode, mat: bool) -> Outcome {
     let interp = load(src);
     let rt = pool(&interp, servers, mode, mat);
-    let l = ascending(&interp, n);
+    let l = list_of(&interp, 1..=n);
     rt.run(entry, &[l]).expect("runs");
     Outcome {
         heap: interp.heap().display(l),
@@ -198,7 +193,7 @@ fn an_error_in_link_k_is_the_same_error_over_the_same_heap_prefix() {
     let outcome = |materialise: bool| {
         let interp = load(src);
         let rt = pool(&interp, 2, SchedMode::Sharded, materialise);
-        let l = ascending(&interp, n);
+        let l = list_of(&interp, 1..=n);
         let mut cell = l;
         for _ in 0..k {
             cell = interp.heap().cdr(cell).unwrap();
@@ -275,7 +270,7 @@ fn a_helping_touch_returns_at_the_first_task_boundary_after_its_future_resolves(
 fn event_counts(materialise: bool) -> BTreeMap<&'static str, u64> {
     let n = 2000;
     let interp = load(FIGURE_5);
-    let l = ascending(&interp, n);
+    let l = list_of(&interp, 1..=n);
     curare_obs::set_profiling(true);
     let tracer = Tracer::new(1);
     curare_obs::install(Some(Arc::clone(&tracer)));
@@ -337,7 +332,7 @@ fn observed_run_on(
     let interp = load(src);
     let rt = CriRuntime::with_config(Arc::clone(&interp), 1, config);
     arm(&interp);
-    let l = ascending(&interp, CELLS);
+    let l = list_of(&interp, 1..=CELLS);
     rt.run(entry, &[l]).expect("runs");
     let stats = rt.stats();
     assert_eq!((stats.tasks, stats.in_place_tasks), (CELLS as u64 + 1, CELLS as u64));

@@ -29,12 +29,7 @@ fn pool(servers: usize, config: RuntimeConfig, panics: usize) -> (CriRuntime, Va
     interp.load_str("(defparameter *visits* 0)").unwrap();
     let rt = CriRuntime::with_config(Arc::clone(&interp), servers, config);
     PanicOn::install(&interp, Hook::Lock, 0, panics);
-    (rt, ascending(&interp))
-}
-
-/// `(0 1 … N-1)`.
-fn ascending(interp: &Interp) -> Value {
-    list_of(interp, &(0..N).collect::<Vec<_>>())
+    (rt, list_of(&interp, 0..N))
 }
 
 fn visits(rt: &CriRuntime) -> Value {
@@ -78,7 +73,7 @@ fn a_pool_with_no_server_left_runs_the_next_run_sequentially() {
         // Run 2 drains on this thread, to the answer the walker gives
         // sequentially: every cell visited once.
         rt.interp().load_str("(setq *visits* 0)").unwrap();
-        rt.run("walk", &[ascending(rt.interp())]).expect("a degraded pool still runs");
+        rt.run("walk", &[list_of(rt.interp(), 0..N)]).expect("a degraded pool still runs");
         assert_eq!(visits(&rt), Value::int(N), "{mode:?}");
         let stats = rt.stats();
         assert!(stats.degraded, "{mode:?}: {stats:?}");
@@ -103,7 +98,7 @@ fn a_poisoned_server_never_serves_again() {
         interp.load_str("(defparameter *visits* 0)").unwrap();
         let rt = CriRuntime::new(Arc::clone(&interp), servers);
         assert_eq!(rt.alive(), servers);
-        let l = ascending(&interp);
+        let l = list_of(&interp, 0..N);
         let (tx, rx) = mpsc::channel();
         let runner = std::thread::spawn(move || {
             let result = rt.run("walk", &[l]);

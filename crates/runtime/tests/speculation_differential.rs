@@ -49,7 +49,8 @@ fn bump(place: &str, store: &str) -> String {
 }
 
 /// `f` over `n` ones, its tails accumulating into one cons cell or,
-/// with `global`, into a global set in a helper.
+/// with `global`, into a global set in a helper. Held to the program
+/// as written.
 fn accumulator(global: bool, n: usize) -> Program {
     let (name, source) = if global {
         ("helper-global", format!("(defparameter *sum* 0) {}", bump("*sum*", "setq *sum*")))
@@ -58,8 +59,7 @@ fn accumulator(global: bool, n: usize) -> Program {
         ("future-read", format!("(defparameter *acc* (cons 0 nil)) {defs}"))
     };
     Program {
-        args: Arc::new(move |interp| vec![list_of(interp, &vec![1; n])]),
-        oracle: Oracle::Restructured,
+        args: Arc::new(move |interp| vec![list_of(interp, vec![1; n])]),
         ..Program::entered(format!("{name} (n = {n})"), &source, "f")
     }
 }
@@ -154,9 +154,12 @@ fn a_tail_that_read_a_later_tails_store_never_commits_its_sum() {
             let program = accumulator(global, n);
             let sequential = Interp::new();
             sequential.load_str(&program.source).unwrap();
-            sequential.call("f", &(program.args)(&sequential)).unwrap();
+            let cells = (program.args)(&sequential)[0];
+            sequential.call("f", &[cells]).unwrap();
             let acc = sequential.load_str(["(car *acc*)", "*sum*"][usize::from(global)]).unwrap();
-            assert_eq!(acc, Value::int(17 * n as i64), "{}", program.name);
+            let heap = sequential.heap();
+            let left = format!("{} {}", heap.display(acc), heap.display(cells));
+            assert!(left.starts_with(&format!("{} (0 0", 17 * n)), "{}: {left}", program.name);
             for (config, stats) in configs.iter().zip(agree(&program, &configs)) {
                 let ok =
                     config.servers > 1 || stats.spec_escalated || stats.spec_aborts >= n as u64 - 1;

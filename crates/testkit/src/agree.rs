@@ -3,11 +3,13 @@
 //! leaves — the root's value, the printed output, the heap its
 //! arguments reach and the globals.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use curare_lisp::{Interp, LispError, Value};
+use curare_bench::Leaves;
+use curare_lisp::value::Val;
+use curare_lisp::{Heap, Interp, LispError, Value};
 use curare_runtime::chaos::{self, ChaosProfile, FaultPlan};
 use curare_runtime::{CriRuntime, PoolStats, RuntimeConfig, SchedMode};
 use curare_transform::Curare;
@@ -90,7 +92,7 @@ impl Program {
             args: Arc::new(move |interp| build(interp, n)),
             setup: row.setup.to_string(),
             oracle: Oracle::Restructured,
-            root_value: !matches!(row.observe, curare_bench::Observe::DestCdr),
+            root_value: !matches!(row.returns, curare_bench::Returns::DestCdr),
             ..Program::entered(format!("{name} (n = {n})"), &row.source, row.entry)
         }
     }
@@ -111,7 +113,8 @@ pub struct Config {
     /// Servers. 0: no pool — the oracle's text, run sequentially.
     pub servers: usize,
     pub mode: SchedMode,
-    /// A chaos plan, by profile name and seed.
+    /// A chaos plan, by profile name (a `--chaos-profile` name, or
+    /// `shuffle-all`) and seed.
     pub chaos: Option<(&'static str, u64)>,
     pub speculate: bool,
 }
@@ -138,15 +141,6 @@ impl Config {
     }
 }
 
-/// What a run leaves, rendered for comparison.
-#[derive(Debug, PartialEq, Eq)]
-struct Observation {
-    value: String,
-    output: Vec<String>,
-    heap: String,
-    globals: String,
-}
-
 /// Run `program` under every config and require each to leave what
 /// the sequential tree-walker leaves; returns each config's pool
 /// statistics (the default for a config with no pool). A divergence
@@ -156,17 +150,20 @@ struct Observation {
 pub fn agree(program: &Program, configs: &[Config]) -> Vec<PoolStats> {
     let runs = || {
         panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut oracles: [Option<Observation>; 2] = [None, None];
+            let mut oracles: [Option<Leaves>; 2] = [None, None];
             let mut stats = Vec::with_capacity(configs.len());
             for config in configs {
                 let oracle = oracles[usize::from(config.speculate)]
                     .get_or_insert_with(|| oracle(program, config.speculate));
-                let (mut got, pool) = run(program, config);
+                let (mut got, pool, call) = run(program, config);
                 if !program.root_value {
                     got.value.clone_from(&oracle.value);
                 }
                 if &got != oracle {
-                    fail(program, config, &format!("oracle {oracle:?}\n   got {got:?}"));
+                    // `curare run` prints the value and the output only.
+                    let shown = got.value != oracle.value || got.output != oracle.output;
+                    let what = format!("oracle {oracle:?}\n   got {got:?}");
+                    fail(program, config, Some((&call, shown)), &what);
                 }
                 stats.push(pool);
             }
@@ -198,13 +195,13 @@ fn text(program: &Program, config: &Config) -> String {
     let curare = Curare::new().with_speculation(config.speculate);
     let text = match curare.transform_source(&program.source) {
         Ok(out) => out.source(),
-        Err(e) => fail(program, config, &format!("does not restructure: {e}")),
+        Err(e) => fail(program, config, None, &format!("does not restructure: {e}")),
     };
     RESTRUCTURED.lock().unwrap_or_else(PoisonError::into_inner).insert(key, text.clone());
     text
 }
 
-fn oracle(program: &Program, speculate: bool) -> Observation {
+fn oracle(program: &Program, speculate: bool) -> Leaves {
     let config = Config { speculate, ..Config::sequential(Engine::Tree) };
     run(program, &config).0
 }
@@ -222,7 +219,7 @@ fn load(program: &Program, config: &Config, text: &str) -> (Interp, Option<Strin
         (None, Ok(v)) => Some(format!("ok: {}", interp.heap().display(v))),
         (None, Err(e)) => Some(format!("err: {e}")),
         (Some(_), Ok(_)) => None,
-        (Some(_), Err(e)) => fail(program, config, &format!("does not load: {e}")),
+        (Some(_), Err(e)) => fail(program, config, None, &format!("does not load: {e}")),
     };
     if !program.setup.is_empty() {
         interp.load_str(&program.setup).expect("setup loads");
@@ -230,19 +227,21 @@ fn load(program: &Program, config: &Config, text: &str) -> (Interp, Option<Strin
     (interp, value)
 }
 
-/// One run of `program` under `config`.
-fn run(program: &Program, config: &Config) -> (Observation, PoolStats) {
+/// One run of `program` under `config`: what it left, its pool's
+/// statistics and the call it made.
+fn run(program: &Program, config: &Config) -> (Leaves, PoolStats, Call) {
     let armed = config.chaos.is_some() || (config.speculate && config.servers > 0);
     let _g = armed.then(guard);
-    let _plan = config.chaos.map(|(profile, seed)| {
-        let profile = ChaosProfile::named(profile).expect("a named chaos profile");
-        Installed::plan(FaultPlan::new(seed, profile))
-    });
+    let _plan = config
+        .chaos
+        .map(|(profile, seed)| Installed::plan(FaultPlan::new(seed, chaos_profile(profile))));
     let (interp, value) = load(program, config, &text(program, config));
+    // The arguments are built before a pool installs its hooks: a
+    // builder that calls the program runs it sequentially.
+    let call = Call::build(program, &interp);
     if config.servers == 0 {
-        let observed =
-            observe(program, config, &interp, value, |entry, args| interp.call(entry, args));
-        return (observed, PoolStats::default());
+        let left = observe(program, config, &interp, value, &call, |f, a| interp.call(f, a));
+        return (left, PoolStats::default(), call);
     }
     let interp = Arc::new(interp);
     let runtime = RuntimeConfig {
@@ -251,45 +250,88 @@ fn run(program: &Program, config: &Config) -> (Observation, PoolStats) {
         ..RuntimeConfig::default()
     };
     let rt = CriRuntime::with_config(Arc::clone(&interp), config.servers, runtime);
-    let observed = observe(program, config, &interp, value, |entry, args| rt.run(entry, args));
-    let stats = rt.stats();
-    (observed, stats)
+    let left = observe(program, config, &interp, value, &call, |f, a| rt.run(f, a));
+    (left, rt.stats(), call)
 }
 
-/// Call the entry through `call` (for a whole-program text, `value` is
-/// the root's already) and render what the run left.
+/// Make `call` through `enter` (for a whole-program text, `value` is
+/// the root's already) and say what the run left.
 fn observe(
     program: &Program,
     config: &Config,
     interp: &Interp,
     value: Option<String>,
-    call: impl FnOnce(&str, &[Value]) -> Result<Value, LispError>,
-) -> Observation {
-    let heap = interp.heap();
-    let (value, args) = match (value, &program.entry) {
-        (Some(value), _) => (value, Vec::new()),
-        (None, entry) => {
-            let entry = entry.as_deref().expect("an entered program");
-            interp.take_output();
-            let args = (program.args)(interp);
-            match call(entry, &args) {
-                Ok(v) => (heap.display(v), args),
-                Err(e) => fail(program, config, &format!("run failed: {e}")),
-            }
-        }
+    call: &Call,
+    enter: impl FnOnce(&str, &[Value]) -> Result<Value, LispError>,
+) -> Leaves {
+    let value = match (value, &program.entry) {
+        (Some(value), _) => value,
+        (None, entry) => match enter(entry.as_deref().expect("an entered program"), &call.args) {
+            Ok(v) => interp.heap().display(v),
+            Err(e) => fail(program, config, Some((call, true)), &format!("run failed: {e}")),
+        },
     };
-    let mut output = interp.take_output();
+    let mut left = Leaves::of(interp, &call.args, value);
     if program.output == Output::Multiset {
-        output.sort();
+        left.output.sort();
     }
-    let mut globals: Vec<String> = interp
-        .globals_snapshot()
-        .into_iter()
-        .map(|(sym, v)| format!("{}={}", heap.sym_name(sym), heap.display(v)))
-        .collect();
-    globals.sort();
-    let heap = args.iter().map(|&a| heap.display(a)).collect::<Vec<_>>().join(" ");
-    Observation { value, output, heap, globals: globals.join(" ") }
+    left
+}
+
+/// The entry call a run makes, rendered before the run.
+struct Call {
+    args: Vec<Value>,
+    /// `(entry 'arg …)`; empty for a whole-program text.
+    text: String,
+    /// Whether the quoted arguments read back as the ones built: plain
+    /// data (integers, symbols, strings, conses), no cons reached twice.
+    plain: bool,
+}
+
+impl Call {
+    /// Build the entry's arguments on `interp` (its load's output
+    /// dropped first: the run's output is the call's).
+    fn build(program: &Program, interp: &Interp) -> Call {
+        match &program.entry {
+            Some(entry) => {
+                interp.take_output();
+                Call::of(interp.heap(), entry, (program.args)(interp))
+            }
+            None => Call { args: Vec::new(), text: String::new(), plain: true },
+        }
+    }
+
+    fn of(heap: &Heap, entry: &str, args: Vec<Value>) -> Call {
+        let quoted: String = args.iter().map(|&a| format!(" '{}", heap.display(a))).collect();
+        let (mut seen, mut todo) = (HashSet::new(), args.clone());
+        let mut plain = true;
+        while let (true, Some(v)) = (plain, todo.pop()) {
+            plain = match v.decode() {
+                Val::Nil | Val::T | Val::Int(_) | Val::Sym(_) | Val::Str(_) => true,
+                Val::Cons(id) if seen.insert(id) => {
+                    todo.extend([heap.car_of(id), heap.cdr_of(id)]);
+                    true
+                }
+                _ => false,
+            };
+        }
+        Call { args, text: format!("({entry}{quoted})"), plain }
+    }
+}
+
+/// The chaos profile `name`: one `--chaos-profile` takes, or
+/// `shuffle-all` — every dequeue shuffled, one task start in five
+/// delayed up to 50 µs — which only a test can arm.
+fn chaos_profile(name: &'static str) -> ChaosProfile {
+    match name {
+        "shuffle-all" => ChaosProfile {
+            shuffle_ppm: 1_000_000,
+            delay_ppm: 200_000,
+            delay_max_us: 50,
+            ..ChaosProfile::quiet(name)
+        },
+        _ => ChaosProfile::named(name).expect("a named chaos profile"),
+    }
 }
 
 /// A chaos plan installed until this is dropped — on an unwinding
@@ -310,35 +352,39 @@ impl Drop for Installed {
     }
 }
 
-/// Panic with the program, the config and the line that reproduces
-/// the run: a `curare run` command where its flags can say the config,
-/// else the `agree` call.
-fn fail(program: &Program, config: &Config, what: &str) -> ! {
-    let interp = Interp::new();
-    let args: Vec<String> = (program.args)(&interp)
-        .iter()
-        .map(|&a| format!(" '{}", interp.heap().display(a)))
-        .collect();
-    let entry = program.entry.as_deref().unwrap_or("");
-    let call = format!("({entry}{})", args.concat());
-    let cli =
-        config.servers > 0 && config.mode == SchedMode::Sharded && config.engine == Engine::Vm;
-    let reproduce = if cli {
-        let speculate = if config.speculate { " --speculate" } else { "" };
-        let chaos = config
-            .chaos
-            .map(|(profile, seed)| format!(" --chaos-seed {seed} --chaos-profile {profile}"))
-            .unwrap_or_default();
-        format!(
-            "save the program as p.lisp, then\n  curare run p.lisp --servers {}{speculate}{chaos} \
-             --call \"{call}\"\nagainst\n  curare run p.lisp --sequential --call \"{call}\"",
-            config.servers
-        )
-    } else {
-        format!("curare_testkit::agree(&program, &[{config:?}]) with `program` the one above")
+/// Panic with the program, the config, the call made (if one was, and
+/// whether `curare run`'s printout would show the failure) and the
+/// line that reproduces the run: a `curare run` command where the CLI
+/// can run the config, the call and the oracle and print the
+/// difference, else the `agree` call.
+fn fail(program: &Program, config: &Config, call: Option<(&Call, bool)>, what: &str) -> ! {
+    let cli = config.servers > 0
+        && config.mode == SchedMode::Sharded
+        && config.engine == Engine::Vm
+        && config.chaos.is_none_or(|(profile, _)| ChaosProfile::NAMES.contains(&profile))
+        && program.oracle == Oracle::Written;
+    let reproduce = match call {
+        Some((call, true)) if cli && call.plain => {
+            let speculate = if config.speculate { " --speculate" } else { "" };
+            let chaos = config
+                .chaos
+                .map(|(profile, seed)| format!(" --chaos-seed {seed} --chaos-profile {profile}"))
+                .unwrap_or_default();
+            let call = match &program.entry {
+                Some(_) => format!(" --call \"{}\"", call.text),
+                None => String::new(),
+            };
+            format!(
+                "save the program as p.lisp, then\n  curare run p.lisp --servers {}{speculate}\
+                 {chaos}{call}\nagainst\n  curare run p.lisp --sequential{call}",
+                config.servers
+            )
+        }
+        _ => format!("curare_testkit::agree(&program, &[{config:?}]) with `program` the one above"),
     };
+    let entry = call.map_or("", |(call, _)| &call.text);
     panic!(
-        "agree: {} under {config:?}: {what}\nprogram:\n{}\n{}\nentry: {call}\nreproduce: {reproduce}",
+        "agree: {} under {config:?}: {what}\nprogram:\n{}\n{}\nentry: {entry}\nreproduce: {reproduce}",
         program.name, program.source, program.setup
     )
 }
@@ -350,30 +396,59 @@ mod tests {
     use super::*;
     use crate::list_of;
 
-    /// A walker over a list one cell longer at every call of its
-    /// builder: the oracle sees `(0)`, the config under test `(0 1)`.
-    fn growing() -> Program {
+    /// A walker over `(mk n)`, a list the program builds, one cell
+    /// longer at every call of the builder: the oracle sees `(1)`, the
+    /// config under test `(2 1)`. `printing`: the walker prints each
+    /// cell, so the divergence shows in the output too.
+    fn growing(printing: bool) -> Program {
         let calls = AtomicUsize::new(0);
+        let print = if printing { "(print (car l)) " } else { "" };
+        let source = format!(
+            "(defun mk (n) (when (> n 0) (cons n (mk (- n 1)))))
+             (defun w (l) (when l {print}(w (cdr l))))"
+        );
         Program {
             args: Arc::new(move |interp| {
                 let n = calls.fetch_add(1, Ordering::Relaxed) as i64 + 1;
-                vec![list_of(interp, &(0..n).collect::<Vec<_>>())]
+                vec![interp.call("mk", &[Value::int(n)]).expect("mk builds")]
             }),
-            ..Program::entered("growing", "(defun w (l) (when l (w (cdr l))))", "w")
+            ..Program::entered("growing", &source, "w")
         }
     }
 
     #[test]
     #[should_panic(expected = "--servers 2 --chaos-seed 5 --chaos-profile reorder \
-                               --call \"(w '(0 1 2))\"")]
-    fn a_divergence_the_cli_can_run_prints_its_curare_run_line() {
-        agree(&growing(), &[Config::pool(2, SchedMode::Sharded).chaos("reorder", 5)]);
+                               --call \"(w '(2 1))\"")]
+    fn a_divergence_the_cli_can_show_prints_its_curare_run_line() {
+        agree(&growing(true), &[Config::pool(2, SchedMode::Sharded).chaos("reorder", 5)]);
+    }
+
+    /// `curare run` prints no heap: a divergence there alone is
+    /// reproduced by the `agree` call, beside the call the run made.
+    #[test]
+    #[should_panic(expected = "entry: (w '(2 1))\nreproduce: curare_testkit::agree(")]
+    fn a_divergence_in_the_heap_alone_prints_the_agree_call() {
+        agree(&growing(false), &[Config::pool(2, SchedMode::Sharded)]);
     }
 
     #[test]
     #[should_panic(expected = "curare_testkit::agree(&program, &[Config { engine: Unfused")]
     fn a_divergence_the_cli_cannot_run_prints_the_agree_call() {
-        agree(&growing(), &[Config::sequential(Engine::Unfused)]);
+        agree(&growing(true), &[Config::sequential(Engine::Unfused)]);
+    }
+
+    /// Quoted, a list passed twice reads back as two lists.
+    #[test]
+    fn a_call_is_plain_only_without_shared_cells() {
+        let interp = Interp::new();
+        let l = list_of(&interp, 1..=3);
+        let nested = interp.heap().cons(l, Value::NIL);
+        let heap = interp.heap();
+        assert!(Call::of(heap, "w", vec![l]).plain && Call::of(heap, "w", vec![nested]).plain);
+        assert!(!Call::of(heap, "w", vec![l, nested]).plain, "l is reached twice");
+        let aliased = Call::of(heap, "mix", vec![l, l]);
+        assert_eq!(aliased.text, "(mix '(1 2 3) '(1 2 3))");
+        assert!(!aliased.plain);
     }
 
     #[test]

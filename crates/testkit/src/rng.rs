@@ -1,3 +1,5 @@
+use std::ops::Range;
+
 /// The tests' one pseudo-random stream: xorshift64 (shifts 13, 7,
 /// 17). Every draw is a function of the seed and the draws before it,
 /// so a battery's cases are the same on every host and a failing case
@@ -50,6 +52,11 @@ impl Rng {
     /// An integer in `-bound..bound`.
     pub fn int(&mut self, bound: i64) -> i64 {
         (self.next() % (2 * bound as u64)) as i64 - bound
+    }
+
+    /// `len.start + below(len.len())` integers in `-bound..bound`.
+    pub fn ints(&mut self, bound: i64, len: Range<usize>) -> Vec<i64> {
+        (0..len.start + self.below(len.len())).map(|_| self.int(bound)).collect()
     }
 }
 

@@ -5,6 +5,7 @@
 //! keeps every link of a chain a task (the materialised reference of
 //! the in-place tests).
 
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -23,8 +24,10 @@ pub fn guard() -> MutexGuard<'static, ()> {
     g
 }
 
-/// The list of `values`, in order, on `interp`'s heap.
-pub fn list_of(interp: &Interp, values: &[i64]) -> Value {
+/// The list of `values`, in order, on `interp`'s heap: `list_of(&interp,
+/// 1..=n)` is `(1 2 … n)`.
+pub fn list_of(interp: &Interp, values: impl IntoIterator<Item = impl Borrow<i64>>) -> Value {
+    let values: Vec<i64> = values.into_iter().map(|v| *v.borrow()).collect();
     values.iter().rev().fold(Value::NIL, |l, &v| interp.heap().cons(Value::int(v), l))
 }
 

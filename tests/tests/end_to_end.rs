@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use curare::lisp::Engine;
 use curare::prelude::*;
-use curare_testkit::{agree, with_big_stack, Config, Program};
+use curare_testkit::{agree, Config, Program};
 
 /// Transform `src`, run `fname` on `servers` servers over the data
 /// `build` (an expression) evaluates to, and hold the run to the
@@ -77,16 +77,18 @@ fn order_sensitive_cons_accumulator_preserves_unwind_order() {
            (when l
              (collect acc (cdr l))
              (setf (car acc) (cons (car l) (car acc)))))";
-    let expect = with_big_stack(|| {
-        let seq = Interp::new();
-        seq.load_str(src).unwrap();
-        seq.set_recursion_limit(100_000);
-        let acc = seq.heap().cons(Value::NIL, Value::NIL);
-        let l = seq.load_str("(list 1 2 3 4 5 6 7 8)").unwrap();
-        seq.call("collect", &[acc, l]).unwrap();
-        seq.heap().display(seq.heap().car(acc).unwrap())
-    });
-    assert_eq!(expect, "(1 2 3 4 5 6 7 8)", "sequential builds in unwind order");
+    let program = Program {
+        args: Arc::new(|interp| {
+            let acc = interp.heap().cons(Value::NIL, Value::NIL);
+            vec![acc, interp.load_str("(list 1 2 3 4 5 6 7 8)").unwrap()]
+        }),
+        ..Program::entered("collect", src, "collect")
+    };
+    let seq = Interp::new();
+    seq.load_str(src).unwrap();
+    let args = (program.args)(&seq);
+    seq.call("collect", &args).unwrap();
+    assert_eq!(seq.heap().display(args[0]), "((1 2 3 4 5 6 7 8))", "built in unwind order");
 
     let out = Curare::new().transform_source(src).unwrap();
     let r = out.report("collect").unwrap();
@@ -95,13 +97,7 @@ fn order_sensitive_cons_accumulator_preserves_unwind_order() {
         "order-sensitive write must not be delayed: {:?}",
         r.devices
     );
-    let interp = Arc::new(Interp::new());
-    interp.load_str(&out.source()).unwrap();
-    let rt = CriRuntime::new(Arc::clone(&interp), 4);
-    let acc = interp.heap().cons(Value::NIL, Value::NIL);
-    let l = interp.load_str("(list 1 2 3 4 5 6 7 8)").unwrap();
-    rt.run("collect", &[acc, l]).unwrap();
-    assert_eq!(interp.heap().display(interp.heap().car(acc).unwrap()), expect);
+    agree(&program, &[Config::pool(4, SchedMode::Sharded)]);
 }
 
 #[test]
