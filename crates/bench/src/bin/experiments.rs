@@ -532,9 +532,9 @@ fn e13_handoff_crossover(r: &mut Run) {
 }
 
 /// `p` as written on the VM of an interpreter from `build`
-/// (`Interp::new` fuses, `Interp::unfused` does not): the entry's static (total, typed, fused) op counts and the VM's
+/// (`Interp::new` fuses, `Interp::unfused` does not): the entry's static (total, fused) op counts and the VM's
 /// counters for one call.
-fn vm_counts(p: &Program, build: fn() -> Interp) -> ([u64; 3], curare::lisp::VmStats) {
+fn vm_counts(p: &Program, build: fn() -> Interp) -> ([u64; 2], curare::lisp::VmStats) {
     with_big_stack(|| {
         let interp = p.written_in(build());
         interp.set_engine(Engine::Vm);
@@ -542,9 +542,8 @@ fn vm_counts(p: &Program, build: fn() -> Interp) -> ([u64; 3], curare::lisp::VmS
         interp.call(p.entry, &args).expect("warm-up call");
         let id = interp.lookup_func_by_name(p.entry).expect("entry defined");
         let code = interp.func_entry(id).code.clone().expect("entry compiled");
-        let typed = code.ops.iter().filter(|o| o.is_typed()).count() as u64;
         let fused = code.ops.iter().filter(|o| o.is_fused()).count() as u64;
-        let statics = [code.ops.len() as u64, typed, fused];
+        let statics = [code.ops.len() as u64, fused];
         curare::lisp::vm_stats_reset();
         interp.call(p.entry, &args).expect("counted call");
         (statics, curare::lisp::vm_stats())
@@ -602,7 +601,7 @@ fn interp_engines(r: &mut Run) {
 fn hir_fusion(r: &mut Run) {
     let mut regressed = Vec::new();
     for p in pick(&ENGINE_SET) {
-        let ([total, typed, fused], on) = vm_counts(&p, Interp::new);
+        let ([total, fused], on) = vm_counts(&p, Interp::new);
         let ([total_off, ..], off) = vm_counts(&p, Interp::unfused);
         if on.dispatched_ops > off.dispatched_ops {
             regressed.push(p.name);
@@ -611,11 +610,9 @@ fn hir_fusion(r: &mut Run) {
             ("program", p.name.into()),
             ("code_ops", count(total)),
             ("code_unfused", count(total_off)),
-            ("code_typed", count(typed)),
             ("code_fused", count(fused)),
             ("dispatched", count(on.dispatched_ops)),
             ("disp_unfused", count(off.dispatched_ops)),
-            ("dyn_typed", count(on.typed_ops)),
             ("dyn_fused", count(on.fused_ops)),
         ]);
     }
@@ -1244,9 +1241,9 @@ mod tests {
     /// `tests/tests`, the `#[cfg(test)]` tail of a `crates/*/src` file —
     /// spells a PRNG step (the xorshift shift triple, the splitmix
     /// increment, an LCG multiplier) outside `crates/testkit`, whose
-    /// `Rng` every battery draws from; the product's streams are the
-    /// runtime's `queue::splitmix64` and the language's `(random n)`;
-    /// and no product crate depends on the kit. (`benchmark/` is the
+    /// `Rng` every battery draws from; the product's one step is
+    /// `curare_lisp::interp::splitmix64` (`(random n)`, the queues, the
+    /// chaos plans); and no product crate depends on the kit. (`benchmark/` is the
     /// contract and keeps its own; this file spells the steps it looks
     /// for.)
     #[test]
@@ -1313,8 +1310,7 @@ mod tests {
         }
         assert!(scanned >= 100, "the scan found only {scanned} files: has the layout changed?");
         product_streams.sort();
-        let streams =
-            ["crates/lisp/src/interp.rs", "crates/runtime/src/queue.rs"].map(|p| root.join(p));
+        let streams = [root.join("crates/lisp/src/interp.rs")];
         assert_eq!(product_streams, streams, "the product's PRNG steps");
     }
 

@@ -1,9 +1,8 @@
-//! Bytecode compiler: typed HIR (see [`crate::hir`]) to flat register
-//! code.
+//! Bytecode compiler: HIR (see [`crate::hir`]) to flat register code.
 //!
 //! Each function compiles once, at definition time. The pipeline is
-//! now three stages: the lowerer's [`crate::ast::Expr`] tree is
-//! desugared and type-annotated by [`hir::lower_body`], this module
+//! three stages: the lowerer's [`crate::ast::Expr`] tree is desugared
+//! and constant-folded by [`hir::lower_body`], this module
 //! emits a flat `Vec<Op>` over a register frame reusing the
 //! tree-walker's slot numbering (register *i* is frame slot *i*;
 //! compiler temporaries live above `nslots`), and a peephole pass
@@ -13,11 +12,6 @@
 //! per-execution allocation of float/string/quote literals, function
 //! lookup *after* argument evaluation, and proper tail calls — so the
 //! tree remains a drop-in differential oracle.
-//!
-//! Where the HIR type pass proves both operands of an arithmetic or
-//! comparison integer, the compiler emits unconditional integer ops
-//! ([`Op::AddInt`] and friends) that skip per-op tag dispatch;
-//! overflow checks remain, so error behaviour is unchanged.
 //!
 //! The fusion pass runs pairwise over the emitted stream and never
 //! fuses across a basic-block boundary (an instruction that is a jump
@@ -45,28 +39,13 @@ use curare_sexpr::{Sexpr, Symbol};
 
 use crate::ast::{BuiltinOp, Func, VarRef};
 use crate::error::LispError;
-use crate::hir::{self, HExpr, HKind, Ty};
+use crate::hir::{self, HExpr};
 use crate::interp::Interp;
 use crate::value::{FuncId, SymId, Value};
 
 // ----------------------------------------------------------------
 // Instruction set
 // ----------------------------------------------------------------
-
-/// Comparison selector for [`Op::CmpInt`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpKind {
-    /// `<`
-    Lt,
-    /// `>`
-    Gt,
-    /// `<=`
-    Le,
-    /// `>=`
-    Ge,
-    /// numeric `=`
-    NumEq,
-}
 
 /// Binary-operation selector carried by fused superinstructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,21 +194,6 @@ pub enum Op {
     /// through a nested evaluation).
     Touch { dst: u16, a: u16 },
 
-    // ----- typed ops (HIR proved both operands Int; tag dispatch
-    // ----- skipped, overflow checks kept) ---------------------------
-    /// `+` on proven integers.
-    AddInt { dst: u16, a: u16, b: u16 },
-    /// `-` on proven integers.
-    SubInt { dst: u16, a: u16, b: u16 },
-    /// `*` on proven integers.
-    MulInt { dst: u16, a: u16, b: u16 },
-    /// `(1+ a)` on a proven integer.
-    IncInt { dst: u16, a: u16 },
-    /// `(1- a)` on a proven integer.
-    DecInt { dst: u16, a: u16 },
-    /// Comparison on proven integers.
-    CmpInt { dst: u16, a: u16, b: u16, kind: CmpKind },
-
     // ----- fused superinstructions (peephole pairs; each performs
     // ----- BOTH constituent writes in original order) ---------------
     /// `regs[t] = test(regs[a])`, then branch to `to` when the result
@@ -238,24 +202,15 @@ pub enum Op {
     /// `regs[t] = kind(regs[a], regs[b])` (a boolean-producing kind),
     /// then branch to `to` when the result equals `on_true`
     /// (arith/cmp+branch patterns).
-    CmpJump { t: u16, a: u16, b: u16, kind: BinKind, to: u32, on_true: bool, typed: bool },
+    CmpJump { t: u16, a: u16, b: u16, kind: BinKind, to: u32, on_true: bool },
     /// `regs[t] = consts[k]`, then `regs[dst] = kind(x, y)` with the
     /// constant on the `const_left` side and `regs[other]` on the
     /// other (incf+load, `(- n 1)`, `(< n 2)` patterns).
-    ConstBin { dst: u16, other: u16, k: u16, t: u16, kind: BinKind, const_left: bool, typed: bool },
+    ConstBin { dst: u16, other: u16, k: u16, t: u16, kind: BinKind, const_left: bool },
     /// `regs[t] = car/cdr(regs[cell])`, then `regs[dst] = kind(x, y)`
     /// with the accessed value on the `acc_left` side and
     /// `regs[other]` on the other (car+cmp, car+arith patterns).
-    CarBin {
-        dst: u16,
-        cell: u16,
-        other: u16,
-        t: u16,
-        kind: BinKind,
-        acc_left: bool,
-        is_cdr: bool,
-        typed: bool,
-    },
+    CarBin { dst: u16, cell: u16, other: u16, t: u16, kind: BinKind, acc_left: bool, is_cdr: bool },
     /// `regs[t] = car/cdr(regs[cell])`, then `regs[dst] =
     /// (null regs[t])` (the list-walk termination test).
     CxrNull { dst: u16, cell: u16, t: u16, is_cdr: bool },
@@ -267,7 +222,7 @@ pub enum Op {
 
 /// Total number of opcodes; the VM's handler table has exactly this
 /// many entries.
-pub const OPCODE_COUNT: usize = 55;
+pub const OPCODE_COUNT: usize = 49;
 
 /// Stable display name per opcode, indexed by [`Op::opcode`] — the
 /// labels the per-opcode VM profiler reports hot opcodes under.
@@ -315,12 +270,6 @@ pub const OPCODE_NAMES: [&str; OPCODE_COUNT] = [
     "ge2",
     "num_eq2",
     "touch",
-    "add_int",
-    "sub_int",
-    "mul_int",
-    "inc_int",
-    "dec_int",
-    "cmp_int",
     "test_jump",
     "cmp_jump",
     "const_bin",
@@ -378,18 +327,12 @@ impl Op {
             Op::Ge2 { .. } => 40,
             Op::NumEq2 { .. } => 41,
             Op::Touch { .. } => 42,
-            Op::AddInt { .. } => 43,
-            Op::SubInt { .. } => 44,
-            Op::MulInt { .. } => 45,
-            Op::IncInt { .. } => 46,
-            Op::DecInt { .. } => 47,
-            Op::CmpInt { .. } => 48,
-            Op::TestJump { .. } => 49,
-            Op::CmpJump { .. } => 50,
-            Op::ConstBin { .. } => 51,
-            Op::CarBin { .. } => 52,
-            Op::CxrNull { .. } => 53,
-            Op::ConsLink { .. } => 54,
+            Op::TestJump { .. } => 43,
+            Op::CmpJump { .. } => 44,
+            Op::ConstBin { .. } => 45,
+            Op::CarBin { .. } => 46,
+            Op::CxrNull { .. } => 47,
+            Op::ConsLink { .. } => 48,
         }
     }
 
@@ -403,23 +346,6 @@ impl Op {
                 | Op::CarBin { .. }
                 | Op::CxrNull { .. }
                 | Op::ConsLink { .. }
-        )
-    }
-
-    /// True for typed integer fast-path ops (for static counts).
-    /// Fused ops count as typed when their embedded operation is.
-    pub fn is_typed(&self) -> bool {
-        matches!(
-            self,
-            Op::AddInt { .. }
-                | Op::SubInt { .. }
-                | Op::MulInt { .. }
-                | Op::IncInt { .. }
-                | Op::DecInt { .. }
-                | Op::CmpInt { .. }
-                | Op::CmpJump { typed: true, .. }
-                | Op::ConstBin { typed: true, .. }
-                | Op::CarBin { typed: true, .. }
         )
     }
 }
@@ -599,32 +525,19 @@ pub fn compile(interp: &Interp, func: &Func) -> Option<Code> {
 // Superinstruction fusion
 // ----------------------------------------------------------------
 
-/// Decompose a two-operand value-producing op into `(dst, a, b, kind,
-/// typed)` for the fusion patterns.
-fn bin_parts(op: Op) -> Option<(u16, u16, u16, BinKind, bool)> {
+/// Decompose a two-operand value-producing op into `(dst, a, b, kind)`
+/// for the fusion patterns.
+fn bin_parts(op: Op) -> Option<(u16, u16, u16, BinKind)> {
     Some(match op {
-        Op::Add2 { dst, a, b } => (dst, a, b, BinKind::Add, false),
-        Op::Sub2 { dst, a, b } => (dst, a, b, BinKind::Sub, false),
-        Op::Mul2 { dst, a, b } => (dst, a, b, BinKind::Mul, false),
-        Op::Lt2 { dst, a, b } => (dst, a, b, BinKind::Lt, false),
-        Op::Gt2 { dst, a, b } => (dst, a, b, BinKind::Gt, false),
-        Op::Le2 { dst, a, b } => (dst, a, b, BinKind::Le, false),
-        Op::Ge2 { dst, a, b } => (dst, a, b, BinKind::Ge, false),
-        Op::NumEq2 { dst, a, b } => (dst, a, b, BinKind::NumEq, false),
-        Op::EqP { dst, a, b } => (dst, a, b, BinKind::Eq, false),
-        Op::AddInt { dst, a, b } => (dst, a, b, BinKind::Add, true),
-        Op::SubInt { dst, a, b } => (dst, a, b, BinKind::Sub, true),
-        Op::MulInt { dst, a, b } => (dst, a, b, BinKind::Mul, true),
-        Op::CmpInt { dst, a, b, kind } => {
-            let k = match kind {
-                CmpKind::Lt => BinKind::Lt,
-                CmpKind::Gt => BinKind::Gt,
-                CmpKind::Le => BinKind::Le,
-                CmpKind::Ge => BinKind::Ge,
-                CmpKind::NumEq => BinKind::NumEq,
-            };
-            (dst, a, b, k, true)
-        }
+        Op::Add2 { dst, a, b } => (dst, a, b, BinKind::Add),
+        Op::Sub2 { dst, a, b } => (dst, a, b, BinKind::Sub),
+        Op::Mul2 { dst, a, b } => (dst, a, b, BinKind::Mul),
+        Op::Lt2 { dst, a, b } => (dst, a, b, BinKind::Lt),
+        Op::Gt2 { dst, a, b } => (dst, a, b, BinKind::Gt),
+        Op::Le2 { dst, a, b } => (dst, a, b, BinKind::Le),
+        Op::Ge2 { dst, a, b } => (dst, a, b, BinKind::Ge),
+        Op::NumEq2 { dst, a, b } => (dst, a, b, BinKind::NumEq),
+        Op::EqP { dst, a, b } => (dst, a, b, BinKind::Eq),
         _ => return None,
     })
 }
@@ -664,29 +577,28 @@ fn fuse_pair(first: Op, second: Op) -> Option<Op> {
         }
     }
     // Comparison + branch.
-    if let (Some((dst, a, b, kind, typed)), Some((src, to, on_true))) =
+    if let (Some((dst, a, b, kind)), Some((src, to, on_true))) =
         (bin_parts(first), branch_parts(second))
     {
         if kind.is_test() && src == dst {
-            return Some(Op::CmpJump { t: dst, a, b, kind, to, on_true, typed });
+            return Some(Op::CmpJump { t: dst, a, b, kind, to, on_true });
         }
     }
     // Constant-load + binary reading it (incf+load, `(- n 1)`).
-    if let (Op::Const { dst: t, k }, Some((dst, a, b, kind, typed))) = (first, bin_parts(second)) {
+    if let (Op::Const { dst: t, k }, Some((dst, a, b, kind))) = (first, bin_parts(second)) {
         if a == t || b == t {
             let (other, const_left) = if a == t { (b, true) } else { (a, false) };
-            return Some(Op::ConstBin { dst, other, k, t, kind, const_left, typed });
+            return Some(Op::ConstBin { dst, other, k, t, kind, const_left });
         }
     }
     // cxr + binary reading it (car+cmp, car+arith).
-    if let (Op::Car { dst: t, a: cell } | Op::Cdr { dst: t, a: cell }, Some(parts)) =
+    if let (Op::Car { dst: t, a: cell } | Op::Cdr { dst: t, a: cell }, Some((dst, a, b, kind))) =
         (first, bin_parts(second))
     {
-        let (dst, a, b, kind, typed) = parts;
         if a == t || b == t {
             let is_cdr = matches!(first, Op::Cdr { .. });
             let (other, acc_left) = if a == t { (b, true) } else { (a, false) };
-            return Some(Op::CarBin { dst, cell, other, t, kind, acc_left, is_cdr, typed });
+            return Some(Op::CarBin { dst, cell, other, t, kind, acc_left, is_cdr });
         }
     }
     // cons + setf-link.
@@ -905,24 +817,24 @@ impl Compiler<'_> {
     /// own frames and closures capture by value, so everything else
     /// (including side-effecting heap ops) qualifies.
     fn writes_no_slot(e: &HExpr) -> bool {
-        match &e.kind {
-            HKind::Setq(VarRef::Local(_), _, _) | HKind::Let { .. } => false,
-            HKind::Setq(VarRef::Global(_), _, rhs) => Self::writes_no_slot(rhs),
-            HKind::If(c, t, f) => {
+        match e {
+            HExpr::Setq(VarRef::Local(_), _, _) | HExpr::Let { .. } => false,
+            HExpr::Setq(VarRef::Global(_), _, rhs) => Self::writes_no_slot(rhs),
+            HExpr::If(c, t, f) => {
                 Self::writes_no_slot(c) && Self::writes_no_slot(t) && Self::writes_no_slot(f)
             }
-            HKind::Progn(es) | HKind::And(es) | HKind::Or(es) => {
+            HExpr::Progn(es) | HExpr::And(es) | HExpr::Or(es) => {
                 es.iter().all(Self::writes_no_slot)
             }
-            HKind::While(c, body) => {
+            HExpr::While(c, body) => {
                 Self::writes_no_slot(c) && body.iter().all(Self::writes_no_slot)
             }
-            HKind::Call { args, .. }
-            | HKind::Builtin(_, args)
-            | HKind::Struct(_, args)
-            | HKind::Future { args, .. }
-            | HKind::Enqueue { args, .. } => args.iter().all(Self::writes_no_slot),
-            HKind::LockOp { base, .. } => Self::writes_no_slot(base),
+            HExpr::Call { args, .. }
+            | HExpr::Builtin(_, args)
+            | HExpr::Struct(_, args)
+            | HExpr::Future { args, .. }
+            | HExpr::Enqueue { args, .. } => args.iter().all(Self::writes_no_slot),
+            HExpr::LockOp { base, .. } => Self::writes_no_slot(base),
             // Literals, vars, lambdas (bodies run in their own frame),
             // function refs, quotes, raises.
             _ => true,
@@ -933,8 +845,8 @@ impl Compiler<'_> {
     /// variable outside the captured region (captured slots need a
     /// checked load).
     fn direct_slot(&self, e: &HExpr) -> Option<usize> {
-        match &e.kind {
-            HKind::Var(VarRef::Local(slot), _) if *slot >= self.func.ncaptures => {
+        match e {
+            HExpr::Var(VarRef::Local(slot), _) if *slot >= self.func.ncaptures => {
                 (*slot < self.base).then_some(*slot)
             }
             _ => None,
@@ -995,33 +907,33 @@ impl Compiler<'_> {
             return;
         }
         let mark = self.temp;
-        match &e.kind {
-            HKind::Nil => self.op_const(dst, Value::NIL),
-            HKind::T => self.op_const(dst, Value::T),
+        match e {
+            HExpr::Nil => self.op_const(dst, Value::NIL),
+            HExpr::T => self.op_const(dst, Value::T),
             // The desugarer guarantees in-range literals.
-            HKind::Int(i) => self.op_const(dst, Value::int(*i)),
+            HExpr::Int(i) => self.op_const(dst, Value::int(*i)),
             // The tree-walker reports literal overflow on evaluation;
             // match it with a runtime raise.
-            HKind::RaiseInt => self.raise(LispError::Overflow("literal")),
-            HKind::Float(x) => {
+            HExpr::RaiseInt => self.raise(LispError::Overflow("literal")),
+            HExpr::Float(x) => {
                 self.floats.push(*x);
                 let k = self.pool_idx(self.floats.len() - 1);
                 let dst = self.r16(dst);
                 self.ops.push(Op::Float { dst, k });
             }
-            HKind::Str(s) => {
+            HExpr::Str(s) => {
                 self.strs.push(s.clone());
                 let k = self.pool_idx(self.strs.len() - 1);
                 let dst = self.r16(dst);
                 self.ops.push(Op::Str { dst, k });
             }
-            HKind::Quote(d) => {
+            HExpr::Quote(d) => {
                 self.quotes.push(d.clone());
                 let k = self.pool_idx(self.quotes.len() - 1);
                 let dst = self.r16(dst);
                 self.ops.push(Op::Quote { dst, k });
             }
-            HKind::Var(vr, name) => match vr {
+            HExpr::Var(vr, name) => match vr {
                 VarRef::Local(slot) => {
                     if *slot >= self.base {
                         // A slot beyond the declared frame would
@@ -1043,7 +955,7 @@ impl Compiler<'_> {
                     self.ops.push(Op::GetGlobal { dst, g });
                 }
             },
-            HKind::Setq(vr, _, rhs) => match vr {
+            HExpr::Setq(vr, _, rhs) => match vr {
                 VarRef::Local(slot) => {
                     if *slot >= self.base {
                         self.ok = false;
@@ -1062,7 +974,7 @@ impl Compiler<'_> {
                     self.ops.push(Op::SetGlobal { g, src });
                 }
             },
-            HKind::If(c, t, f) => {
+            HExpr::If(c, t, f) => {
                 let cond = self.operand(c, true);
                 let src = self.r16(cond);
                 let j_else = self.jump_if_nil(src);
@@ -1075,8 +987,8 @@ impl Compiler<'_> {
                 let here = self.here();
                 self.patch(j_end, here);
             }
-            HKind::Progn(es) => self.emit_body(es, dst, tail),
-            HKind::And(es) => match es.split_last() {
+            HExpr::Progn(es) => self.emit_body(es, dst, tail),
+            HExpr::And(es) => match es.split_last() {
                 None => self.op_const(dst, Value::T),
                 Some((last, init)) => {
                     let work = if self.is_temp(dst) { dst } else { self.alloc_temp() };
@@ -1101,7 +1013,7 @@ impl Compiler<'_> {
                     }
                 }
             },
-            HKind::Or(es) => match es.split_last() {
+            HExpr::Or(es) => match es.split_last() {
                 None => self.op_const(dst, Value::NIL),
                 Some((last, init)) => {
                     let work = if self.is_temp(dst) { dst } else { self.alloc_temp() };
@@ -1122,7 +1034,7 @@ impl Compiler<'_> {
                     }
                 }
             },
-            HKind::Let { bindings, body } => {
+            HExpr::Let { bindings, body } => {
                 // Parallel semantics. A single binding compiles its
                 // init directly into the slot: nothing can observe the
                 // slot mid-init (the lowerer never reuses slots, the
@@ -1155,7 +1067,7 @@ impl Compiler<'_> {
                 }
                 self.emit_body(body, dst, tail);
             }
-            HKind::While(c, body) => {
+            HExpr::While(c, body) => {
                 let top = self.here();
                 let cond = self.operand(c, true);
                 let src = self.r16(cond);
@@ -1169,7 +1081,7 @@ impl Compiler<'_> {
                 self.patch(j_end, here);
                 self.op_const(dst, Value::NIL);
             }
-            HKind::Call { name, name_text, args } => {
+            HExpr::Call { name, name_text, args } => {
                 let (b, argc) = self.emit_args(args);
                 let site = self.k_site(*name, *name_text);
                 if tail {
@@ -1180,8 +1092,8 @@ impl Compiler<'_> {
                 }
                 self.free_to(mark);
             }
-            HKind::Builtin(op, args) => self.emit_builtin(*op, args, dst, mark),
-            HKind::Struct(op, args) => {
+            HExpr::Builtin(op, args) => self.emit_builtin(*op, args, dst, mark),
+            HExpr::Struct(op, args) => {
                 let (b, argc) = self.emit_args(args);
                 self.structops.push(*op);
                 let s = self.pool_idx(self.structops.len() - 1);
@@ -1189,7 +1101,7 @@ impl Compiler<'_> {
                 self.ops.push(Op::Struct { dst, s, base: b, argc });
                 self.free_to(mark);
             }
-            HKind::Lambda { func, captures } => {
+            HExpr::Lambda { func, captures } => {
                 let mut caps = Vec::with_capacity(captures.len());
                 for &slot in captures {
                     caps.push(self.r16(slot));
@@ -1199,19 +1111,19 @@ impl Compiler<'_> {
                 let dst = self.r16(dst);
                 self.ops.push(Op::MakeClosure { dst, l });
             }
-            HKind::FuncRef(sym, text) => {
+            HExpr::FuncRef(sym, text) => {
                 let site = self.k_site(*sym, *text);
                 let dst = self.r16(dst);
                 self.ops.push(Op::FuncRef { dst, site });
             }
-            HKind::Future { name, name_text, args } => {
+            HExpr::Future { name, name_text, args } => {
                 let (b, argc) = self.emit_args(args);
                 let site = self.k_site(*name, *name_text);
                 let dst = self.r16(dst);
                 self.ops.push(Op::Future { dst, site, base: b, argc });
                 self.free_to(mark);
             }
-            HKind::Enqueue { site, name, name_text, args, handoff } => {
+            HExpr::Enqueue { site, name, name_text, args, handoff } => {
                 let (b, argc) = self.emit_args(args);
                 let callee = self.k_site(*name, *name_text);
                 let (site, handoff, tail) = (*site as u32, *handoff, tail && !*handoff);
@@ -1219,7 +1131,7 @@ impl Compiler<'_> {
                 self.free_to(mark);
                 self.op_const(dst, Value::NIL);
             }
-            HKind::LockOp { lock, base, field, exclusive } => {
+            HExpr::LockOp { lock, base, field, exclusive } => {
                 let cell = self.operand(base, true);
                 self.locks.push(LockSpec { field: *field, lock: *lock, exclusive: *exclusive });
                 let l = self.pool_idx(self.locks.len() - 1);
@@ -1232,15 +1144,14 @@ impl Compiler<'_> {
         self.free_to(mark);
     }
 
-    /// Compile a builtin application, using a typed integer op when
-    /// the HIR proved the operand types, or a specialized untyped
-    /// opcode when one exists for this operator/arity.
+    /// Compile a builtin application, using a specialized opcode when
+    /// one exists for this operator/arity.
     fn emit_builtin(&mut self, op: BuiltinOp, args: &[HExpr], dst: usize, mark: usize) {
         use BuiltinOp::*;
 
         // atomic-incf takes the *place* of its first argument.
         if op == AtomicIncfGlobal {
-            let Some(HExpr { kind: HKind::Var(VarRef::Global(sym), _), .. }) = args.first() else {
+            let Some(HExpr::Var(VarRef::Global(sym), _)) = args.first() else {
                 self.raise(LispError::Syntax(
                     "atomic-incf requires a global variable place".into(),
                 ));
@@ -1268,7 +1179,6 @@ impl Compiler<'_> {
         }
 
         if args.len() == 1 {
-            let typed = args[0].ty == Ty::Int;
             let unary = |dst: u16, a: u16| -> Option<Op> {
                 Some(match op {
                     Car => Op::Car { dst, a },
@@ -1276,8 +1186,6 @@ impl Compiler<'_> {
                     Null => Op::NullP { dst, a },
                     Consp => Op::ConspP { dst, a },
                     Atom => Op::AtomP { dst, a },
-                    Add1 if typed => Op::IncInt { dst, a },
-                    Sub1 if typed => Op::DecInt { dst, a },
                     Add1 => Op::Add1 { dst, a },
                     Sub1 => Op::Sub1 { dst, a },
                     Touch => Op::Touch { dst, a },
@@ -1295,23 +1203,12 @@ impl Compiler<'_> {
         }
 
         if args.len() == 2 {
-            // Both operands proven Int: emit the unconditional integer
-            // op (overflow checks remain; tag dispatch is dropped).
-            let typed = args[0].ty == Ty::Int && args[1].ty == Ty::Int;
             let binary = |dst: u16, a: u16, b: u16| -> Option<Op> {
                 Some(match op {
                     Cons => Op::Cons { dst, a, b },
                     SetCar => Op::SetCar { dst, a, b },
                     SetCdr => Op::SetCdr { dst, a, b },
                     Eq => Op::EqP { dst, a, b },
-                    Add if typed => Op::AddInt { dst, a, b },
-                    Sub if typed => Op::SubInt { dst, a, b },
-                    Mul if typed => Op::MulInt { dst, a, b },
-                    Lt if typed => Op::CmpInt { dst, a, b, kind: CmpKind::Lt },
-                    Gt if typed => Op::CmpInt { dst, a, b, kind: CmpKind::Gt },
-                    Le if typed => Op::CmpInt { dst, a, b, kind: CmpKind::Le },
-                    Ge if typed => Op::CmpInt { dst, a, b, kind: CmpKind::Ge },
-                    NumEq if typed => Op::CmpInt { dst, a, b, kind: CmpKind::NumEq },
                     Add => Op::Add2 { dst, a, b },
                     Sub => Op::Sub2 { dst, a, b },
                     Mul => Op::Mul2 { dst, a, b },
@@ -1360,13 +1257,12 @@ mod tests {
         ];
         let fused = fuse(ops);
         assert_eq!(fused.len(), 3);
-        let Op::CmpJump { t, a, b, kind, to, on_true, typed } = fused[0] else {
+        let Op::CmpJump { t, a, b, kind, to, on_true } = fused[0] else {
             panic!("expected CmpJump, got {:?}", fused[0]);
         };
         assert_eq!((t, a, b), (2, 0, 1));
         assert_eq!(kind, BinKind::Lt);
         assert!(!on_true);
-        assert!(!typed);
         // The branch target (old index 3) must follow the remap.
         assert_eq!(to, 2);
     }

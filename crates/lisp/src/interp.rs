@@ -487,14 +487,9 @@ impl Interp {
         self.heap.sym_value(&format!("#:g{n}"))
     }
 
-    /// Deterministic PRNG for `(random n)` (splitmix64).
+    /// Deterministic PRNG for `(random n)` ([`splitmix64`]).
     pub fn random(&self, n: i64) -> i64 {
-        let mut state = self.rng.lock();
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = splitmix64(&mut self.rng.lock());
         if n <= 0 {
             0
         } else {
@@ -588,6 +583,17 @@ impl Default for Interp {
     }
 }
 
+/// One splitmix64 step: advances `state` and returns the mixed word.
+/// The product's one PRNG: `(random n)`, the runtime's steal-victim
+/// choice and its chaos plans all draw from it.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -646,6 +652,14 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.iter().all(|&x| (0..100).contains(&x)));
         assert_eq!(it.random(0), 0);
+    }
+
+    #[test]
+    fn random_draws_are_pinned_for_one_seed() {
+        let it = Interp::new();
+        it.seed_random(42);
+        let draws: Vec<i64> = (0..8).map(|_| it.random(1000)).collect();
+        assert_eq!(draws, [413, 291, 858, 764, 250, 62, 925, 908]);
     }
 
     #[test]

@@ -219,25 +219,13 @@ impl Value {
         self.tag() == Tag::Cons as u64
     }
 
-    /// The sign-extended integer payload, *without* checking the tag.
-    ///
-    /// For the VM's typed fast-path ops: when the compiler's type
-    /// propagation has proven the operand is an integer, this skips
-    /// the tag dispatch. Misuse on a non-integer yields a garbage
-    /// integer (never UB) — the differential oracle would catch that
-    /// as a wrong answer, not a crash.
-    pub fn as_int_raw(self) -> i64 {
+    /// The integer payload, if this is an integer: one tag compare,
+    /// then the sign-extended payload (the VM's arithmetic fast path).
+    #[inline]
+    pub fn as_int(self) -> Option<i64> {
         // The payload occupies the top 60 bits, so one arithmetic
         // shift both drops the tag and sign-extends.
-        (self.0 as i64) >> TAG_BITS
-    }
-
-    /// The integer payload, if this is an integer.
-    pub fn as_int(self) -> Option<i64> {
-        match self.decode() {
-            Val::Int(i) => Some(i),
-            _ => None,
-        }
+        (self.tag() == Tag::Int as u64).then_some((self.0 as i64) >> TAG_BITS)
     }
 }
 
@@ -289,6 +277,10 @@ mod tests {
         assert_eq!(Value::hash(5).decode(), Val::Hash(5));
         assert_eq!(Value::vector(8).decode(), Val::Vector(8));
         assert_eq!(Value::future(13).decode(), Val::Future(13));
+        // Only the integer tag reads as an integer.
+        for v in [Value::NIL, Value::T, Value::sym(7), Value::cons(1), Value::float_ref(11)] {
+            assert_eq!(v.as_int(), None, "{v:?}");
+        }
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //! pointer table (`HANDLERS`; per-opcode profiling swaps in a table
 //! of timing wrappers) instead of one giant `match`, keeping
 //! each handler a small, tail-call-friendly unit the branch predictor
-//! can track per-opcode. Typed instructions (operands proven integer
-//! by the HIR pass) and fused superinstructions report through
-//! dedicated counters in [`VmStats`].
+//! can track per-opcode. Arithmetic and comparison ops share one
+//! [`bin_op`]: a tag test and the integer operation inline, every
+//! other operand mix out of line. Fused superinstructions report
+//! through a dedicated counter in [`VmStats`].
 //!
 //! Register frames are recycled through a thread-local pool (mirroring
 //! the tree-walker's frame reuse), and every heap access goes through
@@ -35,7 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::builtins::{apply_builtin, compare_chain, fold_arith, BuiltinCx};
-use crate::compile::{BinKind, CmpKind, Code, Op, TestKind, OPCODE_COUNT, OPCODE_NAMES};
+use crate::compile::{BinKind, Code, Op, TestKind, OPCODE_COUNT, OPCODE_NAMES};
 use crate::error::{LispError, Result};
 use crate::eval::{self, apply_struct_op, Evaluator};
 use crate::interp::{Engine, Interp, RuntimeHooks};
@@ -51,7 +52,6 @@ thread_local! {
 const MAX_POOLED_FRAMES: usize = 16;
 
 static VM_OPS: AtomicU64 = AtomicU64::new(0);
-static VM_TYPED_OPS: AtomicU64 = AtomicU64::new(0);
 static VM_FUSED_OPS: AtomicU64 = AtomicU64::new(0);
 static VM_FRAMES_REUSED: AtomicU64 = AtomicU64::new(0);
 static VM_FRAMES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
@@ -62,8 +62,8 @@ static VM_FRAMES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
 pub struct VmStats {
     /// Bytecode instructions dispatched.
     pub dispatched_ops: u64,
-    /// Dispatched instructions that took a typed integer fast path
-    /// (HIR-proven operands; includes typed superinstructions).
+    /// Always 0: the VM has no typed opcodes. Kept only because the
+    /// benchmark harness in `benchmark/` still reads it.
     pub typed_ops: u64,
     /// Dispatched fused superinstructions (each replaces two plain
     /// instructions).
@@ -78,7 +78,7 @@ pub struct VmStats {
 pub fn vm_stats() -> VmStats {
     VmStats {
         dispatched_ops: VM_OPS.load(Ordering::Relaxed),
-        typed_ops: VM_TYPED_OPS.load(Ordering::Relaxed),
+        typed_ops: 0,
         fused_ops: VM_FUSED_OPS.load(Ordering::Relaxed),
         frames_reused: VM_FRAMES_REUSED.load(Ordering::Relaxed),
         frames_allocated: VM_FRAMES_ALLOCATED.load(Ordering::Relaxed),
@@ -90,7 +90,6 @@ pub fn vm_stats() -> VmStats {
 /// so reset only while no VM is executing).
 pub fn vm_stats_reset() {
     VM_OPS.store(0, Ordering::Relaxed);
-    VM_TYPED_OPS.store(0, Ordering::Relaxed);
     VM_FUSED_OPS.store(0, Ordering::Relaxed);
     VM_FRAMES_REUSED.store(0, Ordering::Relaxed);
     VM_FRAMES_ALLOCATED.store(0, Ordering::Relaxed);
@@ -197,7 +196,6 @@ pub struct Vm<'i> {
     hooks: Option<(u64, Arc<dyn RuntimeHooks>)>,
     // Counted locally; added to the globals by `publish_stats`.
     ops: u64,
-    typed: u64,
     fused: u64,
     frames_reused: u64,
     frames_allocated: u64,
@@ -225,7 +223,6 @@ impl<'i> Vm<'i> {
             handlers: if op_profiling_enabled() { &PROFILED_HANDLERS } else { &HANDLERS },
             hooks: None,
             ops: 0,
-            typed: 0,
             fused: 0,
             frames_reused: 0,
             frames_allocated: 0,
@@ -238,7 +235,6 @@ impl<'i> Vm<'i> {
     pub fn publish_stats(&mut self) {
         for (mine, all) in [
             (&mut self.ops, &VM_OPS),
-            (&mut self.typed, &VM_TYPED_OPS),
             (&mut self.fused, &VM_FUSED_OPS),
             (&mut self.frames_reused, &VM_FRAMES_REUSED),
             (&mut self.frames_allocated, &VM_FRAMES_ALLOCATED),
@@ -437,12 +433,6 @@ static HANDLERS: [Handler; OPCODE_COUNT] = [
     h_ge2,
     h_num_eq2,
     h_touch,
-    h_add_int,
-    h_sub_int,
-    h_mul_int,
-    h_inc_int,
-    h_dec_int,
-    h_cmp_int,
     h_test_jump,
     h_cmp_jump,
     h_const_bin,
@@ -960,19 +950,7 @@ fn h_add1(
     _pc: &mut usize,
 ) -> Result<Option<VmFlow>> {
     let Op::Add1 { dst, a } = op else { unreachable!() };
-    let v = regs[a as usize];
-    regs[dst as usize] = match v.as_int() {
-        Some(i) => int_result(i.checked_add(1), "+")?,
-        None => fold_arith(
-            vm.interp,
-            &[v, Value::int(1)],
-            "+",
-            i64::checked_add,
-            |a, b| a + b,
-            0,
-            false,
-        )?,
-    };
+    regs[dst as usize] = bin_op(vm.interp, BinKind::Add, regs[a as usize], Value::int(1))?;
     Ok(None)
 }
 
@@ -984,19 +962,7 @@ fn h_sub1(
     _pc: &mut usize,
 ) -> Result<Option<VmFlow>> {
     let Op::Sub1 { dst, a } = op else { unreachable!() };
-    let v = regs[a as usize];
-    regs[dst as usize] = match v.as_int() {
-        Some(i) => int_result(i.checked_sub(1), "-")?,
-        None => fold_arith(
-            vm.interp,
-            &[v, Value::int(1)],
-            "-",
-            i64::checked_sub,
-            |a, b| a - b,
-            0,
-            false,
-        )?,
-    };
+    regs[dst as usize] = bin_op(vm.interp, BinKind::Sub, regs[a as usize], Value::int(1))?;
     Ok(None)
 }
 
@@ -1008,8 +974,7 @@ fn h_add2(
     _pc: &mut usize,
 ) -> Result<Option<VmFlow>> {
     let Op::Add2 { dst, a, b } = op else { unreachable!() };
-    regs[dst as usize] =
-        bin_op(vm.interp, BinKind::Add, false, regs[a as usize], regs[b as usize])?;
+    regs[dst as usize] = bin_op(vm.interp, BinKind::Add, regs[a as usize], regs[b as usize])?;
     Ok(None)
 }
 
@@ -1021,8 +986,7 @@ fn h_sub2(
     _pc: &mut usize,
 ) -> Result<Option<VmFlow>> {
     let Op::Sub2 { dst, a, b } = op else { unreachable!() };
-    regs[dst as usize] =
-        bin_op(vm.interp, BinKind::Sub, false, regs[a as usize], regs[b as usize])?;
+    regs[dst as usize] = bin_op(vm.interp, BinKind::Sub, regs[a as usize], regs[b as usize])?;
     Ok(None)
 }
 
@@ -1034,8 +998,7 @@ fn h_mul2(
     _pc: &mut usize,
 ) -> Result<Option<VmFlow>> {
     let Op::Mul2 { dst, a, b } = op else { unreachable!() };
-    regs[dst as usize] =
-        bin_op(vm.interp, BinKind::Mul, false, regs[a as usize], regs[b as usize])?;
+    regs[dst as usize] = bin_op(vm.interp, BinKind::Mul, regs[a as usize], regs[b as usize])?;
     Ok(None)
 }
 
@@ -1047,7 +1010,7 @@ fn h_lt2(
     _pc: &mut usize,
 ) -> Result<Option<VmFlow>> {
     let Op::Lt2 { dst, a, b } = op else { unreachable!() };
-    regs[dst as usize] = bin_op(vm.interp, BinKind::Lt, false, regs[a as usize], regs[b as usize])?;
+    regs[dst as usize] = bin_op(vm.interp, BinKind::Lt, regs[a as usize], regs[b as usize])?;
     Ok(None)
 }
 
@@ -1059,7 +1022,7 @@ fn h_gt2(
     _pc: &mut usize,
 ) -> Result<Option<VmFlow>> {
     let Op::Gt2 { dst, a, b } = op else { unreachable!() };
-    regs[dst as usize] = bin_op(vm.interp, BinKind::Gt, false, regs[a as usize], regs[b as usize])?;
+    regs[dst as usize] = bin_op(vm.interp, BinKind::Gt, regs[a as usize], regs[b as usize])?;
     Ok(None)
 }
 
@@ -1071,7 +1034,7 @@ fn h_le2(
     _pc: &mut usize,
 ) -> Result<Option<VmFlow>> {
     let Op::Le2 { dst, a, b } = op else { unreachable!() };
-    regs[dst as usize] = bin_op(vm.interp, BinKind::Le, false, regs[a as usize], regs[b as usize])?;
+    regs[dst as usize] = bin_op(vm.interp, BinKind::Le, regs[a as usize], regs[b as usize])?;
     Ok(None)
 }
 
@@ -1083,7 +1046,7 @@ fn h_ge2(
     _pc: &mut usize,
 ) -> Result<Option<VmFlow>> {
     let Op::Ge2 { dst, a, b } = op else { unreachable!() };
-    regs[dst as usize] = bin_op(vm.interp, BinKind::Ge, false, regs[a as usize], regs[b as usize])?;
+    regs[dst as usize] = bin_op(vm.interp, BinKind::Ge, regs[a as usize], regs[b as usize])?;
     Ok(None)
 }
 
@@ -1095,8 +1058,7 @@ fn h_num_eq2(
     _pc: &mut usize,
 ) -> Result<Option<VmFlow>> {
     let Op::NumEq2 { dst, a, b } = op else { unreachable!() };
-    regs[dst as usize] =
-        bin_op(vm.interp, BinKind::NumEq, false, regs[a as usize], regs[b as usize])?;
+    regs[dst as usize] = bin_op(vm.interp, BinKind::NumEq, regs[a as usize], regs[b as usize])?;
     Ok(None)
 }
 
@@ -1110,97 +1072,6 @@ fn h_touch(
     let Op::Touch { dst, a } = op else { unreachable!() };
     let interp = vm.interp;
     regs[dst as usize] = vm.hooks().touch(interp, regs[a as usize])?;
-    Ok(None)
-}
-
-// ----- typed integer ops -------------------------------------------
-
-fn h_add_int(
-    vm: &mut Vm,
-    _code: &Code,
-    regs: &mut [Value],
-    op: Op,
-    _pc: &mut usize,
-) -> Result<Option<VmFlow>> {
-    let Op::AddInt { dst, a, b } = op else { unreachable!() };
-    vm.typed += 1;
-    regs[dst as usize] =
-        int_result(regs[a as usize].as_int_raw().checked_add(regs[b as usize].as_int_raw()), "+")?;
-    Ok(None)
-}
-
-fn h_sub_int(
-    vm: &mut Vm,
-    _code: &Code,
-    regs: &mut [Value],
-    op: Op,
-    _pc: &mut usize,
-) -> Result<Option<VmFlow>> {
-    let Op::SubInt { dst, a, b } = op else { unreachable!() };
-    vm.typed += 1;
-    regs[dst as usize] =
-        int_result(regs[a as usize].as_int_raw().checked_sub(regs[b as usize].as_int_raw()), "-")?;
-    Ok(None)
-}
-
-fn h_mul_int(
-    vm: &mut Vm,
-    _code: &Code,
-    regs: &mut [Value],
-    op: Op,
-    _pc: &mut usize,
-) -> Result<Option<VmFlow>> {
-    let Op::MulInt { dst, a, b } = op else { unreachable!() };
-    vm.typed += 1;
-    regs[dst as usize] =
-        int_result(regs[a as usize].as_int_raw().checked_mul(regs[b as usize].as_int_raw()), "*")?;
-    Ok(None)
-}
-
-fn h_inc_int(
-    vm: &mut Vm,
-    _code: &Code,
-    regs: &mut [Value],
-    op: Op,
-    _pc: &mut usize,
-) -> Result<Option<VmFlow>> {
-    let Op::IncInt { dst, a } = op else { unreachable!() };
-    vm.typed += 1;
-    regs[dst as usize] = int_result(regs[a as usize].as_int_raw().checked_add(1), "+")?;
-    Ok(None)
-}
-
-fn h_dec_int(
-    vm: &mut Vm,
-    _code: &Code,
-    regs: &mut [Value],
-    op: Op,
-    _pc: &mut usize,
-) -> Result<Option<VmFlow>> {
-    let Op::DecInt { dst, a } = op else { unreachable!() };
-    vm.typed += 1;
-    regs[dst as usize] = int_result(regs[a as usize].as_int_raw().checked_sub(1), "-")?;
-    Ok(None)
-}
-
-fn h_cmp_int(
-    vm: &mut Vm,
-    _code: &Code,
-    regs: &mut [Value],
-    op: Op,
-    _pc: &mut usize,
-) -> Result<Option<VmFlow>> {
-    let Op::CmpInt { dst, a, b, kind } = op else { unreachable!() };
-    vm.typed += 1;
-    let (i, j) = (regs[a as usize].as_int_raw(), regs[b as usize].as_int_raw());
-    let r = match kind {
-        CmpKind::Lt => i < j,
-        CmpKind::Gt => i > j,
-        CmpKind::Le => i <= j,
-        CmpKind::Ge => i >= j,
-        CmpKind::NumEq => i == j,
-    };
-    regs[dst as usize] = bool_val(r);
     Ok(None)
 }
 
@@ -1235,12 +1106,9 @@ fn h_cmp_jump(
     op: Op,
     pc: &mut usize,
 ) -> Result<Option<VmFlow>> {
-    let Op::CmpJump { t, a, b, kind, to, on_true, typed } = op else { unreachable!() };
+    let Op::CmpJump { t, a, b, kind, to, on_true } = op else { unreachable!() };
     vm.fused += 1;
-    if typed {
-        vm.typed += 1;
-    }
-    let r = bin_op(vm.interp, kind, typed, regs[a as usize], regs[b as usize])?;
+    let r = bin_op(vm.interp, kind, regs[a as usize], regs[b as usize])?;
     regs[t as usize] = r;
     if r.is_true() == on_true {
         *pc = to as usize;
@@ -1255,18 +1123,15 @@ fn h_const_bin(
     op: Op,
     _pc: &mut usize,
 ) -> Result<Option<VmFlow>> {
-    let Op::ConstBin { dst, other, k, t, kind, const_left, typed } = op else { unreachable!() };
+    let Op::ConstBin { dst, other, k, t, kind, const_left } = op else { unreachable!() };
     vm.fused += 1;
-    if typed {
-        vm.typed += 1;
-    }
     let c = code.consts[k as usize];
     // Write the constant before reading `other`: when the original
     // pair read the just-loaded register, `other == t`.
     regs[t as usize] = c;
     let o = regs[other as usize];
     let (x, y) = if const_left { (c, o) } else { (o, c) };
-    regs[dst as usize] = bin_op(vm.interp, kind, typed, x, y)?;
+    regs[dst as usize] = bin_op(vm.interp, kind, x, y)?;
     Ok(None)
 }
 
@@ -1277,13 +1142,8 @@ fn h_car_bin(
     op: Op,
     _pc: &mut usize,
 ) -> Result<Option<VmFlow>> {
-    let Op::CarBin { dst, cell, other, t, kind, acc_left, is_cdr, typed } = op else {
-        unreachable!()
-    };
+    let Op::CarBin { dst, cell, other, t, kind, acc_left, is_cdr } = op else { unreachable!() };
     vm.fused += 1;
-    if typed {
-        vm.typed += 1;
-    }
     let heap = vm.interp.heap();
     // Read the cell before writing `t` (the unfused pair allowed
     // `cell == t`), and `other` after (it may *be* `t`).
@@ -1292,7 +1152,7 @@ fn h_car_bin(
     regs[t as usize] = acc;
     let o = regs[other as usize];
     let (x, y) = if acc_left { (acc, o) } else { (o, acc) };
-    regs[dst as usize] = bin_op(vm.interp, kind, typed, x, y)?;
+    regs[dst as usize] = bin_op(vm.interp, kind, x, y)?;
     Ok(None)
 }
 
@@ -1347,66 +1207,56 @@ fn bool_val(b: bool) -> Value {
     }
 }
 
+/// An integer result, or the overflow error. A `match`, not `ok_or`:
+/// built eagerly, the unused error is dropped through a call on every
+/// in-range result.
 fn int_result(i: Option<i64>, op: &'static str) -> Result<Value> {
-    i.and_then(Value::int_checked).ok_or(LispError::Overflow(op))
+    match i.and_then(Value::int_checked) {
+        Some(v) => Ok(v),
+        None => Err(LispError::Overflow(op)),
+    }
 }
 
-/// Evaluate a two-operand arithmetic/comparison. `typed` means the
-/// compiler proved both operands integers: decode without tag checks
-/// (overflow still checked). Untyped takes the integer fast path when
-/// the tags allow and otherwise falls back to the tree-walker's
-/// `fold_arith`/`compare_chain` for identical mixed-type and error
-/// behaviour.
-fn bin_op(interp: &Interp, kind: BinKind, typed: bool, x: Value, y: Value) -> Result<Value> {
-    if typed {
-        let (i, j) = (x.as_int_raw(), y.as_int_raw());
+/// Evaluate a two-operand arithmetic/comparison: two tag tests and the
+/// integer operation inline, overflow checked. Any other operand mix
+/// (a float, a non-number, the unbound marker) goes to [`bin_op_slow`].
+#[inline(always)]
+fn bin_op(interp: &Interp, kind: BinKind, x: Value, y: Value) -> Result<Value> {
+    let (Some(i), Some(j)) = (x.as_int(), y.as_int()) else {
         return match kind {
-            BinKind::Add => int_result(i.checked_add(j), "+"),
-            BinKind::Sub => int_result(i.checked_sub(j), "-"),
-            BinKind::Mul => int_result(i.checked_mul(j), "*"),
-            BinKind::Lt => Ok(bool_val(i < j)),
-            BinKind::Gt => Ok(bool_val(i > j)),
-            BinKind::Le => Ok(bool_val(i <= j)),
-            BinKind::Ge => Ok(bool_val(i >= j)),
-            BinKind::NumEq => Ok(bool_val(i == j)),
             BinKind::Eq => Ok(bool_val(x == y)),
+            _ => bin_op_slow(interp, kind, x, y),
         };
-    }
+    };
     match kind {
-        BinKind::Add => match (x.as_int(), y.as_int()) {
-            (Some(i), Some(j)) => int_result(i.checked_add(j), "+"),
-            _ => fold_arith(interp, &[x, y], "+", i64::checked_add, |a, b| a + b, 0, false),
-        },
-        BinKind::Sub => match (x.as_int(), y.as_int()) {
-            (Some(i), Some(j)) => int_result(i.checked_sub(j), "-"),
-            _ => fold_arith(interp, &[x, y], "-", i64::checked_sub, |a, b| a - b, 0, true),
-        },
-        BinKind::Mul => match (x.as_int(), y.as_int()) {
-            (Some(i), Some(j)) => int_result(i.checked_mul(j), "*"),
-            _ => fold_arith(interp, &[x, y], "*", i64::checked_mul, |a, b| a * b, 1, false),
-        },
+        BinKind::Add => int_result(i.checked_add(j), "+"),
+        BinKind::Sub => int_result(i.checked_sub(j), "-"),
+        BinKind::Mul => int_result(i.checked_mul(j), "*"),
+        BinKind::Lt => Ok(bool_val(i < j)),
+        BinKind::Gt => Ok(bool_val(i > j)),
+        BinKind::Le => Ok(bool_val(i <= j)),
+        BinKind::Ge => Ok(bool_val(i >= j)),
+        BinKind::NumEq | BinKind::Eq => Ok(bool_val(i == j)),
+    }
+}
+
+/// [`bin_op`] on anything but two integers: the tree-walker's
+/// `fold_arith`/`compare_chain`, which decode both operands, so the
+/// mixed-type results and the errors are the tree-walker's own.
+#[cold]
+#[inline(never)]
+fn bin_op_slow(interp: &Interp, kind: BinKind, x: Value, y: Value) -> Result<Value> {
+    let xy = [x, y];
+    match kind {
+        BinKind::Add => fold_arith(interp, &xy, "+", i64::checked_add, |a, b| a + b, 0, false),
+        BinKind::Sub => fold_arith(interp, &xy, "-", i64::checked_sub, |a, b| a - b, 0, true),
+        BinKind::Mul => fold_arith(interp, &xy, "*", i64::checked_mul, |a, b| a * b, 1, false),
+        BinKind::Lt => compare_chain(interp, &xy, "<", |a, b| a < b, |a, b| a < b),
+        BinKind::Gt => compare_chain(interp, &xy, ">", |a, b| a > b, |a, b| a > b),
+        BinKind::Le => compare_chain(interp, &xy, "<=", |a, b| a <= b, |a, b| a <= b),
+        BinKind::Ge => compare_chain(interp, &xy, ">=", |a, b| a >= b, |a, b| a >= b),
+        BinKind::NumEq => compare_chain(interp, &xy, "=", |a, b| a == b, |a, b| a == b),
         BinKind::Eq => Ok(bool_val(x == y)),
-        _ => {
-            if let (Some(i), Some(j)) = (x.as_int(), y.as_int()) {
-                let r = match kind {
-                    BinKind::Lt => i < j,
-                    BinKind::Gt => i > j,
-                    BinKind::Le => i <= j,
-                    BinKind::Ge => i >= j,
-                    BinKind::NumEq => i == j,
-                    _ => unreachable!("arith handled above"),
-                };
-                return Ok(bool_val(r));
-            }
-            match kind {
-                BinKind::Lt => compare_chain(interp, &[x, y], "<", |a, b| a < b, |a, b| a < b),
-                BinKind::Gt => compare_chain(interp, &[x, y], ">", |a, b| a > b, |a, b| a > b),
-                BinKind::Le => compare_chain(interp, &[x, y], "<=", |a, b| a <= b, |a, b| a <= b),
-                BinKind::Ge => compare_chain(interp, &[x, y], ">=", |a, b| a >= b, |a, b| a >= b),
-                BinKind::NumEq => compare_chain(interp, &[x, y], "=", |a, b| a == b, |a, b| a == b),
-                _ => unreachable!("arith handled above"),
-            }
-        }
     }
 }
 
@@ -1462,31 +1312,9 @@ mod tests {
             Op::Ge2 { dst: 0, a: 0, b: 0 },
             Op::NumEq2 { dst: 0, a: 0, b: 0 },
             Op::Touch { dst: 0, a: 0 },
-            Op::AddInt { dst: 0, a: 0, b: 0 },
-            Op::SubInt { dst: 0, a: 0, b: 0 },
-            Op::MulInt { dst: 0, a: 0, b: 0 },
-            Op::IncInt { dst: 0, a: 0 },
-            Op::DecInt { dst: 0, a: 0 },
-            Op::CmpInt { dst: 0, a: 0, b: 0, kind: CmpKind::Lt },
             Op::TestJump { t: 0, a: 0, test: TestKind::Null, to: 0, on_true: false },
-            Op::CmpJump {
-                t: 0,
-                a: 0,
-                b: 0,
-                kind: BinKind::Lt,
-                to: 0,
-                on_true: false,
-                typed: false,
-            },
-            Op::ConstBin {
-                dst: 0,
-                other: 0,
-                k: 0,
-                t: 0,
-                kind: BinKind::Add,
-                const_left: false,
-                typed: false,
-            },
+            Op::CmpJump { t: 0, a: 0, b: 0, kind: BinKind::Lt, to: 0, on_true: false },
+            Op::ConstBin { dst: 0, other: 0, k: 0, t: 0, kind: BinKind::Add, const_left: false },
             Op::CarBin {
                 dst: 0,
                 cell: 0,
@@ -1495,7 +1323,6 @@ mod tests {
                 kind: BinKind::Add,
                 acc_left: false,
                 is_cdr: false,
-                typed: false,
             },
             Op::CxrNull { dst: 0, cell: 0, t: 0, is_cdr: false },
             Op::ConsLink { dst: 0, cell: 0, a: 0, b: 0, t: 0, set_car: false },

@@ -182,6 +182,45 @@ fn arithmetic_and_predicates() {
         "(* 576460752303423487 2)",
         "(1+ 576460752303423487)",
         "(- -576460752303423488 1)",
+        // The fixnum edge inside compiled bodies, in the shapes an
+        // integer-only opcode would be chosen for: let-bound counters,
+        // `setq` inside `while`, literal operands, and both operands of
+        // a fused compare-and-branch.
+        "(defun f () (let ((x 576460752303423486)) (setq x (+ x 1)) (+ x 1))) (f)",
+        "(defun f () (let ((x 576460752303423486)) (list (1+ x) (- x -1) (* x 1)))) (f)",
+        "(defun f () (let ((x -576460752303423487)) (setq x (1- x)) (1- x))) (f)",
+        "(defun f () (let ((x -576460752303423488)) (- 0 x))) (f)",
+        "(defun f () (let ((i 0) (x 576460752303423480))
+           (while (< i 10) (setq x (1+ x)) (setq i (1+ i))) x)) (f)",
+        "(defun f () (let ((x -576460752303423480)) (while t (setq x (- x 1))))) (f)",
+        "(defun f () (let ((x 3)) (while t (setq x (* x 2))))) (f)",
+        "(defun f () (let ((x -3) (n 0)) (while (< n 100) (setq x (* 2 x)) (setq n (1+ n))) x)) (f)",
+        "(defun f () (+ 576460752303423487 1)) (f)",
+        "(defun f () (* 576460752303423487 2)) (f)",
+        "(defun f () (- -576460752303423488 1)) (f)",
+        "(defun f () (1+ 576460752303423487)) (f)",
+        "(defun f () (1- -576460752303423488)) (f)",
+        "(defun f () (* -1 -576460752303423488)) (f)",
+        "(defun f (n) (if (< n 576460752303423487) (f (1+ n)) n)) (f 576460752303423480)",
+        "(defun f () (let ((a 576460752303423487) (b -576460752303423488))
+           (list (if (< b a) 1 2) (if (> b a) 1 2) (if (= a b) 1 2)
+                 (if (<= a a) 1 2) (if (>= b a) 1 2) (if (eq a a) 1 2)))) (f)",
+        "(defun f () (let ((i 576460752303423486)) (while (< i (+ i 1)) (setq i (1+ i))) i)) (f)",
+        "(defun f () (let ((i -576460752303423487)) (while (> (- i 1) i) (setq i (1- i))) i)) (f)",
+        "(defun f () (let ((i 0) (s 0))
+           (while (< i 10) (setq s (+ s (* i 2))) (setq i (1+ i)))
+           (dotimes (j 4) (setq s (- s j)))
+           (+ s (max 3 (min i 4))))) (f)",
+        // Mixed integer/float operands of the same opcodes.
+        "(defun f () (let ((x 1) (y 1.5))
+           (list (< x y) (> x y) (<= y 1) (>= 2 y) (= 1 1.0) (= x y)
+                 (if (< x y) 'lt 'ge) (if (= x 1.0) 'eq 'ne) (if (> y x) 'gt 'le)
+                 (+ x y) (- y x) (* x y) (1+ y) (1- y)))) (f)",
+        "(defun f () (let ((x 576460752303423487) (y 576460752303423487.0))
+           (list (= x y) (< x y) (> y x) (if (<= x y) 1 2) (+ x 0.5)))) (f)",
+        "(defun f () (let ((x 2.5) (i 0)) (while (< i 3) (setq x (* x 2)) (setq i (1+ i))) x)) (f)",
+        "(defun f (n) (if (< n 'a) 1 2)) (f 1)",
+        "(defun f () (let ((x nil)) (1+ x))) (f)",
         "(+ 1 'a)",
         "(< 1 'b)",
         "(car 5)",

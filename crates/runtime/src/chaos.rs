@@ -200,7 +200,7 @@ impl FaultPlan {
         let p = point as usize;
         let n = self.counters[p].fetch_add(1, Ordering::Relaxed);
         let mut state = self.seed ^ SALTS[p] ^ n.wrapping_mul(0x2545_F491_4F6C_DD1D);
-        let r = crate::queue::splitmix64(&mut state);
+        let r = curare_lisp::interp::splitmix64(&mut state);
         let roll = (r % 1_000_000) as u32;
         let magnitude = r >> 32;
         let us = |max: u64| Duration::from_micros(if max == 0 { 0 } else { magnitude % max });

@@ -3,18 +3,17 @@
 //! "If the spawning process is not strict in its use of the result …
 //! then a Multilisp *future* provides process creation and
 //! synchronization features that permit concurrent execution." A
-//! future is a placeholder value; `touch` blocks until the producing
-//! task resolves it.
+//! future is a placeholder value the producing task resolves. The
+//! table has one way to wait, the pool's `touch` hook: it polls
+//! [`FutureTable::try_get`] and runs queued tasks while the future is
+//! pending, so nothing ever sleeps on a slot.
 
-use curare_lisp::sync::{AppendVec, Condvar, Mutex};
+use curare_lisp::sync::{AppendVec, Mutex};
 
 use curare_lisp::{LispError, Value};
 
 /// One future: its outcome once written (`None` while pending).
-struct FutureSlot {
-    state: Mutex<Option<Result<Value, LispError>>>,
-    cv: Condvar,
-}
+type FutureSlot = Mutex<Option<Result<Value, LispError>>>;
 
 /// The table of live futures; `Value::future(id)` indexes into it.
 /// Slots never move, so every operation but `create` finds its slot
@@ -32,8 +31,7 @@ impl FutureTable {
 
     /// Create a pending future; returns its value handle.
     pub fn create(&self) -> Value {
-        let slot = FutureSlot { state: Mutex::new(None), cv: Condvar::new() };
-        Value::future(self.slots.push(slot) as u64)
+        Value::future(self.slots.push(Mutex::new(None)) as u64)
     }
 
     fn slot(&self, id: u64) -> Option<&FutureSlot> {
@@ -57,13 +55,12 @@ impl FutureTable {
     fn write(&self, id: u64, outcome: Result<Value, LispError>) -> bool {
         crate::chaos::on_future_resolve();
         let Some(slot) = self.slot(id) else { return false };
-        let mut st = slot.state.lock();
+        let mut st = slot.lock();
         if st.is_some() {
             return false;
         }
         *st = Some(outcome);
         drop(st);
-        slot.cv.notify_all();
         curare_obs::record(curare_obs::EventKind::FutureResolve, id);
         true
     }
@@ -71,32 +68,20 @@ impl FutureTable {
     /// Ids of futures still pending — for stall dumps and the abort
     /// path (which must fail them so waiters unblock rather than hang).
     pub fn pending_ids(&self) -> Vec<u64> {
-        let pending = self.slots.iter().map(|s| s.state.lock().is_none());
+        let pending = self.slots.iter().map(|s| s.lock().is_none());
         pending.enumerate().filter(|&(_, p)| p).map(|(i, _)| i as u64).collect()
     }
 
-    /// Block until future `id` resolves; returns its value.
-    pub fn touch(&self, id: u64) -> Result<Value, LispError> {
-        let Some(slot) = self.slot(id) else {
-            return Err(LispError::User(format!("unknown future {id}")));
-        };
-        let mut st = slot.state.lock();
-        loop {
-            match &*st {
-                Some(outcome) => return outcome.clone(),
-                None => slot.cv.wait(&mut st),
-            }
-        }
-    }
-
-    /// Non-blocking read: `Some(result)` if resolved.
+    /// Non-blocking read: `Some(result)` if resolved (`None` too for
+    /// an id the table never handed out).
     pub fn try_get(&self, id: u64) -> Option<Result<Value, LispError>> {
-        self.slot(id)?.state.lock().clone()
+        self.slot(id)?.lock().clone()
     }
 
-    /// Non-blocking probe (for tests).
+    /// Non-blocking probe: the touch hook's fast check, and `run_chain`'s
+    /// cue to stop helping once the touched future is resolved.
     pub fn is_resolved(&self, id: u64) -> bool {
-        self.slot(id).is_some_and(|s| s.state.lock().is_some())
+        self.slot(id).is_some_and(|s| s.lock().is_some())
     }
 
     /// Number of futures ever created.
@@ -114,7 +99,6 @@ impl FutureTable {
 mod tests {
     use super::*;
     use curare_lisp::Val;
-    use std::sync::Arc;
 
     fn id_of(v: Value) -> u64 {
         match v.decode() {
@@ -130,20 +114,8 @@ mod tests {
         let id = id_of(f);
         assert!(!t.is_resolved(id));
         t.resolve(id, Value::int(42));
-        assert_eq!(t.touch(id).unwrap(), Value::int(42));
+        assert_eq!(t.try_get(id).unwrap().unwrap(), Value::int(42));
         assert!(t.is_resolved(id));
-    }
-
-    #[test]
-    fn touch_blocks_until_resolution() {
-        let t = Arc::new(FutureTable::new());
-        let f = t.create();
-        let id = id_of(f);
-        let t2 = Arc::clone(&t);
-        let h = std::thread::spawn(move || t2.touch(id).unwrap());
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        t.resolve(id, Value::T);
-        assert_eq!(h.join().unwrap(), Value::T);
     }
 
     #[test]
@@ -152,13 +124,13 @@ mod tests {
         let f = t.create();
         let id = id_of(f);
         t.fail(id, LispError::User("boom".into()));
-        assert!(matches!(t.touch(id), Err(LispError::User(m)) if m == "boom"));
+        assert!(matches!(t.try_get(id), Some(Err(LispError::User(m))) if m == "boom"));
     }
 
     #[test]
     fn unknown_future_errors() {
         let t = FutureTable::new();
-        assert!(t.touch(99).is_err());
+        assert!(t.try_get(99).is_none());
         assert!(!t.resolve(99, Value::T));
         assert!(!t.fail(99, LispError::User("x".into())));
     }
@@ -170,7 +142,7 @@ mod tests {
         assert!(t.resolve(id, Value::int(1)));
         assert!(!t.resolve(id, Value::int(2)), "second resolve must be rejected");
         assert!(!t.fail(id, LispError::User("late".into())), "fail after resolve rejected");
-        assert_eq!(t.touch(id).unwrap(), Value::int(1));
+        assert_eq!(t.try_get(id).unwrap().unwrap(), Value::int(1));
     }
 
     #[test]
@@ -179,7 +151,7 @@ mod tests {
         let id = id_of(t.create());
         assert!(t.fail(id, LispError::User("boom".into())));
         assert!(!t.resolve(id, Value::int(7)), "resolve after fail must be rejected");
-        assert!(matches!(t.touch(id), Err(LispError::User(m)) if m == "boom"));
+        assert!(matches!(t.try_get(id), Some(Err(LispError::User(m))) if m == "boom"));
     }
 
     #[test]
@@ -204,7 +176,7 @@ mod tests {
             t.resolve(id, Value::int(i as i64));
         }
         for (i, &id) in handles.iter().enumerate() {
-            assert_eq!(t.touch(id).unwrap(), Value::int(i as i64));
+            assert_eq!(t.try_get(id).unwrap().unwrap(), Value::int(i as i64));
         }
         assert_eq!(t.len(), 10);
     }

@@ -335,7 +335,6 @@ impl CriRuntime {
                 if self.interp.engine() == curare_lisp::Engine::Vm { "vm" } else { "tree" },
             )
             .set("dispatched_ops", vs.dispatched_ops)
-            .set("typed_ops", vs.typed_ops)
             .set("fused_ops", vs.fused_ops)
             .set("frames_reused", vs.frames_reused)
             .set("frames_allocated", vs.frames_allocated)

@@ -552,7 +552,7 @@ mod tests {
                     let mut steps = 0;
                     while steps < STEPS || !held.is_empty() {
                         steps += 1;
-                        let r = crate::queue::splitmix64(&mut rng);
+                        let r = curare_lisp::interp::splitmix64(&mut rng);
                         let word = &shadow[at as usize];
                         if steps > STEPS || (!held.is_empty() && (r & 1 == 0 || held.len() == 3)) {
                             let exclusive = held.pop().expect("checked");

@@ -40,6 +40,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
+use curare_lisp::interp::splitmix64;
 use curare_lisp::sync::{AppendVec, CachePadded, Mutex};
 use curare_lisp::{FuncId, Value};
 
@@ -549,16 +550,6 @@ impl ShardedQueues {
         }
         out
     }
-}
-
-/// splitmix64 step: advances the state and returns the mixed word.
-/// Seeded per server by the pool so chaos replays stay deterministic.
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -139,7 +139,7 @@ fn futures_stay_first_write_wins_under_resolution_stalls() {
         assert!(t.resolve(id, Value::int(1)));
         assert!(!t.resolve(id, Value::int(2)), "a second producer must not overwrite");
         assert!(!t.fail(id, LispError::User("late".into())));
-        assert_eq!(t.touch(id).unwrap(), Value::int(1));
+        assert_eq!(t.try_get(id).unwrap().unwrap(), Value::int(1));
     });
 }
 

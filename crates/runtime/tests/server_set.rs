@@ -5,9 +5,10 @@
 //! never holds more server threads than were ever borrowed at once, and
 //! an idle set costs no CPU.
 //!
-//! Both tests read process-wide counts (threads, CPU time), so they
-//! hold this file's guard: neither runs beside the other.
+//! Both tests read the set's threads (named `cri-server`) and their CPU
+//! time, so they hold this file's guard: neither runs beside the other.
 
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use curare_lisp::{Interp, Value};
@@ -32,12 +33,12 @@ fn load() -> Arc<Interp> {
 
 /// One create → run → drop cycle of an `servers`-server runtime over a
 /// fresh list of ones, checked against Figure 5's sequential answer
-/// (the prefix sums), returning the process's thread count while the
+/// (the prefix sums), returning the set's thread count while the
 /// runtime was alive.
 fn cycle(interp: &Arc<Interp>, servers: usize) -> usize {
     let l = (0..CELLS).fold(Value::NIL, |l, _| interp.heap().cons(Value::int(1), l));
     let rt = CriRuntime::new(Arc::clone(interp), servers);
-    let threads = process_threads();
+    let threads = server_tasks().len();
     rt.run("f5", &[l]).expect("runs");
     assert_eq!(rt.stats().tasks, CELLS as u64 + 1);
     drop(rt);
@@ -46,24 +47,29 @@ fn cycle(interp: &Arc<Interp>, servers: usize) -> usize {
     threads
 }
 
-/// The `Threads:` line of `/proc/self/status` (0 where there is none).
-fn process_threads() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|n| n.trim().parse().ok())
-        .unwrap_or(0)
+/// The `/proc/self/task` directory of each of the process's server-set
+/// threads (named `cri-server`; none where there is no `/proc`). A
+/// caller thread the test has joined may stay listed there until the
+/// kernel reaps it, so the set is counted by name, not by the
+/// process's thread total.
+fn server_tasks() -> Vec<PathBuf> {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else { return Vec::new() };
+    tasks
+        .filter_map(|task| {
+            let dir = task.ok()?.path();
+            let name = std::fs::read_to_string(dir.join("comm")).ok()?;
+            (name.trim() == "cri-server").then_some(dir)
+        })
+        .collect()
 }
 
 #[test]
 fn runtimes_from_eight_threads_reuse_the_set() {
     let _g = GUARD.lock().unwrap_or_else(PoisonError::into_inner);
     let (callers, cycles) = (8, 100);
-    let start = process_threads();
     for servers in [1, 2, 4] {
         // Peak demand: every caller holds an S-server runtime at once.
-        let bound = start + callers + callers * servers;
+        let bound = callers * servers;
         let peak = std::thread::scope(|scope| {
             let runs: Vec<_> = (0..callers)
                 .map(|_| {
@@ -76,26 +82,22 @@ fn runtimes_from_eight_threads_reuse_the_set() {
             runs.into_iter().map(|r| r.join().expect("every run is correct")).max()
         });
         let peak = peak.unwrap_or(0);
-        assert!(peak <= bound, "S = {servers}: {peak} threads, more than {bound}");
-        // The servers are back in the set: the callers are gone, and the
-        // set holds no more than peak demand.
-        assert!(process_threads() <= start + callers * servers, "S = {servers}");
+        assert!(peak <= bound, "S = {servers}: {peak} server threads, more than {bound}");
+        // The servers are back in the set, and it holds no more than
+        // peak demand.
+        let after = server_tasks().len();
+        assert!(after <= bound, "S = {servers}: {after} server threads, more than {bound}");
     }
 }
 
-/// The process's server-set threads (named `cri-server`) and their
-/// CPU time in ns, from each thread's `schedstat`. (`/proc/self/stat`
-/// counts in 10 ms clock ticks, too coarse to tell 1 ms from none.)
+/// The number of server-set threads and their CPU time in ns, from
+/// each thread's `schedstat`. (`/proc/self/stat` counts in 10 ms clock
+/// ticks, too coarse to tell 1 ms from none.)
 #[cfg(target_os = "linux")]
 fn set_cpu_ns() -> (usize, u64) {
-    let tasks = std::fs::read_dir("/proc/self/task").expect("/proc/self/task");
-    let ns: Vec<u64> = tasks
-        .filter_map(|task| {
-            let dir = task.ok()?.path();
-            let name = std::fs::read_to_string(dir.join("comm")).ok()?;
-            if name.trim() != "cri-server" {
-                return None;
-            }
+    let ns: Vec<u64> = server_tasks()
+        .into_iter()
+        .filter_map(|dir| {
             let stat = std::fs::read_to_string(dir.join("schedstat")).ok()?;
             stat.split_whitespace().next()?.parse::<u64>().ok()
         })

@@ -22,10 +22,6 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use curare_analysis::{AnalysisStats, Verdict};
-use curare_lisp::ast::Func;
-use curare_lisp::compile::compile;
-use curare_lisp::{Interp, Lowerer};
-use curare_sexpr::parse_all;
 use curare_transform::{Curare, Device, Note, Publication};
 
 fn repo_root() -> PathBuf {
@@ -157,79 +153,6 @@ fn an_unrelated_inverse_declaration_changes_no_list_walker() {
     let out = Curare::new().transform_source(&walkers(INVERSE_PRELUDE)).unwrap();
     assert!(out.stats.pair_tests > 0);
     assert_eq!(out.stats.alias_tests, 0);
-}
-
-/// Typed ops (integer ops the VM runs without a tag check) in the
-/// compiled code of every defun of `src`, and of every lambda they
-/// hold: the `Int` proofs of the HIR type pass, counted where codegen
-/// reads them.
-fn typed_ops(src: &str) -> usize {
-    fn count(interp: &Interp, func: &Func) -> usize {
-        let Some(code) = compile(interp, func) else { return 0 };
-        let own = code.ops.iter().filter(|op| op.is_typed()).count();
-        own + code.lambdas.iter().map(|l| count(interp, &l.func)).sum::<usize>()
-    }
-    let interp = Interp::new();
-    let forms = parse_all(src).unwrap();
-    let prog = Lowerer::new(interp.heap()).lower_program(&forms).unwrap();
-    prog.funcs.iter().map(|f| count(&interp, f)).sum()
-}
-
-#[test]
-fn every_int_proof_of_the_type_pass_still_selects_a_typed_op() {
-    let examples = repo_root().join("examples/lisp");
-    let mut programs: Vec<(String, String)> = lisp_files(&examples)
-        .into_iter()
-        .chain(lisp_files(&examples.join("fixtures")))
-        .map(|file| {
-            let name = file.file_name().unwrap().to_string_lossy().into_owned();
-            (name, std::fs::read_to_string(&file).unwrap())
-        })
-        .collect();
-    // The benchmark's templates, each named after its file, under the
-    // declarations its corpus gives them.
-    for file in lisp_files(&repo_root().join("benchmark/programs")) {
-        let stem = file.file_stem().unwrap().to_string_lossy().into_owned();
-        let template = std::fs::read_to_string(&file).unwrap();
-        let src = format!(
-            "{INVERSE_PRELUDE}(curare-declare (reorderable +))\n{}",
-            template.replace("@NAME@", &stem)
-        );
-        programs.push((stem, src));
-    }
-    programs.push(("window walkers".into(), walkers("")));
-    // Integer kernels: counters and sums in `let` slots, joins of two
-    // integer arms, and joins with nil, a float or a parameter that
-    // must stay unproven.
-    programs.push((
-        "integer kernels".into(),
-        "(defun count-up (n)
-           (let ((i 0) (s 0))
-             (while (< i 10) (setq s (+ s (* i 2))) (setq i (1+ i)))
-             (dotimes (j 4) (setq s (- s j)))
-             (+ s (if n 1 2) (length n) (max 3 (min i 4)))))
-         (defun joins (n)
-           (let ((a (if n 1 nil)) (b (if n 1 2.5)) (c (and n 3)) (d (or n 4)))
-             (list (+ a 1) (+ b 1) (+ c 1) (+ d 1) (< (1- 5) (abs -2)) (+ n 1))))"
-            .into(),
-    ));
-    // (as written, restructured) per program.
-    let counts: Vec<(String, usize, usize)> = programs
-        .into_iter()
-        .map(|(name, src)| {
-            let restructured = Curare::new().transform_source(&src).map(|out| out.source());
-            (name, typed_ops(&src), restructured.map_or(0, |text| typed_ops(&text)))
-        })
-        .collect();
-    // Recorded from the ten-point lattice the type pass had before it
-    // kept only `Bot`, `Int` and `Any`: a lost `Int` proof lowers a
-    // count, a wrong one raises it.
-    let typed: Vec<(&str, usize, usize)> = counts
-        .iter()
-        .filter(|(_, written, restructured)| written + restructured > 0)
-        .map(|(name, written, restructured)| (name.as_str(), *written, *restructured))
-        .collect();
-    assert_eq!(typed, [("local-accumulator.lisp", 2, 2), ("integer kernels", 7, 7)]);
 }
 
 /// The work behind the `(4, 4)` walker, pinned as counts so that
