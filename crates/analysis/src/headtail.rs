@@ -212,10 +212,13 @@ pub fn head_tail_in(func: &Func, calls: &CallCosts) -> HeadTail {
 /// field). Each lock binds its cell — the root variable, then one step
 /// per accessor of the location's path without its field — and both
 /// the acquire and the release are an operation over the bound variable
-/// (two steps each). The `let*` that binds the cells, and the `progn`
-/// that gathers a coalesced run, are no steps of their own.
-pub fn lock_bracket_steps<'p>(locations: impl IntoIterator<Item = &'p Path>) -> usize {
-    locations.into_iter().map(|p| (1 + p.len().saturating_sub(1)) + 2 + 2).sum()
+/// (two steps each). A bracket that `keeps` its statements' value
+/// binds it and reads it back after the releases: one step more. The
+/// `let*` that binds the cells, the `let` that binds the value, and the
+/// `progn` that gathers a coalesced run, are no steps of their own.
+pub fn lock_bracket_steps<'p>(locations: impl IntoIterator<Item = &'p Path>, keeps: bool) -> usize {
+    let locks: usize = locations.into_iter().map(|p| (1 + p.len().saturating_sub(1)) + 2 + 2).sum();
+    locks + usize::from(keeps)
 }
 
 /// [`head_tail_in`] of `func` once each of `brackets` wraps a statement

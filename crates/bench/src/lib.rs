@@ -314,8 +314,9 @@ impl Leaves {
     /// Whether a run of the restructured text left what `written`, a
     /// run of the program as written, left. The root's value is not
     /// compared: restructuring does not keep it yet (a converted tail
-    /// self-call's and a lock bracket's value are lost; ROADMAP item
-    /// 1(a)), and the refusal PR of item 1 turns it on.
+    /// self-call's value is lost, and a lock orders nothing, so a
+    /// locked root reads what its successors have written by then;
+    /// ROADMAP item 1(a)), and the refusal PR of item 1 turns it on.
     pub fn matches_written(&self, written: &Leaves) -> bool {
         Leaves { value: written.value.clone(), ..self.clone() } == *written
     }
@@ -856,7 +857,11 @@ mod tests {
     /// The pipeline writes one bracket per maximal run of tail
     /// statements with the same lock set, from the placement
     /// `synthesize` gives, and the bracketed walker leaves the list the
-    /// program as written leaves.
+    /// program as written leaves. Its root returns its last bracket's
+    /// value: on one server the root's tail runs before any successor,
+    /// so it reads every word before the doubling the sequential run
+    /// reads after — half the written value, where the bracket used
+    /// to return `()`.
     #[test]
     fn the_window_walker_takes_one_bracket_per_same_lockset_run() {
         use curare::analysis::locksynth::{synthesize, OrderingContext};
@@ -883,6 +888,10 @@ mod tests {
             let (run, got, _) = walker.pooled(&interp, 64, servers, RuntimeConfig::default());
             assert!(run.is_ok(), "S = {servers}: {run:?}");
             assert!(got.matches_written(&expect), "S = {servers}: {got:?} against {expect:?}");
+            if servers == 1 {
+                let written: i64 = expect.value.parse().unwrap();
+                assert_eq!(got.value, (written / 2).to_string(), "the root's last bracket");
+            }
         }
     }
 

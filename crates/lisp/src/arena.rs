@@ -70,6 +70,7 @@ unsafe impl<T: Send + Sync> Sync for AtomicArena<T> {}
 
 /// Capacity covered by shelves `0..k` (i.e. the starting index of
 /// shelf `k`).
+#[inline]
 fn shelf_start(k: usize) -> u64 {
     BASE * ((1u64 << k) - 1)
 }
@@ -80,6 +81,7 @@ fn shelf_len(k: usize) -> u64 {
 
 /// The shelf that contains global index `idx`, plus the offset inside
 /// that shelf.
+#[inline]
 fn locate(idx: u64) -> (usize, u64) {
     let n = idx / BASE + 1;
     let shelf = (63 - n.leading_zeros()) as usize;
@@ -107,12 +109,21 @@ impl<T: Default + Send + Sync> AtomicArena<T> {
         self.len() == 0
     }
 
+    /// Shelf `k`'s chunk, installed first if no thread has yet.
+    #[inline]
     fn shelf_ptr(&self, k: usize) -> *mut T {
         let p = self.shelves[k].load(Ordering::Acquire);
         if !p.is_null() {
             return p;
         }
-        // Allocate a default-initialized chunk and try to install it.
+        self.install_shelf(k)
+    }
+
+    /// Allocate a default-initialized chunk for shelf `k` and try to
+    /// install it: once per shelf, so out of [`Self::get`]'s line.
+    #[cold]
+    #[inline(never)]
+    fn install_shelf(&self, k: usize) -> *mut T {
         let chunk: Box<[T]> = (0..shelf_len(k)).map(|_| T::default()).collect();
         let raw = Box::into_raw(chunk) as *mut T;
         match self.shelves[k].compare_exchange(
@@ -207,6 +218,7 @@ impl<T: Default + Send + Sync> AtomicArena<T> {
     }
 
     /// Access element `idx`. Panics if the slot was never reserved.
+    #[inline]
     pub fn get(&self, idx: u64) -> &T {
         assert!(idx < self.len.load(Ordering::Acquire), "arena index {idx} out of bounds");
         let (k, off) = locate(idx);

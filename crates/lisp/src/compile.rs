@@ -279,7 +279,7 @@ pub const OPCODE_NAMES: [&str; OPCODE_COUNT] = [
 ];
 
 impl Op {
-    /// Dense opcode index for direct-threaded dispatch: every variant
+    /// Dense opcode index into the VM's handler table: every variant
     /// maps to a unique value in `0..OPCODE_COUNT`, in declaration
     /// order (checked by a unit test against the VM handler table).
     pub fn opcode(&self) -> usize {
@@ -801,8 +801,15 @@ impl Compiler<'_> {
         }
     }
 
-    /// Evaluate `e` for effect only.
+    /// Evaluate `e` for effect only. A local `setq` compiles into its
+    /// own slot: its value is already there, so no `Move` copies it out.
     fn emit_discard(&mut self, e: &HExpr) {
+        if let HExpr::Setq(VarRef::Local(slot), _, _) = e {
+            if *slot < self.base {
+                self.emit(e, *slot, false);
+                return;
+            }
+        }
         let mark = self.temp;
         let scratch = self.alloc_temp();
         self.emit(e, scratch, false);

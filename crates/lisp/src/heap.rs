@@ -151,52 +151,66 @@ impl Heap {
     }
 
     /// Read the `car` of cons `id`.
+    #[inline(always)]
     pub fn car_of(&self, id: ConsId) -> Value {
         Value::from_bits(speclog::load(&self.conses.get(id).car, id << 1))
     }
 
     /// Read the `cdr` of cons `id`.
+    #[inline(always)]
     pub fn cdr_of(&self, id: ConsId) -> Value {
         Value::from_bits(speclog::load(&self.conses.get(id).cdr, id << 1 | 1))
     }
 
-    /// `(car v)`: nil for nil, error for non-lists.
+    /// `(car v)`: nil for nil, error for non-lists. A cons is one tag
+    /// test and the load inline; everything else is out of line, in
+    /// [`Heap::not_a_cons`].
+    #[inline(always)]
     pub fn car(&self, v: Value) -> Result<Value> {
-        match v.decode() {
-            Val::Nil => Ok(Value::NIL),
-            Val::Cons(id) => Ok(self.car_of(id)),
-            _ => Err(self.type_error("cons", v, "car")),
+        match v.as_cons() {
+            Some(id) => Ok(self.car_of(id)),
+            None => self.not_a_cons(v, "car"),
         }
     }
 
     /// `(cdr v)`: nil for nil, error for non-lists.
+    #[inline(always)]
     pub fn cdr(&self, v: Value) -> Result<Value> {
-        match v.decode() {
-            Val::Nil => Ok(Value::NIL),
-            Val::Cons(id) => Ok(self.cdr_of(id)),
-            _ => Err(self.type_error("cons", v, "cdr")),
+        match v.as_cons() {
+            Some(id) => Ok(self.cdr_of(id)),
+            None => self.not_a_cons(v, "cdr"),
         }
     }
 
     /// `(rplaca v new)` — destructive car update.
+    #[inline(always)]
     pub fn set_car(&self, v: Value, new: Value) -> Result<()> {
-        match v.decode() {
-            Val::Cons(id) => {
-                speclog::store(&self.conses.get(id).car, id << 1, None, new.bits());
-                Ok(())
-            }
-            _ => Err(self.type_error("cons", v, "rplaca")),
-        }
+        let Some(id) = v.as_cons() else {
+            return self.not_a_cons(v, "rplaca").map(drop);
+        };
+        speclog::store(&self.conses.get(id).car, id << 1, None, new.bits());
+        Ok(())
     }
 
     /// `(rplacd v new)` — destructive cdr update.
+    #[inline(always)]
     pub fn set_cdr(&self, v: Value, new: Value) -> Result<()> {
+        let Some(id) = v.as_cons() else {
+            return self.not_a_cons(v, "rplacd").map(drop);
+        };
+        speclog::store(&self.conses.get(id).cdr, id << 1 | 1, None, new.bits());
+        Ok(())
+    }
+
+    /// `op` of `v`, which is no cons: a read of nil is nil, anything
+    /// else a type error — and the unbound marker or a corrupt tag
+    /// panics in `decode`, as it does wherever a value is decoded.
+    #[cold]
+    #[inline(never)]
+    fn not_a_cons(&self, v: Value, op: &'static str) -> Result<Value> {
         match v.decode() {
-            Val::Cons(id) => {
-                speclog::store(&self.conses.get(id).cdr, id << 1 | 1, None, new.bits());
-                Ok(())
-            }
-            _ => Err(self.type_error("cons", v, "rplacd")),
+            Val::Nil if matches!(op, "car" | "cdr") => Ok(Value::NIL),
+            _ => Err(self.type_error("cons", v, op)),
         }
     }
 

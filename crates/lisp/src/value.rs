@@ -161,19 +161,23 @@ impl Value {
     }
 
     /// Raw bits, for storing in atomics.
+    #[inline]
     pub fn bits(self) -> u64 {
         self.0
     }
 
     /// Reconstruct from raw bits previously produced by [`Value::bits`].
+    #[inline]
     pub fn from_bits(bits: u64) -> Value {
         Value(bits)
     }
 
+    #[inline]
     fn tag(self) -> u64 {
         self.0 & TAG_MASK
     }
 
+    #[inline]
     fn payload(self) -> u64 {
         self.0 >> TAG_BITS
     }
@@ -205,18 +209,28 @@ impl Value {
     }
 
     /// True for anything except `nil` (Lisp truthiness).
+    #[inline]
     pub fn is_true(self) -> bool {
         self != Value::NIL
     }
 
     /// True for `nil`.
+    #[inline]
     pub fn is_nil(self) -> bool {
         self == Value::NIL
     }
 
     /// True for a cons reference.
+    #[inline]
     pub fn is_cons(self) -> bool {
         self.tag() == Tag::Cons as u64
+    }
+
+    /// The cons id, if this is a cons reference: one tag compare (the
+    /// heap's `car`/`cdr` fast path; everything else decodes).
+    #[inline]
+    pub fn as_cons(self) -> Option<ConsId> {
+        self.is_cons().then_some(self.payload())
     }
 
     /// The integer payload, if this is an integer: one tag compare,
@@ -277,9 +291,14 @@ mod tests {
         assert_eq!(Value::hash(5).decode(), Val::Hash(5));
         assert_eq!(Value::vector(8).decode(), Val::Vector(8));
         assert_eq!(Value::future(13).decode(), Val::Future(13));
-        // Only the integer tag reads as an integer.
+        // Only the integer tag reads as an integer, and only the cons
+        // tag as a cons.
         for v in [Value::NIL, Value::T, Value::sym(7), Value::cons(1), Value::float_ref(11)] {
             assert_eq!(v.as_int(), None, "{v:?}");
+        }
+        assert_eq!(Value::cons(123_456).as_cons(), Some(123_456));
+        for v in [Value::NIL, Value::T, Value::UNBOUND, Value::int(3), Value::strct(3)] {
+            assert_eq!(v.as_cons(), None, "{v:?}");
         }
     }
 

@@ -13,11 +13,19 @@
 //! mid-loop, because the inline cache re-resolves per bounce and a
 //! redefined name binds a fresh function id.
 //!
-//! Dispatch is direct-threaded: every opcode indexes a function-
-//! pointer table (`HANDLERS`; per-opcode profiling swaps in a table
-//! of timing wrappers) instead of one giant `match`, keeping
-//! each handler a small, tail-call-friendly unit the branch predictor
-//! can track per-opcode. Arithmetic and comparison ops share one
+//! Dispatch is a `match` in `exec`'s loop for the hot opcodes — the
+//! cons reads and writes, moves, constants, jumps, `1+`/`1-`/`+`,
+//! `null`, `cons` and the fused list-walk and compare shapes — which
+//! run their handler inlined there; every other opcode (calls,
+//! builtins, hooks, closures) calls its handler through the
+//! function-pointer table `HANDLERS`. Each opcode has one handler, the
+//! arm's body and the table's entry alike. Whatever can fail out of
+//! line stays out of `exec`: a `car`/`cdr` of anything but a cons goes
+//! to its handler through the table, and [`bin_op`]'s slow path
+//! returns its error boxed, so the loop's frame — which every nested
+//! call pays — holds no error of an inlined op's. A context made while
+//! per-opcode profiling was on sends every opcode through
+//! `h_profiled` instead. Arithmetic and comparison ops share one
 //! [`bin_op`]: a tag test and the integer operation inline, every
 //! other operand mix out of line. Fused superinstructions report
 //! through a dedicated counter in [`VmStats`].
@@ -188,9 +196,9 @@ pub struct Vm<'i> {
     /// tail-call fast path compares resolved callees against this.
     /// Saved and restored around nested `apply`s.
     cur_fid: FuncId,
-    /// The dispatch table: [`HANDLERS`], or [`PROFILED_HANDLERS`] when
-    /// per-opcode profiling was on as this context was created.
-    handlers: &'static [Handler; OPCODE_COUNT],
+    /// Per-opcode profiling was on as this context was created: every
+    /// dispatch goes through [`h_profiled`].
+    profiled: bool,
     /// The runtime hooks as of stamp `.0`, fetched on first use: the
     /// hook ops borrow this instead of cloning the shared handle.
     hooks: Option<(u64, Arc<dyn RuntimeHooks>)>,
@@ -220,7 +228,7 @@ impl<'i> Vm<'i> {
             depth,
             stack_base: eval::resolve_stack_base(),
             cur_fid: FuncId::MAX,
-            handlers: if op_profiling_enabled() { &PROFILED_HANDLERS } else { &HANDLERS },
+            profiled: op_profiling_enabled(),
             hooks: None,
             ops: 0,
             fused: 0,
@@ -270,6 +278,9 @@ impl<'i> Vm<'i> {
         &*self.hooks.as_ref().expect("fetched above").1
     }
 
+    /// Out of line, as [`fill_frame`] and [`Vm::finish_on_tree`] are:
+    /// every nested call pays for `apply`'s stack frame.
+    #[inline(never)]
     fn take_frame(&mut self) -> Vec<Value> {
         match REG_FRAMES.with(|p| p.borrow_mut().pop()) {
             Some(f) => {
@@ -283,6 +294,7 @@ impl<'i> Vm<'i> {
         }
     }
 
+    #[inline(never)]
     fn put_frame(&mut self, mut f: Vec<Value>) {
         f.clear();
         REG_FRAMES.with(|p| {
@@ -313,28 +325,13 @@ impl<'i> Vm<'i> {
             // entry is read from the table as it stands: no lock.
             let entry = interp.func_entry(id);
             let Some(code) = entry.code.as_deref() else {
-                // No compiled body (register budget exceeded): finish
-                // this call chain on the tree-walker at the same depth.
-                let mut ev = Evaluator::with_depth(interp, self.depth - 1);
-                break ev.apply_tree(id, args);
+                break self.finish_on_tree(id, args);
             };
             let func = &entry.func;
             if args.len() != func.params.len() {
-                break Err(LispError::Arity {
-                    name: func.name.clone(),
-                    expected: func.params.len(),
-                    got: args.len(),
-                });
+                break Err(arity_error(func, args.len()));
             }
-            frame.clear();
-            frame.reserve(code.nregs as usize);
-            frame.extend_from_slice(&entry.captured);
-            frame.append(&mut args);
-            // Slots start unbound exactly like tree frames (a parallel
-            // `let` may close over a not-yet-bound slot); temporaries
-            // are compiler-managed and never read before written.
-            frame.resize(code.nregs as usize, Value::UNBOUND);
-            eval::put_value_buf(std::mem::take(&mut args));
+            fill_frame(&mut frame, code, &entry.captured, &mut args);
             self.cur_fid = id;
             match self.exec(code, &mut frame) {
                 Ok(VmFlow::Val(v)) => break Ok(v),
@@ -351,15 +348,75 @@ impl<'i> Vm<'i> {
         result
     }
 
-    /// Execute one code block against `regs` through the handler
-    /// table.
+    /// Finish the call chain at `id` on the tree-walker at this depth:
+    /// `id` has no compiled body (register budget exceeded). Out of
+    /// line, so the evaluator is no local of `apply`'s frame.
+    #[cold]
+    #[inline(never)]
+    fn finish_on_tree(&self, id: FuncId, args: Vec<Value>) -> Result<Value> {
+        Evaluator::with_depth(self.interp, self.depth - 1).apply_tree(id, args)
+    }
+
+    /// Execute one code block against `regs`. The hot opcodes run in
+    /// this loop's `match`, each through its handler inlined; the rest
+    /// call their handler through [`HANDLERS`]. A profiled context
+    /// sends every opcode through [`h_profiled`] instead: one test of a
+    /// local per dispatch, where a second, profiled loop beside this
+    /// one grew `apply`'s frame by 48 bytes.
+    ///
+    /// The hot handlers are `#[inline(always)]` in optimised builds
+    /// only: an unoptimised build keeps every inlined body's locals
+    /// apart, and this loop's frame grew to 8 KiB, past the native
+    /// stack budget of the deep-recursion tests.
     fn exec(&mut self, code: &Code, regs: &mut [Value]) -> Result<VmFlow> {
         let mut pc = 0usize;
+        let profiled = self.profiled;
         loop {
             let op = code.ops[pc];
             pc += 1;
             self.ops += 1;
-            if let Some(flow) = self.handlers[op.opcode()](self, code, regs, op, &mut pc)? {
+            macro_rules! inline {
+                ($h:ident) => {
+                    $h(self, code, regs, op, &mut pc)
+                };
+            }
+            let flow = match op {
+                _ if profiled => h_profiled(self, code, regs, op, &mut pc),
+                // A `car`/`cdr` of anything but a cons (nil, a type
+                // error) runs out of line, so the inline arms below
+                // hold no error path of the heap's.
+                Op::Car { a, .. }
+                | Op::Cdr { a, .. }
+                | Op::SetCar { a, .. }
+                | Op::SetCdr { a, .. }
+                | Op::CxrNull { cell: a, .. }
+                | Op::CarBin { cell: a, .. }
+                    if !regs[a as usize].is_cons() =>
+                {
+                    HANDLERS[op.opcode()](self, code, regs, op, &mut pc)
+                }
+                Op::Car { .. } => inline!(h_car),
+                Op::Cdr { .. } => inline!(h_cdr),
+                Op::Move { .. } => inline!(h_move),
+                Op::Const { .. } => inline!(h_const),
+                Op::Jump { .. } => inline!(h_jump),
+                Op::JumpIfNil { .. } => inline!(h_jump_if_nil),
+                Op::JumpIfTrue { .. } => inline!(h_jump_if_true),
+                Op::Add1 { .. } => inline!(h_add1),
+                Op::Sub1 { .. } => inline!(h_sub1),
+                Op::Add2 { .. } => inline!(h_add2),
+                Op::NullP { .. } => inline!(h_null_p),
+                Op::Cons { .. } => inline!(h_cons),
+                Op::SetCar { .. } => inline!(h_set_car),
+                Op::SetCdr { .. } => inline!(h_set_cdr),
+                Op::TestJump { .. } => inline!(h_test_jump),
+                Op::CxrNull { .. } => inline!(h_cxr_null),
+                Op::CarBin { .. } => inline!(h_car_bin),
+                Op::CmpJump { .. } => inline!(h_cmp_jump),
+                Op::ConstBin { .. } => inline!(h_const_bin),
+                _ => HANDLERS[op.opcode()](self, code, regs, op, &mut pc),
+            };
+            if let Some(flow) = flow? {
                 return Ok(flow);
             }
         }
@@ -377,7 +434,7 @@ impl BuiltinCx for Vm<'_> {
 }
 
 // ----------------------------------------------------------------
-// Direct-threaded dispatch
+// Handlers
 // ----------------------------------------------------------------
 
 /// One opcode handler. Returns `Ok(None)` to continue in the current
@@ -386,9 +443,11 @@ impl BuiltinCx for Vm<'_> {
 type Handler =
     for<'v, 'i> fn(&'v mut Vm<'i>, &Code, &mut [Value], Op, &mut usize) -> Result<Option<VmFlow>>;
 
-/// The dispatch table, indexed by [`Op::opcode`]. Order must match
-/// the opcode numbering exactly (checked by `opcode_table_is_dense`
-/// plus the engine differential suite, which executes every handler).
+/// The handler table, indexed by [`Op::opcode`]: how `exec` runs every
+/// opcode its `match` does not inline, and how [`h_profiled`] runs
+/// them all. Order must match the opcode numbering exactly (checked by
+/// `opcode_table_is_dense` plus the engine differential suite, which
+/// executes every handler).
 static HANDLERS: [Handler; OPCODE_COUNT] = [
     h_const,
     h_float,
@@ -441,10 +500,10 @@ static HANDLERS: [Handler; OPCODE_COUNT] = [
     h_cons_link,
 ];
 
-/// Every slot of the profiling table: run the opcode's real handler
-/// with count/ns accounting around it.
-static PROFILED_HANDLERS: [Handler; OPCODE_COUNT] = [h_profiled; OPCODE_COUNT];
-
+/// A profiled context's dispatch: run the opcode's handler with
+/// count/ns accounting around it.
+#[cold]
+#[inline(never)]
 fn h_profiled(
     vm: &mut Vm,
     code: &Code,
@@ -461,6 +520,7 @@ fn h_profiled(
     step
 }
 
+#[cfg_attr(not(debug_assertions), inline(always))]
 fn h_const(
     _vm: &mut Vm,
     code: &Code,
@@ -509,6 +569,7 @@ fn h_quote(
     Ok(None)
 }
 
+#[cfg_attr(not(debug_assertions), inline(always))]
 fn h_move(
     _vm: &mut Vm,
     _code: &Code,
@@ -563,6 +624,7 @@ fn h_set_global(
     Ok(None)
 }
 
+#[cfg_attr(not(debug_assertions), inline(always))]
 fn h_jump(
     _vm: &mut Vm,
     _code: &Code,
@@ -575,6 +637,7 @@ fn h_jump(
     Ok(None)
 }
 
+#[cfg_attr(not(debug_assertions), inline(always))]
 fn h_jump_if_nil(
     _vm: &mut Vm,
     _code: &Code,
@@ -589,6 +652,7 @@ fn h_jump_if_nil(
     Ok(None)
 }
 
+#[cfg_attr(not(debug_assertions), inline(always))]
 fn h_jump_if_true(
     _vm: &mut Vm,
     _code: &Code,
@@ -830,6 +894,7 @@ fn h_raise(
 
 // ----- specialized hot ops -----------------------------------------
 
+#[cfg_attr(not(debug_assertions), inline(always))]
 fn h_car(
     vm: &mut Vm,
     _code: &Code,
@@ -842,6 +907,7 @@ fn h_car(
     Ok(None)
 }
 
+#[cfg_attr(not(debug_assertions), inline(always))]
 fn h_cdr(
     vm: &mut Vm,
     _code: &Code,
@@ -854,6 +920,7 @@ fn h_cdr(
     Ok(None)
 }
 
+#[cfg_attr(not(debug_assertions), inline(always))]
 fn h_cons(
     vm: &mut Vm,
     _code: &Code,
@@ -866,6 +933,7 @@ fn h_cons(
     Ok(None)
 }
 
+#[cfg_attr(not(debug_assertions), inline(always))]
 fn h_set_car(
     vm: &mut Vm,
     _code: &Code,
@@ -880,6 +948,7 @@ fn h_set_car(
     Ok(None)
 }
 
+#[cfg_attr(not(debug_assertions), inline(always))]
 fn h_set_cdr(
     vm: &mut Vm,
     _code: &Code,
@@ -894,6 +963,7 @@ fn h_set_cdr(
     Ok(None)
 }
 
+#[cfg_attr(not(debug_assertions), inline(always))]
 fn h_null_p(
     _vm: &mut Vm,
     _code: &Code,
@@ -942,6 +1012,7 @@ fn h_eq_p(
     Ok(None)
 }
 
+#[cfg_attr(not(debug_assertions), inline(always))]
 fn h_add1(
     vm: &mut Vm,
     _code: &Code,
@@ -954,6 +1025,7 @@ fn h_add1(
     Ok(None)
 }
 
+#[cfg_attr(not(debug_assertions), inline(always))]
 fn h_sub1(
     vm: &mut Vm,
     _code: &Code,
@@ -966,6 +1038,7 @@ fn h_sub1(
     Ok(None)
 }
 
+#[cfg_attr(not(debug_assertions), inline(always))]
 fn h_add2(
     vm: &mut Vm,
     _code: &Code,
@@ -1077,6 +1150,7 @@ fn h_touch(
 
 // ----- fused superinstructions -------------------------------------
 
+#[cfg_attr(not(debug_assertions), inline(always))]
 fn h_test_jump(
     vm: &mut Vm,
     _code: &Code,
@@ -1099,6 +1173,7 @@ fn h_test_jump(
     Ok(None)
 }
 
+#[cfg_attr(not(debug_assertions), inline(always))]
 fn h_cmp_jump(
     vm: &mut Vm,
     _code: &Code,
@@ -1116,6 +1191,7 @@ fn h_cmp_jump(
     Ok(None)
 }
 
+#[cfg_attr(not(debug_assertions), inline(always))]
 fn h_const_bin(
     vm: &mut Vm,
     code: &Code,
@@ -1135,6 +1211,7 @@ fn h_const_bin(
     Ok(None)
 }
 
+#[cfg_attr(not(debug_assertions), inline(always))]
 fn h_car_bin(
     vm: &mut Vm,
     _code: &Code,
@@ -1156,6 +1233,7 @@ fn h_car_bin(
     Ok(None)
 }
 
+#[cfg_attr(not(debug_assertions), inline(always))]
 fn h_cxr_null(
     vm: &mut Vm,
     _code: &Code,
@@ -1199,6 +1277,28 @@ fn h_cons_link(
 
 // ----- shared helpers ----------------------------------------------
 
+/// Lay out a register frame for `code`: the captures, the arguments
+/// (whose buffer goes back to the pool), then unbound slots. Slots
+/// start unbound exactly like tree frames (a parallel `let` may close
+/// over a not-yet-bound slot); temporaries are compiler-managed and
+/// never read before written. Out of line, to keep `Vm::apply`'s
+/// frame small.
+#[inline(never)]
+fn fill_frame(frame: &mut Vec<Value>, code: &Code, captured: &[Value], args: &mut Vec<Value>) {
+    frame.clear();
+    frame.reserve(code.nregs as usize);
+    frame.extend_from_slice(captured);
+    frame.append(args);
+    frame.resize(code.nregs as usize, Value::UNBOUND);
+    eval::put_value_buf(std::mem::take(args));
+}
+
+#[cold]
+#[inline(never)]
+fn arity_error(func: &crate::ast::Func, got: usize) -> LispError {
+    LispError::Arity { name: func.name.clone(), expected: func.params.len(), got }
+}
+
 fn bool_val(b: bool) -> Value {
     if b {
         Value::T
@@ -1225,7 +1325,7 @@ fn bin_op(interp: &Interp, kind: BinKind, x: Value, y: Value) -> Result<Value> {
     let (Some(i), Some(j)) = (x.as_int(), y.as_int()) else {
         return match kind {
             BinKind::Eq => Ok(bool_val(x == y)),
-            _ => bin_op_slow(interp, kind, x, y),
+            _ => bin_op_slow(interp, kind, x, y).map_err(|e| *e),
         };
     };
     match kind {
@@ -1242,12 +1342,20 @@ fn bin_op(interp: &Interp, kind: BinKind, x: Value, y: Value) -> Result<Value> {
 
 /// [`bin_op`] on anything but two integers: the tree-walker's
 /// `fold_arith`/`compare_chain`, which decode both operands, so the
-/// mixed-type results and the errors are the tree-walker's own.
+/// mixed-type results and the errors are the tree-walker's own. The
+/// error comes back boxed: a two-word result returns in registers,
+/// where a `LispError` would take a result slot of its own in
+/// `Vm::apply`'s frame for every site `exec` inlines this call at.
 #[cold]
 #[inline(never)]
-fn bin_op_slow(interp: &Interp, kind: BinKind, x: Value, y: Value) -> Result<Value> {
+fn bin_op_slow(
+    interp: &Interp,
+    kind: BinKind,
+    x: Value,
+    y: Value,
+) -> std::result::Result<Value, Box<LispError>> {
     let xy = [x, y];
-    match kind {
+    let r = match kind {
         BinKind::Add => fold_arith(interp, &xy, "+", i64::checked_add, |a, b| a + b, 0, false),
         BinKind::Sub => fold_arith(interp, &xy, "-", i64::checked_sub, |a, b| a - b, 0, true),
         BinKind::Mul => fold_arith(interp, &xy, "*", i64::checked_mul, |a, b| a * b, 1, false),
@@ -1257,7 +1365,8 @@ fn bin_op_slow(interp: &Interp, kind: BinKind, x: Value, y: Value) -> Result<Val
         BinKind::Ge => compare_chain(interp, &xy, ">=", |a, b| a >= b, |a, b| a >= b),
         BinKind::NumEq => compare_chain(interp, &xy, "=", |a, b| a == b, |a, b| a == b),
         BinKind::Eq => Ok(bool_val(x == y)),
-    }
+    };
+    r.map_err(Box::new)
 }
 
 #[cfg(test)]
@@ -1346,14 +1455,29 @@ mod tests {
         let it = Interp::new();
         it.eval_str("(defun count-up (n acc) (if (= n 0) acc (count-up (- n 1) (+ acc 1))))")
             .unwrap();
+        let fid = it.lookup_func_by_name("count-up").unwrap();
+        let args = || vec![Value::int(1000), Value::int(0)];
+        let plain = Vm::new(&it).apply(fid, args()).unwrap();
+        // A context samples the switch once, as it is made: this one
+        // is profiled, and (the switch off again at once) hardly any
+        // context of a test running beside it is.
         set_op_profiling(true);
-        let v = it.eval_str("(count-up 1000 0)").unwrap();
+        let mut vm = Vm::new(&it);
         set_op_profiling(false);
+        let total = || op_profile_snapshot().iter().map(|r| r.count).sum::<u64>();
+        let before = total();
+        let v = vm.apply(fid, args()).unwrap();
+        let profiled = total() - before;
         assert_eq!(v.as_int(), Some(1000));
-        let rows = op_profile_snapshot();
-        assert!(!rows.is_empty(), "profiled run produced no rows");
-        let total: u64 = rows.iter().map(|r| r.count).sum();
-        assert!(total >= 1000, "expected ≥1000 dispatches, got {total}");
+        assert_eq!(v, plain, "profiling changed the value");
+        // Every dispatch has its row, inline opcodes too: the rows add
+        // up to what the context adds to `vm_stats().dispatched_ops`.
+        assert!(profiled >= 1000, "expected ≥1000 dispatches, got {profiled}");
+        assert_eq!(profiled, vm.ops, "profiled rows against dispatched ops");
+        let published = vm_stats().dispatched_ops;
+        let ops = vm.ops;
+        vm.publish_stats();
+        assert!(vm_stats().dispatched_ops >= published + ops);
         let top = op_profile_top(3);
         assert!(top.len() <= 3);
         assert!(top.windows(2).all(|w| w[0].ns >= w[1].ns), "top-k sorted by ns");

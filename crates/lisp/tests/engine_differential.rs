@@ -138,6 +138,58 @@ fn heap_structures() {
         "(eq 'a 'a)",
         "(eql 1.5 1.5)",
         "(equal '(1 (2 3)) '(1 (2 3)))",
+        // `cxr` chains that run off a short list, inside compiled
+        // bodies (plain, fused with a null test, fused with `+`).
+        "(defun f (l) (car (cdr (cdr (cdr l))))) (f '(1 2))",
+        "(defun f (l) (cdr (cdr (cdr (cdr l))))) (f '(1))",
+        "(defun f (l) (null (cdr (cdr l)))) (list (f '(1)) (f '(1 2 3)))",
+        "(defun f (l) (+ (car (cdr (cdr l))) 1)) (f '(1 2))",
+        "(defun f (l) (car (car (cdr l)))) (f '(1 2))",
+        "(defun f (l) (rplacd (cdr (cdr l)) 9)) (f '(1 2))",
+        "(defun f (l) (n (cdr l))) (defun n (l) (if (null l) 0 (+ 1 (n (cdr l))))) (f '(1 2 3))",
+    ] {
+        assert_engines_agree(src);
+    }
+    // `car`/`cdr`/`rplaca`/`rplacd` of every kind of value that is no
+    // cons, in compiled bodies — alone and in the fused shapes — and at
+    // top level: the same value for nil, the same type error for the
+    // rest.
+    let ops = [
+        "(car x)",
+        "(cdr x)",
+        "(rplaca x 1)",
+        "(rplacd x 1)",
+        "(null (cdr x))",
+        "(+ (car x) 1)",
+        "(rplacd x (cons 1 2))",
+    ];
+    let args = ["nil", "5", "2.5", "\"s\"", "t", "(make-point 1 2)"];
+    for op in ops {
+        for arg in args {
+            assert_engines_agree(&format!("(defstruct point x y) (defun f (x) {op}) (f {arg})"));
+            assert_engines_agree(&format!("(defstruct point x y) (let ((x {arg})) {op})"));
+        }
+    }
+}
+
+/// A `setq` in statement position compiles into its slot: a counter
+/// in a `let`, in a `while`, a parameter of a self-tail-recursive
+/// function, a closure's own — each with a right-hand side that reads
+/// the variable twice.
+#[test]
+fn statement_setq() {
+    for src in [
+        "(defun f () (let ((n 1)) (setq n (+ n n 1)) (setq n (* n n)) n)) (f)",
+        "(defun f (k) (let ((i 0) (s 0)) (while (< i k) (setq s (+ s i i)) (setq i (+ i 1))) s)) (f 10)",
+        "(defun f (n acc) (setq acc (+ acc n n)) (if (= n 0) acc (f (- n 1) acc))) (f 100 0)",
+        "(defun f (n acc) (setq n (- n 1)) (setq acc (cons n acc)) (if (< n 1) acc (f n acc))) (f 5 nil)",
+        "(defun f (k) (let ((g (lambda (x) (setq x (* x x)) (setq x (+ x x)) x))) (funcall g k))) (f 3)",
+        "(defun f () (let ((c 1)) (let ((g (lambda () (setq c (+ c c)) c))) (list (funcall g) (funcall g) c)))) (f)",
+        "(defun f (x) (setq x (+ x x)) x) (f 'a)",
+        "(defun f (x) (setq x (+ x x)) x) (f 576460752303423487)",
+        "(defun f (x) (list (setq x (+ x x)) x)) (f 2)",
+        "(defun f (x) (let ((y x)) (setq y (car y)) (setq y (+ y y)) y)) (f '(4))",
+        "(defun f (x) (when x (setq x (cdr x)) (setq x (cdr x))) x) (f '(1 2 3))",
     ] {
         assert_engines_agree(src);
     }

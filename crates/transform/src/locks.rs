@@ -163,15 +163,18 @@ impl<'f> PlaceCtx<'_, '_, 'f> {
     /// ```lisp
     /// (let* ((%curare-plock0 (cdr l)))
     ///   (cri-lock %curare-plock0 'car)
-    ///   <stmt>
-    ///   (cri-unlock %curare-plock0 'car))
+    ///   (let ((%curare-pval1 <stmt>))
+    ///     (cri-unlock %curare-plock0 'car)
+    ///     %curare-pval1))
     /// ```
     ///
-    /// The bracket's value is nil — like every CRI conversion the
-    /// result executes for effect only. `first` is the first statement
-    /// `stmt` holds, as written.
-    fn wrap(&mut self, first: &'f Sexpr, stmt: Sexpr, covered: &[LockSpec]) -> Sexpr {
-        self.brackets.push((first, lock_bracket_steps(covered.iter().map(|s| &s.path))));
+    /// The bracket's value is the statement's where `keep` (its value
+    /// is used: the function's own, or an operand's); a bracket whose
+    /// value is discarded ends with its releases instead, and is nil.
+    /// `first` is the first statement `stmt` holds, as written.
+    fn wrap(&mut self, first: &'f Sexpr, stmt: Sexpr, covered: &[LockSpec], keep: bool) -> Sexpr {
+        let steps = lock_bracket_steps(covered.iter().map(|s| &s.path), keep);
+        self.brackets.push((first, steps));
         let mut bindings = Vec::new();
         let mut body = Vec::new();
         let mut unlock_forms = Vec::new();
@@ -190,8 +193,16 @@ impl<'f> PlaceCtx<'_, '_, 'f> {
             body.push(sx::call(lock_head, vec![sx::sym(tmp.clone()), sx::field_operand(field)]));
             unlock_forms.push(sx::call(unlock_head, vec![sx::sym(tmp), sx::field_operand(field)]));
         }
-        body.push(stmt);
-        body.extend(unlock_forms.into_iter().rev());
+        unlock_forms.reverse();
+        if keep {
+            let val = format!("%curare-pval{}", self.counter);
+            self.counter += 1;
+            unlock_forms.push(sx::sym(val.clone()));
+            body.push(shape::let_form(false, vec![(val, stmt)], unlock_forms));
+        } else {
+            body.push(stmt);
+            body.extend(unlock_forms);
+        }
         shape::let_form(true, bindings, body)
     }
 
@@ -224,12 +235,14 @@ impl<'f> Device<'f> for PlaceCtx<'_, '_, 'f> {
         let mut run: Vec<Sexpr> = Vec::new();
         let mut run_first: Option<&'f Sexpr> = None;
         let mut run_specs: Vec<LockSpec> = Vec::new();
+        // The run's last statement's value is used.
+        let mut run_keeps = false;
         macro_rules! flush {
             () => {
                 if let Some(first) = run_first.take() {
                     let stmt = shape::progn(std::mem::take(&mut run));
                     let specs = std::mem::take(&mut run_specs);
-                    out.push(self.wrap(first, stmt, &specs));
+                    out.push(self.wrap(first, stmt, &specs, run_keeps));
                 }
             };
         }
@@ -240,6 +253,7 @@ impl<'f> Device<'f> for PlaceCtx<'_, '_, 'f> {
                         flush!();
                     }
                     run_specs = covered;
+                    run_keeps = !pos.discarded;
                     run_first.get_or_insert(s);
                     run.push(s.clone());
                 }
@@ -278,7 +292,7 @@ impl<'f> Device<'f> for PlaceCtx<'_, '_, 'f> {
         }
         match self.covering(form) {
             Some(covered) if covered.is_empty() => form.clone(),
-            Some(covered) => self.wrap(form, form.clone(), &covered),
+            Some(covered) => self.wrap(form, form.clone(), &covered, !pos.discarded),
             None => {
                 self.violations.push(format!("statement `{form}` is not analyzable"));
                 form.clone()

@@ -16,7 +16,10 @@
 //! reason (`UsesCallResult`, `DeclaredOff`), and the generated walkers
 //! were recorded again when the lock device came to write one bracket
 //! per run of statements with the same lock set (fewer bracket steps,
-//! so `win-1-4`'s tail cost fell below the hand-off threshold).
+//! so `win-1-4`'s tail cost fell below the hand-off threshold), and
+//! once more when a bracket whose value is used came to return it (the
+//! walkers' last bracket binds its run's value and reads it back after
+//! the releases: one step more on the tail).
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
