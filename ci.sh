@@ -56,6 +56,16 @@ rc=0; target/release/curare check examples/lisp/fixtures/shared-root.lisp > /dev
 if [ "$rc" -ne 2 ]; then
   echo "expected exit 2 on the shared-root fixture, got $rc" >&2; exit 1
 fi
+# A form nested 100 000 deep is a read error (exit 2), not a stack
+# overflow (exit 134): the reader stops at its depth limit.
+deep="$(mktemp -d)"
+{ head -c 100000 /dev/zero | tr '\0' '('; head -c 100000 /dev/zero | tr '\0' ')'; } \
+  > "$deep/deep.lisp"
+rc=0; target/release/curare check "$deep/deep.lisp" > /dev/null 2>&1 || rc=$?
+rm -r "$deep"
+if [ "$rc" -ne 2 ]; then
+  echo "expected exit 2 on a 100 000-deep form, got $rc" >&2; exit 1
+fi
 
 echo "== lock synthesis: certifier exit contract"
 # Shipped examples certify clean under the synthesized placement…

@@ -1,17 +1,28 @@
-//! Bytecode compiler: HIR (see [`crate::hir`]) to flat register code.
+//! Bytecode compiler: the lowered [`Expr`] tree to flat register code.
 //!
-//! Each function compiles once, at definition time. The pipeline is
-//! three stages: the lowerer's [`crate::ast::Expr`] tree is desugared
-//! and constant-folded by [`hir::lower_body`], this module
-//! emits a flat `Vec<Op>` over a register frame reusing the
+//! Each function compiles once, at definition time, straight from the
+//! tree the lowerer produced and the tree-walker runs. Emission applies
+//! the rewrites a tree-shaped program leaves to a compiler as it goes
+//! ([`Compiler::form`]): a literal condition picks its branch, nested
+//! `progn`/`and`/`or` chains are walked as one chain, an `and`/`or`
+//! stops at a literal that decides it, a quoted atom is a constant, a
+//! sequential `let` binds its slots in order, and an out-of-range
+//! integer literal raises. A pure builtin over integer literals is a
+//! constant when the runtime's own [`apply_builtin`] returns a value
+//! for it, so folding cannot disagree with execution: an application
+//! that would raise (overflow, say) is left for run time, keeping the
+//! error and its order.
+//!
+//! The code is a flat `Vec<Op>` over a register frame reusing the
 //! tree-walker's slot numbering (register *i* is frame slot *i*;
-//! compiler temporaries live above `nslots`), and a peephole pass
-//! fuses measured-hot instruction pairs into superinstructions. The
+//! compiler temporaries live above `nslots`), and a peephole pass fuses
+//! measured-hot instruction pairs into superinstructions. The
 //! [`crate::vm`] dispatch loop executes the result with the same
 //! semantics as the tree-walker — strict left-to-right evaluation,
 //! per-execution allocation of float/string/quote literals, function
 //! lookup *after* argument evaluation, and proper tail calls — so the
-//! tree remains a drop-in differential oracle.
+//! tree remains a drop-in differential oracle. The arithmetic ops carry
+//! no types: the VM tests the integer tag itself (`vm::bin_op`).
 //!
 //! The fusion pass runs pairwise over the emitted stream and never
 //! fuses across a basic-block boundary (an instruction that is a jump
@@ -37,10 +48,12 @@ use std::sync::Arc;
 
 use curare_sexpr::{Sexpr, Symbol};
 
-use crate::ast::{BuiltinOp, Func, VarRef};
+use crate::ast::{BuiltinOp, Expr, Func, VarRef};
+use crate::builtins::apply_builtin;
 use crate::error::LispError;
-use crate::hir::{self, HExpr};
+use crate::eval::Evaluator;
 use crate::interp::Interp;
+use crate::lower::builtin_foldable;
 use crate::value::{FuncId, SymId, Value};
 
 // ----------------------------------------------------------------
@@ -464,7 +477,6 @@ pub struct Code {
 /// VM then falls back to the tree-walker for this function.
 pub fn compile(interp: &Interp, func: &Func) -> Option<Code> {
     let base = func.nslots.max(func.ncaptures + func.params.len());
-    let body = hir::lower_body(func);
     let mut c = Compiler {
         interp,
         func,
@@ -486,15 +498,7 @@ pub fn compile(interp: &Interp, func: &Func) -> Option<Code> {
         ok: true,
     };
     let ret = c.alloc_temp();
-    match body.split_last() {
-        None => c.op_const(ret, Value::NIL),
-        Some((last, init)) => {
-            for stmt in init {
-                c.emit_discard(stmt);
-            }
-            c.emit(last, ret, true);
-        }
-    }
+    c.emit_body(&func.body, ret, true);
     let src = c.r16(ret);
     c.ops.push(Op::Return { src });
     if !c.ok || c.max_reg > u16::MAX as usize || c.ops.len() > u32::MAX as usize {
@@ -660,6 +664,48 @@ fn fuse(ops: Vec<Op>) -> Vec<Op> {
     out
 }
 
+/// What an expression compiles as, once the rewrites are applied.
+enum Form<'e> {
+    /// `nil`, `t` or a fixnum, from a literal, a quoted atom, a decided
+    /// branch or chain, or a folded builtin: one constant load, and
+    /// nothing at all where only its effect is wanted in a `progn`.
+    Lit(Value),
+    /// A `progn`, `and` or `or` of two or more forms, the chains of its
+    /// own kind nested in it walked as one.
+    Chain(Chain, Vec<&'e Expr>),
+    /// Anything else, compiled by its own variant: never `nil`, `t`, a
+    /// chain, an empty `let` or an `if` on a literal.
+    Node(&'e Expr),
+}
+
+/// The kind of a [`Form::Chain`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Chain {
+    Progn,
+    And,
+    Or,
+}
+
+impl Chain {
+    /// The value of the empty chain.
+    fn unit(self) -> Value {
+        if self == Chain::And {
+            Value::T
+        } else {
+            Value::NIL
+        }
+    }
+
+    /// A literal with this truth, before the last form, is dropped.
+    fn drops(self, v: Value) -> bool {
+        match self {
+            Chain::Progn => true,
+            Chain::And => !v.is_nil(),
+            Chain::Or => v.is_nil(),
+        }
+    }
+}
+
 struct Compiler<'a> {
     interp: &'a Interp,
     func: &'a Func,
@@ -801,18 +847,98 @@ impl Compiler<'_> {
         }
     }
 
+    // ----- the rewrites ----------------------------------------------
+
+    /// What `e` compiles as. A chain keeps the forms the rewrites leave
+    /// of it, and a chain of one form compiles as that form.
+    fn form<'e>(&self, e: &'e Expr) -> Form<'e> {
+        let lit = |i: i64| Value::int_checked(i).map_or(Form::Node(e), Form::Lit);
+        match e {
+            Expr::Nil => Form::Lit(Value::NIL),
+            Expr::T => Form::Lit(Value::T),
+            Expr::Int(i) => lit(*i),
+            Expr::Quote(Sexpr::Int(i)) => lit(*i),
+            Expr::Quote(Sexpr::Sym(s)) if *s == "nil" => Form::Lit(Value::NIL),
+            Expr::Quote(Sexpr::Sym(s)) if *s == "t" => Form::Lit(Value::T),
+            Expr::Quote(Sexpr::List(items)) if items.is_empty() => Form::Lit(Value::NIL),
+            Expr::If(c, t, f) => match self.form(c) {
+                Form::Lit(v) => self.form(if v.is_nil() { f } else { t }),
+                _ => Form::Node(e),
+            },
+            Expr::Progn(es) => self.chain(Chain::Progn, es),
+            Expr::Let { bindings, body, .. } if bindings.is_empty() => {
+                self.chain(Chain::Progn, body)
+            }
+            Expr::And(es) => self.chain(Chain::And, es),
+            Expr::Or(es) => self.chain(Chain::Or, es),
+            Expr::Builtin(op, args) => self.fold(*op, args).map_or(Form::Node(e), Form::Lit),
+            _ => Form::Node(e),
+        }
+    }
+
+    /// The chain `kind` over `es`: a nested chain of the same kind is
+    /// spliced in (in `and`/`or` only before the last form), a literal
+    /// the chain does not stop at is dropped before the last form, and
+    /// one it stops at (`nil` in an `and`, a true one in an `or`) ends
+    /// it.
+    fn chain<'e>(&self, kind: Chain, es: &'e [Expr]) -> Form<'e> {
+        let mut items = Vec::with_capacity(es.len());
+        // The form of the one item, when only one is pushed.
+        let mut only = None;
+        for (i, e) in es.iter().enumerate() {
+            let last = i + 1 == es.len();
+            match self.form(e) {
+                Form::Chain(k, inner) if k == kind && (kind == Chain::Progn || !last) => {
+                    items.extend(inner);
+                }
+                Form::Lit(v) if !last && kind.drops(v) => {}
+                f => {
+                    let stops = !last && matches!(f, Form::Lit(_));
+                    items.push(e);
+                    only = Some(f);
+                    if stops {
+                        break;
+                    }
+                }
+            }
+        }
+        match items.len() {
+            0 => Form::Lit(kind.unit()),
+            1 => only.expect("the one item was pushed"),
+            _ => Form::Chain(kind, items),
+        }
+    }
+
+    /// A foldable builtin over integer literals, when the runtime's own
+    /// builtin returns a value for it (an application that raises is
+    /// left to raise when it runs). The lowerer has checked the arity,
+    /// and every result over integers is an immediate.
+    fn fold(&self, op: BuiltinOp, args: &[Expr]) -> Option<Value> {
+        if !builtin_foldable(op) {
+            return None;
+        }
+        let int = |a| match self.form(a) {
+            Form::Lit(v) if v.as_int().is_some() => Some(v),
+            _ => None,
+        };
+        let mut vals = args.iter().map(int).collect::<Option<Vec<_>>>()?;
+        apply_builtin(&mut Evaluator::new(self.interp), op, &mut vals).ok()
+    }
+
+    // ----- expressions -----------------------------------------------
+
     /// Evaluate `e` for effect only. A local `setq` compiles into its
     /// own slot: its value is already there, so no `Move` copies it out.
-    fn emit_discard(&mut self, e: &HExpr) {
-        if let HExpr::Setq(VarRef::Local(slot), _, _) = e {
+    fn emit_discard(&mut self, e: &Expr) {
+        let form = self.form(e);
+        if let Form::Node(Expr::Setq(VarRef::Local(slot), _, _)) = form {
             if *slot < self.base {
-                self.emit(e, *slot, false);
-                return;
+                return self.emit_form(form, *slot, false);
             }
         }
         let mark = self.temp;
         let scratch = self.alloc_temp();
-        self.emit(e, scratch, false);
+        self.emit_form(form, scratch, false);
         self.free_to(mark);
     }
 
@@ -822,38 +948,39 @@ impl Compiler<'_> {
     /// without reordering effects relative to the tree-walker. Only
     /// local `setq` and `let` bindings write slots; calls run in their
     /// own frames and closures capture by value, so everything else
-    /// (including side-effecting heap ops) qualifies.
-    fn writes_no_slot(e: &HExpr) -> bool {
-        match e {
-            HExpr::Setq(VarRef::Local(_), _, _) | HExpr::Let { .. } => false,
-            HExpr::Setq(VarRef::Global(_), _, rhs) => Self::writes_no_slot(rhs),
-            HExpr::If(c, t, f) => {
-                Self::writes_no_slot(c) && Self::writes_no_slot(t) && Self::writes_no_slot(f)
-            }
-            HExpr::Progn(es) | HExpr::And(es) | HExpr::Or(es) => {
-                es.iter().all(Self::writes_no_slot)
-            }
-            HExpr::While(c, body) => {
-                Self::writes_no_slot(c) && body.iter().all(Self::writes_no_slot)
-            }
-            HExpr::Call { args, .. }
-            | HExpr::Builtin(_, args)
-            | HExpr::Struct(_, args)
-            | HExpr::Future { args, .. }
-            | HExpr::Enqueue { args, .. } => args.iter().all(Self::writes_no_slot),
-            HExpr::LockOp { base, .. } => Self::writes_no_slot(base),
-            // Literals, vars, lambdas (bodies run in their own frame),
-            // function refs, quotes, raises.
-            _ => true,
+    /// (including side-effecting heap ops) qualifies. A branch or form
+    /// the rewrites drop is never evaluated.
+    fn writes_no_slot(&self, e: &Expr) -> bool {
+        let all = |es: &[Expr]| es.iter().all(|e| self.writes_no_slot(e));
+        match self.form(e) {
+            Form::Lit(_) => true,
+            Form::Chain(_, items) => items.iter().all(|e| self.writes_no_slot(e)),
+            Form::Node(e) => match e {
+                Expr::Setq(VarRef::Local(_), _, _) | Expr::Let { .. } => false,
+                Expr::Setq(VarRef::Global(_), _, rhs) => self.writes_no_slot(rhs),
+                Expr::If(c, t, f) => {
+                    self.writes_no_slot(c) && self.writes_no_slot(t) && self.writes_no_slot(f)
+                }
+                Expr::While(c, body) => self.writes_no_slot(c) && all(body),
+                Expr::Call { args, .. }
+                | Expr::Builtin(_, args)
+                | Expr::Struct(_, args)
+                | Expr::Future { args, .. }
+                | Expr::Enqueue { args, .. } => all(args),
+                Expr::LockOp { base, .. } => self.writes_no_slot(base),
+                // Literals, vars, lambdas (bodies run in their own
+                // frame), function refs, quotes, raises.
+                _ => true,
+            },
         }
     }
 
-    /// The frame slot holding `e`'s value, when `e` is a plain local
+    /// The frame slot holding `form`'s value, when it is a plain local
     /// variable outside the captured region (captured slots need a
     /// checked load).
-    fn direct_slot(&self, e: &HExpr) -> Option<usize> {
-        match e {
-            HExpr::Var(VarRef::Local(slot), _) if *slot >= self.func.ncaptures => {
+    fn direct_slot(&self, form: &Form<'_>) -> Option<usize> {
+        match form {
+            Form::Node(Expr::Var(VarRef::Local(slot), _)) if *slot >= self.func.ncaptures => {
                 (*slot < self.base).then_some(*slot)
             }
             _ => None,
@@ -863,20 +990,27 @@ impl Compiler<'_> {
     /// An operand register for `e`: its own slot when that is safe
     /// (`direct_ok`), a fresh temporary otherwise. Temporaries are
     /// reclaimed by the caller via `free_to`.
-    fn operand(&mut self, e: &HExpr, direct_ok: bool) -> usize {
+    fn operand(&mut self, e: &Expr, direct_ok: bool) -> usize {
+        let form = self.form(e);
         if direct_ok {
-            if let Some(slot) = self.direct_slot(e) {
+            if let Some(slot) = self.direct_slot(&form) {
                 self.max_reg = self.max_reg.max(slot + 1);
                 return slot;
             }
         }
         let t = self.alloc_temp();
-        self.emit(e, t, false);
+        self.emit_form(form, t, false);
         t
     }
 
-    /// Compile contiguous argument registers for a call-like form.
-    fn emit_args(&mut self, args: &[HExpr]) -> (u16, u16) {
+    /// Compile contiguous argument registers for a call-like form. More
+    /// arguments than a `u16` counts fail the compilation: the function
+    /// then runs on the tree-walker.
+    fn emit_args(&mut self, args: &[Expr]) -> (u16, u16) {
+        let Ok(argc) = u16::try_from(args.len()) else {
+            self.ok = false;
+            return (0, 0);
+        };
         let start = self.temp;
         for _ in args {
             self.alloc_temp();
@@ -884,63 +1018,95 @@ impl Compiler<'_> {
         for (i, a) in args.iter().enumerate() {
             self.emit(a, start + i, false);
         }
-        let base = self.r16(start);
-        if args.len() > u16::MAX as usize {
-            self.ok = false;
-        }
-        (base, args.len() as u16)
+        (self.r16(start), argc)
     }
 
     /// Compile a body (progn-like form sequence) into `dst`.
-    fn emit_body(&mut self, body: &[HExpr], dst: usize, tail: bool) {
-        match body.split_last() {
-            None => self.op_const(dst, Value::NIL),
-            Some((last, init)) => {
-                for s in init {
-                    self.emit_discard(s);
-                }
-                self.emit(last, dst, tail);
-            }
+    fn emit_body<'e>(&mut self, body: impl IntoIterator<Item = &'e Expr>, dst: usize, tail: bool) {
+        let mut body = body.into_iter();
+        let Some(mut last) = body.next() else {
+            return self.op_const(dst, Value::NIL);
+        };
+        for e in body {
+            self.emit_discard(last);
+            last = e;
         }
+        self.emit(last, dst, tail);
     }
 
-    /// Compile `e`, leaving its value in `dst`. Invariant: only the
-    /// *final* value-producing instruction writes `dst` when `dst` is
-    /// a frame slot (intermediate results go to temporaries), matching
-    /// the tree-walker's evaluate-then-assign timing. When `dst` is a
+    /// Compile `e`, leaving its value in `dst`.
+    fn emit(&mut self, e: &Expr, dst: usize, tail: bool) {
+        let form = self.form(e);
+        self.emit_form(form, dst, tail);
+    }
+
+    /// Compile `form` into `dst`. Invariant: only the *final*
+    /// value-producing instruction writes `dst` when `dst` is a frame
+    /// slot (intermediate results go to temporaries), matching the
+    /// tree-walker's evaluate-then-assign timing. When `dst` is a
     /// temporary, intermediate writes are unobservable and allowed.
-    fn emit(&mut self, e: &HExpr, dst: usize, tail: bool) {
+    fn emit_form(&mut self, form: Form<'_>, dst: usize, tail: bool) {
         if !self.ok {
             return;
         }
         let mark = self.temp;
+        let e = match form {
+            Form::Lit(v) => return self.op_const(dst, v),
+            Form::Chain(Chain::Progn, items) => return self.emit_body(items, dst, tail),
+            Form::Chain(kind, items) => {
+                // An `and` leaves nil when a form before the last is
+                // nil; an `or` leaves the first true form's value.
+                let and = kind == Chain::And;
+                let (last, init) = items.split_last().expect("a chain has two forms or more");
+                let work = if self.is_temp(dst) { dst } else { self.alloc_temp() };
+                let mut exits = Vec::with_capacity(init.len());
+                for s in init {
+                    self.emit(s, work, false);
+                    let src = self.r16(work);
+                    exits.push(if and { self.jump_if_nil(src) } else { self.jump_if_true(src) });
+                }
+                self.emit(last, work, tail);
+                let j_end = and.then(|| self.jump());
+                let here = self.here();
+                for j in exits {
+                    self.patch(j, here);
+                }
+                if let Some(j_end) = j_end {
+                    self.op_const(work, Value::NIL);
+                    let here = self.here();
+                    self.patch(j_end, here);
+                }
+                if work != dst {
+                    let (d, s) = (self.r16(dst), self.r16(work));
+                    self.ops.push(Op::Move { dst: d, src: s });
+                }
+                return self.free_to(mark);
+            }
+            Form::Node(e) => e,
+        };
         match e {
-            HExpr::Nil => self.op_const(dst, Value::NIL),
-            HExpr::T => self.op_const(dst, Value::T),
-            // The desugarer guarantees in-range literals.
-            HExpr::Int(i) => self.op_const(dst, Value::int(*i)),
             // The tree-walker reports literal overflow on evaluation;
             // match it with a runtime raise.
-            HExpr::RaiseInt => self.raise(LispError::Overflow("literal")),
-            HExpr::Float(x) => {
+            Expr::Int(_) => self.raise(LispError::Overflow("literal")),
+            Expr::Float(x) => {
                 self.floats.push(*x);
                 let k = self.pool_idx(self.floats.len() - 1);
                 let dst = self.r16(dst);
                 self.ops.push(Op::Float { dst, k });
             }
-            HExpr::Str(s) => {
+            Expr::Str(s) => {
                 self.strs.push(s.clone());
                 let k = self.pool_idx(self.strs.len() - 1);
                 let dst = self.r16(dst);
                 self.ops.push(Op::Str { dst, k });
             }
-            HExpr::Quote(d) => {
+            Expr::Quote(d) => {
                 self.quotes.push(d.clone());
                 let k = self.pool_idx(self.quotes.len() - 1);
                 let dst = self.r16(dst);
                 self.ops.push(Op::Quote { dst, k });
             }
-            HExpr::Var(vr, name) => match vr {
+            Expr::Var(vr, name) => match vr {
                 VarRef::Local(slot) => {
                     if *slot >= self.base {
                         // A slot beyond the declared frame would
@@ -962,7 +1128,7 @@ impl Compiler<'_> {
                     self.ops.push(Op::GetGlobal { dst, g });
                 }
             },
-            HExpr::Setq(vr, _, rhs) => match vr {
+            Expr::Setq(vr, _, rhs) => match vr {
                 VarRef::Local(slot) => {
                     if *slot >= self.base {
                         self.ok = false;
@@ -981,7 +1147,7 @@ impl Compiler<'_> {
                     self.ops.push(Op::SetGlobal { g, src });
                 }
             },
-            HExpr::If(c, t, f) => {
+            Expr::If(c, t, f) => {
                 let cond = self.operand(c, true);
                 let src = self.r16(cond);
                 let j_else = self.jump_if_nil(src);
@@ -994,69 +1160,25 @@ impl Compiler<'_> {
                 let here = self.here();
                 self.patch(j_end, here);
             }
-            HExpr::Progn(es) => self.emit_body(es, dst, tail),
-            HExpr::And(es) => match es.split_last() {
-                None => self.op_const(dst, Value::T),
-                Some((last, init)) => {
-                    let work = if self.is_temp(dst) { dst } else { self.alloc_temp() };
-                    let mut to_nil = Vec::with_capacity(init.len());
-                    for s in init {
-                        self.emit(s, work, false);
-                        let src = self.r16(work);
-                        to_nil.push(self.jump_if_nil(src));
+            Expr::Let { bindings, body, sequential } => {
+                // A sequential `let` binds its slots in order: each
+                // init resolves only to earlier slots (the lowerer
+                // scopes a binding's own slot in after its init). So
+                // does a single binding, compiled straight into its
+                // slot: nothing can observe the slot mid-init (the
+                // lowerer never reuses slots, and the emit invariant
+                // delays the write to the final instruction). A
+                // parallel `let` of several stages its inits in
+                // temporaries so all evaluate before any binding
+                // becomes visible.
+                if *sequential || bindings.len() == 1 {
+                    for (slot, _, init) in bindings {
+                        if *slot >= self.base {
+                            self.ok = false;
+                            return;
+                        }
+                        self.emit(init, *slot, false);
                     }
-                    self.emit(last, work, tail);
-                    let j_end = self.jump();
-                    let here = self.here();
-                    for j in to_nil {
-                        self.patch(j, here);
-                    }
-                    self.op_const(work, Value::NIL);
-                    let here = self.here();
-                    self.patch(j_end, here);
-                    if work != dst {
-                        let (d, s) = (self.r16(dst), self.r16(work));
-                        self.ops.push(Op::Move { dst: d, src: s });
-                    }
-                }
-            },
-            HExpr::Or(es) => match es.split_last() {
-                None => self.op_const(dst, Value::NIL),
-                Some((last, init)) => {
-                    let work = if self.is_temp(dst) { dst } else { self.alloc_temp() };
-                    let mut to_end = Vec::with_capacity(init.len());
-                    for s in init {
-                        self.emit(s, work, false);
-                        let src = self.r16(work);
-                        to_end.push(self.jump_if_true(src));
-                    }
-                    self.emit(last, work, tail);
-                    let here = self.here();
-                    for j in to_end {
-                        self.patch(j, here);
-                    }
-                    if work != dst {
-                        let (d, s) = (self.r16(dst), self.r16(work));
-                        self.ops.push(Op::Move { dst: d, src: s });
-                    }
-                }
-            },
-            HExpr::Let { bindings, body } => {
-                // Parallel semantics. A single binding compiles its
-                // init directly into the slot: nothing can observe the
-                // slot mid-init (the lowerer never reuses slots, the
-                // init cannot reference its own binding, and the emit
-                // invariant delays the write to the final instruction),
-                // so the staging Move is dead weight. Multiple bindings
-                // stage in temporaries so all inits evaluate before any
-                // binding becomes visible.
-                if bindings.len() == 1 {
-                    let (slot, _, init) = &bindings[0];
-                    if *slot >= self.base {
-                        self.ok = false;
-                        return;
-                    }
-                    self.emit(init, *slot, false);
                 } else {
                     let temps: Vec<usize> = bindings.iter().map(|_| self.alloc_temp()).collect();
                     for ((_, _, init), &t) in bindings.iter().zip(&temps) {
@@ -1074,7 +1196,7 @@ impl Compiler<'_> {
                 }
                 self.emit_body(body, dst, tail);
             }
-            HExpr::While(c, body) => {
+            Expr::While(c, body) => {
                 let top = self.here();
                 let cond = self.operand(c, true);
                 let src = self.r16(cond);
@@ -1088,7 +1210,7 @@ impl Compiler<'_> {
                 self.patch(j_end, here);
                 self.op_const(dst, Value::NIL);
             }
-            HExpr::Call { name, name_text, args } => {
+            Expr::Call { name, name_text, args } => {
                 let (b, argc) = self.emit_args(args);
                 let site = self.k_site(*name, *name_text);
                 if tail {
@@ -1097,18 +1219,16 @@ impl Compiler<'_> {
                     let dst = self.r16(dst);
                     self.ops.push(Op::Call { dst, site, base: b, argc });
                 }
-                self.free_to(mark);
             }
-            HExpr::Builtin(op, args) => self.emit_builtin(*op, args, dst, mark),
-            HExpr::Struct(op, args) => {
+            Expr::Builtin(op, args) => self.emit_builtin(*op, args, dst, mark),
+            Expr::Struct(op, args) => {
                 let (b, argc) = self.emit_args(args);
                 self.structops.push(*op);
                 let s = self.pool_idx(self.structops.len() - 1);
                 let dst = self.r16(dst);
                 self.ops.push(Op::Struct { dst, s, base: b, argc });
-                self.free_to(mark);
             }
-            HExpr::Lambda { func, captures } => {
+            Expr::Lambda { func, captures } => {
                 let mut caps = Vec::with_capacity(captures.len());
                 for &slot in captures {
                     caps.push(self.r16(slot));
@@ -1118,19 +1238,18 @@ impl Compiler<'_> {
                 let dst = self.r16(dst);
                 self.ops.push(Op::MakeClosure { dst, l });
             }
-            HExpr::FuncRef(sym, text) => {
+            Expr::FuncRef(sym, text) => {
                 let site = self.k_site(*sym, *text);
                 let dst = self.r16(dst);
                 self.ops.push(Op::FuncRef { dst, site });
             }
-            HExpr::Future { name, name_text, args } => {
+            Expr::Future { name, name_text, args } => {
                 let (b, argc) = self.emit_args(args);
                 let site = self.k_site(*name, *name_text);
                 let dst = self.r16(dst);
                 self.ops.push(Op::Future { dst, site, base: b, argc });
-                self.free_to(mark);
             }
-            HExpr::Enqueue { site, name, name_text, args, handoff } => {
+            Expr::Enqueue { site, name, name_text, args, handoff } => {
                 let (b, argc) = self.emit_args(args);
                 let callee = self.k_site(*name, *name_text);
                 let (site, handoff, tail) = (*site as u32, *handoff, tail && !*handoff);
@@ -1138,7 +1257,7 @@ impl Compiler<'_> {
                 self.free_to(mark);
                 self.op_const(dst, Value::NIL);
             }
-            HExpr::LockOp { lock, base, field, exclusive } => {
+            Expr::LockOp { lock, base, field, exclusive } => {
                 let cell = self.operand(base, true);
                 self.locks.push(LockSpec { field: *field, lock: *lock, exclusive: *exclusive });
                 let l = self.pool_idx(self.locks.len() - 1);
@@ -1147,18 +1266,22 @@ impl Compiler<'_> {
                 self.free_to(mark);
                 self.op_const(dst, Value::NIL);
             }
+            Expr::Nil | Expr::T | Expr::Progn(_) | Expr::And(_) | Expr::Or(_) => {
+                unreachable!("a literal or a chain is never a node")
+            }
         }
         self.free_to(mark);
     }
 
     /// Compile a builtin application, using a specialized opcode when
     /// one exists for this operator/arity.
-    fn emit_builtin(&mut self, op: BuiltinOp, args: &[HExpr], dst: usize, mark: usize) {
+    fn emit_builtin(&mut self, op: BuiltinOp, args: &[Expr], dst: usize, mark: usize) {
         use BuiltinOp::*;
 
         // atomic-incf takes the *place* of its first argument.
         if op == AtomicIncfGlobal {
-            let Some(HExpr::Var(VarRef::Global(sym), _)) = args.first() else {
+            let place = args.first().map(|a| self.form(a));
+            let Some(Form::Node(Expr::Var(VarRef::Global(sym), _))) = place else {
                 self.raise(LispError::Syntax(
                     "atomic-incf requires a global variable place".into(),
                 ));
@@ -1230,7 +1353,7 @@ impl Compiler<'_> {
             if binary(0, 0, 0).is_some() {
                 // Operand `a` may be read from its slot at instruction
                 // time only if evaluating `b` cannot move it first.
-                let a = self.operand(&args[0], Self::writes_no_slot(&args[1]));
+                let a = self.operand(&args[0], self.writes_no_slot(&args[1]));
                 let b = self.operand(&args[1], true);
                 let (d, a, b) = (self.r16(dst), self.r16(a), self.r16(b));
                 let op = binary(d, a, b).expect("checked above");
@@ -1250,6 +1373,157 @@ impl Compiler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::Engine;
+    use crate::lower::{builtin_signature, Lowerer, TopForm, BUILTIN_NAMES};
+    use curare_sexpr::parse_one;
+
+    /// The unfused code of `(defun f (a b c) <expr>)`: its ops and
+    /// constants, printed.
+    fn listing(expr: &str) -> String {
+        let interp = Interp::unfused();
+        let form = parse_one(&format!("(defun f (a b c) {expr})")).unwrap();
+        let TopForm::Func(f) = Lowerer::new(interp.heap()).lower_toplevel(&form).unwrap() else {
+            panic!("a defun lowers to a function")
+        };
+        let code = compile(&interp, &f).expect("a small body compiles");
+        format!("{:?} {:?}", code.ops, code.consts)
+    }
+
+    /// Each sugared body compiles to exactly the code of the plain one.
+    fn same_code(pairs: &[(&str, &str)]) {
+        for (sugared, plain) in pairs {
+            assert_eq!(listing(sugared), listing(plain), "{sugared} against {plain}");
+        }
+    }
+
+    #[test]
+    fn and_flattens_and_simplifies() {
+        same_code(&[
+            // Nested chains flatten; a true literal before the end drops.
+            ("(and (and a b) 5 c)", "(and a b c)"),
+            ("(and a)", "a"),
+            ("(and)", "t"),
+            // A literal nil ends the chain.
+            ("(and a nil b)", "(and a nil)"),
+        ]);
+    }
+
+    #[test]
+    fn or_flattens_and_simplifies() {
+        same_code(&[
+            ("(or (or a b) nil c)", "(or a b c)"),
+            ("(or)", "nil"),
+            ("(or a 5 b)", "(or a 5)"),
+        ]);
+    }
+
+    #[test]
+    fn progn_flattens() {
+        same_code(&[
+            // The literal 1 has no effect and drops; a and b stay.
+            ("(progn (progn 1 a) b)", "(progn a b)"),
+            ("(progn)", "nil"),
+            ("(progn a)", "a"),
+            ("(let () a b)", "(progn a b)"),
+        ]);
+    }
+
+    #[test]
+    fn let_star_splits_into_nested_lets() {
+        same_code(&[("(let* ((x 1) (y (+ x a))) y)", "(let ((x 1)) (let ((y (+ x a))) y))")]);
+    }
+
+    #[test]
+    fn if_literal_condition_folds() {
+        same_code(&[("(if t a b)", "a"), ("(if nil a b)", "b"), ("(if 7 a b)", "a")]);
+        // Computed conditions stay.
+        assert!(listing("(if c a b)").contains("JumpIfNil"));
+    }
+
+    #[test]
+    fn quoted_atoms_become_literals() {
+        same_code(&[("'42", "42"), ("'nil", "nil"), ("'t", "t"), ("'()", "nil")]);
+        // Quoted structure and symbols still build per execution.
+        assert!(listing("'(1 2)").contains("Quote"));
+        assert!(listing("'x").contains("Quote"));
+    }
+
+    /// Folding is the runtime's own arithmetic. Every foldable builtin,
+    /// at every arity the lowerer admits (up to 3 operands; up to 5
+    /// where it takes any number), over literals from {0, 1, -1, 7,
+    /// 2^59 - 1, -2^59}, compiles to a function that returns the
+    /// tree-walker's value or raises its error; and its code is a
+    /// constant load, with no builtin or arithmetic op left, exactly
+    /// when the runtime returns a value.
+    #[test]
+    fn constant_folding_matches_runtime_semantics() {
+        const LITS: [i64; 6] = [0, 1, -1, 7, (1 << 59) - 1, -(1 << 59)];
+        let interp = Interp::new();
+        let mut cases = 0;
+        for &name in BUILTIN_NAMES {
+            let Some((op, min, max)) = builtin_signature(name) else { continue };
+            if !builtin_foldable(op) {
+                continue;
+            }
+            for arity in min..=max.min(if max == usize::MAX { 5 } else { 3 }) {
+                for mut n in 0..LITS.len().pow(arity as u32) {
+                    let mut args = Vec::with_capacity(arity);
+                    for _ in 0..arity {
+                        args.push(LITS[n % LITS.len()].to_string());
+                        n /= LITS.len();
+                    }
+                    let src = format!("(defun f () ({name} {}))", args.join(" "));
+                    interp.load_str(&src).unwrap();
+                    let id = interp.lookup_func_by_name("f").unwrap();
+                    interp.set_engine(Engine::Tree);
+                    let tree = interp.call_fid(id, &[]);
+                    interp.set_engine(Engine::Vm);
+                    let vm = interp.call_fid(id, &[]);
+                    assert_eq!(vm, tree, "{src}");
+                    let code = interp.func_entry(id).code.clone().expect("compiled");
+                    let folded = matches!(*code.ops, [Op::Const { .. }, Op::Return { .. }]);
+                    assert_eq!(folded, tree.is_ok(), "{src}: {:?}", code.ops);
+                    cases += 1;
+                }
+            }
+        }
+        assert!(cases > 100_000, "{cases} cases");
+        // Beyond 2^53 the runtime's min/max compare as floats, and so
+        // does the fold: of two operands one float apart, the first wins.
+        interp.load_str("(defun f () (min 576460752303423487 576460752303423486))").unwrap();
+        let id = interp.lookup_func_by_name("f").unwrap();
+        assert_eq!(interp.call_fid(id, &[]), Ok(Value::int(576460752303423487)));
+    }
+
+    #[test]
+    fn folding_preserves_errors() {
+        // Overflow, division by zero and variables stay for run time.
+        let max = (1i64 << 59) - 1;
+        assert!(listing(&format!("(+ {max} 1)")).contains("Add2"));
+        assert!(listing("(/ 1 0)").contains("Builtin"));
+        assert!(listing("(+ a 1)").contains("Add2"));
+    }
+
+    /// More arguments than a `u16` counts leave the function to the
+    /// tree-walker, and the VM engine still runs it.
+    #[test]
+    fn an_oversized_call_runs_on_the_tree() {
+        let n = 70_000;
+        let xs = vec!["x"; n].join(" ");
+        let list = (0..n).map(|i| i.to_string()).collect::<Vec<_>>().join(" ");
+        let interp = Interp::new();
+        interp
+            .load_str(&format!("(defun g (x) (+ {xs})) (defun f () (length (list {list})))"))
+            .unwrap();
+        for (name, call) in [("g", "(g 1)"), ("f", "(f)")] {
+            let id = interp.lookup_func_by_name(name).unwrap();
+            assert!(interp.func_entry(id).code.is_none(), "{name} has no bytecode");
+            for engine in [Engine::Vm, Engine::Tree] {
+                interp.set_engine(engine);
+                assert_eq!(interp.eval_str(call), Ok(Value::int(n as i64)), "{call} on {engine:?}");
+            }
+        }
+    }
 
     /// A fusable pair fuses when the second instruction is not a jump
     /// target, and every later branch is remapped to the shorter

@@ -17,10 +17,11 @@
 //!   interpreter with proper tail calls and pluggable
 //!   [`interp::RuntimeHooks`] that let the CRI runtime intercept
 //!   recursive calls, futures, and lock operations;
-//! - [`compile`] / [`vm`]: a register bytecode compiler and dispatch
-//!   loop — the default engine for function invocation, with the
-//!   tree-walker retained as a differential oracle (select with
-//!   [`Interp::set_engine`]).
+//! - [`compile`] / [`vm`]: a register bytecode compiler, which emits
+//!   straight from the lowered [`ast`] tree and folds constants through
+//!   [`builtins`], and its dispatch loop — the default engine for
+//!   function invocation, with the tree-walker retained as a
+//!   differential oracle (select with [`Interp::set_engine`]).
 //!
 //! # Quick example
 //!
@@ -45,7 +46,6 @@ pub mod compile;
 pub mod error;
 pub mod eval;
 pub mod heap;
-pub mod hir;
 pub mod interp;
 pub mod lower;
 pub mod speclog;

@@ -972,8 +972,8 @@ pub fn builtin_signature(name: &str) -> Option<(BuiltinOp, usize, usize)> {
     })
 }
 
-/// True for builtins the HIR constant folder may evaluate at compile
-/// time over integer-literal arguments: pure (no heap allocation, no
+/// True for builtins the compiler may evaluate at compile time, with
+/// `builtins::apply_builtin`, over integer-literal arguments: pure (no heap allocation, no
 /// I/O, no interpreter state) and closed over the integers. `/` and
 /// `mod` are deliberately absent — their division-by-zero errors must
 /// surface at run time — as is everything touching conses, strings,

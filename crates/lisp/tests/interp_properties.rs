@@ -1,5 +1,5 @@
 //! Seeded property battery for the mini-Lisp substrate: evaluation
-//! determinism, HIR desugaring against the tree-walker, numeric and
+//! determinism, the compiler's rewrites against the tree-walker, numeric and
 //! list algebra, and a lowerer that is total on arbitrary input.
 //!
 //! Engine agreement on random programs is `engine_differential.rs`'s
@@ -26,17 +26,18 @@ fn evaluation_is_deterministic() {
     }
 }
 
-/// Desugaring (sugar chains plus constant folding) keeps the meaning
-/// the tree-walker gives the program: a function body reaches the VM
-/// only through lower → `hir::desugar` → compile, the tree-walker runs
-/// the lowered tree as it is, and the two must print the same.
+/// The compiler's rewrites (sugar chains plus constant folding) keep
+/// the meaning the tree-walker gives the program: the VM runs the code
+/// `compile` emits from the lowered tree, applying the rewrites as it
+/// emits, the tree-walker runs the lowered tree as it is, and the two
+/// must print the same.
 #[test]
-fn desugar_preserves_tree_semantics() {
+fn compiled_rewrites_preserve_tree_semantics() {
     let mut rng = Rng::new(0x5EED_0002_1157_C0DE);
     for case in 0..300 {
         let program = format!("(defun g () {}) (g)", sugar(&mut rng, 0, 4));
         agree(
-            &Program::text(format!("desugar case {case}"), &program),
+            &Program::text(format!("rewrite case {case}"), &program),
             &[Config::sequential(Engine::Vm)],
         );
     }

@@ -54,6 +54,8 @@ pub enum ReadErrorKind {
     BadToken(String),
     /// Invalid escape sequence inside a string literal.
     BadEscape(char),
+    /// A list or quote nested deeper than [`crate::parser::MAX_DEPTH`].
+    TooDeep,
 }
 
 impl fmt::Display for ReadErrorKind {
@@ -65,6 +67,9 @@ impl fmt::Display for ReadErrorKind {
             ReadErrorKind::MalformedDot => write!(f, "malformed dotted pair"),
             ReadErrorKind::BadToken(t) => write!(f, "bad token: {t:?}"),
             ReadErrorKind::BadEscape(c) => write!(f, "bad string escape: \\{c}"),
+            ReadErrorKind::TooDeep => {
+                write!(f, "nested deeper than {} levels", crate::parser::MAX_DEPTH)
+            }
         }
     }
 }

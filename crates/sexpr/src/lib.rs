@@ -31,6 +31,6 @@ mod symbol;
 pub use datum::Sexpr;
 pub use error::{ReadError, ReadErrorKind, Span};
 pub use lexer::{Lexer, Token, TokenKind};
-pub use parser::{parse_all, parse_one, Parser};
+pub use parser::{parse_all, parse_one, Parser, MAX_DEPTH};
 pub use printer::{pretty, pretty_width};
 pub use symbol::{AddressHasher, Symbol, SymbolMap};

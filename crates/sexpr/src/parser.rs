@@ -10,18 +10,28 @@ use crate::datum::Sexpr;
 use crate::error::{ReadError, ReadErrorKind, Span};
 use crate::lexer::{Lexer, Token, TokenKind};
 
+/// How deep data may nest, counting lists and quote prefixes alike.
+/// Every layer after the reader recurses over the tree it reads; at
+/// this depth all of them (lowering, analysis, the transform, the
+/// printer, the checker, the compiler and both engines) complete on a
+/// 2 MiB thread, the stack of a test thread, in an unoptimised build.
+/// Deeper text is a read error rather than a stack overflow.
+pub const MAX_DEPTH: usize = 64;
+
 /// A recursive-descent reader pulling tokens from a [`Lexer`].
 pub struct Parser<'a> {
     lexer: Lexer<'a>,
     /// The span of the last token read: at the end of the input, where
     /// an unexpected end is reported.
     last: Span,
+    /// Lists and quote prefixes open around the datum being read.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     /// Prepare to read from `src`.
     pub fn new(src: &'a str) -> Self {
-        Parser { lexer: Lexer::new(src), last: Span::default() }
+        Parser { lexer: Lexer::new(src), last: Span::default(), depth: 0 }
     }
 
     /// Read one datum. Returns `None` at end of input.
@@ -58,17 +68,28 @@ impl<'a> Parser<'a> {
             Some(next) => Ok(Sexpr::List(vec![Sexpr::sym(head), this.datum(next)?])),
             None => Err(ReadError::new(ReadErrorKind::UnexpectedEof, tok.span)),
         };
-        match tok.kind {
-            TokenKind::Int(i) => Ok(Sexpr::Int(i)),
-            TokenKind::Float(x) => Ok(Sexpr::Float(x)),
-            TokenKind::Str(s) => Ok(Sexpr::Str(s)),
-            TokenKind::Sym(s) => Ok(Sexpr::Sym(s)),
+        let nested = match tok.kind {
+            TokenKind::Int(i) => return Ok(Sexpr::Int(i)),
+            TokenKind::Float(x) => return Ok(Sexpr::Float(x)),
+            TokenKind::Str(s) => return Ok(Sexpr::Str(s)),
+            TokenKind::Sym(s) => return Ok(Sexpr::Sym(s)),
+            TokenKind::Close => {
+                return Err(ReadError::new(ReadErrorKind::UnexpectedClose, tok.span))
+            }
+            TokenKind::Dot => return Err(ReadError::new(ReadErrorKind::MalformedDot, tok.span)),
+            kind => kind,
+        };
+        if self.depth == MAX_DEPTH {
+            return Err(ReadError::new(ReadErrorKind::TooDeep, tok.span));
+        }
+        self.depth += 1;
+        let datum = match nested {
             TokenKind::Quote => prefixed("quote", self),
             TokenKind::SharpQuote => prefixed("function", self),
-            TokenKind::Open => self.read_list(tok.span),
-            TokenKind::Close => Err(ReadError::new(ReadErrorKind::UnexpectedClose, tok.span)),
-            TokenKind::Dot => Err(ReadError::new(ReadErrorKind::MalformedDot, tok.span)),
-        }
+            _ => self.read_list(tok.span),
+        };
+        self.depth -= 1;
+        datum
     }
 
     fn read_list(&mut self, open: Span) -> Result<Sexpr, ReadError> {
@@ -465,6 +486,20 @@ mod tests {
             }
         }
         assert!(read > 2000 && malformed > 2000, "{read} read, {malformed} malformed");
+    }
+
+    /// Lists and quote prefixes nest to `MAX_DEPTH` and no deeper: the
+    /// next level is a read error at the token that opens it.
+    #[test]
+    fn nesting_stops_at_max_depth() {
+        let nested = |depth: usize| format!("{}x{}", "(".repeat(depth), ")".repeat(depth));
+        assert!(parse_one(&nested(MAX_DEPTH)).is_ok());
+        let e = parse_all(&format!("(a\n {})", nested(MAX_DEPTH))).unwrap_err();
+        assert_eq!(e.kind, ReadErrorKind::TooDeep);
+        assert_eq!((e.span.line, e.span.col), (2, 1 + MAX_DEPTH as u32), "{e}");
+        assert!(parse_one(&format!("{}x", "'".repeat(MAX_DEPTH))).is_ok());
+        let e = parse_one(&format!("{}x", "'".repeat(MAX_DEPTH + 1))).unwrap_err();
+        assert_eq!((e.kind, e.span.col), (ReadErrorKind::TooDeep, 1 + MAX_DEPTH as u32));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The expression level: small programs over the evaluator's core
 //! forms, for the differential between the tree-walker and the VM
-//! (and the VM's desugaring and fusion) and the front end's
+//! (and the compiler's rewrites and fusion) and the front end's
 //! totality.
 
 use crate::Rng;

@@ -321,3 +321,75 @@ fn a_converted_tail_recursion_loads_without_nesting() {
         assert_eq!(printed, ["20000"], "{engine:?}");
     }
 }
+
+/// The reader's depth limit is where every layer still completes: each
+/// shape below, nested to `MAX_DEPTH`, reads, lowers, analyses,
+/// transforms, prints, checks, compiles and runs on both engines on a
+/// 2 MiB thread (a test thread's stack). One level more is a read error
+/// with its line and column from every front door, not a stack
+/// overflow.
+#[test]
+fn nesting_to_the_reader_limit_runs_and_one_level_more_is_a_read_error() {
+    use curare::sexpr::{parse_all, ReadErrorKind, MAX_DEPTH};
+    let depth = |text: &str| {
+        let mut open = 0usize;
+        text.chars().fold(0, |deepest, c| {
+            match c {
+                '(' => open += 1,
+                ')' => open -= 1,
+                _ => {}
+            }
+            deepest.max(open)
+        })
+    };
+    // `(defun f (x)` then `levels` copies of `open … close` around `x`.
+    let nest = |open: &str, close: &str, levels: usize| {
+        format!("(defun f (x)\n  {}x{})", open.repeat(levels), close.repeat(levels))
+    };
+    let deepest = |open: &str, close: &str| {
+        let levels = (0..).take_while(|&k| depth(&nest(open, close, k)) <= MAX_DEPTH).last();
+        nest(open, close, levels.expect("a shallow nest fits"))
+    };
+    let shapes = [
+        ("(progn ", ")", 1),
+        ("(+ 1 ", ")", MAX_DEPTH as i64),
+        ("(if x ", " 2)", 1),
+        ("(let ((x ", ")) x)", 1),
+        ("(funcall (lambda (y) ", ") x)", 1),
+    ];
+    let run = || {
+        for (open, close, value) in shapes {
+            let src = deepest(open, close);
+            assert_eq!(depth(&src), MAX_DEPTH, "{src}");
+            let out = Curare::new().transform_source(&src).expect("transforms");
+            assert!(!out.source().is_empty());
+            curare::check::check_source("deep.lisp", &src).expect("checks");
+            let interp = Interp::new();
+            interp.load_str(&src).expect("compiles");
+            for engine in [Engine::Tree, Engine::Vm] {
+                interp.set_engine(engine);
+                let v = interp.eval_str("(f 1)").map(|v| interp.heap().display(v));
+                assert_eq!(v, Ok(value.to_string()), "{open}… on {engine:?}");
+            }
+        }
+        let src = nest("(progn ", ")", MAX_DEPTH);
+        let e = parse_all(&src).unwrap_err();
+        assert_eq!(e.kind, ReadErrorKind::TooDeep);
+        assert_eq!((e.span.line, e.span.col), (2, 3 + 7 * (MAX_DEPTH as u32 - 1)), "{e}");
+        let read_error = format!("read error at {}", e.span);
+        let transformed = Curare::new().transform_source(&src).map(|_| ()).unwrap_err();
+        assert!(transformed.to_string().contains(&read_error), "{transformed}");
+        let checked = curare::check::check_source("deep.lisp", &src).map(|_| ()).unwrap_err();
+        assert!(checked.to_string().contains(&read_error), "{checked}");
+        let loaded = Interp::new().load_str(&src).unwrap_err();
+        assert!(loaded.to_string().contains(&read_error), "{loaded}");
+    };
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn_scoped(s, run)
+            .unwrap()
+            .join()
+            .unwrap()
+    });
+}
