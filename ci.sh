@@ -136,11 +136,13 @@ done
 echo "== chaos: an armed plan perturbs the schedule, not the path"
 # A plan only delays, shuffles and stalls, so figure5's walker restarts
 # 6 of its 7 tasks in place armed, as it does unarmed (0 while an armed
-# pool kept a retry copy of every task).
+# pool kept a retry copy of every task), and it poisons no server.
 out="$(target/release/curare run examples/lisp/figure5.lisp --servers 2 --chaos-seed 3 \
   --chaos-profile reorder --call "(f *data*)" 2>&1)"
 echo "$out" | grep -F "6 of them in place" > /dev/null \
   || { echo "figure5 under reorder: no '6 of them in place' in the report" >&2; exit 1; }
+echo "$out" | grep -E '^;; chaos: .*, 0 servers poisoned$' > /dev/null \
+  || { echo "figure5 under reorder: its ';; chaos:' line names a poisoned server" >&2; exit 1; }
 
 echo "== an armed run: every link is a task the observers see"
 # An in-place link that nothing observes is only counted; --report arms

@@ -372,9 +372,8 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         if let Some(seed) = chaos_seed {
             eprintln!(
-                ";; chaos: seed {seed}, profile {}: {} faults injected, \
-                 {} servers poisoned, degraded: {}",
-                chaos_profile.name, stats.faults_injected, stats.servers_poisoned, stats.degraded
+                ";; chaos: seed {seed}, profile {}: {} faults injected, {} servers poisoned",
+                chaos_profile.name, stats.faults_injected, stats.servers_poisoned
             );
             chaos::install(None);
         }

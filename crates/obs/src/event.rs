@@ -42,12 +42,10 @@ pub enum EventKind {
     /// The chaos harness injected a fault at a decision point
     /// (`arg` = decision-point code; see `curare_runtime::chaos`).
     FaultInjected = 10,
-    /// A task panicked on a server, which left the pool (`arg` =
-    /// servers still alive).
+    /// A task panicked on a server, whose thread leaves the pool for
+    /// another at its index (`arg` = server index). Code 12 is unused:
+    /// the kinds after it keep their `curare-trace/2` codes.
     ServerPoisoned = 11,
-    /// No server was left alive and the pool fell back to sequential
-    /// draining on the caller thread (`arg` = servers still alive).
-    Degraded = 12,
     /// The current invocation spawned a child invocation (`arg` =
     /// parent and child invocation ids, [`crate::profile::pack_pair`]).
     /// Recorded only while causal profiling (or the access journal) assigns
@@ -100,7 +98,6 @@ impl EventKind {
             EventKind::TlabRefill => "tlab_refill",
             EventKind::FaultInjected => "fault_injected",
             EventKind::ServerPoisoned => "server_poisoned",
-            EventKind::Degraded => "degraded",
             EventKind::Spawn => "spawn",
             EventKind::BindFuture => "bind_future",
             EventKind::TouchWake => "touch_wake",
@@ -128,7 +125,6 @@ impl EventKind {
             9 => EventKind::TlabRefill,
             10 => EventKind::FaultInjected,
             11 => EventKind::ServerPoisoned,
-            12 => EventKind::Degraded,
             13 => EventKind::Spawn,
             14 => EventKind::BindFuture,
             15 => EventKind::TouchWake,
@@ -159,22 +155,24 @@ pub struct Event {
 mod tests {
     use super::*;
 
-    /// The vocabulary of `curare-trace/2`.
-    const KINDS: u8 = 22;
+    /// The codes of `curare-trace/2`: 0–21, 12 unused.
+    const CODES: std::ops::Range<u8> = 0..22;
+    const UNUSED: u8 = 12;
 
     #[test]
     fn kind_round_trips_through_u8() {
-        for b in 0..KINDS {
+        for b in CODES.filter(|&b| b != UNUSED) {
             let k = EventKind::from_u8(b).expect("in range");
             assert_eq!(k as u8, b);
         }
-        assert_eq!(EventKind::from_u8(KINDS), None);
+        assert_eq!(EventKind::from_u8(UNUSED), None);
+        assert_eq!(EventKind::from_u8(CODES.end), None);
     }
 
     #[test]
     fn names_are_unique() {
         let names: std::collections::HashSet<_> =
-            (0..KINDS).map(|b| EventKind::from_u8(b).unwrap().name()).collect();
-        assert_eq!(names.len(), KINDS as usize);
+            CODES.filter_map(EventKind::from_u8).map(EventKind::name).collect();
+        assert_eq!(names.len(), CODES.len() - 1);
     }
 }

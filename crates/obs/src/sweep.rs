@@ -15,8 +15,8 @@
 //!
 //! **Lane 0.** Pairing assumes one writer per lane. Every thread that
 //! never calls [`crate::set_lane`] shares lane 0, so its slices mean
-//! something only while one such thread runs tasks (the waiting thread
-//! of a degraded pool).
+//! something only while one such thread runs tasks (a helping `touch`
+//! outside a pool, such as a pool owner's).
 
 use crate::event::{Event, EventKind};
 use crate::profile::unpack_pair;

@@ -65,8 +65,9 @@ impl FutureTable {
         true
     }
 
-    /// Ids of futures still pending — for stall dumps and the abort
-    /// path (which must fail them so waiters unblock rather than hang).
+    /// Ids of futures still pending, for the watchdog's stall dumps.
+    /// (An aborted run fails the futures of the tasks it drops as it
+    /// drops them, in the pool's `drop_unpublished`.)
     pub fn pending_ids(&self) -> Vec<u64> {
         let pending = self.slots.iter().map(|s| s.lock().is_none());
         pending.enumerate().filter(|&(_, p)| p).map(|(i, _)| i as u64).collect()

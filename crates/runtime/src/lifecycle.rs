@@ -56,8 +56,9 @@ pub struct PoolStats {
     /// installed; process-global, so concurrent pools under one plan
     /// share the count).
     pub faults_injected: u64,
-    /// True once no server was left alive and the waiting thread took
-    /// over, draining the queues sequentially.
+    /// Always false: a pool keeps its servers, a poisoned one replaced
+    /// at its index. Kept only because `benchmark/src/pass.rs:269`
+    /// still reads it.
     pub degraded: bool,
     /// Steal rounds begun by servers whose own site group was empty
     /// (each round makes a bounded number of victim probes).
@@ -128,8 +129,9 @@ pub enum SchedMode {
 }
 
 /// The server pool. Borrows its servers from the process-wide server
-/// set at construction; dropping shuts the pool down and returns
-/// them, parked, before it returns.
+/// set at construction, and another for each one a panic poisons;
+/// dropping shuts the pool down and returns them, parked, before it
+/// returns.
 pub struct CriRuntime {
     pub(crate) interp: Arc<Interp>,
     pub(crate) shared: Arc<Shared>,
@@ -163,21 +165,26 @@ impl CriRuntime {
         let servers = servers.max(1);
         let shared = Shared::new(servers, &config);
         interp.set_hooks(Arc::new(CriHooks { shared: Arc::clone(&shared) }));
-        let lent = Arc::new(Lent { out: Mutex::new(servers), back: Condvar::new() });
-        for index in 0..servers {
-            let (interp, shared, lent) =
-                (Arc::clone(&interp), Arc::clone(&shared), Arc::clone(&lent));
-            lend(Job { interp, shared, index, lent });
-        }
-        let watchdog = shared.watch().is_some().then(|| {
-            let shared = Arc::clone(&shared);
+        let lent = Arc::new(Lent { out: Mutex::new(0), back: Condvar::new() });
+        let spec = Mutex::new(PoolStats::default());
+        let mut rt = CriRuntime { interp, shared, config, servers, spec, lent, watchdog: None };
+        (0..servers).for_each(|index| rt.lend_server(index));
+        rt.watchdog = rt.shared.watch().is_some().then(|| {
+            let shared = Arc::clone(&rt.shared);
             std::thread::Builder::new()
                 .name("cri-watchdog".into())
                 .spawn(move || watchdog::watch(shared.watch().expect("watched"), &shared))
                 .expect("spawn watchdog thread")
         });
-        let spec = Mutex::new(PoolStats::default());
-        CriRuntime { interp, shared, config, servers, spec, lent, watchdog }
+        rt
+    }
+
+    /// Lend a set thread to this pool as server `index`: at
+    /// construction, and from the owner's `run` / `wait_idle` to an
+    /// index a poisoned server left vacant.
+    pub(crate) fn lend_server(&self, index: usize) {
+        let (interp, shared) = (Arc::clone(&self.interp), Arc::clone(&self.shared));
+        lend(Job { interp, shared, index, lent: Arc::clone(&self.lent) });
     }
 
     /// Number of servers.
@@ -211,7 +218,7 @@ impl CriRuntime {
         if self.config.speculate {
             return self.run_speculative(fid, args);
         }
-        self.shared.run(&self.interp, fid, args.to_vec())
+        self.shared.run(fid, args.to_vec(), |index| self.lend_server(index))
     }
 
     fn lookup(&self, fname: &str) -> Result<FuncId, LispError> {
@@ -230,12 +237,10 @@ impl CriRuntime {
         self.interp.hooks().touch(&self.interp, v)
     }
 
-    /// Block until no invocation is pending. On a degraded pool (no
-    /// server left alive) the waiting thread itself drains the queues
-    /// sequentially, so the run still completes with the
-    /// sequentially-correct answer.
+    /// Block until no invocation is pending, lending a set thread to
+    /// any server index a poisoned server left vacant.
     pub fn wait_idle(&self) {
-        self.shared.wait_idle(&self.interp);
+        self.shared.wait_idle(|index| self.lend_server(index));
     }
 
     /// Lifetime statistics.
@@ -257,17 +262,6 @@ impl CriRuntime {
     /// True when this pool runs in `SpecMode`.
     pub fn speculating(&self) -> bool {
         self.config.speculate
-    }
-
-    /// True once no server was left alive and the pool fell back to
-    /// sequential draining.
-    pub fn degraded(&self) -> bool {
-        self.shared.degraded()
-    }
-
-    /// Servers still alive (not poisoned or shut down).
-    pub fn alive(&self) -> usize {
-        self.shared.alive()
     }
 
     /// The stall dumps the watchdog has emitted (capped at 64 per pool
@@ -304,7 +298,6 @@ impl CriRuntime {
             .set("servers_poisoned", stats.servers_poisoned)
             .set("stall_dumps", stats.stall_dumps)
             .set("faults_injected", stats.faults_injected)
-            .set("degraded", stats.degraded)
             .set("speculate", self.config.speculate)
             .set("spec_commits", stats.spec_commits)
             .set("spec_aborts", stats.spec_aborts)
@@ -437,27 +430,35 @@ impl Lent {
     }
 }
 
-/// Hand `job` to an idle server of the set, or to a new thread when
-/// none is idle.
+/// Count `job` out, and hand it to an idle server of the set, or to a
+/// new thread when none is idle. A refused spawn counts the job back
+/// before it panics, so the runtime's `Drop` does not wait for it.
 fn lend(job: Job) {
+    *job.lent.out.lock() += 1;
     let idle = IDLE.lock().pop();
     if let Some(mailbox) = idle {
         *mailbox.job.lock() = Some(job);
         mailbox.posted.notify_one();
         return;
     }
-    std::thread::Builder::new()
+    let lent = Arc::clone(&job.lent);
+    let spawned = std::thread::Builder::new()
         .name("cri-server".into())
         .stack_size(pool::SERVER_STACK)
-        .spawn(move || serve(job))
-        .expect("spawn server thread");
+        .spawn(move || serve(job));
+    if let Err(e) = spawned {
+        lent.returned();
+        panic!("spawn server thread: {e}");
+    }
 }
 
 /// A set thread's life: serve a borrow, go back to the set, wait for
-/// the next one, until a borrow poisons it. A borrow ends holding
-/// nothing of its pool: the thread lets go of the interpreter, the
-/// pool's state and the hooks it last resolved (which hold that state
-/// too) before it reports back, so the runtime's `Drop` frees them.
+/// the next one, until a borrow poisons it; then it vacates its index
+/// for the owner to lend another thread to, and retires. A borrow ends
+/// holding nothing of its pool: the thread lets go of the interpreter,
+/// the pool's state and the hooks it last resolved (which hold that
+/// state too) before it reports back, so the runtime's `Drop` frees
+/// them.
 fn serve(mut job: Job) {
     /// Reports the server back on every way out of a borrow, a panic
     /// that escaped `server_loop` included.
@@ -472,6 +473,9 @@ fn serve(mut job: Job) {
         let Job { interp, shared, index, lent } = job;
         let back = Back(lent);
         let poisoned = pool::server_loop(&interp, &shared, index);
+        if poisoned {
+            shared.vacate(index);
+        }
         drop((interp, shared));
         curare_lisp::interp::forget_thread_hooks();
         if poisoned {

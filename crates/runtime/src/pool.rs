@@ -10,10 +10,11 @@
 //! (`lifecycle`) for its life; each loops over the ordered site queues
 //! (`server_loop`, once per borrow), executing one invocation at a time
 //! against the shared interpreter, and goes back to the set when the
-//! pool is dropped. `cri-enqueue` (installed through [`CriHooks`]) adds
-//! invocations; termination is detected with a pending-task counter —
-//! the moral equivalent of the paper's kill tokens, without the flag
-//! polling.
+//! pool is dropped. A thread a panic poisoned retires instead, and the
+//! owner lends another to its index: the pool keeps its `S` servers.
+//! `cri-enqueue` (installed through [`CriHooks`]) adds invocations;
+//! termination is detected with a pending-task counter — the moral
+//! equivalent of the paper's kill tokens, without the flag polling.
 //!
 //! There is one queue structure, [`ShardedQueues`] (a lock per call
 //! site, a nonempty-site bitmask per ownership group, so servers
@@ -63,7 +64,7 @@
 //! either mode.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -111,8 +112,7 @@ thread_local! {
     /// task's own pool, never to external helpers.
     static SERVER_OF: Cell<(usize, usize)> = const { Cell::new((0, usize::MAX)) };
     /// Latched once this server thread has been poisoned, so nested
-    /// panics caught while it unwinds its helping stack cannot
-    /// double-decrement the alive count.
+    /// panics caught while it unwinds its helping stack count it once.
     static THREAD_POISONED: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -185,7 +185,11 @@ pub(crate) struct Shared {
     /// Padded, like `pending` and `counters`: what servers write
     /// during a run stays off the lines of what they only read.
     parked_mask: CachePadded<AtomicU64>,
-    done_m: Mutex<()>,
+    /// Server indices whose thread left poisoned, for the owner to
+    /// lend a set thread to; and the mutex `done_cv` pairs with.
+    vacant: Mutex<Vec<usize>>,
+    /// Where the owner waits for the pool to go idle or a server index
+    /// to fall vacant.
     done_cv: Condvar,
     /// Tasks published or executing, plus finished ones their server
     /// has yet to settle: it only ever over-counts.
@@ -201,9 +205,8 @@ pub(crate) struct Shared {
     /// The stall detector, when a budget armed it: every beat write
     /// is behind this one test.
     watch: Option<Watch>,
-    /// Servers not poisoned: the rest of `parkers` are.
-    alive: AtomicUsize,
-    degraded: AtomicBool,
+    /// Servers poisoned over the pool's life.
+    poisoned: AtomicU64,
     /// True when this pool runs speculatively: spawns register with
     /// the journal and publish eagerly, and body errors park instead of
     /// aborting the run.
@@ -221,7 +224,7 @@ impl Shared {
             eager: config.mode == SchedMode::Central || config.speculate,
             parkers: (0..servers).map(|_| Parker::default()).collect(),
             parked_mask: CachePadded::default(),
-            done_m: Mutex::new(()),
+            vacant: Mutex::new(Vec::new()),
             done_cv: Condvar::new(),
             pending: CachePadded::default(),
             counters: CachePadded::default(),
@@ -232,8 +235,7 @@ impl Shared {
             locks: LockTable::new(),
             futures: FutureTable::new(),
             watch: config.stall_budget.map(|budget| Watch::new(servers, budget)),
-            alive: AtomicUsize::new(servers),
-            degraded: AtomicBool::new(false),
+            poisoned: AtomicU64::new(0),
             speculate: config.speculate,
         })
     }
@@ -275,7 +277,7 @@ impl Shared {
         }
     }
 
-    /// Wake every parked server (shutdown, degrade, retirement).
+    /// Wake every parked server (shutdown).
     fn wake_all(&self) {
         for i in 0..self.parkers.len() {
             self.unpark(i);
@@ -382,11 +384,6 @@ impl Shared {
     fn requeue_chained(&self, task: Task) {
         let wake = self.sched.push(task);
         self.wake_servers(wake, 1);
-        if self.degraded.load(Ordering::Acquire) {
-            // A degraded pool's tasks are drained by the thread in
-            // `wait_idle`, which sleeps on `done_cv`, not a parker.
-            self.wake_waiter();
-        }
     }
 
     /// Drop tasks that will never run, failing their futures so no
@@ -444,36 +441,30 @@ impl Shared {
     /// Wake the thread in `wait_idle`, under its mutex to pair with the
     /// condvar wait.
     fn wake_waiter(&self) {
-        let _guard = self.done_m.lock();
+        let _guard = self.vacant.lock();
         self.done_cv.notify_all();
     }
 
-    /// Remove the calling server thread from the pool: decrement the
-    /// alive count (once per thread, however many panics it catches on
-    /// the way out) and, when no server is left alive, flip to degraded
-    /// mode and wake the `wait_idle` thread to start the sequential
-    /// drain. A no-op on threads that are not this pool's servers.
+    /// Mark the calling server thread poisoned (once per thread,
+    /// however many panics it catches on the way out) and count it: it
+    /// leaves `server_loop` once its outer task is done. A no-op on
+    /// threads that are not this pool's servers.
     fn poison_current_server(self: &Arc<Self>) {
         let (pool, index) = SERVER_OF.with(Cell::get);
         if pool != self.key() || THREAD_POISONED.with(Cell::get) {
             return;
         }
         THREAD_POISONED.with(|p| p.set(true));
-        if let Some(watch) = &self.watch {
-            watch.retire(index);
-        }
-        let now_alive = self.alive.fetch_sub(1, Ordering::AcqRel) - 1;
-        curare_obs::record(EventKind::ServerPoisoned, now_alive as u64);
-        // Rehome the dead server's sites to live groups and wake the
-        // heirs, so queued work never strands with a retired owner.
-        let heirs = self.sched.retire(index);
-        if heirs != 0 {
-            self.wake_servers(heirs, usize::MAX);
-        }
-        if now_alive == 0 && !self.degraded.swap(true, Ordering::AcqRel) {
-            curare_obs::record(EventKind::Degraded, now_alive as u64);
-            self.wake_waiter();
-        }
+        self.poisoned.fetch_add(1, Ordering::Relaxed);
+        curare_obs::record(EventKind::ServerPoisoned, index as u64);
+    }
+
+    /// Server `index`'s poisoned thread has left `server_loop`: record
+    /// the index vacant and wake the owner to lend it another thread.
+    /// Meanwhile the other servers steal from its group.
+    pub(crate) fn vacate(&self, index: usize) {
+        self.vacant.lock().push(index);
+        self.done_cv.notify_all();
     }
 
     /// Build the task for a spawn of `fid` by this pool, recording its
@@ -533,42 +524,36 @@ impl Shared {
 
     /// Run `(fid args...)` from its root invocation until the pool is
     /// idle, and hand back the root's value, or the error that ended
-    /// the run if one did.
+    /// the run if one did. `lend` is `wait_idle`'s.
     pub(crate) fn run(
-        self: &Arc<Self>,
-        interp: &Interp,
+        &self,
         fid: FuncId,
         args: Vec<Value>,
+        lend: impl Fn(usize),
     ) -> Result<Value, LispError> {
         self.aborting.store(false, Ordering::Release);
         *self.error.lock() = None;
         *self.root_value.lock() = Value::NIL;
         self.submit_now(Task { root: true, ..self.new_task(0, fid, args, None) });
-        self.wait_idle(interp);
+        self.wait_idle(lend);
         self.error.lock().take().map_or_else(|| Ok(*self.root_value.lock()), Err)
     }
 
-    /// Block until no invocation is pending. On a degraded pool (no
-    /// server left alive) the calling thread itself drains the queues
-    /// on `interp`, so the run still completes with the
-    /// sequentially-correct answer.
-    pub(crate) fn wait_idle(self: &Arc<Self>, interp: &Interp) {
+    /// Block until no invocation is pending, calling `lend` (from this,
+    /// the owner's, thread) on every server index that falls vacant
+    /// meanwhile or did before.
+    pub(crate) fn wait_idle(&self, lend: impl Fn(usize)) {
+        let mut vacant = self.vacant.lock();
         loop {
-            if self.degraded() {
-                let (mut vm, mut tally) = (Vm::new(interp), Tally::default());
-                while let Some(t) = self.sched.pop() {
-                    self.run_chain(&mut vm, &mut tally, t, None);
-                }
-            }
-            let mut g = self.done_m.lock();
-            loop {
-                if self.pending_tasks() == 0 {
-                    return;
-                }
-                if self.degraded() && self.sched.has_work() {
-                    break; // go drain on this thread
-                }
-                self.done_cv.wait(&mut g);
+            if !vacant.is_empty() {
+                let indices = std::mem::take(&mut *vacant);
+                drop(vacant);
+                indices.into_iter().for_each(&lend);
+                vacant = self.vacant.lock();
+            } else if self.pending_tasks() == 0 {
+                return;
+            } else {
+                self.done_cv.wait(&mut vacant);
             }
         }
     }
@@ -592,8 +577,7 @@ impl Shared {
             chained_tasks: count(&c.chained),
             in_place_tasks: count(&c.in_place),
             batched_submits: count(&c.batched_submits),
-            servers_poisoned: (self.parkers.len() - self.alive()) as u64,
-            degraded: self.degraded(),
+            servers_poisoned: count(&self.poisoned),
             steal_attempts,
             steal_successes,
             steal_failed_races,
@@ -607,14 +591,6 @@ impl Shared {
 
     pub(crate) fn is_shut_down(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn alive(&self) -> usize {
-        self.alive.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn degraded(&self) -> bool {
-        self.degraded.load(Ordering::Acquire)
     }
 
     pub(crate) fn pending_tasks(&self) -> u64 {
@@ -669,8 +645,9 @@ const PARK_TIMEOUT_MAX: Duration = Duration::from_millis(64);
 /// One borrow of a set thread as server `index`: pop, run the chain,
 /// settle when dry, park when idle, until the pool shuts down or the
 /// server is poisoned. True when it was poisoned: the thread retires
-/// instead of going back to the set. What makes the thread this pool's
-/// server is bound here, on every borrow.
+/// instead of going back to the set, and its caller vacates `index`.
+/// What makes the thread this pool's server is bound here, on every
+/// borrow.
 pub(crate) fn server_loop(interp: &Interp, shared: &Arc<Shared>, index: usize) -> bool {
     // Servers get a large native stack; let the evaluator use most of
     // it for any residual non-tail recursion in task bodies.
@@ -826,7 +803,7 @@ fn execute_task(
 /// The pool never runs the body again: it fails the future so waiters
 /// unblock, surfaces the panic as the run error, drains the queues,
 /// settles at once and poisons the server — a genuine panic may have
-/// corrupted its state.
+/// corrupted its state — so that it leaves when its outer task ends.
 fn handle_panic(
     shared: &Arc<Shared>,
     vm: &mut Vm<'_>,

@@ -89,9 +89,9 @@ const UNOWNED: usize = usize::MAX;
 /// One call site's FIFO queue behind its own lock, plus the index of
 /// the server group that currently owns it. The owner cell is written
 /// only under the queue lock (first push assigns the home owner;
-/// stealing and retirement reassign it), so the queue itself never
-/// moves — migration is a metadata flip, which is what preserves
-/// per-site FIFO across steals by construction.
+/// stealing reassigns it), so the queue itself never moves — migration
+/// is a metadata flip, which is what preserves per-site FIFO across
+/// steals by construction.
 #[derive(Debug)]
 struct SiteQueue {
     q: Mutex<VecDeque<Task>>,
@@ -137,10 +137,6 @@ pub struct ShardedQueues {
     /// group `i % groups`), one bit per server index below 64 — what
     /// a publisher hands the pool to unpark.
     wake: Vec<u64>,
-    /// Bit `i` set while group `i` is live (cleared by
-    /// [`ShardedQueues::retire`] when a server is poisoned). Only the
-    /// first 64 groups are tracked; the constructor caps group count.
-    live: AtomicU64,
     traffic: CachePadded<Traffic>,
 }
 
@@ -152,24 +148,22 @@ impl Default for ShardedQueues {
 
 impl ShardedQueues {
     /// An empty queue set with a single ownership group: every server
-    /// drains it, a push wakes any of them, and nothing is ever stolen
-    /// or retired.
+    /// drains it, a push wakes any of them, and nothing is ever
+    /// stolen.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// An empty queue set partitioned into one ownership group per
     /// server, idle servers stealing from the others' groups. Group
-    /// count is capped at 64 so the live mask and the parked-server
-    /// mask stay one word; extra servers share group `i % 64`.
+    /// count is capped at 64 so every group has a server in the
+    /// one-word wake mask; extra servers share group `i % 64`.
     pub fn with_servers(servers: usize) -> Self {
         let n = servers.clamp(1, 64);
-        let live = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
         Self {
             sites: AppendVec::default(),
             groups: (0..n).map(|_| CachePadded::default()).collect(),
             wake: (0..n).map(|g| (g..64).step_by(n).fold(0, |m, i| m | 1u64 << i)).collect(),
-            live: AtomicU64::new(live),
             traffic: CachePadded::default(),
         }
     }
@@ -180,19 +174,13 @@ impl ShardedQueues {
     }
 
     /// The group that drains `site` given its recorded `owner`: that
-    /// owner while it is live; otherwise the site's home — its
-    /// static-hash group `site % groups`, or the first live group
-    /// round-robin after it. Falls back to the static group itself if
-    /// every group is retired (the pool aborts in that state; tasks
-    /// must still land somewhere drainable).
-    fn live_owner(&self, owner: usize, site: usize) -> usize {
-        let n = self.groups.len();
-        let live = self.live.load(Ordering::Acquire);
-        let is_live = |g: &usize| live & (1u64 << g) != 0;
-        if owner != UNOWNED && is_live(&owner) {
-            return owner;
+    /// owner, or for a site never pushed to, its home `site % groups`.
+    fn owner_or_home(&self, owner: usize, site: usize) -> usize {
+        if owner == UNOWNED {
+            site % self.groups.len()
+        } else {
+            owner
         }
-        (0..n).map(|i| (site + i) % n).find(is_live).unwrap_or(site % n)
     }
 
     /// `site`'s queue, appending the table out to it on first use (two
@@ -206,11 +194,10 @@ impl ShardedQueues {
         }
     }
 
-    /// Current owner group of `site`, resolving unowned or retired
-    /// owners to the site's live home.
+    /// Current owner group of `site`, its home while it has none.
     pub fn owner_of(&self, site: usize) -> usize {
         let recorded = self.sites.get(site).map_or(UNOWNED, |sq| sq.owner.load(Ordering::Acquire));
-        self.live_owner(recorded, site)
+        self.owner_or_home(recorded, site)
     }
 
     /// Publish a batch of tasks, preserving their order. Consecutive
@@ -241,14 +228,13 @@ impl ShardedQueues {
             while tasks.peek().is_some_and(|t| t.site == site) {
                 q.push_back(tasks.next().expect("peeked"));
             }
-            // Resolve the owner under the site lock: assign the home
-            // owner on first use, rehome if the recorded owner retired.
-            // The lock decides both writes: nobody else moves this
-            // site's owner or (below 63) its bit meanwhile. A shared
-            // bit seen set may be cleared under us, by a `pop_group`
-            // that then rescans and finds this push.
+            // Resolve the owner under the site lock, assigning the home
+            // owner on first use. The lock decides both writes: nobody
+            // else moves this site's owner or (below 63) its bit
+            // meanwhile. A shared bit seen set may be cleared under us,
+            // by a `pop_group` that then rescans and finds this push.
             let recorded = sq.owner.load(Ordering::Relaxed);
-            let owner = self.live_owner(recorded, site);
+            let owner = self.owner_or_home(recorded, site);
             if owner != recorded {
                 sq.owner.store(owner, Ordering::Release);
             }
@@ -268,9 +254,9 @@ impl ShardedQueues {
 
     /// Dequeue from the lowest-indexed non-empty site, ignoring
     /// ownership (global §4.1 order; among sites ≥ 63 of different
-    /// groups, group order). Used by helping `touch` waiters, the
-    /// degraded drain, and single-consumer tests; pool servers use
-    /// [`ShardedQueues::pop_local`] + [`ShardedQueues::steal`].
+    /// groups, group order). Used by helping `touch` waiters and by
+    /// tests; pool servers use [`ShardedQueues::pop_local`] +
+    /// [`ShardedQueues::steal`].
     pub fn pop(&self) -> Option<Task> {
         self.dequeue(None)
     }
@@ -433,22 +419,14 @@ impl ShardedQueues {
         None
     }
 
-    /// Pick a live, non-empty victim group other than `me`, scanning
+    /// Pick a non-empty victim group other than `me`, scanning
     /// round-robin from a seeded start.
     fn pick_victim(&self, me: usize, word: u64) -> Option<usize> {
         let n = self.groups.len();
-        let live = self.live.load(Ordering::Acquire);
         let start = (word % n as u64) as usize;
-        for i in 0..n {
-            let v = (start + i) % n;
-            if v == me || live & (1u64 << v) == 0 {
-                continue;
-            }
-            if self.groups[v].load(Ordering::Acquire) != 0 {
-                return Some(v);
-            }
-        }
-        None
+        (0..n)
+            .map(|i| (start + i) % n)
+            .find(|&v| v != me && self.groups[v].load(Ordering::Acquire) != 0)
     }
 
     /// Flip `site`'s owner from `victim` to `thief` under the site
@@ -470,27 +448,6 @@ impl ShardedQueues {
         self.groups[victim].fetch_and(!site_bit(site), Ordering::AcqRel);
         self.groups[thief].fetch_or(site_bit(site), Ordering::AcqRel);
         true
-    }
-
-    /// Retire a server's group (poisoned thread): mark it dead
-    /// and migrate every non-empty site it owns to the next live group
-    /// (an empty one is rehomed by its next push). Returns the wake
-    /// mask of the servers that inherited work. A group shared by
-    /// every server outlives any one of them.
-    pub fn retire(&self, server: usize) -> u64 {
-        if self.groups.len() <= 1 {
-            return 0;
-        }
-        let g = self.group_of(server);
-        self.live.fetch_and(!(1u64 << g), Ordering::AcqRel);
-        let mut wake = 0u64;
-        for site in 0..self.sites.len() {
-            let heir = self.live_owner(g, site);
-            if self.migrate_site(site, g, heir) {
-                wake |= self.wake[heir];
-            }
-        }
-        wake
     }
 
     /// True when a published (or mid-publish) task exists anywhere.
@@ -787,30 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn retire_rehomes_sites_to_live_groups() {
-        let q = ShardedQueues::with_servers(4);
-        for s in 0..4 {
-            q.push(task(s, s as i64));
-        }
-        let wake = q.retire(1);
-        assert_ne!(wake, 0, "heir with non-empty site must be woken");
-        assert_ne!(q.owner_of(1), 1, "dead group owns nothing");
-        assert!(q.pop_local(1).is_none());
-        // All four tasks still drain via their (new) owners.
-        let mut got = 0;
-        for g in 0..4 {
-            while q.pop_local(g).is_some() {
-                got += 1;
-            }
-        }
-        assert_eq!(got, 4);
-        // New pushes for a site homed on the dead group land live.
-        q.push(task(5, 50));
-        assert_ne!(q.owner_of(5), 1);
-        assert!(q.pop_local(q.owner_of(5)).is_some());
-    }
-
-    #[test]
     fn can_chain_follows_the_migrated_owner() {
         let q = ShardedQueues::with_servers(2);
         // Sites 0 and 2 homed on group 0, two tasks each so the
@@ -861,11 +794,10 @@ mod tests {
             let q = ShardedQueues::with_servers(groups);
             // Per site, the tags still queued, in push order.
             let mut model = std::collections::HashMap::<usize, VecDeque<i64>>::new();
-            let mut alive: Vec<usize> = (0..groups).collect();
             let mut tag = 0i64;
             for step in 0..400 {
                 let word = splitmix64(&mut rng);
-                let server = alive[(word >> 8) as usize % alive.len()];
+                let server = (word >> 8) as usize % groups;
                 let popped = match word % 16 {
                     0..=5 => {
                         let batch: Vec<Task> = (0..1 + (word >> 16) % 3)
@@ -882,14 +814,7 @@ mod tests {
                     }
                     6..=9 => q.pop_local(server),
                     10 | 11 => q.pop(),
-                    12..=14 => q.steal(server, &mut rng),
-                    _ => {
-                        if alive.len() > 1 && (word >> 16) & 7 == 0 {
-                            q.retire(server);
-                            alive.retain(|&s| s != server);
-                        }
-                        None
-                    }
+                    _ => q.steal(server, &mut rng),
                 };
                 let ctx = format!("seed {seed}, {groups} group(s), step {step}");
                 if let Some(t) = popped {

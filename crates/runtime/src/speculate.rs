@@ -24,7 +24,7 @@ impl CriRuntime {
     /// back on every exit.
     pub(crate) fn run_speculative(&self, fid: FuncId, args: &[Value]) -> Result<Value, LispError> {
         speclog::arm()?;
-        let ran = self.shared.run(&self.interp, fid, args.to_vec());
+        let ran = self.shared.run(fid, args.to_vec(), |index| self.lend_server(index));
         let t0 = curare_obs::now_ns();
         let res = speclog::resolve_run(&self.interp, SPEC_RETRY_LIMIT);
         {

@@ -8,7 +8,7 @@
 //! budget while in a non-idle phase — a blocked `touch`, a lock
 //! convoy, or a body that simply never returns. Detection is separate
 //! from policy: the watchdog makes a stall dump and leaves recovery to
-//! the panic policy at the catch site (poison, degrade), because a
+//! the panic policy at the catch site (poison, replace), because a
 //! stalled-but-alive server cannot be safely killed from outside.
 //!
 //! The beat state machine per server:
@@ -38,7 +38,7 @@
 //! Beats are written only when the pool is watched: the hot path pays
 //! a single non-atomic bool test otherwise.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -80,15 +80,12 @@ pub struct ServerBeat {
     pub phase: AtomicU8,
     /// Phase-specific detail word.
     pub detail: AtomicU64,
-    /// False once the server has exited (poisoned or shut down).
-    pub alive: AtomicBool,
 }
 
 impl ServerBeat {
-    /// A fresh beat in `IDLE`, alive, stamped now.
+    /// A fresh beat in `IDLE`, stamped now.
     pub fn new() -> Self {
         let b = ServerBeat::default();
-        b.alive.store(true, Ordering::Relaxed);
         b.ts_ns.store(curare_obs::now_ns(), Ordering::Relaxed);
         b
     }
@@ -179,16 +176,11 @@ impl Watch {
         Watch { budget, beats, found: Mutex::new((0, Vec::new())) }
     }
 
-    /// Bind the calling thread, server `index`, to its beat.
+    /// Bind the calling thread, server `index`, to its beat (a
+    /// replacement for a poisoned server binds its predecessor's,
+    /// left idle).
     pub(crate) fn bind(&self, index: usize) {
         set_current_beat(self.beats.get(index).cloned());
-    }
-
-    /// Server `index` left the pool: its beat never stalls.
-    pub(crate) fn retire(&self, index: usize) {
-        if let Some(beat) = self.beats.get(index) {
-            beat.alive.store(false, Ordering::Relaxed);
-        }
     }
 
     /// Stalls detected so far.
@@ -203,7 +195,7 @@ impl Watch {
 }
 
 /// The watchdog thread body: scan the heartbeats every quarter budget
-/// and dump any live server whose last transition is older than the
+/// and dump any server whose last transition is older than the
 /// budget while in a non-idle phase. One dump per stall — the
 /// per-server latch re-arms when the beat progresses or goes idle.
 /// Detection only: recovery belongs to the panic policy at the catch
@@ -217,9 +209,8 @@ pub(crate) fn watch(watch: &Watch, pool: &Shared) {
         std::thread::sleep(tick);
         let now = curare_obs::now_ns();
         for (i, beat) in watch.beats.iter().enumerate() {
-            let stalled = beat.alive.load(Ordering::Relaxed)
-                && beat.phase.load(Ordering::Relaxed) != PHASE_IDLE
-                && beat.age_ns(now) >= budget_ns;
+            let stalled =
+                beat.phase.load(Ordering::Relaxed) != PHASE_IDLE && beat.age_ns(now) >= budget_ns;
             if !stalled || fired[i] {
                 fired[i] = stalled;
                 continue;
@@ -246,9 +237,8 @@ fn stall_dump(watch: &Watch, pool: &Shared, index: usize, budget_ns: u64, now: u
             .set("detail", b.detail.load(Ordering::Relaxed))
             .set("age_ns", b.age_ns(now))
     };
-    let servers = watch.beats.iter().enumerate().map(|(i, b)| {
-        beat(Json::obj().set("server", i).set("alive", b.alive.load(Ordering::Relaxed)), b)
-    });
+    let servers =
+        watch.beats.iter().enumerate().map(|(i, b)| beat(Json::obj().set("server", i), b));
     let held = pool.locks().held_snapshot().into_iter().take(64).map(|(hash, wdepth, readers)| {
         Json::obj().set("loc", hash).set("write_depth", wdepth).set("readers", readers)
     });
@@ -260,10 +250,8 @@ fn stall_dump(watch: &Watch, pool: &Shared, index: usize, budget_ns: u64, now: u
         .map(|e| Json::obj().set("ts_ns", e.ts_ns).set("kind", e.kind.name()).set("arg", e.arg));
     beat(Json::obj().set("server", index), &watch.beats[index])
         .set("budget_ns", budget_ns)
-        .set("alive", pool.alive())
         .set("pending_tasks", pool.pending_tasks())
         .set("queued", pool.has_work())
-        .set("degraded", pool.degraded())
         .set("servers", Json::Arr(servers.collect()))
         .set("held_locks", Json::Arr(held.collect()))
         .set("pending_futures", Json::Arr(pending_futures.collect()))
@@ -278,7 +266,6 @@ mod tests {
     fn beat_transitions_and_age() {
         let b = ServerBeat::new();
         assert_eq!(b.phase.load(Ordering::Relaxed), PHASE_IDLE);
-        assert!(b.alive.load(Ordering::Relaxed));
         let before = b.ts_ns.load(Ordering::Relaxed);
         b.set(PHASE_EXECUTING, 42);
         assert_eq!(b.phase.load(Ordering::Relaxed), PHASE_EXECUTING);

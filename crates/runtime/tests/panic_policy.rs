@@ -2,13 +2,14 @@
 //! dies mid-task must still settle the pending count (§4's termination
 //! is that count reaching zero), so a panicking body ends the run with
 //! an error instead of hanging it — the body is never run again — and
-//! the server leaves the pool; once no server is left, the waiting
-//! thread runs the next run sequentially, to the same answer.
+//! the server's thread leaves the pool; another thread takes its index,
+//! so the next run is served as every run is, to the same answer.
 
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use curare_lisp::{Interp, LispError, Value};
+use curare_obs::{EventKind, Tracer};
 use curare_runtime::{CriRuntime, RuntimeConfig, SchedMode};
 use curare_testkit::{guard, list_of, quietly, Hook, PanicOn};
 
@@ -60,24 +61,33 @@ fn a_panicking_task_ends_the_run_with_an_error() {
     assert_eq!(stats.servers_poisoned, 1, "{stats:?}");
 }
 
+/// One server: the panic that ends run 1 poisons the pool's only
+/// server. Run 2 is served by the thread lent to its index — its tasks
+/// on server 0's lane, none on the owner's lane 0 — to the answer the
+/// walker gives sequentially: every cell visited once.
 #[test]
-fn a_pool_with_no_server_left_runs_the_next_run_sequentially() {
+fn a_poisoned_servers_index_serves_the_next_run() {
     let _g = guard();
     for mode in [SchedMode::Central, SchedMode::Sharded] {
-        // One server: the panic that ends run 1 takes the pool's last
-        // server with it.
         let (rt, l) = pool(1, RuntimeConfig { mode, ..RuntimeConfig::default() }, 1);
         let err = quietly(|| rt.run("walk", &[l])).expect_err("the panic ends run 1");
         assert!(format!("{err}").contains("task panicked: body failed"), "{mode:?}: {err}");
-        assert_eq!((rt.alive(), rt.degraded()), (0, true), "{mode:?}");
-        // Run 2 drains on this thread, to the answer the walker gives
-        // sequentially: every cell visited once.
         rt.interp().load_str("(setq *visits* 0)").unwrap();
-        rt.run("walk", &[list_of(rt.interp(), 0..N)]).expect("a degraded pool still runs");
+        let l = list_of(rt.interp(), 0..N);
+        let tracer = Tracer::new(1);
+        curare_obs::install(Some(Arc::clone(&tracer)));
+        let ran = rt.run("walk", &[l]);
+        curare_obs::install(None);
+        ran.expect("the replaced server runs run 2");
         assert_eq!(visits(&rt), Value::int(N), "{mode:?}");
         let stats = rt.stats();
-        assert!(stats.degraded, "{mode:?}: {stats:?}");
-        assert_eq!(stats.servers_poisoned, 1, "{mode:?}: {stats:?}");
+        assert_eq!((stats.tasks, stats.servers_poisoned), (N as u64 + 1, 1), "{mode:?}: {stats:?}");
+        let starts: Vec<usize> = tracer
+            .snapshot()
+            .iter()
+            .map(|snap| snap.events.iter().filter(|e| e.kind == EventKind::TaskStart).count())
+            .collect();
+        assert_eq!(starts, [0, N as usize + 1], "{mode:?}: task starts on lanes 0 and 1");
     }
 }
 
@@ -91,13 +101,12 @@ fn a_poisoned_server_never_serves_again() {
     for servers in [1, 2] {
         let (rt, l) = pool(servers, RuntimeConfig::default(), 1);
         quietly(|| rt.run("walk", &[l])).expect_err("the panic ends the run");
-        assert_eq!(rt.alive(), servers - 1, "S = {servers}");
+        assert_eq!(rt.stats().servers_poisoned, 1, "S = {servers}");
         drop(rt);
         let interp = Arc::new(Interp::new());
         interp.load_str(WALK).unwrap();
         interp.load_str("(defparameter *visits* 0)").unwrap();
         let rt = CriRuntime::new(Arc::clone(&interp), servers);
-        assert_eq!(rt.alive(), servers);
         let l = list_of(&interp, 0..N);
         let (tx, rx) = mpsc::channel();
         let runner = std::thread::spawn(move || {
@@ -109,6 +118,6 @@ fn a_poisoned_server_never_serves_again() {
         runner.join().unwrap();
         result.expect("a clean run");
         assert_eq!(visits, Value::int(N), "S = {servers}");
-        assert_eq!((stats.servers_poisoned, stats.degraded), (0, false), "S = {servers}");
+        assert_eq!(stats.servers_poisoned, 0, "S = {servers}");
     }
 }
